@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-baseline test test-invariants bench bench-quick bench-routing bench-dataplane bench-dataplane-quick bench-partitions bench-churn bench-dcdm bench-dcdm-quick bench-domains smoke-parallel smoke-faults smoke-partitions smoke-churn smoke-dcdm smoke-domains fmt
+.PHONY: all build lint lint-baseline test test-invariants loc bench bench-all bench-quick bench-routing bench-dataplane bench-dataplane-quick bench-churn bench-dcdm bench-dcdm-quick bench-domains smoke-parallel smoke-faults smoke-churn smoke-dcdm smoke-domains fmt
 
 all: lint test
 
@@ -38,8 +38,24 @@ test:
 test-invariants:
 	$(GO) test -tags invariants ./...
 
+# Go line counts of the tracked sources, testdata/ excluded: non-test
+# code (the metric ROADMAP aim 2 tracks; bench/ reported apart because
+# it is frozen outside benchmark PRs) and test code.
+loc:
+	@git ls-files '*.go' | grep -v '/testdata/' | xargs wc -l | awk ' \
+		$$2 == "total" { next } \
+		$$2 ~ /_test\.go$$/ { t += $$1; next } \
+		$$2 ~ /^bench\// { b += $$1; next } \
+		{ n += $$1 } \
+		END { printf "non-test Go lines: %d (+ %d in bench/)\ntest Go lines:     %d\n", n, b, t }'
+
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# The repository's benchmark (bench/README.md): five workloads, end to
+# end and per layer, results in bench/out/.
+bench-all:
+	$(GO) run ./bench
 
 # Fast benchmark pass: just the serial-vs-parallel runner comparison.
 bench-quick:
@@ -70,16 +86,6 @@ bench-dataplane:
 # Quick CI pass of the same benchmark (no artefact files).
 bench-dataplane-quick:
 	$(GO) test -bench 'DataPlane$$' -benchtime 500x -benchmem -run '^$$' .
-
-# Partitioned-drive perf gate: the 8-source Fig. 8/9 load over
-# partition counts 1/2/4/8 (k=1 is the serial baseline). The acceptance
-# record is BENCH_partitions.txt/.json: on an 8-core runner k=8 must
-# reach >=3x the k=1 events/sec; hops/op is identical at every k by the
-# determinism contract.
-PARTITIONS_BENCHTIME ?= 2000x
-bench-partitions:
-	$(GO) test -bench DataPlanePartitioned -benchtime $(PARTITIONS_BENCHTIME) -benchmem -run '^$$' . | tee BENCH_partitions.txt
-	$(GO) run ./cmd/benchjson BENCH_partitions.txt > BENCH_partitions.json
 
 # Churn perf gate: the high-churn membership engine with the overload
 # defences on (2000 events/s, 5% control loss). The acceptance record
@@ -126,13 +132,12 @@ smoke-dcdm:
 # Hierarchical-mode differential gate: the composer's k=1-vs-flat exact
 # equivalence (mtree and experiment level), the multi-domain runtime's
 # flat-trace byte-identity, convergence and deactivation tests, and the
-# domain partition/labelling checks — race detector on, invariants
-# armed (every composed-tree mutation re-validates the local/composed
-# consistency contract) — then an end-to-end CLI check that the quick
-# domains sweep renders the exact same bytes serial and fanned over 4
-# workers.
+# domain labelling checks — race detector on, invariants armed (every
+# composed-tree mutation re-validates the local/composed consistency
+# contract) — then an end-to-end CLI check that the quick domains sweep
+# renders the exact same bytes serial and fanned over 4 workers.
 smoke-domains:
-	$(GO) test -race -tags invariants -count=1 -run 'Hier|Domain|TestPartition|TestMinCrossDelay' ./internal/mtree/ ./internal/core/ ./internal/topology/ ./internal/experiment/
+	$(GO) test -race -tags invariants -count=1 -run 'Hier|Domain' ./internal/mtree/ ./internal/core/ ./internal/topology/ ./internal/experiment/
 	$(GO) run ./cmd/scmpsim -experiment domains -quick -parallel 1 -out smoke_domains_serial.txt
 	$(GO) run -race ./cmd/scmpsim -experiment domains -quick -parallel 4 -out smoke_domains_p4.txt
 	cmp smoke_domains_serial.txt smoke_domains_p4.txt
@@ -148,22 +153,10 @@ smoke-parallel:
 smoke-faults:
 	$(GO) run -race -tags invariants ./cmd/scmpsim -experiment faults -quick -parallel 4 -out /dev/null
 
-# Partitioned-drive differential gate: the serial-vs-partitioned
-# byte-identity tests under the race detector with invariants armed,
-# then an end-to-end CLI check that a quick fig8 sweep renders the
-# exact same bytes serial and at 8 partitions.
-smoke-partitions:
-	$(GO) test -race -tags invariants -count=1 -run 'TestPartition' ./internal/experiment/
-	$(GO) run ./cmd/scmpsim -experiment fig8 -quick -parallel 1 -out smoke_partitions_serial.txt
-	$(GO) run -race ./cmd/scmpsim -experiment fig8 -quick -parallel 1 -partitions 8 -out smoke_partitions_p8.txt
-	cmp smoke_partitions_serial.txt smoke_partitions_p8.txt
-	rm -f smoke_partitions_serial.txt smoke_partitions_p8.txt
-
 # Churn smoke: the high-churn membership tests (driver, overload
-# protection, sweep acceptance, partition gating) under the race
-# detector with invariants armed, then an end-to-end CLI check that the
-# quick churn sweep renders the exact same bytes serial and fanned over
-# 4 workers.
+# protection, sweep acceptance) under the race detector with invariants
+# armed, then an end-to-end CLI check that the quick churn sweep renders
+# the exact same bytes serial and fanned over 4 workers.
 smoke-churn:
 	$(GO) test -race -tags invariants -count=1 -run 'Churn' ./internal/netsim/ ./internal/core/ ./internal/experiment/
 	$(GO) run ./cmd/scmpsim -experiment churn -quick -parallel 1 -out smoke_churn_serial.txt

@@ -494,68 +494,6 @@ func BenchmarkDataPlane(b *testing.B) {
 	}
 }
 
-// BenchmarkDataPlanePartitioned is the partitioned-drive acceptance
-// benchmark: the 400-node Waxman instance under a Fig. 8/9-style load,
-// widened to an 8-source burst per iteration so every partition owns
-// forwarding work inside each window. Sub-benchmarks sweep the
-// partition count; k=1 is the serial scheduler baseline the >=3x
-// 8-core acceptance criterion compares k=8 against. events/sec counts
-// dispatches across the global scheduler and every partition shard.
-func BenchmarkDataPlanePartitioned(b *testing.B) {
-	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := wg.Graph.ScaleDelays(1e-3)
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			s := core.New(core.Config{MRouter: 0, Kappa: 1.5})
-			n := netsim.New(g, s)
-			if engaged := n.Partition(k, 1); engaged != (k > 1) {
-				b.Fatalf("Partition(%d) engaged=%v", k, engaged)
-			}
-			rnd := rand.New(rand.NewSource(7))
-			members := make([]topology.NodeID, 0, 40)
-			for _, v := range rnd.Perm(g.N()) {
-				if v != 0 {
-					members = append(members, topology.NodeID(v))
-				}
-				if len(members) == 40 {
-					break
-				}
-			}
-			for i, m := range members {
-				m := m
-				n.Sched.At(des.Time(float64(i)*0.01), func() { n.HostJoin(m, 1) })
-			}
-			n.Run() // tree installed; steady state from here
-			sources := members[:8]
-			startEvents := n.EventsFired()
-			startHops := totalCrossings(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, src := range sources {
-					n.SendData(src, 1, packet.DefaultDataSize)
-				}
-				n.Run()
-			}
-			b.StopTimer()
-			events := n.EventsFired() - startEvents
-			hops := totalCrossings(n) - startHops
-			if hops == 0 {
-				b.Fatal("no link crossings in data phase")
-			}
-			sec := b.Elapsed().Seconds()
-			if sec > 0 {
-				b.ReportMetric(float64(events)/sec, "events/sec")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
-			}
-			b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
-		})
-	}
-}
-
 // totalCrossings sums link crossings over every packet kind.
 func totalCrossings(n *netsim.Network) int64 {
 	var sum int64

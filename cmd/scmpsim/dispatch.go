@@ -13,7 +13,6 @@ type options struct {
 	seeds      int  // 0 = paper default
 	quick      bool // shrink sweeps for a smoke run
 	parallel   int  // worker pool width; 0 = GOMAXPROCS, 1 = serial
-	partitions int  // simulation partitions per run; <= 1 = serial drive
 	format     string
 	progress   io.Writer // shard progress sink (nil = silent)
 }
@@ -69,7 +68,7 @@ func dispatch(w io.Writer, opt options) error {
 		if opt.seeds > 0 {
 			cfg.Seeds = opt.seeds
 		}
-		cfg.Parallel, cfg.Partitions, cfg.Progress = opt.parallel, opt.partitions, opt.progressFor(label)
+		cfg.Parallel, cfg.Progress = opt.parallel, opt.progressFor(label)
 		return cfg
 	}
 	placementCfg := func() experiment.PlacementConfig {
@@ -114,7 +113,7 @@ func dispatch(w io.Writer, opt options) error {
 		if opt.seeds > 0 {
 			cfg.Seeds = opt.seeds
 		}
-		cfg.Parallel, cfg.Partitions, cfg.Progress = opt.parallel, opt.partitions, opt.progressFor("faults")
+		cfg.Parallel, cfg.Progress = opt.parallel, opt.progressFor("faults")
 		return cfg
 	}
 
@@ -128,7 +127,7 @@ func dispatch(w io.Writer, opt options) error {
 		if opt.seeds > 0 {
 			cfg.Seeds = opt.seeds
 		}
-		cfg.Parallel, cfg.Partitions, cfg.Progress = opt.parallel, opt.partitions, opt.progressFor("churn")
+		cfg.Parallel, cfg.Progress = opt.parallel, opt.progressFor("churn")
 		return cfg
 	}
 

@@ -16,9 +16,7 @@
 //
 // Use -quick for a fast smoke run, -seeds to override the averaging
 // width, -parallel to bound the worker pool fanning (topology, seed)
-// shards out (results are byte-identical at any width), -partitions to
-// run each fig8/fig9/faults simulation on the partitioned parallel
-// event drive (byte-identical at any partition count), -format csv for
+// shards out (results are byte-identical at any width), -format csv for
 // plot-ready records, and -out to write to a file instead of stdout.
 package main
 
@@ -42,7 +40,6 @@ func run(args []string, stdout io.Writer) error {
 	seeds := fs.Int("seeds", 0, "override the number of seeds (0 = paper default)")
 	quick := fs.Bool("quick", false, "shrink the sweep for a fast smoke run")
 	parallel := fs.Int("parallel", 0, "worker goroutines per experiment (0 = GOMAXPROCS, 1 = serial)")
-	partitions := fs.Int("partitions", 0, "topology partitions per simulation for the windowed parallel event drive (<= 1 = serial; applies to fig8/fig9/faults, results are byte-identical)")
 	outPath := fs.String("out", "", "write results to this file instead of stdout")
 	format := fs.String("format", "table", "table | csv")
 	if err := fs.Parse(args); err != nil {
@@ -62,7 +59,6 @@ func run(args []string, stdout io.Writer) error {
 		seeds:      *seeds,
 		quick:      *quick,
 		parallel:   *parallel,
-		partitions: *partitions,
 		format:     *format,
 		progress:   os.Stderr,
 	})

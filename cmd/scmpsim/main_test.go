@@ -115,7 +115,11 @@ func TestRunWritesFile(t *testing.T) {
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-nope"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("bad flag accepted")
+	// -partitions selected the withdrawn partitioned drive (DESIGN.md
+	// §12); it must be a flag error, not a silent no-op.
+	for _, args := range [][]string{{"-nope"}, {"-partitions", "8"}} {
+		if err := run(args, &bytes.Buffer{}); err == nil {
+			t.Fatalf("bad flag %v accepted", args)
+		}
 	}
 }

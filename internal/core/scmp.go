@@ -247,10 +247,8 @@ type SCMP struct {
 	// branch tests). Built in Attach from Config.Domains.
 	view *topology.DomainView
 	// entries is indexed by node id (allocated in Attach once the
-	// topology size is known). Dense indexing keeps per-node entry
-	// access disjoint: under a partitioned drive concurrent windows
-	// touch only their own partition's slots, and a slice read of a
-	// foreign slot is never a map-structure race.
+	// topology size is known): the per-hop data path reaches a router's
+	// state with one slice index and one small per-group map lookup.
 	entries []map[packet.GroupID]*entry
 	// replica is the standby's copy of the membership database, fed by
 	// REPLICATE packets from the primary.
@@ -1020,31 +1018,18 @@ func (s *SCMP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 	}
 }
 
+// ParallelWindowSafe certified configurations for the withdrawn
+// partitioned drive (DESIGN.md §12); there is no such drive to certify.
+//
+// Deprecated: compile shim for bench/sim.go, which is frozen outside
+// benchmark PRs; the next benchmark PR drops the call and this method
+// with it.
+func (s *SCMP) ParallelWindowSafe() bool { return false }
+
 // handleTree implements the TREE packet processing algorithm (§III-E):
 // adopt the sender as upstream, replace the downstream set with the
 // packet's children, split the packet and forward one subpacket per
 // child. Downstream routers absent from the new subtree are flushed.
-// ParallelWindowSafe implements netsim.ParallelSafe: the dispatch-order
-// sensitive features — multiple m-routers or a hot standby (shared
-// group/replica maps written from several homes), the service centre
-// queue, reliable signalling timers, and soft-state refresh — all
-// serialise through shared protocol state that a windowed drive would
-// interleave nondeterministically, so a configuration using any of
-// them falls back to the serial scheduler. The plain fig-8/fig-9
-// forwarding workload (one m-router, fire-and-forget control) keeps
-// all cross-partition interaction on the simulated wire and is safe.
-func (s *SCMP) ParallelWindowSafe() bool {
-	return s.view == nil && // hierarchical mode: one composer, many homes
-		len(s.homes) == 1 &&
-		s.cfg.Standby < 0 &&
-		s.cfg.AckTimeout <= 0 &&
-		s.cfg.RefreshInterval <= 0 &&
-		s.cfg.ServiceTime <= 0 &&
-		s.cfg.AdmitLimit <= 0 &&
-		s.cfg.RetryBudget <= 0 &&
-		!s.cfg.RefreshSuppress
-}
-
 func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 	// Split rather than decode: each child's subtree encoding is
 	// embedded verbatim in the payload, so the forwarded subpackets are
@@ -1052,9 +1037,9 @@ func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 	// without materialising the Subtree or allocating new payloads).
 	// SplitSubtree walks the whole payload, so corrupt packets are
 	// dropped here exactly as DecodeSubtree would. The scratch is local
-	// on purpose: TREE distribution is off the data hot path, and a
-	// shared instance-level buffer would be written from concurrent
-	// partition windows.
+	// on purpose: TREE distribution is off the data hot path, so a
+	// per-call slice costs nothing that matters and no handler shares a
+	// mutable buffer with another.
 	children, err := packet.SplitSubtree(pkt.Payload, nil)
 	if err != nil {
 		return // corrupt packet: drop

@@ -29,8 +29,7 @@ import (
 // shed/park/recover counters, tree-quality drift against a periodic
 // full-rebuild baseline, the rearrangement rate, and control overhead.
 // Shards fan over (topology, seed) exactly like Fig. 8/9, so serial and
-// parallel runs are byte-identical; churned networks always use the
-// serial event drive (netsim declines Partition under churn).
+// parallel runs are byte-identical.
 
 // ChurnConfig parameterises the churn sweep.
 type ChurnConfig struct {
@@ -42,13 +41,9 @@ type ChurnConfig struct {
 	Duration   float64   // churn window in seconds
 	Settle     float64   // post-churn settle horizon before the probe
 	Pareto     bool      // heavy-tailed (Pareto) gaps instead of Poisson
-	// Parallel, Partitions and Progress behave exactly as in
-	// Fig89Config. Churned networks decline the partitioned drive
-	// (netsim.Network.Partition returns false), so any Partitions value
-	// leaves the sweep byte-identical.
-	Parallel   int
-	Partitions int
-	Progress   func(done, total int)
+	// Parallel and Progress behave exactly as in Fig89Config.
+	Parallel int
+	Progress func(done, total int)
 }
 
 // DefaultChurn returns the standard churn-sweep configuration.
@@ -168,7 +163,6 @@ func runChurnRun(art *fig89Artifact, cfg ChurnConfig,
 		Duration: cfg.Duration,
 		Seed:     int64(seed)*7919 + 13,
 	})
-	n.Partition(cfg.Partitions, int64(seed)) // declined under churn: serial drive
 	n.InstallFaults(netsim.FaultPlan{
 		ControlLoss: loss,
 		LossUntil:   des.Time(cfg.Duration),

@@ -40,14 +40,9 @@ type FaultsConfig struct {
 	Seeds      int       // placements / loss streams per point
 	SimTime    float64   // run horizon in seconds; loss ends at SimTime/2
 	DataRate   float64   // in-window data packets per second
-	// Parallel, Partitions and Progress behave exactly as in
-	// Fig89Config. Only the bare (repair-off) loss arm is eligible for a
-	// partitioned drive — the hardened stack's timers make the protocol
-	// decline via netsim.ParallelSafe — so the sweep stays byte-identical
-	// at every partition count.
-	Parallel   int
-	Partitions int
-	Progress   func(done, total int)
+	// Parallel and Progress behave exactly as in Fig89Config.
+	Parallel int
+	Progress func(done, total int)
 }
 
 // DefaultFaults returns the standard chaos-sweep configuration.
@@ -160,7 +155,6 @@ func runFaultsLossRun(art *fig89Artifact, cfg FaultsConfig,
 
 	s := faultsCore(art.center, repair)
 	n := newNetwork(art.g, s)
-	n.Partition(cfg.Partitions, int64(seed)) // before InstallFaults, by contract
 	lossUntil := des.Time(cfg.SimTime / 2)
 	n.InstallFaults(netsim.FaultPlan{
 		ControlLoss: loss,
@@ -240,7 +234,6 @@ func runFaultsRecoveryRun(art *fig89Artifact, cfg FaultsConfig,
 
 	s := faultsCore(art.center, true)
 	n := newNetwork(art.g, s)
-	n.Partition(cfg.Partitions, int64(seed)) // hardened stack: serial fallback
 	f := n.InstallFaults(netsim.FaultPlan{Seed: int64(seed)*31 + 7})
 	for i, m := range members {
 		m := m

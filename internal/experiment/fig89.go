@@ -36,12 +36,6 @@ type Fig89Config struct {
 	// shards out: 0 means GOMAXPROCS, 1 the pure serial path. Results
 	// are byte-identical either way (shards merge in canonical order).
 	Parallel int
-	// Partitions, when > 1, runs each simulation on a partitioned
-	// parallel event drive with that many topology partitions (DESIGN.md
-	// §12). Values <= 1 — and protocols that do not opt in via
-	// netsim.ParallelSafe — use the serial scheduler. Metrics tables are
-	// byte-identical at every partition count.
-	Partitions int
 	// Progress, when set, observes shard completions (called
 	// concurrently when Parallel > 1).
 	Progress func(done, total int)
@@ -117,12 +111,11 @@ func Center(g *topology.Graph) topology.NodeID {
 
 // runOne simulates one protocol run and returns (data overhead,
 // protocol overhead, max end-to-end delay, undelivered member count).
-func runOne(g *topology.Graph, protoName string, cfg Fig89Config, partSeed int64,
+func runOne(g *topology.Graph, protoName string, cfg Fig89Config,
 	members []topology.NodeID, source, center topology.NodeID) (float64, float64, float64, int) {
 
 	proto := buildProtocol(protoName, center, cfg.PruneLifetime)
 	n := newNetwork(g, proto)
-	n.Partition(cfg.Partitions, partSeed)
 
 	// Members join over the first half second, then the group is stable
 	// for the data phase, matching the paper's static member sets.
@@ -189,7 +182,7 @@ func runFig89Shard(cfg Fig89Config, topo string, seed int) []fig89Obs {
 		members := pickMembers(rnd, art.g.N(), size, -1)
 		source := topology.NodeID(rnd.Intn(art.g.N()))
 		for _, protoName := range Protocols {
-			data, proto, maxE2E, undelivered := runOne(art.g, protoName, cfg, int64(seed), members, source, art.center)
+			data, proto, maxE2E, undelivered := runOne(art.g, protoName, cfg, members, source, art.center)
 			out = append(out, fig89Obs{size, protoName, data, proto, maxE2E, undelivered})
 		}
 	}

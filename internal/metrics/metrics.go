@@ -69,8 +69,8 @@ type Collector struct {
 
 // UseDenseLinks registers the run's undirected link table, enabling the
 // index-addressed OnLinkDense path. ids[i] is the link the caller will
-// report as dense index i. Call once before the run; Reset clears the
-// registration.
+// report as dense index i. Call once before the run; the registration
+// outlives Reset.
 func (c *Collector) UseDenseLinks(ids []LinkID) {
 	if c.denseLoad != nil {
 		panic("metrics: dense link table registered twice")
@@ -318,77 +318,11 @@ func (c *Collector) MeanEndToEndDelay() float64 {
 	return c.delaySum / float64(c.delivered)
 }
 
-// Reset clears every counter.
-func (c *Collector) Reset() { *c = Collector{} }
-
-// Shard returns a fresh zero-count collector sharing c's dense-link
-// registration (the id table and reverse index are immutable after
-// UseDenseLinks, so shards read them without copies; each shard gets
-// its own count array). Partitioned runs give every partition a shard
-// so the per-crossing hot path stays lock-free, then Drain the shards
-// into the root collector at window barriers.
-func (c *Collector) Shard() *Collector {
-	s := &Collector{}
-	if c.denseLoad != nil {
-		s.denseIDs = c.denseIDs
-		s.denseIdx = c.denseIdx
-		s.denseLoad = make([]int64, len(c.denseLoad))
-	}
-	return s
-}
-
-// Drain folds src's counts into c and zeroes src (keeping its dense
-// registration), so alternating record/drain cycles never double-count.
-// Sums and counts add; maxima take the larger side. Draining shards in
-// a fixed order keeps float sums deterministic for a given partition
-// count.
-func (c *Collector) Drain(src *Collector) {
-	c.dataUnits += src.dataUnits
-	c.protoUnits += src.protoUnits
-	c.dataBytes += src.dataBytes
-	c.protoBytes += src.protoBytes
-	for k, n := range src.crossings {
-		c.crossings[k] += n
-		src.crossings[k] = 0
-	}
-	for id, n := range src.linkLoad {
-		if c.linkLoad == nil {
-			c.linkLoad = make(map[LinkID]int64)
-		}
-		c.linkLoad[id] += n
-	}
-	src.linkLoad = nil
-	for i, n := range src.denseLoad {
-		if n != 0 {
-			c.denseLoad[i] += n
-			src.denseLoad[i] = 0
-		}
-	}
-	c.delivered += src.delivered
-	c.dropped += src.dropped
-	c.ctlDrops += src.ctlDrops
-	for k, n := range src.dropsKind {
-		c.dropsKind[k] += n
-		src.dropsKind[k] = 0
-	}
-	c.delaySum += src.delaySum
-	if src.maxDelay > c.maxDelay {
-		c.maxDelay = src.maxDelay
-	}
-	c.recoveries += src.recoveries
-	c.recoverySum += src.recoverySum
-	if src.recoveryMax > c.recoveryMax {
-		c.recoveryMax = src.recoveryMax
-	}
-	c.sheds += src.sheds
-	c.parks += src.parks
-	c.parkRecovers += src.parkRecovers
-	c.refreshSkips += src.refreshSkips
-	c.restructures += src.restructures
-	src.dataUnits, src.protoUnits = 0, 0
-	src.dataBytes, src.protoBytes = 0, 0
-	src.delivered, src.dropped, src.ctlDrops = 0, 0, 0
-	src.delaySum, src.maxDelay = 0, 0
-	src.recoveries, src.recoverySum, src.recoveryMax = 0, 0, 0
-	src.sheds, src.parks, src.parkRecovers, src.refreshSkips, src.restructures = 0, 0, 0, 0, 0
+// Reset zeroes every counter. A dense link registration made by
+// UseDenseLinks survives with zeroed loads, so a live network can keep
+// reporting crossings by index after its collector is reset between
+// phases.
+func (c *Collector) Reset() {
+	clear(c.denseLoad)
+	*c = Collector{denseIDs: c.denseIDs, denseIdx: c.denseIdx, denseLoad: c.denseLoad}
 }

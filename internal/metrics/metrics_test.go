@@ -143,6 +143,21 @@ func TestReset(t *testing.T) {
 	if c.Crossings(packet.Join) != 1 {
 		t.Fatal("collector unusable after Reset")
 	}
+
+	// A dense-registered collector keeps its registration across Reset,
+	// with the loads zeroed: a live network goes on reporting by index.
+	var d Collector
+	d.UseDenseLinks([]LinkID{MkLinkID(0, 1), MkLinkID(1, 2)})
+	d.OnLinkDense(0, packet.Data, 5, 10)
+	d.OnLinkDense(1, packet.Data, 5, 10)
+	d.Reset()
+	if d.LinkLoad(0, 1) != 0 || d.LinkLoad(1, 2) != 0 || d.DataOverhead() != 0 {
+		t.Fatal("dense reset incomplete")
+	}
+	d.OnLinkDense(1, packet.Data, 3, 10)
+	if id, n := d.MaxLinkLoad(); id != MkLinkID(1, 2) || n != 1 || d.DataOverhead() != 3 {
+		t.Fatalf("after dense Reset: MaxLinkLoad = %v/%d, overhead %g", id, n, d.DataOverhead())
+	}
 }
 
 // The dense per-link fast path must account identically to the

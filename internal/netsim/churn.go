@@ -10,12 +10,7 @@
 //
 // Churn composes with the fault layer: InstallChurn and InstallFaults
 // can both be applied to one network, so membership pressure runs under
-// control-plane loss and link cuts. It does NOT compose with the
-// partitioned parallel drive — membership events are global-scheduler
-// barrier events that mutate shared protocol state, far outside the
-// steady-state window workload the ParallelSafe certification covers —
-// so a churned network always falls back to the serial drive
-// (Partition returns false; see DESIGN.md §13).
+// control-plane loss and link cuts (DESIGN.md §13).
 package netsim
 
 import (
@@ -95,14 +90,9 @@ func (c *Churn) Rejoins() int { return c.rejoins }
 func (c *Churn) Leaves() int { return c.leaves }
 
 // InstallChurn pre-generates the plan's membership schedule and queues
-// every event on the global scheduler. It must run before the network
-// runs and must not follow Partition (churned networks are serial-only;
-// install churn first and Partition will decline). The returned Churn
-// reports the generated event mix.
+// every event on the scheduler. It must run before the network runs.
+// The returned Churn reports the generated event mix.
 func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
-	if n.pd != nil {
-		panic("netsim: InstallChurn after Partition")
-	}
 	if len(plan.Members) == 0 {
 		panic("netsim: churn plan has no members")
 	}
@@ -222,24 +212,23 @@ func (n *Network) dispatchChurnTick(run []churnEvent, g packet.GroupID) {
 
 // --- Overload-protection metric taps ----------------------------------
 //
-// The protocol reports overload events through the network so they land
-// in the correct metrics shard (keyed by the router where the event
-// happened), mirroring DropData.
+// The protocol reports overload events through the network, naming the
+// router where the event happened, mirroring DropData.
 
 // NoteShed records a JOIN refused by admission control at router node.
-func (n *Network) NoteShed(node topology.NodeID) { n.shardOf(node).col.OnShed() }
+func (n *Network) NoteShed(node topology.NodeID) { n.Metrics.OnShed() }
 
 // NotePark records a request at router node exhausting its retry
 // budget and parking.
-func (n *Network) NotePark(node topology.NodeID) { n.shardOf(node).col.OnPark() }
+func (n *Network) NotePark(node topology.NodeID) { n.Metrics.OnPark() }
 
 // NoteParkRecover records a parked request at router node recovering.
-func (n *Network) NoteParkRecover(node topology.NodeID) { n.shardOf(node).col.OnParkRecover() }
+func (n *Network) NoteParkRecover(node topology.NodeID) { n.Metrics.OnParkRecover() }
 
 // NoteRefreshSkip records a suppressed soft-state refresh at router
 // node (the m-router).
-func (n *Network) NoteRefreshSkip(node topology.NodeID) { n.shardOf(node).col.OnRefreshSkip() }
+func (n *Network) NoteRefreshSkip(node topology.NodeID) { n.Metrics.OnRefreshSkip() }
 
 // NoteRestructure records a tree restructuring computed at router node
 // (the m-router).
-func (n *Network) NoteRestructure(node topology.NodeID) { n.shardOf(node).col.OnRestructure() }
+func (n *Network) NoteRestructure(node topology.NodeID) { n.Metrics.OnRestructure() }

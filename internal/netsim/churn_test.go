@@ -155,39 +155,6 @@ func TestChurnPlanValidation(t *testing.T) {
 	}
 }
 
-// safeProto is a minimal ParallelSafe protocol so Partition accepts the
-// network, letting the churn/partition exclusion be tested both ways.
-type safeProto struct{ churnRec }
-
-func (p *safeProto) ParallelWindowSafe() bool { return true }
-
-// TestChurnBlocksPartition: a churned network must decline the
-// partitioned drive (serial fallback), and installing churn after
-// Partition is a programming error.
-func TestChurnBlocksPartition(t *testing.T) {
-	plan := ChurnPlan{Group: 1, Members: churnMembers(4), Rate: 50, Duration: 2, Seed: 1}
-
-	n := New(lineGraph(8), &safeProto{})
-	n.InstallChurn(plan)
-	if n.Partition(2, 1) {
-		t.Fatal("Partition accepted a churned network")
-	}
-	if n.Partitions() != 1 {
-		t.Fatalf("Partitions() = %d after declined partition", n.Partitions())
-	}
-
-	n2 := New(lineGraph(8), &safeProto{})
-	if !n2.Partition(2, 1) {
-		t.Fatal("Partition declined a partitionable baseline network")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("InstallChurn after Partition did not panic")
-		}
-	}()
-	n2.InstallChurn(plan)
-}
-
 // TestChurnComposesWithFaults: churn and a fault plan run together on
 // one network — membership pressure under control loss.
 func TestChurnComposesWithFaults(t *testing.T) {

@@ -4,13 +4,12 @@
 // on the network's own DES clock. Every loss decision is a positional
 // draw — a stateless hash of (plan seed, directed link, per-link
 // crossing index) via rng.Hash01 — rather than a pull from one shared
-// sequential stream. A sequential stream would serialise all consumers
-// (each draw depends on how many draws happened before it anywhere in
-// the run), which the partitioned parallel simulator cannot provide;
-// positional draws give every link crossing the same verdict no matter
-// how execution is partitioned, so an identically-seeded run replays
-// the exact same faults — packet for packet — regardless of host,
-// parallelism, partition count or wall clock.
+// sequential stream. With a sequential stream each draw depends on how
+// many draws happened before it anywhere in the run, so one extra
+// packet on one link would reshuffle the losses on every other link;
+// positional draws make a link's loss pattern independent of draw order
+// elsewhere, so an identically-seeded run replays the exact same faults
+// — packet for packet — regardless of host, parallelism or wall clock.
 package netsim
 
 import (
@@ -108,12 +107,10 @@ type Faults struct {
 	listeners []FaultListener
 
 	// Per-directed-link crossing counters for the positional loss
-	// draws: the fast path indexes by CSR arc id (each arc's admits run
-	// only in the sending node's partition, so the array is written
-	// race-free under parallel windows); the reference path keeps the
-	// historical map store. Both count crossings of the same directed
-	// link, so the draws coincide and the fast-vs-ref differential gate
-	// holds.
+	// draws: the fast path indexes by CSR arc id; the reference path
+	// keeps the historical map store. Both count crossings of the same
+	// directed link, so the draws coincide and the fast-vs-ref
+	// differential gate holds.
 	lossN []uint64
 	lossM map[dirLink]uint64
 }
@@ -230,18 +227,18 @@ func lossPairKey(from, to topology.NodeID) uint64 {
 }
 
 // loseArc draws the loss decision for the n-th admitted crossing of the
-// directed link behind CSR arc a, offered at send time now (the sending
-// shard's clock). The draw is positional — hash(seed, link, n) — so it
-// depends only on the link and how many draws that link has seen, never
-// on draw order elsewhere in the run. The counter stays untouched when
-// the class's rate is zero or the loss window has closed, so such runs
-// replay identically to configurations without loss.
-func (f *Faults) loseArc(a int32, from, to topology.NodeID, kind packet.Kind, now des.Time) bool {
+// directed link behind CSR arc a, offered now. The draw is positional —
+// hash(seed, link, n) — so it depends only on the link and how many
+// draws that link has seen, never on draw order elsewhere in the run.
+// The counter stays untouched when the class's rate is zero or the loss
+// window has closed, so such runs replay identically to configurations
+// without loss.
+func (f *Faults) loseArc(a int32, from, to topology.NodeID, kind packet.Kind) bool {
 	rate := f.lossRate(kind)
 	if rate <= 0 {
 		return false
 	}
-	if f.plan.LossUntil > 0 && now >= f.plan.LossUntil {
+	if f.plan.LossUntil > 0 && f.net.Sched.Now() >= f.plan.LossUntil {
 		return false
 	}
 	nth := f.lossN[a]
@@ -251,7 +248,7 @@ func (f *Faults) loseArc(a int32, from, to topology.NodeID, kind packet.Kind, no
 
 // loseRef is loseArc for the reference path: identical draws keyed by
 // the same (link, crossing-index) pairs, counted in the historical map
-// store against the reference scheduler's clock.
+// store.
 func (f *Faults) loseRef(from, to topology.NodeID, kind packet.Kind) bool {
 	rate := f.lossRate(kind)
 	if rate <= 0 {

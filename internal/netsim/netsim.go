@@ -20,7 +20,6 @@ package netsim
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"scmp/internal/des"
 	"scmp/internal/metrics"
@@ -46,15 +45,12 @@ type Packet struct {
 	Created des.Time // when the original data packet entered the network
 }
 
-// ParallelSafe is the opt-in interface for partitioned parallel
-// execution (Network.Partition, DESIGN.md §12). A protocol returning
-// true certifies that, as currently configured, handling a packet at a
-// router mutates only state confined to that router's partition — no
-// cross-router shared structures touched from the packet path, no
-// timers, no mid-flight global reads that feed printed metrics.
-// Protocols that do not implement the interface (or return false) run
-// serially under any requested partition count; Partition reports the
-// fallback and changes nothing.
+// ParallelSafe was the opt-in interface of the withdrawn partitioned
+// drive (DESIGN.md §12). Nothing in the simulator consults it.
+//
+// Deprecated: compile shim for bench/sim.go, which is frozen outside
+// benchmark PRs; the next benchmark PR drops the assertion and this
+// declaration with it.
 type ParallelSafe interface {
 	ParallelWindowSafe() bool
 }
@@ -150,23 +146,13 @@ type Network struct {
 	Bandwidth float64
 
 	// Fast-path state: the CSR arc table (directed edge ids), each arc's
-	// undirected link index for dense metrics, and per-arc busy horizons
-	// (allocated on first finite-Bandwidth send; preallocated when
-	// partitioned — arcs are owned by the sender's partition, so the
-	// array is written race-free but must not be lazily created inside a
-	// window).
+	// undirected link index for dense metrics, per-arc busy horizons
+	// (allocated on first finite-Bandwidth send) and the free list of
+	// in-flight packet copies.
 	csr    *topology.CSR
 	arcUID []int32
 	busy   []des.Time
-
-	// Execution shards. Serial runs have exactly one, aliasing Sched and
-	// Metrics (zero behavioral difference from the pre-shard layout);
-	// Partition replaces them with one shard per topology partition plus
-	// the des.Partitioned coordinator. part maps node -> partition and is
-	// nil when serial.
-	shards []*shard
-	part   []int32
-	pd     *des.Partitioned
+	pool   []*Packet
 
 	// refMode routes SendLink/SendUnicast through the preserved
 	// closure-per-hop delivery path (NewRef); busyUntil is its historical
@@ -176,20 +162,6 @@ type Network struct {
 
 	faults *Faults
 	churn  []*Churn
-}
-
-// shard is the per-partition execution state: the partition's
-// scheduler, its metrics collector, and its free list of in-flight
-// packet copies. Every hot-path operation executing at node v goes
-// through v's shard, so parallel windows touch no shared mutable state.
-// Packets may retire into a different shard's pool than they came from
-// (cross-partition hops); the pools are plain free lists, so that only
-// shifts capacity around.
-type shard struct {
-	id    int32
-	sched *des.Scheduler
-	col   *metrics.Collector
-	pool  []*Packet
 }
 
 // dirLink is a directed link (queueing is per transmit side).
@@ -254,119 +226,21 @@ func build(g *topology.Graph, proto Protocol, ref bool) *Network {
 		}
 		n.Metrics.UseDenseLinks(ids)
 	}
-	// The serial execution shard aliases the network-level scheduler and
-	// collector; Partition replaces it with per-partition shards.
-	n.shards = []*shard{{id: 0, sched: n.Sched, col: n.Metrics}}
 	proto.Attach(n)
 	return n
 }
 
-// shardOf returns the execution shard owning node v: the only shard in
-// serial runs, v's partition's shard when partitioned.
-func (n *Network) shardOf(v topology.NodeID) *shard {
-	if n.part == nil {
-		return n.shards[0]
-	}
-	return n.shards[n.part[v]]
-}
-
-// Partition switches the network to partitioned parallel execution over
-// k topology partitions (DESIGN.md §12): a deterministic delay-aware
-// graph cut, one scheduler + metrics shard per partition, and the
-// conservative windowed coordinator with the cut's minimum
-// cross-partition delay as lookahead. Sched stays the global scheduler
-// for harness and control events (joins, sends, faults), which execute
-// alone at window barriers.
-//
-// It returns false — leaving the network serial — when the protocol
-// does not certify ParallelSafe for its current configuration, or when
-// the cut degenerates. Call it once, after New and before installing
-// faults or scheduling work; partitioning twice or partitioning a
-// reference network panics.
-func (n *Network) Partition(k int, seed int64) bool {
-	if k <= 1 {
-		return false // serial request: valid on any network, including ref
-	}
-	if n.refMode {
-		panic("netsim: cannot partition the reference network")
-	}
-	if n.pd != nil {
-		panic("netsim: network partitioned twice")
-	}
-	if n.faults != nil {
-		panic("netsim: Partition must run before InstallFaults")
-	}
-	if len(n.churn) > 0 {
-		// Churn floods the global scheduler with barrier events that
-		// mutate shared membership state mid-run; the windowed drive
-		// would serialise on them anyway, so fall back to serial.
-		return false
-	}
-	ps, ok := n.Proto.(ParallelSafe)
-	if !ok || !ps.ParallelWindowSafe() {
-		return false
-	}
-	part := topology.Partition(n.G, k, seed)
-	kEff := 0
-	for _, p := range part {
-		if int(p) >= kEff {
-			kEff = int(p) + 1
-		}
-	}
-	if kEff < 2 {
-		return false
-	}
-	la := des.Time(topology.MinCrossDelay(n.G, part))
-	if !(la > 0) { // a zero-delay cross link leaves no lookahead window
-		return false
-	}
-	n.part = part
-	n.shards = make([]*shard, kEff)
-	parts := make([]*des.Scheduler, kEff)
-	for i := range n.shards {
-		s := des.New()
-		s.SetSink(n)
-		n.shards[i] = &shard{id: int32(i), sched: s, col: n.Metrics.Shard()}
-		parts[i] = s
-	}
-	// Busy horizons are written by the owning sender's partition; the
-	// array must exist before windows run concurrently (a lazy first-use
-	// allocation inside a window would race).
-	if n.busy == nil {
-		n.busy = make([]des.Time, n.csr.NumArcs())
-	}
-	n.pd = des.NewPartitioned(n.Sched, parts, la)
-	return true
-}
-
-// Partitions reports the number of execution partitions (1 = serial).
-func (n *Network) Partitions() int {
-	if n.pd == nil {
-		return 1
-	}
-	return len(n.shards)
-}
-
-// EventsFired returns the total events executed across the global
-// scheduler and every partition shard.
-func (n *Network) EventsFired() uint64 {
-	total := n.Sched.Fired()
-	if n.pd != nil {
-		for _, sh := range n.shards {
-			total += sh.sched.Fired()
-		}
-	}
-	return total
-}
+// EventsFired returns the total events the scheduler has executed.
+func (n *Network) EventsFired() uint64 { return n.Sched.Fired() }
 
 // IsRef reports whether this network runs the reference delivery path.
 func (n *Network) IsRef() bool { return n.refMode }
 
-// getPacket takes a packet from the shard's free list (or allocates).
-func (sh *shard) getPacket() *Packet {
-	if k := len(sh.pool); k > 0 {
-		p := sh.pool[k-1]
-		sh.pool = sh.pool[:k-1]
+// getPacket takes a packet from the free list (or allocates).
+func (n *Network) getPacket() *Packet {
+	if k := len(n.pool); k > 0 {
+		p := n.pool[k-1]
+		n.pool = n.pool[:k-1]
 		return p
 	}
 	// Pool miss: a one-time warm-up allocation, amortized to zero at
@@ -374,12 +248,12 @@ func (sh *shard) getPacket() *Packet {
 	return new(Packet) //scmplint:ignore hotalloc
 }
 
-// putPacket hands a delivered in-flight copy back to the shard's free
-// list. The payload reference is dropped (payload backing arrays are
-// shared read-only with other in-flight copies and must not be reused).
-func (sh *shard) putPacket(p *Packet) {
+// putPacket hands a delivered in-flight copy back to the free list. The
+// payload reference is dropped (payload backing arrays are shared
+// read-only with other in-flight copies and must not be reused).
+func (n *Network) putPacket(p *Packet) {
 	p.Payload = nil
-	sh.pool = append(sh.pool, p)
+	n.pool = append(n.pool, p)
 }
 
 // arc returns the CSR arc index from -> to, or -1 when not adjacent.
@@ -395,21 +269,17 @@ func (n *Network) arc(from, to topology.NodeID) int32 {
 	return -1
 }
 
-// arcLatency returns when a packet offered now (on the sending shard's
-// clock) on arc a is delivered, accounting for queueing and
-// transmission when a finite Bandwidth is set, and updates the arc's
-// busy horizon. Identical arithmetic, in the same order, as the
-// reference path's linkLatency. Arc a's horizon is written only by the
-// shard owning the sender, so partitioned windows touch disjoint
-// entries.
-func (n *Network) arcLatency(sh *shard, a int32, size int) des.Time {
-	now := sh.sched.Now()
+// arcLatency returns when a packet offered now on arc a is delivered,
+// accounting for queueing and transmission when a finite Bandwidth is
+// set, and updates the arc's busy horizon. Identical arithmetic, in the
+// same order, as the reference path's linkLatency.
+func (n *Network) arcLatency(a int32, size int) des.Time {
+	now := n.Sched.Now()
 	if n.Bandwidth <= 0 {
 		return now + des.Time(n.csr.ArcDelay(a))
 	}
 	if n.busy == nil {
-		// Lazy one-time init of the busy-horizon array, not per-packet
-		// (preallocated instead when partitioned).
+		// Lazy one-time init of the busy-horizon array, not per-packet.
 		n.busy = make([]des.Time, n.csr.NumArcs()) //scmplint:ignore hotalloc
 	}
 	start := now
@@ -456,37 +326,36 @@ func (n *Network) RecomputeRoutes() {
 // admit applies the fault layer to one link crossing offered at send
 // time: a down link (or crashed endpoint) refuses the packet outright,
 // and random loss may claim it mid-flight. Refused or lost packets are
-// counted per kind on the sending shard; only admitted && !lost packets
-// were transmitted successfully (lost ones still occupied the link).
+// counted per kind; only admitted && !lost packets were transmitted
+// successfully (lost ones still occupied the link).
 // The delivery callback must still re-check the fault state at arrival
 // time — a fault can strike while the packet is in flight.
-func (n *Network) admit(sh *shard, a int32, from, to topology.NodeID, kind packet.Kind) (admitted, lost bool) {
+func (n *Network) admit(a int32, from, to topology.NodeID, kind packet.Kind) (admitted, lost bool) {
 	if n.faults == nil {
 		return true, false
 	}
 	if n.faults.LinkIsDown(from, to) {
-		sh.col.OnDrop(kind)
+		n.Metrics.OnDrop(kind)
 		return false, false
 	}
-	return true, n.faults.loseArc(a, from, to, kind, sh.sched.Now())
+	return true, n.faults.loseArc(a, from, to, kind)
 }
 
 // arrived reports whether a packet scheduled on from->to survives to be
-// handled at to, counting the drop on the receiving shard otherwise.
-func (n *Network) arrived(sh *shard, from, to topology.NodeID, kind packet.Kind, lost bool) bool {
+// handled at to, counting the drop otherwise.
+func (n *Network) arrived(from, to topology.NodeID, kind packet.Kind, lost bool) bool {
 	if n.faults == nil {
 		return true
 	}
 	if lost || n.faults.LinkIsDown(from, to) {
-		sh.col.OnDrop(kind)
+		n.Metrics.OnDrop(kind)
 		return false
 	}
 	return true
 }
 
 // admitRef / arrivedRef are the reference path's fault hooks: same
-// decisions as admit/arrived against the network-level collector and
-// the reference loss counters.
+// decisions as admit/arrived against the reference loss counters.
 func (n *Network) admitRef(from, to topology.NodeID, kind packet.Kind) (admitted, lost bool) {
 	if n.faults == nil {
 		return true, false
@@ -524,27 +393,18 @@ func (n *Network) SendLink(from, to topology.NodeID, pkt *Packet) {
 	if a < 0 {
 		panic(fmt.Sprintf("netsim: SendLink %d->%d not adjacent", from, to))
 	}
-	sh := n.shardOf(from)
-	admitted, lost := n.admit(sh, a, from, to, pkt.Kind)
+	admitted, lost := n.admit(a, from, to, pkt.Kind)
 	if !admitted {
 		return
 	}
-	cp := sh.getPacket()
+	cp := n.getPacket()
 	*cp = *pkt // Payload shared read-only
 	cp.From = from
-	sh.col.OnLinkDense(n.arcUID[a], cp.Kind, n.csr.ArcCost(a), cp.Size)
+	n.Metrics.OnLinkDense(n.arcUID[a], cp.Kind, n.csr.ArcCost(a), cp.Size)
 	if n.Trace != nil {
 		n.Trace(from, to, cp)
 	}
-	at := n.arcLatency(sh, a, cp.Size)
-	if dp := n.shardOf(to); dp != sh {
-		// Cross-partition hop: buffered and injected at the next window
-		// boundary in canonical merge order. The link delay is at least
-		// the coordinator's lookahead by construction of the cut.
-		n.pd.Post(sh.id, dp.id, at, opDeliver, int32(from), int32(to), cp, lost)
-		return
-	}
-	sh.sched.AtSink(at, opDeliver, int32(from), int32(to), cp, lost)
+	n.Sched.AtSink(n.arcLatency(a, cp.Size), opDeliver, int32(from), int32(to), cp, lost)
 }
 
 // SinkEvent dispatches a typed delivery event; it implements des.Sink
@@ -554,29 +414,26 @@ func (n *Network) SendLink(from, to topology.NodeID, pkt *Packet) {
 func (n *Network) SinkEvent(op uint8, a, b int32, p any, flag bool) {
 	pkt := p.(*Packet)
 	from, to := topology.NodeID(a), topology.NodeID(b)
-	// Every delivery op executes at node b, so the event was dispatched
-	// by (and this call runs on) b's shard.
-	sh := n.shardOf(to)
 	switch op {
 	case opDeliver:
-		if n.arrived(sh, from, to, pkt.Kind, flag) {
+		if n.arrived(from, to, pkt.Kind, flag) {
 			n.Proto.HandlePacket(to, pkt)
 		}
-		sh.putPacket(pkt)
+		n.putPacket(pkt)
 	case opUnicast:
-		if !n.arrived(sh, from, to, pkt.Kind, flag) {
-			sh.putPacket(pkt)
+		if !n.arrived(from, to, pkt.Kind, flag) {
+			n.putPacket(pkt)
 			return
 		}
 		if to == pkt.Dst {
 			n.Proto.HandlePacket(to, pkt)
-			sh.putPacket(pkt)
+			n.putPacket(pkt)
 			return
 		}
 		n.unicastStep(to, pkt)
 	case opSelf:
 		n.Proto.HandlePacket(to, pkt)
-		sh.putPacket(pkt)
+		n.putPacket(pkt)
 	}
 }
 
@@ -592,12 +449,11 @@ func (n *Network) SendUnicast(src topology.NodeID, pkt *Packet) {
 		n.sendUnicastRef(src, pkt) //scmplint:ignore hotalloc
 		return
 	}
-	sh := n.shardOf(src)
-	cp := sh.getPacket()
+	cp := n.getPacket()
 	*cp = *pkt
 	if src == cp.Dst {
 		cp.From = src
-		sh.sched.AtSink(sh.sched.Now(), opSelf, int32(src), int32(src), cp, false)
+		n.Sched.AtSink(n.Sched.Now(), opSelf, int32(src), int32(src), cp, false)
 		return
 	}
 	n.unicastStep(src, cp)
@@ -606,36 +462,30 @@ func (n *Network) SendUnicast(src topology.NodeID, pkt *Packet) {
 // unicastStep forwards an owned in-flight copy one hop toward its
 // destination, reusing the same pooled packet across all hops.
 func (n *Network) unicastStep(at topology.NodeID, pkt *Packet) {
-	sh := n.shardOf(at)
 	nh := n.Next.Hop(at, pkt.Dst)
 	if nh == -1 {
 		// With faults installed a partition is a legitimate runtime
 		// state: the packet dies here and the drop is accounted.
 		// Without faults an unreachable destination is a harness bug.
 		if n.faults != nil {
-			sh.col.OnDrop(pkt.Kind)
-			sh.putPacket(pkt)
+			n.Metrics.OnDrop(pkt.Kind)
+			n.putPacket(pkt)
 			return
 		}
 		panic(fmt.Sprintf("netsim: no unicast route %d->%d", at, pkt.Dst))
 	}
 	a := n.arc(at, nh)
-	admitted, lost := n.admit(sh, a, at, nh, pkt.Kind)
+	admitted, lost := n.admit(a, at, nh, pkt.Kind)
 	if !admitted {
-		sh.putPacket(pkt)
+		n.putPacket(pkt)
 		return
 	}
 	pkt.From = at
-	sh.col.OnLinkDense(n.arcUID[a], pkt.Kind, n.csr.ArcCost(a), pkt.Size)
+	n.Metrics.OnLinkDense(n.arcUID[a], pkt.Kind, n.csr.ArcCost(a), pkt.Size)
 	if n.Trace != nil {
 		n.Trace(at, nh, pkt)
 	}
-	t := n.arcLatency(sh, a, pkt.Size)
-	if dp := n.shardOf(nh); dp != sh {
-		n.pd.Post(sh.id, dp.id, t, opUnicast, int32(at), int32(nh), pkt, lost)
-		return
-	}
-	sh.sched.AtSink(t, opUnicast, int32(at), int32(nh), pkt, lost)
+	n.Sched.AtSink(n.arcLatency(a, pkt.Size), opUnicast, int32(at), int32(nh), pkt, lost)
 }
 
 // --- reference delivery path (historical, test-only) -------------------
@@ -815,50 +665,22 @@ func (n *Network) SendData(src topology.NodeID, g packet.GroupID, size int) uint
 // router with local member hosts. It feeds the delay metric and the
 // delivery record.
 func (n *Network) DeliverLocal(node topology.NodeID, pkt *Packet) {
-	sh := n.shardOf(node)
-	sh.col.OnDeliver(float64(sh.sched.Now() - pkt.Created))
+	n.Metrics.OnDeliver(float64(n.Sched.Now() - pkt.Created))
 	d := n.deliveries[pkt.Seq]
 	if d == nil {
 		return
 	}
-	if n.pd == nil {
-		if d.once.has(node) {
-			d.dup.set(node)
-		} else {
-			d.once.set(node)
-		}
-		return
-	}
-	// Partitioned: each node's bit is set only by its own partition, but
-	// nodes of different partitions can share a bitset word — the
-	// updates must be atomic read-modify-writes. (CAS loops rather than
-	// atomic Or: the module targets Go 1.22, before atomic.OrUint64.)
-	if d.once.atomicSetHad(node) {
-		d.dup.atomicSetHad(node)
-	}
-}
-
-// atomicSetHad sets v's bit with a CAS loop and reports whether it was
-// already set. Safe against concurrent setters of other bits in the
-// same word.
-func (s nodeSet) atomicSetHad(v topology.NodeID) bool {
-	w := &s[v>>6]
-	mask := uint64(1) << (uint(v) & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return true
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return false
-		}
+	if d.once.has(node) {
+		d.dup.set(node)
+	} else {
+		d.once.set(node)
 	}
 }
 
 // DropData is called by protocols when they discard a data packet at a
-// router; the drop is counted on that router's shard.
+// router.
 func (n *Network) DropData(node topology.NodeID) {
-	n.shardOf(node).col.OnDrop(packet.Data)
+	n.Metrics.OnDrop(packet.Data)
 }
 
 // CheckDelivery compares a data packet's deliveries against the member
@@ -895,32 +717,8 @@ func (s nodeSet) appendWord(out []topology.NodeID, wi int) []topology.NodeID {
 	return out
 }
 
-// Run drains all pending events (the network quiesces). Partitioned
-// networks drive the window coordinator and then fold every shard's
-// metrics into Metrics — in ascending partition order, so float sums
-// accumulate in a fixed order — leaving Metrics current whenever the
-// caller can observe it.
-func (n *Network) Run() {
-	if n.pd != nil {
-		n.pd.Run()
-		n.drainShards()
-		return
-	}
-	n.Sched.Run()
-}
+// Run drains all pending events (the network quiesces).
+func (n *Network) Run() { n.Sched.Run() }
 
 // RunUntil advances simulated time to the deadline.
-func (n *Network) RunUntil(t des.Time) {
-	if n.pd != nil {
-		n.pd.RunUntil(t)
-		n.drainShards()
-		return
-	}
-	n.Sched.RunUntil(t)
-}
-
-func (n *Network) drainShards() {
-	for _, sh := range n.shards {
-		n.Metrics.Drain(sh.col)
-	}
-}
+func (n *Network) RunUntil(t des.Time) { n.Sched.RunUntil(t) }

@@ -69,6 +69,37 @@ func TestSendLinkDelayAndAccounting(t *testing.T) {
 	}
 }
 
+// Resetting the collector of a live network between phases must leave
+// it usable: the second phase's link loads and overheads are read back
+// alone, with nothing of the first phase and no lost link registration.
+func TestMetricsResetBetweenPhases(t *testing.T) {
+	p := &echoProto{}
+	n := New(lineGraph(3), p)
+
+	// Join phase: one JOIN unicast 2 -> 0 crosses both links.
+	n.SendUnicast(2, &Packet{Kind: packet.Join, Dst: 0, Size: 64})
+	n.Run()
+	if n.Metrics.ProtocolOverhead() != 10 || n.Metrics.LinkLoad(1, 2) != 1 {
+		t.Fatalf("join phase: overhead %g, load(1,2) %d", n.Metrics.ProtocolOverhead(), n.Metrics.LinkLoad(1, 2))
+	}
+
+	n.Metrics.Reset()
+
+	// Data phase: one data packet crosses 0 -> 1 only.
+	n.SendData(0, 1, 1000)
+	n.Run()
+	m := n.Metrics
+	if m.LinkLoad(0, 1) != 1 || m.LinkLoad(1, 2) != 0 {
+		t.Fatalf("data phase loads: (0,1)=%d (1,2)=%d, want 1 and 0", m.LinkLoad(0, 1), m.LinkLoad(1, 2))
+	}
+	if id, load := m.MaxLinkLoad(); id.A != 0 || id.B != 1 || load != 1 {
+		t.Fatalf("MaxLinkLoad = %v/%d, want {0 1}/1", id, load)
+	}
+	if m.DataOverhead() != 5 || m.ProtocolOverhead() != 0 {
+		t.Fatalf("data phase overhead: data %g protocol %g, want 5 and 0", m.DataOverhead(), m.ProtocolOverhead())
+	}
+}
+
 func TestSendLinkNonAdjacentPanics(t *testing.T) {
 	n := New(lineGraph(3), &echoProto{})
 	defer func() {

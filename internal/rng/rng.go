@@ -31,14 +31,14 @@ func Split(parent *Rand) *Rand {
 
 // Hash01 is a stateless positional draw: a uniform float64 in [0, 1)
 // that is a pure function of (seed, key, n), with no stream position to
-// share. Sequential streams serialize their consumers — every draw
-// depends on how many draws happened before it anywhere in the run —
-// which is exactly what a partitioned simulation cannot provide. A
-// positional draw instead indexes an implicit random table: consumers
-// that agree on (key, n) read the same value no matter which thread asks
-// first, so fault-loss decisions stay identical across any partitioning
-// of the event loop. The mixer is splitmix64's finalizer applied to the
-// xor-folded inputs; the top 53 bits become the mantissa.
+// share. Sequential streams couple their consumers — every draw
+// depends on how many draws happened before it anywhere in the run, so
+// one extra draw reshuffles every later one. A positional draw instead
+// indexes an implicit random table: consumers that agree on (key, n)
+// read the same value no matter who asks first, so a link's fault-loss
+// pattern is independent of draw order elsewhere. The mixer is
+// splitmix64's finalizer applied to the xor-folded inputs; the top 53
+// bits become the mantissa.
 func Hash01(seed int64, key, n uint64) float64 {
 	h := uint64(seed) ^ (key * 0x9e3779b97f4a7c15) ^ (n * 0xd1342543de82ef95)
 	h ^= h >> 30
