@@ -8,6 +8,7 @@ package scmp_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"scmp/internal/core"
@@ -123,5 +124,66 @@ func TestDCDMAllocFloor(t *testing.T) {
 		t.Errorf("steady-state DCDM Join+Leave allocates %.2f per pair, budget %.0f (<=1 per op); "+
 			"run `go run ./cmd/scmplint -only hotalloc ./internal/mtree/` to locate the new allocation site",
 			avg, budget)
+	}
+}
+
+// nopProto is a protocol that does nothing, so a measurement sees the
+// network layer alone.
+type nopProto struct{}
+
+func (nopProto) Name() string                                          { return "nop" }
+func (nopProto) Attach(*netsim.Network)                                {}
+func (nopProto) HandlePacket(topology.NodeID, *netsim.Packet)          {}
+func (nopProto) HostJoin(topology.NodeID, packet.GroupID)              {}
+func (nopProto) HostLeave(topology.NodeID, packet.GroupID)             {}
+func (nopProto) SendData(topology.NodeID, packet.GroupID, int, uint64) {}
+
+// TestFaultReconvergeAllocFloor pins the cost model of lazy
+// reconvergence: a LinkDown + LinkUp pair on the 400-node Waxman, with
+// 8 substrate rows consulted after each event, allocates O(1) bytes —
+// the two scheduled closures — because the next-hop table is
+// invalidated in place and stale rows refill on the table's own
+// scratch. An eager rebuild allocated a fresh n*n table per event
+// (2 x 640 KB per pair here).
+func TestFaultReconvergeAllocFloor(t *testing.T) {
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := wg.Graph
+	n := netsim.New(g, nopProto{})
+	f := n.InstallFaults(netsim.FaultPlan{})
+	u, v := topology.NodeID(0), g.Neighbors(0)[0].To
+	consulted := []topology.NodeID{0, 7, 42, 99, 123, 250, 311, 399}
+	consult := func() {
+		n.Run()
+		for _, s := range consulted {
+			n.Next.Row(s)
+		}
+		if got := n.Next.Materialized(); got != len(consulted) {
+			t.Fatalf("%d rows current after consulting %d", got, len(consulted))
+		}
+	}
+	pair := func() {
+		f.ScheduleLinkDown(n.Now(), u, v)
+		consult()
+		f.ScheduleLinkUp(n.Now(), u, v)
+		consult()
+	}
+	pair() // size the refill scratch
+
+	const pairs, budget = 50, 1 << 10 // bytes per pair
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pairs; i++ {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / pairs
+	t.Logf("%d bytes per fault pair", per)
+	if per > budget {
+		t.Errorf("fault pair + %d consulted rows allocates %d bytes, budget %d; "+
+			"run `go run ./cmd/scmplint -only hotalloc ./internal/topology/ ./internal/netsim/` to locate the new allocation site",
+			len(consulted), per, budget)
 	}
 }

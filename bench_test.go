@@ -335,70 +335,50 @@ func BenchmarkChurn(b *testing.B) {
 	b.ReportMetric(float64(maxBacklog), "max_backlog")
 }
 
-// BenchmarkFaultRecompute measures the routing work a fault event
-// triggers: rebuilding the delay and cost path tables with a link
-// avoided. "eager" pays for all n sources up front (the historical
-// behaviour); "lazy" builds the table shell and then materialises only
-// the handful of rows a repair actually consults — the pattern
-// core/repair.go's refreshPathTables now follows. Serial and parallel
-// variants pin GOMAXPROCS to show the sharded eager build's scaling.
+// BenchmarkFaultRecompute measures the routing work one fault event
+// costs: the fault layer's apply on a 400-node SCMP network (arc-mask
+// update, substrate invalidation, the m-router's fresh lazy path
+// tables), then the rows a local repair typically consults before the
+// next event — k = 8 substrate next-hop rows plus the same 8 sources in
+// the delay and cost repair tables. Events alternate cut and restore of
+// one link, so half the rows are masked and half are not. Nothing here
+// is sharded any more; the serial and default-GOMAXPROCS arms show
+// that the cost no longer depends on the worker pool.
 func BenchmarkFaultRecompute(b *testing.B) {
 	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
 	g := wg.Graph
-	// Avoid one real link, as a LinkDown fault would.
-	var au, av topology.NodeID = -1, -1
-	for u := 0; u < g.N() && au < 0; u++ {
-		for _, l := range g.Neighbors(topology.NodeID(u)) {
-			au, av = topology.NodeID(u), l.To
-			break
-		}
-	}
-	avoid := func(u, v topology.NodeID) bool {
-		return (u == au && v == av) || (u == av && v == au)
-	}
+	au, av := topology.NodeID(0), g.Neighbors(0)[0].To
 	consulted := []topology.NodeID{0, 7, 42, 99, 123, 250, 311, 399}
-	eager := func(b *testing.B) {
+	event := func(b *testing.B) {
+		n := netsim.New(g, core.New(core.Config{MRouter: 0, Kappa: 1.5}))
+		f := n.InstallFaults(netsim.FaultPlan{})
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			d := topology.NewAllPairsAvoid(g, topology.ByDelay, avoid)
-			c := topology.NewAllPairsAvoid(g, topology.ByCost, avoid)
+			if i%2 == 0 {
+				f.ScheduleLinkDown(n.Now(), au, av)
+			} else {
+				f.ScheduleLinkUp(n.Now(), au, av)
+			}
+			n.Run()
+			down := f.DownMask()
+			d := topology.NewLazyAllPairsAvoid(g, topology.ByDelay, down)
+			c := topology.NewLazyAllPairsAvoid(g, topology.ByCost, down)
 			for _, s := range consulted {
+				n.Next.Row(s)
 				d.Row(s)
 				c.Row(s)
 			}
 		}
 	}
-	lazy := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d := topology.NewLazyAllPairsAvoid(g, topology.ByDelay, avoid)
-			c := topology.NewLazyAllPairsAvoid(g, topology.ByCost, avoid)
-			for _, s := range consulted {
-				d.Row(s)
-				c.Row(s)
-			}
-		}
-	}
-	for _, v := range []struct {
-		name  string
-		procs int
-		fn    func(*testing.B)
-	}{
-		{"eager-serial", 1, eager},
-		{"eager-parallel", 4, eager},
-		{"lazy-serial", 1, lazy},
-		{"lazy-parallel", 4, lazy},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(v.procs)
-			defer runtime.GOMAXPROCS(prev)
-			b.ResetTimer()
-			v.fn(b)
-		})
-	}
+	b.Run("serial", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		event(b)
+	})
+	b.Run("default", event)
 }
 
 // BenchmarkDVMRPPruneLifetime is the ablation for design decision 3:

@@ -552,16 +552,17 @@ func (s *SCMP) refreshPathTables() {
 	if f == nil || s.hierarchical() {
 		return
 	}
-	// Lazy tables over a frozen fault snapshot: local repair typically
-	// re-grafts a few orphans, consulting only their rows and the
-	// m-router's, so the recompute cost scales with the repair, not
-	// with n. The snapshot (not the live Avoid view) keeps each row's
-	// content pinned to this fault event no matter when it is first
-	// read — the lazy-table invalidation rule is simply "new event,
-	// new table".
-	avoid := f.AvoidSnapshot()
-	s.spDelay = topology.NewLazyAllPairsAvoid(s.net.G, topology.ByDelay, avoid)
-	s.spCost = topology.NewLazyAllPairsAvoid(s.net.G, topology.ByCost, avoid)
+	// Lazy tables over a copy of the fault layer's arc mask: local
+	// repair typically re-grafts a few orphans, consulting only their
+	// rows and the m-router's, so the recompute cost scales with the
+	// repair, not with n. The copy keeps each row's content pinned to
+	// this fault event no matter when it is first read — the same rule
+	// the unicast substrate follows in place: a fault event makes every
+	// row stale, and a row is a pure function of the mask at its
+	// invalidation.
+	down := f.DownMask()
+	s.spDelay = topology.NewLazyAllPairsAvoid(s.net.G, topology.ByDelay, down)
+	s.spCost = topology.NewLazyAllPairsAvoid(s.net.G, topology.ByCost, down)
 	for _, g := range s.sortedGroupIDs() {
 		s.groups[g].dcdm.SetAllPairs(s.spDelay, s.spCost)
 	}

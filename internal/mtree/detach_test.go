@@ -99,7 +99,7 @@ func TestDCDMDetachAndRegraft(t *testing.T) {
 	}
 	// Re-grafting through tables that avoid the crashed router must
 	// route member 3 the long way, 0-1-2-3.
-	avoid := func(u, v topology.NodeID) bool { return u == 5 || v == 5 }
+	avoid := arcMask(g, func(u, v topology.NodeID) bool { return u == 5 || v == 5 })
 	d.SetAllPairs(
 		topology.NewAllPairsAvoid(g, topology.ByDelay, avoid),
 		topology.NewAllPairsAvoid(g, topology.ByCost, avoid),

@@ -53,6 +53,20 @@ func genChurnOps(rng *rand.Rand, members []topology.NodeID, perMember int, paret
 	return ops
 }
 
+// arcMask evaluates a link predicate into the arc mask the masked
+// all-pairs builders take (see topology.CSR).
+func arcMask(g *topology.Graph, avoid func(u, v topology.NodeID) bool) []bool {
+	c := g.CSR()
+	mask := make([]bool, c.NumArcs())
+	for u := 0; u < g.N(); u++ {
+		lo, hi := c.Row(topology.NodeID(u))
+		for a := lo; a < hi; a++ {
+			mask[a] = avoid(topology.NodeID(u), c.ArcDst(a))
+		}
+	}
+	return mask
+}
+
 // connectedAvoidTables finds a single link whose removal keeps every
 // node reachable from root and returns delay/cost tables over that
 // masked subgraph — alternate tables for exercising SetAllPairs with
@@ -65,9 +79,9 @@ func connectedAvoidTables(g *topology.Graph, root topology.NodeID) (*topology.Al
 				continue // undirected: try each link once
 			}
 			au, av := topology.NodeID(u), nb.To
-			avoid := func(x, y topology.NodeID) bool {
+			avoid := arcMask(g, func(x, y topology.NodeID) bool {
 				return (x == au && y == av) || (x == av && y == au)
-			}
+			})
 			spDelay := topology.NewAllPairsAvoid(g, topology.ByDelay, avoid)
 			row := spDelay.Row(root)
 			ok := true

@@ -76,7 +76,7 @@ type FaultPlan struct {
 
 // FaultListener is the optional interface through which components
 // observe topology faults. The unicast substrate (Network.Next) is
-// always recomputed before listeners run, so a listener reacting to
+// always reconverged before listeners run, so a listener reacting to
 // LinkDown can immediately route around the dead link. The Protocol is
 // notified first when it implements the interface; extra listeners
 // (IGMP subnets, experiment probes) follow in registration order.
@@ -106,6 +106,12 @@ type Faults struct {
 	downNodes map[topology.NodeID]bool
 	listeners []FaultListener
 
+	// down is the routing mask the down-sets imply, by CSR arc id:
+	// down[a] == LinkIsDown(from(a), to(a)). apply is its only writer
+	// and ends by invalidating Network.Next (which aliases it), so no
+	// route is computed against a mask newer than its invalidation.
+	down []bool
+
 	// Per-directed-link crossing counters for the positional loss
 	// draws: the fast path indexes by CSR arc id; the reference path
 	// keeps the historical map store. Both count crossings of the same
@@ -116,7 +122,8 @@ type Faults struct {
 }
 
 // InstallFaults attaches a fault plan to the network and schedules its
-// events. At most one plan per network; installing twice panics.
+// events. At most one plan per network; installing twice panics, and so
+// does a plan event on a non-edge or an out-of-range router.
 func (n *Network) InstallFaults(plan FaultPlan) *Faults {
 	if n.faults != nil {
 		panic("netsim: faults installed twice")
@@ -126,6 +133,7 @@ func (n *Network) InstallFaults(plan FaultPlan) *Faults {
 		plan:      plan,
 		downLinks: make(map[linkKey]bool),
 		downNodes: make(map[topology.NodeID]bool),
+		down:      make([]bool, n.csr.NumArcs()),
 	}
 	if n.refMode {
 		f.lossM = make(map[dirLink]uint64)
@@ -134,12 +142,30 @@ func (n *Network) InstallFaults(plan FaultPlan) *Faults {
 		// would race.
 		f.lossN = make([]uint64, n.csr.NumArcs())
 	}
+	if pl, ok := n.Proto.(FaultListener); ok {
+		f.listeners = append(f.listeners, pl) // the protocol hears first
+	}
 	n.faults = f
 	for _, ev := range plan.Events {
-		ev := ev
-		n.Sched.At(ev.At, func() { f.apply(ev) })
+		f.schedule(ev)
 	}
 	return f
+}
+
+// schedule validates ev where it is offered (at fire time the arc mask
+// would turn a bad endpoint into a bad index) and queues it.
+func (f *Faults) schedule(ev FaultEvent) {
+	switch ev.Kind {
+	case LinkDown, LinkUp:
+		if !f.net.G.HasEdge(ev.U, ev.V) {
+			panic(fmt.Sprintf("netsim: fault on non-edge {%d,%d}", ev.U, ev.V))
+		}
+	case NodeDown, NodeUp:
+		if ev.U < 0 || int(ev.U) >= f.net.G.N() {
+			panic(fmt.Sprintf("netsim: fault on non-node %d", ev.U))
+		}
+	}
+	f.net.Sched.At(ev.At, func() { f.apply(ev) })
 }
 
 // Faults returns the installed fault layer, nil when none.
@@ -151,17 +177,17 @@ func (f *Faults) AddListener(l FaultListener) { f.listeners = append(f.listeners
 
 // ScheduleLinkDown cuts the link {u,v} at simulated time at.
 func (f *Faults) ScheduleLinkDown(at des.Time, u, v topology.NodeID) {
-	f.net.Sched.At(at, func() { f.apply(FaultEvent{Kind: LinkDown, U: u, V: v}) })
+	f.schedule(FaultEvent{At: at, Kind: LinkDown, U: u, V: v})
 }
 
 // ScheduleLinkUp restores the link {u,v} at simulated time at.
 func (f *Faults) ScheduleLinkUp(at des.Time, u, v topology.NodeID) {
-	f.net.Sched.At(at, func() { f.apply(FaultEvent{Kind: LinkUp, U: u, V: v}) })
+	f.schedule(FaultEvent{At: at, Kind: LinkUp, U: u, V: v})
 }
 
 // ScheduleNodeDown crashes router n at simulated time at.
 func (f *Faults) ScheduleNodeDown(at des.Time, n topology.NodeID) {
-	f.net.Sched.At(at, func() { f.apply(FaultEvent{Kind: NodeDown, U: n}) })
+	f.schedule(FaultEvent{At: at, Kind: NodeDown, U: n})
 }
 
 // ScheduleNodeUp restarts router n at simulated time at. The restarted
@@ -169,7 +195,7 @@ func (f *Faults) ScheduleNodeDown(at des.Time, n topology.NodeID) {
 // subnet re-report their memberships (the IGMP query cycle), driving a
 // fresh protocol join.
 func (f *Faults) ScheduleNodeUp(at des.Time, n topology.NodeID) {
-	f.net.Sched.At(at, func() { f.apply(FaultEvent{Kind: NodeUp, U: n}) })
+	f.schedule(FaultEvent{At: at, Kind: NodeUp, U: n})
 }
 
 // LinkIsDown reports whether {u,v} is unusable: scheduled down, or
@@ -181,36 +207,16 @@ func (f *Faults) LinkIsDown(u, v topology.NodeID) bool {
 // NodeIsDown reports whether router n is crashed.
 func (f *Faults) NodeIsDown(n topology.NodeID) bool { return f.downNodes[n] }
 
-// Avoid returns the routing mask the current fault state implies, for
-// protocols recomputing their own path tables (topology.ShortestAvoid).
-// The returned func is a live view: it tracks fault events applied
-// after this call. Eager recomputes (netsim's own RecomputeRoutes) want
-// exactly that; lazily materialised tables must use AvoidSnapshot
-// instead.
-func (f *Faults) Avoid() topology.AvoidFunc {
-	return func(u, v topology.NodeID) bool { return f.LinkIsDown(u, v) }
-}
-
-// AvoidSnapshot returns the routing mask frozen at the current fault
-// state. Rows of a lazy path table built over this snapshot reproduce
-// exactly what an eager rebuild at this instant would have computed,
-// no matter how many further fault events fire before a row is first
-// consulted. Returns nil when nothing is down (no mask needed).
-func (f *Faults) AvoidSnapshot() topology.AvoidFunc {
+// DownMask returns a copy of the routing mask the current fault state
+// implies (see topology.CSR), for protocols recomputing their own path
+// tables: a lazy table over it answers as of this instant however many
+// fault events fire before a row is first consulted. Nil when nothing
+// is down.
+func (f *Faults) DownMask() []bool {
 	if len(f.downLinks) == 0 && len(f.downNodes) == 0 {
 		return nil
 	}
-	links := make(map[linkKey]bool, len(f.downLinks))
-	for k, v := range f.downLinks {
-		links[k] = v
-	}
-	nodes := make(map[topology.NodeID]bool, len(f.downNodes))
-	for k, v := range f.downNodes {
-		nodes[k] = v
-	}
-	return func(u, v topology.NodeID) bool {
-		return links[mkLinkKey(u, v)] || nodes[u] || nodes[v]
-	}
+	return append([]bool(nil), f.down...)
 }
 
 // lossRate returns the plan's drop probability for kind's class.
@@ -263,22 +269,28 @@ func (f *Faults) loseRef(from, to topology.NodeID, kind packet.Kind) bool {
 	return rng.Hash01(f.plan.Seed, lossPairKey(from, to), nth) < rate
 }
 
-// apply executes one fault event: update the down sets, reconverge the
-// unicast substrate, then notify the protocol and listeners. NodeUp
-// additionally re-reports the router's ground-truth memberships.
+// apply executes one fault event: update the down sets and the arc
+// mask, reconverge the unicast substrate, then notify the protocol and
+// listeners. NodeUp additionally re-reports the router's ground-truth
+// memberships.
 func (f *Faults) apply(ev FaultEvent) {
 	switch ev.Kind {
 	case LinkDown:
-		if _, ok := f.net.G.Edge(ev.U, ev.V); !ok {
-			panic(fmt.Sprintf("netsim: fault on non-edge {%d,%d}", ev.U, ev.V))
-		}
 		f.downLinks[mkLinkKey(ev.U, ev.V)] = true
+		f.remask(ev.U, ev.V)
 	case LinkUp:
 		delete(f.downLinks, mkLinkKey(ev.U, ev.V))
-	case NodeDown:
-		f.downNodes[ev.U] = true
-	case NodeUp:
-		delete(f.downNodes, ev.U)
+		f.remask(ev.U, ev.V)
+	case NodeDown, NodeUp:
+		if ev.Kind == NodeDown {
+			f.downNodes[ev.U] = true
+		} else {
+			delete(f.downNodes, ev.U)
+		}
+		lo, hi := f.net.csr.Row(ev.U)
+		for a := lo; a < hi; a++ {
+			f.remask(ev.U, f.net.csr.ArcDst(a))
+		}
 	}
 	f.net.RecomputeRoutes()
 	f.notify(ev)
@@ -287,15 +299,19 @@ func (f *Faults) apply(ev FaultEvent) {
 	}
 }
 
-// notify fans the event to the protocol (when it listens) and the
-// registered listeners, in deterministic order.
+// remask re-derives both arcs of edge {u,v} from the down sets, so
+// overlapping faults compose: a link cut while an endpoint is crashed
+// stays masked when the node returns, and the other way round.
+func (f *Faults) remask(u, v topology.NodeID) {
+	d := f.LinkIsDown(u, v)
+	f.down[f.net.arc(u, v)] = d
+	f.down[f.net.arc(v, u)] = d
+}
+
+// notify fans the event to the listeners in registration order (the
+// protocol, when it listens, registered first).
 func (f *Faults) notify(ev FaultEvent) {
-	all := make([]FaultListener, 0, len(f.listeners)+1)
-	if pl, ok := f.net.Proto.(FaultListener); ok {
-		all = append(all, pl)
-	}
-	all = append(all, f.listeners...)
-	for _, l := range all {
+	for _, l := range f.listeners {
 		switch ev.Kind {
 		case LinkDown:
 			l.LinkDown(ev.U, ev.V)

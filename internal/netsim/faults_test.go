@@ -243,15 +243,53 @@ func TestInstallFaultsTwicePanics(t *testing.T) {
 	n.InstallFaults(FaultPlan{})
 }
 
+// TestFaultOnNonEdgePanics pins validation at the call site: a link
+// event on a non-edge and a node event on an out-of-range router are
+// rejected when offered — by InstallFaults for plan events, by the
+// Schedule* methods for later ones — not when they fire (the arc mask
+// would turn them into bad indexes by then).
 func TestFaultOnNonEdgePanics(t *testing.T) {
-	n := New(lineGraph(3), &echoProto{})
-	n.InstallFaults(FaultPlan{Events: []FaultEvent{{At: 0, Kind: LinkDown, U: 0, V: 2}}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	const at = 1
+	cases := []struct {
+		ev       FaultEvent
+		schedule func(f *Faults, ev FaultEvent)
+		want     string
+	}{
+		{FaultEvent{At: at, Kind: LinkDown, U: 0, V: 2},
+			func(f *Faults, ev FaultEvent) { f.ScheduleLinkDown(ev.At, ev.U, ev.V) },
+			"netsim: fault on non-edge {0,2}"},
+		{FaultEvent{At: at, Kind: LinkUp, U: 2, V: 0},
+			func(f *Faults, ev FaultEvent) { f.ScheduleLinkUp(ev.At, ev.U, ev.V) },
+			"netsim: fault on non-edge {2,0}"},
+		{FaultEvent{At: at, Kind: LinkDown, U: 1, V: 7},
+			func(f *Faults, ev FaultEvent) { f.ScheduleLinkDown(ev.At, ev.U, ev.V) },
+			"netsim: fault on non-edge {1,7}"},
+		{FaultEvent{At: at, Kind: NodeDown, U: 3},
+			func(f *Faults, ev FaultEvent) { f.ScheduleNodeDown(ev.At, ev.U) },
+			"netsim: fault on non-node 3"},
+		{FaultEvent{At: at, Kind: NodeUp, U: -1},
+			func(f *Faults, ev FaultEvent) { f.ScheduleNodeUp(ev.At, ev.U) },
+			"netsim: fault on non-node -1"},
+	}
+	panicOf := func(fn func()) (msg any) {
+		defer func() { msg = recover() }()
+		fn()
+		return nil
+	}
+	for _, c := range cases {
+		n := New(lineGraph(3), &echoProto{})
+		if got := panicOf(func() { n.InstallFaults(FaultPlan{Events: []FaultEvent{c.ev}}) }); got != c.want {
+			t.Errorf("InstallFaults(%v %d,%d): panic %v, want %q", c.ev.Kind, c.ev.U, c.ev.V, got, c.want)
 		}
-	}()
-	n.Run()
+		n = New(lineGraph(3), &echoProto{})
+		f := n.InstallFaults(FaultPlan{})
+		if got := panicOf(func() { c.schedule(f, c.ev) }); got != c.want {
+			t.Errorf("Schedule(%v %d,%d): panic %v, want %q", c.ev.Kind, c.ev.U, c.ev.V, got, c.want)
+		}
+		if n.Sched.Pending() != 0 {
+			t.Errorf("%v %d,%d: rejected event was queued anyway", c.ev.Kind, c.ev.U, c.ev.V)
+		}
+	}
 }
 
 func TestFaultKindString(t *testing.T) {

@@ -148,7 +148,8 @@ type Network struct {
 	// Fast-path state: the CSR arc table (directed edge ids), each arc's
 	// undirected link index for dense metrics, per-arc busy horizons
 	// (allocated on first finite-Bandwidth send) and the free list of
-	// in-flight packet copies.
+	// in-flight packet copies. The reference path ignores all of it but
+	// csr, which the fault layer's arc mask indexes in both modes.
 	csr    *topology.CSR
 	arcUID []int32
 	busy   []des.Time
@@ -194,6 +195,7 @@ func build(g *topology.Graph, proto Protocol, ref bool) *Network {
 		G:          g,
 		Metrics:    &metrics.Collector{},
 		Next:       topology.NextHop(g),
+		csr:        g.CSR(),
 		Proto:      proto,
 		members:    make(map[packet.GroupID]nodeSet),
 		deliveries: make(map[uint64]*delivery),
@@ -205,7 +207,6 @@ func build(g *topology.Graph, proto Protocol, ref bool) *Network {
 	} else {
 		n.Sched = des.New()
 		n.Sched.SetSink(n)
-		n.csr = g.CSR()
 		// Assign every directed arc its undirected link index, in CSR
 		// scan order, and register the table for dense load counting.
 		uidOf := make(map[metrics.LinkID]int32, g.M())
@@ -311,16 +312,17 @@ func (n *Network) linkLatency(from, to topology.NodeID, propagation float64, siz
 // Now returns the current simulated time.
 func (n *Network) Now() des.Time { return n.Sched.Now() }
 
-// RecomputeRoutes rebuilds the unicast next-hop tables against the
-// current topology, masking out faulted links and crashed routers. The
-// fault layer calls it before notifying listeners of any change; it is
-// also safe to call directly.
+// RecomputeRoutes reconverges the unicast next-hop table onto the
+// current topology, masking out faulted links and crashed routers:
+// every row goes stale (n.Next keeps its identity) and is recomputed
+// when first consulted. The fault layer calls it before notifying
+// listeners of any change; it is also safe to call directly.
 func (n *Network) RecomputeRoutes() {
-	if n.faults == nil {
-		n.Next = topology.NextHop(n.G)
-		return
+	var down []bool
+	if n.faults != nil {
+		down = n.faults.down
 	}
-	n.Next = topology.NextHopAvoid(n.G, n.faults.Avoid())
+	n.Next.Invalidate(down)
 }
 
 // admit applies the fault layer to one link crossing offered at send
@@ -334,7 +336,7 @@ func (n *Network) admit(a int32, from, to topology.NodeID, kind packet.Kind) (ad
 	if n.faults == nil {
 		return true, false
 	}
-	if n.faults.LinkIsDown(from, to) {
+	if n.faults.down[a] {
 		n.Metrics.OnDrop(kind)
 		return false, false
 	}
@@ -354,8 +356,8 @@ func (n *Network) arrived(from, to topology.NodeID, kind packet.Kind, lost bool)
 	return true
 }
 
-// admitRef / arrivedRef are the reference path's fault hooks: same
-// decisions as admit/arrived against the reference loss counters.
+// admitRef is the reference path's admit: the same decision against the
+// reference loss counters (arrived serves both paths).
 func (n *Network) admitRef(from, to topology.NodeID, kind packet.Kind) (admitted, lost bool) {
 	if n.faults == nil {
 		return true, false
@@ -365,17 +367,6 @@ func (n *Network) admitRef(from, to topology.NodeID, kind packet.Kind) (admitted
 		return false, false
 	}
 	return true, n.faults.loseRef(from, to, kind)
-}
-
-func (n *Network) arrivedRef(from, to topology.NodeID, kind packet.Kind, lost bool) bool {
-	if n.faults == nil {
-		return true
-	}
-	if lost || n.faults.LinkIsDown(from, to) {
-		n.Metrics.OnDrop(kind)
-		return false
-	}
-	return true
 }
 
 // SendLink transmits a copy of pkt from one router to an adjacent one:
@@ -514,7 +505,7 @@ func (n *Network) sendLinkRef(from, to topology.NodeID, pkt *Packet) {
 		n.Trace(from, to, &cp)
 	}
 	n.Sched.At(n.linkLatency(from, to, l.Delay, cp.Size), func() {
-		if !n.arrivedRef(from, to, cp.Kind, lost) {
+		if !n.arrived(from, to, cp.Kind, lost) {
 			return
 		}
 		n.Proto.HandlePacket(to, &cp)
@@ -553,7 +544,7 @@ func (n *Network) unicastStepRef(at topology.NodeID, pkt *Packet) {
 		n.Trace(at, nh, &cp)
 	}
 	n.Sched.At(n.linkLatency(at, nh, l.Delay, cp.Size), func() {
-		if !n.arrivedRef(at, nh, cp.Kind, lost) {
+		if !n.arrived(at, nh, cp.Kind, lost) {
 			return
 		}
 		if nh == cp.Dst {

@@ -51,6 +51,20 @@ func BenchmarkShortest(b *testing.B) {
 			e.ShortestInto(&row, NodeID(i%g.N()), ByDelay, nil)
 		}
 	})
+	// The same run under a fault mask (one link down): the arc mask is
+	// one load per arc the loop already indexes, so this arm should
+	// read within a few percent of engine-reuse.
+	b.Run("engine-reuse-masked", func(b *testing.B) {
+		e := NewEngine(g)
+		var row Paths
+		v := g.Neighbors(0)[0].To
+		down := arcMask(g, func(x, y NodeID) bool { return (x == 0 && y == v) || (x == v && y == 0) })
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.ShortestInto(&row, NodeID(i%g.N()), ByDelay, down)
+		}
+	})
 }
 
 func BenchmarkAllPairs(b *testing.B) {

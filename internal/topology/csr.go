@@ -10,6 +10,11 @@ package topology
 //
 // A CSR is immutable after construction and shared freely across
 // goroutines.
+//
+// Arc masks: the routing view after a fault is a []bool indexed by arc
+// id, true meaning the directed link is unusable (down, or touching a
+// failed node); nil means every link is up. Dijkstra tests down[i] on
+// the arc it is already indexing, so a masked row costs little more.
 type CSR struct {
 	off   []int32   // len N+1; off[u]..off[u+1] bounds u's out-links
 	dst   []NodeID  // len 2M; link targets

@@ -57,23 +57,12 @@ type Paths struct {
 	minCost atomic.Uint64
 }
 
-// AvoidFunc reports whether the directed link u->v is unusable (down,
-// or touching a failed node). A nil AvoidFunc means every link is up.
-type AvoidFunc func(u, v NodeID) bool
-
-// Shortest runs Dijkstra from src under the given weight.
+// Shortest runs Dijkstra from src under the given weight on the fast
+// CSR engine; the result is the canonical shortest-path tree (see
+// Engine for the tie-break ladder that makes "canonical" well defined).
 func Shortest(g *Graph, src NodeID, w Weight) *Paths {
-	return ShortestAvoid(g, src, w, nil)
-}
-
-// ShortestAvoid is Shortest over the subgraph that excludes links for
-// which avoid returns true — the routing view after fault injection
-// takes links or nodes down. It runs on the fast CSR engine; results are
-// the canonical shortest-path tree (see Engine for the tie-break
-// ladder that makes "canonical" well defined).
-func ShortestAvoid(g *Graph, src NodeID, w Weight, avoid AvoidFunc) *Paths {
 	e := Engine{csr: g.CSR()}
-	return e.ShortestAvoid(src, w, avoid)
+	return e.ShortestAvoid(src, w, nil)
 }
 
 // To reconstructs the path Src -> dst as a node sequence including both
@@ -143,15 +132,15 @@ func (p *Paths) Reachable(dst NodeID) bool {
 // sources stop paying a full n-Dijkstra rebuild.
 //
 // Row contents are identical in every mode: the engine's tie-break
-// ladder makes each row a pure function of (graph, weight, avoid), so
+// ladder makes each row a pure function of (graph, weight, mask), so
 // eager, lazy and any parallel width produce byte-identical tables.
 // AllPairs is safe for concurrent readers; lazy rows are published with
 // a compare-and-swap, and a lost race just discards one identical row.
 type AllPairs struct {
-	g     *Graph
-	w     Weight
-	avoid AvoidFunc
-	rows  []atomic.Pointer[Paths]
+	g    *Graph
+	w    Weight
+	down []bool
+	rows []atomic.Pointer[Paths]
 }
 
 // allPairsChunk is how many consecutive source rows one worker computes
@@ -165,34 +154,29 @@ func NewAllPairs(g *Graph, w Weight) *AllPairs {
 	return NewAllPairsAvoid(g, w, nil)
 }
 
-// NewAllPairsAvoid is NewAllPairs over the subgraph that excludes
-// avoided links (see AvoidFunc).
-func NewAllPairsAvoid(g *Graph, w Weight, avoid AvoidFunc) *AllPairs {
-	ap := newAllPairsTable(g, w, avoid)
-	n := g.N()
-	chunks := (n + allPairsChunk - 1) / allPairsChunk
-	if chunks <= 1 {
-		e := NewEngine(g)
-		for u := 0; u < n; u++ {
-			ap.rows[u].Store(e.ShortestAvoid(NodeID(u), w, avoid))
-		}
-		return ap
-	}
-	// Each chunk owns a disjoint row range, so workers never write the
-	// same slot; one engine per chunk reuses its scratch across sources.
-	runner.Map(runner.Options{}, chunks, func(ci int) struct{} {
-		e := NewEngine(g)
-		lo := ci * allPairsChunk
-		hi := lo + allPairsChunk
-		if hi > n {
-			hi = n
-		}
+// NewAllPairsAvoid is NewAllPairs over the subgraph that excludes the
+// arcs set in the mask (see CSR).
+func NewAllPairsAvoid(g *Graph, w Weight, down []bool) *AllPairs {
+	ap := NewLazyAllPairsAvoid(g, w, down)
+	eachSourceChunk(g, func(e *Engine, lo, hi int) {
 		for u := lo; u < hi; u++ {
-			ap.rows[u].Store(e.ShortestAvoid(NodeID(u), w, avoid))
+			ap.rows[u].Store(e.ShortestAvoid(NodeID(u), w, down))
 		}
-		return struct{}{}
 	})
 	return ap
+}
+
+// eachSourceChunk runs fn over the sources [0, n) in allPairsChunk-sized
+// ranges on the deterministic worker pool. Each range owns a disjoint
+// set of rows, so workers never write the same slot, and gets its own
+// engine, whose scratch it reuses across its sources.
+func eachSourceChunk(g *Graph, fn func(e *Engine, lo, hi int)) {
+	n := g.N()
+	runner.Map(runner.Options{}, (n+allPairsChunk-1)/allPairsChunk, func(ci int) struct{} {
+		lo := ci * allPairsChunk
+		fn(NewEngine(g), lo, min(lo+allPairsChunk, n))
+		return struct{}{}
+	})
 }
 
 // NewLazyAllPairs returns an AllPairs whose rows are computed on first
@@ -203,16 +187,13 @@ func NewLazyAllPairs(g *Graph, w Weight) *AllPairs {
 	return NewLazyAllPairsAvoid(g, w, nil)
 }
 
-// NewLazyAllPairsAvoid is NewLazyAllPairs with an avoid mask. The mask
-// must be frozen by the caller (see netsim's Faults.AvoidSnapshot):
-// a live mask would make a row's content depend on when it is first
-// read instead of when the table was created.
-func NewLazyAllPairsAvoid(g *Graph, w Weight, avoid AvoidFunc) *AllPairs {
-	return newAllPairsTable(g, w, avoid)
-}
-
-func newAllPairsTable(g *Graph, w Weight, avoid AvoidFunc) *AllPairs {
-	return &AllPairs{g: g, w: w, avoid: avoid, rows: make([]atomic.Pointer[Paths], g.N())}
+// NewLazyAllPairsAvoid is NewLazyAllPairs with an arc mask. The table
+// keeps the slice, so the caller must hand it a mask nobody mutates
+// afterwards (netsim's Faults.DownMask returns a copy for this): a live
+// mask would make a row's content depend on when it is first read
+// instead of when the table was created.
+func NewLazyAllPairsAvoid(g *Graph, w Weight, down []bool) *AllPairs {
+	return &AllPairs{g: g, w: w, down: down, rows: make([]atomic.Pointer[Paths], g.N())}
 }
 
 // N returns the number of source rows (the graph's node count).
@@ -225,7 +206,7 @@ func (ap *AllPairs) Row(src NodeID) *Paths {
 		return r
 	}
 	e := Engine{csr: ap.g.CSR()}
-	r := e.ShortestAvoid(src, ap.w, ap.avoid)
+	r := e.ShortestAvoid(src, ap.w, ap.down)
 	if ap.rows[src].CompareAndSwap(nil, r) {
 		return r
 	}

@@ -9,7 +9,7 @@ import "math"
 // the immutable CSR underneath.
 //
 // Determinism: the result of a run is a pure function of
-// (graph, src, weight, avoid), independent of heap internals and of
+// (graph, src, weight, mask), independent of heap internals and of
 // neighbour scan order, because ties are broken explicitly twice over:
 // the heap pops equal-dist nodes in node-id order, and the relaxation
 // step prefers the lower-id predecessor on an exact dist tie. With
@@ -32,18 +32,13 @@ func NewEngine(g *Graph) *Engine {
 	return &Engine{csr: g.CSR()}
 }
 
-// Shortest runs Dijkstra from src under w, allocating a fresh Paths.
-func (e *Engine) Shortest(src NodeID, w Weight) *Paths {
-	return e.ShortestAvoid(src, w, nil)
-}
-
-// ShortestAvoid is Shortest over the subgraph that excludes avoided
-// links. The returned Paths is freshly allocated and owned by the
-// caller; only the engine's internal scratch (heap, done set) is
-// reused.
-func (e *Engine) ShortestAvoid(src NodeID, w Weight, avoid AvoidFunc) *Paths {
+// ShortestAvoid runs Dijkstra from src under w over the subgraph that
+// excludes the arcs set in down (see CSR; nil = every link up). The
+// returned Paths is freshly allocated and owned by the caller; only the
+// engine's internal scratch (heap, done set) is reused.
+func (e *Engine) ShortestAvoid(src NodeID, w Weight, down []bool) *Paths {
 	p := &Paths{}
-	e.ShortestInto(p, src, w, avoid)
+	e.ShortestInto(p, src, w, down)
 	return p
 }
 
@@ -54,13 +49,13 @@ func (e *Engine) ShortestAvoid(src NodeID, w Weight, avoid AvoidFunc) *Paths {
 // allocate nothing after the first call.
 //
 //scmplint:hotpath
-func (e *Engine) ShortestInto(p *Paths, src NodeID, w Weight, avoid AvoidFunc) {
+func (e *Engine) ShortestInto(p *Paths, src NodeID, w Weight, down []bool) {
 	n := e.csr.N()
 	p.Src = src
-	p.Dist = growFloats(p.Dist, n)
-	p.Delay = growFloats(p.Delay, n)
-	p.Cost = growFloats(p.Cost, n)
-	p.Parent = growNodes(p.Parent, n)
+	p.Dist = grow(p.Dist, n)
+	p.Delay = grow(p.Delay, n)
+	p.Cost = grow(p.Cost, n)
+	p.Parent = grow(p.Parent, n)
 	inf := math.Inf(1)
 	for i := 0; i < n; i++ {
 		p.Dist[i] = inf
@@ -71,7 +66,7 @@ func (e *Engine) ShortestInto(p *Paths, src NodeID, w Weight, avoid AvoidFunc) {
 	if n == 0 || src < 0 || int(src) >= n {
 		return
 	}
-	e.done = growBools(e.done, n)
+	e.done = grow(e.done, n)
 	done := e.done
 	for i := 0; i < n; i++ {
 		done[i] = false
@@ -92,10 +87,10 @@ func (e *Engine) ShortestInto(p *Paths, src NodeID, w Weight, avoid AvoidFunc) {
 		du, dlu, dcu := dist[u], delay[u], cost[u]
 		lo, hi := c.off[u], c.off[u+1]
 		for i := lo; i < hi; i++ {
-			v := c.dst[i]
-			if avoid != nil && avoid(u, v) {
+			if down != nil && down[i] {
 				continue
 			}
+			v := c.dst[i]
 			d := du + wt[i]
 			if d < dist[v] {
 				dist[v] = d
@@ -116,27 +111,12 @@ func (e *Engine) ShortestInto(p *Paths, src NodeID, w Weight, avoid AvoidFunc) {
 	}
 }
 
-// growFloats returns s with length exactly n, reallocating only when
-// capacity is insufficient — a first-call (or graph-growth) event, never
-// a steady-state one, which is why the makes below carry hotalloc
-// ignores.
-func growFloats(s []float64, n int) []float64 {
+// grow returns s with length exactly n, reallocating only when capacity
+// is insufficient — a first-call (or graph-growth) event, never a
+// steady-state one, which is why the make carries a hotalloc ignore.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n) //scmplint:ignore hotalloc
-	}
-	return s[:n]
-}
-
-func growNodes(s []NodeID, n int) []NodeID {
-	if cap(s) < n {
-		return make([]NodeID, n) //scmplint:ignore hotalloc
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n) //scmplint:ignore hotalloc
+		return make([]T, n) //scmplint:ignore hotalloc
 	}
 	return s[:n]
 }

@@ -10,11 +10,13 @@ import (
 // This file is the differential-equivalence gate for the fast routing
 // engine: on every tested topology family, with and without avoid
 // masks, the CSR/4-ary-heap engine must produce EXACTLY the same
-// Dist/Delay/Cost/Parent rows and next-hop tables as the preserved
-// container/heap reference (ref.go). Exact float equality is
-// intentional — both implementations accumulate delay and cost in the
-// same parent-chain order, so agreement is bit-for-bit, and any drift
-// is a real behaviour change, not representation noise.
+// Dist/Delay/Cost/Parent rows as the preserved container/heap
+// reference (ref.go). Exact float equality is intentional — both
+// implementations accumulate delay and cost in the same parent-chain
+// order, so agreement is bit-for-bit, and any drift is a real behaviour
+// change, not representation noise. (The next-hop table's gate lives
+// with the fault layer that drives it: netsim's
+// TestEquivalenceLazyReconvergence.)
 
 // equivGraphs builds the test topologies: random Waxman instances,
 // transit-stub hierarchies, flat random graphs, the fixed ARPANET map,
@@ -54,11 +56,24 @@ func equivGraphs(t testing.TB) map[string]*Graph {
 	return graphs
 }
 
+// arcMask evaluates a link predicate into the arc mask the engine takes.
+func arcMask(g *Graph, avoid func(u, v NodeID) bool) []bool {
+	c := g.CSR()
+	mask := make([]bool, c.NumArcs())
+	for u := 0; u < g.N(); u++ {
+		lo, hi := c.Row(NodeID(u))
+		for a := lo; a < hi; a++ {
+			mask[a] = avoid(NodeID(u), c.ArcDst(a))
+		}
+	}
+	return mask
+}
+
 // equivAvoids builds the avoid masks to test under: none, a random
 // subset of links down, and a node-down mask (every link touching the
 // node refused) — the two shapes fault injection produces.
-func equivAvoids(g *Graph, seed int64) map[string]AvoidFunc {
-	avoids := map[string]AvoidFunc{"none": nil}
+func equivAvoids(g *Graph, seed int64) map[string][]bool {
+	avoids := map[string][]bool{"none": nil}
 	if g.N() < 4 {
 		return avoids
 	}
@@ -71,14 +86,14 @@ func equivAvoids(g *Graph, seed int64) map[string]AvoidFunc {
 			}
 		}
 	}
-	avoids["links-down"] = func(u, v NodeID) bool {
+	avoids["links-down"] = arcMask(g, func(u, v NodeID) bool {
 		if u > v {
 			u, v = v, u
 		}
 		return down[[2]NodeID{u, v}]
-	}
+	})
 	crashed := NodeID(rng.Intn(g.N()))
-	avoids["node-down"] = func(u, v NodeID) bool { return u == crashed || v == crashed }
+	avoids["node-down"] = arcMask(g, func(u, v NodeID) bool { return u == crashed || v == crashed })
 	return avoids
 }
 
@@ -151,28 +166,6 @@ func TestEquivalenceAllPairsModes(t *testing.T) {
 	}
 }
 
-// TestEquivalenceNextHop checks the flat parallel next-hop table
-// against rows derived from the reference Dijkstra by the historical
-// per-destination parent walk.
-func TestEquivalenceNextHop(t *testing.T) {
-	for name, g := range equivGraphs(t) {
-		for avoidName, avoid := range equivAvoids(g, 13) {
-			table := NextHopAvoid(g, avoid)
-			if table.N() != g.N() {
-				t.Fatalf("%s: table size %d, want %d", name, table.N(), g.N())
-			}
-			for u := 0; u < g.N(); u++ {
-				ref := nextHopRowRef(shortestRef(g, NodeID(u), ByDelay, avoid), NodeID(u), g.N())
-				for v := 0; v < g.N(); v++ {
-					if got := table.Hop(NodeID(u), NodeID(v)); got != ref[v] {
-						t.Fatalf("%s/%s: hop(%d,%d) = %d, want %d", name, avoidName, u, v, got, ref[v])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestLazyAllPairsComputesOnlyConsultedRows pins the lazy table's
 // central property: consulting k sources materialises exactly k rows.
 func TestLazyAllPairsComputesOnlyConsultedRows(t *testing.T) {
@@ -189,6 +182,48 @@ func TestLazyAllPairsComputesOnlyConsultedRows(t *testing.T) {
 	}
 	if got := ap.Materialized(); got != 3 {
 		t.Fatalf("after consulting 3 distinct sources: %d rows materialised, want 3", got)
+	}
+}
+
+// TestLazyNextHopRefillsOnlyConsultedRows pins in-place reconvergence:
+// Invalidate leaves every row stale without reallocating, consulting k
+// sources refills exactly k rows, and each holds the first hops of the
+// engine's masked shortest-path tree.
+func TestLazyNextHopRefillsOnlyConsultedRows(t *testing.T) {
+	wg, err := Waxman(DefaultWaxman(50), rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := wg.Graph
+	table := NextHop(g)
+	if got := table.Materialized(); got != g.N() {
+		t.Fatalf("fresh table has %d of %d rows current", got, g.N())
+	}
+	backing := &table.hops[0]
+	for name, mask := range equivAvoids(g, 13) {
+		table.Invalidate(mask)
+		if got := table.Materialized(); got != 0 {
+			t.Fatalf("%s: %d rows current right after Invalidate", name, got)
+		}
+		for _, u := range []NodeID{0, 7, 7, 21} {
+			sp := NewEngine(g).ShortestAvoid(u, ByDelay, mask)
+			for v := 0; v < g.N(); v++ {
+				want := NodeID(-1)
+				if path := sp.To(NodeID(v)); len(path) > 1 {
+					want = path[1]
+				}
+				if got := table.Hop(u, NodeID(v)); got != want {
+					t.Fatalf("%s: hop(%d,%d) = %d, want %d", name, u, v, got, want)
+				}
+			}
+		}
+		table.Row(33)
+		if got := table.Materialized(); got != 4 {
+			t.Fatalf("%s: after consulting 4 distinct sources: %d rows current", name, got)
+		}
+	}
+	if backing != &table.hops[0] {
+		t.Fatal("Invalidate reallocated the table")
 	}
 }
 
@@ -225,19 +260,19 @@ func TestPropertyEngineEquivalenceFuzz(t *testing.T) {
 				}
 			}
 		}
-		var avoid AvoidFunc
+		var avoid []bool
 		if rng.Float64() < 0.5 {
 			mask := rng.Int63()
-			avoid = func(u, v NodeID) bool {
+			avoid = arcMask(g, func(u, v NodeID) bool {
 				if u > v {
 					u, v = v, u
 				}
 				return mask>>(uint(u*7+v)%63)&1 == 1
-			}
+			})
 		}
 		w := Weight(rng.Intn(2))
 		src := NodeID(rng.Intn(n))
-		fast := ShortestAvoid(g, src, w, avoid)
+		fast := NewEngine(g).ShortestAvoid(src, w, avoid)
 		ref := shortestRef(g, src, w, avoid)
 		samePaths(t, fmt.Sprintf("fuzz seed %d (n=%d, w=%s)", seed, n, w), fast, ref)
 	}

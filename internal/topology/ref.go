@@ -39,8 +39,9 @@ func (q *pq) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[
 
 // shortestRef runs Dijkstra from src under w using container/heap and
 // per-link weight evaluation — the slow path the engine must match
-// exactly.
-func shortestRef(g *Graph, src NodeID, w Weight, avoid AvoidFunc) *Paths {
+// exactly. down is an arc mask (see CSR): the j-th entry of g.adj[u] is
+// arc off[u]+j, the order buildCSR flattens in.
+func shortestRef(g *Graph, src NodeID, w Weight, down []bool) *Paths {
 	n := g.N()
 	p := &Paths{
 		Src:    src,
@@ -68,8 +69,9 @@ func shortestRef(g *Graph, src NodeID, w Weight, avoid AvoidFunc) *Paths {
 			continue
 		}
 		done[u] = true
-		for _, l := range g.adj[u] {
-			if avoid != nil && avoid(u, l.To) {
+		lo, _ := g.CSR().Row(u)
+		for j, l := range g.adj[u] {
+			if down != nil && down[int(lo)+j] {
 				continue
 			}
 			d := p.Dist[u] + w.Of(l)
@@ -87,23 +89,4 @@ func shortestRef(g *Graph, src NodeID, w Weight, avoid AvoidFunc) *Paths {
 		}
 	}
 	return p
-}
-
-// nextHopRowRef derives u's next-hop row from a shortest-path tree the
-// historical way — an uncompressed parent walk per destination — for
-// the next-hop equivalence tests.
-func nextHopRowRef(sp *Paths, u NodeID, n int) []NodeID {
-	row := make([]NodeID, n)
-	for v := 0; v < n; v++ {
-		row[v] = -1
-		if NodeID(v) == u || !sp.Reachable(NodeID(v)) {
-			continue
-		}
-		w := NodeID(v)
-		for sp.Parent[w] != u {
-			w = sp.Parent[w]
-		}
-		row[v] = w
-	}
-	return row
 }
