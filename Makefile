@@ -98,7 +98,9 @@ bench-churn:
 
 # Incremental-DCDM perf gate: steady-state joins, batched leaves and a
 # whole churn lifecycle against the preserved map-backed reference
-# engine (internal/mtree/ref.go) on the 400-node/128-member fixture.
+# engine (internal/mtree/ref_test.go) on the 400-node/128-member
+# fixture, plus BenchmarkDCDMJoinCold: joins from routers whose
+# shortest-path rows are untouched, on the 2440-node transit-stub.
 # The acceptance record is BENCH_dcdm.txt/.json: >=5x ns/op fast vs ref
 # on BenchmarkDCDMJoin and <=1 alloc/op steady state.
 DCDM_BENCHTIME ?= 3s

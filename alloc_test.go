@@ -127,6 +127,58 @@ func TestDCDMAllocFloor(t *testing.T) {
 	}
 }
 
+// TestDCDMJoinRowAllocFloor pins what a join pays for its two
+// shortest-path rows on lazy tables. The first join from a router
+// starts both searches: per row one Paths, one label array, one index
+// array and one parent array — 8 objects, plus the path. A join whose
+// rows are already started — however far each search got — allocates
+// the path alone.
+func TestDCDMJoinRowAllocFloor(t *testing.T) {
+	if mtree.InvariantChecksArmed {
+		t.Skip("invariants build: per-mutation Validate allocates freely")
+	}
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := wg.Graph
+	d := mtree.NewDCDM(g, 0, 1.5, topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost))
+	perm := rand.New(rand.NewSource(7)).Perm(g.N())
+	for _, v := range perm[:128] {
+		d.Join(topology.NodeID(v))
+	}
+	var cold []topology.NodeID // off-tree routers nothing has joined from
+	for _, v := range perm[128:] {
+		if v := topology.NodeID(v); !d.Tree().OnTree(v) {
+			cold = append(cold, v)
+		}
+	}
+	const runs = 16
+	if len(cold) <= runs {
+		t.Fatalf("fixture degenerate: %d untouched off-tree routers", len(cold))
+	}
+	cycle := func() func() {
+		i := 0
+		return func() { // AllocsPerRun calls it runs+1 times: each router once
+			v := cold[i]
+			i++
+			d.Join(v)
+			d.Leave(v)
+		}
+	}
+	// Warm the tree's own scratch (child slices, prune stacks) on the
+	// very routers measured, then move the engine onto fresh tables so
+	// their rows are untouched again.
+	testing.AllocsPerRun(runs, cycle())
+	d.SetAllPairs(topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost))
+	if avg := testing.AllocsPerRun(runs, cycle()); avg > 9 {
+		t.Errorf("first join from a router allocates %.2f objects, budget 9 (two rows of 4, and the path)", avg)
+	}
+	if avg := testing.AllocsPerRun(runs, cycle()); avg > 1 {
+		t.Errorf("join over started rows allocates %.2f objects, budget 1 (the path)", avg)
+	}
+}
+
 // nopProto is a protocol that does nothing, so a measurement sees the
 // network layer alone.
 type nopProto struct{}

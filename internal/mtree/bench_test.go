@@ -110,6 +110,48 @@ func BenchmarkDCDMJoinRef(b *testing.B) {
 	}
 }
 
+// BenchmarkDCDMJoinCold is the same cycle when the joining router's
+// shortest-path rows are untouched, on the benchmark's join_scale
+// graph: a 2440-node transit-stub, lazy tables, 128 residents. Every
+// timed join starts both of its rows and searches them as far as the
+// graft needs; the tables are replaced (untimed) every 256 joins, which
+// also bounds the resident rows.
+func BenchmarkDCDMJoinCold(b *testing.B) {
+	cfg := topology.TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}
+	g, _, err := topology.TransitStub(cfg, rand.New(rand.NewSource(3)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fresh := func() (*topology.AllPairs, *topology.AllPairs) {
+		return topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
+	}
+	spDelay, spCost := fresh()
+	d := NewDCDM(g, 0, 1.5, spDelay, spCost)
+	rng := rand.New(rand.NewSource(1))
+	for _, m := range pickMembers(rng, g.N(), 128, 0) {
+		d.Join(m)
+	}
+	var cold []topology.NodeID
+	for _, v := range rng.Perm(g.N()) {
+		if v := topology.NodeID(v); !d.Tree().OnTree(v) && len(cold) < 256 {
+			cold = append(cold, v)
+		}
+	}
+	d.SetAllPairs(fresh())
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(cold) == 0 {
+			b.StopTimer()
+			d.SetAllPairs(fresh())
+			b.StartTimer()
+		}
+		v := cold[i%len(cold)]
+		d.Join(v)
+		d.Leave(v)
+	}
+}
+
 // BenchmarkDCDMLeave measures batched departures: 32 members leave in
 // one LeaveBatch (one shared prune pass, one bound update each), then
 // rejoin to restore the resident tree.

@@ -26,11 +26,12 @@ import (
 //
 // This is the incremental engine: the longest member unicast delay is a
 // lazy-deletion max-multiset updated in O(log m) instead of an O(m)
-// rescan per leave, and the graft scan reads the tree's cached ml(v)
-// (two array loads per candidate) over candidates ordered by that cache
-// so the bound-infeasible tail is never touched (see bestGraftPath).
-// The historical scanning implementation survives as dcdmRef (ref.go)
-// behind the differential gate in equiv_test.go.
+// rescan per leave, and the graft search walks the joining router's
+// shortest-path rows nearest-first, reading the tree's cached ml(v),
+// and stops at the radius of the best feasible candidate (see
+// bestGraftPath). The historical scanning implementation survives as
+// the test oracle dcdmRef (ref_test.go) behind the differential gate in
+// equiv_test.go.
 type DCDM struct {
 	g       *topology.Graph
 	root    topology.NodeID
@@ -40,8 +41,6 @@ type DCDM struct {
 	spDelay *topology.AllPairs // P_sl tables, one per source
 	spCost  *topology.AllPairs // P_lc tables, one per source
 	ul      maxMultiset        // member unicast delays; Max() drives the relative bound
-
-	cands []topology.NodeID // graft-scan scratch: on-tree candidates by (ml, id)
 }
 
 // JoinResult describes how a join changed the tree, which is what SCMP
@@ -130,7 +129,7 @@ func (d *DCDM) Bound() float64 {
 //
 //scmplint:hotpath
 func (d *DCDM) UnicastDelay(v topology.NodeID) float64 {
-	return d.spDelay.Row(d.root).Delay[v] //scmplint:ignore hotalloc — Row only allocates on a lazy table's first access; steady state is a pointer load
+	return d.spDelay.Row(d.root).Delay[v]
 }
 
 // Join adds member router s to the group and updates the tree. Steady
@@ -180,76 +179,78 @@ func (d *DCDM) Join(s topology.NodeID) JoinResult {
 // exists on a connected graph.
 //
 // Selection is the minimum under the strict total order (cost, ml,
-// node id, cost-row-before-delay-row); the historical scan realised
-// that order by considering candidates node-by-node with a keep-first
-// tie rule, and this scan realises the same order differently, so both
+// node id, cost-row-before-delay-row). The oracle realises that order
+// by scanning every on-tree router over complete rows; this search
+// reads only the part of s's rows that can hold the minimum, so both
 // pick the identical candidate (DESIGN.md §14):
 //
-//   - candidates are walked in ascending cached-ml order, so once a
-//     candidate's tree delay alone exceeds the bound the whole
-//     remaining tail is infeasible (path delays are non-negative) and
-//     the scan stops without touching those rows;
-//   - the P_lc row is scanned to completion first, then the P_sl row
-//     is skipped wholesale when even its cheapest entry (the lazily
-//     cached row minimum) costs strictly more than the best found —
-//     on a cost tie it must still be scanned, because the ladder can
-//     prefer it on ml or id.
+//   - the P_lc row is walked nearest-first and the walk stops at the
+//     first router strictly costlier than the best feasible candidate:
+//     every router beyond it has cost(P_lc) > best, and cost(P_sl) >=
+//     cost(P_lc), so neither of its paths can win;
+//   - P_sl can then only win for the on-tree routers inside that
+//     radius — including those whose P_lc was delay-infeasible, and on
+//     an equal cost the ladder can still prefer it on ml — so the P_sl
+//     row is advanced just until those are settled, and they are
+//     considered second, which keeps cost-row-before-delay-row.
 //
-// Candidate evaluation is two array reads (cached ml + row entry); the
-// ordering scratch is caller-owned and reused across joins.
+// With no feasible P_lc the walk exhausts the row, every reachable
+// on-tree router is inside the radius, and the search degrades to the
+// full scan. Candidate evaluation is two array reads (cached ml + row
+// entry); the search keeps no scratch of its own.
 //
 //scmplint:hotpath
 func (d *DCDM) bestGraftPath(s topology.NodeID, bound float64) []topology.NodeID {
-	rowCost := d.spCost.Row(s)   //scmplint:ignore hotalloc — Row only allocates on a lazy table's first access; steady state is a pointer load
-	rowDelay := d.spDelay.Row(s) //scmplint:ignore hotalloc — Row only allocates on a lazy table's first access; steady state is a pointer load
-	cands := d.tree.Nodes()
-	sorted := false
-	if !math.IsInf(bound, 1) {
-		// Order candidates by (cached ml, id) so the bound-infeasible
-		// tail is skipped; with no bound in force the order is
-		// irrelevant and the copy + sort is skipped too.
-		d.cands = append(d.cands[:0], cands...) //scmplint:ignore hotalloc — reused scratch; capacity is retained across joins
-		d.sortCands(d.cands)
-		cands = d.cands
-		sorted = true
-	}
+	lc := d.spCost.Near(s)
+	sl := d.spDelay.Near(s)
 	var best graftCand
-	for _, v := range cands { // P_lc(s, v)
-		tml := d.tree.ml[v]
-		if tml > bound {
-			if sorted {
-				break
-			}
-			continue
+	inside := 0 // routers of the P_lc row within the best candidate's cost radius
+	for {
+		v, ok := lc.Next()
+		if !ok || (best.have && lc.Cost(v) > best.cost) {
+			break
 		}
-		best.consider(v, rowCost, tml, bound)
+		inside++
+		if tml, on := d.treeDelayWithin(v, bound); on {
+			best.consider(v, &lc, false, tml, bound)
+		}
 	}
-	// P_sl(s, v): skippable when even the row's cheapest path is
-	// strictly costlier than the best P_lc candidate.
-	if !best.have || !(rowDelay.MinCost() > best.cost) {
-		for _, v := range cands {
-			tml := d.tree.ml[v]
-			if tml > bound {
-				if sorted {
-					break
-				}
-				continue
-			}
-			best.consider(v, rowDelay, tml, bound)
+	walk := d.spCost.Near(s)
+	for ; inside > 0; inside-- {
+		v, _ := walk.Next()
+		if tml, on := d.treeDelayWithin(v, bound); on && sl.Settle(v) {
+			best.consider(v, &sl, true, tml, bound)
 		}
 	}
 	if !best.have {
 		// Guaranteed fallback: shortest-delay path to the root
 		// (ml = ul(s) <= bound whenever this branch is reached).
-		sp := d.spDelay.Row(d.root) //scmplint:ignore hotalloc — Row only allocates on a lazy table's first access
-		return sp.To(s)             //scmplint:ignore hotalloc — the one budgeted alloc: the path handed to the caller
+		sp := d.spDelay.Row(d.root)
+		return sp.To(s) //scmplint:ignore hotalloc — the one budgeted alloc: the path handed to the caller
 	}
-	// best.sp paths run s -> v; reverse to graft-node-first order.
-	path := best.sp.To(best.node) //scmplint:ignore hotalloc — the one budgeted alloc: the path handed to the caller
+	// The rows' paths run s -> v; reverse to graft-node-first order.
+	row := &lc
+	if best.viaDelay {
+		row = &sl
+	}
+	path := row.To(best.node) //scmplint:ignore hotalloc — the one budgeted alloc: the path handed to the caller
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]
 	}
 	return path
+}
+
+// treeDelayWithin returns on-tree router v's cached multicast delay and
+// true, or false when v is off the tree or already over the bound on
+// its own (path delays are non-negative, so no path to it is feasible).
+//
+//scmplint:hotpath
+func (d *DCDM) treeDelayWithin(v topology.NodeID, bound float64) (float64, bool) {
+	if !d.tree.OnTree(v) {
+		return 0, false
+	}
+	tml := d.tree.ml[v]
+	return tml, !(tml > bound)
 }
 
 // graftCand accumulates the best graft candidate seen so far under the
@@ -258,24 +259,21 @@ func (d *DCDM) bestGraftPath(s topology.NodeID, bound float64) []topology.NodeID
 // join.
 type graftCand struct {
 	have     bool
+	viaDelay bool // the candidate is P_sl(s, node), not P_lc(s, node)
 	cost, ml float64
 	node     topology.NodeID
-	sp       *topology.Paths
 }
 
-// consider folds candidate v (reached via sp's path from the joining
-// router) into the running best.
+// consider folds candidate v (settled in row, s's P_sl row when
+// viaDelay) into the running best.
 //
 //scmplint:hotpath
-func (b *graftCand) consider(v topology.NodeID, sp *topology.Paths, tml, bound float64) {
-	if !sp.Reachable(v) {
-		return
-	}
-	ml := tml + sp.Delay[v]
+func (b *graftCand) consider(v topology.NodeID, row *topology.Near, viaDelay bool, tml, bound float64) {
+	ml := tml + row.Delay(v)
 	if ml > bound {
 		return
 	}
-	cost := sp.Cost[v]
+	cost := row.Cost(v)
 	// Strict </> ladder: cost, then multicast delay, then node id.
 	// Exact float equality as a tie-break would make the choice
 	// depend on summation order.
@@ -294,49 +292,7 @@ func (b *graftCand) consider(v topology.NodeID, sp *topology.Paths, tml, bound f
 	}
 	if better {
 		b.have = true
-		b.cost, b.ml, b.node, b.sp = cost, ml, v, sp
-	}
-}
-
-// sortCands heapsorts the candidate scratch ascending by (cached ml,
-// node id) — a strict total order, so the result is deterministic. The
-// sort is hand-rolled to stay allocation-free on the join hot path
-// (sort.Slice boxes its comparator).
-func (d *DCDM) sortCands(c []topology.NodeID) {
-	n := len(c)
-	for i := n/2 - 1; i >= 0; i-- {
-		d.siftCand(c, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		c[0], c[i] = c[i], c[0]
-		d.siftCand(c, 0, i)
-	}
-}
-
-// candLess orders candidates ascending by (cached ml, id).
-func (d *DCDM) candLess(a, b topology.NodeID) bool {
-	ma, mb := d.tree.ml[a], d.tree.ml[b]
-	if ma != mb { //scmplint:ignore floatcmp — ordering key only: equal-bits ties fall through to the id tie-break, and candidate order never changes which candidate the (cost, ml, id) ladder selects (DESIGN.md §14)
-		return ma < mb
-	}
-	return a < b
-}
-
-func (d *DCDM) siftCand(c []topology.NodeID, i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && d.candLess(c[l], c[r]) {
-			big = r
-		}
-		if !d.candLess(c[i], c[big]) {
-			return
-		}
-		c[i], c[big] = c[big], c[i]
-		i = big
+		b.cost, b.ml, b.node, b.viaDelay = cost, ml, v, viaDelay
 	}
 }
 

@@ -14,11 +14,16 @@ import (
 // This file is the differential gate for the incremental DCDM engine:
 // the dense-tree fast path (tree.go/dcdm.go) is driven through seeded
 // Poisson and Pareto churn side by side with the preserved historical
-// implementation (ref.go) and must match it EXACTLY — same tree edges,
-// same JoinResult/LeaveResult fields, same bound, bit-identical
+// implementation (ref_test.go) and must match it EXACTLY — same tree
+// edges, same JoinResult/LeaveResult fields, same bound, bit-identical
 // per-node delays. Any tolerance here would let the caches drift; the
 // whole point of the canonical top-down summation order is that no
 // tolerance is needed.
+//
+// The oracle scans every on-tree router over complete rows, which is
+// the obviously-correct enumeration the engine's radius-bounded graft
+// search must equal; the lazy arms give the engine suspended rows of
+// its own to search over while the oracle completes its own copies.
 
 // churnOp is one scripted membership event.
 type churnOp struct {
@@ -67,11 +72,11 @@ func arcMask(g *topology.Graph, avoid func(u, v topology.NodeID) bool) []bool {
 	return mask
 }
 
-// connectedAvoidTables finds a single link whose removal keeps every
-// node reachable from root and returns delay/cost tables over that
-// masked subgraph — alternate tables for exercising SetAllPairs with
-// genuinely different path values.
-func connectedAvoidTables(g *topology.Graph, root topology.NodeID) (*topology.AllPairs, *topology.AllPairs) {
+// connectedAvoidMask finds a single link whose removal keeps the graph
+// connected and returns the arc mask without it — the input of
+// alternate tables for exercising SetAllPairs with genuinely different
+// path values. It is nil when every single link is a bridge.
+func connectedAvoidMask(g *topology.Graph) []bool {
 	n := g.N()
 	for u := 0; u < n; u++ {
 		for _, nb := range g.Neighbors(topology.NodeID(u)) {
@@ -82,8 +87,7 @@ func connectedAvoidTables(g *topology.Graph, root topology.NodeID) (*topology.Al
 			avoid := arcMask(g, func(x, y topology.NodeID) bool {
 				return (x == au && y == av) || (x == av && y == au)
 			})
-			spDelay := topology.NewAllPairsAvoid(g, topology.ByDelay, avoid)
-			row := spDelay.Row(root)
+			row := topology.NewEngine(g).ShortestAvoid(0, topology.ByDelay, avoid)
 			ok := true
 			for v := 0; v < n; v++ {
 				if !row.Reachable(topology.NodeID(v)) {
@@ -92,11 +96,11 @@ func connectedAvoidTables(g *topology.Graph, root topology.NodeID) (*topology.Al
 				}
 			}
 			if ok {
-				return spDelay, topology.NewAllPairsAvoid(g, topology.ByCost, avoid)
+				return avoid
 			}
 		}
 	}
-	return nil, nil // every single link is a bridge to somewhere; caller skips the swap
+	return nil
 }
 
 // compareEngines demands exact equality of every observable: bound,
@@ -157,10 +161,28 @@ func compareJoin(t *testing.T, tag string, f, r JoinResult) {
 	}
 }
 
+// equivCase is one cell of the differential matrix.
+type equivCase struct {
+	kappa      float64
+	pareto     bool
+	withBudget bool
+	// lazy gives the engines and the oracles each their own lazy tables
+	// (so the engines search suspended rows) and runs three groups with
+	// different roots and kappas over them, a row advanced by one group
+	// being reused by the next; otherwise one group runs on eager tables
+	// the engine and the oracle share.
+	lazy bool
+	// tieHeavy swaps the Waxman graph for small-integer weights, where
+	// equal-cost candidates — the >= vs > edge of the radius rule — are
+	// the common case.
+	tieHeavy bool
+}
+
 // TestDCDMFastMatchesRef runs every (kappa, churn distribution, QoS
-// budget) combination through a few hundred scripted operations —
-// joins, leaves, batched leaves, subtree detaches and table swaps —
-// checking results op by op and full state periodically.
+// budget, table mode, weight family) combination through a few hundred
+// scripted operations — joins, leaves, batched leaves, subtree detaches
+// and table swaps — checking results op by op and full state
+// periodically.
 func TestDCDMFastMatchesRef(t *testing.T) {
 	kappas := []struct {
 		name string
@@ -169,116 +191,298 @@ func TestDCDMFastMatchesRef(t *testing.T) {
 	for _, kc := range kappas {
 		for _, pareto := range []bool{false, true} {
 			for _, withBudget := range []bool{false, true} {
-				dist := "poisson"
-				if pareto {
-					dist = "pareto"
+				for _, lazy := range []bool{false, true} {
+					for _, tieHeavy := range []bool{false, true} {
+						name := kc.name + "/" + either(pareto, "pareto", "poisson") + "/" + either(withBudget, "budget", "nobudget") +
+							either(lazy, "/lazy", "") + either(tieHeavy, "/ties", "")
+						c := equivCase{kappa: kc.k, pareto: pareto, withBudget: withBudget, lazy: lazy, tieHeavy: tieHeavy}
+						t.Run(name, func(t *testing.T) { runEquivChurn(t, c) })
+					}
 				}
-				budget := "nobudget"
-				if withBudget {
-					budget = "budget"
-				}
-				name := fmt.Sprintf("%s/%s/%s", kc.name, dist, budget)
-				t.Run(name, func(t *testing.T) {
-					runEquivChurn(t, kc.k, pareto, withBudget)
-				})
 			}
 		}
 	}
 }
 
-func runEquivChurn(t *testing.T, kappa float64, pareto, withBudget bool) {
-	rng := rand.New(rand.NewSource(42))
-	wg, err := topology.Waxman(topology.DefaultWaxman(100), rng)
-	if err != nil {
-		t.Fatal(err)
+func either(on bool, yes, no string) string {
+	if on {
+		return yes
 	}
-	g := wg.Graph
-	root := topology.NodeID(0)
-	spDelay := topology.NewAllPairs(g, topology.ByDelay)
-	spCost := topology.NewAllPairs(g, topology.ByCost)
-	altDelay, altCost := connectedAvoidTables(g, root)
+	return no
+}
 
-	// Both engines share the same table instances, so every float they
-	// read is bit-identical; divergence can only come from the engines
-	// themselves.
-	fast := NewDCDM(g, root, kappa, spDelay, spCost)
-	ref := newDCDMRef(g, root, kappa, spDelay, spCost)
-	if withBudget {
-		// A budget below the farthest node's unicast delay forces some
-		// best-effort admissions; 80% of the max exercises both sides.
-		maxUL := 0.0
-		row := spDelay.Row(root)
-		for v := 0; v < g.N(); v++ {
-			if d := row.Delay[v]; !math.IsInf(d, 1) && d > maxUL {
-				maxUL = d
+// tieHeavyGraph is a connected 100-node random graph whose delays and
+// costs are drawn from {1, 2, 3}.
+func tieHeavyGraph(rng *rand.Rand) *topology.Graph {
+	g := topology.New(100)
+	for u := 0; u < g.N(); u++ {
+		for v := u + 1; v < g.N(); v++ {
+			if v == u+1 || rng.Float64() < 0.04 {
+				g.MustAddEdge(topology.NodeID(u), topology.NodeID(v), float64(1+rng.Intn(3)), float64(1+rng.Intn(3)))
 			}
 		}
-		fast.SetQoSBudget(0.8 * maxUL)
-		ref.SetQoSBudget(0.8 * maxUL)
+	}
+	return g
+}
+
+// equivGroup is one group's engine and oracle.
+type equivGroup struct {
+	fast *DCDM
+	ref  *dcdmRef
+}
+
+// equivTables is one (delay, cost) table pair for the engines and one
+// for the oracles: the same instances when eager, separate ones when
+// lazy (an oracle completes every row it reads, which would leave the
+// engine nothing suspended to search).
+type equivTables struct {
+	fastDelay, fastCost, refDelay, refCost *topology.AllPairs
+}
+
+func newEquivTables(g *topology.Graph, lazy bool, mask []bool) equivTables {
+	if lazy {
+		return equivTables{
+			topology.NewLazyAllPairsAvoid(g, topology.ByDelay, mask), topology.NewLazyAllPairsAvoid(g, topology.ByCost, mask),
+			topology.NewLazyAllPairsAvoid(g, topology.ByDelay, mask), topology.NewLazyAllPairsAvoid(g, topology.ByCost, mask),
+		}
+	}
+	d, c := topology.NewAllPairsAvoid(g, topology.ByDelay, mask), topology.NewAllPairsAvoid(g, topology.ByCost, mask)
+	return equivTables{d, c, d, c}
+}
+
+// sameRowsTouched requires the engines to have materialised exactly as
+// many rows as the oracles did: the bounded search reads less of a row,
+// never fewer rows.
+func (tb equivTables) sameRowsTouched(t *testing.T, tag string) {
+	t.Helper()
+	if f, r := tb.fastDelay.Materialized(), tb.refDelay.Materialized(); f != r {
+		t.Fatalf("%s: delay rows materialised: fast %d ref %d", tag, f, r)
+	}
+	if f, r := tb.fastCost.Materialized(), tb.refCost.Materialized(); f != r {
+		t.Fatalf("%s: cost rows materialised: fast %d ref %d", tag, f, r)
+	}
+}
+
+func runEquivChurn(t *testing.T, c equivCase) {
+	rng := rand.New(rand.NewSource(42))
+	var g *topology.Graph
+	if c.tieHeavy {
+		g = tieHeavyGraph(rng)
+	} else {
+		wg, err := topology.Waxman(topology.DefaultWaxman(100), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g = wg.Graph
+	}
+	base := newEquivTables(g, c.lazy, nil)
+	altMask := connectedAvoidMask(g)
+	var alt equivTables
+	if altMask != nil {
+		alt = newEquivTables(g, c.lazy, altMask)
 	}
 
-	members := pickMembers(rng, g.N(), 30, root)
-	ops := genChurnOps(rng, members, 10, pareto)
+	type groupSpec struct {
+		root  topology.NodeID
+		kappa float64
+	}
+	specs := []groupSpec{{0, c.kappa}}
+	if c.lazy {
+		specs = append(specs, groupSpec{33, 1}, groupSpec{71, 2.5})
+	}
+	var groups []equivGroup
+	for _, sp := range specs {
+		gr := equivGroup{
+			fast: NewDCDM(g, sp.root, sp.kappa, base.fastDelay, base.fastCost),
+			ref:  newDCDMRef(g, sp.root, sp.kappa, base.refDelay, base.refCost),
+		}
+		if c.withBudget {
+			// A budget below the farthest node's unicast delay forces
+			// some best-effort admissions; 80% of the max exercises
+			// both sides.
+			maxUL := 0.0
+			for _, d := range topology.Shortest(g, sp.root, topology.ByDelay).Delay {
+				if !math.IsInf(d, 1) && d > maxUL {
+					maxUL = d
+				}
+			}
+			gr.fast.SetQoSBudget(0.8 * maxUL)
+			gr.ref.SetQoSBudget(0.8 * maxUL)
+		}
+		groups = append(groups, gr)
+	}
+
+	members := pickMembers(rng, g.N(), 30, 0)
+	ops := genChurnOps(rng, members, 10, c.pareto)
 	onAlt := false
 	for i, op := range ops {
-		tag := fmt.Sprintf("op %d (member %d join=%v)", i, op.member, op.join)
-		if op.join {
-			compareJoin(t, tag, fast.Join(op.member), ref.Join(op.member))
-		} else {
-			fr, rr := fast.Leave(op.member), ref.Leave(op.member)
-			if fr.Member != rr.Member || !slices.Equal(fr.Pruned, rr.Pruned) {
-				t.Fatalf("%s: leave diverged: fast %+v ref %+v", tag, fr, rr)
+		for gi, gr := range groups {
+			fast, ref := gr.fast, gr.ref
+			tag := fmt.Sprintf("op %d group %d (member %d join=%v)", i, gi, op.member, op.join)
+			if op.join {
+				compareJoin(t, tag, fast.Join(op.member), ref.Join(op.member))
+			} else {
+				fr, rr := fast.Leave(op.member), ref.Leave(op.member)
+				if fr.Member != rr.Member || !slices.Equal(fr.Pruned, rr.Pruned) {
+					t.Fatalf("%s: leave diverged: fast %+v ref %+v", tag, fr, rr)
+				}
+			}
+
+			switch {
+			case i%37 == 36:
+				// Batched leave: the fast engine prunes the departures in
+				// one shared pass, the reference leaves sequentially. The
+				// final trees must agree exactly; the pruned sets must be
+				// equal as sets (the pass order differs by design).
+				cur := slices.Clone(fast.Tree().Members())
+				if len(cur) >= 3 {
+					batch := cur[:3]
+					fp := slices.Clone(fast.LeaveBatch(batch))
+					var rp []topology.NodeID
+					for _, m := range batch {
+						rp = append(rp, ref.Leave(m).Pruned...)
+					}
+					slices.Sort(fp)
+					slices.Sort(rp)
+					if !slices.Equal(fp, rp) {
+						t.Fatalf("%s: batch-leave pruned sets diverged: fast %v ref %v", tag, fp, rp)
+					}
+				}
+			case i%53 == 52:
+				// Detach a non-root subtree, as link-fault repair would.
+				nodes := slices.DeleteFunc(slices.Clone(fast.Tree().Nodes()), func(v topology.NodeID) bool { return v == fast.root })
+				if len(nodes) > 0 {
+					victim := nodes[rng.Intn(len(nodes))]
+					fo, ro := fast.DetachSubtree(victim), ref.DetachSubtree(victim)
+					if !slices.Equal(fo, ro) {
+						t.Fatalf("%s: detach orphans diverged: fast %v ref %v", tag, fo, ro)
+					}
+				}
+			case i%71 == 70 && altMask != nil:
+				// Swap shortest-path tables, as fault repair does (onto
+				// masked lazy tables in the lazy arms), and back again
+				// later; the bound multiset is rebuilt both times.
+				to := alt
+				if onAlt {
+					to = base
+				}
+				fast.SetAllPairs(to.fastDelay, to.fastCost)
+				ref.SetAllPairs(to.refDelay, to.refCost)
+			}
+
+			if i%7 == 0 || i == len(ops)-1 {
+				compareEngines(t, tag, fast, ref)
+			} else if fb, rb := fast.Bound(), ref.Bound(); fb != rb {
+				t.Fatalf("%s: bound diverged: fast %v ref %v", tag, fb, rb)
 			}
 		}
-
-		switch {
-		case i%37 == 36:
-			// Batched leave: the fast engine prunes the departures in
-			// one shared pass, the reference leaves sequentially. The
-			// final trees must agree exactly; the pruned sets must be
-			// equal as sets (the pass order differs by design).
-			cur := slices.Clone(fast.Tree().Members())
-			if len(cur) >= 3 {
-				batch := cur[:3]
-				fp := slices.Clone(fast.LeaveBatch(batch))
-				var rp []topology.NodeID
-				for _, m := range batch {
-					rp = append(rp, ref.Leave(m).Pruned...)
-				}
-				slices.Sort(fp)
-				slices.Sort(rp)
-				if !slices.Equal(fp, rp) {
-					t.Fatalf("%s: batch-leave pruned sets diverged: fast %v ref %v", tag, fp, rp)
-				}
-			}
-		case i%53 == 52:
-			// Detach a non-root subtree, as link-fault repair would.
-			nodes := fast.Tree().Nodes()
-			if len(nodes) > 1 {
-				victim := nodes[1+rng.Intn(len(nodes)-1)]
-				fo, ro := fast.DetachSubtree(victim), ref.DetachSubtree(victim)
-				if !slices.Equal(fo, ro) {
-					t.Fatalf("%s: detach orphans diverged: fast %v ref %v", tag, fo, ro)
-				}
-			}
-		case i%71 == 70 && altDelay != nil:
-			// Swap shortest-path tables, as fault repair does, and back
-			// again later; the bound multiset is rebuilt both times.
-			if onAlt {
-				fast.SetAllPairs(spDelay, spCost)
-				ref.SetAllPairs(spDelay, spCost)
-			} else {
-				fast.SetAllPairs(altDelay, altCost)
-				ref.SetAllPairs(altDelay, altCost)
-			}
+		if i%71 == 70 && altMask != nil {
 			onAlt = !onAlt
 		}
-
-		if i%7 == 0 || i == len(ops)-1 {
-			compareEngines(t, tag, fast, ref)
-		} else if fb, rb := fast.Bound(), ref.Bound(); fb != rb {
-			t.Fatalf("%s: bound diverged: fast %v ref %v", tag, fb, rb)
-		}
 	}
-	compareEngines(t, "final", fast, ref)
+	for gi, gr := range groups {
+		compareEngines(t, fmt.Sprintf("final group %d", gi), gr.fast, gr.ref)
+	}
+	base.sameRowsTouched(t, "base tables")
+	if altMask != nil {
+		alt.sameRowsTouched(t, "masked tables")
+	}
+}
+
+// TestDCDMFastMatchesRefHandBuilt pins the two edges of the radius rule
+// on graphs small enough to check by hand, against the oracle and
+// against the expected graft.
+func TestDCDMFastMatchesRefHandBuilt(t *testing.T) {
+	type edge struct {
+		u, v        topology.NodeID
+		delay, cost float64
+	}
+	for _, tc := range []struct {
+		name     string
+		n        int
+		edges    []edge
+		kappa    float64
+		members  []topology.NodeID // joined in order; the last join is the one under test
+		want     []topology.NodeID
+		unseen   topology.NodeID // a router the last join's cost-row search must not have reached; -1 = none
+		infeasLC topology.NodeID // the nearest on-tree router, which P_lc cannot use; -1 = none
+	}{
+		{
+			// Root 0, members 1 (ul 10, so the kappa = 1 bound is 10)
+			// and 2. Router 3 joins. By cost its nearest on-tree router
+			// is 1 (cost 1), but ml(1) + 5 = 15 breaks the bound; P_lc
+			// to the root runs over relay 4 (cost 4, delay 40) and
+			// breaks it too; P_lc to 2 is the direct link, feasible at
+			// cost 20, which sets the radius. Inside it P_sl to the
+			// root — the direct link, delay 8, cost 10 — is feasible
+			// and cheaper, so a delay-row candidate wins, for a router
+			// whose cost-row candidate was infeasible. Routers 5 and 6
+			// hang off 3 beyond the radius: 5 is the settled router
+			// that ends the walk, 6 is never reached.
+			name: "delay-row candidate wins inside the radius",
+			n:    7,
+			edges: []edge{
+				{0, 1, 10, 30}, {0, 2, 5, 29},
+				{3, 1, 5, 1}, {3, 0, 8, 10}, {3, 2, 4, 20},
+				{3, 4, 20, 2}, {4, 0, 20, 2},
+				{3, 5, 1, 50}, {5, 6, 1, 50},
+			},
+			kappa:    1,
+			members:  []topology.NodeID{1, 2, 3},
+			want:     []topology.NodeID{0, 3},
+			unseen:   6,
+			infeasLC: 1,
+		},
+		{
+			// Routers 1 and 2 are both on the tree at cost 2 from the
+			// joining router 3; 1 settles first (lower id) but 2 has
+			// the smaller multicast delay and wins the ml rung. A walk
+			// that stopped at the first router of equal cost would
+			// never see it.
+			name: "equal-cost candidate settled later wins on ml",
+			n:    4,
+			edges: []edge{
+				{0, 1, 5, 1}, {0, 2, 1, 1},
+				{3, 1, 3, 2}, {3, 2, 3, 2},
+			},
+			kappa:    2,
+			members:  []topology.NodeID{1, 2, 3},
+			want:     []topology.NodeID{2, 3},
+			unseen:   -1,
+			infeasLC: -1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := topology.New(tc.n)
+			for _, e := range tc.edges {
+				g.MustAddEdge(e.u, e.v, e.delay, e.cost)
+			}
+			tb := newEquivTables(g, true, nil)
+			fast := NewDCDM(g, 0, tc.kappa, tb.fastDelay, tb.fastCost)
+			ref := newDCDMRef(g, 0, tc.kappa, tb.refDelay, tb.refCost)
+			var last JoinResult
+			for _, m := range tc.members {
+				last = fast.Join(m)
+				compareJoin(t, fmt.Sprintf("join %d", m), last, ref.Join(m))
+			}
+			compareEngines(t, "final", fast, ref)
+			if !slices.Equal(last.Path, tc.want) {
+				t.Fatalf("last join grafted %v, want %v", last.Path, tc.want)
+			}
+			s := tc.members[len(tc.members)-1]
+			if v := tc.infeasLC; v >= 0 {
+				lc := tb.refCost.Row(s)
+				if ml := ref.Tree().Delay(v) + lc.Delay[v]; !(ml > ref.Bound()) {
+					t.Fatalf("fixture: P_lc(%d,%d) has ml %v within the bound %v", s, v, ml, ref.Bound())
+				}
+			}
+			if v := tc.unseen; v >= 0 {
+				lc := tb.fastCost.Near(s)
+				if c := lc.Cost(v); !math.IsInf(c, 1) {
+					t.Fatalf("graft search settled router %d (cost %v), beyond the radius", v, c)
+				}
+			}
+			tb.sameRowsTouched(t, "tables")
+		})
+	}
 }

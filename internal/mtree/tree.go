@@ -11,7 +11,7 @@
 // node is maintained as a cache that mutations extend or rewrite, so
 // OnTree/IsMember/Delay are O(1) and the sorted Nodes/Members views are
 // rebuilt at most once per mutation. The historical map-backed
-// implementation survives as TreeRef (ref.go) and backs the
+// implementation survives as TreeRef (ref_test.go) and backs the
 // differential equivalence gate in equiv_test.go.
 package mtree
 

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"math"
-	"sync/atomic"
 
 	"scmp/internal/runner"
 )
@@ -43,33 +42,42 @@ func (w Weight) String() string {
 // weight, plus the path delay and cost accumulated along those paths
 // (both are tracked regardless of which attribute was minimised, because
 // DCDM needs the delay of a least-cost path and vice versa).
+//
+// A Paths is also the whole state of the Dijkstra search that fills it
+// (Engine has the argument for why a search can stop and resume): every
+// *Paths this package hands out is complete — the frontier is empty and
+// each label final. Only AllPairs keeps suspended rows, and it shows
+// them through the Near cursor alone, which reports settled nodes only.
 type Paths struct {
 	Src    NodeID
-	Dist   []float64 // minimised weight to each node; +Inf if unreachable
+	Dist   []float64 // minimised weight to each node; +Inf if unreachable (aliases Delay or Cost)
 	Delay  []float64 // delay along the chosen path
 	Cost   []float64 // cost along the chosen path
 	Parent []NodeID  // predecessor on the chosen path; -1 for Src/unreachable
 
-	// minCost memoises MinCost: Float64bits(min)+1, 0 when unset. The
-	// +1 shift keeps 0 free as the sentinel (bits(0.0) is itself 0),
-	// and the encoding is sound because path costs are never NaN. A
-	// lost store race just rewrites the identical value.
-	minCost atomic.Uint64
+	// Search state (see start and advance): pos[v] is v's frontier heap
+	// slot, posUnseen or posSettled; order holds the frontier heap in
+	// order[:queued] and the settle order, nearest first, backwards from
+	// order[n-1] to order[n-settled].
+	pos     []int32
+	order   []int32
+	settled int
+	queued  int
 }
 
 // Shortest runs Dijkstra from src under the given weight on the fast
 // CSR engine; the result is the canonical shortest-path tree (see
 // Engine for the tie-break ladder that makes "canonical" well defined).
 func Shortest(g *Graph, src NodeID, w Weight) *Paths {
-	e := Engine{csr: g.CSR()}
-	return e.ShortestAvoid(src, w, nil)
+	return NewEngine(g).ShortestAvoid(src, w, nil)
 }
 
 // To reconstructs the path Src -> dst as a node sequence including both
-// endpoints. It returns nil if dst is unreachable. The slice is
-// allocated exactly once at the final length and filled back-to-front.
+// endpoints. It returns nil if dst is unreachable or not a node of the
+// graph. The slice is allocated exactly once at the final length and
+// filled back-to-front.
 func (p *Paths) To(dst NodeID) []NodeID {
-	if int(dst) >= len(p.Dist) || math.IsInf(p.Dist[dst], 1) {
+	if !p.Reachable(dst) {
 		return nil
 	}
 	hops := 1
@@ -90,57 +98,36 @@ func (p *Paths) To(dst NodeID) []NodeID {
 	}
 }
 
-// MinCost returns the smallest path cost in the row over every
-// destination other than Src itself (whose cost is trivially 0 and
-// would make the minimum vacuous). It is +Inf when no other node is
-// reachable. The scan runs once and is memoised; concurrent callers
-// may race the first computation, but both derive the same value from
-// the row's immutable arrays, so the race is benign.
-//
-// DCDM's graft scan uses it to skip a whole candidate row: if even the
-// cheapest path in the row costs strictly more than the best candidate
-// found so far, no entry in the row can win the cost-first ladder.
-//
-//scmplint:hotpath
-func (p *Paths) MinCost() float64 {
-	if enc := p.minCost.Load(); enc != 0 {
-		return math.Float64frombits(enc - 1)
-	}
-	min := math.Inf(1)
-	for v := range p.Cost {
-		if NodeID(v) == p.Src || math.IsInf(p.Dist[v], 1) {
-			continue
-		}
-		if c := p.Cost[v]; c < min {
-			min = c
-		}
-	}
-	p.minCost.Store(math.Float64bits(min) + 1)
-	return min
-}
-
-// Reachable reports whether dst is reachable from Src.
+// Reachable reports whether dst is reachable from Src; an id outside
+// [0, n) — core's "no upstream" is -1 — is not.
 func (p *Paths) Reachable(dst NodeID) bool {
-	return int(dst) < len(p.Dist) && !math.IsInf(p.Dist[dst], 1)
+	return dst >= 0 && int(dst) < len(p.Dist) && !math.IsInf(p.Dist[dst], 1)
 }
 
 // AllPairs is a table of single-source shortest-path rows, one per
 // source node. Rows are either built up front — sharded over the
 // deterministic worker pool, each source row being an independent
-// Dijkstra — or materialised lazily on first access (NewLazyAllPairs),
-// which is how fault-driven recomputes that only consult a handful of
-// sources stop paying a full n-Dijkstra rebuild.
+// Dijkstra — or started on first access (NewLazyAllPairs) as resumable
+// searches: Near walks a row nearest-first and settles only as far as
+// it is walked, Row finishes the search and returns the complete row.
+// That is how a DCDM join pays for the distance to the tree instead of
+// the size of the domain, and how fault-driven recomputes that only
+// consult a handful of sources stop paying a full n-Dijkstra rebuild.
 //
 // Row contents are identical in every mode: the engine's tie-break
-// ladder makes each row a pure function of (graph, weight, mask), so
-// eager, lazy and any parallel width produce byte-identical tables.
-// AllPairs is safe for concurrent readers; lazy rows are published with
-// a compare-and-swap, and a lost race just discards one identical row.
+// ladder makes each row a pure function of (graph, weight, mask), and a
+// stopped search holds a prefix of the full one (see Engine), so eager,
+// lazy, resumed in any increments and any parallel width produce
+// byte-identical labels.
+//
+// An eagerly built table is complete, hence immutable and safe to share
+// between goroutines. A lazy table has one writer: Row and Near start
+// and advance searches in place, so the table belongs to one goroutine.
 type AllPairs struct {
-	g    *Graph
+	csr  *CSR
 	w    Weight
 	down []bool
-	rows []atomic.Pointer[Paths]
+	rows []*Paths
 }
 
 // allPairsChunk is how many consecutive source rows one worker computes
@@ -160,7 +147,7 @@ func NewAllPairsAvoid(g *Graph, w Weight, down []bool) *AllPairs {
 	ap := NewLazyAllPairsAvoid(g, w, down)
 	eachSourceChunk(g, func(e *Engine, lo, hi int) {
 		for u := lo; u < hi; u++ {
-			ap.rows[u].Store(e.ShortestAvoid(NodeID(u), w, down))
+			ap.rows[u] = e.ShortestAvoid(NodeID(u), w, down)
 		}
 	})
 	return ap
@@ -168,19 +155,19 @@ func NewAllPairsAvoid(g *Graph, w Weight, down []bool) *AllPairs {
 
 // eachSourceChunk runs fn over the sources [0, n) in allPairsChunk-sized
 // ranges on the deterministic worker pool. Each range owns a disjoint
-// set of rows, so workers never write the same slot, and gets its own
-// engine, whose scratch it reuses across its sources.
+// set of rows, so workers never write the same slot.
 func eachSourceChunk(g *Graph, fn func(e *Engine, lo, hi int)) {
 	n := g.N()
+	e := NewEngine(g)
 	runner.Map(runner.Options{}, (n+allPairsChunk-1)/allPairsChunk, func(ci int) struct{} {
 		lo := ci * allPairsChunk
-		fn(NewEngine(g), lo, min(lo+allPairsChunk, n))
+		fn(e, lo, min(lo+allPairsChunk, n))
 		return struct{}{}
 	})
 }
 
-// NewLazyAllPairs returns an AllPairs whose rows are computed on first
-// access and memoised. Use it when only a few sources will be
+// NewLazyAllPairs returns an AllPairs whose rows are started on first
+// access and advanced on demand. Use it when only a few sources will be
 // consulted — m-router path tables serving small groups, fault-repair
 // re-grafts — and the full table would mostly go unread.
 func NewLazyAllPairs(g *Graph, w Weight) *AllPairs {
@@ -193,47 +180,147 @@ func NewLazyAllPairs(g *Graph, w Weight) *AllPairs {
 // mask would make a row's content depend on when it is first read
 // instead of when the table was created.
 func NewLazyAllPairsAvoid(g *Graph, w Weight, down []bool) *AllPairs {
-	return &AllPairs{g: g, w: w, down: down, rows: make([]atomic.Pointer[Paths], g.N())}
+	return &AllPairs{csr: g.CSR(), w: w, down: down, rows: make([]*Paths, g.N())}
 }
 
 // N returns the number of source rows (the graph's node count).
 func (ap *AllPairs) N() int { return len(ap.rows) }
 
-// Row returns the shortest-path row from src, computing and memoising
-// it on first access in lazy mode.
+// Row returns the complete shortest-path row from src: in lazy mode it
+// starts the search on first access and finishes it if a cursor left
+// it suspended, so a caller never sees a tentative label.
+//
+//scmplint:hotpath
 func (ap *AllPairs) Row(src NodeID) *Paths {
-	if r := ap.rows[src].Load(); r != nil {
-		return r
+	p := ap.row(src)
+	if p.queued > 0 {
+		p.advance(ap.csr, ap.w, ap.down, len(ap.rows), -1)
 	}
-	e := Engine{csr: ap.g.CSR()}
-	r := e.ShortestAvoid(src, ap.w, ap.down)
-	if ap.rows[src].CompareAndSwap(nil, r) {
-		return r
-	}
-	return ap.rows[src].Load()
+	return p
 }
 
-// Materialized reports how many rows have been computed so far — n for
-// eager tables, the consulted-source count for lazy ones (capacity
-// accounting and the lazy-mode tests).
+// row returns src's row as it stands, starting its search on first
+// access.
+//
+//scmplint:hotpath
+func (ap *AllPairs) row(src NodeID) *Paths {
+	p := ap.rows[src]
+	if p == nil {
+		p = &Paths{} //scmplint:ignore hotalloc — a source's first touch; afterwards a slice load
+		p.start(len(ap.rows), src, ap.w)
+		ap.rows[src] = p
+	}
+	return p
+}
+
+// Near is a cursor over one source's row in settle order — nearest
+// first under the table's weight, exact ties by lower id. It advances
+// the row's search only as far as it is walked, and it answers for
+// settled nodes only: their labels are final and bit-identical to the
+// complete row's (see Engine), while a node still on the frontier, or
+// not yet seen, reads as unreachable. Several cursors may walk one row;
+// each keeps its own position and all share the search's progress.
+type Near struct {
+	ap *AllPairs
+	p  *Paths
+	i  int // nodes reported so far
+}
+
+// Near returns a cursor at the start of src's row (src itself is the
+// first node it reports), starting the row's search on first access.
+//
+//scmplint:hotpath
+func (ap *AllPairs) Near(src NodeID) Near {
+	return Near{ap: ap, p: ap.row(src)}
+}
+
+// Next reports the next node in settle order, settling one more if the
+// search has not got that far; ok is false once every reachable node
+// has been reported.
+//
+//scmplint:hotpath
+func (c *Near) Next() (v NodeID, ok bool) {
+	p := c.p
+	if c.i == p.settled {
+		if p.queued == 0 {
+			return -1, false
+		}
+		p.advance(c.ap.csr, c.ap.w, c.ap.down, 1, -1)
+	}
+	c.i++
+	return NodeID(p.order[len(p.order)-c.i]), true
+}
+
+// Settle advances the search until v is settled and reports whether it
+// is; false means v is unreachable (the search is then exhausted) or
+// not a node of the graph. The cursor's position does not move.
+//
+//scmplint:hotpath
+func (c *Near) Settle(v NodeID) bool {
+	p := c.p
+	if v < 0 || int(v) >= len(p.pos) {
+		return false
+	}
+	if p.pos[v] != posSettled && p.queued > 0 {
+		p.advance(c.ap.csr, c.ap.w, c.ap.down, len(p.pos), v)
+	}
+	return p.pos[v] == posSettled
+}
+
+// Delay returns the delay along the row's path to v, +Inf unless v is
+// settled.
+//
+//scmplint:hotpath
+func (c *Near) Delay(v NodeID) float64 {
+	if c.p.pos[v] != posSettled {
+		return math.Inf(1)
+	}
+	return c.p.Delay[v]
+}
+
+// Cost returns the cost along the row's path to v, +Inf unless v is
+// settled.
+//
+//scmplint:hotpath
+func (c *Near) Cost(v NodeID) float64 {
+	if c.p.pos[v] != posSettled {
+		return math.Inf(1)
+	}
+	return c.p.Cost[v]
+}
+
+// To returns the row's path from its source to v (see Paths.To), nil
+// unless v is settled.
+func (c *Near) To(v NodeID) []NodeID {
+	if c.p.pos[v] != posSettled {
+		return nil
+	}
+	return c.p.To(v)
+}
+
+// Materialized reports how many rows exist so far, complete or
+// suspended — n for eager tables, the consulted-source count for lazy
+// ones (capacity accounting and the lazy-mode tests).
 func (ap *AllPairs) Materialized() int {
 	m := 0
-	for i := range ap.rows {
-		if ap.rows[i].Load() != nil {
+	for _, p := range ap.rows {
+		if p != nil {
 			m++
 		}
 	}
 	return m
 }
 
-// MemoryBytes estimates the resident size of the materialised rows:
-// each Paths row carries three float64 slices and one NodeID slice of
-// the graph's length plus fixed header overhead. Lazy tables only pay
-// for rows actually consulted — the figure the domains experiment
-// reports as resident routing-table memory.
+// MemoryBytes is the modelled resident size of the materialised rows,
+// 32n + 96 bytes each: n entries of 32 bytes (the four label arrays a
+// row shows its readers; the live layout packs the search state into
+// the same 32, see Paths.start) plus fixed header overhead. Lazy tables
+// only pay for rows actually consulted. The domains experiment reports
+// this figure as resident routing-table memory, so the formula is part
+// of that table's byte-identity contract and stays as it is.
 func (ap *AllPairs) MemoryBytes() int64 {
 	n := int64(len(ap.rows))
-	perRow := 32*n + 96 // 3 x []float64 + 1 x []NodeID payload, plus struct/slice headers
+	perRow := 32*n + 96
 	return int64(ap.Materialized()) * perRow
 }
 

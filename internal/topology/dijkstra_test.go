@@ -55,30 +55,28 @@ func TestShortestUnreachable(t *testing.T) {
 	}
 }
 
-// MinCost must exclude the source row entry (whose cost is trivially 0
-// and would make the minimum vacuous), skip unreachable nodes, and
-// memoise: a second call returns the identical value without rescanning.
-func TestPathsMinCost(t *testing.T) {
-	sp := Shortest(diamond(), 0, ByDelay)
-	// Path costs from 0: node 1 -> 10, node 2 -> 1, node 3 -> 20
-	// (delay-optimal route 0-1-3). Src itself (cost 0) must not count.
-	if got := sp.MinCost(); got != 1 {
-		t.Fatalf("MinCost = %g, want 1 (cheapest non-source path)", got)
-	}
-	if got := sp.MinCost(); got != 1 {
-		t.Fatalf("memoised MinCost = %g, want 1", got)
-	}
-
-	// Unreachable nodes contribute nothing; a fully isolated source has
-	// an infinite row minimum.
-	g := New(3)
-	g.MustAddEdge(0, 1, 1, 4)
-	sp = Shortest(g, 0, ByDelay)
-	if got := sp.MinCost(); got != 4 {
-		t.Fatalf("MinCost with unreachable node = %g, want 4", got)
-	}
-	if got := Shortest(g, 2, ByDelay).MinCost(); !math.IsInf(got, 1) {
-		t.Fatalf("isolated source MinCost = %g, want +Inf", got)
+// An id outside [0, n) — core's "no upstream" is -1 — is unreachable
+// and has no path, on either side of the range.
+func TestPathsOutOfRangeIDs(t *testing.T) {
+	sp := Shortest(line(t, 3), 0, ByDelay)
+	for _, tc := range []struct {
+		dst   NodeID
+		reach bool
+		hops  int
+	}{
+		{-2, false, 0},
+		{-1, false, 0},
+		{0, true, 1},
+		{2, true, 3},
+		{3, false, 0},
+		{1 << 40, false, 0},
+	} {
+		if got := sp.Reachable(tc.dst); got != tc.reach {
+			t.Errorf("Reachable(%d) = %v, want %v", tc.dst, got, tc.reach)
+		}
+		if got := sp.To(tc.dst); len(got) != tc.hops || (got == nil) != !tc.reach {
+			t.Errorf("To(%d) = %v, want %d nodes", tc.dst, got, tc.hops)
+		}
 	}
 }
 

@@ -15,9 +15,12 @@ import (
 // what lets the hierarchical SCMP mode keep routing state O(domain
 // size + backbone) instead of materialising a global O(n²) table.
 //
-// A view is immutable after construction and safe for concurrent
-// readers; per-domain subgraphs materialise lazily on first use (a lost
-// publication race rebuilds an identical sub and discards it).
+// The view's own structure is immutable after construction, and
+// per-domain subgraphs materialise lazily on first use (a lost
+// publication race rebuilds an identical sub and discards it). Its
+// all-pairs tables are lazy, though, and a lazy table has one writer
+// (see AllPairs): a view whose tables are consulted belongs to one
+// goroutine.
 type DomainView struct {
 	g      *Graph
 	domain []int32 // node -> domain id, dense 0..k-1

@@ -20,7 +20,8 @@ import (
 
 // equivGraphs builds the test topologies: random Waxman instances,
 // transit-stub hierarchies, flat random graphs, the fixed ARPANET map,
-// and degenerate shapes (empty, single node, disconnected).
+// tie-heavy shapes (a uniform ring, small-integer weights) and
+// degenerate ones (empty, single node, disconnected).
 func equivGraphs(t testing.TB) map[string]*Graph {
 	graphs := map[string]*Graph{
 		"arpanet": Arpanet(),
@@ -53,6 +54,27 @@ func equivGraphs(t testing.TB) map[string]*Graph {
 	dg.MustAddEdge(3, 4, 1.25, 3.5)
 	dg.MustAddEdge(4, 5, 3.5, 1.25)
 	graphs["disconnected"] = dg
+
+	// Uniform ring: two equal routes to the antipode, so the (dist, id)
+	// ladder and the lower-id-predecessor rule decide every row.
+	ring := New(24)
+	for u := 0; u < ring.N(); u++ {
+		ring.MustAddEdge(NodeID(u), NodeID((u+1)%ring.N()), 1, 1)
+	}
+	graphs["ring"] = ring
+
+	// Small-integer weights on a random graph: exact float ties between
+	// alternative paths are the common case, not the exception.
+	ig := New(50)
+	irng := rand.New(rand.NewSource(9))
+	for u := 0; u < ig.N(); u++ {
+		for v := u + 1; v < ig.N(); v++ {
+			if v == u+1 || irng.Float64() < 0.08 {
+				ig.MustAddEdge(NodeID(u), NodeID(v), float64(1+irng.Intn(3)), float64(1+irng.Intn(3)))
+			}
+		}
+	}
+	graphs["intweights"] = ig
 	return graphs
 }
 
@@ -295,4 +317,8 @@ func TestEngineScratchReuseIsClean(t *testing.T) {
 		fresh := shortestRef(g, NodeID(src), w, nil)
 		samePaths(t, fmt.Sprintf("reuse src %d", src), &row, fresh)
 	}
+	// The same row on a smaller graph: it shrinks to that graph's shape.
+	small := Arpanet()
+	NewEngine(small).ShortestInto(&row, 3, ByCost, nil)
+	samePaths(t, "reuse on a smaller graph", &row, shortestRef(small, 3, ByCost, nil))
 }

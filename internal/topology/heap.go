@@ -1,94 +1,79 @@
 package topology
 
-// nodeHeap is an indexed 4-ary min-heap specialised to (node, dist)
-// pairs — the boxing-free replacement for container/heap in the
-// Dijkstra hot loop. container/heap costs an interface allocation per
-// Push (the pqItem escapes into an `any`) plus dynamic dispatch per
-// Less/Swap; this heap is a flat slice of 16-byte structs with inlined
-// comparisons. The 4-ary shape halves the tree depth of a binary heap,
-// trading slightly wider sift-down scans (cache-friendly: all four
-// children share a cache line) for fewer levels per percolation.
+// frontier is the indexed 4-ary min-heap of a Dijkstra search's queued
+// routers. It holds router ids only — four bytes an entry — and reads
+// each key through the row's dist array, so the heap can live inside
+// the row it serves (see Paths) and a suspended search costs no memory
+// a complete row does not. The 4-ary shape halves the tree depth of a
+// binary heap, trading slightly wider sift-down scans for fewer levels
+// per percolation.
 //
-// The heap is *indexed*: pos tracks each node's slot, so a relaxation
-// that improves an already-queued node decreases its key in place
-// instead of pushing a duplicate. On dense graphs that keeps the heap
-// at most |V| entries where lazy deletion would grow it toward |E| —
-// pop cost drops with the log of that ratio, and the done-check on pop
-// becomes vestigial (each node is popped at most once).
+// The heap is *indexed*: pos tracks each queued router's slot, so a
+// relaxation that improves an already-queued router decreases its key
+// in place instead of pushing a duplicate. The heap never exceeds |V|
+// entries and each router pops exactly once.
 //
-// Ordering is the explicit tie-break ladder (dist, then node id):
+// Ordering is the explicit tie-break ladder (dist, then router id):
 // strictly smaller dist wins, and an exact dist tie is broken by the
-// lower node id. Exact float ties between independently summed path
-// lengths are representation-dependent, so the ladder never decides
-// them implicitly by heap layout — pop order is a pure function of the
-// set of queued (node, key) pairs.
-type heapItem struct {
-	node NodeID
-	dist float64
+// lower id. Exact float ties between independently summed path lengths
+// are representation-dependent, so the ladder never decides them
+// implicitly by heap layout — pop order is a pure function of the set
+// of queued (router, key) pairs.
+//
+// A frontier is a view: items, pos and dist alias the row's arrays, and
+// the caller stores len(items) back when it is done.
+type frontier struct {
+	items []int32   // heap slots; cap is the row's whole order array
+	pos   []int32   // pos[v]: v's slot while queued, posUnseen / posSettled otherwise
+	dist  []float64 // dist[v]: v's key
 }
 
-// heapLess is the (dist, node) ladder. Written as two strict
+const (
+	posUnseen  int32 = -1 // never labelled
+	posSettled int32 = -2 // popped: label and parent are final
+)
+
+// frontLess is the (dist, id) ladder. Written as two strict
 // comparisons — never float equality — so NaNs sink and exact ties fall
 // through to the id comparison.
-func heapLess(a, b heapItem) bool {
-	if a.dist < b.dist {
+func frontLess(a int32, da float64, b int32, db float64) bool {
+	if da < db {
 		return true
 	}
-	if b.dist < a.dist {
+	if db < da {
 		return false
 	}
-	return a.node < b.node
+	return a < b
 }
 
-type nodeHeap struct {
-	items []heapItem
-	// pos[v] is v's index in items, -1 when v is not queued.
-	pos []int32
-}
-
-func (h *nodeHeap) len() int { return len(h.items) }
-
-// reset empties the heap for a graph of n nodes, keeping capacity for
-// reuse across sources.
-func (h *nodeHeap) reset(n int) {
-	h.items = h.items[:0]
-	if cap(h.pos) < n {
-		// Grown once per graph size, reused across every source after.
-		h.pos = make([]int32, n) //scmplint:ignore hotalloc
-	}
-	h.pos = h.pos[:n]
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
-}
-
-// push inserts node with the given key, or decreases its key in place
-// when it is already queued. Keys never increase during Dijkstra, so
-// an existing entry only ever sifts up.
-func (h *nodeHeap) push(node NodeID, dist float64) {
-	i := int(h.pos[node])
+// push queues v, or restores the heap after v's key decreased when it
+// is already queued; dist[v] holds the new key. Keys never increase
+// during Dijkstra, so an existing entry only ever sifts up.
+func (h *frontier) push(v int32) {
+	i := int(h.pos[v])
 	if i < 0 {
 		i = len(h.items)
-		h.items = append(h.items, heapItem{node, dist})
+		h.items = h.items[:i+1]
 	}
-	it := heapItem{node, dist}
+	dv := h.dist[v]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !heapLess(it, h.items[parent]) {
+		q := h.items[parent]
+		if !frontLess(v, dv, q, h.dist[q]) {
 			break
 		}
-		h.items[i] = h.items[parent]
-		h.pos[h.items[i].node] = int32(i)
+		h.items[i] = q
+		h.pos[q] = int32(i)
 		i = parent
 	}
-	h.items[i] = it
-	h.pos[node] = int32(i)
+	h.items[i] = v
+	h.pos[v] = int32(i)
 }
 
-// pop removes and returns the minimum item.
-func (h *nodeHeap) pop() heapItem {
+// pop removes and returns the minimum router, marking it settled.
+func (h *frontier) pop() int32 {
 	top := h.items[0]
-	h.pos[top.node] = -1
+	h.pos[top] = posSettled
 	last := len(h.items) - 1
 	it := h.items[last]
 	h.items = h.items[:last]
@@ -96,30 +81,33 @@ func (h *nodeHeap) pop() heapItem {
 		return top
 	}
 	// Sift the former tail down from the root.
+	dit := h.dist[it]
 	i := 0
 	for {
 		first := i<<2 + 1
 		if first >= last {
 			break
 		}
-		min := first
 		end := first + 4
 		if end > last {
 			end = last
 		}
+		mi, min := first, h.items[first]
+		dmin := h.dist[min]
 		for c := first + 1; c < end; c++ {
-			if heapLess(h.items[c], h.items[min]) {
-				min = c
+			q := h.items[c]
+			if dq := h.dist[q]; frontLess(q, dq, min, dmin) {
+				mi, min, dmin = c, q, dq
 			}
 		}
-		if !heapLess(h.items[min], it) {
+		if !frontLess(min, dmin, it, dit) {
 			break
 		}
-		h.items[i] = h.items[min]
-		h.pos[h.items[i].node] = int32(i)
-		i = min
+		h.items[i] = min
+		h.pos[min] = int32(i)
+		i = mi
 	}
 	h.items[i] = it
-	h.pos[it.node] = int32(i)
+	h.pos[it] = int32(i)
 	return top
 }
