@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-baseline test test-invariants loc bench bench-all bench-quick bench-routing bench-dataplane bench-dataplane-quick bench-churn bench-dcdm bench-dcdm-quick bench-domains smoke-parallel smoke-faults smoke-churn smoke-dcdm smoke-domains fmt
+.PHONY: all build lint lint-baseline test test-invariants loc bench bench-all bench-quick bench-routing bench-dataplane bench-dataplane-quick bench-churn bench-dcdm bench-dcdm-quick bench-domains smoke-parallel smoke-faults smoke-churn smoke-dcdm smoke-domains smoke-fuzz fmt
 
 all: lint test
 
@@ -144,6 +144,15 @@ smoke-domains:
 	$(GO) run -race ./cmd/scmpsim -experiment domains -quick -parallel 4 -out smoke_domains_p4.txt
 	cmp smoke_domains_serial.txt smoke_domains_p4.txt
 	rm -f smoke_domains_serial.txt smoke_domains_p4.txt
+
+# Fuzz smoke: ten seconds of the native fuzzer that drives one lazy
+# shortest-path row with arbitrary cursor programs (two cursors' Next,
+# Settle, Row) on graphs either side of the size where rows start
+# sparse, against the one-shot row. Long enough to replay the seeds and
+# mutate a few thousand programs; a finding lands in
+# internal/topology/testdata/fuzz/ as a regression seed.
+smoke-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzResumableRow -fuzztime 10s ./internal/topology/
 
 # End-to-end smoke of the parallel runner under the race detector: a
 # quick Fig. 7 sweep fanned over 4 workers.

@@ -129,10 +129,19 @@ func TestDCDMAllocFloor(t *testing.T) {
 
 // TestDCDMJoinRowAllocFloor pins what a join pays for its two
 // shortest-path rows on lazy tables. The first join from a router
-// starts both searches: per row one Paths, one label array, one index
-// array and one parent array — 8 objects, plus the path. A join whose
-// rows are already started — however far each search got — allocates
-// the path alone.
+// starts both searches sparse: per row one Paths, one label array, one
+// index array and one parent array, 32 slots wide — 8 objects and about
+// 3 KB, plus the path — and a search that outgrows its slots moves its
+// row onto three new arrays. On the 2440-node transit-stub (mean degree
+// 2.3) the graft searches of this fixture end inside the first 32
+// slots: 9 objects, and the byte budget is what fails if a first touch
+// ever costs n again (two dense rows there weigh 2 x 78 KB). On the
+// 400-node Waxman (mean degree 26.6) settling the source alone labels
+// most of 32 routers and 64 slots would pass n/8, so each row is
+// promoted to the dense layout exactly once: 2 x (4 + 3) objects and
+// the path, the two dense rows plus 3 KB. A join whose rows are already
+// started — however far each search got, in whichever layout —
+// allocates the path alone.
 func TestDCDMJoinRowAllocFloor(t *testing.T) {
 	if mtree.InvariantChecksArmed {
 		t.Skip("invariants build: per-mutation Validate allocates freely")
@@ -141,41 +150,75 @@ func TestDCDMJoinRowAllocFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := wg.Graph
-	d := mtree.NewDCDM(g, 0, 1.5, topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost))
-	perm := rand.New(rand.NewSource(7)).Perm(g.N())
-	for _, v := range perm[:128] {
-		d.Join(topology.NodeID(v))
+	ts, _, err := topology.TransitStub(topology.TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var cold []topology.NodeID // off-tree routers nothing has joined from
-	for _, v := range perm[128:] {
-		if v := topology.NodeID(v); !d.Tree().OnTree(v) {
-			cold = append(cold, v)
+	for _, tc := range []struct {
+		name    string
+		g       *topology.Graph
+		objects float64 // first join from a router
+		bytes   uint64
+	}{
+		{"waxman400", wg.Graph, 15, 32 << 10},
+		{"transitstub2440", ts, 9, 8 << 10},
+	} {
+		g := tc.g
+		fresh := func() (*topology.AllPairs, *topology.AllPairs) {
+			return topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
 		}
-	}
-	const runs = 16
-	if len(cold) <= runs {
-		t.Fatalf("fixture degenerate: %d untouched off-tree routers", len(cold))
-	}
-	cycle := func() func() {
-		i := 0
-		return func() { // AllocsPerRun calls it runs+1 times: each router once
-			v := cold[i]
-			i++
-			d.Join(v)
-			d.Leave(v)
+		spDelay, spCost := fresh()
+		d := mtree.NewDCDM(g, 0, 1.5, spDelay, spCost)
+		perm := rand.New(rand.NewSource(7)).Perm(g.N())
+		for _, v := range perm[:128] {
+			d.Join(topology.NodeID(v))
 		}
-	}
-	// Warm the tree's own scratch (child slices, prune stacks) on the
-	// very routers measured, then move the engine onto fresh tables so
-	// their rows are untouched again.
-	testing.AllocsPerRun(runs, cycle())
-	d.SetAllPairs(topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost))
-	if avg := testing.AllocsPerRun(runs, cycle()); avg > 9 {
-		t.Errorf("first join from a router allocates %.2f objects, budget 9 (two rows of 4, and the path)", avg)
-	}
-	if avg := testing.AllocsPerRun(runs, cycle()); avg > 1 {
-		t.Errorf("join over started rows allocates %.2f objects, budget 1 (the path)", avg)
+		var cold []topology.NodeID // off-tree routers nothing has joined from
+		for _, v := range perm[128:] {
+			if v := topology.NodeID(v); !d.Tree().OnTree(v) {
+				cold = append(cold, v)
+			}
+		}
+		const runs = 16
+		if len(cold) <= runs {
+			t.Fatalf("%s: fixture degenerate: %d untouched off-tree routers", tc.name, len(cold))
+		}
+		cycle := func() func() {
+			i := 0
+			return func() { // AllocsPerRun calls it runs+1 times: each router once
+				v := cold[i]
+				i++
+				d.Join(v)
+				d.Leave(v)
+			}
+		}
+		// Warm the tree's own scratch (child slices, prune stacks) on the
+		// very routers measured, then move the engine onto fresh tables so
+		// their rows are untouched again.
+		testing.AllocsPerRun(runs, cycle())
+		d.SetAllPairs(fresh())
+		avg := testing.AllocsPerRun(runs, cycle())
+		t.Logf("%s: %.2f objects per first join", tc.name, avg)
+		if avg > tc.objects {
+			t.Errorf("%s: first join from a router allocates %.2f objects, budget %.0f", tc.name, avg, tc.objects)
+		}
+		if avg := testing.AllocsPerRun(runs, cycle()); avg > 1 {
+			t.Errorf("%s: join over started rows allocates %.2f objects, budget 1 (the path)", tc.name, avg)
+		}
+		d.SetAllPairs(fresh())
+		first := cycle()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			first()
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d bytes per first join", tc.name, per)
+		if per > tc.bytes {
+			t.Errorf("%s: first join from a router allocates %d bytes, budget %d: its rows must cost what the search labels, not the size of the graph",
+				tc.name, per, tc.bytes)
+		}
 	}
 }
 

@@ -14,9 +14,10 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"scmp/internal/des"
 	"scmp/internal/packet"
@@ -153,7 +154,7 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	// time while keeping member-major order for exact-time ties, which
 	// is precisely the order the scheduler's insertion-sequence
 	// tie-break used to run them when each event was queued directly.
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
+	slices.SortStableFunc(evs, func(a, b churnEvent) int { return cmp.Compare(a.t, b.t) })
 	g := plan.Group
 	for i := 0; i < len(evs); {
 		j := i + 1

@@ -45,9 +45,16 @@ func (w Weight) String() string {
 //
 // A Paths is also the whole state of the Dijkstra search that fills it
 // (Engine has the argument for why a search can stop and resume): every
-// *Paths this package hands out is complete — the frontier is empty and
-// each label final. Only AllPairs keeps suspended rows, and it shows
-// them through the Near cursor alone, which reports settled nodes only.
+// *Paths this package hands out is complete and dense — the frontier is
+// empty, each label final, and the four arrays are indexed by node.
+// Only AllPairs keeps suspended rows, and it shows them through the
+// Near cursor alone, which reports settled nodes only.
+//
+// A suspended row may be sparse: its arrays are then indexed by slot,
+// one slot for each router the search has labelled, in the order it
+// first touched them, and they grow with the search instead of
+// starting n wide (see start and regrow). Parent still holds router
+// ids, the heap and the settle order in order hold slots.
 type Paths struct {
 	Src    NodeID
 	Dist   []float64 // minimised weight to each node; +Inf if unreachable (aliases Delay or Cost)
@@ -55,14 +62,21 @@ type Paths struct {
 	Cost   []float64 // cost along the chosen path
 	Parent []NodeID  // predecessor on the chosen path; -1 for Src/unreachable
 
-	// Search state (see start and advance): pos[v] is v's frontier heap
-	// slot, posUnseen or posSettled; order holds the frontier heap in
-	// order[:queued] and the settle order, nearest first, backwards from
-	// order[n-1] to order[n-settled].
+	// Search state (see start and advance): pos[s] is slot s's index in
+	// the frontier heap, posUnseen or posSettled; order holds the
+	// frontier heap in order[:queued] and the settle order, nearest
+	// first, backwards from its last entry — both as slots.
 	pos     []int32
 	order   []int32
 	settled int
 	queued  int
+
+	// Sparse layout only; ids == nil is the dense one, slot == router.
+	// ids[s] is the router in slot s for s < used, and tab the
+	// open-addressed router -> slot table (see probe).
+	ids  []int32
+	tab  []int32
+	used int
 }
 
 // Shortest runs Dijkstra from src under the given weight on the fast
@@ -80,9 +94,22 @@ func (p *Paths) To(dst NodeID) []NodeID {
 	if !p.Reachable(dst) {
 		return nil
 	}
+	return p.walk(dst)
+}
+
+// walk is To for a dst the row has a finite label for, in either
+// layout.
+func (p *Paths) walk(dst NodeID) []NodeID {
+	parentOf := func(v NodeID) NodeID {
+		if p.ids != nil {
+			_, s := p.probe(v)
+			v = NodeID(s)
+		}
+		return p.Parent[v]
+	}
 	hops := 1
 	for v := dst; v != p.Src; {
-		par := p.Parent[v]
+		par := parentOf(v)
 		if par == -1 {
 			return nil // parent chain broken before reaching Src
 		}
@@ -90,7 +117,7 @@ func (p *Paths) To(dst NodeID) []NodeID {
 		v = par
 	}
 	path := make([]NodeID, hops)
-	for v, i := dst, hops-1; ; v, i = p.Parent[v], i-1 {
+	for v, i := dst, hops-1; ; v, i = parentOf(v), i-1 {
 		path[i] = v
 		if v == p.Src {
 			return path
@@ -110,9 +137,13 @@ func (p *Paths) Reachable(dst NodeID) bool {
 // Dijkstra — or started on first access (NewLazyAllPairs) as resumable
 // searches: Near walks a row nearest-first and settles only as far as
 // it is walked, Row finishes the search and returns the complete row.
-// That is how a DCDM join pays for the distance to the tree instead of
-// the size of the domain, and how fault-driven recomputes that only
-// consult a handful of sources stop paying a full n-Dijkstra rebuild.
+// A row Near starts is sparse — it stores only the routers its search
+// has labelled (see Paths) — and becomes dense in place when Row wants
+// all of it or the search has labelled a fixed fraction of the graph.
+// That is how a DCDM join pays, in time and in memory, for the distance
+// to the tree instead of the size of the domain, and how fault-driven
+// recomputes that only consult a handful of sources stop paying a full
+// n-Dijkstra rebuild.
 //
 // Row contents are identical in every mode: the engine's tie-break
 // ladder makes each row a pure function of (graph, weight, mask), and a
@@ -187,12 +218,16 @@ func NewLazyAllPairsAvoid(g *Graph, w Weight, down []bool) *AllPairs {
 func (ap *AllPairs) N() int { return len(ap.rows) }
 
 // Row returns the complete shortest-path row from src: in lazy mode it
-// starts the search on first access and finishes it if a cursor left
-// it suspended, so a caller never sees a tentative label.
+// starts the search on first access, promotes the row to the dense
+// layout and finishes the search if a cursor left it sparse or
+// suspended, so a caller never sees a slot or a tentative label.
 //
 //scmplint:hotpath
 func (ap *AllPairs) Row(src NodeID) *Paths {
-	p := ap.row(src)
+	p := ap.row(src, false)
+	if p.ids != nil {
+		p.regrow(len(ap.rows), ap.w, true)
+	}
 	if p.queued > 0 {
 		p.advance(ap.csr, ap.w, ap.down, len(ap.rows), -1)
 	}
@@ -200,14 +235,15 @@ func (ap *AllPairs) Row(src NodeID) *Paths {
 }
 
 // row returns src's row as it stands, starting its search on first
-// access.
+// access — sparse if the caller is a cursor and the graph is big enough
+// for that to pay (see start).
 //
 //scmplint:hotpath
-func (ap *AllPairs) row(src NodeID) *Paths {
+func (ap *AllPairs) row(src NodeID, lazy bool) *Paths {
 	p := ap.rows[src]
 	if p == nil {
 		p = &Paths{} //scmplint:ignore hotalloc — a source's first touch; afterwards a slice load
-		p.start(len(ap.rows), src, ap.w)
+		p.start(len(ap.rows), src, ap.w, lazy)
 		ap.rows[src] = p
 	}
 	return p
@@ -231,7 +267,7 @@ type Near struct {
 //
 //scmplint:hotpath
 func (ap *AllPairs) Near(src NodeID) Near {
-	return Near{ap: ap, p: ap.row(src)}
+	return Near{ap: ap, p: ap.row(src, true)}
 }
 
 // Next reports the next node in settle order, settling one more if the
@@ -248,7 +284,11 @@ func (c *Near) Next() (v NodeID, ok bool) {
 		p.advance(c.ap.csr, c.ap.w, c.ap.down, 1, -1)
 	}
 	c.i++
-	return NodeID(p.order[len(p.order)-c.i]), true
+	s := p.order[len(p.order)-c.i]
+	if p.ids != nil {
+		s = p.ids[s]
+	}
+	return NodeID(s), true
 }
 
 // Settle advances the search until v is settled and reports whether it
@@ -257,14 +297,44 @@ func (c *Near) Next() (v NodeID, ok bool) {
 //
 //scmplint:hotpath
 func (c *Near) Settle(v NodeID) bool {
-	p := c.p
-	if v < 0 || int(v) >= len(p.pos) {
+	if c.at(v) >= 0 {
+		return true
+	}
+	if c.p.queued == 0 || uint(v) >= uint(len(c.ap.rows)) {
 		return false
 	}
-	if p.pos[v] != posSettled && p.queued > 0 {
-		p.advance(c.ap.csr, c.ap.w, c.ap.down, len(p.pos), v)
+	c.p.advance(c.ap.csr, c.ap.w, c.ap.down, len(c.ap.rows), v)
+	return c.at(v) >= 0
+}
+
+// at returns the slot of v's labels in the cursor's row if v is settled
+// and -1 otherwise — on the frontier, never labelled, or not a node of
+// the graph at all (core's "no upstream" is -1). The dense case is
+// written to inline into the accessors below.
+//
+//scmplint:hotpath
+func (c *Near) at(v NodeID) int {
+	if c.p.ids != nil {
+		return c.sparseAt(v)
 	}
-	return p.pos[v] == posSettled
+	if uint(v) < uint(len(c.p.pos)) && c.p.pos[v] == posSettled {
+		return int(v)
+	}
+	return -1
+}
+
+// sparseAt is at for a sparse row.
+//
+//scmplint:hotpath
+func (c *Near) sparseAt(v NodeID) int {
+	if uint(v) >= uint(len(c.ap.rows)) {
+		return -1
+	}
+	_, s := c.p.probe(v)
+	if s >= 0 && c.p.pos[s] != posSettled {
+		return -1
+	}
+	return int(s)
 }
 
 // Delay returns the delay along the row's path to v, +Inf unless v is
@@ -272,10 +342,10 @@ func (c *Near) Settle(v NodeID) bool {
 //
 //scmplint:hotpath
 func (c *Near) Delay(v NodeID) float64 {
-	if c.p.pos[v] != posSettled {
-		return math.Inf(1)
+	if s := c.at(v); s >= 0 {
+		return c.p.Delay[s]
 	}
-	return c.p.Delay[v]
+	return inf
 }
 
 // Cost returns the cost along the row's path to v, +Inf unless v is
@@ -283,19 +353,19 @@ func (c *Near) Delay(v NodeID) float64 {
 //
 //scmplint:hotpath
 func (c *Near) Cost(v NodeID) float64 {
-	if c.p.pos[v] != posSettled {
-		return math.Inf(1)
+	if s := c.at(v); s >= 0 {
+		return c.p.Cost[s]
 	}
-	return c.p.Cost[v]
+	return inf
 }
 
 // To returns the row's path from its source to v (see Paths.To), nil
 // unless v is settled.
 func (c *Near) To(v NodeID) []NodeID {
-	if c.p.pos[v] != posSettled {
+	if c.at(v) < 0 {
 		return nil
 	}
-	return c.p.To(v)
+	return c.p.walk(v)
 }
 
 // Materialized reports how many rows exist so far, complete or
@@ -313,11 +383,15 @@ func (ap *AllPairs) Materialized() int {
 
 // MemoryBytes is the modelled resident size of the materialised rows,
 // 32n + 96 bytes each: n entries of 32 bytes (the four label arrays a
-// row shows its readers; the live layout packs the search state into
-// the same 32, see Paths.start) plus fixed header overhead. Lazy tables
-// only pay for rows actually consulted. The domains experiment reports
-// this figure as resident routing-table memory, so the formula is part
-// of that table's byte-identity contract and stays as it is.
+// complete row shows its readers) plus fixed header overhead — what an
+// m-router that keeps whole routing rows holds, whatever this process
+// has allocated for them: a dense row weighs just that, a sparse one
+// 44 bytes for each router its search has labelled. Lazy tables only
+// pay for rows actually consulted. The domains experiment reports this
+// figure as resident routing-table memory, so the formula is part of
+// that table's byte-identity contract and stays as it is (DESIGN.md §8
+// has the decision record); measured memory is the benchmark's
+// peak_rss_mb.
 func (ap *AllPairs) MemoryBytes() int64 {
 	n := int64(len(ap.rows))
 	perRow := 32*n + 96

@@ -56,26 +56,52 @@ func TestShortestUnreachable(t *testing.T) {
 }
 
 // An id outside [0, n) — core's "no upstream" is -1 — is unreachable
-// and has no path, on either side of the range.
+// and has no path, on either side of the range: for a complete row, and
+// for a Near cursor before and after it is asked to settle the id, on a
+// line short enough for its row to start dense and one long enough for
+// it to start sparse.
 func TestPathsOutOfRangeIDs(t *testing.T) {
-	sp := Shortest(line(t, 3), 0, ByDelay)
-	for _, tc := range []struct {
-		dst   NodeID
-		reach bool
-		hops  int
-	}{
-		{-2, false, 0},
-		{-1, false, 0},
-		{0, true, 1},
-		{2, true, 3},
-		{3, false, 0},
-		{1 << 40, false, 0},
-	} {
-		if got := sp.Reachable(tc.dst); got != tc.reach {
-			t.Errorf("Reachable(%d) = %v, want %v", tc.dst, got, tc.reach)
+	for _, n := range []int{4, 2 * sparseSlots * sparseDiv} {
+		g := line(t, n)
+		sp := Shortest(g, 0, ByDelay)
+		c := NewLazyAllPairs(g, ByDelay).Near(0)
+		if sparse := c.p.ids != nil; sparse != (n > 4) {
+			t.Fatalf("n=%d: cursor's row starts sparse = %v", n, sparse)
 		}
-		if got := sp.To(tc.dst); len(got) != tc.hops || (got == nil) != !tc.reach {
-			t.Errorf("To(%d) = %v, want %d nodes", tc.dst, got, tc.hops)
+		for _, tc := range []struct {
+			dst   NodeID
+			reach bool
+			hops  int
+		}{
+			{-2, false, 0},
+			{-1, false, 0},
+			{NodeID(n), false, 0},
+			{1 << 40, false, 0},
+			{0, true, 1},
+			{2, true, 3},
+			{NodeID(n - 1), true, n}, // settles the whole line: the sparse row is promoted
+		} {
+			if got := sp.Reachable(tc.dst); got != tc.reach {
+				t.Errorf("n=%d: Reachable(%d) = %v, want %v", n, tc.dst, got, tc.reach)
+			}
+			if got := sp.To(tc.dst); len(got) != tc.hops || (got == nil) != !tc.reach {
+				t.Errorf("n=%d: To(%d) = %v, want %d nodes", n, tc.dst, got, tc.hops)
+			}
+			// Nothing but the source is settled until the cursor is asked.
+			if tc.dst != 0 && (!math.IsInf(c.Delay(tc.dst), 1) || !math.IsInf(c.Cost(tc.dst), 1) || c.To(tc.dst) != nil) {
+				t.Errorf("n=%d: cursor reads unsettled %d: delay %v cost %v path %v", n, tc.dst, c.Delay(tc.dst), c.Cost(tc.dst), c.To(tc.dst))
+			}
+			if got := c.Settle(tc.dst); got != tc.reach {
+				t.Errorf("n=%d: cursor Settle(%d) = %v, want %v", n, tc.dst, got, tc.reach)
+			}
+			wantDelay, wantCost := math.Inf(1), math.Inf(1)
+			if tc.reach {
+				wantDelay, wantCost = sp.Delay[tc.dst], sp.Cost[tc.dst]
+			}
+			if c.Delay(tc.dst) != wantDelay || c.Cost(tc.dst) != wantCost || len(c.To(tc.dst)) != tc.hops {
+				t.Errorf("n=%d: cursor reads %d after Settle: delay %v cost %v path of %d, want %v %v %d",
+					n, tc.dst, c.Delay(tc.dst), c.Cost(tc.dst), len(c.To(tc.dst)), wantDelay, wantCost, tc.hops)
+			}
 		}
 	}
 }

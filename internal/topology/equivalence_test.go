@@ -321,4 +321,22 @@ func TestEngineScratchReuseIsClean(t *testing.T) {
 	small := Arpanet()
 	NewEngine(small).ShortestInto(&row, 3, ByCost, nil)
 	samePaths(t, "reuse on a smaller graph", &row, shortestRef(small, 3, ByCost, nil))
+
+	// And after it has been a sparse row — left suspended before its
+	// first growth step, then again after it — on the graph it was
+	// sparse for and on the smaller one its arrays are then too big for.
+	big := line(t, 2*sparseSlots*sparseDiv)
+	for _, pops := range []int{sparseSlots / 2, sparseSlots + sparseSlots/4} {
+		row.start(big.N(), 5, ByDelay, true)
+		row.advance(big.CSR(), ByDelay, nil, pops, -1)
+		if row.ids == nil || row.queued == 0 || (len(row.ids) > sparseSlots) != (pops > sparseSlots) {
+			t.Fatalf("fixture: row after %d pops is sparse = %v, %d slots, %d queued", pops, row.ids != nil, len(row.ids), row.queued)
+		}
+		NewEngine(big).ShortestInto(&row, 7, ByCost, nil)
+		samePaths(t, fmt.Sprintf("reuse after %d sparse pops", pops), &row, shortestRef(big, 7, ByCost, nil))
+		row.start(big.N(), 5, ByDelay, true)
+		row.advance(big.CSR(), ByDelay, nil, pops, -1)
+		e.ShortestInto(&row, 9, ByDelay, nil)
+		samePaths(t, fmt.Sprintf("reuse on a smaller graph after %d sparse pops", pops), &row, shortestRef(g, 9, ByDelay, nil))
+	}
 }

@@ -1,14 +1,14 @@
 package topology
 
 // frontier is the indexed 4-ary min-heap of a Dijkstra search's queued
-// routers. It holds router ids only — four bytes an entry — and reads
+// routers. It holds row slots only — four bytes an entry — and reads
 // each key through the row's dist array, so the heap can live inside
 // the row it serves (see Paths) and a suspended search costs no memory
 // a complete row does not. The 4-ary shape halves the tree depth of a
 // binary heap, trading slightly wider sift-down scans for fewer levels
 // per percolation.
 //
-// The heap is *indexed*: pos tracks each queued router's slot, so a
+// The heap is *indexed*: pos tracks each queued router's heap index, so a
 // relaxation that improves an already-queued router decreases its key
 // in place instead of pushing a duplicate. The heap never exceeds |V|
 // entries and each router pops exactly once.
@@ -20,12 +20,16 @@ package topology
 // implicitly by heap layout — pop order is a pure function of the set
 // of queued (router, key) pairs.
 //
-// A frontier is a view: items, pos and dist alias the row's arrays, and
-// the caller stores len(items) back when it is done.
+// A frontier is a view: items, pos, dist and ids alias the row's arrays,
+// and the caller stores len(items) back when it is done. Entries are row
+// slots: the router itself in the dense layout (ids == nil), an index
+// into ids in the sparse one (see Paths), where the id rung of the
+// ladder compares the routers the slots stand for.
 type frontier struct {
-	items []int32   // heap slots; cap is the row's whole order array
-	pos   []int32   // pos[v]: v's slot while queued, posUnseen / posSettled otherwise
-	dist  []float64 // dist[v]: v's key
+	items []int32   // heap of slots; cap is the row's whole order array
+	pos   []int32   // pos[s]: s's heap index while queued, posUnseen / posSettled otherwise
+	dist  []float64 // dist[s]: s's key
+	ids   []int32   // ids[s]: the router in slot s; nil when slot == router
 }
 
 const (
@@ -33,21 +37,24 @@ const (
 	posSettled int32 = -2 // popped: label and parent are final
 )
 
-// frontLess is the (dist, id) ladder. Written as two strict
-// comparisons — never float equality — so NaNs sink and exact ties fall
-// through to the id comparison.
-func frontLess(a int32, da float64, b int32, db float64) bool {
+// less is the (dist, id) ladder over slots a and b with keys da and db.
+// Written as two strict comparisons — never float equality — so NaNs
+// sink and exact ties fall through to the id comparison.
+func (h *frontier) less(a int32, da float64, b int32, db float64) bool {
 	if da < db {
 		return true
 	}
 	if db < da {
 		return false
 	}
+	if h.ids != nil {
+		return h.ids[a] < h.ids[b]
+	}
 	return a < b
 }
 
-// push queues v, or restores the heap after v's key decreased when it
-// is already queued; dist[v] holds the new key. Keys never increase
+// push queues slot v, or restores the heap after v's key decreased when
+// it is already queued; dist[v] holds the new key. Keys never increase
 // during Dijkstra, so an existing entry only ever sifts up.
 func (h *frontier) push(v int32) {
 	i := int(h.pos[v])
@@ -59,7 +66,7 @@ func (h *frontier) push(v int32) {
 	for i > 0 {
 		parent := (i - 1) >> 2
 		q := h.items[parent]
-		if !frontLess(v, dv, q, h.dist[q]) {
+		if !h.less(v, dv, q, h.dist[q]) {
 			break
 		}
 		h.items[i] = q
@@ -70,7 +77,7 @@ func (h *frontier) push(v int32) {
 	h.pos[v] = int32(i)
 }
 
-// pop removes and returns the minimum router, marking it settled.
+// pop removes and returns the minimum slot, marking it settled.
 func (h *frontier) pop() int32 {
 	top := h.items[0]
 	h.pos[top] = posSettled
@@ -96,11 +103,11 @@ func (h *frontier) pop() int32 {
 		dmin := h.dist[min]
 		for c := first + 1; c < end; c++ {
 			q := h.items[c]
-			if dq := h.dist[q]; frontLess(q, dq, min, dmin) {
+			if dq := h.dist[q]; h.less(q, dq, min, dmin) {
 				mi, min, dmin = c, q, dq
 			}
 		}
-		if !frontLess(min, dmin, it, dit) {
+		if !h.less(min, dmin, it, dit) {
 			break
 		}
 		h.items[i] = min
