@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-baseline test test-invariants loc bench bench-all bench-quick bench-routing bench-dataplane bench-dataplane-quick bench-churn bench-dcdm bench-dcdm-quick bench-domains smoke-parallel smoke-faults smoke-churn smoke-dcdm smoke-domains smoke-fuzz fmt
+.PHONY: all build lint lint-baseline test test-invariants loc bench bench-all bench-quick bench-routing bench-dataplane bench-dataplane-quick bench-churn bench-dcdm bench-dcdm-quick bench-domains smoke-parallel smoke-faults smoke-churn smoke-dcdm smoke-domains smoke-fuzz results-check fmt
 
 all: lint test
 
@@ -158,6 +158,18 @@ smoke-fuzz:
 # quick Fig. 7 sweep fanned over 4 workers.
 smoke-parallel:
 	$(GO) run -race ./cmd/scmpsim -experiment fig7 -quick -parallel 4 -out /dev/null
+
+# Recorded-results gate: results_full.txt (what EXPERIMENTS.md quotes) is
+# exactly what `scmpsim -experiment all` prints, serial and at the
+# default width. Regenerate the file with
+# `go run ./cmd/scmpsim -experiment all -out results_full.txt` when a
+# change is meant to move the tables.
+results-check:
+	$(GO) run ./cmd/scmpsim -experiment all -parallel 1 -out results_check_p1.txt
+	$(GO) run ./cmd/scmpsim -experiment all -parallel 0 -out results_check_p0.txt
+	cmp results_check_p1.txt results_full.txt
+	cmp results_check_p0.txt results_full.txt
+	rm -f results_check_p1.txt results_check_p0.txt
 
 # Chaos smoke: the fault-injection sweep (loss + link cuts + repair)
 # in quick mode, race detector on and runtime invariants armed.
