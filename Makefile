@@ -165,11 +165,8 @@ smoke-parallel:
 # `go run ./cmd/scmpsim -experiment all -out results_full.txt` when a
 # change is meant to move the tables.
 results-check:
-	$(GO) run ./cmd/scmpsim -experiment all -parallel 1 -out results_check_p1.txt
-	$(GO) run ./cmd/scmpsim -experiment all -parallel 0 -out results_check_p0.txt
-	cmp results_check_p1.txt results_full.txt
-	cmp results_check_p0.txt results_full.txt
-	rm -f results_check_p1.txt results_check_p0.txt
+	$(GO) run ./cmd/scmpsim -experiment all -parallel 1 | cmp - results_full.txt
+	$(GO) run ./cmd/scmpsim -experiment all -parallel 0 | cmp - results_full.txt
 
 # Chaos smoke: the fault-injection sweep (loss + link cuts + repair)
 # in quick mode, race detector on and runtime invariants armed.

@@ -235,11 +235,10 @@ func (nopProto) SendData(topology.NodeID, packet.GroupID, int, uint64) {}
 
 // TestFaultReconvergeAllocFloor pins the cost model of lazy
 // reconvergence: a LinkDown + LinkUp pair on the 400-node Waxman, with
-// 8 substrate rows consulted after each event, allocates O(1) bytes —
-// the two scheduled closures — because the next-hop table is
-// invalidated in place and stale rows refill on the table's own
-// scratch. An eager rebuild allocated a fresh n*n table per event
-// (2 x 640 KB per pair here).
+// 8 unicast destinations consulted after each event, allocates O(1)
+// bytes — the two scheduled closures — because the next-hop table is
+// reset in place and the rows it retires are the arrays the next ones
+// are started on. Fresh rows each time would be 8 x 12.9 KB per event.
 func TestFaultReconvergeAllocFloor(t *testing.T) {
 	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -252,11 +251,11 @@ func TestFaultReconvergeAllocFloor(t *testing.T) {
 	consulted := []topology.NodeID{0, 7, 42, 99, 123, 250, 311, 399}
 	consult := func() {
 		n.Run()
-		for _, s := range consulted {
-			n.Next.Row(s)
+		for _, dst := range consulted {
+			n.Next.Hop(1, dst)
 		}
 		if got := n.Next.Materialized(); got != len(consulted) {
-			t.Fatalf("%d rows current after consulting %d", got, len(consulted))
+			t.Fatalf("%d rows started after consulting %d destinations", got, len(consulted))
 		}
 	}
 	pair := func() {
@@ -265,7 +264,7 @@ func TestFaultReconvergeAllocFloor(t *testing.T) {
 		f.ScheduleLinkUp(n.Now(), u, v)
 		consult()
 	}
-	pair() // size the refill scratch
+	pair() // start the rows every later pair recycles
 
 	const pairs, budget = 50, 1 << 10 // bytes per pair
 	var before, after runtime.MemStats
@@ -277,7 +276,7 @@ func TestFaultReconvergeAllocFloor(t *testing.T) {
 	per := (after.TotalAlloc - before.TotalAlloc) / pairs
 	t.Logf("%d bytes per fault pair", per)
 	if per > budget {
-		t.Errorf("fault pair + %d consulted rows allocates %d bytes, budget %d; "+
+		t.Errorf("fault pair + %d consulted destinations allocates %d bytes, budget %d; "+
 			"run `go run ./cmd/scmplint -only hotalloc ./internal/topology/ ./internal/netsim/` to locate the new allocation site",
 			len(consulted), per, budget)
 	}

@@ -339,11 +339,12 @@ func BenchmarkChurn(b *testing.B) {
 // costs: the fault layer's apply on a 400-node SCMP network (arc-mask
 // update, substrate invalidation, the m-router's fresh lazy path
 // tables), then the rows a local repair typically consults before the
-// next event — k = 8 substrate next-hop rows plus the same 8 sources in
-// the delay and cost repair tables. Events alternate cut and restore of
-// one link, so half the rows are masked and half are not. Nothing here
-// is sharded any more; the serial and default-GOMAXPROCS arms show
-// that the cost no longer depends on the worker pool.
+// next event — k = 8 unicast destinations in the substrate's next-hop
+// table plus the same 8 routers as sources in the delay and cost repair
+// tables. Events alternate cut and restore of one link, so half the
+// rows are masked and half are not. Nothing here is sharded any more;
+// the serial and default-GOMAXPROCS arms show that the cost no longer
+// depends on the worker pool.
 func BenchmarkFaultRecompute(b *testing.B) {
 	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -368,7 +369,7 @@ func BenchmarkFaultRecompute(b *testing.B) {
 			d := topology.NewLazyAllPairsAvoid(g, topology.ByDelay, down)
 			c := topology.NewLazyAllPairsAvoid(g, topology.ByCost, down)
 			for _, s := range consulted {
-				n.Next.Row(s)
+				n.Next.Hop(1, s)
 				d.Row(s)
 				c.Row(s)
 			}

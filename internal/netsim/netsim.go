@@ -126,7 +126,7 @@ type Network struct {
 	G       *topology.Graph
 	Sched   *des.Scheduler
 	Metrics *metrics.Collector
-	Next    *topology.NextHopTable // unicast next hops by shortest delay, flat n*n
+	Next    *topology.NextHopTable // unicast next hops by shortest delay, one lazy row per destination
 	Proto   Protocol
 
 	seq        uint64
@@ -175,9 +175,10 @@ const (
 	opSelf                 // self-delivery of a locally injected packet
 )
 
-// New builds a network over g running proto. It precomputes the unicast
-// next-hop tables, registers the link table with the metrics collector,
-// and attaches the protocol.
+// New builds a network over g running proto. It creates the unicast
+// next-hop table (empty: a destination's routes are computed when first
+// consulted), registers the link table with the metrics collector, and
+// attaches the protocol.
 func New(g *topology.Graph, proto Protocol) *Network {
 	return build(g, proto, false)
 }
@@ -314,8 +315,8 @@ func (n *Network) Now() des.Time { return n.Sched.Now() }
 
 // RecomputeRoutes reconverges the unicast next-hop table onto the
 // current topology, masking out faulted links and crashed routers:
-// every row goes stale (n.Next keeps its identity) and is recomputed
-// when first consulted. The fault layer calls it before notifying
+// every destination's row is dropped (n.Next keeps its identity) and
+// recomputed when first consulted. The fault layer calls it before notifying
 // listeners of any change; it is also safe to call directly.
 func (n *Network) RecomputeRoutes() {
 	var down []bool

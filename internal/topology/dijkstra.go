@@ -159,6 +159,7 @@ type AllPairs struct {
 	w    Weight
 	down []bool
 	rows []*Paths
+	free []*Paths // rows retired by reset, reused by row before it allocates
 }
 
 // allPairsChunk is how many consecutive source rows one worker computes
@@ -173,28 +174,19 @@ func NewAllPairs(g *Graph, w Weight) *AllPairs {
 }
 
 // NewAllPairsAvoid is NewAllPairs over the subgraph that excludes the
-// arcs set in the mask (see CSR).
+// arcs set in the mask (see CSR). Each job of the deterministic worker
+// pool computes allPairsChunk consecutive rows, a disjoint set, so
+// workers never write the same slot.
 func NewAllPairsAvoid(g *Graph, w Weight, down []bool) *AllPairs {
 	ap := NewLazyAllPairsAvoid(g, w, down)
-	eachSourceChunk(g, func(e *Engine, lo, hi int) {
-		for u := lo; u < hi; u++ {
+	n, e := g.N(), NewEngine(g)
+	runner.Map(runner.Options{}, (n+allPairsChunk-1)/allPairsChunk, func(ci int) struct{} {
+		for u := ci * allPairsChunk; u < min((ci+1)*allPairsChunk, n); u++ {
 			ap.rows[u] = e.ShortestAvoid(NodeID(u), w, down)
 		}
-	})
-	return ap
-}
-
-// eachSourceChunk runs fn over the sources [0, n) in allPairsChunk-sized
-// ranges on the deterministic worker pool. Each range owns a disjoint
-// set of rows, so workers never write the same slot.
-func eachSourceChunk(g *Graph, fn func(e *Engine, lo, hi int)) {
-	n := g.N()
-	e := NewEngine(g)
-	runner.Map(runner.Options{}, (n+allPairsChunk-1)/allPairsChunk, func(ci int) struct{} {
-		lo := ci * allPairsChunk
-		fn(e, lo, min(lo+allPairsChunk, n))
 		return struct{}{}
 	})
+	return ap
 }
 
 // NewLazyAllPairs returns an AllPairs whose rows are started on first
@@ -242,11 +234,30 @@ func (ap *AllPairs) Row(src NodeID) *Paths {
 func (ap *AllPairs) row(src NodeID, lazy bool) *Paths {
 	p := ap.rows[src]
 	if p == nil {
-		p = &Paths{} //scmplint:ignore hotalloc — a source's first touch; afterwards a slice load
+		if k := len(ap.free); k > 0 {
+			p, ap.free = ap.free[k-1], ap.free[:k-1]
+		} else {
+			p = &Paths{} //scmplint:ignore hotalloc — a source's first touch; afterwards a slice load
+		}
 		p.start(len(ap.rows), src, ap.w, lazy)
 		ap.rows[src] = p
 	}
 	return p
+}
+
+// reset reconverges a lazy table in place onto a new arc mask: every
+// started row is retired to the free list, where row finds its arrays
+// again (start reuses them when they are big enough), so a table that
+// is reset and consulted over and over stops allocating. Rows and
+// cursors handed out before the reset are dead.
+func (ap *AllPairs) reset(down []bool) {
+	ap.down = down
+	for i, p := range ap.rows {
+		if p != nil {
+			ap.free = append(ap.free, p)
+			ap.rows[i] = nil
+		}
+	}
 }
 
 // Near is a cursor over one source's row in settle order — nearest

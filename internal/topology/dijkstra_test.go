@@ -207,36 +207,8 @@ func TestNextHopConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := NextHop(g)
 	// Following next-hops from any u must reach v with the shortest delay.
-	ap := NewAllPairs(g, ByDelay)
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
-			if u == v {
-				if next.Hop(NodeID(u), NodeID(v)) != -1 {
-					t.Fatalf("next[%d][%d] = %d, want -1", u, v, next.Hop(NodeID(u), NodeID(v)))
-				}
-				continue
-			}
-			delay := 0.0
-			cur := NodeID(u)
-			for hops := 0; cur != NodeID(v); hops++ {
-				if hops > g.N() {
-					t.Fatalf("next-hop loop from %d to %d", u, v)
-				}
-				nh := next.Hop(cur, NodeID(v))
-				l, ok := g.Edge(cur, nh)
-				if !ok {
-					t.Fatalf("next hop %d->%d not adjacent to %d", cur, nh, cur)
-				}
-				delay += l.Delay
-				cur = nh
-			}
-			if math.Abs(delay-ap.Row(NodeID(u)).Delay[v]) > 1e-9 {
-				t.Fatalf("next-hop delay %d->%d = %g, want %g", u, v, delay, ap.Row(NodeID(u)).Delay[v])
-			}
-		}
-	}
+	checkForwarding(t, "random30", g, NextHop(g), nil, true)
 }
 
 func TestPathDelayPanicsOnNonPath(t *testing.T) {

@@ -7,10 +7,9 @@ import (
 
 // Engine runs Dijkstra over a graph's CSR view. All of a search's state
 // lives in the Paths row it fills (see Paths), so callers that consume
-// rows transiently — all-pairs shards, next-hop table rows, per-source
-// experiment loops — reuse one Paths across sources and stop
-// allocating; the engine itself only names the immutable CSR and may
-// be shared.
+// rows transiently — Diameter's scan, per-source experiment loops —
+// reuse one Paths across sources and stop allocating; the engine itself
+// only names the immutable CSR and may be shared.
 //
 // Determinism: the result of a run is a pure function of
 // (graph, src, weight, mask), independent of heap internals and of
@@ -51,9 +50,9 @@ func (e *Engine) ShortestAvoid(src NodeID, w Weight, down []bool) *Paths {
 
 // ShortestInto runs Dijkstra from src under w, writing the result into
 // p's existing buffers (grown only when the graph is larger than any
-// previous run). Callers that consume a row transiently — next-hop
-// construction, per-source sweeps — reuse one Paths across sources and
-// allocate nothing after the first call.
+// previous run). Callers that consume a row transiently — per-source
+// sweeps — reuse one Paths across sources and allocate nothing after
+// the first call.
 //
 //scmplint:hotpath
 func (e *Engine) ShortestInto(p *Paths, src NodeID, w Weight, down []bool) {

@@ -11,12 +11,14 @@ import (
 // engine: on every tested topology family, with and without avoid
 // masks, the CSR/4-ary-heap engine must produce EXACTLY the same
 // Dist/Delay/Cost/Parent rows as the preserved container/heap
-// reference (ref.go). Exact float equality is intentional — both
+// reference (ref_test.go). Exact float equality is intentional — both
 // implementations accumulate delay and cost in the same parent-chain
 // order, so agreement is bit-for-bit, and any drift is a real behaviour
-// change, not representation noise. (The next-hop table's gate lives
-// with the fault layer that drives it: netsim's
-// TestEquivalenceLazyReconvergence.)
+// change, not representation noise. The next-hop table is a view over
+// the same rows, rooted at the destination; its gates are below (first
+// hops where paths are unique, forwarding where they are not) and, for
+// the fault layer that drives it, netsim's
+// TestEquivalenceLazyReconvergence.
 
 // equivGraphs builds the test topologies: random Waxman instances,
 // transit-stub hierarchies, flat random graphs, the fixed ARPANET map,
@@ -208,9 +210,10 @@ func TestLazyAllPairsComputesOnlyConsultedRows(t *testing.T) {
 }
 
 // TestLazyNextHopRefillsOnlyConsultedRows pins in-place reconvergence:
-// Invalidate leaves every row stale without reallocating, consulting k
-// sources refills exactly k rows, and each holds the first hops of the
-// engine's masked shortest-path tree.
+// a fresh table has started nothing, consulting k distinct destinations
+// starts exactly k rows, and Invalidate drops the count to 0 — without
+// allocating once a first round has sized the free list, and neither do
+// the rows started after it.
 func TestLazyNextHopRefillsOnlyConsultedRows(t *testing.T) {
 	wg, err := Waxman(DefaultWaxman(50), rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -218,34 +221,163 @@ func TestLazyNextHopRefillsOnlyConsultedRows(t *testing.T) {
 	}
 	g := wg.Graph
 	table := NextHop(g)
-	if got := table.Materialized(); got != g.N() {
-		t.Fatalf("fresh table has %d of %d rows current", got, g.N())
+	if got := table.Materialized(); got != 0 {
+		t.Fatalf("fresh table has %d rows started", got)
 	}
-	backing := &table.hops[0]
-	for name, mask := range equivAvoids(g, 13) {
+	round := func(name string, mask []bool) {
 		table.Invalidate(mask)
 		if got := table.Materialized(); got != 0 {
-			t.Fatalf("%s: %d rows current right after Invalidate", name, got)
+			t.Fatalf("%s: %d rows started right after Invalidate", name, got)
 		}
-		for _, u := range []NodeID{0, 7, 7, 21} {
-			sp := NewEngine(g).ShortestAvoid(u, ByDelay, mask)
-			for v := 0; v < g.N(); v++ {
-				want := NodeID(-1)
-				if path := sp.To(NodeID(v)); len(path) > 1 {
-					want = path[1]
+		for i, v := range []NodeID{0, 7, 7, 21, 33} {
+			table.Hop(NodeID(i), v)
+		}
+		if got := table.Materialized(); got != 4 {
+			t.Fatalf("%s: after consulting 4 distinct destinations: %d rows started", name, got)
+		}
+	}
+	for name, mask := range equivAvoids(g, 13) {
+		round(name, mask)
+		if allocs := testing.AllocsPerRun(10, func() { round(name, mask) }); allocs != 0 {
+			t.Fatalf("%s: Invalidate + 4 recycled rows allocate %v objects", name, allocs)
+		}
+	}
+}
+
+// tieFreeGraphs are the generated families, whose delays are continuous
+// draws: shortest-delay paths are unique there, so the first hop has
+// one right answer whichever end the tree is rooted at.
+func tieFreeGraphs(t testing.TB) map[string]*Graph {
+	graphs := map[string]*Graph{"arpanet": Arpanet(), "waxman400": benchGraph(t)}
+	for _, deg := range []float64{3, 5} {
+		rg, err := Random(DefaultRandom(50, deg), rand.New(rand.NewSource(int64(deg))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[fmt.Sprintf("random50-deg%v", deg)] = rg
+	}
+	ts, _, err := TransitStub(DefaultTransitStub(), rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs["transitstub"] = ts
+	return graphs
+}
+
+// checkForwarding follows next from every router to every destination:
+// hop by hop it must arrive within n steps over live links, at exactly
+// the delay of the source's own shortest-path row under the mask, and a
+// pair that row cannot connect must read -1. It returns how many pairs
+// leave on another first hop than that row's path does — a tie taken
+// the other way; with unique set, that is a failure too.
+func checkForwarding(t *testing.T, label string, g *Graph, next *NextHopTable, mask []bool, unique bool) (differ int) {
+	t.Helper()
+	c, e := g.CSR(), NewEngine(g)
+	for u := 0; u < g.N(); u++ {
+		sp := e.ShortestAvoid(NodeID(u), ByDelay, mask)
+		for v := 0; v < g.N(); v++ {
+			path := sp.To(NodeID(v))
+			if len(path) < 2 {
+				if nh := next.Hop(NodeID(u), NodeID(v)); nh != -1 {
+					t.Fatalf("%s: hop(%d,%d) = %d, want -1", label, u, v, nh)
 				}
-				if got := table.Hop(u, NodeID(v)); got != want {
-					t.Fatalf("%s: hop(%d,%d) = %d, want %d", name, u, v, got, want)
+				continue
+			}
+			if nh := next.Hop(NodeID(u), NodeID(v)); nh != path[1] {
+				if unique {
+					t.Fatalf("%s: hop(%d,%d) = %d, want %d", label, u, v, nh, path[1])
+				}
+				differ++
+			}
+			delay, cur := 0.0, NodeID(u)
+			for steps := 0; cur != NodeID(v); steps++ {
+				if steps > g.N() {
+					t.Fatalf("%s: next-hop loop from %d to %d", label, u, v)
+				}
+				nh := next.Hop(cur, NodeID(v))
+				a, hi := c.Row(cur)
+				for a < hi && c.dst[a] != nh {
+					a++
+				}
+				if a == hi || (mask != nil && mask[a]) {
+					t.Fatalf("%s: next hop %d->%d toward %d is not a live link", label, cur, nh, v)
+				}
+				delay += c.delay[a]
+				cur = nh
+			}
+			if delay != sp.Delay[v] {
+				t.Fatalf("%s: forwarding %d->%d takes %g, shortest is %g", label, u, v, delay, sp.Delay[v])
+			}
+		}
+	}
+	return differ
+}
+
+// TestEquivalenceNextHopTieFree is the gate on the destination-rooted
+// table: wherever shortest paths are unique, Hop(u, v) is the second
+// router of the engine's path from u to v — for every pair, under every
+// mask shape — and -1 when u == v or v is out of reach.
+func TestEquivalenceNextHopTieFree(t *testing.T) {
+	for name, g := range tieFreeGraphs(t) {
+		next := NextHop(g)
+		for avoidName, mask := range equivAvoids(g, 21) {
+			next.Invalidate(mask)
+			checkForwarding(t, name+"/"+avoidName, g, next, mask, true)
+		}
+	}
+}
+
+// TestPropertyNextHopForwardingUnderTies forces the case the tie-free
+// gate leaves out: delays drawn from {1, 2, 3}, so equal-delay routes
+// are everywhere and the destination-rooted first hop often differs
+// from the source-rooted one. Forwarding must still be loop-free and
+// optimal under random symmetric masks, because every router on the
+// way reads the same tree.
+func TestPropertyNextHopForwardingUnderTies(t *testing.T) {
+	iters := 40
+	if testing.Short() {
+		iters = 10
+	}
+	differ := 0
+	for seed := int64(0); seed < int64(iters); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(59)
+		g := New(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < 4/float64(n) {
+					g.MustAddEdge(NodeID(u), NodeID(v), float64(1+rng.Intn(3)), float64(1+rng.Intn(3)))
 				}
 			}
 		}
-		table.Row(33)
-		if got := table.Materialized(); got != 4 {
-			t.Fatalf("%s: after consulting 4 distinct sources: %d rows current", name, got)
+		next := NextHop(g)
+		for avoidName, mask := range equivAvoids(g, seed) {
+			next.Invalidate(mask)
+			differ += checkForwarding(t, fmt.Sprintf("seed %d (n=%d)/%s", seed, n, avoidName), g, next, mask, false)
 		}
 	}
-	if backing != &table.hops[0] {
-		t.Fatal("Invalidate reallocated the table")
+	if differ == 0 {
+		t.Fatal("fixture: no pair took an equal-delay first hop other than the source row's; the ties were not exercised")
+	}
+	t.Logf("%d pairs forwarded over a different equal-delay first hop", differ)
+}
+
+// TestNextHopOutOfRangePanics pins that an id outside [0, n) on either
+// side fails loudly instead of answering for some other pair, as a
+// flat u*n+v index would: (0, n) is (1, 0) there.
+func TestNextHopOutOfRangePanics(t *testing.T) {
+	g := Arpanet()
+	n := NodeID(g.N())
+	next := NextHop(g)
+	for _, tc := range [][2]NodeID{{0, n}, {n, 0}, {0, -1}, {-1, 0}, {n - 1, n + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Hop(%d, %d) on %d routers did not panic", tc[0], tc[1], n)
+				}
+			}()
+			next.Hop(tc[0], tc[1])
+		}()
 	}
 }
 

@@ -7,8 +7,7 @@ import (
 
 // This file preserves the original container/heap Dijkstra as the
 // reference implementation the fast engine is differentially tested
-// against (see equivalence_test.go). It is test-only: nothing in the
-// production paths calls it, and the linker drops it from binaries.
+// against (see equivalence_test.go).
 //
 // The only change from the historical code is the same explicit
 // relaxation tie-break the engine uses — on an exact dist tie the
