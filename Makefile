@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-baseline test test-invariants loc bench bench-all bench-quick bench-routing bench-dataplane bench-dataplane-quick bench-churn bench-dcdm bench-dcdm-quick bench-domains smoke-parallel smoke-faults smoke-churn smoke-dcdm smoke-domains smoke-fuzz results-check fmt
+.PHONY: all build lint lint-baseline test test-invariants loc loc-check bench bench-all bench-quick bench-routing bench-dataplane bench-dataplane-quick bench-churn bench-dcdm bench-dcdm-quick bench-domains smoke-parallel smoke-faults smoke-churn smoke-dcdm smoke-domains smoke-fuzz results-check fmt
 
 all: lint test
 
@@ -48,6 +48,17 @@ loc:
 		$$2 ~ /^bench\// { b += $$1; next } \
 		{ n += $$1 } \
 		END { printf "non-test Go lines: %d (+ %d in bench/)\ntest Go lines:     %d\n", n, b, t }'
+
+# The ratchet on that metric: fail when non-test Go outside bench/ has
+# grown past the committed budget. A PR that removes code lowers
+# LOC_BUDGET to what `make loc` prints; one that must add code raises it
+# in the same diff, where a reviewer sees it.
+LOC_BUDGET := 19267
+loc-check:
+	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
+	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
+		echo "non-test Go lines: $$n exceeds LOC_BUDGET $(LOC_BUDGET)"; exit 1; fi; \
+	echo "non-test Go lines: $$n (budget $(LOC_BUDGET))"
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

@@ -36,15 +36,13 @@ func benchFig7Cfg() experiment.Fig7Config {
 // BenchmarkFig7TreeQuality regenerates Fig. 7 (a–f): tree delay and tree
 // cost for DCDM/KMB/SPT across group sizes and constraint levels.
 func BenchmarkFig7TreeQuality(b *testing.B) {
-	var points []experiment.Fig7Point
+	var tab experiment.Table
 	for i := 0; i < b.N; i++ {
-		points = experiment.RunFig7(benchFig7Cfg())
+		tab = experiment.RunFig7(benchFig7Cfg())
 	}
-	for _, p := range points {
-		if p.Level == "moderate" && p.GroupSize == 50 {
-			b.ReportMetric(p.TreeCost.Mean(), p.Algorithm+"_cost_g50")
-			b.ReportMetric(p.TreeDelay.Mean(), p.Algorithm+"_delay_g50")
-		}
+	for _, algo := range []string{"DCDM", "KMB", "SPT"} {
+		b.ReportMetric(tab.Value("tree_cost_mean", "moderate", 50, algo), algo+"_cost_g50")
+		b.ReportMetric(tab.Value("tree_delay_mean", "moderate", 50, algo), algo+"_delay_g50")
 	}
 }
 
@@ -62,15 +60,13 @@ func benchFig89Cfg() experiment.Fig89Config {
 // BenchmarkFig8Overhead regenerates Fig. 8 (a–f): data overhead and
 // protocol overhead per protocol.
 func BenchmarkFig8Overhead(b *testing.B) {
-	var points []experiment.Fig89Point
+	var tab experiment.Table
 	for i := 0; i < b.N; i++ {
-		points = experiment.RunFig89(benchFig89Cfg())
+		tab = experiment.RunFig89(benchFig89Cfg())
 	}
-	for _, p := range points {
-		if p.Topology == experiment.TopoRand3 && p.GroupSize == 24 {
-			b.ReportMetric(p.DataOverhead.Mean(), p.Protocol+"_data_g24")
-			b.ReportMetric(p.ProtoOverhead.Mean(), p.Protocol+"_proto_g24")
-		}
+	for _, proto := range experiment.Protocols {
+		b.ReportMetric(tab.Value("data_overhead_mean", experiment.TopoRand3, 24, proto), proto+"_data_g24")
+		b.ReportMetric(tab.Value("proto_overhead_mean", experiment.TopoRand3, 24, proto), proto+"_proto_g24")
 	}
 }
 
@@ -93,14 +89,12 @@ func BenchmarkFig89Parallelism(b *testing.B) {
 
 // BenchmarkFig9Delay regenerates Fig. 9 (a–c): maximum end-to-end delay.
 func BenchmarkFig9Delay(b *testing.B) {
-	var points []experiment.Fig89Point
+	var tab experiment.Table
 	for i := 0; i < b.N; i++ {
-		points = experiment.RunFig89(benchFig89Cfg())
+		tab = experiment.RunFig89(benchFig89Cfg())
 	}
-	for _, p := range points {
-		if p.Topology == experiment.TopoRand3 && p.GroupSize == 24 {
-			b.ReportMetric(p.MaxE2E.Mean()*1000, p.Protocol+"_maxdelay_ms_g24")
-		}
+	for _, proto := range experiment.Protocols {
+		b.ReportMetric(tab.Value("max_e2e_mean", experiment.TopoRand3, 24, proto)*1000, proto+"_maxdelay_ms_g24")
 	}
 }
 
@@ -108,26 +102,24 @@ func BenchmarkFig9Delay(b *testing.B) {
 // DCDM/KMB cost and delay relative to SPT per topology family.
 func BenchmarkFig7xFamilies(b *testing.B) {
 	cfg := experiment.Fig7xConfig{GroupSize: 15, Seeds: 2, Kappa: 1.5}
-	var points []experiment.Fig7xPoint
+	var tab experiment.Table
 	for i := 0; i < b.N; i++ {
-		points = experiment.RunFig7x(cfg)
+		tab = experiment.RunFig7x(cfg)
 	}
-	for _, p := range points {
-		if p.Algorithm == "DCDM" {
-			b.ReportMetric(p.CostVsSPT.Mean(), p.Family+"_dcdm_costratio")
-		}
+	for _, family := range experiment.Fig7xFamilies {
+		b.ReportMetric(tab.Value("cost_vs_spt", family, "DCDM"), family+"_dcdm_costratio")
 	}
 }
 
 // BenchmarkPlacement regenerates the §IV-A placement study.
 func BenchmarkPlacement(b *testing.B) {
 	cfg := experiment.PlacementConfig{Nodes: 60, GroupSize: 15, Seeds: 3, Trials: 5, Kappa: 1.5}
-	var points []experiment.PlacementPoint
+	var tab experiment.Table
 	for i := 0; i < b.N; i++ {
-		points = experiment.RunPlacement(cfg)
+		tab = experiment.RunPlacement(cfg)
 	}
-	for _, p := range points {
-		b.ReportMetric(p.TreeCost.Mean(), p.Rule+"_cost")
+	for _, rule := range experiment.PlacementRules {
+		b.ReportMetric(tab.Value("tree_cost_mean", rule), rule+"_cost")
 	}
 }
 
@@ -249,12 +241,12 @@ func BenchmarkStateScalability(b *testing.B) {
 		Nodes: 40, Degree: 4, Groups: []int{8},
 		Members: 6, Senders: 4, PacketsPer: 2, Seeds: 2,
 	}
-	var points []experiment.StatePoint
+	var tab experiment.Table
 	for i := 0; i < b.N; i++ {
-		points = experiment.RunState(cfg)
+		tab = experiment.RunState(cfg)
 	}
-	for _, p := range points {
-		b.ReportMetric(p.MaxState.Mean(), p.Protocol+"_maxstate_g8")
+	for _, proto := range experiment.Protocols {
+		b.ReportMetric(tab.Value("max_state_mean", 8, proto), proto+"_maxstate_g8")
 	}
 }
 
@@ -396,11 +388,7 @@ func BenchmarkDVMRPPruneLifetime(b *testing.B) {
 	results := map[des.Time]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, lt := range lifetimes {
-			for _, p := range experiment.RunFig89(cfgFor(lt)) {
-				if p.Protocol == "DVMRP" {
-					results[lt] = p.DataOverhead.Mean()
-				}
-			}
+			results[lt] = experiment.RunFig89(cfgFor(lt)).Value("data_overhead_mean", experiment.TopoRand3, 16, "DVMRP")
 		}
 	}
 	b.ReportMetric(results[2], "dvmrp_data_t2")

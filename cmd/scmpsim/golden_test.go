@@ -6,22 +6,20 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"scmp/internal/experiment"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick_* from the current -quick output")
 
-// goldenExperiments is every -experiment name the goldens pin.
-var goldenExperiments = []string{
-	"fig7", "fig7x", "fig8", "fig9", "placement", "state",
-	"concentration", "faults", "churn", "domains", "all",
-}
-
 // TestQuickGoldens pins every byte of `scmpsim -quick` for each
-// experiment name in both formats, serial and fanned over 4 workers:
-// the tables, the CSV records and the -quick shrink values themselves.
+// registered experiment name in both formats, serial and fanned over 4
+// workers: the tables, the CSV records and the -quick shrink values
+// themselves.
 // Regenerate deliberately with `go test ./cmd/scmpsim -run QuickGoldens -update`.
 func TestQuickGoldens(t *testing.T) {
-	for _, exp := range goldenExperiments {
+	for _, study := range experiment.Studies {
+		exp := study.Name
 		for _, format := range []string{"table", "csv"} {
 			ext := map[string]string{"table": "txt", "csv": "csv"}[format]
 			path := filepath.Join("testdata", "quick_"+exp+"."+ext)
@@ -46,5 +44,9 @@ func TestQuickGoldens(t *testing.T) {
 				}
 			}
 		}
+	}
+	if files, _ := filepath.Glob(filepath.Join("testdata", "quick_*")); len(files) != 2*len(experiment.Studies) {
+		t.Errorf("testdata holds %d quick_* goldens for %d registered experiments x 2 formats",
+			len(files), len(experiment.Studies))
 	}
 }

@@ -1,18 +1,18 @@
-// Command scmpsim regenerates the paper's evaluation figures:
+// Command scmpsim regenerates the paper's evaluation figures and the
+// companion studies, one -experiment at a time:
 //
-//	scmpsim -experiment fig7       # Fig. 7: tree delay / tree cost sweep
-//	scmpsim -experiment fig8       # Fig. 8: data + protocol overhead
-//	scmpsim -experiment fig9       # Fig. 9: maximum end-to-end delay
-//	scmpsim -experiment placement  # §IV-A m-router placement heuristics
-//	scmpsim -experiment all        # everything
+//	fig7, fig8, fig9   the paper's Fig. 7-9 sweeps (§IV)
+//	placement          §IV-A m-router placement heuristics
+//	fig7x, state, concentration
+//	                   Fig. 7 across topology families, and the §I
+//	                   routing-state and core-jam arguments
+//	all                everything above (the default)
+//	faults, churn, domains
+//	                   the chaos, membership-churn and hierarchical
+//	                   multi-domain sweeps
 //
-// Two more studies quantify the paper's architectural arguments:
-//
-//	scmpsim -experiment state          # §I routing-state scalability
-//	scmpsim -experiment concentration  # §I core jam vs regional m-routers
-//	scmpsim -experiment faults         # chaos sweep: loss + link failures
-//	scmpsim -experiment churn          # membership churn x overload protection
-//	scmpsim -experiment domains        # hierarchical multi-domain scalability
+// The names, their banners and their default and -quick configurations
+// live in internal/experiment's registry; `scmpsim -h` prints the list.
 //
 // Use -quick for a fast smoke run, -seeds to override the averaging
 // width, -parallel to bound the worker pool fanning (topology, seed)
@@ -25,6 +25,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
+
+	"scmp/internal/experiment"
 )
 
 func main() {
@@ -35,31 +38,23 @@ func main() {
 }
 
 func run(args []string, stdout io.Writer) error {
+	var help strings.Builder
+	for _, s := range experiment.Studies {
+		fmt.Fprintf(&help, "\n%-14s %s", s.Name, s.Doc)
+	}
 	fs := flag.NewFlagSet("scmpsim", flag.ContinueOnError)
-	experimentName := fs.String("experiment", "all", "fig7 | fig7x | fig8 | fig9 | placement | state | concentration | faults | churn | domains | all")
-	seeds := fs.Int("seeds", 0, "override the number of seeds (0 = paper default)")
-	quick := fs.Bool("quick", false, "shrink the sweep for a fast smoke run")
-	parallel := fs.Int("parallel", 0, "worker goroutines per experiment (0 = GOMAXPROCS, 1 = serial)")
-	outPath := fs.String("out", "", "write results to this file instead of stdout")
-	format := fs.String("format", "table", "table | csv")
+	opt := options{progress: os.Stderr}
+	fs.StringVar(&opt.experiment, "experiment", "all", "one of:"+help.String())
+	fs.IntVar(&opt.seeds, "seeds", 0, "override the number of seeds (0 = paper default)")
+	fs.BoolVar(&opt.quick, "quick", false, "shrink the sweep for a fast smoke run")
+	fs.IntVar(&opt.parallel, "parallel", 0, "worker goroutines per experiment (0 = GOMAXPROCS, 1 = serial)")
+	fs.StringVar(&opt.out, "out", "", "write results to this file instead of stdout")
+	fs.StringVar(&opt.format, "format", "table", "table | csv")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w := stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
-	return dispatch(w, options{
-		experiment: *experimentName,
-		seeds:      *seeds,
-		quick:      *quick,
-		parallel:   *parallel,
-		format:     *format,
-		progress:   os.Stderr,
-	})
+	return dispatch(stdout, opt)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,6 +112,49 @@ func TestRunWritesFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "placement") {
 		t.Fatalf("file content: %q", data)
+	}
+}
+
+// TestRunRejectsBeforeOpeningOutput: a value no run can honour is an
+// error, not a silent default — negative -seeds or -parallel, an unknown
+// experiment or format, stray positional arguments — and the -out file
+// is neither created nor truncated by a rejected invocation.
+func TestRunRejectsBeforeOpeningOutput(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seeds", "-2"},
+		{"-parallel", "-3"},
+		{"-experiment", "nope"},
+		{"-format", "json"},
+		{"fig7"},
+		{"-quick", "stray", "-seeds", "1"},
+	} {
+		out := filepath.Join(t.TempDir(), "res.txt")
+		args = append([]string{"-experiment", "placement", "-quick", "-out", out}, args...)
+		if err := run(args, &bytes.Buffer{}); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%v: rejected invocation touched -out (stat: %v)", args, err)
+		}
+	}
+}
+
+// TestAllCSVParsesTableByTable: -experiment all -format csv is one CSV
+// table per study, separated by blank lines, each of which encoding/csv
+// accepts (it rejects a change of field count within one table).
+func TestAllCSVParsesTableByTable(t *testing.T) {
+	var buf bytes.Buffer
+	if err := dispatch(&buf, options{experiment: "all", quick: true, format: "csv"}); err != nil {
+		t.Fatal(err)
+	}
+	tables := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n\n")
+	if len(tables) != 6 {
+		t.Fatalf("got %d blank-line-separated tables, want 6", len(tables))
+	}
+	for i, table := range tables {
+		if _, err := csv.NewReader(strings.NewReader(table)).ReadAll(); err != nil {
+			t.Errorf("table %d: %v", i, err)
+		}
 	}
 }
 

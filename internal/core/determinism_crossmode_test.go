@@ -69,7 +69,8 @@ func TestFaultsParallelMatchesSerial(t *testing.T) {
 			Parallel: parallel,
 		}
 		var buf bytes.Buffer
-		if err := experiment.WriteFaultsCSV(&buf, experiment.RunFaults(cfg)); err != nil {
+		res := experiment.RunFaults(cfg)
+		if err := experiment.WriteCSV(&buf, res.Loss, res.Recovery); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -133,7 +134,7 @@ func TestOtherExperimentsParallelMatchSerial(t *testing.T) {
 		{"fig7x", func(p int) []byte {
 			cfg := experiment.Fig7xConfig{GroupSize: 8, Seeds: 2, Kappa: 1.5, Parallel: p}
 			var buf bytes.Buffer
-			if err := experiment.WriteFig7xCSV(&buf, experiment.RunFig7x(cfg)); err != nil {
+			if err := experiment.WriteCSV(&buf, experiment.RunFig7x(cfg)); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
@@ -141,7 +142,7 @@ func TestOtherExperimentsParallelMatchSerial(t *testing.T) {
 		{"placement", func(p int) []byte {
 			cfg := experiment.PlacementConfig{Nodes: 40, GroupSize: 10, Seeds: 2, Trials: 3, Kappa: 1.5, Parallel: p}
 			var buf bytes.Buffer
-			if err := experiment.WritePlacementCSV(&buf, experiment.RunPlacement(cfg)); err != nil {
+			if err := experiment.WriteCSV(&buf, experiment.RunPlacement(cfg)); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
@@ -150,7 +151,7 @@ func TestOtherExperimentsParallelMatchSerial(t *testing.T) {
 			cfg := experiment.StateConfig{Nodes: 25, Degree: 3, Groups: []int{1, 2},
 				Members: 4, Senders: 2, PacketsPer: 1, Seeds: 2, Parallel: p}
 			var buf bytes.Buffer
-			if err := experiment.WriteStateCSV(&buf, experiment.RunState(cfg)); err != nil {
+			if err := experiment.WriteCSV(&buf, experiment.RunState(cfg)); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
@@ -159,7 +160,7 @@ func TestOtherExperimentsParallelMatchSerial(t *testing.T) {
 			cfg := experiment.ConcentrationConfig{Nodes: 25, Degree: 3, Groups: 2,
 				Members: 4, Senders: 3, Rounds: 1, Seeds: 2, Parallel: p}
 			var buf bytes.Buffer
-			if err := experiment.WriteConcentrationCSV(&buf, experiment.RunConcentration(cfg)); err != nil {
+			if err := experiment.WriteCSV(&buf, experiment.RunConcentration(cfg)); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()

@@ -12,7 +12,6 @@ import (
 	"scmp/internal/packet"
 	"scmp/internal/rng"
 	"scmp/internal/runner"
-	"scmp/internal/stats"
 	"scmp/internal/topology"
 )
 
@@ -107,27 +106,46 @@ func churnMembers(art *fig89Artifact, cfg ChurnConfig, seed int) []topology.Node
 	return pickMembers(rnd, art.g.N(), size, art.center)
 }
 
-// churnObs is one shard's observation for one (rate, loss, protection)
-// run.
-type churnObs struct {
-	rate      float64
-	loss      float64
-	protected bool
-	// maxBacklog is the peak m-router pending-operation queue sampled
-	// every 0.1s — the boundedness acceptance metric. stranded counts
-	// surviving members the post-settle probe missed — the convergence
-	// acceptance metric.
-	maxBacklog int
-	stranded   int
-	survivors  int
-	events     int
-	sheds      int64
-	parks      int64
-	recovers   int64
-	skips      int64
-	rearr      float64 // restructures per membership event
-	drift      float64 // mean tree cost / full-rebuild cost during churn
-	ctrl       float64 // protocol overhead, link-cost units
+// The measures of one (rate, loss, protection) run, as churnTable's
+// columns index them.
+const (
+	// churnBacklog is the peak m-router pending-operation queue sampled
+	// every 0.1s — the boundedness acceptance metric.
+	churnBacklog = iota
+	// churnStranded counts surviving members the post-settle probe
+	// missed — the convergence acceptance metric.
+	churnStranded
+	churnSheds
+	churnParks
+	churnRecovers
+	churnSkips
+	churnRearrange // restructures per membership event
+	churnDrift     // mean tree cost / full-rebuild cost during churn
+	churnCtrl      // protocol overhead, link-cost units
+)
+
+// churnTable has one row per (topology, rate, loss, protection).
+var churnTable = &spec{
+	order: [maxAxes][]string{Fig89Topologies()},
+	csv: []col{
+		{"topology", axis, 0}, {"rate", axis, 1}, {"loss", axis, 2}, {"protected", axis, 3},
+		{"max_backlog_mean", mean, churnBacklog}, {"max_backlog_max", peak, churnBacklog},
+		{"stranded_mean", mean, churnStranded}, {"stranded_ci95", ci95, churnStranded},
+		{"sheds_mean", mean, churnSheds}, {"parks_mean", mean, churnParks},
+		{"recovers_mean", mean, churnRecovers}, {"skips_mean", mean, churnSkips},
+		{"rearrange_per_event", mean, churnRearrange}, {"drift_mean", mean, churnDrift},
+		{"ctrl_overhead_mean", mean, churnCtrl},
+	},
+	flat: &flat{
+		title: "Churn sweep — %s", paneled: true,
+		head: fmt.Sprintf("%-8s %-6s %-5s %9s %9s %8s %7s %7s %7s %9s %7s %10s",
+			"rate", "loss", "prot", "maxqueue", "stranded",
+			"sheds", "parks", "recov", "skips", "rearr/ev", "drift", "ctrl-ovh"),
+		row: "%-8.0f %-6.2f %-5s %9.1f %9.2f %8.1f %7.1f %7.1f %7.1f %9.4f %7.4f %10.1f\n",
+		show: []ref{{axis, 1}, {axis, 2}, {axis, 3},
+			{mean, churnBacklog}, {mean, churnStranded}, {mean, churnSheds}, {mean, churnParks},
+			{mean, churnRecovers}, {mean, churnSkips}, {mean, churnRearrange}, {mean, churnDrift}, {mean, churnCtrl}},
+	},
 }
 
 // rebuildCost computes the periodic full-rebuild baseline: the cost of
@@ -145,9 +163,10 @@ func rebuildCost(art *fig89Artifact, spD, spC *topology.AllPairs, members []topo
 
 // runChurnRun executes one churn run: the flap schedule under loss,
 // backlog and drift sampling, a settle phase, a bounded quiesced drain,
-// and a clean probe against the surviving membership.
+// and a clean probe against the surviving membership. It returns
+// churnTable's measures.
 func runChurnRun(art *fig89Artifact, cfg ChurnConfig,
-	members []topology.NodeID, rate, loss float64, protected bool, seed int) churnObs {
+	members []topology.NodeID, rate, loss float64, protected bool, seed int) vals {
 
 	s := churnCore(art.center, protected)
 	n := newNetwork(art.g, s)
@@ -213,186 +232,55 @@ func runChurnRun(art *fig89Artifact, cfg ChurnConfig,
 	n.Run()
 	missing, _ := n.CheckDelivery(probe)
 
-	obs := churnObs{
-		rate:       rate,
-		loss:       loss,
-		protected:  protected,
-		maxBacklog: maxBacklog,
-		stranded:   len(missing),
-		survivors:  len(n.Members(churnGroup)),
-		events:     ch.Events(),
-		sheds:      n.Metrics.Sheds(),
-		parks:      n.Metrics.Parks(),
-		recovers:   n.Metrics.ParkRecovers(),
-		skips:      n.Metrics.RefreshSkips(),
-		ctrl:       n.Metrics.ProtocolOverhead(),
+	v := vals{
+		churnBacklog:  float64(maxBacklog),
+		churnStranded: float64(len(missing)),
+		churnSheds:    float64(n.Metrics.Sheds()),
+		churnParks:    float64(n.Metrics.Parks()),
+		churnRecovers: float64(n.Metrics.ParkRecovers()),
+		churnSkips:    float64(n.Metrics.RefreshSkips()),
+		churnCtrl:     n.Metrics.ProtocolOverhead(),
 	}
 	if ch.Events() > 0 {
-		obs.rearr = float64(n.Metrics.Restructures()) / float64(ch.Events())
+		v[churnRearrange] = float64(n.Metrics.Restructures()) / float64(ch.Events())
 	}
 	if driftN > 0 {
-		obs.drift = driftSum / float64(driftN)
+		v[churnDrift] = driftSum / float64(driftN)
 	}
-	return obs
+	return v
 }
 
 // runChurnShard executes every run of one (topology, seed) shard in
 // deterministic order: rate-major, loss-minor, protection on before
 // off.
-func runChurnShard(cfg ChurnConfig, topo string, seed int) []churnObs {
+func runChurnShard(cfg ChurnConfig, topo string, seed int) []obs {
 	art := fig89ArtifactFor(topo, int64(seed))
 	members := churnMembers(art, cfg, seed)
-	var out []churnObs
+	var out []obs
 	for _, rate := range cfg.Rates {
 		for _, loss := range cfg.LossRates {
 			for _, protected := range []bool{true, false} {
-				out = append(out, runChurnRun(art, cfg, members, rate, loss, protected, seed))
+				out = append(out, obs{Key{topo, rate, loss, OnOff(protected)},
+					runChurnRun(art, cfg, members, rate, loss, protected, seed)})
 			}
 		}
 	}
 	return out
 }
 
-// ChurnPoint is one (topology, rate, loss, protection) cell of the
-// sweep, averaged over seeds.
-type ChurnPoint struct {
-	Topology  string
-	Rate      float64
-	Loss      float64
-	Protected bool
-
-	MaxBacklog *stats.Sample
-	Stranded   *stats.Sample
-	Sheds      *stats.Sample
-	Parks      *stats.Sample
-	Recovers   *stats.Sample
-	Skips      *stats.Sample
-	Rearrange  *stats.Sample // restructures per membership event
-	Drift      *stats.Sample // tree cost vs full-rebuild baseline
-	Ctrl       *stats.Sample // protocol overhead, link-cost units
-}
-
-// ChurnResult is the whole sweep.
-type ChurnResult struct {
-	Points []ChurnPoint
-}
-
 // RunChurn executes the churn sweep, fanning (topology, seed) shards
 // over runner.Map; shard results merge in topology-major, seed-minor
 // order, so the aggregate is byte-identical to a serial run at any
 // worker count.
-func RunChurn(cfg ChurnConfig) ChurnResult {
+func RunChurn(cfg ChurnConfig) Table {
 	if cfg.Topologies == nil {
 		cfg.Topologies = Fig89Topologies()
 	}
-	type key struct {
-		topo      string
-		rate      float64
-		loss      float64
-		protected bool
-	}
-	cells := make(map[key]*ChurnPoint)
-	cell := func(topo string, o churnObs) *ChurnPoint {
-		k := key{topo, o.rate, o.loss, o.protected}
-		p := cells[k]
-		if p == nil {
-			p = &ChurnPoint{Topology: topo, Rate: o.rate, Loss: o.loss, Protected: o.protected,
-				MaxBacklog: &stats.Sample{}, Stranded: &stats.Sample{},
-				Sheds: &stats.Sample{}, Parks: &stats.Sample{}, Recovers: &stats.Sample{},
-				Skips: &stats.Sample{}, Rearrange: &stats.Sample{},
-				Drift: &stats.Sample{}, Ctrl: &stats.Sample{}}
-			cells[k] = p
-		}
-		return p
-	}
-
 	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, len(cfg.Topologies)*cfg.Seeds, func(j int) []churnObs {
+	return fold(churnTable, runner.Map(opts, len(cfg.Topologies)*cfg.Seeds, func(j int) []obs {
 		return runChurnShard(cfg, cfg.Topologies[j/cfg.Seeds], j%cfg.Seeds)
-	})
-	for j, sh := range shards {
-		topo := cfg.Topologies[j/cfg.Seeds]
-		for _, o := range sh {
-			c := cell(topo, o)
-			c.MaxBacklog.Add(float64(o.maxBacklog))
-			c.Stranded.Add(float64(o.stranded))
-			c.Sheds.Add(float64(o.sheds))
-			c.Parks.Add(float64(o.parks))
-			c.Recovers.Add(float64(o.recovers))
-			c.Skips.Add(float64(o.skips))
-			c.Rearrange.Add(o.rearr)
-			c.Drift.Add(o.drift)
-			c.Ctrl.Add(o.ctrl)
-		}
-	}
-
-	res := ChurnResult{}
-	for _, p := range cells {
-		res.Points = append(res.Points, *p)
-	}
-	sort.Slice(res.Points, func(i, j int) bool {
-		a, b := res.Points[i], res.Points[j]
-		if a.Topology != b.Topology {
-			return topoRank(a.Topology) < topoRank(b.Topology)
-		}
-		if a.Rate != b.Rate {
-			return a.Rate < b.Rate
-		}
-		if a.Loss != b.Loss {
-			return a.Loss < b.Loss
-		}
-		return a.Protected && !b.Protected
-	})
-	return res
+	}))
 }
 
 // WriteChurn prints the sweep as per-topology tables.
-func WriteChurn(w io.Writer, res ChurnResult) {
-	for _, topo := range Fig89Topologies() {
-		any := false
-		for _, p := range res.Points {
-			if p.Topology == topo {
-				any = true
-				break
-			}
-		}
-		if !any {
-			continue
-		}
-		fmt.Fprintf(w, "\nChurn sweep — %s\n", topo)
-		fmt.Fprintf(w, "%-8s %-6s %-5s %9s %9s %8s %7s %7s %7s %9s %7s %10s\n",
-			"rate", "loss", "prot", "maxqueue", "stranded",
-			"sheds", "parks", "recov", "skips", "rearr/ev", "drift", "ctrl-ovh")
-		for _, p := range res.Points {
-			if p.Topology != topo {
-				continue
-			}
-			fmt.Fprintf(w, "%-8.0f %-6.2f %-5s %9.1f %9.2f %8.1f %7.1f %7.1f %7.1f %9.4f %7.4f %10.1f\n",
-				p.Rate, p.Loss, onOff(p.Protected),
-				p.MaxBacklog.Mean(), p.Stranded.Mean(),
-				p.Sheds.Mean(), p.Parks.Mean(), p.Recovers.Mean(), p.Skips.Mean(),
-				p.Rearrange.Mean(), p.Drift.Mean(), p.Ctrl.Mean())
-		}
-	}
-}
-
-// WriteChurnCSV renders the sweep as one CSV table.
-func WriteChurnCSV(w io.Writer, res ChurnResult) error {
-	rows := make([][]string, 0, len(res.Points))
-	for _, p := range res.Points {
-		rows = append(rows, []string{
-			p.Topology, f(p.Rate), f(p.Loss), onOff(p.Protected),
-			f(p.MaxBacklog.Mean()), f(p.MaxBacklog.Max()),
-			f(p.Stranded.Mean()), f(p.Stranded.CI95()),
-			f(p.Sheds.Mean()), f(p.Parks.Mean()), f(p.Recovers.Mean()), f(p.Skips.Mean()),
-			f(p.Rearrange.Mean()), f(p.Drift.Mean()), f(p.Ctrl.Mean()),
-		})
-	}
-	return writeCSV(w, []string{
-		"topology", "rate", "loss", "protected",
-		"max_backlog_mean", "max_backlog_max",
-		"stranded_mean", "stranded_ci95",
-		"sheds_mean", "parks_mean", "recovers_mean", "skips_mean",
-		"rearrange_per_event", "drift_mean", "ctrl_overhead_mean",
-	}, rows)
-}
+func WriteChurn(w io.Writer, t Table) { writeFlat(w, t) }

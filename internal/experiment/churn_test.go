@@ -20,25 +20,25 @@ func TestChurnOverloadProtection(t *testing.T) {
 		members := churnMembers(art, cfg, seed)
 
 		prot := runChurnRun(art, cfg, members, 2000, 0.05, true, seed)
-		if prot.maxBacklog > 2*churnAdmitLimit {
-			t.Errorf("seed %d: protected backlog peaked at %d, admission limit %d",
-				seed, prot.maxBacklog, churnAdmitLimit)
+		if prot[churnBacklog] > 2*churnAdmitLimit {
+			t.Errorf("seed %d: protected backlog peaked at %.0f, admission limit %d",
+				seed, prot[churnBacklog], churnAdmitLimit)
 		}
-		if prot.stranded != 0 {
-			t.Errorf("seed %d: %d of %d survivors stranded with protection on",
-				seed, prot.stranded, prot.survivors)
+		if prot[churnStranded] != 0 {
+			t.Errorf("seed %d: %.0f survivors stranded with protection on",
+				seed, prot[churnStranded])
 		}
-		if prot.sheds == 0 {
+		if prot[churnSheds] == 0 {
 			t.Errorf("seed %d: protected arm never shed at the top rate", seed)
 		}
 
 		raw := runChurnRun(art, cfg, members, 2000, 0.05, false, seed)
-		if raw.maxBacklog <= 4*churnAdmitLimit && raw.stranded == 0 {
-			t.Errorf("seed %d: unprotected arm did not overload (peak backlog %d, stranded %d)",
-				seed, raw.maxBacklog, raw.stranded)
+		if raw[churnBacklog] <= 4*churnAdmitLimit && raw[churnStranded] == 0 {
+			t.Errorf("seed %d: unprotected arm did not overload (peak backlog %.0f, stranded %.0f)",
+				seed, raw[churnBacklog], raw[churnStranded])
 		}
-		if raw.sheds != 0 {
-			t.Errorf("seed %d: unprotected arm shed %d JOINs", seed, raw.sheds)
+		if raw[churnSheds] != 0 {
+			t.Errorf("seed %d: unprotected arm shed %.0f JOINs", seed, raw[churnSheds])
 		}
 	}
 }
@@ -58,7 +58,7 @@ func TestChurnTableByteIdentical(t *testing.T) {
 		res := RunChurn(cfg)
 		var table, csv bytes.Buffer
 		WriteChurn(&table, res)
-		if err := WriteChurnCSV(&csv, res); err != nil {
+		if err := WriteCSV(&csv, res); err != nil {
 			t.Fatalf("parallel=%d: csv: %v", parallel, err)
 		}
 		return table.Bytes(), csv.Bytes()

@@ -3,14 +3,13 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"scmp/internal/rng"
 	"sort"
 
 	"scmp/internal/core"
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/runner"
-	"scmp/internal/stats"
 	"scmp/internal/topology"
 )
 
@@ -42,32 +41,29 @@ func DefaultConcentration() ConcentrationConfig {
 	return ConcentrationConfig{Nodes: 50, Degree: 4, Groups: 4, Members: 8, Senders: 6, Rounds: 3, Seeds: 5}
 }
 
-// ConcentrationPoint is one scheme's load profile.
-type ConcentrationPoint struct {
-	Scheme string
-	// CenterLoad is the service load of the busiest center — the
-	// packets it terminates (encapsulated data) or fans out (tree-root
-	// data); MaxLink is the busiest single link's packet count.
-	CenterLoad *stats.Sample
-	MaxLink    *stats.Sample
-}
-
 // concentration schemes: CBT's single core, SCMP with one m-router, and
 // SCMP spread over two and four m-routers.
 var concentrationSchemes = []string{"CBT-1core", "SCMP-1m", "SCMP-2m", "SCMP-4m"}
 
+// concentrationTable has one row per scheme. Measure 0 is the service
+// load of the busiest center — the packets it terminates (encapsulated
+// data) or fans out (tree-root data); 1 is the busiest single link's
+// packet count.
+var concentrationTable = &spec{
+	order: [maxAxes][]string{concentrationSchemes},
+	csv:   []col{{"scheme", axis, 0}, {"center_load_mean", mean, 0}, {"max_link_mean", mean, 1}},
+	flat: &flat{
+		title: "Traffic concentration (service load of the busiest center / busiest link)",
+		head:  fmt.Sprintf("%-12s %16s %16s", "scheme", "center load", "max link load"),
+		row:   "%-12s %16.0f %16.0f\n",
+		show:  []ref{{axis, 0}, {mean, 0}, {mean, 1}},
+	},
+}
+
 // RunConcentration executes the study.
-func RunConcentration(cfg ConcentrationConfig) []ConcentrationPoint {
-	points := map[string]*ConcentrationPoint{}
-	for _, s := range concentrationSchemes {
-		points[s] = &ConcentrationPoint{Scheme: s, CenterLoad: &stats.Sample{}, MaxLink: &stats.Sample{}}
-	}
-	type concObs struct {
-		scheme              string
-		centerLoad, maxLink float64
-	}
+func RunConcentration(cfg ConcentrationConfig) Table {
 	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, cfg.Seeds, func(seed int) []concObs {
+	return fold(concentrationTable, runner.Map(opts, cfg.Seeds, func(seed int) []obs {
 		// Centers: the best-placed node plus the next-best spread
 		// (deterministic: ranked by average delay), shared via the
 		// artifact cache.
@@ -98,7 +94,7 @@ func RunConcentration(cfg ConcentrationConfig) []ConcentrationPoint {
 			}
 			plans[i] = plan{members: members, senders: senders}
 		}
-		var obs []concObs
+		var out []obs
 		for _, scheme := range concentrationSchemes {
 			var proto netsim.Protocol
 			var watch []topology.NodeID
@@ -158,22 +154,10 @@ func RunConcentration(cfg ConcentrationConfig) []ConcentrationPoint {
 				}
 			}
 			_, maxLink := n.Metrics.MaxLinkLoad()
-			obs = append(obs, concObs{scheme, float64(busiest), float64(maxLink)})
+			out = append(out, obs{Key{scheme}, vals{float64(busiest), float64(maxLink)}})
 		}
-		return obs
-	})
-	for _, shard := range shards {
-		for _, o := range shard {
-			pt := points[o.scheme]
-			pt.CenterLoad.Add(o.centerLoad)
-			pt.MaxLink.Add(o.maxLink)
-		}
-	}
-	out := make([]ConcentrationPoint, 0, len(points))
-	for _, s := range concentrationSchemes {
-		out = append(out, *points[s])
-	}
-	return out
+		return out
+	}))
 }
 
 // rankedCenters returns the k nodes with the smallest average
@@ -206,10 +190,4 @@ func rankedCenters(g *topology.Graph, k int) []topology.NodeID {
 }
 
 // WriteConcentration prints the study.
-func WriteConcentration(w io.Writer, points []ConcentrationPoint) {
-	fmt.Fprintf(w, "\nTraffic concentration (service load of the busiest center / busiest link)\n")
-	fmt.Fprintf(w, "%-12s %16s %16s\n", "scheme", "center load", "max link load")
-	for _, p := range points {
-		fmt.Fprintf(w, "%-12s %16.0f %16.0f\n", p.Scheme, p.CenterLoad.Mean(), p.MaxLink.Mean())
-	}
-}
+func WriteConcentration(w io.Writer, t Table) { writeFlat(w, t) }

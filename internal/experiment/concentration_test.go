@@ -11,19 +11,16 @@ func smallConcentration() ConcentrationConfig {
 }
 
 func TestConcentrationShape(t *testing.T) {
-	points := RunConcentration(smallConcentration())
-	by := map[string]ConcentrationPoint{}
-	for _, p := range points {
-		by[p.Scheme] = p
+	tab := RunConcentration(smallConcentration())
+	if len(tab.Rows) != 4 {
+		t.Fatalf("schemes = %d", len(tab.Rows))
 	}
-	if len(by) != 4 {
-		t.Fatalf("schemes = %d", len(by))
-	}
+	load := func(scheme string) float64 { return tab.Value("center_load_mean", scheme) }
 	// Spreading groups over more m-routers must reduce the busiest
 	// center's load (§II-A's regional m-routers).
-	one := by["SCMP-1m"].CenterLoad.Mean()
-	two := by["SCMP-2m"].CenterLoad.Mean()
-	four := by["SCMP-4m"].CenterLoad.Mean()
+	one := load("SCMP-1m")
+	two := load("SCMP-2m")
+	four := load("SCMP-4m")
 	if !(four < two && two < one) {
 		t.Fatalf("center load not decreasing with m-routers: 1m %.0f, 2m %.0f, 4m %.0f", one, two, four)
 	}
@@ -32,7 +29,7 @@ func TestConcentrationShape(t *testing.T) {
 	// node); many-to-many CBT members are on-tree so allow slack — the
 	// claim tested is that multiple m-routers beat BOTH single-center
 	// schemes.
-	cbt := by["CBT-1core"].CenterLoad.Mean()
+	cbt := load("CBT-1core")
 	if !(four < cbt) {
 		t.Fatalf("4 m-routers (%.0f) should beat the single core (%.0f)", four, cbt)
 	}

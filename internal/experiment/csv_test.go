@@ -19,7 +19,7 @@ func parseCSV(t *testing.T, out string) [][]string {
 func TestFig7CSV(t *testing.T) {
 	points := RunFig7(Fig7Config{Nodes: 30, Alpha: 0.25, Beta: 0.2, GroupSizes: []int{5}, Seeds: 2})
 	var buf bytes.Buffer
-	if err := WriteFig7CSV(&buf, points); err != nil {
+	if err := WriteCSV(&buf, points); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, buf.String())
@@ -36,7 +36,7 @@ func TestFig89CSV(t *testing.T) {
 	cfg := Fig89Config{GroupSizes: []int{8}, Seeds: 1, SimTime: 3, DataRate: 1,
 		PruneLifetime: 5, Topologies: []string{TopoArpanet}}
 	var buf bytes.Buffer
-	if err := WriteFig89CSV(&buf, RunFig89(cfg)); err != nil {
+	if err := WriteCSV(&buf, RunFig89(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, buf.String())
@@ -51,7 +51,7 @@ func TestFig89CSV(t *testing.T) {
 func TestPlacementStateConcentrationCSV(t *testing.T) {
 	var buf bytes.Buffer
 	pp := RunPlacement(PlacementConfig{Nodes: 30, GroupSize: 8, Seeds: 1, Trials: 2, Kappa: 1.5})
-	if err := WritePlacementCSV(&buf, pp); err != nil {
+	if err := WriteCSV(&buf, pp); err != nil {
 		t.Fatal(err)
 	}
 	if rows := parseCSV(t, buf.String()); len(rows) != len(PlacementRules)+1 {
@@ -60,7 +60,7 @@ func TestPlacementStateConcentrationCSV(t *testing.T) {
 
 	buf.Reset()
 	sp := RunState(StateConfig{Nodes: 20, Degree: 3, Groups: []int{2}, Members: 4, Senders: 2, PacketsPer: 1, Seeds: 1})
-	if err := WriteStateCSV(&buf, sp); err != nil {
+	if err := WriteCSV(&buf, sp); err != nil {
 		t.Fatal(err)
 	}
 	if rows := parseCSV(t, buf.String()); len(rows) != len(Protocols)+1 {
@@ -69,7 +69,7 @@ func TestPlacementStateConcentrationCSV(t *testing.T) {
 
 	buf.Reset()
 	cp := RunConcentration(ConcentrationConfig{Nodes: 20, Degree: 3, Groups: 2, Members: 4, Senders: 3, Rounds: 1, Seeds: 1})
-	if err := WriteConcentrationCSV(&buf, cp); err != nil {
+	if err := WriteCSV(&buf, cp); err != nil {
 		t.Fatal(err)
 	}
 	if rows := parseCSV(t, buf.String()); len(rows) != 5 {

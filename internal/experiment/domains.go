@@ -3,12 +3,10 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"scmp/internal/mtree"
 	"scmp/internal/rng"
 	"scmp/internal/runner"
-	"scmp/internal/stats"
 	"scmp/internal/topology"
 )
 
@@ -89,30 +87,47 @@ func DefaultDomains() DomainsConfig {
 	}
 }
 
-// DomainsPoint is one grouping arm, aggregated over seeds.
-type DomainsPoint struct {
-	Grouping string
-	Domains  int // k, the domain count of this arm
-	Nodes    int
-	// TreeCost / MaxDelay are taken at full membership: total composed
-	// tree cost and the worst member's multicast delay.
-	TreeCost *stats.Sample
-	MaxDelay *stats.Sample
-	// CtrlHops is the composer-level control message·hop count per join:
+// domainsTable has one row per grouping arm, keyed (domains, grouping,
+// nodes) so the arms list by domain count, then name. Its measures are
+// the fields of domainsRun, in order.
+var domainsTable = &spec{
+	csv: []col{
+		{"grouping", axis, 1}, {"domains", axis, 0}, {"nodes", axis, 2},
+		{"tree_cost_mean", mean, 0}, {"tree_cost_ci95", ci95, 0},
+		{"max_delay_mean", mean, 1}, {"max_delay_ci95", ci95, 1},
+		{"ctrl_hops_mean", mean, 2}, {"ctrl_hops_ci95", ci95, 2},
+		{"table_bytes_mean", mean, 3}, {"active_domains_mean", mean, 4},
+	},
+	flat: &flat{
+		title: "Hierarchical domains sweep: flat engine vs per-domain composer",
+		head: fmt.Sprintf("%-10s %8s %12s %10s %10s %12s %8s",
+			"grouping", "domains", "tree_cost", "max_delay", "ctrl/join", "tables_MB", "active"),
+		row:  "%-10s %8d %12.1f %10.1f %10.2f %12.2f %8.1f\n",
+		show: []ref{{axis, 1}, {axis, 0}, {mean, 0}, {mean, 1}, {mean, 2}, {meanMiB, 3}, {mean, 4}},
+	},
+}
+
+// domainsRun is what one arm's run measures.
+type domainsRun struct {
+	// cost / maxDelay are taken at full membership: total composed tree
+	// cost and the worst member's multicast delay.
+	cost     float64
+	maxDelay float64
+	// ctrl is the composer-level control message·hop count per join:
 	// the JOIN's unicast walk to its serving m-router, the installed
 	// graft-path hops, and — on a domain activation — the border GRAFT's
 	// walk to the core plus the splice hops it installs. In the flat arm
 	// every JOIN walks to the one global m-router; hierarchically it
 	// stops at the local one.
-	CtrlHops *stats.Sample
-	// TableBytes is the resident routing-table footprint at full
+	ctrl float64
+	// tableB is the resident routing-table footprint at full
 	// membership: the engine's materialized lazy all-pairs rows (flat),
 	// or the domain view's per-domain tables plus the contracted
 	// backbone (hierarchical).
-	TableBytes *stats.Sample
-	// ActiveDomains is the number of domains holding members (and hence
-	// live per-domain engines) at full membership; 1 in the flat arm.
-	ActiveDomains *stats.Sample
+	tableB float64
+	// active is the number of domains holding members (and hence live
+	// per-domain engines) at full membership; 1 in the flat arm.
+	active float64
 }
 
 // DomainLabels folds the generated transit-stub hierarchy into the
@@ -146,18 +161,6 @@ func DomainLabels(cfg topology.TransitStubConfig, info *topology.TransitStubInfo
 	return labels
 }
 
-// domainsObs is one (grouping, seed) cell's raw measurements.
-type domainsObs struct {
-	grouping string
-	rank     int
-	k, nodes int
-	cost     float64
-	maxDelay float64
-	ctrl     float64
-	tableB   float64
-	active   float64
-}
-
 // pathHops counts the hops of the shortest-delay unicast walk from the
 // row's source to dst.
 func pathHops(row *topology.Paths, dst topology.NodeID) float64 {
@@ -169,72 +172,37 @@ func pathHops(row *topology.Paths, dst topology.NodeID) float64 {
 }
 
 // RunDomains executes the sweep.
-func RunDomains(cfg DomainsConfig) []DomainsPoint {
+func RunDomains(cfg DomainsConfig) Table {
 	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, cfg.Seeds, func(seed int) []domainsObs {
+	return fold(domainsTable, runner.Map(opts, cfg.Seeds, func(seed int) []obs {
 		g, info, err := topology.TransitStub(cfg.Topology, rng.New(int64(seed)+1))
 		if err != nil {
 			panic(fmt.Sprintf("experiment: transit-stub config rejected: %v", err))
 		}
 		members := pickMembers(rng.New(int64(seed)*1e6+7), g.N(), cfg.Members, -1)
-		obs := make([]domainsObs, 0, len(cfg.Groupings))
-		for rank, grouping := range cfg.Groupings {
+		out := make([]obs, 0, len(cfg.Groupings))
+		for _, grouping := range cfg.Groupings {
 			view, err := topology.NewDomainView(g, DomainLabels(cfg.Topology, info, grouping))
 			if err != nil {
 				panic(fmt.Sprintf("experiment: grouping %v yields an invalid domain view: %v", grouping, err))
 			}
-			o := domainsObs{grouping: grouping.String(), rank: rank, k: view.K(), nodes: g.N()}
+			var o domainsRun
 			if grouping == GroupFlat {
 				runDomainsFlat(g, view, members, cfg.Kappa, &o)
 			} else {
 				runDomainsHier(view, members, cfg.Kappa, &o)
 			}
-			obs = append(obs, o)
+			out = append(out, obs{Key{view.K(), grouping.String(), g.N()},
+				vals{o.cost, o.maxDelay, o.ctrl, o.tableB, o.active}})
 		}
-		return obs
-	})
-
-	type key struct {
-		rank int
-		k    int
-	}
-	cells := map[key]*DomainsPoint{}
-	for _, shard := range shards {
-		for _, o := range shard {
-			p := cells[key{o.rank, o.k}]
-			if p == nil {
-				p = &DomainsPoint{Grouping: o.grouping, Domains: o.k, Nodes: o.nodes,
-					TreeCost: &stats.Sample{}, MaxDelay: &stats.Sample{},
-					CtrlHops: &stats.Sample{}, TableBytes: &stats.Sample{},
-					ActiveDomains: &stats.Sample{}}
-				cells[key{o.rank, o.k}] = p
-			}
-			p.TreeCost.Add(o.cost)
-			p.MaxDelay.Add(o.maxDelay)
-			p.CtrlHops.Add(o.ctrl)
-			p.TableBytes.Add(o.tableB)
-			p.ActiveDomains.Add(o.active)
-		}
-	}
-	out := make([]DomainsPoint, 0, len(cells))
-	ranks := make(map[*DomainsPoint]int, len(cells))
-	for k, p := range cells {
-		ranks[p] = k.rank
-		out = append(out, *p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Domains != out[j].Domains {
-			return out[i].Domains < out[j].Domains
-		}
-		return out[i].Grouping < out[j].Grouping
-	})
-	return out
+		return out
+	}))
 }
 
 // runDomainsFlat drives the flat incremental DCDM over the whole graph:
 // the k=1 baseline with global (lazy) routing tables, every control
 // walk ending at the one global m-router.
-func runDomainsFlat(g *topology.Graph, view *topology.DomainView, members []topology.NodeID, kappa float64, o *domainsObs) {
+func runDomainsFlat(g *topology.Graph, view *topology.DomainView, members []topology.NodeID, kappa float64, o *domainsRun) {
 	root := view.MRouters()[0]
 	spDelay := topology.NewLazyAllPairs(g, topology.ByDelay)
 	spCost := topology.NewLazyAllPairs(g, topology.ByCost)
@@ -267,7 +235,7 @@ func runDomainsFlat(g *topology.Graph, view *topology.DomainView, members []topo
 // runDomainsHier drives the hierarchical composer: per-domain engines
 // and tables, JOINs terminating at the member's local m-router, only
 // activation grafts walking to the core.
-func runDomainsHier(view *topology.DomainView, members []topology.NodeID, kappa float64, o *domainsObs) {
+func runDomainsHier(view *topology.DomainView, members []topology.NodeID, kappa float64, o *domainsRun) {
 	mrouters := view.MRouters()
 	h := mtree.NewHierDCDM(view, mrouters, 0, kappa)
 	// Measurement-only global table for the activation GRAFT's unicast
@@ -309,34 +277,4 @@ func runDomainsHier(view *topology.DomainView, members []topology.NodeID, kappa 
 }
 
 // WriteDomains prints the sweep as a paper-style table.
-func WriteDomains(w io.Writer, points []DomainsPoint) {
-	fmt.Fprintf(w, "\nHierarchical domains sweep: flat engine vs per-domain composer\n")
-	fmt.Fprintf(w, "%-10s %8s %12s %10s %10s %12s %8s\n",
-		"grouping", "domains", "tree_cost", "max_delay", "ctrl/join", "tables_MB", "active")
-	for _, p := range points {
-		fmt.Fprintf(w, "%-10s %8d %12.1f %10.1f %10.2f %12.2f %8.1f\n",
-			p.Grouping, p.Domains, p.TreeCost.Mean(), p.MaxDelay.Mean(),
-			p.CtrlHops.Mean(), p.TableBytes.Mean()/(1<<20), p.ActiveDomains.Mean())
-	}
-}
-
-// WriteDomainsCSV renders the sweep as plot-ready records.
-func WriteDomainsCSV(w io.Writer, points []DomainsPoint) error {
-	rows := make([][]string, 0, len(points))
-	for _, p := range points {
-		rows = append(rows, []string{
-			p.Grouping, fmt.Sprint(p.Domains), fmt.Sprint(p.Nodes),
-			f(p.TreeCost.Mean()), f(p.TreeCost.CI95()),
-			f(p.MaxDelay.Mean()), f(p.MaxDelay.CI95()),
-			f(p.CtrlHops.Mean()), f(p.CtrlHops.CI95()),
-			f(p.TableBytes.Mean()), f(p.ActiveDomains.Mean()),
-		})
-	}
-	return writeCSV(w, []string{
-		"grouping", "domains", "nodes",
-		"tree_cost_mean", "tree_cost_ci95",
-		"max_delay_mean", "max_delay_ci95",
-		"ctrl_hops_mean", "ctrl_hops_ci95",
-		"table_bytes_mean", "active_domains_mean",
-	}, rows)
-}
+func WriteDomains(w io.Writer, t Table) { writeFlat(w, t) }

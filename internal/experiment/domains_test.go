@@ -69,7 +69,7 @@ func TestDomainsFlatHierEqualAtK1(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := pickMembers(rng.New(77), g.N(), cfg.Members, -1)
-	var flat, hier domainsObs
+	var flat, hier domainsRun
 	runDomainsFlat(g, view, members, cfg.Kappa, &flat)
 	runDomainsHier(view, members, cfg.Kappa, &hier)
 	if flat.cost != hier.cost || flat.maxDelay != hier.maxDelay || flat.ctrl != hier.ctrl {
@@ -87,48 +87,59 @@ func TestDomainsFlatHierEqualAtK1(t *testing.T) {
 // footprint as the domain count grows.
 func TestDomainsSweepShape(t *testing.T) {
 	cfg := smallDomains()
-	points := RunDomains(cfg)
-	if len(points) != len(cfg.Groupings) {
-		t.Fatalf("got %d points, want %d", len(points), len(cfg.Groupings))
+	tab := RunDomains(cfg)
+	if len(tab.Rows) != len(cfg.Groupings) {
+		t.Fatalf("got %d rows, want %d", len(tab.Rows), len(cfg.Groupings))
 	}
-	get := func(name string) DomainsPoint {
-		for _, p := range points {
-			if p.Grouping == name {
-				return p
+	// arm is one grouping's means.
+	type arm struct {
+		Domains                                   int
+		cost, maxDelay, ctrlHops, tableB, actives float64
+	}
+	get := func(name string) arm {
+		for _, r := range tab.Rows {
+			if r.Key[1] == name {
+				v := func(col string) float64 { return tab.Value(col, r.Key[:]...) }
+				return arm{r.Key[0].(int), v("tree_cost_mean"), v("max_delay_mean"),
+					v("ctrl_hops_mean"), v("table_bytes_mean"), v("active_domains_mean")}
 			}
 		}
 		t.Fatalf("missing arm %q", name)
-		return DomainsPoint{}
+		return arm{}
 	}
 	flat := get("flat")
-	if flat.Domains != 1 || flat.ActiveDomains.Mean() != 1 {
-		t.Fatalf("flat arm: domains=%d active=%g", flat.Domains, flat.ActiveDomains.Mean())
+	if flat.Domains != 1 || flat.actives != 1 {
+		t.Fatalf("flat arm: domains=%d active=%g", flat.Domains, flat.actives)
 	}
-	for _, name := range []string{"transit", "attach", "natural"} {
+	for i, name := range []string{"transit", "attach", "natural"} {
 		p := get(name)
 		if p.Domains <= 1 {
 			t.Fatalf("%s arm: domain count %d", name, p.Domains)
 		}
+		// Rows list by domain count: flat first, then the ladder.
+		if tab.Rows[i+1].Key[1] != name {
+			t.Fatalf("row %d is %v, want %s (domains-ascending order)", i+1, tab.Rows[i+1].Key[1], name)
+		}
 		// Hierarchical trees trade some cost for locality; the regression
 		// must stay bounded for the architecture to make sense.
-		if p.TreeCost.Mean() > 2.5*flat.TreeCost.Mean() {
+		if p.cost > 2.5*flat.cost {
 			t.Fatalf("%s arm: tree cost %.1f blows past the flat baseline %.1f",
-				name, p.TreeCost.Mean(), flat.TreeCost.Mean())
+				name, p.cost, flat.cost)
 		}
-		if p.MaxDelay.Mean() <= 0 || p.TreeCost.Mean() <= 0 {
+		if p.maxDelay <= 0 || p.cost <= 0 {
 			t.Fatalf("%s arm: degenerate metrics %+v", name, p)
 		}
 	}
 	natural := get("natural")
-	if natural.CtrlHops.Mean() >= flat.CtrlHops.Mean() {
+	if natural.ctrlHops >= flat.ctrlHops {
 		t.Fatalf("control locality lost: natural %.2f hops/join >= flat %.2f",
-			natural.CtrlHops.Mean(), flat.CtrlHops.Mean())
+			natural.ctrlHops, flat.ctrlHops)
 	}
-	if natural.TableBytes.Mean() >= flat.TableBytes.Mean() {
+	if natural.tableB >= flat.tableB {
 		t.Fatalf("resident tables not smaller: natural %.0fB >= flat %.0fB",
-			natural.TableBytes.Mean(), flat.TableBytes.Mean())
+			natural.tableB, flat.tableB)
 	}
-	if natural.ActiveDomains.Mean() <= 1 {
+	if natural.actives <= 1 {
 		t.Fatal("natural arm never activated a non-core domain")
 	}
 }
@@ -142,10 +153,10 @@ func TestDomainsParallelDeterminism(t *testing.T) {
 	serial.Parallel = 1
 	parallel.Parallel = 4
 	var a, b bytes.Buffer
-	if err := WriteDomainsCSV(&a, RunDomains(serial)); err != nil {
+	if err := WriteCSV(&a, RunDomains(serial)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDomainsCSV(&b, RunDomains(parallel)); err != nil {
+	if err := WriteCSV(&b, RunDomains(parallel)); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -166,10 +177,10 @@ func TestWriteDomains(t *testing.T) {
 		}
 	}
 	var csv bytes.Buffer
-	if err := WriteDomainsCSV(&csv, points); err != nil {
+	if err := WriteCSV(&csv, points); err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(csv.String(), "\n"); lines != len(points)+1 {
-		t.Fatalf("CSV has %d lines, want %d", lines, len(points)+1)
+	if lines := strings.Count(csv.String(), "\n"); lines != len(points.Rows)+1 {
+		t.Fatalf("CSV has %d lines, want %d", lines, len(points.Rows)+1)
 	}
 }

@@ -1,9 +1,10 @@
-// Package experiment regenerates the paper's evaluation (§IV): the
+// Package experiment regenerates the paper's evaluation (§IV) — the
 // Fig. 7 multicast-tree quality sweep, the Fig. 8 data/protocol overhead
-// sweep, the Fig. 9 maximum end-to-end delay sweep, and the §IV-A
-// m-router placement heuristics study. Each experiment averages over
-// seeds, like the paper's 10-seed averages, and prints rows shaped like
-// the paper's series.
+// sweep, the Fig. 9 maximum end-to-end delay sweep, the §IV-A m-router
+// placement study — and the companion studies (Studies in registry.go
+// lists them all). Each averages over seeds, like the paper's 10-seed
+// averages, and prints rows shaped like the paper's series; all share
+// one sweep → fold → render skeleton (table.go).
 package experiment
 
 import (

@@ -3,7 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"sort"
+	"math"
 
 	"scmp/internal/core"
 	"scmp/internal/des"
@@ -12,7 +12,6 @@ import (
 	"scmp/internal/packet"
 	"scmp/internal/rng"
 	"scmp/internal/runner"
-	"scmp/internal/stats"
 	"scmp/internal/topology"
 )
 
@@ -66,60 +65,51 @@ const (
 	faultsRefreshInterval = 2.0
 )
 
-// FaultsLossPoint is one (topology, loss rate, repair mode) cell of the
-// sweep, averaged over seeds.
-type FaultsLossPoint struct {
-	Topology string
-	Loss     float64
-	Repair   bool
-	// Stranded counts members missing from the post-settle probe (the
-	// acceptance metric: 0 means every member recovered). Undelivered
-	// counts member-deliveries lost during the loss window itself;
-	// CtrlDrops and Recoveries come straight from the collector.
-	Stranded    *stats.Sample
-	Undelivered *stats.Sample
-	CtrlDrops   *stats.Sample
-	Recoveries  *stats.Sample
+// faultsLossTable has one row per (topology, loss rate, repair mode).
+// Measure 0 counts members missing from the post-settle probe (the
+// acceptance metric: 0 means every member recovered); 1 counts
+// member-deliveries lost during the loss window itself; 2 (control
+// drops) and 3 (recoveries) come straight from the collector.
+var faultsLossTable = &spec{
+	order: [maxAxes][]string{Fig89Topologies()},
+	csv: []col{
+		{"topology", axis, 0}, {"loss", axis, 1}, {"repair", axis, 2},
+		{"stranded_mean", mean, 0}, {"stranded_ci95", ci95, 0},
+		{"undelivered_mean", mean, 1}, {"undelivered_ci95", ci95, 1},
+		{"ctrl_drops_mean", mean, 2}, {"recoveries_mean", mean, 3},
+	},
+	flat: &flat{
+		title: "Chaos loss sweep — %s", paneled: true,
+		head: fmt.Sprintf("%-8s %-7s %10s %14s %12s %12s",
+			"loss", "repair", "stranded", "undelivered", "ctrl-drops", "recoveries"),
+		row:  "%-8.2f %-7s %10.2f %14.2f %12.1f %12.2f\n",
+		show: []ref{{axis, 1}, {axis, 2}, {mean, 0}, {mean, 1}, {mean, 2}, {mean, 3}},
+	},
 }
 
-// FaultsRecoveryPoint aggregates the link-failure recovery runs of one
-// topology.
-type FaultsRecoveryPoint struct {
-	Topology string
-	// Recovery samples the worst orphan re-adoption time of each run
-	// (seconds, from metrics.MaxRecovery); Healed counts runs whose
-	// post-repair probe reached every member, out of Runs.
-	Recovery *stats.Sample
-	Healed   int
-	Runs     int
+// faultsRecoveryTable has one row per topology over its link-failure
+// recovery runs. Measure 0 is each run's worst orphan re-adoption time
+// (seconds, from metrics.MaxRecovery; unobserved when nothing needed
+// repair); 1 is whether the post-repair probe reached every member, so
+// its sum is the healed runs and its count all runs.
+var faultsRecoveryTable = &spec{
+	order: [maxAxes][]string{Fig89Topologies()},
+	csv: []col{
+		{"topology", axis, 0}, {"recovery_mean", mean, 0}, {"recovery_max", peak, 0},
+		{"healed", sum, 1}, {"runs", count, 1},
+	},
+	flat: &flat{
+		title: "Link-failure recovery (hardened stack, heaviest tree edge cut)",
+		head:  fmt.Sprintf("%-16s %18s %18s %10s", "topology", "mean recovery (s)", "max recovery (s)", "healed"),
+		row:   "%-16s %18.4f %18.4f %6d/%-3d\n",
+		show:  []ref{{axis, 0}, {mean, 0}, {peak, 0}, {sum, 1}, {count, 1}},
+	},
 }
 
 // FaultsResult bundles both studies.
 type FaultsResult struct {
-	Loss     []FaultsLossPoint
-	Recovery []FaultsRecoveryPoint
-}
-
-// faultsLossObs is one shard's observation for one (loss, repair) run.
-type faultsLossObs struct {
-	loss        float64
-	repair      bool
-	stranded    int
-	undelivered int
-	ctrlDrops   int64
-	recoveries  int64
-}
-
-// faultsRecoveryObs is one shard's link-cut run.
-type faultsRecoveryObs struct {
-	recovery float64
-	repaired bool // a recovery time was recorded
-	healed   bool
-}
-
-type faultsShard struct {
-	loss     []faultsLossObs
-	recovery faultsRecoveryObs
+	Loss     Table
+	Recovery Table
 }
 
 const faultsGroup = packet.GroupID(1)
@@ -149,9 +139,10 @@ func faultsCore(center topology.NodeID, hardened bool) *core.SCMP {
 }
 
 // runFaultsLossRun executes one chaos run: joins and data under loss,
-// then a settle phase and a clean probe.
+// then a settle phase and a clean probe. It returns faultsLossTable's
+// measures.
 func runFaultsLossRun(art *fig89Artifact, cfg FaultsConfig,
-	members []topology.NodeID, loss float64, repair bool, seed int) faultsLossObs {
+	members []topology.NodeID, loss float64, repair bool, seed int) vals {
 
 	s := faultsCore(art.center, repair)
 	n := newNetwork(art.g, s)
@@ -184,14 +175,8 @@ func runFaultsLossRun(art *fig89Artifact, cfg FaultsConfig,
 	probe := n.SendData(art.center, faultsGroup, packet.DefaultDataSize)
 	n.Run()
 	missing, _ := n.CheckDelivery(probe)
-	return faultsLossObs{
-		loss:        loss,
-		repair:      repair,
-		stranded:    len(missing),
-		undelivered: undelivered,
-		ctrlDrops:   n.Metrics.DroppedControl(),
-		recoveries:  n.Metrics.Recoveries(),
-	}
+	return vals{float64(len(missing)), float64(undelivered),
+		float64(n.Metrics.DroppedControl()), float64(n.Metrics.Recoveries())}
 }
 
 // heaviestTreeEdge returns the tree edge (parent, child) whose child
@@ -228,9 +213,9 @@ func heaviestTreeEdge(tr *mtree.Tree) (parent, child topology.NodeID, ok bool) {
 }
 
 // runFaultsRecoveryRun executes one loss-free link-cut run on the
-// hardened stack and reports the repair time.
+// hardened stack and returns faultsRecoveryTable's measures.
 func runFaultsRecoveryRun(art *fig89Artifact, cfg FaultsConfig,
-	members []topology.NodeID, seed int) faultsRecoveryObs {
+	members []topology.NodeID, seed int) vals {
 
 	s := faultsCore(art.center, true)
 	n := newNetwork(art.g, s)
@@ -246,7 +231,7 @@ func runFaultsRecoveryRun(art *fig89Artifact, cfg FaultsConfig,
 		// Degenerate placement: every member sits on the m-router.
 		s.Quiesce()
 		n.Run()
-		return faultsRecoveryObs{healed: true}
+		return vals{math.NaN(), 1}
 	}
 	f.ScheduleLinkDown(2, u, v)
 	n.RunUntil(des.Time(cfg.SimTime))
@@ -256,26 +241,29 @@ func runFaultsRecoveryRun(art *fig89Artifact, cfg FaultsConfig,
 	probe := n.SendData(art.center, faultsGroup, packet.DefaultDataSize)
 	n.Run()
 	missing, _ := n.CheckDelivery(probe)
-	return faultsRecoveryObs{
-		recovery: n.Metrics.MaxRecovery(),
-		repaired: n.Metrics.Recoveries() > 0,
-		healed:   len(missing) == 0,
+	out := vals{math.NaN(), 0}
+	if n.Metrics.Recoveries() > 0 {
+		out[0] = n.Metrics.MaxRecovery()
 	}
+	if len(missing) == 0 {
+		out[1] = 1
+	}
+	return out
 }
 
 // runFaultsShard executes every run of one (topology, seed) shard in
-// deterministic order: the loss sweep (loss-major, repair on before
-// off), then the link-cut run.
-func runFaultsShard(cfg FaultsConfig, topo string, seed int) faultsShard {
+// deterministic order — the loss sweep (loss-major, repair on before
+// off), then the link-cut run — and returns each table's observations.
+func runFaultsShard(cfg FaultsConfig, topo string, seed int) (sh [2][]obs) {
 	art := fig89ArtifactFor(topo, int64(seed))
 	members := faultsMembers(art, cfg, seed)
-	var sh faultsShard
 	for _, loss := range cfg.LossRates {
 		for _, repair := range []bool{true, false} {
-			sh.loss = append(sh.loss, runFaultsLossRun(art, cfg, members, loss, repair, seed))
+			sh[0] = append(sh[0], obs{Key{topo, loss, OnOff(repair)},
+				runFaultsLossRun(art, cfg, members, loss, repair, seed)})
 		}
 	}
-	sh.recovery = runFaultsRecoveryRun(art, cfg, members, seed)
+	sh[1] = []obs{{Key{topo}, runFaultsRecoveryRun(art, cfg, members, seed)}}
 	return sh
 }
 
@@ -286,146 +274,19 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 	if cfg.Topologies == nil {
 		cfg.Topologies = Fig89Topologies()
 	}
-	type lossKey struct {
-		topo   string
-		loss   float64
-		repair bool
-	}
-	lossCells := make(map[lossKey]*FaultsLossPoint)
-	lossCell := func(topo string, loss float64, repair bool) *FaultsLossPoint {
-		k := lossKey{topo, loss, repair}
-		p := lossCells[k]
-		if p == nil {
-			p = &FaultsLossPoint{Topology: topo, Loss: loss, Repair: repair,
-				Stranded: &stats.Sample{}, Undelivered: &stats.Sample{},
-				CtrlDrops: &stats.Sample{}, Recoveries: &stats.Sample{}}
-			lossCells[k] = p
-		}
-		return p
-	}
-	recCells := make(map[string]*FaultsRecoveryPoint)
-
 	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, len(cfg.Topologies)*cfg.Seeds, func(j int) faultsShard {
+	shards := runner.Map(opts, len(cfg.Topologies)*cfg.Seeds, func(j int) [2][]obs {
 		return runFaultsShard(cfg, cfg.Topologies[j/cfg.Seeds], j%cfg.Seeds)
 	})
+	loss, recovery := make([][]obs, len(shards)), make([][]obs, len(shards))
 	for j, sh := range shards {
-		topo := cfg.Topologies[j/cfg.Seeds]
-		for _, o := range sh.loss {
-			c := lossCell(topo, o.loss, o.repair)
-			c.Stranded.Add(float64(o.stranded))
-			c.Undelivered.Add(float64(o.undelivered))
-			c.CtrlDrops.Add(float64(o.ctrlDrops))
-			c.Recoveries.Add(float64(o.recoveries))
-		}
-		rc := recCells[topo]
-		if rc == nil {
-			rc = &FaultsRecoveryPoint{Topology: topo, Recovery: &stats.Sample{}}
-			recCells[topo] = rc
-		}
-		rc.Runs++
-		if sh.recovery.repaired {
-			rc.Recovery.Add(sh.recovery.recovery)
-		}
-		if sh.recovery.healed {
-			rc.Healed++
-		}
+		loss[j], recovery[j] = sh[0], sh[1]
 	}
-
-	res := FaultsResult{}
-	for _, p := range lossCells {
-		res.Loss = append(res.Loss, *p)
-	}
-	sort.Slice(res.Loss, func(i, j int) bool {
-		a, b := res.Loss[i], res.Loss[j]
-		if a.Topology != b.Topology {
-			return topoRank(a.Topology) < topoRank(b.Topology)
-		}
-		if a.Loss != b.Loss {
-			return a.Loss < b.Loss
-		}
-		return a.Repair && !b.Repair
-	})
-	for _, p := range recCells {
-		res.Recovery = append(res.Recovery, *p)
-	}
-	sort.Slice(res.Recovery, func(i, j int) bool {
-		return topoRank(res.Recovery[i].Topology) < topoRank(res.Recovery[j].Topology)
-	})
-	return res
-}
-
-func onOff(repair bool) string {
-	if repair {
-		return "on"
-	}
-	return "off"
+	return FaultsResult{fold(faultsLossTable, loss), fold(faultsRecoveryTable, recovery)}
 }
 
 // WriteFaults prints both studies as paper-style tables.
 func WriteFaults(w io.Writer, res FaultsResult) {
-	for _, topo := range Fig89Topologies() {
-		any := false
-		for _, p := range res.Loss {
-			if p.Topology == topo {
-				any = true
-				break
-			}
-		}
-		if !any {
-			continue
-		}
-		fmt.Fprintf(w, "\nChaos loss sweep — %s\n", topo)
-		fmt.Fprintf(w, "%-8s %-7s %10s %14s %12s %12s\n",
-			"loss", "repair", "stranded", "undelivered", "ctrl-drops", "recoveries")
-		for _, p := range res.Loss {
-			if p.Topology != topo {
-				continue
-			}
-			fmt.Fprintf(w, "%-8.2f %-7s %10.2f %14.2f %12.1f %12.2f\n",
-				p.Loss, onOff(p.Repair), p.Stranded.Mean(), p.Undelivered.Mean(),
-				p.CtrlDrops.Mean(), p.Recoveries.Mean())
-		}
-	}
-	fmt.Fprintf(w, "\nLink-failure recovery (hardened stack, heaviest tree edge cut)\n")
-	fmt.Fprintf(w, "%-16s %18s %18s %10s\n", "topology", "mean recovery (s)", "max recovery (s)", "healed")
-	for _, p := range res.Recovery {
-		fmt.Fprintf(w, "%-16s %18.4f %18.4f %6d/%-3d\n",
-			p.Topology, p.Recovery.Mean(), p.Recovery.Max(), p.Healed, p.Runs)
-	}
-}
-
-// WriteFaultsCSV renders both studies as two CSV tables separated by a
-// blank line.
-func WriteFaultsCSV(w io.Writer, res FaultsResult) error {
-	rows := make([][]string, 0, len(res.Loss))
-	for _, p := range res.Loss {
-		rows = append(rows, []string{
-			p.Topology, f(p.Loss), onOff(p.Repair),
-			f(p.Stranded.Mean()), f(p.Stranded.CI95()),
-			f(p.Undelivered.Mean()), f(p.Undelivered.CI95()),
-			f(p.CtrlDrops.Mean()), f(p.Recoveries.Mean()),
-		})
-	}
-	if err := writeCSV(w, []string{
-		"topology", "loss", "repair",
-		"stranded_mean", "stranded_ci95",
-		"undelivered_mean", "undelivered_ci95",
-		"ctrl_drops_mean", "recoveries_mean",
-	}, rows); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	rows = rows[:0]
-	for _, p := range res.Recovery {
-		rows = append(rows, []string{
-			p.Topology, f(p.Recovery.Mean()), f(p.Recovery.Max()),
-			fmt.Sprint(p.Healed), fmt.Sprint(p.Runs),
-		})
-	}
-	return writeCSV(w, []string{
-		"topology", "recovery_mean", "recovery_max", "healed", "runs",
-	}, rows)
+	writeFlat(w, res.Loss)
+	writeFlat(w, res.Recovery)
 }

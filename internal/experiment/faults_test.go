@@ -19,25 +19,29 @@ func TestFaultsSweepAcceptance(t *testing.T) {
 	}
 	res := RunFaults(cfg)
 	bareStranded := 0.0
-	for _, p := range res.Loss {
+	for _, r := range res.Loss.Rows {
+		loss, repair := r.Key[1].(float64), bool(r.Key[2].(OnOff))
+		stranded := res.Loss.Value("stranded_mean", r.Key[:]...)
 		switch {
-		case p.Repair && p.Stranded.Mean() != 0:
-			t.Errorf("hardened stack stranded %.2f members at loss %.2f", p.Stranded.Mean(), p.Loss)
-		case !p.Repair && p.Loss > 0:
-			bareStranded += p.Stranded.Mean()
-		case p.Loss == 0 && (p.Stranded.Mean() != 0 || p.CtrlDrops.Mean() != 0):
-			t.Errorf("loss-free run not transparent: %+v", p)
+		case repair && stranded != 0:
+			t.Errorf("hardened stack stranded %.2f members at loss %.2f", stranded, loss)
+		case !repair && loss > 0:
+			bareStranded += stranded
+		case loss == 0 && (stranded != 0 || res.Loss.Value("ctrl_drops_mean", r.Key[:]...) != 0):
+			t.Errorf("loss-free run not transparent: %v", r.Key)
 		}
 	}
 	if bareStranded == 0 {
 		t.Error("bare stack stranded nobody under loss — the sweep no longer discriminates")
 	}
-	for _, p := range res.Recovery {
-		if p.Healed != p.Runs {
-			t.Errorf("%s: only %d/%d link-cut runs healed", p.Topology, p.Healed, p.Runs)
+	for _, r := range res.Recovery.Rows {
+		topo := r.Key[0]
+		if healed, runs := res.Recovery.Value("healed", topo), res.Recovery.Value("runs", topo); healed != runs {
+			t.Errorf("%s: only %.0f/%.0f link-cut runs healed", topo, healed, runs)
 		}
-		if p.Recovery.N() > 0 && p.Recovery.Mean() <= 0 {
-			t.Errorf("%s: non-positive mean recovery time", p.Topology)
+		// NaN (nothing needed repair) passes.
+		if res.Recovery.Value("recovery_mean", topo) <= 0 {
+			t.Errorf("%s: non-positive mean recovery time", topo)
 		}
 	}
 }
@@ -53,7 +57,8 @@ func TestFaultsRerunIsByteIdentical(t *testing.T) {
 	}
 	render := func() []byte {
 		var buf bytes.Buffer
-		if err := WriteFaultsCSV(&buf, RunFaults(cfg)); err != nil {
+		res := RunFaults(cfg)
+		if err := WriteCSV(&buf, res.Loss, res.Recovery); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

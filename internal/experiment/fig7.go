@@ -1,15 +1,12 @@
 package experiment
 
 import (
-	"fmt"
 	"io"
 	"math"
-	"scmp/internal/rng"
-	"sort"
 
 	"scmp/internal/mtree"
+	"scmp/internal/rng"
 	"scmp/internal/runner"
-	"scmp/internal/stats"
 	"scmp/internal/topology"
 )
 
@@ -51,34 +48,44 @@ var ConstraintLevels = []struct {
 	{"loosest", math.Inf(1)},
 }
 
-// Fig7Point is one (level, group size, algorithm) cell: tree delay and
-// tree cost sampled across seeds.
-type Fig7Point struct {
-	Level     string
-	GroupSize int
-	Algorithm string
-	TreeDelay *stats.Sample
-	TreeCost  *stats.Sample
+// algorithms are the tree builders Fig. 7 and fig7x compare.
+var algorithms = []string{"DCDM", "KMB", "SPT"}
+
+func levelNames() []string {
+	names := make([]string, len(ConstraintLevels))
+	for i, lvl := range ConstraintLevels {
+		names[i] = lvl.Name
+	}
+	return names
 }
 
-// fig7Obs is one shard observation: one algorithm's tree quality at one
-// (level, size) cell, emitted in deterministic shard order.
-type fig7Obs struct {
-	level, algo string
-	size        int
-	delay, cost float64
+// fig7Table has one row per (level, group size, algorithm): tree delay
+// (measure 0) and tree cost (1) sampled across seeds, printed as the
+// paper's panels — Fig. 7(a-c) tree delay and Fig. 7(d-f) tree cost, one
+// row per group size, one column per algorithm.
+var fig7Table = &spec{
+	order: [maxAxes][]string{0: levelNames(), 2: algorithms},
+	csv: []col{
+		{"level", axis, 0}, {"groupsize", axis, 1}, {"algorithm", axis, 2},
+		{"tree_delay_mean", mean, 0}, {"tree_delay_ci95", ci95, 0},
+		{"tree_cost_mean", mean, 1}, {"tree_cost_ci95", ci95, 1},
+	},
+	grid: &grid{at: 1, head: "groupsize", rowW: 10, colW: 14, metrics: []metric{
+		{"Tree delay — delay constraint %s", " %14.0f", []ref{{mean, 0}}},
+		{"Tree cost — delay constraint %s", " %14.0f", []ref{{mean, 1}}},
+	}},
 }
 
 // runFig7Shard executes one seed's full sweep. The member stream is
 // derived from the seed independently of the (cached) topology build, so
 // a cache hit cannot shift later draws.
-func runFig7Shard(cfg Fig7Config, seed int) []fig7Obs {
+func runFig7Shard(cfg Fig7Config, seed int) []obs {
 	wcfg := topology.WaxmanConfig{N: cfg.Nodes, Alpha: cfg.Alpha, Beta: cfg.Beta, GridSize: 32767, Connect: true}
 	art := waxmanArtifactFor(wcfg, int64(seed))
 	g, spDelay, spCost := art.g, art.spDelay, art.spCost
 	root := topology.NodeID(0)
 	memberRng := rng.New(int64(seed)*104729 + 1)
-	var out []fig7Obs
+	var out []obs
 	for _, size := range cfg.GroupSizes {
 		if size >= g.N() { // root is excluded, so at most N-1 members exist
 			continue
@@ -95,115 +102,22 @@ func runFig7Shard(cfg Fig7Config, seed int) []fig7Obs {
 				d.Join(m)
 			}
 			out = append(out,
-				fig7Obs{lvl.Name, "DCDM", size, d.Tree().TreeDelay(), d.Tree().Cost()},
-				fig7Obs{lvl.Name, "KMB", size, kmb.TreeDelay(), kmb.Cost()},
-				fig7Obs{lvl.Name, "SPT", size, spt.TreeDelay(), spt.Cost()})
+				obs{Key{lvl.Name, size, "DCDM"}, vals{d.Tree().TreeDelay(), d.Tree().Cost()}},
+				obs{Key{lvl.Name, size, "KMB"}, vals{kmb.TreeDelay(), kmb.Cost()}},
+				obs{Key{lvl.Name, size, "SPT"}, vals{spt.TreeDelay(), spt.Cost()}})
 		}
 	}
 	return out
 }
 
-// RunFig7 executes the sweep and returns every cell, ordered by level,
-// group size, algorithm. Per-seed shards fan out over runner.Map and
-// merge in seed order, so the aggregate matches a serial run exactly.
-func RunFig7(cfg Fig7Config) []Fig7Point {
-	type key struct {
-		level, algo string
-		size        int
-	}
-	cells := make(map[key]*Fig7Point)
-	cell := func(level, algo string, size int) *Fig7Point {
-		k := key{level, algo, size}
-		p := cells[k]
-		if p == nil {
-			p = &Fig7Point{Level: level, GroupSize: size, Algorithm: algo,
-				TreeDelay: &stats.Sample{}, TreeCost: &stats.Sample{}}
-			cells[k] = p
-		}
-		return p
-	}
+// RunFig7 executes the sweep. Per-seed shards fan out over runner.Map
+// and merge in seed order, so the aggregate matches a serial run exactly.
+func RunFig7(cfg Fig7Config) Table {
 	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, cfg.Seeds, func(seed int) []fig7Obs {
+	return fold(fig7Table, runner.Map(opts, cfg.Seeds, func(seed int) []obs {
 		return runFig7Shard(cfg, seed)
-	})
-	for _, shard := range shards {
-		for _, o := range shard {
-			c := cell(o.level, o.algo, o.size)
-			c.TreeDelay.Add(o.delay)
-			c.TreeCost.Add(o.cost)
-		}
-	}
-	out := make([]Fig7Point, 0, len(cells))
-	for _, p := range cells {
-		out = append(out, *p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Level != b.Level {
-			return levelRank(a.Level) < levelRank(b.Level)
-		}
-		if a.GroupSize != b.GroupSize {
-			return a.GroupSize < b.GroupSize
-		}
-		return a.Algorithm < b.Algorithm
-	})
-	return out
+	}))
 }
 
-func levelRank(level string) int {
-	for i, lvl := range ConstraintLevels {
-		if lvl.Name == level {
-			return i
-		}
-	}
-	return len(ConstraintLevels)
-}
-
-// WriteFig7 prints the sweep as paper-style panels: Fig. 7(a-c) tree
-// delay and Fig. 7(d-f) tree cost, one row per group size, one column
-// per algorithm.
-func WriteFig7(w io.Writer, points []Fig7Point) {
-	metrics := []struct {
-		title string
-		pick  func(Fig7Point) *stats.Sample
-	}{
-		{"Tree delay", func(p Fig7Point) *stats.Sample { return p.TreeDelay }},
-		{"Tree cost", func(p Fig7Point) *stats.Sample { return p.TreeCost }},
-	}
-	for _, m := range metrics {
-		for _, lvl := range ConstraintLevels {
-			fmt.Fprintf(w, "\n%s — delay constraint %s\n", m.title, lvl.Name)
-			fmt.Fprintf(w, "%-10s %14s %14s %14s\n", "groupsize", "DCDM", "KMB", "SPT")
-			bySize := map[int]map[string]*stats.Sample{}
-			for _, p := range points {
-				if p.Level != lvl.Name {
-					continue
-				}
-				if bySize[p.GroupSize] == nil {
-					bySize[p.GroupSize] = map[string]*stats.Sample{}
-				}
-				bySize[p.GroupSize][p.Algorithm] = m.pick(p)
-			}
-			sizes := make([]int, 0, len(bySize))
-			for s := range bySize {
-				sizes = append(sizes, s)
-			}
-			sort.Ints(sizes)
-			for _, s := range sizes {
-				row := bySize[s]
-				fmt.Fprintf(w, "%-10d", s)
-				// A filtered or partial point slice may miss cells; print
-				// a placeholder instead of dereferencing nil, exactly
-				// like writeFig89Metric.
-				for _, algo := range []string{"DCDM", "KMB", "SPT"} {
-					if sm := row[algo]; sm != nil {
-						fmt.Fprintf(w, " %14.0f", sm.Mean())
-					} else {
-						fmt.Fprintf(w, " %14s", "-")
-					}
-				}
-				fmt.Fprintln(w)
-			}
-		}
-	}
-}
+// WriteFig7 prints the sweep as the paper's panels.
+func WriteFig7(w io.Writer, t Table) { writePivot(w, t, t.spec.grid.metrics...) }

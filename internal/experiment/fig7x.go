@@ -3,13 +3,10 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math"
-	"scmp/internal/rng"
-	"sort"
 
 	"scmp/internal/mtree"
+	"scmp/internal/rng"
 	"scmp/internal/runner"
-	"scmp/internal/stats"
 	"scmp/internal/topology"
 )
 
@@ -72,40 +69,30 @@ func buildFamily(name string, seed int64) *topology.Graph {
 	}
 }
 
-// Fig7xPoint is one (family, algorithm) cell, with cost and delay
-// normalised to SPT's values on the same instance so families of very
-// different scales are comparable.
-type Fig7xPoint struct {
-	Family    string
-	Algorithm string
-	// CostVsSPT and DelayVsSPT sample cost(alg)/cost(SPT) and
-	// delay(alg)/delay(SPT) per seed.
-	CostVsSPT  *stats.Sample
-	DelayVsSPT *stats.Sample
+// fig7xTable has one row per (family, algorithm): cost(alg)/cost(SPT)
+// (measure 0) and delay(alg)/delay(SPT) (1) per seed, normalised to SPT
+// on the same instance so families of very different scales compare.
+var fig7xTable = &spec{
+	order: [maxAxes][]string{Fig7xFamilies, algorithms},
+	csv: []col{
+		{"family", axis, 0}, {"algorithm", axis, 1},
+		{"cost_vs_spt", mean, 0}, {"delay_vs_spt", mean, 1},
+	},
+	flat: &flat{
+		title: "Tree quality across topology families (relative to SPT = 1.00)",
+		head:  fmt.Sprintf("%-16s %-6s %14s %14s", "family", "algo", "cost/SPT", "delay/SPT"),
+		row:   "%-16s %-6s %14.3f %14.3f\n",
+		show:  []ref{{axis, 0}, {axis, 1}, {mean, 0}, {mean, 1}},
+	},
 }
 
 // RunFig7x executes the sweep.
-func RunFig7x(cfg Fig7xConfig) []Fig7xPoint {
+func RunFig7x(cfg Fig7xConfig) Table {
 	if cfg.Kappa == 0 {
 		cfg.Kappa = 1.5
 	}
-	points := map[[2]string]*Fig7xPoint{}
-	cell := func(family, algo string) *Fig7xPoint {
-		k := [2]string{family, algo}
-		p := points[k]
-		if p == nil {
-			p = &Fig7xPoint{Family: family, Algorithm: algo,
-				CostVsSPT: &stats.Sample{}, DelayVsSPT: &stats.Sample{}}
-			points[k] = p
-		}
-		return p
-	}
-	type fig7xObs struct {
-		algo        string
-		cost, delay float64 // relative to SPT on the same instance
-	}
 	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, len(Fig7xFamilies)*cfg.Seeds, func(j int) []fig7xObs {
+	return fold(fig7xTable, runner.Map(opts, len(Fig7xFamilies)*cfg.Seeds, func(j int) []obs {
 		family := Fig7xFamilies[j/cfg.Seeds]
 		seed := j % cfg.Seeds
 		art := familyArtifactFor(family, int64(seed))
@@ -127,54 +114,14 @@ func RunFig7x(cfg Fig7xConfig) []Fig7xPoint {
 		if baseCost <= 0 || baseDelay <= 0 {
 			return nil
 		}
-		return []fig7xObs{
-			{"DCDM", dcdm.Tree().Cost() / baseCost, dcdm.Tree().TreeDelay() / baseDelay},
-			{"KMB", kmb.Cost() / baseCost, kmb.TreeDelay() / baseDelay},
-			{"SPT", 1, 1},
+		return []obs{
+			{Key{family, "DCDM"}, vals{dcdm.Tree().Cost() / baseCost, dcdm.Tree().TreeDelay() / baseDelay}},
+			{Key{family, "KMB"}, vals{kmb.Cost() / baseCost, kmb.TreeDelay() / baseDelay}},
+			{Key{family, "SPT"}, vals{1, 1}},
 		}
-	})
-	for j, shard := range shards {
-		family := Fig7xFamilies[j/cfg.Seeds]
-		for _, o := range shard {
-			p := cell(family, o.algo)
-			p.CostVsSPT.Add(o.cost)
-			p.DelayVsSPT.Add(o.delay)
-		}
-	}
-	out := make([]Fig7xPoint, 0, len(points))
-	for _, family := range Fig7xFamilies {
-		for _, algo := range []string{"DCDM", "KMB", "SPT"} {
-			if p, ok := points[[2]string{family, algo}]; ok {
-				out = append(out, *p)
-			}
-		}
-	}
-	return out
+	}))
 }
 
 // WriteFig7x prints the study: cost and delay relative to SPT (=1.00)
 // per family.
-func WriteFig7x(w io.Writer, points []Fig7xPoint) {
-	fmt.Fprintf(w, "\nTree quality across topology families (relative to SPT = 1.00)\n")
-	fmt.Fprintf(w, "%-16s %-6s %14s %14s\n", "family", "algo", "cost/SPT", "delay/SPT")
-	sorted := append([]Fig7xPoint(nil), points...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Family != sorted[j].Family {
-			return familyRank(sorted[i].Family) < familyRank(sorted[j].Family)
-		}
-		return sorted[i].Algorithm < sorted[j].Algorithm
-	})
-	for _, p := range sorted {
-		fmt.Fprintf(w, "%-16s %-6s %14.3f %14.3f\n",
-			p.Family, p.Algorithm, p.CostVsSPT.Mean(), p.DelayVsSPT.Mean())
-	}
-}
-
-func familyRank(f string) int {
-	for i, name := range Fig7xFamilies {
-		if name == f {
-			return i
-		}
-	}
-	return math.MaxInt32
-}
+func WriteFig7x(w io.Writer, t Table) { writeFlat(w, t) }

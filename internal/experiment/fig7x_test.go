@@ -2,25 +2,24 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
 func TestFig7xConclusionsHoldAcrossFamilies(t *testing.T) {
-	points := RunFig7x(Fig7xConfig{GroupSize: 15, Seeds: 3, Kappa: 1.5})
-	by := map[[2]string]Fig7xPoint{}
-	for _, p := range points {
-		by[[2]string{p.Family, p.Algorithm}] = p
-	}
+	tab := RunFig7x(Fig7xConfig{GroupSize: 15, Seeds: 3, Kappa: 1.5})
 	for _, family := range Fig7xFamilies {
-		dcdm, ok := by[[2]string{family, "DCDM"}]
-		if !ok {
+		type ratios struct{ cost, delay float64 }
+		get := func(algo string) ratios {
+			return ratios{tab.Value("cost_vs_spt", family, algo), tab.Value("delay_vs_spt", family, algo)}
+		}
+		dcdm, kmb, spt := get("DCDM"), get("KMB"), get("SPT")
+		if math.IsNaN(dcdm.cost) {
 			t.Fatalf("missing family %s", family)
 		}
-		kmb := by[[2]string{family, "KMB"}]
-		spt := by[[2]string{family, "SPT"}]
 		// SPT reference is exactly 1.
-		if spt.CostVsSPT.Mean() != 1 || spt.DelayVsSPT.Mean() != 1 {
+		if spt.cost != 1 || spt.delay != 1 {
 			t.Fatalf("%s: SPT reference not 1", family)
 		}
 		// The paper's conclusions, family by family: DCDM saves cost
@@ -32,14 +31,14 @@ func TestFig7xConclusionsHoldAcrossFamilies(t *testing.T) {
 		if family == "arpanet20" {
 			costCeil = 1.02
 		}
-		if dcdm.CostVsSPT.Mean() >= costCeil {
-			t.Errorf("%s: DCDM cost ratio %.3f not below %.2f", family, dcdm.CostVsSPT.Mean(), costCeil)
+		if dcdm.cost >= costCeil {
+			t.Errorf("%s: DCDM cost ratio %.3f not below %.2f", family, dcdm.cost, costCeil)
 		}
-		if kmb.CostVsSPT.Mean() > dcdm.CostVsSPT.Mean()*1.05 {
-			t.Errorf("%s: KMB cost ratio %.3f above DCDM %.3f", family, kmb.CostVsSPT.Mean(), dcdm.CostVsSPT.Mean())
+		if kmb.cost > dcdm.cost*1.05 {
+			t.Errorf("%s: KMB cost ratio %.3f above DCDM %.3f", family, kmb.cost, dcdm.cost)
 		}
-		if dcdm.DelayVsSPT.Mean() >= kmb.DelayVsSPT.Mean() {
-			t.Errorf("%s: DCDM delay ratio %.3f not below KMB %.3f", family, dcdm.DelayVsSPT.Mean(), kmb.DelayVsSPT.Mean())
+		if dcdm.delay >= kmb.delay {
+			t.Errorf("%s: DCDM delay ratio %.3f not below KMB %.3f", family, dcdm.delay, kmb.delay)
 		}
 	}
 }

@@ -1,10 +1,7 @@
 package experiment
 
 import (
-	"fmt"
 	"io"
-	"scmp/internal/rng"
-	"sort"
 
 	"scmp/internal/core"
 	"scmp/internal/des"
@@ -13,8 +10,8 @@ import (
 	"scmp/internal/protocols/cbt"
 	"scmp/internal/protocols/dvmrp"
 	"scmp/internal/protocols/mospf"
+	"scmp/internal/rng"
 	"scmp/internal/runner"
-	"scmp/internal/stats"
 	"scmp/internal/topology"
 )
 
@@ -53,19 +50,25 @@ func DefaultFig89() Fig89Config {
 	}
 }
 
-// Fig89Point is one (topology, group size, protocol) cell.
-type Fig89Point struct {
-	Topology  string
-	GroupSize int
-	Protocol  string
-	// DataOverhead and ProtoOverhead are in link-cost units over the
-	// whole run; MaxE2E is the maximum end-to-end delay of delivered
-	// data packets; Undelivered counts member-deliveries that never
-	// happened (0 when the protocols converge, which they must).
-	DataOverhead  *stats.Sample
-	ProtoOverhead *stats.Sample
-	MaxE2E        *stats.Sample
-	Undelivered   int
+// fig89Table has one row per (topology, group size, protocol). Data
+// overhead (measure 0) and protocol overhead (1) are in link-cost units
+// over the whole run; 2 is the maximum end-to-end delay of delivered
+// data packets; 3 counts member-deliveries that never happened (0 when
+// the protocols converge, which they must).
+var fig89Table = &spec{
+	order: [maxAxes][]string{0: Fig89Topologies(), 2: Protocols},
+	csv: []col{
+		{"topology", axis, 0}, {"groupsize", axis, 1}, {"protocol", axis, 2},
+		{"data_overhead_mean", mean, 0}, {"data_overhead_ci95", ci95, 0},
+		{"proto_overhead_mean", mean, 1}, {"proto_overhead_ci95", ci95, 1},
+		{"max_e2e_mean", mean, 2}, {"max_e2e_ci95", ci95, 2},
+		{"undelivered", sum, 3},
+	},
+	grid: &grid{at: 1, head: "groupsize", rowW: 10, colW: 14, metrics: []metric{
+		{"Data overhead (link-cost units) — %s", " %14.1f", []ref{{mean, 0}}},
+		{"Protocol overhead (link-cost units) — %s", " %14.1f", []ref{{mean, 1}}},
+		{"Maximum end-to-end delay (s) — %s", " %14.4f", []ref{{mean, 2}}},
+	}},
 }
 
 // buildProtocol instantiates a protocol by name with the shared
@@ -158,23 +161,15 @@ func sendTimes(simTime, rate float64) []float64 {
 	}
 }
 
-// fig89Obs is one shard observation: a single protocol run's metrics.
-// The shard's size guard and protocol loop emit them in deterministic
-// order, so the index-ordered merge reproduces the serial Add sequence.
-type fig89Obs struct {
-	size                  int
-	proto                 string
-	data, protoOv, maxE2E float64
-	undelivered           int
-}
-
 // runFig89Shard executes every (size, protocol) run of one (topology,
 // seed) shard. Shards are independent: each derives its own rng streams
-// from the seed and shares only the immutable cached artifacts.
-func runFig89Shard(cfg Fig89Config, topo string, seed int) []fig89Obs {
+// from the seed and shares only the immutable cached artifacts. The
+// size guard and protocol loop emit observations in a fixed order, so
+// the index-ordered fold reproduces the serial Add sequence.
+func runFig89Shard(cfg Fig89Config, topo string, seed int) []obs {
 	art := fig89ArtifactFor(topo, int64(seed))
 	rnd := rng.New(int64(seed) * 7919)
-	var out []fig89Obs
+	var out []obs
 	for _, size := range cfg.GroupSizes {
 		if size >= art.g.N() {
 			continue
@@ -183,7 +178,7 @@ func runFig89Shard(cfg Fig89Config, topo string, seed int) []fig89Obs {
 		source := topology.NodeID(rnd.Intn(art.g.N()))
 		for _, protoName := range Protocols {
 			data, proto, maxE2E, undelivered := runOne(art.g, protoName, cfg, members, source, art.center)
-			out = append(out, fig89Obs{size, protoName, data, proto, maxE2E, undelivered})
+			out = append(out, obs{Key{topo, size, protoName}, vals{data, proto, maxE2E, float64(undelivered)}})
 		}
 	}
 	return out
@@ -195,139 +190,19 @@ func runFig89Shard(cfg Fig89Config, topo string, seed int) []fig89Obs {
 // comparison is paired, like the paper's; shard results merge in
 // topology-major, seed-minor order, so the aggregate is byte-identical
 // to a serial run.
-func RunFig89(cfg Fig89Config) []Fig89Point {
+func RunFig89(cfg Fig89Config) Table {
 	if cfg.Topologies == nil {
 		cfg.Topologies = Fig89Topologies()
 	}
-	type key struct {
-		topo, proto string
-		size        int
-	}
-	cells := make(map[key]*Fig89Point)
-	cell := func(topo, proto string, size int) *Fig89Point {
-		k := key{topo, proto, size}
-		p := cells[k]
-		if p == nil {
-			p = &Fig89Point{Topology: topo, GroupSize: size, Protocol: proto,
-				DataOverhead: &stats.Sample{}, ProtoOverhead: &stats.Sample{}, MaxE2E: &stats.Sample{}}
-			cells[k] = p
-		}
-		return p
-	}
 	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, len(cfg.Topologies)*cfg.Seeds, func(j int) []fig89Obs {
+	return fold(fig89Table, runner.Map(opts, len(cfg.Topologies)*cfg.Seeds, func(j int) []obs {
 		return runFig89Shard(cfg, cfg.Topologies[j/cfg.Seeds], j%cfg.Seeds)
-	})
-	for j, shard := range shards {
-		topo := cfg.Topologies[j/cfg.Seeds]
-		for _, o := range shard {
-			c := cell(topo, o.proto, o.size)
-			c.DataOverhead.Add(o.data)
-			c.ProtoOverhead.Add(o.protoOv)
-			c.MaxE2E.Add(o.maxE2E)
-			c.Undelivered += o.undelivered
-		}
-	}
-	out := make([]Fig89Point, 0, len(cells))
-	for _, p := range cells {
-		out = append(out, *p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Topology != b.Topology {
-			return topoRank(a.Topology) < topoRank(b.Topology)
-		}
-		if a.GroupSize != b.GroupSize {
-			return a.GroupSize < b.GroupSize
-		}
-		return protoRank(a.Protocol) < protoRank(b.Protocol)
-	})
-	return out
-}
-
-func topoRank(t string) int {
-	for i, name := range Fig89Topologies() {
-		if name == t {
-			return i
-		}
-	}
-	return 99
-}
-
-func protoRank(p string) int {
-	for i, name := range Protocols {
-		if name == p {
-			return i
-		}
-	}
-	return 99
-}
-
-// metricPick selects which metric a writer prints and how to format it.
-type metricPick struct {
-	title  string
-	format string
-	pick   func(Fig89Point) *stats.Sample
-}
-
-func writeFig89Metric(w io.Writer, points []Fig89Point, m metricPick) {
-	for _, topo := range Fig89Topologies() {
-		any := false
-		for _, p := range points {
-			if p.Topology == topo {
-				any = true
-				break
-			}
-		}
-		if !any {
-			continue
-		}
-		fmt.Fprintf(w, "\n%s — %s\n", m.title, topo)
-		fmt.Fprintf(w, "%-10s", "groupsize")
-		for _, proto := range Protocols {
-			fmt.Fprintf(w, " %14s", proto)
-		}
-		fmt.Fprintln(w)
-		bySize := map[int]map[string]*stats.Sample{}
-		for _, p := range points {
-			if p.Topology != topo {
-				continue
-			}
-			if bySize[p.GroupSize] == nil {
-				bySize[p.GroupSize] = map[string]*stats.Sample{}
-			}
-			bySize[p.GroupSize][p.Protocol] = m.pick(p)
-		}
-		sizes := make([]int, 0, len(bySize))
-		for s := range bySize {
-			sizes = append(sizes, s)
-		}
-		sort.Ints(sizes)
-		for _, s := range sizes {
-			fmt.Fprintf(w, "%-10d", s)
-			for _, proto := range Protocols {
-				if sm := bySize[s][proto]; sm != nil {
-					fmt.Fprintf(w, " "+m.format, sm.Mean())
-				} else {
-					fmt.Fprintf(w, " %14s", "-")
-				}
-			}
-			fmt.Fprintln(w)
-		}
-	}
+	}))
 }
 
 // WriteFig8 prints the data-overhead panels (Fig. 8 a–c) and the
 // protocol-overhead panels (Fig. 8 d–f).
-func WriteFig8(w io.Writer, points []Fig89Point) {
-	writeFig89Metric(w, points, metricPick{"Data overhead (link-cost units)", "%14.1f",
-		func(p Fig89Point) *stats.Sample { return p.DataOverhead }})
-	writeFig89Metric(w, points, metricPick{"Protocol overhead (link-cost units)", "%14.1f",
-		func(p Fig89Point) *stats.Sample { return p.ProtoOverhead }})
-}
+func WriteFig8(w io.Writer, t Table) { writePivot(w, t, t.spec.grid.metrics[:2]...) }
 
 // WriteFig9 prints the maximum end-to-end delay panels (Fig. 9 a–c).
-func WriteFig9(w io.Writer, points []Fig89Point) {
-	writeFig89Metric(w, points, metricPick{"Maximum end-to-end delay (s)", "%14.4f",
-		func(p Fig89Point) *stats.Sample { return p.MaxE2E }})
-}
+func WriteFig9(w io.Writer, t Table) { writePivot(w, t, t.spec.grid.metrics[2:]...) }

@@ -65,19 +65,18 @@ func TestSendTimesMonotone(t *testing.T) {
 	}
 }
 
-// TestWriteFig7PartialSlice: a filtered point slice missing algorithms
+// TestWriteFig7PartialSlice: a table missing some algorithms' rows
 // must print a placeholder, not panic on a nil cell (the old writer
 // dereferenced row["KMB"] unconditionally).
 func TestWriteFig7PartialSlice(t *testing.T) {
-	sample := func(x float64) *stats.Sample {
-		s := &stats.Sample{}
+	sample := func(x float64) stats.Sample {
+		var s stats.Sample
 		s.Add(x)
 		return s
 	}
-	points := []Fig7Point{
-		{Level: "moderate", GroupSize: 10, Algorithm: "DCDM",
-			TreeDelay: sample(5), TreeCost: sample(7)},
-	}
+	points := Table{fig7Table, []Row{
+		{Key{"moderate", 10, "DCDM"}, []stats.Sample{sample(5), sample(7)}},
+	}}
 	var buf bytes.Buffer
 	WriteFig7(&buf, points) // must not panic
 	out := buf.String()
@@ -123,12 +122,12 @@ func TestPickMembersPanicsWhenShort(t *testing.T) {
 func TestRunFig7SkipsOversizedGroups(t *testing.T) {
 	points := RunFig7(Fig7Config{Nodes: 20, Alpha: 0.25, Beta: 0.2,
 		GroupSizes: []int{5, 20, 25}, Seeds: 1})
-	for _, p := range points {
-		if p.GroupSize >= 20 {
-			t.Fatalf("oversized group %d not skipped", p.GroupSize)
+	for _, r := range points.Rows {
+		if size := r.Key[1].(int); size >= 20 {
+			t.Fatalf("oversized group %d not skipped", size)
 		}
 	}
-	if len(points) == 0 {
+	if len(points.Rows) == 0 {
 		t.Fatal("valid sizes were dropped too")
 	}
 }

@@ -3,12 +3,12 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"scmp/internal/rng"
+	"slices"
 	"sort"
 
 	"scmp/internal/mtree"
+	"scmp/internal/rng"
 	"scmp/internal/runner"
-	"scmp/internal/stats"
 	"scmp/internal/topology"
 )
 
@@ -41,11 +41,21 @@ func DefaultPlacement() PlacementConfig {
 	return PlacementConfig{Nodes: 100, GroupSize: 20, Seeds: 5, Trials: 10, Kappa: 1.5}
 }
 
-// PlacementPoint is one rule's tree-cost and tree-delay sample.
-type PlacementPoint struct {
-	Rule      string
-	TreeCost  *stats.Sample
-	TreeDelay *stats.Sample
+// placementTable has one row per rule: DCDM tree cost (measure 0) and
+// tree delay (1) over every (topology, member set) trial.
+var placementTable = &spec{
+	order: [maxAxes][]string{PlacementRules},
+	csv: []col{
+		{"rule", axis, 0},
+		{"tree_cost_mean", mean, 0}, {"tree_cost_ci95", ci95, 0},
+		{"tree_delay_mean", mean, 1}, {"tree_delay_ci95", ci95, 1},
+	},
+	flat: &flat{
+		title: "m-router placement heuristics (DCDM tree quality)",
+		head:  fmt.Sprintf("%-18s %18s %18s", "rule", "mean tree cost", "mean tree delay"),
+		row:   "%-18s %18.0f %18.0f\n",
+		show:  []ref{{axis, 0}, {mean, 0}, {mean, 1}},
+	},
 }
 
 // Place returns the m-router node a rule selects on g. The random rule
@@ -77,21 +87,13 @@ func Place(rule string, g *topology.Graph, rng *rng.Rand) topology.NodeID {
 	}
 }
 
-// RunPlacement executes the study and returns one point per rule.
-func RunPlacement(cfg PlacementConfig) []PlacementPoint {
+// RunPlacement executes the study: one row per rule, in rule order.
+func RunPlacement(cfg PlacementConfig) Table {
 	if cfg.Kappa == 0 {
 		cfg.Kappa = 1.5
 	}
-	points := make(map[string]*PlacementPoint)
-	for _, rule := range PlacementRules {
-		points[rule] = &PlacementPoint{Rule: rule, TreeCost: &stats.Sample{}, TreeDelay: &stats.Sample{}}
-	}
-	type placementObs struct {
-		rule        string
-		cost, delay float64
-	}
 	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, cfg.Seeds, func(seed int) []placementObs {
+	return fold(placementTable, runner.Map(opts, cfg.Seeds, func(seed int) []obs {
 		// The workload stream (random placement + member sets) is
 		// derived from the seed independently of the cached topology
 		// build, so a cache hit cannot shift later draws.
@@ -102,7 +104,7 @@ func RunPlacement(cfg PlacementConfig) []PlacementPoint {
 		for _, rule := range PlacementRules {
 			roots[rule] = Place(rule, g, wl)
 		}
-		var out []placementObs
+		var out []obs
 		for trial := 0; trial < cfg.Trials; trial++ {
 			members := pickMembers(wl, g.N(), cfg.GroupSize, -1)
 			for _, rule := range PlacementRules {
@@ -114,31 +116,17 @@ func RunPlacement(cfg PlacementConfig) []PlacementPoint {
 					}
 					d.Join(m)
 				}
-				out = append(out, placementObs{rule, d.Tree().Cost(), d.Tree().TreeDelay()})
+				out = append(out, obs{Key{rule}, vals{d.Tree().Cost(), d.Tree().TreeDelay()}})
 			}
 		}
 		return out
-	})
-	for _, shard := range shards {
-		for _, o := range shard {
-			points[o.rule].TreeCost.Add(o.cost)
-			points[o.rule].TreeDelay.Add(o.delay)
-		}
-	}
-	out := make([]PlacementPoint, 0, len(points))
-	for _, rule := range PlacementRules {
-		out = append(out, *points[rule])
-	}
-	return out
+	}))
 }
 
-// WritePlacement prints the study as one row per rule.
-func WritePlacement(w io.Writer, points []PlacementPoint) {
-	fmt.Fprintf(w, "\nm-router placement heuristics (DCDM tree quality)\n")
-	fmt.Fprintf(w, "%-18s %18s %18s\n", "rule", "mean tree cost", "mean tree delay")
-	sorted := append([]PlacementPoint(nil), points...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].TreeCost.Mean() < sorted[j].TreeCost.Mean() })
-	for _, p := range sorted {
-		fmt.Fprintf(w, "%-18s %18.0f %18.0f\n", p.Rule, p.TreeCost.Mean(), p.TreeDelay.Mean())
-	}
+// WritePlacement prints the study as one row per rule, cheapest mean
+// tree first.
+func WritePlacement(w io.Writer, t Table) {
+	t.Rows = slices.Clone(t.Rows)
+	sort.SliceStable(t.Rows, func(i, j int) bool { return t.Rows[i].Samples[0].Mean() < t.Rows[j].Samples[0].Mean() })
+	writeFlat(w, t)
 }

@@ -1,14 +1,11 @@
 package experiment
 
 import (
-	"fmt"
 	"io"
-	"scmp/internal/rng"
-	"sort"
 
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/runner"
-	"scmp/internal/stats"
 	"scmp/internal/topology"
 )
 
@@ -44,12 +41,18 @@ func DefaultState() StateConfig {
 	}
 }
 
-// StatePoint is one (groups, protocol) cell: state entries per router.
-type StatePoint struct {
-	Groups   int
-	Protocol string
-	MaxState *stats.Sample // max entries over routers, sampled per seed
-	SumState *stats.Sample // total entries across routers
+// stateTable has one row per (groups, protocol): state entries per
+// router, as the max over routers (measure 0) and the domain total (1),
+// sampled per seed.
+var stateTable = &spec{
+	order: [maxAxes][]string{1: Protocols},
+	csv: []col{
+		{"groups", axis, 0}, {"protocol", axis, 1},
+		{"max_state_mean", mean, 0}, {"sum_state_mean", mean, 1},
+	},
+	grid: &grid{at: 0, head: "groups", rowW: 8, colW: 18, metrics: []metric{
+		{"Routing state per router (max over routers / domain total)", " %9.1f/%8.0f", []ref{{mean, 0}, {mean, 1}}},
+	}},
 }
 
 // stateCounter is implemented by all four protocols.
@@ -58,32 +61,12 @@ type stateCounter interface {
 }
 
 // RunState executes the sweep.
-func RunState(cfg StateConfig) []StatePoint {
-	type key struct {
-		groups int
-		proto  string
-	}
-	cells := map[key]*StatePoint{}
-	cell := func(groups int, proto string) *StatePoint {
-		k := key{groups, proto}
-		p := cells[k]
-		if p == nil {
-			p = &StatePoint{Groups: groups, Protocol: proto,
-				MaxState: &stats.Sample{}, SumState: &stats.Sample{}}
-			cells[k] = p
-		}
-		return p
-	}
-	type stateObs struct {
-		groups        int
-		proto         string
-		maxState, sum float64
-	}
+func RunState(cfg StateConfig) Table {
 	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, cfg.Seeds, func(seed int) []stateObs {
+	return fold(stateTable, runner.Map(opts, cfg.Seeds, func(seed int) []obs {
 		art := randomArtifactFor(cfg.Nodes, cfg.Degree, int64(seed))
 		g, center := art.g, art.centers[0]
-		var obs []stateObs
+		var out []obs
 		for _, groups := range cfg.Groups {
 			// One shared workload per (seed, groups): per group, a
 			// member set and a sender set.
@@ -124,62 +107,13 @@ func RunState(cfg StateConfig) []StatePoint {
 						maxState = st
 					}
 				}
-				obs = append(obs, stateObs{groups, protoName, float64(maxState), float64(sum)})
+				out = append(out, obs{Key{groups, protoName}, vals{float64(maxState), float64(sum)}})
 			}
 		}
-		return obs
-	})
-	for _, shard := range shards {
-		for _, o := range shard {
-			c := cell(o.groups, o.proto)
-			c.MaxState.Add(o.maxState)
-			c.SumState.Add(o.sum)
-		}
-	}
-	out := make([]StatePoint, 0, len(cells))
-	for _, p := range cells {
-		out = append(out, *p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Groups != out[j].Groups {
-			return out[i].Groups < out[j].Groups
-		}
-		return protoRank(out[i].Protocol) < protoRank(out[j].Protocol)
-	})
-	return out
+		return out
+	}))
 }
 
 // WriteState prints the study: per group count, the worst-router and
 // domain-total state entries per protocol.
-func WriteState(w io.Writer, points []StatePoint) {
-	fmt.Fprintf(w, "\nRouting state per router (max over routers / domain total)\n")
-	fmt.Fprintf(w, "%-8s", "groups")
-	for _, proto := range Protocols {
-		fmt.Fprintf(w, " %18s", proto)
-	}
-	fmt.Fprintln(w)
-	byGroups := map[int]map[string]StatePoint{}
-	for _, p := range points {
-		if byGroups[p.Groups] == nil {
-			byGroups[p.Groups] = map[string]StatePoint{}
-		}
-		byGroups[p.Groups][p.Protocol] = p
-	}
-	var groupCounts []int
-	for gc := range byGroups {
-		groupCounts = append(groupCounts, gc)
-	}
-	sort.Ints(groupCounts)
-	for _, gc := range groupCounts {
-		fmt.Fprintf(w, "%-8d", gc)
-		for _, proto := range Protocols {
-			p, ok := byGroups[gc][proto]
-			if !ok {
-				fmt.Fprintf(w, " %18s", "-")
-				continue
-			}
-			fmt.Fprintf(w, " %9.1f/%8.0f", p.MaxState.Mean(), p.SumState.Mean())
-		}
-		fmt.Fprintln(w)
-	}
-}
+func WriteState(w io.Writer, t Table) { writePivot(w, t, t.spec.grid.metrics...) }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -16,30 +17,29 @@ func smallState() StateConfig {
 }
 
 func TestStateScalabilityShape(t *testing.T) {
-	points := RunState(smallState())
-	get := func(groups int, proto string) StatePoint {
-		for _, p := range points {
-			if p.Groups == groups && p.Protocol == proto {
-				return p
-			}
+	tab := RunState(smallState())
+	type entries struct{ max, sum float64 }
+	get := func(groups int, proto string) entries {
+		e := entries{tab.Value("max_state_mean", groups, proto), tab.Value("sum_state_mean", groups, proto)}
+		if math.IsNaN(e.sum) {
+			t.Fatalf("missing cell %d/%s", groups, proto)
 		}
-		t.Fatalf("missing cell %d/%s", groups, proto)
-		return StatePoint{}
+		return e
 	}
 	for _, proto := range Protocols {
 		one, four := get(1, proto), get(4, proto)
-		if four.SumState.Mean() <= one.SumState.Mean() {
+		if four.sum <= one.sum {
 			t.Fatalf("%s: state did not grow with groups (%.0f -> %.0f)",
-				proto, one.SumState.Mean(), four.SumState.Mean())
+				proto, one.sum, four.sum)
 		}
 	}
 	// The paper's argument: per-(source,group) protocols hold much more
 	// state than per-group protocols under multi-source workloads.
 	for _, groups := range []int{1, 4} {
-		scmp := get(groups, "SCMP").SumState.Mean()
-		cbt := get(groups, "CBT").SumState.Mean()
-		dvmrp := get(groups, "DVMRP").SumState.Mean()
-		mospf := get(groups, "MOSPF").SumState.Mean()
+		scmp := get(groups, "SCMP").sum
+		cbt := get(groups, "CBT").sum
+		dvmrp := get(groups, "DVMRP").sum
+		mospf := get(groups, "MOSPF").sum
 		if dvmrp <= scmp || mospf <= scmp {
 			t.Fatalf("groups=%d: SPT-based state (dvmrp %.0f, mospf %.0f) not above SCMP (%.0f)",
 				groups, dvmrp, mospf, scmp)
@@ -49,7 +49,7 @@ func TestStateScalabilityShape(t *testing.T) {
 		}
 	}
 	// SCMP's per-router state is bounded by the group count.
-	if got := get(4, "SCMP").MaxState.Mean(); got > 4 {
+	if got := get(4, "SCMP").max; got > 4 {
 		t.Fatalf("SCMP max per-router state %.1f exceeds group count 4", got)
 	}
 }

@@ -67,6 +67,26 @@ func transitiveWrite(opts runner.Options) []int {
 
 func bump() { global++ }
 
+// The shape of every internal/experiment study: the shard literal sits
+// at the runner.Map call site, nested in the call that folds the shards.
+// The nesting hides nothing: a captured-variable write in the shard
+// function is still a worker write.
+func studyShape(opts runner.Options) int {
+	runs := 0
+	return fold(runner.Map(opts, 4, func(seed int) []int {
+		runs++ // want "worker writes captured runs"
+		return []int{seed}
+	}))
+}
+
+func fold(shards [][]int) int {
+	n := 0
+	for _, shard := range shards {
+		n += len(shard)
+	}
+	return n
+}
+
 // Outside a worker the same writes are legal (other analyzers own
 // ordinary code).
 func sequentialClean(rows []float64) {

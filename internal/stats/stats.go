@@ -25,11 +25,16 @@ func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
 		return math.NaN()
 	}
+	return s.Sum() / float64(len(s.xs))
+}
+
+// Sum returns the sum of the observations, added in arrival order.
+func (s *Sample) Sum() float64 {
 	sum := 0.0
 	for _, x := range s.xs {
 		sum += x
 	}
-	return sum / float64(len(s.xs))
+	return sum
 }
 
 // Min returns the smallest observation, or NaN when empty.
