@@ -128,20 +128,21 @@ func TestDCDMAllocFloor(t *testing.T) {
 }
 
 // TestDCDMJoinRowAllocFloor pins what a join pays for its two
-// shortest-path rows on lazy tables. The first join from a router
-// starts both searches sparse: per row one Paths, one label array, one
-// index array and one parent array, 32 slots wide — 8 objects and about
-// 3 KB, plus the path — and a search that outgrows its slots moves its
-// row onto three new arrays. On the 2440-node transit-stub (mean degree
-// 2.3) the graft searches of this fixture end inside the first 32
-// slots: 9 objects, and the byte budget is what fails if a first touch
-// ever costs n again (two dense rows there weigh 2 x 78 KB). On the
-// 400-node Waxman (mean degree 26.6) settling the source alone labels
-// most of 32 routers and 64 slots would pass n/8, so each row is
-// promoted to the dense layout exactly once: 2 x (4 + 3) objects and
-// the path, the two dense rows plus 3 KB. A join whose rows are already
-// started — however far each search got, in whichever layout —
-// allocates the path alone.
+// shortest-path rows on lazy tables just invalidated, as a fault leaves
+// the network's routing store. The first join from a router starts both
+// searches sparse: per row one label array, one index array and one
+// parent array, 32 slots wide, on a Paths the table's free list hands
+// back — 6 objects and about 3 KB, plus the path — and a search that
+// outgrows its slots moves its row onto three new arrays. On the
+// 2440-node transit-stub (mean degree 2.3) the graft searches of this
+// fixture end inside the first 32 slots: 7 objects, and the byte budget
+// is what fails if a first touch ever costs n again (two dense rows
+// there weigh 2 x 78 KB). On the 400-node Waxman (mean degree 26.6)
+// settling the source alone labels most of 32 routers and 64 slots
+// would pass n/8, so each row is promoted to the dense layout exactly
+// once: 2 x (3 + 3) objects and the path, the two dense rows plus 3 KB.
+// A join whose rows are already started — however far each search got,
+// in whichever layout — allocates the path alone.
 func TestDCDMJoinRowAllocFloor(t *testing.T) {
 	if mtree.InvariantChecksArmed {
 		t.Skip("invariants build: per-mutation Validate allocates freely")
@@ -160,15 +161,17 @@ func TestDCDMJoinRowAllocFloor(t *testing.T) {
 		objects float64 // first join from a router
 		bytes   uint64
 	}{
-		{"waxman400", wg.Graph, 15, 32 << 10},
-		{"transitstub2440", ts, 9, 8 << 10},
+		{"waxman400", wg.Graph, 13, 32 << 10},
+		{"transitstub2440", ts, 7, 8 << 10},
 	} {
 		g := tc.g
-		fresh := func() (*topology.AllPairs, *topology.AllPairs) {
-			return topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
-		}
-		spDelay, spCost := fresh()
+		spDelay, spCost := topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
 		d := mtree.NewDCDM(g, 0, 1.5, spDelay, spCost)
+		untouch := func() { // every row started again from scratch
+			spDelay.Invalidate(nil)
+			spCost.Invalidate(nil)
+			d.Rebase()
+		}
 		perm := rand.New(rand.NewSource(7)).Perm(g.N())
 		for _, v := range perm[:128] {
 			d.Join(topology.NodeID(v))
@@ -193,10 +196,10 @@ func TestDCDMJoinRowAllocFloor(t *testing.T) {
 			}
 		}
 		// Warm the tree's own scratch (child slices, prune stacks) on the
-		// very routers measured, then move the engine onto fresh tables so
-		// their rows are untouched again.
+		// very routers measured, then invalidate the tables so their rows
+		// are untouched again.
 		testing.AllocsPerRun(runs, cycle())
-		d.SetAllPairs(fresh())
+		untouch()
 		avg := testing.AllocsPerRun(runs, cycle())
 		t.Logf("%s: %.2f objects per first join", tc.name, avg)
 		if avg > tc.objects {
@@ -205,7 +208,7 @@ func TestDCDMJoinRowAllocFloor(t *testing.T) {
 		if avg := testing.AllocsPerRun(runs, cycle()); avg > 1 {
 			t.Errorf("%s: join over started rows allocates %.2f objects, budget 1 (the path)", tc.name, avg)
 		}
-		d.SetAllPairs(fresh())
+		untouch()
 		first := cycle()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -234,17 +237,37 @@ func (nopProto) HostLeave(topology.NodeID, packet.GroupID)             {}
 func (nopProto) SendData(topology.NodeID, packet.GroupID, int, uint64) {}
 
 // TestFaultReconvergeAllocFloor pins the cost model of lazy
-// reconvergence: a LinkDown + LinkUp pair on the 400-node Waxman, with
-// 8 unicast destinations consulted after each event, allocates O(1)
-// bytes — the two scheduled closures — because the next-hop table is
-// reset in place and the rows it retires are the arrays the next ones
-// are started on. Fresh rows each time would be 8 x 12.9 KB per event.
+// reconvergence on the 400-node Waxman, in two arms. Substrate: a
+// LinkDown + LinkUp pair with 8 unicast destinations consulted after
+// each event allocates O(1) bytes — the two scheduled closures — because
+// the routing store is invalidated in place and the rows it retires are
+// the arrays the next ones are started on. Fresh rows each time would be
+// 8 x 12.9 KB per event. Hardened SCMP with repair on: one group of 8
+// members whose m-router loses and regains a tree link. The group's DCDM
+// reads the network's own tables across every pair — there is no
+// private copy to rebuild — so after the first pair's re-graft a pair
+// costs the fault closures and the m-router's rebase: 300-400 bytes
+// measured (go1.24, linux/amd64), where two fresh n-slot tables and a
+// copy of the arc mask per event came to 51.7 KB. One budget covers
+// both arms.
 func TestFaultReconvergeAllocFloor(t *testing.T) {
 	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := wg.Graph
+	const pairs = 50
+	perPair := func(pair func()) uint64 {
+		pair() // start the rows every later pair recycles
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pairs; i++ {
+			pair()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / pairs
+	}
+
 	n := netsim.New(g, nopProto{})
 	f := n.InstallFaults(netsim.FaultPlan{})
 	u, v := topology.NodeID(0), g.Neighbors(0)[0].To
@@ -252,32 +275,59 @@ func TestFaultReconvergeAllocFloor(t *testing.T) {
 	consult := func() {
 		n.Run()
 		for _, dst := range consulted {
-			n.Next.Hop(1, dst)
+			n.Delay.Hop(1, dst)
 		}
-		if got := n.Next.Materialized(); got != len(consulted) {
+		if got := n.Delay.Materialized(); got != len(consulted) {
 			t.Fatalf("%d rows started after consulting %d destinations", got, len(consulted))
 		}
 	}
-	pair := func() {
+	const budget = 1 << 10 // bytes per pair, either arm
+	per := perPair(func() {
 		f.ScheduleLinkDown(n.Now(), u, v)
 		consult()
 		f.ScheduleLinkUp(n.Now(), u, v)
 		consult()
-	}
-	pair() // start the rows every later pair recycles
-
-	const pairs, budget = 50, 1 << 10 // bytes per pair
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < pairs; i++ {
-		pair()
-	}
-	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / pairs
-	t.Logf("%d bytes per fault pair", per)
+	})
+	t.Logf("substrate: %d bytes per fault pair", per)
 	if per > budget {
 		t.Errorf("fault pair + %d consulted destinations allocates %d bytes, budget %d; "+
 			"run `go run ./cmd/scmplint -only hotalloc ./internal/topology/ ./internal/netsim/` to locate the new allocation site",
 			len(consulted), per, budget)
+	}
+
+	s := core.New(core.Config{MRouter: 0, Kappa: 1.5, AckTimeout: 0.05, RetryCap: 8, RefreshInterval: 2})
+	n = netsim.New(g.ScaleDelays(1e-7), s)
+	f = n.InstallFaults(netsim.FaultPlan{})
+	for _, m := range rand.New(rand.NewSource(7)).Perm(g.N())[:8] {
+		n.HostJoin(topology.NodeID(m), 1)
+	}
+	settle := func() {
+		n.RunUntil(n.Now() + 4)
+		s.Quiesce()
+		n.Run()
+	}
+	settle()
+	v = s.GroupTree(1).Children(0)[0]
+	d := s.GroupEngine(1)
+	per = perPair(func() {
+		f.ScheduleLinkDown(n.Now(), 0, v)
+		settle()
+		f.ScheduleLinkUp(n.Now(), 0, v)
+		settle()
+		if dd, dc := d.Tables(); dd != n.Delay || dc != n.Cost {
+			t.Fatal("the group's DCDM reads tables other than the network's routing store")
+		}
+	})
+	t.Logf("hardened SCMP: %d bytes per fault pair", per)
+	if per > budget {
+		t.Errorf("hardened SCMP fault pair allocates %d bytes, budget %d", per, budget)
+	}
+	if p, ok := s.GroupTree(1).Parent(v); ok && p == 0 {
+		t.Fatalf("the tree still hangs %d off the m-router: the cut was never repaired around", v)
+	}
+	seq := n.SendData(0, 1, packet.DefaultDataSize)
+	n.Run()
+	if missing, _ := n.CheckDelivery(seq); len(missing) != 0 {
+		t.Fatalf("members %v stranded after %d fault pairs", missing, pairs+1)
 	}
 }

@@ -329,14 +329,14 @@ func BenchmarkChurn(b *testing.B) {
 
 // BenchmarkFaultRecompute measures the routing work one fault event
 // costs: the fault layer's apply on a 400-node SCMP network (arc-mask
-// update, substrate invalidation, the m-router's fresh lazy path
-// tables), then the rows a local repair typically consults before the
-// next event — k = 8 unicast destinations in the substrate's next-hop
-// table plus the same 8 routers as sources in the delay and cost repair
-// tables. Events alternate cut and restore of one link, so half the
-// rows are masked and half are not. Nothing here is sharded any more;
-// the serial and default-GOMAXPROCS arms show that the cost no longer
-// depends on the worker pool.
+// update, invalidation of the network's routing store, the m-router's
+// rebase), then the rows a local repair typically consults before the
+// next event — k = 8 routers, each a unicast destination and a source in
+// the delay and cost tables (the delay row serves as both). Events
+// alternate cut and restore of one link, so half the rows are masked
+// and half are not. Nothing here is sharded any more; the serial and
+// default-GOMAXPROCS arms show that the cost does not depend on the
+// worker pool.
 func BenchmarkFaultRecompute(b *testing.B) {
 	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -357,13 +357,9 @@ func BenchmarkFaultRecompute(b *testing.B) {
 				f.ScheduleLinkUp(n.Now(), au, av)
 			}
 			n.Run()
-			down := f.DownMask()
-			d := topology.NewLazyAllPairsAvoid(g, topology.ByDelay, down)
-			c := topology.NewLazyAllPairsAvoid(g, topology.ByCost, down)
 			for _, s := range consulted {
-				n.Next.Hop(1, s)
-				d.Row(s)
-				c.Row(s)
+				n.Delay.Hop(1, s)
+				n.Cost.Row(s)
 			}
 		}
 	}

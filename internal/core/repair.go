@@ -371,13 +371,13 @@ func (s *SCMP) Quiesce() {
 
 // --- fault reaction (netsim.FaultListener) ------------------------------
 
-// LinkDown reacts to a link failure: refresh the path tables against
-// the masked topology, then run local repair at both endpoints.
+// LinkDown reacts to a link failure: local repair at both endpoints,
+// over the routing store netsim has already reconverged.
 func (s *SCMP) LinkDown(u, v topology.NodeID) {
+	s.rebase()
 	if s.cfg.DisableRepair || s.hierarchical() {
 		return
 	}
-	s.refreshPathTables()
 	s.repairEndpoint(u, v)
 	s.repairEndpoint(v, u)
 }
@@ -385,10 +385,10 @@ func (s *SCMP) LinkDown(u, v topology.NodeID) {
 // LinkUp reacts to a link heal: with paths restored, retry every
 // deferred graft.
 func (s *SCMP) LinkUp(u, v topology.NodeID) {
+	s.rebase()
 	if s.cfg.DisableRepair || s.hierarchical() {
 		return
 	}
-	s.refreshPathTables()
 	s.healGroups()
 }
 
@@ -413,24 +413,37 @@ func (s *SCMP) NodeDown(n topology.NodeID) {
 			delete(s.parked, key)
 		}
 	}
+	s.rebase()
 	if s.cfg.DisableRepair || s.hierarchical() {
 		return
 	}
-	s.refreshPathTables()
 	for _, l := range s.net.G.Neighbors(n) {
 		s.repairEndpoint(l.To, n)
 	}
 }
 
-// NodeUp reacts to a router restart: recompute paths and retry deferred
-// grafts. The restarted router itself re-learns its memberships from
-// the ground-truth re-report netsim issues right after this callback.
+// NodeUp reacts to a router restart: retry deferred grafts. The
+// restarted router itself re-learns its memberships from the
+// ground-truth re-report netsim issues right after this callback.
 func (s *SCMP) NodeUp(n topology.NodeID) {
+	s.rebase()
 	if s.cfg.DisableRepair || s.hierarchical() {
 		return
 	}
-	s.refreshPathTables()
 	s.healGroups()
+}
+
+// rebase follows a topology change into every flat group's delay bound:
+// netsim has invalidated the routing store the DCDM engines read, so
+// their member unicast delays moved under them. Every fault handler
+// runs it before its repair guard — DisableRepair turns off the
+// reaction, not the m-router's knowledge of the topology.
+func (s *SCMP) rebase() {
+	for _, gs := range s.groups {
+		if gs.dcdm != nil {
+			gs.dcdm.Rebase()
+		}
+	}
 }
 
 // repairEndpoint is local repair at node after its link toward dead
@@ -520,7 +533,7 @@ func (s *SCMP) regraftDeferred(g packet.GroupID, gs *groupState) bool {
 	home := s.home(g)
 	changed := false
 	for _, m := range topology.SortedNodes(gs.deferred) {
-		if !s.spDelay.Row(home).Reachable(m) {
+		if !s.net.Delay.Row(home).Reachable(m) {
 			continue
 		}
 		delete(gs.deferred, m)
@@ -542,29 +555,6 @@ func (s *SCMP) healGroups() {
 			s.distributeTree(g, gs)
 			s.armRefresh(g, gs)
 		}
-	}
-}
-
-// refreshPathTables recomputes the m-router's all-pairs tables with the
-// currently faulted links masked out, so re-grafts route around them.
-func (s *SCMP) refreshPathTables() {
-	f := s.net.Faults()
-	if f == nil || s.hierarchical() {
-		return
-	}
-	// Lazy tables over a copy of the fault layer's arc mask: local
-	// repair typically re-grafts a few orphans, consulting only their
-	// rows and the m-router's, so the recompute cost scales with the
-	// repair, not with n. The copy keeps each row's content pinned to
-	// this fault event no matter when it is first read — the same rule
-	// the unicast substrate follows in place: a fault event makes every
-	// row stale, and a row is a pure function of the mask at its
-	// invalidation.
-	down := f.DownMask()
-	s.spDelay = topology.NewLazyAllPairsAvoid(s.net.G, topology.ByDelay, down)
-	s.spCost = topology.NewLazyAllPairsAvoid(s.net.G, topology.ByCost, down)
-	for _, g := range s.sortedGroupIDs() {
-		s.groups[g].dcdm.SetAllPairs(s.spDelay, s.spCost)
 	}
 }
 

@@ -96,6 +96,46 @@ func TestLinkCutWithoutRepairStrands(t *testing.T) {
 	}
 }
 
+// TestLazyRoutesRebaseWithoutRepair pins DisableRepair's meaning: the
+// ablation turns off the repair reaction, not the m-router's view of
+// the topology. Its DCDM reads the network's routing store, which the
+// cut reconverges, so the delay bound must follow the post-fault
+// distances through a leave and a join — in the invariants build every
+// mutation also cross-checks the incremental bound against a rescan.
+func TestLazyRoutesRebaseWithoutRepair(t *testing.T) {
+	n, s := newNet(meshGraph(), Config{MRouter: 0, DisableRepair: true})
+	f := n.InstallFaults(netsim.FaultPlan{})
+	n.HostJoin(2, grp)
+	n.HostJoin(3, grp)
+	n.Run()
+	d := s.GroupEngine(grp)
+	checkBound := func(when string, want float64) {
+		t.Helper()
+		rescan := 0.0
+		for _, m := range d.Tree().Members() {
+			rescan = max(rescan, d.UnicastDelay(m))
+		}
+		if got := d.Bound(); got != want || got != rescan {
+			t.Fatalf("%s: bound %g, want %g (member rescan %g)", when, got, want, rescan)
+		}
+	}
+	checkBound("before the cut", 3) // ul(3) over 0-1-2-3
+
+	// Cutting 1-2 leaves only the slow side: ul(2) = 7, ul(3) = 6.
+	f.ScheduleLinkDown(100, 1, 2)
+	n.RunUntil(200)
+	checkBound("after the cut", 7)
+	n.HostLeave(3, grp)
+	n.RunUntil(300)
+	checkBound("after 3 left", 7)
+	n.HostJoin(4, grp)
+	n.RunUntil(400)
+	if !d.Tree().IsMember(4) {
+		t.Fatal("member 4 was not grafted")
+	}
+	checkBound("after 4 joined", 7)
+}
+
 func TestReliableJoinSurvivesTotalLossWindow(t *testing.T) {
 	// Every control packet sent before t=30 is lost. The JOIN at t=0
 	// dies; with AckTimeout 10 the retransmissions at 10 and 30 (2x

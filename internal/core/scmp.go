@@ -179,9 +179,12 @@ type Config struct {
 	// in sync. Zero disables refresh.
 	RefreshInterval float64
 	// DisableRepair turns off the fault-driven local repair reaction
-	// (REJOIN on upstream loss, deferred re-grafts, path-table refresh);
-	// the chaos experiment's ablation arm. Faults still drop packets and
-	// kill links — the protocol just no longer reacts.
+	// (REJOIN on upstream loss, re-grafts on a heal); the chaos
+	// experiment's ablation arm. Faults still drop packets and kill links
+	// — the protocol just no longer reacts. It does not blind the
+	// m-router: its DCDM engines read the network's routing store, which
+	// reconverges on every fault, so joins after a fault are grafted
+	// over post-fault distances either way.
 	DisableRepair bool
 	// Standby optionally names a secondary m-router (§V: "a hot standby
 	// system, in which there is a secondary m-router concurrently
@@ -236,12 +239,10 @@ type Config struct {
 
 // SCMP is the protocol instance managing every router in a domain.
 type SCMP struct {
-	cfg     Config
-	homes   []topology.NodeID // the m-router(s) currently providing service
-	net     *netsim.Network
-	spDelay *topology.AllPairs
-	spCost  *topology.AllPairs
-	groups  map[packet.GroupID]*groupState
+	cfg    Config
+	homes  []topology.NodeID // the m-router(s) currently providing service
+	net    *netsim.Network
+	groups map[packet.GroupID]*groupState
 	// view is the domain decomposition of the hierarchical multi-domain
 	// mode (nil in flat mode — the discriminator every hierarchical
 	// branch tests). Built in Attach from Config.Domains.
@@ -374,9 +375,9 @@ func (s *SCMP) HomeOf(g packet.GroupID) topology.NodeID { return s.home(g) }
 // Name implements netsim.Protocol.
 func (s *SCMP) Name() string { return "SCMP" }
 
-// Attach implements netsim.Protocol: it verifies the m-router exists and
-// precomputes the all-pairs path tables the m-router's DCDM uses (the
-// m-router "possesses all the information on the network").
+// Attach implements netsim.Protocol: it verifies the m-router exists.
+// The m-router "possesses all the information on the network": its DCDM
+// engines read the network's routing store (netsim.Network.Delay, .Cost).
 func (s *SCMP) Attach(n *netsim.Network) {
 	if s.net != nil {
 		panic("core: SCMP attached twice")
@@ -409,11 +410,6 @@ func (s *SCMP) Attach(n *netsim.Network) {
 		s.view = view
 	}
 	s.entries = make([]map[packet.GroupID]*entry, n.G.N())
-	// Lazy tables: rows materialise the first time DCDM consults a
-	// source, so a domain serving small groups never pays the full
-	// n-Dijkstra build (row contents are identical to an eager build).
-	s.spDelay = topology.NewLazyAllPairs(n.G, topology.ByDelay)
-	s.spCost = topology.NewLazyAllPairs(n.G, topology.ByCost)
 	s.acct = session.NewManager(n.Sched, 0xE0000000, 1<<20)
 	s.service = newServiceCenter(n.Sched, des.Time(s.cfg.ServiceTime), s.cfg.Processors)
 }
@@ -434,6 +430,15 @@ func (s *SCMP) GroupTree(g packet.GroupID) *mtree.Tree {
 		return nil
 	}
 	return gs.tree()
+}
+
+// GroupEngine returns g's flat DCDM engine (nil in hierarchical mode or
+// when the group has no state yet). Read-only, for tests and tooling.
+func (s *SCMP) GroupEngine(g packet.GroupID) *mtree.DCDM {
+	if gs := s.groups[g]; gs != nil {
+		return gs.dcdm
+	}
+	return nil
 }
 
 // GroupComposer returns g's hierarchical composer (nil in flat mode or
@@ -466,7 +471,7 @@ func (s *SCMP) group(g packet.GroupID) *groupState {
 			s.groups[g] = gs
 			return gs
 		}
-		gs = &groupState{dcdm: mtree.NewDCDM(s.net.G, s.home(g), kappa, s.spDelay, s.spCost)}
+		gs = &groupState{dcdm: mtree.NewDCDM(s.net.G, s.home(g), kappa, s.net.Delay, s.net.Cost)}
 		if s.cfg.DelayBudget > 0 {
 			gs.dcdm.SetQoSBudget(s.cfg.DelayBudget)
 		}
@@ -668,7 +673,7 @@ func (s *SCMP) mrouterJoin(member topology.NodeID, g packet.GroupID) {
 	// after this join lands (grafted or deferred).
 	defer s.replicate(g, gs)
 	delete(gs.deferred, member)
-	if member != s.home(g) && !s.spDelay.Row(s.home(g)).Reachable(member) {
+	if member != s.home(g) && !s.net.Delay.Row(s.home(g)).Reachable(member) {
 		// The member is partitioned away from the m-router right now:
 		// grafting would fail. Remember it; the refresh tick and every
 		// topology heal retry the graft.

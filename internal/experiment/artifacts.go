@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"sort"
+
 	"scmp/internal/rng"
 	"scmp/internal/runner"
 	"scmp/internal/topology"
@@ -116,4 +118,36 @@ func randomArtifactFor(nodes int, degree float64, seed int64) *randomArtifact {
 		g = g.ScaleDelays(1e-3)
 		return &randomArtifact{g: g, centers: rankedCenters(g, 4)}
 	})
+}
+
+// rankedCenters returns the k nodes with the smallest average
+// shortest-delay to all others, best first, exact ties by lower id. One
+// engine and one scratch row serve every source, as in Graph.Diameter.
+func rankedCenters(g *topology.Graph, k int) []topology.NodeID {
+	type scored struct {
+		v   topology.NodeID
+		avg float64
+	}
+	all := make([]scored, g.N())
+	e := topology.NewEngine(g)
+	var sp topology.Paths
+	for u := range all {
+		e.ShortestInto(&sp, topology.NodeID(u), topology.ByDelay, nil)
+		sum := 0.0
+		for _, d := range sp.Delay {
+			sum += d
+		}
+		all[u] = scored{topology.NodeID(u), sum / float64(g.N())}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].avg != all[j].avg {
+			return all[i].avg < all[j].avg
+		}
+		return all[i].v < all[j].v
+	})
+	out := make([]topology.NodeID, k)
+	for i := range out {
+		out[i] = all[i].v
+	}
+	return out
 }

@@ -149,10 +149,10 @@ var churnTable = &spec{
 }
 
 // rebuildCost computes the periodic full-rebuild baseline: the cost of
-// a fresh DCDM tree over the group's current members, on clean path
-// tables shared across the run's samples.
-func rebuildCost(art *fig89Artifact, spD, spC *topology.AllPairs, members []topology.NodeID) float64 {
-	d := mtree.NewDCDM(art.g, art.center, 1.5, spD, spC)
+// a fresh DCDM tree over the group's current members, on the network's
+// routing store — the tables the m-router's own engine reads.
+func rebuildCost(art *fig89Artifact, n *netsim.Network, members []topology.NodeID) float64 {
+	d := mtree.NewDCDM(art.g, art.center, 1.5, n.Delay, n.Cost)
 	sorted := append([]topology.NodeID(nil), members...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	for _, m := range sorted {
@@ -200,8 +200,6 @@ func runChurnRun(art *fig89Artifact, cfg ChurnConfig,
 	}
 	// Drift sampler: every 0.5s during churn, current tree cost vs a
 	// full rebuild over the same members.
-	spD := topology.NewLazyAllPairs(art.g, topology.ByDelay)
-	spC := topology.NewLazyAllPairs(art.g, topology.ByCost)
 	driftSum, driftN := 0.0, 0
 	for i := 1; float64(i)*0.5 <= cfg.Duration; i++ {
 		n.Sched.At(des.Time(float64(i)*0.5), func() {
@@ -209,7 +207,7 @@ func runChurnRun(art *fig89Artifact, cfg ChurnConfig,
 			if tr == nil || tr.MemberCount() == 0 {
 				return
 			}
-			if base := rebuildCost(art, spD, spC, tr.Members()); base > 0 {
+			if base := rebuildCost(art, n, tr.Members()); base > 0 {
 				driftSum += tr.Cost() / base
 				driftN++
 			}

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"scmp/internal/core"
 	"scmp/internal/netsim"
@@ -158,35 +157,6 @@ func RunConcentration(cfg ConcentrationConfig) Table {
 		}
 		return out
 	}))
-}
-
-// rankedCenters returns the k nodes with the smallest average
-// shortest-delay to all others, best first.
-func rankedCenters(g *topology.Graph, k int) []topology.NodeID {
-	type scored struct {
-		v   topology.NodeID
-		avg float64
-	}
-	all := make([]scored, g.N())
-	for u := 0; u < g.N(); u++ {
-		sp := topology.Shortest(g, topology.NodeID(u), topology.ByDelay)
-		sum := 0.0
-		for v := 0; v < g.N(); v++ {
-			sum += sp.Delay[v]
-		}
-		all[u] = scored{topology.NodeID(u), sum / float64(g.N())}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].avg != all[j].avg {
-			return all[i].avg < all[j].avg
-		}
-		return all[i].v < all[j].v
-	})
-	out := make([]topology.NodeID, k)
-	for i := range out {
-		out[i] = all[i].v
-	}
-	return out
 }
 
 // WriteConcentration prints the study.

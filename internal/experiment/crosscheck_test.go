@@ -162,7 +162,7 @@ func TestPropertyCBTBranchesFollowUnicastRoutes(t *testing.T) {
 				if !ok {
 					return false
 				}
-				if up != n.Next.Hop(at, core) {
+				if up != n.Delay.Hop(at, core) {
 					return false
 				}
 				at = up

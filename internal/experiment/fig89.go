@@ -95,22 +95,7 @@ func buildProtocol(name string, center topology.NodeID, pruneLifetime des.Time) 
 // Center picks the shared m-router / core location: the node with the
 // smallest average shortest-path delay to all others (placement rule 1
 // of §IV-A). SCMP and CBT get the same center, as in the paper's setup.
-func Center(g *topology.Graph) topology.NodeID {
-	best := topology.NodeID(0)
-	bestAvg := -1.0
-	for u := 0; u < g.N(); u++ {
-		sp := topology.Shortest(g, topology.NodeID(u), topology.ByDelay)
-		sum := 0.0
-		for v := 0; v < g.N(); v++ {
-			sum += sp.Delay[v]
-		}
-		avg := sum / float64(g.N())
-		if bestAvg < 0 || avg < bestAvg {
-			best, bestAvg = topology.NodeID(u), avg
-		}
-	}
-	return best
-}
+func Center(g *topology.Graph) topology.NodeID { return rankedCenters(g, 1)[0] }
 
 // runOne simulates one protocol run and returns (data overhead,
 // protocol overhead, max end-to-end delay, undelivered member count).

@@ -73,11 +73,9 @@ func Place(rule string, g *topology.Graph, rng *rng.Rand) topology.NodeID {
 		}
 		return best
 	case "rule3-diameter":
-		_, a, b := g.Diameter()
-		sp := topology.Shortest(g, a, topology.ByDelay)
-		path := sp.To(b)
+		_, path := g.Diameter()
 		if len(path) == 0 {
-			return a
+			return 0
 		}
 		return path[len(path)/2]
 	case "random":

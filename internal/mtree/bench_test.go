@@ -114,18 +114,19 @@ func BenchmarkDCDMJoinRef(b *testing.B) {
 // shortest-path rows are untouched, on the benchmark's join_scale
 // graph: a 2440-node transit-stub, lazy tables, 128 residents. Every
 // timed join starts both of its rows and searches them as far as the
-// graft needs; the tables are replaced (untimed) every 256 joins, which
-// also bounds the resident rows.
+// graft needs; the tables are invalidated (untimed) every 256 joins,
+// which also bounds the resident rows.
 func BenchmarkDCDMJoinCold(b *testing.B) {
 	cfg := topology.TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}
 	g, _, err := topology.TransitStub(cfg, rand.New(rand.NewSource(3)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	fresh := func() (*topology.AllPairs, *topology.AllPairs) {
-		return topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
+	spDelay, spCost := topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
+	fresh := func() {
+		spDelay.Invalidate(nil)
+		spCost.Invalidate(nil)
 	}
-	spDelay, spCost := fresh()
 	d := NewDCDM(g, 0, 1.5, spDelay, spCost)
 	rng := rand.New(rand.NewSource(1))
 	for _, m := range pickMembers(rng, g.N(), 128, 0) {
@@ -137,13 +138,13 @@ func BenchmarkDCDMJoinCold(b *testing.B) {
 			cold = append(cold, v)
 		}
 	}
-	d.SetAllPairs(fresh())
+	fresh()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if i > 0 && i%len(cold) == 0 {
 			b.StopTimer()
-			d.SetAllPairs(fresh())
+			fresh()
 			b.StartTimer()
 		}
 		v := cold[i%len(cold)]

@@ -83,9 +83,9 @@ type LeaveResult struct {
 
 // NewDCDM builds a DCDM instance for group trees rooted at root. Kappa
 // scales the delay bound (>= 1, or +Inf for no delay constraint).
-// spDelay/spCost are optional precomputed all-pairs tables (pass nil to
-// compute them here); sharing them across instances makes the Fig. 7
-// sweep cheap.
+// spDelay/spCost are optional all-pairs tables (pass nil to compute
+// eager ones here); sharing them across instances makes the Fig. 7 sweep
+// cheap, and SCMP hands every group its network's routing store.
 func NewDCDM(g *topology.Graph, root topology.NodeID, kappa float64, spDelay, spCost *topology.AllPairs) *DCDM {
 	if kappa < 1 {
 		panic(fmt.Sprintf("mtree: DCDM kappa %g < 1 would reject every tree", kappa))
@@ -344,18 +344,19 @@ func (d *DCDM) DetachSubtree(v topology.NodeID) []topology.NodeID {
 	return orphans
 }
 
-// SetAllPairs swaps in freshly computed shortest-path tables — after a
-// topology fault the old tables route through dead links, so local
-// repair recomputes them with the faulted links masked (see
-// topology.NewAllPairsAvoid) before re-grafting. The member delay bound
-// is rebuilt against the new tables (every member's unicast delay
-// changed, so this is the one remaining full rescan); members currently
-// unreachable contribute an infinite unicast delay, which relaxes the
-// relative bound to +Inf for the duration of the partition (repair is
-// best-effort: connectivity first, delay discipline after the heal).
-func (d *DCDM) SetAllPairs(spDelay, spCost *topology.AllPairs) {
-	d.spDelay = spDelay
-	d.spCost = spCost
+// Tables returns the shortest-path tables the engine reads.
+func (d *DCDM) Tables() (spDelay, spCost *topology.AllPairs) { return d.spDelay, d.spCost }
+
+// Rebase rebuilds the member delay bound against the tables' current
+// rows. Call it whenever the tables were invalidated onto another
+// topology (netsim's RecomputeRoutes after a fault): every member's
+// unicast delay may have changed, and the incremental bound would
+// otherwise remove values it never added — so this is the one remaining
+// full rescan. Members currently unreachable contribute an infinite
+// unicast delay, which relaxes the relative bound to +Inf for the
+// duration of the partition (repair is best-effort: connectivity first,
+// delay discipline after the heal).
+func (d *DCDM) Rebase() {
 	d.ul.Reset()
 	for _, m := range d.tree.Members() {
 		d.ul.Add(d.UnicastDelay(m))

@@ -84,7 +84,8 @@ func TestDetachSubtreeEdgeCases(t *testing.T) {
 
 func TestDCDMDetachAndRegraft(t *testing.T) {
 	g := detachGraph()
-	d := NewDCDM(g, 0, 2, nil, nil)
+	spDelay, spCost := topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
+	d := NewDCDM(g, 0, 2, spDelay, spCost)
 	d.Join(3)
 	d.Join(4)
 
@@ -100,10 +101,9 @@ func TestDCDMDetachAndRegraft(t *testing.T) {
 	// Re-grafting through tables that avoid the crashed router must
 	// route member 3 the long way, 0-1-2-3.
 	avoid := arcMask(g, func(u, v topology.NodeID) bool { return u == 5 || v == 5 })
-	d.SetAllPairs(
-		topology.NewAllPairsAvoid(g, topology.ByDelay, avoid),
-		topology.NewAllPairsAvoid(g, topology.ByCost, avoid),
-	)
+	spDelay.Invalidate(avoid)
+	spCost.Invalidate(avoid)
+	d.Rebase()
 	d.Join(3)
 	if !d.Tree().OnTree(2) || !d.Tree().IsMember(3) {
 		t.Fatalf("re-graft did not avoid crashed router: nodes=%v", d.Tree().Nodes())
@@ -113,17 +113,26 @@ func TestDCDMDetachAndRegraft(t *testing.T) {
 	}
 }
 
-func TestSetAllPairsRecomputesBound(t *testing.T) {
-	g := chainGraph(3)
-	d := NewDCDM(g, 0, 1, nil, nil)
+func TestRebaseRecomputesBound(t *testing.T) {
+	// Member 2 sits one unit from the root; cutting that link leaves the
+	// two-unit detour through 1, so the rebased bound must double.
+	g := topology.New(3)
+	g.MustAddEdge(0, 2, 1, 1)
+	g.MustAddEdge(0, 1, 1, 1)
+	g.MustAddEdge(1, 2, 1, 1)
+	spDelay, spCost := topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
+	d := NewDCDM(g, 0, 1, spDelay, spCost)
 	d.Join(2)
 	before := d.Bound()
-	// Doubling every delay through fresh tables must double the bound.
-	g2 := topology.New(3)
-	g2.MustAddEdge(0, 1, 2, 2)
-	g2.MustAddEdge(1, 2, 2, 2)
-	d.SetAllPairs(topology.NewAllPairs(g2, topology.ByDelay), topology.NewAllPairs(g2, topology.ByCost))
+	cut := arcMask(g, func(u, v topology.NodeID) bool { return u+v == 2 && u != v })
+	spDelay.Invalidate(cut)
+	spCost.Invalidate(cut)
+	d.Rebase()
 	if d.Bound() != 2*before {
 		t.Fatalf("bound = %g, want %g", d.Bound(), 2*before)
+	}
+	d.Leave(2) // removes the rebased delay, not the one the join added
+	if d.Bound() != 0 {
+		t.Fatalf("bound after the last member left = %g, want 0", d.Bound())
 	}
 }

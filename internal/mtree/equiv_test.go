@@ -73,9 +73,9 @@ func arcMask(g *topology.Graph, avoid func(u, v topology.NodeID) bool) []bool {
 }
 
 // connectedAvoidMask finds a single link whose removal keeps the graph
-// connected and returns the arc mask without it — the input of
-// alternate tables for exercising SetAllPairs with genuinely different
-// path values. It is nil when every single link is a bridge.
+// connected and returns the arc mask without it — the mask the tables
+// are invalidated onto to exercise Rebase with genuinely different path
+// values. It is nil when every single link is a bridge.
 func connectedAvoidMask(g *topology.Graph) []bool {
 	n := g.N()
 	for u := 0; u < n; u++ {
@@ -239,15 +239,23 @@ type equivTables struct {
 	fastDelay, fastCost, refDelay, refCost *topology.AllPairs
 }
 
-func newEquivTables(g *topology.Graph, lazy bool, mask []bool) equivTables {
+func newEquivTables(g *topology.Graph, lazy bool) equivTables {
 	if lazy {
 		return equivTables{
-			topology.NewLazyAllPairsAvoid(g, topology.ByDelay, mask), topology.NewLazyAllPairsAvoid(g, topology.ByCost, mask),
-			topology.NewLazyAllPairsAvoid(g, topology.ByDelay, mask), topology.NewLazyAllPairsAvoid(g, topology.ByCost, mask),
+			topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost),
+			topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost),
 		}
 	}
-	d, c := topology.NewAllPairsAvoid(g, topology.ByDelay, mask), topology.NewAllPairsAvoid(g, topology.ByCost, mask)
+	d, c := topology.NewAllPairs(g, topology.ByDelay), topology.NewAllPairs(g, topology.ByCost)
 	return equivTables{d, c, d, c}
+}
+
+// invalidate moves every table onto mask, as a fault does the network's
+// routing store (an eager table restarts its rows lazily).
+func (tb equivTables) invalidate(mask []bool) {
+	for _, ap := range []*topology.AllPairs{tb.fastDelay, tb.fastCost, tb.refDelay, tb.refCost} {
+		ap.Invalidate(mask)
+	}
 }
 
 // sameRowsTouched requires the engines to have materialised exactly as
@@ -275,12 +283,8 @@ func runEquivChurn(t *testing.T, c equivCase) {
 		}
 		g = wg.Graph
 	}
-	base := newEquivTables(g, c.lazy, nil)
+	tables := newEquivTables(g, c.lazy)
 	altMask := connectedAvoidMask(g)
-	var alt equivTables
-	if altMask != nil {
-		alt = newEquivTables(g, c.lazy, altMask)
-	}
 
 	type groupSpec struct {
 		root  topology.NodeID
@@ -293,8 +297,8 @@ func runEquivChurn(t *testing.T, c equivCase) {
 	var groups []equivGroup
 	for _, sp := range specs {
 		gr := equivGroup{
-			fast: NewDCDM(g, sp.root, sp.kappa, base.fastDelay, base.fastCost),
-			ref:  newDCDMRef(g, sp.root, sp.kappa, base.refDelay, base.refCost),
+			fast: NewDCDM(g, sp.root, sp.kappa, tables.fastDelay, tables.fastCost),
+			ref:  newDCDMRef(g, sp.root, sp.kappa, tables.refDelay, tables.refCost),
 		}
 		if c.withBudget {
 			// A budget below the farthest node's unicast delay forces
@@ -358,16 +362,6 @@ func runEquivChurn(t *testing.T, c equivCase) {
 						t.Fatalf("%s: detach orphans diverged: fast %v ref %v", tag, fo, ro)
 					}
 				}
-			case i%71 == 70 && altMask != nil:
-				// Swap shortest-path tables, as fault repair does (onto
-				// masked lazy tables in the lazy arms), and back again
-				// later; the bound multiset is rebuilt both times.
-				to := alt
-				if onAlt {
-					to = base
-				}
-				fast.SetAllPairs(to.fastDelay, to.fastCost)
-				ref.SetAllPairs(to.refDelay, to.refCost)
 			}
 
 			if i%7 == 0 || i == len(ops)-1 {
@@ -377,16 +371,26 @@ func runEquivChurn(t *testing.T, c equivCase) {
 			}
 		}
 		if i%71 == 70 && altMask != nil {
+			// Move the shortest-path tables onto the masked topology, as
+			// a fault does, and back again later; every group's bound
+			// multiset is rebased both times.
+			mask := altMask
+			if onAlt {
+				mask = nil
+			}
+			tables.invalidate(mask)
+			for gi, gr := range groups {
+				gr.fast.Rebase()
+				gr.ref.Rebase()
+				compareEngines(t, fmt.Sprintf("op %d group %d rebased", i, gi), gr.fast, gr.ref)
+			}
 			onAlt = !onAlt
 		}
 	}
 	for gi, gr := range groups {
 		compareEngines(t, fmt.Sprintf("final group %d", gi), gr.fast, gr.ref)
 	}
-	base.sameRowsTouched(t, "base tables")
-	if altMask != nil {
-		alt.sameRowsTouched(t, "masked tables")
-	}
+	tables.sameRowsTouched(t, "tables")
 }
 
 // TestDCDMFastMatchesRefHandBuilt pins the two edges of the radius rule
@@ -457,7 +461,7 @@ func TestDCDMFastMatchesRefHandBuilt(t *testing.T) {
 			for _, e := range tc.edges {
 				g.MustAddEdge(e.u, e.v, e.delay, e.cost)
 			}
-			tb := newEquivTables(g, true, nil)
+			tb := newEquivTables(g, true)
 			fast := NewDCDM(g, 0, tc.kappa, tb.fastDelay, tb.fastCost)
 			ref := newDCDMRef(g, 0, tc.kappa, tb.refDelay, tb.refCost)
 			var last JoinResult

@@ -540,12 +540,8 @@ func (d *dcdmRef) DetachSubtree(v topology.NodeID) []topology.NodeID {
 	return orphans
 }
 
-// SetAllPairs mirrors DCDM.SetAllPairs with the full rescan.
-func (d *dcdmRef) SetAllPairs(spDelay, spCost *topology.AllPairs) {
-	d.spDelay = spDelay
-	d.spCost = spCost
-	d.recomputeMaxUL()
-}
+// Rebase mirrors DCDM.Rebase with the full rescan.
+func (d *dcdmRef) Rebase() { d.recomputeMaxUL() }
 
 // recomputeMaxUL rebuilds the scalar bound input from the member set.
 func (d *dcdmRef) recomputeMaxUL() {

@@ -75,7 +75,7 @@ type FaultPlan struct {
 }
 
 // FaultListener is the optional interface through which components
-// observe topology faults. The unicast substrate (Network.Next) is
+// observe topology faults. The routing store (Network.Delay, .Cost) is
 // always reconverged before listeners run, so a listener reacting to
 // LinkDown can immediately route around the dead link. The Protocol is
 // notified first when it implements the interface; extra listeners
@@ -108,8 +108,8 @@ type Faults struct {
 
 	// down is the routing mask the down-sets imply, by CSR arc id:
 	// down[a] == LinkIsDown(from(a), to(a)). apply is its only writer
-	// and ends by invalidating Network.Next (which aliases it), so no
-	// route is computed against a mask newer than its invalidation.
+	// and ends by invalidating the routing store (which aliases it), so
+	// no route is computed against a mask newer than its invalidation.
 	down []bool
 
 	// Per-directed-link crossing counters for the positional loss
@@ -206,18 +206,6 @@ func (f *Faults) LinkIsDown(u, v topology.NodeID) bool {
 
 // NodeIsDown reports whether router n is crashed.
 func (f *Faults) NodeIsDown(n topology.NodeID) bool { return f.downNodes[n] }
-
-// DownMask returns a copy of the routing mask the current fault state
-// implies (see topology.CSR), for protocols recomputing their own path
-// tables: a lazy table over it answers as of this instant however many
-// fault events fire before a row is first consulted. Nil when nothing
-// is down.
-func (f *Faults) DownMask() []bool {
-	if len(f.downLinks) == 0 && len(f.downNodes) == 0 {
-		return nil
-	}
-	return append([]bool(nil), f.down...)
-}
 
 // lossRate returns the plan's drop probability for kind's class.
 func (f *Faults) lossRate(kind packet.Kind) float64 {

@@ -42,8 +42,8 @@ func TestLinkDownDropsAndReroutes(t *testing.T) {
 	rec := &faultRecorder{}
 	f.AddListener(rec)
 
-	if n.Next.Hop(0, 1) != 1 {
-		t.Fatalf("pre-fault next hop 0->1 = %d", n.Next.Hop(0, 1))
+	if n.Delay.Hop(0, 1) != 1 {
+		t.Fatalf("pre-fault next hop 0->1 = %d", n.Delay.Hop(0, 1))
 	}
 	f.ScheduleLinkDown(10, 0, 1)
 	n.RunUntil(11)
@@ -53,8 +53,8 @@ func TestLinkDownDropsAndReroutes(t *testing.T) {
 	}
 	// The unicast substrate routed around the cut: 0->1 now goes the
 	// long way via 3.
-	if n.Next.Hop(0, 1) != 3 {
-		t.Fatalf("post-fault next hop 0->1 = %d, want 3", n.Next.Hop(0, 1))
+	if n.Delay.Hop(0, 1) != 3 {
+		t.Fatalf("post-fault next hop 0->1 = %d, want 3", n.Delay.Hop(0, 1))
 	}
 	// A direct SendLink on the dead link is refused and counted.
 	n.SendLink(0, 1, &Packet{Kind: packet.Join, Size: 64})
@@ -68,8 +68,8 @@ func TestLinkDownDropsAndReroutes(t *testing.T) {
 	// Restoring the link restores the direct route.
 	f.ScheduleLinkUp(20, 0, 1)
 	n.Run()
-	if n.Next.Hop(0, 1) != 1 {
-		t.Fatalf("post-repair next hop 0->1 = %d, want 1", n.Next.Hop(0, 1))
+	if n.Delay.Hop(0, 1) != 1 {
+		t.Fatalf("post-repair next hop 0->1 = %d, want 1", n.Delay.Hop(0, 1))
 	}
 	if len(rec.events) != 2 || rec.events[1].Kind != LinkUp {
 		t.Fatalf("listener events = %+v", rec.events)

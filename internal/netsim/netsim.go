@@ -126,8 +126,15 @@ type Network struct {
 	G       *topology.Graph
 	Sched   *des.Scheduler
 	Metrics *metrics.Collector
-	Next    *topology.NextHopTable // unicast next hops by shortest delay, one lazy row per destination
 	Proto   Protocol
+
+	// Delay and Cost are the network's one shortest-path store: lazy
+	// tables over the live topology (RecomputeRoutes) that every reader
+	// on the network shares instead of keeping its own. Links are
+	// symmetric, so a Delay row is both the unicast forwarding table
+	// toward its root (Hop) and its root's shortest-delay tree (Row).
+	// Cost starts no row unless someone reads it.
+	Delay, Cost *topology.AllPairs
 
 	seq        uint64
 	members    map[packet.GroupID]nodeSet
@@ -175,10 +182,9 @@ const (
 	opSelf                 // self-delivery of a locally injected packet
 )
 
-// New builds a network over g running proto. It creates the unicast
-// next-hop table (empty: a destination's routes are computed when first
-// consulted), registers the link table with the metrics collector, and
-// attaches the protocol.
+// New builds a network over g running proto. It creates the routing
+// store (empty: a row is computed when first consulted), registers the
+// link table with the metrics collector, and attaches the protocol.
 func New(g *topology.Graph, proto Protocol) *Network {
 	return build(g, proto, false)
 }
@@ -195,7 +201,8 @@ func build(g *topology.Graph, proto Protocol, ref bool) *Network {
 	n := &Network{
 		G:          g,
 		Metrics:    &metrics.Collector{},
-		Next:       topology.NextHop(g),
+		Delay:      topology.NewLazyAllPairs(g, topology.ByDelay),
+		Cost:       topology.NewLazyAllPairs(g, topology.ByCost),
 		csr:        g.CSR(),
 		Proto:      proto,
 		members:    make(map[packet.GroupID]nodeSet),
@@ -313,17 +320,19 @@ func (n *Network) linkLatency(from, to topology.NodeID, propagation float64, siz
 // Now returns the current simulated time.
 func (n *Network) Now() des.Time { return n.Sched.Now() }
 
-// RecomputeRoutes reconverges the unicast next-hop table onto the
-// current topology, masking out faulted links and crashed routers:
-// every destination's row is dropped (n.Next keeps its identity) and
-// recomputed when first consulted. The fault layer calls it before notifying
-// listeners of any change; it is also safe to call directly.
+// RecomputeRoutes reconverges the routing store onto the current
+// topology, masking out faulted links and crashed routers: every row of
+// both tables is dropped (the tables keep their identity) and recomputed
+// when first consulted, so rows read before it are dead. The fault layer
+// calls it before notifying listeners of any change; it is also safe to
+// call directly.
 func (n *Network) RecomputeRoutes() {
 	var down []bool
 	if n.faults != nil {
 		down = n.faults.down
 	}
-	n.Next.Invalidate(down)
+	n.Delay.Invalidate(down)
+	n.Cost.Invalidate(down)
 }
 
 // admit applies the fault layer to one link crossing offered at send
@@ -454,7 +463,7 @@ func (n *Network) SendUnicast(src topology.NodeID, pkt *Packet) {
 // unicastStep forwards an owned in-flight copy one hop toward its
 // destination, reusing the same pooled packet across all hops.
 func (n *Network) unicastStep(at topology.NodeID, pkt *Packet) {
-	nh := n.Next.Hop(at, pkt.Dst)
+	nh := n.Delay.Hop(at, pkt.Dst)
 	if nh == -1 {
 		// With faults installed a partition is a legitimate runtime
 		// state: the packet dies here and the drop is accounted.
@@ -525,7 +534,7 @@ func (n *Network) sendUnicastRef(src topology.NodeID, pkt *Packet) {
 }
 
 func (n *Network) unicastStepRef(at topology.NodeID, pkt *Packet) {
-	nh := n.Next.Hop(at, pkt.Dst)
+	nh := n.Delay.Hop(at, pkt.Dst)
 	if nh == -1 {
 		if n.faults != nil {
 			n.Metrics.OnDrop(pkt.Kind)
@@ -560,7 +569,7 @@ func (n *Network) unicastStepRef(at topology.NodeID, pkt *Packet) {
 func (n *Network) UnicastPath(src, dst topology.NodeID) []topology.NodeID {
 	path := []topology.NodeID{src}
 	for at := src; at != dst; {
-		nh := n.Next.Hop(at, dst)
+		nh := n.Delay.Hop(at, dst)
 		if nh == -1 {
 			return nil
 		}

@@ -9,14 +9,14 @@ import (
 )
 
 // This file is the differential gate for lazy reconvergence of the
-// unicast substrate. Fault sequences run through the real fault layer;
-// after every event the next hops the network answers with — rows
-// refilled on demand against the arc mask apply maintains — are
-// compared with an oracle that shares none of that machinery: the
-// surviving links copied into a fresh graph, one plain Dijkstra per
-// source, and a parent walk per destination (Paths.To). The engine's
-// tie-break ladder makes a row a pure function of the surviving link
-// set, so agreement is exact.
+// routing store. Fault sequences run through the real fault layer;
+// after every event the next hops and least-cost distances the network
+// answers with — rows refilled on demand against the arc mask apply
+// maintains — are compared with an oracle that shares none of that
+// machinery: the surviving links copied into a fresh graph, one plain
+// Dijkstra per source and weight, and a parent walk per destination
+// (Paths.To). The engine's tie-break ladder makes a row a pure function
+// of the surviving link set, so agreement is exact.
 
 // survivingGraph copies g without the links the fault state masks.
 // Node ids are preserved; a crashed router stays as an isolated node.
@@ -32,10 +32,11 @@ func survivingGraph(g *topology.Graph, f *Faults) *topology.Graph {
 	return sub
 }
 
-// oracleHops is the from-scratch next-hop table of sub.
-func oracleHops(sub *topology.Graph) [][]topology.NodeID {
+// oracleHops is the from-scratch next-hop table of sub, with the
+// least-cost distance of every pair beside it.
+func oracleHops(sub *topology.Graph) ([][]topology.NodeID, [][]float64) {
 	n := sub.N()
-	want := make([][]topology.NodeID, n)
+	want, cost := make([][]topology.NodeID, n), make([][]float64, n)
 	for u := range want {
 		want[u] = make([]topology.NodeID, n)
 		sp := topology.Shortest(sub, topology.NodeID(u), topology.ByDelay)
@@ -45,8 +46,9 @@ func oracleHops(sub *topology.Graph) [][]topology.NodeID {
 				want[u][v] = path[1]
 			}
 		}
+		cost[u] = topology.Shortest(sub, topology.NodeID(u), topology.ByCost).Dist
 	}
-	return want
+	return want, cost
 }
 
 type namedGraph struct {
@@ -135,17 +137,20 @@ func TestEquivalenceLazyReconvergence(t *testing.T) {
 			rnd := rand.New(rand.NewSource(7))
 			n := New(g, &echoProto{})
 			f := n.InstallFaults(FaultPlan{})
-			table := n.Next
+			delay, cost := n.Delay, n.Cost
 			script := overlapScript(g)
 			for i := 0; i < events; i++ {
 				script = append(script, randomFault(g, rnd))
 			}
 			check := func(label string, sources []int) {
-				want := oracleHops(survivingGraph(g, f))
+				want, wantCost := oracleHops(survivingGraph(g, f))
 				for _, u := range sources {
 					for _, v := range rnd.Perm(g.N()) {
-						if got := n.Next.Hop(topology.NodeID(u), topology.NodeID(v)); got != want[u][v] {
+						if got := n.Delay.Hop(topology.NodeID(u), topology.NodeID(v)); got != want[u][v] {
 							t.Fatalf("%s/%s %s: hop(%d,%d) = %d, want %d", name, arm, label, u, v, got, want[u][v])
+						}
+						if got := n.Cost.Row(topology.NodeID(u)).Dist[v]; got != wantCost[u][v] {
+							t.Fatalf("%s/%s %s: cost(%d,%d) = %g, want %g", name, arm, label, u, v, got, wantCost[u][v])
 						}
 					}
 				}
@@ -156,13 +161,13 @@ func TestEquivalenceLazyReconvergence(t *testing.T) {
 				ev.At = n.Now()
 				f.schedule(ev)
 				n.Run()
-				if n.Next != table {
-					t.Fatalf("%s/%s %s: n.Next was replaced", name, arm, label)
+				if n.Delay != delay || n.Cost != cost {
+					t.Fatalf("%s/%s %s: a routing table was replaced", name, arm, label)
 				}
 				// The invariant lazy refills rest on: apply leaves every
-				// row stale, and the mask it maintains incrementally is
-				// the one the down sets imply.
-				if got := n.Next.Materialized(); got != 0 {
+				// row of both tables stale, and the mask it maintains
+				// incrementally is the one the down sets imply.
+				if got := n.Delay.Materialized() + n.Cost.Materialized(); got != 0 {
 					t.Fatalf("%s/%s %s: %d rows survived the invalidation", name, arm, label, got)
 				}
 				for u := 0; u < g.N(); u++ {

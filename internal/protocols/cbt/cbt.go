@@ -136,7 +136,7 @@ func (c *CBT) HostJoin(node topology.NodeID, g packet.GroupID) {
 // forwardJoin advances a JOIN one hop toward the core. path holds the
 // routers traversed so far, joining DR first.
 func (c *CBT) forwardJoin(at, origin topology.NodeID, g packet.GroupID, path []topology.NodeID) {
-	nh := c.net.Next.Hop(at, c.core)
+	nh := c.net.Delay.Hop(at, c.core)
 	if nh == -1 {
 		return // partitioned: join dies
 	}

@@ -120,7 +120,7 @@ func (d *DVMRP) isMember(node topology.NodeID, g packet.GroupID) bool {
 
 // rpfNeighbor returns the neighbor a packet from src must arrive on.
 func (d *DVMRP) rpfNeighbor(node, src topology.NodeID) topology.NodeID {
-	return d.net.Next.Hop(node, src)
+	return d.net.Delay.Hop(node, src)
 }
 
 // downstreamNeighbors returns the links to flood on: every neighbor

@@ -11,11 +11,15 @@
 //
 // Data packets follow the source-rooted shortest-delay tree that every
 // router computes identically from its link-state database, forwarded
-// only toward subtrees containing members.
+// only toward subtrees containing members. That database is the
+// network's: links are symmetric, so the tree is the row rooted at the
+// source in the network's delay table. A fault retires the row, so it
+// is read per packet, never kept.
 package mospf
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
@@ -38,9 +42,6 @@ type MOSPF struct {
 	seen map[topology.NodeID]map[lsaKey]bool
 	// lsaSeq[origin] numbers LSAs per originating router.
 	lsaSeq map[topology.NodeID]uint64
-	// spt caches the source-rooted shortest-delay tree per source; the
-	// topology is static, so every router shares the same computation.
-	spt map[topology.NodeID]*sptInfo
 	// fwdCache tracks the (source, group) forwarding-cache entries each
 	// router has instantiated — the per-pair state real MOSPF builds on
 	// demand when data arrives.
@@ -52,11 +53,6 @@ type cacheKey struct {
 	group     packet.GroupID
 }
 
-type sptInfo struct {
-	parent   []topology.NodeID
-	children map[topology.NodeID][]topology.NodeID
-}
-
 var _ netsim.Protocol = (*MOSPF)(nil)
 
 // New returns a MOSPF instance.
@@ -65,7 +61,6 @@ func New() *MOSPF {
 		view:     make(map[topology.NodeID]map[packet.GroupID]map[topology.NodeID]bool),
 		seen:     make(map[topology.NodeID]map[lsaKey]bool),
 		lsaSeq:   make(map[topology.NodeID]uint64),
-		spt:      make(map[topology.NodeID]*sptInfo),
 		fwdCache: make(map[cacheKey]bool),
 	}
 }
@@ -197,26 +192,10 @@ func (m *MOSPF) HostLeave(node topology.NodeID, g packet.GroupID) {
 
 // --- data forwarding ------------------------------------------------------
 
-// sourceTree returns the shortest-delay tree rooted at src (shared cache
-// — the computation is identical at every router).
-func (m *MOSPF) sourceTree(src topology.NodeID) *sptInfo {
-	if t, ok := m.spt[src]; ok {
-		return t
-	}
-	sp := topology.Shortest(m.net.G, src, topology.ByDelay)
-	info := &sptInfo{parent: sp.Parent, children: make(map[topology.NodeID][]topology.NodeID)}
-	for v, p := range sp.Parent {
-		if p != -1 {
-			info.children[p] = append(info.children[p], topology.NodeID(v))
-		}
-	}
-	m.spt[src] = info
-	return info
-}
-
-// subtreeHasMember reports whether, in src's tree, the subtree rooted at
-// c contains a member of g according to node's membership view.
-func (m *MOSPF) subtreeHasMember(node topology.NodeID, info *sptInfo, c topology.NodeID, g packet.GroupID) bool {
+// subtreeHasMember reports whether, in the tree given by parent, the
+// subtree rooted at c contains a member of g according to node's
+// membership view.
+func (m *MOSPF) subtreeHasMember(node topology.NodeID, parent []topology.NodeID, c topology.NodeID, g packet.GroupID) bool {
 	members := m.nodeView(node)[g]
 	if len(members) == 0 {
 		return false
@@ -229,16 +208,24 @@ func (m *MOSPF) subtreeHasMember(node topology.NodeID, info *sptInfo, c topology
 			if v == c {
 				return true
 			}
-			v = info.parent[v]
+			v = parent[v]
 		}
 	}
 	return false
 }
 
-// forwardDown sends pkt from node to each child subtree holding members.
-func (m *MOSPF) forwardDown(node topology.NodeID, info *sptInfo, pkt *netsim.Packet) {
-	for _, c := range info.children[node] {
-		if m.subtreeHasMember(node, info, c, pkt.Group) {
+// forwardDown sends pkt from node to each child subtree holding members,
+// children in ascending id order.
+func (m *MOSPF) forwardDown(node topology.NodeID, parent []topology.NodeID, pkt *netsim.Packet) {
+	var children []topology.NodeID
+	for _, l := range m.net.G.Neighbors(node) {
+		if parent[l.To] == node {
+			children = append(children, l.To)
+		}
+	}
+	slices.Sort(children)
+	for _, c := range children {
+		if m.subtreeHasMember(node, parent, c, pkt.Group) {
 			m.net.SendLink(node, c, pkt)
 		}
 	}
@@ -251,12 +238,12 @@ func (m *MOSPF) SendData(src topology.NodeID, g packet.GroupID, size int, seq ui
 		Created: m.net.Now(),
 	}
 	m.fwdCache[cacheKey{src, src, g}] = true
-	m.forwardDown(src, m.sourceTree(src), pkt)
+	m.forwardDown(src, m.net.Delay.Row(src).Parent, pkt)
 }
 
 func (m *MOSPF) handleData(node topology.NodeID, pkt *netsim.Packet) {
-	info := m.sourceTree(pkt.Src)
-	if info.parent[node] != pkt.From {
+	parent := m.net.Delay.Row(pkt.Src).Parent
+	if parent[node] != pkt.From {
 		m.net.DropData(node) // not this router's place in the source tree
 		return
 	}
@@ -264,7 +251,7 @@ func (m *MOSPF) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	if m.nodeView(node)[pkt.Group][node] {
 		m.net.DeliverLocal(node, pkt)
 	}
-	m.forwardDown(node, info, pkt)
+	m.forwardDown(node, parent, pkt)
 }
 
 // HandlePacket implements netsim.Protocol.

@@ -156,3 +156,34 @@ func TestPropertyMOSPFDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLazyRoutesSourceTreeAfterLinkDown pins that a source tree is the
+// network's current one: on a square whose fast side 0-1-2 loses its
+// {1,2} link, data from 0 must reach member 2 over the slow side 0-3-2
+// instead of dying on the dead link the pre-fault tree used.
+func TestLazyRoutesSourceTreeAfterLinkDown(t *testing.T) {
+	g := topology.New(4)
+	g.MustAddEdge(0, 1, 1, 1)
+	g.MustAddEdge(1, 2, 1, 1)
+	g.MustAddEdge(0, 3, 2, 2)
+	g.MustAddEdge(3, 2, 2, 2)
+	n := netsim.New(g, New())
+	f := n.InstallFaults(netsim.FaultPlan{})
+	n.HostJoin(2, grp)
+	n.Run()
+	send := func(when string) {
+		t.Helper()
+		seq := n.SendData(0, grp, 100)
+		n.Run()
+		if missing, anomalous := n.CheckDelivery(seq); len(missing) != 0 || len(anomalous) != 0 {
+			t.Fatalf("%s: missing=%v anomalous=%v", when, missing, anomalous)
+		}
+	}
+	send("before the cut")
+	f.ScheduleLinkDown(n.Now(), 1, 2)
+	n.Run()
+	send("after the cut")
+	if got := n.Metrics.Dropped(); got != 0 {
+		t.Fatalf("%d data packets dropped: forwarded onto the dead link", got)
+	}
+}

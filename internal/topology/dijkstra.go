@@ -149,17 +149,20 @@ func (p *Paths) Reachable(dst NodeID) bool {
 // ladder makes each row a pure function of (graph, weight, mask), and a
 // stopped search holds a prefix of the full one (see Engine), so eager,
 // lazy, resumed in any increments and any parallel width produce
-// byte-identical labels.
+// byte-identical labels. Links are symmetric, so the row rooted at v is
+// both "distance from v" and, read through Hop, "first hop toward v":
+// one table serves the unicast substrate and the tree engines alike.
 //
 // An eagerly built table is complete, hence immutable and safe to share
-// between goroutines. A lazy table has one writer: Row and Near start
-// and advance searches in place, so the table belongs to one goroutine.
+// between goroutines as long as nobody invalidates it. A lazy table has
+// one writer: Row and Near start and advance searches in place, so the
+// table belongs to one goroutine.
 type AllPairs struct {
 	csr  *CSR
 	w    Weight
 	down []bool
 	rows []*Paths
-	free []*Paths // rows retired by reset, reused by row before it allocates
+	free []*Paths // rows retired by Invalidate, reused by row before it allocates
 }
 
 // allPairsChunk is how many consecutive source rows one worker computes
@@ -168,21 +171,15 @@ type AllPairs struct {
 const allPairsChunk = 16
 
 // NewAllPairs precomputes Shortest from every node under the given
-// weight, sharding sources over the worker pool.
+// weight, sharding sources over the worker pool. Each job of the
+// deterministic pool computes allPairsChunk consecutive rows, a disjoint
+// set, so workers never write the same slot.
 func NewAllPairs(g *Graph, w Weight) *AllPairs {
-	return NewAllPairsAvoid(g, w, nil)
-}
-
-// NewAllPairsAvoid is NewAllPairs over the subgraph that excludes the
-// arcs set in the mask (see CSR). Each job of the deterministic worker
-// pool computes allPairsChunk consecutive rows, a disjoint set, so
-// workers never write the same slot.
-func NewAllPairsAvoid(g *Graph, w Weight, down []bool) *AllPairs {
-	ap := NewLazyAllPairsAvoid(g, w, down)
+	ap := NewLazyAllPairs(g, w)
 	n, e := g.N(), NewEngine(g)
 	runner.Map(runner.Options{}, (n+allPairsChunk-1)/allPairsChunk, func(ci int) struct{} {
 		for u := ci * allPairsChunk; u < min((ci+1)*allPairsChunk, n); u++ {
-			ap.rows[u] = e.ShortestAvoid(NodeID(u), w, down)
+			ap.rows[u] = e.ShortestAvoid(NodeID(u), w, nil)
 		}
 		return struct{}{}
 	})
@@ -190,21 +187,18 @@ func NewAllPairsAvoid(g *Graph, w Weight, down []bool) *AllPairs {
 }
 
 // NewLazyAllPairs returns an AllPairs whose rows are started on first
-// access and advanced on demand. Use it when only a few sources will be
-// consulted — m-router path tables serving small groups, fault-repair
-// re-grafts — and the full table would mostly go unread.
+// access and advanced on demand, every link up until Invalidate says
+// otherwise. Use it when only a few sources will be consulted — a
+// network's routing store, whose readers touch the m-router, the joining
+// routers and the unicast destinations in use — and the full table would
+// mostly go unread.
 func NewLazyAllPairs(g *Graph, w Weight) *AllPairs {
-	return NewLazyAllPairsAvoid(g, w, nil)
+	return &AllPairs{csr: g.CSR(), w: w, rows: make([]*Paths, g.N())}
 }
 
-// NewLazyAllPairsAvoid is NewLazyAllPairs with an arc mask. The table
-// keeps the slice, so the caller must hand it a mask nobody mutates
-// afterwards (netsim's Faults.DownMask returns a copy for this): a live
-// mask would make a row's content depend on when it is first read
-// instead of when the table was created.
-func NewLazyAllPairsAvoid(g *Graph, w Weight, down []bool) *AllPairs {
-	return &AllPairs{csr: g.CSR(), w: w, down: down, rows: make([]*Paths, g.N())}
-}
+// NextHop returns g's unicast forwarding table with every link up: a
+// lazy AllPairs(ByDelay), read through Hop.
+func NextHop(g *Graph) *AllPairs { return NewLazyAllPairs(g, ByDelay) }
 
 // N returns the number of source rows (the graph's node count).
 func (ap *AllPairs) N() int { return len(ap.rows) }
@@ -245,12 +239,31 @@ func (ap *AllPairs) row(src NodeID, lazy bool) *Paths {
 	return p
 }
 
-// reset reconverges a lazy table in place onto a new arc mask: every
+// Hop reads the table as the unicast forwarding table its weight
+// implies — for a ByDelay table the "link state unicast routing
+// protocol" substrate the paper assumes every domain runs. The first
+// hop from u toward v is u's parent in the tree rooted at v, so
+// everything a packet's route to v consults is that one row. Where
+// several first hops are optimal the engine's tie-break ladder picks the
+// lowest-id one, at every router on the way from the same tree, so
+// hop-by-hop forwarding cannot loop. Hop is -1 when v == u or v is
+// unreachable, and panics unless both are nodes of the graph.
+//
+//scmplint:hotpath
+func (ap *AllPairs) Hop(u, v NodeID) NodeID { return ap.Row(v).Parent[u] }
+
+// Invalidate reconverges the table in place onto the subgraph that
+// excludes the arcs set in down (see CSR; nil = every link up), both
+// arcs of a link together — the only way a mask enters a table. Every
 // started row is retired to the free list, where row finds its arrays
-// again (start reuses them when they are big enough), so a table that
-// is reset and consulted over and over stops allocating. Rows and
-// cursors handed out before the reset are dead.
-func (ap *AllPairs) reset(down []bool) {
+// again (start reuses them when they are big enough), so a table that is
+// invalidated and consulted over and over stops allocating: O(n), no
+// allocation once a first round has sized the free list. Rows and
+// cursors handed out before it are dead. The table aliases down, so the
+// mask's owner must re-Invalidate after every change to it — then no row
+// is ever filled against a mask newer than its invalidation (netsim's
+// Faults.apply is built that way).
+func (ap *AllPairs) Invalidate(down []bool) {
 	ap.down = down
 	for i, p := range ap.rows {
 		if p != nil {

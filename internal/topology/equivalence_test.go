@@ -161,29 +161,36 @@ func TestEquivalenceEngineVsReference(t *testing.T) {
 
 // TestEquivalenceAllPairsModes checks that the eager (parallel), lazy,
 // and forced-serial all-pairs builds return identical rows — the
-// deterministic-merge claim for the sharded table.
+// deterministic-merge claim for the sharded table — and that one lazy
+// table invalidated from mask to mask, recycling its rows each time,
+// answers as the one-shot engine does under each.
 func TestEquivalenceAllPairsModes(t *testing.T) {
 	for name, g := range equivGraphs(t) {
-		for avoidName, avoid := range equivAvoids(g, 7) {
-			for _, w := range []Weight{ByDelay, ByCost} {
-				serial := func() *AllPairs {
-					prev := runtime.GOMAXPROCS(1)
-					defer runtime.GOMAXPROCS(prev)
-					return NewAllPairsAvoid(g, w, avoid)
-				}()
-				parallel := func() *AllPairs {
-					prev := runtime.GOMAXPROCS(4)
-					defer runtime.GOMAXPROCS(prev)
-					return NewAllPairsAvoid(g, w, avoid)
-				}()
-				lazy := NewLazyAllPairsAvoid(g, w, avoid)
+		for _, w := range []Weight{ByDelay, ByCost} {
+			serial := func() *AllPairs {
+				prev := runtime.GOMAXPROCS(1)
+				defer runtime.GOMAXPROCS(prev)
+				return NewAllPairs(g, w)
+			}()
+			parallel := func() *AllPairs {
+				prev := runtime.GOMAXPROCS(4)
+				defer runtime.GOMAXPROCS(prev)
+				return NewAllPairs(g, w)
+			}()
+			lazy, e := NewLazyAllPairs(g, w), NewEngine(g)
+			for avoidName, avoid := range equivAvoids(g, 7) {
+				lazy.Invalidate(avoid)
 				for src := 0; src < g.N(); src++ {
 					label := fmt.Sprintf("%s/%s/%s/src%d", name, avoidName, w, src)
-					samePaths(t, label+"/serial-vs-parallel", serial.Row(NodeID(src)), parallel.Row(NodeID(src)))
-					samePaths(t, label+"/eager-vs-lazy", serial.Row(NodeID(src)), lazy.Row(NodeID(src)))
+					want := e.ShortestAvoid(NodeID(src), w, avoid)
+					if avoid == nil {
+						samePaths(t, label+"/serial-vs-parallel", serial.Row(NodeID(src)), parallel.Row(NodeID(src)))
+						samePaths(t, label+"/eager-vs-one-shot", serial.Row(NodeID(src)), want)
+					}
+					samePaths(t, label+"/lazy-vs-one-shot", lazy.Row(NodeID(src)), want)
 				}
 				if got := lazy.Materialized(); got != g.N() {
-					t.Fatalf("%s: lazy table materialised %d of %d rows after full scan", name, got, g.N())
+					t.Fatalf("%s/%s: lazy table materialised %d of %d rows after full scan", name, avoidName, got, g.N())
 				}
 			}
 		}
@@ -270,7 +277,7 @@ func tieFreeGraphs(t testing.TB) map[string]*Graph {
 // pair that row cannot connect must read -1. It returns how many pairs
 // leave on another first hop than that row's path does — a tie taken
 // the other way; with unique set, that is a failure too.
-func checkForwarding(t *testing.T, label string, g *Graph, next *NextHopTable, mask []bool, unique bool) (differ int) {
+func checkForwarding(t *testing.T, label string, g *Graph, next *AllPairs, mask []bool, unique bool) (differ int) {
 	t.Helper()
 	c, e := g.CSR(), NewEngine(g)
 	for u := 0; u < g.N(); u++ {

@@ -177,21 +177,27 @@ func (g *Graph) Components() [][]NodeID {
 }
 
 // Diameter returns the longest shortest-delay path length over all node
-// pairs, and the pair realising it. O(N * Dijkstra).
-func (g *Graph) Diameter() (float64, NodeID, NodeID) {
+// pairs and the path realising it, first endpoint first — the row that
+// found the pair already holds it. The path is nil when no two nodes are
+// connected. O(N * Dijkstra).
+func (g *Graph) Diameter() (float64, []NodeID) {
 	best := 0.0
-	var bu, bv NodeID
+	var path []NodeID
 	e := NewEngine(g)
 	var sp Paths
 	for u := 0; u < g.N(); u++ {
 		e.ShortestInto(&sp, NodeID(u), ByDelay, nil)
+		bv := NodeID(-1)
 		for v := 0; v < g.N(); v++ {
 			if d := sp.Dist[v]; !math.IsInf(d, 1) && d > best {
-				best, bu, bv = d, NodeID(u), NodeID(v)
+				best, bv = d, NodeID(v)
 			}
 		}
+		if bv >= 0 {
+			path = sp.To(bv)
+		}
 	}
-	return best, bu, bv
+	return best, path
 }
 
 // TotalCost returns the sum of cost over all undirected edges.

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -100,12 +101,15 @@ func TestTotalCost(t *testing.T) {
 
 func TestDiameterLine(t *testing.T) {
 	g := line(t, 5) // delay 1 per hop -> diameter 4
-	d, u, v := g.Diameter()
+	d, path := g.Diameter()
 	if d != 4 {
 		t.Fatalf("diameter = %g, want 4", d)
 	}
-	if (u != 0 || v != 4) && (u != 4 || v != 0) {
-		t.Fatalf("diameter endpoints = %d,%d", u, v)
+	if !slices.Equal(path, []NodeID{0, 1, 2, 3, 4}) {
+		t.Fatalf("diameter path = %v, want the whole line from 0", path)
+	}
+	if d, path := New(3).Diameter(); d != 0 || path != nil {
+		t.Fatalf("edgeless graph: diameter %g over %v, want 0 over nil", d, path)
 	}
 }
 

@@ -121,7 +121,8 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 		}
 		for avoidName, avoid := range equivAvoids(g, 23) {
 			for _, w := range []Weight{ByDelay, ByCost} {
-				lazy := NewLazyAllPairsAvoid(g, w, avoid)
+				lazy := NewLazyAllPairs(g, w)
+				lazy.Invalidate(avoid)
 				e := NewEngine(g)
 				rng := rand.New(rand.NewSource(int64(g.N())*31 + int64(w)))
 				for src := 0; src < g.N(); src += step {
@@ -302,10 +303,11 @@ func FuzzResumableRow(f *testing.F) {
 	})
 }
 
-// eagerRow wraps a complete one-shot row the way NewAllPairsAvoid
-// stores it, without paying for the other n-1 rows.
+// eagerRow wraps a complete one-shot row the way NewAllPairs stores it,
+// without paying for the other n-1 rows.
 func eagerRow(g *Graph, w Weight, avoid []bool, src NodeID, full *Paths) *AllPairs {
-	ap := NewLazyAllPairsAvoid(g, w, avoid)
+	ap := NewLazyAllPairs(g, w)
+	ap.Invalidate(avoid)
 	ap.rows[src] = full
 	return ap
 }
