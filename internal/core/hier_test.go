@@ -64,7 +64,7 @@ func requireInstalledMatchesComposed(t *testing.T, s *SCMP, g packet.GroupID) {
 			if e.Upstream != p {
 				t.Fatalf("node %d upstream = %d, composed parent = %d", v, e.Upstream, p)
 			}
-		} else if e.Upstream != noUpstream {
+		} else if e.Upstream != netsim.NoUpstream {
 			t.Fatalf("root %d has upstream %d", v, e.Upstream)
 		}
 		want := map[topology.NodeID]bool{}

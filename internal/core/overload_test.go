@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	destime "scmp/internal/des"
 	"scmp/internal/netsim"
+	"scmp/internal/packet"
 	"scmp/internal/topology"
 )
 
@@ -51,7 +53,7 @@ func TestLeaveCancelsParkedJoin(t *testing.T) {
 		}
 		n.HostLeave(2, grp)
 		if s.ParkedRequests() != 0 {
-			t.Errorf("leave did not unpark the stale JOIN")
+			t.Errorf("leave did not supersede the parked JOIN")
 		}
 	})
 	n.RunUntil(200)
@@ -165,5 +167,101 @@ func TestRefreshSuppression(t *testing.T) {
 	}
 	if skips := run(false); skips != 0 {
 		t.Fatalf("suppression off: %d ticks skipped", skips)
+	}
+}
+
+// TestRequestSlotLifecycle pins what each event does to the request
+// slots, on their retry ladders or parked. Every control packet is lost,
+// so no slot resolves by itself: routers 2 and 3 join group 1 at t=0
+// (those slots park at t=15) and group 2 at t=50 (still on their ladders
+// at t=52); the m-router's own durable JOIN and its replication snapshot
+// to the standby park too. Each case acts at t=52 and names the slots it
+// must remove; every other slot must survive in the state it was in.
+func TestRequestSlotLifecycle(t *testing.T) {
+	deliver := func(s *SCMP, to topology.NodeID, g packet.GroupID, kind packet.Kind, payload []byte) {
+		s.HandlePacket(to, &netsim.Packet{Kind: kind, Group: g, Src: 0, Dst: to, Payload: payload, Size: packet.ControlSize})
+	}
+	for _, tc := range []struct {
+		name string
+		// act drives the event and reports which slots it must remove.
+		act func(t *testing.T, n *netsim.Network, s *SCMP) (gone func(pendingKey) bool)
+	}{
+		{"node down clears the crashed router's ladder and parked slots", func(t *testing.T, n *netsim.Network, s *SCMP) func(pendingKey) bool {
+			s.NodeDown(2)
+			return func(k pendingKey) bool { return k.node == 2 }
+		}},
+		{"failover drops only the replication slots", func(t *testing.T, n *netsim.Network, s *SCMP) func(pendingKey) bool {
+			s.Failover()
+			return func(k pendingKey) bool { return k == replKey(1) }
+		}},
+		{"a NACK for a parked slot does not re-arm it", func(t *testing.T, n *netsim.Network, s *SCMP) func(pendingKey) bool {
+			r := s.slots[pendingKey{2, 1}]
+			timer := r.timer
+			deliver(s, 2, 1, packet.Nack, packet.EncodeNack(packet.NackInfo{Req: packet.Join, Seq: r.seq, RetryAfter: 1}))
+			if r.timer != timer || timer.Cancelled() {
+				t.Error("the NACK replaced the parked slot's deferred re-attempt")
+			}
+			return func(pendingKey) bool { return false }
+		}},
+		{"a NACK for a laddered slot re-arms it", func(t *testing.T, n *netsim.Network, s *SCMP) func(pendingKey) bool {
+			r := s.slots[pendingKey{2, 2}]
+			timer := r.timer
+			deliver(s, 2, 2, packet.Nack, packet.EncodeNack(packet.NackInfo{Req: packet.Join, Seq: r.seq, RetryAfter: 1}))
+			if r.timer == timer || !timer.Cancelled() {
+				t.Error("the NACK left the backoff timer in place")
+			}
+			return func(pendingKey) bool { return false }
+		}},
+		{"a late ACK for a parked slot counts one park recovery", func(t *testing.T, n *netsim.Network, s *SCMP) func(pendingKey) bool {
+			r := s.slots[pendingKey{2, 1}]
+			before := n.Metrics.ParkRecovers()
+			ack := packet.EncodeAck(packet.AckInfo{Req: packet.Join, Seq: r.firstSeq})
+			deliver(s, 2, 1, packet.Ack, ack)
+			deliver(s, 2, 1, packet.Ack, ack) // a duplicate resolves nothing more
+			if got := n.Metrics.ParkRecovers() - before; got != 1 {
+				t.Errorf("%d park recoveries, want 1", got)
+			}
+			if !r.timer.Cancelled() {
+				t.Error("the resolved slot's deferred re-attempt is still armed")
+			}
+			return func(k pendingKey) bool { return k == pendingKey{2, 1} }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, s := newNet(meshGraph(), Config{MRouter: 0, Standby: 4, AckTimeout: 5, RetryBudget: 1, RefreshInterval: 1000})
+			n.InstallFaults(netsim.FaultPlan{ControlLoss: 1, Seed: 1})
+			n.HostJoin(0, 1)
+			for _, v := range []topology.NodeID{2, 3} {
+				n.HostJoin(v, 1)
+				n.Sched.At(50, func() { n.HostJoin(v, 2) })
+			}
+			n.RunUntil(52)
+			parked := map[pendingKey]bool{}
+			for k, r := range s.slots {
+				parked[k] = r.parked
+			}
+			want := map[pendingKey]bool{
+				{0, 1}: true, replKey(1): true, {2, 1}: true, {3, 1}: true, {2, 2}: false, {3, 2}: false,
+			}
+			if !reflect.DeepEqual(parked, want) {
+				t.Fatalf("fixture slots (key: parked) = %v, want %v", parked, want)
+			}
+
+			gone := tc.act(t, n, s)
+			for k, wasParked := range want {
+				r, ok := s.slots[k]
+				switch {
+				case gone(k) && ok:
+					t.Errorf("slot %v survived", k)
+				case !gone(k) && !ok:
+					t.Errorf("slot %v removed", k)
+				case ok && r.parked != wasParked:
+					t.Errorf("slot %v parked = %v, was %v", k, r.parked, wasParked)
+				}
+			}
+			if len(s.slots) > len(want) {
+				t.Errorf("%d slots, want at most %d", len(s.slots), len(want))
+			}
+		})
 	}
 }

@@ -10,7 +10,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"scmp/internal/des"
 	"scmp/internal/netsim"
@@ -49,32 +49,37 @@ func (s *SCMP) noteNode(key pendingKey) topology.NodeID {
 	return s.homes[0]
 }
 
-// pendingReq is one unacknowledged reliable request. fromPark marks a
-// parked request's deferred re-attempt, so its eventual ACK can be
-// counted as a park recovery.
+// reqSlot is one (requester, group)'s outstanding reliable request. It
+// is either on its retry ladder — timer is the next backoff step — or,
+// once a retry budget is spent, parked: timer is the single deferred
+// re-attempt (overload.go), which restarts the ladder in the same slot.
+// A newer request from the same (requester, group) supersedes the slot
+// in either state.
 //
 // firstSeq..seq is the request's lineage: every sequence number this
 // same logical operation has been transmitted under, across park /
 // re-attempt cycles. An ACK bearing any of them resolves the request —
 // on a topology whose control round trip exceeds the backoff ladder,
 // the reply to one incarnation routinely arrives while a later
-// incarnation is outstanding, and matching only the newest sequence
-// would livelock the slot forever. A superseding request (a new
-// operation on the same slot) resets the lineage.
-type pendingReq struct {
+// incarnation is outstanding or the slot has parked, and matching only
+// the newest sequence would livelock the slot forever.
+type reqSlot struct {
 	kind     packet.Kind
 	payload  []byte
 	seq      uint64
 	firstSeq uint64
 	attempt  int
 	timer    *des.Event
-	fromPark bool
+	parked   bool
+	// wasParked marks a slot that has parked at least once: its ACK counts
+	// as a park recovery.
+	wasParked bool
 }
 
-// acked reports whether a is a reply to any incarnation of this
-// request's lineage.
-func (p *pendingReq) acked(a packet.AckInfo) bool {
-	return a.Req == p.kind && a.Seq >= p.firstSeq && a.Seq <= p.seq
+// acked reports whether a reply (an ACK or a NACK) for req with sequence
+// seq answers any incarnation of this request's lineage.
+func (r *reqSlot) acked(req packet.Kind, seq uint64) bool {
+	return req == r.kind && seq >= r.firstSeq && seq <= r.seq
 }
 
 var _ netsim.FaultListener = (*SCMP)(nil)
@@ -87,15 +92,6 @@ var _ netsim.FaultListener = (*SCMP)(nil)
 // acknowledged or the retry cap is reached; otherwise it degrades to
 // the classic fire-and-forget unicast.
 func (s *SCMP) sendReliable(node topology.NodeID, g packet.GroupID, kind packet.Kind, payload []byte) {
-	s.sendReliableOpt(node, g, kind, payload, false, 0)
-}
-
-// sendReliableOpt is sendReliable with the provenance of a parked
-// request's deferred re-attempt: fromPark marks it for park-recovery
-// accounting, and lineage (when non-zero) is the firstSeq of the
-// operation being re-attempted, so replies to its earlier incarnations
-// still match (see pendingReq).
-func (s *SCMP) sendReliableOpt(node topology.NodeID, g packet.GroupID, kind packet.Kind, payload []byte, fromPark bool, lineage uint64) {
 	if s.cfg.AckTimeout <= 0 {
 		s.net.SendUnicast(node, &netsim.Packet{
 			Kind:    kind,
@@ -111,18 +107,32 @@ func (s *SCMP) sendReliableOpt(node topology.NodeID, g packet.GroupID, kind pack
 	if kind == packet.Replicate {
 		key = replKey(g) // dedicated slot: see replSlot
 	}
-	s.unpark(key) // a newer request supersedes any parked one
-	if old := s.pending[key]; old != nil && old.timer != nil {
-		old.timer.Cancel()
+	if old := s.slots[key]; old != nil {
+		old.timer.Cancel() // a newer request supersedes the slot, laddered or parked
 	}
+	r := &reqSlot{kind: kind, payload: payload, firstSeq: s.reqSeq + 1}
+	s.slots[key] = r
+	s.startLadder(key, r)
+}
+
+// startLadder (re)starts r's retry ladder: a transmission under a fresh
+// sequence number, extending the lineage, and the first backoff step.
+func (s *SCMP) startLadder(key pendingKey, r *reqSlot) {
 	s.reqSeq++
-	p := &pendingReq{kind: kind, payload: payload, seq: s.reqSeq, firstSeq: s.reqSeq, fromPark: fromPark}
-	if lineage != 0 {
-		p.firstSeq = lineage
+	r.seq, r.attempt, r.parked = s.reqSeq, 0, false
+	s.transmitReq(key, r)
+	s.armRetry(key, r)
+}
+
+// dropSlots cancels and forgets every request slot drop selects,
+// whether on its ladder or parked.
+func (s *SCMP) dropSlots(drop func(pendingKey, *reqSlot) bool) {
+	for key, r := range s.slots {
+		if drop(key, r) {
+			r.timer.Cancel()
+			delete(s.slots, key)
+		}
 	}
-	s.pending[key] = p
-	s.transmitReq(key, p)
-	s.armRetry(key, p)
 }
 
 // staleCtl is the m-router-side ordering complement to the requester's
@@ -149,51 +159,52 @@ func (s *SCMP) staleCtl(member topology.NodeID, g packet.GroupID, seq uint64) bo
 // transmitReq puts one (re)transmission of a reliable request on the
 // wire. The request's sequence number rides the packet's Seq field so
 // the m-router can echo it in the ACK.
-func (s *SCMP) transmitReq(key pendingKey, p *pendingReq) {
+func (s *SCMP) transmitReq(key pendingKey, r *reqSlot) {
 	src, dst := key.node, s.home(key.g)
-	if p.kind == packet.Replicate {
+	if r.kind == packet.Replicate {
 		// Replication flows primary → standby, not requester → home.
 		src, dst = s.homes[0], s.cfg.Standby
 	}
 	s.net.SendUnicast(src, &netsim.Packet{
-		Kind:    p.kind,
+		Kind:    r.kind,
 		Group:   key.g,
 		Src:     src,
 		Dst:     dst,
-		Seq:     p.seq,
-		Payload: p.payload,
+		Seq:     r.seq,
+		Payload: r.payload,
 		Size:    packet.ControlSize,
 	})
 }
 
-// armRetry schedules the retransmission timer for attempt p.attempt:
+// armRetry schedules the retransmission timer for attempt r.attempt:
 // AckTimeout doubled per attempt already made.
-func (s *SCMP) armRetry(key pendingKey, p *pendingReq) {
-	backoff := des.Time(s.cfg.AckTimeout * float64(uint64(1)<<uint(p.attempt)))
-	p.timer = s.net.Sched.After(backoff, func() { s.retryFire(key, p) })
+func (s *SCMP) armRetry(key pendingKey, r *reqSlot) {
+	backoff := des.Time(s.cfg.AckTimeout * float64(uint64(1)<<uint(r.attempt)))
+	r.timer = s.net.Sched.After(backoff, func() { s.retryFire(key, r) })
 }
 
 // retryFire is one retransmission-timer expiry (or a NACK-directed
 // deferred retransmission): at the retry limit the request gives up —
 // parking when a retry budget is configured — otherwise it retransmits
 // and re-arms the next backoff step.
-func (s *SCMP) retryFire(key pendingKey, p *pendingReq) {
-	if s.pending[key] != p {
+func (s *SCMP) retryFire(key pendingKey, r *reqSlot) {
+	if s.slots[key] != r {
 		return // acknowledged or superseded since
 	}
-	if p.attempt >= s.retryLimit() {
+	if r.attempt >= s.retryLimit() {
 		// Give up: the soft-state refresh (and ground-truth re-reports
 		// after a restart) are the backstop — or, with a retry budget
 		// configured, the parked deferred re-attempt (overload.go).
-		delete(s.pending, key)
 		if s.cfg.RetryBudget > 0 {
-			s.park(key, p)
+			s.park(key, r)
+		} else {
+			delete(s.slots, key)
 		}
 		return
 	}
-	p.attempt++
-	s.transmitReq(key, p)
-	s.armRetry(key, p)
+	r.attempt++
+	s.transmitReq(key, r)
+	s.armRetry(key, r)
 }
 
 // retryLimit returns the retransmissions allowed per reliable request:
@@ -282,21 +293,20 @@ func (s *SCMP) handleAck(node topology.NodeID, pkt *netsim.Packet) {
 	if a.Req == packet.Replicate {
 		key = replKey(pkt.Group)
 	}
-	p := s.pending[key]
-	if p == nil || !p.acked(a) {
-		// Not the outstanding lineage — but it may be the (late) reply
-		// to a request that already parked; that parked request is done.
-		s.lateAck(key, a)
-		return
+	r := s.slots[key]
+	if r == nil || !r.acked(a.Req, a.Seq) {
+		return // reply to a superseded request
 	}
-	if p.timer != nil {
-		p.timer.Cancel()
-	}
-	if p.fromPark {
+	// A parked slot is resolved too: the m-router did process the
+	// operation, its reply just lost the race with the park. Without this,
+	// a topology whose control round trip exceeds the whole backoff ladder
+	// livelocks — every ladder parks before its ACK returns.
+	r.timer.Cancel()
+	delete(s.slots, key)
+	if r.wasParked {
 		s.net.NoteParkRecover(s.noteNode(key))
 	}
-	delete(s.pending, key)
-	if p.kind == packet.Replicate {
+	if r.kind == packet.Replicate {
 		s.flushAckQueue(key.g)
 	}
 }
@@ -348,25 +358,13 @@ func (s *SCMP) refreshGroup(g packet.GroupID, gs *groupState) {
 // measurement deadline, Quiesce, then Run to drain cleanly. The next
 // membership or tree change re-arms refresh.
 func (s *SCMP) Quiesce() {
-	for _, g := range s.sortedGroupIDs() {
-		gs := s.groups[g]
+	for _, gs := range s.groups {
 		if gs.refresh != nil {
 			gs.refresh.Cancel()
 			gs.refresh = nil
 		}
 	}
-	for key, p := range s.pending {
-		if p.timer != nil {
-			p.timer.Cancel()
-		}
-		delete(s.pending, key)
-	}
-	for key, pk := range s.parked {
-		if pk.timer != nil {
-			pk.timer.Cancel()
-		}
-		delete(s.parked, key)
-	}
+	s.dropSlots(func(pendingKey, *reqSlot) bool { return true })
 }
 
 // --- fault reaction (netsim.FaultListener) ------------------------------
@@ -397,22 +395,7 @@ func (s *SCMP) LinkUp(u, v topology.NodeID) {
 // neighbours additionally treat every adjacent link as failed.
 func (s *SCMP) NodeDown(n topology.NodeID) {
 	s.entries[n] = nil
-	for key, p := range s.pending {
-		if key.node == n {
-			if p.timer != nil {
-				p.timer.Cancel()
-			}
-			delete(s.pending, key)
-		}
-	}
-	for key, pk := range s.parked {
-		if key.node == n {
-			if pk.timer != nil {
-				pk.timer.Cancel()
-			}
-			delete(s.parked, key)
-		}
-	}
+	s.dropSlots(func(key pendingKey, _ *reqSlot) bool { return key.node == n })
 	s.rebase()
 	if s.cfg.DisableRepair || s.hierarchical() {
 		return
@@ -457,17 +440,16 @@ func (s *SCMP) repairEndpoint(node, dead topology.NodeID) {
 		return // a crashed router repairs nothing
 	}
 	byGroup := s.entries[node]
-	for _, g := range sortedGroupsOf(byGroup) {
+	for _, g := range sortedGroups(byGroup) {
 		e := byGroup[g]
-		if !e.onTree {
+		if !e.OnTree {
 			continue
 		}
-		delete(e.downstream, dead)
-		e.downDirty = true
-		if e.upstream != dead {
+		e.RemoveDownstream(dead)
+		if e.Upstream != dead {
 			continue
 		}
-		e.upstream = noUpstream
+		e.Upstream = netsim.NoUpstream
 		if !e.repairing {
 			e.repairing = true
 			e.repairT0 = s.net.Now()
@@ -546,7 +528,7 @@ func (s *SCMP) regraftDeferred(g packet.GroupID, gs *groupState) bool {
 // healGroups retries deferred grafts for every group after a topology
 // heal and redistributes the trees that changed.
 func (s *SCMP) healGroups() {
-	for _, g := range s.sortedGroupIDs() {
+	for _, g := range sortedGroups(s.groups) {
 		gs := s.groups[g]
 		if s.regraftDeferred(g, gs) {
 			gs.lastChange = s.net.Now()
@@ -568,24 +550,13 @@ func (s *SCMP) recordRecovery(e *entry) {
 	s.net.Metrics.OnRecovery(float64(s.net.Now() - e.repairT0))
 }
 
-// sortedGroupIDs returns the keys of s.groups in ascending order, for
+// sortedGroups returns the group ids keying m in ascending order, for
 // deterministic iteration wherever group processing sends packets.
-func (s *SCMP) sortedGroupIDs() []packet.GroupID {
-	out := make([]packet.GroupID, 0, len(s.groups))
-	for g := range s.groups {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// sortedGroupsOf returns the group ids of one router's entry map in
-// ascending order.
-func sortedGroupsOf(m map[packet.GroupID]*entry) []packet.GroupID {
+func sortedGroups[V any](m map[packet.GroupID]V) []packet.GroupID {
 	out := make([]packet.GroupID, 0, len(m))
 	for g := range m {
 		out = append(out, g)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -172,8 +172,8 @@ func TestSoftStateRefreshRepairsDivergedRouter(t *testing.T) {
 	n.HostJoin(2, grp)
 	n.RunUntil(5) // branch installed; refresh armed for ~t=41
 	e := s.entry(2, grp)
-	e.onTree = false
-	e.upstream = noUpstream
+	e.OnTree = false
+	e.Upstream = netsim.NoUpstream
 	seq := n.SendData(0, grp, 100)
 	n.RunUntil(20)
 	if missing, _ := n.CheckDelivery(seq); len(missing) != 1 {

@@ -13,8 +13,7 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"scmp/internal/des"
 	"scmp/internal/mtree"
@@ -24,19 +23,12 @@ import (
 	"scmp/internal/topology"
 )
 
-// noUpstream marks the m-router's (absent) upstream.
-const noUpstream topology.NodeID = -1
-
-// entry is one multicast routing entry: the paper's triple
-// (group id, upstream, downstream) plus the local-interface flag and
-// the distribution version used to discard stale self-routing packets.
+// entry is one multicast routing entry: the shared-tree triple and
+// local-interface flags (netsim.TreeEntry) plus the distribution
+// version used to discard stale self-routing packets.
 type entry struct {
-	onTree       bool
-	upstream     topology.NodeID
-	downstream   map[topology.NodeID]bool
-	hasLocal     bool // >=1 member interface on the local subnet
-	pendingLocal bool // IGMP report seen, tree installation still in flight
-	version      uint64
+	netsim.TreeEntry
+	version uint64
 	// lastSeq records the highest data sequence forwarded per source —
 	// the shared-tree analog of an RPF check. On a consistent tree each
 	// router sees every (source, seq) exactly once, so the filter never
@@ -45,11 +37,6 @@ type entry struct {
 	// visit of a packet to any router on the cycle is suppressed here,
 	// turning an infinite packet storm into at most one extra traversal.
 	lastSeq map[topology.NodeID]uint64
-	// downCache is the ascending downstream list the forwarding paths
-	// iterate; downDirty marks it stale after a downstream mutation, so
-	// the per-packet hot path never sorts (see down).
-	downCache []topology.NodeID
-	downDirty bool
 	// repairing is set when this router's upstream tree link died and a
 	// REJOIN is in flight; repairT0 timestamps the failure so the
 	// recovery time can be recorded when a new upstream is adopted.
@@ -59,23 +46,9 @@ type entry struct {
 
 func newEntry() *entry {
 	return &entry{
-		upstream:   noUpstream,
-		downstream: make(map[topology.NodeID]bool),
-		lastSeq:    make(map[topology.NodeID]uint64),
+		TreeEntry: netsim.TreeEntry{Upstream: netsim.NoUpstream},
+		lastSeq:   make(map[topology.NodeID]uint64),
 	}
-}
-
-// down returns the downstream routers in ascending order, cached until
-// the next downstream mutation (every mutation site sets downDirty).
-// Callers must not retain the slice across mutations.
-func (e *entry) down() []topology.NodeID {
-	if e.downDirty {
-		// Rebuilt only after a downstream mutation (join/leave/prune), never
-		// per forwarded packet: the sort is amortized by the cache.
-		e.downCache = topology.SortedNodes(e.downstream) //scmplint:ignore hotalloc
-		e.downDirty = false
-	}
-	return e.downCache
 }
 
 // groupState is the m-router's per-group state: the DCDM tree, the
@@ -260,14 +233,12 @@ type SCMP struct {
 	// high 32 bits so entries installed before a failover are never
 	// trusted as a source's on-tree fast path afterwards.
 	epoch uint64
-	// pending tracks unacknowledged reliable control requests by
-	// (requester, group); reqSeq numbers them so a late ACK for a
-	// superseded request is ignored. parked holds requests that
-	// exhausted their retry budget and wait on a single deferred
-	// re-attempt timer (overload.go).
-	pending map[pendingKey]*pendingReq
-	parked  map[pendingKey]*parkedReq
-	reqSeq  uint64
+	// slots holds each (requester, group)'s outstanding reliable control
+	// request, on its retry ladder or parked (repair.go); reqSeq numbers
+	// the transmissions so a late ACK for a superseded request is
+	// ignored.
+	slots  map[pendingKey]*reqSlot
+	reqSeq uint64
 	// ctlSeen records, per (requester, group), the highest request
 	// sequence the m-router has accepted — the ordering guard against a
 	// retransmitted copy of a superseded operation arriving after its
@@ -350,8 +321,7 @@ func New(cfg Config) *SCMP {
 		homes:    homes,
 		groups:   make(map[packet.GroupID]*groupState),
 		replica:  make(map[packet.GroupID]map[topology.NodeID]bool),
-		pending:  make(map[pendingKey]*pendingReq),
-		parked:   make(map[pendingKey]*parkedReq),
+		slots:    make(map[pendingKey]*reqSlot),
 		ctlSeen:  make(map[pendingKey]uint64),
 		replSeen: make(map[packet.GroupID]uint64),
 	}
@@ -454,16 +424,9 @@ func (s *SCMP) GroupComposer(g packet.GroupID) *mtree.HierDCDM {
 func (s *SCMP) group(g packet.GroupID) *groupState {
 	gs := s.groups[g]
 	if gs == nil {
-		kappa := s.cfg.Kappa
-		if kappa == 0 {
-			kappa = 1
-		}
-		if math.IsInf(kappa, 1) {
-			kappa = math.Inf(1)
-		}
 		if s.view != nil {
 			core := int(g) % len(s.homes)
-			gs = &groupState{hier: mtree.NewHierDCDM(s.view, s.cfg.DomainMRouters, core, kappa)}
+			gs = &groupState{hier: mtree.NewHierDCDM(s.view, s.cfg.DomainMRouters, core, s.cfg.Kappa)}
 			if s.cfg.DelayBudget > 0 {
 				gs.hier.SetQoSBudget(s.cfg.DelayBudget)
 			}
@@ -471,7 +434,7 @@ func (s *SCMP) group(g packet.GroupID) *groupState {
 			s.groups[g] = gs
 			return gs
 		}
-		gs = &groupState{dcdm: mtree.NewDCDM(s.net.G, s.home(g), kappa, s.net.Delay, s.net.Cost)}
+		gs = &groupState{dcdm: mtree.NewDCDM(s.net.G, s.home(g), s.cfg.Kappa, s.net.Delay, s.net.Cost)}
 		if s.cfg.DelayBudget > 0 {
 			gs.dcdm.SetQoSBudget(s.cfg.DelayBudget)
 		}
@@ -521,12 +484,12 @@ func (s *SCMP) Entry(node topology.NodeID, g packet.GroupID) (EntryView, bool) {
 	if e == nil {
 		return EntryView{}, false
 	}
-	v := EntryView{OnTree: e.onTree, Upstream: e.upstream, HasLocal: e.hasLocal}
-	for d := range e.downstream {
-		v.Downstream = append(v.Downstream, d)
-	}
-	sort.Slice(v.Downstream, func(i, j int) bool { return v.Downstream[i] < v.Downstream[j] })
-	return v, true
+	return EntryView{
+		OnTree:     e.OnTree,
+		Upstream:   e.Upstream,
+		Downstream: append([]topology.NodeID(nil), e.Downstream()...),
+		HasLocal:   e.HasLocal,
+	}, true
 }
 
 // StateEntries returns the number of live multicast routing entries a
@@ -536,13 +499,7 @@ func (s *SCMP) Entry(node topology.NodeID, g packet.GroupID) (EntryView, bool) {
 // "introduces the scalability problem ... since routers need to store
 // routing information for each (source, group) pair").
 func (s *SCMP) StateEntries(node topology.NodeID) int {
-	count := 0
-	for _, e := range s.entries[node] {
-		if e.onTree || e.hasLocal || e.pendingLocal {
-			count++
-		}
-	}
-	return count
+	return netsim.LiveEntries(s.entries[node])
 }
 
 // --- membership (§III-B, §III-C) --------------------------------------
@@ -554,7 +511,7 @@ func (s *SCMP) StateEntries(node topology.NodeID) int {
 func (s *SCMP) HostJoin(node topology.NodeID, g packet.GroupID) {
 	if s.isCtrlHome(node, node, g) {
 		e := s.entry(node, g)
-		e.onTree, e.hasLocal = true, true
+		e.OnTree, e.HasLocal = true, true
 		if s.durableMode() {
 			// The m-router's own membership must survive the m-router: in
 			// durable mode the JOIN goes through the reliable path even
@@ -569,19 +526,19 @@ func (s *SCMP) HostJoin(node topology.NodeID, g packet.GroupID) {
 		return
 	}
 	e := s.entry(node, g)
-	if e.onTree {
+	if e.OnTree {
 		// Already on the tree as a relay: mark the interface; the paper
 		// still sends a JOIN for accounting/billing when this is the
 		// first local interface.
-		if !e.hasLocal {
-			e.hasLocal = true
+		if !e.HasLocal {
+			e.HasLocal = true
 			s.sendReliable(node, g, packet.Join, nil)
 		}
 		return
 	}
 	// Off tree: remember the interface for when the TREE/BRANCH packet
 	// arrives, and ask the m-router to extend the tree.
-	e.pendingLocal = true
+	e.PendingLocal = true
 	s.sendReliable(node, g, packet.Join, nil)
 }
 
@@ -591,8 +548,8 @@ func (s *SCMP) HostLeave(node topology.NodeID, g packet.GroupID) {
 	if e == nil {
 		return
 	}
-	e.hasLocal = false
-	e.pendingLocal = false
+	e.HasLocal = false
+	e.PendingLocal = false
 	if s.isCtrlHome(node, node, g) {
 		if s.durableMode() {
 			// Symmetric with HostJoin: the primary's own LEAVE rides the
@@ -604,7 +561,7 @@ func (s *SCMP) HostLeave(node topology.NodeID, g packet.GroupID) {
 		s.mrouterLeave(node, g)
 		// A local m-router — unlike the flat home, which is the tree's
 		// root — can itself be a prunable leaf of the composed tree.
-		if s.hierarchical() && !s.isHome(node, g) && e.onTree && len(e.downstream) == 0 {
+		if s.hierarchical() && !s.isHome(node, g) && e.OnTree && len(e.Downstream()) == 0 {
 			s.sendPrune(node, g, e)
 		}
 		return
@@ -612,31 +569,18 @@ func (s *SCMP) HostLeave(node topology.NodeID, g packet.GroupID) {
 	// Always tell the m-router (accounting); additionally prune when the
 	// DR became a leaf.
 	s.sendReliable(node, g, packet.Leave, nil)
-	if e.onTree && len(e.downstream) == 0 {
+	if e.OnTree && len(e.Downstream()) == 0 {
 		s.sendPrune(node, g, e)
 	}
-}
-
-// sendControl unicasts a small control packet from node to the m-router
-// (the fire-and-forget path; sendReliable wraps it with ACK/retry when
-// AckTimeout is configured).
-func (s *SCMP) sendControl(node topology.NodeID, g packet.GroupID, kind packet.Kind, about topology.NodeID) {
-	s.net.SendUnicast(node, &netsim.Packet{
-		Kind:  kind,
-		Group: g,
-		Src:   about,
-		Dst:   s.ctrlHome(node, g),
-		Size:  packet.ControlSize,
-	})
 }
 
 // sendPrune tears this router's branch: it forgets its entry and tells
 // its upstream.
 func (s *SCMP) sendPrune(node topology.NodeID, g packet.GroupID, e *entry) {
-	up := e.upstream
-	e.onTree = false
-	e.upstream = noUpstream
-	if up == noUpstream {
+	up := e.Upstream
+	e.OnTree = false
+	e.Upstream = netsim.NoUpstream
+	if up == netsim.NoUpstream {
 		return
 	}
 	s.net.SendLink(node, up, &netsim.Packet{
@@ -743,7 +687,7 @@ func (s *SCMP) replicate(g packet.GroupID, gs *groupState) {
 		// on a topology heal.
 		members = append(members, m)
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	slices.Sort(members)
 	payload := packet.EncodeMembers(members)
 	if s.cfg.AckTimeout > 0 {
 		s.sendReliable(s.homes[0], g, packet.Replicate, payload)
@@ -792,12 +736,7 @@ func (s *SCMP) handleReplicate(pkt *netsim.Packet) {
 // ReplicaMembers returns the standby's replicated member set for g,
 // sorted — the state a failover will rebuild trees from.
 func (s *SCMP) ReplicaMembers(g packet.GroupID) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(s.replica[g]))
-	for m := range s.replica[g] {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return topology.SortedNodes(s.replica[g])
 }
 
 // failoverEpoch separates pre- and post-failover distribution versions
@@ -820,33 +759,16 @@ func (s *SCMP) Failover() {
 		return // already failed over
 	}
 	// The dead primary's forwarding entries die with it.
-	for g, e := range s.entries[s.homes[0]] {
-		e.onTree = false
-		e.downstream = make(map[topology.NodeID]bool)
-		e.downDirty = true
-		_ = g
+	for _, e := range s.entries[s.homes[0]] {
+		e.OnTree = false
+		e.SetDownstream(nil)
 	}
 	s.homes[0] = s.cfg.Standby
 	s.epoch++
 	// The failed primary's replication stream dies with it: in-flight
 	// snapshot ladders (and parked re-attempts) would otherwise keep
 	// retransmitting into the promoted standby forever.
-	for key, p := range s.pending {
-		if p.kind == packet.Replicate {
-			if p.timer != nil {
-				p.timer.Cancel()
-			}
-			delete(s.pending, key)
-		}
-	}
-	for key, pk := range s.parked {
-		if pk.kind == packet.Replicate {
-			if pk.timer != nil {
-				pk.timer.Cancel()
-			}
-			delete(s.parked, key)
-		}
-	}
+	s.dropSlots(func(_ pendingKey, r *reqSlot) bool { return r.kind == packet.Replicate })
 	old := s.groups
 	// The old group states are discarded below, but their armed refresh
 	// timers would survive as closures over the dead state — firing
@@ -859,12 +781,7 @@ func (s *SCMP) Failover() {
 		}
 	}
 	s.groups = make(map[packet.GroupID]*groupState)
-	gids := make([]packet.GroupID, 0, len(s.replica))
-	for g := range s.replica {
-		gids = append(gids, g)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	for _, g := range gids {
+	for _, g := range sortedGroups(s.replica) {
 		if len(s.replica[g]) == 0 {
 			continue
 		}
@@ -876,7 +793,7 @@ func (s *SCMP) Failover() {
 		for _, m := range s.ReplicaMembers(g) {
 			if m == s.homes[0] {
 				e := s.entry(m, g)
-				e.onTree, e.hasLocal = true, true
+				e.OnTree, e.HasLocal = true, true
 			}
 			gs.dcdm.Join(m)
 		}
@@ -892,14 +809,9 @@ func (s *SCMP) Failover() {
 // m-router's own forwarding entry.
 func (s *SCMP) syncMRouterEntry(g packet.GroupID, gs *groupState) {
 	e := s.entry(s.home(g), g)
-	e.onTree = true
-	e.upstream = noUpstream
-	down := make(map[topology.NodeID]bool)
-	for _, c := range gs.tree().Children(s.home(g)) {
-		down[c] = true
-	}
-	e.downstream = down
-	e.downDirty = true
+	e.OnTree = true
+	e.Upstream = netsim.NoUpstream
+	e.SetDownstream(gs.tree().Children(s.home(g)))
 	e.version = gs.version
 	commitCheck(s.home(g), gs.tree())
 }
@@ -1054,12 +966,12 @@ func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 		return // stale distribution overtaken by a newer one
 	}
 	e.version = pkt.Version
-	oldUp := e.upstream
-	wasOnTree := e.onTree
-	e.onTree = true
-	e.upstream = pkt.From
+	oldUp := e.Upstream
+	wasOnTree := e.OnTree
+	e.OnTree = true
+	e.Upstream = pkt.From
 	s.recordRecovery(e)
-	if wasOnTree && oldUp != noUpstream && oldUp != pkt.From {
+	if wasOnTree && oldUp != netsim.NoUpstream && oldUp != pkt.From {
 		// Restructured: break the loop by pruning toward the old parent.
 		s.net.SendLink(node, oldUp, &netsim.Packet{
 			Kind:    packet.Prune,
@@ -1069,9 +981,9 @@ func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 			Size:    packet.ControlSize,
 		})
 	}
-	newDown := make(map[topology.NodeID]bool, len(children))
+	next := make([]topology.NodeID, 0, len(children))
 	for _, c := range children {
-		newDown[c.Addr] = true
+		next = append(next, c.Addr)
 		s.net.SendLink(node, c.Addr, &netsim.Packet{
 			Kind:    packet.Tree,
 			Group:   pkt.Group,
@@ -1081,8 +993,8 @@ func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 			Size:    len(c.Sub) + 8,
 		})
 	}
-	for _, d := range e.down() {
-		if !newDown[d] {
+	for _, d := range e.Downstream() {
+		if !slices.Contains(next, d) {
 			s.net.SendLink(node, d, &netsim.Packet{
 				Kind:    packet.Flush,
 				Group:   pkt.Group,
@@ -1092,11 +1004,10 @@ func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 			})
 		}
 	}
-	e.downstream = newDown
-	e.downDirty = true
-	if e.pendingLocal {
-		e.pendingLocal = false
-		e.hasLocal = true
+	e.SetDownstream(next)
+	if e.PendingLocal {
+		e.PendingLocal = false
+		e.HasLocal = true
 	}
 }
 
@@ -1112,7 +1023,7 @@ func (s *SCMP) handleBranch(node topology.NodeID, pkt *netsim.Packet) {
 		return
 	}
 	e.version = pkt.Version
-	if !e.onTree || e.upstream == noUpstream {
+	if !e.OnTree || e.Upstream == netsim.NoUpstream {
 		// Off tree, or an orphan whose upstream link died: adopt the
 		// branch as the new upstream (local repair re-homing) — except
 		// at a hierarchical install's *addressed head* (pkt.Dst is the
@@ -1123,24 +1034,23 @@ func (s *SCMP) handleBranch(node topology.NodeID, pkt *netsim.Packet) {
 		// next refresh. Leaving upstream unset lets the in-flight
 		// equal-version install adopt correctly when it lands.
 		if !(s.hierarchical() && pkt.Dst == node) {
-			e.onTree = true
-			e.upstream = pkt.From
+			e.OnTree = true
+			e.Upstream = pkt.From
 			s.recordRecovery(e)
 		}
 	}
 	// Any router the BRANCH confirms on the tree can add the interface
 	// it marked at IGMP-report time — the node may be a mid-path relay
 	// whose own JOIN overlapped with this distribution.
-	if e.pendingLocal {
-		e.pendingLocal = false
-		e.hasLocal = true
+	if e.PendingLocal {
+		e.PendingLocal = false
+		e.HasLocal = true
 	}
 	rest := path[1:]
 	if len(rest) == 0 {
 		return // this router is the new member's DR
 	}
-	e.downstream[rest[0]] = true
-	e.downDirty = true
+	e.AddDownstream(rest[0])
 	payload := packet.EncodeBranch(rest)
 	s.net.SendLink(node, rest[0], &netsim.Packet{
 		Kind:    packet.Branch,
@@ -1157,7 +1067,7 @@ func (s *SCMP) handleBranch(node topology.NodeID, pkt *netsim.Packet) {
 // non-member leaf prunes itself upstream in turn (§III-C).
 func (s *SCMP) handlePrune(node topology.NodeID, pkt *netsim.Packet) {
 	e := s.peekEntry(node, pkt.Group)
-	if e == nil || !e.onTree {
+	if e == nil || !e.OnTree {
 		return
 	}
 	if pkt.Version>>32 < e.version>>32 {
@@ -1170,12 +1080,11 @@ func (s *SCMP) handlePrune(node topology.NodeID, pkt *netsim.Packet) {
 		// so only cross-epoch prunes are rejected.
 		return
 	}
-	delete(e.downstream, pkt.From)
-	e.downDirty = true
+	e.RemoveDownstream(pkt.From)
 	if s.isHome(node, pkt.Group) {
 		return
 	}
-	if len(e.downstream) == 0 && !e.hasLocal && !e.pendingLocal {
+	if len(e.Downstream()) == 0 && !e.HasLocal && !e.PendingLocal {
 		s.sendPrune(node, pkt.Group, e)
 	}
 }
@@ -1185,7 +1094,7 @@ func (s *SCMP) handlePrune(node topology.NodeID, pkt *netsim.Packet) {
 // that still has local members immediately re-joins.
 func (s *SCMP) handleFlush(node topology.NodeID, pkt *netsim.Packet) {
 	e := s.peekEntry(node, pkt.Group)
-	if e == nil || !e.onTree {
+	if e == nil || !e.OnTree {
 		return
 	}
 	if pkt.Version < e.version {
@@ -1196,10 +1105,10 @@ func (s *SCMP) handleFlush(node topology.NodeID, pkt *netsim.Packet) {
 	// local repair excluded from the re-grafted tree — is addressed to
 	// the node itself and bypasses the upstream match (the orphan has
 	// none to match).
-	if pkt.Dst != node && pkt.From != e.upstream {
+	if pkt.Dst != node && pkt.From != e.Upstream {
 		return
 	}
-	for _, d := range e.down() {
+	for _, d := range e.Downstream() {
 		s.net.SendLink(node, d, &netsim.Packet{
 			Kind:    packet.Flush,
 			Group:   pkt.Group,
@@ -1208,14 +1117,13 @@ func (s *SCMP) handleFlush(node topology.NodeID, pkt *netsim.Packet) {
 			Size:    packet.ControlSize,
 		})
 	}
-	hadLocal := e.hasLocal
-	e.onTree = false
-	e.upstream = noUpstream
-	e.downstream = make(map[topology.NodeID]bool)
-	e.downDirty = true
-	e.hasLocal = false
+	hadLocal := e.HasLocal
+	e.OnTree = false
+	e.Upstream = netsim.NoUpstream
+	e.SetDownstream(nil)
+	e.HasLocal = false
 	if hadLocal {
-		e.pendingLocal = true
+		e.PendingLocal = true
 		s.sendReliable(node, pkt.Group, packet.Join, nil)
 	} else {
 		// A dismantled pure relay has no members waiting: its repair
@@ -1239,14 +1147,14 @@ func (s *SCMP) SendData(src topology.NodeID, g packet.GroupID, size int, seq uin
 		Created: s.net.Now(),
 	}
 	e := s.peekEntry(src, g)
-	if e != nil && e.onTree && e.version>>32 == s.epoch {
+	if e != nil && e.OnTree && e.version>>32 == s.epoch {
 		// Record our own send in the duplicate filter: a forwarding
 		// cycle through a router with a stale (diverged) entry can echo
 		// the packet back here, and without this entry the source would
 		// deliver its own packet to its local hosts. Interior routers
 		// are already covered — their first copy seeds lastSeq.
 		e.lastSeq[src] = seq
-		s.forwardOnTree(src, e, pkt, src /* nothing to exclude: use src itself */)
+		e.Forward(s.net, src, pkt, src /* nothing to exclude: use src itself */)
 		return
 	}
 	enc := *pkt
@@ -1256,21 +1164,6 @@ func (s *SCMP) SendData(src topology.NodeID, g packet.GroupID, size int, seq uin
 	s.net.SendUnicast(src, &enc)
 }
 
-// forwardOnTree sends pkt to upstream and all downstream except the one
-// it came from.
-//
-//scmplint:hotpath
-func (s *SCMP) forwardOnTree(node topology.NodeID, e *entry, pkt *netsim.Packet, except topology.NodeID) {
-	if e.upstream != noUpstream && e.upstream != except {
-		s.net.SendLink(node, e.upstream, pkt)
-	}
-	for _, d := range e.down() {
-		if d != except {
-			s.net.SendLink(node, d, pkt)
-		}
-	}
-}
-
 // handleData implements the multicast packet forwarding procedure: if
 // the packet arrived from a router in F = {upstream} ∪ downstream,
 // forward it to the rest of F and deliver locally; otherwise drop it.
@@ -1278,13 +1171,7 @@ func (s *SCMP) forwardOnTree(node topology.NodeID, e *entry, pkt *netsim.Packet,
 //scmplint:hotpath
 func (s *SCMP) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	e := s.peekEntry(node, pkt.Group)
-	if e == nil || !e.onTree {
-		s.net.DropData(node)
-		return
-	}
-	fromUpstream := pkt.From == e.upstream
-	fromDownstream := e.downstream[pkt.From]
-	if !fromUpstream && !fromDownstream {
+	if e == nil || !e.Accepts(pkt.From) {
 		s.net.DropData(node)
 		return
 	}
@@ -1294,11 +1181,11 @@ func (s *SCMP) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	}
 	e.lastSeq[pkt.Src] = pkt.Seq
 	s.recordTraffic(node, pkt.Group, pkt.Size)
-	s.forwardOnTree(node, e, pkt, pkt.From)
+	e.Forward(s.net, node, pkt, pkt.From)
 	// A member source that fell back to encapsulation sees its own
 	// packet come back down the tree: keep forwarding it (a subtree may
 	// hang below us) but never hand a host its own transmission.
-	if e.hasLocal && pkt.Src != node {
+	if e.HasLocal && pkt.Src != node {
 		s.net.DeliverLocal(node, pkt)
 	}
 }
@@ -1336,7 +1223,7 @@ func (s *SCMP) handleEncap(node topology.NodeID, pkt *netsim.Packet) {
 		return
 	}
 	e := s.peekEntry(node, pkt.Group)
-	if e == nil || !e.onTree {
+	if e == nil || !e.OnTree {
 		s.net.DropData(node)
 		return
 	}
@@ -1344,8 +1231,8 @@ func (s *SCMP) handleEncap(node topology.NodeID, pkt *netsim.Packet) {
 	data.Kind = packet.Data
 	data.Size = pkt.Size - 20
 	s.recordTraffic(node, pkt.Group, data.Size)
-	s.forwardOnTree(node, e, &data, node)
-	if e.hasLocal {
+	e.Forward(s.net, node, &data, node)
+	if e.HasLocal {
 		s.net.DeliverLocal(node, &data)
 	}
 }

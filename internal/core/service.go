@@ -90,18 +90,11 @@ type ServiceStats struct {
 func (s *SCMP) ServiceStats() ServiceStats {
 	sc := s.service
 	if sc == nil || sc.requests == 0 {
-		return ServiceStats{Requests: sc.requestsOrZero()}
+		return ServiceStats{}
 	}
 	return ServiceStats{
 		Requests: sc.requests,
 		MeanWait: float64(sc.totalWait) / float64(sc.requests),
 		MaxWait:  float64(sc.maxWait),
 	}
-}
-
-func (sc *serviceCenter) requestsOrZero() uint64 {
-	if sc == nil {
-		return 0
-	}
-	return sc.requests
 }

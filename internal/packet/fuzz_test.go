@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"scmp/internal/topology"
@@ -135,7 +136,8 @@ func FuzzDecodeAck(f *testing.F) {
 	})
 }
 
-// FuzzDecodeNack checks the NACK decoder likewise.
+// FuzzDecodeNack checks the NACK decoder likewise, and that every
+// retry-after it accepts is a finite non-negative delay.
 func FuzzDecodeNack(f *testing.F) {
 	full := EncodeNack(NackInfo{Req: Join, Seq: 0xCAFE, RetryAfter: 0.25})
 	f.Add(full)
@@ -147,6 +149,9 @@ func FuzzDecodeNack(f *testing.F) {
 		n, err := DecodeNack(data)
 		if err != nil {
 			return
+		}
+		if math.IsNaN(n.RetryAfter) || math.IsInf(n.RetryAfter, 0) || n.RetryAfter < 0 {
+			t.Fatalf("accepted retry-after %g", n.RetryAfter)
 		}
 		re := EncodeNack(n)
 		if !bytes.Equal(re, data) {

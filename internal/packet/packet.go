@@ -490,8 +490,10 @@ func AppendNack(buf []byte, n NackInfo) []byte {
 	return binary.BigEndian.AppendUint64(buf, math.Float64bits(n.RetryAfter))
 }
 
-// DecodeNack parses a NACK payload, rejecting truncation and trailing
-// garbage.
+// DecodeNack parses a NACK payload, rejecting truncation, trailing
+// garbage, and a retry-after that is not a finite non-negative delay —
+// scheduling a timer NaN or ±Inf seconds out would corrupt the event
+// queue's time order.
 func DecodeNack(b []byte) (NackInfo, error) {
 	if len(b) < 20 {
 		return NackInfo{}, ErrTruncated
@@ -499,9 +501,13 @@ func DecodeNack(b []byte) (NackInfo, error) {
 	if len(b) != 20 {
 		return NackInfo{}, fmt.Errorf("packet: %d trailing bytes after NACK payload", len(b)-20)
 	}
+	wait := math.Float64frombits(binary.BigEndian.Uint64(b[12:]))
+	if math.IsNaN(wait) || math.IsInf(wait, 0) || wait < 0 {
+		return NackInfo{}, fmt.Errorf("packet: NACK retry-after %g is not a finite non-negative delay", wait)
+	}
 	return NackInfo{
 		Req:        Kind(binary.BigEndian.Uint32(b)),
 		Seq:        binary.BigEndian.Uint64(b[4:]),
-		RetryAfter: math.Float64frombits(binary.BigEndian.Uint64(b[12:])),
+		RetryAfter: wait,
 	}, nil
 }

@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -77,6 +78,11 @@ func TestNackErrors(t *testing.T) {
 	}
 	if _, err := DecodeNack(append(full, 0)); err == nil {
 		t.Error("trailing garbage accepted")
+	}
+	for _, wait := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
+		if n, err := DecodeNack(EncodeNack(NackInfo{Req: Join, Seq: 3, RetryAfter: wait})); err == nil {
+			t.Errorf("retry-after %g accepted as %+v", wait, n)
+		}
 	}
 }
 

@@ -21,25 +21,12 @@ import (
 	"scmp/internal/topology"
 )
 
-const noUpstream topology.NodeID = -1
-
-type entry struct {
-	onTree       bool
-	upstream     topology.NodeID
-	downstream   map[topology.NodeID]bool
-	hasLocal     bool
-	pendingLocal bool
-}
-
-func newEntry() *entry {
-	return &entry{upstream: noUpstream, downstream: make(map[topology.NodeID]bool)}
-}
-
-// CBT is a protocol instance for one domain.
+// CBT is a protocol instance for one domain. A router's per-group state
+// is the shared-tree entry alone.
 type CBT struct {
 	net     *netsim.Network
 	core    topology.NodeID
-	entries map[topology.NodeID]map[packet.GroupID]*entry
+	entries map[topology.NodeID]map[packet.GroupID]*netsim.TreeEntry
 }
 
 var _ netsim.Protocol = (*CBT)(nil)
@@ -48,7 +35,7 @@ var _ netsim.Protocol = (*CBT)(nil)
 func New(core topology.NodeID) *CBT {
 	return &CBT{
 		core:    core,
-		entries: make(map[topology.NodeID]map[packet.GroupID]*entry),
+		entries: make(map[topology.NodeID]map[packet.GroupID]*netsim.TreeEntry),
 	}
 }
 
@@ -70,40 +57,34 @@ func (c *CBT) Core() topology.NodeID { return c.core }
 // the node is off the tree or is the core (which has no upstream).
 func (c *CBT) Upstream(node topology.NodeID, g packet.GroupID) (topology.NodeID, bool) {
 	e := c.peekEntry(node, g)
-	if e == nil || !e.onTree || e.upstream == noUpstream {
+	if e == nil || !e.OnTree || e.Upstream == netsim.NoUpstream {
 		return -1, false
 	}
-	return e.upstream, true
+	return e.Upstream, true
 }
 
 // StateEntries returns the number of live routing entries a router
 // holds — one per group, like SCMP: shared-tree state is independent of
 // source count.
 func (c *CBT) StateEntries(node topology.NodeID) int {
-	count := 0
-	for _, e := range c.entries[node] {
-		if e.onTree || e.hasLocal || e.pendingLocal {
-			count++
-		}
-	}
-	return count
+	return netsim.LiveEntries(c.entries[node])
 }
 
-func (c *CBT) entry(node topology.NodeID, g packet.GroupID) *entry {
+func (c *CBT) entry(node topology.NodeID, g packet.GroupID) *netsim.TreeEntry {
 	byGroup := c.entries[node]
 	if byGroup == nil {
-		byGroup = make(map[packet.GroupID]*entry)
+		byGroup = make(map[packet.GroupID]*netsim.TreeEntry)
 		c.entries[node] = byGroup
 	}
 	e := byGroup[g]
 	if e == nil {
-		e = newEntry()
+		e = &netsim.TreeEntry{Upstream: netsim.NoUpstream}
 		byGroup[g] = e
 	}
 	return e
 }
 
-func (c *CBT) peekEntry(node topology.NodeID, g packet.GroupID) *entry {
+func (c *CBT) peekEntry(node topology.NodeID, g packet.GroupID) *netsim.TreeEntry {
 	return c.entries[node][g]
 }
 
@@ -114,7 +95,7 @@ func (c *CBT) onTree(node topology.NodeID, g packet.GroupID) bool {
 		return true
 	}
 	e := c.peekEntry(node, g)
-	return e != nil && e.onTree
+	return e != nil && e.OnTree
 }
 
 // --- membership ----------------------------------------------------------
@@ -122,12 +103,12 @@ func (c *CBT) onTree(node topology.NodeID, g packet.GroupID) bool {
 // HostJoin implements netsim.Protocol.
 func (c *CBT) HostJoin(node topology.NodeID, g packet.GroupID) {
 	e := c.entry(node, g)
-	if node == c.core || e.onTree {
-		e.onTree = true
-		e.hasLocal = true
+	if node == c.core || e.OnTree {
+		e.OnTree = true
+		e.HasLocal = true
 		return
 	}
-	e.pendingLocal = true
+	e.PendingLocal = true
 	// Hop-by-hop JOIN toward the core; the payload accumulates the path
 	// so the ACK can retrace it.
 	c.forwardJoin(node, node, g, []topology.NodeID{node})
@@ -158,9 +139,9 @@ func (c *CBT) handleJoin(node topology.NodeID, pkt *netsim.Packet) {
 		// Graft point found: this router adds the previous hop as a
 		// child and acks back down the recorded path.
 		e := c.entry(node, pkt.Group)
-		e.onTree = true
+		e.OnTree = true
 		prev := path[len(path)-2]
-		e.downstream[prev] = true
+		e.AddDownstream(prev)
 		c.sendAck(node, prev, pkt.Group, path[:len(path)-1])
 		return
 	}
@@ -185,18 +166,18 @@ func (c *CBT) handleAck(node topology.NodeID, pkt *netsim.Packet) {
 		return
 	}
 	e := c.entry(node, pkt.Group)
-	e.onTree = true
-	e.upstream = pkt.From
+	e.OnTree = true
+	e.Upstream = pkt.From
 	if len(path) == 1 {
 		// The joining DR.
-		if e.pendingLocal {
-			e.pendingLocal = false
-			e.hasLocal = true
+		if e.PendingLocal {
+			e.PendingLocal = false
+			e.HasLocal = true
 		}
 		return
 	}
 	next := path[len(path)-2]
-	e.downstream[next] = true
+	e.AddDownstream(next)
 	c.sendAck(node, next, pkt.Group, path[:len(path)-1])
 }
 
@@ -206,18 +187,18 @@ func (c *CBT) HostLeave(node topology.NodeID, g packet.GroupID) {
 	if e == nil {
 		return
 	}
-	e.hasLocal = false
-	e.pendingLocal = false
-	if node != c.core && e.onTree && len(e.downstream) == 0 {
+	e.HasLocal = false
+	e.PendingLocal = false
+	if node != c.core && e.OnTree && len(e.Downstream()) == 0 {
 		c.sendQuit(node, g, e)
 	}
 }
 
-func (c *CBT) sendQuit(node topology.NodeID, g packet.GroupID, e *entry) {
-	up := e.upstream
-	e.onTree = false
-	e.upstream = noUpstream
-	if up == noUpstream {
+func (c *CBT) sendQuit(node topology.NodeID, g packet.GroupID, e *netsim.TreeEntry) {
+	up := e.Upstream
+	e.OnTree = false
+	e.Upstream = netsim.NoUpstream
+	if up == netsim.NoUpstream {
 		return
 	}
 	c.net.SendLink(node, up, &netsim.Packet{
@@ -227,11 +208,11 @@ func (c *CBT) sendQuit(node topology.NodeID, g packet.GroupID, e *entry) {
 
 func (c *CBT) handleQuit(node topology.NodeID, pkt *netsim.Packet) {
 	e := c.peekEntry(node, pkt.Group)
-	if e == nil || !e.onTree && node != c.core {
+	if e == nil || !e.OnTree && node != c.core {
 		return
 	}
-	delete(e.downstream, pkt.From)
-	if node != c.core && len(e.downstream) == 0 && !e.hasLocal && !e.pendingLocal {
+	e.RemoveDownstream(pkt.From)
+	if node != c.core && len(e.Downstream()) == 0 && !e.HasLocal && !e.PendingLocal {
 		c.sendQuit(node, pkt.Group, e)
 	}
 }
@@ -246,8 +227,7 @@ func (c *CBT) SendData(src topology.NodeID, g packet.GroupID, size int, seq uint
 		Created: c.net.Now(),
 	}
 	if c.onTree(src, g) {
-		e := c.entry(src, g)
-		c.forwardOnTree(src, e, pkt, src)
+		c.entry(src, g).Forward(c.net, src, pkt, src)
 		return
 	}
 	enc := *pkt
@@ -257,31 +237,19 @@ func (c *CBT) SendData(src topology.NodeID, g packet.GroupID, size int, seq uint
 	c.net.SendUnicast(src, &enc)
 }
 
-func (c *CBT) forwardOnTree(node topology.NodeID, e *entry, pkt *netsim.Packet, except topology.NodeID) {
-	if e.upstream != noUpstream && e.upstream != except {
-		c.net.SendLink(node, e.upstream, pkt)
-	}
-	for _, d := range topology.SortedNodes(e.downstream) {
-		if d != except {
-			c.net.SendLink(node, d, pkt)
-		}
-	}
-}
-
+// handleData forwards a packet arriving from F = {upstream} ∪
+// downstream to the rest of F and delivers it locally; anything else is
+// dropped.
+//
+//scmplint:hotpath
 func (c *CBT) handleData(node topology.NodeID, pkt *netsim.Packet) {
-	if !c.onTree(node, pkt.Group) {
+	e := c.peekEntry(node, pkt.Group)
+	if e == nil || !e.Accepts(pkt.From) {
 		c.net.DropData(node)
 		return
 	}
-	e := c.entry(node, pkt.Group)
-	fromUpstream := pkt.From == e.upstream
-	fromDownstream := e.downstream[pkt.From]
-	if !fromUpstream && !fromDownstream {
-		c.net.DropData(node)
-		return
-	}
-	c.forwardOnTree(node, e, pkt, pkt.From)
-	if e.hasLocal {
+	e.Forward(c.net, node, pkt, pkt.From)
+	if e.HasLocal {
 		c.net.DeliverLocal(node, pkt)
 	}
 }
@@ -291,12 +259,12 @@ func (c *CBT) handleEncap(node topology.NodeID, pkt *netsim.Packet) {
 		return
 	}
 	e := c.entry(node, pkt.Group)
-	e.onTree = true
+	e.OnTree = true
 	data := *pkt
 	data.Kind = packet.Data
 	data.Size = pkt.Size - 20
-	c.forwardOnTree(node, e, &data, node)
-	if e.hasLocal {
+	e.Forward(c.net, node, &data, node)
+	if e.HasLocal {
 		c.net.DeliverLocal(node, &data)
 	}
 }

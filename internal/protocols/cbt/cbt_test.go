@@ -38,7 +38,7 @@ func TestJoinBuildsBranchToCore(t *testing.T) {
 		}
 	}
 	e := c.entry(3, grp)
-	if !e.hasLocal || e.upstream != 2 {
+	if !e.HasLocal || e.Upstream != 2 {
 		t.Fatalf("entry(3) = %+v", e)
 	}
 }
