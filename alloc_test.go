@@ -23,10 +23,10 @@ import (
 // TestHotPathAllocFloor drives the BenchmarkDataPlane load — one data
 // packet fanned out over a 40-member shared tree on the 400-node Waxman
 // instance — through testing.AllocsPerRun and asserts the steady-state
-// bill stays at or below 2 allocs per packet (the reviewed budget: the
-// delivery ground-truth record; every per-hop cost is pooled). SCMP and
-// CBT forward through the same netsim.TreeEntry, so one budget covers
-// both.
+// bill stays at or below 2 allocs per packet (the reviewed budget; the
+// measured bill is 1, the delivery ground-truth record, and every
+// per-hop cost is pooled). SCMP and CBT forward through the same
+// netsim.TreeEntry, so one budget covers both.
 func TestHotPathAllocFloor(t *testing.T) {
 	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
 	if err != nil {

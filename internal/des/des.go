@@ -13,8 +13,11 @@
 // capture a closure per event (the packet-forwarding hot path) can use
 // the typed sink path (SetSink / AtSink), which carries a small fixed
 // argument tuple instead of a func value; At/After remain as the
-// general-purpose closure API. See DESIGN.md §10 for the free-list
-// safety argument.
+// general-purpose closure API. A stream of sink events whose times never
+// decrease (the packets in flight on one link) can queue on a FIFO lane
+// (NewLanes / LaneSink): only the lane's head sits in the heap, so the
+// heap holds one entry per busy link instead of one per packet. See
+// DESIGN.md §10 for the free-list safety and lane ordering arguments.
 package des
 
 // Time is simulated time in seconds.
@@ -71,13 +74,20 @@ func (e *Event) Cancelled() bool {
 // node is one pooled event slot. gen increments every time the slot is
 // recycled, invalidating any outstanding Event handles and (under the
 // invariants build tag) proving the heap never dispatches a stale slot.
+// A lane event (kLane) also keeps its own (time, seq) key, its lane and
+// the slot after it on that lane, since only the lane's head has a heap
+// entry. 64 bytes.
 type node struct {
 	gen  uint32
 	dead bool
-	kind uint8 // kClosure or kSink
+	kind uint8 // kClosure, kSink or kLane
 	op   uint8
 	flag bool
 	a, b int32
+	lane Lane
+	next int32 // kLane: the next event's slot + 1 on the lane, 0 at the tail
+	at   Time  // kLane
+	seq  uint64
 	fn   func()
 	p    any
 }
@@ -85,6 +95,7 @@ type node struct {
 const (
 	kClosure uint8 = iota
 	kSink
+	kLane
 )
 
 // entry is one 4-ary heap element: the (time, seq) ordering key plus the
@@ -97,6 +108,10 @@ type entry struct {
 	gen  uint32
 }
 
+// Lane identifies a FIFO lane of sink events (NewLanes): a chain of
+// kLane slots from its head, which is in the heap, to its tail.
+type Lane int32
+
 // Scheduler is a single-threaded discrete-event simulator. The zero value
 // is ready to use.
 type Scheduler struct {
@@ -108,6 +123,12 @@ type Scheduler struct {
 	heap []entry
 	slab []node
 	free []int32
+
+	// tails holds each lane's tail slot + 1 (0: the lane is empty);
+	// behind counts the lane events queued behind their lane's head,
+	// which have no heap entry.
+	tails  []int32
+	behind int
 
 	sink Sink
 
@@ -124,12 +145,13 @@ func (s *Scheduler) Now() Time { return s.now }
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events still queued (including cancelled
-// events that have not yet been discarded).
+// events that have not yet been discarded, and lane events behind their
+// lane's head).
 func (s *Scheduler) Pending() int {
 	if s.ref != nil {
 		return len(s.ref.queue)
 	}
-	return len(s.heap)
+	return len(s.heap) + s.behind
 }
 
 // SetSink installs the receiver for AtSink events. One sink per
@@ -175,9 +197,10 @@ func (s *Scheduler) push(t Time, slot int32) {
 }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
-// past (t < Now) panics: it would violate causality.
+// past (t < Now) panics: it would violate causality. So does a NaN time,
+// which has no place in the (time, seq) order.
 func (s *Scheduler) At(t Time, fn func()) *Event {
-	if t < s.now {
+	if !(t >= s.now) {
 		panic("des: event scheduled in the past")
 	}
 	if s.ref != nil {
@@ -193,7 +216,7 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 
 // After schedules fn to run d seconds from now.
 func (s *Scheduler) After(d Time, fn func()) *Event {
-	if d < 0 {
+	if !(d >= 0) {
 		panic("des: negative delay")
 	}
 	return s.At(s.now+d, fn)
@@ -207,7 +230,7 @@ func (s *Scheduler) After(d Time, fn func()) *Event {
 //
 //scmplint:hotpath
 func (s *Scheduler) AtSink(t Time, op uint8, a, b int32, p any, flag bool) {
-	if t < s.now {
+	if !(t >= s.now) {
 		panic("des: event scheduled in the past")
 	}
 	if s.sink == nil {
@@ -219,14 +242,91 @@ func (s *Scheduler) AtSink(t Time, op uint8, a, b int32, p any, flag bool) {
 		s.ref.atSink(s, t, op, a, b, p, flag) //scmplint:ignore hotalloc
 		return
 	}
+	slot, _ := s.sinkSlot(kSink, op, a, b, p, flag)
+	s.push(t, slot)
+}
+
+// sinkSlot takes a slot and fills in a sink event of the given kind.
+func (s *Scheduler) sinkSlot(kind, op uint8, a, b int32, p any, flag bool) (int32, *node) {
 	slot := s.alloc()
 	nd := &s.slab[slot]
-	nd.kind = kSink
-	nd.op = op
-	nd.a, nd.b = a, b
-	nd.p = p
-	nd.flag = flag
-	s.push(t, slot)
+	nd.kind, nd.op, nd.flag = kind, op, flag
+	nd.a, nd.b, nd.p = a, b, p
+	return slot, nd
+}
+
+// NewLanes opens k empty FIFO lanes and returns the first; the others
+// are the k-1 Lanes after it. A lane lives as long as its scheduler and
+// costs 4 bytes; its queued events live in the shared slot pool.
+func (s *Scheduler) NewLanes(k int) Lane {
+	first := Lane(len(s.tails))
+	s.tails = append(s.tails, make([]int32, k)...)
+	return first
+}
+
+// LaneEmpty reports whether no event is queued on lane l. It is always
+// true on a reference scheduler, which queues lane events as plain
+// AtSink events.
+func (s *Scheduler) LaneEmpty(l Lane) bool { return s.tails[l] == 0 }
+
+// LaneSink schedules a typed sink event at absolute time t on lane l.
+// Pushes onto one lane must come in non-decreasing time order: a time
+// earlier than the lane's last queued event panics. Each event still
+// takes its sequence number at push, so a lane is sorted by (time, seq)
+// and its head is its minimum; only the head has a heap entry, and
+// dispatch order is exactly the order AtSink would give.
+//
+//scmplint:hotpath
+func (s *Scheduler) LaneSink(l Lane, t Time, op uint8, a, b int32, p any, flag bool) {
+	if !(t >= s.now) {
+		panic("des: event scheduled in the past")
+	}
+	if s.sink == nil {
+		panic("des: LaneSink without a sink installed")
+	}
+	if s.ref != nil {
+		// Reference queue: a lane push is a plain AtSink there.
+		s.ref.atSink(s, t, op, a, b, p, flag) //scmplint:ignore hotalloc
+		return
+	}
+	tail := s.tails[l]
+	if tail != 0 && !(t >= s.slab[tail-1].at) {
+		panic("des: lane event out of order")
+	}
+	slot, nd := s.sinkSlot(kLane, op, a, b, p, flag)
+	nd.lane, nd.next, nd.at, nd.seq = l, 0, t, s.seq
+	if tail != 0 {
+		s.slab[tail-1].next = slot + 1
+		s.seq++
+		s.behind++
+	} else {
+		s.push(t, slot)
+	}
+	s.tails[l] = slot + 1
+}
+
+// popLane dispatches the lane event at the heap root. The lane's next
+// event, if any, takes the root's place and sifts down once — a pop and
+// a later push in one pass. Lane events have no handle, so they are
+// never cancelled and never stale.
+//
+//scmplint:hotpath
+func (s *Scheduler) popLane(e entry, nd *node) {
+	checkPop(s, e, nd)
+	if nd.next != 0 {
+		next := nd.next - 1
+		nn := &s.slab[next]
+		s.siftDown(entry{at: nn.at, seq: nn.seq, slot: next, gen: nn.gen})
+		s.behind--
+	} else {
+		s.tails[nd.lane] = 0
+		s.popRoot()
+	}
+	s.now = e.at
+	s.fired++
+	op, a, b, p, flag := nd.op, nd.a, nd.b, nd.p, nd.flag
+	s.recycle(e.slot)
+	s.sink.SinkEvent(op, a, b, p, flag)
 }
 
 // Halt stops Run/RunUntil before the next event is dispatched.
@@ -243,8 +343,12 @@ func (s *Scheduler) Step() bool {
 	}
 	for len(s.heap) > 0 {
 		e := s.heap[0]
-		s.popRoot()
 		nd := &s.slab[e.slot]
+		if nd.kind == kLane && e.gen == nd.gen {
+			s.popLane(e, nd)
+			return true
+		}
+		s.popRoot()
 		checkPop(s, e, nd)
 		if stale(e, nd) {
 			// Same guard and same recycling rule as peek: a slot is
@@ -380,15 +484,18 @@ func (s *Scheduler) siftUp(i int) {
 // popRoot removes the minimum entry (the caller has already read
 // s.heap[0]).
 func (s *Scheduler) popRoot() {
-	h := s.heap
-	n := len(h) - 1
-	e := h[n]
-	s.heap = h[:n]
-	if n == 0 {
-		return
+	n := len(s.heap) - 1
+	e := s.heap[n]
+	s.heap = s.heap[:n]
+	if n > 0 {
+		s.siftDown(e)
 	}
-	h = s.heap
-	// Sift e down from the root.
+}
+
+// siftDown replaces the root with e and restores heap order.
+func (s *Scheduler) siftDown(e entry) {
+	h := s.heap
+	n := len(h)
 	i := 0
 	for {
 		c := 4*i + 1

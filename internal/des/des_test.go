@@ -450,42 +450,81 @@ func TestSinkPathAllocFree(t *testing.T) {
 
 // --- reference-scheduler differential -----------------------------------
 
+// funcSink forwards sink events to a function.
+type funcSink func(op uint8, a, b int32, p any, flag bool)
+
+func (f funcSink) SinkEvent(op uint8, a, b int32, p any, flag bool) { f(op, a, b, p, flag) }
+
 // The preserved container/heap scheduler and the pooled 4-ary scheduler
-// must dispatch identical (time, value) sequences for any workload,
-// including nested scheduling and cancellations.
+// must dispatch identical (time, event) sequences for any workload:
+// nested scheduling, cancellations, and lane events on several lanes
+// whose times tie with each other and with loose events, driven through
+// RunUntil windows, Run and callbacks that Halt. On the reference
+// scheduler a lane push is a plain AtSink, so equal traces mean the
+// lanes dispatch in exact (time, seq) order.
 func TestRefEquivalence(t *testing.T) {
-	run := func(s *Scheduler, seed int64) []Time {
+	type fire struct {
+		at Time
+		id int
+	}
+	run := func(s *Scheduler, seed int64, lanes int) []fire {
 		rng := rand.New(rand.NewSource(seed))
-		var trace []Time
+		var trace []fire
 		var events []*Event
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			trace = append(trace, s.Now())
+		first := s.NewLanes(lanes)
+		tail := make([]Time, lanes)
+		// Delays on a 1/8 grid: exact in binary, so times tie often.
+		delay := func() Time { return Time(rng.Intn(8)) / 8 }
+		ids := 0
+		var spawn func(id, depth int)
+		s.SetSink(funcSink(func(_ uint8, a, b int32, _ any, _ bool) { spawn(int(a), int(b)) }))
+		spawn = func(id, depth int) {
+			trace = append(trace, fire{s.Now(), id})
+			if rng.Intn(16) == 0 {
+				s.Halt()
+			}
 			if depth >= 5 {
 				return
 			}
 			for i, n := 0, rng.Intn(4); i < n; i++ {
-				e := s.After(Time(rng.Float64()), func() { spawn(depth + 1) })
+				ids++
+				id := ids
+				if lanes > 0 && rng.Intn(2) == 0 {
+					k := rng.Intn(lanes)
+					tail[k] = max(tail[k], s.Now()) + delay()
+					s.LaneSink(first+Lane(k), tail[k], 0, int32(id), int32(depth+1), nil, false)
+					continue
+				}
+				e := s.After(delay(), func() { spawn(id, depth+1) })
 				events = append(events, e)
-				if rng.Intn(5) == 0 && len(events) > 0 {
+				if rng.Intn(5) == 0 {
 					events[rng.Intn(len(events))].Cancel()
 				}
 			}
 		}
 		for i := 0; i < 8; i++ {
-			s.After(Time(rng.Float64()), func() { spawn(0) })
+			s.After(Time(rng.Float64()), func() { spawn(-1-i, 0) })
 		}
-		s.Run()
+		for w := 0; s.Pending() > 0; w++ {
+			if w%3 == 2 {
+				s.Run()
+			} else {
+				s.RunUntil(s.Now() + 0.3)
+			}
+			trace = append(trace, fire{s.Now(), 0}) // the clock after each window
+		}
 		return trace
 	}
-	for seed := int64(0); seed < 50; seed++ {
-		fast, ref := run(New(), seed), run(NewRef(), seed)
-		if len(fast) != len(ref) {
-			t.Fatalf("seed %d: fast fired %d, ref fired %d", seed, len(fast), len(ref))
-		}
-		for i := range fast {
-			if fast[i] != ref[i] {
-				t.Fatalf("seed %d: dispatch %d at %v (fast) vs %v (ref)", seed, i, fast[i], ref[i])
+	for _, lanes := range []int{0, 1, 3} {
+		for seed := int64(0); seed < 50; seed++ {
+			fast, ref := run(New(), seed, lanes), run(NewRef(), seed, lanes)
+			if len(fast) != len(ref) {
+				t.Fatalf("lanes %d seed %d: fast traced %d, ref traced %d", lanes, seed, len(fast), len(ref))
+			}
+			for i := range fast {
+				if fast[i] != ref[i] {
+					t.Fatalf("lanes %d seed %d: dispatch %d is %v (fast) vs %v (ref)", lanes, seed, i, fast[i], ref[i])
+				}
 			}
 		}
 	}

@@ -63,8 +63,8 @@ func TestHostLeaveBatchDispatch(t *testing.T) {
 	}
 }
 
-// dispatchChurnTick must fire joins individually, in run order, and
-// collapse maximal consecutive leave runs into single batches.
+// dispatchChurn must fire a tick's joins individually, in run order,
+// and collapse maximal consecutive leave runs into single batches.
 func TestDispatchChurnTickCoalescing(t *testing.T) {
 	p := &batchRec{}
 	n := New(lineGraph(8), p)
@@ -80,7 +80,7 @@ func TestDispatchChurnTickCoalescing(t *testing.T) {
 		{member: 4, join: false},
 		{member: 5, join: false},
 	}
-	n.dispatchChurnTick(run, 7)
+	n.dispatchChurn(&Churn{plan: ChurnPlan{Group: 7}, evs: run}, 0, len(run))
 	wantLog := []churnEv{
 		{false, 1, 0}, {false, 2, 0},
 		{true, 6, 0},

@@ -73,6 +73,8 @@ type Churn struct {
 	joins   int
 	rejoins int
 	leaves  int
+
+	evs []churnEvent // the schedule in time order
 }
 
 // Plan returns the installed plan.
@@ -91,8 +93,9 @@ func (c *Churn) Rejoins() int { return c.rejoins }
 func (c *Churn) Leaves() int { return c.leaves }
 
 // InstallChurn pre-generates the plan's membership schedule and queues
-// every event on the scheduler. It must run before the network runs.
-// The returned Churn reports the generated event mix.
+// it, in time order, on one scheduler lane: a drained lane an earlier
+// install used, or a new one. The returned Churn reports the generated
+// event mix.
 func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	if len(plan.Members) == 0 {
 		panic("netsim: churn plan has no members")
@@ -155,30 +158,31 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	// is precisely the order the scheduler's insertion-sequence
 	// tie-break used to run them when each event was queued directly.
 	slices.SortStableFunc(evs, func(a, b churnEvent) int { return cmp.Compare(a.t, b.t) })
-	g := plan.Group
+	c.evs = evs
+	l := n.churnLane()
 	for i := 0; i < len(evs); {
+		// Same-instant events collapse into one scheduler event.
 		j := i + 1
 		for j < len(evs) && evs[j].t == evs[i].t { //scmplint:ignore floatcmp — intentionally exact: only bit-identical timestamps may share a scheduler instant; near-ties must stay distinct events in time order
 			j++
 		}
-		if j == i+1 {
-			ev := evs[i]
-			if ev.join {
-				n.Sched.At(des.Time(ev.t), func() { n.HostJoin(ev.member, g) })
-			} else {
-				n.Sched.At(des.Time(ev.t), func() { n.HostLeave(ev.member, g) })
-			}
-		} else {
-			// Same-instant events collapse into one scheduler entry;
-			// consecutive leaves inside it dispatch as one batch (one
-			// shared prune pass for protocols that support it).
-			run := evs[i:j]
-			n.Sched.At(des.Time(run[0].t), func() { n.dispatchChurnTick(run, g) })
-		}
+		n.Sched.LaneSink(l, des.Time(evs[i].t), opChurn, int32(i), int32(j), c, false)
 		i = j
 	}
-	n.churn = append(n.churn, c)
 	return c
+}
+
+// churnLane returns a drained churn lane, opening one when every lane
+// an earlier install used still has events queued.
+func (n *Network) churnLane() des.Lane {
+	for _, l := range n.churnLanes {
+		if n.Sched.LaneEmpty(l) {
+			return l
+		}
+	}
+	l := n.Sched.NewLanes(1)
+	n.churnLanes = append(n.churnLanes, l)
+	return l
 }
 
 // churnEvent is one pre-generated membership flip: member joins (or
@@ -189,25 +193,27 @@ type churnEvent struct {
 	join   bool
 }
 
-// dispatchChurnTick fires a run of same-instant churn events in order:
+// dispatchChurn fires c's same-instant churn events i..j-1 in order:
 // joins individually, maximal consecutive leave runs as one batched
-// leave. Within one simulated instant the leave order is unobservable
-// to the protocol — only the resulting membership set matters — which
-// is what makes the batch equivalent to the sequential dispatch.
-func (n *Network) dispatchChurnTick(run []churnEvent, g packet.GroupID) {
-	batch := make([]topology.NodeID, 0, len(run))
+// leave (one shared prune pass for protocols that support it; a run of
+// one is a plain HostLeave). Within one simulated instant the leave
+// order is unobservable to the protocol — only the resulting membership
+// set matters — which is what makes the batch equivalent to the
+// sequential dispatch.
+func (n *Network) dispatchChurn(c *Churn, i, j int) {
+	run, g := c.evs[i:j], c.plan.Group
 	for i := 0; i < len(run); {
 		if run[i].join {
 			n.HostJoin(run[i].member, g)
 			i++
 			continue
 		}
-		batch = batch[:0]
+		n.leaveBatch = n.leaveBatch[:0]
 		for i < len(run) && !run[i].join {
-			batch = append(batch, run[i].member)
+			n.leaveBatch = append(n.leaveBatch, run[i].member)
 			i++
 		}
-		n.HostLeaveBatch(batch, g)
+		n.HostLeaveBatch(n.leaveBatch, g)
 	}
 }
 

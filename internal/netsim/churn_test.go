@@ -155,6 +155,36 @@ func TestChurnPlanValidation(t *testing.T) {
 	}
 }
 
+// TestChurnLaneReuse: overlapping installs queue on separate lanes and
+// still fire in global time order, exactly as the reference scheduler
+// (one heap entry per event) orders them; an install after the lanes
+// drain reuses one instead of opening another.
+func TestChurnLaneReuse(t *testing.T) {
+	run := func(mk func(*topology.Graph, Protocol) *Network) ([]churnEv, int) {
+		p := &churnRec{}
+		n := mk(lineGraph(10), p)
+		n.InstallChurn(ChurnPlan{Group: 1, Members: churnMembers(10), Rate: 200, Duration: 2, Seed: 5})
+		n.InstallChurn(ChurnPlan{Group: 1, Members: churnMembers(10), Rate: 200, Start: 1, Duration: 2, Seed: 6})
+		n.Run()
+		n.InstallChurn(ChurnPlan{Group: 1, Members: churnMembers(10), Rate: 200, Start: 3, Duration: 2, Seed: 7})
+		n.Run()
+		return p.log, len(n.churnLanes)
+	}
+	log, lanes := run(New)
+	ref, _ := run(NewRef)
+	if lanes != 2 {
+		t.Fatalf("%d churn lanes after two overlapping installs and one after they drained, want 2", lanes)
+	}
+	if len(log) == 0 || len(log) != len(ref) {
+		t.Fatalf("fired %d events, reference fired %d", len(log), len(ref))
+	}
+	for i := range log {
+		if log[i] != ref[i] {
+			t.Fatalf("event %d is %+v, reference %+v", i, log[i], ref[i])
+		}
+	}
+}
+
 // TestChurnComposesWithFaults: churn and a fault plan run together on
 // one network — membership pressure under control loss.
 func TestChurnComposesWithFaults(t *testing.T) {

@@ -9,12 +9,14 @@
 // The steady-state forwarding path is allocation-free: in-flight packet
 // copies come from a free-list pool and are handed back after delivery,
 // link crossings are scheduled through the DES typed-sink path (no
-// closure per hop), per-link state (busy horizons, load counters) is
-// indexed by dense CSR arc id, and membership/delivery ground truth
-// lives in bitsets. The historical closure-based delivery path is
-// preserved behind NewRef for the differential-equivalence gate; both
-// paths perform the same operations in the same order, so runs are
-// byte-identical (DESIGN.md §10).
+// closure per hop) on one FIFO lane per arc (the scheduler's heap holds
+// one entry per busy link, not per packet), per-link state (busy
+// horizons, load counters, lanes) is indexed by dense CSR arc id, and
+// membership/delivery ground truth lives in bitsets and a ledger
+// indexed by data-packet seq. The historical closure-based delivery
+// path is preserved behind NewRef for the differential-equivalence
+// gate; both paths perform the same operations in the same order, so
+// runs are byte-identical (DESIGN.md §10).
 package netsim
 
 import (
@@ -108,17 +110,17 @@ func (s nodeSet) appendIDs(out []topology.NodeID) []topology.NodeID {
 
 // delivery tracks who should and did receive one data packet: the
 // member snapshot at send time, who has received it at least once, and
-// who received it more than once. Three bitsets in one backing slice —
-// the per-data-packet bookkeeping is one allocation, and the per-hop
-// DeliverLocal path is two word operations.
-type delivery struct {
-	exp, once, dup nodeSet
-}
+// who received it more than once. Three bitsets of equal length in one
+// slice — the per-data-packet bookkeeping is one allocation, and the
+// per-hop DeliverLocal path is two word operations.
+type delivery nodeSet
 
-func newDelivery(n int) *delivery {
-	w := (n + 63) / 64
-	backing := make(nodeSet, 3*w)
-	return &delivery{exp: backing[:w], once: backing[w : 2*w], dup: backing[2*w:]}
+func newDelivery(n int) delivery { return make(delivery, 3*((n+63)/64)) }
+
+// sets splits the record into its expected, once and dup bitsets.
+func (d delivery) sets() (exp, once, dup nodeSet) {
+	w := len(d) / 3
+	return nodeSet(d[:w]), nodeSet(d[w : 2*w]), nodeSet(d[2*w:])
 }
 
 // Network is one simulated domain.
@@ -138,7 +140,7 @@ type Network struct {
 
 	seq        uint64
 	members    map[packet.GroupID]nodeSet
-	deliveries map[uint64]*delivery
+	deliveries []delivery // data packet seq s at s-1; seq is dense from 1
 
 	// Trace, when set, observes every link crossing (for debugging and
 	// the examples' live narration). The *Packet argument is only valid
@@ -149,18 +151,27 @@ type Network struct {
 	// bytes per second: packets serialise per link direction, so a
 	// packet's total latency is queueing + transmission (size/Bandwidth)
 	// + propagation — the paper's three-component link delay. Zero (the
-	// default) models infinite capacity: propagation only.
+	// default) models infinite capacity: propagation only. Set it before
+	// the first send: a link's packets queue in arrival order, which a
+	// capacity dropped to zero mid-flight would overtake.
 	Bandwidth float64
 
 	// Fast-path state: the CSR arc table (directed edge ids), each arc's
 	// undirected link index for dense metrics, per-arc busy horizons
-	// (allocated on first finite-Bandwidth send) and the free list of
-	// in-flight packet copies. The reference path ignores all of it but
-	// csr, which the fault layer's arc mask indexes in both modes.
-	csr    *topology.CSR
-	arcUID []int32
-	busy   []des.Time
-	pool   []*Packet
+	// (allocated on first finite-Bandwidth send), the scheduler lanes of
+	// the arcs (arc a's is arcLanes+a) and the free list of in-flight
+	// packet copies. The reference path ignores all of it but csr, which
+	// the fault layer's arc mask indexes in both modes.
+	csr      *topology.CSR
+	arcUID   []int32
+	busy     []des.Time
+	arcLanes des.Lane
+	pool     []*Packet
+
+	// churnLanes holds the scheduler lanes InstallChurn queues schedules
+	// on; a drained one is reused by the next install.
+	churnLanes []des.Lane
+	leaveBatch []topology.NodeID // dispatchChurn's scratch
 
 	// refMode routes SendLink/SendUnicast through the preserved
 	// closure-per-hop delivery path (NewRef); busyUntil is its historical
@@ -169,17 +180,17 @@ type Network struct {
 	busyUntil map[dirLink]des.Time
 
 	faults *Faults
-	churn  []*Churn
 }
 
 // dirLink is a directed link (queueing is per transmit side).
 type dirLink struct{ from, to topology.NodeID }
 
-// Sink operation codes for typed delivery events.
+// Sink operation codes for typed delivery and churn events.
 const (
 	opDeliver uint8 = iota // one link hop: deliver to the protocol at b
 	opUnicast              // unicast relay: forward again unless b == Dst
 	opSelf                 // self-delivery of a locally injected packet
+	opChurn                // membership flips a..b of the *Churn in p
 )
 
 // New builds a network over g running proto. It creates the routing
@@ -199,27 +210,26 @@ func NewRef(g *topology.Graph, proto Protocol) *Network {
 
 func build(g *topology.Graph, proto Protocol, ref bool) *Network {
 	n := &Network{
-		G:          g,
-		Metrics:    &metrics.Collector{},
-		Delay:      topology.NewLazyAllPairs(g, topology.ByDelay),
-		Cost:       topology.NewLazyAllPairs(g, topology.ByCost),
-		csr:        g.CSR(),
-		Proto:      proto,
-		members:    make(map[packet.GroupID]nodeSet),
-		deliveries: make(map[uint64]*delivery),
-		refMode:    ref,
+		G:       g,
+		Metrics: &metrics.Collector{},
+		Delay:   topology.NewLazyAllPairs(g, topology.ByDelay),
+		Cost:    topology.NewLazyAllPairs(g, topology.ByCost),
+		csr:     g.CSR(),
+		Proto:   proto,
+		members: make(map[packet.GroupID]nodeSet),
+		refMode: ref,
 	}
 	if ref {
 		n.Sched = des.NewRef()
 		n.busyUntil = make(map[dirLink]des.Time)
 	} else {
 		n.Sched = des.New()
-		n.Sched.SetSink(n)
 		// Assign every directed arc its undirected link index, in CSR
 		// scan order, and register the table for dense load counting.
 		uidOf := make(map[metrics.LinkID]int32, g.M())
 		ids := make([]metrics.LinkID, 0, g.M())
 		n.arcUID = make([]int32, n.csr.NumArcs())
+		n.arcLanes = n.Sched.NewLanes(int(n.csr.NumArcs()))
 		for u := 0; u < g.N(); u++ {
 			lo, hi := n.csr.Row(topology.NodeID(u))
 			for i := lo; i < hi; i++ {
@@ -235,6 +245,7 @@ func build(g *topology.Graph, proto Protocol, ref bool) *Network {
 		}
 		n.Metrics.UseDenseLinks(ids)
 	}
+	n.Sched.SetSink(n) // churn schedules are sink events in both modes
 	proto.Attach(n)
 	return n
 }
@@ -405,14 +416,26 @@ func (n *Network) SendLink(from, to topology.NodeID, pkt *Packet) {
 	if n.Trace != nil {
 		n.Trace(from, to, cp)
 	}
-	n.Sched.AtSink(n.arcLatency(a, cp.Size), opDeliver, int32(from), int32(to), cp, lost)
+	n.Sched.LaneSink(n.lane(a), n.arcLatency(a, cp.Size), opDeliver, int32(from), int32(to), cp, lost)
 }
 
-// SinkEvent dispatches a typed delivery event; it implements des.Sink
-// and is invoked only by the scheduler.
+// lane returns arc a's scheduler lane. An arc's delivery times never
+// decrease in send order (arcLatency is now plus a fixed delay, or the
+// busy horizon, which only grows), so its packets queue on the lane in
+// arrival order.
+func (n *Network) lane(a int32) des.Lane { return n.arcLanes + des.Lane(a) }
+
+// SinkEvent dispatches a typed delivery or churn event; it implements
+// des.Sink and is invoked only by the scheduler.
 //
 //scmplint:hotpath
 func (n *Network) SinkEvent(op uint8, a, b int32, p any, flag bool) {
+	if op == opChurn {
+		// Membership flips are control-plane work: ground-truth sets and
+		// protocol state may allocate, and no data packet is in flight.
+		n.dispatchChurn(p.(*Churn), int(a), int(b)) //scmplint:ignore hotalloc
+		return
+	}
 	pkt := p.(*Packet)
 	from, to := topology.NodeID(a), topology.NodeID(b)
 	switch op {
@@ -486,7 +509,7 @@ func (n *Network) unicastStep(at topology.NodeID, pkt *Packet) {
 	if n.Trace != nil {
 		n.Trace(at, nh, pkt)
 	}
-	n.Sched.AtSink(n.arcLatency(a, pkt.Size), opUnicast, int32(at), int32(nh), pkt, lost)
+	n.Sched.LaneSink(n.lane(a), n.arcLatency(a, pkt.Size), opUnicast, int32(at), int32(nh), pkt, lost)
 }
 
 // --- reference delivery path (historical, test-only) -------------------
@@ -655,11 +678,21 @@ func (n *Network) SendData(src topology.NodeID, g packet.GroupID, size int) uint
 	n.seq++
 	seq := n.seq
 	d := newDelivery(n.G.N())
-	copy(d.exp, n.members[g])
-	d.exp.clear(src) // a sending member does not deliver to itself over the network
-	n.deliveries[seq] = d
+	exp, _, _ := d.sets()
+	copy(exp, n.members[g])
+	exp.clear(src) // a sending member does not deliver to itself over the network
+	n.deliveries = append(n.deliveries, d)
 	n.Proto.SendData(src, g, size, seq)
 	return seq
+}
+
+// delivery returns the record of data packet seq, or nil for seq 0 (no
+// data packet) or a seq SendData never issued.
+func (n *Network) delivery(seq uint64) delivery {
+	if seq == 0 || seq > uint64(len(n.deliveries)) {
+		return nil
+	}
+	return n.deliveries[seq-1]
 }
 
 // DeliverLocal is called by protocols when a data packet reaches a
@@ -667,14 +700,14 @@ func (n *Network) SendData(src topology.NodeID, g packet.GroupID, size int) uint
 // delivery record.
 func (n *Network) DeliverLocal(node topology.NodeID, pkt *Packet) {
 	n.Metrics.OnDeliver(float64(n.Sched.Now() - pkt.Created))
-	d := n.deliveries[pkt.Seq]
+	d := n.delivery(pkt.Seq)
 	if d == nil {
 		return
 	}
-	if d.once.has(node) {
-		d.dup.set(node)
+	if _, once, dup := d.sets(); once.has(node) {
+		dup.set(node)
 	} else {
-		d.once.set(node)
+		once.set(node)
 	}
 }
 
@@ -689,17 +722,18 @@ func (n *Network) DropData(node topology.NodeID) {
 // received it and the routers that received it more than once (or were
 // not expected to deliver at all), each in ascending order.
 func (n *Network) CheckDelivery(seq uint64) (missing, anomalous []topology.NodeID) {
-	d := n.deliveries[seq]
+	d := n.delivery(seq)
 	if d == nil {
 		return nil, nil
 	}
-	for wi := range d.exp {
-		if miss := d.exp[wi] &^ d.once[wi]; miss != 0 {
+	exp, once, dup := d.sets()
+	for wi := range exp {
+		if miss := exp[wi] &^ once[wi]; miss != 0 {
 			missing = nodeSet{miss}.appendWord(missing, wi)
 		}
 		// Anomalous: delivered more than once, or delivered without
 		// being expected.
-		if anom := d.dup[wi] | (d.once[wi] &^ d.exp[wi]); anom != 0 {
+		if anom := dup[wi] | (once[wi] &^ exp[wi]); anom != 0 {
 			anomalous = nodeSet{anom}.appendWord(anomalous, wi)
 		}
 	}

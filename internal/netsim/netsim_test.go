@@ -259,6 +259,43 @@ func TestCheckDeliveryUnknownSeq(t *testing.T) {
 	}
 }
 
+// The delivery ledger is indexed by seq-1. Seq 0 (a packet that is not
+// a tracked data packet) and seqs SendData never issued have no record:
+// DeliverLocal ignores them and CheckDelivery reports nothing, while the
+// issued packets' records see exactly their own deliveries.
+func TestDeliveryLedgerSeqs(t *testing.T) {
+	n := New(lineGraph(3), &echoProto{})
+	n.HostJoin(1, 5)
+	n.HostJoin(2, 5)
+	for i := 0; i < 2; i++ {
+		n.SendData(0, 5, 100) // seqs 1 and 2
+	}
+	n.Run()
+	for _, tc := range []struct {
+		seq     uint64
+		tracked bool
+	}{
+		{0, false},
+		{1, true},
+		{2, true},
+		{3, false},
+		{1 << 63, false},
+		{^uint64(0), false},
+	} {
+		n.DeliverLocal(1, &Packet{Kind: packet.Data, Seq: tc.seq})
+		missing, anomalous := n.CheckDelivery(tc.seq)
+		if !tc.tracked {
+			if missing != nil || anomalous != nil {
+				t.Errorf("seq %d: record missing=%v anomalous=%v, want none", tc.seq, missing, anomalous)
+			}
+			continue
+		}
+		if len(missing) != 1 || missing[0] != 2 || len(anomalous) != 0 {
+			t.Errorf("seq %d: missing=%v anomalous=%v, want missing [2] only", tc.seq, missing, anomalous)
+		}
+	}
+}
+
 func TestFiniteBandwidthAddsTransmission(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(2), p)
