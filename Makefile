@@ -53,7 +53,7 @@ loc:
 # grown past the committed budget. A PR that removes code lowers
 # LOC_BUDGET to what `make loc` prints; one that must add code raises it
 # in the same diff, where a reviewer sees it.
-LOC_BUDGET := 19241
+LOC_BUDGET := 18825
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
@@ -83,12 +83,11 @@ bench-routing:
 	  $(GO) test -bench FaultRecompute -benchtime $(BENCHTIME) -benchmem -run '^$$' . ; } | tee BENCH_routing.txt
 	$(GO) run ./cmd/benchjson < BENCH_routing.txt > BENCH_routing.json
 
-# Data-plane perf gate: steady-state per-packet forwarding cost of the
-# pooled scheduler + typed-sink path against the preserved reference
-# path (closure per hop, map-keyed stores) on the 400-node Waxman
-# instance under the Fig. 8/9 load. The acceptance record is
-# BENCH_dataplane.txt/.json: >=10x fewer allocs per packet-hop and
-# >=2x events/sec, fast vs ref.
+# Data-plane benchmark: steady-state per-packet forwarding cost of the
+# pooled scheduler + typed-sink path on the 400-node Waxman instance
+# under the Fig. 8/9 load. The record is BENCH_dataplane.txt/.json; its
+# committed `ref` rows measured a closure-per-hop path that no longer
+# exists, so a rerun writes the single BenchmarkDataPlane row.
 DATAPLANE_BENCHTIME ?= 20000x
 bench-dataplane:
 	$(GO) test -bench 'DataPlane$$' -benchtime $(DATAPLANE_BENCHTIME) -benchmem -run '^$$' . | tee BENCH_dataplane.txt

@@ -393,70 +393,57 @@ func BenchmarkDVMRPPruneLifetime(b *testing.B) {
 	b.ReportMetric(results[30], "dvmrp_data_t30")
 }
 
-// BenchmarkDataPlane is the zero-allocation data-plane acceptance
-// benchmark: steady-state per-hop cost on the 400-node Waxman instance
-// under a Fig. 8/9-style load (40-member SCMP group, single source),
-// fast path vs the preserved reference path. Each iteration injects one
-// data packet and drains the network, so allocs/op is the allocation
-// bill for one packet's full tree fan-out (~hops/op link crossings plus
-// the per-packet delivery ground-truth record — the reference path adds
-// a packet copy and a closure per hop on top). events/sec and ns/hop
-// are the throughput metrics the >=2x acceptance criterion reads.
+// BenchmarkDataPlane is the zero-allocation data-plane benchmark:
+// steady-state per-hop cost on the 400-node Waxman instance under a
+// Fig. 8/9-style load (40-member SCMP group, single source). Each
+// iteration injects one data packet and drains the network, so
+// allocs/op is the allocation bill for one packet's full tree fan-out
+// (~hops/op link crossings plus the per-packet delivery ground-truth
+// record). events/sec and ns/hop are the throughput metrics.
 func BenchmarkDataPlane(b *testing.B) {
 	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
 	g := wg.Graph.ScaleDelays(1e-3)
-	modes := []struct {
-		name  string
-		build func(*topology.Graph, netsim.Protocol) *netsim.Network
-	}{
-		{"fast", netsim.New},
-		{"ref", netsim.NewRef},
+	s := core.New(core.Config{MRouter: 0, Kappa: 1.5})
+	n := netsim.New(g, s)
+	rnd := rand.New(rand.NewSource(7))
+	members := make([]topology.NodeID, 0, 40)
+	for _, v := range rnd.Perm(g.N()) {
+		if v != 0 {
+			members = append(members, topology.NodeID(v))
+		}
+		if len(members) == 40 {
+			break
+		}
 	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			s := core.New(core.Config{MRouter: 0, Kappa: 1.5})
-			n := mode.build(g, s)
-			rnd := rand.New(rand.NewSource(7))
-			members := make([]topology.NodeID, 0, 40)
-			for _, v := range rnd.Perm(g.N()) {
-				if v != 0 {
-					members = append(members, topology.NodeID(v))
-				}
-				if len(members) == 40 {
-					break
-				}
-			}
-			for i, m := range members {
-				m := m
-				n.Sched.At(des.Time(float64(i)*0.01), func() { n.HostJoin(m, 1) })
-			}
-			n.Run() // tree installed; steady state from here
-			src := members[0]
-			startEvents := n.Sched.Fired()
-			startHops := totalCrossings(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.SendData(src, 1, packet.DefaultDataSize)
-				n.Run()
-			}
-			b.StopTimer()
-			events := n.Sched.Fired() - startEvents
-			hops := totalCrossings(n) - startHops
-			if hops == 0 {
-				b.Fatal("no link crossings in data phase")
-			}
-			sec := b.Elapsed().Seconds()
-			if sec > 0 {
-				b.ReportMetric(float64(events)/sec, "events/sec")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
-			}
-			b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
-		})
+	for i, m := range members {
+		m := m
+		n.Sched.At(des.Time(float64(i)*0.01), func() { n.HostJoin(m, 1) })
 	}
+	n.Run() // tree installed; steady state from here
+	src := members[0]
+	startEvents := n.Sched.Fired()
+	startHops := totalCrossings(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.SendData(src, 1, packet.DefaultDataSize)
+		n.Run()
+	}
+	b.StopTimer()
+	events := n.Sched.Fired() - startEvents
+	hops := totalCrossings(n) - startHops
+	if hops == 0 {
+		b.Fatal("no link crossings in data phase")
+	}
+	sec := b.Elapsed().Seconds()
+	if sec > 0 {
+		b.ReportMetric(float64(events)/sec, "events/sec")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
+	}
+	b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
 }
 
 // totalCrossings sums link crossings over every packet kind.

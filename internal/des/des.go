@@ -42,7 +42,6 @@ type Event struct {
 	at   Time
 	slot int32
 	gen  uint32
-	ref  *refEvent // non-nil iff the owning scheduler is a reference scheduler
 }
 
 // At reports the simulated time this event fires at.
@@ -51,10 +50,6 @@ func (e *Event) At() Time { return e.at }
 // Cancel prevents a pending event from firing. Cancelling an event that
 // already fired (or was already cancelled) is a no-op.
 func (e *Event) Cancel() {
-	if e.ref != nil {
-		e.ref.dead = true
-		return
-	}
 	nd := &e.s.slab[e.slot]
 	if nd.gen == e.gen {
 		nd.dead = true
@@ -64,9 +59,6 @@ func (e *Event) Cancel() {
 // Cancelled reports whether the event will not (or did not) run again:
 // true once cancelled or fired.
 func (e *Event) Cancelled() bool {
-	if e.ref != nil {
-		return e.ref.dead
-	}
 	nd := &e.s.slab[e.slot]
 	return nd.gen != e.gen || nd.dead
 }
@@ -131,8 +123,6 @@ type Scheduler struct {
 	behind int
 
 	sink Sink
-
-	ref *refScheduler // non-nil for reference schedulers (NewRef)
 }
 
 // New returns a fresh scheduler at time zero.
@@ -148,9 +138,6 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // events that have not yet been discarded, and lane events behind their
 // lane's head).
 func (s *Scheduler) Pending() int {
-	if s.ref != nil {
-		return len(s.ref.queue)
-	}
 	return len(s.heap) + s.behind
 }
 
@@ -203,9 +190,6 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 	if !(t >= s.now) {
 		panic("des: event scheduled in the past")
 	}
-	if s.ref != nil {
-		return s.ref.at(s, t, fn)
-	}
 	slot := s.alloc()
 	nd := &s.slab[slot]
 	nd.kind = kClosure
@@ -236,12 +220,6 @@ func (s *Scheduler) AtSink(t Time, op uint8, a, b int32, p any, flag bool) {
 	if s.sink == nil {
 		panic("des: AtSink without a sink installed")
 	}
-	if s.ref != nil {
-		// The reference scheduler allocates by design (that comparison is
-		// the point of the differential gate); sever the hot-path edge.
-		s.ref.atSink(s, t, op, a, b, p, flag) //scmplint:ignore hotalloc
-		return
-	}
 	slot, _ := s.sinkSlot(kSink, op, a, b, p, flag)
 	s.push(t, slot)
 }
@@ -264,9 +242,7 @@ func (s *Scheduler) NewLanes(k int) Lane {
 	return first
 }
 
-// LaneEmpty reports whether no event is queued on lane l. It is always
-// true on a reference scheduler, which queues lane events as plain
-// AtSink events.
+// LaneEmpty reports whether no event is queued on lane l.
 func (s *Scheduler) LaneEmpty(l Lane) bool { return s.tails[l] == 0 }
 
 // LaneSink schedules a typed sink event at absolute time t on lane l.
@@ -283,11 +259,6 @@ func (s *Scheduler) LaneSink(l Lane, t Time, op uint8, a, b int32, p any, flag b
 	}
 	if s.sink == nil {
 		panic("des: LaneSink without a sink installed")
-	}
-	if s.ref != nil {
-		// Reference queue: a lane push is a plain AtSink there.
-		s.ref.atSink(s, t, op, a, b, p, flag) //scmplint:ignore hotalloc
-		return
 	}
 	tail := s.tails[l]
 	if tail != 0 && !(t >= s.slab[tail-1].at) {
@@ -337,10 +308,6 @@ func (s *Scheduler) Halt() { s.halted = true }
 //
 //scmplint:hotpath
 func (s *Scheduler) Step() bool {
-	if s.ref != nil {
-		// Reference queue: allocating by design, outside the hot path.
-		return s.ref.step(s) //scmplint:ignore hotalloc
-	}
 	for len(s.heap) > 0 {
 		e := s.heap[0]
 		nd := &s.slab[e.slot]
@@ -426,10 +393,6 @@ func stale(e entry, nd *node) bool {
 // peek reports the firing time of the earliest live event, discarding
 // stale ones.
 func (s *Scheduler) peek() (Time, bool) {
-	if s.ref != nil {
-		// Reference queue: allocating by design, outside the hot path.
-		return s.ref.peek(s) //scmplint:ignore hotalloc
-	}
 	for len(s.heap) > 0 {
 		e := s.heap[0]
 		nd := &s.slab[e.slot]

@@ -355,7 +355,7 @@ func TestSlabBoundedByPeakQueue(t *testing.T) {
 // --- typed sink path ----------------------------------------------------
 
 type recordingSink struct {
-	s    *Scheduler
+	s    interface{ Now() Time }
 	got  []string
 	seen []Time
 }
@@ -455,22 +455,22 @@ type funcSink func(op uint8, a, b int32, p any, flag bool)
 
 func (f funcSink) SinkEvent(op uint8, a, b int32, p any, flag bool) { f(op, a, b, p, flag) }
 
-// The preserved container/heap scheduler and the pooled 4-ary scheduler
-// must dispatch identical (time, event) sequences for any workload:
-// nested scheduling, cancellations, and lane events on several lanes
-// whose times tie with each other and with loose events, driven through
-// RunUntil windows, Run and callbacks that Halt. On the reference
-// scheduler a lane push is a plain AtSink, so equal traces mean the
-// lanes dispatch in exact (time, seq) order.
+// The reference container/heap scheduler (ref_test.go) and the pooled
+// 4-ary scheduler must dispatch identical (time, event) sequences for
+// any workload: nested scheduling, cancellations, and lane events on
+// several lanes whose times tie with each other and with loose events,
+// driven through RunUntil windows, Run and callbacks that Halt. On the
+// reference scheduler a lane push is a plain AtSink, so equal traces
+// mean the lanes dispatch in exact (time, seq) order.
 func TestRefEquivalence(t *testing.T) {
 	type fire struct {
 		at Time
 		id int
 	}
-	run := func(s *Scheduler, seed int64, lanes int) []fire {
+	run := func(s scheduler, seed int64, lanes int) []fire {
 		rng := rand.New(rand.NewSource(seed))
 		var trace []fire
-		var events []*Event
+		var events []handle
 		first := s.NewLanes(lanes)
 		tail := make([]Time, lanes)
 		// Delays on a 1/8 grid: exact in binary, so times tie often.
@@ -517,7 +517,7 @@ func TestRefEquivalence(t *testing.T) {
 	}
 	for _, lanes := range []int{0, 1, 3} {
 		for seed := int64(0); seed < 50; seed++ {
-			fast, ref := run(New(), seed, lanes), run(NewRef(), seed, lanes)
+			fast, ref := run(newPooled(), seed, lanes), run(newRef(), seed, lanes)
 			if len(fast) != len(ref) {
 				t.Fatalf("lanes %d seed %d: fast traced %d, ref traced %d", lanes, seed, len(fast), len(ref))
 			}
@@ -530,13 +530,11 @@ func TestRefEquivalence(t *testing.T) {
 	}
 }
 
-// Every Scheduler behaviour test above must hold on the reference
-// scheduler too; spot-check the load-bearing ones.
+// The oracle is only as good as its own contract: spot-check on the
+// reference scheduler the load-bearing behaviours the Scheduler tests
+// above pin on the pooled one.
 func TestRefSchedulerContract(t *testing.T) {
-	s := NewRef()
-	if !s.IsRef() {
-		t.Fatal("IsRef = false")
-	}
+	s := newRef()
 	var got []int
 	for i := 0; i < 50; i++ {
 		i := i
@@ -544,7 +542,7 @@ func TestRefSchedulerContract(t *testing.T) {
 	}
 	e := s.At(3, func() { got = append(got, -1) })
 	e.Cancel()
-	if e.ref == nil || !e.Cancelled() {
+	if !e.Cancelled() {
 		t.Fatal("ref handle broken")
 	}
 	s.RunUntil(4)
@@ -561,7 +559,7 @@ func TestRefSchedulerContract(t *testing.T) {
 		t.Fatalf("fired=%d pending=%d", s.Fired(), s.Pending())
 	}
 	// Sink path on ref: closure-wrapped but same order.
-	s2 := NewRef()
+	s2 := &refScheduler{}
 	sink := &recordingSink{s: s2}
 	s2.SetSink(sink)
 	s2.AtSink(s2.Now()+1, 3, 1, 2, nil, true)

@@ -65,30 +65,31 @@ func TestPendingCountsLaneEvents(t *testing.T) {
 
 // A NaN time compares false against everything, so a guard written as
 // t < now lets it through and the heap order silently breaks. Every
-// scheduling entry point must refuse it, on both schedulers.
+// scheduling entry point must refuse it, on the pooled scheduler and on
+// the reference scheduler it is checked against.
 func TestNaNTimePanics(t *testing.T) {
 	nan := Time(math.NaN())
 	for _, tc := range []struct {
 		name string
-		push func(s *Scheduler, l Lane)
+		push func(s scheduler, l Lane)
 	}{
-		{"At", func(s *Scheduler, _ Lane) { s.At(nan, func() {}) }},
-		{"After", func(s *Scheduler, _ Lane) { s.After(nan, func() {}) }},
-		{"AtSink", func(s *Scheduler, _ Lane) { s.AtSink(nan, 0, 0, 0, nil, false) }},
-		{"LaneSink empty lane", func(s *Scheduler, l Lane) { s.LaneSink(l, nan, 0, 0, 0, nil, false) }},
-		{"LaneSink behind a head", func(s *Scheduler, l Lane) {
+		{"At", func(s scheduler, _ Lane) { s.At(nan, func() {}) }},
+		{"After", func(s scheduler, _ Lane) { s.After(nan, func() {}) }},
+		{"AtSink", func(s scheduler, _ Lane) { s.AtSink(nan, 0, 0, 0, nil, false) }},
+		{"LaneSink empty lane", func(s scheduler, l Lane) { s.LaneSink(l, nan, 0, 0, 0, nil, false) }},
+		{"LaneSink behind a head", func(s scheduler, l Lane) {
 			s.LaneSink(l, 1, 0, 0, 0, nil, false)
 			s.LaneSink(l, nan, 0, 0, 0, nil, false)
 		}},
 	} {
-		for _, mk := range []func() *Scheduler{New, NewRef} {
+		for _, mk := range []func() scheduler{newPooled, newRef} {
 			s := mk()
 			s.SetSink(nopSink())
 			l := s.NewLanes(1)
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("%s (ref=%v): NaN time accepted", tc.name, s.IsRef())
+						t.Errorf("%s (%T): NaN time accepted", tc.name, s)
 					}
 				}()
 				tc.push(s, l)

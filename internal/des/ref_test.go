@@ -1,0 +1,166 @@
+package des
+
+import "container/heap"
+
+// refScheduler is the historical scheduler — container/heap over one
+// allocation per event — kept as the oracle the pooled 4-ary scheduler
+// is checked against (TestRefEquivalence). It has no lanes: a lane push
+// is a plain sink event here, so equal traces mean the pooled
+// scheduler's lanes dispatch in exact (time, seq) order.
+type refScheduler struct {
+	now    Time
+	seq    uint64
+	fired  uint64
+	halted bool
+	queue  refHeap
+	sink   Sink
+}
+
+// refEvent is the old heap element and its own cancellation handle.
+type refEvent struct {
+	at   Time
+	seq  uint64
+	fn   func()
+	dead bool
+	idx  int
+}
+
+func (e *refEvent) Cancel()         { e.dead = true }
+func (e *refEvent) Cancelled() bool { return e.dead }
+
+type refHeap []*refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at < h[j].at {
+		return true
+	}
+	if h[j].at < h[i].at {
+		return false
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx = i
+	h[j].idx = j
+}
+func (h *refHeap) Push(x any) {
+	e := x.(*refEvent)
+	e.idx = len(*h)
+	*h = append(*h, e)
+}
+func (h *refHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	e.idx = -1
+	*h = old[:n-1]
+	return e
+}
+
+func (r *refScheduler) Now() Time           { return r.now }
+func (r *refScheduler) Fired() uint64       { return r.fired }
+func (r *refScheduler) Pending() int        { return len(r.queue) }
+func (r *refScheduler) SetSink(k Sink)      { r.sink = k }
+func (r *refScheduler) NewLanes(k int) Lane { return 0 }
+func (r *refScheduler) Halt()               { r.halted = true }
+
+func (r *refScheduler) At(t Time, fn func()) handle {
+	if !(t >= r.now) {
+		panic("des: event scheduled in the past")
+	}
+	e := &refEvent{at: t, seq: r.seq, fn: fn}
+	r.seq++
+	heap.Push(&r.queue, e)
+	return e
+}
+
+func (r *refScheduler) After(d Time, fn func()) handle {
+	if !(d >= 0) {
+		panic("des: negative delay")
+	}
+	return r.At(r.now+d, fn)
+}
+
+// AtSink captures the tuple in a closure: the allocation profile the
+// pooled slots exist to avoid.
+func (r *refScheduler) AtSink(t Time, op uint8, a, b int32, p any, flag bool) {
+	sink := r.sink
+	r.At(t, func() { sink.SinkEvent(op, a, b, p, flag) })
+}
+
+func (r *refScheduler) LaneSink(_ Lane, t Time, op uint8, a, b int32, p any, flag bool) {
+	r.AtSink(t, op, a, b, p, flag)
+}
+
+func (r *refScheduler) Step() bool {
+	for len(r.queue) > 0 {
+		e := heap.Pop(&r.queue).(*refEvent)
+		if e.dead {
+			continue
+		}
+		r.now = e.at
+		e.dead = true
+		r.fired++
+		e.fn()
+		return true
+	}
+	return false
+}
+
+func (r *refScheduler) Run() {
+	r.halted = false
+	for !r.halted && r.Step() {
+	}
+}
+
+func (r *refScheduler) RunUntil(deadline Time) {
+	r.halted = false
+	for !r.halted {
+		for len(r.queue) > 0 && r.queue[0].dead {
+			heap.Pop(&r.queue)
+		}
+		if len(r.queue) == 0 || r.queue[0].at > deadline {
+			if r.now < deadline {
+				r.now = deadline
+			}
+			return
+		}
+		r.Step()
+	}
+}
+
+// handle is what both schedulers' At and After return.
+type handle interface {
+	Cancel()
+	Cancelled() bool
+}
+
+// scheduler is the surface the differential tests drive both
+// implementations through.
+type scheduler interface {
+	Now() Time
+	Fired() uint64
+	Pending() int
+	SetSink(Sink)
+	NewLanes(k int) Lane
+	At(t Time, fn func()) handle
+	After(d Time, fn func()) handle
+	AtSink(t Time, op uint8, a, b int32, p any, flag bool)
+	LaneSink(l Lane, t Time, op uint8, a, b int32, p any, flag bool)
+	Halt()
+	Run()
+	RunUntil(deadline Time)
+}
+
+// pooled adapts *Scheduler to scheduler: its At and After return the
+// concrete *Event.
+type pooled struct{ *Scheduler }
+
+func (p pooled) At(t Time, fn func()) handle    { return p.Scheduler.At(t, fn) }
+func (p pooled) After(d Time, fn func()) handle { return p.Scheduler.After(d, fn) }
+
+func newPooled() scheduler { return pooled{New()} }
+func newRef() scheduler    { return &refScheduler{} }

@@ -169,7 +169,7 @@ func runChurnRun(art *fig89Artifact, cfg ChurnConfig,
 	members []topology.NodeID, rate, loss float64, protected bool, seed int) vals {
 
 	s := churnCore(art.center, protected)
-	n := newNetwork(art.g, s)
+	n := netsim.New(art.g, s)
 	dist := netsim.ChurnPoisson
 	if cfg.Pareto {
 		dist = netsim.ChurnPareto

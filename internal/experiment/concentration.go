@@ -111,7 +111,7 @@ func RunConcentration(cfg ConcentrationConfig) Table {
 				proto = core.New(core.Config{MRouters: centers[:4], Kappa: 1.5})
 				watch = centers[:4]
 			}
-			n := newNetwork(g, proto)
+			n := netsim.New(g, proto)
 			// Service load: the packets a center must switch as the
 			// m-router/core — encapsulated data terminating at it plus
 			// data it fans out — as opposed to incidental transit (the

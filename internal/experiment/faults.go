@@ -145,7 +145,7 @@ func runFaultsLossRun(art *fig89Artifact, cfg FaultsConfig,
 	members []topology.NodeID, loss float64, repair bool, seed int) vals {
 
 	s := faultsCore(art.center, repair)
-	n := newNetwork(art.g, s)
+	n := netsim.New(art.g, s)
 	lossUntil := des.Time(cfg.SimTime / 2)
 	n.InstallFaults(netsim.FaultPlan{
 		ControlLoss: loss,
@@ -218,7 +218,7 @@ func runFaultsRecoveryRun(art *fig89Artifact, cfg FaultsConfig,
 	members []topology.NodeID, seed int) vals {
 
 	s := faultsCore(art.center, true)
-	n := newNetwork(art.g, s)
+	n := netsim.New(art.g, s)
 	f := n.InstallFaults(netsim.FaultPlan{Seed: int64(seed)*31 + 7})
 	for i, m := range members {
 		m := m

@@ -103,7 +103,7 @@ func runOne(g *topology.Graph, protoName string, cfg Fig89Config,
 	members []topology.NodeID, source, center topology.NodeID) (float64, float64, float64, int) {
 
 	proto := buildProtocol(protoName, center, cfg.PruneLifetime)
-	n := newNetwork(g, proto)
+	n := netsim.New(g, proto)
 
 	// Members join over the first half second, then the group is stable
 	// for the data phase, matching the paper's static member sets.

@@ -3,6 +3,7 @@ package experiment
 import (
 	"io"
 
+	"scmp/internal/netsim"
 	"scmp/internal/packet"
 	"scmp/internal/rng"
 	"scmp/internal/runner"
@@ -84,7 +85,7 @@ func RunState(cfg StateConfig) Table {
 			}
 			for _, protoName := range Protocols {
 				proto := buildProtocol(protoName, center, 1000 /* prunes persist: measure steady state */)
-				n := newNetwork(g, proto)
+				n := netsim.New(g, proto)
 				for gi, plan := range plans {
 					gid := packet.GroupID(gi + 1)
 					for _, m := range plan.members {

@@ -24,10 +24,24 @@ import (
 	"sort"
 
 	"scmp/internal/fabric"
-	"scmp/internal/mtree"
 	"scmp/internal/packet"
 	"scmp/internal/topology"
 )
+
+// Tree is the read-only view of a multicast tree CheckTree examines.
+// *mtree.Tree implements it; the checker's own tests hand it trees built
+// from bare parent maps, which no mutator guards.
+type Tree interface {
+	Root() topology.NodeID
+	Graph() *topology.Graph
+	Nodes() []topology.NodeID
+	Parent(v topology.NodeID) (topology.NodeID, bool)
+	Children(v topology.NodeID) []topology.NodeID
+	Members() []topology.NodeID
+	OnTree(v topology.NodeID) bool
+	IsMember(v topology.NodeID) bool
+	Delay(v topology.NodeID) float64
+}
 
 // TreeSpec is what a committed tree promises to be.
 type TreeSpec struct {
@@ -47,7 +61,7 @@ type TreeSpec struct {
 // otherwise. The checks are ordered so that structural soundness
 // (acyclicity, connectivity) is established before anything that walks
 // parent chains unguarded (delay computation).
-func CheckTree(t *mtree.Tree, spec TreeSpec) error {
+func CheckTree(t Tree, spec TreeSpec) error {
 	root := t.Root()
 	if root != spec.Root {
 		return fmt.Errorf("invariant: tree rooted at %d, want m-router home %d", root, spec.Root)

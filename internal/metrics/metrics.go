@@ -6,8 +6,6 @@
 package metrics
 
 import (
-	"sort"
-
 	"scmp/internal/packet"
 	"scmp/internal/topology"
 )
@@ -27,19 +25,15 @@ func MkLinkID(u, v topology.NodeID) LinkID {
 // ready to use.
 //
 // The per-kind counters are fixed-size arrays indexed by packet.Kind
-// (kinds are dense from 0), so the per-crossing hot path touches no
-// maps. Per-link load has two stores: callers that registered the
-// topology's link table up front (UseDenseLinks) count crossings in a
-// dense slice via OnLinkDense; OnLink falls back to a map keyed by
-// LinkID. The read accessors merge both, so either path — or a mix —
-// yields identical reports.
+// (kinds are dense from 0), and per-link load is a dense slice over the
+// link table registered up front (UseDenseLinks), so the per-crossing
+// hot path (OnLinkDense) touches no maps.
 type Collector struct {
 	dataUnits  float64
 	protoUnits float64
 	dataBytes  int64
 	protoBytes int64
 	crossings  [packet.NumKinds]int64
-	linkLoad   map[LinkID]int64
 
 	denseIDs  []LinkID         // undirected link id per dense index
 	denseLoad []int64          // crossings per dense index
@@ -67,10 +61,10 @@ type Collector struct {
 	restructures int64
 }
 
-// UseDenseLinks registers the run's undirected link table, enabling the
-// index-addressed OnLinkDense path. ids[i] is the link the caller will
-// report as dense index i. Call once before the run; the registration
-// outlives Reset.
+// UseDenseLinks registers the run's undirected link table, each link
+// once. ids[i] is the link the caller will report as dense index i to
+// OnLinkDense. Call once before the run; the registration outlives
+// Reset.
 func (c *Collector) UseDenseLinks(ids []LinkID) {
 	if c.denseLoad != nil {
 		panic("metrics: dense link table registered twice")
@@ -83,25 +77,10 @@ func (c *Collector) UseDenseLinks(ids []LinkID) {
 	}
 }
 
-// OnLink records one packet of the given kind and byte size crossing
-// the link {from,to} of the given cost.
-func (c *Collector) OnLink(from, to topology.NodeID, kind packet.Kind, cost float64, bytes int) {
-	if c.linkLoad == nil {
-		c.linkLoad = make(map[LinkID]int64)
-	}
-	c.linkLoad[MkLinkID(from, to)]++
-	c.onCrossing(kind, cost, bytes)
-}
-
-// OnLinkDense is OnLink for callers that registered the link table: the
-// crossing is counted at dense index uid with no map operation or
-// LinkID normalisation on the hot path.
+// OnLinkDense records one packet of the given kind and byte size
+// crossing registered link uid, of the given cost.
 func (c *Collector) OnLinkDense(uid int32, kind packet.Kind, cost float64, bytes int) {
 	c.denseLoad[uid]++
-	c.onCrossing(kind, cost, bytes)
-}
-
-func (c *Collector) onCrossing(kind packet.Kind, cost float64, bytes int) {
 	c.crossings[kind]++
 	if packet.ClassOf(kind) == packet.ClassData {
 		c.dataUnits += cost
@@ -202,46 +181,21 @@ func (c *Collector) Crossings(k packet.Kind) int64 { return c.crossings[k] }
 // LinkLoad returns how many packets (all classes) crossed the
 // undirected link {u,v}.
 func (c *Collector) LinkLoad(u, v topology.NodeID) int64 {
-	id := MkLinkID(u, v)
-	n := c.linkLoad[id]
-	if i, ok := c.denseIdx[id]; ok {
-		n += c.denseLoad[i]
+	if i, ok := c.denseIdx[MkLinkID(u, v)]; ok {
+		return c.denseLoad[i]
 	}
-	return n
-}
-
-// loadByLink merges the dense and map link counters into one map.
-func (c *Collector) loadByLink() map[LinkID]int64 {
-	merged := make(map[LinkID]int64, len(c.linkLoad)+len(c.denseIDs))
-	for id, n := range c.linkLoad {
-		merged[id] = n
-	}
-	for i, n := range c.denseLoad {
-		if n != 0 {
-			merged[c.denseIDs[i]] += n
-		}
-	}
-	return merged
+	return 0
 }
 
 // MaxLinkLoad returns the most-crossed link and its packet count, or a
-// zero LinkID when nothing crossed any link.
+// zero LinkID when nothing crossed any link. Ties go to the smallest
+// LinkID (by A, then B).
 func (c *Collector) MaxLinkLoad() (LinkID, int64) {
 	var best LinkID
 	var max int64
-	load := c.loadByLink()
-	ids := make([]LinkID, 0, len(load))
-	for id := range load {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].A != ids[j].A {
-			return ids[i].A < ids[j].A
-		}
-		return ids[i].B < ids[j].B
-	})
-	for _, id := range ids {
-		if n := load[id]; n > max {
+	for i, n := range c.denseLoad {
+		id := c.denseIDs[i]
+		if n > max || n == max && max > 0 && (id.A < best.A || id.A == best.A && id.B < best.B) {
 			best, max = id, n
 		}
 	}
@@ -253,11 +207,6 @@ func (c *Collector) MaxLinkLoad() (LinkID, int64) {
 // concentration" measure.
 func (c *Collector) NodeLoad(v topology.NodeID) int64 {
 	var sum int64
-	for id, n := range c.linkLoad {
-		if id.A == v || id.B == v {
-			sum += n
-		}
-	}
 	for i, n := range c.denseLoad {
 		if id := c.denseIDs[i]; id.A == v || id.B == v {
 			sum += n

@@ -462,8 +462,8 @@ func (t *Tree) Edges() map[[2]topology.NodeID]bool {
 // in the graph, child lists mirror the parent array, every member is on
 // the tree, every leaf is a member or the root, and the size/member
 // counters and the ml delay cache agree with recomputation. It must
-// return errors (not hang) on the deliberately corrupt trees Rebuild
-// can produce, so chain walks are step-capped.
+// return errors (not hang) on a corrupt tree, so chain walks are
+// step-capped.
 func (t *Tree) Validate() error {
 	n := len(t.parent)
 	for vi, p := range t.parent {

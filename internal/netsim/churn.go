@@ -100,18 +100,23 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	if len(plan.Members) == 0 {
 		panic("netsim: churn plan has no members")
 	}
-	if !(plan.Rate > 0) {
-		panic("netsim: churn plan rate must be positive")
+	// Every bound is finite: a NaN or infinite one never lets the
+	// generator below reach the end of the window.
+	if !(plan.Rate > 0) || math.IsInf(plan.Rate, 1) {
+		panic("netsim: churn plan rate must be positive and finite")
 	}
-	if !(plan.Duration > 0) {
-		panic("netsim: churn plan duration must be positive")
+	if !(plan.Duration > 0) || math.IsInf(plan.Duration, 1) {
+		panic("netsim: churn plan duration must be positive and finite")
+	}
+	if !(plan.Start >= 0) || math.IsInf(plan.Start, 1) {
+		panic("netsim: churn plan start must be non-negative and finite")
 	}
 	alpha := plan.Alpha
 	if alpha == 0 {
 		alpha = DefaultChurnAlpha
 	}
-	if plan.Dist == ChurnPareto && !(alpha > 1) {
-		panic("netsim: Pareto churn needs alpha > 1 (finite mean)")
+	if plan.Dist == ChurnPareto && (!(alpha > 1) || math.IsInf(alpha, 1)) {
+		panic("netsim: Pareto churn needs a finite alpha > 1 (finite mean)")
 	}
 	c := &Churn{plan: plan}
 	// Aggregate Rate spread over the population: each member's renewal

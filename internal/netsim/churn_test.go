@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
 	"scmp/internal/des"
@@ -136,11 +137,23 @@ func TestChurnMemberAlternation(t *testing.T) {
 
 // TestChurnPlanValidation: malformed plans must panic at install time.
 func TestChurnPlanValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := map[string]ChurnPlan{
 		"no members":     {Rate: 10, Duration: 1},
 		"zero rate":      {Members: churnMembers(2), Duration: 1},
 		"zero duration":  {Members: churnMembers(2), Rate: 10},
 		"pareto alpha<1": {Members: churnMembers(2), Rate: 10, Duration: 1, Dist: ChurnPareto, Alpha: 0.5},
+		// Each of these used to loop forever generating the schedule, or
+		// (negative start) fail later as an event in the past.
+		"NaN rate":              {Members: churnMembers(2), Rate: nan, Duration: 1},
+		"infinite rate":         {Members: churnMembers(2), Rate: inf, Duration: 1},
+		"NaN duration":          {Members: churnMembers(2), Rate: 10, Duration: nan},
+		"infinite duration":     {Members: churnMembers(2), Rate: 10, Duration: inf},
+		"NaN start":             {Members: churnMembers(2), Rate: 10, Duration: 1, Start: nan},
+		"infinite start":        {Members: churnMembers(2), Rate: 10, Duration: 1, Start: inf},
+		"negative start":        {Members: churnMembers(2), Rate: 10, Duration: 1, Start: -1},
+		"NaN pareto alpha":      {Members: churnMembers(2), Rate: 10, Duration: 1, Dist: ChurnPareto, Alpha: nan},
+		"infinite pareto alpha": {Members: churnMembers(2), Rate: 10, Duration: 1, Dist: ChurnPareto, Alpha: inf},
 	}
 	for name, plan := range cases {
 		func() {
@@ -155,33 +168,62 @@ func TestChurnPlanValidation(t *testing.T) {
 	}
 }
 
+// groupRec is churnRec that also logs each event's group.
+type groupRec struct {
+	churnRec
+	groups []packet.GroupID
+}
+
+func (p *groupRec) HostJoin(node topology.NodeID, g packet.GroupID) {
+	p.churnRec.HostJoin(node, g)
+	p.groups = append(p.groups, g)
+}
+func (p *groupRec) HostLeave(node topology.NodeID, g packet.GroupID) {
+	p.churnRec.HostLeave(node, g)
+	p.groups = append(p.groups, g)
+}
+
 // TestChurnLaneReuse: overlapping installs queue on separate lanes and
-// still fire in global time order, exactly as the reference scheduler
-// (one heap entry per event) orders them; an install after the lanes
-// drain reuses one instead of opening another.
+// still fire in global time order, with exact-time ties across installs
+// in install order; an install after the lanes drain reuses one instead
+// of opening another. Each install churns its own group, so the group
+// names the install an event came from.
 func TestChurnLaneReuse(t *testing.T) {
-	run := func(mk func(*topology.Graph, Protocol) *Network) ([]churnEv, int) {
-		p := &churnRec{}
-		n := mk(lineGraph(10), p)
-		n.InstallChurn(ChurnPlan{Group: 1, Members: churnMembers(10), Rate: 200, Duration: 2, Seed: 5})
-		n.InstallChurn(ChurnPlan{Group: 1, Members: churnMembers(10), Rate: 200, Start: 1, Duration: 2, Seed: 6})
-		n.Run()
-		n.InstallChurn(ChurnPlan{Group: 1, Members: churnMembers(10), Rate: 200, Start: 3, Duration: 2, Seed: 7})
-		n.Run()
-		return p.log, len(n.churnLanes)
+	p := &groupRec{}
+	n := New(lineGraph(10), p)
+	plan := func(g packet.GroupID, start float64, seed int64) ChurnPlan {
+		return ChurnPlan{Group: g, Members: churnMembers(10), Rate: 200, Start: start, Duration: 2, Seed: seed}
 	}
-	log, lanes := run(New)
-	ref, _ := run(NewRef)
-	if lanes != 2 {
-		t.Fatalf("%d churn lanes after two overlapping installs and one after they drained, want 2", lanes)
+	var installed []*Churn
+	// Groups 1 and 2 share a seed, so every event of 2 ties with one of 1.
+	for _, pl := range []ChurnPlan{plan(1, 0, 5), plan(2, 0, 5), plan(3, 1, 6)} {
+		installed = append(installed, n.InstallChurn(pl))
 	}
-	if len(log) == 0 || len(log) != len(ref) {
-		t.Fatalf("fired %d events, reference fired %d", len(log), len(ref))
+	n.Run()
+	installed = append(installed, n.InstallChurn(plan(4, 3, 7)))
+	n.Run()
+	if lanes := len(n.churnLanes); lanes != 3 {
+		t.Fatalf("%d churn lanes after three overlapping installs and one after they drained, want 3", lanes)
 	}
-	for i := range log {
-		if log[i] != ref[i] {
-			t.Fatalf("event %d is %+v, reference %+v", i, log[i], ref[i])
+	want := 0
+	for _, c := range installed {
+		want += c.Events()
+	}
+	if want == 0 || len(p.log) != want {
+		t.Fatalf("fired %d events, the installs generated %d", len(p.log), want)
+	}
+	ties := 0
+	for i := 1; i < len(p.log); i++ {
+		prev, at, pg, g := p.log[i-1].at, p.log[i].at, p.groups[i-1], p.groups[i]
+		if at < prev || at == prev && g < pg {
+			t.Fatalf("event %d (group %d at %v) fired after group %d at %v", i, g, at, pg, prev)
 		}
+		if at == prev && g != pg {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no exact-time ties across installs: the tie order went unchecked")
 	}
 }
 

@@ -112,13 +112,9 @@ type Faults struct {
 	// no route is computed against a mask newer than its invalidation.
 	down []bool
 
-	// Per-directed-link crossing counters for the positional loss
-	// draws: the fast path indexes by CSR arc id; the reference path
-	// keeps the historical map store. Both count crossings of the same
-	// directed link, so the draws coincide and the fast-vs-ref
-	// differential gate holds.
+	// lossN counts each directed link's admitted crossings for the
+	// positional loss draws, by CSR arc id.
 	lossN []uint64
-	lossM map[dirLink]uint64
 }
 
 // InstallFaults attaches a fault plan to the network and schedules its
@@ -134,13 +130,7 @@ func (n *Network) InstallFaults(plan FaultPlan) *Faults {
 		downLinks: make(map[linkKey]bool),
 		downNodes: make(map[topology.NodeID]bool),
 		down:      make([]bool, n.csr.NumArcs()),
-	}
-	if n.refMode {
-		f.lossM = make(map[dirLink]uint64)
-	} else {
-		// Preallocated up front: lazy growth inside a parallel window
-		// would race.
-		f.lossN = make([]uint64, n.csr.NumArcs())
+		lossN:     make([]uint64, n.csr.NumArcs()),
 	}
 	if pl, ok := n.Proto.(FaultListener); ok {
 		f.listeners = append(f.listeners, pl) // the protocol hears first
@@ -237,23 +227,6 @@ func (f *Faults) loseArc(a int32, from, to topology.NodeID, kind packet.Kind) bo
 	}
 	nth := f.lossN[a]
 	f.lossN[a] = nth + 1
-	return rng.Hash01(f.plan.Seed, lossPairKey(from, to), nth) < rate
-}
-
-// loseRef is loseArc for the reference path: identical draws keyed by
-// the same (link, crossing-index) pairs, counted in the historical map
-// store.
-func (f *Faults) loseRef(from, to topology.NodeID, kind packet.Kind) bool {
-	rate := f.lossRate(kind)
-	if rate <= 0 {
-		return false
-	}
-	if f.plan.LossUntil > 0 && f.net.Sched.Now() >= f.plan.LossUntil {
-		return false
-	}
-	k := dirLink{from, to}
-	nth := f.lossM[k]
-	f.lossM[k] = nth + 1
 	return rng.Hash01(f.plan.Seed, lossPairKey(from, to), nth) < rate
 }
 

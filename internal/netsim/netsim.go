@@ -13,10 +13,7 @@
 // one entry per busy link, not per packet), per-link state (busy
 // horizons, load counters, lanes) is indexed by dense CSR arc id, and
 // membership/delivery ground truth lives in bitsets and a ledger
-// indexed by data-packet seq. The historical closure-based delivery
-// path is preserved behind NewRef for the differential-equivalence
-// gate; both paths perform the same operations in the same order, so
-// runs are byte-identical (DESIGN.md §10).
+// indexed by data-packet seq (DESIGN.md §10).
 package netsim
 
 import (
@@ -156,12 +153,11 @@ type Network struct {
 	// capacity dropped to zero mid-flight would overtake.
 	Bandwidth float64
 
-	// Fast-path state: the CSR arc table (directed edge ids), each arc's
+	// Link state: the CSR arc table (directed edge ids), each arc's
 	// undirected link index for dense metrics, per-arc busy horizons
 	// (allocated on first finite-Bandwidth send), the scheduler lanes of
 	// the arcs (arc a's is arcLanes+a) and the free list of in-flight
-	// packet copies. The reference path ignores all of it but csr, which
-	// the fault layer's arc mask indexes in both modes.
+	// packet copies.
 	csr      *topology.CSR
 	arcUID   []int32
 	busy     []des.Time
@@ -173,17 +169,8 @@ type Network struct {
 	churnLanes []des.Lane
 	leaveBatch []topology.NodeID // dispatchChurn's scratch
 
-	// refMode routes SendLink/SendUnicast through the preserved
-	// closure-per-hop delivery path (NewRef); busyUntil is its historical
-	// map-keyed busy-horizon store.
-	refMode   bool
-	busyUntil map[dirLink]des.Time
-
 	faults *Faults
 }
-
-// dirLink is a directed link (queueing is per transmit side).
-type dirLink struct{ from, to topology.NodeID }
 
 // Sink operation codes for typed delivery and churn events.
 const (
@@ -197,64 +184,43 @@ const (
 // store (empty: a row is computed when first consulted), registers the
 // link table with the metrics collector, and attaches the protocol.
 func New(g *topology.Graph, proto Protocol) *Network {
-	return build(g, proto, false)
-}
-
-// NewRef builds a network identical to New's except that packets flow
-// through the reference scheduler and the historical closure-based
-// delivery path. Test-only: the differential gate runs workloads on
-// both and asserts byte-identical results.
-func NewRef(g *topology.Graph, proto Protocol) *Network {
-	return build(g, proto, true)
-}
-
-func build(g *topology.Graph, proto Protocol, ref bool) *Network {
 	n := &Network{
 		G:       g,
+		Sched:   des.New(),
 		Metrics: &metrics.Collector{},
 		Delay:   topology.NewLazyAllPairs(g, topology.ByDelay),
 		Cost:    topology.NewLazyAllPairs(g, topology.ByCost),
 		csr:     g.CSR(),
 		Proto:   proto,
 		members: make(map[packet.GroupID]nodeSet),
-		refMode: ref,
 	}
-	if ref {
-		n.Sched = des.NewRef()
-		n.busyUntil = make(map[dirLink]des.Time)
-	} else {
-		n.Sched = des.New()
-		// Assign every directed arc its undirected link index, in CSR
-		// scan order, and register the table for dense load counting.
-		uidOf := make(map[metrics.LinkID]int32, g.M())
-		ids := make([]metrics.LinkID, 0, g.M())
-		n.arcUID = make([]int32, n.csr.NumArcs())
-		n.arcLanes = n.Sched.NewLanes(int(n.csr.NumArcs()))
-		for u := 0; u < g.N(); u++ {
-			lo, hi := n.csr.Row(topology.NodeID(u))
-			for i := lo; i < hi; i++ {
-				id := metrics.MkLinkID(topology.NodeID(u), n.csr.ArcDst(i))
-				idx, ok := uidOf[id]
-				if !ok {
-					idx = int32(len(ids))
-					ids = append(ids, id)
-					uidOf[id] = idx
-				}
-				n.arcUID[i] = idx
+	// Assign every directed arc its undirected link index, in CSR scan
+	// order, and register the table for dense load counting.
+	uidOf := make(map[metrics.LinkID]int32, g.M())
+	ids := make([]metrics.LinkID, 0, g.M())
+	n.arcUID = make([]int32, n.csr.NumArcs())
+	n.arcLanes = n.Sched.NewLanes(int(n.csr.NumArcs()))
+	for u := 0; u < g.N(); u++ {
+		lo, hi := n.csr.Row(topology.NodeID(u))
+		for i := lo; i < hi; i++ {
+			id := metrics.MkLinkID(topology.NodeID(u), n.csr.ArcDst(i))
+			idx, ok := uidOf[id]
+			if !ok {
+				idx = int32(len(ids))
+				ids = append(ids, id)
+				uidOf[id] = idx
 			}
+			n.arcUID[i] = idx
 		}
-		n.Metrics.UseDenseLinks(ids)
 	}
-	n.Sched.SetSink(n) // churn schedules are sink events in both modes
+	n.Metrics.UseDenseLinks(ids)
+	n.Sched.SetSink(n)
 	proto.Attach(n)
 	return n
 }
 
 // EventsFired returns the total events the scheduler has executed.
 func (n *Network) EventsFired() uint64 { return n.Sched.Fired() }
-
-// IsRef reports whether this network runs the reference delivery path.
-func (n *Network) IsRef() bool { return n.refMode }
 
 // getPacket takes a packet from the free list (or allocates).
 func (n *Network) getPacket() *Packet {
@@ -291,8 +257,7 @@ func (n *Network) arc(from, to topology.NodeID) int32 {
 
 // arcLatency returns when a packet offered now on arc a is delivered,
 // accounting for queueing and transmission when a finite Bandwidth is
-// set, and updates the arc's busy horizon. Identical arithmetic, in the
-// same order, as the reference path's linkLatency.
+// set, and updates the arc's busy horizon.
 func (n *Network) arcLatency(a int32, size int) des.Time {
 	now := n.Sched.Now()
 	if n.Bandwidth <= 0 {
@@ -309,23 +274,6 @@ func (n *Network) arcLatency(a int32, size int) des.Time {
 	tx := des.Time(float64(size) / n.Bandwidth)
 	n.busy[a] = start + tx
 	return start + tx + des.Time(n.csr.ArcDelay(a))
-}
-
-// linkLatency is the reference path's busy-horizon bookkeeping, kept on
-// the historical map store.
-func (n *Network) linkLatency(from, to topology.NodeID, propagation float64, size int) des.Time {
-	now := n.Sched.Now()
-	if n.Bandwidth <= 0 {
-		return now + des.Time(propagation)
-	}
-	key := dirLink{from, to}
-	start := now
-	if b := n.busyUntil[key]; b > start {
-		start = b
-	}
-	tx := des.Time(float64(size) / n.Bandwidth)
-	n.busyUntil[key] = start + tx
-	return start + tx + des.Time(propagation)
 }
 
 // Now returns the current simulated time.
@@ -377,30 +325,12 @@ func (n *Network) arrived(from, to topology.NodeID, kind packet.Kind, lost bool)
 	return true
 }
 
-// admitRef is the reference path's admit: the same decision against the
-// reference loss counters (arrived serves both paths).
-func (n *Network) admitRef(from, to topology.NodeID, kind packet.Kind) (admitted, lost bool) {
-	if n.faults == nil {
-		return true, false
-	}
-	if n.faults.LinkIsDown(from, to) {
-		n.Metrics.OnDrop(kind)
-		return false, false
-	}
-	return true, n.faults.loseRef(from, to, kind)
-}
-
 // SendLink transmits a copy of pkt from one router to an adjacent one:
 // it accounts the link crossing and schedules HandlePacket at the
 // far end after the link delay.
 //
 //scmplint:hotpath
 func (n *Network) SendLink(from, to topology.NodeID, pkt *Packet) {
-	if n.refMode {
-		// Reference delivery path: allocating by design, not hot.
-		n.sendLinkRef(from, to, pkt) //scmplint:ignore hotalloc
-		return
-	}
 	a := n.arc(from, to)
 	if a < 0 {
 		panic(fmt.Sprintf("netsim: SendLink %d->%d not adjacent", from, to))
@@ -468,11 +398,6 @@ func (n *Network) SinkEvent(op uint8, a, b int32, p any, flag bool) {
 //
 //scmplint:hotpath
 func (n *Network) SendUnicast(src topology.NodeID, pkt *Packet) {
-	if n.refMode {
-		// Reference delivery path: allocating by design, not hot.
-		n.sendUnicastRef(src, pkt) //scmplint:ignore hotalloc
-		return
-	}
 	cp := n.getPacket()
 	*cp = *pkt
 	if src == cp.Dst {
@@ -510,82 +435,6 @@ func (n *Network) unicastStep(at topology.NodeID, pkt *Packet) {
 		n.Trace(at, nh, pkt)
 	}
 	n.Sched.LaneSink(n.lane(a), n.arcLatency(a, pkt.Size), opUnicast, int32(at), int32(nh), pkt, lost)
-}
-
-// --- reference delivery path (historical, test-only) -------------------
-//
-// The pre-pooling implementation, verbatim: a heap-allocated packet
-// copy and a capturing closure per hop. The differential gate runs
-// every experiment on both paths and compares output bytes; both
-// perform the same Edge lookup, admit draw, metrics account, Trace
-// call and schedule, in the same order, so the event and RNG streams
-// coincide exactly.
-
-func (n *Network) sendLinkRef(from, to topology.NodeID, pkt *Packet) {
-	l, ok := n.G.Edge(from, to)
-	if !ok {
-		panic(fmt.Sprintf("netsim: SendLink %d->%d not adjacent", from, to))
-	}
-	admitted, lost := n.admitRef(from, to, pkt.Kind)
-	if !admitted {
-		return
-	}
-	cp := *pkt
-	cp.From = from
-	cp.Payload = pkt.Payload // shared read-only
-	n.Metrics.OnLink(from, to, cp.Kind, l.Cost, cp.Size)
-	if n.Trace != nil {
-		n.Trace(from, to, &cp)
-	}
-	n.Sched.At(n.linkLatency(from, to, l.Delay, cp.Size), func() {
-		if !n.arrived(from, to, cp.Kind, lost) {
-			return
-		}
-		n.Proto.HandlePacket(to, &cp)
-	})
-}
-
-func (n *Network) sendUnicastRef(src topology.NodeID, pkt *Packet) {
-	dst := pkt.Dst
-	if src == dst {
-		cp := *pkt
-		cp.From = src
-		n.Sched.After(0, func() { n.Proto.HandlePacket(dst, &cp) })
-		return
-	}
-	n.unicastStepRef(src, pkt)
-}
-
-func (n *Network) unicastStepRef(at topology.NodeID, pkt *Packet) {
-	nh := n.Delay.Hop(at, pkt.Dst)
-	if nh == -1 {
-		if n.faults != nil {
-			n.Metrics.OnDrop(pkt.Kind)
-			return
-		}
-		panic(fmt.Sprintf("netsim: no unicast route %d->%d", at, pkt.Dst))
-	}
-	admitted, lost := n.admitRef(at, nh, pkt.Kind)
-	if !admitted {
-		return
-	}
-	l, _ := n.G.Edge(at, nh)
-	cp := *pkt
-	cp.From = at
-	n.Metrics.OnLink(at, nh, cp.Kind, l.Cost, cp.Size)
-	if n.Trace != nil {
-		n.Trace(at, nh, &cp)
-	}
-	n.Sched.At(n.linkLatency(at, nh, l.Delay, cp.Size), func() {
-		if !n.arrived(at, nh, cp.Kind, lost) {
-			return
-		}
-		if nh == cp.Dst {
-			n.Proto.HandlePacket(nh, &cp)
-		} else {
-			n.unicastStepRef(nh, &cp)
-		}
-	})
 }
 
 // UnicastPath returns the unicast route src -> dst as a node sequence.

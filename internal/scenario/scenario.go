@@ -42,6 +42,11 @@
 // beyond a pending-queue limit with NACK/retry-after, retry-budget=N
 // parks a request after N failed attempts (re-attempted on a deferred
 // timer), and suppress=true skips refresh ticks for unchanged trees.
+//
+// Every number is checked where it is read: times are finite and
+// non-negative, factors, bandwidths and rates finite and positive, loss
+// rates in [0, 1], router ids in range. A malformed script is a
+// "line N: ..." error, never a panic inside the simulator.
 package scenario
 
 import (
@@ -49,7 +54,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"scmp/internal/rng"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,6 +65,7 @@ import (
 	"scmp/internal/protocols/cbt"
 	"scmp/internal/protocols/dvmrp"
 	"scmp/internal/protocols/mospf"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -100,9 +105,9 @@ func Parse(r io.Reader) (*Script, error) {
 			if len(rest) < 2 {
 				return nil, fmt.Errorf("line %d: at needs a time and an event", lineNo)
 			}
-			t, err := strconv.ParseFloat(rest[0], 64)
-			if err != nil || t < 0 {
-				return nil, fmt.Errorf("line %d: bad time %q", lineNo, rest[0])
+			t, err := cmd.arg("time", rest[0], timeVal)
+			if err != nil {
+				return nil, err
 			}
 			cmd.at = t
 			cmd.sub = rest[1]
@@ -128,17 +133,44 @@ func Parse(r io.Reader) (*Script, error) {
 	return &Script{cmds: cmds}, nil
 }
 
-func (c command) float(key string, def float64) (float64, error) {
+// domain is the set of values a number in a script may take.
+type domain struct {
+	want string
+	ok   func(float64) bool
+}
+
+var (
+	timeVal  = domain{"a finite time >= 0", func(f float64) bool { return f >= 0 && !math.IsInf(f, 1) }}
+	positive = domain{"finite and > 0", func(f float64) bool { return f > 0 && !math.IsInf(f, 1) }}
+	lossRate = domain{"in [0, 1]", func(f float64) bool { return f >= 0 && f <= 1 }}
+	kappaVal = domain{"at least 1, or inf", func(f float64) bool { return f >= 1 }}
+	alphaVal = domain{"0 (the default) or finite and > 1", func(f float64) bool { return f == 0 || f > 1 && !math.IsInf(f, 1) }}
+)
+
+// parseIn parses s (strconv syntax, so "inf" and "NaN" parse) and
+// reports whether the value lies in d.
+func parseIn(s string, d domain) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && d.ok(f)
+}
+
+// arg parses positional argument s, named what in the error, in d.
+func (c command) arg(what, s string, d domain) (float64, error) {
+	f, ok := parseIn(s, d)
+	if !ok {
+		return 0, fmt.Errorf("line %d: bad %s %q (want %s)", c.line, what, s, d.want)
+	}
+	return f, nil
+}
+
+func (c command) float(key string, def float64, d domain) (float64, error) {
 	v, ok := c.kv[key]
 	if !ok {
 		return def, nil
 	}
-	if v == "inf" {
-		return math.Inf(1), nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("line %d: bad %s=%q", c.line, key, v)
+	f, ok := parseIn(v, d)
+	if !ok {
+		return 0, fmt.Errorf("line %d: bad %s=%q (want %s)", c.line, key, v, d.want)
 	}
 	return f, nil
 }
@@ -153,6 +185,15 @@ func (c command) int(key string, def int) (int, error) {
 		return 0, fmt.Errorf("line %d: bad %s=%q", c.line, key, v)
 	}
 	return n, nil
+}
+
+// router reads key as a router id of the topology, def when absent.
+func (c command) router(key string, def int, g *topology.Graph) (topology.NodeID, error) {
+	n, err := c.int(key, def)
+	if err == nil && (n < 0 || n >= g.N()) {
+		err = fmt.Errorf("line %d: %s=%d out of range (the topology has %d routers)", c.line, key, n, g.N())
+	}
+	return topology.NodeID(n), err
 }
 
 func (c command) group() (packet.GroupID, error) {
@@ -195,12 +236,9 @@ func (st *state) exec(c command) error {
 		if len(c.args) != 1 {
 			return fmt.Errorf("line %d: scale-delays needs a factor", c.line)
 		}
-		f, err := strconv.ParseFloat(c.args[0], 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("line %d: bad factor %q", c.line, c.args[0])
-		}
+		f, err := c.arg("factor", c.args[0], positive)
 		st.scale = f
-		return nil
+		return err
 	case "bandwidth":
 		if st.net != nil {
 			return fmt.Errorf("line %d: bandwidth must precede protocol", c.line)
@@ -208,12 +246,9 @@ func (st *state) exec(c command) error {
 		if len(c.args) != 1 {
 			return fmt.Errorf("line %d: bandwidth needs bytes/s", c.line)
 		}
-		f, err := strconv.ParseFloat(c.args[0], 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("line %d: bad bandwidth %q", c.line, c.args[0])
-		}
+		f, err := c.arg("bandwidth", c.args[0], positive)
 		st.bandwidth = f
-		return nil
+		return err
 	case "protocol":
 		return st.execProtocol(c)
 	case "faults":
@@ -227,9 +262,9 @@ func (st *state) exec(c command) error {
 			return fmt.Errorf("line %d: run before protocol", c.line)
 		}
 		if len(c.args) == 1 {
-			t, err := strconv.ParseFloat(c.args[0], 64)
+			t, err := c.arg("run deadline", c.args[0], timeVal)
 			if err != nil {
-				return fmt.Errorf("line %d: bad run deadline %q", c.line, c.args[0])
+				return err
 			}
 			st.net.RunUntil(des.Time(t))
 		}
@@ -278,7 +313,7 @@ func (st *state) execTopology(c command) error {
 		if err != nil {
 			return err
 		}
-		deg, err := c.float("degree", 3)
+		deg, err := c.float("degree", 3, positive)
 		if err != nil {
 			return err
 		}
@@ -316,23 +351,27 @@ func (st *state) execProtocol(c command) error {
 	var proto netsim.Protocol
 	switch c.args[0] {
 	case "scmp":
-		mrouter, err := c.int("mrouter", 0)
+		mrouter, err := c.router("mrouter", 0, g)
 		if err != nil {
 			return err
 		}
-		kappa, err := c.float("kappa", 1.5)
+		kappa, err := c.float("kappa", 1.5, kappaVal)
 		if err != nil {
 			return err
 		}
+		// A non-positive standby disables the feature (core.Config).
 		standby, err := c.int("standby", -1)
 		if err != nil {
 			return err
 		}
-		budget, err := c.float("budget", 0)
+		if standby > 0 && (standby >= g.N() || standby == int(mrouter)) {
+			return fmt.Errorf("line %d: standby=%d is not a router other than mrouter=%d", c.line, standby, mrouter)
+		}
+		budget, err := c.float("budget", 0, timeVal)
 		if err != nil {
 			return err
 		}
-		ack, err := c.float("ack", 0)
+		ack, err := c.float("ack", 0, timeVal)
 		if err != nil {
 			return err
 		}
@@ -340,11 +379,11 @@ func (st *state) execProtocol(c command) error {
 		if err != nil {
 			return err
 		}
-		refresh, err := c.float("refresh", 0)
+		refresh, err := c.float("refresh", 0, timeVal)
 		if err != nil {
 			return err
 		}
-		service, err := c.float("service", 0)
+		service, err := c.float("service", 0, timeVal)
 		if err != nil {
 			return err
 		}
@@ -368,7 +407,7 @@ func (st *state) execProtocol(c command) error {
 			}
 		}
 		s := core.New(core.Config{
-			MRouter:         topology.NodeID(mrouter),
+			MRouter:         mrouter,
 			Kappa:           kappa,
 			Standby:         topology.NodeID(standby),
 			DelayBudget:     budget,
@@ -384,7 +423,7 @@ func (st *state) execProtocol(c command) error {
 		st.scmp = s
 		proto = s
 	case "dvmrp":
-		lifetime, err := c.float("prune", float64(dvmrp.DefaultPruneLifetime))
+		lifetime, err := c.float("prune", float64(dvmrp.DefaultPruneLifetime), timeVal)
 		if err != nil {
 			return err
 		}
@@ -392,11 +431,11 @@ func (st *state) execProtocol(c command) error {
 	case "mospf":
 		proto = mospf.New()
 	case "cbt":
-		coreNode, err := c.int("core", 0)
+		coreNode, err := c.router("core", 0, g)
 		if err != nil {
 			return err
 		}
-		proto = cbt.New(topology.NodeID(coreNode))
+		proto = cbt.New(coreNode)
 	default:
 		return fmt.Errorf("line %d: unknown protocol %q", c.line, c.args[0])
 	}
@@ -415,18 +454,15 @@ func (st *state) execFaults(c command) error {
 	if st.faults != nil {
 		return fmt.Errorf("line %d: faults already installed", c.line)
 	}
-	lossCtl, err := c.float("loss-control", 0)
+	lossCtl, err := c.float("loss-control", 0, lossRate)
 	if err != nil {
 		return err
 	}
-	lossData, err := c.float("loss-data", 0)
+	lossData, err := c.float("loss-data", 0, lossRate)
 	if err != nil {
 		return err
 	}
-	if lossCtl < 0 || lossCtl > 1 || lossData < 0 || lossData > 1 {
-		return fmt.Errorf("line %d: loss rates must be in [0, 1]", c.line)
-	}
-	until, err := c.float("until", 0)
+	until, err := c.float("until", 0, timeVal)
 	if err != nil {
 		return err
 	}
@@ -457,9 +493,9 @@ func (st *state) execChurn(c command) error {
 	if err != nil || grp < 1 {
 		return fmt.Errorf("line %d: bad group %q", c.line, c.args[0])
 	}
-	rate, err := strconv.ParseFloat(c.args[1], 64)
-	if err != nil || rate <= 0 {
-		return fmt.Errorf("line %d: bad rate %q", c.line, c.args[1])
+	rate, err := c.arg("rate", c.args[1], positive)
+	if err != nil {
+		return err
 	}
 	var dist netsim.ChurnDist
 	switch c.args[2] {
@@ -470,9 +506,9 @@ func (st *state) execChurn(c command) error {
 	default:
 		return fmt.Errorf("line %d: unknown churn distribution %q (want poisson or pareto)", c.line, c.args[2])
 	}
-	duration, err := strconv.ParseFloat(c.args[3], 64)
-	if err != nil || duration <= 0 {
-		return fmt.Errorf("line %d: bad duration %q", c.line, c.args[3])
+	duration, err := c.arg("duration", c.args[3], positive)
+	if err != nil {
+		return err
 	}
 	mv, ok := c.kv["members"]
 	if !ok {
@@ -486,11 +522,11 @@ func (st *state) execChurn(c command) error {
 		}
 		members = append(members, topology.NodeID(n))
 	}
-	start, err := c.float("start", 0)
+	start, err := c.float("start", 0, timeVal)
 	if err != nil {
 		return err
 	}
-	alpha, err := c.float("alpha", 0)
+	alpha, err := c.float("alpha", 0, alphaVal)
 	if err != nil {
 		return err
 	}
@@ -559,6 +595,9 @@ func (st *state) execAt(c command) error {
 		size, err := c.int("size", packet.DefaultDataSize)
 		if err != nil {
 			return err
+		}
+		if size < 0 {
+			return fmt.Errorf("line %d: bad size=%d (want >= 0)", c.line, size)
 		}
 		st.net.Sched.At(des.Time(c.at), func() {
 			st.sent = append(st.sent, st.net.SendData(v, grp, size))

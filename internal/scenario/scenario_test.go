@@ -286,3 +286,49 @@ expect delivered
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestMalformedScriptErrors: each malformed value is a "line N: ..."
+// error from Parse or Run, not a panic (or a hang) inside the simulator.
+func TestMalformedScriptErrors(t *testing.T) {
+	const head = "topology arpanet\n"
+	for _, tc := range []struct {
+		name, src string
+		line      int
+	}{
+		{"NaN event time", head + "protocol scmp\nat NaN join 5", 3},
+		{"infinite event time", head + "protocol scmp\nat inf join 5", 3},
+		{"mrouter out of range", head + "protocol scmp mrouter=99", 2},
+		{"negative mrouter", head + "protocol scmp mrouter=-1", 2},
+		{"standby out of range", head + "protocol scmp standby=99", 2},
+		{"standby is the mrouter", head + "protocol scmp mrouter=3 standby=3", 2},
+		{"cbt core out of range", head + "protocol cbt core=99", 2},
+		{"NaN delay scale", head + "scale-delays NaN\nprotocol scmp", 2},
+		{"NaN bandwidth", head + "bandwidth NaN\nprotocol scmp", 2},
+		{"infinite bandwidth", head + "bandwidth inf\nprotocol scmp", 2},
+		{"NaN churn rate", head + "protocol scmp\nchurn 1 NaN poisson 1 members=1,2", 3},
+		{"infinite churn duration", head + "protocol scmp\nchurn 1 10 poisson inf members=1,2", 3},
+		{"NaN churn start", head + "protocol scmp\nchurn 1 10 poisson 1 members=1,2 start=NaN", 3},
+		{"NaN pareto alpha", head + "protocol scmp\nchurn 1 10 pareto 1 members=1,2 alpha=NaN", 3},
+		{"NaN control loss", head + "protocol scmp\nfaults loss-control=NaN", 3},
+		{"NaN loss window", head + "protocol scmp\nfaults loss-control=0.1 until=NaN", 3},
+		{"NaN kappa", head + "protocol scmp kappa=NaN", 2},
+		{"kappa below 1", head + "protocol scmp kappa=0.5", 2},
+		{"NaN ack timeout", head + "protocol scmp ack=NaN", 2},
+		{"negative service time", head + "protocol scmp service=-1", 2},
+		{"NaN run deadline", head + "protocol scmp\nrun NaN", 3},
+		{"negative data size", head + "bandwidth 1000\nprotocol scmp\nat 1 send 3 size=-100000", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Parse(strings.NewReader(tc.src))
+			if err == nil {
+				err = s.Run(&bytes.Buffer{})
+			}
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if want := fmt.Sprintf("line %d: ", tc.line); !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("error %q, want it to start %q", err, want)
+			}
+		})
+	}
+}
