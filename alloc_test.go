@@ -17,6 +17,8 @@ import (
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
 	"scmp/internal/protocols/cbt"
+	"scmp/internal/protocols/dvmrp"
+	"scmp/internal/protocols/mospf"
 	"scmp/internal/topology"
 )
 
@@ -26,7 +28,11 @@ import (
 // bill stays at or below 2 allocs per packet (the reviewed budget; the
 // measured bill is 1, the delivery ground-truth record, and every
 // per-hop cost is pooled). SCMP and CBT forward through the same
-// netsim.TreeEntry, so one budget covers both.
+// netsim.TreeEntry; DVMRP and MOSPF forward from dense per-(source,
+// group) state. DVMRP runs twice: with the default prune lifetime,
+// which one fan-out on this fixture outlasts, so every packet floods the
+// domain and is pruned back; and with prunes that never expire. One
+// budget covers all five.
 func TestHotPathAllocFloor(t *testing.T) {
 	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -39,6 +45,9 @@ func TestHotPathAllocFloor(t *testing.T) {
 	}{
 		{"SCMP", core.New(core.Config{MRouter: 0, Kappa: 1.5})},
 		{"CBT", cbt.New(0)},
+		{"DVMRP", dvmrp.New(dvmrp.DefaultPruneLifetime)},
+		{"DVMRP/no-expiry", dvmrp.New(1e9)},
+		{"MOSPF", mospf.New()},
 	} {
 		n := netsim.New(g, tc.proto)
 		rnd := rand.New(rand.NewSource(7))

@@ -606,8 +606,8 @@ func (s *SCMP) mrouterJoin(member topology.NodeID, g packet.GroupID) {
 	gs := s.group(g)
 	gs.lastChange = s.net.Now()
 	defer s.armRefresh(g, gs)
-	s.acct.Adopt(g, fmt.Sprintf("group-%d", g))
 	if gs.session == 0 {
+		s.acct.Adopt(g, fmt.Sprintf("group-%d", g)) // once per group: a group with a session is already adopted
 		if id, err := s.acct.StartSession(g, 0, nil); err == nil {
 			gs.session = id
 		}

@@ -155,14 +155,10 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 			} else {
 				c.leaves++
 			}
-			evs = append(evs, churnEvent{t: t, member: m, join: on})
+			evs = append(evs, churnEvent{t: t, member: m, join: on, gen: int32(len(evs))})
 		}
 	}
-	// Events are generated member-major; the stable sort orders them by
-	// time while keeping member-major order for exact-time ties, which
-	// is precisely the order the scheduler's insertion-sequence
-	// tie-break used to run them when each event was queued directly.
-	slices.SortStableFunc(evs, func(a, b churnEvent) int { return cmp.Compare(a.t, b.t) })
+	sortChurnEvents(evs)
 	c.evs = evs
 	l := n.churnLane()
 	for i := 0; i < len(evs); {
@@ -175,6 +171,17 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 		i = j
 	}
 	return c
+}
+
+// sortChurnEvents puts a member-major schedule in time order, keeping
+// generation (member-major) order for exact-time ties — precisely the
+// order the scheduler's insertion-sequence tie-break used to run them
+// when each event was queued directly. The key (time, generation index)
+// is total, so an unstable sort gives that one order.
+func sortChurnEvents(evs []churnEvent) {
+	slices.SortFunc(evs, func(a, b churnEvent) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.gen, b.gen))
+	})
 }
 
 // churnLane returns a drained churn lane, opening one when every lane
@@ -196,6 +203,7 @@ type churnEvent struct {
 	t      float64
 	member topology.NodeID
 	join   bool
+	gen    int32 // position in generation (member-major) order
 }
 
 // dispatchChurn fires c's same-instant churn events i..j-1 in order:

@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"scmp/internal/des"
@@ -224,6 +227,35 @@ func TestChurnLaneReuse(t *testing.T) {
 	}
 	if ties == 0 {
 		t.Fatal("no exact-time ties across installs: the tie order went unchecked")
+	}
+}
+
+// TestChurnSortKeepsMemberMajorTies: members that flip at a
+// bit-identical time keep member-major (generation) order after the
+// time sort, whatever order the sort meets them in — the order a stable
+// sort of the member-major schedule gives. The schedule is long enough
+// (64 events, 4 distinct times) that the sort leaves its insertion-sort
+// base case, which is stable on its own.
+func TestChurnSortKeepsMemberMajorTies(t *testing.T) {
+	var gen []churnEvent
+	for m := topology.NodeID(7); m >= 0; m-- { // member-major, members in descending id
+		for k := 0; k < 8; k++ {
+			gen = append(gen, churnEvent{t: float64((int(m)+k)%4) * 0.25, member: m, join: k%2 == 0, gen: int32(len(gen))})
+		}
+	}
+	want := slices.Clone(gen)
+	slices.SortStableFunc(want, func(a, b churnEvent) int { return cmp.Compare(a.t, b.t) })
+	if want[0].member != 7 || want[len(want)-1].member != 0 {
+		t.Fatalf("fixture: stable order starts with member %d and ends with %d, want 7 and 0", want[0].member, want[len(want)-1].member)
+	}
+	rnd := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		evs := slices.Clone(gen)
+		rnd.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+		sortChurnEvents(evs)
+		if !slices.Equal(evs, want) {
+			t.Fatalf("trial %d: tied events left member-major order:\n got %v\nwant %v", trial, evs, want)
+		}
 	}
 }
 

@@ -75,17 +75,19 @@ type Protocol interface {
 	SendData(src topology.NodeID, g packet.GroupID, size int, seq uint64)
 }
 
-// nodeSet is a fixed-capacity bitset over router ids.
-type nodeSet []uint64
+// NodeSet is a fixed-capacity bitset over router ids: the simulator's
+// membership ground truth and the protocols' dense per-router state.
+type NodeSet []uint64
 
-func newNodeSet(n int) nodeSet { return make(nodeSet, (n+63)/64) }
+// NewNodeSet returns an empty set over routers 0..n-1.
+func NewNodeSet(n int) NodeSet { return make(NodeSet, (n+63)/64) }
 
-func (s nodeSet) has(v topology.NodeID) bool { return s[v>>6]&(1<<(uint(v)&63)) != 0 }
-func (s nodeSet) set(v topology.NodeID)      { s[v>>6] |= 1 << (uint(v) & 63) }
-func (s nodeSet) clear(v topology.NodeID)    { s[v>>6] &^= 1 << (uint(v) & 63) }
+func (s NodeSet) Has(v topology.NodeID) bool { return s[v>>6]&(1<<(uint(v)&63)) != 0 }
+func (s NodeSet) Set(v topology.NodeID)      { s[v>>6] |= 1 << (uint(v) & 63) }
+func (s NodeSet) Clear(v topology.NodeID)    { s[v>>6] &^= 1 << (uint(v) & 63) }
 
-// count returns the number of set bits.
-func (s nodeSet) count() int {
+// Count returns the number of set bits.
+func (s NodeSet) Count() int {
 	n := 0
 	for _, w := range s {
 		n += bits.OnesCount64(w)
@@ -93,8 +95,8 @@ func (s nodeSet) count() int {
 	return n
 }
 
-// appendIDs appends the set members in ascending order.
-func (s nodeSet) appendIDs(out []topology.NodeID) []topology.NodeID {
+// AppendIDs appends the set members in ascending order.
+func (s NodeSet) AppendIDs(out []topology.NodeID) []topology.NodeID {
 	for wi, w := range s {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
@@ -110,14 +112,14 @@ func (s nodeSet) appendIDs(out []topology.NodeID) []topology.NodeID {
 // who received it more than once. Three bitsets of equal length in one
 // slice — the per-data-packet bookkeeping is one allocation, and the
 // per-hop DeliverLocal path is two word operations.
-type delivery nodeSet
+type delivery NodeSet
 
 func newDelivery(n int) delivery { return make(delivery, 3*((n+63)/64)) }
 
 // sets splits the record into its expected, once and dup bitsets.
-func (d delivery) sets() (exp, once, dup nodeSet) {
+func (d delivery) sets() (exp, once, dup NodeSet) {
 	w := len(d) / 3
-	return nodeSet(d[:w]), nodeSet(d[w : 2*w]), nodeSet(d[2*w:])
+	return NodeSet(d[:w]), NodeSet(d[w : 2*w]), NodeSet(d[2*w:])
 }
 
 // Network is one simulated domain.
@@ -136,7 +138,7 @@ type Network struct {
 	Delay, Cost *topology.AllPairs
 
 	seq        uint64
-	members    map[packet.GroupID]nodeSet
+	members    map[packet.GroupID]NodeSet
 	deliveries []delivery // data packet seq s at s-1; seq is dense from 1
 
 	// Trace, when set, observes every link crossing (for debugging and
@@ -192,7 +194,7 @@ func New(g *topology.Graph, proto Protocol) *Network {
 		Cost:    topology.NewLazyAllPairs(g, topology.ByCost),
 		csr:     g.CSR(),
 		Proto:   proto,
-		members: make(map[packet.GroupID]nodeSet),
+		members: make(map[packet.GroupID]NodeSet),
 	}
 	// Assign every directed arc its undirected link index, in CSR scan
 	// order, and register the table for dense load counting.
@@ -455,9 +457,9 @@ func (n *Network) UnicastPath(src, dst topology.NodeID) []topology.NodeID {
 // and informs the protocol.
 func (n *Network) HostJoin(node topology.NodeID, g packet.GroupID) {
 	if n.members[g] == nil {
-		n.members[g] = newNodeSet(n.G.N())
+		n.members[g] = NewNodeSet(n.G.N())
 	}
-	n.members[g].set(node)
+	n.members[g].Set(node)
 	n.Proto.HostJoin(node, g)
 }
 
@@ -465,7 +467,7 @@ func (n *Network) HostJoin(node topology.NodeID, g packet.GroupID) {
 // protocol.
 func (n *Network) HostLeave(node topology.NodeID, g packet.GroupID) {
 	if m := n.members[g]; m != nil {
-		m.clear(node)
+		m.Clear(node)
 	}
 	n.Proto.HostLeave(node, g)
 }
@@ -493,7 +495,7 @@ func (n *Network) HostLeaveBatch(nodes []topology.NodeID, g packet.GroupID) {
 	}
 	if m := n.members[g]; m != nil {
 		for _, v := range nodes {
-			m.clear(v)
+			m.Clear(v)
 		}
 	}
 	if bl, ok := n.Proto.(BatchLeaver); ok {
@@ -511,13 +513,13 @@ func (n *Network) Members(g packet.GroupID) []topology.NodeID {
 	if m == nil {
 		return nil
 	}
-	return m.appendIDs(make([]topology.NodeID, 0, m.count()))
+	return m.AppendIDs(make([]topology.NodeID, 0, m.Count()))
 }
 
 // IsMember reports ground-truth membership.
 func (n *Network) IsMember(node topology.NodeID, g packet.GroupID) bool {
 	m := n.members[g]
-	return m != nil && m.has(node)
+	return m != nil && m.Has(node)
 }
 
 // SendData injects one data packet at src for group g, snapshotting the
@@ -529,7 +531,7 @@ func (n *Network) SendData(src topology.NodeID, g packet.GroupID, size int) uint
 	d := newDelivery(n.G.N())
 	exp, _, _ := d.sets()
 	copy(exp, n.members[g])
-	exp.clear(src) // a sending member does not deliver to itself over the network
+	exp.Clear(src) // a sending member does not deliver to itself over the network
 	n.deliveries = append(n.deliveries, d)
 	n.Proto.SendData(src, g, size, seq)
 	return seq
@@ -553,10 +555,10 @@ func (n *Network) DeliverLocal(node topology.NodeID, pkt *Packet) {
 	if d == nil {
 		return
 	}
-	if _, once, dup := d.sets(); once.has(node) {
-		dup.set(node)
+	if _, once, dup := d.sets(); once.Has(node) {
+		dup.Set(node)
 	} else {
-		once.set(node)
+		once.Set(node)
 	}
 }
 
@@ -578,12 +580,12 @@ func (n *Network) CheckDelivery(seq uint64) (missing, anomalous []topology.NodeI
 	exp, once, dup := d.sets()
 	for wi := range exp {
 		if miss := exp[wi] &^ once[wi]; miss != 0 {
-			missing = nodeSet{miss}.appendWord(missing, wi)
+			missing = NodeSet{miss}.appendWord(missing, wi)
 		}
 		// Anomalous: delivered more than once, or delivered without
 		// being expected.
 		if anom := dup[wi] | (once[wi] &^ exp[wi]); anom != 0 {
-			anomalous = nodeSet{anom}.appendWord(anomalous, wi)
+			anomalous = NodeSet{anom}.appendWord(anomalous, wi)
 		}
 	}
 	return missing, anomalous
@@ -591,7 +593,7 @@ func (n *Network) CheckDelivery(seq uint64) (missing, anomalous []topology.NodeI
 
 // appendWord appends the ids of the set bits of word s[0], offset as
 // word index wi, in ascending order.
-func (s nodeSet) appendWord(out []topology.NodeID, wi int) []topology.NodeID {
+func (s NodeSet) appendWord(out []topology.NodeID, wi int) []topology.NodeID {
 	w := s[0]
 	for w != 0 {
 		b := bits.TrailingZeros64(w)

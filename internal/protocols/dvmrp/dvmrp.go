@@ -9,10 +9,17 @@
 // floods the packets frequently when it starts to construct the tree or
 // the timer in a leaf router is expired"). GRAFT messages un-prune a
 // branch when a pruned router gains a member.
+//
+// State is dense: per group a local-member bitset, and per (source,
+// group) a prune expiry per CSR arc and a sent-prune bitset, created on
+// first use. Flooding a packet walks the router's CSR row and allocates
+// nothing.
 package dvmrp
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"scmp/internal/des"
 	"scmp/internal/netsim"
@@ -25,27 +32,39 @@ import (
 // seconds so that periodic re-flooding shows up within a 30 s run.
 const DefaultPruneLifetime des.Time = 10
 
-type pruneKey struct {
-	node, src, child topology.NodeID
-	group            packet.GroupID
-}
-
-type stateKey struct {
-	node, src topology.NodeID
-	group     packet.GroupID
-}
+// noPrune marks an arc without prune state. It is below every
+// simulated time, so a flood never skips the arc.
+var noPrune = des.Time(math.Inf(-1))
 
 // DVMRP is a protocol instance for one domain.
 type DVMRP struct {
 	net           *netsim.Network
+	csr           *topology.CSR
 	PruneLifetime des.Time
 
-	localMembers map[topology.NodeID]map[packet.GroupID]bool
-	// prunes[node, src, g, child] = expiry of the prune the child sent us.
-	prunes map[pruneKey]des.Time
-	// sentPrune marks that (node) pruned itself upstream for (src, g);
-	// a later member join must graft.
-	sentPrune map[stateKey]bool
+	// groups holds the state of every group any router has heard of,
+	// ascending by id.
+	groups []*group
+	// down is downstreamNeighbors' scratch.
+	down []topology.NodeID
+}
+
+// group is one group's state at every router.
+type group struct {
+	id    packet.GroupID
+	local netsim.NodeSet // routers with local member hosts
+	src   []*source      // src[s] is the (s, group) state; nil until first needed
+}
+
+// source is every router's state for one (source, group) pair.
+type source struct {
+	// prune[a] is the expiry of the prune that the far end of CSR arc a
+	// (u -> v) sent u, or noPrune. An expired prune is still an entry
+	// until a graft deletes it.
+	prune []des.Time
+	// sentPrune holds the routers that pruned themselves upstream; a
+	// later member join must graft.
+	sentPrune netsim.NodeSet
 }
 
 var _ netsim.Protocol = (*DVMRP)(nil)
@@ -55,12 +74,7 @@ func New(pruneLifetime des.Time) *DVMRP {
 	if pruneLifetime <= 0 {
 		pruneLifetime = DefaultPruneLifetime
 	}
-	return &DVMRP{
-		PruneLifetime: pruneLifetime,
-		localMembers:  make(map[topology.NodeID]map[packet.GroupID]bool),
-		prunes:        make(map[pruneKey]des.Time),
-		sentPrune:     make(map[stateKey]bool),
-	}
+	return &DVMRP{PruneLifetime: pruneLifetime}
 }
 
 // Name implements netsim.Protocol.
@@ -71,51 +85,89 @@ func (d *DVMRP) Name() string { return "DVMRP" }
 // membership records. DVMRP state is per (source, group): the
 // scalability cost the paper charges SPT-based protocols with.
 func (d *DVMRP) StateEntries(node topology.NodeID) int {
-	pairs := map[stateKey]bool{}
-	for k := range d.prunes {
-		if k.node == node {
-			pairs[stateKey{node, k.src, k.group}] = true
+	lo, hi := d.csr.Row(node)
+	count := 0
+	for _, gs := range d.groups {
+		if gs.local.Has(node) {
+			count++
+		}
+		for _, s := range gs.src {
+			if s != nil && (s.sentPrune.Has(node) || slices.ContainsFunc(s.prune[lo:hi], isPrune)) {
+				count++
+			}
 		}
 	}
-	for k := range d.sentPrune {
-		if k.node == node {
-			pairs[k] = true
-		}
-	}
-	return len(pairs) + len(d.localMembers[node])
+	return count
 }
 
-// Attach implements netsim.Protocol.
-func (d *DVMRP) Attach(n *netsim.Network) { d.net = n }
+func isPrune(exp des.Time) bool { return exp != noPrune }
 
-// HostJoin implements netsim.Protocol: record local membership and graft
-// any branch this router had pruned.
-func (d *DVMRP) HostJoin(node topology.NodeID, g packet.GroupID) {
-	if d.localMembers[node] == nil {
-		d.localMembers[node] = make(map[packet.GroupID]bool)
+// Attach implements netsim.Protocol.
+func (d *DVMRP) Attach(n *netsim.Network) {
+	d.net = n
+	d.csr = n.G.CSR()
+}
+
+func byID(gs *group, g packet.GroupID) int { return cmp.Compare(gs.id, g) }
+
+// group returns g's state, creating it the first time any router hears
+// of g.
+func (d *DVMRP) group(g packet.GroupID) *group {
+	i, ok := slices.BinarySearchFunc(d.groups, g, byID)
+	if !ok {
+		n := d.csr.N()
+		//scmplint:ignore hotalloc — once per group, on the first packet or membership change that names it
+		d.groups = slices.Insert(d.groups, i, &group{id: g, local: netsim.NewNodeSet(n), src: make([]*source, n)})
 	}
-	d.localMembers[node][g] = true
-	var srcs []topology.NodeID
-	for key := range d.sentPrune {
-		if key.node == node && key.group == g {
-			srcs = append(srcs, key.src)
+	return d.groups[i]
+}
+
+// pair returns the (src, group) state, creating it on first use; nil
+// when src is not a router.
+func (d *DVMRP) pair(gs *group, src topology.NodeID) *source {
+	if src < 0 || int(src) >= len(gs.src) {
+		return nil
+	}
+	s := gs.src[src]
+	if s == nil {
+		//scmplint:ignore hotalloc — once per (source, group), on its first packet
+		s = &source{prune: make([]des.Time, d.csr.NumArcs()), sentPrune: netsim.NewNodeSet(d.csr.N())}
+		for a := range s.prune {
+			s.prune[a] = noPrune
+		}
+		gs.src[src] = s
+	}
+	return s
+}
+
+// arc returns the CSR arc node -> to, or -1 when they are not adjacent.
+func (d *DVMRP) arc(node, to topology.NodeID) int32 {
+	lo, hi := d.csr.Row(node)
+	for a := lo; a < hi; a++ {
+		if d.csr.ArcDst(a) == to {
+			return a
 		}
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, src := range srcs {
-		delete(d.sentPrune, stateKey{node, src, g})
-		d.sendGraft(node, src, g)
+	return -1
+}
+
+// HostJoin implements netsim.Protocol: record local membership and graft
+// any branch this router had pruned, sources in ascending order.
+func (d *DVMRP) HostJoin(node topology.NodeID, g packet.GroupID) {
+	gs := d.group(g)
+	gs.local.Set(node)
+	for src, s := range gs.src {
+		if s != nil && s.sentPrune.Has(node) {
+			s.sentPrune.Clear(node)
+			d.sendGraft(node, topology.NodeID(src), g)
+		}
 	}
 }
 
 // HostLeave implements netsim.Protocol. Pruning happens lazily on the
 // next data packet.
 func (d *DVMRP) HostLeave(node topology.NodeID, g packet.GroupID) {
-	delete(d.localMembers[node], g)
-}
-
-func (d *DVMRP) isMember(node topology.NodeID, g packet.GroupID) bool {
-	return d.localMembers[node][g]
+	d.group(g).local.Clear(node)
 }
 
 // rpfNeighbor returns the neighbor a packet from src must arrive on.
@@ -129,21 +181,23 @@ func (d *DVMRP) rpfNeighbor(node, src topology.NodeID) topology.NodeID {
 // receivers prune back — both non-RPF cross links and memberless
 // branches — which is exactly the bandwidth waste the paper charges
 // DVMRP with ("adopting DVMRP wastes a large portion of the network
-// bandwidth due to flooding").
-func (d *DVMRP) downstreamNeighbors(node, src topology.NodeID, g packet.GroupID) []topology.NodeID {
+// bandwidth due to flooding"). The slice is scratch, valid until the
+// next call.
+//
+//scmplint:hotpath
+func (d *DVMRP) downstreamNeighbors(node, src topology.NodeID, s *source) []topology.NodeID {
 	up := d.rpfNeighbor(node, src)
 	now := d.net.Now()
-	var out []topology.NodeID
-	for _, l := range d.net.G.Neighbors(node) {
-		if l.To == up || l.To == src {
+	d.down = d.down[:0]
+	lo, hi := d.csr.Row(node)
+	for a := lo; a < hi; a++ {
+		to := d.csr.ArcDst(a)
+		if to == up || to == src || s.prune[a] > now {
 			continue
 		}
-		if exp, ok := d.prunes[pruneKey{node, src, l.To, g}]; ok && exp > now {
-			continue
-		}
-		out = append(out, l.To)
+		d.down = append(d.down, to)
 	}
-	return out
+	return d.down
 }
 
 // SendData implements netsim.Protocol: the source floods to every
@@ -153,7 +207,7 @@ func (d *DVMRP) SendData(src topology.NodeID, g packet.GroupID, size int, seq ui
 		Kind: packet.Data, Group: g, Src: src, Seq: seq, Size: size,
 		Created: d.net.Now(),
 	}
-	for _, c := range d.downstreamNeighbors(src, src, g) {
+	for _, c := range d.downstreamNeighbors(src, src, d.pair(d.group(g), src)) {
 		d.net.SendLink(src, c, pkt)
 	}
 }
@@ -164,12 +218,17 @@ func (d *DVMRP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 	case packet.Data:
 		d.handleData(node, pkt)
 	case packet.DvmrpPrune:
-		d.prunes[pruneKey{node, pkt.Src, pkt.From, pkt.Group}] = d.net.Now() + d.PruneLifetime
+		if s := d.pair(d.group(pkt.Group), pkt.Src); s != nil {
+			if a := d.arc(node, pkt.From); a >= 0 {
+				s.prune[a] = d.net.Now() + d.PruneLifetime
+			}
+		}
 	case packet.DvmrpGraft:
 		d.handleGraft(node, pkt)
 	}
 }
 
+//scmplint:hotpath
 func (d *DVMRP) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	src := pkt.Src
 	if node == src {
@@ -180,18 +239,20 @@ func (d *DVMRP) handleData(node topology.NodeID, pkt *netsim.Packet) {
 		// Not on the reverse shortest path: the flood copy dies here,
 		// and the useless cross link is pruned so later packets skip it.
 		d.net.DropData(node)
-		d.net.SendLink(node, pkt.From, &netsim.Packet{
-			Kind: packet.DvmrpPrune, Group: pkt.Group, Src: src, Size: packet.ControlSize,
-		})
+		prune := netsim.Packet{Kind: packet.DvmrpPrune, Group: pkt.Group, Src: src, Size: packet.ControlSize}
+		d.net.SendLink(node, pkt.From, &prune)
 		return
 	}
-	if d.isMember(node, pkt.Group) {
+	gs := d.group(pkt.Group)
+	member := gs.local.Has(node)
+	if member {
 		d.net.DeliverLocal(node, pkt)
 	}
-	children := d.downstreamNeighbors(node, src, pkt.Group)
-	if len(children) == 0 && !d.isMember(node, pkt.Group) {
+	s := d.pair(gs, src)
+	children := d.downstreamNeighbors(node, src, s)
+	if len(children) == 0 && !member {
 		// Leaf with nothing below: prune upstream.
-		d.sendPrune(node, src, pkt.Group)
+		d.sendPrune(node, src, s, pkt.Group)
 		return
 	}
 	for _, c := range children {
@@ -199,15 +260,14 @@ func (d *DVMRP) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	}
 }
 
-func (d *DVMRP) sendPrune(node, src topology.NodeID, g packet.GroupID) {
-	d.sentPrune[stateKey{node, src, g}] = true
+func (d *DVMRP) sendPrune(node, src topology.NodeID, s *source, g packet.GroupID) {
+	s.sentPrune.Set(node)
 	up := d.rpfNeighbor(node, src)
 	if up == -1 {
 		return
 	}
-	d.net.SendLink(node, up, &netsim.Packet{
-		Kind: packet.DvmrpPrune, Group: g, Src: src, Size: packet.ControlSize,
-	})
+	prune := netsim.Packet{Kind: packet.DvmrpPrune, Group: g, Src: src, Size: packet.ControlSize}
+	d.net.SendLink(node, up, &prune)
 }
 
 func (d *DVMRP) sendGraft(node, src topology.NodeID, g packet.GroupID) {
@@ -221,12 +281,17 @@ func (d *DVMRP) sendGraft(node, src topology.NodeID, g packet.GroupID) {
 }
 
 func (d *DVMRP) handleGraft(node topology.NodeID, pkt *netsim.Packet) {
-	delete(d.prunes, pruneKey{node, pkt.Src, pkt.From, pkt.Group})
+	s := d.pair(d.group(pkt.Group), pkt.Src)
+	if s == nil {
+		return
+	}
+	if a := d.arc(node, pkt.From); a >= 0 {
+		s.prune[a] = noPrune
+	}
 	// If this router had pruned itself upstream, the graft must continue
 	// toward the source.
-	key := stateKey{node, pkt.Src, pkt.Group}
-	if d.sentPrune[key] {
-		delete(d.sentPrune, key)
+	if s.sentPrune.Has(node) {
+		s.sentPrune.Clear(node)
 		d.sendGraft(node, pkt.Src, pkt.Group)
 	}
 }

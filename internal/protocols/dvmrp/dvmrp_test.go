@@ -261,3 +261,74 @@ func TestPropertyDVMRPDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStateEntriesLifecycle pins what StateEntries counts on the line
+// 0-1-2-3 with source 0 and a member at 1: a prune timer counts for its
+// (source, group) pair even after it expires, until a graft deletes it;
+// a graft clears the sent-prune marker it passes; a leave removes the
+// local membership record.
+func TestStateEntriesLifecycle(t *testing.T) {
+	p := New(10)
+	n := netsim.New(lineGraph(4), p)
+	want := func(step string, counts ...int) {
+		t.Helper()
+		for v, w := range counts {
+			if got := p.StateEntries(topology.NodeID(v)); got != w {
+				t.Fatalf("%s: router %d holds %d state entries, want %d", step, v, got, w)
+			}
+		}
+	}
+	n.HostJoin(1, grp)
+	want("member joined", 0, 1, 0, 0)
+	n.SendData(0, grp, 100) // 3 prunes itself to 2
+	n.Run()
+	want("first packet", 0, 1, 1, 1)
+	n.SendData(0, grp, 100) // 2, now without downstream, prunes itself to 1
+	n.Run()
+	want("second packet", 0, 2, 1, 1)
+
+	n.RunUntil(n.Now() + 20) // every prune timer has expired
+	want("prunes expired", 0, 2, 1, 1)
+
+	n.HostJoin(3, grp) // grafts 3 -> 2 -> 1
+	n.Run()
+	if got := n.Metrics.Crossings(packet.DvmrpGraft); got != 2 {
+		t.Fatalf("graft crossings = %d, want 2", got)
+	}
+	// 1 keeps only its membership; 2's prune timer and marker are gone;
+	// 3's marker gave way to its membership.
+	want("grafted", 0, 1, 0, 1)
+
+	n.HostLeave(1, grp)
+	want("member 1 left", 0, 0, 0, 1)
+}
+
+// TestLazyRPFAfterLinkDown pins that the RPF check reads the network's
+// current routing store: on a square whose fast side 0-1-2 loses its
+// {1,2} link, once the old prunes expire the flood from 0 reaches member
+// 2 over the slow side 0-3-2, and 2 accepts it there instead of dropping
+// it as a non-RPF copy.
+func TestLazyRPFAfterLinkDown(t *testing.T) {
+	g := topology.New(4)
+	g.MustAddEdge(0, 1, 1, 1)
+	g.MustAddEdge(1, 2, 1, 1)
+	g.MustAddEdge(0, 3, 2, 2)
+	g.MustAddEdge(3, 2, 2, 2)
+	n := netsim.New(g, New(10))
+	f := n.InstallFaults(netsim.FaultPlan{})
+	n.HostJoin(2, grp)
+	send := func(when string) {
+		t.Helper()
+		seq := n.SendData(0, grp, 100)
+		n.Run()
+		if missing, anomalous := n.CheckDelivery(seq); len(missing) != 0 || len(anomalous) != 0 {
+			t.Fatalf("%s: missing=%v anomalous=%v", when, missing, anomalous)
+		}
+	}
+	send("before the cut")
+	send("pruned, before the cut")
+	f.ScheduleLinkDown(n.Now(), 1, 2)
+	n.RunUntil(n.Now() + 20) // the prunes of the old tree expire
+	send("after the cut")
+	send("pruned, after the cut")
+}

@@ -15,9 +15,14 @@
 // network's: links are symmetric, so the tree is the row rooted at the
 // source in the network's delay table. A fault retires the row, so it
 // is read per packet, never kept.
+//
+// All state is dense — bitsets over router ids, slices indexed by router
+// or sequence number — so forwarding a packet walks a member bitset and
+// a parent array and allocates nothing.
 package mospf
 
 import (
+	"cmp"
 	"encoding/binary"
 	"slices"
 
@@ -26,44 +31,46 @@ import (
 	"scmp/internal/topology"
 )
 
-type lsaKey struct {
-	origin topology.NodeID
-	seq    uint64
-}
-
 // MOSPF is a protocol instance for one domain.
 type MOSPF struct {
 	net *netsim.Network
 
-	// view[node] is node's local copy of the membership database:
-	// group -> member routers. Views converge as LSAs flood.
-	view map[topology.NodeID]map[packet.GroupID]map[topology.NodeID]bool
-	// seen[node] dedupes LSA floods.
-	seen map[topology.NodeID]map[lsaKey]bool
-	// lsaSeq[origin] numbers LSAs per originating router.
-	lsaSeq map[topology.NodeID]uint64
-	// fwdCache tracks the (source, group) forwarding-cache entries each
-	// router has instantiated — the per-pair state real MOSPF builds on
-	// demand when data arrives.
-	fwdCache map[cacheKey]bool
+	// groups holds the state of every group any router has heard of,
+	// ascending by id.
+	groups []*group
+	// seen[origin][seq-1] is the set of routers that accepted origin's
+	// LSA seq. It is created when the LSA is originated, so
+	// len(seen[origin]) is origin's last sequence number. Each LSA
+	// instance is applied once per router, in arrival order: a late
+	// older LSA is still applied and re-flooded.
+	seen [][]netsim.NodeSet
+	// cached[node] counts the (source, group) forwarding-cache entries
+	// node has instantiated.
+	cached []int
+
+	// forwardDown's scratch: router ids, and the children found to lead
+	// to a member.
+	ids    []topology.NodeID
+	marked netsim.NodeSet
 }
 
-type cacheKey struct {
-	node, src topology.NodeID
-	group     packet.GroupID
+// group is one group's state at every router.
+type group struct {
+	id packet.GroupID
+	// view[node] is node's copy of the membership database for the
+	// group: the member routers it has learned of. Views converge as
+	// LSAs flood.
+	view []netsim.NodeSet
+	// cache[src] is the set of routers holding a (src, group)
+	// forwarding-cache entry — the per-pair state real MOSPF builds on
+	// demand when data arrives. Nil until src's first packet.
+	cache []netsim.NodeSet
 }
 
 var _ netsim.Protocol = (*MOSPF)(nil)
 
 // New returns a MOSPF instance.
-func New() *MOSPF {
-	return &MOSPF{
-		view:     make(map[topology.NodeID]map[packet.GroupID]map[topology.NodeID]bool),
-		seen:     make(map[topology.NodeID]map[lsaKey]bool),
-		lsaSeq:   make(map[topology.NodeID]uint64),
-		fwdCache: make(map[cacheKey]bool),
-	}
-}
+func New() *MOSPF { return &MOSPF{} }
 
 // Name implements netsim.Protocol.
 func (m *MOSPF) Name() string { return "MOSPF" }
@@ -74,39 +81,66 @@ func (m *MOSPF) Name() string { return "MOSPF" }
 // cache entries it has instantiated. Both grow with sources and
 // members — the storage cost the paper's §I charges MOSPF with.
 func (m *MOSPF) StateEntries(node topology.NodeID) int {
-	count := 0
-	for _, members := range m.view[node] {
-		count += len(members)
-	}
-	for k := range m.fwdCache {
-		if k.node == node {
-			count++
-		}
+	count := m.cached[node]
+	for _, gs := range m.groups {
+		count += gs.view[node].Count()
 	}
 	return count
 }
 
 // Attach implements netsim.Protocol.
-func (m *MOSPF) Attach(n *netsim.Network) { m.net = n }
-
-func (m *MOSPF) nodeView(node topology.NodeID) map[packet.GroupID]map[topology.NodeID]bool {
-	v := m.view[node]
-	if v == nil {
-		v = make(map[packet.GroupID]map[topology.NodeID]bool)
-		m.view[node] = v
-	}
-	return v
+func (m *MOSPF) Attach(n *netsim.Network) {
+	m.net = n
+	m.seen = make([][]netsim.NodeSet, n.G.N())
+	m.cached = make([]int, n.G.N())
+	m.marked = netsim.NewNodeSet(n.G.N())
 }
 
-func (m *MOSPF) applyMembership(node, member topology.NodeID, g packet.GroupID, joined bool) {
-	v := m.nodeView(node)
-	if v[g] == nil {
-		v[g] = make(map[topology.NodeID]bool)
+func byID(gs *group, g packet.GroupID) int { return cmp.Compare(gs.id, g) }
+
+// group returns g's state, creating it the first time any router hears
+// of g.
+func (m *MOSPF) group(g packet.GroupID) *group {
+	i, ok := slices.BinarySearchFunc(m.groups, g, byID)
+	if !ok {
+		//scmplint:ignore hotalloc — once per group, on the first packet or membership change that names it
+		m.groups = slices.Insert(m.groups, i, newGroup(g, len(m.seen)))
 	}
+	return m.groups[i]
+}
+
+func newGroup(id packet.GroupID, n int) *group {
+	w := (n + 63) / 64
+	views := make(netsim.NodeSet, n*w)
+	gs := &group{id: id, view: make([]netsim.NodeSet, n), cache: make([]netsim.NodeSet, n)}
+	for v := range gs.view {
+		gs.view[v] = views[v*w : (v+1)*w : (v+1)*w]
+	}
+	return gs
+}
+
+// knows reports whether node's membership database lists member.
+func (gs *group) knows(node, member topology.NodeID) bool { return gs.view[node].Has(member) }
+
+func (m *MOSPF) applyMembership(node, member topology.NodeID, g packet.GroupID, joined bool) {
+	v := m.group(g).view[node]
 	if joined {
-		v[g][member] = true
+		v.Set(member)
 	} else {
-		delete(v[g], member)
+		v.Clear(member)
+	}
+}
+
+// cacheEntry instantiates node's (src, group) forwarding-cache entry.
+func (m *MOSPF) cacheEntry(gs *group, src, node topology.NodeID) {
+	set := gs.cache[src]
+	if set == nil {
+		set = netsim.NewNodeSet(len(m.cached)) //scmplint:ignore hotalloc — once per (source, group), on its first packet
+		gs.cache[src] = set
+	}
+	if !set.Has(node) {
+		set.Set(node)
+		m.cached[node]++
 	}
 }
 
@@ -122,23 +156,26 @@ func lsaPayload(member topology.NodeID, joined bool) []byte {
 	return append(b, 0)
 }
 
-func decodeLSA(b []byte) (member topology.NodeID, joined bool, ok bool) {
+// decodeLSA reads (member, joined); ok is false on a payload of the
+// wrong length or a member that is not one of the n routers.
+func decodeLSA(b []byte, n int) (member topology.NodeID, joined bool, ok bool) {
 	if len(b) != 5 {
 		return 0, false, false
 	}
-	return topology.NodeID(binary.BigEndian.Uint32(b)), b[4] == 1, true
+	member = topology.NodeID(binary.BigEndian.Uint32(b))
+	return member, b[4] == 1, int(member) < n
 }
 
 // floodLSA originates a membership LSA at node and floods it.
 func (m *MOSPF) floodLSA(node topology.NodeID, g packet.GroupID, joined bool) {
-	m.lsaSeq[node]++
-	seq := m.lsaSeq[node]
-	m.markSeen(node, lsaKey{node, seq})
+	accepted := netsim.NewNodeSet(len(m.seen))
+	accepted.Set(node)
+	m.seen[node] = append(m.seen[node], accepted)
 	pkt := &netsim.Packet{
 		Kind:    packet.GroupLSA,
 		Group:   g,
 		Src:     node,
-		Seq:     seq,
+		Seq:     uint64(len(m.seen[node])),
 		Payload: lsaPayload(node, joined),
 		Size:    packet.ControlSize,
 	}
@@ -147,24 +184,25 @@ func (m *MOSPF) floodLSA(node topology.NodeID, g packet.GroupID, joined bool) {
 	}
 }
 
-func (m *MOSPF) markSeen(node topology.NodeID, k lsaKey) bool {
-	s := m.seen[node]
-	if s == nil {
-		s = make(map[lsaKey]bool)
-		m.seen[node] = s
+// accepted returns the set of routers that accepted origin's LSA seq,
+// nil when origin never originated it.
+func (m *MOSPF) accepted(origin topology.NodeID, seq uint64) netsim.NodeSet {
+	if origin < 0 || int(origin) >= len(m.seen) || seq == 0 || seq > uint64(len(m.seen[origin])) {
+		return nil
 	}
-	if s[k] {
-		return false
-	}
-	s[k] = true
-	return true
+	return m.seen[origin][seq-1]
 }
 
+// handleLSA applies and re-floods an LSA the first time node sees it.
+// A malformed LSA — unknown origin or sequence number, bad payload — is
+// dropped.
 func (m *MOSPF) handleLSA(node topology.NodeID, pkt *netsim.Packet) {
-	if !m.markSeen(node, lsaKey{pkt.Src, pkt.Seq}) {
-		return // duplicate
+	accepted := m.accepted(pkt.Src, pkt.Seq)
+	if accepted == nil || accepted.Has(node) {
+		return // malformed, or a duplicate
 	}
-	member, joined, ok := decodeLSA(pkt.Payload)
+	accepted.Set(node)
+	member, joined, ok := decodeLSA(pkt.Payload, len(m.seen))
 	if !ok {
 		return
 	}
@@ -192,42 +230,28 @@ func (m *MOSPF) HostLeave(node topology.NodeID, g packet.GroupID) {
 
 // --- data forwarding ------------------------------------------------------
 
-// subtreeHasMember reports whether, in the tree given by parent, the
-// subtree rooted at c contains a member of g according to node's
-// membership view.
-func (m *MOSPF) subtreeHasMember(node topology.NodeID, parent []topology.NodeID, c topology.NodeID, g packet.GroupID) bool {
-	members := m.nodeView(node)[g]
-	if len(members) == 0 {
-		return false
-	}
-	// Walk each member's parent chain; if it passes through c, the
-	// member lives in c's subtree.
-	for mr := range members {
-		v := mr
-		for v != -1 {
-			if v == c {
-				return true
-			}
-			v = parent[v]
+// forwardDown sends pkt from node to each child subtree holding a member
+// of node's view, children in ascending id order. Each member's parent
+// chain in the source tree is walked up until it reaches node or the
+// root; the router it passed just before node is the child whose
+// subtree holds that member.
+//
+//scmplint:hotpath
+func (m *MOSPF) forwardDown(node topology.NodeID, parent []topology.NodeID, gs *group, pkt *netsim.Packet) {
+	m.ids = gs.view[node].AppendIDs(m.ids[:0])
+	for _, v := range m.ids {
+		child := topology.NodeID(-1)
+		for v != -1 && v != node {
+			child, v = v, parent[v]
+		}
+		if v == node && child != -1 {
+			m.marked.Set(child)
 		}
 	}
-	return false
-}
-
-// forwardDown sends pkt from node to each child subtree holding members,
-// children in ascending id order.
-func (m *MOSPF) forwardDown(node topology.NodeID, parent []topology.NodeID, pkt *netsim.Packet) {
-	var children []topology.NodeID
-	for _, l := range m.net.G.Neighbors(node) {
-		if parent[l.To] == node {
-			children = append(children, l.To)
-		}
-	}
-	slices.Sort(children)
-	for _, c := range children {
-		if m.subtreeHasMember(node, parent, c, pkt.Group) {
-			m.net.SendLink(node, c, pkt)
-		}
+	m.ids = m.marked.AppendIDs(m.ids[:0])
+	for _, c := range m.ids {
+		m.marked.Clear(c)
+		m.net.SendLink(node, c, pkt)
 	}
 }
 
@@ -237,21 +261,24 @@ func (m *MOSPF) SendData(src topology.NodeID, g packet.GroupID, size int, seq ui
 		Kind: packet.Data, Group: g, Src: src, Seq: seq, Size: size,
 		Created: m.net.Now(),
 	}
-	m.fwdCache[cacheKey{src, src, g}] = true
-	m.forwardDown(src, m.net.Delay.Row(src).Parent, pkt)
+	gs := m.group(g)
+	m.cacheEntry(gs, src, src)
+	m.forwardDown(src, m.net.Delay.Row(src).Parent, gs, pkt)
 }
 
+//scmplint:hotpath
 func (m *MOSPF) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	parent := m.net.Delay.Row(pkt.Src).Parent
 	if parent[node] != pkt.From {
 		m.net.DropData(node) // not this router's place in the source tree
 		return
 	}
-	m.fwdCache[cacheKey{node, pkt.Src, pkt.Group}] = true
-	if m.nodeView(node)[pkt.Group][node] {
+	gs := m.group(pkt.Group)
+	m.cacheEntry(gs, pkt.Src, node)
+	if gs.knows(node, node) {
 		m.net.DeliverLocal(node, pkt)
 	}
-	m.forwardDown(node, parent, pkt)
+	m.forwardDown(node, parent, gs, pkt)
 }
 
 // HandlePacket implements netsim.Protocol.

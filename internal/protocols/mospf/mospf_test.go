@@ -42,14 +42,14 @@ func TestLSAConvergesAllViews(t *testing.T) {
 	n.HostJoin(3, grp)
 	n.Run()
 	for v := 0; v < g.N(); v++ {
-		if !m.nodeView(topology.NodeID(v))[grp][3] {
+		if !m.group(grp).knows(topology.NodeID(v), 3) {
 			t.Fatalf("router %d did not learn membership of 3", v)
 		}
 	}
 	n.HostLeave(3, grp)
 	n.Run()
 	for v := 0; v < g.N(); v++ {
-		if m.nodeView(topology.NodeID(v))[grp][3] {
+		if m.group(grp).knows(topology.NodeID(v), 3) {
 			t.Fatalf("router %d did not learn leave of 3", v)
 		}
 	}
@@ -185,5 +185,73 @@ func TestLazyRoutesSourceTreeAfterLinkDown(t *testing.T) {
 	send("after the cut")
 	if got := n.Metrics.Dropped(); got != 0 {
 		t.Fatalf("%d data packets dropped: forwarded onto the dead link", got)
+	}
+}
+
+// lsa builds an LSA copy as router from would flood it.
+func lsa(origin topology.NodeID, seq uint64, from topology.NodeID, payload []byte) *netsim.Packet {
+	return &netsim.Packet{Kind: packet.GroupLSA, Group: grp, Src: origin, Seq: seq, From: from, Payload: payload, Size: packet.ControlSize}
+}
+
+// TestLateOlderLSAStillApplied pins the exact-set rule: a router applies
+// every LSA instance the first time it sees it, in arrival order, so an
+// older LSA that arrives after a newer one still overwrites the view and
+// is re-flooded. (OSPF's newest-instance rule would discard it.)
+func TestLateOlderLSAStillApplied(t *testing.T) {
+	m := New()
+	n := netsim.New(lineGraph(4), m)
+	n.HostJoin(0, grp)  // origin 0, seq 1: joined
+	n.HostLeave(0, grp) // seq 2: left
+	m.HandlePacket(2, lsa(0, 2, 1, lsaPayload(0, false)))
+	if m.group(grp).knows(2, 0) {
+		t.Fatal("router 2 lists member 0 after the leave LSA")
+	}
+	before := n.Metrics.Crossings(packet.GroupLSA)
+	m.HandlePacket(2, lsa(0, 1, 1, lsaPayload(0, true)))
+	if !m.group(grp).knows(2, 0) {
+		t.Fatal("the late older join LSA was not applied at router 2")
+	}
+	if got := n.Metrics.Crossings(packet.GroupLSA) - before; got != 1 {
+		t.Fatalf("the late older LSA crossed %d links from router 2, want 1 (re-flooded to 3)", got)
+	}
+	n.Run() // the originals reach 2 as duplicates
+	if !m.group(grp).knows(2, 0) || m.group(grp).knows(1, 0) {
+		t.Fatal("duplicates changed a view: router 2 must keep member 0, router 1 must not list it")
+	}
+}
+
+// TestMalformedLSADropped: an LSA naming an unknown origin or sequence
+// number, or carrying a bad payload, is dropped without a panic: no
+// view changes and nothing is re-flooded. Each case lands on its own
+// router, so an accepted sequence number does not mask the next case.
+func TestMalformedLSADropped(t *testing.T) {
+	m := New()
+	n := netsim.New(lineGraph(12), m)
+	n.HostJoin(0, grp) // origin 0 has originated seq 1 only
+	ok := lsaPayload(0, true)
+	for i, tc := range []struct {
+		name string
+		pkt  *netsim.Packet
+	}{
+		{"origin beyond the routers", lsa(99, 1, 0, ok)},
+		{"negative origin", lsa(-1, 1, 0, ok)},
+		{"seq 0", lsa(0, 0, 0, ok)},
+		{"seq never originated", lsa(0, 2, 0, ok)},
+		{"origin that never flooded", lsa(5, 1, 0, ok)},
+		{"empty payload", lsa(0, 1, 0, nil)},
+		{"short payload", lsa(0, 1, 0, ok[:4])},
+		{"long payload", lsa(0, 1, 0, append(lsaPayload(0, true), 0))},
+		{"member beyond the routers", lsa(0, 1, 0, lsaPayload(99, true))},
+	} {
+		node := topology.NodeID(i + 2)
+		tc.pkt.From = node - 1
+		before := n.Metrics.Crossings(packet.GroupLSA)
+		m.HandlePacket(node, tc.pkt)
+		if got := m.StateEntries(node); got != 0 {
+			t.Errorf("%s: router %d holds %d state entries, want 0", tc.name, node, got)
+		}
+		if got := n.Metrics.Crossings(packet.GroupLSA) - before; got != 0 {
+			t.Errorf("%s: re-flooded over %d links", tc.name, got)
+		}
 	}
 }
