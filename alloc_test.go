@@ -88,6 +88,69 @@ func TestHotPathAllocFloor(t *testing.T) {
 	}
 }
 
+// TestReliableRoundTripAllocFloor pins the hardened control plane's
+// per-request bill on the 400-node Waxman instance: a member router's
+// JOIN and then its LEAVE, each carried by a reliable request slot
+// through the m-router's modelled service queue and answered with an
+// ACK, beside 40 resident members, with admission control, retry
+// budgets and refresh suppression configured. Timers (retransmission,
+// service completion, refresh) are typed scheduler events, request
+// slots are recycled, and every payload is encoded into scratch that
+// the in-flight packet copies into its own buffer, so the cycle pays one
+// allocation, the DCDM join's grafted path.
+func TestReliableRoundTripAllocFloor(t *testing.T) {
+	if mtree.InvariantChecksArmed {
+		t.Skip("invariants build: per-mutation Validate allocates freely")
+	}
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.New(core.Config{
+		MRouter: 0, Kappa: 1.5,
+		AckTimeout: 0.05, RetryCap: 8, RefreshInterval: 2,
+		ServiceTime: 0.00075, Processors: 1,
+		AdmitLimit: 32, RetryBudget: 4, RefreshSuppress: true,
+	})
+	n := netsim.New(wg.Graph.ScaleDelays(1e-5), s)
+	var routers []topology.NodeID // 8 that join and leave, then 40 resident members
+	for _, v := range rand.New(rand.NewSource(7)).Perm(n.G.N()) {
+		if v != 0 && len(routers) < 48 {
+			routers = append(routers, topology.NodeID(v))
+		}
+	}
+	pool := routers[:8]
+	for _, m := range routers[8:] {
+		n.HostJoin(m, 1)
+		n.RunUntil(n.Now() + 0.05)
+	}
+	settle := func() { n.RunUntil(n.Now() + 0.5) }
+	settle()
+	i := 0
+	cycle := func() {
+		v := pool[i%len(pool)]
+		i++
+		n.HostJoin(v, 1)
+		settle()
+		n.HostLeave(v, 1)
+		settle()
+		if s.PendingRequests() != 0 || s.ParkedRequests() != 0 {
+			t.Fatalf("router %d: %d requests unacknowledged after the round trip", v, s.PendingRequests()+s.ParkedRequests())
+		}
+	}
+	for k := 0; k < 4*len(pool); k++ { // every pool router's entry, and the scratch, warm
+		cycle()
+	}
+	const budget = 2.0 // per JOIN+LEAVE cycle
+	avg := testing.AllocsPerRun(200, cycle)
+	t.Logf("%.2f allocs per acknowledged JOIN+LEAVE cycle", avg)
+	if avg > budget {
+		t.Errorf("hardened JOIN+LEAVE round trip allocates %.2f per cycle, budget %.0f; "+
+			"run `go run ./cmd/scmplint -only hotalloc ./...` to locate the new allocation site",
+			avg, budget)
+	}
+}
+
 // TestDCDMAllocFloor pins the incremental DCDM engine's steady-state
 // bill: one Join plus one Leave of the same router, on a 400-node tree
 // with 128 resident members, must average at most one allocation per

@@ -163,30 +163,30 @@ func (s *SCMP) deliverBranch(origin topology.NodeID, g packet.GroupID, version u
 	if len(path) == 0 {
 		return
 	}
-	payload := packet.EncodeBranch(path)
+	s.buf = packet.AppendBranch(s.buf[:0], path)
 	s.net.SendUnicast(origin, &netsim.Packet{
 		Kind:    packet.Branch,
 		Group:   g,
 		Src:     origin,
 		Dst:     path[0],
 		Version: version,
-		Payload: payload,
-		Size:    len(payload) + 8,
+		Payload: s.buf,
+		Size:    len(s.buf) + 8,
 	})
 }
 
 // sendGraft asks the group's core m-router to install a newly realized
 // inter-domain splice (plus the first member's local tail).
 func (s *SCMP) sendGraft(lm topology.NodeID, g packet.GroupID, version uint64, path []topology.NodeID) {
-	payload := packet.EncodeBranch(path)
+	s.buf = packet.AppendBranch(s.buf[:0], path)
 	s.net.SendUnicast(lm, &netsim.Packet{
 		Kind:    packet.Graft,
 		Group:   g,
 		Src:     lm,
 		Dst:     s.home(g),
 		Version: version,
-		Payload: payload,
-		Size:    len(payload) + 8,
+		Payload: s.buf,
+		Size:    len(s.buf) + 8,
 	})
 }
 
@@ -194,10 +194,11 @@ func (s *SCMP) sendGraft(lm topology.NodeID, g packet.GroupID, version uint64, p
 // and distribute the splice as a BRANCH, unless a restructure's TREE
 // already superseded it.
 func (s *SCMP) handleGraft(node topology.NodeID, pkt *netsim.Packet) {
-	path, err := packet.DecodeBranch(pkt.Payload)
+	path, err := packet.DecodeBranchTo(pkt.Payload, s.path[:0])
 	if err != nil || len(path) < 2 {
 		return
 	}
+	s.path = path
 	gs := s.groups[pkt.Group]
 	if gs == nil || gs.hier == nil {
 		return

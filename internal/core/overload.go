@@ -36,13 +36,13 @@ func (s *SCMP) admitJoin(home topology.NodeID, g packet.GroupID, member topology
 	// the service capacity, so the shed member returns when a queue
 	// slot is plausible instead of immediately re-offering.
 	retryAfter := float64(s.service.backlog()+1) * s.cfg.ServiceTime / float64(len(s.service.busyUntil))
-	payload := packet.EncodeNack(packet.NackInfo{Req: packet.Join, Seq: seq, RetryAfter: retryAfter})
+	s.buf = packet.AppendNack(s.buf[:0], packet.NackInfo{Req: packet.Join, Seq: seq, RetryAfter: retryAfter})
 	s.net.SendUnicast(home, &netsim.Packet{
 		Kind:    packet.Nack,
 		Group:   g,
 		Src:     home,
 		Dst:     member,
-		Payload: payload,
+		Payload: s.buf,
 		Size:    packet.ControlSize,
 	})
 	return false
@@ -60,37 +60,32 @@ func (s *SCMP) handleNack(node topology.NodeID, pkt *netsim.Packet) {
 	if err != nil {
 		return
 	}
-	key := pendingKey{node, pkt.Group}
-	r := s.slots[key]
-	if r == nil || r.parked || !r.acked(info.Req, info.Seq) {
+	i, ok := s.slots[pendingKey{node, pkt.Group}]
+	if !ok || s.reqs[i].parked || !s.reqs[i].acked(info.Req, info.Seq) {
 		return // parked, or a stale NACK for a superseded request
 	}
-	r.timer.Cancel()
+	s.net.Sched.Stop(s.reqs[i].timer)
 	wait := des.Time(info.RetryAfter)
 	if wait <= 0 {
 		wait = des.Time(s.cfg.AckTimeout)
 	}
-	r.timer = s.net.Sched.After(wait, func() { s.retryFire(key, r) })
+	s.armRetry(i, wait)
 }
 
 // park moves a budget-exhausted request into the degraded parked state:
 // one deferred re-attempt timer — the refresh interval when configured
 // (the request re-attempts on the next refresh tick's cadence), else
 // the next step of the backoff ladder it left. The re-attempt restarts
-// the ladder in the same slot, so the lineage carries over.
-func (s *SCMP) park(key pendingKey, r *reqSlot) {
-	s.net.NotePark(s.noteNode(key))
+// the ladder in the same slot (tPark), so the lineage carries over.
+func (s *SCMP) park(i int32) {
+	r := &s.reqs[i]
+	s.net.NotePark(s.noteNode(r.key))
 	wait := des.Time(s.cfg.RefreshInterval)
 	if wait <= 0 {
-		wait = des.Time(s.cfg.AckTimeout * float64(uint64(1)<<uint(r.attempt+1)))
+		wait = s.backoff(r.attempt + 1)
 	}
 	r.parked, r.wasParked = true, true
-	r.timer = s.net.Sched.After(wait, func() {
-		if s.slots[key] != r {
-			return // superseded by a newer request since
-		}
-		s.startLadder(key, r)
-	})
+	r.timer = s.net.Sched.AtTimer(s.net.Now()+wait, s, tPark, i, 0)
 }
 
 // ControlBacklog returns the m-router service centre's pending
@@ -106,8 +101,8 @@ func (s *SCMP) PendingRequests() int { return len(s.slots) - s.ParkedRequests() 
 // degraded parked state.
 func (s *SCMP) ParkedRequests() int {
 	n := 0
-	for _, r := range s.slots {
-		if r.parked {
+	for i := range s.reqs {
+		if s.reqs[i].live && s.reqs[i].parked {
 			n++
 		}
 	}

@@ -170,6 +170,14 @@ func TestRefreshSuppression(t *testing.T) {
 	}
 }
 
+// slot returns key's request slot, nil when it has none.
+func (s *SCMP) slot(key pendingKey) *reqSlot {
+	if i, ok := s.slots[key]; ok {
+		return &s.reqs[i]
+	}
+	return nil
+}
+
 // TestRequestSlotLifecycle pins what each event does to the request
 // slots, on their retry ladders or parked. Every control packet is lost,
 // so no slot resolves by itself: routers 2 and 3 join group 1 at t=0
@@ -195,25 +203,26 @@ func TestRequestSlotLifecycle(t *testing.T) {
 			return func(k pendingKey) bool { return k == replKey(1) }
 		}},
 		{"a NACK for a parked slot does not re-arm it", func(t *testing.T, n *netsim.Network, s *SCMP) func(pendingKey) bool {
-			r := s.slots[pendingKey{2, 1}]
+			r := s.slot(pendingKey{2, 1})
 			timer := r.timer
-			deliver(s, 2, 1, packet.Nack, packet.EncodeNack(packet.NackInfo{Req: packet.Join, Seq: r.seq, RetryAfter: 1}))
-			if r.timer != timer || timer.Cancelled() {
+			deliver(s, 2, 1, packet.Nack, packet.AppendNack(nil, packet.NackInfo{Req: packet.Join, Seq: r.seq, RetryAfter: 1}))
+			if r.timer != timer || !n.Sched.Armed(timer) {
 				t.Error("the NACK replaced the parked slot's deferred re-attempt")
 			}
 			return func(pendingKey) bool { return false }
 		}},
 		{"a NACK for a laddered slot re-arms it", func(t *testing.T, n *netsim.Network, s *SCMP) func(pendingKey) bool {
-			r := s.slots[pendingKey{2, 2}]
+			r := s.slot(pendingKey{2, 2})
 			timer := r.timer
-			deliver(s, 2, 2, packet.Nack, packet.EncodeNack(packet.NackInfo{Req: packet.Join, Seq: r.seq, RetryAfter: 1}))
-			if r.timer == timer || !timer.Cancelled() {
+			deliver(s, 2, 2, packet.Nack, packet.AppendNack(nil, packet.NackInfo{Req: packet.Join, Seq: r.seq, RetryAfter: 1}))
+			if r.timer == timer || n.Sched.Armed(timer) {
 				t.Error("the NACK left the backoff timer in place")
 			}
 			return func(pendingKey) bool { return false }
 		}},
 		{"a late ACK for a parked slot counts one park recovery", func(t *testing.T, n *netsim.Network, s *SCMP) func(pendingKey) bool {
-			r := s.slots[pendingKey{2, 1}]
+			r := s.slot(pendingKey{2, 1})
+			timer := r.timer
 			before := n.Metrics.ParkRecovers()
 			ack := packet.EncodeAck(packet.AckInfo{Req: packet.Join, Seq: r.firstSeq})
 			deliver(s, 2, 1, packet.Ack, ack)
@@ -221,7 +230,7 @@ func TestRequestSlotLifecycle(t *testing.T) {
 			if got := n.Metrics.ParkRecovers() - before; got != 1 {
 				t.Errorf("%d park recoveries, want 1", got)
 			}
-			if !r.timer.Cancelled() {
+			if n.Sched.Armed(timer) {
 				t.Error("the resolved slot's deferred re-attempt is still armed")
 			}
 			return func(k pendingKey) bool { return k == pendingKey{2, 1} }
@@ -237,8 +246,8 @@ func TestRequestSlotLifecycle(t *testing.T) {
 			}
 			n.RunUntil(52)
 			parked := map[pendingKey]bool{}
-			for k, r := range s.slots {
-				parked[k] = r.parked
+			for k := range s.slots {
+				parked[k] = s.slot(k).parked
 			}
 			want := map[pendingKey]bool{
 				{0, 1}: true, replKey(1): true, {2, 1}: true, {3, 1}: true, {2, 2}: false, {3, 2}: false,
@@ -249,7 +258,8 @@ func TestRequestSlotLifecycle(t *testing.T) {
 
 			gone := tc.act(t, n, s)
 			for k, wasParked := range want {
-				r, ok := s.slots[k]
+				r := s.slot(k)
+				ok := r != nil
 				switch {
 				case gone(k) && ok:
 					t.Errorf("slot %v survived", k)

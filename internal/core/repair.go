@@ -56,6 +56,11 @@ func (s *SCMP) noteNode(key pendingKey) topology.NodeID {
 // A newer request from the same (requester, group) supersedes the slot
 // in either state.
 //
+// Slots live in SCMP.reqs and are recycled through a free list, payload
+// buffer included; a slot's timer carries the slot's index. Every path
+// that releases or supersedes a slot stops its timer first, so a timer
+// that fires always finds its own request in the slot.
+//
 // firstSeq..seq is the request's lineage: every sequence number this
 // same logical operation has been transmitted under, across park /
 // re-attempt cycles. An ACK bearing any of them resolves the request —
@@ -64,12 +69,14 @@ func (s *SCMP) noteNode(key pendingKey) topology.NodeID {
 // incarnation is outstanding or the slot has parked, and matching only
 // the newest sequence would livelock the slot forever.
 type reqSlot struct {
+	key      pendingKey
+	live     bool
 	kind     packet.Kind
-	payload  []byte
+	payload  []byte // the slot's own copy of the request payload
 	seq      uint64
 	firstSeq uint64
 	attempt  int
-	timer    *des.Event
+	timer    des.Timer
 	parked   bool
 	// wasParked marks a slot that has parked at least once: its ACK counts
 	// as a park recovery.
@@ -90,47 +97,79 @@ var _ netsim.FaultListener = (*SCMP)(nil)
 // m-router. With AckTimeout configured it registers the request for
 // ACK-matching and retransmits with exponential backoff until
 // acknowledged or the retry cap is reached; otherwise it degrades to
-// the classic fire-and-forget unicast.
+// the classic fire-and-forget unicast. The payload is copied, so it may
+// be the caller's scratch.
+//
+//scmplint:hotpath
 func (s *SCMP) sendReliable(node topology.NodeID, g packet.GroupID, kind packet.Kind, payload []byte) {
 	if s.cfg.AckTimeout <= 0 {
-		s.net.SendUnicast(node, &netsim.Packet{
+		pkt := netsim.Packet{
 			Kind:    kind,
 			Group:   g,
 			Src:     node,
 			Dst:     s.ctrlHome(node, g),
 			Payload: payload,
 			Size:    packet.ControlSize,
-		})
+		}
+		s.net.SendUnicast(node, &pkt)
 		return
 	}
 	key := pendingKey{node, g}
 	if kind == packet.Replicate {
 		key = replKey(g) // dedicated slot: see replSlot
 	}
-	if old := s.slots[key]; old != nil {
-		old.timer.Cancel() // a newer request supersedes the slot, laddered or parked
+	i, ok := s.slots[key]
+	if ok {
+		s.net.Sched.Stop(s.reqs[i].timer) // a newer request supersedes the slot, laddered or parked
+	} else {
+		i = s.newReq(key)
 	}
-	r := &reqSlot{kind: kind, payload: payload, firstSeq: s.reqSeq + 1}
-	s.slots[key] = r
-	s.startLadder(key, r)
+	r := &s.reqs[i]
+	*r = reqSlot{key: key, live: true, kind: kind, payload: append(r.payload[:0], payload...), firstSeq: s.reqSeq + 1}
+	s.startLadder(i)
 }
 
-// startLadder (re)starts r's retry ladder: a transmission under a fresh
-// sequence number, extending the lineage, and the first backoff step.
-func (s *SCMP) startLadder(key pendingKey, r *reqSlot) {
+// newReq takes a free request slot (or grows the table) for key.
+func (s *SCMP) newReq(key pendingKey) int32 {
+	var i int32
+	if n := len(s.freeReqs); n > 0 {
+		i = s.freeReqs[n-1]
+		s.freeReqs = s.freeReqs[:n-1]
+	} else {
+		s.reqs = append(s.reqs, reqSlot{}) //scmplint:ignore hotalloc — amortised growth to the peak outstanding requests
+		i = int32(len(s.reqs) - 1)
+	}
+	s.slots[key] = i
+	return i
+}
+
+// releaseReq settles request slot i: its timer stops and the slot goes
+// back on the free list.
+func (s *SCMP) releaseReq(i int32) {
+	r := &s.reqs[i]
+	s.net.Sched.Stop(r.timer)
+	r.live, r.timer = false, des.Timer{}
+	delete(s.slots, r.key)
+	s.freeReqs = append(s.freeReqs, i) //scmplint:ignore hotalloc — amortised: the free list never outgrows the table
+}
+
+// startLadder (re)starts slot i's retry ladder: a transmission under a
+// fresh sequence number, extending the lineage, and the first backoff
+// step.
+func (s *SCMP) startLadder(i int32) {
+	r := &s.reqs[i]
 	s.reqSeq++
 	r.seq, r.attempt, r.parked = s.reqSeq, 0, false
-	s.transmitReq(key, r)
-	s.armRetry(key, r)
+	s.transmitReq(r)
+	s.armRetry(i, s.backoff(0))
 }
 
-// dropSlots cancels and forgets every request slot drop selects,
-// whether on its ladder or parked.
-func (s *SCMP) dropSlots(drop func(pendingKey, *reqSlot) bool) {
-	for key, r := range s.slots {
-		if drop(key, r) {
-			r.timer.Cancel()
-			delete(s.slots, key)
+// dropSlots releases every request slot drop selects, whether on its
+// ladder or parked.
+func (s *SCMP) dropSlots(drop func(*reqSlot) bool) {
+	for i := range s.reqs {
+		if r := &s.reqs[i]; r.live && drop(r) {
+			s.releaseReq(int32(i))
 		}
 	}
 }
@@ -159,52 +198,56 @@ func (s *SCMP) staleCtl(member topology.NodeID, g packet.GroupID, seq uint64) bo
 // transmitReq puts one (re)transmission of a reliable request on the
 // wire. The request's sequence number rides the packet's Seq field so
 // the m-router can echo it in the ACK.
-func (s *SCMP) transmitReq(key pendingKey, r *reqSlot) {
-	src, dst := key.node, s.home(key.g)
+func (s *SCMP) transmitReq(r *reqSlot) {
+	src, dst := r.key.node, s.home(r.key.g)
 	if r.kind == packet.Replicate {
 		// Replication flows primary → standby, not requester → home.
 		src, dst = s.homes[0], s.cfg.Standby
 	}
-	s.net.SendUnicast(src, &netsim.Packet{
+	pkt := netsim.Packet{
 		Kind:    r.kind,
-		Group:   key.g,
+		Group:   r.key.g,
 		Src:     src,
 		Dst:     dst,
 		Seq:     r.seq,
 		Payload: r.payload,
 		Size:    packet.ControlSize,
-	})
-}
-
-// armRetry schedules the retransmission timer for attempt r.attempt:
-// AckTimeout doubled per attempt already made.
-func (s *SCMP) armRetry(key pendingKey, r *reqSlot) {
-	backoff := des.Time(s.cfg.AckTimeout * float64(uint64(1)<<uint(r.attempt)))
-	r.timer = s.net.Sched.After(backoff, func() { s.retryFire(key, r) })
-}
-
-// retryFire is one retransmission-timer expiry (or a NACK-directed
-// deferred retransmission): at the retry limit the request gives up —
-// parking when a retry budget is configured — otherwise it retransmits
-// and re-arms the next backoff step.
-func (s *SCMP) retryFire(key pendingKey, r *reqSlot) {
-	if s.slots[key] != r {
-		return // acknowledged or superseded since
 	}
+	s.net.SendUnicast(src, &pkt)
+}
+
+// armRetry schedules slot i's retransmission timer wait from now: the
+// backoff step, or a NACK's retry-after.
+func (s *SCMP) armRetry(i int32, wait des.Time) {
+	s.reqs[i].timer = s.net.Sched.AtTimer(s.net.Now()+wait, s, tRetry, i, 0)
+}
+
+// backoff returns the retransmission wait after attempt retransmissions:
+// AckTimeout doubled per attempt.
+func (s *SCMP) backoff(attempt int) des.Time {
+	return des.Time(s.cfg.AckTimeout * float64(uint64(1)<<uint(attempt)))
+}
+
+// retryFire is one retransmission-timer expiry of slot i (or a
+// NACK-directed deferred retransmission): at the retry limit the request
+// gives up — parking when a retry budget is configured — otherwise it
+// retransmits and re-arms the next backoff step.
+func (s *SCMP) retryFire(i int32) {
+	r := &s.reqs[i]
 	if r.attempt >= s.retryLimit() {
 		// Give up: the soft-state refresh (and ground-truth re-reports
 		// after a restart) are the backstop — or, with a retry budget
 		// configured, the parked deferred re-attempt (overload.go).
 		if s.cfg.RetryBudget > 0 {
-			s.park(key, r)
+			s.park(i)
 		} else {
-			delete(s.slots, key)
+			s.releaseReq(i)
 		}
 		return
 	}
 	r.attempt++
-	s.transmitReq(key, r)
-	s.armRetry(key, r)
+	s.transmitReq(r)
+	s.armRetry(i, s.backoff(r.attempt))
 }
 
 // retryLimit returns the retransmissions allowed per reliable request:
@@ -224,19 +267,22 @@ func (s *SCMP) retryLimit() int {
 // acknowledged. An ACK addressed to the home itself self-delivers: the
 // durable-mode primary sends its own membership through the reliable
 // path (HostJoin), and that ladder needs settling like any other.
+//
+//scmplint:hotpath
 func (s *SCMP) ack(g packet.GroupID, req packet.Kind, to topology.NodeID, seq uint64) {
 	if seq == 0 {
 		return
 	}
-	payload := packet.EncodeAck(packet.AckInfo{Req: req, Seq: seq})
-	s.net.SendUnicast(s.home(g), &netsim.Packet{
+	s.buf = packet.AppendAck(s.buf[:0], packet.AckInfo{Req: req, Seq: seq})
+	pkt := netsim.Packet{
 		Kind:    packet.Ack,
 		Group:   g,
 		Src:     s.home(g),
 		Dst:     to,
-		Payload: payload,
+		Payload: s.buf,
 		Size:    packet.ControlSize,
-	})
+	}
+	s.net.SendUnicast(s.home(g), &pkt)
 }
 
 // durableMode reports whether membership acknowledgements are chained
@@ -284,8 +330,10 @@ func (s *SCMP) flushAckQueue(g packet.GroupID) {
 
 // handleAck matches an ACK against the node's pending request and, on a
 // match, cancels the retransmission timer.
+//
+//scmplint:hotpath
 func (s *SCMP) handleAck(node topology.NodeID, pkt *netsim.Packet) {
-	a, err := packet.DecodeAck(pkt.Payload)
+	a, err := packet.DecodeAck(pkt.Payload) //scmplint:ignore hotalloc — only a malformed ACK allocates: its error
 	if err != nil {
 		return
 	}
@@ -293,20 +341,20 @@ func (s *SCMP) handleAck(node topology.NodeID, pkt *netsim.Packet) {
 	if a.Req == packet.Replicate {
 		key = replKey(pkt.Group)
 	}
-	r := s.slots[key]
-	if r == nil || !r.acked(a.Req, a.Seq) {
+	i, ok := s.slots[key]
+	if !ok || !s.reqs[i].acked(a.Req, a.Seq) {
 		return // reply to a superseded request
 	}
 	// A parked slot is resolved too: the m-router did process the
 	// operation, its reply just lost the race with the park. Without this,
 	// a topology whose control round trip exceeds the whole backoff ladder
 	// livelocks — every ladder parks before its ACK returns.
-	r.timer.Cancel()
-	delete(s.slots, key)
-	if r.wasParked {
+	wasParked, kind := s.reqs[i].wasParked, s.reqs[i].kind
+	s.releaseReq(i)
+	if wasParked {
 		s.net.NoteParkRecover(s.noteNode(key))
 	}
-	if r.kind == packet.Replicate {
+	if kind == packet.Replicate {
 		s.flushAckQueue(key.g)
 	}
 }
@@ -316,13 +364,10 @@ func (s *SCMP) handleAck(node topology.NodeID, pkt *netsim.Packet) {
 // armRefresh starts the group's periodic redistribution timer if
 // refresh is enabled and the timer is not already running.
 func (s *SCMP) armRefresh(g packet.GroupID, gs *groupState) {
-	if s.cfg.RefreshInterval <= 0 || gs.refresh != nil {
+	if s.cfg.RefreshInterval <= 0 || gs.refresh != (des.Timer{}) {
 		return
 	}
-	gs.refresh = s.net.Sched.After(des.Time(s.cfg.RefreshInterval), func() {
-		gs.refresh = nil
-		s.refreshGroup(g, gs)
-	})
+	gs.refresh = s.net.Sched.AtTimer(s.net.Now()+des.Time(s.cfg.RefreshInterval), s, tRefresh, 0, int32(g))
 }
 
 // refreshGroup is one soft-state tick: retry deferred grafts, bump the
@@ -359,12 +404,15 @@ func (s *SCMP) refreshGroup(g packet.GroupID, gs *groupState) {
 // membership or tree change re-arms refresh.
 func (s *SCMP) Quiesce() {
 	for _, gs := range s.groups {
-		if gs.refresh != nil {
-			gs.refresh.Cancel()
-			gs.refresh = nil
-		}
+		s.stopRefresh(gs)
 	}
-	s.dropSlots(func(pendingKey, *reqSlot) bool { return true })
+	s.dropSlots(func(*reqSlot) bool { return true })
+}
+
+// stopRefresh cancels the group's armed refresh tick, if any.
+func (s *SCMP) stopRefresh(gs *groupState) {
+	s.net.Sched.Stop(gs.refresh)
+	gs.refresh = des.Timer{}
 }
 
 // --- fault reaction (netsim.FaultListener) ------------------------------
@@ -395,7 +443,7 @@ func (s *SCMP) LinkUp(u, v topology.NodeID) {
 // neighbours additionally treat every adjacent link as failed.
 func (s *SCMP) NodeDown(n topology.NodeID) {
 	s.entries[n] = nil
-	s.dropSlots(func(key pendingKey, _ *reqSlot) bool { return key.node == n })
+	s.dropSlots(func(r *reqSlot) bool { return r.key.node == n })
 	s.rebase()
 	if s.cfg.DisableRepair || s.hierarchical() {
 		return
@@ -454,8 +502,8 @@ func (s *SCMP) repairEndpoint(node, dead topology.NodeID) {
 			e.repairing = true
 			e.repairT0 = s.net.Now()
 		}
-		s.sendReliable(node, g, packet.Rejoin,
-			packet.EncodeRejoin(packet.RejoinInfo{Detached: node, Dead: dead}))
+		s.buf = packet.AppendRejoin(s.buf[:0], packet.RejoinInfo{Detached: node, Dead: dead})
+		s.sendReliable(node, g, packet.Rejoin, s.buf)
 	}
 }
 

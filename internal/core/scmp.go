@@ -62,9 +62,9 @@ type groupState struct {
 	hier    *mtree.HierDCDM
 	version uint64
 	session session.SessionID
-	// refresh is the armed soft-state redistribution timer (nil when
-	// idle or refresh is disabled).
-	refresh *des.Event
+	// refresh is the armed soft-state redistribution timer (the zero
+	// Timer when idle or refresh is disabled).
+	refresh des.Timer
 	// deferred holds members the m-router could not graft because the
 	// faulted topology has no path to them; they are retried on every
 	// refresh tick and topology heal.
@@ -225,20 +225,24 @@ type SCMP struct {
 	// state with one slice index and one small per-group map lookup.
 	entries []map[packet.GroupID]*entry
 	// replica is the standby's copy of the membership database, fed by
-	// REPLICATE packets from the primary.
-	replica map[packet.GroupID]map[topology.NodeID]bool
+	// REPLICATE packets from the primary: one member set per group,
+	// overwritten in place by each snapshot.
+	replica map[packet.GroupID]netsim.NodeSet
 	acct    *session.Manager
 	service *serviceCenter
 	// epoch counts failovers; distribution versions encode it in their
 	// high 32 bits so entries installed before a failover are never
 	// trusted as a source's on-tree fast path afterwards.
 	epoch uint64
-	// slots holds each (requester, group)'s outstanding reliable control
-	// request, on its retry ladder or parked (repair.go); reqSeq numbers
-	// the transmissions so a late ACK for a superseded request is
+	// slots maps each (requester, group) to its outstanding reliable
+	// control request in reqs, on its retry ladder or parked
+	// (repair.go); released slots wait on freeReqs for reuse. reqSeq
+	// numbers the transmissions so a late ACK for a superseded request is
 	// ignored.
-	slots  map[pendingKey]*reqSlot
-	reqSeq uint64
+	slots    map[pendingKey]int32
+	reqs     []reqSlot
+	freeReqs []int32
+	reqSeq   uint64
 	// ctlSeen records, per (requester, group), the highest request
 	// sequence the m-router has accepted — the ordering guard against a
 	// retransmitted copy of a superseded operation arriving after its
@@ -248,6 +252,12 @@ type SCMP struct {
 	// highest snapshot sequence applied per group, so a straggling copy
 	// of a superseded snapshot cannot overwrite a newer replica.
 	replSeen map[packet.GroupID]uint64
+	// buf, path and kids are scratch for outgoing payloads and the
+	// paths and subpackets they are built from. Sends copy the payload
+	// into the in-flight packet, so one buffer serves every send.
+	buf  []byte
+	path []topology.NodeID
+	kids []packet.ChildPayload
 }
 
 var _ netsim.Protocol = (*SCMP)(nil)
@@ -320,8 +330,8 @@ func New(cfg Config) *SCMP {
 		cfg:      cfg,
 		homes:    homes,
 		groups:   make(map[packet.GroupID]*groupState),
-		replica:  make(map[packet.GroupID]map[topology.NodeID]bool),
-		slots:    make(map[pendingKey]*reqSlot),
+		replica:  make(map[packet.GroupID]netsim.NodeSet),
+		slots:    make(map[pendingKey]int32),
 		ctlSeen:  make(map[pendingKey]uint64),
 		replSeen: make(map[packet.GroupID]uint64),
 	}
@@ -381,7 +391,7 @@ func (s *SCMP) Attach(n *netsim.Network) {
 	}
 	s.entries = make([]map[packet.GroupID]*entry, n.G.N())
 	s.acct = session.NewManager(n.Sched, 0xE0000000, 1<<20)
-	s.service = newServiceCenter(n.Sched, des.Time(s.cfg.ServiceTime), s.cfg.Processors)
+	s.service = newServiceCenter(n.Sched, s, des.Time(s.cfg.ServiceTime), s.cfg.Processors)
 }
 
 // MRouter returns the node currently acting as the (first) m-router —
@@ -680,7 +690,7 @@ func (s *SCMP) replicate(g packet.GroupID, gs *groupState) {
 	if s.cfg.Standby < 0 || s.epoch > 0 {
 		return // no standby, or the standby itself is already active
 	}
-	members := gs.tree().Members()
+	members := append(s.path[:0], gs.tree().Members()...)
 	for m := range gs.deferred {
 		// Deferred (currently partitioned) members are members too: a
 		// failover must not forget them just because grafting is waiting
@@ -688,9 +698,10 @@ func (s *SCMP) replicate(g packet.GroupID, gs *groupState) {
 		members = append(members, m)
 	}
 	slices.Sort(members)
-	payload := packet.EncodeMembers(members)
+	s.path = members
+	s.buf = packet.AppendBranch(s.buf[:0], members) // the member-set snapshot layout
 	if s.cfg.AckTimeout > 0 {
-		s.sendReliable(s.homes[0], g, packet.Replicate, payload)
+		s.sendReliable(s.homes[0], g, packet.Replicate, s.buf)
 		return
 	}
 	s.net.SendUnicast(s.homes[0], &netsim.Packet{
@@ -698,7 +709,7 @@ func (s *SCMP) replicate(g packet.GroupID, gs *groupState) {
 		Group:   g,
 		Src:     s.homes[0],
 		Dst:     s.cfg.Standby,
-		Payload: payload,
+		Payload: s.buf,
 		Size:    packet.ControlSize,
 	})
 }
@@ -708,35 +719,47 @@ func (s *SCMP) replicate(g packet.GroupID, gs *groupState) {
 // the ACK that settles the primary's retransmission ladder. replSeen
 // keeps a reordered older snapshot from overwriting a newer one.
 func (s *SCMP) handleReplicate(pkt *netsim.Packet) {
-	members, err := packet.DecodeMembers(pkt.Payload)
+	members, err := packet.DecodeBranchTo(pkt.Payload, s.path[:0]) // the member-set snapshot layout
 	if err != nil {
 		return
+	}
+	s.path = members
+	for _, m := range members {
+		if m < 0 || int(m) >= s.net.G.N() {
+			return // corrupt snapshot: names no router
+		}
 	}
 	if pkt.Seq != 0 {
 		if pkt.Seq < s.replSeen[pkt.Group] {
 			return // stale copy of a superseded snapshot
 		}
 		s.replSeen[pkt.Group] = pkt.Seq
+		s.buf = packet.AppendAck(s.buf[:0], packet.AckInfo{Req: packet.Replicate, Seq: pkt.Seq})
 		s.net.SendUnicast(s.cfg.Standby, &netsim.Packet{
 			Kind:    packet.Ack,
 			Group:   pkt.Group,
 			Src:     s.cfg.Standby,
 			Dst:     pkt.Src,
-			Payload: packet.EncodeAck(packet.AckInfo{Req: packet.Replicate, Seq: pkt.Seq}),
+			Payload: s.buf,
 			Size:    packet.ControlSize,
 		})
 	}
-	set := make(map[topology.NodeID]bool, len(members))
-	for _, m := range members {
-		set[m] = true
+	set := s.replica[pkt.Group]
+	if set == nil {
+		set = netsim.NewNodeSet(s.net.G.N())
+		s.replica[pkt.Group] = set
 	}
-	s.replica[pkt.Group] = set
+	clear(set)
+	for _, m := range members {
+		set.Set(m)
+	}
 }
 
 // ReplicaMembers returns the standby's replicated member set for g,
 // sorted — the state a failover will rebuild trees from.
 func (s *SCMP) ReplicaMembers(g packet.GroupID) []topology.NodeID {
-	return topology.SortedNodes(s.replica[g])
+	set := s.replica[g]
+	return set.AppendIDs(make([]topology.NodeID, 0, set.Count()))
 }
 
 // failoverEpoch separates pre- and post-failover distribution versions
@@ -768,21 +791,18 @@ func (s *SCMP) Failover() {
 	// The failed primary's replication stream dies with it: in-flight
 	// snapshot ladders (and parked re-attempts) would otherwise keep
 	// retransmitting into the promoted standby forever.
-	s.dropSlots(func(_ pendingKey, r *reqSlot) bool { return r.kind == packet.Replicate })
+	s.dropSlots(func(r *reqSlot) bool { return r.kind == packet.Replicate })
 	old := s.groups
 	// The old group states are discarded below, but their armed refresh
-	// timers would survive as closures over the dead state — firing
-	// forever, redistributing the stale pre-failover tree, and
-	// unreachable by Quiesce (which walks the new map). Kill them here.
+	// timers would survive them — firing forever, redistributing the
+	// stale pre-failover tree, and unreachable by Quiesce (which walks
+	// the new map). Kill them here.
 	for _, gs := range old {
-		if gs.refresh != nil {
-			gs.refresh.Cancel()
-			gs.refresh = nil
-		}
+		s.stopRefresh(gs)
 	}
 	s.groups = make(map[packet.GroupID]*groupState)
 	for _, g := range sortedGroups(s.replica) {
-		if len(s.replica[g]) == 0 {
+		if s.replica[g].Count() == 0 {
 			continue
 		}
 		gs := s.group(g) // rooted at the new active m-router
@@ -821,14 +841,14 @@ func (s *SCMP) syncMRouterEntry(g packet.GroupID, gs *groupState) {
 func (s *SCMP) distributeTree(g packet.GroupID, gs *groupState) {
 	tree := gs.tree()
 	for _, c := range tree.Children(s.home(g)) {
-		payload := packet.EncodeSubtree(packet.BuildSubtree(tree, c))
+		s.buf = packet.AppendTree(s.buf[:0], tree, c)
 		s.net.SendLink(s.home(g), c, &netsim.Packet{
 			Kind:    packet.Tree,
 			Group:   g,
 			Src:     s.home(g),
 			Version: gs.version,
-			Payload: payload,
-			Size:    len(payload) + 8,
+			Payload: s.buf,
+			Size:    len(s.buf) + 8,
 		})
 	}
 }
@@ -836,29 +856,27 @@ func (s *SCMP) distributeTree(g packet.GroupID, gs *groupState) {
 // distributeBranch sends a BRANCH packet carrying the tree path from the
 // m-router to the new member.
 func (s *SCMP) distributeBranch(g packet.GroupID, gs *groupState, member topology.NodeID) {
-	rev := gs.tree().PathToRoot(member) // member ... root
-	if rev == nil {
+	path := gs.tree().AppendPathToRoot(s.path[:0], member) // member ... root
+	s.path = path
+	if len(path) == 0 {
 		// Defensive: fall back to a full distribution.
 		s.distributeTree(g, gs)
 		return
 	}
-	path := make([]topology.NodeID, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
-	}
+	slices.Reverse(path)
 	// path = root, r1, ..., member. The packet sent to r1 carries
 	// (r1, ..., member), the paper's format.
 	if len(path) < 2 {
 		return
 	}
-	payload := packet.EncodeBranch(path[1:])
+	s.buf = packet.AppendBranch(s.buf[:0], path[1:])
 	s.net.SendLink(s.home(g), path[1], &netsim.Packet{
 		Kind:    packet.Branch,
 		Group:   g,
 		Src:     s.home(g),
 		Version: gs.version,
-		Payload: payload,
-		Size:    len(payload) + 8,
+		Payload: s.buf,
+		Size:    len(s.buf) + 8,
 	})
 }
 
@@ -876,10 +894,7 @@ func (s *SCMP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 			if !s.admitJoin(node, g, member, seq) {
 				return // shed: the NACK (if any) is already on the wire
 			}
-			s.service.submit(func() {
-				s.mrouterJoin(member, g)
-				s.ackDurable(g, packet.Join, member, seq)
-			})
+			s.submit(serviceOp{kind: packet.Join, from: member, g: g, seq: seq})
 		}
 	case packet.Leave:
 		if s.isCtrlHome(node, pkt.Src, pkt.Group) {
@@ -887,10 +902,7 @@ func (s *SCMP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 			if s.staleCtl(member, g, seq) {
 				return // superseded op's retransmission: never roll back
 			}
-			s.service.submit(func() {
-				s.mrouterLeave(member, g)
-				s.ackDurable(g, packet.Leave, member, seq)
-			})
+			s.submit(serviceOp{kind: packet.Leave, from: member, g: g, seq: seq})
 		}
 	case packet.Graft:
 		if s.hierarchical() && s.isHome(node, pkt.Group) {
@@ -902,11 +914,7 @@ func (s *SCMP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 			if err != nil {
 				return
 			}
-			g, from, seq := pkt.Group, pkt.Src, pkt.Seq
-			s.service.submit(func() {
-				s.mrouterRejoin(g, info)
-				s.ack(g, packet.Rejoin, from, seq)
-			})
+			s.submit(serviceOp{kind: packet.Rejoin, from: pkt.Src, g: pkt.Group, seq: pkt.Seq, rejoin: info})
 		}
 	case packet.Ack:
 		if pkt.Dst == node {
@@ -935,6 +943,55 @@ func (s *SCMP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 	}
 }
 
+// submit hands a control operation to the m-router's compute: it runs
+// now without a ServiceTime, else when the service centre serves it.
+func (s *SCMP) submit(op serviceOp) {
+	if !s.service.submit(op) {
+		s.serve(op)
+	}
+}
+
+// serve runs one control operation at the m-router and answers it.
+func (s *SCMP) serve(op serviceOp) {
+	switch op.kind {
+	case packet.Join:
+		s.mrouterJoin(op.from, op.g)
+		s.ackDurable(op.g, packet.Join, op.from, op.seq)
+	case packet.Leave:
+		s.mrouterLeave(op.from, op.g)
+		s.ackDurable(op.g, packet.Leave, op.from, op.seq)
+	case packet.Rejoin:
+		s.mrouterRejoin(op.g, op.rejoin)
+		s.ack(op.g, packet.Rejoin, op.from, op.seq)
+	}
+}
+
+// Operation codes of SCMP's typed timers (des.Scheduler.AtTimer).
+const (
+	tRefresh uint8 = iota // group b's soft-state refresh tick
+	tRetry                // request slot a's next retransmission
+	tPark                 // parked request slot a's deferred re-attempt
+	tService              // the service centre's head operation completes
+)
+
+// SinkEvent dispatches SCMP's typed timers; it implements des.Sink and
+// is invoked only by the scheduler.
+func (s *SCMP) SinkEvent(op uint8, a, b int32, _ any, _ bool) {
+	switch op {
+	case tRefresh:
+		g := packet.GroupID(b)
+		gs := s.groups[g]
+		gs.refresh = des.Timer{}
+		s.refreshGroup(g, gs)
+	case tRetry:
+		s.retryFire(a)
+	case tPark:
+		s.startLadder(a)
+	case tService:
+		s.serve(s.service.next())
+	}
+}
+
 // ParallelWindowSafe certified configurations for the withdrawn
 // partitioned drive (DESIGN.md §12); there is no such drive to certify.
 //
@@ -953,11 +1010,11 @@ func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 	// slices of the incoming payload (byte-identical to re-encoding,
 	// without materialising the Subtree or allocating new payloads).
 	// SplitSubtree walks the whole payload, so corrupt packets are
-	// dropped here exactly as DecodeSubtree would. The scratch is local
-	// on purpose: TREE distribution is off the data hot path, so a
-	// per-call slice costs nothing that matters and no handler shares a
-	// mutable buffer with another.
-	children, err := packet.SplitSubtree(pkt.Payload, nil)
+	// dropped here exactly as DecodeSubtree would. The children and the
+	// new downstream set go into the instance's scratch: no handler runs
+	// inside another, and the sends copy what they carry.
+	children, err := packet.SplitSubtree(pkt.Payload, s.kids[:0])
+	s.kids = children
 	if err != nil {
 		return // corrupt packet: drop
 	}
@@ -981,7 +1038,7 @@ func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 			Size:    packet.ControlSize,
 		})
 	}
-	next := make([]topology.NodeID, 0, len(children))
+	next := s.path[:0]
 	for _, c := range children {
 		next = append(next, c.Addr)
 		s.net.SendLink(node, c.Addr, &netsim.Packet{
@@ -1005,6 +1062,7 @@ func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 		}
 	}
 	e.SetDownstream(next)
+	s.path = next
 	if e.PendingLocal {
 		e.PendingLocal = false
 		e.HasLocal = true
@@ -1014,10 +1072,11 @@ func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 // handleBranch implements BRANCH processing (§III-E): pop self off the
 // head, adopt upstream if new, add the next router downstream, forward.
 func (s *SCMP) handleBranch(node topology.NodeID, pkt *netsim.Packet) {
-	path, err := packet.DecodeBranch(pkt.Payload)
+	path, err := packet.DecodeBranchTo(pkt.Payload, s.path[:0])
 	if err != nil || len(path) == 0 || path[0] != node {
 		return
 	}
+	s.path = path
 	e := s.entry(node, pkt.Group)
 	if pkt.Version < e.version {
 		return
@@ -1051,15 +1110,15 @@ func (s *SCMP) handleBranch(node topology.NodeID, pkt *netsim.Packet) {
 		return // this router is the new member's DR
 	}
 	e.AddDownstream(rest[0])
-	payload := packet.EncodeBranch(rest)
+	s.buf = packet.AppendBranch(s.buf[:0], rest)
 	s.net.SendLink(node, rest[0], &netsim.Packet{
 		Kind:    packet.Branch,
 		Group:   pkt.Group,
 		Src:     pkt.Src,
 		Dst:     pkt.Dst, // the addressed head, so only it skips adoption (flat: 0, unchanged)
 		Version: pkt.Version,
-		Payload: payload,
-		Size:    len(payload) + 8,
+		Payload: s.buf,
+		Size:    len(s.buf) + 8,
 	})
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"scmp/internal/des"
+	"scmp/internal/packet"
+	"scmp/internal/topology"
 )
 
 // serviceCenter models the m-router's compute: the paper's m-router
@@ -15,8 +17,15 @@ import (
 // A zero ServiceTime short-circuits to immediate execution, which is
 // what the protocol-level experiments use; the service model exists to
 // study the m-router's centralisation bottleneck (BenchmarkMRouterLoad).
+//
+// Operations complete in the order they were submitted: a request
+// starts at the later of now and the earliest free processor, both of
+// which only grow, so completion times never decrease. The queue is
+// therefore a FIFO of typed operations, and each completion is a typed
+// timer that serves the queue's head — no closure per request.
 type serviceCenter struct {
 	sched       *des.Scheduler
+	sink        des.Sink // receives the tService completion timers
 	serviceTime des.Time
 	busyUntil   []des.Time // one entry per processor
 
@@ -24,28 +33,42 @@ type serviceCenter struct {
 	totalWait des.Time
 	maxWait   des.Time
 
-	// outstanding counts operations submitted but not yet executed —
-	// the pending-operation queue depth admission control bounds.
-	outstanding int
+	// queue[head:] holds the operations submitted but not yet executed;
+	// its length is the pending-operation depth admission control
+	// bounds.
+	queue []serviceOp
+	head  int
 }
 
-func newServiceCenter(sched *des.Scheduler, serviceTime des.Time, processors int) *serviceCenter {
+// serviceOp is one control operation waiting for the m-router's
+// compute: a JOIN or LEAVE from member, or a REJOIN carrying rejoin.
+type serviceOp struct {
+	kind   packet.Kind
+	from   topology.NodeID
+	g      packet.GroupID
+	seq    uint64
+	rejoin packet.RejoinInfo
+}
+
+func newServiceCenter(sched *des.Scheduler, sink des.Sink, serviceTime des.Time, processors int) *serviceCenter {
 	if processors < 1 {
 		processors = 1
 	}
 	return &serviceCenter{
 		sched:       sched,
+		sink:        sink,
 		serviceTime: serviceTime,
 		busyUntil:   make([]des.Time, processors),
 	}
 }
 
-// submit runs fn after the request has waited for a free processor and
-// been serviced. With no service time configured, fn runs synchronously.
-func (sc *serviceCenter) submit(fn func()) {
+// submit queues op behind the requests already waiting and arms the
+// timer that serves it once it has waited for a free processor and been
+// serviced. With no service time configured nothing queues: submit
+// reports false and the caller runs op synchronously.
+func (sc *serviceCenter) submit(op serviceOp) bool {
 	if sc.serviceTime <= 0 {
-		fn()
-		return
+		return false
 	}
 	now := sc.sched.Now()
 	best := 0
@@ -66,17 +89,30 @@ func (sc *serviceCenter) submit(fn func()) {
 	if wait > sc.maxWait {
 		sc.maxWait = wait
 	}
-	sc.outstanding++
-	sc.sched.At(finish, func() {
-		sc.outstanding--
-		fn()
-	})
+	if sc.head > 0 && len(sc.queue) == cap(sc.queue) {
+		// Slide the live tail to the front before append would grow.
+		sc.queue = sc.queue[:copy(sc.queue, sc.queue[sc.head:])]
+		sc.head = 0
+	}
+	sc.queue = append(sc.queue, op)
+	sc.sched.AtTimer(finish, sc.sink, tService, 0, 0)
+	return true
+}
+
+// next dequeues the operation whose service just completed: the
+// completions fire in submission order, so it is the queue's head.
+func (sc *serviceCenter) next() serviceOp {
+	op := sc.queue[sc.head]
+	if sc.head++; sc.head == len(sc.queue) {
+		sc.queue, sc.head = sc.queue[:0], 0
+	}
+	return op
 }
 
 // backlog returns the pending-operation queue depth: operations
 // submitted but whose service has not yet completed. Always 0 with no
 // service time (submissions execute synchronously).
-func (sc *serviceCenter) backlog() int { return sc.outstanding }
+func (sc *serviceCenter) backlog() int { return len(sc.queue) - sc.head }
 
 // ServiceStats reports the m-router's control-plane load figures.
 type ServiceStats struct {

@@ -6,49 +6,70 @@ import (
 
 	"scmp/internal/des"
 	"scmp/internal/netsim"
+	"scmp/internal/packet"
 	"scmp/internal/topology"
 )
 
-func TestServiceZeroTimeIsSynchronous(t *testing.T) {
-	sc := newServiceCenter(des.New(), 0, 4)
-	ran := false
-	sc.submit(func() { ran = true })
-	if !ran {
-		t.Fatal("zero service time must run synchronously")
+// serviceLog is the completion sink of a bare service centre: each
+// completion timer serves the queue's head, recorded with its time.
+type serviceLog struct {
+	sc   *serviceCenter
+	ops  []serviceOp
+	done []des.Time
+}
+
+func (l *serviceLog) SinkEvent(op uint8, _, _ int32, _ any, _ bool) {
+	if op != tService {
+		panic("service centre armed a non-service timer")
 	}
-	if sc.requests != 0 {
+	l.ops = append(l.ops, l.sc.next())
+	l.done = append(l.done, l.sc.sched.Now())
+}
+
+func newLoggedCenter(sched *des.Scheduler, serviceTime des.Time, processors int) (*serviceCenter, *serviceLog) {
+	l := &serviceLog{}
+	l.sc = newServiceCenter(sched, l, serviceTime, processors)
+	return l.sc, l
+}
+
+func TestServiceZeroTimeIsSynchronous(t *testing.T) {
+	sc, _ := newLoggedCenter(des.New(), 0, 4)
+	if sc.submit(serviceOp{kind: packet.Join}) {
+		t.Fatal("zero service time must leave the operation to run synchronously")
+	}
+	if sc.requests != 0 || sc.backlog() != 0 {
 		t.Fatal("synchronous path should not count queueing requests")
 	}
 }
 
 func TestServiceSingleProcessorQueues(t *testing.T) {
 	sched := des.New()
-	sc := newServiceCenter(sched, 2, 1)
-	var done []des.Time
-	run := func() { done = append(done, sched.Now()) }
-	sc.submit(run) // services 0..2
-	sc.submit(run) // waits 2, services 2..4
-	sc.submit(run) // waits 4, services 4..6
-	sched.Run()
-	if len(done) != 3 || done[0] != 2 || done[1] != 4 || done[2] != 6 {
-		t.Fatalf("completions = %v, want [2 4 6]", done)
+	sc, log := newLoggedCenter(sched, 2, 1)
+	for i := 1; i <= 3; i++ { // services 0..2, then waits 2 and 4
+		sc.submit(serviceOp{seq: uint64(i)})
 	}
-	if sc.maxWait != 4 || sc.totalWait != 6 {
-		t.Fatalf("maxWait=%v totalWait=%v", sc.maxWait, sc.totalWait)
+	if sc.backlog() != 3 {
+		t.Fatalf("backlog = %d, want 3", sc.backlog())
+	}
+	sched.Run()
+	if len(log.done) != 3 || log.done[0] != 2 || log.done[1] != 4 || log.done[2] != 6 {
+		t.Fatalf("completions = %v, want [2 4 6]", log.done)
+	}
+	if sc.maxWait != 4 || sc.totalWait != 6 || sc.backlog() != 0 {
+		t.Fatalf("maxWait=%v totalWait=%v backlog=%d", sc.maxWait, sc.totalWait, sc.backlog())
 	}
 }
 
 func TestServiceParallelProcessors(t *testing.T) {
 	sched := des.New()
-	sc := newServiceCenter(sched, 2, 3)
-	var done []des.Time
+	sc, log := newLoggedCenter(sched, 2, 3)
 	for i := 0; i < 3; i++ {
-		sc.submit(func() { done = append(done, sched.Now()) })
+		sc.submit(serviceOp{})
 	}
 	sched.Run()
-	for _, d := range done {
+	for _, d := range log.done {
 		if d != 2 {
-			t.Fatalf("completions = %v, want all at 2", done)
+			t.Fatalf("completions = %v, want all at 2", log.done)
 		}
 	}
 	if sc.maxWait != 0 {
@@ -56,8 +77,43 @@ func TestServiceParallelProcessors(t *testing.T) {
 	}
 }
 
+// Completions serve the queue in submission order whatever the processor
+// count and arrival pattern, and a backlog that never drains keeps the
+// queue's storage bounded by its depth, not by the requests served.
+func TestServiceFIFO(t *testing.T) {
+	for _, procs := range []int{1, 2, 5} {
+		sched := des.New()
+		sc, log := newLoggedCenter(sched, 0.3, procs)
+		rng := rand.New(rand.NewSource(int64(procs)))
+		next, peak := uint64(1), 0
+		for i := 0; i < 2000; i++ {
+			sched.RunUntil(sched.Now() + des.Time(rng.Intn(3))*0.1)
+			for k := rng.Intn(4); k > 0; k-- {
+				sc.submit(serviceOp{seq: next})
+				next++
+				peak = max(peak, sc.backlog())
+			}
+		}
+		if cap(sc.queue) > 2*peak {
+			t.Fatalf("%d processors: queue storage %d for a peak backlog of %d", procs, cap(sc.queue), peak)
+		}
+		sched.Run()
+		for i, op := range log.ops {
+			if op.seq != uint64(i+1) {
+				t.Fatalf("%d processors: completion %d served seq %d", procs, i, op.seq)
+			}
+			if i > 0 && log.done[i] < log.done[i-1] {
+				t.Fatalf("%d processors: completion times went backwards at %d", procs, i)
+			}
+		}
+		if uint64(len(log.ops)) != next-1 {
+			t.Fatalf("%d processors: %d served, %d submitted", procs, len(log.ops), next-1)
+		}
+	}
+}
+
 func TestServiceProcessorsFloor(t *testing.T) {
-	sc := newServiceCenter(des.New(), 1, 0)
+	sc, _ := newLoggedCenter(des.New(), 1, 0)
 	if len(sc.busyUntil) != 1 {
 		t.Fatalf("processors = %d, want 1", len(sc.busyUntil))
 	}

@@ -16,8 +16,12 @@
 // general-purpose closure API. A stream of sink events whose times never
 // decrease (the packets in flight on one link) can queue on a FIFO lane
 // (NewLanes / LaneSink): only the lane's head sits in the heap, so the
-// heap holds one entry per busy link instead of one per packet. See
-// DESIGN.md §10 for the free-list safety and lane ordering arguments.
+// heap holds one entry per busy link instead of one per packet. A
+// cancellable typed event for a sink of the caller's choosing is a timer
+// (AtTimer / Stop): the protocol control plane arms its retransmission,
+// refresh and service-completion deadlines this way, behind a value
+// handle, so arming one allocates nothing. See DESIGN.md §10 for the
+// free-list safety and lane ordering arguments.
 package des
 
 // Time is simulated time in seconds.
@@ -63,6 +67,16 @@ func (e *Event) Cancelled() bool {
 	return nd.gen != e.gen || nd.dead
 }
 
+// Timer is the value handle of a typed timer (AtTimer): the slot the
+// timer lives in and the generation it was issued for. Like an *Event,
+// a handle kept past its timer's firing is safe — once the slot is
+// recycled the generations diverge and Stop degrades to a no-op. The
+// zero Timer is no timer.
+type Timer struct {
+	ref int32 // slot + 1; 0 for the zero Timer
+	gen uint32
+}
+
 // node is one pooled event slot. gen increments every time the slot is
 // recycled, invalidating any outstanding Event handles and (under the
 // invariants build tag) proving the heap never dispatches a stale slot.
@@ -72,7 +86,7 @@ func (e *Event) Cancelled() bool {
 type node struct {
 	gen  uint32
 	dead bool
-	kind uint8 // kClosure, kSink or kLane
+	kind uint8 // kClosure, kSink, kLane or kTimer
 	op   uint8
 	flag bool
 	a, b int32
@@ -81,13 +95,14 @@ type node struct {
 	at   Time  // kLane
 	seq  uint64
 	fn   func()
-	p    any
+	p    any // kTimer: the Sink the timer fires into
 }
 
 const (
 	kClosure uint8 = iota
 	kSink
 	kLane
+	kTimer
 )
 
 // entry is one 4-ary heap element: the (time, seq) ordering key plus the
@@ -224,6 +239,45 @@ func (s *Scheduler) AtSink(t Time, op uint8, a, b int32, p any, flag bool) {
 	s.push(t, slot)
 }
 
+// AtTimer schedules a cancellable typed event at absolute time t: unless
+// Stop cancels it first, k.SinkEvent(op, a, b, nil, false) runs then.
+// k, op, a and b live in the pooled slot and the handle is a value, so
+// arming a timer allocates nothing (k is stored, not boxed: it already is
+// an interface). Timers order with every other event by (time, seq) —
+// arming one is observably the same as At with a closure making the
+// same call.
+//
+//scmplint:hotpath
+func (s *Scheduler) AtTimer(t Time, k Sink, op uint8, a, b int32) Timer {
+	if !(t >= s.now) {
+		panic("des: event scheduled in the past")
+	}
+	slot, nd := s.sinkSlot(kTimer, op, a, b, k, false)
+	s.push(t, slot)
+	return Timer{ref: slot + 1, gen: nd.gen}
+}
+
+// Stop cancels a pending timer. Stopping the zero Timer, or a timer that
+// already fired or was already stopped, is a no-op.
+func (s *Scheduler) Stop(t Timer) {
+	if t.ref == 0 {
+		return
+	}
+	if nd := &s.slab[t.ref-1]; nd.gen == t.gen {
+		nd.dead = true
+	}
+}
+
+// Armed reports whether timer t is still to fire: neither stopped nor
+// fired.
+func (s *Scheduler) Armed(t Timer) bool {
+	if t.ref == 0 {
+		return false
+	}
+	nd := &s.slab[t.ref-1]
+	return nd.gen == t.gen && !nd.dead
+}
+
 // sinkSlot takes a slot and fills in a sink event of the given kind.
 func (s *Scheduler) sinkSlot(kind, op uint8, a, b int32, p any, flag bool) (int32, *node) {
 	slot := s.alloc()
@@ -338,9 +392,13 @@ func (s *Scheduler) Step() bool {
 			fn := nd.fn
 			s.recycle(e.slot)
 			fn()
+			return true
+		}
+		kind, op, a, b, p, flag := nd.kind, nd.op, nd.a, nd.b, nd.p, nd.flag
+		s.recycle(e.slot)
+		if kind == kTimer {
+			p.(Sink).SinkEvent(op, a, b, nil, flag)
 		} else {
-			op, a, b, p, flag := nd.op, nd.a, nd.b, nd.p, nd.flag
-			s.recycle(e.slot)
 			s.sink.SinkEvent(op, a, b, p, flag)
 		}
 		return true

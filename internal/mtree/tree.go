@@ -438,12 +438,21 @@ func (t *Tree) PathToRoot(v topology.NodeID) []topology.NodeID {
 	if !t.OnTree(v) {
 		return nil
 	}
-	path := []topology.NodeID{v}
+	return t.AppendPathToRoot(nil, v)
+}
+
+// AppendPathToRoot appends PathToRoot(v) to out (pass reusable scratch
+// to avoid allocation); out comes back unchanged when v is off the tree.
+func (t *Tree) AppendPathToRoot(out []topology.NodeID, v topology.NodeID) []topology.NodeID {
+	if !t.OnTree(v) {
+		return out
+	}
+	out = append(out, v)
 	for v != t.root {
 		v = t.parent[v]
-		path = append(path, v)
+		out = append(out, v)
 	}
-	return path
+	return out
 }
 
 // Edges returns the set of (child, parent) tree edges, for visualisation.

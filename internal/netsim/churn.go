@@ -94,8 +94,9 @@ func (c *Churn) Leaves() int { return c.leaves }
 
 // InstallChurn pre-generates the plan's membership schedule and queues
 // it, in time order, on one scheduler lane: a drained lane an earlier
-// install used, or a new one. The returned Churn reports the generated
-// event mix.
+// install used, or a new one. A drained lane's old schedule is spent, so
+// the new one is generated into its storage. The returned Churn reports
+// the generated event mix.
 func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	if len(plan.Members) == 0 {
 		panic("netsim: churn plan has no members")
@@ -127,10 +128,15 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	// E[gap] = xm*alpha/(alpha-1) = mean.
 	xm := mean * (alpha - 1) / alpha
 	end := plan.Start + plan.Duration
-	parent := rng.New(plan.Seed)
+	cl := n.churnLane()
 	var evs []churnEvent
+	if cl.last != nil {
+		evs, cl.last.evs = cl.last.evs[:0], nil
+	}
+	cl.last = c
+	parent, r := rng.New(plan.Seed), rng.New(0)
 	for _, m := range plan.Members {
-		r := rng.Split(parent)
+		r.Seed(parent.Int63()) // the stream rng.Split(parent) would return, in a reused generator
 		on, joined := false, false
 		for t := plan.Start; ; {
 			var gap float64
@@ -160,14 +166,13 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	}
 	sortChurnEvents(evs)
 	c.evs = evs
-	l := n.churnLane()
 	for i := 0; i < len(evs); {
 		// Same-instant events collapse into one scheduler event.
 		j := i + 1
 		for j < len(evs) && evs[j].t == evs[i].t { //scmplint:ignore floatcmp — intentionally exact: only bit-identical timestamps may share a scheduler instant; near-ties must stay distinct events in time order
 			j++
 		}
-		n.Sched.LaneSink(l, des.Time(evs[i].t), opChurn, int32(i), int32(j), c, false)
+		n.Sched.LaneSink(cl.lane, des.Time(evs[i].t), opChurn, int32(i), int32(j), c, false)
 		i = j
 	}
 	return c
@@ -184,17 +189,23 @@ func sortChurnEvents(evs []churnEvent) {
 	})
 }
 
+// churnLane is one scheduler lane churn schedules queue on, with the
+// schedule installed on it last.
+type churnLane struct {
+	lane des.Lane
+	last *Churn
+}
+
 // churnLane returns a drained churn lane, opening one when every lane
 // an earlier install used still has events queued.
-func (n *Network) churnLane() des.Lane {
-	for _, l := range n.churnLanes {
-		if n.Sched.LaneEmpty(l) {
-			return l
+func (n *Network) churnLane() *churnLane {
+	for i := range n.churnLanes {
+		if cl := &n.churnLanes[i]; n.Sched.LaneEmpty(cl.lane) {
+			return cl
 		}
 	}
-	l := n.Sched.NewLanes(1)
-	n.churnLanes = append(n.churnLanes, l)
-	return l
+	n.churnLanes = append(n.churnLanes, churnLane{lane: n.Sched.NewLanes(1)})
+	return &n.churnLanes[len(n.churnLanes)-1]
 }
 
 // churnEvent is one pre-generated membership flip: member joins (or

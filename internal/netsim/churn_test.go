@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -269,5 +270,47 @@ func TestChurnComposesWithFaults(t *testing.T) {
 	n.Run()
 	if c.Events() == 0 || len(p.log) != c.Events() {
 		t.Fatalf("churn under faults fired %d/%d events", len(p.log), c.Events())
+	}
+}
+
+// nopMembers is a protocol that ignores everything, so a measurement sees
+// the network layer alone.
+type nopMembers struct{ echoProto }
+
+func (nopMembers) HostJoin(topology.NodeID, packet.GroupID)  {}
+func (nopMembers) HostLeave(topology.NodeID, packet.GroupID) {}
+
+// TestChurnReinstallReusesStorage: an install on a drained lane generates
+// into the spent schedule's storage and one reseeded generator, so a
+// steady stream of installs — the churn experiment's and the benchmark's
+// chunked windows — costs two generators (5 KB each) and the odd growth
+// of a schedule longer than any before it: about 19 KB an install here,
+// against 4000 events and 32 members that a fresh schedule and a
+// generator per member would put near 500 KB.
+func TestChurnReinstallReusesStorage(t *testing.T) {
+	n := New(lineGraph(40), &nopMembers{})
+	start := 0.0
+	install := func() {
+		n.InstallChurn(ChurnPlan{Group: 1, Members: churnMembers(32), Rate: 2000, Start: start, Duration: 2, Seed: int64(start)})
+		start += 2
+		n.RunUntil(des.Time(start))
+	}
+	for i := 0; i < 5; i++ { // the scheduler's slot pool and the schedule reach their peak sizes
+		install()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const installs = 20
+	for i := 0; i < installs; i++ {
+		install()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / installs
+	t.Logf("%d bytes per install", per)
+	if per > 32<<10 {
+		t.Fatalf("an install on a drained lane allocates %d bytes, budget %d", per, 32<<10)
+	}
+	if len(n.churnLanes) != 1 {
+		t.Fatalf("%d churn lanes for back-to-back installs, want 1", len(n.churnLanes))
 	}
 }

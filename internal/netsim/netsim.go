@@ -8,6 +8,7 @@
 //
 // The steady-state forwarding path is allocation-free: in-flight packet
 // copies come from a free-list pool and are handed back after delivery,
+// each owning a payload buffer it keeps across recycling,
 // link crossings are scheduled through the DES typed-sink path (no
 // closure per hop) on one FIFO lane per arc (the scheduler's heap holds
 // one entry per busy link, not per packet), per-link state (busy
@@ -28,9 +29,11 @@ import (
 
 // Packet is one simulated packet. Protocols never mutate a received
 // packet; forwarding goes through Network.SendLink, which copies it.
-// A delivered packet (and its Payload) must not be retained past
-// HandlePacket: the simulator recycles the copy once the handler
-// returns.
+// Every send copies the payload bytes too, into a buffer the in-flight
+// copy owns, so a sender may encode into scratch it reuses as soon as
+// the send returns. A delivered packet (and its Payload) must not be
+// retained past HandlePacket: the simulator recycles the copy, buffer
+// included, once the handler returns.
 type Packet struct {
 	Kind    packet.Kind
 	Group   packet.GroupID
@@ -167,8 +170,9 @@ type Network struct {
 	pool     []*Packet
 
 	// churnLanes holds the scheduler lanes InstallChurn queues schedules
-	// on; a drained one is reused by the next install.
-	churnLanes []des.Lane
+	// on; a drained one, and its schedule's storage, is reused by the
+	// next install.
+	churnLanes []churnLane
 	leaveBatch []topology.NodeID // dispatchChurn's scratch
 
 	faults *Faults
@@ -236,12 +240,23 @@ func (n *Network) getPacket() *Packet {
 	return new(Packet) //scmplint:ignore hotalloc
 }
 
-// putPacket hands a delivered in-flight copy back to the free list. The
-// payload reference is dropped (payload backing arrays are shared
-// read-only with other in-flight copies and must not be reused).
+// putPacket hands a delivered in-flight copy back to the free list. Its
+// Payload keeps the backing array for the next packet it carries.
 func (n *Network) putPacket(p *Packet) {
-	p.Payload = nil
 	n.pool = append(n.pool, p)
+}
+
+// copyPacket takes a pooled in-flight copy of pkt whose payload lives in
+// the copy's own backing array: the sender's bytes may be reused (or
+// recycled with the packet they arrived in) once the send returns. The
+// array grows to the largest payload the pooled packet has carried, so
+// a steady-state send copies bytes and allocates nothing.
+func (n *Network) copyPacket(pkt *Packet) *Packet {
+	cp := n.getPacket()
+	buf := cp.Payload[:0]
+	*cp = *pkt
+	cp.Payload = append(buf, pkt.Payload...) //scmplint:ignore hotalloc — amortised growth; the array is kept across recycling
+	return cp
 }
 
 // arc returns the CSR arc index from -> to, or -1 when not adjacent.
@@ -341,8 +356,7 @@ func (n *Network) SendLink(from, to topology.NodeID, pkt *Packet) {
 	if !admitted {
 		return
 	}
-	cp := n.getPacket()
-	*cp = *pkt // Payload shared read-only
+	cp := n.copyPacket(pkt)
 	cp.From = from
 	n.Metrics.OnLinkDense(n.arcUID[a], cp.Kind, n.csr.ArcCost(a), cp.Size)
 	if n.Trace != nil {
@@ -400,8 +414,7 @@ func (n *Network) SinkEvent(op uint8, a, b int32, p any, flag bool) {
 //
 //scmplint:hotpath
 func (n *Network) SendUnicast(src topology.NodeID, pkt *Packet) {
-	cp := n.getPacket()
-	*cp = *pkt
+	cp := n.copyPacket(pkt)
 	if src == cp.Dst {
 		cp.From = src
 		n.Sched.AtSink(n.Sched.Now(), opSelf, int32(src), int32(src), cp, false)

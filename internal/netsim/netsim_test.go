@@ -359,3 +359,46 @@ func TestTraceHook(t *testing.T) {
 		t.Fatalf("trace crossings = %d, want 2", crossings)
 	}
 }
+
+// payloadProto checks every payload it receives against the bytes the
+// sender encoded.
+type payloadProto struct {
+	echoProto
+	want []string
+	got  int
+}
+
+func (p *payloadProto) HandlePacket(node topology.NodeID, pkt *Packet) {
+	if p.got >= len(p.want) || string(pkt.Payload) != p.want[p.got] {
+		panic("payload changed in flight: " + string(pkt.Payload))
+	}
+	p.got++
+}
+
+// Every send copies the payload into the in-flight packet's own buffer:
+// a sender may overwrite its scratch as soon as the send returns, and a
+// steady-state send that carries a payload allocates nothing.
+func TestSendCopiesPayload(t *testing.T) {
+	p := &payloadProto{want: []string{"alpha", "bravo"}}
+	n := New(lineGraph(3), p)
+	scratch := []byte("alpha")
+	n.SendLink(0, 1, &Packet{Kind: packet.Join, Payload: scratch, Size: 64})
+	copy(scratch, "bravo")
+	n.SendUnicast(0, &Packet{Kind: packet.Join, Dst: 2, Payload: scratch, Size: 64})
+	copy(scratch, "XXXXX")
+	n.Run()
+	if p.got != 2 {
+		t.Fatalf("%d packets delivered, want 2", p.got)
+	}
+	copy(scratch, "delta")
+	p.want, p.got = []string{"delta"}, 0
+	send := func() {
+		n.SendLink(1, 2, &Packet{Kind: packet.Join, Payload: scratch, Size: 64})
+		n.Run()
+		p.got = 0
+	}
+	send()
+	if avg := testing.AllocsPerRun(100, send); avg != 0 {
+		t.Fatalf("a payload-carrying send allocates %.1f/op at steady state", avg)
+	}
+}

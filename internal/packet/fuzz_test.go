@@ -139,7 +139,7 @@ func FuzzDecodeAck(f *testing.F) {
 // FuzzDecodeNack checks the NACK decoder likewise, and that every
 // retry-after it accepts is a finite non-negative delay.
 func FuzzDecodeNack(f *testing.F) {
-	full := EncodeNack(NackInfo{Req: Join, Seq: 0xCAFE, RetryAfter: 0.25})
+	full := AppendNack(nil, NackInfo{Req: Join, Seq: 0xCAFE, RetryAfter: 0.25})
 	f.Add(full)
 	for i := 1; i < len(full); i++ {
 		f.Add(full[:i])
@@ -153,7 +153,7 @@ func FuzzDecodeNack(f *testing.F) {
 		if math.IsNaN(n.RetryAfter) || math.IsInf(n.RetryAfter, 0) || n.RetryAfter < 0 {
 			t.Fatalf("accepted retry-after %g", n.RetryAfter)
 		}
-		re := EncodeNack(n)
+		re := AppendNack(nil, n)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data, re)
 		}
@@ -162,7 +162,7 @@ func FuzzDecodeNack(f *testing.F) {
 
 // FuzzDecodeRejoin checks the REJOIN decoder likewise.
 func FuzzDecodeRejoin(f *testing.F) {
-	full := EncodeRejoin(RejoinInfo{Detached: 7, Dead: 3})
+	full := AppendRejoin(nil, RejoinInfo{Detached: 7, Dead: 3})
 	f.Add(full)
 	for i := 1; i < len(full); i++ {
 		f.Add(full[:i])
@@ -173,7 +173,7 @@ func FuzzDecodeRejoin(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := EncodeRejoin(r)
+		re := AppendRejoin(nil, r)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data, re)
 		}

@@ -322,6 +322,31 @@ func BuildSubtree(t TreeLike, v topology.NodeID) Subtree {
 	return s
 }
 
+// AppendTree appends the TREE encoding of the subtree below v in t to
+// buf — the bytes AppendSubtree(buf, BuildSubtree(t, v)) produces —
+// without materialising the Subtree: children are taken in ascending
+// order by selection, and each subpacket's length field is filled in
+// once the subpacket is written. Steady-state encodes into a reused
+// buffer allocate nothing.
+func AppendTree(buf []byte, t TreeLike, v topology.NodeID) []byte {
+	kids := t.Children(v)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(kids)))
+	for i, last := 0, topology.NodeID(-1); i < len(kids); i++ {
+		next := topology.NodeID(-1)
+		for _, c := range kids {
+			if c > last && (next < 0 || c < next) {
+				next = c
+			}
+		}
+		last = next
+		buf = binary.BigEndian.AppendUint32(buf, uint32(next))
+		at := len(buf)
+		buf = AppendTree(append(buf, 0, 0, 0, 0), t, next)
+		binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	}
+	return buf
+}
+
 // CountNodes returns the number of routers described by the subtree
 // (excluding the implicit receiving router).
 func (s Subtree) CountNodes() int {
@@ -353,35 +378,36 @@ func AppendBranch(buf []byte, path []topology.NodeID) []byte {
 
 // DecodeBranch parses a BRANCH payload.
 func DecodeBranch(b []byte) ([]topology.NodeID, error) {
+	return DecodeBranchTo(b, make([]topology.NodeID, 0, max(len(b)-4, 0)/4))
+}
+
+// DecodeBranchTo parses a BRANCH payload, appending the path to out
+// (pass a reusable scratch slice to avoid allocation). On error it
+// returns nil.
+func DecodeBranchTo(b []byte, out []topology.NodeID) ([]topology.NodeID, error) {
 	if len(b) < 4 {
 		return nil, ErrTruncated
 	}
 	n := binary.BigEndian.Uint32(b)
 	b = b[4:]
-	if uint32(len(b)) != 4*n {
+	if uint64(len(b)) != 4*uint64(n) {
 		return nil, fmt.Errorf("packet: BRANCH claims %d hops, has %d bytes", n, len(b))
 	}
-	path := make([]topology.NodeID, n)
-	for i := range path {
-		path[i] = topology.NodeID(binary.BigEndian.Uint32(b[4*i:]))
+	for ; len(b) > 0; b = b[4:] {
+		out = append(out, topology.NodeID(binary.BigEndian.Uint32(b)))
 	}
-	return path, nil
+	return out, nil
 }
 
 // --- REPLICATE payload (§V hot standby) ---------------------------------
 //
 // A REPLICATE snapshot carries a group's full member set from the
 // primary m-router to the hot standby, in the same count|addr_1|...
-// layout as BRANCH. Snapshots (rather than join/leave deltas) keep
-// replication idempotent: a retransmitted or superseded copy can never
-// roll the replica back, so the reliable-signalling machinery can carry
-// it over a lossy control channel.
-
-// EncodeMembers renders a member-set snapshot payload.
-func EncodeMembers(members []topology.NodeID) []byte { return EncodeBranch(members) }
-
-// DecodeMembers parses a member-set snapshot payload.
-func DecodeMembers(b []byte) ([]topology.NodeID, error) { return DecodeBranch(b) }
+// layout as BRANCH (AppendBranch, DecodeBranchTo). Snapshots (rather
+// than join/leave deltas) keep replication idempotent: a retransmitted
+// or superseded copy can never roll the replica back, so the
+// reliable-signalling machinery can carry it over a lossy control
+// channel.
 
 // --- ACK packet encoding (fault model) ---------------------------------
 //
@@ -436,11 +462,6 @@ type RejoinInfo struct {
 	Dead     topology.NodeID // the unreachable upstream neighbour
 }
 
-// EncodeRejoin renders a REJOIN payload.
-func EncodeRejoin(r RejoinInfo) []byte {
-	return AppendRejoin(make([]byte, 0, 8), r)
-}
-
 // AppendRejoin appends the REJOIN encoding of r to buf.
 func AppendRejoin(buf []byte, r RejoinInfo) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Detached))
@@ -476,11 +497,6 @@ type NackInfo struct {
 	Req        Kind    // the refused request kind (Join, Rejoin)
 	Seq        uint64  // the request's sequence number, echoed verbatim
 	RetryAfter float64 // seconds to wait before retransmitting
-}
-
-// EncodeNack renders a NACK payload.
-func EncodeNack(n NackInfo) []byte {
-	return AppendNack(make([]byte, 0, 20), n)
 }
 
 // AppendNack appends the NACK encoding of n to buf.

@@ -57,7 +57,7 @@ func TestAckErrors(t *testing.T) {
 
 func TestNackRoundTrip(t *testing.T) {
 	in := NackInfo{Req: Join, Seq: 1<<33 | 5, RetryAfter: 0.125}
-	out, err := DecodeNack(EncodeNack(in))
+	out, err := DecodeNack(AppendNack(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestNackRoundTrip(t *testing.T) {
 }
 
 func TestNackErrors(t *testing.T) {
-	full := EncodeNack(NackInfo{Req: Join, Seq: 3, RetryAfter: 1})
+	full := AppendNack(nil, NackInfo{Req: Join, Seq: 3, RetryAfter: 1})
 	if len(full) != 20 {
 		t.Fatalf("NACK payload = %d bytes, want 20", len(full))
 	}
@@ -80,7 +80,7 @@ func TestNackErrors(t *testing.T) {
 		t.Error("trailing garbage accepted")
 	}
 	for _, wait := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
-		if n, err := DecodeNack(EncodeNack(NackInfo{Req: Join, Seq: 3, RetryAfter: wait})); err == nil {
+		if n, err := DecodeNack(AppendNack(nil, NackInfo{Req: Join, Seq: 3, RetryAfter: wait})); err == nil {
 			t.Errorf("retry-after %g accepted as %+v", wait, n)
 		}
 	}
@@ -88,7 +88,7 @@ func TestNackErrors(t *testing.T) {
 
 func TestRejoinRoundTrip(t *testing.T) {
 	in := RejoinInfo{Detached: 12, Dead: 4}
-	out, err := DecodeRejoin(EncodeRejoin(in))
+	out, err := DecodeRejoin(AppendRejoin(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRejoinRoundTrip(t *testing.T) {
 }
 
 func TestRejoinErrors(t *testing.T) {
-	full := EncodeRejoin(RejoinInfo{Detached: 1, Dead: 2})
+	full := AppendRejoin(nil, RejoinInfo{Detached: 1, Dead: 2})
 	for i := 0; i < len(full); i++ {
 		if _, err := DecodeRejoin(full[:i]); err == nil {
 			t.Errorf("truncated REJOIN of %d bytes accepted", i)
@@ -352,6 +352,47 @@ func TestBuildSubtree(t *testing.T) {
 	}
 	if s.CountNodes() != 6 {
 		t.Fatalf("CountNodes = %d, want 6", s.CountNodes())
+	}
+}
+
+// AppendTree writes exactly the bytes of EncodeSubtree(BuildSubtree)
+// on random trees whose child lists are unsorted, and reuses its buffer.
+func TestAppendTreeMatchesBuildSubtree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var buf []byte
+	for trial := 0; trial < 200; trial++ {
+		// Each router hangs below a random router placed before it, so
+		// child lists come out in placement order, not sorted.
+		perm := rng.Perm(1 + rng.Intn(60))
+		ft := fakeTree{}
+		for i := 1; i < len(perm); i++ {
+			p := topology.NodeID(perm[rng.Intn(i)])
+			ft[p] = append(ft[p], topology.NodeID(perm[i]))
+		}
+		v := topology.NodeID(perm[rng.Intn(len(perm))])
+		want := EncodeSubtree(BuildSubtree(ft, v))
+		if buf = AppendTree(buf[:0], ft, v); !bytes.Equal(buf, want) {
+			t.Fatalf("trial %d: AppendTree = %x, want %x", trial, buf, want)
+		}
+	}
+	ft := fakeTree{2: {5, 4, 6}, 5: {8, 7}, 6: {9}}
+	if avg := testing.AllocsPerRun(100, func() { buf = AppendTree(buf[:0], ft, 2) }); avg != 0 {
+		t.Fatalf("AppendTree into a warm buffer allocates %.1f/op", avg)
+	}
+}
+
+// DecodeBranchTo appends to its scratch and rejects a hop count whose
+// byte length overflows 32 bits instead of trusting the wrapped product.
+func TestDecodeBranchTo(t *testing.T) {
+	scratch := make([]topology.NodeID, 0, 8)
+	path, err := DecodeBranchTo(EncodeBranch([]topology.NodeID{3, 1, 4}), scratch)
+	if err != nil || !reflect.DeepEqual(path, []topology.NodeID{3, 1, 4}) || &path[0] != &scratch[:1][0] {
+		t.Fatalf("DecodeBranchTo = %v, %v (scratch reused: %v)", path, err, err == nil && &path[0] == &scratch[:1][0])
+	}
+	wrap := binary.BigEndian.AppendUint32(nil, 1<<30+1) // 4*n wraps to 4 in uint32
+	wrap = append(wrap, 0, 0, 0, 7)
+	if _, err := DecodeBranchTo(wrap, nil); err == nil {
+		t.Fatal("a hop count whose byte length wraps 32 bits was accepted")
 	}
 }
 
