@@ -12,7 +12,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"scmp/internal/des"
@@ -108,7 +110,7 @@ type Config struct {
 	// router in the domain in advance (configuration file), per §II-D.
 	MRouter topology.NodeID
 	// Kappa is DCDM's delay-constraint multiplier (1 = tightest;
-	// +Inf = loosest). Values below 1 are rejected; 0 means 1.
+	// +Inf = loosest). NaN and values below 1 are rejected; 0 means 1.
 	Kappa float64
 	// DelayBudget, when positive, imposes an absolute QoS bound on every
 	// member's multicast delay (the paper's "QoS constraint on maximum
@@ -263,20 +265,16 @@ type SCMP struct {
 var _ netsim.Protocol = (*SCMP)(nil)
 
 // New returns an SCMP instance; attach it by passing it to netsim.New.
+// It panics with Validate's error when cfg breaks a rule that needs no
+// graph; Attach checks the rest.
 func New(cfg Config) *SCMP {
 	if cfg.Kappa == 0 {
 		cfg.Kappa = 1
 	}
-	if cfg.Kappa < 1 {
-		panic(fmt.Sprintf("core: Kappa %g < 1", cfg.Kappa))
-	}
 	if cfg.Standby <= 0 {
 		cfg.Standby = -1 // disabled
 	}
-	if (len(cfg.Domains) == 0) != (len(cfg.DomainMRouters) == 0) {
-		panic("core: Domains and DomainMRouters must be set together")
-	}
-	if len(cfg.DomainMRouters) == 1 {
+	if len(cfg.DomainMRouters) == 1 && len(cfg.Domains) > 0 {
 		// A single-domain hierarchical configuration IS the flat
 		// protocol: run the flat code path so the degeneration is
 		// byte-identical by construction (the differential gate's k=1
@@ -285,47 +283,11 @@ func New(cfg Config) *SCMP {
 		cfg.Domains = nil
 		cfg.DomainMRouters = nil
 	}
-	homes := []topology.NodeID{cfg.MRouter}
-	if len(cfg.MRouters) > 0 {
-		homes = append([]topology.NodeID(nil), cfg.MRouters...)
-		cfg.MRouter = homes[0]
-		if cfg.Standby >= 0 {
-			panic("core: hot standby requires single-m-router mode")
-		}
-		seen := map[topology.NodeID]bool{}
-		for _, h := range homes {
-			if seen[h] {
-				panic(fmt.Sprintf("core: duplicate m-router %d", h))
-			}
-			seen[h] = true
-		}
+	if err := cfg.Validate(nil); err != nil {
+		panic("core: " + err.Error())
 	}
-	if len(cfg.DomainMRouters) > 0 {
-		if len(cfg.MRouters) > 0 {
-			panic("core: hierarchical mode and MRouters are mutually exclusive")
-		}
-		if cfg.Standby >= 0 {
-			panic("core: hierarchical mode does not support a hot standby")
-		}
-		if cfg.AckTimeout > 0 || cfg.RetryBudget > 0 || cfg.AdmitLimit > 0 {
-			panic("core: hierarchical mode does not support reliable-signalling/overload knobs")
-		}
-		if cfg.ServiceTime > 0 {
-			panic("core: hierarchical mode does not support service-time modelling (per-domain service centres are future work)")
-		}
-		homes = append([]topology.NodeID(nil), cfg.DomainMRouters...)
-		cfg.MRouter = homes[0]
-		seen := map[topology.NodeID]bool{}
-		for _, h := range homes {
-			if seen[h] {
-				panic(fmt.Sprintf("core: duplicate domain m-router %d", h))
-			}
-			seen[h] = true
-		}
-	}
-	if cfg.Standby == cfg.MRouter {
-		panic("core: standby must differ from the primary m-router")
-	}
+	homes := slices.Clone(cfg.homes())
+	cfg.MRouter = homes[0]
 	return &SCMP{
 		cfg:      cfg,
 		homes:    homes,
@@ -335,6 +297,85 @@ func New(cfg Config) *SCMP {
 		ctlSeen:  make(map[pendingKey]uint64),
 		replSeen: make(map[packet.GroupID]uint64),
 	}
+}
+
+// Validate reports the first rule c breaks, nil when it breaks none.
+// Kappa 0 (meaning 1), a non-positive Standby (disabled) and a
+// single-domain hierarchy (flat) are valid, as New reads them. With a
+// nil g only the rules that need no graph are checked; with g, the
+// router ids and the domain labelling are checked against it too.
+func (c Config) Validate(g *topology.Graph) error {
+	_, err := c.validate(g)
+	return err
+}
+
+// validate is Validate that also returns the domain view of the
+// hierarchical mode (nil in flat mode or without g), which Attach keeps.
+func (c Config) validate(g *topology.Graph) (*topology.DomainView, error) {
+	hier, standby, homes := len(c.DomainMRouters) > 1, c.Standby > 0, c.homes()
+	for i, v := range [...]float64{c.DelayBudget, c.AckTimeout, c.ServiceTime, c.RefreshInterval} {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("%s %g is not finite and >= 0", [...]string{"DelayBudget", "AckTimeout", "ServiceTime", "RefreshInterval"}[i], v)
+		}
+	}
+	switch {
+	case math.IsNaN(c.Kappa) || c.Kappa != 0 && c.Kappa < 1:
+		return nil, fmt.Errorf("Kappa %g is not 0 (meaning 1), >= 1 or +Inf", c.Kappa)
+	case (len(c.Domains) == 0) != (len(c.DomainMRouters) == 0):
+		return nil, errors.New("Domains and DomainMRouters must be set together")
+	case hier && len(c.MRouters) > 0:
+		return nil, errors.New("hierarchical mode and MRouters are mutually exclusive")
+	case hier && standby:
+		return nil, errors.New("hierarchical mode does not support a hot standby")
+	case hier && (c.AckTimeout > 0 || c.RetryBudget > 0 || c.AdmitLimit > 0):
+		return nil, errors.New("hierarchical mode does not support reliable-signalling/overload knobs")
+	case hier && c.ServiceTime > 0:
+		return nil, errors.New("hierarchical mode does not support service-time modelling (per-domain service centres are future work)")
+	case standby && len(c.MRouters) > 0:
+		return nil, errors.New("hot standby requires single-m-router mode")
+	case standby && c.Standby == homes[0]:
+		return nil, errors.New("standby must differ from the primary m-router")
+	}
+	for i, h := range homes {
+		if slices.Contains(homes[:i], h) {
+			return nil, fmt.Errorf("duplicate m-router %d", h)
+		}
+		if g != nil && (h < 0 || int(h) >= g.N()) {
+			return nil, fmt.Errorf("m-router %d out of range (%d routers)", h, g.N())
+		}
+	}
+	if g != nil && standby && int(c.Standby) >= g.N() {
+		return nil, fmt.Errorf("standby %d out of range (%d routers)", c.Standby, g.N())
+	}
+	if g == nil || !hier {
+		return nil, nil
+	}
+	view, err := topology.NewDomainView(g, c.Domains)
+	if err != nil {
+		return nil, err
+	}
+	if view.K() != len(c.DomainMRouters) {
+		return nil, fmt.Errorf("%d domain m-routers for %d domains", len(c.DomainMRouters), view.K())
+	}
+	for d, m := range c.DomainMRouters {
+		if view.Domain(m) != d {
+			return nil, fmt.Errorf("m-router %d assigned to domain %d but lies in domain %d", m, d, view.Domain(m))
+		}
+	}
+	return view, nil
+}
+
+// homes returns the m-routers c configures, in group-assignment order:
+// a hierarchy's domain m-routers, else MRouters, else the one m-router
+// (a single domain's when DomainMRouters has one entry).
+func (c Config) homes() []topology.NodeID {
+	if h := c.DomainMRouters; len(h) > 1 || len(h) == 1 && len(c.MRouters) == 0 {
+		return h
+	}
+	if len(c.MRouters) > 0 {
+		return c.MRouters
+	}
+	return []topology.NodeID{c.MRouter}
 }
 
 // home returns the m-router serving group g: the published static
@@ -362,33 +403,11 @@ func (s *SCMP) Attach(n *netsim.Network) {
 	if s.net != nil {
 		panic("core: SCMP attached twice")
 	}
-	for _, h := range s.homes {
-		if h < 0 || int(h) >= n.G.N() {
-			panic(fmt.Sprintf("core: m-router %d out of range", h))
-		}
+	view, err := s.cfg.validate(n.G)
+	if err != nil {
+		panic("core: " + err.Error())
 	}
-	if s.cfg.Standby >= 0 && int(s.cfg.Standby) >= n.G.N() {
-		panic(fmt.Sprintf("core: standby %d out of range", s.cfg.Standby))
-	}
-	s.net = n
-	if len(s.cfg.DomainMRouters) > 0 {
-		if len(s.cfg.Domains) != n.G.N() {
-			panic(fmt.Sprintf("core: %d domain labels for %d nodes", len(s.cfg.Domains), n.G.N()))
-		}
-		view, err := topology.NewDomainView(n.G, s.cfg.Domains)
-		if err != nil {
-			panic("core: " + err.Error())
-		}
-		if view.K() != len(s.cfg.DomainMRouters) {
-			panic(fmt.Sprintf("core: %d domain m-routers for %d domains", len(s.cfg.DomainMRouters), view.K()))
-		}
-		for d, m := range s.cfg.DomainMRouters {
-			if view.Domain(m) != d {
-				panic(fmt.Sprintf("core: m-router %d assigned to domain %d but lies in domain %d", m, d, view.Domain(m)))
-			}
-		}
-		s.view = view
-	}
+	s.net, s.view = n, view
 	s.entries = make([]map[packet.GroupID]*entry, n.G.N())
 	s.acct = session.NewManager(n.Sched, 0xE0000000, 1<<20)
 	s.service = newServiceCenter(n.Sched, s, des.Time(s.cfg.ServiceTime), s.cfg.Processors)

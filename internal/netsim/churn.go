@@ -15,6 +15,7 @@ package netsim
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -65,6 +66,32 @@ type ChurnPlan struct {
 	Seed     int64
 }
 
+// Validate reports the first rule the plan breaks on a network of
+// routers nodes, nil when it breaks none. Every bound is finite: a NaN
+// or infinite one never lets InstallChurn's generator reach the end of
+// the window.
+func (p ChurnPlan) Validate(routers int) error {
+	if len(p.Members) == 0 {
+		return errors.New("churn plan has no members")
+	}
+	for _, m := range p.Members {
+		if m < 0 || int(m) >= routers {
+			return fmt.Errorf("churn member %d out of range (%d routers)", m, routers)
+		}
+	}
+	switch {
+	case !(p.Rate > 0) || math.IsInf(p.Rate, 1):
+		return fmt.Errorf("churn plan rate %g is not finite and > 0", p.Rate)
+	case !(p.Duration > 0) || math.IsInf(p.Duration, 1):
+		return fmt.Errorf("churn plan duration %g is not finite and > 0", p.Duration)
+	case !(p.Start >= 0) || math.IsInf(p.Start, 1):
+		return fmt.Errorf("churn plan start %g is not finite and >= 0", p.Start)
+	case p.Dist == ChurnPareto && p.Alpha != 0 && (!(p.Alpha > 1) || math.IsInf(p.Alpha, 1)):
+		return fmt.Errorf("Pareto churn needs alpha 0 (the default) or a finite alpha > 1 (finite mean), not %g", p.Alpha)
+	}
+	return nil
+}
+
 // Churn is one installed churn plan with its pre-generated event
 // counts.
 type Churn struct {
@@ -96,28 +123,15 @@ func (c *Churn) Leaves() int { return c.leaves }
 // it, in time order, on one scheduler lane: a drained lane an earlier
 // install used, or a new one. A drained lane's old schedule is spent, so
 // the new one is generated into its storage. The returned Churn reports
-// the generated event mix.
+// the generated event mix. It panics with Validate's error on a plan
+// that breaks a rule.
 func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
-	if len(plan.Members) == 0 {
-		panic("netsim: churn plan has no members")
-	}
-	// Every bound is finite: a NaN or infinite one never lets the
-	// generator below reach the end of the window.
-	if !(plan.Rate > 0) || math.IsInf(plan.Rate, 1) {
-		panic("netsim: churn plan rate must be positive and finite")
-	}
-	if !(plan.Duration > 0) || math.IsInf(plan.Duration, 1) {
-		panic("netsim: churn plan duration must be positive and finite")
-	}
-	if !(plan.Start >= 0) || math.IsInf(plan.Start, 1) {
-		panic("netsim: churn plan start must be non-negative and finite")
+	if err := plan.Validate(n.G.N()); err != nil {
+		panic("netsim: " + err.Error())
 	}
 	alpha := plan.Alpha
 	if alpha == 0 {
 		alpha = DefaultChurnAlpha
-	}
-	if plan.Dist == ChurnPareto && (!(alpha > 1) || math.IsInf(alpha, 1)) {
-		panic("netsim: Pareto churn needs a finite alpha > 1 (finite mean)")
 	}
 	c := &Churn{plan: plan}
 	// Aggregate Rate spread over the population: each member's renewal

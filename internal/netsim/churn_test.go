@@ -158,6 +158,9 @@ func TestChurnPlanValidation(t *testing.T) {
 		"negative start":        {Members: churnMembers(2), Rate: 10, Duration: 1, Start: -1},
 		"NaN pareto alpha":      {Members: churnMembers(2), Rate: 10, Duration: 1, Dist: ChurnPareto, Alpha: nan},
 		"infinite pareto alpha": {Members: churnMembers(2), Rate: 10, Duration: 1, Dist: ChurnPareto, Alpha: inf},
+		// These used to install and fail only when the member's event fired.
+		"member out of range": {Members: []topology.NodeID{0, 3}, Rate: 10, Duration: 1},
+		"negative member":     {Members: []topology.NodeID{-1, 1}, Rate: 10, Duration: 1},
 	}
 	for name, plan := range cases {
 		func() {

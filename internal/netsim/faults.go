@@ -14,6 +14,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"scmp/internal/des"
@@ -117,12 +118,32 @@ type Faults struct {
 	lossN []uint64
 }
 
+// Validate reports the first rule the plan breaks, nil when it breaks
+// none: loss probabilities lie in [0, 1] and LossUntil is finite and
+// non-negative. Events are checked against the graph as they are
+// scheduled.
+func (p FaultPlan) Validate() error {
+	switch {
+	case !(p.ControlLoss >= 0 && p.ControlLoss <= 1):
+		return fmt.Errorf("fault plan ControlLoss %g is not in [0, 1]", p.ControlLoss)
+	case !(p.DataLoss >= 0 && p.DataLoss <= 1):
+		return fmt.Errorf("fault plan DataLoss %g is not in [0, 1]", p.DataLoss)
+	case !(p.LossUntil >= 0) || math.IsInf(float64(p.LossUntil), 1):
+		return fmt.Errorf("fault plan LossUntil %g is not finite and >= 0", p.LossUntil)
+	}
+	return nil
+}
+
 // InstallFaults attaches a fault plan to the network and schedules its
 // events. At most one plan per network; installing twice panics, and so
-// does a plan event on a non-edge or an out-of-range router.
+// does a plan that breaks a Validate rule or has an event on a non-edge
+// or an out-of-range router.
 func (n *Network) InstallFaults(plan FaultPlan) *Faults {
 	if n.faults != nil {
 		panic("netsim: faults installed twice")
+	}
+	if err := plan.Validate(); err != nil {
+		panic("netsim: " + err.Error())
 	}
 	f := &Faults{
 		net:       n,

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"scmp/internal/des"
@@ -229,6 +231,40 @@ func TestZeroLossPlanIsTransparent(t *testing.T) {
 	}
 	if a, b := run(false), run(true); a != b {
 		t.Fatalf("empty fault plan changed timing: %v vs %v", a, b)
+	}
+}
+
+// TestFaultPlanValidate: a plan with a loss probability outside [0, 1]
+// or a non-finite LossUntil is an error, and InstallFaults panics with
+// it. Each of these used to install.
+func TestFaultPlanValidate(t *testing.T) {
+	if err := (FaultPlan{ControlLoss: 1, DataLoss: 0.5, LossUntil: 3}).Validate(); err != nil {
+		t.Fatalf("valid plan: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		plan FaultPlan
+		want string
+	}{
+		"control loss 7":       {FaultPlan{ControlLoss: 7}, "ControlLoss 7 is not in [0, 1]"},
+		"negative data loss":   {FaultPlan{DataLoss: -0.1}, "DataLoss -0.1 is not in [0, 1]"},
+		"NaN data loss":        {FaultPlan{DataLoss: math.NaN()}, "DataLoss NaN is not in [0, 1]"},
+		"infinite loss window": {FaultPlan{ControlLoss: 0.1, LossUntil: des.Time(math.Inf(1))}, "LossUntil +Inf"},
+		"NaN loss window":      {FaultPlan{ControlLoss: 0.1, LossUntil: des.Time(math.NaN())}, "LossUntil NaN"},
+		"negative loss window": {FaultPlan{LossUntil: -1}, "LossUntil -1"},
+	} {
+		err := tc.plan.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", name, err, tc.want)
+			continue
+		}
+		func() {
+			defer func() {
+				if got, want := recover(), "netsim: "+err.Error(); got != want {
+					t.Errorf("%s: InstallFaults panic %v, want %q", name, got, want)
+				}
+			}()
+			New(lineGraph(2), &echoProto{}).InstallFaults(tc.plan)
+		}()
 	}
 }
 

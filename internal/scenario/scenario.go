@@ -17,12 +17,12 @@
 //	print metrics
 //	print tree group=1
 //
-// Lines are independent commands; '#' starts a comment. Every event
-// command takes an optional group=N (default 1). `scale-delays F`
-// multiplies every link delay (e.g. 0.001 reads the generators' units
-// as milliseconds) and `bandwidth B` gives links a finite capacity of
-// B bytes/s (queueing + transmission + propagation, the paper's
-// three-component link delay); both must precede `protocol`.
+// Lines are independent commands; '#' starts a comment. join, leave,
+// send and `print tree` take an optional group=N (default 1).
+// `scale-delays F` multiplies every link delay (e.g. 0.001 reads the
+// generators' units as milliseconds) and `bandwidth B` gives links a
+// finite capacity of B bytes/s (queueing + transmission + propagation,
+// the paper's three-component link delay); both must precede `protocol`.
 //
 // Fault injection: `faults loss-control=P loss-data=P until=T seed=S`
 // (after `protocol`) installs a deterministic fault plan, and the
@@ -43,16 +43,21 @@
 // parks a request after N failed attempts (re-attempted on a deferred
 // timer), and suppress=true skips refresh ticks for unchanged trees.
 //
-// Every number is checked where it is read: times are finite and
-// non-negative, factors, bandwidths and rates finite and positive, loss
-// rates in [0, 1], router ids in range. A malformed script is a
-// "line N: ..." error, never a panic inside the simulator.
+// The parser checks syntax only. Each setup line fills the value it
+// configures (core.Config, netsim.FaultPlan, netsim.ChurnPlan) and calls
+// its Validate, where that value's rules live. The parser owns only the
+// numbers no such value holds: times are finite and non-negative, delay
+// factors and bandwidths finite and positive, sizes non-negative. Group
+// ids run from 1 to 2^32-1. An option a command does not take is an
+// "unknown option" error, and every malformed script is a "line N: ..."
+// error, never a panic inside the simulator.
 package scenario
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -133,7 +138,7 @@ func Parse(r io.Reader) (*Script, error) {
 	return &Script{cmds: cmds}, nil
 }
 
-// domain is the set of values a number in a script may take.
+// domain is the set of values a number the parser owns may take.
 type domain struct {
 	want string
 	ok   func(float64) bool
@@ -142,63 +147,94 @@ type domain struct {
 var (
 	timeVal  = domain{"a finite time >= 0", func(f float64) bool { return f >= 0 && !math.IsInf(f, 1) }}
 	positive = domain{"finite and > 0", func(f float64) bool { return f > 0 && !math.IsInf(f, 1) }}
-	lossRate = domain{"in [0, 1]", func(f float64) bool { return f >= 0 && f <= 1 }}
-	kappaVal = domain{"at least 1, or inf", func(f float64) bool { return f >= 1 }}
-	alphaVal = domain{"0 (the default) or finite and > 1", func(f float64) bool { return f == 0 || f > 1 && !math.IsInf(f, 1) }}
 )
 
-// parseIn parses s (strconv syntax, so "inf" and "NaN" parse) and
-// reports whether the value lies in d.
-func parseIn(s string, d domain) (float64, bool) {
-	f, err := strconv.ParseFloat(s, 64)
-	return f, err == nil && d.ok(f)
-}
-
-// arg parses positional argument s, named what in the error, in d.
+// arg parses positional argument s (strconv syntax, so "inf" and "NaN"
+// parse), named what in the error, in d.
 func (c command) arg(what, s string, d domain) (float64, error) {
-	f, ok := parseIn(s, d)
-	if !ok {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || !d.ok(f) {
 		return 0, fmt.Errorf("line %d: bad %s %q (want %s)", c.line, what, s, d.want)
 	}
 	return f, nil
 }
 
-func (c command) float(key string, def float64, d domain) (float64, error) {
+// take removes option key from c and returns its value: the options left
+// after a command ran are the ones it does not know.
+func (c command) take(key string) (string, bool) {
 	v, ok := c.kv[key]
-	if !ok {
-		return def, nil
-	}
-	f, ok := parseIn(v, d)
-	if !ok {
-		return 0, fmt.Errorf("line %d: bad %s=%q (want %s)", c.line, key, v, d.want)
-	}
-	return f, nil
+	delete(c.kv, key)
+	return v, ok
 }
 
-func (c command) int(key string, def int) (int, error) {
-	v, ok := c.kv[key]
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("line %d: bad %s=%q", c.line, key, v)
-	}
-	return n, nil
+// option binds one key=value option to the field it sets.
+type option struct {
+	key string
+	dst any
 }
 
-// router reads key as a router id of the topology, def when absent.
-func (c command) router(key string, def int, g *topology.Graph) (topology.NodeID, error) {
-	n, err := c.int(key, def)
-	if err == nil && (n < 0 || n >= g.N()) {
-		err = fmt.Errorf("line %d: %s=%d out of range (the topology has %d routers)", c.line, key, n, g.N())
+// bind parses each option that is given into the field it points to; a
+// field keeps its value when its option is absent. It checks syntax
+// only: the value's rules belong to whoever holds the field.
+func (c command) bind(opts []option) error {
+	for _, o := range opts {
+		v, ok := c.take(o.key)
+		if !ok {
+			continue
+		}
+		var err error
+		switch p := o.dst.(type) {
+		case *float64:
+			*p, err = strconv.ParseFloat(v, 64)
+		case *des.Time:
+			var f float64
+			f, err = strconv.ParseFloat(v, 64)
+			*p = des.Time(f)
+		case *int:
+			*p, err = strconv.Atoi(v)
+		case *int64:
+			*p, err = strconv.ParseInt(v, 10, 64)
+		case *topology.NodeID:
+			var n int
+			n, err = strconv.Atoi(v)
+			*p = topology.NodeID(n)
+		case *bool:
+			*p, err = strconv.ParseBool(v)
+		default:
+			panic(fmt.Sprintf("scenario: option %s binds a %T", o.key, o.dst))
+		}
+		if err != nil {
+			return fmt.Errorf("line %d: bad %s=%q", c.line, o.key, v)
+		}
 	}
-	return topology.NodeID(n), err
+	return nil
 }
 
+// group reads group=G, 1 when absent.
 func (c command) group() (packet.GroupID, error) {
-	n, err := c.int("group", 1)
-	return packet.GroupID(n), err
+	v, ok := c.take("group")
+	if !ok {
+		v = "1"
+	}
+	return c.groupID(v)
+}
+
+// groupID parses a group id: 1 to 2^32-1, the ids packet.GroupID holds
+// (0 is never a group).
+func (c command) groupID(s string) (packet.GroupID, error) {
+	n, err := strconv.ParseUint(s, 10, 32)
+	if err != nil || n == 0 {
+		return 0, fmt.Errorf("line %d: bad group %q (want 1 to 4294967295)", c.line, s)
+	}
+	return packet.GroupID(n), nil
+}
+
+// invalid prefixes a Validate error with the command's line.
+func (c command) invalid(err error) error {
+	if err != nil {
+		return fmt.Errorf("line %d: %w", c.line, err)
+	}
+	return nil
 }
 
 // state is the execution context.
@@ -225,42 +261,62 @@ func (s *Script) Run(w io.Writer) error {
 	return nil
 }
 
+// exec runs one command, then rejects any option it did not take.
 func (st *state) exec(c command) error {
+	c.kv = maps.Clone(c.kv) // take consumes options; the parsed script stays reusable
+	if err := st.dispatch(c); err != nil {
+		return err
+	}
+	unknown := ""
+	for k := range c.kv {
+		if unknown == "" || k < unknown {
+			unknown = k
+		}
+	}
+	if unknown != "" {
+		return fmt.Errorf("line %d: unknown option %q", c.line, unknown)
+	}
+	return nil
+}
+
+func (st *state) dispatch(c command) error {
+	switch c.verb {
+	case "scale-delays", "bandwidth":
+		if st.net != nil {
+			return fmt.Errorf("line %d: %s must precede protocol", c.line, c.verb)
+		}
+	case "faults", "churn", "at", "run", "expect", "print":
+		if st.net == nil {
+			return fmt.Errorf("line %d: %s before protocol", c.line, c.verb)
+		}
+	}
 	switch c.verb {
 	case "topology":
 		return st.execTopology(c)
-	case "scale-delays":
-		if st.net != nil {
-			return fmt.Errorf("line %d: scale-delays must precede protocol", c.line)
-		}
+	case "scale-delays", "bandwidth":
 		if len(c.args) != 1 {
-			return fmt.Errorf("line %d: scale-delays needs a factor", c.line)
+			return fmt.Errorf("line %d: %s needs one number", c.line, c.verb)
 		}
-		f, err := c.arg("factor", c.args[0], positive)
-		st.scale = f
-		return err
-	case "bandwidth":
-		if st.net != nil {
-			return fmt.Errorf("line %d: bandwidth must precede protocol", c.line)
+		f, err := c.arg(c.verb, c.args[0], positive)
+		if c.verb == "bandwidth" {
+			st.bandwidth = f
+		} else {
+			st.scale = f
 		}
-		if len(c.args) != 1 {
-			return fmt.Errorf("line %d: bandwidth needs bytes/s", c.line)
-		}
-		f, err := c.arg("bandwidth", c.args[0], positive)
-		st.bandwidth = f
 		return err
 	case "protocol":
 		return st.execProtocol(c)
 	case "faults":
 		return st.execFaults(c)
 	case "churn":
-		return st.execChurn(c)
+		plan, err := st.churnPlan(c)
+		if err == nil {
+			st.churns = append(st.churns, st.net.InstallChurn(plan))
+		}
+		return err
 	case "at":
 		return st.execAt(c)
 	case "run":
-		if st.net == nil {
-			return fmt.Errorf("line %d: run before protocol", c.line)
-		}
 		if len(c.args) == 1 {
 			t, err := c.arg("run deadline", c.args[0], timeVal)
 			if err != nil {
@@ -290,48 +346,36 @@ func (st *state) execTopology(c command) error {
 	if len(c.args) != 1 {
 		return fmt.Errorf("line %d: topology needs a kind", c.line)
 	}
-	seed, err := c.int("seed", 1)
-	if err != nil {
+	seed := int64(1)
+	if err := c.bind([]option{{"seed", &seed}}); err != nil {
 		return err
 	}
-	rng := rng.New(int64(seed))
+	rng := rng.New(seed)
+	var err error
 	switch c.args[0] {
 	case "arpanet":
 		st.g = topology.Arpanet()
 	case "waxman":
-		n, err := c.int("n", 50)
-		if err != nil {
+		n := 50
+		if err = c.bind([]option{{"n", &n}}); err != nil {
 			return err
 		}
-		wg, err := topology.Waxman(topology.DefaultWaxman(n), rng)
-		if err != nil {
-			return fmt.Errorf("line %d: %v", c.line, err)
+		var wg *topology.WaxmanGraph
+		if wg, err = topology.Waxman(topology.DefaultWaxman(n), rng); err == nil {
+			st.g = wg.Graph
 		}
-		st.g = wg.Graph
 	case "random":
-		n, err := c.int("n", 50)
-		if err != nil {
+		n, deg := 50, 3.0
+		if err = c.bind([]option{{"n", &n}, {"degree", &deg}}); err != nil {
 			return err
 		}
-		deg, err := c.float("degree", 3, positive)
-		if err != nil {
-			return err
-		}
-		g, err := topology.Random(topology.DefaultRandom(n, deg), rng)
-		if err != nil {
-			return fmt.Errorf("line %d: %v", c.line, err)
-		}
-		st.g = g
+		st.g, err = topology.Random(topology.DefaultRandom(n, deg), rng)
 	case "transitstub":
-		g, _, err := topology.TransitStub(topology.DefaultTransitStub(), rng)
-		if err != nil {
-			return fmt.Errorf("line %d: %v", c.line, err)
-		}
-		st.g = g
+		st.g, _, err = topology.TransitStub(topology.DefaultTransitStub(), rng)
 	default:
 		return fmt.Errorf("line %d: unknown topology %q", c.line, c.args[0])
 	}
-	return nil
+	return c.invalid(err)
 }
 
 func (st *state) execProtocol(c command) error {
@@ -351,89 +395,40 @@ func (st *state) execProtocol(c command) error {
 	var proto netsim.Protocol
 	switch c.args[0] {
 	case "scmp":
-		mrouter, err := c.router("mrouter", 0, g)
-		if err != nil {
+		// One key per core.Config field; Validate holds the rules.
+		cfg := core.Config{Kappa: 1.5}
+		if err := c.bind([]option{
+			{"mrouter", &cfg.MRouter}, {"kappa", &cfg.Kappa}, {"standby", &cfg.Standby},
+			{"budget", &cfg.DelayBudget}, {"ack", &cfg.AckTimeout}, {"retries", &cfg.RetryCap},
+			{"refresh", &cfg.RefreshInterval}, {"service", &cfg.ServiceTime},
+			{"procs", &cfg.Processors}, {"admit", &cfg.AdmitLimit},
+			{"retry-budget", &cfg.RetryBudget}, {"suppress", &cfg.RefreshSuppress},
+		}); err != nil {
 			return err
 		}
-		kappa, err := c.float("kappa", 1.5, kappaVal)
-		if err != nil {
-			return err
+		if err := cfg.Validate(g); err != nil {
+			return c.invalid(err)
 		}
-		// A non-positive standby disables the feature (core.Config).
-		standby, err := c.int("standby", -1)
-		if err != nil {
-			return err
-		}
-		if standby > 0 && (standby >= g.N() || standby == int(mrouter)) {
-			return fmt.Errorf("line %d: standby=%d is not a router other than mrouter=%d", c.line, standby, mrouter)
-		}
-		budget, err := c.float("budget", 0, timeVal)
-		if err != nil {
-			return err
-		}
-		ack, err := c.float("ack", 0, timeVal)
-		if err != nil {
-			return err
-		}
-		retries, err := c.int("retries", 0)
-		if err != nil {
-			return err
-		}
-		refresh, err := c.float("refresh", 0, timeVal)
-		if err != nil {
-			return err
-		}
-		service, err := c.float("service", 0, timeVal)
-		if err != nil {
-			return err
-		}
-		procs, err := c.int("procs", 0)
-		if err != nil {
-			return err
-		}
-		admit, err := c.int("admit", 0)
-		if err != nil {
-			return err
-		}
-		retryBudget, err := c.int("retry-budget", 0)
-		if err != nil {
-			return err
-		}
-		suppress := false
-		if v, ok := c.kv["suppress"]; ok {
-			suppress, err = strconv.ParseBool(v)
-			if err != nil {
-				return fmt.Errorf("line %d: bad suppress=%q", c.line, v)
-			}
-		}
-		s := core.New(core.Config{
-			MRouter:         mrouter,
-			Kappa:           kappa,
-			Standby:         topology.NodeID(standby),
-			DelayBudget:     budget,
-			AckTimeout:      ack,
-			RetryCap:        retries,
-			RefreshInterval: refresh,
-			ServiceTime:     service,
-			Processors:      procs,
-			AdmitLimit:      admit,
-			RetryBudget:     retryBudget,
-			RefreshSuppress: suppress,
-		})
-		st.scmp = s
-		proto = s
+		st.scmp = core.New(cfg)
+		proto = st.scmp
 	case "dvmrp":
-		lifetime, err := c.float("prune", float64(dvmrp.DefaultPruneLifetime), timeVal)
-		if err != nil {
+		lifetime := float64(dvmrp.DefaultPruneLifetime)
+		if err := c.bind([]option{{"prune", &lifetime}}); err != nil {
 			return err
+		}
+		if !timeVal.ok(lifetime) {
+			return fmt.Errorf("line %d: bad prune=%g (want %s)", c.line, lifetime, timeVal.want)
 		}
 		proto = dvmrp.New(des.Time(lifetime))
 	case "mospf":
 		proto = mospf.New()
 	case "cbt":
-		coreNode, err := c.router("core", 0, g)
-		if err != nil {
+		var coreNode topology.NodeID
+		if err := c.bind([]option{{"core", &coreNode}}); err != nil {
 			return err
+		}
+		if coreNode < 0 || int(coreNode) >= g.N() {
+			return fmt.Errorf("line %d: core=%d out of range (the topology has %d routers)", c.line, coreNode, g.N())
 		}
 		proto = cbt.New(coreNode)
 	default:
@@ -448,103 +443,62 @@ func (st *state) execProtocol(c command) error {
 // `protocol` and precede any scheduled fault event (those auto-install
 // an empty plan, and a network accepts only one).
 func (st *state) execFaults(c command) error {
-	if st.net == nil {
-		return fmt.Errorf("line %d: faults before protocol", c.line)
-	}
 	if st.faults != nil {
 		return fmt.Errorf("line %d: faults already installed", c.line)
 	}
-	lossCtl, err := c.float("loss-control", 0, lossRate)
-	if err != nil {
+	plan := netsim.FaultPlan{Seed: 1}
+	if err := c.bind([]option{
+		{"loss-control", &plan.ControlLoss}, {"loss-data", &plan.DataLoss},
+		{"until", &plan.LossUntil}, {"seed", &plan.Seed},
+	}); err != nil {
 		return err
 	}
-	lossData, err := c.float("loss-data", 0, lossRate)
-	if err != nil {
-		return err
+	if err := plan.Validate(); err != nil {
+		return c.invalid(err)
 	}
-	until, err := c.float("until", 0, timeVal)
-	if err != nil {
-		return err
-	}
-	seed, err := c.int("seed", 1)
-	if err != nil {
-		return err
-	}
-	st.faults = st.net.InstallFaults(netsim.FaultPlan{
-		ControlLoss: lossCtl,
-		DataLoss:    lossData,
-		LossUntil:   des.Time(until),
-		Seed:        int64(seed),
-	})
+	st.faults = st.net.InstallFaults(plan)
 	return nil
 }
 
-// execChurn installs a generated membership flap schedule:
+// churnPlan reads a generated membership flap schedule:
 // `churn <group> <rate> <dist> <duration> members=a,b,c` with optional
 // start=T, seed=S and (for pareto) alpha=A.
-func (st *state) execChurn(c command) error {
-	if st.net == nil {
-		return fmt.Errorf("line %d: churn before protocol", c.line)
-	}
+func (st *state) churnPlan(c command) (netsim.ChurnPlan, error) {
+	plan := netsim.ChurnPlan{Seed: 1}
 	if len(c.args) != 4 {
-		return fmt.Errorf("line %d: churn needs <group> <rate> <dist> <duration>", c.line)
+		return plan, fmt.Errorf("line %d: churn needs <group> <rate> <dist> <duration>", c.line)
 	}
-	grp, err := strconv.Atoi(c.args[0])
-	if err != nil || grp < 1 {
-		return fmt.Errorf("line %d: bad group %q", c.line, c.args[0])
+	var err error
+	if plan.Group, err = c.groupID(c.args[0]); err != nil {
+		return plan, err
 	}
-	rate, err := c.arg("rate", c.args[1], positive)
-	if err != nil {
-		return err
-	}
-	var dist netsim.ChurnDist
 	switch c.args[2] {
 	case "poisson":
-		dist = netsim.ChurnPoisson
+		plan.Dist = netsim.ChurnPoisson
 	case "pareto":
-		dist = netsim.ChurnPareto
+		plan.Dist = netsim.ChurnPareto
 	default:
-		return fmt.Errorf("line %d: unknown churn distribution %q (want poisson or pareto)", c.line, c.args[2])
+		return plan, fmt.Errorf("line %d: unknown churn distribution %q (want poisson or pareto)", c.line, c.args[2])
 	}
-	duration, err := c.arg("duration", c.args[3], positive)
-	if err != nil {
-		return err
+	var errRate, errDur error
+	plan.Rate, errRate = strconv.ParseFloat(c.args[1], 64)
+	plan.Duration, errDur = strconv.ParseFloat(c.args[3], 64)
+	if errRate != nil || errDur != nil {
+		return plan, fmt.Errorf("line %d: bad churn rate %q or duration %q", c.line, c.args[1], c.args[3])
 	}
-	mv, ok := c.kv["members"]
-	if !ok {
-		return fmt.Errorf("line %d: churn needs members=a,b,...", c.line)
-	}
-	var members []topology.NodeID
-	for _, f := range strings.Split(mv, ",") {
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 0 || n >= st.net.G.N() {
-			return fmt.Errorf("line %d: bad churn member %q", c.line, f)
+	if mv, ok := c.take("members"); ok {
+		for _, f := range strings.Split(mv, ",") {
+			n, err := strconv.Atoi(f)
+			if err != nil {
+				return plan, fmt.Errorf("line %d: bad churn member %q", c.line, f)
+			}
+			plan.Members = append(plan.Members, topology.NodeID(n))
 		}
-		members = append(members, topology.NodeID(n))
 	}
-	start, err := c.float("start", 0, timeVal)
-	if err != nil {
-		return err
+	if err := c.bind([]option{{"start", &plan.Start}, {"alpha", &plan.Alpha}, {"seed", &plan.Seed}}); err != nil {
+		return plan, err
 	}
-	alpha, err := c.float("alpha", 0, alphaVal)
-	if err != nil {
-		return err
-	}
-	seed, err := c.int("seed", 1)
-	if err != nil {
-		return err
-	}
-	st.churns = append(st.churns, st.net.InstallChurn(netsim.ChurnPlan{
-		Group:    packet.GroupID(grp),
-		Members:  members,
-		Rate:     rate,
-		Dist:     dist,
-		Alpha:    alpha,
-		Start:    start,
-		Duration: duration,
-		Seed:     int64(seed),
-	}))
-	return nil
+	return plan, c.invalid(plan.Validate(st.net.G.N()))
 }
 
 // ensureFaults lazily installs an empty plan so scripts can schedule
@@ -557,13 +511,6 @@ func (st *state) ensureFaults() *netsim.Faults {
 }
 
 func (st *state) execAt(c command) error {
-	if st.net == nil {
-		return fmt.Errorf("line %d: events before protocol", c.line)
-	}
-	grp, err := c.group()
-	if err != nil {
-		return err
-	}
 	node := func() (topology.NodeID, error) {
 		if len(c.args) != 1 {
 			return 0, fmt.Errorf("line %d: %s needs a node", c.line, c.sub)
@@ -574,39 +521,39 @@ func (st *state) execAt(c command) error {
 		}
 		return topology.NodeID(n), nil
 	}
+	at := des.Time(c.at)
 	switch c.sub {
-	case "join":
+	case "join", "leave", "send":
 		v, err := node()
 		if err != nil {
 			return err
 		}
-		st.net.Sched.At(des.Time(c.at), func() { st.net.HostJoin(v, grp) })
-	case "leave":
-		v, err := node()
+		grp, err := c.group()
 		if err != nil {
 			return err
 		}
-		st.net.Sched.At(des.Time(c.at), func() { st.net.HostLeave(v, grp) })
-	case "send":
-		v, err := node()
-		if err != nil {
-			return err
+		switch c.sub {
+		case "join":
+			st.net.Sched.At(at, func() { st.net.HostJoin(v, grp) })
+		case "leave":
+			st.net.Sched.At(at, func() { st.net.HostLeave(v, grp) })
+		default:
+			size := packet.DefaultDataSize
+			if err := c.bind([]option{{"size", &size}}); err != nil {
+				return err
+			}
+			if size < 0 {
+				return fmt.Errorf("line %d: bad size=%d (want >= 0)", c.line, size)
+			}
+			st.net.Sched.At(at, func() {
+				st.sent = append(st.sent, st.net.SendData(v, grp, size))
+			})
 		}
-		size, err := c.int("size", packet.DefaultDataSize)
-		if err != nil {
-			return err
-		}
-		if size < 0 {
-			return fmt.Errorf("line %d: bad size=%d (want >= 0)", c.line, size)
-		}
-		st.net.Sched.At(des.Time(c.at), func() {
-			st.sent = append(st.sent, st.net.SendData(v, grp, size))
-		})
 	case "failover":
 		if st.scmp == nil {
 			return fmt.Errorf("line %d: failover requires the scmp protocol", c.line)
 		}
-		st.net.Sched.At(des.Time(c.at), func() { st.scmp.Failover() })
+		st.net.Sched.At(at, func() { st.scmp.Failover() })
 	case "link-down", "link-up":
 		if len(c.args) != 2 {
 			return fmt.Errorf("line %d: %s needs two endpoints", c.line, c.sub)
@@ -618,9 +565,9 @@ func (st *state) execAt(c command) error {
 			return fmt.Errorf("line %d: %s: no link %s-%s", c.line, c.sub, c.args[0], c.args[1])
 		}
 		if c.sub == "link-down" {
-			st.ensureFaults().ScheduleLinkDown(des.Time(c.at), topology.NodeID(u), topology.NodeID(v))
+			st.ensureFaults().ScheduleLinkDown(at, topology.NodeID(u), topology.NodeID(v))
 		} else {
-			st.ensureFaults().ScheduleLinkUp(des.Time(c.at), topology.NodeID(u), topology.NodeID(v))
+			st.ensureFaults().ScheduleLinkUp(at, topology.NodeID(u), topology.NodeID(v))
 		}
 	case "node-down", "node-up":
 		v, err := node()
@@ -628,9 +575,9 @@ func (st *state) execAt(c command) error {
 			return err
 		}
 		if c.sub == "node-down" {
-			st.ensureFaults().ScheduleNodeDown(des.Time(c.at), v)
+			st.ensureFaults().ScheduleNodeDown(at, v)
 		} else {
-			st.ensureFaults().ScheduleNodeUp(des.Time(c.at), v)
+			st.ensureFaults().ScheduleNodeUp(at, v)
 		}
 	default:
 		return fmt.Errorf("line %d: unknown event %q", c.line, c.sub)
@@ -639,9 +586,6 @@ func (st *state) execAt(c command) error {
 }
 
 func (st *state) execExpect(c command) error {
-	if st.net == nil {
-		return fmt.Errorf("line %d: expect before protocol", c.line)
-	}
 	if len(c.args) != 1 || c.args[0] != "delivered" {
 		return fmt.Errorf("line %d: only 'expect delivered' is supported", c.line)
 	}
@@ -656,9 +600,6 @@ func (st *state) execExpect(c command) error {
 }
 
 func (st *state) execPrint(c command) error {
-	if st.net == nil {
-		return fmt.Errorf("line %d: print before protocol", c.line)
-	}
 	if len(c.args) != 1 {
 		return fmt.Errorf("line %d: print needs a subject", c.line)
 	}

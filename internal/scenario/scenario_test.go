@@ -317,6 +317,23 @@ func TestMalformedScriptErrors(t *testing.T) {
 		{"negative service time", head + "protocol scmp service=-1", 2},
 		{"NaN run deadline", head + "protocol scmp\nrun NaN", 3},
 		{"negative data size", head + "bandwidth 1000\nprotocol scmp\nat 1 send 3 size=-100000", 4},
+		// Misspelt options used to be ignored, so the run went on at the
+		// default; group ids used to wrap to 32 bits.
+		{"misspelt scmp option", head + "protocol scmp kapa=0.2", 2},
+		{"misspelt topology option", "topology random n=20 sed=3\nprotocol scmp", 1},
+		{"misspelt fault option", head + "protocol scmp\nfaults loss-kontrol=0.5", 3},
+		{"misspelt churn option", head + "protocol scmp\nchurn 1 10 poisson 1 members=1,2 strat=1", 3},
+		{"misspelt send option", head + "protocol scmp\nat 1 send 3 sise=100", 3},
+		{"option a command does not take", head + "protocol mospf prune=3", 2},
+		{"group on a failover", head + "protocol scmp standby=2\nat 1 failover group=2", 3},
+		{"group on print metrics", head + "protocol scmp\nprint metrics group=2", 3},
+		{"negative group", head + "protocol scmp\nat 0 join 5 group=-1", 3},
+		{"group zero", head + "protocol scmp\nat 0 join 5 group=0", 3},
+		{"group above 2^32-1", head + "protocol scmp\nat 0 join 5 group=4294967297", 3},
+		{"negative leave group", head + "protocol scmp\nat 0 leave 5 group=-3", 3},
+		{"send group above 2^32-1", head + "protocol scmp\nat 0 send 5 group=4294967296", 3},
+		{"churn group above 2^32-1", head + "protocol scmp\nchurn 4294967297 10 poisson 1 members=1,2", 3},
+		{"negative print group", head + "protocol scmp\nprint tree group=-1", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Parse(strings.NewReader(tc.src))

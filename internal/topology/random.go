@@ -37,7 +37,7 @@ func Random(cfg RandomConfig, rng *rand.Rand) (*Graph, error) {
 		return nil, fmt.Errorf("topology: Random needs AvgDegree >= 2 for connectivity, got %g", cfg.AvgDegree)
 	}
 	maxDeg := float64(cfg.N - 1)
-	if cfg.AvgDegree > maxDeg {
+	if !(cfg.AvgDegree <= maxDeg) { // NaN included
 		return nil, fmt.Errorf("topology: AvgDegree %g impossible with N=%d", cfg.AvgDegree, cfg.N)
 	}
 	if cfg.MinCost <= 0 {
