@@ -53,7 +53,7 @@ loc:
 # grown past the committed budget. A PR that removes code lowers
 # LOC_BUDGET to what `make loc` prints; one that must add code raises it
 # in the same diff, where a reviewer sees it.
-LOC_BUDGET := 19168
+LOC_BUDGET := 18836
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
@@ -141,15 +141,14 @@ bench-domains:
 smoke-dcdm:
 	$(GO) test -race -tags invariants -count=1 -run 'TestDCDMFastMatchesRef|TestDCDMLeave|TestMaxMultiset|TestTreeSharedViews' ./internal/mtree/
 
-# Hierarchical-mode differential gate: the composer's k=1-vs-flat exact
-# equivalence (mtree and experiment level), the multi-domain runtime's
-# flat-trace byte-identity, convergence and deactivation tests, and the
-# domain labelling checks — race detector on, invariants armed (every
+# Hierarchical-engine differential gate: the composer's k=1-vs-flat
+# exact equivalence (mtree and experiment level) and the domain
+# labelling checks — race detector on, invariants armed (every
 # composed-tree mutation re-validates the local/composed consistency
 # contract) — then an end-to-end CLI check that the quick domains sweep
 # renders the exact same bytes serial and fanned over 4 workers.
 smoke-domains:
-	$(GO) test -race -tags invariants -count=1 -run 'Hier|Domain' ./internal/mtree/ ./internal/core/ ./internal/topology/ ./internal/experiment/
+	$(GO) test -race -tags invariants -count=1 -run 'Hier|Domain' ./internal/mtree/ ./internal/topology/ ./internal/experiment/
 	$(GO) run ./cmd/scmpsim -experiment domains -quick -parallel 1 -out smoke_domains_serial.txt
 	$(GO) run -race ./cmd/scmpsim -experiment domains -quick -parallel 4 -out smoke_domains_p4.txt
 	cmp smoke_domains_serial.txt smoke_domains_p4.txt

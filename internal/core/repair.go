@@ -107,7 +107,7 @@ func (s *SCMP) sendReliable(node topology.NodeID, g packet.GroupID, kind packet.
 			Kind:    kind,
 			Group:   g,
 			Src:     node,
-			Dst:     s.ctrlHome(node, g),
+			Dst:     s.home(g),
 			Payload: payload,
 			Size:    packet.ControlSize,
 		}
@@ -287,10 +287,9 @@ func (s *SCMP) ack(g packet.GroupID, req packet.Kind, to topology.NodeID, seq ui
 
 // durableMode reports whether membership acknowledgements are chained
 // to replication: a hot standby is receiving snapshots over a reliable
-// channel and has not yet been promoted. (Standby failover is a flat,
-// single-m-router feature.)
+// channel and has not yet been promoted.
 func (s *SCMP) durableMode() bool {
-	return s.cfg.Standby >= 0 && s.cfg.AckTimeout > 0 && s.epoch == 0 && !s.hierarchical()
+	return s.cfg.Standby >= 0 && s.cfg.AckTimeout > 0 && s.epoch == 0
 }
 
 // ackDurable acknowledges a membership request — immediately when no
@@ -376,7 +375,7 @@ func (s *SCMP) armRefresh(g packet.GroupID, gs *groupState) {
 // emptied and owes no deferred grafts lets its timer die — the next
 // membership change re-arms it — so Network.Run can drain.
 func (s *SCMP) refreshGroup(g packet.GroupID, gs *groupState) {
-	tree := gs.tree()
+	tree := gs.dcdm.Tree()
 	if tree.MemberCount() == 0 && tree.Size() == 1 && len(gs.deferred) == 0 {
 		return
 	}
@@ -421,7 +420,7 @@ func (s *SCMP) stopRefresh(gs *groupState) {
 // over the routing store netsim has already reconverged.
 func (s *SCMP) LinkDown(u, v topology.NodeID) {
 	s.rebase()
-	if s.cfg.DisableRepair || s.hierarchical() {
+	if s.cfg.DisableRepair {
 		return
 	}
 	s.repairEndpoint(u, v)
@@ -432,7 +431,7 @@ func (s *SCMP) LinkDown(u, v topology.NodeID) {
 // deferred graft.
 func (s *SCMP) LinkUp(u, v topology.NodeID) {
 	s.rebase()
-	if s.cfg.DisableRepair || s.hierarchical() {
+	if s.cfg.DisableRepair {
 		return
 	}
 	s.healGroups()
@@ -445,7 +444,7 @@ func (s *SCMP) NodeDown(n topology.NodeID) {
 	s.entries[n] = nil
 	s.dropSlots(func(r *reqSlot) bool { return r.key.node == n })
 	s.rebase()
-	if s.cfg.DisableRepair || s.hierarchical() {
+	if s.cfg.DisableRepair {
 		return
 	}
 	for _, l := range s.net.G.Neighbors(n) {
@@ -458,22 +457,20 @@ func (s *SCMP) NodeDown(n topology.NodeID) {
 // ground-truth re-report netsim issues right after this callback.
 func (s *SCMP) NodeUp(n topology.NodeID) {
 	s.rebase()
-	if s.cfg.DisableRepair || s.hierarchical() {
+	if s.cfg.DisableRepair {
 		return
 	}
 	s.healGroups()
 }
 
-// rebase follows a topology change into every flat group's delay bound:
+// rebase follows a topology change into every group's delay bound:
 // netsim has invalidated the routing store the DCDM engines read, so
 // their member unicast delays moved under them. Every fault handler
 // runs it before its repair guard — DisableRepair turns off the
 // reaction, not the m-router's knowledge of the topology.
 func (s *SCMP) rebase() {
 	for _, gs := range s.groups {
-		if gs.dcdm != nil {
-			gs.dcdm.Rebase()
-		}
+		gs.dcdm.Rebase()
 	}
 }
 
@@ -515,9 +512,7 @@ func (s *SCMP) repairEndpoint(node, dead topology.NodeID) {
 // relay), a directed FLUSH dismantles its stale subtree state.
 func (s *SCMP) mrouterRejoin(g packet.GroupID, info packet.RejoinInfo) {
 	gs := s.groups[g]
-	if gs == nil || gs.hier != nil {
-		// Hierarchical mode never originates REJOINs (fault repair is
-		// gated off); a stray one must not touch the nil flat engine.
+	if gs == nil {
 		return
 	}
 	gs.lastChange = s.net.Now()
@@ -555,9 +550,7 @@ func (s *SCMP) mrouterRejoin(g packet.GroupID, info packet.RejoinInfo) {
 // regraftDeferred grafts every deferred member that is reachable again,
 // reporting whether the tree changed. Distribution is the caller's job.
 func (s *SCMP) regraftDeferred(g packet.GroupID, gs *groupState) bool {
-	if len(gs.deferred) == 0 || gs.hier != nil {
-		// Hierarchical joins never defer (repair is gated off), so the
-		// hier check is defensive: the flat regraft below must not run.
+	if len(gs.deferred) == 0 {
 		return false
 	}
 	home := s.home(g)

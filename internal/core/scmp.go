@@ -57,11 +57,7 @@ func newEntry() *entry {
 // monotonically increasing distribution version, and the accounting
 // session the group's traffic is charged to (§II-C).
 type groupState struct {
-	dcdm *mtree.DCDM
-	// hier replaces dcdm in the hierarchical multi-domain mode: the
-	// per-domain composer whose composed tree is the authoritative
-	// structure (exactly one of dcdm/hier is non-nil).
-	hier    *mtree.HierDCDM
+	dcdm    *mtree.DCDM
 	version uint64
 	session session.SessionID
 	// refresh is the armed soft-state redistribution timer (the zero
@@ -93,15 +89,6 @@ func (gs *groupState) deferMember(m topology.NodeID) {
 		gs.deferred = make(map[topology.NodeID]bool)
 	}
 	gs.deferred[m] = true
-}
-
-// tree returns the authoritative tree for the group: the composed tree
-// in hierarchical mode, the flat DCDM's otherwise.
-func (gs *groupState) tree() *mtree.Tree {
-	if gs.hier != nil {
-		return gs.hier.Tree()
-	}
-	return gs.dcdm.Tree()
 }
 
 // Config parameterises an SCMP domain.
@@ -192,24 +179,6 @@ type Config struct {
 	// redundant packet storm under churn. Groups owing deferred grafts
 	// always refresh. Off by default.
 	RefreshSuppress bool
-	// Domains, when non-empty, labels every node with a domain id
-	// (Domains[v] = the domain of node v, dense from 0) and — together
-	// with DomainMRouters — switches SCMP into the hierarchical
-	// multi-domain mode (PROTOCOL.md §13): one m-router per domain,
-	// JOIN/LEAVE resolved at the member's local m-router, and domain
-	// subtrees composed through the group's core domain over the
-	// contracted backbone. Must be set together with DomainMRouters.
-	Domains []int
-	// DomainMRouters lists one m-router per domain (index = domain id;
-	// each must lie in its domain). Group g's core domain is
-	// g mod len(DomainMRouters): the composed tree roots at that
-	// domain's m-router and off-tree sources encapsulate to it. A
-	// single-domain configuration degenerates to the flat engine
-	// byte-for-byte (the same code path runs). The hierarchical mode is
-	// mutually exclusive with MRouters, Standby, and the reliable-
-	// signalling/overload knobs (AckTimeout, RetryBudget, AdmitLimit,
-	// ServiceTime); soft-state refresh and DisableBranch compose.
-	DomainMRouters []topology.NodeID
 }
 
 // SCMP is the protocol instance managing every router in a domain.
@@ -218,10 +187,6 @@ type SCMP struct {
 	homes  []topology.NodeID // the m-router(s) currently providing service
 	net    *netsim.Network
 	groups map[packet.GroupID]*groupState
-	// view is the domain decomposition of the hierarchical multi-domain
-	// mode (nil in flat mode — the discriminator every hierarchical
-	// branch tests). Built in Attach from Config.Domains.
-	view *topology.DomainView
 	// entries is indexed by node id (allocated in Attach once the
 	// topology size is known): the per-hop data path reaches a router's
 	// state with one slice index and one small per-group map lookup.
@@ -274,15 +239,6 @@ func New(cfg Config) *SCMP {
 	if cfg.Standby <= 0 {
 		cfg.Standby = -1 // disabled
 	}
-	if len(cfg.DomainMRouters) == 1 && len(cfg.Domains) > 0 {
-		// A single-domain hierarchical configuration IS the flat
-		// protocol: run the flat code path so the degeneration is
-		// byte-identical by construction (the differential gate's k=1
-		// arm), and keep hierarchical() equivalent to "k >= 2".
-		cfg.MRouter = cfg.DomainMRouters[0]
-		cfg.Domains = nil
-		cfg.DomainMRouters = nil
-	}
 	if err := cfg.Validate(nil); err != nil {
 		panic("core: " + err.Error())
 	}
@@ -300,78 +256,41 @@ func New(cfg Config) *SCMP {
 }
 
 // Validate reports the first rule c breaks, nil when it breaks none.
-// Kappa 0 (meaning 1), a non-positive Standby (disabled) and a
-// single-domain hierarchy (flat) are valid, as New reads them. With a
-// nil g only the rules that need no graph are checked; with g, the
-// router ids and the domain labelling are checked against it too.
+// Kappa 0 (meaning 1) and a non-positive Standby (disabled) are valid,
+// as New reads them. With a nil g only the rules that need no graph are
+// checked; with g, the router ids are checked against it too.
 func (c Config) Validate(g *topology.Graph) error {
-	_, err := c.validate(g)
-	return err
-}
-
-// validate is Validate that also returns the domain view of the
-// hierarchical mode (nil in flat mode or without g), which Attach keeps.
-func (c Config) validate(g *topology.Graph) (*topology.DomainView, error) {
-	hier, standby, homes := len(c.DomainMRouters) > 1, c.Standby > 0, c.homes()
+	standby, homes := c.Standby > 0, c.homes()
 	for i, v := range [...]float64{c.DelayBudget, c.AckTimeout, c.ServiceTime, c.RefreshInterval} {
 		if !(v >= 0) || math.IsInf(v, 1) {
-			return nil, fmt.Errorf("%s %g is not finite and >= 0", [...]string{"DelayBudget", "AckTimeout", "ServiceTime", "RefreshInterval"}[i], v)
+			return fmt.Errorf("%s %g is not finite and >= 0", [...]string{"DelayBudget", "AckTimeout", "ServiceTime", "RefreshInterval"}[i], v)
 		}
 	}
 	switch {
 	case math.IsNaN(c.Kappa) || c.Kappa != 0 && c.Kappa < 1:
-		return nil, fmt.Errorf("Kappa %g is not 0 (meaning 1), >= 1 or +Inf", c.Kappa)
-	case (len(c.Domains) == 0) != (len(c.DomainMRouters) == 0):
-		return nil, errors.New("Domains and DomainMRouters must be set together")
-	case hier && len(c.MRouters) > 0:
-		return nil, errors.New("hierarchical mode and MRouters are mutually exclusive")
-	case hier && standby:
-		return nil, errors.New("hierarchical mode does not support a hot standby")
-	case hier && (c.AckTimeout > 0 || c.RetryBudget > 0 || c.AdmitLimit > 0):
-		return nil, errors.New("hierarchical mode does not support reliable-signalling/overload knobs")
-	case hier && c.ServiceTime > 0:
-		return nil, errors.New("hierarchical mode does not support service-time modelling (per-domain service centres are future work)")
+		return fmt.Errorf("Kappa %g is not 0 (meaning 1), >= 1 or +Inf", c.Kappa)
 	case standby && len(c.MRouters) > 0:
-		return nil, errors.New("hot standby requires single-m-router mode")
+		return errors.New("hot standby requires single-m-router mode")
 	case standby && c.Standby == homes[0]:
-		return nil, errors.New("standby must differ from the primary m-router")
+		return errors.New("standby must differ from the primary m-router")
 	}
 	for i, h := range homes {
 		if slices.Contains(homes[:i], h) {
-			return nil, fmt.Errorf("duplicate m-router %d", h)
+			return fmt.Errorf("duplicate m-router %d", h)
 		}
 		if g != nil && (h < 0 || int(h) >= g.N()) {
-			return nil, fmt.Errorf("m-router %d out of range (%d routers)", h, g.N())
+			return fmt.Errorf("m-router %d out of range (%d routers)", h, g.N())
 		}
 	}
 	if g != nil && standby && int(c.Standby) >= g.N() {
-		return nil, fmt.Errorf("standby %d out of range (%d routers)", c.Standby, g.N())
+		return fmt.Errorf("standby %d out of range (%d routers)", c.Standby, g.N())
 	}
-	if g == nil || !hier {
-		return nil, nil
-	}
-	view, err := topology.NewDomainView(g, c.Domains)
-	if err != nil {
-		return nil, err
-	}
-	if view.K() != len(c.DomainMRouters) {
-		return nil, fmt.Errorf("%d domain m-routers for %d domains", len(c.DomainMRouters), view.K())
-	}
-	for d, m := range c.DomainMRouters {
-		if view.Domain(m) != d {
-			return nil, fmt.Errorf("m-router %d assigned to domain %d but lies in domain %d", m, d, view.Domain(m))
-		}
-	}
-	return view, nil
+	return nil
 }
 
 // homes returns the m-routers c configures, in group-assignment order:
-// a hierarchy's domain m-routers, else MRouters, else the one m-router
-// (a single domain's when DomainMRouters has one entry).
+// MRouters, else the one m-router.
 func (c Config) homes() []topology.NodeID {
-	if h := c.DomainMRouters; len(h) > 1 || len(h) == 1 && len(c.MRouters) == 0 {
-		return h
-	}
 	if len(c.MRouters) > 0 {
 		return c.MRouters
 	}
@@ -403,11 +322,10 @@ func (s *SCMP) Attach(n *netsim.Network) {
 	if s.net != nil {
 		panic("core: SCMP attached twice")
 	}
-	view, err := s.cfg.validate(n.G)
-	if err != nil {
+	if err := s.cfg.Validate(n.G); err != nil {
 		panic("core: " + err.Error())
 	}
-	s.net, s.view = n, view
+	s.net = n
 	s.entries = make([]map[packet.GroupID]*entry, n.G.N())
 	s.acct = session.NewManager(n.Sched, 0xE0000000, 1<<20)
 	s.service = newServiceCenter(n.Sched, s, des.Time(s.cfg.ServiceTime), s.cfg.Processors)
@@ -422,17 +340,17 @@ func (s *SCMP) MRouter() topology.NodeID { return s.homes[0] }
 func (s *SCMP) Accounting() *session.Manager { return s.acct }
 
 // GroupTree returns the m-router's current tree for g (nil if the group
-// has no state yet): the composed tree in hierarchical mode. Read-only.
+// has no state yet). Read-only.
 func (s *SCMP) GroupTree(g packet.GroupID) *mtree.Tree {
 	gs := s.groups[g]
 	if gs == nil {
 		return nil
 	}
-	return gs.tree()
+	return gs.dcdm.Tree()
 }
 
-// GroupEngine returns g's flat DCDM engine (nil in hierarchical mode or
-// when the group has no state yet). Read-only, for tests and tooling.
+// GroupEngine returns g's DCDM engine (nil when the group has no state
+// yet). Read-only, for tests and tooling.
 func (s *SCMP) GroupEngine(g packet.GroupID) *mtree.DCDM {
 	if gs := s.groups[g]; gs != nil {
 		return gs.dcdm
@@ -440,29 +358,9 @@ func (s *SCMP) GroupEngine(g packet.GroupID) *mtree.DCDM {
 	return nil
 }
 
-// GroupComposer returns g's hierarchical composer (nil in flat mode or
-// when the group has no state yet). Read-only, for tests and tooling.
-func (s *SCMP) GroupComposer(g packet.GroupID) *mtree.HierDCDM {
-	gs := s.groups[g]
-	if gs == nil {
-		return nil
-	}
-	return gs.hier
-}
-
 func (s *SCMP) group(g packet.GroupID) *groupState {
 	gs := s.groups[g]
 	if gs == nil {
-		if s.view != nil {
-			core := int(g) % len(s.homes)
-			gs = &groupState{hier: mtree.NewHierDCDM(s.view, s.cfg.DomainMRouters, core, s.cfg.Kappa)}
-			if s.cfg.DelayBudget > 0 {
-				gs.hier.SetQoSBudget(s.cfg.DelayBudget)
-			}
-			gs.version = s.epoch * failoverEpoch
-			s.groups[g] = gs
-			return gs
-		}
 		gs = &groupState{dcdm: mtree.NewDCDM(s.net.G, s.home(g), s.cfg.Kappa, s.net.Delay, s.net.Cost)}
 		if s.cfg.DelayBudget > 0 {
 			gs.dcdm.SetQoSBudget(s.cfg.DelayBudget)
@@ -533,12 +431,9 @@ func (s *SCMP) StateEntries(node topology.NodeID) int {
 
 // --- membership (§III-B, §III-C) --------------------------------------
 
-// HostJoin implements the member joining procedure at the DR. In
-// hierarchical mode the JOIN goes to the member's *local* m-router —
-// the locality the multi-domain architecture buys — instead of the
-// group's (core) home.
+// HostJoin implements the member joining procedure at the DR.
 func (s *SCMP) HostJoin(node topology.NodeID, g packet.GroupID) {
-	if s.isCtrlHome(node, node, g) {
+	if s.isHome(node, g) {
 		e := s.entry(node, g)
 		e.OnTree, e.HasLocal = true, true
 		if s.durableMode() {
@@ -579,7 +474,7 @@ func (s *SCMP) HostLeave(node topology.NodeID, g packet.GroupID) {
 	}
 	e.HasLocal = false
 	e.PendingLocal = false
-	if s.isCtrlHome(node, node, g) {
+	if s.isHome(node, g) {
 		if s.durableMode() {
 			// Symmetric with HostJoin: the primary's own LEAVE rides the
 			// reliable path so a failover cannot resurrect it from a stale
@@ -588,11 +483,6 @@ func (s *SCMP) HostLeave(node topology.NodeID, g packet.GroupID) {
 			return
 		}
 		s.mrouterLeave(node, g)
-		// A local m-router — unlike the flat home, which is the tree's
-		// root — can itself be a prunable leaf of the composed tree.
-		if s.hierarchical() && !s.isHome(node, g) && e.OnTree && len(e.Downstream()) == 0 {
-			s.sendPrune(node, g, e)
-		}
 		return
 	}
 	// Always tell the m-router (accounting); additionally prune when the
@@ -624,14 +514,8 @@ func (s *SCMP) sendPrune(node topology.NodeID, g packet.GroupID, e *entry) {
 // --- m-router logic (§III-D, §III-E) -----------------------------------
 
 // mrouterJoin runs DCDM for a join, records it in the service database,
-// replicates it to the standby, and distributes the tree change. In
-// hierarchical mode the member's local m-router runs the composer
-// instead (hier.go).
+// replicates it to the standby, and distributes the tree change.
 func (s *SCMP) mrouterJoin(member topology.NodeID, g packet.GroupID) {
-	if s.hierarchical() {
-		s.hierJoin(member, g)
-		return
-	}
 	gs := s.group(g)
 	gs.lastChange = s.net.Now()
 	defer s.armRefresh(g, gs)
@@ -678,10 +562,6 @@ func (s *SCMP) mrouterJoin(member topology.NodeID, g packet.GroupID) {
 // by the leaving DR's hop-by-hop PRUNE; the m-router only updates its
 // own copy of the tree.
 func (s *SCMP) mrouterLeave(member topology.NodeID, g packet.GroupID) {
-	if s.hierarchical() {
-		s.hierLeave(member, g)
-		return
-	}
 	gs := s.groups[g]
 	if gs == nil {
 		return
@@ -709,7 +589,7 @@ func (s *SCMP) replicate(g packet.GroupID, gs *groupState) {
 	if s.cfg.Standby < 0 || s.epoch > 0 {
 		return // no standby, or the standby itself is already active
 	}
-	members := append(s.path[:0], gs.tree().Members()...)
+	members := append(s.path[:0], gs.dcdm.Tree().Members()...)
 	for m := range gs.deferred {
 		// Deferred (currently partitioned) members are members too: a
 		// failover must not forget them just because grafting is waiting
@@ -850,15 +730,15 @@ func (s *SCMP) syncMRouterEntry(g packet.GroupID, gs *groupState) {
 	e := s.entry(s.home(g), g)
 	e.OnTree = true
 	e.Upstream = netsim.NoUpstream
-	e.SetDownstream(gs.tree().Children(s.home(g)))
+	e.SetDownstream(gs.dcdm.Tree().Children(s.home(g)))
 	e.version = gs.version
-	commitCheck(s.home(g), gs.tree())
+	commitCheck(s.home(g), gs.dcdm.Tree())
 }
 
 // distributeTree sends one self-routing TREE packet per child subtree of
 // the m-router (§III-E).
 func (s *SCMP) distributeTree(g packet.GroupID, gs *groupState) {
-	tree := gs.tree()
+	tree := gs.dcdm.Tree()
 	for _, c := range tree.Children(s.home(g)) {
 		s.buf = packet.AppendTree(s.buf[:0], tree, c)
 		s.net.SendLink(s.home(g), c, &netsim.Packet{
@@ -875,7 +755,7 @@ func (s *SCMP) distributeTree(g packet.GroupID, gs *groupState) {
 // distributeBranch sends a BRANCH packet carrying the tree path from the
 // m-router to the new member.
 func (s *SCMP) distributeBranch(g packet.GroupID, gs *groupState, member topology.NodeID) {
-	path := gs.tree().AppendPathToRoot(s.path[:0], member) // member ... root
+	path := gs.dcdm.Tree().AppendPathToRoot(s.path[:0], member) // member ... root
 	s.path = path
 	if len(path) == 0 {
 		// Defensive: fall back to a full distribution.
@@ -905,7 +785,7 @@ func (s *SCMP) distributeBranch(g packet.GroupID, gs *groupState, member topolog
 func (s *SCMP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 	switch pkt.Kind {
 	case packet.Join:
-		if s.isCtrlHome(node, pkt.Src, pkt.Group) {
+		if s.isHome(node, pkt.Group) {
 			member, g, seq := pkt.Src, pkt.Group, pkt.Seq
 			if s.staleCtl(member, g, seq) {
 				return // superseded op's retransmission: never roll back
@@ -916,16 +796,12 @@ func (s *SCMP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 			s.submit(serviceOp{kind: packet.Join, from: member, g: g, seq: seq})
 		}
 	case packet.Leave:
-		if s.isCtrlHome(node, pkt.Src, pkt.Group) {
+		if s.isHome(node, pkt.Group) {
 			member, g, seq := pkt.Src, pkt.Group, pkt.Seq
 			if s.staleCtl(member, g, seq) {
 				return // superseded op's retransmission: never roll back
 			}
 			s.submit(serviceOp{kind: packet.Leave, from: member, g: g, seq: seq})
-		}
-	case packet.Graft:
-		if s.hierarchical() && s.isHome(node, pkt.Group) {
-			s.handleGraft(node, pkt)
 		}
 	case packet.Rejoin:
 		if s.isHome(node, pkt.Group) {
@@ -1103,19 +979,10 @@ func (s *SCMP) handleBranch(node topology.NodeID, pkt *netsim.Packet) {
 	e.version = pkt.Version
 	if !e.OnTree || e.Upstream == netsim.NoUpstream {
 		// Off tree, or an orphan whose upstream link died: adopt the
-		// branch as the new upstream (local repair re-homing) — except
-		// at a hierarchical install's *addressed head* (pkt.Dst is the
-		// head, propagated hop-by-hop below). The head reached the
-		// composed tree through an earlier install; if that install is
-		// still in flight, pkt.From here is a unicast relay, not the
-		// tree parent, and adopting it would wedge the entry until the
-		// next refresh. Leaving upstream unset lets the in-flight
-		// equal-version install adopt correctly when it lands.
-		if !(s.hierarchical() && pkt.Dst == node) {
-			e.OnTree = true
-			e.Upstream = pkt.From
-			s.recordRecovery(e)
-		}
+		// branch as the new upstream (local repair re-homing).
+		e.OnTree = true
+		e.Upstream = pkt.From
+		s.recordRecovery(e)
 	}
 	// Any router the BRANCH confirms on the tree can add the interface
 	// it marked at IGMP-report time — the node may be a mid-path relay
@@ -1134,7 +1001,6 @@ func (s *SCMP) handleBranch(node topology.NodeID, pkt *netsim.Packet) {
 		Kind:    packet.Branch,
 		Group:   pkt.Group,
 		Src:     pkt.Src,
-		Dst:     pkt.Dst, // the addressed head, so only it skips adoption (flat: 0, unchanged)
 		Version: pkt.Version,
 		Payload: s.buf,
 		Size:    len(s.buf) + 8,

@@ -15,9 +15,9 @@ import (
 // transit-stub instance, run once against the flat DCDM engine and once
 // per domain grouping against the hierarchical composer, measuring how
 // tree quality, control overhead and resident routing state move with
-// the domain count. The sweep drives the routing engines directly (the
-// packet-level runtime is exercised end-to-end by the core tests): what
-// it varies is purely how the one fixed topology is cut into domains.
+// the domain count. The sweep drives the routing engines directly (SCMP
+// has no packet-level multi-domain runtime): what it varies is purely
+// how the one fixed topology is cut into domains.
 type DomainsConfig struct {
 	Topology topology.TransitStubConfig
 	// Groupings lists the domain-count ladder; see DomainGrouping.

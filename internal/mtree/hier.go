@@ -54,10 +54,9 @@ type hierLocal struct {
 	anchor topology.NodeID
 }
 
-// HierJoinResult describes how a join changed the composed tree, in
-// the terms the per-domain m-router runtime distributes: a local graft
-// path, plus — when the join activated its domain — the border splice
-// the core m-router must install.
+// HierJoinResult describes how a join changed the composed tree: a
+// local graft path, plus — when the join activated its domain — the
+// newly grafted border splice.
 type HierJoinResult struct {
 	Member topology.NodeID
 	Domain int
@@ -163,9 +162,6 @@ func (h *HierDCDM) localBudget(d int) float64 {
 // tentpole requires across domain boundaries.
 func (h *HierDCDM) Tree() *Tree { return h.tree }
 
-// View returns the domain view the composer runs over.
-func (h *HierDCDM) View() *topology.DomainView { return h.view }
-
 // Core returns the core domain id; Root its m-router (the composed
 // tree's root).
 func (h *HierDCDM) Core() int                   { return h.core }
@@ -181,16 +177,6 @@ func (h *HierDCDM) LocalTree(d int) *Tree {
 		return nil
 	}
 	return h.locals[d].dcdm.Tree()
-}
-
-// DomainAnchor returns the domain subtree's root in global ids — the
-// border router where the splice enters the domain (the core m-router
-// for the core domain) — and whether the domain is active.
-func (h *HierDCDM) DomainAnchor(d int) (topology.NodeID, bool) {
-	if h.locals[d] == nil {
-		return -1, false
-	}
-	return h.locals[d].anchor, true
 }
 
 // Join admits member s: activates s's domain if this is its first

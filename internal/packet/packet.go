@@ -64,19 +64,12 @@ const (
 	// SCMP overload protection (churn model): the m-router refuses an
 	// admission-controlled JOIN and tells the requester when to retry.
 	Nack
-
-	// SCMP hierarchical mode (PROTOCOL.md §13): a domain m-router asks
-	// the group's core m-router to install a newly realized inter-domain
-	// splice. The payload is the BRANCH encoding of the full install
-	// path (last already-on-tree node through the border to the first
-	// member), and the core answers by distributing it as a BRANCH.
-	Graft
 )
 
 // NumKinds is the number of defined packet kinds. Kind values are dense
 // from 0, so hot-path per-kind counters can live in fixed-size arrays
 // indexed by Kind instead of maps (internal/metrics).
-const NumKinds = int(Graft) + 1
+const NumKinds = int(Nack) + 1
 
 var kindNames = map[Kind]string{
 	Data: "DATA", EncapData: "ENCAP-DATA",
@@ -86,7 +79,7 @@ var kindNames = map[Kind]string{
 	DvmrpPrune: "DVMRP-PRUNE", DvmrpGraft: "DVMRP-GRAFT",
 	GroupLSA: "GROUP-LSA",
 	CbtJoin:  "CBT-JOIN", CbtJoinAck: "CBT-JOIN-ACK", CbtQuit: "CBT-QUIT",
-	Nack: "NACK", Graft: "GRAFT",
+	Nack: "NACK",
 }
 
 func (k Kind) String() string {

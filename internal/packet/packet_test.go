@@ -19,6 +19,16 @@ func TestKindStrings(t *testing.T) {
 	if Kind(999).String() != "Kind(999)" {
 		t.Fatalf("unknown kind = %q", Kind(999).String())
 	}
+	// Kinds are dense from 0 and NACK is the last: every kind below
+	// NumKinds is named, and none at or above it.
+	if Nack.String() != "NACK" || int(Nack) != NumKinds-1 || len(kindNames) != NumKinds {
+		t.Fatalf("NACK = %d %q, NumKinds = %d, %d names", Nack, Nack, NumKinds, len(kindNames))
+	}
+	for k := Kind(0); int(k) < NumKinds; k++ {
+		if _, ok := kindNames[k]; !ok {
+			t.Fatalf("kind %d has no name", k)
+		}
+	}
 }
 
 func TestClassOf(t *testing.T) {

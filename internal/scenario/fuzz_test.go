@@ -39,7 +39,7 @@ func FuzzParse(f *testing.F) {
 			}
 			return
 		}
-		st := &state{scale: 1, w: io.Discard}
+		st := &state{w: io.Discard}
 		for _, c := range s.cmds {
 			switch {
 			case c.verb == "run":

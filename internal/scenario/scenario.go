@@ -19,10 +19,11 @@
 //
 // Lines are independent commands; '#' starts a comment. join, leave,
 // send and `print tree` take an optional group=N (default 1).
-// `scale-delays F` multiplies every link delay (e.g. 0.001 reads the
-// generators' units as milliseconds) and `bandwidth B` gives links a
-// finite capacity of B bytes/s (queueing + transmission + propagation,
-// the paper's three-component link delay); both must precede `protocol`.
+// `scale-delays F` (after `topology`) multiplies every link delay (e.g.
+// 0.001 reads the generators' units as milliseconds) and `bandwidth B`
+// gives links a finite capacity of B bytes/s (queueing + transmission +
+// propagation, the paper's three-component link delay); both must
+// precede `protocol`.
 //
 // Fault injection: `faults loss-control=P loss-data=P until=T seed=S`
 // (after `protocol`) installs a deterministic fault plan, and the
@@ -240,7 +241,6 @@ func (c command) invalid(err error) error {
 // state is the execution context.
 type state struct {
 	g         *topology.Graph
-	scale     float64
 	bandwidth float64
 	net       *netsim.Network
 	scmp      *core.SCMP     // non-nil when the protocol is SCMP
@@ -252,7 +252,7 @@ type state struct {
 
 // Run executes the script, writing "print" output to w.
 func (s *Script) Run(w io.Writer) error {
-	st := &state{scale: 1, w: w}
+	st := &state{w: w}
 	for _, c := range s.cmds {
 		if err := st.exec(c); err != nil {
 			return err
@@ -298,12 +298,20 @@ func (st *state) dispatch(c command) error {
 			return fmt.Errorf("line %d: %s needs one number", c.line, c.verb)
 		}
 		f, err := c.arg(c.verb, c.args[0], positive)
-		if c.verb == "bandwidth" {
+		switch {
+		case err != nil:
+			return err
+		case c.verb == "bandwidth":
 			st.bandwidth = f
-		} else {
-			st.scale = f
+			return nil
+		case st.g == nil:
+			return fmt.Errorf("line %d: scale-delays before topology", c.line)
 		}
-		return err
+		g, err := st.g.TryScaleDelays(f)
+		if err == nil {
+			st.g = g
+		}
+		return c.invalid(err)
 	case "protocol":
 		return st.execProtocol(c)
 	case "faults":
@@ -389,9 +397,6 @@ func (st *state) execProtocol(c command) error {
 		return fmt.Errorf("line %d: protocol needs a name", c.line)
 	}
 	g := st.g
-	if st.scale != 1 {
-		g = g.ScaleDelays(st.scale)
-	}
 	var proto netsim.Protocol
 	switch c.args[0] {
 	case "scmp":

@@ -303,6 +303,11 @@ func TestMalformedScriptErrors(t *testing.T) {
 		{"standby is the mrouter", head + "protocol scmp mrouter=3 standby=3", 2},
 		{"cbt core out of range", head + "protocol cbt core=99", 2},
 		{"NaN delay scale", head + "scale-delays NaN\nprotocol scmp", 2},
+		// Scaled delays used to overflow to +Inf (a panic on the first
+		// unicast) or underflow to subnormals (a run on zero delays).
+		{"delay scale overflows", "# conference.scn\ntopology random n=30 degree=4 seed=7\nscale-delays 1e308\nprotocol scmp\nat 0 join 3\nrun 1", 3},
+		{"delay scale underflows", "# conference.scn\ntopology random n=30 degree=4 seed=7\nscale-delays 1e-320\nprotocol scmp\nat 0 join 3\nrun 1", 3},
+		{"delay scale before topology", "scale-delays 0.001\n" + head + "protocol scmp", 1},
 		{"NaN bandwidth", head + "bandwidth NaN\nprotocol scmp", 2},
 		{"infinite bandwidth", head + "bandwidth inf\nprotocol scmp", 2},
 		{"NaN churn rate", head + "protocol scmp\nchurn 1 NaN poisson 1 members=1,2", 3},

@@ -51,10 +51,24 @@ func (g *Graph) N() int { return len(g.adj) }
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
 
+// checkLink is the link rule: delay and cost are finite and at least
+// 2^-1022, the smallest normal float64. Zero-delay links would let the
+// discrete-event simulator schedule infinite instantaneous loops, and a
+// subnormal delay vanishes the same way from any sum with a clock
+// reading; an infinite one makes every route across the link
+// unreachable.
+func checkLink(delay, cost float64) error {
+	for _, x := range [2]float64{delay, cost} {
+		if !(x >= 0x1p-1022) || math.IsInf(x, 1) {
+			return fmt.Errorf("needs finite delay and cost >= 2^-1022, got (%g,%g)", delay, cost)
+		}
+	}
+	return nil
+}
+
 // AddEdge adds the symmetric edge {u,v} with the given delay and cost.
 // It returns an error on self-loops, duplicate edges, out-of-range nodes,
-// or non-positive delay/cost (zero-delay links would let the discrete-
-// event simulator schedule infinite instantaneous loops).
+// or a delay or cost that breaks the link rule (checkLink).
 func (g *Graph) AddEdge(u, v NodeID, delay, cost float64) error {
 	if u == v {
 		return fmt.Errorf("topology: self-loop at %d", u)
@@ -62,8 +76,8 @@ func (g *Graph) AddEdge(u, v NodeID, delay, cost float64) error {
 	if !g.valid(u) || !g.valid(v) {
 		return fmt.Errorf("topology: edge {%d,%d} out of range (n=%d)", u, v, g.N())
 	}
-	if delay <= 0 || cost <= 0 {
-		return fmt.Errorf("topology: edge {%d,%d} needs positive delay and cost, got (%g,%g)", u, v, delay, cost)
+	if err := checkLink(delay, cost); err != nil {
+		return fmt.Errorf("topology: edge {%d,%d} %w", u, v, err)
 	}
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("topology: duplicate edge {%d,%d}", u, v)
@@ -218,18 +232,39 @@ func (g *Graph) TotalCost() float64 {
 // in abstract cost-proportional units; packet-level simulations convert
 // them to seconds (e.g. factor 1e-3 reads the raw values as
 // milliseconds), so that a one-packet-per-second source is slow relative
-// to propagation, as in the paper's NS-2 setup.
+// to propagation, as in the paper's NS-2 setup. It panics where
+// TryScaleDelays returns an error; use it for factors known to be good.
 func (g *Graph) ScaleDelays(factor float64) *Graph {
-	if factor <= 0 {
-		panic("topology: ScaleDelays needs a positive factor")
-	}
-	c := g.Clone()
-	for u := range c.adj {
-		for i := range c.adj[u] {
-			c.adj[u][i].Delay *= factor
-		}
+	c, err := g.TryScaleDelays(factor)
+	if err != nil {
+		panic(err)
 	}
 	return c
+}
+
+// TryScaleDelays is ScaleDelays for a factor read from input. It returns
+// an error when a scaled delay breaks the link rule (checkLink), or when
+// the scaled delays sum past the largest float64, so that a path's
+// delay could overflow.
+func (g *Graph) TryScaleDelays(factor float64) (*Graph, error) {
+	c := g.Clone()
+	total := 0.0
+	for u := range c.adj {
+		for i := range c.adj[u] {
+			l := &c.adj[u][i]
+			l.Delay *= factor
+			if err := checkLink(l.Delay, l.Cost); err != nil {
+				return nil, fmt.Errorf("topology: delays scaled by %g: edge {%d,%d} %w", factor, u, l.To, err)
+			}
+			if NodeID(u) < l.To {
+				total += l.Delay
+			}
+		}
+	}
+	if math.IsInf(total, 1) {
+		return nil, fmt.Errorf("topology: delays scaled by %g overflow a path's delay", factor)
+	}
+	return c, nil
 }
 
 // Clone returns a deep copy of the graph.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -46,6 +47,11 @@ func TestAddEdgeRejections(t *testing.T) {
 		{"zero delay", 0, 1, 0, 1},
 		{"zero cost", 0, 1, 1, 0},
 		{"negative delay", 0, 1, -2, 1},
+		{"NaN delay", 0, 1, math.NaN(), 1},
+		{"NaN cost", 0, 1, 1, math.NaN()},
+		{"infinite delay", 0, 1, math.Inf(1), 1},
+		{"infinite cost", 0, 1, 1, math.Inf(1)},
+		{"subnormal delay", 0, 1, 1e-320, 1},
 	}
 	for _, c := range cases {
 		if err := g.AddEdge(c.u, c.v, c.delay, c.cost); err == nil {
@@ -55,6 +61,28 @@ func TestAddEdgeRejections(t *testing.T) {
 	g.MustAddEdge(0, 1, 1, 1)
 	if err := g.AddEdge(1, 0, 2, 2); err == nil {
 		t.Error("duplicate edge accepted")
+	}
+}
+
+func TestTryScaleDelays(t *testing.T) {
+	g := New(4)
+	g.MustAddEdge(0, 1, 2, 5)
+	g.MustAddEdge(1, 2, 1e300, 5)
+	g.MustAddEdge(2, 3, 1e300, 5) // by 1e8 each is finite, the path 1-2-3 not
+	for _, f := range []float64{0, -1, math.NaN(), math.Inf(1), 1e308, 1e-320, 1e8} {
+		if _, err := g.TryScaleDelays(f); err == nil {
+			t.Errorf("factor %g accepted", f)
+		}
+	}
+	c, err := g.TryScaleDelays(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l, _ := c.Edge(0, 1); l.Delay != 1 || l.Cost != 5 {
+		t.Fatalf("scaled edge = %+v, want delay 1 cost 5", l)
+	}
+	if l, _ := g.Edge(0, 1); l.Delay != 2 {
+		t.Fatalf("the original changed: %+v", l)
 	}
 }
 
