@@ -25,9 +25,10 @@ import (
 // TestHotPathAllocFloor drives the BenchmarkDataPlane load — one data
 // packet fanned out over a 40-member shared tree on the 400-node Waxman
 // instance — through testing.AllocsPerRun and asserts the steady-state
-// bill stays at or below 2 allocs per packet (the reviewed budget; the
-// measured bill is 1, the delivery ground-truth record, and every
-// per-hop cost is pooled). SCMP and CBT forward through the same
+// bill is 0 allocs per packet: every per-hop cost is pooled, and the
+// delivery ground-truth records live in ledger blocks of 64, whose one
+// allocation per 64 packets rounds away in the per-run average. SCMP
+// and CBT forward through the same
 // netsim.TreeEntry; DVMRP and MOSPF forward from dense per-(source,
 // group) state. DVMRP runs twice: with the default prune lifetime,
 // which one fan-out on this fixture outlasts, so every packet floods the
@@ -74,7 +75,7 @@ func TestHotPathAllocFloor(t *testing.T) {
 			n.Run()
 		}
 
-		const budget = 2.0
+		const budget = 0.0
 		avg := testing.AllocsPerRun(200, func() {
 			n.SendData(src, 1, packet.DefaultDataSize)
 			n.Run()

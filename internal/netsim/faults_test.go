@@ -94,6 +94,61 @@ func TestInFlightPacketLostToLinkCut(t *testing.T) {
 	}
 }
 
+// A packet whose receiver crashes while it is on the wire is dropped at
+// arrival and counted.
+func TestInFlightPacketLostToReceiverCrash(t *testing.T) {
+	p := &echoProto{}
+	n := New(lineGraph(2), p)
+	n.InstallFaults(FaultPlan{Events: []FaultEvent{{At: 1, Kind: NodeDown, U: 1}}})
+	n.SendLink(0, 1, &Packet{Kind: packet.Data, Size: 100}) // arrives at t=2
+	n.Run()
+	if len(p.got) != 0 {
+		t.Fatal("packet delivered to a router that crashed while it was in flight")
+	}
+	if n.Metrics.Dropped() != 1 {
+		t.Fatalf("data drops = %d, want 1", n.Metrics.Dropped())
+	}
+}
+
+// A unicast relay admitted onto its second arc (1->2, at t=2) dies there
+// when that arc is cut before it arrives (t=4): the intermediate router
+// does not get it back and the destination never sees it.
+func TestInFlightUnicastLostToRelayArcCut(t *testing.T) {
+	p := &echoProto{}
+	n := New(lineGraph(3), p)
+	n.InstallFaults(FaultPlan{Events: []FaultEvent{{At: 3, Kind: LinkDown, U: 1, V: 2}}})
+	n.SendUnicast(0, &Packet{Kind: packet.Rejoin, Dst: 2, Size: 64})
+	n.Run()
+	if len(p.got) != 0 {
+		t.Fatalf("delivered %d packets across an arc cut mid-flight", len(p.got))
+	}
+	if n.Metrics.DroppedByKind(packet.Rejoin) != 1 {
+		t.Fatalf("REJOIN drops = %d, want 1", n.Metrics.DroppedByKind(packet.Rejoin))
+	}
+	if got := n.Metrics.LinkLoad(0, 1) + n.Metrics.LinkLoad(1, 2); got != 2 {
+		t.Fatalf("crossings = %d, want 2 (both arcs were entered)", got)
+	}
+}
+
+// Arrival judges the link as it is at arrival: one cut and restored
+// while a packet is on it still delivers the packet.
+func TestInFlightPacketSurvivesCutAndRestore(t *testing.T) {
+	p := &echoProto{}
+	n := New(lineGraph(2), p)
+	n.InstallFaults(FaultPlan{Events: []FaultEvent{
+		{At: 0.5, Kind: LinkDown, U: 0, V: 1},
+		{At: 1.5, Kind: LinkUp, U: 0, V: 1},
+	}})
+	n.SendLink(0, 1, &Packet{Kind: packet.Tree, Size: 64}) // arrives at t=2
+	n.Run()
+	if len(p.got) != 1 || p.got[0].node != 1 {
+		t.Fatalf("got %d packets, want the one sent before the cut", len(p.got))
+	}
+	if n.Metrics.DroppedByKind(packet.Tree) != 0 {
+		t.Fatalf("TREE drops = %d, want 0", n.Metrics.DroppedByKind(packet.Tree))
+	}
+}
+
 func TestNodeCrashKillsAdjacentLinks(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(3), p)

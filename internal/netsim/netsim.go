@@ -13,8 +13,9 @@
 // closure per hop) on one FIFO lane per arc (the scheduler's heap holds
 // one entry per busy link, not per packet), per-link state (busy
 // horizons, load counters, lanes) is indexed by dense CSR arc id, and
-// membership/delivery ground truth lives in bitsets and a ledger
-// indexed by data-packet seq (DESIGN.md §10).
+// membership/delivery ground truth lives in bitsets and a ledger of
+// 64-record blocks indexed by data-packet seq, so a fan-out allocates
+// nothing (DESIGN.md §10).
 package netsim
 
 import (
@@ -113,17 +114,19 @@ func (s NodeSet) AppendIDs(out []topology.NodeID) []topology.NodeID {
 // delivery tracks who should and did receive one data packet: the
 // member snapshot at send time, who has received it at least once, and
 // who received it more than once. Three bitsets of equal length in one
-// slice — the per-data-packet bookkeeping is one allocation, and the
-// per-hop DeliverLocal path is two word operations.
+// slice of a ledger block, so the per-hop DeliverLocal path is two word
+// operations.
 type delivery NodeSet
-
-func newDelivery(n int) delivery { return make(delivery, 3*((n+63)/64)) }
 
 // sets splits the record into its expected, once and dup bitsets.
 func (d delivery) sets() (exp, once, dup NodeSet) {
 	w := len(d) / 3
 	return NodeSet(d[:w]), NodeSet(d[w : 2*w]), NodeSet(d[2*w:])
 }
+
+// ledgerBlock is how many delivery records one ledger block holds; a new
+// block never moves the records before it.
+const ledgerBlock = 64
 
 // Network is one simulated domain.
 type Network struct {
@@ -140,9 +143,9 @@ type Network struct {
 	// Cost starts no row unless someone reads it.
 	Delay, Cost *topology.AllPairs
 
-	seq        uint64
-	members    map[packet.GroupID]NodeSet
-	deliveries []delivery // data packet seq s at s-1; seq is dense from 1
+	seq     uint64
+	members map[packet.GroupID]NodeSet
+	ledger  [][]uint64 // delivery records, ledgerBlock per block; seq s (dense from 1) is record s-1
 
 	// Trace, when set, observes every link crossing (for debugging and
 	// the examples' live narration). The *Packet argument is only valid
@@ -330,12 +333,13 @@ func (n *Network) admit(a int32, from, to topology.NodeID, kind packet.Kind) (ad
 }
 
 // arrived reports whether a packet scheduled on from->to survives to be
-// handled at to, counting the drop otherwise.
+// handled at to, counting the drop otherwise. It reads the same arc mask
+// admit does, so a crossing is judged by one rule at both ends.
 func (n *Network) arrived(from, to topology.NodeID, kind packet.Kind, lost bool) bool {
 	if n.faults == nil {
 		return true
 	}
-	if lost || n.faults.LinkIsDown(from, to) {
+	if lost || n.faults.down[n.arc(from, to)] {
 		n.Metrics.OnDrop(kind)
 		return false
 	}
@@ -541,22 +545,28 @@ func (n *Network) IsMember(node topology.NodeID, g packet.GroupID) bool {
 func (n *Network) SendData(src topology.NodeID, g packet.GroupID, size int) uint64 {
 	n.seq++
 	seq := n.seq
-	d := newDelivery(n.G.N())
-	exp, _, _ := d.sets()
+	if (seq-1)%ledgerBlock == 0 {
+		n.ledger = append(n.ledger, make([]uint64, ledgerBlock*n.recordWords()))
+	}
+	exp, _, _ := n.delivery(seq).sets()
 	copy(exp, n.members[g])
 	exp.Clear(src) // a sending member does not deliver to itself over the network
-	n.deliveries = append(n.deliveries, d)
 	n.Proto.SendData(src, g, size, seq)
 	return seq
 }
 
+// recordWords is the length of one delivery record: three router sets.
+func (n *Network) recordWords() int { return 3 * ((n.G.N() + 63) / 64) }
+
 // delivery returns the record of data packet seq, or nil for seq 0 (no
 // data packet) or a seq SendData never issued.
 func (n *Network) delivery(seq uint64) delivery {
-	if seq == 0 || seq > uint64(len(n.deliveries)) {
+	if seq == 0 || seq > n.seq {
 		return nil
 	}
-	return n.deliveries[seq-1]
+	w := n.recordWords()
+	off := int((seq-1)%ledgerBlock) * w
+	return delivery(n.ledger[(seq-1)/ledgerBlock][off : off+w : off+w])
 }
 
 // DeliverLocal is called by protocols when a data packet reaches a

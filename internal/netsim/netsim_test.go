@@ -296,6 +296,52 @@ func TestDeliveryLedgerSeqs(t *testing.T) {
 	}
 }
 
+// The ledger stores records in blocks of 64. On a 130-router line a
+// record spans three words per bitset, and every seq gets its own
+// expected set and delivery pattern, so a record read through the
+// wrong block or offset shows up as a wrong answer. Seqs either side of
+// the first block boundary and a few hundred in are exact; seq 0, and
+// seqs past the last issued one (inside the last block or beyond it),
+// have no record.
+func TestDeliveryLedgerAcrossBlocks(t *testing.T) {
+	const sends = 300
+	n := New(lineGraph(130), &echoProto{})
+	a := func(s uint64) topology.NodeID { return topology.NodeID(1 + s%64) }
+	b := func(s uint64) topology.NodeID { return topology.NodeID(65 + (5*s)%64) }
+	for s := uint64(1); s <= sends; s++ {
+		n.HostJoin(a(s), 5)
+		n.HostJoin(b(s), 5)
+		if got := n.SendData(0, 5, 100); got != s {
+			t.Fatalf("SendData issued seq %d, want %d", got, s)
+		}
+		n.HostLeave(a(s), 5)
+		n.HostLeave(b(s), 5)
+	}
+	for s := uint64(sends); s >= 1; s-- {
+		n.DeliverLocal(a(s), &Packet{Kind: packet.Data, Seq: s})
+		if s%2 == 1 {
+			n.DeliverLocal(a(s), &Packet{Kind: packet.Data, Seq: s})
+		}
+	}
+	for _, s := range []uint64{1, 2, 63, 64, 65, 127, 128, 129, 299, sends} {
+		missing, anomalous := n.CheckDelivery(s)
+		if len(missing) != 1 || missing[0] != b(s) {
+			t.Errorf("seq %d: missing = %v, want [%d]", s, missing, b(s))
+		}
+		if s%2 == 1 && (len(anomalous) != 1 || anomalous[0] != a(s)) {
+			t.Errorf("seq %d: anomalous = %v, want [%d]", s, anomalous, a(s))
+		}
+		if s%2 == 0 && len(anomalous) != 0 {
+			t.Errorf("seq %d: anomalous = %v, want none", s, anomalous)
+		}
+	}
+	for _, s := range []uint64{0, sends + 1, 320, 321, 1 << 40} {
+		if d := n.delivery(s); d != nil {
+			t.Errorf("delivery(%d) = %v, want nil", s, d)
+		}
+	}
+}
+
 func TestFiniteBandwidthAddsTransmission(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(2), p)

@@ -10,6 +10,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"scmp/internal/des"
@@ -111,7 +112,16 @@ type Manager struct {
 	nextProbe  uint32
 	groups     map[packet.GroupID]*groupState
 	nextSess   SessionID
-	log        []Event
+	log        [][]Event // the accounting log; chunk k holds logChunk(k) records
+}
+
+// logChunk is the capacity of log chunk k: 8 doubling to 1024, so an
+// append never copies a stored record and a short log stays small.
+func logChunk(k int) int {
+	if k >= 7 { // 8<<7 == 1024; the guard also keeps the shift from overflowing
+		return 1024
+	}
+	return 8 << k
 }
 
 // NewManager returns a manager allocating group addresses from
@@ -129,7 +139,12 @@ func NewManager(clock Clock, base packet.GroupID, size int) *Manager {
 }
 
 func (m *Manager) record(kind EventKind, g packet.GroupID, member topology.NodeID) {
-	m.log = append(m.log, Event{At: m.clock.Now(), Kind: kind, Group: g, Member: member})
+	k := len(m.log)
+	if k == 0 || len(m.log[k-1]) == cap(m.log[k-1]) {
+		m.log = append(m.log, make([]Event, 0, logChunk(k)))
+		k++
+	}
+	m.log[k-1] = append(m.log[k-1], Event{At: m.clock.Now(), Kind: kind, Group: g, Member: member})
 }
 
 // Allocate issues a fresh multicast address for a new group (§II-C:
@@ -348,5 +363,6 @@ func (m *Manager) Session(g packet.GroupID, id SessionID) (SessionInfo, error) {
 	return ss.info, nil
 }
 
-// Log returns the accounting log (a copy), in chronological order.
-func (m *Manager) Log() []Event { return append([]Event(nil), m.log...) }
+// Log returns the accounting log (a copy), in chronological order; nil
+// when nothing has been logged.
+func (m *Manager) Log() []Event { return slices.Concat(m.log...) }

@@ -1,10 +1,14 @@
 package session
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"scmp/internal/des"
+	"scmp/internal/topology"
 )
 
 func newMgr() (*Manager, *des.Scheduler) {
@@ -214,6 +218,69 @@ func TestLogChronology(t *testing.T) {
 	log[0].Kind = EventRevoke
 	if m.Log()[0].Kind != EventAllocate {
 		t.Fatal("log not copied")
+	}
+}
+
+// The accounting log grows in chunks, so appending never copies what is
+// already stored: 100k records cost their own bytes plus one partly
+// filled chunk and the chunk index, not the ~2x of a doubling slice's
+// abandoned arrays.
+func TestLogAppendDoesNotCopy(t *testing.T) {
+	const records = 100_000
+	m, _ := newMgr()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < records; i++ {
+		m.record(EventJoin, 1, topology.NodeID(i))
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(1.25 * records * float64(unsafe.Sizeof(Event{})))
+	if got > limit {
+		t.Fatalf("%d records allocated %d bytes, want at most %d", records, got, limit)
+	}
+}
+
+// Log returns exactly the appended records, in order, whatever chunk
+// they landed in: empty, one record, either side of every geometric
+// chunk boundary and after several full 1024-record chunks. The copy it
+// returns is the caller's own.
+func TestLogAcrossChunkBoundaries(t *testing.T) {
+	for _, k := range []int{7, 8, 63, 1 << 20} {
+		if logChunk(k) != 1024 {
+			t.Fatalf("logChunk(%d) = %d, want 1024", k, logChunk(k))
+		}
+	}
+	checkpoints := []int{0, 1}
+	end := 0
+	for k := 0; k < 9; k++ {
+		end += logChunk(k)
+		checkpoints = append(checkpoints, end-1, end, end+1)
+	}
+	checkpoints = append(checkpoints, end+5*1024, end+5*1024+1)
+
+	m, _ := newMgr()
+	var want []Event
+	for _, c := range checkpoints {
+		for len(want) < c {
+			e := Event{Kind: EventJoin, Group: 1, Member: topology.NodeID(len(want))}
+			m.record(e.Kind, e.Group, e.Member)
+			want = append(want, e)
+		}
+		got := m.Log()
+		if c == 0 {
+			if got != nil {
+				t.Fatalf("empty log = %v, want nil", got)
+			}
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %d records Log() differs from the appended sequence", c)
+		}
+		got[0].Kind, got[c-1].Member = EventRevoke, -7
+		if again := m.Log(); !slices.Equal(again, want) {
+			t.Fatalf("after %d records mutating Log()'s result changed the log", c)
+		}
 	}
 }
 
