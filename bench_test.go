@@ -398,8 +398,9 @@ func BenchmarkDVMRPPruneLifetime(b *testing.B) {
 // Fig. 8/9-style load (40-member SCMP group, single source). Each
 // iteration injects one data packet and drains the network, so
 // allocs/op is the allocation bill for one packet's full tree fan-out
-// (~hops/op link crossings plus the per-packet delivery ground-truth
-// record). events/sec and ns/hop are the throughput metrics.
+// (~hops/op link crossings; the delivery ground truth lives in ledger
+// blocks of 64 records, so B/op is that block's share per packet).
+// events/sec and ns/hop are the throughput metrics.
 func BenchmarkDataPlane(b *testing.B) {
 	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
 	if err != nil {

@@ -38,7 +38,8 @@ type entry struct {
 	// downstream pointers that close a forwarding cycle, the second
 	// visit of a packet to any router on the cycle is suppressed here,
 	// turning an infinite packet storm into at most one extra traversal.
-	lastSeq map[topology.NodeID]uint64
+	// One pair per source, ascending by source.
+	lastSeq []srcSeq
 	// repairing is set when this router's upstream tree link died and a
 	// REJOIN is in flight; repairT0 timestamps the failure so the
 	// recovery time can be recorded when a new upstream is adopted.
@@ -47,10 +48,37 @@ type entry struct {
 }
 
 func newEntry() *entry {
-	return &entry{
-		TreeEntry: netsim.TreeEntry{Upstream: netsim.NoUpstream},
-		lastSeq:   make(map[topology.NodeID]uint64),
+	return &entry{TreeEntry: netsim.TreeEntry{Upstream: netsim.NoUpstream}}
+}
+
+// srcSeq is one source's pair in an entry's duplicate filter.
+type srcSeq struct {
+	src  topology.NodeID
+	last uint64
+}
+
+// newSeq reports whether seq is above the highest seq forwarded from src
+// (any seq is, from a new source) and records it when it is. It binary
+// searches lastSeq, then updates the source's pair or inserts it in order.
+func (e *entry) newSeq(src topology.NodeID, seq uint64) bool {
+	ps, i := e.lastSeq, 0
+	for n := len(ps); n > 1; n -= n / 2 {
+		if ps[i+n/2].src <= src {
+			i += n / 2
+		}
 	}
+	if i < len(ps) && ps[i].src == src {
+		if seq <= ps[i].last {
+			return false
+		}
+		ps[i].last = seq
+		return true
+	}
+	if i < len(ps) && ps[i].src < src {
+		i++
+	}
+	e.lastSeq = slices.Insert(ps, i, srcSeq{src, seq}) //scmplint:ignore hotalloc — once per source; the array is kept
+	return true
 }
 
 // groupState is the m-router's per-group state: the DCDM tree, the
@@ -301,6 +329,9 @@ func (c Config) homes() []topology.NodeID {
 // assignment MRouters[g mod len] (a single-m-router domain always maps
 // to that m-router).
 func (s *SCMP) home(g packet.GroupID) topology.NodeID {
+	if len(s.homes) == 1 {
+		return s.homes[0] // the per-hop case: skip the division
+	}
 	return s.homes[int(g)%len(s.homes)]
 }
 
@@ -1097,7 +1128,7 @@ func (s *SCMP) SendData(src topology.NodeID, g packet.GroupID, size int, seq uin
 		// the packet back here, and without this entry the source would
 		// deliver its own packet to its local hosts. Interior routers
 		// are already covered — their first copy seeds lastSeq.
-		e.lastSeq[src] = seq
+		e.newSeq(src, seq)
 		e.Forward(s.net, src, pkt, src /* nothing to exclude: use src itself */)
 		return
 	}
@@ -1119,11 +1150,10 @@ func (s *SCMP) handleData(node topology.NodeID, pkt *netsim.Packet) {
 		s.net.DropData(node)
 		return
 	}
-	if last, seen := e.lastSeq[pkt.Src]; seen && pkt.Seq <= last {
+	if !e.newSeq(pkt.Src, pkt.Seq) {
 		s.net.DropData(node) // duplicate: a forwarding cycle is feeding us
 		return
 	}
-	e.lastSeq[pkt.Src] = pkt.Seq
 	s.recordTraffic(node, pkt.Group, pkt.Size)
 	e.Forward(s.net, node, pkt, pkt.From)
 	// A member source that fell back to encapsulation sees its own

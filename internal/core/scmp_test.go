@@ -481,3 +481,50 @@ func BenchmarkSCMPJoinLeaveCycle(b *testing.B) {
 		n.Run()
 	}
 }
+
+// TestDataDuplicateFilterPerSource pins the duplicate filter's rule: a
+// router forwards a data packet only when its seq is above the highest
+// it has forwarded from the same source. Sources are independent, so
+// interleaved sources whose seqs arrive out of global order all pass,
+// and a source first heard between two others keeps its own count.
+func TestDataDuplicateFilterPerSource(t *testing.T) {
+	n, s := newNet(railGraph(), Config{MRouter: 0})
+	n.HostJoin(4, grp)
+	n.Run()
+	// Router 2 sits on the tree 0-1-2-4: upstream 1, child 4. A packet
+	// from 1 that passes the filter crosses 2->4 once.
+	for i, step := range []struct {
+		src     topology.NodeID
+		seq     uint64
+		forward bool
+	}{
+		{4, 5, true},
+		{0, 2, true}, // below source 4's seq: another source's count
+		{4, 6, true},
+		{0, 3, true},
+		{4, 6, false}, // repeated
+		{0, 1, false}, // older
+		{3, 1, true},  // a new source between 0 and 4
+		{3, 1, false},
+		{0, 3, false},
+		{4, 5, false},
+		{0, 4, true},
+		{4, 7, true},
+		{3, 2, true},
+		{1, 9, true}, // and one between 0 and 3
+		{1, 9, false},
+		{3, 2, false},
+		{0, 5, true},
+		{4, 8, true},
+	} {
+		crossings, drops := n.Metrics.Crossings(packet.Data), n.Metrics.DroppedByKind(packet.Data)
+		s.HandlePacket(2, &netsim.Packet{Kind: packet.Data, Group: grp, Src: step.src, From: 1, Seq: step.seq, Size: 100})
+		n.Run()
+		fwd := n.Metrics.Crossings(packet.Data) - crossings
+		dropped := n.Metrics.DroppedByKind(packet.Data) - drops
+		if step.forward && (fwd != 1 || dropped != 0) || !step.forward && (fwd != 0 || dropped != 1) {
+			t.Fatalf("step %d (source %d, seq %d): %d crossings, %d drops; want forwarded=%v",
+				i, step.src, step.seq, fwd, dropped, step.forward)
+		}
+	}
+}

@@ -88,22 +88,12 @@ type FaultListener interface {
 	NodeUp(n topology.NodeID)
 }
 
-// linkKey is an undirected link identity for the down-link set.
-type linkKey struct{ a, b topology.NodeID }
-
-func mkLinkKey(u, v topology.NodeID) linkKey {
-	if u > v {
-		u, v = v, u
-	}
-	return linkKey{u, v}
-}
-
 // Faults injects a FaultPlan into a Network: random per-class packet
 // loss plus scheduled link and node failures, all on the DES clock.
 type Faults struct {
 	net       *Network
 	plan      FaultPlan
-	downLinks map[linkKey]bool
+	cut       []bool // by CSR arc: its link is scheduled down (both arcs agree)
 	downNodes map[topology.NodeID]bool
 	listeners []FaultListener
 
@@ -148,7 +138,7 @@ func (n *Network) InstallFaults(plan FaultPlan) *Faults {
 	f := &Faults{
 		net:       n,
 		plan:      plan,
-		downLinks: make(map[linkKey]bool),
+		cut:       make([]bool, n.csr.NumArcs()),
 		downNodes: make(map[topology.NodeID]bool),
 		down:      make([]bool, n.csr.NumArcs()),
 		lossN:     make([]uint64, n.csr.NumArcs()),
@@ -212,7 +202,8 @@ func (f *Faults) ScheduleNodeUp(at des.Time, n topology.NodeID) {
 // LinkIsDown reports whether {u,v} is unusable: scheduled down, or
 // touching a crashed node.
 func (f *Faults) LinkIsDown(u, v topology.NodeID) bool {
-	return f.downLinks[mkLinkKey(u, v)] || f.downNodes[u] || f.downNodes[v]
+	a := f.net.Arc(u, v)
+	return a >= 0 && f.cut[a] || f.downNodes[u] || f.downNodes[v]
 }
 
 // NodeIsDown reports whether router n is crashed.
@@ -257,11 +248,9 @@ func (f *Faults) loseArc(a int32, from, to topology.NodeID, kind packet.Kind) bo
 // memberships.
 func (f *Faults) apply(ev FaultEvent) {
 	switch ev.Kind {
-	case LinkDown:
-		f.downLinks[mkLinkKey(ev.U, ev.V)] = true
-		f.remask(ev.U, ev.V)
-	case LinkUp:
-		delete(f.downLinks, mkLinkKey(ev.U, ev.V))
+	case LinkDown, LinkUp:
+		cut := ev.Kind == LinkDown
+		f.cut[f.net.Arc(ev.U, ev.V)], f.cut[f.net.Arc(ev.V, ev.U)] = cut, cut
 		f.remask(ev.U, ev.V)
 	case NodeDown, NodeUp:
 		if ev.Kind == NodeDown {
@@ -286,8 +275,8 @@ func (f *Faults) apply(ev FaultEvent) {
 // stays masked when the node returns, and the other way round.
 func (f *Faults) remask(u, v topology.NodeID) {
 	d := f.LinkIsDown(u, v)
-	f.down[f.net.arc(u, v)] = d
-	f.down[f.net.arc(v, u)] = d
+	f.down[f.net.Arc(u, v)] = d
+	f.down[f.net.Arc(v, u)] = d
 }
 
 // notify fans the event to the listeners in registration order (the

@@ -102,11 +102,18 @@ func (s NodeSet) Count() int {
 // AppendIDs appends the set members in ascending order.
 func (s NodeSet) AppendIDs(out []topology.NodeID) []topology.NodeID {
 	for wi, w := range s {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, topology.NodeID(wi<<6+b))
-			w &= w - 1
-		}
+		out = appendWord(out, w, wi)
+	}
+	return out
+}
+
+// appendWord appends the ids of the set bits of w, word wi of a set, in
+// ascending order.
+func appendWord(out []topology.NodeID, w uint64, wi int) []topology.NodeID {
+	for w != 0 {
+		b := bits.TrailingZeros64(w)
+		out = append(out, topology.NodeID(wi<<6+b))
+		w &= w - 1
 	}
 	return out
 }
@@ -183,8 +190,8 @@ type Network struct {
 
 // Sink operation codes for typed delivery and churn events.
 const (
-	opDeliver uint8 = iota // one link hop: deliver to the protocol at b
-	opUnicast              // unicast relay: forward again unless b == Dst
+	opDeliver uint8 = iota // one link hop on arc a: deliver to the protocol at b
+	opUnicast              // unicast relay on arc a: forward again unless b == Dst
 	opSelf                 // self-delivery of a locally injected packet
 	opChurn                // membership flips a..b of the *Churn in p
 )
@@ -204,22 +211,20 @@ func New(g *topology.Graph, proto Protocol) *Network {
 		members: make(map[packet.GroupID]NodeSet),
 	}
 	// Assign every directed arc its undirected link index, in CSR scan
-	// order, and register the table for dense load counting.
-	uidOf := make(map[metrics.LinkID]int32, g.M())
+	// order (link {u,v} is first met on arc u->v, u < v; the reverse arc
+	// copies its index), and register the table for dense load counting.
 	ids := make([]metrics.LinkID, 0, g.M())
 	n.arcUID = make([]int32, n.csr.NumArcs())
 	n.arcLanes = n.Sched.NewLanes(int(n.csr.NumArcs()))
-	for u := 0; u < g.N(); u++ {
-		lo, hi := n.csr.Row(topology.NodeID(u))
+	for u := topology.NodeID(0); int(u) < g.N(); u++ {
+		lo, hi := n.csr.Row(u)
 		for i := lo; i < hi; i++ {
-			id := metrics.MkLinkID(topology.NodeID(u), n.csr.ArcDst(i))
-			idx, ok := uidOf[id]
-			if !ok {
-				idx = int32(len(ids))
-				ids = append(ids, id)
-				uidOf[id] = idx
+			if v := n.csr.ArcDst(i); u < v {
+				n.arcUID[i] = int32(len(ids))
+				ids = append(ids, metrics.MkLinkID(u, v))
+			} else {
+				n.arcUID[i] = n.arcUID[n.Arc(v, u)]
 			}
-			n.arcUID[i] = idx
 		}
 	}
 	n.Metrics.UseDenseLinks(ids)
@@ -262,10 +267,9 @@ func (n *Network) copyPacket(pkt *Packet) *Packet {
 	return cp
 }
 
-// arc returns the CSR arc index from -> to, or -1 when not adjacent.
-// Same linear neighbour scan (and scan order) as Graph.Edge, over flat
-// arrays.
-func (n *Network) arc(from, to topology.NodeID) int32 {
+// Arc returns the CSR arc id from -> to, or -1 when not adjacent. Same
+// linear neighbour scan (and scan order) as Graph.Edge, over flat arrays.
+func (n *Network) Arc(from, to topology.NodeID) int32 {
 	lo, hi := n.csr.Row(from)
 	for i := lo; i < hi; i++ {
 		if n.csr.ArcDst(i) == to {
@@ -273,6 +277,15 @@ func (n *Network) arc(from, to topology.NodeID) int32 {
 		}
 	}
 	return -1
+}
+
+// mustArc is Arc for a send: a non-adjacent pair is a harness bug.
+func (n *Network) mustArc(from, to topology.NodeID) int32 {
+	a := n.Arc(from, to)
+	if a < 0 {
+		panic(fmt.Sprintf("netsim: SendLink %d->%d not adjacent", from, to))
+	}
+	return a
 }
 
 // arcLatency returns when a packet offered now on arc a is delivered,
@@ -332,30 +345,32 @@ func (n *Network) admit(a int32, from, to topology.NodeID, kind packet.Kind) (ad
 	return true, n.faults.loseArc(a, from, to, kind)
 }
 
-// arrived reports whether a packet scheduled on from->to survives to be
-// handled at to, counting the drop otherwise. It reads the same arc mask
-// admit does, so a crossing is judged by one rule at both ends.
-func (n *Network) arrived(from, to topology.NodeID, kind packet.Kind, lost bool) bool {
+// arrived reports whether a packet scheduled on arc a survives to be
+// handled at its far end, counting the drop otherwise. It reads the same
+// arc mask admit does, so a crossing is judged by one rule at both ends.
+func (n *Network) arrived(a int32, kind packet.Kind, lost bool) bool {
 	if n.faults == nil {
 		return true
 	}
-	if lost || n.faults.down[n.arc(from, to)] {
+	if lost || n.faults.down[a] {
 		n.Metrics.OnDrop(kind)
 		return false
 	}
 	return true
 }
 
-// SendLink transmits a copy of pkt from one router to an adjacent one:
-// it accounts the link crossing and schedules HandlePacket at the
-// far end after the link delay.
+// SendLink transmits a copy of pkt from one router to an adjacent one.
+func (n *Network) SendLink(from, to topology.NodeID, pkt *Packet) {
+	n.SendArc(from, n.mustArc(from, to), pkt)
+}
+
+// SendArc transmits a copy of pkt over arc a, which leaves router from:
+// it accounts the link crossing and schedules HandlePacket at the far
+// end after the link delay. The arc names the crossing until delivery.
 //
 //scmplint:hotpath
-func (n *Network) SendLink(from, to topology.NodeID, pkt *Packet) {
-	a := n.arc(from, to)
-	if a < 0 {
-		panic(fmt.Sprintf("netsim: SendLink %d->%d not adjacent", from, to))
-	}
+func (n *Network) SendArc(from topology.NodeID, a int32, pkt *Packet) {
+	to := n.csr.ArcDst(a)
 	admitted, lost := n.admit(a, from, to, pkt.Kind)
 	if !admitted {
 		return
@@ -366,7 +381,7 @@ func (n *Network) SendLink(from, to topology.NodeID, pkt *Packet) {
 	if n.Trace != nil {
 		n.Trace(from, to, cp)
 	}
-	n.Sched.LaneSink(n.lane(a), n.arcLatency(a, cp.Size), opDeliver, int32(from), int32(to), cp, lost)
+	n.Sched.LaneSink(n.lane(a), n.arcLatency(a, cp.Size), opDeliver, a, int32(to), cp, lost)
 }
 
 // lane returns arc a's scheduler lane. An arc's delivery times never
@@ -376,7 +391,8 @@ func (n *Network) SendLink(from, to topology.NodeID, pkt *Packet) {
 func (n *Network) lane(a int32) des.Lane { return n.arcLanes + des.Lane(a) }
 
 // SinkEvent dispatches a typed delivery or churn event; it implements
-// des.Sink and is invoked only by the scheduler.
+// des.Sink and is invoked only by the scheduler. A link crossing carries
+// its arc in a and the arc's far end in b (the sender is pkt.From).
 //
 //scmplint:hotpath
 func (n *Network) SinkEvent(op uint8, a, b int32, p any, flag bool) {
@@ -387,15 +403,15 @@ func (n *Network) SinkEvent(op uint8, a, b int32, p any, flag bool) {
 		return
 	}
 	pkt := p.(*Packet)
-	from, to := topology.NodeID(a), topology.NodeID(b)
+	to := topology.NodeID(b)
 	switch op {
 	case opDeliver:
-		if n.arrived(from, to, pkt.Kind, flag) {
+		if n.arrived(a, pkt.Kind, flag) {
 			n.Proto.HandlePacket(to, pkt)
 		}
 		n.putPacket(pkt)
 	case opUnicast:
-		if !n.arrived(from, to, pkt.Kind, flag) {
+		if !n.arrived(a, pkt.Kind, flag) {
 			n.putPacket(pkt)
 			return
 		}
@@ -421,7 +437,7 @@ func (n *Network) SendUnicast(src topology.NodeID, pkt *Packet) {
 	cp := n.copyPacket(pkt)
 	if src == cp.Dst {
 		cp.From = src
-		n.Sched.AtSink(n.Sched.Now(), opSelf, int32(src), int32(src), cp, false)
+		n.Sched.AtSink(n.Sched.Now(), opSelf, -1, int32(src), cp, false)
 		return
 	}
 	n.unicastStep(src, cp)
@@ -442,7 +458,7 @@ func (n *Network) unicastStep(at topology.NodeID, pkt *Packet) {
 		}
 		panic(fmt.Sprintf("netsim: no unicast route %d->%d", at, pkt.Dst))
 	}
-	a := n.arc(at, nh)
+	a := n.Arc(at, nh)
 	admitted, lost := n.admit(a, at, nh, pkt.Kind)
 	if !admitted {
 		n.putPacket(pkt)
@@ -453,7 +469,7 @@ func (n *Network) unicastStep(at topology.NodeID, pkt *Packet) {
 	if n.Trace != nil {
 		n.Trace(at, nh, pkt)
 	}
-	n.Sched.LaneSink(n.lane(a), n.arcLatency(a, pkt.Size), opUnicast, int32(at), int32(nh), pkt, lost)
+	n.Sched.LaneSink(n.lane(a), n.arcLatency(a, pkt.Size), opUnicast, a, int32(nh), pkt, lost)
 }
 
 // UnicastPath returns the unicast route src -> dst as a node sequence.
@@ -602,28 +618,12 @@ func (n *Network) CheckDelivery(seq uint64) (missing, anomalous []topology.NodeI
 	}
 	exp, once, dup := d.sets()
 	for wi := range exp {
-		if miss := exp[wi] &^ once[wi]; miss != 0 {
-			missing = NodeSet{miss}.appendWord(missing, wi)
-		}
+		missing = appendWord(missing, exp[wi]&^once[wi], wi)
 		// Anomalous: delivered more than once, or delivered without
 		// being expected.
-		if anom := dup[wi] | (once[wi] &^ exp[wi]); anom != 0 {
-			anomalous = NodeSet{anom}.appendWord(anomalous, wi)
-		}
+		anomalous = appendWord(anomalous, dup[wi]|(once[wi]&^exp[wi]), wi)
 	}
 	return missing, anomalous
-}
-
-// appendWord appends the ids of the set bits of word s[0], offset as
-// word index wi, in ascending order.
-func (s NodeSet) appendWord(out []topology.NodeID, wi int) []topology.NodeID {
-	w := s[0]
-	for w != 0 {
-		b := bits.TrailingZeros64(w)
-		out = append(out, topology.NodeID(wi<<6+b))
-		w &= w - 1
-	}
-	return out
 }
 
 // Run drains all pending events (the network quiesces).

@@ -21,13 +21,20 @@ const NoUpstream topology.NodeID = -1
 // The downstream set is an ascending, duplicate-free slice, so the
 // forwarding loop walks it in the order every run agrees on without
 // sorting per packet. Its zero value is an empty set; Upstream must be
-// initialised to NoUpstream.
+// initialised to NoUpstream. Forward sends by CSR arc, resolved once
+// per change: the child mutators drop the arcs, and the upstream's is
+// keyed on the Upstream value it was resolved for, so a direct write to
+// the field is caught too.
 type TreeEntry struct {
 	OnTree       bool
 	Upstream     topology.NodeID
 	HasLocal     bool // >=1 member interface on the local subnet
 	PendingLocal bool // membership report seen, tree installation still in flight
 	down         []topology.NodeID
+	resolved     bool            // upArc and downArcs are the arcs to upFor and down
+	upFor        topology.NodeID // the Upstream value upArc was resolved for
+	upArc        int32
+	downArcs     []int32
 }
 
 // Downstream returns the child routers in ascending order. The slice is
@@ -40,6 +47,7 @@ func (e *TreeEntry) Downstream() []topology.NodeID { return e.down }
 func (e *TreeEntry) AddDownstream(v topology.NodeID) {
 	if i, ok := slices.BinarySearch(e.down, v); !ok {
 		e.down = slices.Insert(e.down, i, v)
+		e.resolved = false
 	}
 }
 
@@ -48,6 +56,7 @@ func (e *TreeEntry) AddDownstream(v topology.NodeID) {
 func (e *TreeEntry) RemoveDownstream(v topology.NodeID) {
 	if i, ok := slices.BinarySearch(e.down, v); ok {
 		e.down = slices.Delete(e.down, i, i+1)
+		e.resolved = false
 	}
 }
 
@@ -57,6 +66,7 @@ func (e *TreeEntry) SetDownstream(vs []topology.NodeID) {
 	e.down = append(e.down[:0], vs...)
 	slices.Sort(e.down)
 	e.down = slices.Compact(e.down)
+	e.resolved = false
 }
 
 // Accepts is the §III-F check: the entry is on the tree and the packet
@@ -72,19 +82,36 @@ func (e *TreeEntry) Accepts(from topology.NodeID) bool {
 	return child
 }
 
-// Forward sends pkt from node to the rest of F: the upstream and every
-// child except the router it came from, in ascending child order.
+// Forward sends pkt from node (the router holding the entry) to the rest
+// of F: the upstream and every child except the router it came from, in
+// ascending child order.
 //
 //scmplint:hotpath
 func (e *TreeEntry) Forward(n *Network, node topology.NodeID, pkt *Packet, except topology.NodeID) {
-	if e.Upstream != NoUpstream && e.Upstream != except {
-		n.SendLink(node, e.Upstream, pkt)
+	if !e.resolved || e.upFor != e.Upstream {
+		e.resolveArcs(n, node)
 	}
-	for _, d := range e.down {
+	if e.Upstream != NoUpstream && e.Upstream != except {
+		n.SendArc(node, e.upArc, pkt)
+	}
+	for i, d := range e.down {
 		if d != except {
-			n.SendLink(node, d, pkt)
+			n.SendArc(node, e.downArcs[i], pkt)
 		}
 	}
+}
+
+// resolveArcs looks up the arcs from node to the upstream and every child.
+func (e *TreeEntry) resolveArcs(n *Network, node topology.NodeID) {
+	e.upFor, e.upArc = e.Upstream, -1
+	if e.Upstream != NoUpstream {
+		e.upArc = n.mustArc(node, e.Upstream)
+	}
+	e.downArcs = e.downArcs[:0]
+	for _, d := range e.down {
+		e.downArcs = append(e.downArcs, n.mustArc(node, d))
+	}
+	e.resolved = true
 }
 
 // Live reports whether the entry counts as routing state: the router is

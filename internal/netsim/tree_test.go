@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"scmp/internal/packet"
 	"scmp/internal/topology"
 )
 
@@ -68,5 +69,58 @@ func TestTreeEntryAccepts(t *testing.T) {
 	e.Upstream = NoUpstream
 	if e.Accepts(2) {
 		t.Error("the root accepted a packet from its former upstream")
+	}
+}
+
+// TestTreeEntryForwardFollowsChanges: Forward sends by cached arcs, so
+// every way the entry changes — each child mutator and a direct write to
+// Upstream — must be followed by exactly the crossings a freshly built
+// entry with the same state makes.
+func TestTreeEntryForwardFollowsChanges(t *testing.T) {
+	// A wheel: hub 0 is adjacent to every rim router 1..6.
+	g := topology.New(7)
+	for v := 1; v < 7; v++ {
+		g.MustAddEdge(0, topology.NodeID(v), 1, 1)
+	}
+	n := New(g, &echoProto{})
+	var crossed [][2]topology.NodeID
+	n.Trace = func(from, to topology.NodeID, _ *Packet) {
+		crossed = append(crossed, [2]topology.NodeID{from, to})
+	}
+	forward := func(e *TreeEntry, except topology.NodeID) [][2]topology.NodeID {
+		crossed = nil
+		e.Forward(n, 0, &Packet{Kind: packet.Data, Size: 1}, except)
+		n.Run()
+		return crossed
+	}
+	e := TreeEntry{Upstream: 3}
+	e.SetDownstream([]topology.NodeID{1, 5})
+	for _, step := range []struct {
+		name   string
+		change func()
+	}{
+		{"initial", func() {}},
+		{"AddDownstream(6)", func() { e.AddDownstream(6) }},
+		{"RemoveDownstream(1)", func() { e.RemoveDownstream(1) }},
+		{"SetDownstream({2,4})", func() { e.SetDownstream([]topology.NodeID{4, 2}) }},
+		{"Upstream = 6", func() { e.Upstream = 6 }},
+		{"Upstream = NoUpstream", func() { e.Upstream = NoUpstream }},
+	} {
+		step.change()
+		fresh := TreeEntry{Upstream: e.Upstream}
+		fresh.SetDownstream(e.Downstream())
+		excepts := []topology.NodeID{NoUpstream, e.Upstream}
+		if d := e.Downstream(); len(d) > 0 {
+			excepts = append(excepts, d[0])
+		}
+		for _, except := range excepts {
+			got, want := forward(&e, except), forward(&fresh, except)
+			if len(want) == 0 {
+				t.Fatalf("%s: the fresh entry crossed nothing", step.name)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, except %d: crossed %v, a fresh entry crosses %v", step.name, except, got, want)
+			}
+		}
 	}
 }

@@ -45,8 +45,8 @@ type DVMRP struct {
 	// groups holds the state of every group any router has heard of,
 	// ascending by id.
 	groups []*group
-	// down is downstreamNeighbors' scratch.
-	down []topology.NodeID
+	// down is downstreamArcs' scratch.
+	down []int32
 }
 
 // group is one group's state at every router.
@@ -140,17 +140,6 @@ func (d *DVMRP) pair(gs *group, src topology.NodeID) *source {
 	return s
 }
 
-// arc returns the CSR arc node -> to, or -1 when they are not adjacent.
-func (d *DVMRP) arc(node, to topology.NodeID) int32 {
-	lo, hi := d.csr.Row(node)
-	for a := lo; a < hi; a++ {
-		if d.csr.ArcDst(a) == to {
-			return a
-		}
-	}
-	return -1
-}
-
 // HostJoin implements netsim.Protocol: record local membership and graft
 // any branch this router had pruned, sources in ascending order.
 func (d *DVMRP) HostJoin(node topology.NodeID, g packet.GroupID) {
@@ -175,7 +164,7 @@ func (d *DVMRP) rpfNeighbor(node, src topology.NodeID) topology.NodeID {
 	return d.net.Delay.Hop(node, src)
 }
 
-// downstreamNeighbors returns the links to flood on: every neighbor
+// downstreamArcs returns the arcs to flood on: every link to a neighbor
 // except the RPF upstream, minus links with live prune state. Classic
 // dense-mode flooding forwards on all non-incoming interfaces and lets
 // receivers prune back — both non-RPF cross links and memberless
@@ -185,7 +174,7 @@ func (d *DVMRP) rpfNeighbor(node, src topology.NodeID) topology.NodeID {
 // next call.
 //
 //scmplint:hotpath
-func (d *DVMRP) downstreamNeighbors(node, src topology.NodeID, s *source) []topology.NodeID {
+func (d *DVMRP) downstreamArcs(node, src topology.NodeID, s *source) []int32 {
 	up := d.rpfNeighbor(node, src)
 	now := d.net.Now()
 	d.down = d.down[:0]
@@ -195,7 +184,7 @@ func (d *DVMRP) downstreamNeighbors(node, src topology.NodeID, s *source) []topo
 		if to == up || to == src || s.prune[a] > now {
 			continue
 		}
-		d.down = append(d.down, to)
+		d.down = append(d.down, a)
 	}
 	return d.down
 }
@@ -207,8 +196,8 @@ func (d *DVMRP) SendData(src topology.NodeID, g packet.GroupID, size int, seq ui
 		Kind: packet.Data, Group: g, Src: src, Seq: seq, Size: size,
 		Created: d.net.Now(),
 	}
-	for _, c := range d.downstreamNeighbors(src, src, d.pair(d.group(g), src)) {
-		d.net.SendLink(src, c, pkt)
+	for _, a := range d.downstreamArcs(src, src, d.pair(d.group(g), src)) {
+		d.net.SendArc(src, a, pkt)
 	}
 }
 
@@ -219,7 +208,7 @@ func (d *DVMRP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 		d.handleData(node, pkt)
 	case packet.DvmrpPrune:
 		if s := d.pair(d.group(pkt.Group), pkt.Src); s != nil {
-			if a := d.arc(node, pkt.From); a >= 0 {
+			if a := d.net.Arc(node, pkt.From); a >= 0 {
 				s.prune[a] = d.net.Now() + d.PruneLifetime
 			}
 		}
@@ -249,14 +238,14 @@ func (d *DVMRP) handleData(node topology.NodeID, pkt *netsim.Packet) {
 		d.net.DeliverLocal(node, pkt)
 	}
 	s := d.pair(gs, src)
-	children := d.downstreamNeighbors(node, src, s)
+	children := d.downstreamArcs(node, src, s)
 	if len(children) == 0 && !member {
 		// Leaf with nothing below: prune upstream.
 		d.sendPrune(node, src, s, pkt.Group)
 		return
 	}
-	for _, c := range children {
-		d.net.SendLink(node, c, pkt)
+	for _, a := range children {
+		d.net.SendArc(node, a, pkt)
 	}
 }
 
@@ -285,7 +274,7 @@ func (d *DVMRP) handleGraft(node topology.NodeID, pkt *netsim.Packet) {
 	if s == nil {
 		return
 	}
-	if a := d.arc(node, pkt.From); a >= 0 {
+	if a := d.net.Arc(node, pkt.From); a >= 0 {
 		s.prune[a] = noPrune
 	}
 	// If this router had pruned itself upstream, the graft must continue

@@ -34,6 +34,7 @@ import (
 // MOSPF is a protocol instance for one domain.
 type MOSPF struct {
 	net *netsim.Network
+	csr *topology.CSR
 
 	// groups holds the state of every group any router has heard of,
 	// ascending by id.
@@ -91,6 +92,7 @@ func (m *MOSPF) StateEntries(node topology.NodeID) int {
 // Attach implements netsim.Protocol.
 func (m *MOSPF) Attach(n *netsim.Network) {
 	m.net = n
+	m.csr = n.G.CSR()
 	m.seen = make([][]netsim.NodeSet, n.G.N())
 	m.cached = make([]int, n.G.N())
 	m.marked = netsim.NewNodeSet(n.G.N())
@@ -179,8 +181,9 @@ func (m *MOSPF) floodLSA(node topology.NodeID, g packet.GroupID, joined bool) {
 		Payload: lsaPayload(node, joined),
 		Size:    packet.ControlSize,
 	}
-	for _, l := range m.net.G.Neighbors(node) {
-		m.net.SendLink(node, l.To, pkt)
+	lo, hi := m.csr.Row(node)
+	for a := lo; a < hi; a++ {
+		m.net.SendArc(node, a, pkt)
 	}
 }
 
@@ -207,9 +210,10 @@ func (m *MOSPF) handleLSA(node topology.NodeID, pkt *netsim.Packet) {
 		return
 	}
 	m.applyMembership(node, member, pkt.Group, joined)
-	for _, l := range m.net.G.Neighbors(node) {
-		if l.To != pkt.From {
-			m.net.SendLink(node, l.To, pkt)
+	lo, hi := m.csr.Row(node)
+	for a := lo; a < hi; a++ {
+		if m.csr.ArcDst(a) != pkt.From {
+			m.net.SendArc(node, a, pkt)
 		}
 	}
 }

@@ -325,14 +325,14 @@ func (dv *DomainView) TableBytes() int64 {
 	return total
 }
 
-// CentralDomain implements locality-based core selection (ROADMAP item
-// 1's cited heuristic): among domains with positive weight (weight is
-// typically the member count per domain), pick the one minimising the
-// weighted sum of backbone delays to every weighted domain, ties to the
-// lower domain id. Candidates are restricted to the weighted domains
-// themselves — the locality heuristic — so selection cost is
-// O(active²) backbone row reads, not O(k²). Returns 0 when no weight
-// is positive.
+// CentralDomain implements locality-based core selection ("Locality
+// based Core Selection for Multicore Shared Tree Multicasting"): among
+// domains with positive weight (typically the member count per domain),
+// pick the one minimising the weighted sum of backbone delays to every
+// weighted domain, ties to the lower domain id. Candidates are the
+// weighted domains themselves — the locality heuristic — so selection
+// costs O(active²) backbone row reads, not O(k²). Returns 0 when no
+// weight is positive.
 func (dv *DomainView) CentralDomain(weight []float64) int {
 	best, bestScore := -1, math.Inf(1)
 	for c := 0; c < dv.k && c < len(weight); c++ {
