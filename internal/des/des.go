@@ -7,22 +7,30 @@
 // host scheduling.
 //
 // The scheduler is allocation-free in steady state: queued events live in
-// a pooled slab of fixed-size slots recycled through a free list, ordered
-// by a 4-ary min-heap of (time, seq, slot) entries — no container/heap
-// interface boxing, no per-event garbage. Callers that would otherwise
-// capture a closure per event (the packet-forwarding hot path) can use
-// the typed sink path (SetSink / AtSink), which carries a small fixed
-// argument tuple instead of a func value; At/After remain as the
-// general-purpose closure API. A stream of sink events whose times never
-// decrease (the packets in flight on one link) can queue on a FIFO lane
-// (NewLanes / LaneSink): only the lane's head sits in the heap, so the
-// heap holds one entry per busy link instead of one per packet. A
-// cancellable typed event for a sink of the caller's choosing is a timer
-// (AtTimer / Stop): the protocol control plane arms its retransmission,
-// refresh and service-completion deadlines this way, behind a value
-// handle, so arming one allocates nothing. See DESIGN.md §10 for the
-// free-list safety and lane ordering arguments.
+// a pooled slab of fixed-size slots recycled through a free list, and
+// their (time, seq, slot) entries wait in a two-tier queue — a 4-ary
+// min-heap of the entries at or before a moving mark, and 64 radix
+// buckets, keyed by the highest bit in which an entry's time differs
+// from the mark, for the later ones, so far-future timers stay out of
+// the per-event sift. No container/heap interface boxing, no per-event
+// garbage. Callers that would otherwise capture a closure per event (the
+// packet-forwarding hot path) can use the typed sink path (SetSink /
+// AtSink), which carries a small fixed argument tuple instead of a func
+// value; At/After remain as the general-purpose closure API. A stream of
+// sink events whose times never decrease (the packets in flight on one
+// link) can queue on a FIFO lane (NewLanes / LaneSink): only the lane's
+// head is queued, so the queue holds one entry per busy link instead of
+// one per packet. A cancellable typed event for a sink of the caller's
+// choosing is a timer (AtTimer / Stop): the protocol control plane arms
+// its retransmission, refresh and service-completion deadlines this way,
+// behind a value handle, so arming one allocates nothing. See DESIGN.md
+// §10 for the free-list safety, queue and lane ordering arguments.
 package des
+
+import (
+	"math"
+	"math/bits"
+)
 
 // Time is simulated time in seconds.
 type Time float64
@@ -79,9 +87,9 @@ type Timer struct {
 
 // node is one pooled event slot. gen increments every time the slot is
 // recycled, invalidating any outstanding Event handles and (under the
-// invariants build tag) proving the heap never dispatches a stale slot.
+// invariants build tag) proving the queue never dispatches a stale slot.
 // A lane event (kLane) also keeps its own (time, seq) key, its lane and
-// the slot after it on that lane, since only the lane's head has a heap
+// the slot after it on that lane, since only the lane's head has a queue
 // entry. 64 bytes.
 type node struct {
 	gen  uint32
@@ -105,7 +113,7 @@ const (
 	kTimer
 )
 
-// entry is one 4-ary heap element: the (time, seq) ordering key plus the
+// entry is one queue element: the (time, seq) ordering key plus the
 // slot the payload lives in. 24 bytes, moved by value during sifts — no
 // pointer chasing in the comparison loop.
 type entry struct {
@@ -115,8 +123,15 @@ type entry struct {
 	gen  uint32
 }
 
+// cell is one bucket-pool element: a far entry and the cell after it
+// in its bucket, or on the free list, as index + 1 (0 at the end).
+type cell struct {
+	e    entry
+	next int32
+}
+
 // Lane identifies a FIFO lane of sink events (NewLanes): a chain of
-// kLane slots from its head, which is in the heap, to its tail.
+// kLane slots from its head, which is queued, to its tail.
 type Lane int32
 
 // Scheduler is a single-threaded discrete-event simulator. The zero value
@@ -127,13 +142,25 @@ type Scheduler struct {
 	fired  uint64
 	halted bool
 
-	heap []entry
+	// The two-tier queue (see key and refill). near is a 4-ary min-heap
+	// of exactly the entries whose key is at most last. bucket[b] heads,
+	// as cell + 1, the list in pool of the later entries whose key first
+	// differs from last at bit b; mask marks the non-empty buckets,
+	// pfree heads the pool's free list and far counts bucketed entries.
+	near   []entry
+	last   uint64
+	mask   uint64
+	bucket [64]int32
+	pool   []cell
+	pfree  int32
+	far    int
+
 	slab []node
 	free []int32
 
 	// tails holds each lane's tail slot + 1 (0: the lane is empty);
 	// behind counts the lane events queued behind their lane's head,
-	// which have no heap entry.
+	// which have no queue entry.
 	tails  []int32
 	behind int
 
@@ -153,7 +180,7 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // events that have not yet been discarded, and lane events behind their
 // lane's head).
 func (s *Scheduler) Pending() int {
-	return len(s.heap) + s.behind
+	return len(s.near) + s.far + s.behind
 }
 
 // SetSink installs the receiver for AtSink events. One sink per
@@ -179,7 +206,7 @@ func (s *Scheduler) alloc() int32 {
 }
 
 // recycle returns a slot to the free list. Bumping gen first invalidates
-// every outstanding handle and heap entry stamped with the old
+// every outstanding handle and queue entry stamped with the old
 // generation.
 func (s *Scheduler) recycle(slot int32) {
 	nd := &s.slab[slot]
@@ -190,12 +217,11 @@ func (s *Scheduler) recycle(slot int32) {
 	s.free = append(s.free, slot)
 }
 
-// push enqueues a heap entry for a freshly filled slot.
+// push enqueues an entry for a freshly filled slot.
 func (s *Scheduler) push(t Time, slot int32) {
 	e := entry{at: t, seq: s.seq, slot: slot, gen: s.slab[slot].gen}
 	s.seq++
-	s.heap = append(s.heap, e)
-	s.siftUp(len(s.heap) - 1)
+	s.insert(e)
 }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
@@ -303,7 +329,7 @@ func (s *Scheduler) LaneEmpty(l Lane) bool { return s.tails[l] == 0 }
 // Pushes onto one lane must come in non-decreasing time order: a time
 // earlier than the lane's last queued event panics. Each event still
 // takes its sequence number at push, so a lane is sorted by (time, seq)
-// and its head is its minimum; only the head has a heap entry, and
+// and its head is its minimum; only the head has a queue entry, and
 // dispatch order is exactly the order AtSink would give.
 //
 //scmplint:hotpath
@@ -330,10 +356,12 @@ func (s *Scheduler) LaneSink(l Lane, t Time, op uint8, a, b int32, p any, flag b
 	s.tails[l] = slot + 1
 }
 
-// popLane dispatches the lane event at the heap root. The lane's next
-// event, if any, takes the root's place and sifts down once — a pop and
-// a later push in one pass. Lane events have no handle, so they are
-// never cancelled and never stale.
+// popLane dispatches the lane event at the near heap's root. The lane's
+// next event, if any, is queued in its place: at or before the mark it
+// takes the root's place and sifts down once — a pop and a later push
+// in one pass, the path same-instant storms take — and later it goes
+// to its bucket. Lane events have no handle, so they are never
+// cancelled and never stale.
 //
 //scmplint:hotpath
 func (s *Scheduler) popLane(e entry, nd *node) {
@@ -341,7 +369,13 @@ func (s *Scheduler) popLane(e entry, nd *node) {
 	if nd.next != 0 {
 		next := nd.next - 1
 		nn := &s.slab[next]
-		s.siftDown(entry{at: nn.at, seq: nn.seq, slot: next, gen: nn.gen})
+		ne := entry{at: nn.at, seq: nn.seq, slot: next, gen: nn.gen}
+		if k := key(ne.at); k <= s.last {
+			s.siftDown(ne)
+		} else {
+			s.popRoot()
+			s.toBucket(ne, k)
+		}
 		s.behind--
 	} else {
 		s.tails[nd.lane] = 0
@@ -362,8 +396,8 @@ func (s *Scheduler) Halt() { s.halted = true }
 //
 //scmplint:hotpath
 func (s *Scheduler) Step() bool {
-	for len(s.heap) > 0 {
-		e := s.heap[0]
+	for len(s.near) > 0 || s.refill() {
+		e := s.near[0]
 		nd := &s.slab[e.slot]
 		if nd.kind == kLane && e.gen == nd.gen {
 			s.popLane(e, nd)
@@ -439,7 +473,7 @@ func (s *Scheduler) RunUntil(deadline Time) {
 	}
 }
 
-// stale reports whether a heap entry no longer addresses the live event
+// stale reports whether a queue entry no longer addresses the live event
 // it was pushed for: cancelled, or the slot was recycled out from under
 // it (generation mismatch). Step and peek apply this same predicate, so
 // the queue view peek/RunUntil act on always matches what Step would
@@ -451,8 +485,8 @@ func stale(e entry, nd *node) bool {
 // peek reports the firing time of the earliest live event, discarding
 // stale ones.
 func (s *Scheduler) peek() (Time, bool) {
-	for len(s.heap) > 0 {
-		e := s.heap[0]
+	for len(s.near) > 0 || s.refill() {
+		e := s.near[0]
 		nd := &s.slab[e.slot]
 		checkPeek(s, e, nd)
 		if stale(e, nd) {
@@ -471,12 +505,108 @@ func (s *Scheduler) peek() (Time, bool) {
 	return 0, false
 }
 
-// --- 4-ary min-heap over entry ----------------------------------------
+// --- the two-tier queue -------------------------------------------------
 //
-// Same (time, seq) order as the old container/heap implementation, so
-// every dispatch sequence is preserved exactly. 4-ary halves the tree
-// depth versus binary (fewer cache lines per sift) and the entries are
-// plain values, so sifts are memmoves — no interface calls.
+// Any exact priority queue over the strict total order (time, seq)
+// dispatches the same sequence, so this one changes no run's output.
+// Entries at or before the mark last sit in the near heap; the rest sit
+// in radix buckets (a monotone radix heap, Ahuja, Mehlhorn, Orlin and
+// Tarjan, JACM 1990). Bucket b holds keys above last whose highest bit
+// differing from last is b, so every key in bucket b is below every key
+// in a higher bucket. When the near heap runs dry, refill moves the
+// mark to the lowest bucket's minimum and re-places that bucket: each
+// entry lands in the near heap or a strictly lower bucket, while the
+// higher buckets keep their index, because the new mark agrees with the
+// old one above bit b. The mark never decreases.
+
+// key is the radix key of time t: its IEEE-754 bits, which order like
+// the times for t >= 0. Clearing the sign bit maps -0 (legal at Now 0,
+// where it ties with 0) onto +0.
+//
+//scmplint:hotpath
+func key(t Time) uint64 { return math.Float64bits(float64(t)) &^ (1 << 63) }
+
+// insert queues e: in the near heap at or before the mark, in its
+// bucket after it.
+//
+//scmplint:hotpath
+func (s *Scheduler) insert(e entry) {
+	if k := key(e.at); k > s.last {
+		s.toBucket(e, k)
+		return
+	}
+	s.near = append(s.near, e) //scmplint:ignore hotalloc — amortised growth; capacity is retained, so the near heap stops growing at its peak depth
+	s.siftUp(len(s.near) - 1)
+}
+
+// toBucket queues e, whose key k is above the mark, in a cell taken
+// from the pool's free list (or a new one).
+//
+//scmplint:hotpath
+func (s *Scheduler) toBucket(e entry, k uint64) {
+	c := s.pfree - 1
+	if c >= 0 {
+		s.pfree = s.pool[c].next
+	} else {
+		s.pool = append(s.pool, cell{}) //scmplint:ignore hotalloc — amortised growth; cells are recycled through pfree, so the pool stops growing at the peak far queue
+		c = int32(len(s.pool) - 1)
+	}
+	s.pool[c].e = e
+	s.link(c, k)
+	s.far++
+}
+
+// link pushes cell c, with key k above the mark, onto its bucket.
+//
+//scmplint:hotpath
+func (s *Scheduler) link(c int32, k uint64) {
+	b := bits.Len64(k^s.last) - 1
+	s.pool[c].next = s.bucket[b]
+	s.bucket[b] = c + 1
+	s.mask |= 1 << b
+}
+
+// refill moves the mark to the minimum key of the lowest non-empty
+// bucket and re-places that bucket's entries, which puts at least that
+// minimum in the (empty) near heap. It reports false when every bucket
+// is empty.
+//
+//scmplint:hotpath
+func (s *Scheduler) refill() bool {
+	if s.mask == 0 {
+		return false
+	}
+	b := bits.TrailingZeros64(s.mask)
+	head := s.bucket[b]
+	s.bucket[b] = 0
+	s.mask &^= 1 << b
+	last := key(s.pool[head-1].e.at)
+	for c := s.pool[head-1].next; c != 0; c = s.pool[c-1].next {
+		last = min(last, key(s.pool[c-1].e.at))
+	}
+	s.last = last
+	for c := head; c != 0; {
+		cl := &s.pool[c-1]
+		next := cl.next
+		if k := key(cl.e.at); k > last {
+			s.link(c-1, k)
+		} else {
+			s.insert(cl.e)
+			cl.next = s.pfree
+			s.pfree = c
+			s.far--
+		}
+		c = next
+	}
+	return true
+}
+
+// --- 4-ary min-heap over entry ------------------------------------------
+//
+// The near heap. Same (time, seq) order as the old container/heap
+// implementation. 4-ary halves the tree depth versus binary (fewer cache
+// lines per sift) and the entries are plain values, so sifts are
+// memmoves — no interface calls.
 
 func entryLess(a, b entry) bool {
 	if a.at < b.at {
@@ -489,7 +619,7 @@ func entryLess(a, b entry) bool {
 }
 
 func (s *Scheduler) siftUp(i int) {
-	h := s.heap
+	h := s.near
 	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -503,11 +633,11 @@ func (s *Scheduler) siftUp(i int) {
 }
 
 // popRoot removes the minimum entry (the caller has already read
-// s.heap[0]).
+// s.near[0]).
 func (s *Scheduler) popRoot() {
-	n := len(s.heap) - 1
-	e := s.heap[n]
-	s.heap = s.heap[:n]
+	n := len(s.near) - 1
+	e := s.near[n]
+	s.near = s.near[:n]
 	if n > 0 {
 		s.siftDown(e)
 	}
@@ -515,7 +645,7 @@ func (s *Scheduler) popRoot() {
 
 // siftDown replaces the root with e and restores heap order.
 func (s *Scheduler) siftDown(e entry) {
-	h := s.heap
+	h := s.near
 	n := len(h)
 	i := 0
 	for {

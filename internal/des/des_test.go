@@ -456,7 +456,7 @@ type funcSink func(op uint8, a, b int32, p any, flag bool)
 func (f funcSink) SinkEvent(op uint8, a, b int32, p any, flag bool) { f(op, a, b, p, flag) }
 
 // The reference container/heap scheduler (ref_test.go) and the pooled
-// 4-ary scheduler must dispatch identical (time, event) sequences for
+// scheduler must dispatch identical (time, event) sequences for
 // any workload: nested scheduling, cancellations, and lane events on
 // several lanes whose times tie with each other and with loose events,
 // driven through RunUntil windows, Run and callbacks that Halt. On the

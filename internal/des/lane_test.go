@@ -37,7 +37,7 @@ func TestLaneOutOfOrderPushPanics(t *testing.T) {
 }
 
 // Pending counts every queued event: loose ones and the lane events
-// queued behind their lane's head, which have no heap entry.
+// queued behind their lane's head, which have no queue entry.
 func TestPendingCountsLaneEvents(t *testing.T) {
 	s := New()
 	s.SetSink(nopSink())
@@ -49,8 +49,8 @@ func TestPendingCountsLaneEvents(t *testing.T) {
 		s.LaneSink(b, Time(i), 0, 0, 0, nil, false)
 	}
 	s.At(1, func() {})
-	if s.Pending() != 9 || len(s.heap) != 3 {
-		t.Fatalf("Pending = %d with %d heap entries, want 9 events on 3 entries", s.Pending(), len(s.heap))
+	if entries := len(s.near) + s.far; s.Pending() != 9 || entries != 3 {
+		t.Fatalf("Pending = %d with %d queue entries, want 9 events on 3 entries", s.Pending(), entries)
 	}
 	for want := 8; want >= 0; want-- {
 		s.Step()
@@ -64,7 +64,7 @@ func TestPendingCountsLaneEvents(t *testing.T) {
 }
 
 // A NaN time compares false against everything, so a guard written as
-// t < now lets it through and the heap order silently breaks. Every
+// t < now lets it through and the queue order silently breaks. Every
 // scheduling entry point must refuse it, on the pooled scheduler and on
 // the reference scheduler it is checked against.
 func TestNaNTimePanics(t *testing.T) {

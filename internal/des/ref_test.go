@@ -3,10 +3,12 @@ package des
 import "container/heap"
 
 // refScheduler is the historical scheduler — container/heap over one
-// allocation per event — kept as the oracle the pooled 4-ary scheduler
-// is checked against (TestRefEquivalence). It has no lanes: a lane push
-// is a plain sink event here, so equal traces mean the pooled
-// scheduler's lanes dispatch in exact (time, seq) order.
+// allocation per event — kept as the oracle the pooled scheduler and
+// its two-tier queue are checked against (TestRefEquivalence,
+// FuzzRefEquivalence). It has no lanes and no typed timers: a lane push
+// is a plain sink event here and a timer a closure making the timer's
+// call, so equal traces mean the pooled scheduler's lanes and timers
+// dispatch in exact (time, seq) order.
 type refScheduler struct {
 	now    Time
 	seq    uint64
@@ -95,6 +97,10 @@ func (r *refScheduler) LaneSink(_ Lane, t Time, op uint8, a, b int32, p any, fla
 	r.AtSink(t, op, a, b, p, flag)
 }
 
+func (r *refScheduler) AtTimer(t Time, k Sink, op uint8, a, b int32) handle {
+	return r.At(t, func() { k.SinkEvent(op, a, b, nil, false) })
+}
+
 func (r *refScheduler) Step() bool {
 	for len(r.queue) > 0 {
 		e := heap.Pop(&r.queue).(*refEvent)
@@ -150,17 +156,30 @@ type scheduler interface {
 	After(d Time, fn func()) handle
 	AtSink(t Time, op uint8, a, b int32, p any, flag bool)
 	LaneSink(l Lane, t Time, op uint8, a, b int32, p any, flag bool)
+	AtTimer(t Time, k Sink, op uint8, a, b int32) handle
 	Halt()
 	Run()
 	RunUntil(deadline Time)
 }
 
 // pooled adapts *Scheduler to scheduler: its At and After return the
-// concrete *Event.
+// concrete *Event, and its AtTimer a Timer that Cancel stops.
 type pooled struct{ *Scheduler }
 
 func (p pooled) At(t Time, fn func()) handle    { return p.Scheduler.At(t, fn) }
 func (p pooled) After(d Time, fn func()) handle { return p.Scheduler.After(d, fn) }
+func (p pooled) AtTimer(t Time, k Sink, op uint8, a, b int32) handle {
+	return timerHandle{p.Scheduler, p.Scheduler.AtTimer(t, k, op, a, b)}
+}
+
+// timerHandle is a Timer with its scheduler, as a handle.
+type timerHandle struct {
+	s *Scheduler
+	t Timer
+}
+
+func (h timerHandle) Cancel()         { h.s.Stop(h.t) }
+func (h timerHandle) Cancelled() bool { return !h.s.Armed(h.t) }
 
 func newPooled() scheduler { return pooled{New()} }
 func newRef() scheduler    { return &refScheduler{} }

@@ -13,10 +13,11 @@ func TestPeekAndStepDiscardGenMismatchWithoutRecycle(t *testing.T) {
 	forge := func() *Scheduler {
 		s := New()
 		s.At(5, func() {}) // live event: slot 0, current generation
+		s.refill()         // ... moved into the near heap
 		// Forge a stale root addressing the same slot with an older
 		// generation, as if the slot were recycled while queued.
-		s.heap = append(s.heap, entry{at: 1, seq: 999, slot: 0, gen: s.slab[0].gen + 1})
-		s.siftUp(len(s.heap) - 1)
+		s.near = append(s.near, entry{at: 1, seq: 999, slot: 0, gen: s.slab[0].gen + 1})
+		s.siftUp(len(s.near) - 1)
 		return s
 	}
 

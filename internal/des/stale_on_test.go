@@ -14,8 +14,9 @@ func TestPeekStepGenMismatchSymmetry(t *testing.T) {
 	forge := func() *Scheduler {
 		s := New()
 		s.At(5, func() {})
-		s.heap = append(s.heap, entry{at: 1, seq: 999, slot: 0, gen: s.slab[0].gen + 1})
-		s.siftUp(len(s.heap) - 1)
+		s.refill() // the live event moves into the near heap
+		s.near = append(s.near, entry{at: 1, seq: 999, slot: 0, gen: s.slab[0].gen + 1})
+		s.siftUp(len(s.near) - 1)
 		return s
 	}
 	mustPanic := func(name string, f func()) (msg string) {

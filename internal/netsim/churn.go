@@ -14,7 +14,6 @@
 package netsim
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -121,10 +120,11 @@ func (c *Churn) Leaves() int { return c.leaves }
 
 // InstallChurn pre-generates the plan's membership schedule and queues
 // it, in time order, on one scheduler lane: a drained lane an earlier
-// install used, or a new one. A drained lane's old schedule is spent, so
-// the new one is generated into its storage. The returned Churn reports
-// the generated event mix. It panics with Validate's error on a plan
-// that breaks a rule.
+// install used, or a new one. Each member's flips are generated in time
+// order into the lane's spare buffer, and the members' runs are merged
+// into the drained lane's spent schedule, so reinstalling reuses both.
+// The returned Churn reports the generated event mix. It panics with
+// Validate's error on a plan that breaks a rule.
 func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	if err := plan.Validate(n.G.N()); err != nil {
 		panic("netsim: " + err.Error())
@@ -148,9 +148,11 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 		evs, cl.last.evs = cl.last.evs[:0], nil
 	}
 	cl.last = c
+	gen, runs := cl.spare[:0], cl.runs[:0]
 	parent, r := rng.New(plan.Seed), rng.New(0)
 	for _, m := range plan.Members {
 		r.Seed(parent.Int63()) // the stream rng.Split(parent) would return, in a reused generator
+		start := len(gen)
 		on, joined := false, false
 		for t := plan.Start; ; {
 			var gap float64
@@ -175,10 +177,14 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 			} else {
 				c.leaves++
 			}
-			evs = append(evs, churnEvent{t: t, member: m, join: on, gen: int32(len(evs))})
+			gen = append(gen, churnEvent{t: t, member: int32(m), join: on})
+		}
+		if len(gen) > start {
+			runs = append(runs, churnRun{next: int32(start), end: int32(len(gen))})
 		}
 	}
-	sortChurnEvents(evs)
+	evs = mergeChurnRuns(slices.Grow(evs, len(gen)), gen, runs)
+	cl.spare, cl.runs = gen, runs
 	c.evs = evs
 	for i := 0; i < len(evs); {
 		// Same-instant events collapse into one scheduler event.
@@ -192,22 +198,63 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	return c
 }
 
-// sortChurnEvents puts a member-major schedule in time order, keeping
+// churnRun is one member's flips in a generated schedule: gen[next:end],
+// in time order.
+type churnRun struct{ next, end int32 }
+
+// mergeChurnRuns appends gen's events to dst in time order, keeping
 // generation (member-major) order for exact-time ties — precisely the
 // order the scheduler's insertion-sequence tie-break used to run them
-// when each event was queued directly. The key (time, generation index)
-// is total, so an unstable sort gives that one order.
-func sortChurnEvents(evs []churnEvent) {
-	slices.SortFunc(evs, func(a, b churnEvent) int {
-		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.gen, b.gen))
-	})
+// when each event was queued directly. Each run is already in that
+// (time, index in gen) order, so a binary heap of run heads, ties going
+// to the earlier index, merges them into the one order a sort on that
+// total key gives. runs is consumed.
+func mergeChurnRuns(dst, gen []churnEvent, runs []churnRun) []churnEvent {
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		siftChurnRun(gen, runs, i)
+	}
+	for len(runs) > 0 {
+		r := &runs[0]
+		dst = append(dst, gen[r.next])
+		if r.next++; r.next == r.end {
+			runs[0] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+		siftChurnRun(gen, runs, 0)
+	}
+	return dst
+}
+
+// siftChurnRun restores the heap order of runs below i.
+func siftChurnRun(gen []churnEvent, runs []churnRun, i int) {
+	less := func(a, b churnRun) bool {
+		x, y := gen[a.next].t, gen[b.next].t
+		return x < y || !(y < x) && a.next < b.next
+	}
+	for {
+		c := 2*i + 1
+		if c >= len(runs) {
+			return
+		}
+		if c+1 < len(runs) && less(runs[c+1], runs[c]) {
+			c++
+		}
+		if !less(runs[c], runs[i]) {
+			return
+		}
+		runs[i], runs[c] = runs[c], runs[i]
+		i = c
+	}
 }
 
 // churnLane is one scheduler lane churn schedules queue on, with the
-// schedule installed on it last.
+// schedule installed on it last, and the spare buffer and run heap the
+// next install generates into.
 type churnLane struct {
-	lane des.Lane
-	last *Churn
+	lane  des.Lane
+	last  *Churn
+	spare []churnEvent
+	runs  []churnRun
 }
 
 // churnLane returns a drained churn lane, opening one when every lane
@@ -223,12 +270,13 @@ func (n *Network) churnLane() *churnLane {
 }
 
 // churnEvent is one pre-generated membership flip: member joins (or
-// leaves) the group at simulated time t.
+// leaves) the group at simulated time t. 16 bytes (member is a
+// topology.NodeID): a churn lane keeps two buffers of them, the
+// schedule and the spare it is merged from.
 type churnEvent struct {
 	t      float64
-	member topology.NodeID
+	member int32
 	join   bool
-	gen    int32 // position in generation (member-major) order
 }
 
 // dispatchChurn fires c's same-instant churn events i..j-1 in order:
@@ -242,13 +290,13 @@ func (n *Network) dispatchChurn(c *Churn, i, j int) {
 	run, g := c.evs[i:j], c.plan.Group
 	for i := 0; i < len(run); {
 		if run[i].join {
-			n.HostJoin(run[i].member, g)
+			n.HostJoin(topology.NodeID(run[i].member), g)
 			i++
 			continue
 		}
 		n.leaveBatch = n.leaveBatch[:0]
 		for i < len(run) && !run[i].join {
-			n.leaveBatch = append(n.leaveBatch, run[i].member)
+			n.leaveBatch = append(n.leaveBatch, topology.NodeID(run[i].member))
 			i++
 		}
 		n.HostLeaveBatch(n.leaveBatch, g)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -234,32 +235,52 @@ func TestChurnLaneReuse(t *testing.T) {
 	}
 }
 
-// TestChurnSortKeepsMemberMajorTies: members that flip at a
-// bit-identical time keep member-major (generation) order after the
-// time sort, whatever order the sort meets them in — the order a stable
-// sort of the member-major schedule gives. The schedule is long enough
-// (64 events, 4 distinct times) that the sort leaves its insertion-sort
-// base case, which is stable on its own.
-func TestChurnSortKeepsMemberMajorTies(t *testing.T) {
+// TestChurnMergeKeepsMemberMajorTies: members that flip at a
+// bit-identical time keep member-major (generation) order through the
+// merge of their runs — the order slices.SortFunc gives the same events
+// on the (time, generation index) key. The hand-built runs put 8 members,
+// in descending id, on a grid of a few instants, so every instant ties
+// across members; the random ones add empty and uneven runs.
+func TestChurnMergeKeepsMemberMajorTies(t *testing.T) {
+	check := func(name string, gen []churnEvent, runs []churnRun) {
+		t.Helper()
+		idx := make([]int, len(gen))
+		for i := range idx {
+			idx[i] = i
+		}
+		slices.SortFunc(idx, func(a, b int) int { return cmp.Or(cmp.Compare(gen[a].t, gen[b].t), cmp.Compare(a, b)) })
+		want := make([]churnEvent, len(gen))
+		for i, k := range idx {
+			want[i] = gen[k]
+		}
+		if got := mergeChurnRuns(nil, gen, slices.Clone(runs)); !slices.Equal(got, want) {
+			t.Fatalf("%s: merged order differs from the sort:\n got %v\nwant %v", name, got, want)
+		}
+	}
 	var gen []churnEvent
-	for m := topology.NodeID(7); m >= 0; m-- { // member-major, members in descending id
+	var runs []churnRun
+	for m := int32(7); m >= 0; m-- { // member-major, members in descending id
+		start := len(gen)
 		for k := 0; k < 8; k++ {
-			gen = append(gen, churnEvent{t: float64((int(m)+k)%4) * 0.25, member: m, join: k%2 == 0, gen: int32(len(gen))})
+			gen = append(gen, churnEvent{t: float64((int(m)%3+k)/2) * 0.25, member: m, join: k%2 == 0})
 		}
+		runs = append(runs, churnRun{next: int32(start), end: int32(len(gen))})
 	}
-	want := slices.Clone(gen)
-	slices.SortStableFunc(want, func(a, b churnEvent) int { return cmp.Compare(a.t, b.t) })
-	if want[0].member != 7 || want[len(want)-1].member != 0 {
-		t.Fatalf("fixture: stable order starts with member %d and ends with %d, want 7 and 0", want[0].member, want[len(want)-1].member)
-	}
+	check("hand-built", gen, runs)
 	rnd := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		evs := slices.Clone(gen)
-		rnd.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
-		sortChurnEvents(evs)
-		if !slices.Equal(evs, want) {
-			t.Fatalf("trial %d: tied events left member-major order:\n got %v\nwant %v", trial, evs, want)
+	for trial := 0; trial < 50; trial++ {
+		gen, runs = gen[:0], runs[:0]
+		for m := int32(rnd.Intn(12)); m >= 0; m-- {
+			start, at := len(gen), 0.0
+			for k := rnd.Intn(10); k > 0; k-- {
+				at += float64(rnd.Intn(3)) * 0.125
+				gen = append(gen, churnEvent{t: at, member: m, join: k%2 == 0})
+			}
+			if len(gen) > start {
+				runs = append(runs, churnRun{next: int32(start), end: int32(len(gen))})
+			}
 		}
+		check(fmt.Sprintf("trial %d", trial), gen, runs)
 	}
 }
 
@@ -284,10 +305,11 @@ func (nopMembers) HostJoin(topology.NodeID, packet.GroupID)  {}
 func (nopMembers) HostLeave(topology.NodeID, packet.GroupID) {}
 
 // TestChurnReinstallReusesStorage: an install on a drained lane generates
-// into the spent schedule's storage and one reseeded generator, so a
-// steady stream of installs — the churn experiment's and the benchmark's
-// chunked windows — costs two generators (5 KB each) and the odd growth
-// of a schedule longer than any before it: about 19 KB an install here,
+// into the lane's spare buffer with one reseeded generator and merges
+// into the spent schedule's storage, so a steady stream of installs —
+// the churn experiment's and the benchmark's chunked windows — costs two
+// generators (5 KB each) and the odd growth of a schedule or spare
+// longer than any before it: about 17 KB an install here,
 // against 4000 events and 32 members that a fresh schedule and a
 // generator per member would put near 500 KB.
 func TestChurnReinstallReusesStorage(t *testing.T) {
