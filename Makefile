@@ -10,9 +10,10 @@ all: lint test
 build:
 	$(GO) build ./...
 
-# gofmt, go vet, then the repo's own analysis suite (cmd/scmplint): the
-# determinism analyzers plus the dataflow analyzers (poollife, hotalloc,
-# detshared) over every module package, _test.go files included. The
+# gofmt, go vet of the default and the -tags invariants build, then the
+# repo's own analysis suite (cmd/scmplint): the determinism analyzers,
+# the dataflow analyzers (poollife, hotalloc, detshared) and testonly
+# over every module package, _test.go files included. The
 # full stable-sorted findings list (suppressed entries marked) lands in
 # scmplint.json as the CI artifact; the run fails on any finding not
 # covered by an inline ignore or the justified baseline
@@ -21,6 +22,7 @@ lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	$(GO) vet -tags invariants ./...
 	$(GO) run ./cmd/scmplint -tests -json ./... > scmplint.json
 
 # Regenerate the suppression baseline from the current findings,
@@ -53,7 +55,7 @@ loc:
 # grown past the committed budget. A PR that removes code lowers
 # LOC_BUDGET to what `make loc` prints; one that must add code raises it
 # in the same diff, where a reviewer sees it.
-LOC_BUDGET := 19079
+LOC_BUDGET := 18272
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
@@ -161,7 +163,7 @@ smoke-domains:
 # scenario scripts, seeded from scenarios/*.scn, to the parser and the
 # setup lines (validation and network construction), which must return
 # or error and never panic. FuzzRefEquivalence runs arbitrary scheduler
-# programs (At, AtSink, AtTimer, Stop, LaneSink, RunUntil, Run, Halt;
+# programs (At, AtSink, AtTimer, Stop, LaneSink, RunUntil, Run, Step;
 # tied, tiny, huge, -0 and +Inf times) on the pooled scheduler and the
 # reference one, which must trace identically. A finding lands in the
 # package's testdata/fuzz/ as a regression seed.

@@ -1,7 +1,9 @@
 // Command scmplint runs the repository's custom static-analysis suite —
-// the determinism analyzers and the dataflow analyzers (poollife,
-// hotalloc, detshared) in scmp/internal/lint — over module packages and
-// exits non-zero when any unsuppressed finding remains.
+// the determinism analyzers, the dataflow analyzers (poollife, hotalloc,
+// detshared) and testonly in scmp/internal/lint — over module packages
+// and exits non-zero when any unsuppressed finding remains. testonly is
+// whole-program: it reports only when the patterns load a main package,
+// so run it over ./... .
 //
 // Usage:
 //
@@ -15,8 +17,9 @@
 // included there, marked, so CI artifacts diff cleanly). -tests extends
 // the analysis to _test.go files.
 //
-// Suppression has two layers: a "//scmplint:ignore <name>" comment on
-// the same or preceding line for point exemptions, and the checked-in
+// Suppression has two layers: a "//scmplint:ignore <name> — <reason>"
+// comment on the same or preceding line for point exemptions (a testonly
+// one must give its reason), and the checked-in
 // baseline (-baseline, default .scmplint-baseline.json at the module
 // root) for reviewed findings; every baseline entry must carry a
 // justification, stale entries fail the run, and -write-baseline

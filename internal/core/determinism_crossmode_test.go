@@ -96,7 +96,7 @@ func TestAllPairsParallelMatchesSerial(t *testing.T) {
 	g := wg.Graph
 	render := func(ap *topology.AllPairs) []byte {
 		var buf bytes.Buffer
-		for u := 0; u < ap.N(); u++ {
+		for u := 0; u < g.N(); u++ {
 			row := ap.Row(topology.NodeID(u))
 			fmt.Fprintf(&buf, "%d %v %v %v %v\n", row.Src, row.Dist, row.Delay, row.Cost, row.Parent)
 		}

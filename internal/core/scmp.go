@@ -340,9 +340,6 @@ func (s *SCMP) isHome(node topology.NodeID, g packet.GroupID) bool {
 	return node == s.home(g)
 }
 
-// HomeOf exposes the group-to-m-router assignment (for tools/tests).
-func (s *SCMP) HomeOf(g packet.GroupID) topology.NodeID { return s.home(g) }
-
 // Name implements netsim.Protocol.
 func (s *SCMP) Name() string { return "SCMP" }
 
@@ -358,7 +355,7 @@ func (s *SCMP) Attach(n *netsim.Network) {
 	}
 	s.net = n
 	s.entries = make([]map[packet.GroupID]*entry, n.G.N())
-	s.acct = session.NewManager(n.Sched, 0xE0000000, 1<<20)
+	s.acct = session.NewManager(n.Sched)
 	s.service = newServiceCenter(n.Sched, s, des.Time(s.cfg.ServiceTime), s.cfg.Processors)
 }
 
@@ -366,8 +363,8 @@ func (s *SCMP) Attach(n *netsim.Network) {
 // the standby after a failover.
 func (s *SCMP) MRouter() topology.NodeID { return s.homes[0] }
 
-// Accounting exposes the m-router's service database (§II-C): address
-// allocation, membership on-time tracking, session records.
+// Accounting exposes the m-router's service database (§II-C): adopted
+// groups, membership on-time tracking, session records.
 func (s *SCMP) Accounting() *session.Manager { return s.acct }
 
 // GroupTree returns the m-router's current tree for g (nil if the group
@@ -382,6 +379,8 @@ func (s *SCMP) GroupTree(g packet.GroupID) *mtree.Tree {
 
 // GroupEngine returns g's DCDM engine (nil when the group has no state
 // yet). Read-only, for tests and tooling.
+//
+//scmplint:ignore testonly — the root package's alloc_test.go checks the engine's tables
 func (s *SCMP) GroupEngine(g packet.GroupID) *mtree.DCDM {
 	if gs := s.groups[g]; gs != nil {
 		return gs.dcdm
@@ -551,8 +550,8 @@ func (s *SCMP) mrouterJoin(member topology.NodeID, g packet.GroupID) {
 	gs.lastChange = s.net.Now()
 	defer s.armRefresh(g, gs)
 	if gs.session == 0 {
-		s.acct.Adopt(g, fmt.Sprintf("group-%d", g)) // once per group: a group with a session is already adopted
-		if id, err := s.acct.StartSession(g, 0, nil); err == nil {
+		s.acct.Adopt(g) // once per group: a group with a session is already adopted
+		if id, err := s.acct.StartSession(g); err == nil {
 			gs.session = id
 		}
 	}
@@ -1174,20 +1173,6 @@ func (s *SCMP) recordTraffic(node topology.NodeID, g packet.GroupID, size int) {
 	if gs := s.groups[g]; gs != nil && gs.session != 0 {
 		_ = s.acct.RecordTraffic(g, gs.session, size)
 	}
-}
-
-// TrafficRecord returns the packets and bytes the m-router has switched
-// for the group's session.
-func (s *SCMP) TrafficRecord(g packet.GroupID) (packets, bytes uint64) {
-	gs := s.groups[g]
-	if gs == nil || gs.session == 0 {
-		return 0, 0
-	}
-	info, err := s.acct.Session(g, gs.session)
-	if err != nil {
-		return 0, 0
-	}
-	return info.Packets, info.Bytes
 }
 
 // handleEncap decapsulates data at the m-router and forwards it down the

@@ -16,15 +16,17 @@
 // garbage. Callers that would otherwise capture a closure per event (the
 // packet-forwarding hot path) can use the typed sink path (SetSink /
 // AtSink), which carries a small fixed argument tuple instead of a func
-// value; At/After remain as the general-purpose closure API. A stream of
-// sink events whose times never decrease (the packets in flight on one
-// link) can queue on a FIFO lane (NewLanes / LaneSink): only the lane's
-// head is queued, so the queue holds one entry per busy link instead of
-// one per packet. A cancellable typed event for a sink of the caller's
-// choosing is a timer (AtTimer / Stop): the protocol control plane arms
-// its retransmission, refresh and service-completion deadlines this way,
-// behind a value handle, so arming one allocates nothing. See DESIGN.md
-// §10 for the free-list safety, queue and lane ordering arguments.
+// value; At/After remain as the general-purpose closure API. A closure
+// only fires: At and After return no handle and cannot be cancelled. A
+// stream of sink events whose times never decrease (the packets in
+// flight on one link) can queue on a FIFO lane (NewLanes / LaneSink):
+// only the lane's head is queued, so the queue holds one entry per busy
+// link instead of one per packet. The one cancellable event is a timer
+// (AtTimer / Stop), a typed event for a sink of the caller's choosing:
+// the protocol control plane arms its retransmission, refresh and
+// service-completion deadlines this way, behind a value handle, so
+// arming one allocates nothing. See DESIGN.md §10 for the free-list
+// safety, queue and lane ordering arguments.
 package des
 
 import (
@@ -43,50 +45,18 @@ type Sink interface {
 	SinkEvent(op uint8, a, b int32, p any, flag bool)
 }
 
-// Event is a cancellation handle for a scheduled callback. The callback
-// itself lives in a pooled scheduler slot; the handle pairs the slot
-// with the generation it was issued for, so holding a handle past the
-// event's firing (the timer-management pattern in the SCMP control
-// plane) is safe: once the slot is recycled the generations diverge and
-// Cancel degrades to a no-op.
-type Event struct {
-	s    *Scheduler
-	at   Time
-	slot int32
-	gen  uint32
-}
-
-// At reports the simulated time this event fires at.
-func (e *Event) At() Time { return e.at }
-
-// Cancel prevents a pending event from firing. Cancelling an event that
-// already fired (or was already cancelled) is a no-op.
-func (e *Event) Cancel() {
-	nd := &e.s.slab[e.slot]
-	if nd.gen == e.gen {
-		nd.dead = true
-	}
-}
-
-// Cancelled reports whether the event will not (or did not) run again:
-// true once cancelled or fired.
-func (e *Event) Cancelled() bool {
-	nd := &e.s.slab[e.slot]
-	return nd.gen != e.gen || nd.dead
-}
-
 // Timer is the value handle of a typed timer (AtTimer): the slot the
-// timer lives in and the generation it was issued for. Like an *Event,
-// a handle kept past its timer's firing is safe — once the slot is
-// recycled the generations diverge and Stop degrades to a no-op. The
-// zero Timer is no timer.
+// timer lives in and the generation it was issued for. A handle kept
+// past its timer's firing is safe — once the slot is recycled the
+// generations diverge and Stop degrades to a no-op. The zero Timer is
+// no timer.
 type Timer struct {
 	ref int32 // slot + 1; 0 for the zero Timer
 	gen uint32
 }
 
 // node is one pooled event slot. gen increments every time the slot is
-// recycled, invalidating any outstanding Event handles and (under the
+// recycled, invalidating any outstanding Timer handles and (under the
 // invariants build tag) proving the queue never dispatches a stale slot.
 // A lane event (kLane) also keeps its own (time, seq) key, its lane and
 // the slot after it on that lane, since only the lane's head has a queue
@@ -137,10 +107,9 @@ type Lane int32
 // Scheduler is a single-threaded discrete-event simulator. The zero value
 // is ready to use.
 type Scheduler struct {
-	now    Time
-	seq    uint64
-	fired  uint64
-	halted bool
+	now   Time
+	seq   uint64
+	fired uint64
 
 	// The two-tier queue (see key and refill). near is a 4-ary min-heap
 	// of exactly the entries whose key is at most last. bucket[b] heads,
@@ -226,8 +195,9 @@ func (s *Scheduler) push(t Time, slot int32) {
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past (t < Now) panics: it would violate causality. So does a NaN time,
-// which has no place in the (time, seq) order.
-func (s *Scheduler) At(t Time, fn func()) *Event {
+// which has no place in the (time, seq) order. A closure cannot be
+// cancelled; a deadline that may be called off is a timer (AtTimer).
+func (s *Scheduler) At(t Time, fn func()) {
 	if !(t >= s.now) {
 		panic("des: event scheduled in the past")
 	}
@@ -236,15 +206,14 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 	nd.kind = kClosure
 	nd.fn = fn
 	s.push(t, slot)
-	return &Event{s: s, at: t, slot: slot, gen: nd.gen}
 }
 
 // After schedules fn to run d seconds from now.
-func (s *Scheduler) After(d Time, fn func()) *Event {
+func (s *Scheduler) After(d Time, fn func()) {
 	if !(d >= 0) {
 		panic("des: negative delay")
 	}
-	return s.At(s.now+d, fn)
+	s.At(s.now+d, fn)
 }
 
 // AtSink schedules a typed event for the installed sink at absolute
@@ -296,6 +265,8 @@ func (s *Scheduler) Stop(t Timer) {
 
 // Armed reports whether timer t is still to fire: neither stopped nor
 // fired.
+//
+//scmplint:ignore testonly — core's overload tests check a request's retry timer through it
 func (s *Scheduler) Armed(t Timer) bool {
 	if t.ref == 0 {
 		return false
@@ -388,9 +359,6 @@ func (s *Scheduler) popLane(e entry, nd *node) {
 	s.sink.SinkEvent(op, a, b, p, flag)
 }
 
-// Halt stops Run/RunUntil before the next event is dispatched.
-func (s *Scheduler) Halt() { s.halted = true }
-
 // Step executes the single earliest pending event. It returns false when
 // the queue is empty.
 //
@@ -419,9 +387,8 @@ func (s *Scheduler) Step() bool {
 		// Copy the payload out and recycle before dispatching: the
 		// callback may schedule (reusing this slot immediately — the
 		// dominant pattern in chained forwarding) or run nested Steps.
-		// The old scheduler marked a firing event dead before its
-		// callback; the generation bump preserves that observable
-		// (handle.Cancelled() is true from inside the callback).
+		// The generation bump also means a timer's own Stop (or Armed)
+		// from inside its callback sees it already fired.
 		if nd.kind == kClosure {
 			fn := nd.fn
 			s.recycle(e.slot)
@@ -440,30 +407,24 @@ func (s *Scheduler) Step() bool {
 	return false
 }
 
-// Run executes events until the queue is empty or Halt is called.
+// Run executes events until the queue is empty.
 //
 //scmplint:hotpath
 func (s *Scheduler) Run() {
-	s.halted = false
-	for !s.halted && s.Step() {
+	for s.Step() {
 	}
 }
 
 // RunUntil executes events with firing time <= deadline, then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay queued.
-// If a callback calls Halt mid-window the clock stays at that event's
-// firing time — the window did not complete, so the deadline advance
-// does not apply.
 //
 //scmplint:hotpath
 func (s *Scheduler) RunUntil(deadline Time) {
-	s.halted = false
-	for !s.halted {
+	for {
 		at, ok := s.peek()
 		if !ok || at > deadline {
-			// The window completed: the queue drained or the next event is
-			// beyond the deadline. Only now does the clock advance to the
-			// window's end.
+			// The queue drained or the next event is beyond the deadline:
+			// the clock advances to the window's end.
 			if s.now < deadline {
 				s.now = deadline
 			}

@@ -50,24 +50,23 @@ func TestFIFOTieBreak(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	s := New()
-	ran := false
-	e := s.At(1, func() { ran = true })
-	e.Cancel()
+	log := &timerLog{s: s}
+	e := s.AtTimer(1, log, 0, 0, 0)
+	s.Stop(e)
 	s.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
+	if len(log.got) != 0 {
+		t.Fatal("stopped timer fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false")
+	if s.Armed(e) {
+		t.Fatal("Armed() = true after Stop")
 	}
 }
 
 func TestCancelAlreadyFired(t *testing.T) {
 	s := New()
-	var e *Event
-	e = s.At(1, func() {})
+	e := s.AtTimer(1, &timerLog{s: s}, 0, 0, 0)
 	s.Run()
-	e.Cancel() // must not panic
+	s.Stop(e) // must not panic
 }
 
 func TestNestedScheduling(t *testing.T) {
@@ -134,21 +133,6 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	s.RunUntil(5)
 	if !ran {
 		t.Fatal("event at deadline did not run")
-	}
-}
-
-func TestHalt(t *testing.T) {
-	s := New()
-	n := 0
-	s.At(1, func() { n++; s.Halt() })
-	s.At(2, func() { n++ })
-	s.Run()
-	if n != 1 {
-		t.Fatalf("events run = %d, want 1", n)
-	}
-	s.Run() // resume
-	if n != 2 {
-		t.Fatalf("events run = %d, want 2", n)
 	}
 }
 
@@ -255,82 +239,64 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 
 // --- pooled-slot semantics ---------------------------------------------
 
-// A cancelled event's slot is recycled and reused by a later event; the
-// stale handle must stay inert: Cancel is a no-op, Cancelled stays true,
-// and the recycled slot's new occupant fires exactly once. Run with
-// -tags invariants to additionally assert (via invariant.CheckEventSlot)
-// that no recycled slot is ever dispatched.
+// A stopped timer's slot is recycled and reused by a later timer; the
+// stale handle must stay inert: Stop is a no-op, Armed stays false, and
+// the recycled slot's new occupant fires exactly once. Run with -tags
+// invariants to additionally assert (via invariant.CheckEventSlot) that
+// no recycled slot is ever dispatched.
 func TestCancelledSlotRecycledSafely(t *testing.T) {
 	s := New()
-	var fired []string
-	stale := s.At(1, func() { fired = append(fired, "cancelled") })
-	stale.Cancel()
+	log := &timerLog{s: s}
+	stale := s.AtTimer(1, log, 1, 0, 0)
+	s.Stop(stale)
 	if s.Step() {
-		t.Fatal("Step fired the cancelled event")
+		t.Fatal("Step fired the stopped timer")
 	}
-	// The sweep recycled the cancelled entry's slot; this event reuses it.
-	// Reading .slot on the stale handle past the Step is the point of this
-	// white-box test — exactly the access poollife exists to flag.
-	fresh := s.At(2, func() { fired = append(fired, "fresh") })
-	if fresh.slot != stale.slot { //scmplint:ignore poollife
-		t.Fatalf("free list did not recycle: fresh slot %d, stale slot %d", fresh.slot, stale.slot) //scmplint:ignore poollife
+	// The sweep recycled the stopped entry's slot; this timer reuses it.
+	fresh := s.AtTimer(2, log, 2, 0, 0)
+	if fresh.ref != stale.ref {
+		t.Fatalf("free list did not recycle: fresh slot %d, stale slot %d", fresh.ref-1, stale.ref-1)
 	}
-	stale.Cancel() // stale handle on a reused slot: must not touch it
-	if !stale.Cancelled() {
-		t.Fatal("stale handle no longer reads cancelled")
+	s.Stop(stale) // stale handle on a reused slot: must not touch it
+	if s.Armed(stale) {
+		t.Fatal("stale handle reads armed")
 	}
-	if fresh.Cancelled() {
-		t.Fatal("stale Cancel leaked into the recycled slot")
+	if !s.Armed(fresh) {
+		t.Fatal("stale Stop leaked into the recycled slot")
 	}
 	s.Run()
-	if len(fired) != 1 || fired[0] != "fresh" {
-		t.Fatalf("fired = %v, want [fresh]", fired)
+	if len(log.got) != 1 || log.got[0].op != 2 {
+		t.Fatalf("fired = %+v, want the fresh timer only", log.got)
 	}
 }
 
-// Step returns false when only cancelled events remain, discarding them.
+// Step returns false when only stopped timers remain, discarding them.
 func TestStepSkipsCancelledToEmpty(t *testing.T) {
 	s := New()
-	s.At(1, func() {}).Cancel()
-	s.At(2, func() {}).Cancel()
+	log := &timerLog{s: s}
+	s.Stop(s.AtTimer(1, log, 0, 0, 0))
+	s.Stop(s.AtTimer(2, log, 0, 0, 0))
 	if s.Step() {
-		t.Fatal("Step fired a cancelled event")
+		t.Fatal("Step fired a stopped timer")
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("Pending = %d after sweep, want 0", s.Pending())
 	}
 }
 
-// A handle held across its event's firing reads Cancelled (the old
-// scheduler marked firing events dead) and its Cancel must not disturb
-// whatever event has since been given the recycled slot.
-func TestStaleHandleAfterFiring(t *testing.T) {
-	s := New()
-	e := s.At(1, func() {})
-	s.Run()
-	if !e.Cancelled() {
-		t.Fatal("fired event's handle should read Cancelled")
-	}
-	ran := false
-	f := s.At(2, func() { ran = true })
-	e.Cancel() // slot likely reused by f; must be a no-op
-	s.Run()
-	if !ran {
-		// White-box read of stale slots after Run, deliberately.
-		t.Fatalf("stale Cancel killed the recycled slot's event (reused=%v)", f.slot == e.slot) //scmplint:ignore poollife
-	}
-}
-
-// Cancelled() from inside the event's own callback: the old scheduler
-// set dead before dispatch, so this was observable true. Preserved.
+// From inside its own callback a timer reads as fired: not Armed, and
+// its Stop is a no-op.
 func TestCancelledInsideOwnCallback(t *testing.T) {
 	s := New()
-	var e *Event
-	saw := false
-	e = s.At(1, func() { saw = e.Cancelled() })
+	var e Timer
+	armed := true
+	e = s.AtTimer(1, funcSink(func(uint8, int32, int32, any, bool) {
+		armed = s.Armed(e)
+		s.Stop(e)
+	}), 0, 0, 0)
 	s.Run()
-	if !saw {
-		t.Fatal("Cancelled() inside own callback = false, want true")
+	if armed {
+		t.Fatal("Armed() inside own callback = true, want false")
 	}
 }
 
@@ -418,9 +384,7 @@ func TestSetSinkTwicePanics(t *testing.T) {
 	s.SetSink(&recordingSink{s: s})
 }
 
-// Steady-state scheduling through both the closure and sink paths must
-// be allocation-free (the handle for At is the one deliberate remaining
-// allocation; the hot path uses AtSink which returns none).
+// Steady-state scheduling through the sink path must be allocation-free.
 func TestSinkPathAllocFree(t *testing.T) {
 	s := New()
 	sink := &recordingSink{s: s}
@@ -457,9 +421,9 @@ func (f funcSink) SinkEvent(op uint8, a, b int32, p any, flag bool) { f(op, a, b
 
 // The reference container/heap scheduler (ref_test.go) and the pooled
 // scheduler must dispatch identical (time, event) sequences for
-// any workload: nested scheduling, cancellations, and lane events on
-// several lanes whose times tie with each other and with loose events,
-// driven through RunUntil windows, Run and callbacks that Halt. On the
+// any workload: nested scheduling, timers and their cancellations, and
+// lane events on several lanes whose times tie with each other and with
+// loose events, driven through RunUntil windows and Run. On the
 // reference scheduler a lane push is a plain AtSink, so equal traces
 // mean the lanes dispatch in exact (time, seq) order.
 func TestRefEquivalence(t *testing.T) {
@@ -470,19 +434,17 @@ func TestRefEquivalence(t *testing.T) {
 	run := func(s scheduler, seed int64, lanes int) []fire {
 		rng := rand.New(rand.NewSource(seed))
 		var trace []fire
-		var events []handle
+		var timers []handle
 		first := s.NewLanes(lanes)
 		tail := make([]Time, lanes)
 		// Delays on a 1/8 grid: exact in binary, so times tie often.
 		delay := func() Time { return Time(rng.Intn(8)) / 8 }
 		ids := 0
 		var spawn func(id, depth int)
-		s.SetSink(funcSink(func(_ uint8, a, b int32, _ any, _ bool) { spawn(int(a), int(b)) }))
+		sink := funcSink(func(_ uint8, a, b int32, _ any, _ bool) { spawn(int(a), int(b)) })
+		s.SetSink(sink)
 		spawn = func(id, depth int) {
 			trace = append(trace, fire{s.Now(), id})
-			if rng.Intn(16) == 0 {
-				s.Halt()
-			}
 			if depth >= 5 {
 				return
 			}
@@ -495,10 +457,13 @@ func TestRefEquivalence(t *testing.T) {
 					s.LaneSink(first+Lane(k), tail[k], 0, int32(id), int32(depth+1), nil, false)
 					continue
 				}
-				e := s.After(delay(), func() { spawn(id, depth+1) })
-				events = append(events, e)
+				if rng.Intn(2) == 0 {
+					s.After(delay(), func() { spawn(id, depth+1) })
+					continue
+				}
+				timers = append(timers, s.AtTimer(s.Now()+delay(), sink, 0, int32(id), int32(depth+1)))
 				if rng.Intn(5) == 0 {
-					events[rng.Intn(len(events))].Cancel()
+					timers[rng.Intn(len(timers))].Cancel()
 				}
 			}
 		}
@@ -540,7 +505,7 @@ func TestRefSchedulerContract(t *testing.T) {
 		i := i
 		s.At(5, func() { got = append(got, i) })
 	}
-	e := s.At(3, func() { got = append(got, -1) })
+	e := s.AtTimer(3, funcSink(func(uint8, int32, int32, any, bool) { got = append(got, -1) }), 0, 0, 0)
 	e.Cancel()
 	if !e.Cancelled() {
 		t.Fatal("ref handle broken")

@@ -33,12 +33,19 @@ func ExampleScheduler_RunUntil() {
 	// paused at 3
 }
 
-func ExampleEvent_Cancel() {
+// printer is a des.Sink printing the timers it receives.
+type printer struct{}
+
+func (printer) SinkEvent(op uint8, a, _ int32, _ any, _ bool) { fmt.Println("timer", op, a) }
+
+func ExampleScheduler_Stop() {
 	s := des.New()
-	e := s.At(1, func() { fmt.Println("never") })
-	e.Cancel()
+	keep := s.AtTimer(1, printer{}, 1, 10, 0)
+	drop := s.AtTimer(2, printer{}, 2, 20, 0)
+	s.Stop(drop)
 	s.Run()
-	fmt.Println("cancelled:", e.Cancelled())
+	fmt.Println("armed:", s.Armed(keep), s.Armed(drop))
 	// Output:
-	// cancelled: true
+	// timer 1 10
+	// armed: false false
 }

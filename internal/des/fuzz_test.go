@@ -39,13 +39,12 @@ func fuzzTime(base Time, b byte) Time {
 }
 
 // runProgram interprets prog on s, one operation per byte plus its
-// argument bytes: At, AtSink, AtTimer, cancelling or stopping an earlier
-// handle, LaneSink on one of three lanes, RunUntil a window that may
-// stop short of the next event, Run and Halt. An event with an odd id
-// runs the next operation from inside its callback (the scheduling
-// ones only: there RunUntil and Run are skipped), so pushes also land
-// mid-dispatch and Halt stops a window. Once prog is spent the queue is
-// drained.
+// argument bytes: At, AtSink, AtTimer, stopping an earlier timer,
+// LaneSink on one of three lanes, RunUntil a window that may stop short
+// of the next event, Run and Step. An event with an odd id runs the
+// next operation from inside its callback (the scheduling ones only:
+// there RunUntil, Run and Step are skipped), so pushes also land
+// mid-dispatch. Once prog is spent the queue is drained.
 func runProgram(s scheduler, prog []byte) []fuzzRecord {
 	var trace []fuzzRecord
 	var handles []handle
@@ -74,7 +73,7 @@ func runProgram(s scheduler, prog []byte) []fuzzRecord {
 		id := ids
 		switch code % 8 {
 		case 0:
-			handles = append(handles, s.At(fuzzTime(s.Now(), arg()), func() { fire(id) }))
+			s.At(fuzzTime(s.Now(), arg()), func() { fire(id) })
 		case 1:
 			s.AtSink(fuzzTime(s.Now(), arg()), 0, int32(id), 0, nil, false)
 		case 2:
@@ -96,7 +95,9 @@ func runProgram(s scheduler, prog []byte) []fuzzRecord {
 				s.Run()
 			}
 		case 7:
-			s.Halt()
+			if !nested {
+				s.Step()
+			}
 		}
 	}
 	snapshot := func() {

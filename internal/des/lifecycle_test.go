@@ -2,42 +2,8 @@ package des
 
 import "testing"
 
-// Regression: RunUntil used to advance the clock to the deadline even
-// when a callback halted the scheduler mid-window, silently jumping time
-// past the halt point. The clock must stay at the halting event's firing
-// time, and a later RunUntil must resume from there.
-func TestRunUntilHaltPreservesClock(t *testing.T) {
-	s := New()
-	var fired []Time
-	s.At(1, func() { fired = append(fired, s.Now()) })
-	s.At(2, func() {
-		fired = append(fired, s.Now())
-		s.Halt()
-	})
-	s.At(3, func() { fired = append(fired, s.Now()) })
-
-	s.RunUntil(10)
-	if got := s.Now(); got != 2 {
-		t.Fatalf("halt mid-window: Now() = %v, want the halting event's firing time 2", got)
-	}
-	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
-		t.Fatalf("events fired before halt = %v, want [1 2]", fired)
-	}
-
-	// Resuming completes the window: the remaining event fires and the
-	// clock advances to the deadline.
-	s.RunUntil(10)
-	if got := s.Now(); got != 10 {
-		t.Fatalf("after resume: Now() = %v, want deadline 10", got)
-	}
-	if len(fired) != 3 || fired[2] != 3 {
-		t.Fatalf("events fired after resume = %v, want [1 2 3]", fired)
-	}
-}
-
-// RunUntil with no halt keeps its contract: drained queue advances the
-// clock to the deadline, and a next event beyond the deadline leaves it
-// queued.
+// RunUntil's contract: a drained queue advances the clock to the
+// deadline, and a next event beyond the deadline leaves it queued.
 func TestRunUntilAdvancesOnDrainAndBeyondDeadline(t *testing.T) {
 	s := New()
 	s.At(1, func() {})
@@ -55,27 +21,27 @@ func TestRunUntilAdvancesOnDrainAndBeyondDeadline(t *testing.T) {
 	}
 }
 
-// peek discards a cancelled root and recycles its slot exactly once; the
+// peek discards a stopped root and recycles its slot exactly once; the
 // recycled slot's bumped generation makes the old handle inert, so a
-// stale Cancel cannot kill the live event that reused the slot.
+// stale Stop cannot kill the live timer that reused the slot.
 func TestPeekRecyclesCancelledRootOnce(t *testing.T) {
 	s := New()
-	ev := s.At(1, func() {})
-	ev.Cancel()
+	log := &timerLog{s: s}
+	ev := s.AtTimer(1, log, 1, 0, 0)
+	s.Stop(ev)
 	if _, ok := s.peek(); ok {
-		t.Fatal("peek returned a cancelled event")
+		t.Fatal("peek returned a stopped timer")
 	}
-	if len(s.free) != 1 || s.free[0] != ev.slot {
-		t.Fatalf("free list = %v, want exactly the cancelled event's slot %d", s.free, ev.slot)
+	if len(s.free) != 1 || s.free[0] != ev.ref-1 {
+		t.Fatalf("free list = %v, want exactly the stopped timer's slot %d", s.free, ev.ref-1)
 	}
-	var ran bool
-	live := s.At(2, func() { ran = true })
-	if live.slot != ev.slot {
-		t.Fatalf("expected slot reuse, got slot %d (was %d)", live.slot, ev.slot)
+	live := s.AtTimer(2, log, 2, 0, 0)
+	if live.ref != ev.ref {
+		t.Fatalf("expected slot reuse, got slot %d (was %d)", live.ref-1, ev.ref-1)
 	}
-	ev.Cancel() // stale handle: generation mismatch, must be a no-op
+	s.Stop(ev) // stale handle: generation mismatch, must be a no-op
 	s.Run()
-	if !ran {
-		t.Fatal("stale Cancel killed a live event through a recycled slot")
+	if len(log.got) != 1 {
+		t.Fatal("stale Stop killed a live timer through a recycled slot")
 	}
 }

@@ -10,12 +10,11 @@ import "container/heap"
 // call, so equal traces mean the pooled scheduler's lanes and timers
 // dispatch in exact (time, seq) order.
 type refScheduler struct {
-	now    Time
-	seq    uint64
-	fired  uint64
-	halted bool
-	queue  refHeap
-	sink   Sink
+	now   Time
+	seq   uint64
+	fired uint64
+	queue refHeap
+	sink  Sink
 }
 
 // refEvent is the old heap element and its own cancellation handle.
@@ -67,9 +66,8 @@ func (r *refScheduler) Fired() uint64       { return r.fired }
 func (r *refScheduler) Pending() int        { return len(r.queue) }
 func (r *refScheduler) SetSink(k Sink)      { r.sink = k }
 func (r *refScheduler) NewLanes(k int) Lane { return 0 }
-func (r *refScheduler) Halt()               { r.halted = true }
 
-func (r *refScheduler) At(t Time, fn func()) handle {
+func (r *refScheduler) push(t Time, fn func()) *refEvent {
 	if !(t >= r.now) {
 		panic("des: event scheduled in the past")
 	}
@@ -79,11 +77,13 @@ func (r *refScheduler) At(t Time, fn func()) handle {
 	return e
 }
 
-func (r *refScheduler) After(d Time, fn func()) handle {
+func (r *refScheduler) At(t Time, fn func()) { r.push(t, fn) }
+
+func (r *refScheduler) After(d Time, fn func()) {
 	if !(d >= 0) {
 		panic("des: negative delay")
 	}
-	return r.At(r.now+d, fn)
+	r.At(r.now+d, fn)
 }
 
 // AtSink captures the tuple in a closure: the allocation profile the
@@ -98,7 +98,7 @@ func (r *refScheduler) LaneSink(_ Lane, t Time, op uint8, a, b int32, p any, fla
 }
 
 func (r *refScheduler) AtTimer(t Time, k Sink, op uint8, a, b int32) handle {
-	return r.At(t, func() { k.SinkEvent(op, a, b, nil, false) })
+	return r.push(t, func() { k.SinkEvent(op, a, b, nil, false) })
 }
 
 func (r *refScheduler) Step() bool {
@@ -117,14 +117,12 @@ func (r *refScheduler) Step() bool {
 }
 
 func (r *refScheduler) Run() {
-	r.halted = false
-	for !r.halted && r.Step() {
+	for r.Step() {
 	}
 }
 
 func (r *refScheduler) RunUntil(deadline Time) {
-	r.halted = false
-	for !r.halted {
+	for {
 		for len(r.queue) > 0 && r.queue[0].dead {
 			heap.Pop(&r.queue)
 		}
@@ -138,7 +136,7 @@ func (r *refScheduler) RunUntil(deadline Time) {
 	}
 }
 
-// handle is what both schedulers' At and After return.
+// handle is what both schedulers' AtTimer return.
 type handle interface {
 	Cancel()
 	Cancelled() bool
@@ -152,22 +150,20 @@ type scheduler interface {
 	Pending() int
 	SetSink(Sink)
 	NewLanes(k int) Lane
-	At(t Time, fn func()) handle
-	After(d Time, fn func()) handle
+	At(t Time, fn func())
+	After(d Time, fn func())
 	AtSink(t Time, op uint8, a, b int32, p any, flag bool)
 	LaneSink(l Lane, t Time, op uint8, a, b int32, p any, flag bool)
 	AtTimer(t Time, k Sink, op uint8, a, b int32) handle
-	Halt()
+	Step() bool
 	Run()
 	RunUntil(deadline Time)
 }
 
-// pooled adapts *Scheduler to scheduler: its At and After return the
-// concrete *Event, and its AtTimer a Timer that Cancel stops.
+// pooled adapts *Scheduler to scheduler: its AtTimer returns a Timer
+// that Cancel stops.
 type pooled struct{ *Scheduler }
 
-func (p pooled) At(t Time, fn func()) handle    { return p.Scheduler.At(t, fn) }
-func (p pooled) After(d Time, fn func()) handle { return p.Scheduler.After(d, fn) }
 func (p pooled) AtTimer(t Time, k Sink, op uint8, a, b int32) handle {
 	return timerHandle{p.Scheduler, p.Scheduler.AtTimer(t, k, op, a, b)}
 }

@@ -34,20 +34,3 @@ func Example() {
 	// input 6 -> output 7 (group 2)
 	// input 4 busy: false
 }
-
-// ExampleConfiguration_SimulateStream shows the conference-network
-// merge: three sources of one group injected in the same cell slot
-// leave the fabric as a single merged cell.
-func ExampleConfiguration_SimulateStream() {
-	f, _ := fabric.New(8)
-	cfg, _ := f.Configure(map[packet.GroupID]fabric.GroupConn{
-		1: {Inputs: []int{0, 3, 5}, Output: 2},
-	})
-	arrivals, _ := cfg.SimulateStream([][]int{{0, 3, 5}})
-	a := arrivals[0]
-	fmt.Printf("output %d, group %d, merged sources %v\n", a.Output, a.Group, a.Sources)
-	fmt.Println("pipeline latency (slots):", a.Slot)
-	// Output:
-	// output 2, group 1, merged sources [0 3 5]
-	// pipeline latency (slots): 12
-}

@@ -28,9 +28,6 @@ func New(n int) (*Fabric, error) {
 	return &Fabric{n: n}, nil
 }
 
-// N returns the port count.
-func (f *Fabric) N() int { return f.n }
-
 // Configuration is a routed fabric state for a set of simultaneous
 // many-to-many connections.
 type Configuration struct {

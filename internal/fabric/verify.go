@@ -93,6 +93,8 @@ func (c *Configuration) Verify() error {
 // a deliberate group-isolation violation. It exists solely so tests
 // outside this package can hand the invariant checker a corrupted
 // configuration; production code must never call it.
+//
+//scmplint:ignore testonly — the corruption fixture invariant.CheckFabric's tests need
 func (c *Configuration) Tamper(in int, gid packet.GroupID) {
 	mid := c.pn.route(in)
 	if start := c.runStart[mid]; start != -1 {

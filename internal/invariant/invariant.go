@@ -146,6 +146,8 @@ func CheckTree(t Tree, spec TreeSpec) error {
 // — and this wrapper cross-checks the routed paths through the public
 // Route API so a corrupted switch setting is caught even if the
 // configuration's own bookkeeping still looks consistent.
+//
+//scmplint:ignore testonly — safety code: the checker for fabric configurations, exercised with Tamper's corruptions
 func CheckFabric(c *fabric.Configuration) error {
 	if err := c.Verify(); err != nil {
 		return fmt.Errorf("invariant: %w", err)

@@ -191,20 +191,6 @@ func enclosingBlocks(fn ast.Node, pos token.Pos) []ast.Node {
 	return out
 }
 
-// usesOf collects every identifier use of v inside root, excluding the
-// declaring identifier itself.
-func usesOf(info *types.Info, root ast.Node, v *types.Var) []*ast.Ident {
-	var out []*ast.Ident
-	ast.Inspect(root, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if ok && info.Uses[id] == v {
-			out = append(out, id)
-		}
-		return true
-	})
-	return out
-}
-
 // insidePanicArg reports whether the innermost enclosing call on the
 // stack chain leading to n is a panic(...) — allocation there is the
 // process dying, not the hot path.

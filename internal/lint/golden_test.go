@@ -11,7 +11,9 @@ import (
 )
 
 // TestGolden runs each dataflow analyzer over its corpus under
-// testdata/<analyzer>/. Every .go file is type-checked as its own
+// testdata/<analyzer>/. A corpus of subdirectories (testonly's) is
+// loaded as packages of the module; otherwise every .go file is
+// type-checked as its own
 // synthetic package (imports resolve against the real module and the
 // standard library) and must annotate each expected finding with a
 // trailing comment of the form
@@ -46,7 +48,10 @@ func TestGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(files) == 0 {
-			t.Errorf("%s: empty corpus", dir)
+			t.Run(filepath.ToSlash(dir), func(t *testing.T) {
+				runGoldenTree(t, a, dir)
+			})
+			continue
 		}
 		for _, file := range files {
 			file := file
@@ -72,21 +77,7 @@ func runGoldenFile(t *testing.T, a *Analyzer, file string) {
 		path = string(m[1])
 	}
 
-	// line -> expected message substrings.
-	want := map[int][]string{}
-	for i, line := range strings.Split(string(src), "\n") {
-		m := wantRE.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		for _, q := range wantArgRE.FindAllString(m[1], -1) {
-			s, err := strconv.Unquote(q)
-			if err != nil {
-				t.Fatalf("%s:%d: bad want string %s: %v", file, i+1, q, err)
-			}
-			want[i+1] = append(want[i+1], s)
-		}
-	}
+	want := parseWants(t, file, src)
 
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -105,7 +96,74 @@ func runGoldenFile(t *testing.T, a *Analyzer, file string) {
 	for _, d := range Check([]*Package{pkg}, []*Analyzer{a}) {
 		got[d.Pos.Line] = append(got[d.Pos.Line], d.Message)
 	}
+	compareFindings(t, file, want, got)
+}
 
+// runGoldenTree runs a whole-program analyzer over a corpus of packages,
+// one per subdirectory of dir, loaded together with their _test.go
+// files. Every .go file carries its own want comments.
+func runGoldenTree(t *testing.T, a *Analyzer, dir string) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader.IncludeTests = true
+	pkgs, err := loader.Load("./internal/lint/" + filepath.ToSlash(dir) + "/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]map[int][]string{}
+	for _, d := range Check(pkgs, []*Analyzer{a}) {
+		if got[d.Pos.Filename] == nil {
+			got[d.Pos.Filename] = map[int][]string{}
+		}
+		got[d.Pos.Filename][d.Pos.Line] = append(got[d.Pos.Filename][d.Pos.Line], d.Message)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abs, err := filepath.Abs(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareFindings(t, file, parseWants(t, file, src), got[abs])
+		delete(got, abs)
+	}
+	for file, lines := range got {
+		t.Errorf("findings outside the corpus in %s: %v", file, lines)
+	}
+}
+
+// parseWants maps each line of src to the message substrings its want
+// comment expects.
+func parseWants(t *testing.T, file string, src []byte) map[int][]string {
+	want := map[int][]string{}
+	for i, line := range strings.Split(string(src), "\n") {
+		m := wantRE.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		for _, q := range wantArgRE.FindAllString(m[1], -1) {
+			s, err := strconv.Unquote(q)
+			if err != nil {
+				t.Fatalf("%s:%d: bad want string %s: %v", file, i+1, q, err)
+			}
+			want[i+1] = append(want[i+1], s)
+		}
+	}
+	return want
+}
+
+// compareFindings fails t on every wanted finding missing from got and
+// every finding in got that no want comment expects.
+func compareFindings(t *testing.T, file string, want, got map[int][]string) {
+	t.Helper()
 	var wantLines []int
 	for line := range want {
 		wantLines = append(wantLines, line)

@@ -11,7 +11,9 @@
 // divergence; the dataflow suite (poollife, hotalloc, detshared)
 // machine-checks the manually managed performance and concurrency
 // invariants the zero-allocation data plane and the parallel runner
-// rely on. See the individual analyzer docs and DESIGN.md §11.
+// rely on; testonly keeps production code that only tests reach out of
+// the non-test sources. See the individual analyzer docs and DESIGN.md
+// §11.
 //
 // Framework shape: every analyzer has a Run pass that inspects one
 // type-checked package and reports diagnostics. An analyzer may also
@@ -73,17 +75,21 @@ func (d Diagnostic) String() string {
 }
 
 // Reportf records a finding at pos unless an ignore comment
-// ("//scmplint:ignore <name>" on the same line or the line above)
-// suppresses it.
+// ("//scmplint:ignore <name> — <reason>" on the same line or the line
+// above) suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.ignoredAt(pos, position.Line) {
+	if p.ignoredAt(pos, p.Fset.Position(pos).Line) {
 		return
 	}
+	p.report(pos, fmt.Sprintf(format, args...))
+}
+
+// report records a finding no ignore comment can suppress.
+func (p *Pass) report(pos token.Pos, msg string) {
 	d := Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		Message:  fmt.Sprintf(format, args...),
+		Pos:      p.Fset.Position(pos),
+		Message:  msg,
 	}
 	if p.mu != nil {
 		p.mu.Lock()
@@ -120,13 +126,33 @@ func (p *Pass) FactOf(obj types.Object) any {
 	return p.facts.get(p.Analyzer.Name, obj)
 }
 
-// factStore holds every analyzer's exported facts for one Check run.
-// Writes happen only during the serial Facts phase; reads during the
-// parallel Run phase are lock-free on an immutable map by then, but the
-// mutex keeps the store safe under any future phase interleaving.
+// Shared returns this analyzer's one value for the whole Check run,
+// made by init on first use. A whole-program analyzer (testonly) builds
+// its graph into it from Facts passes and walks it once from Run passes.
+func (p *Pass) Shared(init func() any) any {
+	s := p.facts
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.shared == nil {
+		s.shared = make(map[string]any)
+	}
+	v, ok := s.shared[p.Analyzer.Name]
+	if !ok {
+		v = init()
+		s.shared[p.Analyzer.Name] = v
+	}
+	return v
+}
+
+// factStore holds every analyzer's exported facts and shared values for
+// one Check run. Writes happen only during the serial Facts phase; reads
+// during the parallel Run phase are lock-free on an immutable map by
+// then, but the mutex keeps the store safe under any future phase
+// interleaving.
 type factStore struct {
-	mu sync.Mutex
-	m  map[string]map[types.Object]any
+	mu     sync.Mutex
+	m      map[string]map[types.Object]any
+	shared map[string]any
 }
 
 func (s *factStore) put(analyzer string, obj types.Object, fact any) {
@@ -183,17 +209,16 @@ func (p *Pass) fileOf(pos token.Pos) *ast.File {
 	return nil
 }
 
-// parseIgnores extracts "scmplint:ignore a b c" directives per line.
+// parseIgnores extracts "scmplint:ignore a b c — reason" directives per
+// line.
 func parseIgnores(fset *token.FileSet, f *ast.File) map[int][]string {
 	out := make(map[int][]string)
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if !strings.HasPrefix(text, "scmplint:ignore") {
+			names, _, ok := ignoreDirective(c.Text)
+			if !ok {
 				continue
 			}
-			names := strings.Fields(strings.TrimPrefix(text, "scmplint:ignore"))
 			if len(names) == 0 {
 				names = []string{"all"}
 			}
@@ -204,10 +229,28 @@ func parseIgnores(fset *token.FileSet, f *ast.File) map[int][]string {
 	return out
 }
 
-// Analyzers returns the full suite in reporting order: the PR 1
-// determinism analyzers followed by the dataflow analyzers.
+// ignoreDirective splits the comment "//scmplint:ignore a b — reason"
+// into the analyzer names and the reason; ok is false for any other
+// comment. The names end at the first "—" or "--", so a word of the
+// reason (say "all") is never read as an analyzer name.
+func ignoreDirective(comment string) (names []string, reason string, ok bool) {
+	text, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(comment, "//")), "scmplint:ignore")
+	if !ok {
+		return nil, "", false
+	}
+	cut := len(text)
+	for _, mark := range []string{"—", "--"} {
+		if i := strings.Index(text, mark); i >= 0 && i < cut {
+			cut = i
+		}
+	}
+	return strings.Fields(text[:cut]), strings.TrimSpace(strings.TrimLeft(text[cut:], "—-")), true
+}
+
+// Analyzers returns the full suite in reporting order: the determinism
+// analyzers, the dataflow analyzers, then testonly.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrder, NoClock, DESDiscipline, FloatCmp, PoolLife, HotAlloc, DetShared}
+	return []*Analyzer{MapOrder, NoClock, DESDiscipline, FloatCmp, PoolLife, HotAlloc, DetShared, TestOnly}
 }
 
 // Check runs the given analyzers over every package and returns all

@@ -203,3 +203,22 @@ type Time float64
 func same(a, b Time) bool { return a == b }`)
 	wantFindings(t, got, "floating-point ==")
 }
+
+// An ignore's analyzer names end at the "—" (or "--") that starts its
+// reason, so a word of the reason is never read as a name: "all" there
+// must not silence floatcmp.
+func TestIgnoreReasonIsNotAnAnalyzerName(t *testing.T) {
+	for _, sep := range []string{"—", "--"} {
+		got := runOn(t, FloatCmp, "scmp/internal/mtree", `
+package mtree
+func tie(a, b float64) bool {
+	//scmplint:ignore hotalloc `+sep+` all amortised
+	return a == b
+}`)
+		wantFindings(t, got, "floating-point ==")
+	}
+	names, reason, ok := ignoreDirective("//scmplint:ignore testonly hotalloc — read by all callers")
+	if !ok || len(names) != 2 || names[0] != "testonly" || names[1] != "hotalloc" || reason != "read by all callers" {
+		t.Fatalf("ignoreDirective = %q, %q, %v", names, reason, ok)
+	}
+}

@@ -98,9 +98,6 @@ func modulePathOf(gomod string) (string, error) {
 	return string(m[1]), nil
 }
 
-// ModulePath returns the module's import path.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // ModuleDir returns the module's root directory (where go.mod lives).
 func (l *Loader) ModuleDir() string { return l.moduleDir }
 
@@ -259,7 +256,7 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !buildIncluded(src) {
+		if !buildIncluded(src, defaultTag) {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
@@ -296,27 +293,6 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// CheckSource type-checks synthetic sources as a package with the given
-// import path (imports resolve against the real module and the standard
-// library). Analyzer tests use it to exercise findings without touching
-// the repository's own files. The result is not cached.
-func (l *Loader) CheckSource(path string, sources map[string]string) (*Package, error) {
-	names := make([]string, 0, len(sources))
-	for name := range sources {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, name, sources[name], parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return l.check(path, files)
-}
-
 func (l *Loader) check(path string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -335,11 +311,11 @@ func (l *Loader) check(path string, files []*ast.File) (*Package, error) {
 }
 
 // buildIncluded evaluates a file's //go:build constraint (if any)
-// against the default build: current GOOS/GOARCH, gc, and release tags.
-// Custom tags like "invariants" evaluate false, so tag-gated hook files
-// stay out of the default lint build exactly as they stay out of the
-// default compile.
-func buildIncluded(src []byte) bool {
+// against a build's tags: defaultTag for the default build (current
+// GOOS/GOARCH, gc, and release tags), where custom tags like
+// "invariants" evaluate false, so tag-gated hook files stay out of the
+// default lint build exactly as they stay out of the default compile.
+func buildIncluded(src []byte, tag func(string) bool) bool {
 	for _, line := range strings.Split(string(src), "\n") {
 		trimmed := strings.TrimSpace(line)
 		if constraint.IsGoBuild(trimmed) {
@@ -347,7 +323,7 @@ func buildIncluded(src []byte) bool {
 			if err != nil {
 				return true
 			}
-			return expr.Eval(defaultTag)
+			return expr.Eval(tag)
 		}
 		if strings.HasPrefix(trimmed, "package ") {
 			break

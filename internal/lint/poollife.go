@@ -6,31 +6,19 @@ import (
 	"go/types"
 )
 
-// PoolLife machine-checks the pooled-value lifetimes PR 4–5 introduced.
-// Two value classes are tracked through an intra-procedural
-// escape/liveness walk:
-//
-// Pooled packets — results of Network.getPacket calls, *Packet
-// parameters (including sink/trace callback literals), and *Packet
-// locals type-asserted out of a SinkEvent payload. The simulator
-// recycles the in-flight copy once the handler returns, so a tracked
-// packet must not outlive its frame: storing it into a field, slice
-// element, map, package-level variable or composite literal, sending it
-// on a channel, appending it anywhere, or capturing it in a closure is
-// reported, as is any use sequenced after the putPacket call that
-// releases it. Field reads/writes on the packet and passing it down the
+// PoolLife machine-checks the pooled-packet lifetime through an
+// intra-procedural escape/liveness walk. Tracked are the results of
+// Network.getPacket calls, *Packet parameters (including sink/trace
+// callback literals), and *Packet locals type-asserted out of a
+// SinkEvent payload. The simulator recycles the in-flight copy once the
+// handler returns, so a tracked packet must not outlive its frame:
+// storing it into a field, slice element, map, package-level variable
+// or composite literal, sending it on a channel, appending it anywhere,
+// or capturing it in a closure is reported, as is any use sequenced
+// after the putPacket call that releases it. Field reads/writes on the packet and passing it down the
 // call stack are fine — the contract is about retention, not access.
-//
-// des.Event handles — results of Scheduler.At/After. The slot behind a
-// handle is recycled when the event fires, so after any call that can
-// dispatch events (Step, Run, RunUntil on a des.Scheduler or
-// netsim.Network) the only safe methods are the generation-checked
-// Cancel and Cancelled; other uses (e.At(), field reads) are reported
-// unless an intervening e.Cancelled() check or reassignment of the
-// handle sits between the advancing call and the use. Storing a handle
-// is deliberately allowed — parking timers in fields and cancelling
-// them later is the control plane's documented pattern, made safe by
-// the generation counter.
+// (The scheduler's handles need no such check: a des.Timer is a value
+// whose Stop and Armed validate the slot generation themselves.)
 //
 // Sequencing uses the ancestor-block rule (see dataflow.go): an event
 // only poisons uses it dominates in source order, so a release on an
@@ -39,19 +27,8 @@ import (
 // documented false negatives (DESIGN.md §11).
 var PoolLife = &Analyzer{
 	Name: "poollife",
-	Doc:  "tracks pool-obtained packets and des.Event handles; flags retention past release and stale-handle use",
+	Doc:  "tracks pool-obtained packets; flags retention past release and use after putPacket",
 	Run:  runPoolLife,
-}
-
-const (
-	trackPacket = iota
-	trackEvent
-)
-
-// poolTracked is one tracked variable within one function.
-type poolTracked struct {
-	kind int
-	rep  *types.Var // alias-group representative (the original source var)
 }
 
 func runPoolLife(p *Pass) {
@@ -70,52 +47,27 @@ func checkPoolLifeFunc(p *Pass, fn *ast.FuncDecl) {
 		return
 	}
 
-	// Event positions per alias group: releases (putPacket), scheduler
-	// advances, reassignments, and Cancelled guards.
+	// Release (putPacket) and reassignment positions per alias group,
+	// keyed by the group's representative (the original source var).
 	releases := make(map[*types.Var][]token.Pos)
-	var advances []token.Pos
 	assigns := make(map[*types.Var][]token.Pos)
-	guards := make(map[*types.Var][]token.Pos)
-
-	group := func(v *types.Var) (*types.Var, int, bool) {
-		t, ok := tracked[v]
-		if !ok {
-			return nil, 0, false
-		}
-		return t.rep, t.kind, true
-	}
-
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			// Event positions are recorded just inside the call's closing
-			// paren: ordered after every argument, but still inside the
-			// call's enclosing case clause / block for ancestry purposes.
+			// A release is recorded just inside the call's closing paren:
+			// ordered after every argument, but still inside the call's
+			// enclosing case clause / block for ancestry purposes.
 			if calleeName(n) == "putPacket" {
 				for _, arg := range n.Args {
-					if v := objOf(p.Info, arg); v != nil {
-						if rep, kind, ok := group(v); ok && kind == trackPacket {
-							releases[rep] = append(releases[rep], n.End()-1)
-						}
-					}
-				}
-			}
-			if isAdvancingCall(p, n) {
-				advances = append(advances, n.End()-1)
-			}
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Cancelled" {
-				if v := objOf(p.Info, sel.X); v != nil {
-					if rep, kind, ok := group(v); ok && kind == trackEvent {
-						guards[rep] = append(guards[rep], n.End())
+					if rep := tracked[objOf(p.Info, arg)]; rep != nil {
+						releases[rep] = append(releases[rep], n.End()-1)
 					}
 				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if v := objOf(p.Info, lhs); v != nil {
-					if rep, _, ok := group(v); ok {
-						assigns[rep] = append(assigns[rep], n.End())
-					}
+				if rep := tracked[objOf(p.Info, lhs)]; rep != nil {
+					assigns[rep] = append(assigns[rep], n.End())
 				}
 			}
 		}
@@ -124,54 +76,35 @@ func checkPoolLifeFunc(p *Pass, fn *ast.FuncDecl) {
 
 	checkPoolEscapes(p, fn, tracked)
 
-	// Liveness: a use is poisoned by the nearest dominating event unless
-	// a reassignment (either kind) or a Cancelled guard (event handles)
-	// lies between.
+	// Liveness: a use is poisoned by the nearest dominating release
+	// unless a reassignment lies between.
 	walk(fn.Body, func(n ast.Node, stack []ast.Node) {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return
 		}
 		v, _ := p.Info.Uses[id].(*types.Var)
-		if v == nil {
-			return
-		}
-		rep, kind, ok := group(v)
-		if !ok || isAssignTarget(stack, id) {
+		rep := tracked[v]
+		if rep == nil || isAssignTarget(stack, id) {
 			return
 		}
 		if lit := innermostFuncLit(stack); lit != nil && !declaredWithin(v, lit) {
 			return // captures are reported once, by the escape walk
 		}
-		switch kind {
-		case trackPacket:
-			for _, rel := range releases[rep] {
-				if sequencedAfter(fn.Body, rel, id.Pos()) && !anyBetween(assigns[rep], rel, id.Pos()) {
-					p.Reportf(id.Pos(), "use of pooled packet %s after putPacket released it", id.Name)
-					return
-				}
-			}
-		case trackEvent:
-			if isGenCheckedUse(stack, id) {
-				return // Cancel/Cancelled validate the generation themselves
-			}
-			for _, adv := range advances {
-				if sequencedAfter(fn.Body, adv, id.Pos()) &&
-					!anyBetween(assigns[rep], adv, id.Pos()) &&
-					!anyBetween(guards[rep], adv, id.Pos()) {
-					p.Reportf(id.Pos(), "use of des.Event handle %s after the scheduler may have recycled its slot; check Cancelled() first or use Cancel", id.Name)
-					return
-				}
+		for _, rel := range releases[rep] {
+			if sequencedAfter(fn.Body, rel, id.Pos()) && !anyBetween(assigns[rep], rel, id.Pos()) {
+				p.Reportf(id.Pos(), "use of pooled packet %s after putPacket released it", id.Name)
+				return
 			}
 		}
 	})
 }
 
 // collectTracked gathers the function's tracked variables: pooled-packet
-// sources, event-handle sources, and their plain-identifier aliases
-// (q := pkt), mapped to a shared group representative.
-func collectTracked(p *Pass, fn *ast.FuncDecl) map[*types.Var]poolTracked {
-	tracked := make(map[*types.Var]poolTracked)
+// sources and their plain-identifier aliases (q := pkt), each mapped to
+// its group's representative.
+func collectTracked(p *Pass, fn *ast.FuncDecl) map[*types.Var]*types.Var {
+	tracked := make(map[*types.Var]*types.Var)
 
 	// *Packet parameters of the function itself and of every function
 	// literal in its body (sink, trace and scheduler callbacks receive
@@ -184,7 +117,7 @@ func collectTracked(p *Pass, fn *ast.FuncDecl) map[*types.Var]poolTracked {
 			for _, name := range field.Names {
 				v, _ := p.Info.Defs[name].(*types.Var)
 				if v != nil && isPooledPacketType(v.Type()) {
-					tracked[v] = poolTracked{kind: trackPacket, rep: v}
+					tracked[v] = v
 				}
 			}
 		}
@@ -197,7 +130,7 @@ func collectTracked(p *Pass, fn *ast.FuncDecl) map[*types.Var]poolTracked {
 		return true
 	})
 
-	// Locals: pool-call results, event handles, and payload assertions.
+	// Locals: pool-call results and payload assertions.
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != len(as.Rhs) {
@@ -211,13 +144,11 @@ func collectTracked(p *Pass, fn *ast.FuncDecl) map[*types.Var]poolTracked {
 			switch r := ast.Unparen(rhs).(type) {
 			case *ast.CallExpr:
 				if calleeName(r) == "getPacket" {
-					tracked[v] = poolTracked{kind: trackPacket, rep: v}
-				} else if namedTypeIs(p.TypeOf(r), "des", "Event") {
-					tracked[v] = poolTracked{kind: trackEvent, rep: v}
+					tracked[v] = v
 				}
 			case *ast.TypeAssertExpr:
 				if isPooledPacketType(p.TypeOf(r)) {
-					tracked[v] = poolTracked{kind: trackPacket, rep: v}
+					tracked[v] = v
 				}
 			}
 		}
@@ -238,12 +169,12 @@ func collectTracked(p *Pass, fn *ast.FuncDecl) map[*types.Var]poolTracked {
 				if src == nil || dst == nil || dst == src {
 					continue
 				}
-				t, ok := tracked[src]
-				if !ok {
+				rep := tracked[src]
+				if rep == nil {
 					continue
 				}
-				if _, known := tracked[dst]; !known {
-					tracked[dst] = poolTracked{kind: t.kind, rep: t.rep}
+				if tracked[dst] == nil {
+					tracked[dst] = rep
 					changed = true
 				}
 			}
@@ -256,17 +187,10 @@ func collectTracked(p *Pass, fn *ast.FuncDecl) map[*types.Var]poolTracked {
 // checkPoolEscapes reports stores that would retain a pooled packet past
 // its release: fields, slice/map elements, globals, composite literals,
 // appends, channel sends, and closure captures.
-func checkPoolEscapes(p *Pass, fn *ast.FuncDecl, tracked map[*types.Var]poolTracked) {
+func checkPoolEscapes(p *Pass, fn *ast.FuncDecl, tracked map[*types.Var]*types.Var) {
 	isTrackedPacket := func(e ast.Expr) (*types.Var, bool) {
 		v := objOf(p.Info, e)
-		if v == nil {
-			return nil, false
-		}
-		t, ok := tracked[v]
-		if !ok || t.kind != trackPacket {
-			return nil, false
-		}
-		return v, true
+		return v, tracked[v] != nil
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -317,49 +241,13 @@ func checkPoolEscapes(p *Pass, fn *ast.FuncDecl, tracked map[*types.Var]poolTrac
 			}
 		case *ast.FuncLit:
 			for _, v := range capturedVars(p.Info, n) {
-				if t, ok := tracked[v]; ok && t.kind == trackPacket {
+				if tracked[v] != nil {
 					p.Reportf(n.Pos(), "pooled packet %s captured by closure; it is recycled after the handler returns", v.Name())
 				}
 			}
 		}
 		return true
 	})
-}
-
-// isAdvancingCall reports calls that can dispatch (and therefore
-// recycle) queued events: Step/Run/RunUntil on a des.Scheduler or
-// netsim.Network. Wrappers in other packages are a documented false
-// negative.
-func isAdvancingCall(p *Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Step", "Run", "RunUntil":
-	default:
-		return false
-	}
-	t := p.TypeOf(sel.X)
-	return namedTypeIs(t, "des", "Scheduler") || namedTypeIs(t, "netsim", "Network")
-}
-
-// isGenCheckedUse reports whether id is the receiver of a Cancel or
-// Cancelled call — the two generation-checked Event methods that are
-// safe on a stale handle.
-func isGenCheckedUse(stack []ast.Node, id *ast.Ident) bool {
-	if len(stack) < 3 {
-		return false
-	}
-	sel, ok := stack[len(stack)-2].(*ast.SelectorExpr)
-	if !ok || sel.X != id {
-		return false
-	}
-	if sel.Sel.Name != "Cancel" && sel.Sel.Name != "Cancelled" {
-		return false
-	}
-	call, ok := stack[len(stack)-3].(*ast.CallExpr)
-	return ok && call.Fun == sel
 }
 
 // isAssignTarget reports whether id is being written (LHS of an

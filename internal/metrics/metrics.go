@@ -1,7 +1,7 @@
 // Package metrics accumulates the paper's three network-wide metrics
 // (§IV-B): data overhead and protocol overhead, both measured in
 // link-cost units per packet-link crossing, and maximum end-to-end
-// delay over delivered data packets. Byte counters and per-kind packet
+// delay over delivered data packets. Control bytes and per-kind packet
 // counts are kept as supplementary detail.
 package metrics
 
@@ -31,7 +31,6 @@ func MkLinkID(u, v topology.NodeID) LinkID {
 type Collector struct {
 	dataUnits  float64
 	protoUnits float64
-	dataBytes  int64
 	protoBytes int64
 	crossings  [packet.NumKinds]int64
 
@@ -43,7 +42,6 @@ type Collector struct {
 	dropped   int64 // data-class packets discarded
 	ctlDrops  int64 // control-class packets discarded or lost
 	dropsKind [packet.NumKinds]int64
-	delaySum  float64
 	maxDelay  float64
 
 	recoveries  int64
@@ -84,7 +82,6 @@ func (c *Collector) OnLinkDense(uid int32, kind packet.Kind, cost float64, bytes
 	c.crossings[kind]++
 	if packet.ClassOf(kind) == packet.ClassData {
 		c.dataUnits += cost
-		c.dataBytes += int64(bytes)
 	} else {
 		c.protoUnits += cost
 		c.protoBytes += int64(bytes)
@@ -95,7 +92,6 @@ func (c *Collector) OnLinkDense(uid int32, kind packet.Kind, cost float64, bytes
 // given end-to-end delay.
 func (c *Collector) OnDeliver(delay float64) {
 	c.delivered++
-	c.delaySum += delay
 	if delay > c.maxDelay {
 		c.maxDelay = delay
 	}
@@ -169,10 +165,9 @@ func (c *Collector) DataOverhead() float64 { return c.dataUnits }
 // link-cost units.
 func (c *Collector) ProtocolOverhead() float64 { return c.protoUnits }
 
-// DataBytes returns total data bytes that crossed links.
-func (c *Collector) DataBytes() int64 { return c.dataBytes }
-
 // ProtocolBytes returns total protocol bytes that crossed links.
+//
+//scmplint:ignore testonly — the root package's BenchmarkBranchAblation reports BRANCH's byte saving with it
 func (c *Collector) ProtocolBytes() int64 { return c.protoBytes }
 
 // Crossings returns how many times packets of kind k crossed a link.
@@ -180,6 +175,8 @@ func (c *Collector) Crossings(k packet.Kind) int64 { return c.crossings[k] }
 
 // LinkLoad returns how many packets (all classes) crossed the
 // undirected link {u,v}.
+//
+//scmplint:ignore testonly — netsim's tests check per-link traffic through it
 func (c *Collector) LinkLoad(u, v topology.NodeID) int64 {
 	if i, ok := c.denseIdx[MkLinkID(u, v)]; ok {
 		return c.denseLoad[i]
@@ -202,19 +199,6 @@ func (c *Collector) MaxLinkLoad() (LinkID, int64) {
 	return best, max
 }
 
-// NodeLoad returns the packets that crossed links incident to v — the
-// traffic funnelled through one router, the paper's "traffic
-// concentration" measure.
-func (c *Collector) NodeLoad(v topology.NodeID) int64 {
-	var sum int64
-	for i, n := range c.denseLoad {
-		if id := c.denseIDs[i]; id.A == v || id.B == v {
-			sum += n
-		}
-	}
-	return sum
-}
-
 // Delivered returns the number of member deliveries recorded.
 func (c *Collector) Delivered() int64 { return c.delivered }
 
@@ -226,20 +210,9 @@ func (c *Collector) Dropped() int64 { return c.dropped }
 func (c *Collector) DroppedControl() int64 { return c.ctlDrops }
 
 // DroppedByKind returns how many packets of kind k were discarded.
+//
+//scmplint:ignore testonly — netsim's and core's fault tests check which control messages were lost
 func (c *Collector) DroppedByKind(k packet.Kind) int64 { return c.dropsKind[k] }
-
-// DropKinds returns the packet kinds with at least one drop, sorted by
-// kind value for deterministic reports (the array scan is ascending by
-// construction).
-func (c *Collector) DropKinds() []packet.Kind {
-	var out []packet.Kind
-	for k, n := range c.dropsKind {
-		if n != 0 {
-			out = append(out, packet.Kind(k))
-		}
-	}
-	return out
-}
 
 // Recoveries returns the number of fault recoveries recorded.
 func (c *Collector) Recoveries() int64 { return c.recoveries }
@@ -258,19 +231,12 @@ func (c *Collector) MaxRecovery() float64 { return c.recoveryMax }
 // MaxEndToEndDelay returns the maximum delivery delay observed.
 func (c *Collector) MaxEndToEndDelay() float64 { return c.maxDelay }
 
-// MeanEndToEndDelay returns the mean delivery delay, or 0 when nothing
-// was delivered.
-func (c *Collector) MeanEndToEndDelay() float64 {
-	if c.delivered == 0 {
-		return 0
-	}
-	return c.delaySum / float64(c.delivered)
-}
-
 // Reset zeroes every counter. A dense link registration made by
 // UseDenseLinks survives with zeroed loads, so a live network can keep
 // reporting crossings by index after its collector is reset between
 // phases.
+//
+//scmplint:ignore testonly — netsim's tests reset a live network's collector between phases
 func (c *Collector) Reset() {
 	clear(c.denseLoad)
 	*c = Collector{denseIDs: c.denseIDs, denseIdx: c.denseIdx, denseLoad: c.denseLoad}

@@ -153,9 +153,8 @@ func BenchmarkDCDMJoinCold(b *testing.B) {
 	}
 }
 
-// BenchmarkDCDMLeave measures batched departures: 32 members leave in
-// one LeaveBatch (one shared prune pass, one bound update each), then
-// rejoin to restore the resident tree.
+// BenchmarkDCDMLeave measures departures: 32 members leave one by one,
+// then rejoin to restore the resident tree.
 func BenchmarkDCDMLeave(b *testing.B) {
 	f := newDCDMBenchFixture(b)
 	d := f.prejoinFast(1.5)
@@ -163,7 +162,9 @@ func BenchmarkDCDMLeave(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.LeaveBatch(batch)
+		for _, m := range batch {
+			d.Leave(m)
+		}
 		for _, m := range batch {
 			d.Join(m)
 		}

@@ -72,9 +72,6 @@ func (d *DCDM) SetQoSBudget(budget float64) {
 	d.absMax = budget
 }
 
-// QoSBudget returns the absolute budget, 0 when none is set.
-func (d *DCDM) QoSBudget() float64 { return d.absMax }
-
 // LeaveResult describes how a leave changed the tree.
 type LeaveResult struct {
 	Member topology.NodeID
@@ -313,22 +310,6 @@ func (d *DCDM) Leave(s topology.NodeID) LeaveResult {
 	return res
 }
 
-// LeaveBatch removes several member routers in one shared prune pass
-// (see Tree.LeaveBatch): membership bits clear first, then each
-// departure point prunes against the final member set. Equivalent to
-// one Leave per member up to the order of the returned pruned slice,
-// which is tree-owned scratch valid until the next mutation.
-func (d *DCDM) LeaveBatch(members []topology.NodeID) []topology.NodeID {
-	for _, s := range members {
-		if d.tree.IsMember(s) {
-			d.ul.Remove(d.UnicastDelay(s))
-		}
-	}
-	pruned := d.tree.LeaveBatch(members)
-	dcdmCheckHook(d)
-	return pruned
-}
-
 // DetachSubtree removes the subtree rooted at v (whose upstream tree
 // link died) from the m-router's tree copy, returning the stranded
 // member routers in ascending order so the caller can re-graft them
@@ -345,6 +326,8 @@ func (d *DCDM) DetachSubtree(v topology.NodeID) []topology.NodeID {
 }
 
 // Tables returns the shortest-path tables the engine reads.
+//
+//scmplint:ignore testonly — the root package's alloc_test.go checks SCMP hands every group its network's routing store
 func (d *DCDM) Tables() (spDelay, spCost *topology.AllPairs) { return d.spDelay, d.spCost }
 
 // Rebase rebuilds the member delay bound against the tables' current

@@ -2,7 +2,6 @@ package mtree
 
 import (
 	"fmt"
-	"math"
 
 	"scmp/internal/topology"
 )
@@ -19,10 +18,8 @@ import (
 // deactivate when their last member leaves, so resident routing state
 // is proportional to the *touched* domains, not the whole network.
 //
-// QoS accounting stays exact across the domain boundary: the composed
-// tree tracks real link-delay sums on the realized global paths, and an
-// absolute delay budget pushes down to each domain as
-// (budget − exact splice delay of that domain's anchor).
+// Delay accounting stays exact across the domain boundary: the composed
+// tree tracks real link-delay sums on the realized global paths.
 //
 // With a single domain the composer degenerates to the flat engine
 // byte-for-byte: the domain subgraph *is* the original graph (same
@@ -30,15 +27,13 @@ import (
 // inputs, and the composed tree mirrors its every graft — the
 // equivalence the differential gate (hier_test.go) enforces.
 type HierDCDM struct {
-	view     *topology.DomainView
-	kappa    float64
-	budget   float64           // absolute QoS budget; 0 = relative-only
-	mrouters []topology.NodeID // per-domain m-router, index = domain id
-	core     int
-	root     topology.NodeID // mrouters[core]
-	tree     *Tree           // composed global tree (authoritative structure)
-	locals   []*hierLocal    // nil until the domain activates
-	active   int
+	view   *topology.DomainView
+	kappa  float64
+	core   int
+	root   topology.NodeID // the core domain's m-router
+	tree   *Tree           // composed global tree (authoritative structure)
+	locals []*hierLocal    // nil until the domain activates
+	active int
 }
 
 type hierLocal struct {
@@ -75,9 +70,6 @@ type HierJoinResult struct {
 	// Restructured reports a composed-tree restructure (loop break /
 	// reparent) — the signal to re-distribute the whole tree.
 	Restructured bool
-	// BestEffort: the member's delay exceeds the pushed-down absolute
-	// budget and it was connected by its shortest-delay path instead.
-	BestEffort bool
 }
 
 // HierLeaveResult describes how a leave changed the composed tree.
@@ -110,12 +102,11 @@ func NewHierDCDM(view *topology.DomainView, mrouters []topology.NodeID, core int
 		panic(fmt.Sprintf("mtree: core domain %d out of range [0,%d)", core, view.K()))
 	}
 	h := &HierDCDM{
-		view:     view,
-		kappa:    kappa,
-		mrouters: append([]topology.NodeID(nil), mrouters...),
-		core:     core,
-		root:     mrouters[core],
-		locals:   make([]*hierLocal, view.K()),
+		view:   view,
+		kappa:  kappa,
+		core:   core,
+		root:   mrouters[core],
+		locals: make([]*hierLocal, view.K()),
 	}
 	h.tree = NewTree(view.Graph(), h.root)
 	// The core domain is active from the start — its m-router is the
@@ -124,60 +115,16 @@ func NewHierDCDM(view *topology.DomainView, mrouters []topology.NodeID, core int
 	return h
 }
 
-// SetQoSBudget imposes an absolute bound on every member's composed
-// multicast delay. It pushes down to each active domain as the budget
-// minus that domain's exact splice delay; domains whose splice alone
-// exhausts the budget admit every member best-effort. Must be set
-// before the first non-core activation to apply uniformly.
-func (h *HierDCDM) SetQoSBudget(budget float64) {
-	if budget < 0 {
-		budget = 0
-	}
-	h.budget = budget
-	for d, ld := range h.locals {
-		if ld != nil {
-			ld.dcdm.SetQoSBudget(h.localBudget(d))
-		}
-	}
-}
-
-// localBudget is the absolute budget pushed down to domain d: the
-// global budget minus the exact realized splice delay of d's anchor
-// (its splice entry border router). A domain whose splice exhausts the
-// budget gets an infinitesimal budget (not zero — zero would *remove*
-// the constraint) so every member is flagged best-effort.
-func (h *HierDCDM) localBudget(d int) float64 {
-	if h.budget <= 0 {
-		return 0
-	}
-	rem := h.budget - h.tree.Delay(h.locals[d].anchor)
-	if rem <= 0 {
-		return math.SmallestNonzeroFloat64
-	}
-	return rem
-}
-
 // Tree returns the composed global tree. Its delays are exact link-
 // delay sums over the realized global paths — the QoS accounting the
 // tentpole requires across domain boundaries.
 func (h *HierDCDM) Tree() *Tree { return h.tree }
 
-// Core returns the core domain id; Root its m-router (the composed
-// tree's root).
-func (h *HierDCDM) Core() int                   { return h.core }
-func (h *HierDCDM) Root() topology.NodeID       { return h.root }
-func (h *HierDCDM) ActiveDomains() int          { return h.active }
-func (h *HierDCDM) QoSBudget() float64          { return h.budget }
-func (h *HierDCDM) MRouters() []topology.NodeID { return h.mrouters }
+// Root returns the core domain's m-router (the composed tree's root).
+func (h *HierDCDM) Root() topology.NodeID { return h.root }
 
-// LocalTree returns domain d's local tree, nil when d is inactive
-// (tests and the invariant checker).
-func (h *HierDCDM) LocalTree(d int) *Tree {
-	if h.locals[d] == nil {
-		return nil
-	}
-	return h.locals[d].dcdm.Tree()
-}
+// ActiveDomains returns how many domains hold members.
+func (h *HierDCDM) ActiveDomains() int { return h.active }
 
 // Join admits member s: activates s's domain if this is its first
 // member (realising and grafting the backbone splice), runs the
@@ -196,7 +143,6 @@ func (h *HierDCDM) Join(s topology.NodeID) HierJoinResult {
 		ld = h.activate(d, &res) //scmplint:ignore hotalloc
 	}
 	lres := ld.dcdm.Join(ld.sub.Local(s))
-	res.BestEffort = lres.BestEffort
 	if lres.AlreadyOn {
 		res.AlreadyOn = true
 		if !h.tree.IsMember(s) {
@@ -280,9 +226,6 @@ func (h *HierDCDM) activate(d int, res *HierJoinResult) *hierLocal {
 		}
 	}
 	ld.dcdm = NewDCDM(sub.G, sub.Local(ld.anchor), h.kappa, sub.Delay(), sub.Cost())
-	if h.budget > 0 {
-		ld.dcdm.SetQoSBudget(h.localBudget(d))
-	}
 	return ld
 }
 

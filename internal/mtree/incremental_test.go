@@ -61,54 +61,6 @@ func TestDCDMLeaveFastPathBoundTightens(t *testing.T) {
 	}
 }
 
-// LeaveBatch must land on exactly the tree that the same leaves applied
-// sequentially produce, with the same total pruned set.
-func TestDCDMLeaveBatchMatchesSequential(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		wg, err := topology.Waxman(topology.DefaultWaxman(80), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := wg.Graph
-		spDelay := topology.NewAllPairs(g, topology.ByDelay)
-		spCost := topology.NewAllPairs(g, topology.ByCost)
-		batched := NewDCDM(g, 0, 1.5, spDelay, spCost)
-		serial := NewDCDM(g, 0, 1.5, spDelay, spCost)
-		members := pickMembers(rng, g.N(), 20, 0)
-		for _, m := range members {
-			batched.Join(m)
-			serial.Join(m)
-		}
-		leaving := members[:7]
-		bp := slices.Clone(batched.LeaveBatch(leaving))
-		var sp []topology.NodeID
-		for _, m := range leaving {
-			sp = append(sp, serial.Leave(m).Pruned...)
-		}
-		slices.Sort(bp)
-		slices.Sort(sp)
-		if !slices.Equal(bp, sp) {
-			t.Fatalf("seed %d: pruned sets diverged: batch %v serial %v", seed, bp, sp)
-		}
-		be, se := batched.Tree().Edges(), serial.Tree().Edges()
-		if len(be) != len(se) {
-			t.Fatalf("seed %d: edge counts diverged: batch %d serial %d", seed, len(be), len(se))
-		}
-		for e := range be {
-			if !se[e] {
-				t.Fatalf("seed %d: batch tree has edge %v, serial does not", seed, e)
-			}
-		}
-		if got, want := batched.Bound(), serial.Bound(); got != want {
-			t.Fatalf("seed %d: bounds diverged: batch %v serial %v", seed, got, want)
-		}
-		if err := batched.Tree().Validate(); err != nil {
-			t.Fatalf("seed %d: batch tree invalid: %v", seed, err)
-		}
-	}
-}
-
 // maxMultiset unit coverage: max tracking under interleaved adds and
 // removes, lazy deletion of duplicates, compaction, reset.
 func TestMaxMultiset(t *testing.T) {

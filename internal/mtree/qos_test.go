@@ -46,11 +46,11 @@ func TestQoSBudgetBestEffort(t *testing.T) {
 func TestQoSBudgetClearRestoresKappa(t *testing.T) {
 	d := NewDCDM(fig5Graph(), 0, 1.5, nil, nil)
 	d.SetQoSBudget(7)
-	if d.QoSBudget() != 7 || d.Bound() != 7 {
+	if d.absMax != 7 || d.Bound() != 7 {
 		t.Fatal("budget not applied")
 	}
 	d.SetQoSBudget(0)
-	if d.QoSBudget() != 0 {
+	if d.absMax != 0 {
 		t.Fatal("budget not cleared")
 	}
 	d.Join(2)

@@ -38,7 +38,7 @@ const (
 // non-member leaves).
 //
 // Accessor contract: Children, Nodes, Members and the slices returned
-// by PruneFrom/Leave/LeaveBatch are views into state the tree owns and
+// by PruneFrom/Leave are views into state the tree owns and
 // rebuilds in place — they are valid until the next mutation and must
 // not be modified or retained by the caller. (Every pre-existing caller
 // either iterates immediately or copies; packet.BuildSubtree copies.)
@@ -316,34 +316,6 @@ func (t *Tree) PruneFrom(v topology.NodeID) []topology.NodeID {
 func (t *Tree) Leave(v topology.NodeID) []topology.NodeID {
 	t.SetMember(v, false)
 	return t.PruneFrom(v)
-}
-
-// LeaveBatch unmarks several members, then prunes once: every
-// membership bit is cleared before the shared prune pass walks each
-// departure point, so a relay kept alive solely by another member of
-// the same batch is removed in this pass rather than surviving until
-// that member's own prune reaches it. The final tree and removed-router
-// set equal those of sequential Leave calls; only the removal order may
-// differ. The returned slice is tree-owned scratch, valid until the
-// next mutation.
-func (t *Tree) LeaveBatch(vs []topology.NodeID) []topology.NodeID {
-	for _, v := range vs {
-		t.SetMember(v, false)
-	}
-	removed := t.pruneScratch[:0]
-	for _, v := range vs {
-		for v != t.root && t.OnTree(v) && !t.IsMember(v) && len(t.children[v]) == 0 {
-			p := t.parent[v]
-			t.detach(v)
-			removed = append(removed, v)
-			v = p
-		}
-	}
-	t.pruneScratch = removed
-	if len(removed) == 0 {
-		return nil
-	}
-	return removed
 }
 
 // DetachSubtree removes v and its entire subtree from the tree — the

@@ -75,12 +75,10 @@ type FaultPlan struct {
 	Events []FaultEvent
 }
 
-// FaultListener is the optional interface through which components
-// observe topology faults. The routing store (Network.Delay, .Cost) is
-// always reconverged before listeners run, so a listener reacting to
-// LinkDown can immediately route around the dead link. The Protocol is
-// notified first when it implements the interface; extra listeners
-// (IGMP subnets, experiment probes) follow in registration order.
+// FaultListener is the optional Protocol extension through which a
+// protocol observes topology faults. The routing store (Network.Delay,
+// .Cost) is always reconverged before the listener runs, so a protocol
+// reacting to LinkDown can immediately route around the dead link.
 type FaultListener interface {
 	LinkDown(u, v topology.NodeID)
 	LinkUp(u, v topology.NodeID)
@@ -95,7 +93,7 @@ type Faults struct {
 	plan      FaultPlan
 	cut       []bool // by CSR arc: its link is scheduled down (both arcs agree)
 	downNodes map[topology.NodeID]bool
-	listeners []FaultListener
+	listener  FaultListener // the protocol, when it listens
 
 	// down is the routing mask the down-sets imply, by CSR arc id:
 	// down[a] == LinkIsDown(from(a), to(a)). apply is its only writer
@@ -143,9 +141,7 @@ func (n *Network) InstallFaults(plan FaultPlan) *Faults {
 		down:      make([]bool, n.csr.NumArcs()),
 		lossN:     make([]uint64, n.csr.NumArcs()),
 	}
-	if pl, ok := n.Proto.(FaultListener); ok {
-		f.listeners = append(f.listeners, pl) // the protocol hears first
-	}
+	f.listener, _ = n.Proto.(FaultListener)
 	n.faults = f
 	for _, ev := range plan.Events {
 		f.schedule(ev)
@@ -171,10 +167,6 @@ func (f *Faults) schedule(ev FaultEvent) {
 
 // Faults returns the installed fault layer, nil when none.
 func (n *Network) Faults() *Faults { return n.faults }
-
-// AddListener registers an extra fault observer (the Protocol is
-// auto-notified when it implements FaultListener; don't register it).
-func (f *Faults) AddListener(l FaultListener) { f.listeners = append(f.listeners, l) }
 
 // ScheduleLinkDown cuts the link {u,v} at simulated time at.
 func (f *Faults) ScheduleLinkDown(at des.Time, u, v topology.NodeID) {
@@ -243,8 +235,8 @@ func (f *Faults) loseArc(a int32, from, to topology.NodeID, kind packet.Kind) bo
 }
 
 // apply executes one fault event: update the down sets and the arc
-// mask, reconverge the unicast substrate, then notify the protocol and
-// listeners. NodeUp additionally re-reports the router's ground-truth
+// mask, reconverge the unicast substrate, then notify the protocol.
+// NodeUp additionally re-reports the router's ground-truth
 // memberships.
 func (f *Faults) apply(ev FaultEvent) {
 	switch ev.Kind {
@@ -279,10 +271,9 @@ func (f *Faults) remask(u, v topology.NodeID) {
 	f.down[f.net.Arc(v, u)] = d
 }
 
-// notify fans the event to the listeners in registration order (the
-// protocol, when it listens, registered first).
+// notify hands the event to the protocol when it listens.
 func (f *Faults) notify(ev FaultEvent) {
-	for _, l := range f.listeners {
+	if l := f.listener; l != nil {
 		switch ev.Kind {
 		case LinkDown:
 			l.LinkDown(ev.U, ev.V)

@@ -37,12 +37,17 @@ func (r *faultRecorder) NodeUp(n topology.NodeID) {
 	r.events = append(r.events, FaultEvent{Kind: NodeUp, U: n})
 }
 
+// listeningEcho is an echoProto that also listens for faults.
+type listeningEcho struct {
+	echoProto
+	faultRecorder
+}
+
 func TestLinkDownDropsAndReroutes(t *testing.T) {
-	p := &echoProto{}
+	p := &listeningEcho{}
 	n := New(ringGraph(), p)
 	f := n.InstallFaults(FaultPlan{})
-	rec := &faultRecorder{}
-	f.AddListener(rec)
+	rec := &p.faultRecorder
 
 	if n.Delay.Hop(0, 1) != 1 {
 		t.Fatalf("pre-fault next hop 0->1 = %d", n.Delay.Hop(0, 1))

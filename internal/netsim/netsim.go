@@ -472,20 +472,6 @@ func (n *Network) unicastStep(at topology.NodeID, pkt *Packet) {
 	n.Sched.LaneSink(n.lane(a), n.arcLatency(a, pkt.Size), opUnicast, a, int32(nh), pkt, lost)
 }
 
-// UnicastPath returns the unicast route src -> dst as a node sequence.
-func (n *Network) UnicastPath(src, dst topology.NodeID) []topology.NodeID {
-	path := []topology.NodeID{src}
-	for at := src; at != dst; {
-		nh := n.Delay.Hop(at, dst)
-		if nh == -1 {
-			return nil
-		}
-		path = append(path, nh)
-		at = nh
-	}
-	return path
-}
-
 // HostJoin registers a member-host edge at router node (ground truth)
 // and informs the protocol.
 func (n *Network) HostJoin(node topology.NodeID, g packet.GroupID) {

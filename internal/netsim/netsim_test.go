@@ -145,23 +145,6 @@ func TestSendUnicastToSelf(t *testing.T) {
 	}
 }
 
-func TestUnicastPath(t *testing.T) {
-	n := New(lineGraph(4), &echoProto{})
-	path := n.UnicastPath(0, 3)
-	want := []topology.NodeID{0, 1, 2, 3}
-	if len(path) != 4 {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	if got := n.UnicastPath(2, 2); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("self path = %v", got)
-	}
-}
-
 func TestMembershipGroundTruth(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(3), p)

@@ -23,13 +23,11 @@ func ExampleEncodeSubtree() {
 		return
 	}
 	fmt.Println("bytes:", len(enc))
-	fmt.Println("routers described:", dec.CountNodes())
 	// An i-router splits the packet: child 5's subpacket describes its
 	// own subtree.
 	fmt.Println("node 5's children:", len(dec.Children[1].Sub.Children))
 	// Output:
 	// bytes: 76
-	// routers described: 6
 	// node 5's children: 2
 }
 

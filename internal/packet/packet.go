@@ -340,16 +340,6 @@ func AppendTree(buf []byte, t TreeLike, v topology.NodeID) []byte {
 	return buf
 }
 
-// CountNodes returns the number of routers described by the subtree
-// (excluding the implicit receiving router).
-func (s Subtree) CountNodes() int {
-	n := 0
-	for _, c := range s.Children {
-		n += 1 + c.Sub.CountNodes()
-	}
-	return n
-}
-
 // --- BRANCH packet encoding (§III-E) ----------------------------------
 //
 // A BRANCH packet is the ordered list of routers from the current router

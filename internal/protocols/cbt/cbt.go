@@ -50,11 +50,10 @@ func (c *CBT) Attach(n *netsim.Network) {
 	c.net = n
 }
 
-// Core returns the core router's node id.
-func (c *CBT) Core() topology.NodeID { return c.core }
-
 // Upstream reports node's parent on g's shared tree; ok is false when
 // the node is off the tree or is the core (which has no upstream).
+//
+//scmplint:ignore testonly — experiment's cross-protocol tests check CBT joins follow unicast routes
 func (c *CBT) Upstream(node topology.NodeID, g packet.GroupID) (topology.NodeID, bool) {
 	e := c.peekEntry(node, g)
 	if e == nil || !e.OnTree || e.Upstream == netsim.NoUpstream {

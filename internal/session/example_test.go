@@ -8,31 +8,27 @@ import (
 )
 
 // Example walks the m-router's service database through a group's life:
-// address allocation, members coming and going (billable on-time), a
-// session with traffic records, and revocation.
+// the group adopted, a member coming and going (billable on-time), and a
+// session with traffic records.
 func Example() {
 	sched := des.New()
-	mgr := session.NewManager(sched, 0xE0000000, 256)
-
-	g, _ := mgr.Allocate("friday-standup")
-	fmt.Printf("allocated group %#x\n", uint32(g))
+	mgr := session.NewManager(sched)
+	const g = 0xE0000000
+	mgr.Adopt(g)
 
 	sched.At(10, func() { _ = mgr.MemberJoined(g, 5) })
 	sched.At(40, func() { _ = mgr.MemberLeft(g, 5) })
 	sched.Run()
 	fmt.Println("member 5 on-time:", mgr.MemberOnTime(g, 5), "s")
 
-	id, _ := mgr.StartSession(g, 0, nil)
+	id, _ := mgr.StartSession(g)
 	_ = mgr.RecordTraffic(g, id, 1500)
 	_ = mgr.RecordTraffic(g, id, 1500)
 	info, _ := mgr.Session(g, id)
 	fmt.Println("session packets:", info.Packets, "bytes:", info.Bytes)
-
-	_ = mgr.EndSession(g, id)
-	fmt.Println("revoke:", mgr.Revoke(g) == nil)
+	fmt.Println("log records:", len(mgr.Log()))
 	// Output:
-	// allocated group 0xe0000000
 	// member 5 on-time: 30 s
 	// session packets: 2 bytes: 3000
-	// revoke: true
+	// log records: 4
 }

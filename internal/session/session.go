@@ -1,17 +1,18 @@
-// Package session implements the m-router's group and session
-// management database (§II-C): multicast address allocation, revocation
-// and publication; session lifecycle (create, renew, expire, tear down);
-// per-member on-off tracking for scheduling and accounting/billing; and
-// the query interface the paper requires ("it should have abilities for
-// outsiders to query proper information about multicast groups and
-// sessions in the m-router").
+// Package session implements the part of the m-router's group and
+// session management database (§II-C) the control plane drives: the
+// groups it adopts, one session per group with its traffic record
+// ("check, track and record the multicast traffic in the corresponding
+// multicast session"), per-member on-off tracking for accounting and
+// billing, and the chronological accounting log. Group addresses are
+// assigned out of band (the simulator's group ids) and a session lives
+// as long as the run, so address allocation, revocation and session
+// expiry are not modelled.
 package session
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"scmp/internal/des"
 	"scmp/internal/packet"
@@ -20,10 +21,8 @@ import (
 
 // Common errors.
 var (
-	ErrExhausted     = errors.New("session: multicast address space exhausted")
-	ErrUnknownGroup  = errors.New("session: unknown group")
-	ErrGroupActive   = errors.New("session: group still has members")
-	ErrSessionClosed = errors.New("session: session already closed")
+	ErrUnknownGroup   = errors.New("session: unknown group")
+	ErrUnknownSession = errors.New("session: unknown session")
 )
 
 // EventKind enumerates accounting-log entries.
@@ -31,17 +30,14 @@ type EventKind int
 
 const (
 	EventAllocate EventKind = iota
-	EventRevoke
 	EventJoin
 	EventLeave
 	EventSessionStart
-	EventSessionEnd
 )
 
 var eventNames = map[EventKind]string{
-	EventAllocate: "ALLOCATE", EventRevoke: "REVOKE",
-	EventJoin: "JOIN", EventLeave: "LEAVE",
-	EventSessionStart: "SESSION-START", EventSessionEnd: "SESSION-END",
+	EventAllocate: "ALLOCATE", EventJoin: "JOIN", EventLeave: "LEAVE",
+	EventSessionStart: "SESSION-START",
 }
 
 func (k EventKind) String() string {
@@ -66,15 +62,6 @@ type memberSpan struct {
 	online   bool
 }
 
-// GroupInfo is the queryable state of one managed group.
-type GroupInfo struct {
-	Group     packet.GroupID
-	Name      string
-	CreatedAt des.Time
-	Members   []topology.NodeID
-	Sessions  []SessionID
-}
-
 // SessionID identifies a multicast session within a group.
 type SessionID uint64
 
@@ -83,22 +70,13 @@ type SessionInfo struct {
 	ID        SessionID
 	Group     packet.GroupID
 	StartedAt des.Time
-	ExpiresAt des.Time // zero value: no expiry
-	Active    bool
 	Packets   uint64
 	Bytes     uint64
 }
 
 type groupState struct {
-	name      string
-	createdAt des.Time
-	members   map[topology.NodeID]*memberSpan
-	sessions  map[SessionID]*sessionState
-}
-
-type sessionState struct {
-	info SessionInfo
-	exp  *des.Event
+	members  map[topology.NodeID]*memberSpan
+	sessions map[SessionID]*SessionInfo
 }
 
 // Clock supplies the current time; *des.Scheduler satisfies it.
@@ -106,13 +84,10 @@ type Clock interface{ Now() des.Time }
 
 // Manager is the m-router's service database.
 type Manager struct {
-	clock Clock
-	// Address pool: [base, base+size).
-	base, size uint32
-	nextProbe  uint32
-	groups     map[packet.GroupID]*groupState
-	nextSess   SessionID
-	log        [][]Event // the accounting log; chunk k holds logChunk(k) records
+	clock    Clock
+	groups   map[packet.GroupID]*groupState
+	nextSess SessionID
+	log      [][]Event // the accounting log; chunk k holds logChunk(k) records
 }
 
 // logChunk is the capacity of log chunk k: 8 doubling to 1024, so an
@@ -124,18 +99,9 @@ func logChunk(k int) int {
 	return 8 << k
 }
 
-// NewManager returns a manager allocating group addresses from
-// [base, base+size) and timestamping with clock.
-func NewManager(clock Clock, base packet.GroupID, size int) *Manager {
-	if size <= 0 {
-		panic("session: pool size must be positive")
-	}
-	return &Manager{
-		clock:  clock,
-		base:   uint32(base),
-		size:   uint32(size),
-		groups: make(map[packet.GroupID]*groupState),
-	}
+// NewManager returns a manager timestamping with clock.
+func NewManager(clock Clock) *Manager {
+	return &Manager{clock: clock, groups: make(map[packet.GroupID]*groupState)}
 }
 
 func (m *Manager) record(kind EventKind, g packet.GroupID, member topology.NodeID) {
@@ -147,72 +113,18 @@ func (m *Manager) record(kind EventKind, g packet.GroupID, member topology.NodeI
 	m.log[k-1] = append(m.log[k-1], Event{At: m.clock.Now(), Kind: kind, Group: g, Member: member})
 }
 
-// Allocate issues a fresh multicast address for a new group (§II-C:
-// "issue a multicast address for a new multicast group").
-func (m *Manager) Allocate(name string) (packet.GroupID, error) {
-	for i := uint32(0); i < m.size; i++ {
-		cand := packet.GroupID(m.base + (m.nextProbe+i)%m.size)
-		if _, used := m.groups[cand]; used {
-			continue
-		}
-		m.nextProbe = (m.nextProbe + i + 1) % m.size
-		m.groups[cand] = &groupState{
-			name:      name,
-			createdAt: m.clock.Now(),
-			members:   make(map[topology.NodeID]*memberSpan),
-			sessions:  make(map[SessionID]*sessionState),
-		}
-		m.record(EventAllocate, cand, -1)
-		return cand, nil
-	}
-	return 0, ErrExhausted
-}
-
 // Adopt registers a group whose address was assigned externally (e.g. a
 // well-known group configured out of band) so the manager can track its
 // membership and sessions. Adopting an already-managed group is a no-op.
-func (m *Manager) Adopt(g packet.GroupID, name string) {
+func (m *Manager) Adopt(g packet.GroupID) {
 	if _, ok := m.groups[g]; ok {
 		return
 	}
 	m.groups[g] = &groupState{
-		name:      name,
-		createdAt: m.clock.Now(),
-		members:   make(map[topology.NodeID]*memberSpan),
-		sessions:  make(map[SessionID]*sessionState),
+		members:  make(map[topology.NodeID]*memberSpan),
+		sessions: make(map[SessionID]*SessionInfo),
 	}
 	m.record(EventAllocate, g, -1)
-}
-
-// Revoke returns an abandoned group's address to the pool. Groups with
-// members cannot be revoked.
-func (m *Manager) Revoke(g packet.GroupID) error {
-	gs, ok := m.groups[g]
-	if !ok {
-		return ErrUnknownGroup
-	}
-	for _, span := range gs.members {
-		if span.online {
-			return ErrGroupActive
-		}
-	}
-	for id := range gs.sessions {
-		_ = m.EndSession(g, id) // best effort; already-closed is fine
-	}
-	delete(m.groups, g)
-	m.record(EventRevoke, g, -1)
-	return nil
-}
-
-// Groups publishes the existing multicast addresses, sorted (§II-C:
-// "publish the multicast addresses for existing multicast groups").
-func (m *Manager) Groups() []packet.GroupID {
-	out := make([]packet.GroupID, 0, len(m.groups))
-	for g := range m.groups {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // MemberJoined records a member router coming online in a group. It is
@@ -271,67 +183,18 @@ func (m *Manager) MemberOnTime(g packet.GroupID, member topology.NodeID) des.Tim
 	return total
 }
 
-// Query returns the queryable state of a group.
-func (m *Manager) Query(g packet.GroupID) (GroupInfo, error) {
-	gs, ok := m.groups[g]
-	if !ok {
-		return GroupInfo{}, ErrUnknownGroup
-	}
-	info := GroupInfo{Group: g, Name: gs.name, CreatedAt: gs.createdAt}
-	for member, span := range gs.members {
-		if span.online {
-			info.Members = append(info.Members, member)
-		}
-	}
-	sort.Slice(info.Members, func(i, j int) bool { return info.Members[i] < info.Members[j] })
-	for id := range gs.sessions {
-		info.Sessions = append(info.Sessions, id)
-	}
-	sort.Slice(info.Sessions, func(i, j int) bool { return info.Sessions[i] < info.Sessions[j] })
-	return info, nil
-}
-
-// StartSession opens a session in a group. A positive lifetime
-// schedules automatic teardown on the scheduler (which must then be the
-// manager's clock); zero means the session lives until EndSession.
-func (m *Manager) StartSession(g packet.GroupID, lifetime des.Time, sched *des.Scheduler) (SessionID, error) {
+// StartSession opens a session in a group; it lasts as long as the
+// manager.
+func (m *Manager) StartSession(g packet.GroupID) (SessionID, error) {
 	gs, ok := m.groups[g]
 	if !ok {
 		return 0, ErrUnknownGroup
 	}
 	m.nextSess++
 	id := m.nextSess
-	ss := &sessionState{info: SessionInfo{
-		ID: id, Group: g, StartedAt: m.clock.Now(), Active: true,
-	}}
-	if lifetime > 0 {
-		if sched == nil {
-			return 0, errors.New("session: lifetime requires a scheduler")
-		}
-		ss.info.ExpiresAt = m.clock.Now() + lifetime
-		ss.exp = sched.After(lifetime, func() { _ = m.EndSession(g, id) })
-	}
-	gs.sessions[id] = ss
+	gs.sessions[id] = &SessionInfo{ID: id, Group: g, StartedAt: m.clock.Now()}
 	m.record(EventSessionStart, g, -1)
 	return id, nil
-}
-
-// EndSession tears a session down (expired or explicit).
-func (m *Manager) EndSession(g packet.GroupID, id SessionID) error {
-	gs, ok := m.groups[g]
-	if !ok {
-		return ErrUnknownGroup
-	}
-	ss, ok := gs.sessions[id]
-	if !ok || !ss.info.Active {
-		return ErrSessionClosed
-	}
-	ss.info.Active = false
-	if ss.exp != nil {
-		ss.exp.Cancel()
-	}
-	m.record(EventSessionEnd, g, -1)
-	return nil
 }
 
 // RecordTraffic charges a data packet to a session ("check, track and
@@ -342,15 +205,17 @@ func (m *Manager) RecordTraffic(g packet.GroupID, id SessionID, bytes int) error
 		return ErrUnknownGroup
 	}
 	ss, ok := gs.sessions[id]
-	if !ok || !ss.info.Active {
-		return ErrSessionClosed
+	if !ok {
+		return ErrUnknownSession
 	}
-	ss.info.Packets++
-	ss.info.Bytes += uint64(bytes)
+	ss.Packets++
+	ss.Bytes += uint64(bytes)
 	return nil
 }
 
 // Session returns the queryable state of a session.
+//
+//scmplint:ignore testonly — core's tests read the m-router's traffic record through it
 func (m *Manager) Session(g packet.GroupID, id SessionID) (SessionInfo, error) {
 	gs, ok := m.groups[g]
 	if !ok {
@@ -358,9 +223,9 @@ func (m *Manager) Session(g packet.GroupID, id SessionID) (SessionInfo, error) {
 	}
 	ss, ok := gs.sessions[id]
 	if !ok {
-		return SessionInfo{}, ErrSessionClosed
+		return SessionInfo{}, ErrUnknownSession
 	}
-	return ss.info, nil
+	return *ss, nil
 }
 
 // Log returns the accounting log (a copy), in chronological order; nil

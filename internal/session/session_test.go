@@ -8,79 +8,23 @@ import (
 	"unsafe"
 
 	"scmp/internal/des"
+	"scmp/internal/packet"
 	"scmp/internal/topology"
 )
 
+// grp is the group the tests adopt.
+const grp packet.GroupID = 1000
+
 func newMgr() (*Manager, *des.Scheduler) {
 	sched := des.New()
-	return NewManager(sched, 1000, 4), sched
-}
-
-func TestAllocateRevokeCycle(t *testing.T) {
-	m, _ := newMgr()
-	g1, err := m.Allocate("conf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := m.Allocate("lecture")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1 == g2 {
-		t.Fatal("duplicate address issued")
-	}
-	if got := m.Groups(); len(got) != 2 {
-		t.Fatalf("Groups = %v", got)
-	}
-	if err := m.Revoke(g1); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Groups(); len(got) != 1 || got[0] != g2 {
-		t.Fatalf("Groups after revoke = %v", got)
-	}
-	// Freed address is reusable.
-	for i := 0; i < 3; i++ {
-		if _, err := m.Allocate("more"); err != nil {
-			t.Fatalf("allocate %d after revoke: %v", i, err)
-		}
-	}
-}
-
-func TestPoolExhaustion(t *testing.T) {
-	m, _ := newMgr() // pool of 4
-	for i := 0; i < 4; i++ {
-		if _, err := m.Allocate("g"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := m.Allocate("overflow"); err != ErrExhausted {
-		t.Fatalf("err = %v, want ErrExhausted", err)
-	}
-}
-
-func TestRevokeGuards(t *testing.T) {
-	m, _ := newMgr()
-	if err := m.Revoke(999); err != ErrUnknownGroup {
-		t.Fatalf("err = %v, want ErrUnknownGroup", err)
-	}
-	g, _ := m.Allocate("g")
-	if err := m.MemberJoined(g, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Revoke(g); err != ErrGroupActive {
-		t.Fatalf("err = %v, want ErrGroupActive", err)
-	}
-	if err := m.MemberLeft(g, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Revoke(g); err != nil {
-		t.Fatal(err)
-	}
+	m := NewManager(sched)
+	m.Adopt(grp)
+	return m, sched
 }
 
 func TestMemberOnTimeAccounting(t *testing.T) {
 	m, sched := newMgr()
-	g, _ := m.Allocate("g")
+	g := grp
 	sched.At(10, func() { _ = m.MemberJoined(g, 7) })
 	sched.At(25, func() { _ = m.MemberLeft(g, 7) })
 	sched.At(40, func() { _ = m.MemberJoined(g, 7) })
@@ -99,7 +43,7 @@ func TestMemberOnTimeAccounting(t *testing.T) {
 
 func TestMemberJoinIdempotent(t *testing.T) {
 	m, _ := newMgr()
-	g, _ := m.Allocate("g")
+	g := grp
 	_ = m.MemberJoined(g, 1)
 	_ = m.MemberJoined(g, 1)
 	_ = m.MemberLeft(g, 1)
@@ -118,27 +62,10 @@ func TestMemberJoinIdempotent(t *testing.T) {
 	}
 }
 
-func TestQuery(t *testing.T) {
-	m, _ := newMgr()
-	g, _ := m.Allocate("videoconf")
-	_ = m.MemberJoined(g, 9)
-	_ = m.MemberJoined(g, 3)
-	info, err := m.Query(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Name != "videoconf" || len(info.Members) != 2 || info.Members[0] != 3 {
-		t.Fatalf("info = %+v", info)
-	}
-	if _, err := m.Query(999); err != ErrUnknownGroup {
-		t.Fatal("unknown group query accepted")
-	}
-}
-
 func TestSessionLifecycle(t *testing.T) {
 	m, sched := newMgr()
-	g, _ := m.Allocate("g")
-	id, err := m.StartSession(g, 0, nil)
+	g := grp
+	id, err := m.StartSession(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,53 +79,20 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Packets != 2 || info.Bytes != 1500 || !info.Active {
+	if info.Packets != 2 || info.Bytes != 1500 || info.StartedAt != sched.Now() {
 		t.Fatalf("info = %+v", info)
 	}
-	if err := m.EndSession(g, id); err != nil {
-		t.Fatal(err)
+	if err := m.RecordTraffic(g, id+1, 1); err != ErrUnknownSession {
+		t.Fatalf("traffic on an unknown session: %v", err)
 	}
-	if err := m.EndSession(g, id); err != ErrSessionClosed {
-		t.Fatalf("double end: %v", err)
-	}
-	if err := m.RecordTraffic(g, id, 1); err != ErrSessionClosed {
-		t.Fatalf("traffic on closed session: %v", err)
-	}
-	_ = sched
-}
-
-func TestSessionExpiry(t *testing.T) {
-	m, sched := newMgr()
-	g, _ := m.Allocate("g")
-	id, err := m.StartSession(g, 30, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.RunUntil(29)
-	if info, _ := m.Session(g, id); !info.Active {
-		t.Fatal("session expired early")
-	}
-	sched.RunUntil(31)
-	info, _ := m.Session(g, id)
-	if info.Active {
-		t.Fatal("session did not expire")
-	}
-	if info.ExpiresAt != 30 {
-		t.Fatalf("ExpiresAt = %v", info.ExpiresAt)
-	}
-}
-
-func TestSessionLifetimeNeedsScheduler(t *testing.T) {
-	m, _ := newMgr()
-	g, _ := m.Allocate("g")
-	if _, err := m.StartSession(g, 5, nil); err == nil {
-		t.Fatal("lifetime without scheduler accepted")
+	if _, err := m.StartSession(999); err != ErrUnknownGroup {
+		t.Fatalf("session in an unknown group: %v", err)
 	}
 }
 
 func TestLogChronology(t *testing.T) {
 	m, sched := newMgr()
-	g, _ := m.Allocate("g")
+	g := grp
 	sched.At(1, func() { _ = m.MemberJoined(g, 2) })
 	sched.At(2, func() { _ = m.MemberLeft(g, 2) })
 	sched.Run()
@@ -215,7 +109,7 @@ func TestLogChronology(t *testing.T) {
 		t.Fatalf("log kinds = %v %v %v", log[0].Kind, log[1].Kind, log[2].Kind)
 	}
 	// Log() must return a copy.
-	log[0].Kind = EventRevoke
+	log[0].Kind = EventSessionStart
 	if m.Log()[0].Kind != EventAllocate {
 		t.Fatal("log not copied")
 	}
@@ -227,7 +121,7 @@ func TestLogChronology(t *testing.T) {
 // abandoned arrays.
 func TestLogAppendDoesNotCopy(t *testing.T) {
 	const records = 100_000
-	m, _ := newMgr()
+	m := NewManager(des.New())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < records; i++ {
@@ -259,7 +153,7 @@ func TestLogAcrossChunkBoundaries(t *testing.T) {
 	}
 	checkpoints = append(checkpoints, end+5*1024, end+5*1024+1)
 
-	m, _ := newMgr()
+	m := NewManager(des.New())
 	var want []Event
 	for _, c := range checkpoints {
 		for len(want) < c {
@@ -277,7 +171,7 @@ func TestLogAcrossChunkBoundaries(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("after %d records Log() differs from the appended sequence", c)
 		}
-		got[0].Kind, got[c-1].Member = EventRevoke, -7
+		got[0].Kind, got[c-1].Member = EventSessionStart, -7
 		if again := m.Log(); !slices.Equal(again, want) {
 			t.Fatalf("after %d records mutating Log()'s result changed the log", c)
 		}
@@ -295,7 +189,7 @@ func TestEventKindString(t *testing.T) {
 func TestPropertyOnTimeBounded(t *testing.T) {
 	f := func(ops []bool) bool {
 		m, sched := newMgr()
-		g, _ := m.Allocate("g")
+		g := grp
 		for i, join := range ops {
 			at := des.Time(i + 1)
 			join := join
@@ -314,17 +208,4 @@ func TestPropertyOnTimeBounded(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRevokeClosesSessions(t *testing.T) {
-	m, sched := newMgr()
-	g, _ := m.Allocate("g")
-	id, _ := m.StartSession(g, 0, nil)
-	if err := m.Revoke(g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Session(g, id); err != ErrUnknownGroup {
-		t.Fatalf("session query after revoke: %v", err)
-	}
-	_ = sched
 }

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample accumulates observations.
@@ -35,20 +34,6 @@ func (s *Sample) Sum() float64 {
 		sum += x
 	}
 	return sum
-}
-
-// Min returns the smallest observation, or NaN when empty.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Max returns the largest observation, or NaN when empty.
@@ -115,20 +100,6 @@ func tCritical95(df int) float64 {
 // Student-t critical value times the standard error. With fewer than two
 // observations there is no spread estimate and the half-width is 0.
 func (s *Sample) CI95() float64 { return tCritical95(s.N()-1) * s.StdErr() }
-
-// Median returns the median, or NaN when empty.
-func (s *Sample) Median() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	xs := append([]float64(nil), s.xs...)
-	sort.Float64s(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
-}
 
 // String summarises the sample as "mean ± ci95 (n=N)".
 func (s *Sample) String() string {

@@ -25,14 +25,6 @@ type CSR struct {
 // N returns the node count.
 func (c *CSR) N() int { return len(c.off) - 1 }
 
-// weights returns the flat edge-weight array the given Weight selects.
-func (c *CSR) weights(w Weight) []float64 {
-	if w == ByCost {
-		return c.cost
-	}
-	return c.delay
-}
-
 // buildCSR flattens g. Adjacency order is preserved per node, so any
 // code sensitive to neighbour scan order behaves exactly as it does on
 // the slice-of-slice representation.

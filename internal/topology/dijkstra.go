@@ -21,15 +21,6 @@ const (
 	ByCost
 )
 
-// Of evaluates the weight on one link (the closure-free equivalent of
-// the old func(Link) float64 API).
-func (w Weight) Of(l Link) float64 {
-	if w == ByCost {
-		return l.Cost
-	}
-	return l.Delay
-}
-
 // String names the weight for reports and test failures.
 func (w Weight) String() string {
 	if w == ByCost {
@@ -199,9 +190,6 @@ func NewLazyAllPairs(g *Graph, w Weight) *AllPairs {
 // NextHop returns g's unicast forwarding table with every link up: a
 // lazy AllPairs(ByDelay), read through Hop.
 func NextHop(g *Graph) *AllPairs { return NewLazyAllPairs(g, ByDelay) }
-
-// N returns the number of source rows (the graph's node count).
-func (ap *AllPairs) N() int { return len(ap.rows) }
 
 // Row returns the complete shortest-path row from src: in lazy mode it
 // starts the search on first access, promotes the row to the dense
@@ -420,32 +408,4 @@ func (ap *AllPairs) MemoryBytes() int64 {
 	n := int64(len(ap.rows))
 	perRow := 32*n + 96
 	return int64(ap.Materialized()) * perRow
-}
-
-// PathDelay sums link delays along a node sequence; it panics if the
-// sequence is not a path in g.
-func PathDelay(g *Graph, path []NodeID) float64 {
-	sum := 0.0
-	for i := 1; i < len(path); i++ {
-		l, ok := g.Edge(path[i-1], path[i])
-		if !ok {
-			panic("topology: PathDelay on a non-path")
-		}
-		sum += l.Delay
-	}
-	return sum
-}
-
-// PathCost sums link costs along a node sequence; it panics if the
-// sequence is not a path in g.
-func PathCost(g *Graph, path []NodeID) float64 {
-	sum := 0.0
-	for i := 1; i < len(path); i++ {
-		l, ok := g.Edge(path[i-1], path[i])
-		if !ok {
-			panic("topology: PathCost on a non-path")
-		}
-		sum += l.Cost
-	}
-	return sum
 }

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 )
 
@@ -195,11 +194,9 @@ func (dv *DomainView) Domain(v NodeID) int { return int(dv.domain[v]) }
 
 // NodesOf returns domain d's nodes in ascending id order. The slice is
 // shared — callers must not mutate it.
+//
+//scmplint:ignore testonly — mtree's composer tests pick members per domain through it
 func (dv *DomainView) NodesOf(d int) []NodeID { return dv.nodes[d] }
-
-// Backbone returns the contracted domain graph (one node per domain,
-// edges weighted by the chosen border link's delay and cost).
-func (dv *DomainView) Backbone() *Graph { return dv.bb }
 
 // BackboneDelay returns the lazy all-pairs (by delay) table over the
 // backbone graph; rows materialise per consulted source domain.
@@ -323,36 +320,4 @@ func (dv *DomainView) TableBytes() int64 {
 		}
 	}
 	return total
-}
-
-// CentralDomain implements locality-based core selection ("Locality
-// based Core Selection for Multicore Shared Tree Multicasting"): among
-// domains with positive weight (typically the member count per domain),
-// pick the one minimising the weighted sum of backbone delays to every
-// weighted domain, ties to the lower domain id. Candidates are the
-// weighted domains themselves — the locality heuristic — so selection
-// costs O(active²) backbone row reads, not O(k²). Returns 0 when no
-// weight is positive.
-func (dv *DomainView) CentralDomain(weight []float64) int {
-	best, bestScore := -1, math.Inf(1)
-	for c := 0; c < dv.k && c < len(weight); c++ {
-		if weight[c] <= 0 {
-			continue
-		}
-		row := dv.bbDelay.Row(NodeID(c))
-		score := 0.0
-		for d := 0; d < dv.k && d < len(weight); d++ {
-			if weight[d] <= 0 || d == c {
-				continue
-			}
-			score += weight[d] * row.Delay[d]
-		}
-		if score < bestScore {
-			best, bestScore = c, score
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
 }

@@ -214,19 +214,6 @@ func (g *Graph) Diameter() (float64, []NodeID) {
 	return best, path
 }
 
-// TotalCost returns the sum of cost over all undirected edges.
-func (g *Graph) TotalCost() float64 {
-	sum := 0.0
-	for u := 0; u < g.N(); u++ {
-		for _, l := range g.adj[u] {
-			if NodeID(u) < l.To {
-				sum += l.Cost
-			}
-		}
-	}
-	return sum
-}
-
 // ScaleDelays returns a copy of the graph with every link delay
 // multiplied by factor (costs unchanged). The generators express delay
 // in abstract cost-proportional units; packet-level simulations convert

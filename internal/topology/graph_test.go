@@ -120,13 +120,6 @@ func TestDegreeAndAvgDegree(t *testing.T) {
 	}
 }
 
-func TestTotalCost(t *testing.T) {
-	g := line(t, 4) // 3 edges of cost 2
-	if g.TotalCost() != 6 {
-		t.Fatalf("TotalCost = %g, want 6", g.TotalCost())
-	}
-}
-
 func TestDiameterLine(t *testing.T) {
 	g := line(t, 5) // delay 1 per hop -> diameter 4
 	d, path := g.Diameter()

@@ -53,17 +53,6 @@ type TransitStubInfo struct {
 	Attachment []NodeID
 }
 
-// TransitNodes returns all transit (backbone) nodes.
-func (i *TransitStubInfo) TransitNodes() []NodeID {
-	var out []NodeID
-	for v, r := range i.Roles {
-		if r == RoleTransit {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
-}
-
 // cost bands per link level.
 const (
 	tsInterTransitCost = 100.0
