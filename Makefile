@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-baseline test test-invariants loc loc-check bench bench-all bench-quick bench-routing bench-dataplane bench-dataplane-quick bench-churn bench-dcdm bench-dcdm-quick bench-domains smoke-parallel smoke-faults smoke-churn smoke-dcdm smoke-domains smoke-fuzz results-check fmt
+.PHONY: all build lint test test-invariants loc loc-check bench bench-all smoke-parallel smoke-faults smoke-churn smoke-dcdm smoke-domains smoke-fuzz results-check
 
 all: lint test
 
@@ -14,22 +14,15 @@ build:
 # repo's own analysis suite (cmd/scmplint): the determinism analyzers,
 # the dataflow analyzers (poollife, hotalloc, detshared) and testonly
 # over every module package, _test.go files included. The
-# full stable-sorted findings list (suppressed entries marked) lands in
-# scmplint.json as the CI artifact; the run fails on any finding not
-# covered by an inline ignore or the justified baseline
-# (.scmplint-baseline.json).
+# stable-sorted findings list lands in scmplint.json as the CI artifact;
+# the run fails on any finding not covered by an inline
+# "//scmplint:ignore <analyzer> — <reason>".
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -tags invariants ./...
 	$(GO) run ./cmd/scmplint -tests -json ./... > scmplint.json
-
-# Regenerate the suppression baseline from the current findings,
-# preserving existing justifications. New entries start unjustified and
-# must have a justification written before `make lint` accepts them.
-lint-baseline:
-	$(GO) run ./cmd/scmplint -tests -write-baseline ./...
 
 test:
 	$(GO) test ./...
@@ -55,13 +48,16 @@ loc:
 # grown past the committed budget. A PR that removes code lowers
 # LOC_BUDGET to what `make loc` prints; one that must add code raises it
 # in the same diff, where a reviewer sees it.
-LOC_BUDGET := 18272
+LOC_BUDGET := 17864
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
 		echo "non-test Go lines: $$n exceeds LOC_BUDGET $(LOC_BUDGET)"; exit 1; fi; \
 	echo "non-test Go lines: $$n (budget $(LOC_BUDGET))"
 
+# Every go test micro-benchmark in the module, one iteration each: a
+# smoke that they still build and run. Per-layer numbers come from a
+# longer -benchtime on the one benchmark of interest.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
@@ -69,71 +65,6 @@ bench:
 # end and per layer, results in bench/out/.
 bench-all:
 	$(GO) run ./bench
-
-# Fast benchmark pass: just the serial-vs-parallel runner comparison.
-bench-quick:
-	$(GO) test -bench Fig89Parallelism -benchtime 1x -run '^$$' .
-
-# Routing-engine perf gate: single-source, all-pairs, next-hop and
-# fault-recompute benchmarks with allocation counts. The raw text
-# (BENCH_routing.txt) is benchstat-compatible; cmd/benchjson converts
-# it to BENCH_routing.json for the acceptance record. BENCHTIME=1x
-# gives the quick CI pass; the default 3x smooths single-run noise.
-BENCHTIME ?= 3x
-bench-routing:
-	{ $(GO) test -bench 'Shortest|AllPairs|NextHopTable' -benchtime $(BENCHTIME) -benchmem -run '^$$' ./internal/topology/ && \
-	  $(GO) test -bench FaultRecompute -benchtime $(BENCHTIME) -benchmem -run '^$$' . ; } | tee BENCH_routing.txt
-	$(GO) run ./cmd/benchjson < BENCH_routing.txt > BENCH_routing.json
-
-# Data-plane benchmark: steady-state per-packet forwarding cost of the
-# pooled scheduler + typed-sink path on the 400-node Waxman instance
-# under the Fig. 8/9 load. The record is BENCH_dataplane.txt/.json; its
-# committed `ref` rows measured a closure-per-hop path that no longer
-# exists, so a rerun writes the single BenchmarkDataPlane row.
-DATAPLANE_BENCHTIME ?= 20000x
-bench-dataplane:
-	$(GO) test -bench 'DataPlane$$' -benchtime $(DATAPLANE_BENCHTIME) -benchmem -run '^$$' . | tee BENCH_dataplane.txt
-	$(GO) run ./cmd/benchjson BENCH_dataplane.txt > BENCH_dataplane.json
-
-# Quick CI pass of the same benchmark (no artefact files).
-bench-dataplane-quick:
-	$(GO) test -bench 'DataPlane$$' -benchtime 500x -benchmem -run '^$$' .
-
-# Churn perf gate: the high-churn membership engine with the overload
-# defences on (2000 events/s, 5% control loss). The acceptance record
-# is BENCH_churn.txt/.json: simulator events/sec plus the peak
-# pending-operation queue the admission limit bounds.
-CHURN_BENCHTIME ?= 3x
-bench-churn:
-	$(GO) test -bench 'BenchmarkChurn$$' -benchtime $(CHURN_BENCHTIME) -benchmem -run '^$$' . | tee BENCH_churn.txt
-	$(GO) run ./cmd/benchjson BENCH_churn.txt > BENCH_churn.json
-
-# Incremental-DCDM perf gate: steady-state joins, batched leaves and a
-# whole churn lifecycle against the preserved map-backed reference
-# engine (internal/mtree/ref_test.go) on the 400-node/128-member
-# fixture, plus BenchmarkDCDMJoinCold: joins from routers whose
-# shortest-path rows are untouched, on the 2440-node transit-stub.
-# The acceptance record is BENCH_dcdm.txt/.json: >=5x ns/op fast vs ref
-# on BenchmarkDCDMJoin and <=1 alloc/op steady state.
-DCDM_BENCHTIME ?= 3s
-bench-dcdm:
-	$(GO) test -bench 'DCDM(Join|Leave|Churn)' -benchtime $(DCDM_BENCHTIME) -benchmem -run '^$$' ./internal/mtree/ | tee BENCH_dcdm.txt
-	$(GO) run ./cmd/benchjson < BENCH_dcdm.txt > BENCH_dcdm.json
-
-# Quick CI pass of the same benchmarks (no artefact files).
-bench-dcdm-quick:
-	$(GO) test -bench 'DCDM(Join|Leave|Churn)' -benchtime 1s -benchmem -run '^$$' ./internal/mtree/
-
-# Hierarchical-mode perf gate: 256 member joins on the transit-stub
-# node-count ladder (fixed 20-node domains, growing domain count), flat
-# engine vs the per-domain composer. The acceptance record is
-# BENCH_domains.txt/.json: flat ns/join and table-bytes grow ~linearly
-# with n while the hier arms stay nearly put (sublinear), with the hier
-# arm >=10x fast at every rung.
-DOMAINS_BENCHTIME ?= 3x
-bench-domains:
-	$(GO) test -bench DomainJoin -benchtime $(DOMAINS_BENCHTIME) -benchmem -run '^$$' ./internal/mtree/ | tee BENCH_domains.txt
-	$(GO) run ./cmd/benchjson < BENCH_domains.txt > BENCH_domains.json
 
 # Incremental-DCDM differential gate: the fast-vs-ref equivalence churn
 # (exact tree/result/bound equality) plus the engine unit tests, under

@@ -84,6 +84,43 @@ func TestQuiesceCancelsParkedTimers(t *testing.T) {
 	}
 }
 
+// TestQuiesceRunTerminates: on the hardened stack, service operations
+// still queued at the deadline complete after Quiesce. They must not
+// re-arm refresh, and the replication ladders they start toward a dead
+// standby must not park, so the drain ends; the next external input
+// lifts the quiesce.
+func TestQuiesceRunTerminates(t *testing.T) {
+	n, s := newNet(meshGraph(), Config{
+		MRouter: 0, ServiceTime: 10, Processors: 1,
+		AckTimeout: 5, RetryBudget: 2, RefreshInterval: 3, Standby: 5,
+	})
+	n.InstallFaults(netsim.FaultPlan{}).ScheduleNodeDown(0, 5)
+	for _, m := range []topology.NodeID{1, 2, 3, 4} {
+		n.HostJoin(m, grp)
+	}
+	n.RunUntil(12)
+	if s.ControlBacklog() == 0 {
+		t.Fatal("no service backlog at the deadline")
+	}
+	s.Quiesce()
+	const bound = 100000
+	for steps := 0; n.Sched.Step(); steps++ {
+		if steps == bound {
+			t.Fatalf("still %d events pending after %d steps past Quiesce", n.Sched.Pending(), bound)
+		}
+	}
+	if s.ControlBacklog() != 0 || s.PendingRequests() != 0 || s.ParkedRequests() != 0 {
+		t.Fatalf("drained with backlog %d, %d pending / %d parked requests",
+			s.ControlBacklog(), s.PendingRequests(), s.ParkedRequests())
+	}
+
+	n.HostJoin(4, grp+1)
+	n.RunUntil(n.Now() + 100)
+	if n.Sched.Pending() == 0 {
+		t.Fatal("refresh not re-armed after the next join")
+	}
+}
+
 // TestRetryBudgetParksAndRecovers: a JOIN that burns its whole retry
 // budget inside a loss window parks, then recovers via the deferred
 // re-attempt once the loss heals — and both transitions are counted.

@@ -237,8 +237,9 @@ func (s *SCMP) retryFire(i int32) {
 	if r.attempt >= s.retryLimit() {
 		// Give up: the soft-state refresh (and ground-truth re-reports
 		// after a restart) are the backstop — or, with a retry budget
-		// configured, the parked deferred re-attempt (overload.go).
-		if s.cfg.RetryBudget > 0 {
+		// configured, the parked deferred re-attempt (overload.go). A
+		// quiesced instance releases instead, so the ladder ends.
+		if s.cfg.RetryBudget > 0 && !s.quiet {
 			s.park(i)
 		} else {
 			s.releaseReq(i)
@@ -361,9 +362,10 @@ func (s *SCMP) handleAck(node topology.NodeID, pkt *netsim.Packet) {
 // --- soft-state tree refresh -------------------------------------------
 
 // armRefresh starts the group's periodic redistribution timer if
-// refresh is enabled and the timer is not already running.
+// refresh is enabled, the instance is not quiesced and the timer is not
+// already running.
 func (s *SCMP) armRefresh(g packet.GroupID, gs *groupState) {
-	if s.cfg.RefreshInterval <= 0 || gs.refresh != (des.Timer{}) {
+	if s.cfg.RefreshInterval <= 0 || s.quiet || gs.refresh != (des.Timer{}) {
 		return
 	}
 	gs.refresh = s.net.Sched.AtTimer(s.net.Now()+des.Time(s.cfg.RefreshInterval), s, tRefresh, 0, int32(g))
@@ -398,10 +400,15 @@ func (s *SCMP) refreshGroup(g packet.GroupID, gs *groupState) {
 }
 
 // Quiesce cancels SCMP's self-sustaining timers — armed refresh ticks
-// and in-flight retransmission backoffs — so a harness can RunUntil its
-// measurement deadline, Quiesce, then Run to drain cleanly. The next
-// membership or tree change re-arms refresh.
+// and in-flight retransmission backoffs — and keeps them off: until the
+// next external input (HostJoin, HostLeave, Failover, or a link or node
+// fault), no refresh is armed and a request that exhausts its ladder is
+// released rather than parked. Every timer chain left is then finite,
+// so a harness can RunUntil its measurement deadline, Quiesce, then Run,
+// and the Run returns once the service backlog and in-flight packets
+// have drained.
 func (s *SCMP) Quiesce() {
+	s.quiet = true
 	for _, gs := range s.groups {
 		s.stopRefresh(gs)
 	}
@@ -419,6 +426,7 @@ func (s *SCMP) stopRefresh(gs *groupState) {
 // LinkDown reacts to a link failure: local repair at both endpoints,
 // over the routing store netsim has already reconverged.
 func (s *SCMP) LinkDown(u, v topology.NodeID) {
+	s.quiet = false
 	s.rebase()
 	if s.cfg.DisableRepair {
 		return
@@ -430,6 +438,7 @@ func (s *SCMP) LinkDown(u, v topology.NodeID) {
 // LinkUp reacts to a link heal: with paths restored, retry every
 // deferred graft.
 func (s *SCMP) LinkUp(u, v topology.NodeID) {
+	s.quiet = false
 	s.rebase()
 	if s.cfg.DisableRepair {
 		return
@@ -441,6 +450,7 @@ func (s *SCMP) LinkUp(u, v topology.NodeID) {
 // pending requests die with it unconditionally; with repair enabled its
 // neighbours additionally treat every adjacent link as failed.
 func (s *SCMP) NodeDown(n topology.NodeID) {
+	s.quiet = false
 	s.entries[n] = nil
 	s.dropSlots(func(r *reqSlot) bool { return r.key.node == n })
 	s.rebase()
@@ -456,6 +466,7 @@ func (s *SCMP) NodeDown(n topology.NodeID) {
 // restarted router itself re-learns its memberships from the
 // ground-truth re-report netsim issues right after this callback.
 func (s *SCMP) NodeUp(n topology.NodeID) {
+	s.quiet = false
 	s.rebase()
 	if s.cfg.DisableRepair {
 		return

@@ -229,6 +229,9 @@ type SCMP struct {
 	// high 32 bits so entries installed before a failover are never
 	// trusted as a source's on-tree fast path afterwards.
 	epoch uint64
+	// quiet is set by Quiesce and cleared by the next external input:
+	// while it holds, no refresh is armed and no exhausted request parks.
+	quiet bool
 	// slots maps each (requester, group) to its outstanding reliable
 	// control request in reqs, on its retry ladder or parked
 	// (repair.go); released slots wait on freeReqs for reuse. reqSeq
@@ -463,6 +466,7 @@ func (s *SCMP) StateEntries(node topology.NodeID) int {
 
 // HostJoin implements the member joining procedure at the DR.
 func (s *SCMP) HostJoin(node topology.NodeID, g packet.GroupID) {
+	s.quiet = false
 	if s.isHome(node, g) {
 		e := s.entry(node, g)
 		e.OnTree, e.HasLocal = true, true
@@ -498,6 +502,7 @@ func (s *SCMP) HostJoin(node topology.NodeID, g packet.GroupID) {
 
 // HostLeave implements the member leaving procedure at the DR.
 func (s *SCMP) HostLeave(node topology.NodeID, g packet.GroupID) {
+	s.quiet = false
 	e := s.peekEntry(node, g)
 	if e == nil {
 		return
@@ -707,6 +712,7 @@ func (s *SCMP) Failover() {
 	if s.cfg.Standby < 0 {
 		panic("core: Failover without a configured standby")
 	}
+	s.quiet = false
 	if s.homes[0] == s.cfg.Standby {
 		return // already failed over
 	}

@@ -214,17 +214,9 @@ func runChurnRun(art *fig89Artifact, cfg ChurnConfig,
 		})
 	}
 
-	total := cfg.Duration + cfg.Settle
-	n.RunUntil(des.Time(total))
-	// Bounded drain: service operations executing after the horizon
-	// re-arm refresh timers, so a single Quiesce+Run could spin
-	// forever. Quiesce per one-second slice until the scheduler drains
-	// (the post-churn backlog is finite, so this terminates).
-	for n.Sched.Pending() > 0 {
-		s.Quiesce()
-		total++
-		n.RunUntil(des.Time(total))
-	}
+	n.RunUntil(des.Time(cfg.Duration + cfg.Settle))
+	s.Quiesce()
+	n.Run()
 
 	probe := n.SendData(art.center, churnGroup, packet.DefaultDataSize)
 	n.Run()

@@ -68,9 +68,10 @@ func (g DomainGrouping) String() string {
 	return fmt.Sprintf("grouping(%d)", int(g))
 }
 
-// DefaultDomains returns the acceptance configuration: the 10k-node
-// transit-stub instance of the BENCH_domains benchmarks (40 transit
-// nodes, 120 stub domains of 83 nodes) under a 256-member workload.
+// DefaultDomains returns the acceptance configuration: a 10k-node
+// transit-stub instance (40 transit nodes, 120 stub domains of 83
+// nodes), the size of the top rung of BenchmarkDomainJoinFlat/Hier's
+// ladder, under a 256-member workload.
 func DefaultDomains() DomainsConfig {
 	return DomainsConfig{
 		Topology: topology.TransitStubConfig{

@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -138,89 +136,10 @@ func TestLoaderIncludeTests(t *testing.T) {
 	}
 }
 
-func TestBaselineFilterAndJustification(t *testing.T) {
-	moduleDir := t.TempDir()
-	diag := func(file, msg string) Diagnostic {
-		d := Diagnostic{Analyzer: "hotalloc", Message: msg}
-		d.Pos.Filename = filepath.Join(moduleDir, file)
-		d.Pos.Line = 10
-		return d
-	}
-	diags := []Diagnostic{
-		diag("a/a.go", "hot path: make allocates"),
-		diag("a/a.go", "hot path: make allocates"),
-		diag("b/b.go", "hot path: new allocates"),
-	}
-
-	// An empty baseline suppresses nothing.
-	empty := &Baseline{}
-	unsup, stale := empty.Filter(diags, moduleDir)
-	if len(unsup) != 3 || len(stale) != 0 {
-		t.Fatalf("empty baseline: unsuppressed=%d stale=%d", len(unsup), len(stale))
-	}
-
-	// NewBaseline aggregates by (analyzer, file, message) with counts and
-	// preserves justifications from the previous baseline.
-	prev := &Baseline{Entries: []BaselineEntry{{
-		Analyzer: "hotalloc", File: "a/a.go",
-		Message: "hot path: make allocates", Count: 1,
-		Justification: "warm-up only",
-	}}}
-	nb := NewBaseline(diags, moduleDir, prev)
-	if len(nb.Entries) != 2 {
-		t.Fatalf("entries = %+v", nb.Entries)
-	}
-	if nb.Entries[0].Count != 2 || nb.Entries[0].Justification != "warm-up only" {
-		t.Fatalf("aggregated entry = %+v", nb.Entries[0])
-	}
-	if got := nb.Unjustified(); len(got) != 1 || got[0].File != "b/b.go" {
-		t.Fatalf("unjustified = %+v", got)
-	}
-
-	// The baseline suppresses up to Count findings per key; leftover
-	// budget — a vanished finding or a shrunken count — is stale, with
-	// the stale entry carrying the unmatched remainder.
-	nb.Entries[1].Justification = "reviewed"
-	unsup, stale = nb.Filter(diags, moduleDir)
-	if len(unsup) != 0 || len(stale) != 0 {
-		t.Fatalf("full baseline: unsuppressed=%v stale=%v", unsup, stale)
-	}
-	unsup, stale = nb.Filter(diags[:1], moduleDir)
-	if len(unsup) != 0 || len(stale) != 2 {
-		t.Fatalf("after fix: unsuppressed=%v stale=%+v", unsup, stale)
-	}
-	if stale[0].File != "a/a.go" || stale[0].Count != 1 || stale[1].File != "b/b.go" {
-		t.Fatalf("stale remainders = %+v", stale)
-	}
-
-	// Round-trip through disk.
-	path := filepath.Join(moduleDir, ".scmplint-baseline.json")
-	if err := nb.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Entries) != 2 || back.Entries[0].Justification != "warm-up only" {
-		t.Fatalf("round-trip = %+v", back.Entries)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// A missing baseline loads empty.
-	none, err := LoadBaseline(filepath.Join(moduleDir, "absent.json"))
-	if err != nil || len(none.Entries) != 0 {
-		t.Fatalf("missing baseline: %v %+v", err, none)
-	}
-}
-
 // TestModuleIsLintClean is the self-check the CI gate relies on: the
 // full analyzer suite over every module package (tests included) must
-// report nothing beyond the checked-in baseline. Inline ignores are
-// applied by Check itself; the baseline layer is applied here exactly
-// as cmd/scmplint applies it.
+// report nothing. Inline ignores are applied by Check itself and are
+// the only suppression.
 func TestModuleIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -234,19 +153,7 @@ func TestModuleIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Check(pkgs, Analyzers())
-	baseline, err := LoadBaseline(filepath.Join(loader.ModuleDir(), ".scmplint-baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unj := baseline.Unjustified(); len(unj) > 0 {
-		t.Errorf("baseline entries without justification: %+v", unj)
-	}
-	unsuppressed, stale := baseline.Filter(diags, loader.ModuleDir())
-	for _, d := range unsuppressed {
+	for _, d := range Check(pkgs, Analyzers()) {
 		t.Errorf("unsuppressed finding: %s", d)
-	}
-	for _, e := range stale {
-		t.Errorf("stale baseline entry: %+v", e)
 	}
 }

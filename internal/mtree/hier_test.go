@@ -261,9 +261,10 @@ func benchMembers(n int, g *topology.Graph, exclude topology.NodeID) []topology.
 	return out
 }
 
-// domainBenchScales is the node-count ladder of the BENCH_domains
-// per-join benchmarks: fixed 20-node stub domains, growing *domain
-// count* — the way the hierarchical architecture is meant to scale.
+// domainBenchScales is the node-count ladder of the per-join benchmarks
+// BenchmarkDomainJoinFlat and BenchmarkDomainJoinHier: fixed 20-node
+// stub domains, growing *domain count* — the way the hierarchical
+// architecture is meant to scale.
 // The sublinearity claim is that the hier join touches O(domain)-sized
 // rows and its resident tables cover only the *touched* domains, while
 // the flat join touches O(n)-sized rows and tables: ns/join and
@@ -292,10 +293,9 @@ func domainBenchScales() []struct {
 	}
 }
 
-// BenchmarkDomainJoinFlat / BenchmarkDomainJoinHier are the per-join
-// cost arms of BENCH_domains: 256 member joins on the transit-stub
-// ladder, flat engine (global lazy tables) vs the hierarchical composer
-// (per-domain tables). Timed region: the joins; ns/join and the
+// BenchmarkDomainJoinFlat / BenchmarkDomainJoinHier are the two per-join
+// cost arms: 256 member joins on the transit-stub ladder, flat engine
+// (global lazy tables) vs the hierarchical composer (per-domain tables). Timed region: the joins; ns/join and the
 // resident table bytes at full membership are reported as metrics.
 func BenchmarkDomainJoinFlat(b *testing.B) {
 	for _, sc := range domainBenchScales() {

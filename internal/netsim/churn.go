@@ -279,27 +279,16 @@ type churnEvent struct {
 	join   bool
 }
 
-// dispatchChurn fires c's same-instant churn events i..j-1 in order:
-// joins individually, maximal consecutive leave runs as one batched
-// leave (one shared prune pass for protocols that support it; a run of
-// one is a plain HostLeave). Within one simulated instant the leave
-// order is unobservable to the protocol — only the resulting membership
-// set matters — which is what makes the batch equivalent to the
-// sequential dispatch.
+// dispatchChurn fires c's same-instant churn events i..j-1 in order,
+// each through HostJoin or HostLeave.
 func (n *Network) dispatchChurn(c *Churn, i, j int) {
-	run, g := c.evs[i:j], c.plan.Group
-	for i := 0; i < len(run); {
-		if run[i].join {
-			n.HostJoin(topology.NodeID(run[i].member), g)
-			i++
-			continue
+	g := c.plan.Group
+	for _, ev := range c.evs[i:j] {
+		if ev.join {
+			n.HostJoin(topology.NodeID(ev.member), g)
+		} else {
+			n.HostLeave(topology.NodeID(ev.member), g)
 		}
-		n.leaveBatch = n.leaveBatch[:0]
-		for i < len(run) && !run[i].join {
-			n.leaveBatch = append(n.leaveBatch, topology.NodeID(run[i].member))
-			i++
-		}
-		n.HostLeaveBatch(n.leaveBatch, g)
 	}
 }
 

@@ -339,3 +339,34 @@ func TestChurnReinstallReusesStorage(t *testing.T) {
 		t.Fatalf("%d churn lanes for back-to-back installs, want 1", len(n.churnLanes))
 	}
 }
+
+// dispatchChurn must fire a tick's flips one by one, in run order, each
+// through HostJoin or HostLeave, and leave ground truth matching them.
+func TestDispatchChurnTickCoalescing(t *testing.T) {
+	p := &churnRec{}
+	n := New(lineGraph(8), p)
+	for _, v := range []topology.NodeID{1, 2, 3, 4, 5} {
+		n.HostJoin(v, 7)
+	}
+	p.log = nil
+	run := []churnEvent{
+		{member: 1, join: false},
+		{member: 2, join: false},
+		{member: 6, join: true},
+		{member: 3, join: false},
+		{member: 4, join: false},
+		{member: 5, join: false},
+	}
+	n.dispatchChurn(&Churn{plan: ChurnPlan{Group: 7}, evs: run}, 0, len(run))
+	wantLog := []churnEv{
+		{false, 1, 0}, {false, 2, 0},
+		{true, 6, 0},
+		{false, 3, 0}, {false, 4, 0}, {false, 5, 0},
+	}
+	if !slices.Equal(p.log, wantLog) {
+		t.Fatalf("dispatch order %v, want %v", p.log, wantLog)
+	}
+	if got := n.Members(7); !slices.Equal(got, []topology.NodeID{6}) {
+		t.Fatalf("ground truth after tick: %v, want [6]", got)
+	}
+}

@@ -183,7 +183,6 @@ type Network struct {
 	// on; a drained one, and its schedule's storage, is reused by the
 	// next install.
 	churnLanes []churnLane
-	leaveBatch []topology.NodeID // dispatchChurn's scratch
 
 	faults *Faults
 }
@@ -489,41 +488,6 @@ func (n *Network) HostLeave(node topology.NodeID, g packet.GroupID) {
 		m.Clear(node)
 	}
 	n.Proto.HostLeave(node, g)
-}
-
-// BatchLeaver is an optional Protocol extension: a protocol that can
-// retire several same-instant member-host leave edges in one pass (for
-// SCMP's m-router that means one shared tree prune instead of per-leave
-// prune cascades) implements it to receive coalesced leave batches from
-// HostLeaveBatch. The batch must be equivalent to dispatching the
-// leaves sequentially — within one simulated instant the order is
-// unobservable, only the resulting membership set matters.
-type BatchLeaver interface {
-	HostLeaveBatch(nodes []topology.NodeID, g packet.GroupID)
-}
-
-// HostLeaveBatch removes several member-host edges at one simulated
-// instant. Ground truth is cleared for the whole batch first, then the
-// protocol gets one BatchLeaver call when it implements the extension
-// and a sequential HostLeave dispatch when it does not. The nodes slice
-// is only valid for the duration of the call.
-func (n *Network) HostLeaveBatch(nodes []topology.NodeID, g packet.GroupID) {
-	if len(nodes) == 1 {
-		n.HostLeave(nodes[0], g)
-		return
-	}
-	if m := n.members[g]; m != nil {
-		for _, v := range nodes {
-			m.Clear(v)
-		}
-	}
-	if bl, ok := n.Proto.(BatchLeaver); ok {
-		bl.HostLeaveBatch(nodes, g)
-		return
-	}
-	for _, v := range nodes {
-		n.Proto.HostLeave(v, g)
-	}
 }
 
 // Members returns the ground-truth member routers of g, sorted.

@@ -31,8 +31,9 @@
 // and `at T node-up N` schedule topology faults (installing an empty
 // plan on first use if `faults` was not given). The scmp protocol
 // accepts ack=T (reliable JOIN/LEAVE ACK timeout), retries=N and
-// refresh=T (soft-state tree refresh interval); `run` quiesces those
-// periodic timers after its deadline so the clock drains.
+// refresh=T (soft-state tree refresh interval); `run` quiesces SCMP
+// after its deadline, so operations still queued then complete without
+// re-arming those periodic timers and the clock drains.
 //
 // Generated membership churn: `churn <group> <rate> <dist> <duration>
 // members=a,b,c` (after `protocol`) installs a seeded flap schedule —
@@ -332,7 +333,7 @@ func (st *state) dispatch(c command) error {
 			}
 			st.net.RunUntil(des.Time(t))
 		}
-		// Periodic soft-state timers re-arm forever; cancel them so the
+		// Periodic soft-state timers re-arm forever; quiesce them so the
 		// drain below terminates (a no-op unless refresh/ack are set).
 		if st.scmp != nil {
 			st.scmp.Quiesce()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 func parse(t *testing.T, src string) *Script {
@@ -248,6 +249,38 @@ print metrics
 `)
 	if !strings.Contains(out, "ctrl_drops=") || strings.Contains(out, "ctrl_drops=0 ") {
 		t.Fatalf("total loss window left no control drops: %q", out)
+	}
+}
+
+// TestScriptRunDrainsServiceBacklog: churn far above the m-router's
+// service rate leaves about a minute of queued operations at the run
+// deadline. The run's Quiesce must keep the operations completing
+// after it from re-arming refresh, so the drain returns.
+func TestScriptRunDrainsServiceBacklog(t *testing.T) {
+	script := parse(t, `
+topology random n=30 degree=3 seed=9
+scale-delays 0.001
+protocol scmp mrouter=0 kappa=1.5 ack=0.05 retries=8 refresh=1 service=0.05 procs=1
+churn 1 400 poisson 3 members=5,9,14,17,22,26 seed=7
+at 0.0 join 3
+run 4
+print churn
+`)
+	done := make(chan string, 1)
+	go func() {
+		var buf bytes.Buffer
+		if err := script.Run(&buf); err != nil {
+			buf.WriteString(err.Error())
+		}
+		done <- buf.String()
+	}()
+	select {
+	case out := <-done:
+		if !strings.Contains(out, "churn group 1: dist=poisson rate=400 events=1168") {
+			t.Fatalf("output: %q", out)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("run did not return: the drain after Quiesce never ends")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // Routing-engine benchmarks (the perf gate for the CSR/4-ary-heap
 // rewrite). Run with allocation counting via:
 //
-//	make bench-routing
+//	go test -bench 'Shortest|AllPairs|NextHopTable' -benchmem -run '^$' ./internal/topology/
 //
 // BenchmarkShortest compares the preserved container/heap reference
 // against the fast engine, fresh-allocating and buffer-reusing;
