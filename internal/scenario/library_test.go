@@ -2,13 +2,19 @@ package scenario
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/<name>.golden from the library's current output")
+
 // TestScenarioLibrary runs every shipped scenario script end to end;
-// each must parse, run, and satisfy its own "expect delivered" checks.
+// each must parse, run, satisfy its own "expect delivered" checks and
+// print exactly testdata/<name>.golden. Regenerate the goldens
+// deliberately with `go test ./internal/scenario -run ScenarioLibrary -update`.
 func TestScenarioLibrary(t *testing.T) {
 	dir := filepath.Join("..", "..", "scenarios")
 	entries, err := os.ReadDir(dir)
@@ -34,6 +40,19 @@ func TestScenarioLibrary(t *testing.T) {
 			var buf bytes.Buffer
 			if err := script.Run(&buf); err != nil {
 				t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
+			}
+			golden := filepath.Join("testdata", strings.TrimSuffix(e.Name(), ".scn")+".golden")
+			if *update {
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, buf.Bytes(), want)
 			}
 		})
 	}
