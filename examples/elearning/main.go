@@ -70,28 +70,24 @@ func main() {
 		net := netsim.New(g, proto)
 
 		// Students trickle in over the first 10 s; a third leave at 40 s.
+		var steps []netsim.Step
 		for i, s := range students {
-			s := s
-			net.Sched.At(des.Time(float64(i)*0.8), func() { net.HostJoin(s, group) })
+			steps = append(steps, netsim.Step{At: des.Time(float64(i) * 0.8), Node: int32(s), Group: group, Kind: netsim.Join})
 		}
 		for i, s := range students {
 			if i%3 == 0 {
-				s := s
-				net.Sched.At(40, func() { net.HostLeave(s, group) })
+				steps = append(steps, netsim.Step{At: 40, Node: int32(s), Group: group, Kind: netsim.Leave})
 			}
 		}
-		var seqs []uint64
 		for t := 1.0; t <= lectureS; t++ {
-			t := t
-			net.Sched.At(des.Time(t), func() {
-				seqs = append(seqs, net.SendData(lecturer, group, packet.DefaultDataSize))
-			})
+			steps = append(steps, netsim.Step{At: des.Time(t), Node: int32(lecturer), Arg: packet.DefaultDataSize, Group: group, Kind: netsim.Send})
 		}
+		sc := net.InstallScript(steps)
 		net.RunUntil(des.Time(lectureS))
 		net.Run()
 
 		missed := 0
-		for _, seq := range seqs {
+		for _, seq := range sc.Sent() {
 			missing, _ := net.CheckDelivery(seq)
 			missed += len(missing)
 		}

@@ -43,30 +43,31 @@ func main() {
 	})
 	net := netsim.New(g, scmp)
 
+	// The script: members join half a second apart, a source sends one
+	// packet a second, and at t=10 the primary m-router fails.
 	members := []topology.NodeID{5, 9, 14, 20, 25}
+	var steps []netsim.Step
 	for i, m := range members {
-		m := m
-		net.Sched.At(des.Time(float64(i)*0.5), func() { net.HostJoin(m, group) })
+		steps = append(steps, netsim.Step{At: des.Time(float64(i) * 0.5), Node: int32(m), Group: group, Kind: netsim.Join})
 	}
-	source := topology.NodeID(7)
+	source := int32(7)
+	for t := 1.0; t <= 20; t++ {
+		steps = append(steps, netsim.Step{At: des.Time(t), Node: source, Arg: packet.DefaultDataSize, Group: group, Kind: netsim.Send})
+	}
+	steps = append(steps, netsim.Step{At: 10, Kind: netsim.Failover})
+	sc := net.InstallScript(steps)
+	fmt.Printf("t=10.0  PRIMARY m-router (node %d) fails; standby (node %d) takes over\n",
+		scmp.MRouter(), 2)
+
+	// Check each packet half a second after its send, once it has
+	// propagated.
 	missed, delivered := 0, 0
 	for t := 1.0; t <= 20; t++ {
-		t := t
-		net.Sched.At(des.Time(t), func() {
-			seq := net.SendData(source, group, packet.DefaultDataSize)
-			net.Sched.After(0.5, func() { // check after propagation
-				missing, _ := net.CheckDelivery(seq)
-				missed += len(missing)
-				delivered++
-			})
-		})
+		net.RunUntil(des.Time(t + 0.5))
+		missing, _ := net.CheckDelivery(sc.Sent()[delivered])
+		missed += len(missing)
+		delivered++
 	}
-	// Disaster at t=10: the primary m-router fails.
-	net.Sched.At(10, func() {
-		fmt.Printf("t=10.0  PRIMARY m-router (node %d) fails; standby (node %d) takes over\n",
-			scmp.MRouter(), 2)
-		scmp.Failover()
-	})
 	net.RunUntil(25)
 	net.Run()
 

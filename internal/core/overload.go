@@ -28,7 +28,7 @@ func (s *SCMP) admitJoin(home topology.NodeID, g packet.GroupID, member topology
 	if s.cfg.AdmitLimit <= 0 || s.service.backlog() < s.cfg.AdmitLimit {
 		return true
 	}
-	s.net.NoteShed(home)
+	s.net.Metrics.OnShed()
 	if seq == 0 {
 		return false
 	}
@@ -79,7 +79,7 @@ func (s *SCMP) handleNack(node topology.NodeID, pkt *netsim.Packet) {
 // the ladder in the same slot (tPark), so the lineage carries over.
 func (s *SCMP) park(i int32) {
 	r := &s.reqs[i]
-	s.net.NotePark(s.noteNode(r.key))
+	s.net.Metrics.OnPark()
 	wait := des.Time(s.cfg.RefreshInterval)
 	if wait <= 0 {
 		wait = s.backoff(r.attempt + 1)

@@ -94,7 +94,8 @@ func TestQuiesceRunTerminates(t *testing.T) {
 		MRouter: 0, ServiceTime: 10, Processors: 1,
 		AckTimeout: 5, RetryBudget: 2, RefreshInterval: 3, Standby: 5,
 	})
-	n.InstallFaults(netsim.FaultPlan{}).ScheduleNodeDown(0, 5)
+	n.InstallFaults(netsim.FaultPlan{})
+	n.InstallScript([]netsim.Step{{At: 0, Node: 5, Kind: netsim.NodeDown}})
 	for _, m := range []topology.NodeID{1, 2, 3, 4} {
 		n.HostJoin(m, grp)
 	}

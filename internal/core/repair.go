@@ -40,15 +40,6 @@ const replSlot topology.NodeID = -2
 // stream (primary → standby snapshots).
 func replKey(g packet.GroupID) pendingKey { return pendingKey{node: replSlot, g: g} }
 
-// noteNode maps a slot to the node its park/recover metrics are charged
-// to: the requester, or the primary for the synthetic replication slot.
-func (s *SCMP) noteNode(key pendingKey) topology.NodeID {
-	if key.node >= 0 {
-		return key.node
-	}
-	return s.homes[0]
-}
-
 // reqSlot is one (requester, group)'s outstanding reliable request. It
 // is either on its retry ladder — timer is the next backoff step — or,
 // once a retry budget is spent, parked: timer is the single deferred
@@ -352,7 +343,7 @@ func (s *SCMP) handleAck(node topology.NodeID, pkt *netsim.Packet) {
 	wasParked, kind := s.reqs[i].wasParked, s.reqs[i].kind
 	s.releaseReq(i)
 	if wasParked {
-		s.net.NoteParkRecover(s.noteNode(key))
+		s.net.Metrics.OnParkRecover()
 	}
 	if kind == packet.Replicate {
 		s.flushAckQueue(key.g)
@@ -387,7 +378,7 @@ func (s *SCMP) refreshGroup(g packet.GroupID, gs *groupState) {
 		// interval, so the distribution that accompanied the change
 		// already reconverged any diverged router — this tick would be
 		// a redundant TREE storm. Skip it but keep the timer alive.
-		s.net.NoteRefreshSkip(s.home(g))
+		s.net.Metrics.OnRefreshSkip()
 		s.armRefresh(g, gs)
 		return
 	}

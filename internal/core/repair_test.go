@@ -202,7 +202,7 @@ func TestRefreshStopsWhenGroupEmpties(t *testing.T) {
 
 func TestNodeCrashAndRestartRecovers(t *testing.T) {
 	n, s := newNet(meshGraph(), Config{MRouter: 0, AckTimeout: 5, RefreshInterval: 50})
-	f := n.InstallFaults(netsim.FaultPlan{})
+	n.InstallFaults(netsim.FaultPlan{})
 	n.HostJoin(2, grp)
 	n.HostJoin(4, grp)
 	n.RunUntil(50)
@@ -212,7 +212,7 @@ func TestNodeCrashAndRestartRecovers(t *testing.T) {
 	// Member router 2's own crash: while down it cannot receive (it is
 	// still a ground-truth member, so the probe reports it missing) —
 	// and member 4, whose branch ran 0-1-2-3-4, must be re-homed.
-	f.ScheduleNodeDown(100, 2)
+	n.InstallScript([]netsim.Step{{At: 100, Node: 2, Kind: netsim.NodeDown}})
 	n.RunUntil(150)
 	s.Quiesce()
 	n.Run()
@@ -223,7 +223,7 @@ func TestNodeCrashAndRestartRecovers(t *testing.T) {
 
 	// Restart: ground truth re-reports its membership, the DR re-joins,
 	// and the next probe is clean again.
-	f.ScheduleNodeUp(300, 2)
+	n.InstallScript([]netsim.Step{{At: 300, Node: 2, Kind: netsim.NodeUp}})
 	n.RunUntil(400)
 	s.Quiesce()
 	n.Run()

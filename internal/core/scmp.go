@@ -574,7 +574,7 @@ func (s *SCMP) mrouterJoin(member topology.NodeID, g packet.GroupID) {
 	}
 	res := gs.dcdm.Join(member)
 	if res.Restructured {
-		s.net.NoteRestructure(s.home(g))
+		s.net.Metrics.OnRestructure()
 	}
 	s.syncMRouterEntry(g, gs)
 	if res.AlreadyOn {

@@ -13,20 +13,18 @@
 // buckets, keyed by the highest bit in which an entry's time differs
 // from the mark, for the later ones, so far-future timers stay out of
 // the per-event sift. No container/heap interface boxing, no per-event
-// garbage. Callers that would otherwise capture a closure per event (the
-// packet-forwarding hot path) can use the typed sink path (SetSink /
-// AtSink), which carries a small fixed argument tuple instead of a func
-// value; At/After remain as the general-purpose closure API. A closure
-// only fires: At and After return no handle and cannot be cancelled. A
-// stream of sink events whose times never decrease (the packets in
-// flight on one link) can queue on a FIFO lane (NewLanes / LaneSink):
-// only the lane's head is queued, so the queue holds one entry per busy
-// link instead of one per packet. The one cancellable event is a timer
-// (AtTimer / Stop), a typed event for a sink of the caller's choosing:
-// the protocol control plane arms its retransmission, refresh and
-// service-completion deadlines this way, behind a value handle, so
-// arming one allocates nothing. See DESIGN.md §10 for the free-list
-// safety, queue and lane ordering arguments.
+// garbage. Every event is typed. A sink event (SetSink / AtSink)
+// carries a small fixed argument tuple to the scheduler's one sink
+// instead of a func value, and returns no handle. A stream of sink
+// events whose times never decrease (the packets in flight on one link,
+// a script of timed inputs) can queue on a FIFO lane (NewLanes /
+// LaneSink): only the lane's head is queued, so the queue holds one
+// entry per busy link instead of one per packet. The one cancellable
+// event is a timer (AtTimer / Stop), a typed event for a sink of the
+// caller's choosing: the protocol control plane arms its
+// retransmission, refresh and service-completion deadlines this way,
+// behind a value handle, so arming one allocates nothing. See DESIGN.md
+// §10 for the free-list safety, queue and lane ordering arguments.
 package des
 
 import (
@@ -60,11 +58,11 @@ type Timer struct {
 // invariants build tag) proving the queue never dispatches a stale slot.
 // A lane event (kLane) also keeps its own (time, seq) key, its lane and
 // the slot after it on that lane, since only the lane's head has a queue
-// entry. 64 bytes.
+// entry. 56 bytes.
 type node struct {
 	gen  uint32
 	dead bool
-	kind uint8 // kClosure, kSink, kLane or kTimer
+	kind uint8 // kSink, kLane or kTimer
 	op   uint8
 	flag bool
 	a, b int32
@@ -72,13 +70,11 @@ type node struct {
 	next int32 // kLane: the next event's slot + 1 on the lane, 0 at the tail
 	at   Time  // kLane
 	seq  uint64
-	fn   func()
 	p    any // kTimer: the Sink the timer fires into
 }
 
 const (
-	kClosure uint8 = iota
-	kSink
+	kSink uint8 = iota
 	kLane
 	kTimer
 )
@@ -181,7 +177,6 @@ func (s *Scheduler) recycle(slot int32) {
 	nd := &s.slab[slot]
 	nd.gen++
 	nd.dead = false
-	nd.fn = nil
 	nd.p = nil
 	s.free = append(s.free, slot)
 }
@@ -193,28 +188,19 @@ func (s *Scheduler) push(t Time, slot int32) {
 	s.insert(e)
 }
 
-// At schedules fn to run at absolute simulated time t. Scheduling in the
-// past (t < Now) panics: it would violate causality. So does a NaN time,
-// which has no place in the (time, seq) order. A closure cannot be
-// cancelled; a deadline that may be called off is a timer (AtTimer).
-func (s *Scheduler) At(t Time, fn func()) {
-	if !(t >= s.now) {
-		panic("des: event scheduled in the past")
-	}
-	slot := s.alloc()
-	nd := &s.slab[slot]
-	nd.kind = kClosure
-	nd.fn = fn
-	s.push(t, slot)
-}
+// At schedules fn to run at absolute simulated time t. It arms a timer
+// whose sink calls fn, so it orders, and panics on a past or NaN time,
+// exactly as AtTimer does; it returns no handle, so it cannot be
+// cancelled.
+//
+// Deprecated: compile shim for bench/, which is frozen outside benchmark
+// PRs; the next benchmark PR moves it onto typed events and deletes At.
+func (s *Scheduler) At(t Time, fn func()) { s.AtTimer(t, closure(fn), 0, 0, 0) }
 
-// After schedules fn to run d seconds from now.
-func (s *Scheduler) After(d Time, fn func()) {
-	if !(d >= 0) {
-		panic("des: negative delay")
-	}
-	s.At(s.now+d, fn)
-}
+// closure is the Sink At's timers fire into.
+type closure func()
+
+func (f closure) SinkEvent(uint8, int32, int32, any, bool) { f() }
 
 // AtSink schedules a typed event for the installed sink at absolute
 // time t. It is the closure-free fast path: the argument tuple is
@@ -238,9 +224,7 @@ func (s *Scheduler) AtSink(t Time, op uint8, a, b int32, p any, flag bool) {
 // Stop cancels it first, k.SinkEvent(op, a, b, nil, false) runs then.
 // k, op, a and b live in the pooled slot and the handle is a value, so
 // arming a timer allocates nothing (k is stored, not boxed: it already is
-// an interface). Timers order with every other event by (time, seq) —
-// arming one is observably the same as At with a closure making the
-// same call.
+// an interface). Timers order with every other event by (time, seq).
 //
 //scmplint:hotpath
 func (s *Scheduler) AtTimer(t Time, k Sink, op uint8, a, b int32) Timer {
@@ -389,12 +373,6 @@ func (s *Scheduler) Step() bool {
 		// dominant pattern in chained forwarding) or run nested Steps.
 		// The generation bump also means a timer's own Stop (or Armed)
 		// from inside its callback sees it already fired.
-		if nd.kind == kClosure {
-			fn := nd.fn
-			s.recycle(e.slot)
-			fn()
-			return true
-		}
 		kind, op, a, b, p, flag := nd.kind, nd.op, nd.a, nd.b, nd.p, nd.flag
 		s.recycle(e.slot)
 		if kind == kTimer {

@@ -11,7 +11,7 @@ import (
 func TestZeroValueReady(t *testing.T) {
 	var s Scheduler
 	ran := false
-	s.After(1, func() { ran = true })
+	s.At(s.Now()+1, func() { ran = true })
 	s.Run()
 	if !ran {
 		t.Fatal("event did not run")
@@ -74,7 +74,7 @@ func TestNestedScheduling(t *testing.T) {
 	var got []Time
 	s.At(1, func() {
 		got = append(got, s.Now())
-		s.After(2, func() { got = append(got, s.Now()) })
+		s.At(s.Now()+2, func() { got = append(got, s.Now()) })
 	})
 	s.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
@@ -101,7 +101,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("expected panic on negative delay")
 		}
 	}()
-	s.After(-1, func() {})
+	s.AtTimer(s.Now()-1, nopSink(), 0, 0, 0)
 }
 
 func TestRunUntil(t *testing.T) {
@@ -206,11 +206,11 @@ func TestPropertyDeterminism(t *testing.T) {
 			}
 			n := rng.Intn(3)
 			for i := 0; i < n; i++ {
-				s.After(Time(rng.Float64()), func() { spawn(depth + 1) })
+				s.At(s.Now()+Time(rng.Float64()), func() { spawn(depth + 1) })
 			}
 		}
 		for i := 0; i < 5; i++ {
-			s.After(Time(rng.Float64()), func() { spawn(0) })
+			s.At(s.Now()+Time(rng.Float64()), func() { spawn(0) })
 		}
 		s.Run()
 		return trace
@@ -232,7 +232,7 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	s := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.After(1, func() {})
+		s.At(s.Now()+1, func() {})
 		s.Step()
 	}
 }
@@ -306,10 +306,10 @@ func TestCancelledInsideOwnCallback(t *testing.T) {
 func TestSlabBoundedByPeakQueue(t *testing.T) {
 	s := New()
 	for i := 0; i < 10; i++ {
-		s.After(1, func() {})
+		s.At(s.Now()+1, func() {})
 	}
 	for i := 0; i < 10_000; i++ {
-		s.After(1, func() {})
+		s.At(s.Now()+1, func() {})
 		s.Step()
 	}
 	s.Run()
@@ -458,7 +458,7 @@ func TestRefEquivalence(t *testing.T) {
 					continue
 				}
 				if rng.Intn(2) == 0 {
-					s.After(delay(), func() { spawn(id, depth+1) })
+					s.At(s.Now()+delay(), func() { spawn(id, depth+1) })
 					continue
 				}
 				timers = append(timers, s.AtTimer(s.Now()+delay(), sink, 0, int32(id), int32(depth+1)))
@@ -468,7 +468,7 @@ func TestRefEquivalence(t *testing.T) {
 			}
 		}
 		for i := 0; i < 8; i++ {
-			s.After(Time(rng.Float64()), func() { spawn(-1-i, 0) })
+			s.At(s.Now()+Time(rng.Float64()), func() { spawn(-1-i, 0) })
 		}
 		for w := 0; s.Pending() > 0; w++ {
 			if w%3 == 2 {

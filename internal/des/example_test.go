@@ -10,7 +10,7 @@ func ExampleScheduler() {
 	s := des.New()
 	s.At(2, func() { fmt.Println("world at", s.Now()) })
 	s.At(1, func() { fmt.Println("hello at", s.Now()) })
-	s.After(3, func() { fmt.Println("done at", s.Now()) })
+	s.At(s.Now()+3, func() { fmt.Println("done at", s.Now()) })
 	s.Run()
 	// Output:
 	// hello at 1

@@ -74,7 +74,6 @@ func TestNaNTimePanics(t *testing.T) {
 		push func(s scheduler, l Lane)
 	}{
 		{"At", func(s scheduler, _ Lane) { s.At(nan, func() {}) }},
-		{"After", func(s scheduler, _ Lane) { s.After(nan, func() {}) }},
 		{"AtSink", func(s scheduler, _ Lane) { s.AtSink(nan, 0, 0, 0, nil, false) }},
 		{"LaneSink empty lane", func(s scheduler, l Lane) { s.LaneSink(l, nan, 0, 0, 0, nil, false) }},
 		{"LaneSink behind a head", func(s scheduler, l Lane) {

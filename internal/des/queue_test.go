@@ -11,10 +11,10 @@ import (
 func TestQueuePoolBoundedByPeak(t *testing.T) {
 	s := New()
 	for i := 0; i < 10; i++ {
-		s.After(1, func() {})
+		s.At(s.Now()+1, func() {})
 	}
 	for i := 0; i < 10_000; i++ {
-		s.After(1, func() {})
+		s.At(s.Now()+1, func() {})
 		s.Step()
 	}
 	s.Run()

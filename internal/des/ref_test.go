@@ -79,13 +79,6 @@ func (r *refScheduler) push(t Time, fn func()) *refEvent {
 
 func (r *refScheduler) At(t Time, fn func()) { r.push(t, fn) }
 
-func (r *refScheduler) After(d Time, fn func()) {
-	if !(d >= 0) {
-		panic("des: negative delay")
-	}
-	r.At(r.now+d, fn)
-}
-
 // AtSink captures the tuple in a closure: the allocation profile the
 // pooled slots exist to avoid.
 func (r *refScheduler) AtSink(t Time, op uint8, a, b int32, p any, flag bool) {
@@ -151,7 +144,6 @@ type scheduler interface {
 	SetSink(Sink)
 	NewLanes(k int) Lane
 	At(t Time, fn func())
-	After(d Time, fn func())
 	AtSink(t Time, op uint8, a, b int32, p any, flag bool)
 	LaneSink(l Lane, t Time, op uint8, a, b int32, p any, flag bool)
 	AtTimer(t Time, k Sink, op uint8, a, b int32) handle

@@ -124,3 +124,20 @@ func TestTimerAllocFreeAndGuarded(t *testing.T) {
 		}()
 	}
 }
+
+// At is a timer whose sink calls the closure: arming and firing one
+// allocates nothing beyond the closure itself.
+func TestAtRidesATimer(t *testing.T) {
+	s := New()
+	fired := 0
+	fn := func() { fired++ }
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.At(s.Now()+1, fn)
+		s.Run()
+	}); allocs != 0 {
+		t.Fatalf("At + Run allocates %v per call, want 0", allocs)
+	}
+	if fired != 101 || s.Now() != 101 || len(s.slab) != 1 {
+		t.Fatalf("fired %d closures by %v on %d slots, want 101 by 101 on 1", fired, s.Now(), len(s.slab))
+	}
+}

@@ -188,30 +188,31 @@ func runChurnRun(art *fig89Artifact, cfg ChurnConfig,
 		Seed:        int64(seed)*31 + 7,
 	})
 
-	// Backlog sampler: the peak pending-operation queue, every 0.1s
-	// through the churn window and one settle second of drain.
-	maxBacklog := 0
-	for i := 0; float64(i)*0.1 <= cfg.Duration+1; i++ {
-		n.Sched.At(des.Time(float64(i)*0.1), func() {
-			if b := s.ControlBacklog(); b > maxBacklog {
-				maxBacklog = b
+	// Samplers, read between RunUntil slices: the peak pending-operation
+	// queue every 0.1 s through the churn window and one settle second
+	// of drain, and every 0.5 s during churn the tree's cost against a
+	// full rebuild over the same members. A backlog sample goes first
+	// when the two fall at one instant.
+	maxBacklog, driftSum, driftN := 0, 0.0, 0
+	for b, d := 0, 1; ; {
+		tb, td := float64(b)*0.1, float64(d)*0.5
+		backlog, drift := tb <= cfg.Duration+1, td <= cfg.Duration
+		if backlog && (tb <= td || !drift) {
+			n.RunUntil(des.Time(tb))
+			maxBacklog = max(maxBacklog, s.ControlBacklog())
+			b++
+		} else if drift {
+			n.RunUntil(des.Time(td))
+			if tr := s.GroupTree(churnGroup); tr != nil && tr.MemberCount() > 0 {
+				if base := rebuildCost(art, n, tr.Members()); base > 0 {
+					driftSum += tr.Cost() / base
+					driftN++
+				}
 			}
-		})
-	}
-	// Drift sampler: every 0.5s during churn, current tree cost vs a
-	// full rebuild over the same members.
-	driftSum, driftN := 0.0, 0
-	for i := 1; float64(i)*0.5 <= cfg.Duration; i++ {
-		n.Sched.At(des.Time(float64(i)*0.5), func() {
-			tr := s.GroupTree(churnGroup)
-			if tr == nil || tr.MemberCount() == 0 {
-				return
-			}
-			if base := rebuildCost(art, n, tr.Members()); base > 0 {
-				driftSum += tr.Cost() / base
-				driftN++
-			}
-		})
+			d++
+		} else {
+			break
+		}
 	}
 
 	n.RunUntil(des.Time(cfg.Duration + cfg.Settle))

@@ -153,29 +153,16 @@ func runFaultsLossRun(art *fig89Artifact, cfg FaultsConfig,
 		LossUntil:   lossUntil,
 		Seed:        int64(seed)*31 + 7,
 	})
-	for i, m := range members {
-		m := m
-		n.Sched.At(des.Time(float64(i)*0.01), func() { n.HostJoin(m, faultsGroup) })
-	}
-	var seqs []uint64
-	for _, t := range sendTimes(float64(lossUntil), cfg.DataRate) {
-		n.Sched.At(des.Time(t), func() {
-			seqs = append(seqs, n.SendData(art.center, faultsGroup, packet.DefaultDataSize))
-		})
-	}
+	sc := n.InstallScript(studyScript(members, faultsGroup, art.center, sendTimes(float64(lossUntil), cfg.DataRate)))
 	n.RunUntil(des.Time(cfg.SimTime))
 	s.Quiesce()
 	n.Run()
 
-	undelivered := 0
-	for _, seq := range seqs {
-		missing, _ := n.CheckDelivery(seq)
-		undelivered += len(missing)
-	}
+	lost := undelivered(n, sc)
 	probe := n.SendData(art.center, faultsGroup, packet.DefaultDataSize)
 	n.Run()
 	missing, _ := n.CheckDelivery(probe)
-	return vals{float64(len(missing)), float64(undelivered),
+	return vals{float64(len(missing)), float64(lost),
 		float64(n.Metrics.DroppedControl()), float64(n.Metrics.Recoveries())}
 }
 
@@ -220,10 +207,7 @@ func runFaultsRecoveryRun(art *fig89Artifact, cfg FaultsConfig,
 	s := faultsCore(art.center, true)
 	n := netsim.New(art.g, s)
 	f := n.InstallFaults(netsim.FaultPlan{Seed: int64(seed)*31 + 7})
-	for i, m := range members {
-		m := m
-		n.Sched.At(des.Time(float64(i)*0.01), func() { n.HostJoin(m, faultsGroup) })
-	}
+	n.InstallScript(studyScript(members, faultsGroup, art.center, nil))
 	n.RunUntil(1) // every join settled, tree stable
 
 	u, v, ok := heaviestTreeEdge(s.GroupTree(faultsGroup))

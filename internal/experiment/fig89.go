@@ -107,25 +107,34 @@ func runOne(g *topology.Graph, protoName string, cfg Fig89Config,
 
 	// Members join over the first half second, then the group is stable
 	// for the data phase, matching the paper's static member sets.
-	for i, m := range members {
-		m := m
-		n.Sched.At(des.Time(float64(i)*0.01), func() { n.HostJoin(m, 1) })
-	}
-	var seqs []uint64
-	for _, t := range sendTimes(cfg.SimTime, cfg.DataRate) {
-		n.Sched.At(des.Time(t), func() {
-			seqs = append(seqs, n.SendData(source, 1, packet.DefaultDataSize))
-		})
-	}
+	sc := n.InstallScript(studyScript(members, 1, source, sendTimes(cfg.SimTime, cfg.DataRate)))
 	n.RunUntil(des.Time(cfg.SimTime))
 	n.Run() // drain in-flight packets
+	return n.Metrics.DataOverhead(), n.Metrics.ProtocolOverhead(), n.Metrics.MaxEndToEndDelay(), undelivered(n, sc)
+}
 
-	undelivered := 0
-	for _, seq := range seqs {
-		missing, _ := n.CheckDelivery(seq)
-		undelivered += len(missing)
+// studyScript returns the timed inputs of a study run: members join g
+// 0.01 s apart from t=0, and src sends one default-size data packet to
+// g at each of times.
+func studyScript(members []topology.NodeID, g packet.GroupID, src topology.NodeID, times []float64) []netsim.Step {
+	steps := make([]netsim.Step, 0, len(members)+len(times))
+	for i, m := range members {
+		steps = append(steps, netsim.Step{At: des.Time(float64(i) * 0.01), Node: int32(m), Group: g, Kind: netsim.Join})
 	}
-	return n.Metrics.DataOverhead(), n.Metrics.ProtocolOverhead(), n.Metrics.MaxEndToEndDelay(), undelivered
+	for _, t := range times {
+		steps = append(steps, netsim.Step{At: des.Time(t), Node: int32(src), Arg: packet.DefaultDataSize, Group: g, Kind: netsim.Send})
+	}
+	return steps
+}
+
+// undelivered counts the member deliveries sc's data packets missed.
+func undelivered(n *netsim.Network, sc *netsim.Script) int {
+	k := 0
+	for _, seq := range sc.Sent() {
+		missing, _ := n.CheckDelivery(seq)
+		k += len(missing)
+	}
+	return k
 }
 
 // sendTimes returns the data-phase send schedule: one packet every

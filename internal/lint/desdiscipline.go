@@ -12,9 +12,9 @@ import (
 // topology graph synchronously. A handler runs in the middle of event
 // dispatch; rewiring the graph there changes link lookups for packets
 // already in flight in an order-dependent way. Topology changes must be
-// scheduled as their own events (Scheduler.At/After closures are
-// therefore exempt): the scheduler serialises them against every other
-// event deterministically.
+// scheduled as their own events — a des timer, or a closure handed to
+// the deprecated Scheduler.At shim, which is therefore exempt: the
+// scheduler serialises them against every other event deterministically.
 var DESDiscipline = &Analyzer{
 	Name: "desdiscipline",
 	Doc:  "forbids synchronous topology mutation inside DES event handlers",
@@ -51,8 +51,8 @@ func checkHandlerBody(p *Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		if isSchedulerCall(p, call) {
-			// Closures handed to Scheduler.At/After run as their own
-			// events later — the sanctioned way to mutate topology.
+			// Closures handed to Scheduler.At run as their own events
+			// later, on a timer.
 			for _, arg := range call.Args {
 				if _, isLit := arg.(*ast.FuncLit); isLit {
 					return false
@@ -66,17 +66,17 @@ func checkHandlerBody(p *Pass, fn *ast.FuncDecl) {
 		}
 		if recvIsType(p, sel, "scmp/internal/topology", "Graph") {
 			p.Reportf(call.Pos(),
-				"event handler %s mutates the topology synchronously via %s; schedule the mutation as its own event (Scheduler.At/After)",
+				"event handler %s mutates the topology synchronously via %s; schedule the mutation as its own event (a des timer)",
 				fn.Name.Name, sel.Sel.Name)
 		}
 		return true
 	})
 }
 
-// isSchedulerCall reports whether call is des.Scheduler.At or .After.
+// isSchedulerCall reports whether call is des.Scheduler.At.
 func isSchedulerCall(p *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "At" && sel.Sel.Name != "After") {
+	if !ok || sel.Sel.Name != "At" {
 		return false
 	}
 	return recvIsType(p, sel, "scmp/internal/des", "Scheduler")

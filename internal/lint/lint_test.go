@@ -172,7 +172,7 @@ type P struct {
 	sc *des.Scheduler
 }
 func (p *P) HostJoin(node topology.NodeID, gid packet.GroupID) {
-	p.sc.After(1, func() { p.g.MustAddEdge(0, node, 1, 1) })
+	p.sc.At(p.sc.Now()+1, func() { p.g.MustAddEdge(0, node, 1, 1) })
 }`)
 	wantFindings(t, got)
 }

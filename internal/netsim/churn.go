@@ -99,8 +99,6 @@ type Churn struct {
 	joins   int
 	rejoins int
 	leaves  int
-
-	evs []churnEvent // the schedule in time order
 }
 
 // Plan returns the installed plan.
@@ -119,10 +117,10 @@ func (c *Churn) Rejoins() int { return c.rejoins }
 func (c *Churn) Leaves() int { return c.leaves }
 
 // InstallChurn pre-generates the plan's membership schedule and queues
-// it, in time order, on one scheduler lane: a drained lane an earlier
-// install used, or a new one. Each member's flips are generated in time
-// order into the lane's spare buffer, and the members' runs are merged
-// into the drained lane's spent schedule, so reinstalling reuses both.
+// it as a script of join and leave steps, in time order, on a drained
+// script lane (InstallScript). Each member's flips are generated in
+// time order into the lane's spare buffer, and the members' runs are
+// merged into the lane's spent script, so reinstalling reuses both.
 // The returned Churn reports the generated event mix. It panics with
 // Validate's error on a plan that breaks a rule.
 func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
@@ -142,13 +140,8 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	// E[gap] = xm*alpha/(alpha-1) = mean.
 	xm := mean * (alpha - 1) / alpha
 	end := plan.Start + plan.Duration
-	cl := n.churnLane()
-	var evs []churnEvent
-	if cl.last != nil {
-		evs, cl.last.evs = cl.last.evs[:0], nil
-	}
-	cl.last = c
-	gen, runs := cl.spare[:0], cl.runs[:0]
+	sl, steps := n.scriptLane()
+	gen, runs := sl.spare[:0], sl.runs[:0]
 	parent, r := rng.New(plan.Seed), rng.New(0)
 	for _, m := range plan.Members {
 		r.Seed(parent.Int63()) // the stream rng.Split(parent) would return, in a reused generator
@@ -167,7 +160,9 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 			}
 			on = !on
 			c.events++
+			kind := Leave
 			if on {
+				kind = Join
 				if joined {
 					c.rejoins++
 				} else {
@@ -177,24 +172,15 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 			} else {
 				c.leaves++
 			}
-			gen = append(gen, churnEvent{t: t, member: int32(m), join: on})
+			gen = append(gen, Step{At: des.Time(t), Node: int32(m), Group: plan.Group, Kind: kind})
 		}
 		if len(gen) > start {
 			runs = append(runs, churnRun{next: int32(start), end: int32(len(gen))})
 		}
 	}
-	evs = mergeChurnRuns(slices.Grow(evs, len(gen)), gen, runs)
-	cl.spare, cl.runs = gen, runs
-	c.evs = evs
-	for i := 0; i < len(evs); {
-		// Same-instant events collapse into one scheduler event.
-		j := i + 1
-		for j < len(evs) && evs[j].t == evs[i].t { //scmplint:ignore floatcmp — intentionally exact: only bit-identical timestamps may share a scheduler instant; near-ties must stay distinct events in time order
-			j++
-		}
-		n.Sched.LaneSink(cl.lane, des.Time(evs[i].t), opChurn, int32(i), int32(j), c, false)
-		i = j
-	}
+	steps = mergeChurnRuns(slices.Grow(steps, len(gen)), gen, runs)
+	sl.spare, sl.runs = gen, runs
+	n.queue(sl, &Script{steps: steps})
 	return c
 }
 
@@ -209,7 +195,7 @@ type churnRun struct{ next, end int32 }
 // (time, index in gen) order, so a binary heap of run heads, ties going
 // to the earlier index, merges them into the one order a sort on that
 // total key gives. runs is consumed.
-func mergeChurnRuns(dst, gen []churnEvent, runs []churnRun) []churnEvent {
+func mergeChurnRuns(dst, gen []Step, runs []churnRun) []Step {
 	for i := len(runs)/2 - 1; i >= 0; i-- {
 		siftChurnRun(gen, runs, i)
 	}
@@ -226,9 +212,9 @@ func mergeChurnRuns(dst, gen []churnEvent, runs []churnRun) []churnEvent {
 }
 
 // siftChurnRun restores the heap order of runs below i.
-func siftChurnRun(gen []churnEvent, runs []churnRun, i int) {
+func siftChurnRun(gen []Step, runs []churnRun, i int) {
 	less := func(a, b churnRun) bool {
-		x, y := gen[a.next].t, gen[b.next].t
+		x, y := gen[a.next].At, gen[b.next].At
 		return x < y || !(y < x) && a.next < b.next
 	}
 	for {
@@ -246,71 +232,3 @@ func siftChurnRun(gen []churnEvent, runs []churnRun, i int) {
 		i = c
 	}
 }
-
-// churnLane is one scheduler lane churn schedules queue on, with the
-// schedule installed on it last, and the spare buffer and run heap the
-// next install generates into.
-type churnLane struct {
-	lane  des.Lane
-	last  *Churn
-	spare []churnEvent
-	runs  []churnRun
-}
-
-// churnLane returns a drained churn lane, opening one when every lane
-// an earlier install used still has events queued.
-func (n *Network) churnLane() *churnLane {
-	for i := range n.churnLanes {
-		if cl := &n.churnLanes[i]; n.Sched.LaneEmpty(cl.lane) {
-			return cl
-		}
-	}
-	n.churnLanes = append(n.churnLanes, churnLane{lane: n.Sched.NewLanes(1)})
-	return &n.churnLanes[len(n.churnLanes)-1]
-}
-
-// churnEvent is one pre-generated membership flip: member joins (or
-// leaves) the group at simulated time t. 16 bytes (member is a
-// topology.NodeID): a churn lane keeps two buffers of them, the
-// schedule and the spare it is merged from.
-type churnEvent struct {
-	t      float64
-	member int32
-	join   bool
-}
-
-// dispatchChurn fires c's same-instant churn events i..j-1 in order,
-// each through HostJoin or HostLeave.
-func (n *Network) dispatchChurn(c *Churn, i, j int) {
-	g := c.plan.Group
-	for _, ev := range c.evs[i:j] {
-		if ev.join {
-			n.HostJoin(topology.NodeID(ev.member), g)
-		} else {
-			n.HostLeave(topology.NodeID(ev.member), g)
-		}
-	}
-}
-
-// --- Overload-protection metric taps ----------------------------------
-//
-// The protocol reports overload events through the network, naming the
-// router where the event happened, mirroring DropData.
-
-// NoteShed records a JOIN refused by admission control at router node.
-func (n *Network) NoteShed(node topology.NodeID) { n.Metrics.OnShed() }
-
-// NotePark records a request at router node exhausting its retry
-// budget and parking.
-func (n *Network) NotePark(node topology.NodeID) { n.Metrics.OnPark() }
-
-// NoteParkRecover records a parked request at router node recovering.
-func (n *Network) NoteParkRecover(node topology.NodeID) { n.Metrics.OnParkRecover() }
-
-// NoteRefreshSkip records a suppressed soft-state refresh at router
-// node (the m-router).
-func (n *Network) NoteRefreshSkip(node topology.NodeID) { n.Metrics.OnRefreshSkip() }
-
-// NoteRestructure records a tree restructuring computed at router node
-// (the m-router).
-func (n *Network) NoteRestructure(node topology.NodeID) { n.Metrics.OnRestructure() }

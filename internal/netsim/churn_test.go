@@ -210,7 +210,7 @@ func TestChurnLaneReuse(t *testing.T) {
 	n.Run()
 	installed = append(installed, n.InstallChurn(plan(4, 3, 7)))
 	n.Run()
-	if lanes := len(n.churnLanes); lanes != 3 {
+	if lanes := len(n.scriptLanes); lanes != 3 {
 		t.Fatalf("%d churn lanes after three overlapping installs and one after they drained, want 3", lanes)
 	}
 	want := 0
@@ -242,14 +242,14 @@ func TestChurnLaneReuse(t *testing.T) {
 // in descending id, on a grid of a few instants, so every instant ties
 // across members; the random ones add empty and uneven runs.
 func TestChurnMergeKeepsMemberMajorTies(t *testing.T) {
-	check := func(name string, gen []churnEvent, runs []churnRun) {
+	check := func(name string, gen []Step, runs []churnRun) {
 		t.Helper()
 		idx := make([]int, len(gen))
 		for i := range idx {
 			idx[i] = i
 		}
-		slices.SortFunc(idx, func(a, b int) int { return cmp.Or(cmp.Compare(gen[a].t, gen[b].t), cmp.Compare(a, b)) })
-		want := make([]churnEvent, len(gen))
+		slices.SortFunc(idx, func(a, b int) int { return cmp.Or(cmp.Compare(gen[a].At, gen[b].At), cmp.Compare(a, b)) })
+		want := make([]Step, len(gen))
 		for i, k := range idx {
 			want[i] = gen[k]
 		}
@@ -257,12 +257,12 @@ func TestChurnMergeKeepsMemberMajorTies(t *testing.T) {
 			t.Fatalf("%s: merged order differs from the sort:\n got %v\nwant %v", name, got, want)
 		}
 	}
-	var gen []churnEvent
+	var gen []Step
 	var runs []churnRun
 	for m := int32(7); m >= 0; m-- { // member-major, members in descending id
 		start := len(gen)
 		for k := 0; k < 8; k++ {
-			gen = append(gen, churnEvent{t: float64((int(m)%3+k)/2) * 0.25, member: m, join: k%2 == 0})
+			gen = append(gen, Step{At: des.Time((int(m)%3+k)/2) * 0.25, Node: m, Kind: Join + StepKind(k%2)})
 		}
 		runs = append(runs, churnRun{next: int32(start), end: int32(len(gen))})
 	}
@@ -274,7 +274,7 @@ func TestChurnMergeKeepsMemberMajorTies(t *testing.T) {
 			start, at := len(gen), 0.0
 			for k := rnd.Intn(10); k > 0; k-- {
 				at += float64(rnd.Intn(3)) * 0.125
-				gen = append(gen, churnEvent{t: at, member: m, join: k%2 == 0})
+				gen = append(gen, Step{At: des.Time(at), Node: m, Kind: Join + StepKind(k%2)})
 			}
 			if len(gen) > start {
 				runs = append(runs, churnRun{next: int32(start), end: int32(len(gen))})
@@ -335,13 +335,14 @@ func TestChurnReinstallReusesStorage(t *testing.T) {
 	if per > 32<<10 {
 		t.Fatalf("an install on a drained lane allocates %d bytes, budget %d", per, 32<<10)
 	}
-	if len(n.churnLanes) != 1 {
-		t.Fatalf("%d churn lanes for back-to-back installs, want 1", len(n.churnLanes))
+	if len(n.scriptLanes) != 1 {
+		t.Fatalf("%d churn lanes for back-to-back installs, want 1", len(n.scriptLanes))
 	}
 }
 
-// dispatchChurn must fire a tick's flips one by one, in run order, each
-// through HostJoin or HostLeave, and leave ground truth matching them.
+// Same-instant steps share one lane event, which must fire them one by
+// one, in script order, each through HostJoin or HostLeave, and leave
+// ground truth matching them.
 func TestDispatchChurnTickCoalescing(t *testing.T) {
 	p := &churnRec{}
 	n := New(lineGraph(8), p)
@@ -349,22 +350,25 @@ func TestDispatchChurnTickCoalescing(t *testing.T) {
 		n.HostJoin(v, 7)
 	}
 	p.log = nil
-	run := []churnEvent{
-		{member: 1, join: false},
-		{member: 2, join: false},
-		{member: 6, join: true},
-		{member: 3, join: false},
-		{member: 4, join: false},
-		{member: 5, join: false},
+	var tick []Step
+	for _, st := range []struct {
+		node int32
+		kind StepKind
+	}{{1, Leave}, {2, Leave}, {6, Join}, {3, Leave}, {4, Leave}, {5, Leave}} {
+		tick = append(tick, Step{At: 1, Node: st.node, Group: 7, Kind: st.kind})
 	}
-	n.dispatchChurn(&Churn{plan: ChurnPlan{Group: 7}, evs: run}, 0, len(run))
+	n.InstallScript(tick)
+	if n.Sched.Pending() != 1 {
+		t.Fatalf("%d steps at one instant queued %d lane events", len(tick), n.Sched.Pending())
+	}
+	n.Run()
 	wantLog := []churnEv{
-		{false, 1, 0}, {false, 2, 0},
-		{true, 6, 0},
-		{false, 3, 0}, {false, 4, 0}, {false, 5, 0},
+		{false, 1, 1}, {false, 2, 1},
+		{true, 6, 1},
+		{false, 3, 1}, {false, 4, 1}, {false, 5, 1},
 	}
-	if !slices.Equal(p.log, wantLog) {
-		t.Fatalf("dispatch order %v, want %v", p.log, wantLog)
+	if !slices.Equal(p.log, wantLog) || n.EventsFired() != 1 {
+		t.Fatalf("dispatch order %v in %d events, want %v in 1", p.log, n.EventsFired(), wantLog)
 	}
 	if got := n.Members(7); !slices.Equal(got, []topology.NodeID{6}) {
 		t.Fatalf("ground truth after tick: %v, want [6]", got)

@@ -1,15 +1,16 @@
 // Deterministic fault injection: the chaos layer the self-healing SCMP
-// control plane is hardened against. A FaultPlan describes per-class
-// packet loss and a schedule of link/node failures; Faults executes it
-// on the network's own DES clock. Every loss decision is a positional
-// draw — a stateless hash of (plan seed, directed link, per-link
-// crossing index) via rng.Hash01 — rather than a pull from one shared
-// sequential stream. With a sequential stream each draw depends on how
-// many draws happened before it anywhere in the run, so one extra
-// packet on one link would reshuffle the losses on every other link;
-// positional draws make a link's loss pattern independent of draw order
-// elsewhere, so an identically-seeded run replays the exact same faults
-// — packet for packet — regardless of host, parallelism or wall clock.
+// control plane is hardened against. Faults executes a FaultPlan's
+// per-class packet loss, and the link and node faults of the network's
+// scripts (script.go), on the network's own DES clock. Every loss
+// decision is a positional draw — a stateless hash of (plan seed,
+// directed link, per-link crossing index) via rng.Hash01 — rather than
+// a pull from one shared sequential stream. With a sequential stream
+// each draw depends on how many draws happened before it anywhere in
+// the run, so one extra packet on one link would reshuffle the losses
+// on every other link; positional draws make a link's loss pattern
+// independent of draw order elsewhere, so an identically-seeded run
+// replays the exact same faults — packet for packet — regardless of
+// host, parallelism or wall clock.
 package netsim
 
 import (
@@ -23,39 +24,9 @@ import (
 	"scmp/internal/topology"
 )
 
-// FaultKind enumerates scheduled fault events.
-type FaultKind int
-
-const (
-	LinkDown FaultKind = iota
-	LinkUp
-	NodeDown
-	NodeUp
-)
-
-var faultKindNames = map[FaultKind]string{
-	LinkDown: "LINK-DOWN", LinkUp: "LINK-UP",
-	NodeDown: "NODE-DOWN", NodeUp: "NODE-UP",
-}
-
-func (k FaultKind) String() string {
-	if s, ok := faultKindNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("FaultKind(%d)", int(k))
-}
-
-// FaultEvent is one scheduled topology fault. For link events U and V
-// are the endpoints; for node events U is the router and V is ignored.
-type FaultEvent struct {
-	At   des.Time
-	Kind FaultKind
-	U, V topology.NodeID
-}
-
 // FaultPlan parameterises a fault-injection run. The zero value injects
-// nothing (but still installs the machinery, so events can be scheduled
-// later via the Schedule* methods).
+// nothing (but still installs the machinery, so a script's fault steps
+// have a layer to act on).
 type FaultPlan struct {
 	// ControlLoss and DataLoss are per-link-crossing drop probabilities
 	// for control-class and data-class packets respectively. Zero
@@ -70,9 +41,6 @@ type FaultPlan struct {
 	// Seed keys the positional loss draws (rng.Hash01). Plans with equal
 	// seeds lose the same crossings of the same links.
 	Seed int64
-	// Events are scheduled at install time. Same-time events apply in
-	// slice order (the DES breaks time ties by insertion sequence).
-	Events []FaultEvent
 }
 
 // FaultListener is the optional Protocol extension through which a
@@ -87,7 +55,8 @@ type FaultListener interface {
 }
 
 // Faults injects a FaultPlan into a Network: random per-class packet
-// loss plus scheduled link and node failures, all on the DES clock.
+// loss, and the link and node failures of the network's scripts, all on
+// the DES clock.
 type Faults struct {
 	net       *Network
 	plan      FaultPlan
@@ -108,8 +77,7 @@ type Faults struct {
 
 // Validate reports the first rule the plan breaks, nil when it breaks
 // none: loss probabilities lie in [0, 1] and LossUntil is finite and
-// non-negative. Events are checked against the graph as they are
-// scheduled.
+// non-negative.
 func (p FaultPlan) Validate() error {
 	switch {
 	case !(p.ControlLoss >= 0 && p.ControlLoss <= 1):
@@ -122,10 +90,9 @@ func (p FaultPlan) Validate() error {
 	return nil
 }
 
-// InstallFaults attaches a fault plan to the network and schedules its
-// events. At most one plan per network; installing twice panics, and so
-// does a plan that breaks a Validate rule or has an event on a non-edge
-// or an out-of-range router.
+// InstallFaults attaches a fault plan to the network. At most one plan
+// per network; installing twice panics, and so does a plan that breaks
+// a Validate rule.
 func (n *Network) InstallFaults(plan FaultPlan) *Faults {
 	if n.faults != nil {
 		panic("netsim: faults installed twice")
@@ -143,52 +110,22 @@ func (n *Network) InstallFaults(plan FaultPlan) *Faults {
 	}
 	f.listener, _ = n.Proto.(FaultListener)
 	n.faults = f
-	for _, ev := range plan.Events {
-		f.schedule(ev)
-	}
 	return f
-}
-
-// schedule validates ev where it is offered (at fire time the arc mask
-// would turn a bad endpoint into a bad index) and queues it.
-func (f *Faults) schedule(ev FaultEvent) {
-	switch ev.Kind {
-	case LinkDown, LinkUp:
-		if !f.net.G.HasEdge(ev.U, ev.V) {
-			panic(fmt.Sprintf("netsim: fault on non-edge {%d,%d}", ev.U, ev.V))
-		}
-	case NodeDown, NodeUp:
-		if ev.U < 0 || int(ev.U) >= f.net.G.N() {
-			panic(fmt.Sprintf("netsim: fault on non-node %d", ev.U))
-		}
-	}
-	f.net.Sched.At(ev.At, func() { f.apply(ev) })
 }
 
 // Faults returns the installed fault layer, nil when none.
 func (n *Network) Faults() *Faults { return n.faults }
 
-// ScheduleLinkDown cuts the link {u,v} at simulated time at.
+// ScheduleLinkDown cuts the link {u,v} at simulated time at: a
+// one-step script (InstallScript).
 func (f *Faults) ScheduleLinkDown(at des.Time, u, v topology.NodeID) {
-	f.schedule(FaultEvent{At: at, Kind: LinkDown, U: u, V: v})
+	f.net.InstallScript([]Step{{At: at, Node: int32(u), Arg: int32(v), Kind: LinkDown}})
 }
 
-// ScheduleLinkUp restores the link {u,v} at simulated time at.
+// ScheduleLinkUp restores the link {u,v} at simulated time at: a
+// one-step script (InstallScript).
 func (f *Faults) ScheduleLinkUp(at des.Time, u, v topology.NodeID) {
-	f.schedule(FaultEvent{At: at, Kind: LinkUp, U: u, V: v})
-}
-
-// ScheduleNodeDown crashes router n at simulated time at.
-func (f *Faults) ScheduleNodeDown(at des.Time, n topology.NodeID) {
-	f.schedule(FaultEvent{At: at, Kind: NodeDown, U: n})
-}
-
-// ScheduleNodeUp restarts router n at simulated time at. The restarted
-// router has lost all protocol state; ground-truth member hosts on its
-// subnet re-report their memberships (the IGMP query cycle), driving a
-// fresh protocol join.
-func (f *Faults) ScheduleNodeUp(at des.Time, n topology.NodeID) {
-	f.schedule(FaultEvent{At: at, Kind: NodeUp, U: n})
+	f.net.InstallScript([]Step{{At: at, Node: int32(u), Arg: int32(v), Kind: LinkUp}})
 }
 
 // LinkIsDown reports whether {u,v} is unusable: scheduled down, or
@@ -234,31 +171,43 @@ func (f *Faults) loseArc(a int32, from, to topology.NodeID, kind packet.Kind) bo
 	return rng.Hash01(f.plan.Seed, lossPairKey(from, to), nth) < rate
 }
 
-// apply executes one fault event: update the down sets and the arc
+// apply executes one fault step: update the down sets and the arc
 // mask, reconverge the unicast substrate, then notify the protocol.
 // NodeUp additionally re-reports the router's ground-truth
-// memberships.
-func (f *Faults) apply(ev FaultEvent) {
-	switch ev.Kind {
+// memberships (the modelled IGMP query round after a DR reboot).
+func (f *Faults) apply(st Step) {
+	u, v := topology.NodeID(st.Node), topology.NodeID(st.Arg)
+	switch st.Kind {
 	case LinkDown, LinkUp:
-		cut := ev.Kind == LinkDown
-		f.cut[f.net.Arc(ev.U, ev.V)], f.cut[f.net.Arc(ev.V, ev.U)] = cut, cut
-		f.remask(ev.U, ev.V)
+		cut := st.Kind == LinkDown
+		f.cut[f.net.Arc(u, v)], f.cut[f.net.Arc(v, u)] = cut, cut
+		f.remask(u, v)
 	case NodeDown, NodeUp:
-		if ev.Kind == NodeDown {
-			f.downNodes[ev.U] = true
+		if st.Kind == NodeDown {
+			f.downNodes[u] = true
 		} else {
-			delete(f.downNodes, ev.U)
+			delete(f.downNodes, u)
 		}
-		lo, hi := f.net.csr.Row(ev.U)
+		lo, hi := f.net.csr.Row(u)
 		for a := lo; a < hi; a++ {
-			f.remask(ev.U, f.net.csr.ArcDst(a))
+			f.remask(u, f.net.csr.ArcDst(a))
 		}
 	}
 	f.net.RecomputeRoutes()
-	f.notify(ev)
-	if ev.Kind == NodeUp {
-		f.rereport(ev.U)
+	if l := f.listener; l != nil {
+		switch st.Kind {
+		case LinkDown:
+			l.LinkDown(u, v)
+		case LinkUp:
+			l.LinkUp(u, v)
+		case NodeDown:
+			l.NodeDown(u)
+		case NodeUp:
+			l.NodeUp(u)
+		}
+	}
+	if st.Kind == NodeUp {
+		f.rereport(u)
 	}
 }
 
@@ -269,22 +218,6 @@ func (f *Faults) remask(u, v topology.NodeID) {
 	d := f.LinkIsDown(u, v)
 	f.down[f.net.Arc(u, v)] = d
 	f.down[f.net.Arc(v, u)] = d
-}
-
-// notify hands the event to the protocol when it listens.
-func (f *Faults) notify(ev FaultEvent) {
-	if l := f.listener; l != nil {
-		switch ev.Kind {
-		case LinkDown:
-			l.LinkDown(ev.U, ev.V)
-		case LinkUp:
-			l.LinkUp(ev.U, ev.V)
-		case NodeDown:
-			l.NodeDown(ev.U)
-		case NodeUp:
-			l.NodeUp(ev.U)
-		}
-	}
 }
 
 // rereport replays the restarted router's ground-truth memberships into

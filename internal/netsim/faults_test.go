@@ -22,19 +22,26 @@ func ringGraph() *topology.Graph {
 }
 
 // faultRecorder logs fault notifications in arrival order.
-type faultRecorder struct{ events []FaultEvent }
+type faultRecorder struct{ events []Step }
 
 func (r *faultRecorder) LinkDown(u, v topology.NodeID) {
-	r.events = append(r.events, FaultEvent{Kind: LinkDown, U: u, V: v})
+	r.events = append(r.events, Step{Kind: LinkDown, Node: int32(u), Arg: int32(v)})
 }
 func (r *faultRecorder) LinkUp(u, v topology.NodeID) {
-	r.events = append(r.events, FaultEvent{Kind: LinkUp, U: u, V: v})
+	r.events = append(r.events, Step{Kind: LinkUp, Node: int32(u), Arg: int32(v)})
 }
 func (r *faultRecorder) NodeDown(n topology.NodeID) {
-	r.events = append(r.events, FaultEvent{Kind: NodeDown, U: n})
+	r.events = append(r.events, Step{Kind: NodeDown, Node: int32(n)})
 }
 func (r *faultRecorder) NodeUp(n topology.NodeID) {
-	r.events = append(r.events, FaultEvent{Kind: NodeUp, U: n})
+	r.events = append(r.events, Step{Kind: NodeUp, Node: int32(n)})
+}
+
+// withFaults installs an empty fault plan on n and a script of steps.
+func withFaults(n *Network, steps ...Step) *Faults {
+	f := n.InstallFaults(FaultPlan{})
+	n.InstallScript(steps)
+	return f
 }
 
 // listeningEcho is an echoProto that also listens for faults.
@@ -86,7 +93,7 @@ func TestLinkDownDropsAndReroutes(t *testing.T) {
 func TestInFlightPacketLostToLinkCut(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(2), p)
-	n.InstallFaults(FaultPlan{Events: []FaultEvent{{At: 1, Kind: LinkDown, U: 0, V: 1}}})
+	withFaults(n, Step{At: 1, Kind: LinkDown, Node: 0, Arg: 1})
 	// Sent at t=0, arrives at t=2 — but the link dies at t=1 underneath
 	// it, so the packet is lost at arrival time.
 	n.SendLink(0, 1, &Packet{Kind: packet.Tree, Size: 64})
@@ -104,7 +111,7 @@ func TestInFlightPacketLostToLinkCut(t *testing.T) {
 func TestInFlightPacketLostToReceiverCrash(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(2), p)
-	n.InstallFaults(FaultPlan{Events: []FaultEvent{{At: 1, Kind: NodeDown, U: 1}}})
+	withFaults(n, Step{At: 1, Kind: NodeDown, Node: 1})
 	n.SendLink(0, 1, &Packet{Kind: packet.Data, Size: 100}) // arrives at t=2
 	n.Run()
 	if len(p.got) != 0 {
@@ -121,7 +128,7 @@ func TestInFlightPacketLostToReceiverCrash(t *testing.T) {
 func TestInFlightUnicastLostToRelayArcCut(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(3), p)
-	n.InstallFaults(FaultPlan{Events: []FaultEvent{{At: 3, Kind: LinkDown, U: 1, V: 2}}})
+	withFaults(n, Step{At: 3, Kind: LinkDown, Node: 1, Arg: 2})
 	n.SendUnicast(0, &Packet{Kind: packet.Rejoin, Dst: 2, Size: 64})
 	n.Run()
 	if len(p.got) != 0 {
@@ -140,10 +147,7 @@ func TestInFlightUnicastLostToRelayArcCut(t *testing.T) {
 func TestInFlightPacketSurvivesCutAndRestore(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(2), p)
-	n.InstallFaults(FaultPlan{Events: []FaultEvent{
-		{At: 0.5, Kind: LinkDown, U: 0, V: 1},
-		{At: 1.5, Kind: LinkUp, U: 0, V: 1},
-	}})
+	withFaults(n, Step{At: 0.5, Kind: LinkDown, Node: 0, Arg: 1}, Step{At: 1.5, Kind: LinkUp, Node: 0, Arg: 1})
 	n.SendLink(0, 1, &Packet{Kind: packet.Tree, Size: 64}) // arrives at t=2
 	n.Run()
 	if len(p.got) != 1 || p.got[0].node != 1 {
@@ -157,8 +161,7 @@ func TestInFlightPacketSurvivesCutAndRestore(t *testing.T) {
 func TestNodeCrashKillsAdjacentLinks(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(3), p)
-	f := n.InstallFaults(FaultPlan{})
-	f.ScheduleNodeDown(5, 1)
+	f := withFaults(n, Step{At: 5, Kind: NodeDown, Node: 1})
 	n.RunUntil(6)
 	if !f.NodeIsDown(1) || !f.LinkIsDown(0, 1) || !f.LinkIsDown(1, 2) {
 		t.Fatal("crashed node's links must read as down")
@@ -176,7 +179,7 @@ func TestNodeCrashKillsAdjacentLinks(t *testing.T) {
 func TestUnicastPartitionDropsInsteadOfPanicking(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(3), p)
-	n.InstallFaults(FaultPlan{Events: []FaultEvent{{At: 0, Kind: LinkDown, U: 1, V: 2}}})
+	withFaults(n, Step{At: 0, Kind: LinkDown, Node: 1, Arg: 2})
 	n.RunUntil(1)
 	n.SendUnicast(0, &Packet{Kind: packet.Rejoin, Dst: 2, Size: 64})
 	n.Run()
@@ -191,14 +194,12 @@ func TestUnicastPartitionDropsInsteadOfPanicking(t *testing.T) {
 func TestNodeUpRereportsGroundTruthMembers(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(3), p)
-	f := n.InstallFaults(FaultPlan{})
 	n.HostJoin(1, 9)
 	n.HostJoin(1, 7)
 	n.HostJoin(2, 7)
 	p.joined = nil
 
-	f.ScheduleNodeDown(5, 1)
-	f.ScheduleNodeUp(10, 1)
+	withFaults(n, Step{At: 5, Kind: NodeDown, Node: 1}, Step{At: 10, Kind: NodeUp, Node: 1})
 	n.Run()
 	// Exactly node 1's memberships are re-reported, in ascending group
 	// order (7 then 9) — node 2 never crashed.
@@ -340,32 +341,21 @@ func TestInstallFaultsTwicePanics(t *testing.T) {
 }
 
 // TestFaultOnNonEdgePanics pins validation at the call site: a link
-// event on a non-edge and a node event on an out-of-range router are
-// rejected when offered — by InstallFaults for plan events, by the
-// Schedule* methods for later ones — not when they fire (the arc mask
-// would turn them into bad indexes by then).
+// step on a non-edge and a node step on an out-of-range router are
+// rejected when offered — by InstallScript, and by ScheduleLinkDown/Up
+// for the link steps — not when they fire (the arc mask would turn them
+// into bad indexes by then). A rejected script queues none of its steps.
 func TestFaultOnNonEdgePanics(t *testing.T) {
 	const at = 1
 	cases := []struct {
-		ev       FaultEvent
-		schedule func(f *Faults, ev FaultEvent)
-		want     string
+		st   Step
+		want string
 	}{
-		{FaultEvent{At: at, Kind: LinkDown, U: 0, V: 2},
-			func(f *Faults, ev FaultEvent) { f.ScheduleLinkDown(ev.At, ev.U, ev.V) },
-			"netsim: fault on non-edge {0,2}"},
-		{FaultEvent{At: at, Kind: LinkUp, U: 2, V: 0},
-			func(f *Faults, ev FaultEvent) { f.ScheduleLinkUp(ev.At, ev.U, ev.V) },
-			"netsim: fault on non-edge {2,0}"},
-		{FaultEvent{At: at, Kind: LinkDown, U: 1, V: 7},
-			func(f *Faults, ev FaultEvent) { f.ScheduleLinkDown(ev.At, ev.U, ev.V) },
-			"netsim: fault on non-edge {1,7}"},
-		{FaultEvent{At: at, Kind: NodeDown, U: 3},
-			func(f *Faults, ev FaultEvent) { f.ScheduleNodeDown(ev.At, ev.U) },
-			"netsim: fault on non-node 3"},
-		{FaultEvent{At: at, Kind: NodeUp, U: -1},
-			func(f *Faults, ev FaultEvent) { f.ScheduleNodeUp(ev.At, ev.U) },
-			"netsim: fault on non-node -1"},
+		{Step{At: at, Kind: LinkDown, Node: 0, Arg: 2}, "netsim: fault on non-edge {0,2}"},
+		{Step{At: at, Kind: LinkUp, Node: 2, Arg: 0}, "netsim: fault on non-edge {2,0}"},
+		{Step{At: at, Kind: LinkDown, Node: 1, Arg: 7}, "netsim: fault on non-edge {1,7}"},
+		{Step{At: at, Kind: NodeDown, Node: 3}, "netsim: fault on non-node 3"},
+		{Step{At: at, Kind: NodeUp, Node: -1}, "netsim: fault on non-node -1"},
 	}
 	panicOf := func(fn func()) (msg any) {
 		defer func() { msg = recover() }()
@@ -374,25 +364,38 @@ func TestFaultOnNonEdgePanics(t *testing.T) {
 	}
 	for _, c := range cases {
 		n := New(lineGraph(3), &echoProto{})
-		if got := panicOf(func() { n.InstallFaults(FaultPlan{Events: []FaultEvent{c.ev}}) }); got != c.want {
-			t.Errorf("InstallFaults(%v %d,%d): panic %v, want %q", c.ev.Kind, c.ev.U, c.ev.V, got, c.want)
-		}
-		n = New(lineGraph(3), &echoProto{})
 		f := n.InstallFaults(FaultPlan{})
-		if got := panicOf(func() { c.schedule(f, c.ev) }); got != c.want {
-			t.Errorf("Schedule(%v %d,%d): panic %v, want %q", c.ev.Kind, c.ev.U, c.ev.V, got, c.want)
+		good := Step{At: at, Kind: LinkDown, Node: 0, Arg: 1}
+		if got := panicOf(func() { n.InstallScript([]Step{good, c.st}) }); got != c.want {
+			t.Errorf("InstallScript(%v %d,%d): panic %v, want %q", c.st.Kind, c.st.Node, c.st.Arg, got, c.want)
+		}
+		u, v := topology.NodeID(c.st.Node), topology.NodeID(c.st.Arg)
+		switch c.st.Kind {
+		case LinkDown:
+			if got := panicOf(func() { f.ScheduleLinkDown(at, u, v) }); got != c.want {
+				t.Errorf("ScheduleLinkDown(%d,%d): panic %v, want %q", u, v, got, c.want)
+			}
+		case LinkUp:
+			if got := panicOf(func() { f.ScheduleLinkUp(at, u, v) }); got != c.want {
+				t.Errorf("ScheduleLinkUp(%d,%d): panic %v, want %q", u, v, got, c.want)
+			}
 		}
 		if n.Sched.Pending() != 0 {
-			t.Errorf("%v %d,%d: rejected event was queued anyway", c.ev.Kind, c.ev.U, c.ev.V)
+			t.Errorf("%v %d,%d: rejected step was queued anyway", c.st.Kind, c.st.Node, c.st.Arg)
 		}
 	}
 }
 
+// TestFaultKindString: the fault steps, like every step kind, are named
+// as the scenario DSL spells them.
 func TestFaultKindString(t *testing.T) {
-	if LinkDown.String() != "LINK-DOWN" || NodeUp.String() != "NODE-UP" {
-		t.Fatal("fault kind names wrong")
+	want := []string{"join", "leave", "send", "link-down", "link-up", "node-down", "node-up", "failover"}
+	for k, name := range want {
+		if got := StepKind(k).String(); got != name {
+			t.Errorf("StepKind(%d) = %q, want %q", k, got, name)
+		}
 	}
-	if FaultKind(99).String() != "FaultKind(99)" {
-		t.Fatal("unknown fault kind name wrong")
+	if StepKind(99).String() != "StepKind(99)" {
+		t.Fatal("unknown step kind name wrong")
 	}
 }

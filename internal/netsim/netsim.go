@@ -179,20 +179,19 @@ type Network struct {
 	arcLanes des.Lane
 	pool     []*Packet
 
-	// churnLanes holds the scheduler lanes InstallChurn queues schedules
-	// on; a drained one, and its schedule's storage, is reused by the
-	// next install.
-	churnLanes []churnLane
+	// scriptLanes holds the scheduler lanes scripts queue on; a drained
+	// one, and its script's storage, is reused by the next install.
+	scriptLanes []scriptLane
 
 	faults *Faults
 }
 
-// Sink operation codes for typed delivery and churn events.
+// Sink operation codes for typed delivery and script events.
 const (
 	opDeliver uint8 = iota // one link hop on arc a: deliver to the protocol at b
 	opUnicast              // unicast relay on arc a: forward again unless b == Dst
 	opSelf                 // self-delivery of a locally injected packet
-	opChurn                // membership flips a..b of the *Churn in p
+	opScript               // steps a..b of the *Script in p
 )
 
 // New builds a network over g running proto. It creates the routing
@@ -389,16 +388,16 @@ func (n *Network) SendArc(from topology.NodeID, a int32, pkt *Packet) {
 // arrival order.
 func (n *Network) lane(a int32) des.Lane { return n.arcLanes + des.Lane(a) }
 
-// SinkEvent dispatches a typed delivery or churn event; it implements
+// SinkEvent dispatches a typed delivery or script event; it implements
 // des.Sink and is invoked only by the scheduler. A link crossing carries
 // its arc in a and the arc's far end in b (the sender is pkt.From).
 //
 //scmplint:hotpath
 func (n *Network) SinkEvent(op uint8, a, b int32, p any, flag bool) {
-	if op == opChurn {
-		// Membership flips are control-plane work: ground-truth sets and
+	if op == opScript {
+		// Timed inputs are control-plane work: ground-truth sets and
 		// protocol state may allocate, and no data packet is in flight.
-		n.dispatchChurn(p.(*Churn), int(a), int(b)) //scmplint:ignore hotalloc
+		n.runSteps(p.(*Script), int(a), int(b)) //scmplint:ignore hotalloc
 		return
 	}
 	pkt := p.(*Packet)

@@ -80,7 +80,7 @@ func reconvergeGraphs(t *testing.T) []namedGraph {
 // overlapScript is the fixed prefix of every sequence: the fault
 // overlaps the arc mask has to compose. x is the best-connected router
 // and y, z two of its neighbours (y == z on a degree-1 graph).
-func overlapScript(g *topology.Graph) []FaultEvent {
+func overlapScript(g *topology.Graph) []Step {
 	x := topology.NodeID(0)
 	for v := 1; v < g.N(); v++ {
 		if g.Degree(topology.NodeID(v)) > g.Degree(x) {
@@ -89,37 +89,39 @@ func overlapScript(g *topology.Graph) []FaultEvent {
 	}
 	nb := g.Neighbors(x)
 	y, z := nb[0].To, nb[len(nb)-1].To
-	script := []FaultEvent{
+	link := func(k StepKind, u, v topology.NodeID) Step { return Step{Kind: k, Node: int32(u), Arg: int32(v)} }
+	node := func(k StepKind, u topology.NodeID) Step { return Step{Kind: k, Node: int32(u)} }
+	script := []Step{
 		// A router crashes while one of its links is already cut, and
 		// returns while it still is: the link must stay masked.
-		{Kind: LinkDown, U: x, V: y}, {Kind: NodeDown, U: x}, {Kind: NodeUp, U: x}, {Kind: LinkUp, U: y, V: x},
+		link(LinkDown, x, y), node(NodeDown, x), node(NodeUp, x), link(LinkUp, y, x),
 		// A link is cut and restored while its endpoint is crashed: the
 		// restore must not unmask it.
-		{Kind: NodeDown, U: x}, {Kind: LinkDown, U: z, V: x}, {Kind: LinkUp, U: x, V: z}, {Kind: NodeUp, U: x},
+		node(NodeDown, x), link(LinkDown, z, x), link(LinkUp, x, z), node(NodeUp, x),
 		// Two adjacent routers down; one returns.
-		{Kind: NodeDown, U: x}, {Kind: NodeDown, U: y}, {Kind: NodeUp, U: x}, {Kind: NodeUp, U: y},
+		node(NodeDown, x), node(NodeDown, y), node(NodeUp, x), node(NodeUp, y),
 	}
 	// Cut every link of x one by one — the last cut disconnects it —
 	// then restore them in the same order.
 	for _, l := range nb {
-		script = append(script, FaultEvent{Kind: LinkDown, U: x, V: l.To})
+		script = append(script, link(LinkDown, x, l.To))
 	}
 	for _, l := range nb {
-		script = append(script, FaultEvent{Kind: LinkUp, U: l.To, V: x})
+		script = append(script, link(LinkUp, l.To, x))
 	}
 	return script
 }
 
 // randomFault draws one event; repeats of a fault already in force (and
 // restores of one that is not) are left in as idempotence cases.
-func randomFault(g *topology.Graph, rnd *rand.Rand) FaultEvent {
+func randomFault(g *topology.Graph, rnd *rand.Rand) Step {
 	u := topology.NodeID(rnd.Intn(g.N()))
-	switch k := FaultKind(rnd.Intn(4)); k {
+	switch k := LinkDown + StepKind(rnd.Intn(4)); k {
 	case LinkDown, LinkUp:
 		nb := g.Neighbors(u)
-		return FaultEvent{Kind: k, U: u, V: nb[rnd.Intn(len(nb))].To}
+		return Step{Kind: k, Node: int32(u), Arg: int32(nb[rnd.Intn(len(nb))].To)}
 	default:
-		return FaultEvent{Kind: k, U: u}
+		return Step{Kind: k, Node: int32(u)}
 	}
 }
 
@@ -157,9 +159,9 @@ func TestEquivalenceLazyReconvergence(t *testing.T) {
 			}
 			check("initial", rnd.Perm(g.N()))
 			for i, ev := range script {
-				label := fmt.Sprintf("event %d (%v %d,%d)", i, ev.Kind, ev.U, ev.V)
+				label := fmt.Sprintf("event %d (%v %d,%d)", i, ev.Kind, ev.Node, ev.Arg)
 				ev.At = n.Now()
-				f.schedule(ev)
+				n.InstallScript([]Step{ev})
 				n.Run()
 				if n.Delay != delay || n.Cost != cost {
 					t.Fatalf("%s/%s %s: a routing table was replaced", name, arm, label)

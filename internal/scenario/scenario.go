@@ -18,7 +18,10 @@
 //	print tree group=1
 //
 // Lines are independent commands; '#' starts a comment. join, leave,
-// send and `print tree` take an optional group=N (default 1).
+// send and `print tree` take an optional group=N (default 1). The at
+// lines before a run are one script (netsim.InstallScript), which the
+// run installs; an at line whose time is before the clock, which a
+// run has already passed, is an error.
 // `scale-delays F` (after `topology`) multiplies every link delay (e.g.
 // 0.001 reads the generators' units as milliseconds) and `bandwidth B`
 // gives links a finite capacity of B bytes/s (queueing + transmission +
@@ -244,10 +247,10 @@ type state struct {
 	g         *topology.Graph
 	bandwidth float64
 	net       *netsim.Network
-	scmp      *core.SCMP     // non-nil when the protocol is SCMP
-	faults    *netsim.Faults // non-nil once a fault plan is installed
+	scmp      *core.SCMP // non-nil when the protocol is SCMP
 	churns    []*netsim.Churn
-	sent      []uint64
+	steps     []netsim.Step // the at lines since the last run
+	scripts   []*netsim.Script
 	w         io.Writer
 }
 
@@ -326,6 +329,10 @@ func (st *state) dispatch(c command) error {
 	case "at":
 		return st.execAt(c)
 	case "run":
+		if len(st.steps) > 0 {
+			st.scripts = append(st.scripts, st.net.InstallScript(st.steps))
+			st.steps = st.steps[:0]
+		}
 		if len(c.args) == 1 {
 			t, err := c.arg("run deadline", c.args[0], timeVal)
 			if err != nil {
@@ -449,7 +456,7 @@ func (st *state) execProtocol(c command) error {
 // `protocol` and precede any scheduled fault event (those auto-install
 // an empty plan, and a network accepts only one).
 func (st *state) execFaults(c command) error {
-	if st.faults != nil {
+	if st.net.Faults() != nil {
 		return fmt.Errorf("line %d: faults already installed", c.line)
 	}
 	plan := netsim.FaultPlan{Seed: 1}
@@ -462,7 +469,7 @@ func (st *state) execFaults(c command) error {
 	if err := plan.Validate(); err != nil {
 		return c.invalid(err)
 	}
-	st.faults = st.net.InstallFaults(plan)
+	st.net.InstallFaults(plan)
 	return nil
 }
 
@@ -507,87 +514,59 @@ func (st *state) churnPlan(c command) (netsim.ChurnPlan, error) {
 	return plan, c.invalid(plan.Validate(st.net.G.N()))
 }
 
-// ensureFaults lazily installs an empty plan so scripts can schedule
-// topology faults without a `faults` line.
-func (st *state) ensureFaults() *netsim.Faults {
-	if st.faults == nil {
-		st.faults = st.net.InstallFaults(netsim.FaultPlan{})
-	}
-	return st.faults
-}
-
+// execAt adds an at line's step to the script the next run installs,
+// once CheckStep has passed it against the clock as it is now.
 func (st *state) execAt(c command) error {
-	node := func() (topology.NodeID, error) {
-		if len(c.args) != 1 {
-			return 0, fmt.Errorf("line %d: %s needs a node", c.line, c.sub)
-		}
-		n, err := strconv.Atoi(c.args[0])
-		if err != nil || n < 0 || n >= st.net.G.N() {
-			return 0, fmt.Errorf("line %d: bad node %q", c.line, c.args[0])
-		}
-		return topology.NodeID(n), nil
+	step := netsim.Step{At: des.Time(c.at), Kind: netsim.Join}
+	for step.Kind <= netsim.Failover && step.Kind.String() != c.sub {
+		step.Kind++
 	}
-	at := des.Time(c.at)
-	switch c.sub {
-	case "join", "leave", "send":
-		v, err := node()
-		if err != nil {
-			return err
-		}
-		grp, err := c.group()
-		if err != nil {
-			return err
-		}
-		switch c.sub {
-		case "join":
-			st.net.Sched.At(at, func() { st.net.HostJoin(v, grp) })
-		case "leave":
-			st.net.Sched.At(at, func() { st.net.HostLeave(v, grp) })
-		default:
-			size := packet.DefaultDataSize
-			if err := c.bind([]option{{"size", &size}}); err != nil {
-				return err
-			}
-			if size < 0 {
-				return fmt.Errorf("line %d: bad size=%d (want >= 0)", c.line, size)
-			}
-			st.net.Sched.At(at, func() {
-				st.sent = append(st.sent, st.net.SendData(v, grp, size))
-			})
-		}
-	case "failover":
-		if st.scmp == nil {
-			return fmt.Errorf("line %d: failover requires the scmp protocol", c.line)
-		}
-		st.net.Sched.At(at, func() { st.scmp.Failover() })
-	case "link-down", "link-up":
-		if len(c.args) != 2 {
-			return fmt.Errorf("line %d: %s needs two endpoints", c.line, c.sub)
-		}
-		u, errU := strconv.Atoi(c.args[0])
-		v, errV := strconv.Atoi(c.args[1])
-		if errU != nil || errV != nil ||
-			!st.net.G.HasEdge(topology.NodeID(u), topology.NodeID(v)) {
-			return fmt.Errorf("line %d: %s: no link %s-%s", c.line, c.sub, c.args[0], c.args[1])
-		}
-		if c.sub == "link-down" {
-			st.ensureFaults().ScheduleLinkDown(at, topology.NodeID(u), topology.NodeID(v))
-		} else {
-			st.ensureFaults().ScheduleLinkUp(at, topology.NodeID(u), topology.NodeID(v))
-		}
-	case "node-down", "node-up":
-		v, err := node()
-		if err != nil {
-			return err
-		}
-		if c.sub == "node-down" {
-			st.ensureFaults().ScheduleNodeDown(at, v)
-		} else {
-			st.ensureFaults().ScheduleNodeUp(at, v)
-		}
-	default:
+	routers := 1
+	switch step.Kind {
+	case netsim.LinkDown, netsim.LinkUp:
+		routers = 2
+	case netsim.Failover:
+		routers = 0
+	case netsim.Failover + 1: // no step kind has that name
 		return fmt.Errorf("line %d: unknown event %q", c.line, c.sub)
 	}
+	if len(c.args) != routers {
+		return fmt.Errorf("line %d: %s needs %d router(s)", c.line, c.sub, routers)
+	}
+	var ids [2]int32
+	for i, a := range c.args {
+		id, err := strconv.ParseInt(a, 10, 32)
+		if err != nil {
+			return fmt.Errorf("line %d: bad node %q", c.line, a)
+		}
+		ids[i] = int32(id)
+	}
+	step.Node, step.Arg = ids[0], ids[1]
+	switch step.Kind {
+	case netsim.Join, netsim.Leave, netsim.Send:
+		var err error
+		if step.Group, err = c.group(); err != nil {
+			return err
+		}
+	case netsim.LinkDown, netsim.LinkUp, netsim.NodeDown, netsim.NodeUp:
+		if st.net.Faults() == nil { // a fault step without a faults line gets an empty plan
+			st.net.InstallFaults(netsim.FaultPlan{})
+		}
+	}
+	if step.Kind == netsim.Send {
+		size := packet.DefaultDataSize
+		if err := c.bind([]option{{"size", &size}}); err != nil {
+			return err
+		}
+		if size < 0 || size > math.MaxInt32 {
+			return fmt.Errorf("line %d: bad size=%d (want 0 to %d)", c.line, size, math.MaxInt32)
+		}
+		step.Arg = int32(size)
+	}
+	if err := st.net.CheckStep(step); err != nil {
+		return c.invalid(err)
+	}
+	st.steps = append(st.steps, step)
 	return nil
 }
 
@@ -595,11 +574,13 @@ func (st *state) execExpect(c command) error {
 	if len(c.args) != 1 || c.args[0] != "delivered" {
 		return fmt.Errorf("line %d: only 'expect delivered' is supported", c.line)
 	}
-	for _, seq := range st.sent {
-		missing, anomalous := st.net.CheckDelivery(seq)
-		if len(missing) > 0 || len(anomalous) > 0 {
-			return fmt.Errorf("line %d: packet %d: missing=%v anomalous=%v",
-				c.line, seq, missing, anomalous)
+	for _, sc := range st.scripts {
+		for _, seq := range sc.Sent() {
+			missing, anomalous := st.net.CheckDelivery(seq)
+			if len(missing) > 0 || len(anomalous) > 0 {
+				return fmt.Errorf("line %d: packet %d: missing=%v anomalous=%v",
+					c.line, seq, missing, anomalous)
+			}
 		}
 	}
 	return nil

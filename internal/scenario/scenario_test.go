@@ -372,6 +372,9 @@ func TestMalformedScriptErrors(t *testing.T) {
 		{"send group above 2^32-1", head + "protocol scmp\nat 0 send 5 group=4294967296", 3},
 		{"churn group above 2^32-1", head + "protocol scmp\nchurn 4294967297 10 poisson 1 members=1,2", 3},
 		{"negative print group", head + "protocol scmp\nprint tree group=-1", 3},
+		// An at line earlier than the clock used to panic inside des.
+		{"join before the clock", "topology random n=20 degree=3 seed=2\nscale-delays 0.001\nprotocol scmp mrouter=0\nat 0.0 join 3\nrun 4\nat 0.5 join 5\nrun", 6},
+		{"fault before the clock", head + "protocol scmp\nrun 2\nat 1 node-down 3\nrun", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Parse(strings.NewReader(tc.src))
