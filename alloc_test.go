@@ -61,10 +61,7 @@ func TestHotPathAllocFloor(t *testing.T) {
 				break
 			}
 		}
-		for i, m := range members {
-			m := m
-			n.Sched.At(des.Time(float64(i)*0.01), func() { n.HostJoin(m, 1) })
-		}
+		n.InstallScript(joinScript(members))
 		n.Run() // tree installed
 		src := members[0]
 
@@ -414,4 +411,13 @@ func TestFaultReconvergeAllocFloor(t *testing.T) {
 	if missing, _ := n.CheckDelivery(seq); len(missing) != 0 {
 		t.Fatalf("members %v stranded after %d fault pairs", missing, pairs+1)
 	}
+}
+
+// joinScript joins members to group 1, 0.01 s apart from t=0.
+func joinScript(members []topology.NodeID) []netsim.Step {
+	steps := make([]netsim.Step, len(members))
+	for i, m := range members {
+		steps[i] = netsim.Step{At: des.Time(float64(i) * 0.01), Node: int32(m), Group: 1, Kind: netsim.Join}
+	}
+	return steps
 }

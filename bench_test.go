@@ -214,10 +214,7 @@ func BenchmarkTreeVsBranch(b *testing.B) {
 	run := func(disableBranch bool) (protoUnits float64, protoBytes int64) {
 		s := core.New(core.Config{MRouter: 0, Kappa: 1.5, DisableBranch: disableBranch})
 		n := netsim.New(g, s)
-		for i, m := range members {
-			m := m
-			n.Sched.At(des.Time(float64(i))*0.01, func() { n.HostJoin(m, 1) })
-		}
+		n.InstallScript(joinScript(members))
 		n.Run()
 		return n.Metrics.ProtocolOverhead(), n.Metrics.ProtocolBytes()
 	}
@@ -312,11 +309,10 @@ func BenchmarkChurn(b *testing.B) {
 		})
 		n.InstallFaults(netsim.FaultPlan{ControlLoss: 0.05, LossUntil: 3, Seed: 7})
 		for t := 0; t < 40; t++ {
-			n.Sched.At(des.Time(float64(t))/10, func() {
-				if q := s.ControlBacklog(); q > maxBacklog {
-					maxBacklog = q
-				}
-			})
+			n.RunUntil(des.Time(float64(t)) / 10)
+			if q := s.ControlBacklog(); q > maxBacklog {
+				maxBacklog = q
+			}
 		}
 		n.RunUntil(9)
 		s.Quiesce()
@@ -419,10 +415,7 @@ func BenchmarkDataPlane(b *testing.B) {
 			break
 		}
 	}
-	for i, m := range members {
-		m := m
-		n.Sched.At(des.Time(float64(i)*0.01), func() { n.HostJoin(m, 1) })
-	}
+	n.InstallScript(joinScript(members))
 	n.Run() // tree installed; steady state from here
 	src := members[0]
 	startEvents := n.Sched.Fired()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"scmp/internal/experiment"
@@ -18,6 +20,8 @@ type options struct {
 	format     string
 	out        string    // results file ("" = stdout)
 	progress   io.Writer // shard progress sink (nil = silent)
+	cpuprofile string    // CPU profile of the run ("" = none)
+	memprofile string    // heap profile after the run ("" = none)
 }
 
 // progressFor builds a per-experiment shard-completion reporter writing
@@ -41,7 +45,7 @@ func (opt options) progressFor(label string) func(done, total int) {
 // with the CLI's overrides and writes its results — to opt.out when
 // set, opened only once the options are known to be valid — as
 // paper-style tables or CSV.
-func dispatch(stdout io.Writer, opt options) error {
+func dispatch(stdout io.Writer, opt options) (err error) {
 	study, ok := experiment.Lookup(opt.experiment)
 	switch {
 	case !ok:
@@ -66,15 +70,51 @@ func dispatch(stdout io.Writer, opt options) error {
 		defer f.Close()
 		w = f
 	}
+	if opt.cpuprofile != "" {
+		pf, perr := os.Create(opt.cpuprofile)
+		if perr != nil {
+			return perr
+		}
+		if perr := pprof.StartCPUProfile(pf); perr != nil {
+			pf.Close()
+			return perr
+		}
+		defer func() { // err is the named result
+			pprof.StopCPUProfile()
+			if cerr := pf.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
 	rep := study.Run(opt.quick, func(label string, seeds, parallel *int, progress *func(done, total int)) {
 		if opt.seeds > 0 {
 			*seeds = opt.seeds
 		}
 		*parallel, *progress = opt.parallel, opt.progressFor(label)
 	})
+	if opt.memprofile != "" {
+		if err := writeHeapProfile(opt.memprofile); err != nil {
+			return err
+		}
+	}
 	if opt.format == "csv" {
 		return experiment.WriteCSV(w, rep.Tables...)
 	}
 	rep.Text(w)
 	return nil
+}
+
+// writeHeapProfile writes the live heap to path after a collection, so
+// the profile shows what the run retained, not what it allocated.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

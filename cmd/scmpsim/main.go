@@ -18,6 +18,8 @@
 // width, -parallel to bound the worker pool fanning (topology, seed)
 // shards out (results are byte-identical at any width), -format csv for
 // plot-ready records, and -out to write to a file instead of stdout.
+// -cpuprofile and -memprofile write pprof profiles of the run: CPU time,
+// and the heap the run retained (taken after a GC at its end).
 package main
 
 import (
@@ -50,6 +52,8 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&opt.parallel, "parallel", 0, "worker goroutines per experiment (0 = GOMAXPROCS, 1 = serial)")
 	fs.StringVar(&opt.out, "out", "", "write results to this file instead of stdout")
 	fs.StringVar(&opt.format, "format", "table", "table | csv")
+	fs.StringVar(&opt.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&opt.memprofile, "memprofile", "", "write a heap profile, taken after a GC at the end of the run, to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -167,3 +167,29 @@ func TestRunBadFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestRunProfiles: -cpuprofile and -memprofile each write a non-empty
+// gzip-framed pprof profile and leave the printed tables unchanged.
+func TestRunProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var plain, profiled bytes.Buffer
+	if err := run([]string{"-experiment", "fig7", "-quick"}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-experiment", "fig7", "-quick", "-cpuprofile", cpu, "-memprofile", mem}, &profiled); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Fatalf("profiling changed the output:\nplain:\n%s\nprofiled:\n%s", plain.Bytes(), profiled.Bytes())
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Fatalf("%s: %d bytes, not a gzip-framed profile", filepath.Base(path), len(data))
+		}
+	}
+}

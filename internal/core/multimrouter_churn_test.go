@@ -38,18 +38,19 @@ func (p *churnPlan) schedule(n *netsim.Network, r *rand.Rand, groups []packet.Gr
 		}
 	}
 	base := n.Sched.Now()
-	for op := 0; op < ops; op++ {
+	steps := make([]netsim.Step, ops)
+	for op := range steps {
 		gid := groups[r.Intn(len(groups))]
 		v := topology.NodeID(r.Intn(nodes))
-		at := base + destime.Time(span*float64(op+1)/float64(ops+1))
+		steps[op] = netsim.Step{At: base + destime.Time(span*float64(op+1)/float64(ops+1)), Node: int32(v), Group: gid, Kind: netsim.Join}
 		if p.want[gid][v] {
 			delete(p.want[gid], v)
-			n.Sched.At(at, func() { n.HostLeave(v, gid) })
+			steps[op].Kind = netsim.Leave
 		} else {
 			p.want[gid][v] = true
-			n.Sched.At(at, func() { n.HostJoin(v, gid) })
 		}
 	}
+	n.InstallScript(steps)
 }
 
 // verify checks each group's converged state: tree rooted at its
@@ -170,8 +171,8 @@ func TestFailoverUnderChurnWithReliableSignalling(t *testing.T) {
 	groups := []packet.GroupID{1, 2}
 	var plan churnPlan
 	plan.schedule(n, r, groups, g.N(), 30, 100)
-	n.Sched.At(50, func() { s.Failover() }) // mid-burst, inside the loss window
-	n.RunUntil(700)                         // past the in-flight control tail (see above)
+	n.InstallScript([]netsim.Step{{At: 50, Kind: netsim.Failover}}) // mid-burst, inside the loss window
+	n.RunUntil(700)                                                 // past the in-flight control tail (see above)
 	s.Quiesce()
 	n.Run()
 

@@ -20,7 +20,7 @@ func TestLeaveCancelsJoinRetry(t *testing.T) {
 	n, s := newNet(meshGraph(), Config{MRouter: 0, AckTimeout: 10, RetryCap: 6})
 	n.InstallFaults(netsim.FaultPlan{ControlLoss: 1, LossUntil: 35, Seed: 3})
 	n.HostJoin(2, grp)
-	n.Sched.At(15, func() { n.HostLeave(2, grp) })
+	n.InstallScript([]netsim.Step{{At: 15, Node: 2, Group: grp, Kind: netsim.Leave}})
 	n.Run()
 
 	if tr := s.GroupTree(grp); tr != nil && len(tr.Members()) != 0 {
@@ -47,15 +47,14 @@ func TestLeaveCancelsParkedJoin(t *testing.T) {
 	n.HostJoin(2, grp)
 	// Ladder: transmit at 0, retries at 5 and 15, park at 35 with a
 	// deferred re-attempt at 75. The leave at 50 lands in between.
-	n.Sched.At(50, func() {
-		if s.ParkedRequests() != 1 {
-			t.Errorf("parked requests at t=50: %d, want 1", s.ParkedRequests())
-		}
-		n.HostLeave(2, grp)
-		if s.ParkedRequests() != 0 {
-			t.Errorf("leave did not supersede the parked JOIN")
-		}
-	})
+	n.RunUntil(50)
+	if s.ParkedRequests() != 1 {
+		t.Errorf("parked requests at t=50: %d, want 1", s.ParkedRequests())
+	}
+	n.HostLeave(2, grp)
+	if s.ParkedRequests() != 0 {
+		t.Errorf("leave did not supersede the parked JOIN")
+	}
 	n.RunUntil(200)
 	s.Quiesce()
 	n.Run()
@@ -182,16 +181,15 @@ func TestRefreshSuppression(t *testing.T) {
 			MRouter: 0, AckTimeout: 5, RefreshInterval: 10, RefreshSuppress: suppress,
 		})
 		n.HostJoin(3, grp) // stable member keeps the tree non-empty
+		var flaps []netsim.Step
 		for i := 0; i < 6; i++ {
-			at, flapOn := float64(4+8*i), i%2 == 0
-			n.Sched.At(destime.Time(at), func() {
-				if flapOn {
-					n.HostJoin(2, grp)
-				} else {
-					n.HostLeave(2, grp)
-				}
-			})
+			flap := netsim.Step{At: destime.Time(4 + 8*i), Node: 2, Group: grp, Kind: netsim.Join}
+			if i%2 == 1 {
+				flap.Kind = netsim.Leave
+			}
+			flaps = append(flaps, flap)
 		}
+		n.InstallScript(flaps)
 		n.RunUntil(60)
 		s.Quiesce()
 		n.Run()
@@ -278,10 +276,12 @@ func TestRequestSlotLifecycle(t *testing.T) {
 			n, s := newNet(meshGraph(), Config{MRouter: 0, Standby: 4, AckTimeout: 5, RetryBudget: 1, RefreshInterval: 1000})
 			n.InstallFaults(netsim.FaultPlan{ControlLoss: 1, Seed: 1})
 			n.HostJoin(0, 1)
+			var joins []netsim.Step
 			for _, v := range []topology.NodeID{2, 3} {
 				n.HostJoin(v, 1)
-				n.Sched.At(50, func() { n.HostJoin(v, 2) })
+				joins = append(joins, netsim.Step{At: 50, Node: int32(v), Group: 2, Kind: netsim.Join})
 			}
+			n.InstallScript(joins)
 			n.RunUntil(52)
 			parked := map[pendingKey]bool{}
 			for k := range s.slots {

@@ -249,10 +249,11 @@ func TestChaosLossHealsWithFullStack(t *testing.T) {
 		}
 		n, s := newNet(meshGraph(), cfg)
 		n.InstallFaults(netsim.FaultPlan{ControlLoss: 0.05, DataLoss: 0.05, LossUntil: 200, Seed: seed})
+		var joins []netsim.Step
 		for i, m := range []topology.NodeID{1, 2, 3, 4, 5} {
-			m := m
-			n.Sched.At(destime.Time(i*10), func() { n.HostJoin(m, grp) })
+			joins = append(joins, netsim.Step{At: destime.Time(i * 10), Node: int32(m), Group: grp, Kind: netsim.Join})
 		}
+		n.InstallScript(joins)
 		n.RunUntil(250) // loss window (200) + one refresh interval (50)
 		s.Quiesce()
 		n.Run()

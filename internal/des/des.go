@@ -135,6 +135,21 @@ type Scheduler struct {
 // New returns a fresh scheduler at time zero.
 func New() *Scheduler { return &Scheduler{} }
 
+// Reset returns a drained scheduler to time zero: the clock, the
+// sequence counter, the fired count and the queue's mark start over, as
+// in New. It keeps what a run sized — the slot slab and its free list,
+// the lanes, the bucket-cell pool — and the slots' generations, so a
+// Timer handle from before the reset stays dead. A run after Reset
+// dispatches exactly what it would on a new scheduler: the order is
+// (time, seq) and seq restarts at 0, while slot numbers are never
+// observable. It panics unless Pending is 0.
+func (s *Scheduler) Reset() {
+	if s.Pending() != 0 {
+		panic("des: Reset of a scheduler with events pending")
+	}
+	s.now, s.seq, s.fired, s.last = 0, 0, 0, 0
+}
+
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 

@@ -3,18 +3,26 @@ package experiment
 import (
 	"sort"
 
+	"scmp/internal/netsim"
 	"scmp/internal/rng"
 	"scmp/internal/runner"
 	"scmp/internal/topology"
 )
 
-// Artifact caches: the expensive immutable inputs of a shard — graphs,
-// center placements and all-pairs shortest-path tables — keyed by the
-// exact parameters that determine them. Workers on different goroutines
-// (and repeated Run* calls: fig8 and fig9 rebuild the same instances)
-// share them read-only instead of recomputing per protocol run. Nothing
-// downstream mutates a Graph or AllPairs after construction, which is
-// what makes the sharing safe.
+// Artifact caches: the small immutable inputs of a shard — graphs and
+// center placements — keyed by the exact parameters that determine
+// them. Studies that run on the same instances (fig89, faults and churn
+// on the Fig. 8/9 topologies; state and concentration on the scaled
+// random graphs) share them read-only across workers instead of
+// rebuilding them per shard. Nothing downstream mutates a Graph after
+// construction, which is what makes the sharing safe.
+//
+// Routing tables are not cached: a table is many times its graph, and a
+// process-wide cache kept every table the process ever built alive,
+// which set the GC goal of every later study (DESIGN.md §6,
+// "Lifetimes"). A shard that needs tables builds them (shardTables) and
+// drops them when it returns; a shard that simulates reuses one
+// network (shardNet).
 //
 // Topology construction must not share an rng stream with anything else
 // (member picks, source picks): a cache hit skips the build, so a shared
@@ -41,54 +49,6 @@ func fig89ArtifactFor(name string, seed int64) *fig89Artifact {
 		g := BuildTopology(name, seed)
 		return &fig89Artifact{g: g, center: Center(g)}
 	})
-}
-
-// waxmanKey identifies one Waxman instance plus its routing tables.
-type waxmanKey struct {
-	cfg  topology.WaxmanConfig
-	seed int64
-}
-
-// treeArtifact bundles a graph with the all-pairs tables the tree
-// algorithms consume.
-type treeArtifact struct {
-	g       *topology.Graph
-	spDelay *topology.AllPairs
-	spCost  *topology.AllPairs
-}
-
-var waxmanArtifacts runner.Cache[waxmanKey, *treeArtifact]
-
-func waxmanArtifactFor(wcfg topology.WaxmanConfig, seed int64) *treeArtifact {
-	return waxmanArtifacts.Get(waxmanKey{wcfg, seed}, func() *treeArtifact {
-		wg, err := topology.Waxman(wcfg, rng.New(seed))
-		if err != nil {
-			panic(err)
-		}
-		return newTreeArtifact(wg.Graph)
-	})
-}
-
-// familyKey identifies one fig7x topology-family instance.
-type familyKey struct {
-	family string
-	seed   int64
-}
-
-var familyArtifacts runner.Cache[familyKey, *treeArtifact]
-
-func familyArtifactFor(family string, seed int64) *treeArtifact {
-	return familyArtifacts.Get(familyKey{family, seed}, func() *treeArtifact {
-		return newTreeArtifact(buildFamily(family, seed))
-	})
-}
-
-func newTreeArtifact(g *topology.Graph) *treeArtifact {
-	return &treeArtifact{
-		g:       g,
-		spDelay: topology.NewAllPairs(g, topology.ByDelay),
-		spCost:  topology.NewAllPairs(g, topology.ByCost),
-	}
 }
 
 // randomKey identifies one scaled flat-random instance (the state and
@@ -150,4 +110,39 @@ func rankedCenters(g *topology.Graph, k int) []topology.NodeID {
 		out[i] = all[i].v
 	}
 	return out
+}
+
+// waxmanGraph builds the Waxman instance of seed from its own rng
+// stream: Fig. 7 and the placement study run on the same instances.
+func waxmanGraph(wcfg topology.WaxmanConfig, seed int) *topology.Graph {
+	wg, err := topology.Waxman(wcfg, rng.New(int64(seed)))
+	if err != nil {
+		panic(err)
+	}
+	return wg.Graph
+}
+
+// shardTables returns the shortest-delay and least-cost tables over g
+// that the tree algorithms read, for one shard's own use. The shard is
+// their one writer, so they fill lazily, row by row as first read; a
+// row is a pure function of (graph, weight), so the trees match those
+// an eager table gives.
+func shardTables(g *topology.Graph) (spDelay, spCost *topology.AllPairs) {
+	return topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
+}
+
+// shardNet is the one network of a shard's simulation runs: start
+// builds it for the first run and resets it (netsim.Network.Reset) for
+// each later one, so the runs reuse its scheduler slab, packet pool,
+// lanes and routing rows instead of rebuilding them.
+type shardNet struct{ n *netsim.Network }
+
+// start returns the shard's network over g, running proto from time 0.
+func (s *shardNet) start(g *topology.Graph, proto netsim.Protocol) *netsim.Network {
+	if s.n == nil {
+		s.n = netsim.New(g, proto)
+	} else {
+		s.n.Reset(proto)
+	}
+	return s.n
 }

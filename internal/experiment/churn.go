@@ -165,11 +165,11 @@ func rebuildCost(art *fig89Artifact, n *netsim.Network, members []topology.NodeI
 // backlog and drift sampling, a settle phase, a bounded quiesced drain,
 // and a clean probe against the surviving membership. It returns
 // churnTable's measures.
-func runChurnRun(art *fig89Artifact, cfg ChurnConfig,
+func runChurnRun(net *shardNet, art *fig89Artifact, cfg ChurnConfig,
 	members []topology.NodeID, rate, loss float64, protected bool, seed int) vals {
 
 	s := churnCore(art.center, protected)
-	n := netsim.New(art.g, s)
+	n := net.start(art.g, s)
 	dist := netsim.ChurnPoisson
 	if cfg.Pareto {
 		dist = netsim.ChurnPareto
@@ -241,18 +241,19 @@ func runChurnRun(art *fig89Artifact, cfg ChurnConfig,
 	return v
 }
 
-// runChurnShard executes every run of one (topology, seed) shard in
-// deterministic order: rate-major, loss-minor, protection on before
-// off.
+// runChurnShard executes every run of one (topology, seed) shard on one
+// network in deterministic order: rate-major, loss-minor, protection on
+// before off.
 func runChurnShard(cfg ChurnConfig, topo string, seed int) []obs {
 	art := fig89ArtifactFor(topo, int64(seed))
 	members := churnMembers(art, cfg, seed)
+	var net shardNet
 	var out []obs
 	for _, rate := range cfg.Rates {
 		for _, loss := range cfg.LossRates {
 			for _, protected := range []bool{true, false} {
 				out = append(out, obs{Key{topo, rate, loss, OnOff(protected)},
-					runChurnRun(art, cfg, members, rate, loss, protected, seed)})
+					runChurnRun(&net, art, cfg, members, rate, loss, protected, seed)})
 			}
 		}
 	}

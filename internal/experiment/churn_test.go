@@ -18,8 +18,9 @@ func TestChurnOverloadProtection(t *testing.T) {
 	for seed := 0; seed < 3; seed++ {
 		art := fig89ArtifactFor(TopoArpanet, int64(seed))
 		members := churnMembers(art, cfg, seed)
+		var net shardNet
 
-		prot := runChurnRun(art, cfg, members, 2000, 0.05, true, seed)
+		prot := runChurnRun(&net, art, cfg, members, 2000, 0.05, true, seed)
 		if prot[churnBacklog] > 2*churnAdmitLimit {
 			t.Errorf("seed %d: protected backlog peaked at %.0f, admission limit %d",
 				seed, prot[churnBacklog], churnAdmitLimit)
@@ -32,7 +33,7 @@ func TestChurnOverloadProtection(t *testing.T) {
 			t.Errorf("seed %d: protected arm never shed at the top rate", seed)
 		}
 
-		raw := runChurnRun(art, cfg, members, 2000, 0.05, false, seed)
+		raw := runChurnRun(&net, art, cfg, members, 2000, 0.05, false, seed)
 		if raw[churnBacklog] <= 4*churnAdmitLimit && raw[churnStranded] == 0 {
 			t.Errorf("seed %d: unprotected arm did not overload (peak backlog %.0f, stranded %.0f)",
 				seed, raw[churnBacklog], raw[churnStranded])

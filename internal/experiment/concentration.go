@@ -93,6 +93,7 @@ func RunConcentration(cfg ConcentrationConfig) Table {
 			}
 			plans[i] = plan{members: members, senders: senders}
 		}
+		var net shardNet
 		var out []obs
 		for _, scheme := range concentrationSchemes {
 			var proto netsim.Protocol
@@ -111,7 +112,7 @@ func RunConcentration(cfg ConcentrationConfig) Table {
 				proto = core.New(core.Config{MRouters: centers[:4], Kappa: 1.5})
 				watch = centers[:4]
 			}
-			n := netsim.New(g, proto)
+			n := net.start(g, proto)
 			// Service load: the packets a center must switch as the
 			// m-router/core — encapsulated data terminating at it plus
 			// data it fans out — as opposed to incidental transit (the

@@ -141,11 +141,11 @@ func faultsCore(center topology.NodeID, hardened bool) *core.SCMP {
 // runFaultsLossRun executes one chaos run: joins and data under loss,
 // then a settle phase and a clean probe. It returns faultsLossTable's
 // measures.
-func runFaultsLossRun(art *fig89Artifact, cfg FaultsConfig,
+func runFaultsLossRun(net *shardNet, art *fig89Artifact, cfg FaultsConfig,
 	members []topology.NodeID, loss float64, repair bool, seed int) vals {
 
 	s := faultsCore(art.center, repair)
-	n := netsim.New(art.g, s)
+	n := net.start(art.g, s)
 	lossUntil := des.Time(cfg.SimTime / 2)
 	n.InstallFaults(netsim.FaultPlan{
 		ControlLoss: loss,
@@ -158,7 +158,7 @@ func runFaultsLossRun(art *fig89Artifact, cfg FaultsConfig,
 	s.Quiesce()
 	n.Run()
 
-	lost := undelivered(n, sc)
+	lost, _ := undelivered(n, sc)
 	probe := n.SendData(art.center, faultsGroup, packet.DefaultDataSize)
 	n.Run()
 	missing, _ := n.CheckDelivery(probe)
@@ -201,11 +201,11 @@ func heaviestTreeEdge(tr *mtree.Tree) (parent, child topology.NodeID, ok bool) {
 
 // runFaultsRecoveryRun executes one loss-free link-cut run on the
 // hardened stack and returns faultsRecoveryTable's measures.
-func runFaultsRecoveryRun(art *fig89Artifact, cfg FaultsConfig,
+func runFaultsRecoveryRun(net *shardNet, art *fig89Artifact, cfg FaultsConfig,
 	members []topology.NodeID, seed int) vals {
 
 	s := faultsCore(art.center, true)
-	n := netsim.New(art.g, s)
+	n := net.start(art.g, s)
 	f := n.InstallFaults(netsim.FaultPlan{Seed: int64(seed)*31 + 7})
 	n.InstallScript(studyScript(members, faultsGroup, art.center, nil))
 	n.RunUntil(1) // every join settled, tree stable
@@ -235,19 +235,21 @@ func runFaultsRecoveryRun(art *fig89Artifact, cfg FaultsConfig,
 	return out
 }
 
-// runFaultsShard executes every run of one (topology, seed) shard in
-// deterministic order — the loss sweep (loss-major, repair on before
-// off), then the link-cut run — and returns each table's observations.
+// runFaultsShard executes every run of one (topology, seed) shard on
+// one network in deterministic order — the loss sweep (loss-major,
+// repair on before off), then the link-cut run — and returns each
+// table's observations.
 func runFaultsShard(cfg FaultsConfig, topo string, seed int) (sh [2][]obs) {
 	art := fig89ArtifactFor(topo, int64(seed))
 	members := faultsMembers(art, cfg, seed)
+	var net shardNet
 	for _, loss := range cfg.LossRates {
 		for _, repair := range []bool{true, false} {
 			sh[0] = append(sh[0], obs{Key{topo, loss, OnOff(repair)},
-				runFaultsLossRun(art, cfg, members, loss, repair, seed)})
+				runFaultsLossRun(&net, art, cfg, members, loss, repair, seed)})
 		}
 	}
-	sh[1] = []obs{{Key{topo}, runFaultsRecoveryRun(art, cfg, members, seed)}}
+	sh[1] = []obs{{Key{topo}, runFaultsRecoveryRun(&net, art, cfg, members, seed)}}
 	return sh
 }
 

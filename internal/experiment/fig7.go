@@ -76,13 +76,12 @@ var fig7Table = &spec{
 	}},
 }
 
-// runFig7Shard executes one seed's full sweep. The member stream is
-// derived from the seed independently of the (cached) topology build, so
-// a cache hit cannot shift later draws.
+// runFig7Shard executes one seed's full sweep on its own graph and
+// tables. The member stream is derived from the seed independently of
+// the topology build.
 func runFig7Shard(cfg Fig7Config, seed int) []obs {
-	wcfg := topology.WaxmanConfig{N: cfg.Nodes, Alpha: cfg.Alpha, Beta: cfg.Beta, GridSize: 32767, Connect: true}
-	art := waxmanArtifactFor(wcfg, int64(seed))
-	g, spDelay, spCost := art.g, art.spDelay, art.spCost
+	g := waxmanGraph(topology.WaxmanConfig{N: cfg.Nodes, Alpha: cfg.Alpha, Beta: cfg.Beta, GridSize: 32767, Connect: true}, seed)
+	spDelay, spCost := shardTables(g)
 	root := topology.NodeID(0)
 	memberRng := rng.New(int64(seed)*104729 + 1)
 	var out []obs

@@ -95,8 +95,8 @@ func RunFig7x(cfg Fig7xConfig) Table {
 	return fold(fig7xTable, runner.Map(opts, len(Fig7xFamilies)*cfg.Seeds, func(j int) []obs {
 		family := Fig7xFamilies[j/cfg.Seeds]
 		seed := j % cfg.Seeds
-		art := familyArtifactFor(family, int64(seed))
-		g, spDelay, spCost := art.g, art.spDelay, art.spCost
+		g := buildFamily(family, int64(seed))
+		spDelay, spCost := shardTables(g)
 		size := cfg.GroupSize
 		if size >= g.N() {
 			size = g.N() - 2

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"io"
 
 	"scmp/internal/core"
@@ -71,25 +72,29 @@ var fig89Table = &spec{
 	}},
 }
 
-// buildProtocol instantiates a protocol by name with the shared
-// center node used as m-router / CBT core.
-func buildProtocol(name string, center topology.NodeID, pruneLifetime des.Time) netsim.Protocol {
-	switch name {
-	case "SCMP":
+// protocolBuilders instantiates each of Protocols by name, with the
+// shared center node as m-router / CBT core.
+var protocolBuilders = map[string]func(center topology.NodeID, pruneLifetime des.Time) netsim.Protocol{
+	"SCMP": func(center topology.NodeID, _ des.Time) netsim.Protocol {
 		// The moderate constraint (bound 1.5x the farthest member's
 		// unicast delay) lets DCDM trade a little delay for tree cost,
 		// the regime the paper's Fig. 8 runs in: its data overhead is
 		// "strongly correlated to the multicast tree cost".
 		return core.New(core.Config{MRouter: center, Kappa: 1.5})
-	case "DVMRP":
-		return dvmrp.New(pruneLifetime)
-	case "MOSPF":
-		return mospf.New()
-	case "CBT":
-		return cbt.New(center)
-	default:
+	},
+	"DVMRP": func(_ topology.NodeID, pruneLifetime des.Time) netsim.Protocol { return dvmrp.New(pruneLifetime) },
+	"MOSPF": func(topology.NodeID, des.Time) netsim.Protocol { return mospf.New() },
+	"CBT":   func(center topology.NodeID, _ des.Time) netsim.Protocol { return cbt.New(center) },
+}
+
+// buildProtocol instantiates a protocol by name with the shared
+// center node used as m-router / CBT core.
+func buildProtocol(name string, center topology.NodeID, pruneLifetime des.Time) netsim.Protocol {
+	build, ok := protocolBuilders[name]
+	if !ok {
 		panic("experiment: unknown protocol " + name)
 	}
+	return build(center, pruneLifetime)
 }
 
 // Center picks the shared m-router / core location: the node with the
@@ -97,20 +102,28 @@ func buildProtocol(name string, center topology.NodeID, pruneLifetime des.Time) 
 // of §IV-A). SCMP and CBT get the same center, as in the paper's setup.
 func Center(g *topology.Graph) topology.NodeID { return rankedCenters(g, 1)[0] }
 
-// runOne simulates one protocol run and returns (data overhead,
-// protocol overhead, max end-to-end delay, undelivered member count).
-func runOne(g *topology.Graph, protoName string, cfg Fig89Config,
+// runOne simulates one protocol run on the shard's network and returns
+// (data overhead, protocol overhead, max end-to-end delay, undelivered
+// member count). The run is fault-free, so every data packet must reach
+// each member once and no one else: a duplicate or unexpected delivery
+// is a protocol fault, and it fails the shard.
+func runOne(net *shardNet, g *topology.Graph, protoName string, cfg Fig89Config, topo string,
 	members []topology.NodeID, source, center topology.NodeID) (float64, float64, float64, int) {
 
-	proto := buildProtocol(protoName, center, cfg.PruneLifetime)
-	n := netsim.New(g, proto)
+	n := net.start(g, buildProtocol(protoName, center, cfg.PruneLifetime))
 
 	// Members join over the first half second, then the group is stable
 	// for the data phase, matching the paper's static member sets.
 	sc := n.InstallScript(studyScript(members, 1, source, sendTimes(cfg.SimTime, cfg.DataRate)))
 	n.RunUntil(des.Time(cfg.SimTime))
 	n.Run() // drain in-flight packets
-	return n.Metrics.DataOverhead(), n.Metrics.ProtocolOverhead(), n.Metrics.MaxEndToEndDelay(), undelivered(n, sc)
+	missed, bad := undelivered(n, sc)
+	if bad != 0 {
+		_, anomalous := n.CheckDelivery(bad)
+		panic(fmt.Sprintf("experiment: %s size %d %s: data packet %d delivered more than once or to non-members %v",
+			topo, len(members), protoName, bad, anomalous))
+	}
+	return n.Metrics.DataOverhead(), n.Metrics.ProtocolOverhead(), n.Metrics.MaxEndToEndDelay(), missed
 }
 
 // studyScript returns the timed inputs of a study run: members join g
@@ -127,14 +140,19 @@ func studyScript(members []topology.NodeID, g packet.GroupID, src topology.NodeI
 	return steps
 }
 
-// undelivered counts the member deliveries sc's data packets missed.
-func undelivered(n *netsim.Network, sc *netsim.Script) int {
-	k := 0
+// undelivered counts the member deliveries sc's data packets missed. bad
+// is the seq of the first of those packets delivered anomalously — more
+// than once, or to a router that was no member when it was sent — and 0
+// when none was.
+func undelivered(n *netsim.Network, sc *netsim.Script) (missed int, bad uint64) {
 	for _, seq := range sc.Sent() {
-		missing, _ := n.CheckDelivery(seq)
-		k += len(missing)
+		missing, anomalous := n.CheckDelivery(seq)
+		missed += len(missing)
+		if len(anomalous) > 0 && bad == 0 {
+			bad = seq
+		}
 	}
-	return k
+	return missed, bad
 }
 
 // sendTimes returns the data-phase send schedule: one packet every
@@ -156,13 +174,15 @@ func sendTimes(simTime, rate float64) []float64 {
 }
 
 // runFig89Shard executes every (size, protocol) run of one (topology,
-// seed) shard. Shards are independent: each derives its own rng streams
-// from the seed and shares only the immutable cached artifacts. The
-// size guard and protocol loop emit observations in a fixed order, so
-// the index-ordered fold reproduces the serial Add sequence.
+// seed) shard on one network. Shards are independent: each derives its
+// own rng streams from the seed and shares only the immutable cached
+// artifacts. The size guard and protocol loop emit observations in a
+// fixed order, so the index-ordered fold reproduces the serial Add
+// sequence.
 func runFig89Shard(cfg Fig89Config, topo string, seed int) []obs {
 	art := fig89ArtifactFor(topo, int64(seed))
 	rnd := rng.New(int64(seed) * 7919)
+	var net shardNet
 	var out []obs
 	for _, size := range cfg.GroupSizes {
 		if size >= art.g.N() {
@@ -171,7 +191,7 @@ func runFig89Shard(cfg Fig89Config, topo string, seed int) []obs {
 		members := pickMembers(rnd, art.g.N(), size, -1)
 		source := topology.NodeID(rnd.Intn(art.g.N()))
 		for _, protoName := range Protocols {
-			data, proto, maxE2E, undelivered := runOne(art.g, protoName, cfg, members, source, art.center)
+			data, proto, maxE2E, undelivered := runOne(&net, art.g, protoName, cfg, topo, members, source, art.center)
 			out = append(out, obs{Key{topo, size, protoName}, vals{data, proto, maxE2E, float64(undelivered)}})
 		}
 	}

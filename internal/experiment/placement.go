@@ -92,11 +92,12 @@ func RunPlacement(cfg PlacementConfig) Table {
 	}
 	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
 	return fold(placementTable, runner.Map(opts, cfg.Seeds, func(seed int) []obs {
-		// The workload stream (random placement + member sets) is
-		// derived from the seed independently of the cached topology
-		// build, so a cache hit cannot shift later draws.
-		art := waxmanArtifactFor(topology.DefaultWaxman(cfg.Nodes), int64(seed))
-		g, spDelay, spCost := art.g, art.spDelay, art.spCost
+		// The seed's Waxman instance (Fig. 7's, at the default size),
+		// rebuilt here. The workload stream (random placement + member
+		// sets) is derived from the seed independently of the topology
+		// build.
+		g := waxmanGraph(topology.DefaultWaxman(cfg.Nodes), seed)
+		spDelay, spCost := shardTables(g)
 		wl := rng.New(int64(seed)*6151 + 2)
 		roots := make(map[string]topology.NodeID)
 		for _, rule := range PlacementRules {

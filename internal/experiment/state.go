@@ -3,7 +3,6 @@ package experiment
 import (
 	"io"
 
-	"scmp/internal/netsim"
 	"scmp/internal/packet"
 	"scmp/internal/rng"
 	"scmp/internal/runner"
@@ -67,6 +66,7 @@ func RunState(cfg StateConfig) Table {
 	return fold(stateTable, runner.Map(opts, cfg.Seeds, func(seed int) []obs {
 		art := randomArtifactFor(cfg.Nodes, cfg.Degree, int64(seed))
 		g, center := art.g, art.centers[0]
+		var net shardNet
 		var out []obs
 		for _, groups := range cfg.Groups {
 			// One shared workload per (seed, groups): per group, a
@@ -85,7 +85,7 @@ func RunState(cfg StateConfig) Table {
 			}
 			for _, protoName := range Protocols {
 				proto := buildProtocol(protoName, center, 1000 /* prunes persist: measure steady state */)
-				n := netsim.New(g, proto)
+				n := net.start(g, proto)
 				for gi, plan := range plans {
 					gid := packet.GroupID(gi + 1)
 					for _, m := range plan.members {

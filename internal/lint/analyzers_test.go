@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -133,6 +134,29 @@ func TestLoaderIncludeTests(t *testing.T) {
 	}
 	if !des.Types.Complete() {
 		t.Fatal("merged package not type-checked")
+	}
+}
+
+// TestLoaderExternalTestImportsDependent: netsim's external tests import
+// core, which imports netsim. Loading core first reaches netsim while
+// core is still loading; the external test package must wait for Load's
+// end instead of reporting an import cycle through core.
+func TestLoaderExternalTestImportsDependent(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader.IncludeTests = true
+	pkgs, err := loader.Load("scmp/internal/core", "scmp/internal/netsim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if !slices.Contains(paths, "scmp/internal/netsim [tests]") {
+		t.Fatalf("loaded %v, want netsim's external tests among them", paths)
 	}
 }
 

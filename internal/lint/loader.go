@@ -43,7 +43,8 @@ type Loader struct {
 	modulePath string
 	std        types.Importer
 	pkgs       map[string]*Package
-	exts       map[string]*Package // external test package by base import path
+	exts       map[string]*Package    // external test package by base import path
+	extFiles   map[string][]*ast.File // its parsed files, which Load checks
 	loading    map[string]bool
 
 	// IncludeTests adds _test.go files to subsequent Loads.
@@ -80,6 +81,7 @@ func NewLoader(dir string) (*Loader, error) {
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       make(map[string]*Package),
 		exts:       make(map[string]*Package),
+		extFiles:   make(map[string][]*ast.File),
 		loading:    make(map[string]bool),
 	}, nil
 }
@@ -146,8 +148,20 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		}
 	}
 	// External test packages of the requested paths ride along after the
-	// base packages, in the same sorted order.
+	// base packages, in the same sorted order. They are checked only
+	// now, when no package is mid-load: an external test may import a
+	// package that imports its base (netsim's imports core, which
+	// imports netsim), and a check inside the base's load would find
+	// that package still loading.
 	for _, p := range sorted {
+		if files := l.extFiles[p]; len(files) > 0 && l.exts[p] == nil {
+			ext, err := l.check(p+" [tests]", files)
+			if err != nil {
+				return nil, err
+			}
+			ext.Dir = l.dirFor(p)
+			l.exts[p] = ext
+		}
 		if ext := l.exts[p]; ext != nil {
 			out = append(out, ext)
 		}
@@ -281,14 +295,7 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 	}
 	l.pkgs[path] = pkg
 	if len(extFiles) > 0 {
-		// The external test package imports the base package just cached
-		// above, so this check cannot recurse back into loadPath.
-		ext, err := l.check(path+" [tests]", extFiles)
-		if err != nil {
-			return nil, err
-		}
-		ext.Dir = dir
-		l.exts[path] = ext
+		l.extFiles[path] = extFiles
 	}
 	return pkg, nil
 }

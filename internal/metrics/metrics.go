@@ -232,11 +232,9 @@ func (c *Collector) MaxRecovery() float64 { return c.recoveryMax }
 func (c *Collector) MaxEndToEndDelay() float64 { return c.maxDelay }
 
 // Reset zeroes every counter. A dense link registration made by
-// UseDenseLinks survives with zeroed loads, so a live network can keep
-// reporting crossings by index after its collector is reset between
-// phases.
-//
-//scmplint:ignore testonly — netsim's tests reset a live network's collector between phases
+// UseDenseLinks survives with zeroed loads, so a network can keep
+// reporting crossings by index after its collector is reset for the
+// next run (netsim.Network.Reset).
 func (c *Collector) Reset() {
 	clear(c.denseLoad)
 	*c = Collector{denseIDs: c.denseIDs, denseIdx: c.denseIdx, denseLoad: c.denseLoad}

@@ -265,9 +265,8 @@ func TestLossWindowCloses(t *testing.T) {
 	p := &echoProto{}
 	n := New(lineGraph(2), p)
 	n.InstallFaults(FaultPlan{ControlLoss: 1, LossUntil: 10, Seed: 1})
-	n.Sched.At(20, func() {
-		n.SendLink(0, 1, &Packet{Kind: packet.Join, Size: 64})
-	})
+	n.RunUntil(20)
+	n.SendLink(0, 1, &Packet{Kind: packet.Join, Size: 64})
 	n.Run()
 	// At t=20 the loss window has closed: the packet survives.
 	if len(p.got) != 1 {

@@ -64,7 +64,8 @@ type ParallelSafe interface {
 type Protocol interface {
 	// Name identifies the protocol in reports ("SCMP", "DVMRP", ...).
 	Name() string
-	// Attach wires the protocol to a network. Called exactly once.
+	// Attach wires the protocol to a network. Called exactly once, by
+	// New or Reset.
 	Attach(n *Network)
 	// HandlePacket processes a packet arriving at a router.
 	HandlePacket(node topology.NodeID, pkt *Packet)
@@ -194,9 +195,11 @@ const (
 	opScript               // steps a..b of the *Script in p
 )
 
-// New builds a network over g running proto. It creates the routing
-// store (empty: a row is computed when first consulted), registers the
-// link table with the metrics collector, and attaches the protocol.
+// New builds a network over g running proto. It does the one-time
+// set-up of the graph — the routing store (empty: a row is computed when
+// first consulted), the arc table the metrics collector counts links by,
+// the arc lanes — and then starts proto through Reset, so a new network
+// and a reused one go through one initialisation path.
 func New(g *topology.Graph, proto Protocol) *Network {
 	n := &Network{
 		G:       g,
@@ -205,7 +208,6 @@ func New(g *topology.Graph, proto Protocol) *Network {
 		Delay:   topology.NewLazyAllPairs(g, topology.ByDelay),
 		Cost:    topology.NewLazyAllPairs(g, topology.ByCost),
 		csr:     g.CSR(),
-		Proto:   proto,
 		members: make(map[packet.GroupID]NodeSet),
 	}
 	// Assign every directed arc its undirected link index, in CSR scan
@@ -227,8 +229,39 @@ func New(g *topology.Graph, proto Protocol) *Network {
 	}
 	n.Metrics.UseDenseLinks(ids)
 	n.Sched.SetSink(n)
-	proto.Attach(n)
+	n.Reset(proto)
 	return n
+}
+
+// Reset starts proto, a protocol instance no network has attached, on a
+// drained network as if New had just built it: the scheduler is back at
+// time zero (des.Scheduler.Reset), the metrics, members, delivery
+// ledger and data seq start over, Trace, Bandwidth and the busy
+// horizons are cleared and any fault layer is dropped. It keeps the
+// packet pool and the lanes and, unless a fault layer was installed,
+// the routing rows, which are pure functions of (graph, weight, mask)
+// (DESIGN.md §8); after a faulty run both tables are invalidated back
+// to every link up. It panics while events are pending.
+func (n *Network) Reset(proto Protocol) {
+	if n.Sched.Pending() != 0 {
+		panic("netsim: Reset of a network with events pending")
+	}
+	n.Sched.Reset()
+	n.Metrics.Reset()
+	clear(n.members)
+	for _, b := range n.ledger[:(n.seq+ledgerBlock-1)/ledgerBlock] {
+		clear(b)
+	}
+	n.seq = 0
+	n.Trace, n.Bandwidth = nil, 0
+	clear(n.busy)
+	if n.faults != nil {
+		n.faults = nil
+		n.Delay.Invalidate(nil)
+		n.Cost.Invalidate(nil)
+	}
+	n.Proto = proto
+	proto.Attach(n)
 }
 
 // EventsFired returns the total events the scheduler has executed.
@@ -510,7 +543,7 @@ func (n *Network) IsMember(node topology.NodeID, g packet.GroupID) bool {
 func (n *Network) SendData(src topology.NodeID, g packet.GroupID, size int) uint64 {
 	n.seq++
 	seq := n.seq
-	if (seq-1)%ledgerBlock == 0 {
+	if (seq-1)/ledgerBlock == uint64(len(n.ledger)) {
 		n.ledger = append(n.ledger, make([]uint64, ledgerBlock*n.recordWords()))
 	}
 	exp, _, _ := n.delivery(seq).sets()

@@ -46,7 +46,7 @@ func (p *traceProto) NodeUp(n topology.NodeID)      { p.log("node-up %d", n) }
 // TestScriptOrderMatchesClosures: random joins, leaves, sends and link
 // faults at tied and distinct times, installed as two scripts on a
 // network that also runs a churn plan, dispatch exactly as the same
-// inputs armed one closure each, in source order, do: the same trace
+// inputs armed one closure timer each, in source order, do: the same trace
 // and the same send seqs. Times sit on a quarter-second grid and links
 // have unit delay, so inputs tie with each other and with deliveries.
 func TestScriptOrderMatchesClosures(t *testing.T) {
@@ -89,7 +89,7 @@ func TestScriptOrderMatchesClosures(t *testing.T) {
 			} else {
 				for _, st := range steps {
 					v := topology.NodeID(st.Node)
-					n.Sched.At(st.At, func() {
+					n.Sched.AtTimer(st.At, timerFunc(func() {
 						switch st.Kind {
 						case Join:
 							n.HostJoin(v, st.Group)
@@ -100,7 +100,7 @@ func TestScriptOrderMatchesClosures(t *testing.T) {
 						default:
 							f.apply(st)
 						}
-					})
+					}), 0, 0, 0)
 				}
 			}
 			n.Run()
@@ -125,3 +125,9 @@ func TestScriptOrderMatchesClosures(t *testing.T) {
 		}
 	}
 }
+
+// timerFunc is a des timer's sink that calls the function: the oracle's
+// one closure per step.
+type timerFunc func()
+
+func (f timerFunc) SinkEvent(uint8, int32, int32, any, bool) { f() }

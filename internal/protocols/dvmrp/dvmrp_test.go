@@ -83,9 +83,7 @@ func TestPruneExpiryRefloods(t *testing.T) {
 	inLife := n.Metrics.Crossings(packet.Data) - base
 
 	// After expiry: floods again.
-	expired := n.Sched.Now() + 50
-	n.Sched.At(expired, func() { n.SendData(0, grp, 100) })
-	n.RunUntil(expired)
+	n.InstallScript([]netsim.Step{{At: n.Now() + 50, Node: 0, Arg: 100, Group: grp, Kind: netsim.Send}})
 	n.Run()
 	afterLife := n.Metrics.Crossings(packet.Data) - base - inLife
 	if afterLife <= inLife {

@@ -16,9 +16,10 @@ func Example() {
 	const g = 0xE0000000
 	mgr.Adopt(g)
 
-	sched.At(10, func() { _ = mgr.MemberJoined(g, 5) })
-	sched.At(40, func() { _ = mgr.MemberLeft(g, 5) })
-	sched.Run()
+	sched.RunUntil(10)
+	_ = mgr.MemberJoined(g, 5)
+	sched.RunUntil(40)
+	_ = mgr.MemberLeft(g, 5)
 	fmt.Println("member 5 on-time:", mgr.MemberOnTime(g, 5), "s")
 
 	id, _ := mgr.StartSession(g)

@@ -25,20 +25,20 @@ func newMgr() (*Manager, *des.Scheduler) {
 func TestMemberOnTimeAccounting(t *testing.T) {
 	m, sched := newMgr()
 	g := grp
-	sched.At(10, func() { _ = m.MemberJoined(g, 7) })
-	sched.At(25, func() { _ = m.MemberLeft(g, 7) })
-	sched.At(40, func() { _ = m.MemberJoined(g, 7) })
-	sched.Run()
+	sched.RunUntil(10)
+	_ = m.MemberJoined(g, 7)
+	sched.RunUntil(25)
+	_ = m.MemberLeft(g, 7)
+	sched.RunUntil(40)
+	_ = m.MemberJoined(g, 7)
 	// Closed span 15s + open span since t=40; clock now at 40.
 	if got := m.MemberOnTime(g, 7); got != 15 {
 		t.Fatalf("on-time = %v, want 15", got)
 	}
-	sched.At(50, func() {
-		if got := m.MemberOnTime(g, 7); got != 25 {
-			t.Errorf("on-time at t=50 = %v, want 25", got)
-		}
-	})
-	sched.Run()
+	sched.RunUntil(50)
+	if got := m.MemberOnTime(g, 7); got != 25 {
+		t.Errorf("on-time at t=50 = %v, want 25", got)
+	}
 }
 
 func TestMemberJoinIdempotent(t *testing.T) {
@@ -93,9 +93,10 @@ func TestSessionLifecycle(t *testing.T) {
 func TestLogChronology(t *testing.T) {
 	m, sched := newMgr()
 	g := grp
-	sched.At(1, func() { _ = m.MemberJoined(g, 2) })
-	sched.At(2, func() { _ = m.MemberLeft(g, 2) })
-	sched.Run()
+	sched.RunUntil(1)
+	_ = m.MemberJoined(g, 2)
+	sched.RunUntil(2)
+	_ = m.MemberLeft(g, 2)
 	log := m.Log()
 	if len(log) != 3 {
 		t.Fatalf("log = %v", log)
@@ -191,17 +192,13 @@ func TestPropertyOnTimeBounded(t *testing.T) {
 		m, sched := newMgr()
 		g := grp
 		for i, join := range ops {
-			at := des.Time(i + 1)
-			join := join
-			sched.At(at, func() {
-				if join {
-					_ = m.MemberJoined(g, 1)
-				} else {
-					_ = m.MemberLeft(g, 1)
-				}
-			})
+			sched.RunUntil(des.Time(i + 1))
+			if join {
+				_ = m.MemberJoined(g, 1)
+			} else {
+				_ = m.MemberLeft(g, 1)
+			}
 		}
-		sched.Run()
 		got := m.MemberOnTime(g, 1)
 		return got >= 0 && got <= sched.Now()
 	}
