@@ -1,12 +1,14 @@
-// The allocation-floor cross-check ties the static hotalloc analyzer to
-// the dynamic reality it models: cmd/scmplint proves the annotated
-// data-plane hot paths (des dispatch, netsim fast path, core
-// forwarding) contain no unreviewed allocation sites, and this test
-// proves the composition of those paths actually runs allocation-free
-// at steady state — if either side drifts, one of the two gates trips.
+// The allocation floors are the one gate of the simulator's
+// zero-allocation contract. Each drives an entry point at steady state
+// through testing.AllocsPerRun (or the heap's byte counter) and fails
+// when it pays more than its budget: that sees through interface
+// dispatch and escaping values alike. A failure names the memory-profile
+// recipe that locates the new allocation site. DESIGN.md §11 lists the
+// floors here and in the des, netsim, topology, packet and core tests.
 package scmp_test
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -79,73 +81,11 @@ func TestHotPathAllocFloor(t *testing.T) {
 		})
 		t.Logf("%s: %.2f allocs per packet fan-out", tc.name, avg)
 		if avg > budget {
-			t.Errorf("%s data plane allocates %.2f allocs per packet fan-out, budget %.0f; "+
-				"run `go run ./cmd/scmplint -only hotalloc ./...` to locate the new allocation site",
+			t.Errorf("%s data plane allocates %.2f allocs per packet fan-out, budget %.0f; locate the new site with "+
+				"`go test -run '^TestHotPathAllocFloor$' -memprofile mem.out -memprofilerate 1 .` and "+
+				"`go tool pprof -sample_index alloc_objects -top mem.out`, then `-list` the function it names",
 				tc.name, avg, budget)
 		}
-	}
-}
-
-// TestReliableRoundTripAllocFloor pins the hardened control plane's
-// per-request bill on the 400-node Waxman instance: a member router's
-// JOIN and then its LEAVE, each carried by a reliable request slot
-// through the m-router's modelled service queue and answered with an
-// ACK, beside 40 resident members, with admission control, retry
-// budgets and refresh suppression configured. Timers (retransmission,
-// service completion, refresh) are typed scheduler events, request
-// slots are recycled, and every payload is encoded into scratch that
-// the in-flight packet copies into its own buffer, so the cycle pays one
-// allocation, the DCDM join's grafted path.
-func TestReliableRoundTripAllocFloor(t *testing.T) {
-	if mtree.InvariantChecksArmed {
-		t.Skip("invariants build: per-mutation Validate allocates freely")
-	}
-	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := core.New(core.Config{
-		MRouter: 0, Kappa: 1.5,
-		AckTimeout: 0.05, RetryCap: 8, RefreshInterval: 2,
-		ServiceTime: 0.00075, Processors: 1,
-		AdmitLimit: 32, RetryBudget: 4, RefreshSuppress: true,
-	})
-	n := netsim.New(wg.Graph.ScaleDelays(1e-5), s)
-	var routers []topology.NodeID // 8 that join and leave, then 40 resident members
-	for _, v := range rand.New(rand.NewSource(7)).Perm(n.G.N()) {
-		if v != 0 && len(routers) < 48 {
-			routers = append(routers, topology.NodeID(v))
-		}
-	}
-	pool := routers[:8]
-	for _, m := range routers[8:] {
-		n.HostJoin(m, 1)
-		n.RunUntil(n.Now() + 0.05)
-	}
-	settle := func() { n.RunUntil(n.Now() + 0.5) }
-	settle()
-	i := 0
-	cycle := func() {
-		v := pool[i%len(pool)]
-		i++
-		n.HostJoin(v, 1)
-		settle()
-		n.HostLeave(v, 1)
-		settle()
-		if s.PendingRequests() != 0 || s.ParkedRequests() != 0 {
-			t.Fatalf("router %d: %d requests unacknowledged after the round trip", v, s.PendingRequests()+s.ParkedRequests())
-		}
-	}
-	for k := 0; k < 4*len(pool); k++ { // every pool router's entry, and the scratch, warm
-		cycle()
-	}
-	const budget = 2.0 // per JOIN+LEAVE cycle
-	avg := testing.AllocsPerRun(200, cycle)
-	t.Logf("%.2f allocs per acknowledged JOIN+LEAVE cycle", avg)
-	if avg > budget {
-		t.Errorf("hardened JOIN+LEAVE round trip allocates %.2f per cycle, budget %.0f; "+
-			"run `go run ./cmd/scmplint -only hotalloc ./...` to locate the new allocation site",
-			avg, budget)
 	}
 }
 
@@ -202,9 +142,103 @@ func TestDCDMAllocFloor(t *testing.T) {
 		d.Leave(v)
 	})
 	if avg > budget {
-		t.Errorf("steady-state DCDM Join+Leave allocates %.2f per pair, budget %.0f (<=1 per op); "+
-			"run `go run ./cmd/scmplint -only hotalloc ./internal/mtree/` to locate the new allocation site",
+		t.Errorf("steady-state DCDM Join+Leave allocates %.2f per pair, budget %.0f (<=1 per op); locate the new site with "+
+			"`go test -run '^TestDCDMAllocFloor$' -memprofile mem.out -memprofilerate 1 .` and "+
+			"`go tool pprof -sample_index alloc_objects -top mem.out`, then `-list` the function it names",
 			avg, budget)
+	}
+}
+
+// TestHierDCDMAllocFloor pins the hierarchical engine's steady-state
+// bill: one Join plus one Leave of the same router on the 2440-node
+// transit-stub (one domain per transit and stub domain), beside 128
+// resident members, with every joining router in a domain that stays
+// active, so no join activates a domain and no leave releases one.
+// Each join pays its local DCDM's
+// graft path and the path translated to global ids; the rest is the
+// per-domain engines' lookups and the composed tree's bookkeeping run
+// on reused scratch. The budget is the count this fixture measures
+// (go1.24, linux/amd64). Activating a domain builds its local engine
+// and is off this budget.
+func TestHierDCDMAllocFloor(t *testing.T) {
+	if mtree.InvariantChecksArmed {
+		t.Skip("invariants build: per-mutation Validate allocates freely")
+	}
+	g, info, err := topology.TransitStub(topology.TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := topology.NewDomainView(g, info.Domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := mtree.NewHierDCDM(view, view.MRouters(), 0, 1.5)
+	perm := rand.New(rand.NewSource(7)).Perm(g.N())
+	active := make([]bool, view.K())
+	for _, v := range perm[:128] {
+		active[h.Join(topology.NodeID(v)).Domain] = true
+	}
+	var pool []topology.NodeID // off-tree routers of domains with residents
+	for _, v := range perm[128:] {
+		if v := topology.NodeID(v); !h.Tree().OnTree(v) && active[view.Domain(v)] && len(pool) < 16 {
+			pool = append(pool, v)
+		}
+	}
+	cycle := func(i int) {
+		v := pool[i%len(pool)]
+		if res := h.Join(v); res.Activated {
+			t.Fatalf("router %d's join activated domain %d: the fixture must keep every domain active", v, res.Domain)
+		}
+		if res := h.Leave(v); res.Deactivated {
+			t.Fatalf("router %d's leave released domain %d", v, res.Domain)
+		}
+	}
+	for i := 0; i < 32; i++ { // warm every engine's scratch
+		cycle(i)
+	}
+	const budget = 2.0 // per Join+Leave pair: the local path and its global translation
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		cycle(i)
+		i++
+	})
+	t.Logf("%.2f allocs per hierarchical Join+Leave pair", avg)
+	if avg > budget {
+		t.Errorf("steady-state HierDCDM Join+Leave allocates %.2f per pair, budget %.0f; locate the new site with "+
+			"`go test -run '^TestHierDCDMAllocFloor$' -memprofile mem.out -memprofilerate 1 .` and "+
+			"`go tool pprof -sample_index alloc_objects -top mem.out`, then `-list` the function it names",
+			avg, budget)
+	}
+}
+
+// TestTreeDelayAllocFloor: reading a router's multicast delay off a
+// tree is a cache load, on the tree and off it. The domains study reads
+// it per member per sample.
+func TestTreeDelayAllocFloor(t *testing.T) {
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := mtree.NewDCDM(wg.Graph, 0, 1.5, nil, nil)
+	for _, v := range rand.New(rand.NewSource(7)).Perm(wg.Graph.N())[:64] {
+		d.Join(topology.NodeID(v))
+	}
+	tree := d.Tree()
+	sum := 0.0
+	avg := testing.AllocsPerRun(200, func() {
+		for v := 0; v < wg.Graph.N(); v++ {
+			if dl := tree.Delay(topology.NodeID(v)); !math.IsInf(dl, 1) {
+				sum += dl
+			}
+		}
+	})
+	if sum == 0 {
+		t.Fatal("fixture degenerate: no on-tree delay read")
+	}
+	if avg > 0 {
+		t.Errorf("Tree.Delay over every router allocates %.2f per sweep, budget 0; locate the new site with "+
+			"`go test -run '^TestTreeDelayAllocFloor$' -memprofile mem.out -memprofilerate 1 .` and "+
+			"`go tool pprof -sample_index alloc_objects -top mem.out`, then `-list` the function it names", avg)
 	}
 }
 
@@ -303,113 +337,6 @@ func TestDCDMJoinRowAllocFloor(t *testing.T) {
 			t.Errorf("%s: first join from a router allocates %d bytes, budget %d: its rows must cost what the search labels, not the size of the graph",
 				tc.name, per, tc.bytes)
 		}
-	}
-}
-
-// nopProto is a protocol that does nothing, so a measurement sees the
-// network layer alone.
-type nopProto struct{}
-
-func (nopProto) Name() string                                          { return "nop" }
-func (nopProto) Attach(*netsim.Network)                                {}
-func (nopProto) HandlePacket(topology.NodeID, *netsim.Packet)          {}
-func (nopProto) HostJoin(topology.NodeID, packet.GroupID)              {}
-func (nopProto) HostLeave(topology.NodeID, packet.GroupID)             {}
-func (nopProto) SendData(topology.NodeID, packet.GroupID, int, uint64) {}
-
-// TestFaultReconvergeAllocFloor pins the cost model of lazy
-// reconvergence on the 400-node Waxman, in two arms. Substrate: a
-// LinkDown + LinkUp pair with 8 unicast destinations consulted after
-// each event allocates O(1) bytes — the two scheduled closures — because
-// the routing store is invalidated in place and the rows it retires are
-// the arrays the next ones are started on. Fresh rows each time would be
-// 8 x 12.9 KB per event. Hardened SCMP with repair on: one group of 8
-// members whose m-router loses and regains a tree link. The group's DCDM
-// reads the network's own tables across every pair — there is no
-// private copy to rebuild — so after the first pair's re-graft a pair
-// costs the fault closures and the m-router's rebase: 300-400 bytes
-// measured (go1.24, linux/amd64), where two fresh n-slot tables and a
-// copy of the arc mask per event came to 51.7 KB. One budget covers
-// both arms.
-func TestFaultReconvergeAllocFloor(t *testing.T) {
-	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := wg.Graph
-	const pairs = 50
-	perPair := func(pair func()) uint64 {
-		pair() // start the rows every later pair recycles
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < pairs; i++ {
-			pair()
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / pairs
-	}
-
-	n := netsim.New(g, nopProto{})
-	f := n.InstallFaults(netsim.FaultPlan{})
-	u, v := topology.NodeID(0), g.Neighbors(0)[0].To
-	consulted := []topology.NodeID{0, 7, 42, 99, 123, 250, 311, 399}
-	consult := func() {
-		n.Run()
-		for _, dst := range consulted {
-			n.Delay.Hop(1, dst)
-		}
-		if got := n.Delay.Materialized(); got != len(consulted) {
-			t.Fatalf("%d rows started after consulting %d destinations", got, len(consulted))
-		}
-	}
-	const budget = 1 << 10 // bytes per pair, either arm
-	per := perPair(func() {
-		f.ScheduleLinkDown(n.Now(), u, v)
-		consult()
-		f.ScheduleLinkUp(n.Now(), u, v)
-		consult()
-	})
-	t.Logf("substrate: %d bytes per fault pair", per)
-	if per > budget {
-		t.Errorf("fault pair + %d consulted destinations allocates %d bytes, budget %d; "+
-			"run `go run ./cmd/scmplint -only hotalloc ./internal/topology/ ./internal/netsim/` to locate the new allocation site",
-			len(consulted), per, budget)
-	}
-
-	s := core.New(core.Config{MRouter: 0, Kappa: 1.5, AckTimeout: 0.05, RetryCap: 8, RefreshInterval: 2})
-	n = netsim.New(g.ScaleDelays(1e-7), s)
-	f = n.InstallFaults(netsim.FaultPlan{})
-	for _, m := range rand.New(rand.NewSource(7)).Perm(g.N())[:8] {
-		n.HostJoin(topology.NodeID(m), 1)
-	}
-	settle := func() {
-		n.RunUntil(n.Now() + 4)
-		s.Quiesce()
-		n.Run()
-	}
-	settle()
-	v = s.GroupTree(1).Children(0)[0]
-	d := s.GroupEngine(1)
-	per = perPair(func() {
-		f.ScheduleLinkDown(n.Now(), 0, v)
-		settle()
-		f.ScheduleLinkUp(n.Now(), 0, v)
-		settle()
-		if dd, dc := d.Tables(); dd != n.Delay || dc != n.Cost {
-			t.Fatal("the group's DCDM reads tables other than the network's routing store")
-		}
-	})
-	t.Logf("hardened SCMP: %d bytes per fault pair", per)
-	if per > budget {
-		t.Errorf("hardened SCMP fault pair allocates %d bytes, budget %d", per, budget)
-	}
-	if p, ok := s.GroupTree(1).Parent(v); ok && p == 0 {
-		t.Fatalf("the tree still hangs %d off the m-router: the cut was never repaired around", v)
-	}
-	seq := n.SendData(0, 1, packet.DefaultDataSize)
-	n.Run()
-	if missing, _ := n.CheckDelivery(seq); len(missing) != 0 {
-		t.Fatalf("members %v stranded after %d fault pairs", missing, pairs+1)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command scmplint runs the repository's custom static-analysis suite —
-// the determinism analyzers, the dataflow analyzers (poollife, hotalloc,
+// the determinism analyzers, the dataflow analyzers (poollife,
 // detshared) and testonly in scmp/internal/lint — over module packages
 // and exits non-zero when any finding remains. testonly is
 // whole-program: it reports only when the patterns load a main package,
@@ -16,8 +16,10 @@
 // cleanly). -tests extends the analysis to _test.go files.
 //
 // The only suppression is a "//scmplint:ignore <name> — <reason>"
-// comment on the same or preceding line (a testonly one must give its
-// reason); every other finding fails the run.
+// comment on the same or preceding line; every other finding fails the
+// run. An ignore naming no analyzer of the suite or giving no reason,
+// and any other "//scmplint:" comment, is a finding itself, whatever
+// -only selects.
 //
 // Exit codes: 0 clean, 1 findings, 2 load/type-check/usage error.
 package main

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"scmp/internal/mtree"
 	"scmp/internal/packet"
 	"scmp/internal/topology"
 )
@@ -20,4 +21,29 @@ func (s *SCMP) TrafficRecord(g packet.GroupID) (packets, bytes uint64) {
 		return 0, 0
 	}
 	return info.Packets, info.Bytes
+}
+
+// groupEngine returns g's DCDM engine (nil when the group has no state
+// yet).
+func (s *SCMP) groupEngine(g packet.GroupID) *mtree.DCDM {
+	if gs := s.groups[g]; gs != nil {
+		return gs.dcdm
+	}
+	return nil
+}
+
+// pendingRequests returns the number of unacknowledged reliable control
+// requests on their retry ladders across all routers.
+func (s *SCMP) pendingRequests() int { return len(s.slots) - s.parkedRequests() }
+
+// parkedRequests returns the number of requests currently in the
+// degraded parked state.
+func (s *SCMP) parkedRequests() int {
+	n := 0
+	for i := range s.reqs {
+		if s.reqs[i].live && s.reqs[i].parked {
+			n++
+		}
+	}
+	return n
 }

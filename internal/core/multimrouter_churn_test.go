@@ -140,8 +140,8 @@ func TestMultiMRouterChurnUnderOverloadProtection(t *testing.T) {
 	s.Quiesce()
 	n.Run()
 	plan.verify(t, n, s, 5)
-	if s.PendingRequests() != 0 || s.ParkedRequests() != 0 {
-		t.Fatalf("drain left %d pending / %d parked requests", s.PendingRequests(), s.ParkedRequests())
+	if s.pendingRequests() != 0 || s.parkedRequests() != 0 {
+		t.Fatalf("drain left %d pending / %d parked requests", s.pendingRequests(), s.parkedRequests())
 	}
 }
 

@@ -92,23 +92,3 @@ func (s *SCMP) park(i int32) {
 // control-operation count — the queue depth AdmitLimit bounds. Always 0
 // without a ServiceTime.
 func (s *SCMP) ControlBacklog() int { return s.service.backlog() }
-
-// PendingRequests returns the number of unacknowledged reliable control
-// requests on their retry ladders across all routers.
-//
-//scmplint:ignore testonly — the root package's alloc_test.go checks every request is acknowledged
-func (s *SCMP) PendingRequests() int { return len(s.slots) - s.ParkedRequests() }
-
-// ParkedRequests returns the number of requests currently in the
-// degraded parked state.
-//
-//scmplint:ignore testonly — the root package's alloc_test.go checks every request is acknowledged
-func (s *SCMP) ParkedRequests() int {
-	n := 0
-	for i := range s.reqs {
-		if s.reqs[i].live && s.reqs[i].parked {
-			n++
-		}
-	}
-	return n
-}

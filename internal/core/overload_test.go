@@ -32,8 +32,8 @@ func TestLeaveCancelsJoinRetry(t *testing.T) {
 	if e, ok := s.Entry(2, grp); ok && (e.OnTree || e.HasLocal) {
 		t.Fatalf("router 2 entry after leave: %+v", e)
 	}
-	if s.PendingRequests() != 0 {
-		t.Fatalf("%d pending requests after drain", s.PendingRequests())
+	if s.pendingRequests() != 0 {
+		t.Fatalf("%d pending requests after drain", s.pendingRequests())
 	}
 }
 
@@ -48,11 +48,11 @@ func TestLeaveCancelsParkedJoin(t *testing.T) {
 	// Ladder: transmit at 0, retries at 5 and 15, park at 35 with a
 	// deferred re-attempt at 75. The leave at 50 lands in between.
 	n.RunUntil(50)
-	if s.ParkedRequests() != 1 {
-		t.Errorf("parked requests at t=50: %d, want 1", s.ParkedRequests())
+	if s.parkedRequests() != 1 {
+		t.Errorf("parked requests at t=50: %d, want 1", s.parkedRequests())
 	}
 	n.HostLeave(2, grp)
-	if s.ParkedRequests() != 0 {
+	if s.parkedRequests() != 0 {
 		t.Errorf("leave did not supersede the parked JOIN")
 	}
 	n.RunUntil(200)
@@ -77,9 +77,9 @@ func TestQuiesceCancelsParkedTimers(t *testing.T) {
 	n.RunUntil(100)
 	s.Quiesce()
 	n.Run() // must terminate
-	if s.ParkedRequests() != 0 || s.PendingRequests() != 0 {
+	if s.parkedRequests() != 0 || s.pendingRequests() != 0 {
 		t.Fatalf("quiesce left %d parked / %d pending requests",
-			s.ParkedRequests(), s.PendingRequests())
+			s.parkedRequests(), s.pendingRequests())
 	}
 }
 
@@ -109,9 +109,9 @@ func TestQuiesceRunTerminates(t *testing.T) {
 			t.Fatalf("still %d events pending after %d steps past Quiesce", n.Sched.Pending(), bound)
 		}
 	}
-	if s.ControlBacklog() != 0 || s.PendingRequests() != 0 || s.ParkedRequests() != 0 {
+	if s.ControlBacklog() != 0 || s.pendingRequests() != 0 || s.parkedRequests() != 0 {
 		t.Fatalf("drained with backlog %d, %d pending / %d parked requests",
-			s.ControlBacklog(), s.PendingRequests(), s.ParkedRequests())
+			s.ControlBacklog(), s.pendingRequests(), s.parkedRequests())
 	}
 
 	n.HostJoin(4, grp+1)

@@ -90,8 +90,6 @@ var _ netsim.FaultListener = (*SCMP)(nil)
 // acknowledged or the retry cap is reached; otherwise it degrades to
 // the classic fire-and-forget unicast. The payload is copied, so it may
 // be the caller's scratch.
-//
-//scmplint:hotpath
 func (s *SCMP) sendReliable(node topology.NodeID, g packet.GroupID, kind packet.Kind, payload []byte) {
 	if s.cfg.AckTimeout <= 0 {
 		pkt := netsim.Packet{
@@ -127,7 +125,7 @@ func (s *SCMP) newReq(key pendingKey) int32 {
 		i = s.freeReqs[n-1]
 		s.freeReqs = s.freeReqs[:n-1]
 	} else {
-		s.reqs = append(s.reqs, reqSlot{}) //scmplint:ignore hotalloc — amortised growth to the peak outstanding requests
+		s.reqs = append(s.reqs, reqSlot{}) // amortised growth to the peak outstanding requests
 		i = int32(len(s.reqs) - 1)
 	}
 	s.slots[key] = i
@@ -141,7 +139,7 @@ func (s *SCMP) releaseReq(i int32) {
 	s.net.Sched.Stop(r.timer)
 	r.live, r.timer = false, des.Timer{}
 	delete(s.slots, r.key)
-	s.freeReqs = append(s.freeReqs, i) //scmplint:ignore hotalloc — amortised: the free list never outgrows the table
+	s.freeReqs = append(s.freeReqs, i) // amortised: the free list never outgrows the table
 }
 
 // startLadder (re)starts slot i's retry ladder: a transmission under a
@@ -259,8 +257,6 @@ func (s *SCMP) retryLimit() int {
 // acknowledged. An ACK addressed to the home itself self-delivers: the
 // durable-mode primary sends its own membership through the reliable
 // path (HostJoin), and that ladder needs settling like any other.
-//
-//scmplint:hotpath
 func (s *SCMP) ack(g packet.GroupID, req packet.Kind, to topology.NodeID, seq uint64) {
 	if seq == 0 {
 		return
@@ -321,10 +317,8 @@ func (s *SCMP) flushAckQueue(g packet.GroupID) {
 
 // handleAck matches an ACK against the node's pending request and, on a
 // match, cancels the retransmission timer.
-//
-//scmplint:hotpath
 func (s *SCMP) handleAck(node topology.NodeID, pkt *netsim.Packet) {
-	a, err := packet.DecodeAck(pkt.Payload) //scmplint:ignore hotalloc — only a malformed ACK allocates: its error
+	a, err := packet.DecodeAck(pkt.Payload) // only a malformed ACK allocates: its error
 	if err != nil {
 		return
 	}

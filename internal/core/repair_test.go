@@ -108,7 +108,7 @@ func TestLazyRoutesRebaseWithoutRepair(t *testing.T) {
 	n.HostJoin(2, grp)
 	n.HostJoin(3, grp)
 	n.Run()
-	d := s.GroupEngine(grp)
+	d := s.groupEngine(grp)
 	checkBound := func(when string, want float64) {
 		t.Helper()
 		rescan := 0.0

@@ -77,7 +77,7 @@ func (e *entry) newSeq(src topology.NodeID, seq uint64) bool {
 	if i < len(ps) && ps[i].src < src {
 		i++
 	}
-	e.lastSeq = slices.Insert(ps, i, srcSeq{src, seq}) //scmplint:ignore hotalloc — once per source; the array is kept
+	e.lastSeq = slices.Insert(ps, i, srcSeq{src, seq}) // allocates once per source; the array is kept
 	return true
 }
 
@@ -378,17 +378,6 @@ func (s *SCMP) GroupTree(g packet.GroupID) *mtree.Tree {
 		return nil
 	}
 	return gs.dcdm.Tree()
-}
-
-// GroupEngine returns g's DCDM engine (nil when the group has no state
-// yet). Read-only, for tests and tooling.
-//
-//scmplint:ignore testonly — the root package's alloc_test.go checks the engine's tables
-func (s *SCMP) GroupEngine(g packet.GroupID) *mtree.DCDM {
-	if gs := s.groups[g]; gs != nil {
-		return gs.dcdm
-	}
-	return nil
 }
 
 func (s *SCMP) group(g packet.GroupID) *groupState {
@@ -1147,8 +1136,6 @@ func (s *SCMP) SendData(src topology.NodeID, g packet.GroupID, size int, seq uin
 // handleData implements the multicast packet forwarding procedure: if
 // the packet arrived from a router in F = {upstream} ∪ downstream,
 // forward it to the rest of F and deliver locally; otherwise drop it.
-//
-//scmplint:hotpath
 func (s *SCMP) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	e := s.peekEntry(node, pkt.Group)
 	if e == nil || !e.Accepts(pkt.From) {

@@ -222,8 +222,6 @@ func (f closure) SinkEvent(uint8, int32, int32, any, bool) { f() }
 // stored in the pooled slot, so a steady-state packet hop allocates
 // nothing (a *Packet in p is a pointer-shaped interface — no boxing).
 // Sink events return no handle; they cannot be cancelled.
-//
-//scmplint:hotpath
 func (s *Scheduler) AtSink(t Time, op uint8, a, b int32, p any, flag bool) {
 	if !(t >= s.now) {
 		panic("des: event scheduled in the past")
@@ -240,8 +238,6 @@ func (s *Scheduler) AtSink(t Time, op uint8, a, b int32, p any, flag bool) {
 // k, op, a and b live in the pooled slot and the handle is a value, so
 // arming a timer allocates nothing (k is stored, not boxed: it already is
 // an interface). Timers order with every other event by (time, seq).
-//
-//scmplint:hotpath
 func (s *Scheduler) AtTimer(t Time, k Sink, op uint8, a, b int32) Timer {
 	if !(t >= s.now) {
 		panic("des: event scheduled in the past")
@@ -301,8 +297,6 @@ func (s *Scheduler) LaneEmpty(l Lane) bool { return s.tails[l] == 0 }
 // takes its sequence number at push, so a lane is sorted by (time, seq)
 // and its head is its minimum; only the head has a queue entry, and
 // dispatch order is exactly the order AtSink would give.
-//
-//scmplint:hotpath
 func (s *Scheduler) LaneSink(l Lane, t Time, op uint8, a, b int32, p any, flag bool) {
 	if !(t >= s.now) {
 		panic("des: event scheduled in the past")
@@ -332,8 +326,6 @@ func (s *Scheduler) LaneSink(l Lane, t Time, op uint8, a, b int32, p any, flag b
 // in one pass, the path same-instant storms take — and later it goes
 // to its bucket. Lane events have no handle, so they are never
 // cancelled and never stale.
-//
-//scmplint:hotpath
 func (s *Scheduler) popLane(e entry, nd *node) {
 	checkPop(s, e, nd)
 	if nd.next != 0 {
@@ -360,8 +352,6 @@ func (s *Scheduler) popLane(e entry, nd *node) {
 
 // Step executes the single earliest pending event. It returns false when
 // the queue is empty.
-//
-//scmplint:hotpath
 func (s *Scheduler) Step() bool {
 	for len(s.near) > 0 || s.refill() {
 		e := s.near[0]
@@ -401,8 +391,6 @@ func (s *Scheduler) Step() bool {
 }
 
 // Run executes events until the queue is empty.
-//
-//scmplint:hotpath
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}
@@ -410,8 +398,6 @@ func (s *Scheduler) Run() {
 
 // RunUntil executes events with firing time <= deadline, then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay queued.
-//
-//scmplint:hotpath
 func (s *Scheduler) RunUntil(deadline Time) {
 	for {
 		at, ok := s.peek()
@@ -476,33 +462,27 @@ func (s *Scheduler) peek() (Time, bool) {
 // key is the radix key of time t: its IEEE-754 bits, which order like
 // the times for t >= 0. Clearing the sign bit maps -0 (legal at Now 0,
 // where it ties with 0) onto +0.
-//
-//scmplint:hotpath
 func key(t Time) uint64 { return math.Float64bits(float64(t)) &^ (1 << 63) }
 
 // insert queues e: in the near heap at or before the mark, in its
 // bucket after it.
-//
-//scmplint:hotpath
 func (s *Scheduler) insert(e entry) {
 	if k := key(e.at); k > s.last {
 		s.toBucket(e, k)
 		return
 	}
-	s.near = append(s.near, e) //scmplint:ignore hotalloc — amortised growth; capacity is retained, so the near heap stops growing at its peak depth
+	s.near = append(s.near, e) // amortised growth; capacity is retained, so the near heap stops growing at its peak depth
 	s.siftUp(len(s.near) - 1)
 }
 
 // toBucket queues e, whose key k is above the mark, in a cell taken
 // from the pool's free list (or a new one).
-//
-//scmplint:hotpath
 func (s *Scheduler) toBucket(e entry, k uint64) {
 	c := s.pfree - 1
 	if c >= 0 {
 		s.pfree = s.pool[c].next
 	} else {
-		s.pool = append(s.pool, cell{}) //scmplint:ignore hotalloc — amortised growth; cells are recycled through pfree, so the pool stops growing at the peak far queue
+		s.pool = append(s.pool, cell{}) // amortised growth; cells are recycled through pfree, so the pool stops growing at the peak far queue
 		c = int32(len(s.pool) - 1)
 	}
 	s.pool[c].e = e
@@ -511,8 +491,6 @@ func (s *Scheduler) toBucket(e entry, k uint64) {
 }
 
 // link pushes cell c, with key k above the mark, onto its bucket.
-//
-//scmplint:hotpath
 func (s *Scheduler) link(c int32, k uint64) {
 	b := bits.Len64(k^s.last) - 1
 	s.pool[c].next = s.bucket[b]
@@ -524,8 +502,6 @@ func (s *Scheduler) link(c int32, k uint64) {
 // bucket and re-places that bucket's entries, which puts at least that
 // minimum in the (empty) near heap. It reports false when every bucket
 // is empty.
-//
-//scmplint:hotpath
 func (s *Scheduler) refill() bool {
 	if s.mask == 0 {
 		return false

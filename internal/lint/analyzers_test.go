@@ -6,64 +6,6 @@ import (
 	"testing"
 )
 
-// TestHotAllocCrossPackageFact proves the fact pipeline: the Facts phase
-// summarises scmp/internal/packet first (dependency order), and a hot
-// function in a later package calling packet.EncodeBranch — which
-// allocates its result — is reported at the call site.
-func TestHotAllocCrossPackageFact(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deps, err := loader.Load("scmp/internal/packet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.CheckSource("scmp/internal/lint/testdata/xpkg", map[string]string{
-		"scmp/internal/lint/testdata/xpkg/x.go": `
-package xpkg
-import (
-	"scmp/internal/packet"
-	"scmp/internal/topology"
-)
-//scmplint:hotpath
-func forward(path []topology.NodeID) []byte {
-	return packet.EncodeBranch(path)
-}`,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Check(append(deps, pkg), []*Analyzer{HotAlloc})
-	var hit bool
-	for _, d := range diags {
-		if strings.Contains(d.Message, "call to scmp/internal/packet.EncodeBranch may allocate") {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Fatalf("no cross-package allocation finding; got %v", diags)
-	}
-}
-
-// Appends under an ignore comment are excluded from the summary, so a
-// reviewed amortization does not poison transitive callers.
-func TestHotAllocIgnoredCalleeDoesNotPoison(t *testing.T) {
-	got := runOn(t, HotAlloc, "scmp/internal/lint/testdata/amortized", `
-package amortized
-type q struct{ buf []int }
-func (s *q) grow(n int) {
-	if cap(s.buf) < n {
-		s.buf = make([]int, n) //scmplint:ignore hotalloc
-	}
-}
-//scmplint:hotpath
-func (s *q) hot(n int) {
-	s.grow(n)
-}`)
-	wantFindings(t, got)
-}
-
 func TestNoClockRelaxedInTestFiles(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {

@@ -7,10 +7,9 @@ import (
 	"strings"
 )
 
-// This file is the shared intra-procedural dataflow layer the PR 4–5
-// contract analyzers (poollife, hotalloc, detshared) are built on:
-// function inventories, //scmplint:<name> directive parsing, static
-// call resolution, and a position-ordered liveness walk that answers
+// This file is the shared intra-procedural dataflow layer the contract
+// analyzers (poollife, detshared) are built on: function inventories,
+// static call resolution, and a position-ordered liveness walk that answers
 // "is this use of a tracked value sequenced after that invalidating
 // call?" without a full CFG.
 //
@@ -44,22 +43,6 @@ func packageFuncs(p *Pass) []funcInfo {
 		}
 	}
 	return out
-}
-
-// hasDirective reports whether fn carries a "//scmplint:<name>"
-// directive in its doc comment group.
-func hasDirective(fn *ast.FuncDecl, name string) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	want := "scmplint:" + name
-	for _, c := range fn.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == want || strings.HasPrefix(text, want+" ") {
-			return true
-		}
-	}
-	return false
 }
 
 // staticCallee resolves the *types.Func a call statically dispatches
@@ -189,18 +172,6 @@ func enclosingBlocks(fn ast.Node, pos token.Pos) []ast.Node {
 		return true
 	})
 	return out
-}
-
-// insidePanicArg reports whether the innermost enclosing call on the
-// stack chain leading to n is a panic(...) — allocation there is the
-// process dying, not the hot path.
-func insidePanicArg(info *types.Info, stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if call, ok := stack[i].(*ast.CallExpr); ok && isBuiltinCall(info, call, "panic") {
-			return true
-		}
-	}
-	return false
 }
 
 // capturedVars returns the variables a function literal references that

@@ -8,20 +8,25 @@
 // The analyzers guard the properties the whole reproduction depends on.
 // The determinism suite (maporder, noclock, desdiscipline, floatcmp)
 // protects the m-router's centrally computed trees from run-to-run
-// divergence; the dataflow suite (poollife, hotalloc, detshared)
-// machine-checks the manually managed performance and concurrency
-// invariants the zero-allocation data plane and the parallel runner
-// rely on; testonly keeps production code that only tests reach out of
-// the non-test sources. See the individual analyzer docs and DESIGN.md
-// §11.
+// divergence; the dataflow suite (poollife, detshared) machine-checks
+// the packet pool's ownership rule and the parallel runner's sharing
+// rule; testonly keeps production code that only tests reach out of the
+// non-test sources. The zero-allocation contract of the data plane is
+// not a lint rule: testing.AllocsPerRun floors guard it. See the
+// individual analyzer docs and DESIGN.md §11.
+//
+// The only directive is "//scmplint:ignore <analyzer> — <reason>" on the
+// line of a finding or the line above. Check reports every other
+// "//scmplint:" comment, and an ignore that names no analyzer of the
+// suite or gives no reason, as a finding of its own.
 //
 // Framework shape: every analyzer has a Run pass that inspects one
 // type-checked package and reports diagnostics. An analyzer may also
 // have a Facts pass, which runs first over every package in import
 // dependency order and exports per-object facts (e.g. "this function
-// allocates"); Run passes — which execute in parallel across packages —
-// read those facts back to reason across package boundaries without
-// whole-program analysis.
+// writes package state"); Run passes — which execute in parallel across
+// packages — read those facts back to reason across package boundaries
+// without whole-program analysis.
 package lint
 
 import (
@@ -30,6 +35,7 @@ import (
 	"go/token"
 	"go/types"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -81,15 +87,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	if p.ignoredAt(pos, p.Fset.Position(pos).Line) {
 		return
 	}
-	p.report(pos, fmt.Sprintf(format, args...))
-}
-
-// report records a finding no ignore comment can suppress.
-func (p *Pass) report(pos token.Pos, msg string) {
 	d := Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Fset.Position(pos),
-		Message:  msg,
+		Message:  fmt.Sprintf(format, args...),
 	}
 	if p.mu != nil {
 		p.mu.Lock()
@@ -190,14 +191,7 @@ func (p *Pass) ignoredAt(pos token.Pos, line int) bool {
 		lines = parseIgnores(p.Fset, f)
 		p.ignores[f] = lines
 	}
-	for _, l := range []int{line, line - 1} {
-		for _, name := range lines[l] {
-			if name == "all" || name == p.Analyzer.Name {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.Contains(lines[line], p.Analyzer.Name) || slices.Contains(lines[line-1], p.Analyzer.Name)
 }
 
 func (p *Pass) fileOf(pos token.Pos) *ast.File {
@@ -215,51 +209,97 @@ func parseIgnores(fset *token.FileSet, f *ast.File) map[int][]string {
 	out := make(map[int][]string)
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			names, _, ok := ignoreDirective(c.Text)
-			if !ok {
-				continue
+			if verb, names, _, ok := directive(c.Text); ok && verb == "ignore" {
+				line := fset.Position(c.Pos()).Line
+				out[line] = append(out[line], names...)
 			}
-			if len(names) == 0 {
-				names = []string{"all"}
-			}
-			line := fset.Position(c.Pos()).Line
-			out[line] = append(out[line], names...)
 		}
 	}
 	return out
 }
 
-// ignoreDirective splits the comment "//scmplint:ignore a b — reason"
-// into the analyzer names and the reason; ok is false for any other
-// comment. The names end at the first "—" or "--", so a word of the
-// reason (say "all") is never read as an analyzer name.
-func ignoreDirective(comment string) (names []string, reason string, ok bool) {
-	text, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(comment, "//")), "scmplint:ignore")
+// directive splits the comment "//scmplint:<verb> a b — reason" into
+// its verb, the analyzer names and the reason; ok is false for a
+// comment that is no scmplint directive. A nested "//" ends the
+// directive, and the names end at the first "—" or "--", so a word of
+// the reason (say "all") is never read as an analyzer name.
+func directive(comment string) (verb string, names []string, reason string, ok bool) {
+	text, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(comment, "//")), "scmplint:")
 	if !ok {
-		return nil, "", false
+		return "", nil, "", false
 	}
+	text, _, _ = strings.Cut(text, "//")
+	verb, text, _ = strings.Cut(text, " ")
 	cut := len(text)
 	for _, mark := range []string{"—", "--"} {
 		if i := strings.Index(text, mark); i >= 0 && i < cut {
 			cut = i
 		}
 	}
-	return strings.Fields(text[:cut]), strings.TrimSpace(strings.TrimLeft(text[cut:], "—-")), true
+	return verb, strings.Fields(text[:cut]), strings.TrimSpace(strings.TrimLeft(text[cut:], "—-")), true
+}
+
+// checkDirectives reports, in every file of pkgs, each scmplint
+// directive other than an ignore that names only analyzers of the suite
+// and gives its reason. Such a comment is the finding.
+func checkDirectives(pkgs []*Package) []Diagnostic {
+	known := make(map[string]bool)
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
+	var out []Diagnostic
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if msg := directiveFault(c.Text, known); msg != "" {
+						out = append(out, Diagnostic{Analyzer: "scmplint", Pos: pkg.Fset.Position(c.Pos()), Message: msg})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// directiveFault says what is wrong with comment: "" when it is no
+// scmplint directive, or an ignore naming only known analyzers, with a
+// reason.
+func directiveFault(comment string, known map[string]bool) string {
+	const form = "write //scmplint:ignore <analyzer> — <reason>"
+	verb, names, reason, ok := directive(comment)
+	switch {
+	case !ok:
+		return ""
+	case verb != "ignore":
+		return fmt.Sprintf("unknown directive scmplint:%s; the only one is scmplint:ignore", verb)
+	case len(names) == 0:
+		return "ignore names no analyzer; " + form
+	case reason == "":
+		return "ignore without a reason; " + form
+	}
+	for _, name := range names {
+		if !known[name] {
+			return fmt.Sprintf("ignore names %q, which is no analyzer (see scmplint -list)", name)
+		}
+	}
+	return ""
 }
 
 // Analyzers returns the full suite in reporting order: the determinism
 // analyzers, the dataflow analyzers, then testonly.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrder, NoClock, DESDiscipline, FloatCmp, PoolLife, HotAlloc, DetShared, TestOnly}
+	return []*Analyzer{MapOrder, NoClock, DESDiscipline, FloatCmp, PoolLife, DetShared, TestOnly}
 }
 
 // Check runs the given analyzers over every package and returns all
-// findings ordered by file position. Facts passes run first, serially,
-// over packages in import dependency order; Run passes then fan out in
+// findings ordered by file position, with the malformed directives
+// whichever analyzers run. Facts passes run first, serially, over
+// packages in import dependency order; Run passes then fan out in
 // parallel across packages (each (package, analyzer) pair is an
 // independent read-only walk over shared type information).
 func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
+	diags := checkDirectives(pkgs)
 	var mu sync.Mutex
 	facts := &factStore{}
 

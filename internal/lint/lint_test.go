@@ -212,13 +212,45 @@ func TestIgnoreReasonIsNotAnAnalyzerName(t *testing.T) {
 		got := runOn(t, FloatCmp, "scmp/internal/mtree", `
 package mtree
 func tie(a, b float64) bool {
-	//scmplint:ignore hotalloc `+sep+` all amortised
+	//scmplint:ignore maporder `+sep+` all amortised
 	return a == b
 }`)
 		wantFindings(t, got, "floating-point ==")
 	}
-	names, reason, ok := ignoreDirective("//scmplint:ignore testonly hotalloc — read by all callers")
-	if !ok || len(names) != 2 || names[0] != "testonly" || names[1] != "hotalloc" || reason != "read by all callers" {
-		t.Fatalf("ignoreDirective = %q, %q, %v", names, reason, ok)
+	verb, names, reason, ok := directive("//scmplint:ignore testonly maporder — read by all callers")
+	if !ok || verb != "ignore" || len(names) != 2 || names[0] != "testonly" || names[1] != "maporder" || reason != "read by all callers" {
+		t.Fatalf("directive = %q, %q, %q, %v", verb, names, reason, ok)
 	}
+}
+
+// TestMalformedDirectivesAreFindings: the one directive is
+// "//scmplint:ignore <analyzer> — <reason>". A bare ignore, one naming
+// no analyzer of the suite, one without a reason and any other verb
+// (a stale hotpath) are each a finding, whichever analyzers run, and
+// silence nothing.
+func TestMalformedDirectivesAreFindings(t *testing.T) {
+	got := runOn(t, FloatCmp, "scmp/internal/mtree", `
+package mtree
+func bare(a, b float64) bool {
+	//scmplint:ignore
+	return a == b
+}
+func unknown(a, b float64) bool {
+	return a == b //scmplint:ignore hotalloc — amortised
+}
+func reasonless(a, b float64) bool {
+	return a == b //scmplint:ignore floatcmp
+}
+//scmplint:hotpath
+func hot() {}
+func kept(a, b float64) bool {
+	return a == b //scmplint:ignore floatcmp — exact by construction
+}`)
+	wantFindings(t, got,
+		"[scmplint] ignore names no analyzer",
+		"[floatcmp] floating-point ==",
+		"[floatcmp] floating-point ==",
+		`[scmplint] ignore names "hotalloc", which is no analyzer`,
+		"[scmplint] ignore without a reason",
+		"[scmplint] unknown directive scmplint:hotpath")
 }

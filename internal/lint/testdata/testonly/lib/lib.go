@@ -56,5 +56,5 @@ func (Square) Perimeter() float64 { return 4 } // want "method (Square).Perimete
 //scmplint:ignore testonly — another package's tests read it
 func KeptForTests() {}
 
-//scmplint:ignore testonly // want "testonly ignore without a reason"
+//scmplint:ignore testonly // want "ignore without a reason"
 func KeptWithoutReason() {}

@@ -41,9 +41,8 @@ import (
 // A declaration kept on purpose (read by another package's tests, a
 // checker with its corruption fixture) carries
 // "//scmplint:ignore testonly — <reason>" and is a root itself, so what
-// it calls stays reached; a testonly ignore without a reason is itself a
-// finding. With no main package loaded the analyzer reports nothing,
-// since then every function would look unreached.
+// it calls stays reached. With no main package loaded the analyzer
+// reports nothing, since then every function would look unreached.
 var TestOnly = &Analyzer{
 	Name:  "testonly",
 	Doc:   "reports production functions and packages that no main, init or var initialiser reaches (test-only or dead code)",
@@ -420,16 +419,6 @@ func invariantsBuild(rp *reachPkg) (files, extra []*ast.File) {
 }
 
 func runTestOnly(p *Pass) {
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				names, reason, ok := ignoreDirective(c.Text)
-				if ok && reason == "" && slices.Contains(names, "testonly") {
-					p.report(c.Pos(), "testonly ignore without a reason; write //scmplint:ignore testonly — <why the code stays>")
-				}
-			}
-		}
-	}
 	st := testOnlyState(p)
 	st.once.Do(st.walk)
 	rp := st.byPath[p.Path]

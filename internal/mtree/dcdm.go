@@ -109,8 +109,6 @@ func (d *DCDM) Tree() *Tree { return d.tree }
 // Bound returns the current delay bound l: the absolute QoS budget when
 // one is set, otherwise Kappa x the longest member unicast delay. With
 // no members, no budget and finite Kappa the bound is 0.
-//
-//scmplint:hotpath
 func (d *DCDM) Bound() float64 {
 	if d.absMax > 0 {
 		return d.absMax
@@ -123,8 +121,6 @@ func (d *DCDM) Bound() float64 {
 
 // UnicastDelay returns ul(v): the shortest-path delay between v and the
 // m-router.
-//
-//scmplint:hotpath
 func (d *DCDM) UnicastDelay(v topology.NodeID) float64 {
 	return d.spDelay.Row(d.root).Delay[v]
 }
@@ -132,8 +128,6 @@ func (d *DCDM) UnicastDelay(v topology.NodeID) float64 {
 // Join adds member router s to the group and updates the tree. Steady
 // state it performs exactly one allocation: the grafted path slice the
 // caller owns through JoinResult.
-//
-//scmplint:hotpath
 func (d *DCDM) Join(s topology.NodeID) JoinResult {
 	res := JoinResult{Member: s}
 	ul := d.UnicastDelay(s)
@@ -153,7 +147,7 @@ func (d *DCDM) Join(s topology.NodeID) JoinResult {
 		// shortest-delay path — no tree can serve it faster. Under the
 		// relative bound this also raises the bound; under an absolute
 		// QoS budget the member is flagged best-effort.
-		path = d.spDelay.Row(d.root).To(s) //scmplint:ignore hotalloc — the one budgeted alloc: the path handed to the caller
+		path = d.spDelay.Row(d.root).To(s) // the one budgeted alloc: the path handed to the caller
 		res.BestEffort = d.absMax > 0
 	} else {
 		path = d.bestGraftPath(s, bound)
@@ -195,8 +189,6 @@ func (d *DCDM) Join(s topology.NodeID) JoinResult {
 // on-tree router is inside the radius, and the search degrades to the
 // full scan. Candidate evaluation is two array reads (cached ml + row
 // entry); the search keeps no scratch of its own.
-//
-//scmplint:hotpath
 func (d *DCDM) bestGraftPath(s topology.NodeID, bound float64) []topology.NodeID {
 	lc := d.spCost.Near(s)
 	sl := d.spDelay.Near(s)
@@ -223,14 +215,14 @@ func (d *DCDM) bestGraftPath(s topology.NodeID, bound float64) []topology.NodeID
 		// Guaranteed fallback: shortest-delay path to the root
 		// (ml = ul(s) <= bound whenever this branch is reached).
 		sp := d.spDelay.Row(d.root)
-		return sp.To(s) //scmplint:ignore hotalloc — the one budgeted alloc: the path handed to the caller
+		return sp.To(s) // the one budgeted alloc: the path handed to the caller
 	}
 	// The rows' paths run s -> v; reverse to graft-node-first order.
 	row := &lc
 	if best.viaDelay {
 		row = &sl
 	}
-	path := row.To(best.node) //scmplint:ignore hotalloc — the one budgeted alloc: the path handed to the caller
+	path := row.To(best.node) // the one budgeted alloc: the path handed to the caller
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]
 	}
@@ -240,8 +232,6 @@ func (d *DCDM) bestGraftPath(s topology.NodeID, bound float64) []topology.NodeID
 // treeDelayWithin returns on-tree router v's cached multicast delay and
 // true, or false when v is off the tree or already over the bound on
 // its own (path delays are non-negative, so no path to it is feasible).
-//
-//scmplint:hotpath
 func (d *DCDM) treeDelayWithin(v topology.NodeID, bound float64) (float64, bool) {
 	if !d.tree.OnTree(v) {
 		return 0, false
@@ -263,8 +253,6 @@ type graftCand struct {
 
 // consider folds candidate v (settled in row, s's P_sl row when
 // viaDelay) into the running best.
-//
-//scmplint:hotpath
 func (b *graftCand) consider(v topology.NodeID, row *topology.Near, viaDelay bool, tml, bound float64) {
 	ml := tml + row.Delay(v)
 	if ml > bound {
@@ -299,8 +287,6 @@ func (b *graftCand) consider(v topology.NodeID, row *topology.Near, viaDelay boo
 // scratch, and the bound update is an O(1) lazy-deletion note unless
 // the departing member's unicast delay IS the current maximum (only
 // then does the multiset pop, in O(log m)).
-//
-//scmplint:hotpath
 func (d *DCDM) Leave(s topology.NodeID) LeaveResult {
 	if d.tree.IsMember(s) {
 		d.ul.Remove(d.UnicastDelay(s))
@@ -327,7 +313,7 @@ func (d *DCDM) DetachSubtree(v topology.NodeID) []topology.NodeID {
 
 // Tables returns the shortest-path tables the engine reads.
 //
-//scmplint:ignore testonly — the root package's alloc_test.go checks SCMP hands every group its network's routing store
+//scmplint:ignore testonly — core's fault-reconvergence floor checks SCMP hands every group its network's routing store
 func (d *DCDM) Tables() (spDelay, spCost *topology.AllPairs) { return d.spDelay, d.spCost }
 
 // Rebase rebuilds the member delay bound against the tables' current
@@ -367,8 +353,6 @@ func (d *DCDM) recomputeMaxUL() float64 {
 // new upstream and x's old upstream branch is pruned back to a member or
 // fork. It returns the routers pruned while breaking loops and whether
 // any restructuring happened.
-//
-//scmplint:hotpath
 func (t *Tree) Graft(path []topology.NodeID) (pruned []topology.NodeID, restructured bool) {
 	if len(path) == 0 || !t.OnTree(path[0]) {
 		panic("mtree: Graft path must start on the tree")
@@ -384,7 +368,7 @@ func (t *Tree) Graft(path []topology.NodeID) (pruned []topology.NodeID, restruct
 			// built so far — it dangles and is pruned below — and
 			// continue along the tree from x.
 			if t.parent[x] != prev {
-				orphans = append(orphans, prev) //scmplint:ignore hotalloc — restructuring path only; clean steady-state grafts never reach it
+				orphans = append(orphans, prev) // restructuring path only; clean steady-state grafts never reach it
 				restructured = true
 			}
 		} else if t.parent[x] == prev {
@@ -394,21 +378,19 @@ func (t *Tree) Graft(path []topology.NodeID) (pruned []topology.NodeID, restruct
 			// branch upstream until a member or a fork survives.
 			oldParent := t.parent[x]
 			t.reparent(x, prev)
-			pruned = append(pruned, t.PruneFrom(oldParent)...) //scmplint:ignore hotalloc — restructuring path only; clean steady-state grafts never reach it
+			pruned = append(pruned, t.PruneFrom(oldParent)...) // restructuring path only; clean steady-state grafts never reach it
 			restructured = true
 		}
 		prev = x
 	}
 	for _, o := range orphans {
-		pruned = append(pruned, t.PruneFrom(o)...) //scmplint:ignore hotalloc — restructuring path only
+		pruned = append(pruned, t.PruneFrom(o)...) // restructuring path only
 	}
 	return pruned, restructured
 }
 
 // isAncestor reports whether a lies on v's path to the root (a == v
 // counts as true).
-//
-//scmplint:hotpath
 func (t *Tree) isAncestor(a, v topology.NodeID) bool {
 	for {
 		if v == a {

@@ -130,8 +130,6 @@ func (h *HierDCDM) ActiveDomains() int { return h.active }
 // member (realising and grafting the backbone splice), runs the
 // domain-local incremental DCDM join, and mirrors the graft onto the
 // composed tree in global coordinates.
-//
-//scmplint:hotpath
 func (h *HierDCDM) Join(s topology.NodeID) HierJoinResult {
 	d := h.view.Domain(s)
 	res := HierJoinResult{Member: s, Domain: d}
@@ -140,7 +138,7 @@ func (h *HierDCDM) Join(s topology.NodeID) HierJoinResult {
 		// Domain activation (splice realization, local-engine build) is
 		// the amortized slow path: it runs once per domain membership
 		// epoch, not per join, so its allocations are off the budget.
-		ld = h.activate(d, &res) //scmplint:ignore hotalloc
+		ld = h.activate(d, &res)
 	}
 	lres := ld.dcdm.Join(ld.sub.Local(s))
 	if lres.AlreadyOn {
@@ -151,7 +149,7 @@ func (h *HierDCDM) Join(s topology.NodeID) HierJoinResult {
 		hierCheckHook(h)
 		return res
 	}
-	gpath := ld.sub.GlobalPath(lres.Path) //scmplint:ignore hotalloc — the one budgeted alloc: the translated path handed to the caller
+	gpath := ld.sub.GlobalPath(lres.Path) // the one budgeted alloc: the translated path handed to the caller
 	_, restructured := h.tree.Graft(gpath)
 	h.tree.SetMember(s, true)
 	res.Path = gpath
@@ -162,8 +160,6 @@ func (h *HierDCDM) Join(s topology.NodeID) HierJoinResult {
 
 // Leave removes member s, pruning the composed tree and releasing the
 // domain's local engine when its last member departs.
-//
-//scmplint:hotpath
 func (h *HierDCDM) Leave(s topology.NodeID) HierLeaveResult {
 	d := h.view.Domain(s)
 	res := HierLeaveResult{Member: s, Domain: d}

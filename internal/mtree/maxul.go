@@ -26,8 +26,6 @@ func (s *maxMultiset) Len() int { return s.live }
 // Max returns the largest live value, 0 when the multiset is empty.
 // heap[0] is always live (pending deletions are strictly below the
 // maximum by construction and the pop path purges surfacing ones).
-//
-//scmplint:hotpath
 func (s *maxMultiset) Max() float64 {
 	if s.live == 0 {
 		return 0
@@ -37,15 +35,13 @@ func (s *maxMultiset) Max() float64 {
 
 // Add inserts x. An insert that cancels a pending deletion of the same
 // value touches no heap entries at all.
-//
-//scmplint:hotpath
 func (s *maxMultiset) Add(x float64) {
 	s.live++
 	if c, ok := s.dead[x]; ok && c > 0 {
 		s.unmarkDead(x, c)
 		return
 	}
-	s.heap = append(s.heap, x) //scmplint:ignore hotalloc — amortised growth; capacity is retained, steady-state churn re-uses it
+	s.heap = append(s.heap, x) // amortised growth; capacity is retained, steady-state churn re-uses it
 	s.up(len(s.heap) - 1)
 }
 
@@ -53,8 +49,6 @@ func (s *maxMultiset) Add(x float64) {
 // strictly below the current maximum the removal is a lazy O(1) note;
 // only a departure of the maximum itself (the member whose unicast
 // delay defines the bound) pays the O(log m) pop.
-//
-//scmplint:hotpath
 func (s *maxMultiset) Remove(x float64) {
 	s.live--
 	if s.live == 0 {
@@ -67,9 +61,9 @@ func (s *maxMultiset) Remove(x float64) {
 		return
 	}
 	if s.dead == nil {
-		s.dead = make(map[float64]int) //scmplint:ignore hotalloc — one-time lazy init
+		s.dead = make(map[float64]int) // one-time lazy init
 	}
-	s.dead[x]++ //scmplint:ignore hotalloc — lazy-deletion note; map buckets are recycled across the balanced Add/Remove stream
+	s.dead[x]++ // lazy-deletion note; map buckets are recycled across the balanced Add/Remove stream
 	s.nDead++
 	if s.nDead > len(s.heap)/2 {
 		s.compact()
@@ -128,7 +122,6 @@ func (s *maxMultiset) compact() {
 	}
 }
 
-//scmplint:hotpath
 func (s *maxMultiset) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
@@ -140,7 +133,6 @@ func (s *maxMultiset) up(i int) {
 	}
 }
 
-//scmplint:hotpath
 func (s *maxMultiset) pop() {
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
@@ -148,7 +140,6 @@ func (s *maxMultiset) pop() {
 	s.down(0)
 }
 
-//scmplint:hotpath
 func (s *maxMultiset) down(i int) {
 	n := len(s.heap)
 	for {

@@ -128,8 +128,6 @@ func (t *Tree) IsMember(v topology.NodeID) bool {
 
 // SetMember marks or unmarks v as a member router. v must be on the tree
 // to be marked.
-//
-//scmplint:hotpath
 func (t *Tree) SetMember(v topology.NodeID, member bool) {
 	if member {
 		if !t.OnTree(v) {
@@ -186,20 +184,16 @@ func (t *Tree) Nodes() []topology.NodeID {
 func (t *Tree) Size() int { return t.size }
 
 // insertChild adds c to p's sorted child list, keeping it sorted.
-//
-//scmplint:hotpath
 func (t *Tree) insertChild(p, c topology.NodeID) {
 	kids := t.children[p]
 	i, _ := slices.BinarySearch(kids, c)
-	kids = append(kids, 0) //scmplint:ignore hotalloc — amortised growth; capacity is retained across detach, so steady-state churn re-uses it
+	kids = append(kids, 0) // amortised growth; capacity is retained across detach, so steady-state churn re-uses it
 	copy(kids[i+1:], kids[i:])
 	kids[i] = c
 	t.children[p] = kids
 }
 
 // removeChild deletes c from p's sorted child list, keeping capacity.
-//
-//scmplint:hotpath
 func (t *Tree) removeChild(p, c topology.NodeID) {
 	kids := t.children[p]
 	i, ok := slices.BinarySearch(kids, c)
@@ -214,8 +208,6 @@ func (t *Tree) removeChild(p, c topology.NodeID) {
 // and child must not already be on the tree. The child's cached
 // multicast delay extends the parent's — the incremental half of the
 // delay-cache invariant (DESIGN.md §14).
-//
-//scmplint:hotpath
 func (t *Tree) attach(child, parent topology.NodeID) {
 	if t.OnTree(child) {
 		panic(fmt.Sprintf("mtree: attach(%d) already on tree", child))
@@ -235,8 +227,6 @@ func (t *Tree) attach(child, parent topology.NodeID) {
 }
 
 // detach unlinks v from its parent, leaving v's subtree hanging off v.
-//
-//scmplint:hotpath
 func (t *Tree) detach(v topology.NodeID) {
 	p := t.parent[v]
 	if p < 0 {
@@ -280,7 +270,7 @@ func (t *Tree) refreshSubtreeDelay(v topology.NodeID, dv float64) {
 		for _, c := range t.children[x] {
 			l, _ := t.g.Edge(c, x)
 			t.ml[c] = t.ml[x] + l.Delay
-			stack = append(stack, c) //scmplint:ignore hotalloc — walkScratch-backed; growth is retained via the storeback below
+			stack = append(stack, c) // walkScratch-backed; growth is retained via the storeback below
 		}
 	}
 	t.walkScratch = stack[:0]
@@ -291,14 +281,12 @@ func (t *Tree) refreshSubtreeDelay(v topology.NodeID, dv float64) {
 // this is the hop-by-hop PRUNE of §III-C and the leave handling of
 // §III-D. It returns the nodes removed, bottom-up; the slice is scratch
 // the tree owns, valid until the next mutation.
-//
-//scmplint:hotpath
 func (t *Tree) PruneFrom(v topology.NodeID) []topology.NodeID {
 	removed := t.pruneScratch[:0]
 	for v != t.root && t.OnTree(v) && !t.IsMember(v) && len(t.children[v]) == 0 {
 		p := t.parent[v]
 		t.detach(v)
-		removed = append(removed, v) //scmplint:ignore hotalloc — scratch append; capacity is retained across calls
+		removed = append(removed, v) // scratch append; capacity is retained across calls
 		v = p
 	}
 	t.pruneScratch = removed
@@ -311,8 +299,6 @@ func (t *Tree) PruneFrom(v topology.NodeID) []topology.NodeID {
 // Leave unmarks v as a member and prunes any branch it no longer
 // justifies. It returns the routers removed from the tree (tree-owned
 // scratch, valid until the next mutation).
-//
-//scmplint:hotpath
 func (t *Tree) Leave(v topology.NodeID) []topology.NodeID {
 	t.SetMember(v, false)
 	return t.PruneFrom(v)
@@ -379,8 +365,6 @@ func (t *Tree) Cost() float64 {
 // +Inf for off-tree nodes. The cached value is the top-down (root
 // toward v) left-to-right summation; see DESIGN.md §14 for why that
 // order is the canonical one.
-//
-//scmplint:hotpath
 func (t *Tree) Delay(v topology.NodeID) float64 {
 	if !t.OnTree(v) {
 		return math.Inf(1)

@@ -276,7 +276,7 @@ func (n *Network) getPacket() *Packet {
 	}
 	// Pool miss: a one-time warm-up allocation, amortized to zero at
 	// steady state (PR 5 measured 0 allocs/op once the pool is primed).
-	return new(Packet) //scmplint:ignore hotalloc
+	return new(Packet)
 }
 
 // putPacket hands a delivered in-flight copy back to the free list. Its
@@ -294,7 +294,7 @@ func (n *Network) copyPacket(pkt *Packet) *Packet {
 	cp := n.getPacket()
 	buf := cp.Payload[:0]
 	*cp = *pkt
-	cp.Payload = append(buf, pkt.Payload...) //scmplint:ignore hotalloc — amortised growth; the array is kept across recycling
+	cp.Payload = append(buf, pkt.Payload...) // amortised growth; the array is kept across recycling
 	return cp
 }
 
@@ -329,7 +329,7 @@ func (n *Network) arcLatency(a int32, size int) des.Time {
 	}
 	if n.busy == nil {
 		// Lazy one-time init of the busy-horizon array, not per-packet.
-		n.busy = make([]des.Time, n.csr.NumArcs()) //scmplint:ignore hotalloc
+		n.busy = make([]des.Time, n.csr.NumArcs())
 	}
 	start := now
 	if b := n.busy[a]; b > start {
@@ -398,8 +398,6 @@ func (n *Network) SendLink(from, to topology.NodeID, pkt *Packet) {
 // SendArc transmits a copy of pkt over arc a, which leaves router from:
 // it accounts the link crossing and schedules HandlePacket at the far
 // end after the link delay. The arc names the crossing until delivery.
-//
-//scmplint:hotpath
 func (n *Network) SendArc(from topology.NodeID, a int32, pkt *Packet) {
 	to := n.csr.ArcDst(a)
 	admitted, lost := n.admit(a, from, to, pkt.Kind)
@@ -424,13 +422,11 @@ func (n *Network) lane(a int32) des.Lane { return n.arcLanes + des.Lane(a) }
 // SinkEvent dispatches a typed delivery or script event; it implements
 // des.Sink and is invoked only by the scheduler. A link crossing carries
 // its arc in a and the arc's far end in b (the sender is pkt.From).
-//
-//scmplint:hotpath
 func (n *Network) SinkEvent(op uint8, a, b int32, p any, flag bool) {
 	if op == opScript {
 		// Timed inputs are control-plane work: ground-truth sets and
 		// protocol state may allocate, and no data packet is in flight.
-		n.runSteps(p.(*Script), int(a), int(b)) //scmplint:ignore hotalloc
+		n.runSteps(p.(*Script), int(a), int(b))
 		return
 	}
 	pkt := p.(*Packet)
@@ -462,8 +458,6 @@ func (n *Network) SinkEvent(op uint8, a, b int32, p any, flag bool) {
 // the unicast substrate. Intermediate routers forward below the
 // multicast protocol (the crossing is accounted but HandlePacket fires
 // only at the destination). Delivering to self is immediate.
-//
-//scmplint:hotpath
 func (n *Network) SendUnicast(src topology.NodeID, pkt *Packet) {
 	cp := n.copyPacket(pkt)
 	if src == cp.Dst {

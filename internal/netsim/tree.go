@@ -85,8 +85,6 @@ func (e *TreeEntry) Accepts(from topology.NodeID) bool {
 // Forward sends pkt from node (the router holding the entry) to the rest
 // of F: the upstream and every child except the router it came from, in
 // ascending child order.
-//
-//scmplint:hotpath
 func (e *TreeEntry) Forward(n *Network, node topology.NodeID, pkt *Packet, except topology.NodeID) {
 	if !e.resolved || e.upFor != e.Upstream {
 		e.resolveArcs(n, node)

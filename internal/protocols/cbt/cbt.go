@@ -239,8 +239,6 @@ func (c *CBT) SendData(src topology.NodeID, g packet.GroupID, size int, seq uint
 // handleData forwards a packet arriving from F = {upstream} ∪
 // downstream to the rest of F and delivers it locally; anything else is
 // dropped.
-//
-//scmplint:hotpath
 func (c *CBT) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	e := c.peekEntry(node, pkt.Group)
 	if e == nil || !e.Accepts(pkt.From) {

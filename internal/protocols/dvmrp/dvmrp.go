@@ -116,7 +116,7 @@ func (d *DVMRP) group(g packet.GroupID) *group {
 	i, ok := slices.BinarySearchFunc(d.groups, g, byID)
 	if !ok {
 		n := d.csr.N()
-		//scmplint:ignore hotalloc — once per group, on the first packet or membership change that names it
+		// Allocates once per group, on the first packet or membership change that names it.
 		d.groups = slices.Insert(d.groups, i, &group{id: g, local: netsim.NewNodeSet(n), src: make([]*source, n)})
 	}
 	return d.groups[i]
@@ -130,7 +130,7 @@ func (d *DVMRP) pair(gs *group, src topology.NodeID) *source {
 	}
 	s := gs.src[src]
 	if s == nil {
-		//scmplint:ignore hotalloc — once per (source, group), on its first packet
+		// Allocates once per (source, group), on its first packet.
 		s = &source{prune: make([]des.Time, d.csr.NumArcs()), sentPrune: netsim.NewNodeSet(d.csr.N())}
 		for a := range s.prune {
 			s.prune[a] = noPrune
@@ -172,8 +172,6 @@ func (d *DVMRP) rpfNeighbor(node, src topology.NodeID) topology.NodeID {
 // DVMRP with ("adopting DVMRP wastes a large portion of the network
 // bandwidth due to flooding"). The slice is scratch, valid until the
 // next call.
-//
-//scmplint:hotpath
 func (d *DVMRP) downstreamArcs(node, src topology.NodeID, s *source) []int32 {
 	up := d.rpfNeighbor(node, src)
 	now := d.net.Now()
@@ -217,7 +215,6 @@ func (d *DVMRP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 	}
 }
 
-//scmplint:hotpath
 func (d *DVMRP) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	src := pkt.Src
 	if node == src {

@@ -105,7 +105,7 @@ func byID(gs *group, g packet.GroupID) int { return cmp.Compare(gs.id, g) }
 func (m *MOSPF) group(g packet.GroupID) *group {
 	i, ok := slices.BinarySearchFunc(m.groups, g, byID)
 	if !ok {
-		//scmplint:ignore hotalloc — once per group, on the first packet or membership change that names it
+		// Allocates once per group, on the first packet or membership change that names it.
 		m.groups = slices.Insert(m.groups, i, newGroup(g, len(m.seen)))
 	}
 	return m.groups[i]
@@ -137,7 +137,7 @@ func (m *MOSPF) applyMembership(node, member topology.NodeID, g packet.GroupID, 
 func (m *MOSPF) cacheEntry(gs *group, src, node topology.NodeID) {
 	set := gs.cache[src]
 	if set == nil {
-		set = netsim.NewNodeSet(len(m.cached)) //scmplint:ignore hotalloc — once per (source, group), on its first packet
+		set = netsim.NewNodeSet(len(m.cached)) // allocates once per (source, group), on its first packet
 		gs.cache[src] = set
 	}
 	if !set.Has(node) {
@@ -239,8 +239,6 @@ func (m *MOSPF) HostLeave(node topology.NodeID, g packet.GroupID) {
 // chain in the source tree is walked up until it reaches node or the
 // root; the router it passed just before node is the child whose
 // subtree holds that member.
-//
-//scmplint:hotpath
 func (m *MOSPF) forwardDown(node topology.NodeID, parent []topology.NodeID, gs *group, pkt *netsim.Packet) {
 	m.ids = gs.view[node].AppendIDs(m.ids[:0])
 	for _, v := range m.ids {
@@ -270,7 +268,6 @@ func (m *MOSPF) SendData(src topology.NodeID, g packet.GroupID, size int, seq ui
 	m.forwardDown(src, m.net.Delay.Row(src).Parent, gs, pkt)
 }
 
-//scmplint:hotpath
 func (m *MOSPF) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	parent := m.net.Delay.Row(pkt.Src).Parent
 	if parent[node] != pkt.From {

@@ -195,8 +195,6 @@ func NextHop(g *Graph) *AllPairs { return NewLazyAllPairs(g, ByDelay) }
 // starts the search on first access, promotes the row to the dense
 // layout and finishes the search if a cursor left it sparse or
 // suspended, so a caller never sees a slot or a tentative label.
-//
-//scmplint:hotpath
 func (ap *AllPairs) Row(src NodeID) *Paths {
 	p := ap.row(src, false)
 	if p.ids != nil {
@@ -211,15 +209,13 @@ func (ap *AllPairs) Row(src NodeID) *Paths {
 // row returns src's row as it stands, starting its search on first
 // access — sparse if the caller is a cursor and the graph is big enough
 // for that to pay (see start).
-//
-//scmplint:hotpath
 func (ap *AllPairs) row(src NodeID, lazy bool) *Paths {
 	p := ap.rows[src]
 	if p == nil {
 		if k := len(ap.free); k > 0 {
 			p, ap.free = ap.free[k-1], ap.free[:k-1]
 		} else {
-			p = &Paths{} //scmplint:ignore hotalloc — a source's first touch; afterwards a slice load
+			p = &Paths{} // a source's first touch; afterwards a slice load
 		}
 		p.start(len(ap.rows), src, ap.w, lazy)
 		ap.rows[src] = p
@@ -236,8 +232,6 @@ func (ap *AllPairs) row(src NodeID, lazy bool) *Paths {
 // lowest-id one, at every router on the way from the same tree, so
 // hop-by-hop forwarding cannot loop. Hop is -1 when v == u or v is
 // unreachable, and panics unless both are nodes of the graph.
-//
-//scmplint:hotpath
 func (ap *AllPairs) Hop(u, v NodeID) NodeID { return ap.Row(v).Parent[u] }
 
 // Invalidate reconverges the table in place onto the subgraph that
@@ -276,8 +270,6 @@ type Near struct {
 
 // Near returns a cursor at the start of src's row (src itself is the
 // first node it reports), starting the row's search on first access.
-//
-//scmplint:hotpath
 func (ap *AllPairs) Near(src NodeID) Near {
 	return Near{ap: ap, p: ap.row(src, true)}
 }
@@ -285,8 +277,6 @@ func (ap *AllPairs) Near(src NodeID) Near {
 // Next reports the next node in settle order, settling one more if the
 // search has not got that far; ok is false once every reachable node
 // has been reported.
-//
-//scmplint:hotpath
 func (c *Near) Next() (v NodeID, ok bool) {
 	p := c.p
 	if c.i == p.settled {
@@ -306,8 +296,6 @@ func (c *Near) Next() (v NodeID, ok bool) {
 // Settle advances the search until v is settled and reports whether it
 // is; false means v is unreachable (the search is then exhausted) or
 // not a node of the graph. The cursor's position does not move.
-//
-//scmplint:hotpath
 func (c *Near) Settle(v NodeID) bool {
 	if c.at(v) >= 0 {
 		return true
@@ -323,8 +311,6 @@ func (c *Near) Settle(v NodeID) bool {
 // and -1 otherwise — on the frontier, never labelled, or not a node of
 // the graph at all (core's "no upstream" is -1). The dense case is
 // written to inline into the accessors below.
-//
-//scmplint:hotpath
 func (c *Near) at(v NodeID) int {
 	if c.p.ids != nil {
 		return c.sparseAt(v)
@@ -336,8 +322,6 @@ func (c *Near) at(v NodeID) int {
 }
 
 // sparseAt is at for a sparse row.
-//
-//scmplint:hotpath
 func (c *Near) sparseAt(v NodeID) int {
 	if uint(v) >= uint(len(c.ap.rows)) {
 		return -1
@@ -351,8 +335,6 @@ func (c *Near) sparseAt(v NodeID) int {
 
 // Delay returns the delay along the row's path to v, +Inf unless v is
 // settled.
-//
-//scmplint:hotpath
 func (c *Near) Delay(v NodeID) float64 {
 	if s := c.at(v); s >= 0 {
 		return c.p.Delay[s]
@@ -362,8 +344,6 @@ func (c *Near) Delay(v NodeID) float64 {
 
 // Cost returns the cost along the row's path to v, +Inf unless v is
 // settled.
-//
-//scmplint:hotpath
 func (c *Near) Cost(v NodeID) float64 {
 	if s := c.at(v); s >= 0 {
 		return c.p.Cost[s]

@@ -53,8 +53,6 @@ func (e *Engine) ShortestAvoid(src NodeID, w Weight, down []bool) *Paths {
 // previous run). Callers that consume a row transiently — per-source
 // sweeps — reuse one Paths across sources and allocate nothing after
 // the first call.
-//
-//scmplint:hotpath
 func (e *Engine) ShortestInto(p *Paths, src NodeID, w Weight, down []bool) {
 	p.start(e.csr.N(), src, w, false)
 	p.advance(e.csr, w, down, e.csr.N(), -1)
@@ -80,8 +78,6 @@ var inf = math.Inf(1)
 // complete and reaches nothing. A lazy start on a graph big enough for
 // it takes the sparse layout, where a label exists only once the search
 // has touched its router, so its cost is sparseSlots, not n.
-//
-//scmplint:hotpath
 func (p *Paths) start(n int, src NodeID, w Weight, lazy bool) {
 	p.Src = src
 	p.settled, p.queued, p.used = 0, 0, 0
@@ -107,8 +103,6 @@ func (p *Paths) start(n int, src NodeID, w Weight, lazy bool) {
 // ids and the 2c-entry router table behind them. With Parent that is
 // three arrays: 32 bytes a slot dense, what the four label arrays of a
 // row without search state used to weigh, 44 sparse.
-//
-//scmplint:hotpath
 func (p *Paths) alloc(c int, sparse bool) {
 	k := 2
 	if sparse {
@@ -116,9 +110,9 @@ func (p *Paths) alloc(c int, sparse bool) {
 	}
 	// A source's first touch, a growth step, a promotion, or a larger
 	// graph than any run on this scratch row before.
-	lab := make([]float64, 2*c)  //scmplint:ignore hotalloc
-	idx := make([]int32, k*c)    //scmplint:ignore hotalloc
-	p.Parent = make([]NodeID, c) //scmplint:ignore hotalloc
+	lab := make([]float64, 2*c)
+	idx := make([]int32, k*c)
+	p.Parent = make([]NodeID, c)
 	p.Delay, p.Cost = lab[:c:c], lab[c:]
 	p.pos, p.order = idx[:c:c], idx[c:2*c:2*c]
 	if sparse {
@@ -131,8 +125,6 @@ func (p *Paths) alloc(c int, sparse bool) {
 
 // dense lays p out with slot == router for an n-node graph, on its own
 // arrays when they are big enough, and clears every label.
-//
-//scmplint:hotpath
 func (p *Paths) dense(n int) {
 	if cap(p.Parent) < n {
 		p.alloc(n, false)
@@ -163,8 +155,6 @@ func (p *Paths) view(w Weight) {
 // table is open-addressed with linear probing, a power of two at most
 // half full, hashed on the high bits of a Fibonacci multiply because
 // the routers near a source tend to be numbered near it.
-//
-//scmplint:hotpath
 func (p *Paths) probe(v NodeID) (at uint32, s int32) {
 	mask := uint32(len(p.tab) - 1)
 	for at = uint32(v) * 0x9E3779B1 >> bits.LeadingZeros32(mask); ; at = (at + 1) & mask {
@@ -177,8 +167,6 @@ func (p *Paths) probe(v NodeID) (at uint32, s int32) {
 // label returns v's slot in a sparse row, giving it the next free one —
 // unseen, every label +Inf — if the search has not touched v before.
 // The caller has made sure there is room (see advance).
-//
-//scmplint:hotpath
 func (p *Paths) label(v NodeID) int {
 	at, s := p.probe(v)
 	if s < 0 {
@@ -198,8 +186,6 @@ func (p *Paths) label(v NodeID) int {
 // routers' ids in a promotion; the frontier keeps its shape and the
 // settle order its place at the back of order, so a Near cursor open on
 // the row reads on as if nothing had happened.
-//
-//scmplint:hotpath
 func (p *Paths) regrow(n int, w Weight, promote bool) {
 	old := *p
 	c := 2 * len(old.ids)
@@ -237,8 +223,6 @@ func (p *Paths) regrow(n int, w Weight, promote bool) {
 // search returns the views advance works on: dist is the minimised sum
 // and other the attribute carried along — which of Delay and Cost plays
 // which part is the weight's choice — and h the frontier over them.
-//
-//scmplint:hotpath
 func (p *Paths) search(w Weight) (dist, other []float64, parent []NodeID, h frontier) {
 	other = p.Cost
 	if w == ByCost {
@@ -254,8 +238,6 @@ func (p *Paths) search(w Weight) (dist, other []float64, parent []NodeID, h fron
 // the only relaxation loop in the package: complete rows run it to
 // exhaustion, the Near cursor a few pops at a time, and the two layouts
 // differ only in how a router is turned into the slot of its labels.
-//
-//scmplint:hotpath
 func (p *Paths) advance(c *CSR, w Weight, down []bool, max int, target NodeID) {
 	wt, wo := c.delay, c.cost
 	if w == ByCost {
