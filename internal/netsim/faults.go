@@ -231,7 +231,7 @@ func (f *Faults) rereport(node topology.NodeID) {
 	}
 	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
 	for _, g := range gids {
-		if f.net.members[g].Has(node) {
+		if f.net.IsMember(node, g) {
 			f.net.Proto.HostJoin(node, g)
 		}
 	}

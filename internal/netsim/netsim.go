@@ -14,13 +14,15 @@
 // one entry per busy link, not per packet), per-link state (busy
 // horizons, load counters, lanes) is indexed by dense CSR arc id, and
 // membership/delivery ground truth lives in bitsets and a ledger of
-// 64-record blocks indexed by data-packet seq, so a fan-out allocates
-// nothing (DESIGN.md §10).
+// fixed 12-byte records indexed by data-packet seq, whose router sets
+// come from a pool and are held only while a packet is still owed a
+// delivery, so a fan-out allocates nothing (DESIGN.md §10).
 package netsim
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"scmp/internal/des"
 	"scmp/internal/metrics"
@@ -119,22 +121,35 @@ func appendWord(out []topology.NodeID, w uint64, wi int) []topology.NodeID {
 	return out
 }
 
-// delivery tracks who should and did receive one data packet: the
-// member snapshot at send time, who has received it at least once, and
-// who received it more than once. Three bitsets of equal length in one
-// slice of a ledger block, so the per-hop DeliverLocal path is two word
-// operations.
-type delivery NodeSet
-
-// sets splits the record into its expected, once and dup bitsets.
-func (d delivery) sets() (exp, once, dup NodeSet) {
-	w := len(d) / 3
-	return NodeSet(d[:w]), NodeSet(d[w : 2*w]), NodeSet(d[2*w:])
+// record is the delivery ledger's entry for one data packet, 12 bytes
+// at any router count. While left > 0 it holds two pooled router sets:
+// snap, the members at send time, and reached, which starts as the
+// sender (a sending member does not deliver to itself over the
+// network), so missing = snap \ reached. Once left is zero every
+// further delivery is a duplicate or unexpected, so the record needs
+// neither set: anomalies go to the network's sparse odd list.
+type record struct {
+	snap, reached int32 // pooled set slots, held while left > 0
+	left          int32 // expected receivers not yet reached
 }
 
-// ledgerBlock is how many delivery records one ledger block holds; a new
-// block never moves the records before it.
-const ledgerBlock = 64
+// recordChunk locates record i (seq i+1) in the ledger: chunk k holds
+// 8<<k records, doubling to 1024 like the session accounting log, so a
+// short run's ledger stays small and a new chunk never moves a record.
+func recordChunk(i uint64) (k int, off uint64) {
+	const doubling = 8 * (1<<7 - 1) // records in chunks 0..6 (8 to 512)
+	if i < doubling {
+		k = bits.Len64(i/8+1) - 1
+		return k, i - 8*(1<<k-1)
+	}
+	return 7 + int((i-doubling)/1024), (i - doubling) % 1024
+}
+
+// groupTruth is one group's ground-truth membership: the pooled set of
+// its member routers and its size. Every packet sent while the set is
+// current shares it as its snapshot; HostJoin and HostLeave move the
+// group to a copy when such a packet is still owed a delivery.
+type groupTruth struct{ set, count int32 }
 
 // Network is one simulated domain.
 type Network struct {
@@ -152,8 +167,19 @@ type Network struct {
 	Delay, Cost *topology.AllPairs
 
 	seq     uint64
-	members map[packet.GroupID]NodeSet
-	ledger  [][]uint64 // delivery records, ledgerBlock per block; seq s (dense from 1) is record s-1
+	members map[packet.GroupID]groupTruth
+
+	// The delivery ledger: seq s (dense from 1) is at recordChunk(s-1);
+	// pooled router sets, slot s at words[s*w:(s+1)*w], with their
+	// holder counts; slots [0, used) were taken since Reset and free
+	// lists those returned since, all empty; duplicate and unexpected
+	// deliveries by seq.
+	records [][]record
+	words   []uint64
+	refs    []int32
+	used    int32
+	free    []int32
+	odd     map[uint64][]topology.NodeID
 
 	// Trace, when set, observes every link crossing (for debugging and
 	// the examples' live narration). The *Packet argument is only valid
@@ -208,7 +234,8 @@ func New(g *topology.Graph, proto Protocol) *Network {
 		Delay:   topology.NewLazyAllPairs(g, topology.ByDelay),
 		Cost:    topology.NewLazyAllPairs(g, topology.ByCost),
 		csr:     g.CSR(),
-		members: make(map[packet.GroupID]NodeSet),
+		members: make(map[packet.GroupID]groupTruth),
+		odd:     make(map[uint64][]topology.NodeID),
 	}
 	// Assign every directed arc its undirected link index, in CSR scan
 	// order (link {u,v} is first met on arc u->v, u < v; the reverse arc
@@ -249,9 +276,9 @@ func (n *Network) Reset(proto Protocol) {
 	n.Sched.Reset()
 	n.Metrics.Reset()
 	clear(n.members)
-	for _, b := range n.ledger[:(n.seq+ledgerBlock-1)/ledgerBlock] {
-		clear(b)
-	}
+	clear(n.odd)
+	clear(n.words)
+	n.used, n.free = 0, n.free[:0]
 	n.seq = 0
 	n.Trace, n.Bandwidth = nil, 0
 	clear(n.busy)
@@ -500,35 +527,44 @@ func (n *Network) unicastStep(at topology.NodeID, pkt *Packet) {
 // HostJoin registers a member-host edge at router node (ground truth)
 // and informs the protocol.
 func (n *Network) HostJoin(node topology.NodeID, g packet.GroupID) {
-	if n.members[g] == nil {
-		n.members[g] = NewNodeSet(n.G.N())
+	gt, ok := n.members[g]
+	if !ok {
+		gt.set = n.takeSet()
 	}
-	n.members[g].Set(node)
+	if !n.set(gt.set).Has(node) {
+		gt.set = n.own(gt.set)
+		n.set(gt.set).Set(node)
+		gt.count++
+		n.members[g] = gt
+	}
 	n.Proto.HostJoin(node, g)
 }
 
 // HostLeave removes the member-host edge at router node and informs the
 // protocol.
 func (n *Network) HostLeave(node topology.NodeID, g packet.GroupID) {
-	if m := n.members[g]; m != nil {
-		m.Clear(node)
+	if gt, ok := n.members[g]; ok && n.set(gt.set).Has(node) {
+		gt.set = n.own(gt.set)
+		n.set(gt.set).Clear(node)
+		gt.count--
+		n.members[g] = gt
 	}
 	n.Proto.HostLeave(node, g)
 }
 
 // Members returns the ground-truth member routers of g, sorted.
 func (n *Network) Members(g packet.GroupID) []topology.NodeID {
-	m := n.members[g]
-	if m == nil {
+	gt, ok := n.members[g]
+	if !ok {
 		return nil
 	}
-	return m.AppendIDs(make([]topology.NodeID, 0, m.Count()))
+	return n.set(gt.set).AppendIDs(make([]topology.NodeID, 0, gt.count))
 }
 
 // IsMember reports ground-truth membership.
 func (n *Network) IsMember(node topology.NodeID, g packet.GroupID) bool {
-	m := n.members[g]
-	return m != nil && m.Has(node)
+	gt, ok := n.members[g]
+	return ok && n.set(gt.set).Has(node)
 }
 
 // SendData injects one data packet at src for group g, snapshotting the
@@ -537,28 +573,79 @@ func (n *Network) IsMember(node topology.NodeID, g packet.GroupID) bool {
 func (n *Network) SendData(src topology.NodeID, g packet.GroupID, size int) uint64 {
 	n.seq++
 	seq := n.seq
-	if (seq-1)/ledgerBlock == uint64(len(n.ledger)) {
-		n.ledger = append(n.ledger, make([]uint64, ledgerBlock*n.recordWords()))
+	k, off := recordChunk(seq - 1)
+	if k == len(n.records) {
+		n.records = append(n.records, make([]record, 8<<min(k, 7)))
 	}
-	exp, _, _ := n.delivery(seq).sets()
-	copy(exp, n.members[g])
-	exp.Clear(src) // a sending member does not deliver to itself over the network
+	r := &n.records[k][off]
+	*r = record{}
+	if gt, ok := n.members[g]; ok {
+		if r.left = gt.count; n.set(gt.set).Has(src) {
+			r.left--
+		}
+		if r.left > 0 {
+			r.snap, r.reached = gt.set, n.takeSet()
+			n.refs[r.snap]++
+			n.set(r.reached).Set(src)
+		}
+	}
 	n.Proto.SendData(src, g, size, seq)
 	return seq
 }
 
-// recordWords is the length of one delivery record: three router sets.
-func (n *Network) recordWords() int { return 3 * ((n.G.N() + 63) / 64) }
+// set returns the pooled router set in slot s.
+func (n *Network) set(s int32) NodeSet {
+	w := int32(n.G.N()+63) / 64
+	return NodeSet(n.words[s*w : (s+1)*w : (s+1)*w])
+}
 
-// delivery returns the record of data packet seq, or nil for seq 0 (no
+// takeSet takes an empty router set from the pool, growing the pool
+// when every slot is held, and returns its slot, held once.
+func (n *Network) takeSet() int32 {
+	s := n.used
+	if k := len(n.free); k > 0 {
+		s, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		if int(s) == len(n.refs) {
+			n.refs = append(n.refs, 0)
+			n.words = append(n.words, make(NodeSet, (n.G.N()+63)/64)...)
+		}
+		n.used++
+	}
+	n.refs[s] = 1
+	return s
+}
+
+// unref drops one hold on set slot s; the last returns it to the pool,
+// emptied.
+func (n *Network) unref(s int32) {
+	if n.refs[s]--; n.refs[s] == 0 {
+		clear(n.set(s))
+		n.free = append(n.free, s)
+	}
+}
+
+// own returns a slot only the caller holds with the members of slot s,
+// which it held: s itself, or a copy when packets still owed a delivery
+// hold s as their snapshot.
+func (n *Network) own(s int32) int32 {
+	if n.refs[s] == 1 {
+		return s
+	}
+	c := n.takeSet()
+	copy(n.set(c), n.set(s))
+	n.unref(s)
+	return c
+}
+
+// record returns data packet seq's ledger record, or nil for seq 0 (no
 // data packet) or a seq SendData never issued.
-func (n *Network) delivery(seq uint64) delivery {
+func (n *Network) record(seq uint64) *record {
 	if seq == 0 || seq > n.seq {
 		return nil
 	}
-	w := n.recordWords()
-	off := int((seq-1)%ledgerBlock) * w
-	return delivery(n.ledger[(seq-1)/ledgerBlock][off : off+w : off+w])
+	k, off := recordChunk(seq - 1)
+	return &n.records[k][off]
 }
 
 // DeliverLocal is called by protocols when a data packet reaches a
@@ -566,15 +653,20 @@ func (n *Network) delivery(seq uint64) delivery {
 // delivery record.
 func (n *Network) DeliverLocal(node topology.NodeID, pkt *Packet) {
 	n.Metrics.OnDeliver(float64(n.Sched.Now() - pkt.Created))
-	d := n.delivery(pkt.Seq)
-	if d == nil {
+	r := n.record(pkt.Seq)
+	if r == nil {
 		return
 	}
-	if _, once, dup := d.sets(); once.Has(node) {
-		dup.Set(node)
-	} else {
-		once.Set(node)
+	if r.left > 0 && n.set(r.snap).Has(node) && !n.set(r.reached).Has(node) {
+		n.set(r.reached).Set(node)
+		if r.left--; r.left == 0 {
+			n.unref(r.reached)
+			n.unref(r.snap)
+		}
+		return
 	}
+	// A duplicate, a delivery to the sender or to a router not expected.
+	n.odd[pkt.Seq] = append(n.odd[pkt.Seq], node)
 }
 
 // DropData is called by protocols when they discard a data packet at a
@@ -588,16 +680,20 @@ func (n *Network) DropData(node topology.NodeID) {
 // received it and the routers that received it more than once (or were
 // not expected to deliver at all), each in ascending order.
 func (n *Network) CheckDelivery(seq uint64) (missing, anomalous []topology.NodeID) {
-	d := n.delivery(seq)
-	if d == nil {
+	r := n.record(seq)
+	if r == nil {
 		return nil, nil
 	}
-	exp, once, dup := d.sets()
-	for wi := range exp {
-		missing = appendWord(missing, exp[wi]&^once[wi], wi)
-		// Anomalous: delivered more than once, or delivered without
-		// being expected.
-		anomalous = appendWord(anomalous, dup[wi]|(once[wi]&^exp[wi]), wi)
+	if r.left > 0 {
+		exp, reached := n.set(r.snap), n.set(r.reached)
+		for wi := range exp {
+			missing = appendWord(missing, exp[wi]&^reached[wi], wi)
+		}
+	}
+	if odd := n.odd[seq]; len(odd) > 0 {
+		anomalous = slices.Clone(odd)
+		slices.Sort(anomalous)
+		anomalous = slices.Compact(anomalous)
 	}
 	return missing, anomalous
 }

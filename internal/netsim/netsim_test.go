@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"scmp/internal/des"
@@ -279,16 +280,17 @@ func TestDeliveryLedgerSeqs(t *testing.T) {
 	}
 }
 
-// The ledger stores records in blocks of 64. On a 130-router line a
-// record spans three words per bitset, and every seq gets its own
-// expected set and delivery pattern, so a record read through the
-// wrong block or offset shows up as a wrong answer. Seqs either side of
-// the first block boundary and a few hundred in are exact; seq 0, and
-// seqs past the last issued one (inside the last block or beyond it),
-// have no record.
+// The ledger stores records in chunks of 8 doubling to 1024. On a
+// 130-router line a router set spans three words, and every seq gets
+// its own expected set and delivery pattern — incomplete, complete,
+// duplicates before and after completion, a delivery to the sender —
+// so a record read through the wrong chunk or offset shows up as a
+// wrong answer. Seqs either side of every chunk boundary are exact;
+// seq 0, and seqs past the last issued one (inside the last chunk or
+// beyond it), have no record.
 func TestDeliveryLedgerAcrossBlocks(t *testing.T) {
-	const sends = 300
-	n := New(lineGraph(130), &echoProto{})
+	const sends = 2100 // into chunk 8, the second of 1024
+	n := New(lineGraph(130), &silentProto{})
 	a := func(s uint64) topology.NodeID { return topology.NodeID(1 + s%64) }
 	b := func(s uint64) topology.NodeID { return topology.NodeID(65 + (5*s)%64) }
 	for s := uint64(1); s <= sends; s++ {
@@ -300,27 +302,54 @@ func TestDeliveryLedgerAcrossBlocks(t *testing.T) {
 		n.HostLeave(a(s), 5)
 		n.HostLeave(b(s), 5)
 	}
+	for k, c := range n.records {
+		if want := 8 << min(k, 7); len(c) != want {
+			t.Errorf("chunk %d holds %d records, want %d", k, len(c), want)
+		}
+	}
+	if len(n.records) != 9 {
+		t.Errorf("%d sends filled %d chunks, want 9", sends, len(n.records))
+	}
+	deliver := func(node topology.NodeID, s uint64) { n.DeliverLocal(node, &Packet{Kind: packet.Data, Seq: s}) }
 	for s := uint64(sends); s >= 1; s-- {
-		n.DeliverLocal(a(s), &Packet{Kind: packet.Data, Seq: s})
+		deliver(a(s), s)
 		if s%2 == 1 {
-			n.DeliverLocal(a(s), &Packet{Kind: packet.Data, Seq: s})
+			deliver(a(s), s) // a duplicate while b(s) is still owed
+		}
+		if s%3 == 0 {
+			deliver(b(s), s) // complete
+		}
+		if s%6 == 0 {
+			deliver(b(s), s) // a duplicate after completion
+		}
+		if s%5 == 0 {
+			deliver(0, s) // the sender is never expected
 		}
 	}
-	for _, s := range []uint64{1, 2, 63, 64, 65, 127, 128, 129, 299, sends} {
+	// The first seq, the last and first of each pair of adjacent chunks,
+	// and the last seq.
+	for _, s := range []uint64{1, 8, 9, 24, 25, 56, 57, 120, 121, 248, 249, 504, 505, 1016, 1017, 2040, 2041, sends} {
+		var wantMissing, wantOdd []topology.NodeID
+		if s%3 != 0 {
+			wantMissing = []topology.NodeID{b(s)}
+		}
+		if s%5 == 0 {
+			wantOdd = append(wantOdd, 0)
+		}
+		if s%2 == 1 {
+			wantOdd = append(wantOdd, a(s))
+		}
+		if s%6 == 0 {
+			wantOdd = append(wantOdd, b(s))
+		}
 		missing, anomalous := n.CheckDelivery(s)
-		if len(missing) != 1 || missing[0] != b(s) {
-			t.Errorf("seq %d: missing = %v, want [%d]", s, missing, b(s))
-		}
-		if s%2 == 1 && (len(anomalous) != 1 || anomalous[0] != a(s)) {
-			t.Errorf("seq %d: anomalous = %v, want [%d]", s, anomalous, a(s))
-		}
-		if s%2 == 0 && len(anomalous) != 0 {
-			t.Errorf("seq %d: anomalous = %v, want none", s, anomalous)
+		if !slices.Equal(missing, wantMissing) || !slices.Equal(anomalous, wantOdd) {
+			t.Errorf("seq %d: missing=%v anomalous=%v, want %v and %v", s, missing, anomalous, wantMissing, wantOdd)
 		}
 	}
-	for _, s := range []uint64{0, sends + 1, 320, 321, 1 << 40} {
-		if d := n.delivery(s); d != nil {
-			t.Errorf("delivery(%d) = %v, want nil", s, d)
+	for _, s := range []uint64{0, sends + 1, 3063, 3064, 1 << 40} {
+		if r := n.record(s); r != nil {
+			t.Errorf("record(%d) = %+v, want nil", s, *r)
 		}
 	}
 }
