@@ -50,7 +50,7 @@ loc:
 # grown past the committed budget. A PR that removes code lowers
 # LOC_BUDGET to what `make loc` prints; one that must add code raises it
 # in the same diff, where a reviewer sees it.
-LOC_BUDGET := 17497
+LOC_BUDGET := 17319
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
@@ -74,7 +74,7 @@ bench-all:
 # re-validates the dense tree and cross-checks the incremental bound
 # against a member rescan.
 smoke-dcdm:
-	$(GO) test -race -tags invariants -count=1 -run 'TestDCDMFastMatchesRef|TestDCDMLeave|TestMaxMultiset|TestTreeSharedViews' ./internal/mtree/
+	$(GO) test -race -tags invariants -count=1 -run 'TestDCDMFastMatchesRef|TestDCDMLeave|TestTreeSharedViews' ./internal/mtree/
 
 # Hierarchical-engine differential gate: the composer's k=1-vs-flat
 # exact equivalence (mtree and experiment level) and the domain

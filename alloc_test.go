@@ -93,7 +93,7 @@ func TestHotPathAllocFloor(t *testing.T) {
 // bill: one Join plus one Leave of the same router, on a 400-node tree
 // with 128 resident members, must average at most one allocation per
 // operation — the grafted path slice the Join hands to its caller.
-// Everything else (prune walks, candidate ordering, the bound multiset)
+// Everything else (prune walks, candidate ordering, the bound rescan)
 // runs on reused scratch.
 func TestDCDMAllocFloor(t *testing.T) {
 	if mtree.InvariantChecksArmed {

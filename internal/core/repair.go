@@ -92,15 +92,7 @@ var _ netsim.FaultListener = (*SCMP)(nil)
 // be the caller's scratch.
 func (s *SCMP) sendReliable(node topology.NodeID, g packet.GroupID, kind packet.Kind, payload []byte) {
 	if s.cfg.AckTimeout <= 0 {
-		pkt := netsim.Packet{
-			Kind:    kind,
-			Group:   g,
-			Src:     node,
-			Dst:     s.home(g),
-			Payload: payload,
-			Size:    packet.ControlSize,
-		}
-		s.net.SendUnicast(node, &pkt)
+		s.transmit(node, g, kind, 0, payload)
 		return
 	}
 	key := pendingKey{node, g}
@@ -149,7 +141,7 @@ func (s *SCMP) startLadder(i int32) {
 	r := &s.reqs[i]
 	s.reqSeq++
 	r.seq, r.attempt, r.parked = s.reqSeq, 0, false
-	s.transmitReq(r)
+	s.transmit(r.key.node, r.key.g, r.kind, r.seq, r.payload)
 	s.armRetry(i, s.backoff(0))
 }
 
@@ -184,22 +176,23 @@ func (s *SCMP) staleCtl(member topology.NodeID, g packet.GroupID, seq uint64) bo
 	return false
 }
 
-// transmitReq puts one (re)transmission of a reliable request on the
-// wire. The request's sequence number rides the packet's Seq field so
-// the m-router can echo it in the ACK.
-func (s *SCMP) transmitReq(r *reqSlot) {
-	src, dst := r.key.node, s.home(r.key.g)
-	if r.kind == packet.Replicate {
+// transmit puts one copy of a control request from node on the wire,
+// addressed to the group's m-router. A reliable request's sequence
+// number rides the packet's Seq field so the m-router can echo it in
+// the ACK; seq 0 is the fire-and-forget form.
+func (s *SCMP) transmit(node topology.NodeID, g packet.GroupID, kind packet.Kind, seq uint64, payload []byte) {
+	src, dst := node, s.home(g)
+	if kind == packet.Replicate {
 		// Replication flows primary → standby, not requester → home.
 		src, dst = s.homes[0], s.cfg.Standby
 	}
 	pkt := netsim.Packet{
-		Kind:    r.kind,
-		Group:   r.key.g,
+		Kind:    kind,
+		Group:   g,
 		Src:     src,
 		Dst:     dst,
-		Seq:     r.seq,
-		Payload: r.payload,
+		Seq:     seq,
+		Payload: payload,
 		Size:    packet.ControlSize,
 	}
 	s.net.SendUnicast(src, &pkt)
@@ -236,7 +229,7 @@ func (s *SCMP) retryFire(i int32) {
 		return
 	}
 	r.attempt++
-	s.transmitReq(r)
+	s.transmit(r.key.node, r.key.g, r.kind, r.seq, r.payload)
 	s.armRetry(i, s.backoff(r.attempt))
 }
 
@@ -258,6 +251,13 @@ func (s *SCMP) retryLimit() int {
 // durable-mode primary sends its own membership through the reliable
 // path (HostJoin), and that ladder needs settling like any other.
 func (s *SCMP) ack(g packet.GroupID, req packet.Kind, to topology.NodeID, seq uint64) {
+	s.ackFrom(s.home(g), g, req, to, seq)
+}
+
+// ackFrom sends the ACK of request seq from router from: the m-router
+// answering a requester, or the standby answering a replication
+// snapshot.
+func (s *SCMP) ackFrom(from topology.NodeID, g packet.GroupID, req packet.Kind, to topology.NodeID, seq uint64) {
 	if seq == 0 {
 		return
 	}
@@ -265,12 +265,12 @@ func (s *SCMP) ack(g packet.GroupID, req packet.Kind, to topology.NodeID, seq ui
 	pkt := netsim.Packet{
 		Kind:    packet.Ack,
 		Group:   g,
-		Src:     s.home(g),
+		Src:     from,
 		Dst:     to,
 		Payload: s.buf,
 		Size:    packet.ControlSize,
 	}
-	s.net.SendUnicast(s.home(g), &pkt)
+	s.net.SendUnicast(from, &pkt)
 }
 
 // durableMode reports whether membership acknowledgements are chained

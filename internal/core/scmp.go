@@ -623,18 +623,7 @@ func (s *SCMP) replicate(g packet.GroupID, gs *groupState) {
 	slices.Sort(members)
 	s.path = members
 	s.buf = packet.AppendBranch(s.buf[:0], members) // the member-set snapshot layout
-	if s.cfg.AckTimeout > 0 {
-		s.sendReliable(s.homes[0], g, packet.Replicate, s.buf)
-		return
-	}
-	s.net.SendUnicast(s.homes[0], &netsim.Packet{
-		Kind:    packet.Replicate,
-		Group:   g,
-		Src:     s.homes[0],
-		Dst:     s.cfg.Standby,
-		Payload: s.buf,
-		Size:    packet.ControlSize,
-	})
+	s.sendReliable(s.homes[0], g, packet.Replicate, s.buf)
 }
 
 // handleReplicate installs a member-set snapshot in the standby's
@@ -657,15 +646,7 @@ func (s *SCMP) handleReplicate(pkt *netsim.Packet) {
 			return // stale copy of a superseded snapshot
 		}
 		s.replSeen[pkt.Group] = pkt.Seq
-		s.buf = packet.AppendAck(s.buf[:0], packet.AckInfo{Req: packet.Replicate, Seq: pkt.Seq})
-		s.net.SendUnicast(s.cfg.Standby, &netsim.Packet{
-			Kind:    packet.Ack,
-			Group:   pkt.Group,
-			Src:     s.cfg.Standby,
-			Dst:     pkt.Src,
-			Payload: s.buf,
-			Size:    packet.ControlSize,
-		})
+		s.ackFrom(s.cfg.Standby, pkt.Group, packet.Replicate, pkt.Src, pkt.Seq)
 	}
 	set := s.replica[pkt.Group]
 	if set == nil {

@@ -1,7 +1,9 @@
 package mtree
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scmp/internal/topology"
@@ -166,6 +168,29 @@ func BenchmarkDCDMLeave(b *testing.B) {
 			d.Leave(m)
 		}
 		for _, m := range batch {
+			d.Join(m)
+		}
+	}
+}
+
+// BenchmarkDCDMLeaveFarthestFirst is the bound's adversarial order: all
+// 128 members leave farthest first, so every leave removes the maximum
+// and rescans the remaining members, then rejoin in their original
+// order to rebuild the resident tree.
+func BenchmarkDCDMLeaveFarthestFirst(b *testing.B) {
+	f := newDCDMBenchFixture(b)
+	d := f.prejoinFast(1.5)
+	order := slices.Clone(f.members)
+	slices.SortStableFunc(order, func(x, y topology.NodeID) int {
+		return -cmp.Compare(d.UnicastDelay(x), d.UnicastDelay(y))
+	})
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, m := range order {
+			d.Leave(m)
+		}
+		for _, m := range f.members {
 			d.Join(m)
 		}
 	}

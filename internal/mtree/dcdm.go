@@ -24,12 +24,12 @@ import (
 //     pruning the re-entered node's old upstream branch (Fig. 5(c,d)).
 //   - On leave, the branch serving only the leaving member is pruned.
 //
-// This is the incremental engine: the longest member unicast delay is a
-// lazy-deletion max-multiset updated in O(log m) instead of an O(m)
-// rescan per leave, and the graft search walks the joining router's
-// shortest-path rows nearest-first, reading the tree's cached ml(v),
-// and stops at the radius of the best feasible candidate (see
-// bestGraftPath). The historical scanning implementation survives as
+// This is the incremental engine: the longest member unicast delay is
+// one number, raised by max on a join and rescanned over the members
+// only when a leave removes a member at that maximum; the graft search
+// walks the joining router's shortest-path rows nearest-first, reading
+// the tree's cached ml(v), and stops at the radius of the best feasible
+// candidate (see bestGraftPath). The historical scanning implementation survives as
 // the test oracle dcdmRef (ref_test.go) behind the differential gate in
 // equiv_test.go.
 type DCDM struct {
@@ -40,7 +40,7 @@ type DCDM struct {
 	tree    *Tree
 	spDelay *topology.AllPairs // P_sl tables, one per source
 	spCost  *topology.AllPairs // P_lc tables, one per source
-	ul      maxMultiset        // member unicast delays; Max() drives the relative bound
+	maxUL   float64            // longest member unicast delay; drives the relative bound
 }
 
 // JoinResult describes how a join changed the tree, which is what SCMP
@@ -116,7 +116,7 @@ func (d *DCDM) Bound() float64 {
 	if math.IsInf(d.kappa, 1) {
 		return math.Inf(1)
 	}
-	return d.kappa * d.ul.Max()
+	return d.kappa * d.maxUL
 }
 
 // UnicastDelay returns ul(v): the shortest-path delay between v and the
@@ -136,7 +136,7 @@ func (d *DCDM) Join(s topology.NodeID) JoinResult {
 		res.AlreadyOn = true
 		if !d.tree.IsMember(s) {
 			d.tree.SetMember(s, true)
-			d.ul.Add(ul)
+			d.maxUL = max(d.maxUL, ul)
 		}
 		return res
 	}
@@ -158,7 +158,7 @@ func (d *DCDM) Join(s topology.NodeID) JoinResult {
 	res.Path = path
 	res.Pruned, res.Restructured = d.tree.Graft(path)
 	d.tree.SetMember(s, true)
-	d.ul.Add(ul) // s was off tree, so it cannot already be a member
+	d.maxUL = max(d.maxUL, ul)
 	dcdmCheckHook(d)
 	return res
 }
@@ -284,14 +284,16 @@ func (b *graftCand) consider(v topology.NodeID, row *topology.Near, viaDelay boo
 // Leave removes member router s from the group, pruning the branch that
 // served only s (§III-D: prune upstream until a member or a fork).
 // Steady state it allocates nothing: the prune walk reuses tree-owned
-// scratch, and the bound update is an O(1) lazy-deletion note unless
-// the departing member's unicast delay IS the current maximum (only
-// then does the multiset pop, in O(log m)).
+// scratch, and the bound is untouched unless the departing member's
+// unicast delay IS the current maximum (only then does an O(m) member
+// rescan run, after the tree has dropped s).
 func (d *DCDM) Leave(s topology.NodeID) LeaveResult {
-	if d.tree.IsMember(s) {
-		d.ul.Remove(d.UnicastDelay(s))
-	}
+	// ul never exceeds maxUL, so >= means "s holds the maximum".
+	rescan := d.tree.IsMember(s) && d.UnicastDelay(s) >= d.maxUL
 	res := LeaveResult{Member: s, Pruned: d.tree.Leave(s)}
+	if rescan {
+		d.maxUL = d.recomputeMaxUL()
+	}
 	dcdmCheckHook(d)
 	return res
 }
@@ -299,13 +301,15 @@ func (d *DCDM) Leave(s topology.NodeID) LeaveResult {
 // DetachSubtree removes the subtree rooted at v (whose upstream tree
 // link died) from the m-router's tree copy, returning the stranded
 // member routers in ascending order so the caller can re-graft them
-// with fresh Join calls. Each stranded member's unicast delay leaves
-// the bound multiset individually — O(k log m) for k orphans, not an
-// O(m) rescan.
+// with fresh Join calls. The bound is rescanned over the surviving
+// members only when an orphan held the maximum.
 func (d *DCDM) DetachSubtree(v topology.NodeID) []topology.NodeID {
 	orphans := d.tree.DetachSubtree(v)
 	for _, m := range orphans {
-		d.ul.Remove(d.UnicastDelay(m))
+		if d.UnicastDelay(m) >= d.maxUL {
+			d.maxUL = d.recomputeMaxUL()
+			break
+		}
 	}
 	dcdmCheckHook(d)
 	return orphans
@@ -319,32 +323,26 @@ func (d *DCDM) Tables() (spDelay, spCost *topology.AllPairs) { return d.spDelay,
 // Rebase rebuilds the member delay bound against the tables' current
 // rows. Call it whenever the tables were invalidated onto another
 // topology (netsim's RecomputeRoutes after a fault): every member's
-// unicast delay may have changed, and the incremental bound would
-// otherwise remove values it never added — so this is the one remaining
-// full rescan. Members currently unreachable contribute an infinite
-// unicast delay, which relaxes the relative bound to +Inf for the
-// duration of the partition (repair is best-effort: connectivity first,
-// delay discipline after the heal).
+// unicast delay may have changed, and without the rescan the bound
+// would keep a maximum no member has any more, or miss a larger one.
+// Members currently unreachable contribute an infinite unicast delay,
+// which relaxes the relative bound to +Inf for the duration of the
+// partition (repair is best-effort: connectivity first, delay
+// discipline after the heal).
 func (d *DCDM) Rebase() {
-	d.ul.Reset()
-	for _, m := range d.tree.Members() {
-		d.ul.Add(d.UnicastDelay(m))
-	}
+	d.maxUL = d.recomputeMaxUL()
 	dcdmCheckHook(d)
 }
 
-// recomputeMaxUL rescans the member set for the longest unicast delay —
-// the historical O(m) bound computation, retained only as the
-// invariants-build cross-check against the incremental multiset (see
-// dcdmCheckHook in hooks_on.go).
+// recomputeMaxUL rescans the member set for the longest unicast delay,
+// 0 with no members: O(m), run by Rebase and by a leave of the farthest
+// member (and by dcdmCheckHook as the cross-check of maxUL).
 func (d *DCDM) recomputeMaxUL() float64 {
-	max := 0.0
+	hi := 0.0
 	for _, m := range d.tree.Members() {
-		if ul := d.UnicastDelay(m); ul > max {
-			max = ul
-		}
+		hi = max(hi, d.UnicastDelay(m))
 	}
-	return max
+	return hi
 }
 
 // Graft splices path (which starts at an on-tree router and ends at the

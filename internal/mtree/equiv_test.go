@@ -353,7 +353,7 @@ func runEquivChurn(t *testing.T, c equivCase) {
 		if i%71 == 70 && altMask != nil {
 			// Move the shortest-path tables onto the masked topology, as
 			// a fault does, and back again later; every group's bound
-			// multiset is rebased both times.
+			// is rebased both times.
 			mask := altMask
 			if onAlt {
 				mask = nil

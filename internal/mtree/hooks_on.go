@@ -22,10 +22,6 @@ func treeCheckHook(t *Tree) {
 	}
 }
 
-// dcdmCheckHook extends treeCheckHook with the incremental-bound
-// cross-check: the lazy-deletion max-UL multiset must agree exactly
-// with a from-scratch rescan of the member set (the historical
-// recomputeMaxUL, retained for this comparison).
 // hierCheckHook re-validates the hierarchical composer's composed/local
 // consistency contract after every HierDCDM mutation (see
 // HierDCDM.Validate).
@@ -35,12 +31,11 @@ func hierCheckHook(h *HierDCDM) {
 	}
 }
 
+// dcdmCheckHook extends treeCheckHook with the bound cross-check: maxUL
+// must agree exactly with a from-scratch rescan of the member set.
 func dcdmCheckHook(d *DCDM) {
 	treeCheckHook(d.tree)
-	if got, want := d.ul.Max(), d.recomputeMaxUL(); got != want {
+	if got, want := d.maxUL, d.recomputeMaxUL(); got != want {
 		panic(fmt.Sprintf("mtree: incremental maxUL %g diverged from member rescan %g", got, want))
-	}
-	if got, want := d.ul.Len(), d.tree.MemberCount(); got != want {
-		panic(fmt.Sprintf("mtree: maxUL multiset tracks %d delays for %d members", got, want))
 	}
 }

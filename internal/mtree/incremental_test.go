@@ -1,6 +1,7 @@
 package mtree
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,11 +10,10 @@ import (
 	"scmp/internal/topology"
 )
 
-// The leave fast path (satellite of the incremental engine): a leave
-// whose member sits strictly below the current max unicast delay must
-// not change the bound, and a leave of the max member itself must
-// tighten it — the lazy-deletion multiset's pop path, the only leave
-// that pays O(log m).
+// The leave fast path: a leave whose member sits strictly below the
+// current max unicast delay must not change the bound, and a leave of
+// the max member itself must tighten it — the rescan, the only leave
+// that pays O(m).
 func TestDCDMLeaveFastPathBoundTightens(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	wg, err := topology.Waxman(topology.DefaultWaxman(60), rng)
@@ -47,11 +47,11 @@ func TestDCDMLeaveFastPathBoundTightens(t *testing.T) {
 	}
 
 	boundBefore := d.Bound()
-	d.Leave(below) // fast path: lazy note, bound untouched
+	d.Leave(below) // fast path: bound untouched
 	if got := d.Bound(); got != boundBefore {
 		t.Fatalf("leave below the max moved the bound: %g -> %g", boundBefore, got)
 	}
-	d.Leave(farthest) // pop path: the bound must tighten
+	d.Leave(farthest) // rescan: the bound must tighten
 	if got := d.Bound(); !(got < boundBefore) {
 		t.Fatalf("leave of the max member did not tighten the bound: %g -> %g", boundBefore, got)
 	}
@@ -61,68 +61,141 @@ func TestDCDMLeaveFastPathBoundTightens(t *testing.T) {
 	}
 }
 
-// maxMultiset unit coverage: max tracking under interleaved adds and
-// removes, lazy deletion of duplicates, compaction, reset.
-func TestMaxMultiset(t *testing.T) {
-	var s maxMultiset
-	if s.Max() != 0 || s.Len() != 0 {
-		t.Fatal("empty multiset should report 0 max, 0 len")
+// checkScalarBound fails unless the bound is exactly kappa times a
+// from-scratch rescan of the member set.
+func checkScalarBound(t *testing.T, d *DCDM, step string) {
+	t.Helper()
+	if got, want := d.Bound(), d.kappa*d.recomputeMaxUL(); got != want {
+		t.Fatalf("%s: bound %g, member rescan says %g", step, got, want)
 	}
-	s.Add(3)
-	s.Add(7)
-	s.Add(5)
-	s.Add(7) // duplicate max
-	if s.Max() != 7 || s.Len() != 4 {
-		t.Fatalf("got max %g len %d, want 7 and 4", s.Max(), s.Len())
-	}
-	s.Remove(5) // lazy: below the max
-	if s.Max() != 7 || s.Len() != 3 {
-		t.Fatalf("after lazy remove: max %g len %d, want 7 and 3", s.Max(), s.Len())
-	}
-	s.Remove(7) // one duplicate of the max pops; the other remains
-	if s.Max() != 7 || s.Len() != 2 {
-		t.Fatalf("after removing one max duplicate: max %g len %d, want 7 and 2", s.Max(), s.Len())
-	}
-	s.Remove(7)
-	if s.Max() != 3 || s.Len() != 1 {
-		t.Fatalf("after removing the max: max %g len %d, want 3 and 1", s.Max(), s.Len())
-	}
-	s.Add(5) // re-adding the lazily deleted value must cancel the pending note
-	if s.Max() != 5 || s.Len() != 2 {
-		t.Fatalf("after re-add: max %g len %d, want 5 and 2", s.Max(), s.Len())
-	}
-	s.Reset()
-	if s.Max() != 0 || s.Len() != 0 {
-		t.Fatal("reset multiset should be empty")
-	}
+}
 
-	// Randomised cross-check against a naive slice, including +Inf
-	// values (unreachable members) and heavy duplication to force
-	// compaction.
-	rng := rand.New(rand.NewSource(3))
-	var naive []float64
-	vals := []float64{1, 2, 2.5, 4, 8, math.Inf(1)}
-	for i := 0; i < 5000; i++ {
-		if len(naive) == 0 || rng.Intn(3) > 0 {
-			x := vals[rng.Intn(len(vals))]
-			s.Add(x)
-			naive = append(naive, x)
-		} else {
-			k := rng.Intn(len(naive))
-			s.Remove(naive[k])
-			naive[k] = naive[len(naive)-1]
-			naive = naive[:len(naive)-1]
+// The bound is one number raised on join and rescanned only when a leave
+// removes a member at the maximum: every way a member at the maximum can
+// go must leave it equal to the rescan.
+func TestDCDMLeaveKeepsScalarBoundExact(t *testing.T) {
+	t.Run("tied maximum", func(t *testing.T) {
+		// Members 1 and 2 both sit 3 from the root, member 3 sits 1.
+		g := topology.New(4)
+		g.MustAddEdge(0, 1, 3, 1)
+		g.MustAddEdge(0, 2, 3, 1)
+		g.MustAddEdge(0, 3, 1, 1)
+		d := NewDCDM(g, 0, 1.5, nil, nil)
+		for _, m := range []topology.NodeID{1, 2, 3} {
+			d.Join(m)
+			checkScalarBound(t, d, "join")
 		}
-		want := 0.0
-		for _, x := range naive {
-			if x > want {
-				want = x
+		d.Leave(1)
+		checkScalarBound(t, d, "first leave at the maximum")
+		if d.Bound() != 1.5*3 {
+			t.Fatalf("the second member at the maximum stays, yet the bound is %g", d.Bound())
+		}
+		d.Leave(2)
+		checkScalarBound(t, d, "second leave at the maximum")
+		if d.Bound() != 1.5*1 {
+			t.Fatalf("bound %g after both members at the maximum left, want %g", d.Bound(), 1.5*1)
+		}
+	})
+
+	t.Run("farthest first", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		wg, err := topology.Waxman(topology.DefaultWaxman(80), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDCDM(wg.Graph, 0, 1.5, nil, nil)
+		members := pickMembers(rng, wg.Graph.N(), 24, 0)
+		for _, m := range members {
+			d.Join(m)
+			checkScalarBound(t, d, "join")
+		}
+		order := slices.Clone(members)
+		slices.SortStableFunc(order, func(a, b topology.NodeID) int {
+			return -cmp.Compare(d.UnicastDelay(a), d.UnicastDelay(b))
+		})
+		for i, m := range order {
+			before := d.Bound()
+			d.Leave(m)
+			checkScalarBound(t, d, "farthest-first leave")
+			if i+1 < len(order) && d.UnicastDelay(order[i+1]) < d.UnicastDelay(m) && !(d.Bound() < before) {
+				t.Fatalf("leave of the unique farthest member %d kept the bound at %g", m, before)
 			}
 		}
-		if got := s.Max(); got != want || s.Len() != len(naive) {
-			t.Fatalf("step %d: max %g len %d, naive says %g and %d", i, got, s.Len(), want, len(naive))
+		if d.Bound() != 0 {
+			t.Fatalf("bound %g with no members, want 0", d.Bound())
 		}
-	}
+	})
+
+	t.Run("detach removes the maximum", func(t *testing.T) {
+		// 0 - 1 - 2 - 3 and 0 - 4: member 3 (ul 3) hangs below 1,
+		// member 4 (ul 1) does not.
+		g := topology.New(5)
+		g.MustAddEdge(0, 1, 1, 1)
+		g.MustAddEdge(1, 2, 1, 1)
+		g.MustAddEdge(2, 3, 1, 1)
+		g.MustAddEdge(0, 4, 1, 1)
+		d := NewDCDM(g, 0, 2, nil, nil)
+		d.Join(3)
+		d.Join(4)
+		checkScalarBound(t, d, "join")
+		if got := d.DetachSubtree(1); !slices.Equal(got, []topology.NodeID{3}) {
+			t.Fatalf("orphans = %v, want [3]", got)
+		}
+		checkScalarBound(t, d, "detach of the farthest member")
+		if d.Bound() != 2*1 {
+			t.Fatalf("bound %g after the farthest member was detached, want 2", d.Bound())
+		}
+		d.Join(3)
+		d.DetachSubtree(4)
+		checkScalarBound(t, d, "detach below the maximum")
+		if d.Bound() != 2*3 {
+			t.Fatalf("bound %g after a detach below the maximum, want 6", d.Bound())
+		}
+	})
+
+	t.Run("rebase after invalidated tables", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		wg, err := topology.Waxman(topology.DefaultWaxman(60), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := wg.Graph
+		spDelay, spCost := topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
+		d := NewDCDM(g, 0, 1.5, spDelay, spCost)
+		members := pickMembers(rng, g.N(), 16, 0)
+		for _, m := range members {
+			d.Join(m)
+		}
+		// Cutting the last link of the farthest member's shortest path
+		// raises the maximum; restoring it lowers the maximum again, so
+		// a stale bound fails either way.
+		far := slices.MaxFunc(members, func(a, b topology.NodeID) int {
+			return cmp.Compare(d.UnicastDelay(a), d.UnicastDelay(b))
+		})
+		p := spDelay.Row(0).To(far)
+		u, v := p[len(p)-2], p[len(p)-1]
+		cut := arcMask(g, func(x, y topology.NodeID) bool { return x == u && y == v || x == v && y == u })
+		before := d.Bound()
+		rebase := func(avoid []bool) {
+			spDelay.Invalidate(avoid)
+			spCost.Invalidate(avoid)
+			d.Rebase()
+			checkScalarBound(t, d, "rebase")
+		}
+		rebase(cut)
+		if !(d.Bound() > before) {
+			t.Fatalf("cutting the farthest member's last hop left the bound at %g", d.Bound())
+		}
+		rebase(nil)
+		if d.Bound() != before {
+			t.Fatalf("bound %g after the tables were restored, want %g", d.Bound(), before)
+		}
+		rebase(cut)
+		for _, m := range members[:8] {
+			d.Leave(m)
+			checkScalarBound(t, d, "leave after rebase")
+		}
+	})
 }
 
 // Shared-view contract: Members/Nodes slices are rebuilt in place and

@@ -41,9 +41,11 @@ type MOSPF struct {
 	groups []*group
 	// seen[origin][seq-1] is the set of routers that accepted origin's
 	// LSA seq. It is created when the LSA is originated, so
-	// len(seen[origin]) is origin's last sequence number. Each LSA
-	// instance is applied once per router, in arrival order: a late
-	// older LSA is still applied and re-flooded.
+	// len(seen[origin]) is origin's last sequence number, and released
+	// (set to nil) once every router has accepted the LSA: a later copy
+	// is a duplicate everywhere. Each LSA instance is applied once per
+	// router, in arrival order: a late older LSA is still applied and
+	// re-flooded.
 	seen [][]netsim.NodeSet
 	// cached[node] counts the (source, group) forwarding-cache entries
 	// node has instantiated.
@@ -188,7 +190,7 @@ func (m *MOSPF) floodLSA(node topology.NodeID, g packet.GroupID, joined bool) {
 }
 
 // accepted returns the set of routers that accepted origin's LSA seq,
-// nil when origin never originated it.
+// nil when origin never originated it or every router has accepted it.
 func (m *MOSPF) accepted(origin topology.NodeID, seq uint64) netsim.NodeSet {
 	if origin < 0 || int(origin) >= len(m.seen) || seq == 0 || seq > uint64(len(m.seen[origin])) {
 		return nil
@@ -205,6 +207,9 @@ func (m *MOSPF) handleLSA(node topology.NodeID, pkt *netsim.Packet) {
 		return // malformed, or a duplicate
 	}
 	accepted.Set(node)
+	if accepted.Count() == len(m.seen) {
+		m.seen[pkt.Src][pkt.Seq-1] = nil // every router has it: release the set
+	}
 	member, joined, ok := decodeLSA(pkt.Payload, len(m.seen))
 	if !ok {
 		return

@@ -255,3 +255,48 @@ func TestMalformedLSADropped(t *testing.T) {
 		}
 	}
 }
+
+// TestLSASetReleasedOnceEveryRouterHasIt: an LSA's accepted set is held
+// only until the last router accepts it, so a fault-free run ends
+// holding none; an LSA a crashed router never accepted keeps its set.
+func TestLSASetReleasedOnceEveryRouterHasIt(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	wg, err := topology.Waxman(topology.DefaultWaxman(120), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := wg.Graph
+	m := New()
+	n := netsim.New(g, m)
+	n.InstallFaults(netsim.FaultPlan{})
+	lsas := 0
+	for k := 0; k < 30; k++ {
+		v := topology.NodeID(rng.Intn(g.N()))
+		n.HostJoin(v, grp)
+		n.Run()
+		n.HostLeave(v, grp)
+		n.Run()
+		lsas += 2
+	}
+	held := 0
+	for _, sets := range m.seen {
+		for _, set := range sets {
+			if set != nil {
+				held++
+			}
+		}
+	}
+	if held != 0 {
+		t.Fatalf("%d of %d LSAs still hold their accepted set after every router accepted them", held, lsas)
+	}
+
+	crashed, origin := topology.NodeID(0), topology.NodeID(1)
+	n.InstallScript([]netsim.Step{{At: n.Now(), Node: int32(crashed), Kind: netsim.NodeDown}})
+	n.Run()
+	n.HostJoin(origin, grp)
+	n.Run()
+	set := m.seen[origin][len(m.seen[origin])-1]
+	if set == nil || set.Has(crashed) {
+		t.Fatalf("the LSA crashed router %d never accepted released its set or lists it: %v", crashed, set)
+	}
+}

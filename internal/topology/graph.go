@@ -9,9 +9,10 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -171,7 +172,8 @@ func (g *Graph) Component(start NodeID) []NodeID {
 	return order
 }
 
-// Components returns all connected components, each sorted, largest first.
+// Components returns all connected components, each sorted, largest
+// first; components of equal size come in order of their lowest id.
 func (g *Graph) Components() [][]NodeID {
 	seen := make([]bool, g.N())
 	var comps [][]NodeID
@@ -183,10 +185,11 @@ func (g *Graph) Components() [][]NodeID {
 		for _, v := range comp {
 			seen[v] = true
 		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
-	sort.Slice(comps, func(i, j int) bool { return len(comps[i]) > len(comps[j]) })
+	// Stable: equal sizes keep discovery order, lowest id first.
+	slices.SortStableFunc(comps, func(a, b []NodeID) int { return cmp.Compare(len(b), len(a)) })
 	return comps
 }
 

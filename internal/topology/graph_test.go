@@ -86,6 +86,26 @@ func TestTryScaleDelays(t *testing.T) {
 	}
 }
 
+// TestComponentsOrderTiesByLowestID: components of equal size come in
+// order of their lowest id, so Waxman's connect, which joins comps[0]
+// and comps[1], adds the same edge on every Go release. The graph is
+// pairs {0,1}, {3,4}, ... with a singleton between each.
+func TestComponentsOrderTiesByLowestID(t *testing.T) {
+	for n := 2; n <= 200; n++ {
+		g := New(n)
+		for u := 0; u+1 < n; u += 3 {
+			g.MustAddEdge(NodeID(u), NodeID(u+1), 1, 1)
+		}
+		comps := g.Components()
+		for i := 1; i < len(comps); i++ {
+			a, b := comps[i-1], comps[i]
+			if len(a) < len(b) || len(a) == len(b) && a[0] > b[0] {
+				t.Fatalf("n=%d: component %v comes before %v", n, a, b)
+			}
+		}
+	}
+}
+
 func TestConnected(t *testing.T) {
 	g := line(t, 4)
 	if !g.Connected() {
