@@ -8,9 +8,11 @@
 package scmp_test
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"scmp/internal/core"
@@ -94,7 +96,11 @@ func TestHotPathAllocFloor(t *testing.T) {
 // with 128 resident members, must average at most one allocation per
 // operation — the grafted path slice the Join hands to its caller.
 // Everything else (prune walks, candidate ordering, the bound rescan)
-// runs on reused scratch.
+// runs on reused scratch. Two arms: routers nearer the m-router than
+// the farthest resident, whose leave keeps the bound, and routers
+// farther than every resident, whose join raises the bound and whose
+// leave removes the member at the maximum, so the bound's member rescan
+// runs inside every measured pair.
 func TestDCDMAllocFloor(t *testing.T) {
 	if mtree.InvariantChecksArmed {
 		t.Skip("invariants build: per-mutation Validate allocates freely")
@@ -104,11 +110,19 @@ func TestDCDMAllocFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := wg.Graph
-	rnd := rand.New(rand.NewSource(7))
-	d := mtree.NewDCDM(g, 0, 1.5, nil, nil)
+	const kappa = 1.5
+	d := newDCDM(g, 0, kappa)
+	// The 16 routers farthest from the m-router are kept off the
+	// resident tree, so each is farther than every resident.
+	byUL := make([]topology.NodeID, g.N()-1)
+	for i := range byUL {
+		byUL[i] = topology.NodeID(i + 1)
+	}
+	slices.SortFunc(byUL, func(a, b topology.NodeID) int { return cmp.Compare(d.UnicastDelay(b), d.UnicastDelay(a)) })
+	farthest := byUL[:16]
 	joined := 0
-	for _, v := range rnd.Perm(g.N()) {
-		if v == 0 {
+	for _, v := range rand.New(rand.NewSource(7)).Perm(g.N()) {
+		if v == 0 || slices.Contains(farthest, topology.NodeID(v)) {
 			continue
 		}
 		d.Join(topology.NodeID(v))
@@ -116,37 +130,64 @@ func TestDCDMAllocFloor(t *testing.T) {
 			break
 		}
 	}
-	var pool []topology.NodeID
-	for v := topology.NodeID(1); int(v) < g.N() && len(pool) < 16; v++ {
-		if !d.Tree().OnTree(v) {
-			pool = append(pool, v)
+	bound := d.Bound()
+	var near, far []topology.NodeID
+	for v := topology.NodeID(1); int(v) < g.N() && len(near) < 16; v++ {
+		if !d.Tree().OnTree(v) && kappa*d.UnicastDelay(v) < bound {
+			near = append(near, v)
 		}
 	}
-	if len(pool) == 0 {
-		t.Fatal("fixture degenerate: tree covers the whole graph")
+	for _, v := range farthest {
+		if !d.Tree().OnTree(v) {
+			far = append(far, v)
+		}
 	}
-	// Warm scratch (candidate ordering buffers, prune stacks, heap
-	// capacity) so the measured runs see steady state.
-	for i := 0; i < 32; i++ {
-		v := pool[i%len(pool)]
-		d.Join(v)
-		d.Leave(v)
+	for _, tc := range []struct {
+		name string
+		pool []topology.NodeID
+	}{
+		{"near", near},
+		{"farthest", far},
+	} {
+		if len(tc.pool) == 0 {
+			t.Fatalf("%s: fixture degenerate: no off-tree router in the pool", tc.name)
+		}
+		// Warm scratch (candidate ordering buffers, prune stacks, heap
+		// capacity) so the measured runs see steady state, and check
+		// that each arm moves the bound as its name says.
+		for i := 0; i < 32; i++ {
+			v := tc.pool[i%len(tc.pool)]
+			d.Join(v)
+			if raised := d.Bound() > bound; raised != (tc.name == "farthest") {
+				t.Fatalf("%s: joining %d raised the bound = %v", tc.name, v, raised)
+			}
+			d.Leave(v)
+			if d.Bound() != bound {
+				t.Fatalf("%s: leaving %d left the bound at %v, want %v", tc.name, v, d.Bound(), bound)
+			}
+		}
+		const budget = 1.0 // per Join+Leave pair: the join's path slice, nothing else
+		i := 0
+		avg := testing.AllocsPerRun(200, func() {
+			v := tc.pool[i%len(tc.pool)]
+			i++
+			d.Join(v)
+			d.Leave(v)
+		})
+		t.Logf("%s: %.2f allocs per Join+Leave pair", tc.name, avg)
+		if avg > budget {
+			t.Errorf("%s: steady-state DCDM Join+Leave allocates %.2f per pair, budget %.0f; locate the new site with "+
+				"`go test -run '^TestDCDMAllocFloor$' -memprofile mem.out -memprofilerate 1 .` and "+
+				"`go tool pprof -sample_index alloc_objects -top mem.out`, then `-list` the function it names",
+				tc.name, avg, budget)
+		}
 	}
+}
 
-	const budget = 2.0 // per Join+Leave pair: the join's path slice, nothing else
-	i := 0
-	avg := testing.AllocsPerRun(200, func() {
-		v := pool[i%len(pool)]
-		i++
-		d.Join(v)
-		d.Leave(v)
-	})
-	if avg > budget {
-		t.Errorf("steady-state DCDM Join+Leave allocates %.2f per pair, budget %.0f (<=1 per op); locate the new site with "+
-			"`go test -run '^TestDCDMAllocFloor$' -memprofile mem.out -memprofilerate 1 .` and "+
-			"`go tool pprof -sample_index alloc_objects -top mem.out`, then `-list` the function it names",
-			avg, budget)
-	}
+// newDCDM is mtree.NewDCDM over a lazy table pair of its own, for a
+// floor whose group shares no tables.
+func newDCDM(g *topology.Graph, root topology.NodeID, kappa float64) *mtree.DCDM {
+	return mtree.NewDCDM(g, root, kappa, topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost))
 }
 
 // TestHierDCDMAllocFloor pins the hierarchical engine's steady-state
@@ -219,7 +260,7 @@ func TestTreeDelayAllocFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := mtree.NewDCDM(wg.Graph, 0, 1.5, nil, nil)
+	d := newDCDM(wg.Graph, 0, 1.5)
 	for _, v := range rand.New(rand.NewSource(7)).Perm(wg.Graph.N())[:64] {
 		d.Join(topology.NodeID(v))
 	}

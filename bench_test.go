@@ -162,8 +162,8 @@ func BenchmarkDCDMConstraint(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := wg.Graph
-	spDelay := topology.NewAllPairs(g, topology.ByDelay)
-	spCost := topology.NewAllPairs(g, topology.ByCost)
+	spDelay := topology.NewLazyAllPairs(g, topology.ByDelay)
+	spCost := topology.NewLazyAllPairs(g, topology.ByCost)
 	var members []topology.NodeID
 	for _, v := range rng.Perm(g.N())[:40] {
 		if v != 0 {

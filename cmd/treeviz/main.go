@@ -61,6 +61,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
+	spDelay := topology.NewLazyAllPairs(g, topology.ByDelay)
+	spCost := topology.NewLazyAllPairs(g, topology.ByCost)
 	var tree *mtree.Tree
 	switch *algo {
 	case "dcdm":
@@ -68,15 +70,15 @@ func run(args []string, stdout io.Writer) error {
 		if k == 0 {
 			k = math.Inf(1)
 		}
-		d := mtree.NewDCDM(g, rootID, k, nil, nil)
+		d := mtree.NewDCDM(g, rootID, k, spDelay, spCost)
 		for _, m := range members {
 			d.Join(m)
 		}
 		tree = d.Tree()
 	case "kmb":
-		tree = mtree.KMB(g, rootID, members, nil)
+		tree = mtree.KMB(g, rootID, members, spCost)
 	case "spt":
-		tree = mtree.SPT(g, rootID, members, nil)
+		tree = mtree.SPT(g, rootID, members, spDelay)
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}

@@ -34,8 +34,8 @@ func main() {
 			panic(err)
 		}
 		g := wg.Graph
-		spDelay := topology.NewAllPairs(g, topology.ByDelay)
-		spCost := topology.NewAllPairs(g, topology.ByCost)
+		spDelay := topology.NewLazyAllPairs(g, topology.ByDelay)
+		spCost := topology.NewLazyAllPairs(g, topology.ByCost)
 		members := make([]topology.NodeID, 0, cfg.GroupSize)
 		for _, v := range rng.Perm(g.N())[:cfg.GroupSize] {
 			members = append(members, topology.NodeID(v))

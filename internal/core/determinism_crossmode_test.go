@@ -10,13 +10,9 @@ package core_test
 
 import (
 	"bytes"
-	"fmt"
-	"math/rand"
-	"runtime"
 	"testing"
 
 	"scmp/internal/experiment"
-	"scmp/internal/topology"
 )
 
 func TestFig7ParallelMatchesSerial(t *testing.T) {
@@ -78,48 +74,6 @@ func TestFaultsParallelMatchesSerial(t *testing.T) {
 	serial, par := render(1), render(4)
 	if !bytes.Equal(serial, par) {
 		t.Fatalf("faults output diverges between -parallel 1 and -parallel 4:\nserial:\n%s\nparallel:\n%s", serial, par)
-	}
-}
-
-// TestAllPairsParallelMatchesSerial proves the sharded all-pairs build
-// underneath every protocol's path tables is itself mode-independent:
-// the eager table built at GOMAXPROCS=1, the same build at
-// GOMAXPROCS=4, and the lazy row-on-demand table must hand out
-// byte-identical rows. This is the routing-layer leg of the
-// byte-identical-output guarantee the experiment-level tests above
-// check end to end.
-func TestAllPairsParallelMatchesSerial(t *testing.T) {
-	wg, err := topology.Waxman(topology.DefaultWaxman(80), rand.New(rand.NewSource(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := wg.Graph
-	render := func(ap *topology.AllPairs) []byte {
-		var buf bytes.Buffer
-		for u := 0; u < g.N(); u++ {
-			row := ap.Row(topology.NodeID(u))
-			fmt.Fprintf(&buf, "%d %v %v %v %v\n", row.Src, row.Dist, row.Delay, row.Cost, row.Parent)
-		}
-		return buf.Bytes()
-	}
-	for _, w := range []topology.Weight{topology.ByDelay, topology.ByCost} {
-		serial := func() []byte {
-			prev := runtime.GOMAXPROCS(1)
-			defer runtime.GOMAXPROCS(prev)
-			return render(topology.NewAllPairs(g, w))
-		}()
-		parallel := func() []byte {
-			prev := runtime.GOMAXPROCS(4)
-			defer runtime.GOMAXPROCS(prev)
-			return render(topology.NewAllPairs(g, w))
-		}()
-		lazy := render(topology.NewLazyAllPairs(g, w))
-		if !bytes.Equal(serial, parallel) {
-			t.Fatalf("%s all-pairs rows diverge between GOMAXPROCS 1 and 4", w)
-		}
-		if !bytes.Equal(serial, lazy) {
-			t.Fatalf("%s all-pairs rows diverge between eager and lazy builds", w)
-		}
 	}
 }
 

@@ -753,7 +753,7 @@ func (s *SCMP) distributeTree(g packet.GroupID, gs *groupState) {
 			Src:     s.home(g),
 			Version: gs.version,
 			Payload: s.buf,
-			Size:    len(s.buf) + 8,
+			Size:    len(s.buf) + packet.TreeHeaderSize,
 		})
 	}
 }
@@ -781,7 +781,7 @@ func (s *SCMP) distributeBranch(g packet.GroupID, gs *groupState, member topolog
 		Src:     s.home(g),
 		Version: gs.version,
 		Payload: s.buf,
-		Size:    len(s.buf) + 8,
+		Size:    len(s.buf) + packet.TreeHeaderSize,
 	})
 }
 
@@ -948,7 +948,7 @@ func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 			Src:     pkt.Src,
 			Version: pkt.Version,
 			Payload: c.Sub,
-			Size:    len(c.Sub) + 8,
+			Size:    len(c.Sub) + packet.TreeHeaderSize,
 		})
 	}
 	for _, d := range e.Downstream() {
@@ -1009,7 +1009,7 @@ func (s *SCMP) handleBranch(node topology.NodeID, pkt *netsim.Packet) {
 		Src:     pkt.Src,
 		Version: pkt.Version,
 		Payload: s.buf,
-		Size:    len(s.buf) + 8,
+		Size:    len(s.buf) + packet.TreeHeaderSize,
 	})
 }
 
@@ -1110,7 +1110,7 @@ func (s *SCMP) SendData(src topology.NodeID, g packet.GroupID, size int, seq uin
 	enc := *pkt
 	enc.Kind = packet.EncapData
 	enc.Dst = s.home(g)
-	enc.Size = size + 20 // IP-in-IP encapsulation header
+	enc.Size = size + packet.EncapHeaderSize
 	s.net.SendUnicast(src, &enc)
 }
 
@@ -1162,7 +1162,7 @@ func (s *SCMP) handleEncap(node topology.NodeID, pkt *netsim.Packet) {
 	}
 	data := *pkt
 	data.Kind = packet.Data
-	data.Size = pkt.Size - 20
+	data.Size = pkt.Size - packet.EncapHeaderSize
 	s.recordTraffic(node, pkt.Group, data.Size)
 	e.Forward(s.net, node, &data, node)
 	if e.HasLocal {

@@ -82,17 +82,16 @@ func randomArtifactFor(nodes int, degree float64, seed int64) *randomArtifact {
 
 // rankedCenters returns the k nodes with the smallest average
 // shortest-delay to all others, best first, exact ties by lower id. One
-// engine and one scratch row serve every source, as in Graph.Diameter.
+// scratch row serves every source, as in Graph.Diameter.
 func rankedCenters(g *topology.Graph, k int) []topology.NodeID {
 	type scored struct {
 		v   topology.NodeID
 		avg float64
 	}
 	all := make([]scored, g.N())
-	e := topology.NewEngine(g)
 	var sp topology.Paths
 	for u := range all {
-		e.ShortestInto(&sp, topology.NodeID(u), topology.ByDelay, nil)
+		g.ShortestInto(&sp, topology.NodeID(u), topology.ByDelay)
 		sum := 0.0
 		for _, d := range sp.Delay {
 			sum += d

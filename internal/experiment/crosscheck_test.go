@@ -88,7 +88,7 @@ func TestPropertyMOSPFDataEqualsSPT(t *testing.T) {
 		}
 		n.Run()
 		got := dataLinks(n, src)
-		spt := mtree.SPT(g, src, members, nil)
+		spt := mtree.SPT(g, src, members, topology.NewLazyAllPairs(g, topology.ByDelay))
 		want := treeLinks(spt, membersExcluding(members, src))
 		return sameLinks(got, want)
 	}
@@ -119,7 +119,7 @@ func TestPropertyDVMRPSteadyStateEqualsSPT(t *testing.T) {
 			n.Run()
 		}
 		got := dataLinks(n, src)
-		spt := mtree.SPT(g, src, members, nil)
+		spt := mtree.SPT(g, src, members, topology.NewLazyAllPairs(g, topology.ByDelay))
 		want := treeLinks(spt, membersExcluding(members, src))
 		return sameLinks(got, want)
 	}

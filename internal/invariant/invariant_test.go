@@ -187,7 +187,8 @@ func TestCheckTree(t *testing.T) {
 // output: trees DCDM grows must always be accepted, with the bound DCDM
 // reports at join time.
 func TestCheckTreeMatchesDCDM(t *testing.T) {
-	d := mtree.NewDCDM(lineGraph(), 0, 1.5, nil, nil)
+	g := lineGraph()
+	d := mtree.NewDCDM(g, 0, 1.5, topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost))
 	for _, m := range []n{3, 4, 5} {
 		d.Join(m)
 		if err := CheckTree(d.Tree(), TreeSpec{Root: 0, DelayBound: d.Bound()}); err != nil {

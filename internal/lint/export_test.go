@@ -18,7 +18,7 @@ func (l *Loader) CheckSource(path string, sources map[string]string) (*Package, 
 	sort.Strings(names)
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, name, sources[name], parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, name, sources[name], parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}

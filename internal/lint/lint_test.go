@@ -1,7 +1,9 @@
 package lint
 
 import (
+	"go/types"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -253,4 +255,42 @@ func kept(a, b float64) bool {
 		`[scmplint] ignore names "hotalloc", which is no analyzer`,
 		"[scmplint] ignore without a reason",
 		"[scmplint] unknown directive scmplint:hotpath")
+}
+
+// TestLoadersShareTheStandardLibrary builds and uses loaders from
+// several goroutines at once: each must resolve a standard-library
+// import to the one package the process-wide importer checked.
+func TestLoadersShareTheStandardLibrary(t *testing.T) {
+	const loaders = 4
+	got := make([]*types.Package, loaders)
+	errs := make([]error, loaders)
+	var wg sync.WaitGroup
+	for i := 0; i < loaders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			loader, err := NewLoader(".")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			pkg, err := loader.CheckSource("scmp/internal/zz", map[string]string{
+				"scmp/internal/zz/x.go": "package zz\nimport \"go/types\"\nvar _ = types.NewPackage",
+			})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = pkg.Types.Imports()[0]
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("loader %d: %v", i, errs[i])
+		}
+		if got[i] != got[0] {
+			t.Fatalf("loader %d imported go/types as %p, loader 0 as %p", i, got[i], got[0])
+		}
+	}
 }

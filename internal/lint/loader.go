@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, type-checked module package.
@@ -25,6 +26,15 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 }
+
+// Every Loader shares one FileSet and one standard-library source
+// importer, so the standard library is type-checked once per process.
+// The source importer is not safe for concurrent use: stdMu guards it.
+var (
+	fset  = token.NewFileSet()
+	std   = importer.ForCompiler(fset, "source", nil)
+	stdMu sync.Mutex
+)
 
 // Loader loads and type-checks packages of the enclosing module without
 // golang.org/x/tools: module packages are parsed from source and
@@ -38,10 +48,8 @@ type Package struct {
 // are loaded as separate packages whose import path carries a " [tests]"
 // suffix.
 type Loader struct {
-	fset       *token.FileSet
 	moduleDir  string
 	modulePath string
-	std        types.Importer
 	pkgs       map[string]*Package
 	exts       map[string]*Package    // external test package by base import path
 	extFiles   map[string][]*ast.File // its parsed files, which Load checks
@@ -73,12 +81,9 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 	return &Loader{
-		fset:       fset,
 		moduleDir:  root,
 		modulePath: modPath,
-		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       make(map[string]*Package),
 		exts:       make(map[string]*Package),
 		extFiles:   make(map[string][]*ast.File),
@@ -238,7 +243,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	return l.std.Import(path)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return std.Import(path)
 }
 
 // loadPath loads and type-checks one module package (cached). It returns
@@ -273,7 +280,7 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 		if !buildIncluded(src, defaultTag) {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -310,11 +317,11 @@ func (l *Loader) check(path string, files []*ast.File) (*Package, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: l, FakeImportC: true}
-	tpkg, err := conf.Check(path, l.fset, files, info)
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return &Package{Path: path, Dir: l.dirFor(path), Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Dir: l.dirFor(path), Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // buildIncluded evaluates a file's //go:build constraint (if any)

@@ -11,7 +11,7 @@ import (
 
 func TestSPTShape(t *testing.T) {
 	g := fig5Graph()
-	tr := SPT(g, 0, []topology.NodeID{2, 4}, nil)
+	tr := SPT(g, 0, []topology.NodeID{2, 4}, topology.NewLazyAllPairs(g, topology.ByDelay))
 	// Shortest-delay routes: 0-1-2 and 0-1-2-4.
 	if !tr.OnTree(1) || tr.OnTree(3) {
 		t.Fatal("SPT should use the fast rail only")
@@ -28,14 +28,16 @@ func TestSPTShape(t *testing.T) {
 }
 
 func TestSPTEmptyMembers(t *testing.T) {
-	tr := SPT(fig5Graph(), 0, nil, nil)
+	g := fig5Graph()
+	tr := SPT(g, 0, nil, topology.NewLazyAllPairs(g, topology.ByDelay))
 	if tr.Size() != 1 {
 		t.Fatalf("Size = %d, want 1", tr.Size())
 	}
 }
 
 func TestSPTMemberIsRoot(t *testing.T) {
-	tr := SPT(fig5Graph(), 0, []topology.NodeID{0}, nil)
+	g := fig5Graph()
+	tr := SPT(g, 0, []topology.NodeID{0}, topology.NewLazyAllPairs(g, topology.ByDelay))
 	if tr.Size() != 1 || !tr.IsMember(0) {
 		t.Fatalf("size=%d member(0)=%v", tr.Size(), tr.IsMember(0))
 	}
@@ -43,7 +45,7 @@ func TestSPTMemberIsRoot(t *testing.T) {
 
 func TestKMBPrefersCheapRail(t *testing.T) {
 	g := fig5Graph()
-	tr := KMB(g, 0, []topology.NodeID{2}, nil)
+	tr := KMB(g, 0, []topology.NodeID{2}, topology.NewLazyAllPairs(g, topology.ByCost))
 	if tr.Cost() != 2 {
 		t.Fatalf("KMB cost = %g, want 2 (cheap rail)", tr.Cost())
 	}
@@ -57,17 +59,18 @@ func TestKMBPrefersCheapRail(t *testing.T) {
 
 func TestKMBEmptyAndSelf(t *testing.T) {
 	g := fig5Graph()
-	if tr := KMB(g, 0, nil, nil); tr.Size() != 1 {
+	spCost := topology.NewLazyAllPairs(g, topology.ByCost)
+	if tr := KMB(g, 0, nil, spCost); tr.Size() != 1 {
 		t.Fatalf("empty KMB size = %d", tr.Size())
 	}
-	if tr := KMB(g, 0, []topology.NodeID{0}, nil); tr.Size() != 1 {
+	if tr := KMB(g, 0, []topology.NodeID{0}, spCost); tr.Size() != 1 {
 		t.Fatalf("self KMB size = %d", tr.Size())
 	}
 }
 
 func TestKMBDuplicateMembers(t *testing.T) {
 	g := fig5Graph()
-	tr := KMB(g, 0, []topology.NodeID{2, 2, 4, 4}, nil)
+	tr := KMB(g, 0, []topology.NodeID{2, 2, 4, 4}, topology.NewLazyAllPairs(g, topology.ByCost))
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func dreyfusWagner(g *topology.Graph, terminals []topology.NodeID) float64 {
 	if k <= 1 {
 		return 0
 	}
-	sp := topology.NewAllPairs(g, topology.ByCost)
+	sp := topology.NewLazyAllPairs(g, topology.ByCost)
 	const inf = math.MaxFloat64 / 4
 	// dp[S][v]: min cost of a tree spanning terminal-set S ∪ {v}.
 	dp := make([][]float64, 1<<uint(k))
@@ -144,7 +147,7 @@ func TestPropertyKMBApproximation(t *testing.T) {
 			return false
 		}
 		members := pickMembers(rng, g.N(), 3, 0)
-		tr := KMB(g, 0, members, nil)
+		tr := KMB(g, 0, members, topology.NewLazyAllPairs(g, topology.ByCost))
 		if err := tr.Validate(); err != nil {
 			return false
 		}
@@ -173,7 +176,7 @@ func TestPropertySPTDelayOptimal(t *testing.T) {
 			return false
 		}
 		members := pickMembers(rng, g.N(), 6, 0)
-		spDelay := topology.NewAllPairs(g, topology.ByDelay)
+		spDelay := topology.NewLazyAllPairs(g, topology.ByDelay)
 		tr := SPT(g, 0, members, spDelay)
 		if err := tr.Validate(); err != nil {
 			return false
@@ -205,8 +208,8 @@ func TestFig7Ordering(t *testing.T) {
 		}
 		g := wg.Graph
 		members := pickMembers(rng, g.N(), 20, 0)
-		spDelay := topology.NewAllPairs(g, topology.ByDelay)
-		spCost := topology.NewAllPairs(g, topology.ByCost)
+		spDelay := topology.NewLazyAllPairs(g, topology.ByDelay)
+		spCost := topology.NewLazyAllPairs(g, topology.ByCost)
 
 		kmb := KMB(g, 0, members, spCost)
 		spt := SPT(g, 0, members, spDelay)
@@ -238,7 +241,7 @@ func BenchmarkKMB(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := wg.Graph
-	spCost := topology.NewAllPairs(g, topology.ByCost)
+	spCost := topology.NewLazyAllPairs(g, topology.ByCost)
 	members := pickMembers(rng, g.N(), 40, 0)
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -254,7 +257,7 @@ func BenchmarkSPT(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := wg.Graph
-	spDelay := topology.NewAllPairs(g, topology.ByDelay)
+	spDelay := topology.NewLazyAllPairs(g, topology.ByDelay)
 	members := pickMembers(rng, g.N(), 40, 0)
 	b.ResetTimer()
 	b.ReportAllocs()

@@ -36,8 +36,8 @@ func newDCDMBenchFixture(b *testing.B) *dcdmBenchFixture {
 	}
 	f := &dcdmBenchFixture{
 		g:       wg.Graph,
-		spDelay: topology.NewAllPairs(wg.Graph, topology.ByDelay),
-		spCost:  topology.NewAllPairs(wg.Graph, topology.ByCost),
+		spDelay: topology.NewLazyAllPairs(wg.Graph, topology.ByDelay),
+		spCost:  topology.NewLazyAllPairs(wg.Graph, topology.ByCost),
 	}
 	f.members = pickMembers(rng, f.g.N(), 128, 0)
 

@@ -80,18 +80,12 @@ type LeaveResult struct {
 
 // NewDCDM builds a DCDM instance for group trees rooted at root. Kappa
 // scales the delay bound (>= 1, or +Inf for no delay constraint).
-// spDelay/spCost are optional all-pairs tables (pass nil to compute
-// eager ones here); sharing them across instances makes the Fig. 7 sweep
-// cheap, and SCMP hands every group its network's routing store.
+// spDelay/spCost are g's shortest-delay and least-cost tables; sharing
+// them across instances makes the Fig. 7 sweep cheap, and SCMP hands
+// every group its network's routing store.
 func NewDCDM(g *topology.Graph, root topology.NodeID, kappa float64, spDelay, spCost *topology.AllPairs) *DCDM {
 	if kappa < 1 {
 		panic(fmt.Sprintf("mtree: DCDM kappa %g < 1 would reject every tree", kappa))
-	}
-	if spDelay == nil {
-		spDelay = topology.NewAllPairs(g, topology.ByDelay)
-	}
-	if spCost == nil {
-		spCost = topology.NewAllPairs(g, topology.ByCost)
 	}
 	return &DCDM{
 		g:       g,

@@ -26,8 +26,14 @@ func fig5Graph() *topology.Graph {
 	return g
 }
 
+// newDCDM is NewDCDM over a lazy table pair of its own, for a test
+// whose group shares no tables.
+func newDCDM(g *topology.Graph, root topology.NodeID, kappa float64) *DCDM {
+	return NewDCDM(g, root, kappa, topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost))
+}
+
 func TestDCDMFirstJoinUsesShortestDelayPath(t *testing.T) {
-	d := NewDCDM(fig5Graph(), 0, 1, nil, nil)
+	d := newDCDM(fig5Graph(), 0, 1)
 	res := d.Join(2)
 	// Empty tree: bound 0 < ul(2)=2, so P_sl(0->2) = 0-1-2 is installed.
 	want := []topology.NodeID{0, 1, 2}
@@ -47,7 +53,7 @@ func TestDCDMFirstJoinUsesShortestDelayPath(t *testing.T) {
 }
 
 func TestDCDMTightGraftRespectsBound(t *testing.T) {
-	d := NewDCDM(fig5Graph(), 0, 1, nil, nil)
+	d := newDCDM(fig5Graph(), 0, 1)
 	d.Join(2)
 	// Member 4: ul = 3 > bound 2? No: ul(4) = 2+1 = 3 > 2, so P_sl again,
 	// and the bound grows to 3.
@@ -71,7 +77,7 @@ func TestDCDMTightGraftRespectsBound(t *testing.T) {
 func TestDCDMLooseConstraintPrefersCheapPath(t *testing.T) {
 	// With no delay constraint, member 2 should come in over the cheap
 	// lower rail (cost 2) instead of the fast upper rail (cost 20).
-	d := NewDCDM(fig5Graph(), 0, math.Inf(1), nil, nil)
+	d := newDCDM(fig5Graph(), 0, math.Inf(1))
 	d.Join(2)
 	tr := d.Tree()
 	if tr.Cost() != 2 {
@@ -176,7 +182,7 @@ func TestGraftThroughRootKeepsTreeValid(t *testing.T) {
 }
 
 func TestDCDMJoinExistingRelayJustMarks(t *testing.T) {
-	d := NewDCDM(fig5Graph(), 0, 1, nil, nil)
+	d := newDCDM(fig5Graph(), 0, 1)
 	d.Join(4)        // brings in 0-1-2-4
 	res := d.Join(2) // 2 is already a relay
 	if !res.AlreadyOn || res.Path != nil {
@@ -188,7 +194,7 @@ func TestDCDMJoinExistingRelayJustMarks(t *testing.T) {
 }
 
 func TestDCDMJoinRoot(t *testing.T) {
-	d := NewDCDM(fig5Graph(), 0, 1, nil, nil)
+	d := newDCDM(fig5Graph(), 0, 1)
 	res := d.Join(0)
 	if !res.AlreadyOn {
 		t.Fatal("root join should be AlreadyOn")
@@ -199,7 +205,7 @@ func TestDCDMJoinRoot(t *testing.T) {
 }
 
 func TestDCDMLeaveRecomputesBound(t *testing.T) {
-	d := NewDCDM(fig5Graph(), 0, 1, nil, nil)
+	d := newDCDM(fig5Graph(), 0, 1)
 	d.Join(2) // ul 2
 	d.Join(4) // ul 3, bound 3
 	if d.Bound() != 3 {
@@ -224,7 +230,7 @@ func TestDCDMKappaBelowOnePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDCDM(fig5Graph(), 0, 0.5, nil, nil)
+	newDCDM(fig5Graph(), 0, 0.5)
 }
 
 // Property: arbitrary join/leave sequences keep the tree structurally
@@ -237,7 +243,7 @@ func TestPropertyDCDMChurnInvariants(t *testing.T) {
 			return false
 		}
 		kappa := []float64{1, 1.5, math.Inf(1)}[int(kappaSel)%3]
-		d := NewDCDM(g, 0, kappa, nil, nil)
+		d := newDCDM(g, 0, kappa)
 		members := map[topology.NodeID]bool{}
 		for op := 0; op < 60; op++ {
 			v := topology.NodeID(rng.Intn(g.N()))
@@ -287,8 +293,8 @@ func TestDCDMTightestNearSPTDelay(t *testing.T) {
 		}
 		g := wg.Graph
 		members := pickMembers(rng, g.N(), 15, 0)
-		spDelay := topology.NewAllPairs(g, topology.ByDelay)
-		spCost := topology.NewAllPairs(g, topology.ByCost)
+		spDelay := topology.NewLazyAllPairs(g, topology.ByDelay)
+		spCost := topology.NewLazyAllPairs(g, topology.ByCost)
 		d := NewDCDM(g, 0, 1, spDelay, spCost)
 		for _, m := range members {
 			d.Join(m)

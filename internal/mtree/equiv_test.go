@@ -87,7 +87,9 @@ func connectedAvoidMask(g *topology.Graph) []bool {
 			avoid := arcMask(g, func(x, y topology.NodeID) bool {
 				return (x == au && y == av) || (x == av && y == au)
 			})
-			row := topology.NewEngine(g).ShortestAvoid(0, topology.ByDelay, avoid)
+			sp := topology.NewLazyAllPairs(g, topology.ByDelay)
+			sp.Invalidate(avoid)
+			row := sp.Row(0)
 			ok := true
 			for v := 0; v < n; v++ {
 				if !row.Reachable(topology.NodeID(v)) {
@@ -169,8 +171,9 @@ type equivCase struct {
 	// lazy gives the engines and the oracles each their own lazy tables
 	// (so the engines search suspended rows) and runs three groups with
 	// different roots and kappas over them, a row advanced by one group
-	// being reused by the next; otherwise one group runs on eager tables
-	// the engine and the oracle share.
+	// being reused by the next; otherwise one group runs on one table
+	// pair the engine and the oracle share, every row completed before
+	// the first join.
 	lazy bool
 	// tieHeavy swaps the Waxman graph for small-integer weights, where
 	// equal-cost candidates — the >= vs > edge of the radius rule — are
@@ -232,9 +235,10 @@ type equivGroup struct {
 }
 
 // equivTables is one (delay, cost) table pair for the engines and one
-// for the oracles: the same instances when eager, separate ones when
-// lazy (an oracle completes every row it reads, which would leave the
-// engine nothing suspended to search).
+// for the oracles: separate ones when lazy (an oracle completes every
+// row it reads, which would leave the engine nothing suspended to
+// search), otherwise one shared pair whose rows are all completed up
+// front, so the engine's searches run over complete rows.
 type equivTables struct {
 	fastDelay, fastCost, refDelay, refCost *topology.AllPairs
 }
@@ -246,12 +250,16 @@ func newEquivTables(g *topology.Graph, lazy bool) equivTables {
 			topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost),
 		}
 	}
-	d, c := topology.NewAllPairs(g, topology.ByDelay), topology.NewAllPairs(g, topology.ByCost)
+	d, c := topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
+	for v := 0; v < g.N(); v++ {
+		d.Row(topology.NodeID(v))
+		c.Row(topology.NodeID(v))
+	}
 	return equivTables{d, c, d, c}
 }
 
 // invalidate moves every table onto mask, as a fault does the network's
-// routing store (an eager table restarts its rows lazily).
+// routing store (a completed table restarts its rows lazily).
 func (tb equivTables) invalidate(mask []bool) {
 	for _, ap := range []*topology.AllPairs{tb.fastDelay, tb.fastCost, tb.refDelay, tb.refCost} {
 		ap.Invalidate(mask)
@@ -305,7 +313,7 @@ func runEquivChurn(t *testing.T, c equivCase) {
 			// some best-effort admissions; 80% of the max exercises
 			// both sides.
 			maxUL := 0.0
-			for _, d := range topology.Shortest(g, sp.root, topology.ByDelay).Delay {
+			for _, d := range topology.NewLazyAllPairs(g, topology.ByDelay).Row(sp.root).Delay {
 				if !math.IsInf(d, 1) && d > maxUL {
 					maxUL = d
 				}

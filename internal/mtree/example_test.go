@@ -21,13 +21,16 @@ func rails() *topology.Graph {
 
 // ExampleDCDM shows how the delay constraint changes the tree: the
 // tightest constraint takes the fast rail, no constraint takes the
-// cheap one.
+// cheap one. Both groups read one pair of routing tables, filled as
+// they are first read.
 func ExampleDCDM() {
-	tight := mtree.NewDCDM(rails(), 0, 1, nil, nil)
+	g := rails()
+	spDelay, spCost := topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
+	tight := mtree.NewDCDM(g, 0, 1, spDelay, spCost)
 	tight.Join(2)
 	fmt.Printf("tightest: cost=%.0f delay=%.0f\n", tight.Tree().Cost(), tight.Tree().TreeDelay())
 
-	loose := mtree.NewDCDM(rails(), 0, math.Inf(1), nil, nil)
+	loose := mtree.NewDCDM(g, 0, math.Inf(1), spDelay, spCost)
 	loose.Join(2)
 	fmt.Printf("loosest:  cost=%.0f delay=%.0f\n", loose.Tree().Cost(), loose.Tree().TreeDelay())
 	// Output:
@@ -36,7 +39,8 @@ func ExampleDCDM() {
 }
 
 func ExampleDCDM_Leave() {
-	d := mtree.NewDCDM(rails(), 0, 1, nil, nil)
+	g := rails()
+	d := mtree.NewDCDM(g, 0, 1, topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost))
 	d.Join(2)
 	res := d.Leave(2)
 	fmt.Println("pruned routers:", res.Pruned)
@@ -47,14 +51,16 @@ func ExampleDCDM_Leave() {
 }
 
 func ExampleKMB() {
-	tr := mtree.KMB(rails(), 0, []topology.NodeID{2}, nil)
+	g := rails()
+	tr := mtree.KMB(g, 0, []topology.NodeID{2}, topology.NewLazyAllPairs(g, topology.ByCost))
 	fmt.Printf("cost=%.0f (the cheap rail)\n", tr.Cost())
 	// Output:
 	// cost=2 (the cheap rail)
 }
 
 func ExampleSPT() {
-	tr := mtree.SPT(rails(), 0, []topology.NodeID{2}, nil)
+	g := rails()
+	tr := mtree.SPT(g, 0, []topology.NodeID{2}, topology.NewLazyAllPairs(g, topology.ByDelay))
 	fmt.Printf("delay=%.0f (the fast rail)\n", tr.TreeDelay())
 	// Output:
 	// delay=2 (the fast rail)

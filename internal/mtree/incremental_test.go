@@ -21,7 +21,7 @@ func TestDCDMLeaveFastPathBoundTightens(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := wg.Graph
-	d := NewDCDM(g, 0, 1.5, nil, nil)
+	d := newDCDM(g, 0, 1.5)
 	members := pickMembers(rng, g.N(), 12, 0)
 	for _, m := range members {
 		d.Join(m)
@@ -80,7 +80,7 @@ func TestDCDMLeaveKeepsScalarBoundExact(t *testing.T) {
 		g.MustAddEdge(0, 1, 3, 1)
 		g.MustAddEdge(0, 2, 3, 1)
 		g.MustAddEdge(0, 3, 1, 1)
-		d := NewDCDM(g, 0, 1.5, nil, nil)
+		d := newDCDM(g, 0, 1.5)
 		for _, m := range []topology.NodeID{1, 2, 3} {
 			d.Join(m)
 			checkScalarBound(t, d, "join")
@@ -103,7 +103,7 @@ func TestDCDMLeaveKeepsScalarBoundExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := NewDCDM(wg.Graph, 0, 1.5, nil, nil)
+		d := newDCDM(wg.Graph, 0, 1.5)
 		members := pickMembers(rng, wg.Graph.N(), 24, 0)
 		for _, m := range members {
 			d.Join(m)
@@ -134,7 +134,7 @@ func TestDCDMLeaveKeepsScalarBoundExact(t *testing.T) {
 		g.MustAddEdge(1, 2, 1, 1)
 		g.MustAddEdge(2, 3, 1, 1)
 		g.MustAddEdge(0, 4, 1, 1)
-		d := NewDCDM(g, 0, 2, nil, nil)
+		d := newDCDM(g, 0, 2)
 		d.Join(3)
 		d.Join(4)
 		checkScalarBound(t, d, "join")
@@ -206,7 +206,7 @@ func TestTreeSharedViewsStaySorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDCDM(wg.Graph, 0, math.Inf(1), nil, nil)
+	d := newDCDM(wg.Graph, 0, math.Inf(1))
 	on := map[topology.NodeID]bool{}
 	for i := 0; i < 200; i++ {
 		v := topology.NodeID(rng.Intn(wg.Graph.N()))

@@ -19,12 +19,9 @@ import (
 //  4. Take a minimum spanning tree of that subgraph.
 //  5. Repeatedly delete non-terminal leaves.
 //
-// spCost may be nil (computed internally). The result is rooted at root
-// with all members marked.
+// spCost is g's least-cost table. The result is rooted at root with all
+// members marked.
 func KMB(g *topology.Graph, root topology.NodeID, members []topology.NodeID, spCost *topology.AllPairs) *Tree {
-	if spCost == nil {
-		spCost = topology.NewAllPairs(g, topology.ByCost)
-	}
 	terminals := []topology.NodeID{root}
 	seen := map[topology.NodeID]bool{root: true}
 	for _, m := range members {

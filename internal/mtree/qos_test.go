@@ -12,7 +12,7 @@ func TestQoSBudgetBoundsGrafts(t *testing.T) {
 	// Two-rail graph: fast rail delay 2 (cost 20), cheap rail delay 12
 	// (cost 2). A budget of 5 forbids the cheap rail even though the
 	// unconstrained (kappa=inf) algorithm would take it.
-	d := NewDCDM(fig5Graph(), 0, 1, nil, nil)
+	d := newDCDM(fig5Graph(), 0, 1)
 	d.SetQoSBudget(5)
 	if d.Bound() != 5 {
 		t.Fatalf("bound = %g, want 5", d.Bound())
@@ -32,7 +32,7 @@ func TestQoSBudgetBoundsGrafts(t *testing.T) {
 func TestQoSBudgetBestEffort(t *testing.T) {
 	// Budget 1 is unmeetable for member 2 (unicast delay 2): it joins
 	// best-effort over P_sl.
-	d := NewDCDM(fig5Graph(), 0, 1, nil, nil)
+	d := newDCDM(fig5Graph(), 0, 1)
 	d.SetQoSBudget(1)
 	res := d.Join(2)
 	if !res.BestEffort {
@@ -44,7 +44,7 @@ func TestQoSBudgetBestEffort(t *testing.T) {
 }
 
 func TestQoSBudgetClearRestoresKappa(t *testing.T) {
-	d := NewDCDM(fig5Graph(), 0, 1.5, nil, nil)
+	d := newDCDM(fig5Graph(), 0, 1.5)
 	d.SetQoSBudget(7)
 	if d.absMax != 7 || d.Bound() != 7 {
 		t.Fatal("budget not applied")
@@ -69,7 +69,7 @@ func TestPropertyQoSBudgetRespected(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d := NewDCDM(g, 0, 1, nil, nil)
+		d := newDCDM(g, 0, 1)
 		budget := 10 + float64(rawBudget)
 		d.SetQoSBudget(budget)
 		for _, v := range rng.Perm(g.N())[:8] {

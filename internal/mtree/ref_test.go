@@ -398,12 +398,6 @@ func newDCDMRef(g *topology.Graph, root topology.NodeID, kappa float64, spDelay,
 	if kappa < 1 {
 		panic(fmt.Sprintf("mtree: DCDM kappa %g < 1 would reject every tree", kappa))
 	}
-	if spDelay == nil {
-		spDelay = topology.NewAllPairs(g, topology.ByDelay)
-	}
-	if spCost == nil {
-		spCost = topology.NewAllPairs(g, topology.ByCost)
-	}
 	return &dcdmRef{
 		g:       g,
 		root:    root,

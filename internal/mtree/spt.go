@@ -8,14 +8,9 @@ import "scmp/internal/topology"
 // the CBT core placed at the source, the three trees coincide: every
 // member hangs off the root by its shortest-delay path).
 //
-// spDelay may be nil (computed internally).
+// spDelay is g's shortest-delay table.
 func SPT(g *topology.Graph, root topology.NodeID, members []topology.NodeID, spDelay *topology.AllPairs) *Tree {
-	var sp *topology.Paths
-	if spDelay != nil {
-		sp = spDelay.Row(root)
-	} else {
-		sp = topology.Shortest(g, root, topology.ByDelay)
-	}
+	sp := spDelay.Row(root)
 	tree := NewTree(g, root)
 	for _, m := range members {
 		path := sp.To(m)

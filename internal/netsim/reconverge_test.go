@@ -37,16 +37,17 @@ func survivingGraph(g *topology.Graph, f *Faults) *topology.Graph {
 func oracleHops(sub *topology.Graph) ([][]topology.NodeID, [][]float64) {
 	n := sub.N()
 	want, cost := make([][]topology.NodeID, n), make([][]float64, n)
+	spDelay, spCost := topology.NewLazyAllPairs(sub, topology.ByDelay), topology.NewLazyAllPairs(sub, topology.ByCost)
 	for u := range want {
 		want[u] = make([]topology.NodeID, n)
-		sp := topology.Shortest(sub, topology.NodeID(u), topology.ByDelay)
+		sp := spDelay.Row(topology.NodeID(u))
 		for v := range want[u] {
 			want[u][v] = -1
 			if path := sp.To(topology.NodeID(v)); len(path) > 1 {
 				want[u][v] = path[1]
 			}
 		}
-		cost[u] = topology.Shortest(sub, topology.NodeID(u), topology.ByCost).Dist
+		cost[u] = spCost.Row(topology.NodeID(u)).Dist
 	}
 	return want, cost
 }

@@ -108,11 +108,15 @@ func ClassOf(k Kind) Class {
 	}
 }
 
-// Nominal byte sizes. Control packets are small and fixed; TREE and
-// BRANCH are sized by their encodings; data defaults to DefaultDataSize.
+// Nominal byte sizes. Control packets are small and fixed; a TREE or
+// BRANCH packet is its encoding behind a TreeHeaderSize header; data
+// defaults to DefaultDataSize, and data encapsulated toward the
+// m-router (or CBT's core) carries EncapHeaderSize more.
 const (
 	ControlSize     = 64
 	DefaultDataSize = 1000
+	TreeHeaderSize  = 8  // in front of a TREE or BRANCH encoding
+	EncapHeaderSize = 20 // IP-in-IP encapsulation
 )
 
 // --- TREE packet encoding (§III-E) -----------------------------------

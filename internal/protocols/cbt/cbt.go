@@ -232,7 +232,7 @@ func (c *CBT) SendData(src topology.NodeID, g packet.GroupID, size int, seq uint
 	enc := *pkt
 	enc.Kind = packet.EncapData
 	enc.Dst = c.core
-	enc.Size = size + 20
+	enc.Size = size + packet.EncapHeaderSize
 	c.net.SendUnicast(src, &enc)
 }
 
@@ -259,7 +259,7 @@ func (c *CBT) handleEncap(node topology.NodeID, pkt *netsim.Packet) {
 	e.OnTree = true
 	data := *pkt
 	data.Kind = packet.Data
-	data.Size = pkt.Size - 20
+	data.Size = pkt.Size - packet.EncapHeaderSize
 	e.Forward(c.net, node, &data, node)
 	if e.HasLocal {
 		c.net.DeliverLocal(node, &data)

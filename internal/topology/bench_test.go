@@ -2,7 +2,6 @@ package topology
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -13,8 +12,8 @@ import (
 //
 // BenchmarkShortest compares the preserved container/heap reference
 // against the fast engine, fresh-allocating and buffer-reusing;
-// BenchmarkAllPairs compares a reference loop, the eager table at
-// GOMAXPROCS 1 and 4, and lazy row materialisation.
+// BenchmarkAllPairs compares a reference loop with a lazy table
+// completed row by row, and with one that starts only 16 rows.
 
 // benchGraph is the 400-node Waxman instance the acceptance criteria
 // are measured on.
@@ -39,30 +38,29 @@ func BenchmarkShortest(b *testing.B) {
 	b.Run("engine", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			Shortest(g, NodeID(i%g.N()), ByDelay)
+			shortestAvoid(g, NodeID(i%g.N()), ByDelay, nil)
 		}
 	})
 	b.Run("engine-reuse", func(b *testing.B) {
-		e := NewEngine(g)
 		var row Paths
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.ShortestInto(&row, NodeID(i%g.N()), ByDelay, nil)
+			g.ShortestInto(&row, NodeID(i%g.N()), ByDelay)
 		}
 	})
 	// The same run under a fault mask (one link down): the arc mask is
 	// one load per arc the loop already indexes, so this arm should
 	// read within a few percent of engine-reuse.
 	b.Run("engine-reuse-masked", func(b *testing.B) {
-		e := NewEngine(g)
 		var row Paths
 		v := g.Neighbors(0)[0].To
 		down := arcMask(g, func(x, y NodeID) bool { return (x == 0 && y == v) || (x == v && y == 0) })
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.ShortestInto(&row, NodeID(i%g.N()), ByDelay, down)
+			row.start(g.N(), NodeID(i%g.N()), ByDelay, false)
+			row.advance(g.CSR(), ByDelay, down, g.N(), -1)
 		}
 	})
 }
@@ -78,22 +76,13 @@ func BenchmarkAllPairs(b *testing.B) {
 			}
 		}
 	})
-	b.Run("eager-serial", func(b *testing.B) {
-		prev := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(prev)
+	b.Run("lazy-all-rows", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			NewAllPairs(g, ByDelay)
-		}
-	})
-	b.Run("eager-parallel", func(b *testing.B) {
-		prev := runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			NewAllPairs(g, ByDelay)
+			ap := NewLazyAllPairs(g, ByDelay)
+			for u := 0; u < g.N(); u++ {
+				ap.Row(NodeID(u))
+			}
 		}
 	})
 	// Lazy pays only for consulted rows: the typical fault-recompute

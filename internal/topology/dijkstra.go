@@ -1,10 +1,6 @@
 package topology
 
-import (
-	"math"
-
-	"scmp/internal/runner"
-)
+import "math"
 
 // Weight selects which link attribute a shortest-path computation
 // minimises. It is an index into the CSR graph's precomputed per-weight
@@ -35,8 +31,8 @@ func (w Weight) String() string {
 // DCDM needs the delay of a least-cost path and vice versa).
 //
 // A Paths is also the whole state of the Dijkstra search that fills it
-// (Engine has the argument for why a search can stop and resume): every
-// *Paths this package hands out is complete and dense — the frontier is
+// (ShortestInto has the argument for why a search can stop and
+// resume): every *Paths this package hands out is complete and dense — the frontier is
 // empty, each label final, and the four arrays are indexed by node.
 // Only AllPairs keeps suspended rows, and it shows them through the
 // Near cursor alone, which reports settled nodes only.
@@ -68,13 +64,6 @@ type Paths struct {
 	ids  []int32
 	tab  []int32
 	used int
-}
-
-// Shortest runs Dijkstra from src under the given weight on the fast
-// CSR engine; the result is the canonical shortest-path tree (see
-// Engine for the tie-break ladder that makes "canonical" well defined).
-func Shortest(g *Graph, src NodeID, w Weight) *Paths {
-	return NewEngine(g).ShortestAvoid(src, w, nil)
 }
 
 // To reconstructs the path Src -> dst as a node sequence including both
@@ -123,31 +112,26 @@ func (p *Paths) Reachable(dst NodeID) bool {
 }
 
 // AllPairs is a table of single-source shortest-path rows, one per
-// source node. Rows are either built up front — sharded over the
-// deterministic worker pool, each source row being an independent
-// Dijkstra — or started on first access (NewLazyAllPairs) as resumable
-// searches: Near walks a row nearest-first and settles only as far as
-// it is walked, Row finishes the search and returns the complete row.
-// A row Near starts is sparse — it stores only the routers its search
-// has labelled (see Paths) — and becomes dense in place when Row wants
-// all of it or the search has labelled a fixed fraction of the graph.
-// That is how a DCDM join pays, in time and in memory, for the distance
-// to the tree instead of the size of the domain, and how fault-driven
+// source node, each started on first access as a resumable search:
+// Near walks a row nearest-first and settles only as far as it is
+// walked, Row finishes the search and returns the complete row. A row
+// Near starts is sparse — it stores only the routers its search has
+// labelled (see Paths) — and becomes dense in place when Row wants all
+// of it or the search has labelled a fixed fraction of the graph. That
+// is how a DCDM join pays, in time and in memory, for the distance to
+// the tree instead of the size of the domain, and how fault-driven
 // recomputes that only consult a handful of sources stop paying a full
 // n-Dijkstra rebuild.
 //
-// Row contents are identical in every mode: the engine's tie-break
-// ladder makes each row a pure function of (graph, weight, mask), and a
-// stopped search holds a prefix of the full one (see Engine), so eager,
-// lazy, resumed in any increments and any parallel width produce
-// byte-identical labels. Links are symmetric, so the row rooted at v is
-// both "distance from v" and, read through Hop, "first hop toward v":
-// one table serves the unicast substrate and the tree engines alike.
+// A row is a pure function of (graph, weight, mask), and a stopped
+// search holds a prefix of the full one (see ShortestInto), so a row
+// resumed in any increments is byte-identical to the one-shot row.
+// Links are symmetric, so the row rooted at v is both "distance from v"
+// and, read through Hop, "first hop toward v": one table serves the
+// unicast substrate and the tree engines alike.
 //
-// An eagerly built table is complete, hence immutable and safe to share
-// between goroutines as long as nobody invalidates it. A lazy table has
-// one writer: Row and Near start and advance searches in place, so the
-// table belongs to one goroutine.
+// Every table is lazy and has one writer: Row and Near start and
+// advance searches in place, so a table belongs to one goroutine.
 type AllPairs struct {
 	csr  *CSR
 	w    Weight
@@ -156,33 +140,8 @@ type AllPairs struct {
 	free []*Paths // rows retired by Invalidate, reused by row before it allocates
 }
 
-// allPairsChunk is how many consecutive source rows one worker computes
-// per job: big enough to amortise engine scratch setup, small enough to
-// load-balance a 400-node build over 8 workers.
-const allPairsChunk = 16
-
-// NewAllPairs precomputes Shortest from every node under the given
-// weight, sharding sources over the worker pool. Each job of the
-// deterministic pool computes allPairsChunk consecutive rows, a disjoint
-// set, so workers never write the same slot.
-func NewAllPairs(g *Graph, w Weight) *AllPairs {
-	ap := NewLazyAllPairs(g, w)
-	n, e := g.N(), NewEngine(g)
-	runner.Map(runner.Options{}, (n+allPairsChunk-1)/allPairsChunk, func(ci int) struct{} {
-		for u := ci * allPairsChunk; u < min((ci+1)*allPairsChunk, n); u++ {
-			ap.rows[u] = e.ShortestAvoid(NodeID(u), w, nil)
-		}
-		return struct{}{}
-	})
-	return ap
-}
-
-// NewLazyAllPairs returns an AllPairs whose rows are started on first
-// access and advanced on demand, every link up until Invalidate says
-// otherwise. Use it when only a few sources will be consulted — a
-// network's routing store, whose readers touch the m-router, the joining
-// routers and the unicast destinations in use — and the full table would
-// mostly go unread.
+// NewLazyAllPairs returns a table under w with no row started yet and
+// every link up until Invalidate says otherwise.
 func NewLazyAllPairs(g *Graph, w Weight) *AllPairs {
 	return &AllPairs{csr: g.CSR(), w: w, rows: make([]*Paths, g.N())}
 }
@@ -191,10 +150,10 @@ func NewLazyAllPairs(g *Graph, w Weight) *AllPairs {
 // lazy AllPairs(ByDelay), read through Hop.
 func NextHop(g *Graph) *AllPairs { return NewLazyAllPairs(g, ByDelay) }
 
-// Row returns the complete shortest-path row from src: in lazy mode it
-// starts the search on first access, promotes the row to the dense
-// layout and finishes the search if a cursor left it sparse or
-// suspended, so a caller never sees a slot or a tentative label.
+// Row returns the complete shortest-path row from src: it starts the
+// search on first access, promotes the row to the dense layout and
+// finishes the search if a cursor left it sparse or suspended, so a
+// caller never sees a slot or a tentative label.
 func (ap *AllPairs) Row(src NodeID) *Paths {
 	p := ap.row(src, false)
 	if p.ids != nil {
@@ -259,7 +218,7 @@ func (ap *AllPairs) Invalidate(down []bool) {
 // first under the table's weight, exact ties by lower id. It advances
 // the row's search only as far as it is walked, and it answers for
 // settled nodes only: their labels are final and bit-identical to the
-// complete row's (see Engine), while a node still on the frontier, or
+// complete row's (see ShortestInto), while a node still on the frontier, or
 // not yet seen, reads as unreachable. Several cursors may walk one row;
 // each keeps its own position and all share the search's progress.
 type Near struct {
@@ -361,8 +320,8 @@ func (c *Near) To(v NodeID) []NodeID {
 }
 
 // Materialized reports how many rows exist so far, complete or
-// suspended — n for eager tables, the consulted-source count for lazy
-// ones (capacity accounting and the lazy-mode tests).
+// suspended: the consulted-source count (capacity accounting and the
+// lazy-mode tests).
 func (ap *AllPairs) Materialized() int {
 	m := 0
 	for _, p := range ap.rows {
@@ -378,8 +337,8 @@ func (ap *AllPairs) Materialized() int {
 // complete row shows its readers) plus fixed header overhead — what an
 // m-router that keeps whole routing rows holds, whatever this process
 // has allocated for them: a dense row weighs just that, a sparse one
-// 44 bytes for each router its search has labelled. Lazy tables only
-// pay for rows actually consulted. The domains experiment reports this
+// 44 bytes for each router its search has labelled. A table pays only
+// for rows actually consulted. The domains experiment reports this
 // figure as resident routing-table memory, so the formula is part of
 // that table's byte-identity contract and stays as it is (DESIGN.md §8
 // has the decision record); measured memory is the benchmark's

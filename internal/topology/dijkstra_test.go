@@ -23,8 +23,8 @@ func diamond() *Graph {
 
 func TestShortestByDelayVsCost(t *testing.T) {
 	g := diamond()
-	byDelay := Shortest(g, 0, ByDelay)
-	byCost := Shortest(g, 0, ByCost)
+	byDelay := shortestAvoid(g, 0, ByDelay, nil)
+	byCost := shortestAvoid(g, 0, ByCost, nil)
 
 	if got := byDelay.To(3); len(got) != 3 || got[1] != 1 {
 		t.Fatalf("delay path = %v, want via node 1", got)
@@ -43,7 +43,7 @@ func TestShortestByDelayVsCost(t *testing.T) {
 func TestShortestUnreachable(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 1, 1)
-	sp := Shortest(g, 0, ByDelay)
+	sp := shortestAvoid(g, 0, ByDelay, nil)
 	if sp.Reachable(2) {
 		t.Fatal("node 2 should be unreachable")
 	}
@@ -63,7 +63,7 @@ func TestShortestUnreachable(t *testing.T) {
 func TestPathsOutOfRangeIDs(t *testing.T) {
 	for _, n := range []int{4, 2 * sparseSlots * sparseDiv} {
 		g := line(t, n)
-		sp := Shortest(g, 0, ByDelay)
+		sp := shortestAvoid(g, 0, ByDelay, nil)
 		c := NewLazyAllPairs(g, ByDelay).Near(0)
 		if sparse := c.p.ids != nil; sparse != (n > 4) {
 			t.Fatalf("n=%d: cursor's row starts sparse = %v", n, sparse)
@@ -108,7 +108,7 @@ func TestPathsOutOfRangeIDs(t *testing.T) {
 
 func TestShortestSelf(t *testing.T) {
 	g := line(t, 3)
-	sp := Shortest(g, 1, ByDelay)
+	sp := shortestAvoid(g, 1, ByDelay, nil)
 	if sp.Dist[1] != 0 {
 		t.Fatalf("Dist[self] = %g", sp.Dist[1])
 	}
@@ -157,7 +157,7 @@ func TestPropertyDijkstraMatchesBellmanFord(t *testing.T) {
 		}
 		src := NodeID(rng.Intn(g.N()))
 		for _, w := range []Weight{ByDelay, ByCost} {
-			got := Shortest(g, src, w)
+			got := shortestAvoid(g, src, w, nil)
 			want := bellmanFord(g, src, w)
 			for v := range want {
 				if math.Abs(got.Dist[v]-want[v]) > 1e-9 {
@@ -181,7 +181,7 @@ func TestPropertyPathAnnotations(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sp := Shortest(g, 0, ByCost)
+		sp := shortestAvoid(g, 0, ByCost, nil)
 		for v := 0; v < g.N(); v++ {
 			path := sp.To(NodeID(v))
 			if path == nil {
@@ -230,6 +230,6 @@ func BenchmarkDijkstra100(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Shortest(wg.Graph, NodeID(i%100), ByDelay)
+		shortestAvoid(wg.Graph, NodeID(i%100), ByDelay, nil)
 	}
 }

@@ -5,57 +5,31 @@ import (
 	"math/bits"
 )
 
-// Engine runs Dijkstra over a graph's CSR view. All of a search's state
-// lives in the Paths row it fills (see Paths), so callers that consume
-// rows transiently — Diameter's scan, per-source experiment loops —
-// reuse one Paths across sources and stop allocating; the engine itself
-// only names the immutable CSR and may be shared.
+// ShortestInto fills p with the complete row from src under w, every
+// link up, reusing p's arrays when they are big enough: a per-source
+// sweep reuses one Paths and allocates nothing after the first call.
 //
-// Determinism: the result of a run is a pure function of
-// (graph, src, weight, mask), independent of heap internals and of
-// neighbour scan order, because ties are broken explicitly twice over:
-// the heap pops equal-dist nodes in node-id order, and the relaxation
-// step prefers the lower-id predecessor on an exact dist tie. With
-// strictly positive link weights every predecessor that achieves a
-// node's final distance settles strictly before that node does, so by
-// the time a node is popped its parent is the minimum-id predecessor
-// among all optimal ones — no matter which worker computed the row or
-// in what order the heap happened to surface equal keys. That is the
-// argument that lets all-pairs rows be computed on any number of
-// workers, or lazily at any later time, and still merge byte-identical.
+// Determinism: a row is a pure function of (graph, src, weight, mask),
+// independent of heap internals and of neighbour scan order, because
+// advance breaks ties explicitly twice over: the heap pops equal-dist
+// nodes in node-id order, and the relaxation step prefers the lower-id
+// predecessor on an exact dist tie. With strictly positive link weights
+// every predecessor that achieves a node's final distance settles
+// strictly before that node does, so by the time a node is popped its
+// parent is the minimum-id predecessor among all optimal ones — no
+// matter when the row is computed or in what order the heap happened to
+// surface equal keys.
 //
 // It is also what makes a search resumable: the pop sequence is a pure
 // function of the inputs, a popped node's labels and parent are never
-// written again, and so a search stopped after k pops holds exactly
-// the first k nodes of the full run, each bit-identical to its entry
-// in the complete row.
-type Engine struct {
-	csr *CSR
-}
-
-// NewEngine returns an engine over g's CSR view (built on first use and
-// cached on the graph).
-func NewEngine(g *Graph) *Engine {
-	return &Engine{csr: g.CSR()}
-}
-
-// ShortestAvoid runs Dijkstra from src under w over the subgraph that
-// excludes the arcs set in down (see CSR; nil = every link up). The
-// returned Paths is freshly allocated and owned by the caller.
-func (e *Engine) ShortestAvoid(src NodeID, w Weight, down []bool) *Paths {
-	p := &Paths{}
-	e.ShortestInto(p, src, w, down)
-	return p
-}
-
-// ShortestInto runs Dijkstra from src under w, writing the result into
-// p's existing buffers (grown only when the graph is larger than any
-// previous run). Callers that consume a row transiently — per-source
-// sweeps — reuse one Paths across sources and allocate nothing after
-// the first call.
-func (e *Engine) ShortestInto(p *Paths, src NodeID, w Weight, down []bool) {
-	p.start(e.csr.N(), src, w, false)
-	p.advance(e.csr, w, down, e.csr.N(), -1)
+// written again, and so a search stopped after k pops holds exactly the
+// first k nodes of the full run, each bit-identical to its entry in the
+// one-shot row ShortestInto fills. That prefix argument is why a lazy
+// AllPairs row, advanced in any increments, equals this row.
+func (g *Graph) ShortestInto(p *Paths, src NodeID, w Weight) {
+	c := g.CSR()
+	p.start(c.N(), src, w, false)
+	p.advance(c, w, nil, c.N(), -1)
 }
 
 // A lazy row starts sparse, sparseSlots slots wide, doubles as its

@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -147,9 +146,8 @@ func TestEquivalenceEngineVsReference(t *testing.T) {
 	for name, g := range equivGraphs(t) {
 		for avoidName, avoid := range equivAvoids(g, 42) {
 			for _, w := range []Weight{ByDelay, ByCost} {
-				e := NewEngine(g)
 				for src := 0; src < g.N(); src++ {
-					fast := e.ShortestAvoid(NodeID(src), w, avoid)
+					fast := shortestAvoid(g, NodeID(src), w, avoid)
 					ref := shortestRef(g, NodeID(src), w, avoid)
 					label := fmt.Sprintf("%s/%s/%s/src%d", name, avoidName, w, src)
 					samePaths(t, label, fast, ref)
@@ -159,35 +157,21 @@ func TestEquivalenceEngineVsReference(t *testing.T) {
 	}
 }
 
-// TestEquivalenceAllPairsModes checks that the eager (parallel), lazy,
-// and forced-serial all-pairs builds return identical rows — the
-// deterministic-merge claim for the sharded table — and that one lazy
-// table invalidated from mask to mask, recycling its rows each time,
-// answers as the one-shot engine does under each.
+// TestEquivalenceAllPairsModes checks that one lazy table invalidated
+// from mask to mask, recycling its rows each time, answers as the
+// one-shot fill and the reference do under each, and that a full scan
+// starts every row.
 func TestEquivalenceAllPairsModes(t *testing.T) {
 	for name, g := range equivGraphs(t) {
 		for _, w := range []Weight{ByDelay, ByCost} {
-			serial := func() *AllPairs {
-				prev := runtime.GOMAXPROCS(1)
-				defer runtime.GOMAXPROCS(prev)
-				return NewAllPairs(g, w)
-			}()
-			parallel := func() *AllPairs {
-				prev := runtime.GOMAXPROCS(4)
-				defer runtime.GOMAXPROCS(prev)
-				return NewAllPairs(g, w)
-			}()
-			lazy, e := NewLazyAllPairs(g, w), NewEngine(g)
+			lazy := NewLazyAllPairs(g, w)
 			for avoidName, avoid := range equivAvoids(g, 7) {
 				lazy.Invalidate(avoid)
 				for src := 0; src < g.N(); src++ {
 					label := fmt.Sprintf("%s/%s/%s/src%d", name, avoidName, w, src)
-					want := e.ShortestAvoid(NodeID(src), w, avoid)
-					if avoid == nil {
-						samePaths(t, label+"/serial-vs-parallel", serial.Row(NodeID(src)), parallel.Row(NodeID(src)))
-						samePaths(t, label+"/eager-vs-one-shot", serial.Row(NodeID(src)), want)
-					}
-					samePaths(t, label+"/lazy-vs-one-shot", lazy.Row(NodeID(src)), want)
+					row := lazy.Row(NodeID(src))
+					samePaths(t, label+"/lazy-vs-one-shot", row, shortestAvoid(g, NodeID(src), w, avoid))
+					samePaths(t, label+"/lazy-vs-ref", row, shortestRef(g, NodeID(src), w, avoid))
 				}
 				if got := lazy.Materialized(); got != g.N() {
 					t.Fatalf("%s/%s: lazy table materialised %d of %d rows after full scan", name, avoidName, got, g.N())
@@ -279,9 +263,9 @@ func tieFreeGraphs(t testing.TB) map[string]*Graph {
 // the other way; with unique set, that is a failure too.
 func checkForwarding(t *testing.T, label string, g *Graph, next *AllPairs, mask []bool, unique bool) (differ int) {
 	t.Helper()
-	c, e := g.CSR(), NewEngine(g)
+	c := g.CSR()
 	for u := 0; u < g.N(); u++ {
-		sp := e.ShortestAvoid(NodeID(u), ByDelay, mask)
+		sp := shortestAvoid(g, NodeID(u), ByDelay, mask)
 		for v := 0; v < g.N(); v++ {
 			path := sp.To(NodeID(v))
 			if len(path) < 2 {
@@ -433,32 +417,36 @@ func TestPropertyEngineEquivalenceFuzz(t *testing.T) {
 		}
 		w := Weight(rng.Intn(2))
 		src := NodeID(rng.Intn(n))
-		fast := NewEngine(g).ShortestAvoid(src, w, avoid)
+		fast := shortestAvoid(g, src, w, avoid)
 		ref := shortestRef(g, src, w, avoid)
 		samePaths(t, fmt.Sprintf("fuzz seed %d (n=%d, w=%s)", seed, n, w), fast, ref)
 	}
 }
 
-// TestEngineScratchReuseIsClean runs many sources through one engine
-// and one reused Paths row, checking against fresh computations — the
-// scratch buffers must not leak state between runs.
+// TestEngineScratchReuseIsClean runs many sources through ShortestInto
+// on one reused Paths row, checking against fresh computations — the
+// scratch buffers must not leak state between runs, and a sized row
+// refills without allocating.
 func TestEngineScratchReuseIsClean(t *testing.T) {
 	wg, err := Waxman(DefaultWaxman(45), rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := wg.Graph
-	e := NewEngine(g)
 	var row Paths
 	for src := 0; src < g.N(); src++ {
 		w := Weight(src % 2)
-		e.ShortestInto(&row, NodeID(src), w, nil)
+		g.ShortestInto(&row, NodeID(src), w)
 		fresh := shortestRef(g, NodeID(src), w, nil)
 		samePaths(t, fmt.Sprintf("reuse src %d", src), &row, fresh)
 	}
+	// Once sized, a reused row is filled without allocating.
+	if allocs := testing.AllocsPerRun(10, func() { g.ShortestInto(&row, 3, ByCost) }); allocs != 0 {
+		t.Fatalf("ShortestInto into a reused row allocates %v objects", allocs)
+	}
 	// The same row on a smaller graph: it shrinks to that graph's shape.
 	small := Arpanet()
-	NewEngine(small).ShortestInto(&row, 3, ByCost, nil)
+	small.ShortestInto(&row, 3, ByCost)
 	samePaths(t, "reuse on a smaller graph", &row, shortestRef(small, 3, ByCost, nil))
 
 	// And after it has been a sparse row — left suspended before its
@@ -471,11 +459,11 @@ func TestEngineScratchReuseIsClean(t *testing.T) {
 		if row.ids == nil || row.queued == 0 || (len(row.ids) > sparseSlots) != (pops > sparseSlots) {
 			t.Fatalf("fixture: row after %d pops is sparse = %v, %d slots, %d queued", pops, row.ids != nil, len(row.ids), row.queued)
 		}
-		NewEngine(big).ShortestInto(&row, 7, ByCost, nil)
+		big.ShortestInto(&row, 7, ByCost)
 		samePaths(t, fmt.Sprintf("reuse after %d sparse pops", pops), &row, shortestRef(big, 7, ByCost, nil))
 		row.start(big.N(), 5, ByDelay, true)
 		row.advance(big.CSR(), ByDelay, nil, pops, -1)
-		e.ShortestInto(&row, 9, ByDelay, nil)
+		g.ShortestInto(&row, 9, ByDelay)
 		samePaths(t, fmt.Sprintf("reuse on a smaller graph after %d sparse pops", pops), &row, shortestRef(g, 9, ByDelay, nil))
 	}
 }

@@ -17,8 +17,8 @@ func Example() {
 	g.MustAddEdge(0, 2, 5, 1) // slow, cheap
 	g.MustAddEdge(2, 3, 5, 1)
 
-	psl := topology.Shortest(g, 0, topology.ByDelay)
-	plc := topology.Shortest(g, 0, topology.ByCost)
+	psl := topology.NewLazyAllPairs(g, topology.ByDelay).Row(0)
+	plc := topology.NewLazyAllPairs(g, topology.ByCost).Row(0)
 	fmt.Println("P_sl(0,3):", psl.To(3), "delay", psl.Delay[3], "cost", psl.Cost[3])
 	fmt.Println("P_lc(0,3):", plc.To(3), "delay", plc.Delay[3], "cost", plc.Cost[3])
 	// Output:

@@ -1,5 +1,16 @@
 package topology
 
+// shortestAvoid is a fresh one-shot row from src under w over the
+// subgraph without the arcs set in down (nil = every link up): the fill
+// ShortestInto runs, with the mask production code reaches only through
+// a table's Invalidate.
+func shortestAvoid(g *Graph, src NodeID, w Weight, down []bool) *Paths {
+	p := &Paths{}
+	p.start(g.N(), src, w, false)
+	p.advance(g.CSR(), w, down, g.N(), -1)
+	return p
+}
+
 // Of evaluates the weight on one link (the closure-free equivalent of
 // the old func(Link) float64 API).
 func (w Weight) Of(l Link) float64 {

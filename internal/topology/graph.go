@@ -200,10 +200,9 @@ func (g *Graph) Components() [][]NodeID {
 func (g *Graph) Diameter() (float64, []NodeID) {
 	best := 0.0
 	var path []NodeID
-	e := NewEngine(g)
 	var sp Paths
 	for u := 0; u < g.N(); u++ {
-		e.ShortestInto(&sp, NodeID(u), ByDelay, nil)
+		g.ShortestInto(&sp, NodeID(u), ByDelay)
 		bv := NodeID(-1)
 		for v := 0; v < g.N(); v++ {
 			if d := sp.Dist[v]; !math.IsInf(d, 1) && d > best {

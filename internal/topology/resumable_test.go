@@ -123,12 +123,11 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 			for _, w := range []Weight{ByDelay, ByCost} {
 				lazy := NewLazyAllPairs(g, w)
 				lazy.Invalidate(avoid)
-				e := NewEngine(g)
 				rng := rand.New(rand.NewSource(int64(g.N())*31 + int64(w)))
 				for src := 0; src < g.N(); src += step {
 					src := NodeID(src)
 					label := fmt.Sprintf("%s/%s/%s/src%d", name, avoidName, w, src)
-					full := e.ShortestAvoid(src, w, avoid)
+					full := shortestAvoid(g, src, w, avoid)
 					want := settleOrder(full)
 					c := lazy.Near(src)
 					p := c.p
@@ -218,9 +217,10 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 						t.Fatalf("%s: held cursor reported %d after all %d reachable routers", label, v, len(want))
 					}
 
-					// A second cursor on the finished row, and one on an
-					// eagerly built row, report every reachable node once.
-					for kind, row := range map[string]*AllPairs{"lazy": lazy, "eager": eagerRow(g, w, avoid, src, full)} {
+					// A second cursor on the finished row, and one on a row
+					// Row completed before any cursor opened it, report
+					// every reachable node once.
+					for kind, row := range map[string]*AllPairs{"lazy": lazy, "completed-first": completedRow(g, w, avoid, src)} {
 						c := row.Near(src)
 						seen := 0
 						for _, ok := c.Next(); ok; _, ok = c.Next() {
@@ -271,7 +271,7 @@ func FuzzResumableRow(f *testing.F) {
 			}
 		}
 		w, src := Weight(rng.Intn(2)), NodeID(rng.Intn(n))
-		full := NewEngine(g).ShortestAvoid(src, w, nil)
+		full := shortestAvoid(g, src, w, nil)
 		want := settleOrder(full)
 		lazy := NewLazyAllPairs(g, w)
 		cursors := []Near{lazy.Near(src), lazy.Near(src)}
@@ -303,11 +303,11 @@ func FuzzResumableRow(f *testing.F) {
 	})
 }
 
-// eagerRow wraps a complete one-shot row the way NewAllPairs stores it,
-// without paying for the other n-1 rows.
-func eagerRow(g *Graph, w Weight, avoid []bool, src NodeID, full *Paths) *AllPairs {
+// completedRow is a fresh table under avoid whose row from src Row has
+// completed, before any cursor touched it.
+func completedRow(g *Graph, w Weight, avoid []bool, src NodeID) *AllPairs {
 	ap := NewLazyAllPairs(g, w)
 	ap.Invalidate(avoid)
-	ap.rows[src] = full
+	ap.Row(src)
 	return ap
 }
