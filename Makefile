@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test test-invariants loc loc-check bench bench-all smoke-parallel smoke-faults smoke-churn smoke-domains smoke-fuzz results-check
+.PHONY: all build lint test test-invariants loc loc-check bench bench-all smoke-parallel smoke-faults smoke-fuzz results-check
 
 all: lint test
 
@@ -30,8 +30,10 @@ test:
 	$(GO) test ./...
 
 # Every test again under the race detector with the runtime invariant
-# hooks armed: every committed tree, every DCDM mutation and every
-# routed fabric configuration is re-verified (see internal/invariant).
+# hooks armed (each package's hooks_on.go): every committed tree is
+# checked for its root and re-validated, every DCDM mutation re-validates
+# its tree, every routed fabric configuration is re-verified and every
+# scheduler pop re-checks its slot generation and the clock.
 # The differential gates (routing engine and store, incremental and
 # hierarchical DCDM, data plane, scheduler oracle, churn) run here
 # whole. The allocation floors skip under invariants; `make test` runs
@@ -54,7 +56,7 @@ loc:
 # grown past the committed budget. A PR that removes code lowers
 # LOC_BUDGET to what `make loc` prints; one that must add code raises it
 # in the same diff, where a reviewer sees it.
-LOC_BUDGET := 17249
+LOC_BUDGET := 17032
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
@@ -72,15 +74,6 @@ bench:
 bench-all:
 	$(GO) run ./bench
 
-# Hierarchical-domains smoke: the quick domains sweep must render the
-# exact same bytes serial and fanned over 4 workers under the race
-# detector. The engine's differential gates run in test-invariants.
-smoke-domains:
-	$(GO) run ./cmd/scmpsim -experiment domains -quick -parallel 1 -out smoke_domains_serial.txt
-	$(GO) run -race ./cmd/scmpsim -experiment domains -quick -parallel 4 -out smoke_domains_p4.txt
-	cmp smoke_domains_serial.txt smoke_domains_p4.txt
-	rm -f smoke_domains_serial.txt smoke_domains_p4.txt
-
 # Fuzz smoke: ten seconds each of five native fuzzers. FuzzResumableRow
 # drives one lazy shortest-path row with arbitrary cursor programs (two
 # cursors' Next, Settle, Row) on graphs either side of the size where
@@ -92,8 +85,9 @@ smoke-domains:
 # tied, tiny, huge, -0 and +Inf times) on the pooled scheduler and the
 # reference one, which must trace identically. FuzzScript installs
 # arbitrary script steps (NaN, -0, +Inf and past times, out-of-range
-# routers, non-edges) on SCMP over at most 16 routers: CheckStep rejects
-# a step, or it runs without a panic. FuzzDeliveryLedger runs arbitrary
+# routers, non-edges) on SCMP over at most 16 routers, with or without
+# a standby m-router: CheckStep rejects a step, or it runs without a
+# panic. FuzzDeliveryLedger runs arbitrary
 # joins, leaves, sends, deliveries (any router, seq 0 and unissued seqs)
 # and resets on up to 130 routers and compares every CheckDelivery with
 # a model that keeps three router sets per packet. A finding lands in
@@ -105,14 +99,19 @@ smoke-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScript -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDeliveryLedger -fuzztime 10s ./internal/netsim/
 
-# End-to-end smoke of the parallel runner under the race detector: every
-# study of the quick `all` sweep fanned over 4 workers, whose output must
-# be the exact bytes of the serial run.
+# End-to-end smoke of the parallel runner under the race detector: the
+# quick `all` sweep (every paper study), the churn sweep and the
+# hierarchical-domains sweep, each fanned over 4 workers, must render
+# the exact bytes of its serial run. The churn and domains differential
+# gates run in test-invariants.
 smoke-parallel:
-	$(GO) run ./cmd/scmpsim -experiment all -quick -parallel 1 -out smoke_parallel_serial.txt
-	$(GO) run -race ./cmd/scmpsim -experiment all -quick -parallel 4 -out smoke_parallel_p4.txt
-	cmp smoke_parallel_serial.txt smoke_parallel_p4.txt
-	rm -f smoke_parallel_serial.txt smoke_parallel_p4.txt
+	@for exp in all churn domains; do \
+		echo "smoke-parallel: $$exp"; \
+		$(GO) run ./cmd/scmpsim -experiment $$exp -quick -parallel 1 -out smoke_$${exp}_serial.txt && \
+		$(GO) run -race ./cmd/scmpsim -experiment $$exp -quick -parallel 4 -out smoke_$${exp}_p4.txt && \
+		cmp smoke_$${exp}_serial.txt smoke_$${exp}_p4.txt || exit 1; \
+		rm -f smoke_$${exp}_serial.txt smoke_$${exp}_p4.txt; \
+	done
 
 # Recorded-results gate: results_full.txt (what EXPERIMENTS.md quotes) is
 # exactly what `scmpsim -experiment all` prints, serial and at the
@@ -127,12 +126,3 @@ results-check:
 # in quick mode, race detector on and runtime invariants armed.
 smoke-faults:
 	$(GO) run -race -tags invariants ./cmd/scmpsim -experiment faults -quick -parallel 4 -out /dev/null
-
-# Churn smoke: the quick churn sweep must render the exact same bytes
-# serial and fanned over 4 workers under the race detector. The
-# high-churn membership and ledger tests run in test-invariants.
-smoke-churn:
-	$(GO) run ./cmd/scmpsim -experiment churn -quick -parallel 1 -out smoke_churn_serial.txt
-	$(GO) run -race ./cmd/scmpsim -experiment churn -quick -parallel 4 -out smoke_churn_p4.txt
-	cmp smoke_churn_serial.txt smoke_churn_p4.txt
-	rm -f smoke_churn_serial.txt smoke_churn_p4.txt

@@ -86,18 +86,27 @@ func dispatch(stdout io.Writer, opt options) (err error) {
 			}
 		}()
 	}
-	rep := study.Run(opt.quick, func(label string, seeds, parallel *int, progress *func(done, total int)) {
-		if opt.seeds > 0 {
-			*seeds = opt.seeds
-		}
-		*parallel, *progress = opt.parallel, opt.progressFor(label)
-	})
+	rep := study.Run(opt.quick, opt.tune)
 	if opt.memprofile != "" {
 		if err := writeHeapProfile(opt.memprofile); err != nil {
 			return err
 		}
 	}
-	if opt.format == "csv" {
+	return writeReport(w, rep, opt.format)
+}
+
+// tune is the experiment.Tune that applies the CLI's -seeds, -parallel
+// and progress overrides to a sweep.
+func (opt options) tune(label string, seeds, parallel *int, progress *func(done, total int)) {
+	if opt.seeds > 0 {
+		*seeds = opt.seeds
+	}
+	*parallel, *progress = opt.parallel, opt.progressFor(label)
+}
+
+// writeReport writes a study's report as paper-style tables or as CSV.
+func writeReport(w io.Writer, rep experiment.Report, format string) error {
+	if format == "csv" {
 		return experiment.WriteCSV(w, rep.Tables...)
 	}
 	rep.Text(w)

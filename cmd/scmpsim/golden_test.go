@@ -15,18 +15,19 @@ var update = flag.Bool("update", false, "rewrite testdata/quick_* from the curre
 // TestQuickGoldens pins every byte of `scmpsim -quick` for each
 // registered experiment name in both formats, serial and fanned over 4
 // workers: the tables, the CSV records and the -quick shrink values
-// themselves.
+// themselves. Each study runs once per width; both formats render from
+// that one report, as dispatch renders the one it runs.
 // Regenerate deliberately with `go test ./cmd/scmpsim -run QuickGoldens -update`.
 func TestQuickGoldens(t *testing.T) {
 	for _, study := range experiment.Studies {
 		exp := study.Name
-		for _, format := range []string{"table", "csv"} {
-			ext := map[string]string{"table": "txt", "csv": "csv"}[format]
-			path := filepath.Join("testdata", "quick_"+exp+"."+ext)
-			for _, parallel := range []int{1, 4} {
+		for _, parallel := range []int{1, 4} {
+			rep := study.Run(true, options{parallel: parallel}.tune)
+			for _, format := range []string{"table", "csv"} {
+				ext := map[string]string{"table": "txt", "csv": "csv"}[format]
+				path := filepath.Join("testdata", "quick_"+exp+"."+ext)
 				var buf bytes.Buffer
-				opt := options{experiment: exp, quick: true, parallel: parallel, format: format}
-				if err := dispatch(&buf, opt); err != nil {
+				if err := writeReport(&buf, rep, format); err != nil {
 					t.Fatalf("%s/%s/parallel=%d: %v", exp, format, parallel, err)
 				}
 				if *update && parallel == 1 {

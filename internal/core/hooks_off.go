@@ -8,6 +8,6 @@ import (
 )
 
 // commitCheck is a no-op unless built with -tags invariants, which
-// turns it into a full invariant.CheckTree on every tree the m-router
-// commits.
+// turns it into a root check plus (*mtree.Tree).Validate on every tree
+// the m-router commits.
 func commitCheck(topology.NodeID, *mtree.Tree) {}

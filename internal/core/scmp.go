@@ -670,6 +670,10 @@ func (s *SCMP) ReplicaMembers(g packet.GroupID) []topology.NodeID {
 // so every packet from the new m-router outranks stale ones.
 const failoverEpoch = uint64(1) << 32
 
+// HasStandby reports whether a standby m-router is configured, the one
+// Failover promotes.
+func (s *SCMP) HasStandby() bool { return s.cfg.Standby >= 0 }
+
 // Failover promotes the hot-standby secondary to active m-router after
 // a primary failure (§V: "when the primary m-router fails, the
 // secondary m-router will take over the job automatically"). The new

@@ -15,7 +15,8 @@ import (
 var fuzzTimes = [...]float64{math.NaN(), math.Copysign(0, -1), math.Inf(1), -1, 0, 0.25, 1, 2.5}
 
 // FuzzScript installs arbitrary steps on SCMP over a line of 2 to 16
-// routers with a chord and a fault layer: arbitrary times (NaN, -0,
+// routers with a chord and a fault layer, with or without a standby
+// m-router: arbitrary times (NaN, -0,
 // +Inf, before the clock), kinds, routers and links, out-of-range ones
 // and non-edges included, in two rounds with the clock moved between
 // them. CheckStep either rejects a step — and InstallScript then panics
@@ -25,6 +26,7 @@ func FuzzScript(f *testing.F) {
 	f.Add([]byte{6, 1, 4, 2, 0, 1, 0, 5, 3, 100, 1, 2, 6, 5, 0, 0, 3})
 	f.Add([]byte{15, 9, 4, 0, 1, 1, 3, 4, 1, 2, 0, 7, 6, 3, 0, 0, 5, 7, 2, 0, 0, 6})
 	f.Add([]byte{3, 0, 0, 200, 1, 1, 0, 2, 1, 0, 0, 8, 3, 3, 255, 0, 9})
+	f.Add([]byte{0x86, 1, 4, 3, 0, 1, 0, 5, 0, 0, 0, 7}) // a join, then a failover with no standby
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -37,7 +39,11 @@ func FuzzScript(f *testing.F) {
 		if c := 2 + int(data[1])%routers; routers > 3 && c < routers {
 			g.MustAddEdge(0, topology.NodeID(c), 0.25, 3)
 		}
-		n := netsim.New(g, New(Config{MRouter: 0, Standby: 1, Kappa: 1.5}))
+		standby := topology.NodeID(1)
+		if data[0]&0x80 != 0 {
+			standby = 0 // disabled: a failover step must be rejected
+		}
+		n := netsim.New(g, New(Config{MRouter: 0, Standby: standby, Kappa: 1.5}))
 		n.InstallFaults(netsim.FaultPlan{ControlLoss: float64(data[1]%4) / 8, Seed: 1})
 		data = data[2:]
 		for round := 0; round < 2; round++ {

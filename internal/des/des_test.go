@@ -242,8 +242,8 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 // A stopped timer's slot is recycled and reused by a later timer; the
 // stale handle must stay inert: Stop is a no-op, Armed stays false, and
 // the recycled slot's new occupant fires exactly once. Run with -tags
-// invariants to additionally assert (via invariant.CheckEventSlot) that
-// no recycled slot is ever dispatched.
+// invariants to additionally assert (via checkPop) that no recycled slot
+// is ever dispatched.
 func TestCancelledSlotRecycledSafely(t *testing.T) {
 	s := New()
 	log := &timerLog{s: s}

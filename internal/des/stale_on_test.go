@@ -43,3 +43,30 @@ func TestPeekStepGenMismatchSymmetry(t *testing.T) {
 		t.Fatalf("unexpected invariant message: %s", peekMsg)
 	}
 }
+
+// Under -tags invariants, a root entry behind the clock (heap order
+// broken) panics through peek and Step alike instead of running time
+// backwards.
+func TestPeekStepTimeBackwardsPanics(t *testing.T) {
+	forge := func() *Scheduler {
+		s := New()
+		s.At(5, func() {})
+		s.refill()
+		s.now = 10 // the clock has passed the queued event
+		return s
+	}
+	for name, f := range map[string]func(*Scheduler){
+		"peek": func(s *Scheduler) { s.peek() },
+		"Step": func(s *Scheduler) { s.Step() },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "time backwards") {
+					t.Fatalf("%s on an entry behind the clock: recovered %q, want a time-backwards panic", name, msg)
+				}
+			}()
+			f(forge())
+		}()
+	}
+}

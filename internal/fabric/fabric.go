@@ -156,9 +156,6 @@ func fillPartial(perm []int) {
 	}
 }
 
-// N returns the configuration's port count.
-func (c *Configuration) N() int { return c.n }
-
 // Route traces a configured input port through PN, CCN and DN. ok is
 // false for ports not carrying any group's source.
 func (c *Configuration) Route(in int) (out int, gid packet.GroupID, ok bool) {

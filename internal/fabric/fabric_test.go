@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +214,49 @@ func TestPropertyFabricIsolation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Verify accepts a freshly routed configuration and rejects each
+// corruption of it with an error naming the broken property: group 1's
+// run relabelled as group 2's (a cross-group connection), and an idle
+// input's middle line spliced into group 2's run.
+func TestVerifyRejectsCorruption(t *testing.T) {
+	configure := func() *Configuration {
+		f, err := New(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := f.Configure(map[packet.GroupID]GroupConn{
+			1: {Inputs: []int{0, 4, 6}, Output: 2},
+			2: {Inputs: []int{1, 3}, Output: 5},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	if err := configure().Verify(); err != nil {
+		t.Fatalf("Verify rejected a freshly routed configuration: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Configuration)
+		wantErr string
+	}{
+		{"cross-group relabel", func(c *Configuration) {
+			c.groupOfRun[c.runStart[c.pn.route(0)]] = 2
+		}, "cross-group connection — group 1 input 0 carries group 2's label"},
+		{"idle input spliced into a run", func(c *Configuration) {
+			c.runStart[c.pn.route(7)] = c.runStart[c.pn.route(1)]
+		}, "idle input 7 routes as group 2"},
+	} {
+		cfg := configure()
+		tc.corrupt(cfg)
+		err := cfg.Verify()
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: Verify = %v, want an error containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 

@@ -7,24 +7,16 @@ import (
 	"scmp/internal/packet"
 )
 
-// Groups returns a copy of the configured group connections, for
-// external validators (scmp/internal/invariant) and diagnostics.
-func (c *Configuration) Groups() map[packet.GroupID]GroupConn {
-	out := make(map[packet.GroupID]GroupConn, len(c.groups))
-	for gid, gc := range c.groups {
-		out[gid] = GroupConn{Inputs: append([]int(nil), gc.Inputs...), Output: gc.Output}
-	}
-	return out
-}
-
-// Verify checks the configuration's group-isolation property from the
-// inside: every line of a CCN run belongs to exactly the group the run
-// is labelled with, every group's inputs land on its own run, runs are
-// contiguous, and each run's leading line reaches the group's output
-// through the DN. This is the conference-switch guarantee the paper's
-// m-router throughput argument rests on — a violation would merge two
-// groups' cells. It returns nil or a descriptive error; the invariants
-// build tag makes Configure call it on every routed configuration.
+// Verify checks the configuration's group-isolation property: every
+// input a group claims routes, through PN, CCN and DN (Route), to that
+// group's output under that group's label, inside one contiguous CCN
+// run; no output serves two groups; inputs no group claims route
+// nowhere; and every run is labelled with a configured group and
+// carries exactly that group's lines. This is the conference-switch
+// guarantee the paper's m-router throughput argument rests on — a
+// violation would merge two groups' cells. It returns nil or a
+// descriptive error; the invariants build tag makes Configure call it
+// on every routed configuration.
 func (c *Configuration) Verify() error {
 	gids := make([]packet.GroupID, 0, len(c.groups))
 	for gid := range c.groups {
@@ -32,9 +24,11 @@ func (c *Configuration) Verify() error {
 	}
 	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
 
-	// Each group's inputs must occupy one run, labelled with the group.
+	// Each group's inputs must reach its output under its label, all
+	// through one run.
 	usedOut := make(map[int]packet.GroupID)
 	runOf := make(map[packet.GroupID]int)
+	claimed := make([]bool, c.n)
 	for _, gid := range gids {
 		gc := c.groups[gid]
 		if prev, dup := usedOut[gc.Output]; dup {
@@ -42,23 +36,27 @@ func (c *Configuration) Verify() error {
 		}
 		usedOut[gc.Output] = gid
 		for _, in := range gc.Inputs {
-			mid := c.pn.route(in)
-			start := c.runStart[mid]
-			if start == -1 {
-				return fmt.Errorf("fabric: group %d input %d lands on idle middle line %d", gid, in, mid)
+			out, got, ok := c.Route(in)
+			if !ok {
+				return fmt.Errorf("fabric: group %d input %d routes nowhere", gid, in)
 			}
-			if got := c.groupOfRun[start]; got != gid {
-				return fmt.Errorf("fabric: group %d input %d lands in group %d's run", gid, in, got)
+			claimed[in] = true
+			if got != gid {
+				return fmt.Errorf("fabric: cross-group connection — group %d input %d carries group %d's label", gid, in, got)
 			}
+			if out != gc.Output {
+				return fmt.Errorf("fabric: cross-group connection — group %d input %d lands on output %d, want %d", gid, in, out, gc.Output)
+			}
+			start := c.runStart[c.pn.route(in)]
 			if prev, seen := runOf[gid]; seen && prev != start {
 				return fmt.Errorf("fabric: group %d split across runs %d and %d", gid, prev, start)
 			}
 			runOf[gid] = start
 		}
-		if start, seen := runOf[gid]; seen {
-			if out := c.dn.route(start); out != gc.Output {
-				return fmt.Errorf("fabric: group %d's run %d exits at output %d, want %d", gid, start, out, gc.Output)
-			}
+	}
+	for in, busy := range claimed {
+		if _, gid, ok := c.Route(in); !busy && ok {
+			return fmt.Errorf("fabric: idle input %d routes as group %d", in, gid)
 		}
 	}
 
@@ -87,17 +85,4 @@ func (c *Configuration) Verify() error {
 		}
 	}
 	return nil
-}
-
-// Tamper relabels the CCN run that input in feeds as belonging to gid —
-// a deliberate group-isolation violation. It exists solely so tests
-// outside this package can hand the invariant checker a corrupted
-// configuration; production code must never call it.
-//
-//scmplint:ignore testonly — the corruption fixture invariant.CheckFabric's tests need
-func (c *Configuration) Tamper(in int, gid packet.GroupID) {
-	mid := c.pn.route(in)
-	if start := c.runStart[mid]; start != -1 {
-		c.groupOfRun[start] = gid
-	}
 }

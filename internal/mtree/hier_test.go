@@ -37,7 +37,7 @@ func flatView(t testing.TB, g *topology.Graph) *topology.DomainView {
 // membership and exact delay between two trees over the same graph.
 func requireTreesIdentical(t *testing.T, step int, flat, hier *Tree) {
 	t.Helper()
-	n := flat.Graph().N()
+	n := flat.g.N()
 	for v := 0; v < n; v++ {
 		id := topology.NodeID(v)
 		if flat.OnTree(id) != hier.OnTree(id) {

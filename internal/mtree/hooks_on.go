@@ -12,10 +12,9 @@ const InvariantChecksArmed = true
 
 // treeCheckHook re-validates the tree after every DCDM Join/Leave. The
 // safe mutators are supposed to make corruption impossible, so a
-// failure here is a bug in this package and panics. (The full
-// cross-package check, including rootedness at the m-router's home,
-// runs in core's commit hook via scmp/internal/invariant — this package
-// sits below invariant in the import graph and cannot call it.)
+// failure here is a bug in this package and panics. (Rootedness at the
+// active m-router's home is checked in core's commit hook, which knows
+// the home; a Tree only knows its own root.)
 func treeCheckHook(t *Tree) {
 	if err := t.Validate(); err != nil {
 		panic("mtree: invariant violated after tree mutation: " + err.Error())

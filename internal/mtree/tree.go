@@ -92,9 +92,6 @@ func NewTree(g *topology.Graph, root topology.NodeID) *Tree {
 // Root returns the tree root (the m-router).
 func (t *Tree) Root() topology.NodeID { return t.root }
 
-// Graph returns the underlying topology.
-func (t *Tree) Graph() *topology.Graph { return t.g }
-
 // OnTree reports whether v is currently on the tree.
 func (t *Tree) OnTree(v topology.NodeID) bool {
 	return v >= 0 && int(v) < len(t.parent) && t.parent[v] != offTree

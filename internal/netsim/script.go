@@ -63,15 +63,19 @@ type Script struct {
 // injected so far, in step order, for CheckDelivery.
 func (sc *Script) Sent() []uint64 { return sc.sent }
 
-// failoverer is a protocol with a standby m-router to fail over to.
-type failoverer interface{ Failover() }
+// failoverer is a protocol that can fail over to a standby m-router,
+// and reports whether it has one configured.
+type failoverer interface {
+	Failover()
+	HasStandby() bool
+}
 
 // CheckStep reports the first rule step st breaks on the network as it
 // is now, nil when it breaks none: its time is finite and not before
 // the clock, its routers exist (a link step's endpoints are adjacent),
 // a send's size is not negative, a fault step has a fault layer
 // (InstallFaults) to act on and a failover step a protocol with
-// Failover().
+// Failover() and a standby m-router to promote.
 func (n *Network) CheckStep(st Step) error {
 	switch t := float64(st.At); {
 	case math.IsNaN(t) || math.IsInf(t, 0):
@@ -100,8 +104,12 @@ func (n *Network) CheckStep(st Step) error {
 			return fmt.Errorf("fault on non-edge {%d,%d}", st.Node, st.Arg)
 		}
 	case Failover:
-		if _, ok := n.Proto.(failoverer); !ok {
+		f, ok := n.Proto.(failoverer)
+		if !ok {
 			return fmt.Errorf("failover needs a protocol with Failover(); %s has none", n.Proto.Name())
+		}
+		if !f.HasStandby() {
+			return fmt.Errorf("failover needs a standby m-router; %s has none configured", n.Proto.Name())
 		}
 	default:
 		return fmt.Errorf("%s is no step kind", st.Kind)

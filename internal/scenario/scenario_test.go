@@ -364,6 +364,8 @@ func TestMalformedScriptErrors(t *testing.T) {
 		{"misspelt send option", head + "protocol scmp\nat 1 send 3 sise=100", 3},
 		{"option a command does not take", head + "protocol mospf prune=3", 2},
 		{"group on a failover", head + "protocol scmp standby=2\nat 1 failover group=2", 3},
+		// SCMP has Failover(), but with no standby it used to panic mid-run.
+		{"failover without a standby", head + "protocol scmp mrouter=0\nat 1 failover\nrun 5", 3},
 		{"group on print metrics", head + "protocol scmp\nprint metrics group=2", 3},
 		{"negative group", head + "protocol scmp\nat 0 join 5 group=-1", 3},
 		{"group zero", head + "protocol scmp\nat 0 join 5 group=0", 3},

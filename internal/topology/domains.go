@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // DomainView is the hierarchical decomposition of a graph into routing
 // domains (DESIGN.md §15): a node→domain labelling (typically
@@ -14,19 +11,16 @@ import (
 // what lets the hierarchical SCMP mode keep routing state O(domain
 // size + backbone) instead of materialising a global O(n²) table.
 //
-// The view's own structure is immutable after construction, and
-// per-domain subgraphs materialise lazily on first use (a lost
-// publication race rebuilds an identical sub and discards it). Its
-// all-pairs tables are lazy, though, and a lazy table has one writer
-// (see AllPairs): a view whose tables are consulted belongs to one
-// goroutine.
+// Per-domain subgraphs materialise on first use, and every all-pairs
+// table is lazy with one writer (see AllPairs), so a view belongs to
+// one goroutine.
 type DomainView struct {
 	g      *Graph
 	domain []int32 // node -> domain id, dense 0..k-1
 	k      int
-	nodes  [][]NodeID // domain -> member nodes, ascending
-	local  []int32    // node -> index within nodes[domain[node]]
-	subs   []atomic.Pointer[DomainSub]
+	nodes  [][]NodeID   // domain -> member nodes, ascending
+	local  []int32      // node -> index within nodes[domain[node]]
+	subs   []*DomainSub // domain -> sub, nil until first use
 
 	bb      *Graph                // contracted backbone: one node per domain
 	border  map[uint64]BorderLink // directed (from<<32|to) -> chosen border link
@@ -72,7 +66,7 @@ func NewDomainView(g *Graph, domain []int) (*DomainView, error) {
 		k:      k,
 		nodes:  make([][]NodeID, k),
 		local:  make([]int32, n),
-		subs:   make([]atomic.Pointer[DomainSub], k),
+		subs:   make([]*DomainSub, k),
 		border: make(map[uint64]BorderLink),
 	}
 	for v := 0; v < n; v++ {
@@ -226,14 +220,10 @@ func (dv *DomainView) MRouters() []NodeID {
 // mode byte-identical to the flat engine: every local computation runs
 // on exactly the flat inputs.
 func (dv *DomainView) Sub(d int) *DomainSub {
-	if s := dv.subs[d].Load(); s != nil {
-		return s
+	if dv.subs[d] == nil {
+		dv.subs[d] = dv.buildSub(d)
 	}
-	s := dv.buildSub(d)
-	if dv.subs[d].CompareAndSwap(nil, s) {
-		return s
-	}
-	return dv.subs[d].Load()
+	return dv.subs[d]
 }
 
 func (dv *DomainView) buildSub(d int) *DomainSub {
@@ -315,7 +305,7 @@ func (s *DomainSub) Cost() *AllPairs { return s.spc }
 func (dv *DomainView) TableBytes() int64 {
 	total := dv.bbDelay.MemoryBytes()
 	for d := 0; d < dv.k; d++ {
-		if s := dv.subs[d].Load(); s != nil {
+		if s := dv.subs[d]; s != nil {
 			total += s.spd.MemoryBytes() + s.spc.MemoryBytes()
 		}
 	}
