@@ -193,43 +193,6 @@ func BenchmarkDCDMConstraint(b *testing.B) {
 	}
 }
 
-// BenchmarkTreeVsBranch is the ablation for design decision 2 in
-// DESIGN.md: protocol overhead with the BRANCH optimisation on vs
-// forced whole-tree TREE packets for every join (the paper: "if the
-// change is small, using a TREE packet containing the whole tree
-// structure is too expensive").
-func BenchmarkTreeVsBranch(b *testing.B) {
-	g, err := topology.Random(topology.DefaultRandom(50, 3), rand.New(rand.NewSource(9)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g = g.ScaleDelays(1e-3)
-	rng := rand.New(rand.NewSource(10))
-	var members []topology.NodeID
-	for _, v := range rng.Perm(g.N())[:25] {
-		if v != 0 {
-			members = append(members, topology.NodeID(v))
-		}
-	}
-	run := func(disableBranch bool) (protoUnits float64, protoBytes int64) {
-		s := core.New(core.Config{MRouter: 0, Kappa: 1.5, DisableBranch: disableBranch})
-		n := netsim.New(g, s)
-		n.InstallScript(joinScript(members))
-		n.Run()
-		return n.Metrics.ProtocolOverhead(), n.Metrics.ProtocolBytes()
-	}
-	var withBranch, withoutBranch float64
-	var withBranchBytes, withoutBranchBytes int64
-	for i := 0; i < b.N; i++ {
-		withBranch, withBranchBytes = run(false)
-		withoutBranch, withoutBranchBytes = run(true)
-	}
-	b.ReportMetric(withBranch, "branch_proto_units")
-	b.ReportMetric(withoutBranch, "treeonly_proto_units")
-	b.ReportMetric(float64(withBranchBytes), "branch_proto_bytes")
-	b.ReportMetric(float64(withoutBranchBytes), "treeonly_proto_bytes")
-}
-
 // BenchmarkStateScalability regenerates the routing-state study (the
 // paper's §I scalability argument): per-router state entries at 8
 // groups x 4 senders, per protocol.

@@ -29,7 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero value", Config{}, false, ""},
 		{"unconstrained kappa", Config{Kappa: inf}, false, ""},
 		{"hot standby", Config{MRouter: 2, Standby: 4}, false, ""},
-		{"refresh with the BRANCH ablation", Config{RefreshInterval: 1, DisableBranch: true}, false, ""},
 		{"several m-routers", Config{MRouters: []topology.NodeID{1, 4}}, false, ""},
 
 		{"kappa below 1", Config{Kappa: 0.5}, false, "Kappa 0.5"},
@@ -44,6 +43,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative service time", Config{ServiceTime: -1}, false, "ServiceTime -1"},
 		{"NaN refresh interval", Config{RefreshInterval: nan}, false, "RefreshInterval NaN"},
 		{"infinite refresh interval", Config{RefreshInterval: inf}, false, "RefreshInterval +Inf"},
+		{"negative processors", Config{Processors: -1}, false, "Processors -1 is negative"},
+		{"negative retry cap", Config{RetryCap: -1}, false, "RetryCap -1 is negative"},
+		{"negative admit limit", Config{AdmitLimit: -1}, false, "AdmitLimit -1 is negative"},
+		{"negative retry budget", Config{RetryBudget: -2}, false, "RetryBudget -2 is negative"},
 		{"standby with several m-routers", Config{MRouters: []topology.NodeID{1, 4}, Standby: 2}, false, "single-m-router mode"},
 		{"standby with one listed m-router", Config{MRouters: []topology.NodeID{1}, Standby: 2}, false, "single-m-router mode"},
 		{"duplicate m-router", Config{MRouters: []topology.NodeID{3, 3}}, false, "duplicate m-router 3"},

@@ -23,6 +23,14 @@ func (s *SCMP) TrafficRecord(g packet.GroupID) (packets, bytes uint64) {
 	return info.Packets, info.Bytes
 }
 
+// newWithoutBranch is New with the BRANCH optimisation switched off:
+// every join is distributed as a whole-tree TREE packet.
+func newWithoutBranch(cfg Config) *SCMP {
+	s := New(cfg)
+	s.noBranch = true
+	return s
+}
+
 // groupEngine returns g's DCDM engine (nil when the group has no state
 // yet).
 func (s *SCMP) groupEngine(g packet.GroupID) *mtree.DCDM {

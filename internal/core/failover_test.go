@@ -186,6 +186,40 @@ func TestAccountingRecordsMembership(t *testing.T) {
 	}
 }
 
+// TestFailoverKeepsAccountingSession: the promoted standby charges the
+// group's traffic to the session opened before the failover, and a later
+// join opens no second one.
+func TestFailoverKeepsAccountingSession(t *testing.T) {
+	net, s := failoverNet(t, 2, 20)
+	net.HostJoin(4, grp)
+	net.HostJoin(7, grp)
+	net.Run()
+	net.SendData(0, grp, 100)
+	net.Run()
+	before, _ := s.TrafficRecord(grp)
+	if before == 0 {
+		t.Fatal("no traffic charged before the failover")
+	}
+	s.Failover()
+	net.Run()
+	net.SendData(0, grp, 100) // off-tree: decapsulated at the new m-router
+	net.Run()
+	if after, _ := s.TrafficRecord(grp); after != before+1 {
+		t.Fatalf("traffic after failover = %d packets, want %d", after, before+1)
+	}
+	net.HostJoin(11, grp)
+	net.Run()
+	starts := 0
+	for _, e := range s.Accounting().Log() {
+		if e.Kind == session.EventSessionStart {
+			starts++
+		}
+	}
+	if starts != 1 {
+		t.Fatalf("%d SESSION-START records, want 1", starts)
+	}
+}
+
 // failoverDelivers is the property under test: for a random topology and
 // member set derived from seed, failover restores exactly-once delivery
 // from arbitrary sources.

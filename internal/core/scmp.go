@@ -132,16 +132,13 @@ type Config struct {
 	// end-to-end delay"), overriding Kappa. Members that cannot meet it
 	// are served best-effort over their shortest-delay path.
 	DelayBudget float64
-	// DisableBranch forces whole-tree TREE packets even for pure grafts
-	// (the BRANCH-optimisation ablation).
-	DisableBranch bool
 	// ServiceTime is how long one control request (a JOIN or LEAVE,
 	// including the tree computation) occupies one of the m-router's
 	// processors (§II-B). Zero — the default — makes control processing
 	// instantaneous.
 	ServiceTime float64
-	// Processors is the m-router's parallel service capacity; values
-	// below 1 mean 1. Only meaningful with a ServiceTime.
+	// Processors is the m-router's parallel service capacity; 0 means
+	// 1. Only meaningful with a ServiceTime.
 	Processors int
 	// MRouters optionally lists several m-routers for the domain (§II-A:
 	// "An ISP may own more than one m-routers in the Internet for
@@ -159,8 +156,8 @@ type Config struct {
 	// — the default — keeps the original fire-and-forget signalling, so
 	// every fault-free run is unchanged.
 	AckTimeout float64
-	// RetryCap bounds the retransmissions per reliable request; values
-	// below 1 mean the default of 5. Only meaningful with AckTimeout.
+	// RetryCap bounds the retransmissions per reliable request; 0 means
+	// the default of 5. Only meaningful with AckTimeout.
 	RetryCap int
 	// RefreshInterval, when positive, makes the m-router periodically
 	// redistribute each active group's TREE packet (soft-state refresh):
@@ -232,6 +229,9 @@ type SCMP struct {
 	// quiet is set by Quiesce and cleared by the next external input:
 	// while it holds, no refresh is armed and no exhausted request parks.
 	quiet bool
+	// noBranch forces whole-tree TREE packets even for pure grafts: the
+	// BRANCH-optimisation ablation, which only core's tests switch on.
+	noBranch bool
 	// slots maps each (requester, group) to its outstanding reliable
 	// control request in reqs, on its retry ladder or parked
 	// (repair.go); released slots wait on freeReqs for reuse. reqSeq
@@ -287,14 +287,20 @@ func New(cfg Config) *SCMP {
 }
 
 // Validate reports the first rule c breaks, nil when it breaks none.
-// Kappa 0 (meaning 1) and a non-positive Standby (disabled) are valid,
-// as New reads them. With a nil g only the rules that need no graph are
-// checked; with g, the router ids are checked against it too.
+// Kappa 0 (meaning 1), a non-positive Standby (disabled) and a zero
+// count (its default, or off) are valid, as New reads them. With a nil
+// g only the rules that need no graph are checked; with g, the router
+// ids are checked against it too.
 func (c Config) Validate(g *topology.Graph) error {
 	standby, homes := c.Standby > 0, c.homes()
 	for i, v := range [...]float64{c.DelayBudget, c.AckTimeout, c.ServiceTime, c.RefreshInterval} {
 		if !(v >= 0) || math.IsInf(v, 1) {
 			return fmt.Errorf("%s %g is not finite and >= 0", [...]string{"DelayBudget", "AckTimeout", "ServiceTime", "RefreshInterval"}[i], v)
+		}
+	}
+	for i, v := range [...]int{c.Processors, c.RetryCap, c.AdmitLimit, c.RetryBudget} {
+		if v < 0 {
+			return fmt.Errorf("%s %d is negative", [...]string{"Processors", "RetryCap", "AdmitLimit", "RetryBudget"}[i], v)
 		}
 	}
 	switch {
@@ -575,7 +581,7 @@ func (s *SCMP) mrouterJoin(member topology.NodeID, g packet.GroupID) {
 		return
 	}
 	gs.version++
-	if res.Restructured || s.cfg.DisableBranch {
+	if res.Restructured || s.noBranch {
 		s.distributeTree(g, gs)
 		return
 	}
@@ -716,8 +722,11 @@ func (s *SCMP) Failover() {
 		}
 		gs := s.group(g) // rooted at the new active m-router
 		gs.version = s.epoch * failoverEpoch
-		if prev := old[g]; prev != nil && prev.version >= gs.version {
-			gs.version = prev.version + failoverEpoch
+		if prev := old[g]; prev != nil {
+			gs.session = prev.session // the accounting session outlives its m-router
+			if prev.version >= gs.version {
+				gs.version = prev.version + failoverEpoch
+			}
 		}
 		for _, m := range s.ReplicaMembers(g) {
 			if m == s.homes[0] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"scmp/internal/des"
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
 	"scmp/internal/topology"
@@ -299,11 +300,11 @@ func TestRestructureDistributesTreeAndFlushes(t *testing.T) {
 }
 
 func TestDisableBranchAblation(t *testing.T) {
-	n, _ := newNet(railGraph(), Config{MRouter: 0, DisableBranch: true})
+	n := netsim.New(railGraph(), newWithoutBranch(Config{MRouter: 0}))
 	n.HostJoin(4, grp)
 	n.Run()
 	if got := n.Metrics.Crossings(packet.Branch); got != 0 {
-		t.Fatalf("BRANCH crossings = %d with DisableBranch", got)
+		t.Fatalf("BRANCH crossings = %d without the BRANCH optimisation", got)
 	}
 	if got := n.Metrics.Crossings(packet.Tree); got == 0 {
 		t.Fatal("TREE distribution missing")
@@ -313,6 +314,43 @@ func TestDisableBranchAblation(t *testing.T) {
 	if missing, _ := n.CheckDelivery(seq); len(missing) != 0 {
 		t.Fatalf("missing = %v", missing)
 	}
+}
+
+// BenchmarkTreeVsBranch is the ablation for design decision 2 in
+// DESIGN.md: protocol overhead with the BRANCH optimisation on vs
+// forced whole-tree TREE packets for every join (the paper: "if the
+// change is small, using a TREE packet containing the whole tree
+// structure is too expensive").
+func BenchmarkTreeVsBranch(b *testing.B) {
+	g, err := topology.Random(topology.DefaultRandom(50, 3), rand.New(rand.NewSource(9)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g = g.ScaleDelays(1e-3)
+	rng := rand.New(rand.NewSource(10))
+	var joins []netsim.Step // 0.01 s apart from t=0
+	for _, v := range rng.Perm(g.N())[:25] {
+		if v != 0 {
+			joins = append(joins, netsim.Step{At: des.Time(float64(len(joins)) * 0.01), Node: int32(v), Group: 1, Kind: netsim.Join})
+		}
+	}
+	run := func(s *SCMP) (protoUnits float64, protoBytes int64) {
+		n := netsim.New(g, s)
+		n.InstallScript(joins)
+		n.Run()
+		return n.Metrics.ProtocolOverhead(), n.Metrics.ProtocolBytes()
+	}
+	cfg := Config{MRouter: 0, Kappa: 1.5}
+	var withBranch, withoutBranch float64
+	var withBranchBytes, withoutBranchBytes int64
+	for i := 0; i < b.N; i++ {
+		withBranch, withBranchBytes = run(New(cfg))
+		withoutBranch, withoutBranchBytes = run(newWithoutBranch(cfg))
+	}
+	b.ReportMetric(withBranch, "branch_proto_units")
+	b.ReportMetric(withoutBranch, "treeonly_proto_units")
+	b.ReportMetric(float64(withBranchBytes), "branch_proto_bytes")
+	b.ReportMetric(float64(withoutBranchBytes), "treeonly_proto_bytes")
 }
 
 func TestForeignDataDropped(t *testing.T) {

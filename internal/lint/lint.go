@@ -5,15 +5,16 @@
 // packages, runs a suite of repo-specific analyzers over them, and
 // reports diagnostics. cmd/scmplint is the command-line driver.
 //
-// The analyzers guard the properties the whole reproduction depends on.
-// The determinism suite (maporder, noclock, desdiscipline, floatcmp)
-// protects the m-router's centrally computed trees from run-to-run
-// divergence; the dataflow suite (poollife, detshared) machine-checks
-// the packet pool's ownership rule and the parallel runner's sharing
-// rule; testonly keeps production code that only tests reach out of the
-// non-test sources. The zero-allocation contract of the data plane is
-// not a lint rule: testing.AllocsPerRun floors guard it. See the
-// individual analyzer docs and DESIGN.md §11.
+// The six analyzers guard the properties the whole reproduction depends
+// on. The determinism suite (maporder, noclock, floatcmp) protects the
+// m-router's centrally computed trees from run-to-run divergence; the
+// dataflow suite (poollife, detshared) machine-checks the packet pool's
+// ownership rule and the parallel runner's sharing rule; testonly keeps
+// production code that only tests reach out of the non-test sources.
+// Where a runtime gate covers a rule, the rule is not a lint check: the
+// AllocsPerRun floors guard the data plane's zero-allocation contract,
+// and topology.Graph refuses AddEdge once it has been routed over. See
+// the individual analyzer docs and DESIGN.md §11.
 //
 // The only directive is "//scmplint:ignore <analyzer> — <reason>" on the
 // line of a finding or the line above. Check reports every other
@@ -289,7 +290,7 @@ func directiveFault(comment string, known map[string]bool) string {
 // Analyzers returns the full suite in reporting order: the determinism
 // analyzers, the dataflow analyzers, then testonly.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrder, NoClock, DESDiscipline, FloatCmp, PoolLife, DetShared, TestOnly}
+	return []*Analyzer{MapOrder, NoClock, FloatCmp, PoolLife, DetShared, TestOnly}
 }
 
 // Check runs the given analyzers over every package and returns all

@@ -147,38 +147,6 @@ func mk(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }`)
 	wantFindings(t, got)
 }
 
-func TestDESDisciplineFlagsSyncTopologyMutation(t *testing.T) {
-	got := runOn(t, DESDiscipline, "scmp/internal/protocols/bad", `
-package bad
-import (
-	"scmp/internal/packet"
-	"scmp/internal/topology"
-)
-type P struct{ g *topology.Graph }
-func (p *P) HostJoin(node topology.NodeID, gid packet.GroupID) {
-	p.g.MustAddEdge(0, node, 1, 1)
-}`)
-	wantFindings(t, got, "event handler HostJoin mutates the topology synchronously")
-}
-
-func TestDESDisciplineAllowsScheduledMutation(t *testing.T) {
-	got := runOn(t, DESDiscipline, "scmp/internal/protocols/good", `
-package good
-import (
-	"scmp/internal/des"
-	"scmp/internal/packet"
-	"scmp/internal/topology"
-)
-type P struct {
-	g  *topology.Graph
-	sc *des.Scheduler
-}
-func (p *P) HostJoin(node topology.NodeID, gid packet.GroupID) {
-	p.sc.At(p.sc.Now()+1, func() { p.g.MustAddEdge(0, node, 1, 1) })
-}`)
-	wantFindings(t, got)
-}
-
 func TestFloatCmpFlagsComputedEquality(t *testing.T) {
 	got := runOn(t, FloatCmp, "scmp/internal/mtree", `
 package mtree

@@ -3,7 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -11,7 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -114,17 +114,9 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	paths := map[string]bool{}
 	for _, pat := range patterns {
 		switch {
-		case pat == "./..." || pat == "...":
-			dirs, err := l.walkDirs(l.moduleDir)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range dirs {
-				paths[l.importPathFor(d)] = true
-			}
-		case strings.HasSuffix(pat, "/..."):
-			base := strings.TrimSuffix(pat, "/...")
-			dirs, err := l.walkDirs(filepath.Join(l.moduleDir, filepath.FromSlash(strings.TrimPrefix(base, "./"))))
+		case pat == "..." || strings.HasSuffix(pat, "/..."):
+			base := strings.TrimPrefix(strings.TrimSuffix(pat, "..."), "./")
+			dirs, err := l.walkDirs(filepath.Join(l.moduleDir, filepath.FromSlash(base)))
 			if err != nil {
 				return nil, err
 			}
@@ -174,45 +166,36 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// walkDirs lists every directory under root holding at least one
-// non-test .go file, skipping hidden and testdata directories.
+// walkDirs lists every directory under root, skipping hidden, "_" and
+// testdata directories as the go command does; loadPath skips those
+// without buildable Go files.
 func (l *Loader) walkDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
-		}
-		if !d.IsDir() {
-			return nil
 		}
 		name := d.Name()
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
 		}
-		ents, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		for _, e := range ents {
-			if goFileName(e.Name()) || (l.IncludeTests && testGoFileName(e.Name())) {
-				dirs = append(dirs, path)
-				break
-			}
-		}
+		dirs = append(dirs, path)
 		return nil
 	})
 	return dirs, err
 }
 
-func goFileName(name string) bool {
-	return strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
-}
-
-func testGoFileName(name string) bool {
-	return strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
+// parseFiles parses the named files of dir.
+func parseFiles(fs *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(fs, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 func (l *Loader) importPathFor(dir string) string {
@@ -260,38 +243,23 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
+	// go/build picks the files as go build does: by file-name suffix
+	// (_test, _GOOS, _GOARCH) and //go:build line.
 	dir := l.dirFor(path)
-	ents, err := os.ReadDir(dir)
-	if err != nil {
+	bp, err := build.Default.ImportDir(dir, 0)
+	if _, noGo := err.(*build.NoGoError); noGo {
+		return nil, nil
+	} else if err != nil {
 		return nil, err
 	}
-	var files, extFiles []*ast.File
-	for _, e := range ents {
-		name := e.Name()
-		isTest := l.IncludeTests && testGoFileName(name)
-		if e.IsDir() || (!goFileName(name) && !isTest) {
-			continue
-		}
-		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
-		if err != nil {
-			return nil, err
-		}
-		if !buildIncluded(src, defaultTag) {
-			continue
-		}
-		f, err := parser.ParseFile(fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case !isTest:
-			files = append(files, f)
-		case strings.HasSuffix(f.Name.Name, "_test"):
-			extFiles = append(extFiles, f)
-		default:
-			files = append(files, f) // in-package test file, merged as in a test build
-		}
+	names := bp.GoFiles
+	if l.IncludeTests {
+		// In-package test files merge into the package, as in a test build.
+		names = slices.Concat(names, bp.TestGoFiles)
+	}
+	files, err := parseFiles(fset, dir, names)
+	if err != nil {
+		return nil, err
 	}
 	if len(files) == 0 {
 		return nil, nil
@@ -301,8 +269,10 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 		return nil, err
 	}
 	l.pkgs[path] = pkg
-	if len(extFiles) > 0 {
-		l.extFiles[path] = extFiles
+	if l.IncludeTests && len(bp.XTestGoFiles) > 0 {
+		if l.extFiles[path], err = parseFiles(fset, dir, bp.XTestGoFiles); err != nil {
+			return nil, err
+		}
 	}
 	return pkg, nil
 }
@@ -322,34 +292,4 @@ func (l *Loader) check(path string, files []*ast.File) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
 	return &Package{Path: path, Dir: l.dirFor(path), Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// buildIncluded evaluates a file's //go:build constraint (if any)
-// against a build's tags: defaultTag for the default build (current
-// GOOS/GOARCH, gc, and release tags), where custom tags like
-// "invariants" evaluate false, so tag-gated hook files stay out of the
-// default lint build exactly as they stay out of the default compile.
-func buildIncluded(src []byte, tag func(string) bool) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if constraint.IsGoBuild(trimmed) {
-			expr, err := constraint.Parse(trimmed)
-			if err != nil {
-				return true
-			}
-			return expr.Eval(tag)
-		}
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-	}
-	return true
-}
-
-var releaseTagRE = regexp.MustCompile(`^go1\.\d+$`)
-
-func defaultTag(tag string) bool {
-	return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" ||
-		tag == "unix" && (runtime.GOOS == "linux" || runtime.GOOS == "darwin") ||
-		releaseTagRE.MatchString(tag)
 }

@@ -2,7 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/parser"
+	"go/build"
 	"go/token"
 	"go/types"
 	"os"
@@ -379,40 +379,27 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-func invariantsTag(tag string) bool { return tag == "invariants" || defaultTag(tag) }
-
 // invariantsBuild parses the non-test files of rp's directory that the
 // -tags invariants build compiles; extra are those only it compiles.
 // Both are nil when no file is built only under that tag.
 func invariantsBuild(rp *reachPkg) (files, extra []*ast.File) {
-	ents, err := os.ReadDir(rp.dir)
+	ctx := build.Default
+	def, err := ctx.ImportDir(rp.dir, 0)
 	if err != nil {
 		return nil, nil
 	}
-	var names []string
-	var srcs [][]byte
-	var only []bool
-	for _, e := range ents {
-		name := filepath.Join(rp.dir, e.Name())
-		if e.IsDir() || !goFileName(e.Name()) {
-			continue
-		}
-		if src, err := os.ReadFile(name); err == nil && buildIncluded(src, invariantsTag) {
-			names, srcs = append(names, name), append(srcs, src)
-			only = append(only, !buildIncluded(src, defaultTag))
-		}
-	}
-	if !slices.Contains(only, true) {
+	ctx.BuildTags = []string{"invariants"}
+	inv, err := ctx.ImportDir(rp.dir, 0)
+	only := func(name string) bool { return !slices.Contains(def.GoFiles, name) }
+	if err != nil || !slices.ContainsFunc(inv.GoFiles, only) {
 		return nil, nil
 	}
-	for i, name := range names {
-		f, err := parser.ParseFile(rp.fset, name, srcs[i], parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, nil
-		}
-		files = append(files, f)
-		if only[i] {
-			extra = append(extra, f)
+	if files, err = parseFiles(rp.fset, rp.dir, inv.GoFiles); err != nil {
+		return nil, nil
+	}
+	for i, name := range inv.GoFiles {
+		if only(name) {
+			extra = append(extra, files[i])
 		}
 	}
 	return files, extra

@@ -167,7 +167,7 @@ func (c *Collector) ProtocolOverhead() float64 { return c.protoUnits }
 
 // ProtocolBytes returns total protocol bytes that crossed links.
 //
-//scmplint:ignore testonly — the root package's BenchmarkBranchAblation reports BRANCH's byte saving with it
+//scmplint:ignore testonly — core's BenchmarkTreeVsBranch reports BRANCH's byte saving with it
 func (c *Collector) ProtocolBytes() int64 { return c.protoBytes }
 
 // Crossings returns how many times packets of kind k crossed a link.

@@ -52,10 +52,12 @@
 // configures (core.Config, netsim.FaultPlan, netsim.ChurnPlan) and calls
 // its Validate, where that value's rules live. The parser owns only the
 // numbers no such value holds: times are finite and non-negative, delay
-// factors and bandwidths finite and positive, sizes non-negative. Group
-// ids run from 1 to 2^32-1. An option a command does not take is an
-// "unknown option" error, and every malformed script is a "line N: ..."
-// error, never a panic inside the simulator.
+// factors and bandwidths finite and positive, sizes non-negative, and a
+// given standby= names a router id >= 1 (core.Config reads 0 as none,
+// so node 0 cannot serve). Group ids run from 1 to 2^32-1. An option a
+// command does not take is an "unknown option" error, and every
+// malformed script is a "line N: ..." error, never a panic inside the
+// simulator.
 package scenario
 
 import (
@@ -410,6 +412,7 @@ func (st *state) execProtocol(c command) error {
 	case "scmp":
 		// One key per core.Config field; Validate holds the rules.
 		cfg := core.Config{Kappa: 1.5}
+		_, standby := c.kv["standby"]
 		if err := c.bind([]option{
 			{"mrouter", &cfg.MRouter}, {"kappa", &cfg.Kappa}, {"standby", &cfg.Standby},
 			{"budget", &cfg.DelayBudget}, {"ack", &cfg.AckTimeout}, {"retries", &cfg.RetryCap},
@@ -418,6 +421,9 @@ func (st *state) execProtocol(c command) error {
 			{"retry-budget", &cfg.RetryBudget}, {"suppress", &cfg.RefreshSuppress},
 		}); err != nil {
 			return err
+		}
+		if standby && cfg.Standby <= 0 {
+			return fmt.Errorf("line %d: standby=%d is no router id >= 1 (leave standby out for none)", c.line, cfg.Standby)
 		}
 		if err := cfg.Validate(g); err != nil {
 			return c.invalid(err)

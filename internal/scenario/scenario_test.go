@@ -334,6 +334,14 @@ func TestMalformedScriptErrors(t *testing.T) {
 		{"negative mrouter", head + "protocol scmp mrouter=-1", 2},
 		{"standby out of range", head + "protocol scmp standby=99", 2},
 		{"standby is the mrouter", head + "protocol scmp mrouter=3 standby=3", 2},
+		// A non-positive standby used to mean none, so the script failed
+		// only at its failover; the negative counts used to mean default.
+		{"standby zero", head + "protocol scmp mrouter=3 standby=0", 2},
+		{"negative standby", head + "protocol scmp standby=-2", 2},
+		{"negative procs", head + "protocol scmp procs=-1", 2},
+		{"negative admit", head + "protocol scmp admit=-1", 2},
+		{"negative retries", head + "protocol scmp retries=-1", 2},
+		{"negative retry budget", head + "protocol scmp retry-budget=-2", 2},
 		{"cbt core out of range", head + "protocol cbt core=99", 2},
 		{"NaN delay scale", head + "scale-delays NaN\nprotocol scmp", 2},
 		// Scaled delays used to overflow to +Inf (a panic on the first

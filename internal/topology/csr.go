@@ -49,11 +49,11 @@ func buildCSR(g *Graph) *CSR {
 }
 
 // CSR returns the graph's flattened view, building and caching it on
-// first use. The cache is invalidated by AddEdge, so graphs that are
-// still being constructed pay nothing; once a graph goes read-only (the
-// universal pattern here — generators build, everything else reads) the
-// build cost is paid exactly once. Concurrent first calls may both
-// build; the results are identical and one wins the publish race.
+// first use. The first call freezes the graph (AddEdge panics after
+// it), so the view never goes stale: generators build, everything else
+// reads, and the build cost is paid exactly once. Concurrent first calls
+// may both build; the results are identical and one wins the publish
+// race.
 func (g *Graph) CSR() *CSR {
 	if c := g.csr.Load(); c != nil {
 		return c

@@ -28,13 +28,16 @@ type Link struct {
 
 // Graph is an undirected graph with per-link delay and cost. Construct
 // with New and AddEdge; both directions of an edge always carry the same
-// delay and cost.
+// delay and cost. A graph is frozen once it has been routed over (its
+// CSR view exists): the topology of a run is fixed, a fault masks arcs
+// and never rewires, so AddEdge then panics. Clone and TryScaleDelays
+// derive a new, editable graph.
 type Graph struct {
 	adj [][]Link
 	m   int // number of undirected edges
 
-	// csr caches the flattened CSR view built on first routing use;
-	// AddEdge invalidates it (see CSR in csr.go).
+	// csr caches the flattened CSR view built on first routing use; its
+	// presence freezes the graph (see CSR in csr.go).
 	csr atomic.Pointer[CSR]
 }
 
@@ -69,8 +72,12 @@ func checkLink(delay, cost float64) error {
 
 // AddEdge adds the symmetric edge {u,v} with the given delay and cost.
 // It returns an error on self-loops, duplicate edges, out-of-range nodes,
-// or a delay or cost that breaks the link rule (checkLink).
+// or a delay or cost that breaks the link rule (checkLink). It panics on
+// a graph already routed over: mutating a topology mid-run is a bug.
 func (g *Graph) AddEdge(u, v NodeID, delay, cost float64) error {
+	if g.csr.Load() != nil {
+		panic(fmt.Sprintf("topology: AddEdge {%d,%d} on a graph already routed over; Clone it first", u, v))
+	}
 	if u == v {
 		return fmt.Errorf("topology: self-loop at %d", u)
 	}
@@ -86,7 +93,6 @@ func (g *Graph) AddEdge(u, v NodeID, delay, cost float64) error {
 	g.adj[u] = append(g.adj[u], Link{To: v, Delay: delay, Cost: cost})
 	g.adj[v] = append(g.adj[v], Link{To: u, Delay: delay, Cost: cost})
 	g.m++
-	g.csr.Store(nil) // adjacency changed: drop the cached CSR view
 	return nil
 }
 
