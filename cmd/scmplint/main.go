@@ -1,9 +1,9 @@
 // Command scmplint runs the repository's custom static-analysis suite —
-// the determinism analyzers, the dataflow analyzers (poollife,
-// detshared) and testonly in scmp/internal/lint — over module packages
-// and exits non-zero when any finding remains. testonly is
-// whole-program: it reports only when the patterns load a main package,
-// so run it over ./... .
+// the five analyzers of scmp/internal/lint: the determinism analyzers
+// (maporder, noclock, floatcmp) and the dataflow analyzers (poollife,
+// detshared) — over module packages and exits non-zero when any finding
+// remains. Production code that no entry point runs is not a lint
+// finding: `make reach` measures it.
 //
 // Usage:
 //

@@ -22,8 +22,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"scmp/internal/rng"
+	"slices"
+	"strings"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -62,7 +64,7 @@ func run(args []string, stdout io.Writer) error {
 		"stubs": "transitstub", "stub-size": "transitstub", "edge-prob": "transitstub",
 	}
 	for name, kinds := range perKind {
-		if set[name] && !matchKind(kinds, *kind) {
+		if set[name] && !slices.Contains(strings.Split(kinds, "|"), *kind) {
 			return fmt.Errorf("-%s applies to kind %s, not %q", name, kinds, *kind)
 		}
 	}
@@ -134,22 +136,4 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown format %q", *format)
 	}
-}
-
-// matchKind reports whether kind is one of the "a|b" alternatives.
-func matchKind(kinds, kind string) bool {
-	for len(kinds) > 0 {
-		i := 0
-		for i < len(kinds) && kinds[i] != '|' {
-			i++
-		}
-		if kinds[:i] == kind {
-			return true
-		}
-		if i == len(kinds) {
-			break
-		}
-		kinds = kinds[i+1:]
-	}
-	return false
 }

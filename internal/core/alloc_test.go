@@ -79,7 +79,6 @@ func TestReliableRoundTripAllocFloor(t *testing.T) {
 // network layer alone.
 type nopProto struct{}
 
-func (nopProto) Name() string                                          { return "nop" }
 func (nopProto) Attach(*netsim.Network)                                {}
 func (nopProto) HandlePacket(topology.NodeID, *netsim.Packet)          {}
 func (nopProto) HostJoin(topology.NodeID, packet.GroupID)              {}

@@ -220,6 +220,43 @@ func TestFailoverKeepsAccountingSession(t *testing.T) {
 	}
 }
 
+// TestFailoverKeepsEmptiedGroupSession: a group whose last member left
+// before the failover keeps its accounting session across it, so the
+// next join opens no second session and its traffic is charged to the
+// first one.
+func TestFailoverKeepsEmptiedGroupSession(t *testing.T) {
+	net, s := failoverNet(t, 2, 20)
+	net.HostJoin(4, grp)
+	net.Run()
+	net.HostLeave(4, grp)
+	net.Run()
+	id := s.groups[grp].session
+	if id == 0 {
+		t.Fatal("no session opened by the first join")
+	}
+	s.Failover()
+	net.Run()
+	net.HostJoin(7, grp)
+	net.Run()
+	net.SendData(0, grp, 100)
+	net.Run()
+	starts := 0
+	for _, e := range s.Accounting().Log() {
+		if e.Kind == session.EventSessionStart {
+			starts++
+		}
+	}
+	if starts != 1 {
+		t.Fatalf("%d SESSION-START records, want 1", starts)
+	}
+	if got := s.groups[grp].session; got != id {
+		t.Fatalf("group charged to session %d after the failover, want %d", got, id)
+	}
+	if packets, _ := s.TrafficRecord(grp); packets != 1 {
+		t.Fatalf("traffic after failover = %d packets, want 1", packets)
+	}
+}
+
 // failoverDelivers is the property under test: for a random topology and
 // member set derived from seed, failover restores exactly-once delivery
 // from arbitrary sources.

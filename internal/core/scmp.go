@@ -349,9 +349,6 @@ func (s *SCMP) isHome(node topology.NodeID, g packet.GroupID) bool {
 	return node == s.home(g)
 }
 
-// Name implements netsim.Protocol.
-func (s *SCMP) Name() string { return "SCMP" }
-
 // Attach implements netsim.Protocol: it verifies the m-router exists.
 // The m-router "possesses all the information on the network": its DCDM
 // engines read the network's routing store (netsim.Network.Delay, .Cost).
@@ -717,16 +714,15 @@ func (s *SCMP) Failover() {
 	}
 	s.groups = make(map[packet.GroupID]*groupState)
 	for _, g := range sortedGroups(s.replica) {
-		if s.replica[g].Count() == 0 {
-			continue
-		}
-		gs := s.group(g) // rooted at the new active m-router
-		gs.version = s.epoch * failoverEpoch
+		gs := s.group(g) // rooted at the new active m-router, in this epoch
 		if prev := old[g]; prev != nil {
 			gs.session = prev.session // the accounting session outlives its m-router
 			if prev.version >= gs.version {
 				gs.version = prev.version + failoverEpoch
 			}
+		}
+		if s.replica[g].Count() == 0 {
+			continue // an emptied group keeps its session; there is no tree to build
 		}
 		for _, m := range s.ReplicaMembers(g) {
 			if m == s.homes[0] {
@@ -913,6 +909,13 @@ func (s *SCMP) SinkEvent(op uint8, a, b int32, _ any, _ bool) {
 // benchmark PRs; the next benchmark PR drops the call and this method
 // with it.
 func (s *SCMP) ParallelWindowSafe() bool { return false }
+
+// Name returns "SCMP".
+//
+// Deprecated: compile shim for bench/sim.go, which is frozen outside
+// benchmark PRs; the next benchmark PR drops the call and this method
+// with it.
+func (s *SCMP) Name() string { return "SCMP" }
 
 // handleTree implements the TREE packet processing algorithm (§III-E):
 // adopt the sender as upstream, replace the downstream set with the

@@ -260,8 +260,6 @@ func (s *Scheduler) Stop(t Timer) {
 
 // Armed reports whether timer t is still to fire: neither stopped nor
 // fired.
-//
-//scmplint:ignore testonly — core's overload tests check a request's retry timer through it
 func (s *Scheduler) Armed(t Timer) bool {
 	if t.ref == 0 {
 		return false

@@ -227,8 +227,6 @@ func compareAxis(a, b any, order []string) int {
 
 // Value returns a measured CSV column's value in the row at key, or NaN
 // when the table has no such row.
-//
-//scmplint:ignore testonly — the study tests and the root package's benchmarks read cells through it
 func (t Table) Value(column string, key ...any) float64 {
 	var k Key
 	copy(k[:], key)

@@ -11,9 +11,7 @@ import (
 )
 
 // TestGolden runs each dataflow analyzer over its corpus under
-// testdata/<analyzer>/. A corpus of subdirectories (testonly's) is
-// loaded as packages of the module; otherwise every .go file is
-// type-checked as its own
+// testdata/<analyzer>/. Every .go file is type-checked as its own
 // synthetic package (imports resolve against the real module and the
 // standard library) and must annotate each expected finding with a
 // trailing comment of the form
@@ -46,12 +44,6 @@ func TestGolden(t *testing.T) {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(files) == 0 {
-			t.Run(filepath.ToSlash(dir), func(t *testing.T) {
-				runGoldenTree(t, a, dir)
-			})
-			continue
 		}
 		for _, file := range files {
 			file := file
@@ -97,47 +89,6 @@ func runGoldenFile(t *testing.T, a *Analyzer, file string) {
 		got[d.Pos.Line] = append(got[d.Pos.Line], d.Message)
 	}
 	compareFindings(t, file, want, got)
-}
-
-// runGoldenTree runs a whole-program analyzer over a corpus of packages,
-// one per subdirectory of dir, loaded together with their _test.go
-// files. Every .go file carries its own want comments.
-func runGoldenTree(t *testing.T, a *Analyzer, dir string) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.IncludeTests = true
-	pkgs, err := loader.Load("./internal/lint/" + filepath.ToSlash(dir) + "/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]map[int][]string{}
-	for _, d := range Check(pkgs, []*Analyzer{a}) {
-		if got[d.Pos.Filename] == nil {
-			got[d.Pos.Filename] = map[int][]string{}
-		}
-		got[d.Pos.Filename][d.Pos.Line] = append(got[d.Pos.Filename][d.Pos.Line], d.Message)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, file := range files {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		abs, err := filepath.Abs(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareFindings(t, file, parseWants(t, file, src), got[abs])
-		delete(got, abs)
-	}
-	for file, lines := range got {
-		t.Errorf("findings outside the corpus in %s: %v", file, lines)
-	}
 }
 
 // parseWants maps each line of src to the message substrings its want

@@ -5,16 +5,16 @@
 // packages, runs a suite of repo-specific analyzers over them, and
 // reports diagnostics. cmd/scmplint is the command-line driver.
 //
-// The six analyzers guard the properties the whole reproduction depends
+// The five analyzers guard the properties the whole reproduction depends
 // on. The determinism suite (maporder, noclock, floatcmp) protects the
 // m-router's centrally computed trees from run-to-run divergence; the
 // dataflow suite (poollife, detshared) machine-checks the packet pool's
-// ownership rule and the parallel runner's sharing rule; testonly keeps
-// production code that only tests reach out of the non-test sources.
+// ownership rule and the parallel runner's sharing rule.
 // Where a runtime gate covers a rule, the rule is not a lint check: the
 // AllocsPerRun floors guard the data plane's zero-allocation contract,
-// and topology.Graph refuses AddEdge once it has been routed over. See
-// the individual analyzer docs and DESIGN.md §11.
+// topology.Graph refuses AddEdge once it has been routed over, and
+// `make reach` measures which production functions no entry point runs.
+// See the individual analyzer docs and DESIGN.md §11.
 //
 // The only directive is "//scmplint:ignore <analyzer> — <reason>" on the
 // line of a finding or the line above. Check reports every other
@@ -128,33 +128,13 @@ func (p *Pass) FactOf(obj types.Object) any {
 	return p.facts.get(p.Analyzer.Name, obj)
 }
 
-// Shared returns this analyzer's one value for the whole Check run,
-// made by init on first use. A whole-program analyzer (testonly) builds
-// its graph into it from Facts passes and walks it once from Run passes.
-func (p *Pass) Shared(init func() any) any {
-	s := p.facts
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shared == nil {
-		s.shared = make(map[string]any)
-	}
-	v, ok := s.shared[p.Analyzer.Name]
-	if !ok {
-		v = init()
-		s.shared[p.Analyzer.Name] = v
-	}
-	return v
-}
-
-// factStore holds every analyzer's exported facts and shared values for
-// one Check run. Writes happen only during the serial Facts phase; reads
-// during the parallel Run phase are lock-free on an immutable map by
-// then, but the mutex keeps the store safe under any future phase
-// interleaving.
+// factStore holds every analyzer's exported facts for one Check run.
+// Writes happen only during the serial Facts phase; reads during the
+// parallel Run phase are lock-free on an immutable map by then, but the
+// mutex keeps the store safe under any future phase interleaving.
 type factStore struct {
-	mu     sync.Mutex
-	m      map[string]map[types.Object]any
-	shared map[string]any
+	mu sync.Mutex
+	m  map[string]map[types.Object]any
 }
 
 func (s *factStore) put(analyzer string, obj types.Object, fact any) {
@@ -288,9 +268,9 @@ func directiveFault(comment string, known map[string]bool) string {
 }
 
 // Analyzers returns the full suite in reporting order: the determinism
-// analyzers, the dataflow analyzers, then testonly.
+// analyzers, then the dataflow analyzers.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrder, NoClock, FloatCmp, PoolLife, DetShared, TestOnly}
+	return []*Analyzer{MapOrder, NoClock, FloatCmp, PoolLife, DetShared}
 }
 
 // Check runs the given analyzers over every package and returns all

@@ -187,8 +187,8 @@ func tie(a, b float64) bool {
 }`)
 		wantFindings(t, got, "floating-point ==")
 	}
-	verb, names, reason, ok := directive("//scmplint:ignore testonly maporder — read by all callers")
-	if !ok || verb != "ignore" || len(names) != 2 || names[0] != "testonly" || names[1] != "maporder" || reason != "read by all callers" {
+	verb, names, reason, ok := directive("//scmplint:ignore noclock maporder — read by all callers")
+	if !ok || verb != "ignore" || len(names) != 2 || names[0] != "noclock" || names[1] != "maporder" || reason != "read by all callers" {
 		t.Fatalf("directive = %q, %q, %q, %v", verb, names, reason, ok)
 	}
 }

@@ -11,9 +11,8 @@ import (
 )
 
 // TestLoaderFileChoice checks that the loader compiles exactly the files
-// go build would, for the default and the -tags invariants build: an
-// ignored file, a _GOOS file pair and a tag-gated hook pair in one
-// package of a throwaway module.
+// go build would: an ignored file, a _GOOS file pair and a tag-gated
+// hook pair in one package of a throwaway module.
 func TestLoaderFileChoice(t *testing.T) {
 	dir := t.TempDir()
 	pkgDir := filepath.Join(dir, "pkg")
@@ -72,14 +71,5 @@ func TestLoaderFileChoice(t *testing.T) {
 	}
 	if got, w := base(pkgs[1].Fset, pkgs[1].Files), []string{"ext_test.go"}; !slices.Equal(got, w) {
 		t.Errorf("external test files = %v, want %v", got, w)
-	}
-
-	fs := token.NewFileSet()
-	files, extra := invariantsBuild(&reachPkg{dir: pkgDir, fset: fs})
-	if got, w := base(fs, files), want("hooks_on.go", "pkg.go"); !slices.Equal(got, w) {
-		t.Errorf("invariants build files = %v, want %v", got, w)
-	}
-	if got, w := base(fs, extra), []string{"hooks_on.go"}; !slices.Equal(got, w) {
-		t.Errorf("invariants-only files = %v, want %v", got, w)
 	}
 }

@@ -166,8 +166,6 @@ func (c *Collector) DataOverhead() float64 { return c.dataUnits }
 func (c *Collector) ProtocolOverhead() float64 { return c.protoUnits }
 
 // ProtocolBytes returns total protocol bytes that crossed links.
-//
-//scmplint:ignore testonly — core's BenchmarkTreeVsBranch reports BRANCH's byte saving with it
 func (c *Collector) ProtocolBytes() int64 { return c.protoBytes }
 
 // Crossings returns how many times packets of kind k crossed a link.
@@ -175,8 +173,6 @@ func (c *Collector) Crossings(k packet.Kind) int64 { return c.crossings[k] }
 
 // LinkLoad returns how many packets (all classes) crossed the
 // undirected link {u,v}.
-//
-//scmplint:ignore testonly — netsim's tests check per-link traffic through it
 func (c *Collector) LinkLoad(u, v topology.NodeID) int64 {
 	if i, ok := c.denseIdx[MkLinkID(u, v)]; ok {
 		return c.denseLoad[i]
@@ -210,8 +206,6 @@ func (c *Collector) Dropped() int64 { return c.dropped }
 func (c *Collector) DroppedControl() int64 { return c.ctlDrops }
 
 // DroppedByKind returns how many packets of kind k were discarded.
-//
-//scmplint:ignore testonly — netsim's and core's fault tests check which control messages were lost
 func (c *Collector) DroppedByKind(k packet.Kind) int64 { return c.dropsKind[k] }
 
 // Recoveries returns the number of fault recoveries recorded.

@@ -310,8 +310,6 @@ func (d *DCDM) DetachSubtree(v topology.NodeID) []topology.NodeID {
 }
 
 // Tables returns the shortest-path tables the engine reads.
-//
-//scmplint:ignore testonly — core's fault-reconvergence floor checks SCMP hands every group its network's routing store
 func (d *DCDM) Tables() (spDelay, spCost *topology.AllPairs) { return d.spDelay, d.spCost }
 
 // Rebase rebuilds the member delay bound against the tables' current

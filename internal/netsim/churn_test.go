@@ -27,7 +27,6 @@ type churnEv struct {
 	at   des.Time
 }
 
-func (p *churnRec) Name() string                                   { return "churn-rec" }
 func (p *churnRec) Attach(n *Network)                              { p.net = n }
 func (p *churnRec) HandlePacket(node topology.NodeID, pkt *Packet) {}
 func (p *churnRec) HostJoin(node topology.NodeID, g packet.GroupID) {

@@ -64,8 +64,6 @@ type ParallelSafe interface {
 // instance manages per-router state for every router in the domain
 // (routers are identified by NodeID in each call).
 type Protocol interface {
-	// Name identifies the protocol in reports ("SCMP", "DVMRP", ...).
-	Name() string
 	// Attach wires the protocol to a network. Called exactly once, by
 	// New or Reset.
 	Attach(n *Network)

@@ -25,7 +25,6 @@ type recorded struct {
 	pkt  Packet
 }
 
-func (e *echoProto) Name() string      { return "echo" }
 func (e *echoProto) Attach(n *Network) { e.net = n }
 func (e *echoProto) HandlePacket(node topology.NodeID, pkt *Packet) {
 	e.got = append(e.got, recorded{node, *pkt})

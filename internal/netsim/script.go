@@ -106,10 +106,10 @@ func (n *Network) CheckStep(st Step) error {
 	case Failover:
 		f, ok := n.Proto.(failoverer)
 		if !ok {
-			return fmt.Errorf("failover needs a protocol with Failover(); %s has none", n.Proto.Name())
+			return fmt.Errorf("failover needs a protocol with Failover(); %T has none", n.Proto)
 		}
 		if !f.HasStandby() {
-			return fmt.Errorf("failover needs a standby m-router; %s has none configured", n.Proto.Name())
+			return fmt.Errorf("failover needs a standby m-router; %T has none configured", n.Proto)
 		}
 	default:
 		return fmt.Errorf("%s is no step kind", st.Kind)

@@ -23,7 +23,6 @@ func (p *traceProto) log(format string, args ...any) {
 	p.trace = append(p.trace, fmt.Sprintf("%v ", p.net.Now())+fmt.Sprintf(format, args...))
 }
 
-func (p *traceProto) Name() string      { return "trace" }
 func (p *traceProto) Attach(n *Network) { p.net = n }
 func (p *traceProto) HandlePacket(node topology.NodeID, pkt *Packet) {
 	p.log("recv %d from %d seq %d", node, pkt.From, pkt.Seq)

@@ -39,9 +39,6 @@ func New(core topology.NodeID) *CBT {
 	}
 }
 
-// Name implements netsim.Protocol.
-func (c *CBT) Name() string { return "CBT" }
-
 // Attach implements netsim.Protocol.
 func (c *CBT) Attach(n *netsim.Network) {
 	if c.core < 0 || int(c.core) >= n.G.N() {
@@ -52,8 +49,6 @@ func (c *CBT) Attach(n *netsim.Network) {
 
 // Upstream reports node's parent on g's shared tree; ok is false when
 // the node is off the tree or is the core (which has no upstream).
-//
-//scmplint:ignore testonly — experiment's cross-protocol tests check CBT joins follow unicast routes
 func (c *CBT) Upstream(node topology.NodeID, g packet.GroupID) (topology.NodeID, bool) {
 	e := c.peekEntry(node, g)
 	if e == nil || !e.OnTree || e.Upstream == netsim.NoUpstream {

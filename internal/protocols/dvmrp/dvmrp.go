@@ -77,9 +77,6 @@ func New(pruneLifetime des.Time) *DVMRP {
 	return &DVMRP{PruneLifetime: pruneLifetime}
 }
 
-// Name implements netsim.Protocol.
-func (d *DVMRP) Name() string { return "DVMRP" }
-
 // StateEntries returns the number of (source, group) pairs the router
 // holds state for — prune timers, sent-prune markers — plus its local
 // membership records. DVMRP state is per (source, group): the

@@ -164,9 +164,6 @@ func TestLeaveThenPruneLazily(t *testing.T) {
 
 func TestNameAndState(t *testing.T) {
 	p := New(0)
-	if p.Name() != "DVMRP" {
-		t.Fatal("name wrong")
-	}
 	n := netsim.New(lineGraph(4), p)
 	n.HostJoin(1, grp)
 	n.SendData(0, grp, 100) // instantiates prune state at 2 and 3

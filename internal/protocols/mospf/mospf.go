@@ -75,9 +75,6 @@ var _ netsim.Protocol = (*MOSPF)(nil)
 // New returns a MOSPF instance.
 func New() *MOSPF { return &MOSPF{} }
 
-// Name implements netsim.Protocol.
-func (m *MOSPF) Name() string { return "MOSPF" }
-
 // StateEntries returns the state a router holds: its group-membership
 // database records (one per known (group, member) pair, kept
 // domain-wide by LSA flooding) plus the (source, group) forwarding

@@ -179,11 +179,3 @@ func (c *Cache[K, V]) Get(k K, build func() V) V {
 	}
 	return e.v
 }
-
-// Len reports how many keys have been requested so far (built or
-// building), for tests and capacity reporting.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}

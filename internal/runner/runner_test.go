@@ -114,8 +114,8 @@ func TestCacheBuildsOnce(t *testing.T) {
 	if builds.Load() != 4 {
 		t.Fatalf("builds = %d, want 4", builds.Load())
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", c.Len())
+	if len(c.m) != 4 {
+		t.Fatalf("%d keys cached, want 4", len(c.m))
 	}
 	for i, p := range got {
 		if *p != i%4 {

@@ -214,8 +214,6 @@ func (m *Manager) RecordTraffic(g packet.GroupID, id SessionID, bytes int) error
 }
 
 // Session returns the queryable state of a session.
-//
-//scmplint:ignore testonly — core's tests read the m-router's traffic record through it
 func (m *Manager) Session(g packet.GroupID, id SessionID) (SessionInfo, error) {
 	gs, ok := m.groups[g]
 	if !ok {

@@ -188,8 +188,6 @@ func (dv *DomainView) Domain(v NodeID) int { return int(dv.domain[v]) }
 
 // NodesOf returns domain d's nodes in ascending id order. The slice is
 // shared — callers must not mutate it.
-//
-//scmplint:ignore testonly — mtree's composer tests pick members per domain through it
 func (dv *DomainView) NodesOf(d int) []NodeID { return dv.nodes[d] }
 
 // BackboneDelay returns the lazy all-pairs (by delay) table over the
