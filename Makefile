@@ -95,7 +95,7 @@ loc:
 # grown past the committed budget. A PR that removes code lowers
 # LOC_BUDGET to what `make loc` prints; one that must add code raises it
 # in the same diff, where a reviewer sees it.
-LOC_BUDGET := 16375
+LOC_BUDGET := 16115
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

@@ -10,7 +10,6 @@ package scmp_test
 import (
 	"cmp"
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -23,6 +22,7 @@ import (
 	"scmp/internal/protocols/cbt"
 	"scmp/internal/protocols/dvmrp"
 	"scmp/internal/protocols/mospf"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -39,7 +39,7 @@ import (
 // domain and is pruned back; and with prunes that never expire. One
 // budget covers all five.
 func TestHotPathAllocFloor(t *testing.T) {
-	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestHotPathAllocFloor(t *testing.T) {
 		{"MOSPF", mospf.New()},
 	} {
 		n := netsim.New(g, tc.proto)
-		rnd := rand.New(rand.NewSource(7))
+		rnd := rng.New(7)
 		members := make([]topology.NodeID, 0, 40)
 		for _, v := range rnd.Perm(g.N()) {
 			if v != 0 {
@@ -105,7 +105,7 @@ func TestDCDMAllocFloor(t *testing.T) {
 	if mtree.InvariantChecksArmed {
 		t.Skip("invariants build: per-mutation Validate allocates freely")
 	}
-	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDCDMAllocFloor(t *testing.T) {
 	slices.SortFunc(byUL, func(a, b topology.NodeID) int { return cmp.Compare(d.UnicastDelay(b), d.UnicastDelay(a)) })
 	farthest := byUL[:16]
 	joined := 0
-	for _, v := range rand.New(rand.NewSource(7)).Perm(g.N()) {
+	for _, v := range rng.New(7).Perm(g.N()) {
 		if v == 0 || slices.Contains(farthest, topology.NodeID(v)) {
 			continue
 		}
@@ -205,7 +205,7 @@ func TestHierDCDMAllocFloor(t *testing.T) {
 	if mtree.InvariantChecksArmed {
 		t.Skip("invariants build: per-mutation Validate allocates freely")
 	}
-	g, info, err := topology.TransitStub(topology.TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}, rand.New(rand.NewSource(3)))
+	g, info, err := topology.TransitStub(topology.TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestHierDCDMAllocFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := mtree.NewHierDCDM(view, view.MRouters(), 0, 1.5)
-	perm := rand.New(rand.NewSource(7)).Perm(g.N())
+	perm := rng.New(7).Perm(g.N())
 	active := make([]bool, view.K())
 	for _, v := range perm[:128] {
 		active[h.Join(topology.NodeID(v)).Domain] = true
@@ -256,12 +256,12 @@ func TestHierDCDMAllocFloor(t *testing.T) {
 // tree is a cache load, on the tree and off it. The domains study reads
 // it per member per sample.
 func TestTreeDelayAllocFloor(t *testing.T) {
-	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := newDCDM(wg.Graph, 0, 1.5)
-	for _, v := range rand.New(rand.NewSource(7)).Perm(wg.Graph.N())[:64] {
+	for _, v := range rng.New(7).Perm(wg.Graph.N())[:64] {
 		d.Join(topology.NodeID(v))
 	}
 	tree := d.Tree()
@@ -303,11 +303,11 @@ func TestDCDMJoinRowAllocFloor(t *testing.T) {
 	if mtree.InvariantChecksArmed {
 		t.Skip("invariants build: per-mutation Validate allocates freely")
 	}
-	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, _, err := topology.TransitStub(topology.TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}, rand.New(rand.NewSource(3)))
+	ts, _, err := topology.TransitStub(topology.TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestDCDMJoinRowAllocFloor(t *testing.T) {
 			spCost.Invalidate(nil)
 			d.Rebase()
 		}
-		perm := rand.New(rand.NewSource(7)).Perm(g.N())
+		perm := rng.New(7).Perm(g.N())
 		for _, v := range perm[:128] {
 			d.Join(topology.NodeID(v))
 		}

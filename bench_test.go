@@ -9,7 +9,6 @@ package scmp_test
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -20,6 +19,7 @@ import (
 	"scmp/internal/mtree"
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -156,7 +156,7 @@ func BenchmarkFabric(b *testing.B) {
 // tree cost. It reports the cost and delay of the same member set under
 // kappa in {1, 1.25, 1.5, 2, inf}.
 func BenchmarkDCDMConstraint(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
+	rng := rng.New(42)
 	wg, err := topology.Waxman(topology.DefaultWaxman(100), rng)
 	if err != nil {
 		b.Fatal(err)
@@ -215,7 +215,7 @@ func BenchmarkStateScalability(b *testing.B) {
 // reported metric is the worst queueing wait (seconds) a JOIN suffered
 // before the m-router's tree computation started.
 func BenchmarkMRouterLoad(b *testing.B) {
-	g, err := topology.Random(topology.DefaultRandom(60, 4), rand.New(rand.NewSource(21)))
+	g, err := topology.Random(topology.DefaultRandom(60, 4), rng.New(21))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func BenchmarkMRouterLoad(b *testing.B) {
 // suppression) on. Reported metrics are simulator throughput and the
 // peak pending-operation queue the admission limit is bounding.
 func BenchmarkChurn(b *testing.B) {
-	g, err := topology.Random(topology.DefaultRandom(50, 3), rand.New(rand.NewSource(17)))
+	g, err := topology.Random(topology.DefaultRandom(50, 3), rng.New(17))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func BenchmarkChurn(b *testing.B) {
 // default-GOMAXPROCS arms show that the cost does not depend on the
 // worker pool.
 func BenchmarkFaultRecompute(b *testing.B) {
-	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -361,14 +361,14 @@ func BenchmarkDVMRPPruneLifetime(b *testing.B) {
 // blocks of 64 records, so B/op is that block's share per packet).
 // events/sec and ns/hop are the throughput metrics.
 func BenchmarkDataPlane(b *testing.B) {
-	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	g := wg.Graph.ScaleDelays(1e-3)
 	s := core.New(core.Config{MRouter: 0, Kappa: 1.5})
 	n := netsim.New(g, s)
-	rnd := rand.New(rand.NewSource(7))
+	rnd := rng.New(7)
 	members := make([]topology.NodeID, 0, 40)
 	for _, v := range rnd.Perm(g.N()) {
 		if v != 0 {

@@ -1,9 +1,10 @@
 // Command scmplint runs the repository's custom static-analysis suite —
 // the five analyzers of scmp/internal/lint: the determinism analyzers
-// (maporder, noclock, floatcmp) and the dataflow analyzers (poollife,
-// detshared) — over module packages and exits non-zero when any finding
-// remains. Production code that no entry point runs is not a lint
-// finding: `make reach` measures it.
+// (maporder: no range over a map in production code; noclock: math/rand
+// only in internal/rng, time only in tests and bench/; floatcmp) and
+// the dataflow analyzers (poollife, detshared) — over module packages
+// and exits non-zero when any finding remains. Production code that no
+// entry point runs is not a lint finding: `make reach` measures it.
 //
 // Usage:
 //
@@ -21,15 +22,18 @@
 // and any other "//scmplint:" comment, is a finding itself, whatever
 // -only selects.
 //
-// Exit codes: 0 clean, 1 findings, 2 load/type-check/usage error.
+// Exit codes: 0 clean, 1 findings, 2 load/type-check/usage error (an
+// -only naming an unknown analyzer reports the first in the order given).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"scmp/internal/lint"
@@ -44,54 +48,62 @@ type jsonDiag struct {
 }
 
 func main() {
-	list := flag.Bool("list", false, "list analyzers and exit")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := flag.Bool("json", false, "emit findings as a stable-sorted JSON array")
-	tests := flag.Bool("tests", false, "also load and analyze _test.go files")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: scmplint [-list] [-only a,b] [-tests] [-json] [packages]\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it parses args, writes findings to
+// stdout and errors to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("scmplint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list analyzers and exit")
+	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+	jsonOut := fs.Bool("json", false, "emit findings as a stable-sorted JSON array")
+	tests := fs.Bool("tests", false, "also load and analyze _test.go files")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: scmplint [-list] [-only a,b] [-tests] [-json] [packages]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "scmplint:", err)
+		return 2
+	}
 
 	analyzers := lint.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-15s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 	if *only != "" {
-		keep := map[string]bool{}
-		for _, name := range strings.Split(*only, ",") {
-			keep[strings.TrimSpace(name)] = true
-		}
-		var selected []*lint.Analyzer
-		for _, a := range analyzers {
-			if keep[a.Name] {
-				selected = append(selected, a)
-				delete(keep, a.Name)
+		names := strings.Split(*only, ",")
+		for i, name := range names {
+			names[i] = strings.TrimSpace(name)
+			if !slices.ContainsFunc(analyzers, func(a *lint.Analyzer) bool { return a.Name == names[i] }) {
+				return fail(fmt.Errorf("unknown analyzer %q (see -list)", names[i]))
 			}
 		}
-		for name := range keep {
-			fmt.Fprintf(os.Stderr, "scmplint: unknown analyzer %q (see -list)\n", name)
-			os.Exit(2)
-		}
-		analyzers = selected
+		analyzers = slices.DeleteFunc(analyzers, func(a *lint.Analyzer) bool { return !slices.Contains(names, a.Name) })
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	loader, err := lint.NewLoader(".")
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	loader.IncludeTests = *tests
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	diags := lint.Check(pkgs, analyzers)
 
@@ -111,24 +123,20 @@ func main() {
 				Message:  d.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "scmplint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "scmplint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "scmplint:", err)
-	os.Exit(2)
+	return 0
 }

@@ -53,20 +53,24 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	// Reject flags the selected kind would silently ignore: a 10k-node
 	// request must produce a 10k-node graph or an error, never a
-	// default-sized graph with the knob dropped on the floor.
+	// default-sized graph with the knob dropped on the floor. Visit goes
+	// in lexical order, so the first such flag is the one reported.
 	perKind := map[string]string{
 		"n": "waxman|random", "degree": "random", "alpha": "waxman", "beta": "waxman",
 		"transit-domains": "transitstub", "transit-size": "transitstub",
 		"stubs": "transitstub", "stub-size": "transitstub", "edge-prob": "transitstub",
 	}
-	for name, kinds := range perKind {
-		if set[name] && !slices.Contains(strings.Split(kinds, "|"), *kind) {
-			return fmt.Errorf("-%s applies to kind %s, not %q", name, kinds, *kind)
+	var misplaced error
+	fs.Visit(func(f *flag.Flag) {
+		kinds, ok := perKind[f.Name]
+		if ok && misplaced == nil && !slices.Contains(strings.Split(kinds, "|"), *kind) {
+			misplaced = fmt.Errorf("-%s applies to kind %s, not %q", f.Name, kinds, *kind)
 		}
+	})
+	if misplaced != nil {
+		return misplaced
 	}
 
 	var g *topology.Graph

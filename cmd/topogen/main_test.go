@@ -82,6 +82,18 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestMisplacedFlagIsTheFirstInLexicalOrder: with two flags the kind
+// would ignore, every run names the same one, the lexically first.
+func TestMisplacedFlagIsTheFirstInLexicalOrder(t *testing.T) {
+	const want = `-degree applies to kind random, not "waxman"`
+	for i := 0; i < 20; i++ {
+		err := run([]string{"-kind", "waxman", "-transit-size", "2", "-degree", "4"}, &bytes.Buffer{})
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: error %v, want %s", i, err, want)
+		}
+	}
+}
+
 // TestTransitStubDimensions: the dimension flags compose to the exact
 // requested scale — here the 10k-node instance of the hierarchical-mode
 // experiments — and the edge list exports every node's domain label.

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 
 	"scmp/internal/mtree"
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -25,7 +25,7 @@ func TestReliableRoundTripAllocFloor(t *testing.T) {
 	if mtree.InvariantChecksArmed {
 		t.Skip("invariants build: per-mutation Validate allocates freely")
 	}
-	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestReliableRoundTripAllocFloor(t *testing.T) {
 	})
 	n := netsim.New(wg.Graph.ScaleDelays(1e-5), s)
 	var routers []topology.NodeID // 8 that join and leave, then 40 resident members
-	for _, v := range rand.New(rand.NewSource(7)).Perm(n.G.N()) {
+	for _, v := range rng.New(7).Perm(n.G.N()) {
 		if v != 0 && len(routers) < 48 {
 			routers = append(routers, topology.NodeID(v))
 		}
@@ -100,7 +100,7 @@ func (nopProto) SendData(topology.NodeID, packet.GroupID, int, uint64) {}
 // copy of the arc mask per event came to 51.7 KB. One budget covers
 // both arms.
 func TestFaultReconvergeAllocFloor(t *testing.T) {
-	wg, err := topology.Waxman(topology.DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	wg, err := topology.Waxman(topology.DefaultWaxman(400), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestFaultReconvergeAllocFloor(t *testing.T) {
 	s := New(Config{MRouter: 0, Kappa: 1.5, AckTimeout: 0.05, RetryCap: 8, RefreshInterval: 2})
 	n = netsim.New(g.ScaleDelays(1e-7), s)
 	f = n.InstallFaults(netsim.FaultPlan{})
-	for _, m := range rand.New(rand.NewSource(7)).Perm(g.N())[:8] {
+	for _, m := range rng.New(7).Perm(g.N())[:8] {
 		n.HostJoin(topology.NodeID(m), 1)
 	}
 	settle := func() {

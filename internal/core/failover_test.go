@@ -1,13 +1,12 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
-	scmprng "scmp/internal/rng"
+	"scmp/internal/rng"
 	"scmp/internal/session"
 	"scmp/internal/topology"
 )
@@ -16,7 +15,7 @@ import (
 // and the standby at node 2.
 func failoverNet(t testing.TB, seed int64, n int) (*netsim.Network, *SCMP) {
 	t.Helper()
-	g, err := topology.Random(topology.DefaultRandom(n, 4), rand.New(rand.NewSource(seed)))
+	g, err := topology.Random(topology.DefaultRandom(n, 4), rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +260,7 @@ func TestFailoverKeepsEmptiedGroupSession(t *testing.T) {
 // member set derived from seed, failover restores exactly-once delivery
 // from arbitrary sources.
 func failoverDelivers(t *testing.T, seed int64) bool {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	g, err := topology.Random(topology.DefaultRandom(18, 4), rng)
 	if err != nil {
 		return false
@@ -305,7 +304,7 @@ func failoverDelivers(t *testing.T, seed int64) bool {
 // unreproducible (scmplint noclock exists for exactly this reason).
 func TestPropertyFailoverDelivery(t *testing.T) {
 	f := func(seed int64) bool { return failoverDelivers(t, seed) }
-	cfg := &quick.Config{MaxCount: 30, Rand: scmprng.New(0x5C3F)}
+	cfg := &quick.Config{MaxCount: 30, Rand: rng.New(0x5C3F)}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 
 	destime "scmp/internal/des"
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -28,7 +28,7 @@ type churnPlan struct {
 // so it interleaves with retries, shedding and refresh ticks. A
 // pre-seeded want map declares memberships that already exist — flips
 // start from it.
-func (p *churnPlan) schedule(n *netsim.Network, r *rand.Rand, groups []packet.GroupID, nodes, ops int, span float64) {
+func (p *churnPlan) schedule(n *netsim.Network, r *rng.Rand, groups []packet.GroupID, nodes, ops int, span float64) {
 	if p.want == nil {
 		p.want = map[packet.GroupID]map[topology.NodeID]bool{}
 	}
@@ -105,7 +105,7 @@ func (p *churnPlan) verify(t *testing.T, n *netsim.Network, s *SCMP, src topolog
 // HomeOf assignment — shedding, retries and parked re-attempts
 // included — once the loss heals and refresh reconverges stragglers.
 func TestMultiMRouterChurnUnderOverloadProtection(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
+	r := rng.New(41)
 	g, err := topology.Random(topology.DefaultRandom(24, 4), r)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestMultiMRouterChurnUnderOverloadProtection(t *testing.T) {
 // m-router: after the dust settles every group's tree is rooted at the
 // standby, HomeOf reports it, and the intended membership delivers.
 func TestFailoverUnderChurnWithReliableSignalling(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
+	r := rng.New(17)
 	g, err := topology.Random(topology.DefaultRandom(20, 4), r)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestFailoverThenChurnConverges(t *testing.T) {
 	s.Failover()
 	n.Run()
 
-	r := rand.New(rand.NewSource(23))
+	r := rng.New(23)
 	// Seed the plan with the pre-failover members so the flips start
 	// from the real membership.
 	plan := churnPlan{want: map[packet.GroupID]map[topology.NodeID]bool{

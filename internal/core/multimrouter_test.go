@@ -1,18 +1,18 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
 func multiNet(t testing.TB, seed int64, homes []topology.NodeID) (*netsim.Network, *SCMP) {
 	t.Helper()
-	g, err := topology.Random(topology.DefaultRandom(25, 4), rand.New(rand.NewSource(seed)))
+	g, err := topology.Random(topology.DefaultRandom(25, 4), rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMultiMRouterConfigGuards(t *testing.T) {
 // published home.
 func TestPropertyMultiMRouterChurn(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(20, 4), rng)
 		if err != nil {
 			return false

@@ -10,8 +10,6 @@
 package core
 
 import (
-	"slices"
-
 	"scmp/internal/des"
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
@@ -363,10 +361,10 @@ func (s *SCMP) armRefresh(g packet.GroupID, gs *groupState) {
 // membership change re-arms it — so Network.Run can drain.
 func (s *SCMP) refreshGroup(g packet.GroupID, gs *groupState) {
 	tree := gs.dcdm.Tree()
-	if tree.MemberCount() == 0 && tree.Size() == 1 && len(gs.deferred) == 0 {
+	if tree.MemberCount() == 0 && tree.Size() == 1 && gs.deferred.Count() == 0 {
 		return
 	}
-	if s.cfg.RefreshSuppress && len(gs.deferred) == 0 &&
+	if s.cfg.RefreshSuppress && gs.deferred.Count() == 0 &&
 		s.net.Now()-gs.lastChange < des.Time(s.cfg.RefreshInterval) {
 		// Refresh-storm suppression: the entry changed within the last
 		// interval, so the distribution that accompanied the change
@@ -394,8 +392,8 @@ func (s *SCMP) refreshGroup(g packet.GroupID, gs *groupState) {
 // have drained.
 func (s *SCMP) Quiesce() {
 	s.quiet = true
-	for _, gs := range s.groups {
-		s.stopRefresh(gs)
+	for _, g := range topology.SortedKeys(s.groups) {
+		s.stopRefresh(s.groups[g])
 	}
 	s.dropSlots(func(*reqSlot) bool { return true })
 }
@@ -465,8 +463,8 @@ func (s *SCMP) NodeUp(n topology.NodeID) {
 // runs it before its repair guard — DisableRepair turns off the
 // reaction, not the m-router's knowledge of the topology.
 func (s *SCMP) rebase() {
-	for _, gs := range s.groups {
-		gs.dcdm.Rebase()
+	for _, g := range topology.SortedKeys(s.groups) {
+		s.groups[g].dcdm.Rebase()
 	}
 }
 
@@ -481,7 +479,7 @@ func (s *SCMP) repairEndpoint(node, dead topology.NodeID) {
 		return // a crashed router repairs nothing
 	}
 	byGroup := s.entries[node]
-	for _, g := range sortedGroups(byGroup) {
+	for _, g := range topology.SortedKeys(byGroup) {
 		e := byGroup[g]
 		if !e.OnTree {
 			continue
@@ -523,7 +521,7 @@ func (s *SCMP) mrouterRejoin(g packet.GroupID, info packet.RejoinInfo) {
 	}
 	if detachAt != home && tree.OnTree(detachAt) {
 		for _, m := range gs.dcdm.DetachSubtree(detachAt) {
-			gs.deferMember(m)
+			gs.deferMember(m, s.net.G.N())
 		}
 	}
 	s.regraftDeferred(g, gs)
@@ -546,16 +544,16 @@ func (s *SCMP) mrouterRejoin(g packet.GroupID, info packet.RejoinInfo) {
 // regraftDeferred grafts every deferred member that is reachable again,
 // reporting whether the tree changed. Distribution is the caller's job.
 func (s *SCMP) regraftDeferred(g packet.GroupID, gs *groupState) bool {
-	if len(gs.deferred) == 0 {
+	if gs.deferred.Count() == 0 {
 		return false
 	}
 	home := s.home(g)
 	changed := false
-	for _, m := range topology.SortedNodes(gs.deferred) {
+	for _, m := range gs.deferred.AppendIDs(nil) {
 		if !s.net.Delay.Row(home).Reachable(m) {
 			continue
 		}
-		delete(gs.deferred, m)
+		gs.deferred.Clear(m)
 		gs.dcdm.Join(m)
 		changed = true
 	}
@@ -565,7 +563,7 @@ func (s *SCMP) regraftDeferred(g packet.GroupID, gs *groupState) bool {
 // healGroups retries deferred grafts for every group after a topology
 // heal and redistributes the trees that changed.
 func (s *SCMP) healGroups() {
-	for _, g := range sortedGroups(s.groups) {
+	for _, g := range topology.SortedKeys(s.groups) {
 		gs := s.groups[g]
 		if s.regraftDeferred(g, gs) {
 			gs.lastChange = s.net.Now()
@@ -585,15 +583,4 @@ func (s *SCMP) recordRecovery(e *entry) {
 	}
 	e.repairing = false
 	s.net.Metrics.OnRecovery(float64(s.net.Now() - e.repairT0))
-}
-
-// sortedGroups returns the group ids keying m in ascending order, for
-// deterministic iteration wherever group processing sends packets.
-func sortedGroups[V any](m map[packet.GroupID]V) []packet.GroupID {
-	out := make([]packet.GroupID, 0, len(m))
-	for g := range m {
-		out = append(out, g)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -142,7 +142,7 @@ func TestPruneAtOffTreeRouterIgnored(t *testing.T) {
 // never panics and never breaks an established tree's delivery.
 func TestPropertyGarbageResilience(t *testing.T) {
 	f := func(seed int64, raw []byte) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(12, 3), rng)
 		if err != nil {
 			return false

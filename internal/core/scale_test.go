@@ -1,11 +1,11 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -16,14 +16,14 @@ func TestScaleLargeDomain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test skipped in -short mode")
 	}
-	g, err := topology.Random(topology.DefaultRandom(200, 4), rand.New(rand.NewSource(12)))
+	g, err := topology.Random(topology.DefaultRandom(200, 4), rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g = g.ScaleDelays(1e-3)
 	s := New(Config{MRouter: 0, Kappa: 1.5})
 	n := netsim.New(g, s)
-	rng := rand.New(rand.NewSource(99))
+	rng := rng.New(99)
 
 	const groups = 20
 	members := make([]map[topology.NodeID]bool, groups+1)

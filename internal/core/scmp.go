@@ -93,8 +93,8 @@ type groupState struct {
 	refresh des.Timer
 	// deferred holds members the m-router could not graft because the
 	// faulted topology has no path to them; they are retried on every
-	// refresh tick and topology heal.
-	deferred map[topology.NodeID]bool
+	// refresh tick and topology heal. It stays nil until the first one.
+	deferred netsim.NodeSet
 	// lastChange timestamps the group's most recent membership or
 	// repair change (with its accompanying distribution); the
 	// refresh-suppression heuristic compares it against the refresh
@@ -112,11 +112,18 @@ type deferredAck struct {
 	seq  uint64
 }
 
-func (gs *groupState) deferMember(m topology.NodeID) {
+// deferMember records m as deferred in a network of n routers.
+func (gs *groupState) deferMember(m topology.NodeID, n int) {
 	if gs.deferred == nil {
-		gs.deferred = make(map[topology.NodeID]bool)
+		gs.deferred = netsim.NewNodeSet(n)
 	}
-	gs.deferred[m] = true
+	gs.deferred.Set(m)
+}
+
+func (gs *groupState) undefer(m topology.NodeID) {
+	if gs.deferred != nil {
+		gs.deferred.Clear(m)
+	}
 }
 
 // Config parameterises an SCMP domain.
@@ -556,12 +563,12 @@ func (s *SCMP) mrouterJoin(member topology.NodeID, g packet.GroupID) {
 	// Replicate on the way out: the snapshot must reflect the member set
 	// after this join lands (grafted or deferred).
 	defer s.replicate(g, gs)
-	delete(gs.deferred, member)
+	gs.undefer(member)
 	if member != s.home(g) && !s.net.Delay.Row(s.home(g)).Reachable(member) {
 		// The member is partitioned away from the m-router right now:
 		// grafting would fail. Remember it; the refresh tick and every
 		// topology heal retry the graft.
-		gs.deferMember(member)
+		gs.deferMember(member, s.net.G.N())
 		return
 	}
 	res := gs.dcdm.Join(member)
@@ -594,7 +601,7 @@ func (s *SCMP) mrouterLeave(member topology.NodeID, g packet.GroupID) {
 		return
 	}
 	_ = s.acct.MemberLeft(g, member)
-	delete(gs.deferred, member)
+	gs.undefer(member)
 	gs.lastChange = s.net.Now()
 	gs.dcdm.Leave(member)
 	s.syncMRouterEntry(g, gs)
@@ -617,12 +624,10 @@ func (s *SCMP) replicate(g packet.GroupID, gs *groupState) {
 		return // no standby, or the standby itself is already active
 	}
 	members := append(s.path[:0], gs.dcdm.Tree().Members()...)
-	for m := range gs.deferred {
-		// Deferred (currently partitioned) members are members too: a
-		// failover must not forget them just because grafting is waiting
-		// on a topology heal.
-		members = append(members, m)
-	}
+	// Deferred (currently partitioned) members are members too: a
+	// failover must not forget them just because grafting is waiting on
+	// a topology heal.
+	members = gs.deferred.AppendIDs(members)
 	slices.Sort(members)
 	s.path = members
 	s.buf = packet.AppendBranch(s.buf[:0], members) // the member-set snapshot layout
@@ -694,9 +699,10 @@ func (s *SCMP) Failover() {
 		return // already failed over
 	}
 	// The dead primary's forwarding entries die with it.
-	for _, e := range s.entries[s.homes[0]] {
-		e.OnTree = false
-		e.SetDownstream(nil)
+	dead := s.entries[s.homes[0]]
+	for _, g := range topology.SortedKeys(dead) {
+		dead[g].OnTree = false
+		dead[g].SetDownstream(nil)
 	}
 	s.homes[0] = s.cfg.Standby
 	s.epoch++
@@ -709,11 +715,11 @@ func (s *SCMP) Failover() {
 	// timers would survive them — firing forever, redistributing the
 	// stale pre-failover tree, and unreachable by Quiesce (which walks
 	// the new map). Kill them here.
-	for _, gs := range old {
-		s.stopRefresh(gs)
+	for _, g := range topology.SortedKeys(old) {
+		s.stopRefresh(old[g])
 	}
 	s.groups = make(map[packet.GroupID]*groupState)
-	for _, g := range sortedGroups(s.replica) {
+	for _, g := range topology.SortedKeys(s.replica) {
 		gs := s.group(g) // rooted at the new active m-router, in this epoch
 		if prev := old[g]; prev != nil {
 			gs.session = prev.session // the accounting session outlives its m-router

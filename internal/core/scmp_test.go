@@ -2,13 +2,13 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"scmp/internal/des"
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -322,12 +322,12 @@ func TestDisableBranchAblation(t *testing.T) {
 // change is small, using a TREE packet containing the whole tree
 // structure is too expensive").
 func BenchmarkTreeVsBranch(b *testing.B) {
-	g, err := topology.Random(topology.DefaultRandom(50, 3), rand.New(rand.NewSource(9)))
+	g, err := topology.Random(topology.DefaultRandom(50, 3), rng.New(9))
 	if err != nil {
 		b.Fatal(err)
 	}
 	g = g.ScaleDelays(1e-3)
-	rng := rand.New(rand.NewSource(10))
+	rng := rng.New(10)
 	var joins []netsim.Step // 0.01 s apart from t=0
 	for _, v := range rng.Perm(g.N())[:25] {
 		if v != 0 {
@@ -420,7 +420,7 @@ func TestMultipleGroupsIsolated(t *testing.T) {
 // member exactly once.
 func TestPropertySCMPChurnDelivery(t *testing.T) {
 	f := func(seed int64, kappaSel uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(20, 4), rng)
 		if err != nil {
 			return false
@@ -467,7 +467,7 @@ func TestPropertySCMPChurnDelivery(t *testing.T) {
 // equals the tree parent.
 func TestPropertyEntriesMirrorTree(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(18, 4), rng)
 		if err != nil {
 			return false
@@ -503,7 +503,7 @@ func TestPropertyEntriesMirrorTree(t *testing.T) {
 }
 
 func BenchmarkSCMPJoinLeaveCycle(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	g, err := topology.Random(topology.DefaultRandom(50, 4), rng)
 	if err != nil {
 		b.Fatal(err)

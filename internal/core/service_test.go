@@ -1,12 +1,12 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"scmp/internal/des"
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -84,7 +84,7 @@ func TestServiceFIFO(t *testing.T) {
 	for _, procs := range []int{1, 2, 5} {
 		sched := des.New()
 		sc, log := newLoggedCenter(sched, 0.3, procs)
-		rng := rand.New(rand.NewSource(int64(procs)))
+		rng := rng.New(int64(procs))
 		next, peak := uint64(1), 0
 		for i := 0; i < 2000; i++ {
 			sched.RunUntil(sched.Now() + des.Time(rng.Intn(3))*0.1)
@@ -123,7 +123,7 @@ func TestServiceProcessorsFloor(t *testing.T) {
 // join burst at a single-processor m-router queues; adding processors
 // removes the queueing.
 func TestMRouterLoadAblation(t *testing.T) {
-	g, err := topology.Random(topology.DefaultRandom(40, 4), rand.New(rand.NewSource(8)))
+	g, err := topology.Random(topology.DefaultRandom(40, 4), rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMRouterLoadAblation(t *testing.T) {
 }
 
 func TestServiceDelaysJoinButDelivers(t *testing.T) {
-	g, err := topology.Random(topology.DefaultRandom(20, 4), rand.New(rand.NewSource(9)))
+	g, err := topology.Random(topology.DefaultRandom(20, 4), rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,11 @@ package des
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"scmp/internal/rng"
 )
 
 func TestZeroValueReady(t *testing.T) {
@@ -195,7 +196,7 @@ func TestPropertyMonotonicDispatch(t *testing.T) {
 // two schedulers fed the same seed dispatch identical sequences.
 func TestPropertyDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		s := New()
 		var trace []Time
 		var spawn func(depth int)
@@ -432,7 +433,7 @@ func TestRefEquivalence(t *testing.T) {
 		id int
 	}
 	run := func(s scheduler, seed int64, lanes int) []fire {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		var trace []fire
 		var timers []handle
 		first := s.NewLanes(lanes)

@@ -2,8 +2,9 @@ package des
 
 import (
 	"math"
-	"math/rand"
 	"testing"
+
+	"scmp/internal/rng"
 )
 
 // fuzzRecord is one line of a program's trace: a dispatched event (id >
@@ -116,11 +117,11 @@ func runProgram(s scheduler, prog []byte) []fuzzRecord {
 // on the reference scheduler and demands identical traces: every
 // dispatch at the same time in the same order, and the same clock,
 // Fired and Pending after every top-level operation. The seeds are
-// byte strings from TestRefEquivalence's generator (math/rand at seeds
+// byte strings from TestRefEquivalence's generator (rng.New at seeds
 // 0–15); `make smoke-fuzz` runs the fuzzer for ten seconds.
 func FuzzRefEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		prog := make([]byte, 32+rng.Intn(480))
 		rng.Read(prog)
 		f.Add(prog)

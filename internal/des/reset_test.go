@@ -1,8 +1,9 @@
 package des
 
 import (
-	"math/rand"
 	"testing"
+
+	"scmp/internal/rng"
 )
 
 // fwdSink forwards to the sink the running program installed: a reset
@@ -33,7 +34,7 @@ func newReused() reused {
 // and mark where New does.
 func TestResetMatchesNew(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		first, prog := make([]byte, 32+rng.Intn(480)), make([]byte, 32+rng.Intn(480))
 		rng.Read(first)
 		rng.Read(prog)

@@ -2,8 +2,9 @@ package des
 
 import (
 	"math"
-	"math/rand"
 	"testing"
+
+	"scmp/internal/rng"
 )
 
 // timerLog is a Sink recording every timer it receives with the firing
@@ -36,7 +37,7 @@ func TestTimerOrderMatchesClosures(t *testing.T) {
 		s.SetSink(nopSink())
 		lane := s.NewLanes(1)
 		log := &timerLog{s: s}
-		rng := rand.New(rand.NewSource(5))
+		rng := rng.New(5)
 		var timers []Timer
 		for i := 0; i < 400; i++ {
 			at := Time(rng.Intn(40)) // many exact ties

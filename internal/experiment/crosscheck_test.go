@@ -6,7 +6,6 @@ package experiment
 // graph-level ground truth.
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +15,7 @@ import (
 	"scmp/internal/protocols/cbt"
 	"scmp/internal/protocols/dvmrp"
 	"scmp/internal/protocols/mospf"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -75,7 +75,7 @@ func sameLinks(a, b map[[2]topology.NodeID]bool) bool {
 // computes (both use the identical deterministic Dijkstra).
 func TestPropertyMOSPFDataEqualsSPT(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(18, 4), rng)
 		if err != nil {
 			return false
@@ -101,7 +101,7 @@ func TestPropertyMOSPFDataEqualsSPT(t *testing.T) {
 // the shortest-delay source tree restricted to member paths.
 func TestPropertyDVMRPSteadyStateEqualsSPT(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(18, 4), rng)
 		if err != nil {
 			return false
@@ -133,7 +133,7 @@ func TestPropertyDVMRPSteadyStateEqualsSPT(t *testing.T) {
 // unicast path the join followed.
 func TestPropertyCBTBranchesFollowUnicastRoutes(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(18, 4), rng)
 		if err != nil {
 			return false

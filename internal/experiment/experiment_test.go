@@ -3,10 +3,10 @@ package experiment
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -31,7 +31,7 @@ func TestBuildTopologyNames(t *testing.T) {
 }
 
 func TestPickMembersExcludes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	for trial := 0; trial < 20; trial++ {
 		ms := pickMembers(rng, 10, 9, 3)
 		if len(ms) != 9 {
@@ -243,7 +243,7 @@ func TestPlaceRules(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.MustAddEdge(topology.NodeID(i), topology.NodeID(i+1), 1, 1)
 	}
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	if got := Place("rule3-diameter", g, rng); got != 2 {
 		t.Fatalf("rule3 = %d, want midpoint 2", got)
 	}

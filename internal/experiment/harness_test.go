@@ -6,10 +6,10 @@ package experiment
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 
+	"scmp/internal/rng"
 	"scmp/internal/stats"
 )
 
@@ -92,7 +92,7 @@ func TestWriteFig7PartialSlice(t *testing.T) {
 // must fail loudly instead of quietly shrinking the group (which would
 // silently skew every averaged sweep point).
 func TestPickMembersPanicsWhenShort(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	// k = n with a real exclusion: only n-1 candidates.
 	func() {
 		defer func() {

@@ -2,9 +2,10 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"scmp/internal/packet"
+	"scmp/internal/topology"
 )
 
 // GroupConn describes one many-to-many connection through the fabric:
@@ -50,9 +51,11 @@ func (f *Fabric) Configure(groups map[packet.GroupID]GroupConn) (*Configuration,
 	usedIn := make(map[int]packet.GroupID)
 	usedOut := make(map[int]packet.GroupID)
 	total := 0
-	gids := make([]packet.GroupID, 0, len(groups))
-	for gid, gc := range groups {
-		gids = append(gids, gid)
+	gids := topology.SortedKeys(groups) // so the lowest bad group is the one reported
+	cfgGroups := make(map[packet.GroupID]GroupConn, len(groups))
+	for _, gid := range gids {
+		gc := groups[gid]
+		cfgGroups[gid] = GroupConn{Inputs: append([]int(nil), gc.Inputs...), Output: gc.Output}
 		if len(gc.Inputs) == 0 {
 			return nil, fmt.Errorf("fabric: group %d has no inputs", gid)
 		}
@@ -77,25 +80,23 @@ func (f *Fabric) Configure(groups map[packet.GroupID]GroupConn) (*Configuration,
 	if total > f.n {
 		return nil, fmt.Errorf("fabric: %d inputs exceed fabric size %d", total, f.n)
 	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
 
-	// PN: pack each group's inputs into a contiguous run of middle lines.
+	// PN: pack each group's inputs into a contiguous run of middle
+	// lines. DN: each run's leading line goes to the group's output port.
 	pnPerm := make([]int, f.n)
-	for i := range pnPerm {
-		pnPerm[i] = -1
-	}
+	dnPerm := make([]int, f.n)
 	runStart := make([]int, f.n)
-	for i := range runStart {
-		runStart[i] = -1
+	for i := range pnPerm {
+		pnPerm[i], dnPerm[i], runStart[i] = -1, -1, -1
 	}
 	groupOfRun := make(map[int]packet.GroupID)
 	next := 0
 	for _, gid := range gids {
-		gc := groups[gid]
-		ins := append([]int(nil), gc.Inputs...)
-		sort.Ints(ins)
+		ins := cfgGroups[gid].Inputs // the configuration's own copy
+		slices.Sort(ins)
 		start := next
 		groupOfRun[start] = gid
+		dnPerm[start] = cfgGroups[gid].Output
 		for _, in := range ins {
 			pnPerm[in] = next
 			runStart[next] = start
@@ -103,15 +104,6 @@ func (f *Fabric) Configure(groups map[packet.GroupID]GroupConn) (*Configuration,
 		}
 	}
 	fillPartial(pnPerm)
-
-	// DN: each run's leading line goes to the group's output port.
-	dnPerm := make([]int, f.n)
-	for i := range dnPerm {
-		dnPerm[i] = -1
-	}
-	for start, gid := range groupOfRun {
-		dnPerm[start] = groups[gid].Output
-	}
 	fillPartial(dnPerm)
 
 	pn, err := routeBenes(pnPerm)
@@ -121,10 +113,6 @@ func (f *Fabric) Configure(groups map[packet.GroupID]GroupConn) (*Configuration,
 	dn, err := routeBenes(dnPerm)
 	if err != nil {
 		return nil, err
-	}
-	cfgGroups := make(map[packet.GroupID]GroupConn, len(groups))
-	for gid, gc := range groups {
-		cfgGroups[gid] = GroupConn{Inputs: append([]int(nil), gc.Inputs...), Output: gc.Output}
 	}
 	cfg := &Configuration{
 		n: f.n, pn: pn, dn: dn,

@@ -1,12 +1,12 @@
 package fabric
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 )
 
 func TestBenesIdentityAndReverse(t *testing.T) {
@@ -63,7 +63,7 @@ func TestBenesDepth(t *testing.T) {
 func TestPropertyBenesArbitraryPermutations(t *testing.T) {
 	f := func(seed int64, sizeSel uint8) bool {
 		n := []int{2, 4, 8, 16, 32, 64}[int(sizeSel)%6]
-		perm := rand.New(rand.NewSource(seed)).Perm(n)
+		perm := rng.New(seed).Perm(n)
 		b, err := routeBenes(perm)
 		if err != nil {
 			return false
@@ -146,6 +146,23 @@ func TestConfigureRejections(t *testing.T) {
 	}
 }
 
+// TestConfigureReportsLowestBadGroup: with two bad groups, every run
+// names the lower id.
+func TestConfigureReportsLowestBadGroup(t *testing.T) {
+	f, _ := New(4)
+	groups := map[packet.GroupID]GroupConn{
+		7: {Inputs: []int{9}, Output: 0},
+		3: {Output: 1},
+		5: {Inputs: []int{2}, Output: 2},
+	}
+	const want = "fabric: group 3 has no inputs"
+	for i := 0; i < 20; i++ {
+		if _, err := f.Configure(groups); err == nil || err.Error() != want {
+			t.Fatalf("run %d: Configure = %v, want %s", i, err, want)
+		}
+	}
+}
+
 func TestConfigureEmpty(t *testing.T) {
 	f, _ := New(4)
 	cfg, err := f.Configure(nil)
@@ -169,7 +186,7 @@ func TestConfigureEmpty(t *testing.T) {
 func TestPropertyFabricIsolation(t *testing.T) {
 	f := func(seed int64, sizeSel uint8) bool {
 		n := []int{4, 8, 16, 32, 64}[int(sizeSel)%5]
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		fab, err := New(n)
 		if err != nil {
 			return false
@@ -219,8 +236,9 @@ func TestPropertyFabricIsolation(t *testing.T) {
 
 // Verify accepts a freshly routed configuration and rejects each
 // corruption of it with an error naming the broken property: group 1's
-// run relabelled as group 2's (a cross-group connection), and an idle
-// input's middle line spliced into group 2's run.
+// run relabelled as group 2's (a cross-group connection), an idle
+// input's middle line spliced into group 2's run, and two groups' runs
+// interleaved, which every input's Route still gets right.
 func TestVerifyRejectsCorruption(t *testing.T) {
 	configure := func() *Configuration {
 		f, err := New(8)
@@ -250,6 +268,22 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		{"idle input spliced into a run", func(c *Configuration) {
 			c.runStart[c.pn.route(7)] = c.runStart[c.pn.route(1)]
 		}, "idle input 7 routes as group 2"},
+		{"interleaved runs", func(c *Configuration) {
+			// Inputs 4 (group 1) and 1 (group 2) trade middle lines and
+			// keep their labels: Route stays right, the runs interleave.
+			perm := make([]int, c.n)
+			for i := range perm {
+				perm[i] = c.pn.route(i)
+			}
+			a, b := perm[4], perm[1]
+			perm[4], perm[1] = b, a
+			pn, err := routeBenes(perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.pn = pn
+			c.runStart[a], c.runStart[b] = c.runStart[b], c.runStart[a]
+		}, "run 3 is not contiguous at middle line 1"},
 	} {
 		cfg := configure()
 		tc.corrupt(cfg)

@@ -6,30 +6,6 @@ import (
 	"testing"
 )
 
-func TestNoClockRelaxedInTestFiles(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.CheckSource("scmp/internal/experiment", map[string]string{
-		"scmp/internal/experiment/x_test.go": `
-package experiment
-import "math/rand"
-func mk(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-func draw() int { return rand.Intn(10) }`,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, d := range Check([]*Package{pkg}, []*Analyzer{NoClock}) {
-		got = append(got, d.String())
-	}
-	// rand.New/NewSource are the fixture idiom in tests; the globally
-	// seeded rand.Intn stays flagged everywhere.
-	wantFindings(t, got, "global rand.Intn")
-}
-
 func TestFloatCmpRelaxedInTestFiles(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {

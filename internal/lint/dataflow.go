@@ -112,12 +112,23 @@ func objOf(info *types.Info, e ast.Expr) *types.Var {
 // rootObj resolves the base variable of a selector/index/star chain
 // (x.f[i].g -> x), nil when the chain does not root in an identifier.
 func rootObj(info *types.Info, e ast.Expr) *types.Var {
-	root := rootIdent(e)
-	if root == nil {
-		return nil
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			v, _ := info.ObjectOf(x).(*types.Var)
+			return v
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
 	}
-	v, _ := info.ObjectOf(root).(*types.Var)
-	return v
 }
 
 // declaredWithin reports whether obj's declaration lies inside node.

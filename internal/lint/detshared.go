@@ -66,8 +66,9 @@ func runDetSharedFacts(p *Pass) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for obj, w := range writes {
-			if w {
+		for _, fi := range funcs {
+			obj := fi.obj
+			if obj == nil || writes[obj] {
 				continue
 			}
 			for _, callee := range callees[obj] {
@@ -87,9 +88,9 @@ func runDetSharedFacts(p *Pass) {
 			}
 		}
 	}
-	for obj, w := range writes {
-		if w {
-			p.ExportFact(obj, detsharedFact{})
+	for _, fi := range funcs {
+		if fi.obj != nil && writes[fi.obj] {
+			p.ExportFact(fi.obj, detsharedFact{})
 		}
 	}
 }

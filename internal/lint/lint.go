@@ -105,8 +105,8 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
 // InTestFile reports whether pos lies in a _test.go file (only possible
 // when the loader ran with IncludeTests). Analyzers use it to relax
-// rules that only bind production code — e.g. noclock permits locally
-// seeded rand construction in tests.
+// rules that only bind production code — e.g. maporder lets tests range
+// over maps, and noclock lets them import time.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }

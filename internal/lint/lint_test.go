@@ -2,20 +2,22 @@ package lint
 
 import (
 	"go/types"
+	"path"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// runOn type-checks src as a synthetic package at importPath and
-// returns the analyzer's findings as formatted strings.
-func runOn(t *testing.T, a *Analyzer, importPath, src string) []string {
+// runOn type-checks src as the one file of a synthetic package (the
+// package's import path is file's directory) and returns the analyzer's
+// findings as formatted strings.
+func runOn(t *testing.T, a *Analyzer, file, src string) []string {
 	t.Helper()
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.CheckSource(importPath, map[string]string{importPath + "/x.go": src})
+	pkg, err := loader.CheckSource(path.Dir(file), map[string]string{file: src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,65 +40,61 @@ func wantFindings(t *testing.T, got []string, want ...string) {
 	}
 }
 
-func TestMapOrderFlagsUnsortedSend(t *testing.T) {
-	got := runOn(t, MapOrder, "scmp/internal/core", `
-package core
-type pkt struct{}
-type net struct{}
-func (net) SendLink(to int, p pkt) {}
-func fanOut(n net, downstream map[int]bool) {
-	for d := range downstream {
-		n.SendLink(d, pkt{})
-	}
-}`)
-	wantFindings(t, got, "range over map downstream is iteration-order dependent")
-}
-
-func TestMapOrderFlagsEscapingAppend(t *testing.T) {
-	got := runOn(t, MapOrder, "scmp/internal/core", `
-package core
-func collect(m map[string]int) []string {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k)
-	}
-	return keys
-}`)
-	wantFindings(t, got, "appends to keys")
-}
-
-func TestMapOrderAllowsCollectThenSort(t *testing.T) {
-	got := runOn(t, MapOrder, "scmp/internal/core", `
+// TestMapOrderFlagsEveryMapRange: a range over a map is flagged
+// whatever its body does — a send, a pure read, or collecting keys that
+// are sorted afterwards — and so is a range over a type parameter
+// whose constraint is a map. Ranges over slices are not.
+func TestMapOrderFlagsEveryMapRange(t *testing.T) {
+	got := runOn(t, MapOrder, "scmp/internal/core/x.go", `
 package core
 import "sort"
-func collect(m map[string]int) []string {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k)
+func fanOut(downstream map[int]bool, send func(int)) {
+	for d := range downstream {
+		send(d)
 	}
-	sort.Strings(keys)
-	return keys
-}`)
-	wantFindings(t, got)
 }
-
-func TestMapOrderAllowsLoopLocalAppendAndPureReads(t *testing.T) {
-	got := runOn(t, MapOrder, "scmp/internal/core", `
-package core
-func sum(m map[int]float64) float64 {
-	total := 0.0
+func sum[M ~map[int]float64](m M) (total float64) {
 	for _, v := range m {
-		parts := []float64{}
-		parts = append(parts, v)
-		total += parts[0]
+		total += v
 	}
 	return total
+}
+func keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+func slicesAreFine[S ~[]int](s S, t []int) (n int) {
+	for range s {
+		n++
+	}
+	for range t {
+		n++
+	}
+	return n
 }`)
-	wantFindings(t, got)
+	wantFindings(t, got, "range over map downstream", "range over map m", "range over map m")
+}
+
+// TestMapOrderExemptsTestFilesAndBench: the rule binds production code;
+// test files and the frozen bench/ harness may range over maps.
+func TestMapOrderExemptsTestFilesAndBench(t *testing.T) {
+	const body = `
+func sum(m map[int]float64) (total float64) {
+	for _, v := range m {
+		total += v
+	}
+	return total
+}`
+	wantFindings(t, runOn(t, MapOrder, "scmp/internal/core/x_test.go", "package core"+body))
+	wantFindings(t, runOn(t, MapOrder, "scmp/bench/x.go", "package main"+body))
 }
 
 func TestMapOrderIgnoreComment(t *testing.T) {
-	got := runOn(t, MapOrder, "scmp/internal/core", `
+	got := runOn(t, MapOrder, "scmp/internal/core/x.go", `
 package core
 func emit(m map[int]bool, send func(int)) {
 	//scmplint:ignore maporder — order independent by construction
@@ -107,67 +105,59 @@ func emit(m map[int]bool, send func(int)) {
 	wantFindings(t, got)
 }
 
-func TestNoClockFlagsWallClockInStrictPackage(t *testing.T) {
-	got := runOn(t, NoClock, "scmp/internal/des", `
-package des
+// TestNoClockFlagsTimeOutsideBenchAndTests: importing time is flagged
+// in any production package, for a type reference too; test files and
+// bench/ may import it.
+func TestNoClockFlagsTimeOutsideBenchAndTests(t *testing.T) {
+	const stamp = `
 import "time"
-func stamp() int64 { return time.Now().UnixNano() }`)
-	wantFindings(t, got, "wall-clock time.Now")
+func stamp() int64 { return time.Now().UnixNano() }`
+	wantFindings(t, runOn(t, NoClock, "scmp/internal/core/x.go", "package core"+stamp), "imports time")
+	wantFindings(t, runOn(t, NoClock, "scmp/cmd/scmpsim/x.go", `package main
+import "time"
+var timeout time.Duration`), "imports time")
+	wantFindings(t, runOn(t, NoClock, "scmp/internal/core/x_test.go", "package core"+stamp))
+	wantFindings(t, runOn(t, NoClock, "scmp/bench/x.go", "package main"+stamp))
 }
 
-func TestNoClockAllowsWallClockOutsideStrictPackages(t *testing.T) {
-	got := runOn(t, NoClock, "scmp/cmd/scmpsim", `
-package main
-import "time"
-func stamp() int64 { return time.Now().UnixNano() }`)
-	wantFindings(t, got)
-}
-
+// TestNoClockFlagsGlobalRandEverywhere: only internal/rng imports
+// math/rand or math/rand/v2. Everywhere else, a test file included, the
+// import is the finding, whether the file calls the globally seeded
+// functions or seeds its own generator; tests draw from rng.New too.
 func TestNoClockFlagsGlobalRandEverywhere(t *testing.T) {
-	got := runOn(t, NoClock, "scmp/internal/experiment", `
-package experiment
+	const src = `
 import "math/rand"
-func draw() int { return rand.Intn(10) }`)
-	wantFindings(t, got, "global rand.Intn")
-}
-
-func TestNoClockFlagsDirectConstructionOutsideRng(t *testing.T) {
-	got := runOn(t, NoClock, "scmp/internal/experiment", `
-package experiment
-import "math/rand"
-func mk(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }`)
-	wantFindings(t, got, "direct rand.New", "direct rand.NewSource")
-}
-
-func TestNoClockAllowsTypeReferencesAndRngPackage(t *testing.T) {
-	got := runOn(t, NoClock, "scmp/internal/rng", `
-package rng
-import "math/rand"
-func mk(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }`)
-	wantFindings(t, got)
+func mk(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+func draw() int { return rand.Intn(10) }`
+	wantFindings(t, runOn(t, NoClock, "scmp/internal/experiment/x_test.go", "package experiment"+src), "imports math/rand")
+	wantFindings(t, runOn(t, NoClock, "scmp/internal/experiment/x.go", `package experiment
+import "math/rand/v2"
+func draw() int { return rand.IntN(10) }`), "imports math/rand/v2")
+	wantFindings(t, runOn(t, NoClock, "scmp/internal/rng/x.go", "package rng"+src))
+	wantFindings(t, runOn(t, NoClock, "scmp/internal/rng/x_test.go", "package rng"+src))
 }
 
 func TestFloatCmpFlagsComputedEquality(t *testing.T) {
-	got := runOn(t, FloatCmp, "scmp/internal/mtree", `
+	got := runOn(t, FloatCmp, "scmp/internal/mtree/x.go", `
 package mtree
 func tie(a, b float64) bool { return a == b }`)
 	wantFindings(t, got, "floating-point ==")
 }
 
 func TestFloatCmpAllowsConstantsOrderingAndOtherPackages(t *testing.T) {
-	got := runOn(t, FloatCmp, "scmp/internal/mtree", `
+	got := runOn(t, FloatCmp, "scmp/internal/mtree/x.go", `
 package mtree
 func sentinel(a float64) bool { return a == 0 }
 func order(a, b float64) bool { return a < b }`)
 	wantFindings(t, got)
-	got = runOn(t, FloatCmp, "scmp/internal/experiment", `
+	got = runOn(t, FloatCmp, "scmp/internal/experiment/x.go", `
 package experiment
 func tie(a, b float64) bool { return a == b }`)
 	wantFindings(t, got)
 }
 
 func TestNamedFloatTypesAreFlagged(t *testing.T) {
-	got := runOn(t, FloatCmp, "scmp/internal/des", `
+	got := runOn(t, FloatCmp, "scmp/internal/des/x.go", `
 package des
 type Time float64
 func same(a, b Time) bool { return a == b }`)
@@ -179,7 +169,7 @@ func same(a, b Time) bool { return a == b }`)
 // must not silence floatcmp.
 func TestIgnoreReasonIsNotAnAnalyzerName(t *testing.T) {
 	for _, sep := range []string{"—", "--"} {
-		got := runOn(t, FloatCmp, "scmp/internal/mtree", `
+		got := runOn(t, FloatCmp, "scmp/internal/mtree/x.go", `
 package mtree
 func tie(a, b float64) bool {
 	//scmplint:ignore maporder `+sep+` all amortised
@@ -199,7 +189,7 @@ func tie(a, b float64) bool {
 // (a stale hotpath) are each a finding, whichever analyzers run, and
 // silence nothing.
 func TestMalformedDirectivesAreFindings(t *testing.T) {
-	got := runOn(t, FloatCmp, "scmp/internal/mtree", `
+	got := runOn(t, FloatCmp, "scmp/internal/mtree/x.go", `
 package mtree
 func bare(a, b float64) bool {
 	//scmplint:ignore

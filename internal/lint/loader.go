@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -111,7 +110,7 @@ func (l *Loader) ModuleDir() string { return l.moduleDir }
 // Load resolves patterns ("./...", "./internal/core", or full import
 // paths) into loaded packages, sorted by import path.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	paths := map[string]bool{}
+	var paths []string
 	for _, pat := range patterns {
 		switch {
 		case pat == "..." || strings.HasSuffix(pat, "/..."):
@@ -121,21 +120,18 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 				return nil, err
 			}
 			for _, d := range dirs {
-				paths[l.importPathFor(d)] = true
+				paths = append(paths, l.importPathFor(d))
 			}
 		case strings.HasPrefix(pat, "./") || pat == ".":
-			paths[l.importPathFor(filepath.Join(l.moduleDir, filepath.FromSlash(strings.TrimPrefix(pat, "./"))))] = true
+			paths = append(paths, l.importPathFor(filepath.Join(l.moduleDir, filepath.FromSlash(strings.TrimPrefix(pat, "./")))))
 		default:
-			paths[pat] = true
+			paths = append(paths, pat)
 		}
 	}
-	sorted := make([]string, 0, len(paths))
-	for p := range paths {
-		sorted = append(sorted, p)
-	}
-	sort.Strings(sorted)
-	out := make([]*Package, 0, len(sorted))
-	for _, p := range sorted {
+	slices.Sort(paths)
+	paths = slices.Compact(paths)
+	out := make([]*Package, 0, len(paths))
+	for _, p := range paths {
 		pkg, err := l.loadPath(p)
 		if err != nil {
 			return nil, err
@@ -150,7 +146,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	// package that imports its base (netsim's imports core, which
 	// imports netsim), and a check inside the base's load would find
 	// that package still loading.
-	for _, p := range sorted {
+	for _, p := range paths {
 		if files := l.extFiles[p]; len(files) > 0 && l.exts[p] == nil {
 			ext, err := l.check(p+" [tests]", files)
 			if err != nil {

@@ -6,223 +6,61 @@ import (
 	"strings"
 )
 
-// MapOrder flags `for … range` over a map whose body has protocol-visible
-// effects in iteration order: sending a packet (any call whose name
-// carries a send/schedule-style verb), a channel send, or appending to a
-// slice that outlives the loop without a deterministic sort afterwards.
-// Go randomises map iteration order per run, so any such loop makes the
-// m-router's centrally computed trees — and every downstream figure —
-// differ run to run. The fix is to iterate a sorted key slice instead
-// (see core's sortedNodes helper).
+// MapOrder forbids `range` over a map, or over a type parameter
+// constrained to maps, outside _test.go files and the frozen bench/.
+// Go randomises map order per run, and a walk leaks it through whatever
+// it does first (a send, an append, the error it returns), so no walk is
+// guessed harmless: walk a slice, a node-indexed table or sorted keys.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc:  "flags map iteration with order-dependent protocol effects (sends, escaping appends)",
+	Doc:  "forbids range over a map in production code (outside tests and bench/)",
 	Run:  runMapOrder,
 }
 
-// orderVerbs are call-name prefixes treated as protocol-visible effects:
-// anything that transmits, schedules or hands work onward in iteration
-// order. Matched case-insensitively against the final selector name.
-var orderVerbs = []string{
-	"send", "deliver", "schedule", "forward", "emit", "enqueue",
-	"distribute", "broadcast", "publish", "submit", "replicate",
-}
-
 func runMapOrder(p *Pass) {
+	if inBench(p.Path) {
+		return
+	}
 	for _, f := range p.Files {
-		walk(f, func(n ast.Node, stack []ast.Node) {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok || !isMapType(p.TypeOf(rs.X)) {
-				return
+		if p.InTestFile(f.Pos()) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if rs, ok := n.(*ast.RangeStmt); ok && isMap(p.TypeOf(rs.X)) {
+				p.Reportf(rs.Pos(), "range over map %s: its order differs run to run; walk a slice or sorted keys", exprString(rs.X))
 			}
-			if reason, _ := orderSensitiveEffect(p, rs, enclosingFuncBody(stack)); reason != "" {
-				p.Reportf(rs.Pos(), "range over map %s is iteration-order dependent: %s; iterate sorted keys instead",
-					exprString(rs.X), reason)
-			}
+			return true
 		})
 	}
 }
 
-func isMapType(t types.Type) bool {
+// isMap reports whether t is a map, or a type parameter with a map term:
+// a type parameter's underlying type is its constraint interface, and
+// range needs a core type, so then every term is a map.
+func isMap(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
-}
-
-// enclosingFuncBody returns the body of the innermost function literal or
-// declaration on the stack (excluding the last node, the range itself).
-func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncDecl:
-			return fn.Body
-		case *ast.FuncLit:
-			return fn.Body
-		}
-	}
-	return nil
-}
-
-// orderSensitiveEffect scans the range body for an effect that observes
-// iteration order. It returns a description and position, or "".
-func orderSensitiveEffect(p *Pass, rs *ast.RangeStmt, funcBody *ast.BlockStmt) (reason string, pos ast.Node) {
-	var found string
-	var at ast.Node
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		if found != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.SendStmt:
-			found, at = "the body sends on a channel", n
-		case *ast.CallExpr:
-			if name := callName(n); hasOrderVerb(name) {
-				found, at = "the body calls "+name, n
-			}
-		case *ast.AssignStmt:
-			if target := escapingAppendTarget(p, n, rs); target != nil {
-				if !sortedAfter(p, target, rs, funcBody) {
-					found, at = "the body appends to "+exprString(target)+" declared outside the loop with no sort afterwards", n
-				}
-			}
-		}
+	switch u := t.Underlying().(type) {
+	case *types.Map:
 		return true
-	})
-	if found == "" {
-		return "", nil
-	}
-	return found, at
-}
-
-// callName returns the called function or method's bare name.
-func callName(call *ast.CallExpr) string {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		return fn.Name
-	case *ast.SelectorExpr:
-		return fn.Sel.Name
-	}
-	return ""
-}
-
-func hasOrderVerb(name string) bool {
-	lower := strings.ToLower(name)
-	for _, v := range orderVerbs {
-		if strings.HasPrefix(lower, v) {
-			return true
+	case *types.Interface:
+		for i := 0; i < u.NumEmbeddeds(); i++ {
+			if isMap(u.EmbeddedType(i)) {
+				return true
+			}
+		}
+	case *types.Union:
+		for i := 0; i < u.Len(); i++ {
+			if isMap(u.Term(i).Type()) {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// escapingAppendTarget returns the destination expression of an
-// `x = append(x, …)`-style assignment whose root variable was declared
-// outside the range statement, nil otherwise.
-func escapingAppendTarget(p *Pass, as *ast.AssignStmt, rs *ast.RangeStmt) ast.Expr {
-	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-		return nil
-	}
-	call, ok := as.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
-		return nil
-	} else if obj, isBuiltin := p.Info.Uses[id].(*types.Builtin); !isBuiltin || obj.Name() != "append" {
-		return nil
-	}
-	root := rootIdent(as.Lhs[0])
-	if root == nil {
-		return nil
-	}
-	obj := p.Info.ObjectOf(root)
-	if obj == nil {
-		return as.Lhs[0] // fields of package-level state etc.: assume escaping
-	}
-	if obj.Pos() >= rs.Pos() && obj.Pos() < rs.End() {
-		return nil // loop-local accumulator
-	}
-	return as.Lhs[0]
-}
-
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// sortedAfter reports whether target is passed to a sort call after the
-// range statement within the same function body — the "collect then
-// sort" idiom, which is deterministic.
-func sortedAfter(p *Pass, target ast.Expr, rs *ast.RangeStmt, funcBody *ast.BlockStmt) bool {
-	if funcBody == nil {
-		return false
-	}
-	sorted := false
-	ast.Inspect(funcBody, func(n ast.Node) bool {
-		if sorted {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < rs.End() || len(call.Args) == 0 {
-			return true
-		}
-		path, name, _, ok := selectorPkg(p.Info, call.Fun)
-		if !ok {
-			return true
-		}
-		isSort := path == "sort" && (strings.HasPrefix(name, "Sort") || name == "Slice" ||
-			name == "SliceStable" || name == "Ints" || name == "Strings" || name == "Float64s") ||
-			path == "slices" && strings.HasPrefix(name, "Sort")
-		if isSort && sameExpr(p, call.Args[0], target) {
-			sorted = true
-		}
-		return true
-	})
-	return sorted
-}
-
-// sameExpr reports whether two expressions denote the same variable or
-// field chain (by object identity on each step).
-func sameExpr(p *Pass, a, b ast.Expr) bool {
-	switch av := a.(type) {
-	case *ast.Ident:
-		bv, ok := b.(*ast.Ident)
-		return ok && p.Info.ObjectOf(av) != nil && p.Info.ObjectOf(av) == p.Info.ObjectOf(bv)
-	case *ast.SelectorExpr:
-		bv, ok := b.(*ast.SelectorExpr)
-		return ok && p.Info.ObjectOf(av.Sel) == p.Info.ObjectOf(bv.Sel) && sameExpr(p, av.X, bv.X)
-	}
-	return false
-}
-
-func exprString(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprString(x.X) + "." + x.Sel.Name
-	case *ast.IndexExpr:
-		return exprString(x.X) + "[…]"
-	case *ast.CallExpr:
-		return exprString(x.Fun) + "(…)"
-	case *ast.StarExpr:
-		return "*" + exprString(x.X)
-	}
-	return "expression"
+// inBench reports whether path is the frozen benchmark harness.
+func inBench(path string) bool {
+	return path == "scmp/bench" || strings.HasPrefix(path, "scmp/bench/")
 }

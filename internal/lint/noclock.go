@@ -1,92 +1,30 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "strconv"
 
-// NoClock keeps wall-clock time and ambient randomness out of the
-// simulation. Simulated time comes from the DES scheduler and all
-// randomness flows from explicit seeds through scmp/internal/rng, so a
-// run is a pure function of its inputs. Three rules over non-test code:
-//
-//  1. In the deterministic core packages (core, mtree, des, packet,
-//     fabric, session, netsim) any wall-clock read — time.Now, Since,
-//     Until, After, Tick, Sleep — is an error.
-//  2. Everywhere, calling the globally-seeded top-level math/rand
-//     functions (rand.Intn, rand.Float64, rand.Perm, rand.Seed, …) is an
-//     error: their shared default source is seeded nondeterministically.
-//  3. Everywhere except scmp/internal/rng itself, constructing
-//     generators directly (rand.New, rand.NewSource) is an error: use
-//     rng.New(seed) so every stream traces back to an injected seed.
-//     Relaxed in _test.go files (-tests mode): a locally seeded
-//     rand.New(rand.NewSource(k)) is the standard test-fixture idiom
-//     and is just as deterministic as rng.New.
+// NoClock keeps wall-clock time and unseeded randomness out of the
+// simulation, so a run is a pure function of its inputs. It is an import
+// rule: only scmp/internal/rng imports math/rand or math/rand/v2, tests
+// included (they draw from rng.New(seed) too), and only _test.go files
+// and the frozen bench/ import time; simulated time is the DES clock.
 var NoClock = &Analyzer{
 	Name: "noclock",
-	Doc:  "forbids wall-clock reads and ambient (non-injected) randomness",
+	Doc:  "math/rand only in internal/rng; time only in tests and bench/",
 	Run:  runNoClock,
 }
 
-// noClockStrict lists the packages where wall-clock reads are forbidden
-// outright: everything on the simulation's deterministic hot path.
-var noClockStrict = map[string]bool{
-	"scmp/internal/core":    true,
-	"scmp/internal/mtree":   true,
-	"scmp/internal/des":     true,
-	"scmp/internal/packet":  true,
-	"scmp/internal/fabric":  true,
-	"scmp/internal/session": true,
-	"scmp/internal/netsim":  true,
-}
-
-var wallClockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true,
-	"After": true, "Tick": true, "Sleep": true,
-}
-
-// rngPackage is the only package allowed to construct math/rand
-// generators directly.
+// rngPackage is the only package that imports math/rand.
 const rngPackage = "scmp/internal/rng"
 
 func runNoClock(p *Pass) {
 	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			expr, isExpr := n.(ast.Expr)
-			if !isExpr {
-				return true
+		for _, imp := range f.Imports {
+			switch path, _ := strconv.Unquote(imp.Path.Value); {
+			case (path == "math/rand" || path == "math/rand/v2") && p.Path != rngPackage:
+				p.Reportf(imp.Pos(), "imports %s; draw from a seeded generator, rng.New(seed)", path)
+			case path == "time" && !p.InTestFile(imp.Pos()) && !inBench(p.Path):
+				p.Reportf(imp.Pos(), "imports time; simulated time is the DES clock, and only tests and bench/ may read the wall clock")
 			}
-			path, name, sel, ok := selectorPkg(p.Info, expr)
-			if !ok {
-				return true
-			}
-			switch path {
-			case "time":
-				if noClockStrict[p.Path] && wallClockFuncs[name] {
-					p.Reportf(sel.Pos(),
-						"wall-clock time.%s in deterministic package %s; use the DES scheduler's simulated clock",
-						name, p.Path)
-				}
-			case "math/rand", "math/rand/v2":
-				if _, isFunc := p.Info.Uses[sel.Sel].(*types.Func); !isFunc {
-					return true // rand.Rand, rand.Source, … — type references are fine
-				}
-				switch name {
-				case "New", "NewSource":
-					if p.Path != rngPackage && !p.InTestFile(sel.Pos()) {
-						p.Reportf(sel.Pos(),
-							"direct rand.%s; construct seeded generators via scmp/internal/rng (rng.New(seed))",
-							name)
-					}
-				case "NewZipf":
-					// Takes an explicit *rand.Rand: deterministic, allowed.
-				default:
-					p.Reportf(sel.Pos(),
-						"global rand.%s uses the ambient nondeterministically-seeded source; draw from an injected *rand.Rand",
-						name)
-				}
-			}
-			return true
-		})
+		}
 	}
 }

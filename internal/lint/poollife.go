@@ -302,3 +302,19 @@ func isPooledPacketType(t types.Type) bool {
 	}
 	return namedTypeIs(t, "netsim", "Packet")
 }
+
+func exprString(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return exprString(x.X) + "." + x.Sel.Name
+	case *ast.IndexExpr:
+		return exprString(x.X) + "[…]"
+	case *ast.CallExpr:
+		return exprString(x.Fun) + "(…)"
+	case *ast.StarExpr:
+		return "*" + exprString(x.X)
+	}
+	return "expression"
+}

@@ -2,10 +2,10 @@ package mtree
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -141,7 +141,7 @@ func dreyfusWagner(g *topology.Graph, terminals []topology.NodeID) float64 {
 // guarantee of the optimum, and is never better than the optimum.
 func TestPropertyKMBApproximation(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(10, 3), rng)
 		if err != nil {
 			return false
@@ -170,7 +170,7 @@ func TestPropertyKMBApproximation(t *testing.T) {
 // at exactly its unicast delay) and spans all members.
 func TestPropertySPTDelayOptimal(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(20, 4), rng)
 		if err != nil {
 			return false
@@ -201,7 +201,7 @@ func TestFig7Ordering(t *testing.T) {
 	var kmbDelay, dcdmDelay, sptDelay float64
 	const runs = 15
 	for seed := int64(0); seed < runs; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		wg, err := topology.Waxman(topology.DefaultWaxman(60), rng)
 		if err != nil {
 			t.Fatal(err)
@@ -235,7 +235,7 @@ func TestFig7Ordering(t *testing.T) {
 }
 
 func BenchmarkKMB(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	wg, err := topology.Waxman(topology.DefaultWaxman(100), rng)
 	if err != nil {
 		b.Fatal(err)
@@ -251,7 +251,7 @@ func BenchmarkKMB(b *testing.B) {
 }
 
 func BenchmarkSPT(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	wg, err := topology.Waxman(topology.DefaultWaxman(100), rng)
 	if err != nil {
 		b.Fatal(err)

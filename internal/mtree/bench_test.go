@@ -2,10 +2,10 @@ package mtree
 
 import (
 	"cmp"
-	"math/rand"
 	"slices"
 	"testing"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -29,7 +29,7 @@ type dcdmBenchFixture struct {
 
 func newDCDMBenchFixture(b *testing.B) *dcdmBenchFixture {
 	b.Helper()
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	wg, err := topology.Waxman(topology.DefaultWaxman(400), rng)
 	if err != nil {
 		b.Fatal(err)
@@ -120,7 +120,7 @@ func BenchmarkDCDMJoinRef(b *testing.B) {
 // which also bounds the resident rows.
 func BenchmarkDCDMJoinCold(b *testing.B) {
 	cfg := topology.TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}
-	g, _, err := topology.TransitStub(cfg, rand.New(rand.NewSource(3)))
+	g, _, err := topology.TransitStub(cfg, rng.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func BenchmarkDCDMJoinCold(b *testing.B) {
 		spCost.Invalidate(nil)
 	}
 	d := NewDCDM(g, 0, 1.5, spDelay, spCost)
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	for _, m := range pickMembers(rng, g.N(), 128, 0) {
 		d.Join(m)
 	}

@@ -2,10 +2,10 @@ package mtree
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -237,7 +237,7 @@ func TestDCDMKappaBelowOnePanics(t *testing.T) {
 // valid, keep all members on the tree, and never lose the root.
 func TestPropertyDCDMChurnInvariants(t *testing.T) {
 	f := func(seed int64, kappaSel uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(25, 4), rng)
 		if err != nil {
 			return false
@@ -286,7 +286,7 @@ func TestDCDMTightestNearSPTDelay(t *testing.T) {
 	var ratioSum float64
 	const runs = 20
 	for seed := int64(0); seed < runs; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		wg, err := topology.Waxman(topology.DefaultWaxman(60), rng)
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +316,7 @@ func TestDCDMTightestNearSPTDelay(t *testing.T) {
 }
 
 // pickMembers selects k distinct members, excluding `exclude`.
-func pickMembers(rng *rand.Rand, n, k int, exclude topology.NodeID) []topology.NodeID {
+func pickMembers(rng *rng.Rand, n, k int, exclude topology.NodeID) []topology.NodeID {
 	perm := rng.Perm(n)
 	var out []topology.NodeID
 	for _, v := range perm {

@@ -3,11 +3,11 @@ package mtree
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -37,7 +37,7 @@ type churnOp struct {
 // the given distribution, and the per-member timelines are merged into
 // one time-ordered script (stable sort, so same-time events keep
 // member-major order).
-func genChurnOps(rng *rand.Rand, members []topology.NodeID, perMember int, pareto bool) []churnOp {
+func genChurnOps(rng *rng.Rand, members []topology.NodeID, perMember int, pareto bool) []churnOp {
 	var ops []churnOp
 	for _, m := range members {
 		t := 0.0
@@ -216,7 +216,7 @@ func either(on bool, yes, no string) string {
 
 // tieHeavyGraph is a connected 100-node random graph whose delays and
 // costs are drawn from {1, 2, 3}.
-func tieHeavyGraph(rng *rand.Rand) *topology.Graph {
+func tieHeavyGraph(rng *rng.Rand) *topology.Graph {
 	g := topology.New(100)
 	for u := 0; u < g.N(); u++ {
 		for v := u + 1; v < g.N(); v++ {
@@ -280,7 +280,7 @@ func (tb equivTables) sameRowsTouched(t *testing.T, tag string) {
 }
 
 func runEquivChurn(t *testing.T, c equivCase) {
-	rng := rand.New(rand.NewSource(42))
+	rng := rng.New(42)
 	var g *topology.Graph
 	if c.tieHeavy {
 		g = tieHeavyGraph(rng)

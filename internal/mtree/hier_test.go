@@ -1,9 +1,9 @@
 package mtree
 
 import (
-	"math/rand"
 	"testing"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -11,7 +11,7 @@ import (
 // generator's own domain labels.
 func tsView(t testing.TB, cfg topology.TransitStubConfig, seed int64) (*topology.Graph, *topology.DomainView) {
 	t.Helper()
-	g, info, err := topology.TransitStub(cfg, rand.New(rand.NewSource(seed)))
+	g, info, err := topology.TransitStub(cfg, rng.New(seed))
 	if err != nil {
 		t.Fatalf("TransitStub: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestHierSingleDomainMatchesFlat(t *testing.T) {
 	flat := NewDCDM(g, root, kappa, topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost))
 	hier := NewHierDCDM(view, view.MRouters(), 0, kappa)
 
-	r := rand.New(rand.NewSource(42))
+	r := rng.New(42)
 	on := make(map[topology.NodeID]bool)
 	var members []topology.NodeID
 	for step := 0; step < 400; step++ {
@@ -133,7 +133,7 @@ func TestHierMultiDomainChurn(t *testing.T) {
 	hier := NewHierDCDM(view, mrouters, 0, kappa)
 	flat := NewDCDM(g, mrouters[0], kappa, topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost))
 
-	r := rand.New(rand.NewSource(99))
+	r := rng.New(99)
 	on := make(map[topology.NodeID]bool)
 	var pool []topology.NodeID
 	steps, joins := 600, 0
@@ -247,7 +247,7 @@ func bench10kCfg() topology.TransitStubConfig {
 }
 
 func benchMembers(n int, g *topology.Graph, exclude topology.NodeID) []topology.NodeID {
-	r := rand.New(rand.NewSource(31))
+	r := rng.New(31)
 	seen := make(map[topology.NodeID]bool, n)
 	out := make([]topology.NodeID, 0, n)
 	for len(out) < n {
@@ -300,7 +300,7 @@ func domainBenchScales() []struct {
 func BenchmarkDomainJoinFlat(b *testing.B) {
 	for _, sc := range domainBenchScales() {
 		b.Run(sc.name, func(b *testing.B) {
-			g, _, err := topology.TransitStub(sc.cfg, rand.New(rand.NewSource(3)))
+			g, _, err := topology.TransitStub(sc.cfg, rng.New(3))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -332,7 +332,7 @@ func BenchmarkDomainJoinFlat(b *testing.B) {
 func BenchmarkDomainJoinHier(b *testing.B) {
 	for _, sc := range domainBenchScales() {
 		b.Run(sc.name, func(b *testing.B) {
-			g, info, err := topology.TransitStub(sc.cfg, rand.New(rand.NewSource(3)))
+			g, info, err := topology.TransitStub(sc.cfg, rng.New(3))
 			if err != nil {
 				b.Fatal(err)
 			}

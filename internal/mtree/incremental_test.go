@@ -3,10 +3,10 @@ package mtree
 import (
 	"cmp"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -15,7 +15,7 @@ import (
 // the max member itself must tighten it — the rescan, the only leave
 // that pays O(m).
 func TestDCDMLeaveFastPathBoundTightens(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := rng.New(7)
 	wg, err := topology.Waxman(topology.DefaultWaxman(60), rng)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestDCDMLeaveKeepsScalarBoundExact(t *testing.T) {
 	})
 
 	t.Run("farthest first", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(5))
+		rng := rng.New(5)
 		wg, err := topology.Waxman(topology.DefaultWaxman(80), rng)
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +154,7 @@ func TestDCDMLeaveKeepsScalarBoundExact(t *testing.T) {
 	})
 
 	t.Run("rebase after invalidated tables", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(9))
+		rng := rng.New(9)
 		wg, err := topology.Waxman(topology.DefaultWaxman(60), rng)
 		if err != nil {
 			t.Fatal(err)
@@ -201,7 +201,7 @@ func TestDCDMLeaveKeepsScalarBoundExact(t *testing.T) {
 // Shared-view contract: Members/Nodes slices are rebuilt in place and
 // stay sorted across mutations.
 func TestTreeSharedViewsStaySorted(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	rng := rng.New(11)
 	wg, err := topology.Waxman(topology.DefaultWaxman(50), rng)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
 package mtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"scmp/internal/topology"
 )
@@ -22,11 +23,12 @@ import (
 // spCost is g's least-cost table. The result is rooted at root with all
 // members marked.
 func KMB(g *topology.Graph, root topology.NodeID, members []topology.NodeID, spCost *topology.AllPairs) *Tree {
+	isTerminal := make([]bool, g.N())
+	isTerminal[root] = true
 	terminals := []topology.NodeID{root}
-	seen := map[topology.NodeID]bool{root: true}
 	for _, m := range members {
-		if !seen[m] {
-			seen[m] = true
+		if !isTerminal[m] {
+			isTerminal[m] = true
 			terminals = append(terminals, m)
 		}
 	}
@@ -76,46 +78,38 @@ func KMB(g *topology.Graph, root topology.NodeID, members []topology.NodeID, spC
 		}
 	}
 
-	// Step 3: expand closure edges into real paths; collect the subgraph.
-	type edge struct{ u, v topology.NodeID }
-	norm := func(a, b topology.NodeID) edge {
-		if a > b {
-			a, b = b, a
-		}
-		return edge{a, b}
+	// Step 3: expand closure edges into real paths; the subgraph is
+	// their links, each once, in Kruskal order: by link cost, ties by
+	// endpoints.
+	type edge struct {
+		cost float64
+		u, v topology.NodeID
 	}
-	subEdges := map[edge]bool{}
-	subNodes := map[topology.NodeID]bool{}
+	var edges []edge
 	for _, ce := range closureMST {
 		path := spCost.Row(ce.u).To(ce.v)
 		for i := 1; i < len(path); i++ {
-			subEdges[norm(path[i-1], path[i])] = true
-		}
-		for _, n := range path {
-			subNodes[n] = true
+			u, v := min(path[i-1], path[i]), max(path[i-1], path[i])
+			l, _ := g.Edge(u, v)
+			edges = append(edges, edge{l.Cost, u, v})
 		}
 	}
-
-	// Step 4: Kruskal MST over the subgraph (by link cost).
-	var edges []edge
-	for e := range subEdges {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		li, _ := g.Edge(edges[i].u, edges[i].v)
-		lj, _ := g.Edge(edges[j].u, edges[j].v)
-		if li.Cost < lj.Cost {
-			return true
+	slices.SortFunc(edges, func(a, b edge) int {
+		if c := cmp.Compare(a.cost, b.cost); c != 0 {
+			return c
 		}
-		if lj.Cost < li.Cost {
-			return false
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
+		return cmp.Compare(a.v, b.v)
 	})
-	parent := map[topology.NodeID]topology.NodeID{}
+	edges = slices.Compact(edges)
+
+	// Step 4: Kruskal MST over the subgraph.
+	parent := make([]topology.NodeID, g.N())
+	for v := range parent {
+		parent[v] = topology.NodeID(v)
+	}
 	var find func(topology.NodeID) topology.NodeID
 	find = func(x topology.NodeID) topology.NodeID {
 		if parent[x] == x {
@@ -124,10 +118,7 @@ func KMB(g *topology.Graph, root topology.NodeID, members []topology.NodeID, spC
 		parent[x] = find(parent[x])
 		return parent[x]
 	}
-	for n := range subNodes {
-		parent[n] = n
-	}
-	adj := map[topology.NodeID][]topology.NodeID{}
+	adj := make([][]topology.NodeID, g.N())
 	for _, e := range edges {
 		ru, rv := find(e.u), find(e.v)
 		if ru == rv {
@@ -138,40 +129,27 @@ func KMB(g *topology.Graph, root topology.NodeID, members []topology.NodeID, spC
 		adj[e.v] = append(adj[e.v], e.u)
 	}
 
-	// Step 5: prune non-terminal leaves (iterate to a fixed point).
-	isTerminal := map[topology.NodeID]bool{}
-	for _, t := range terminals {
-		isTerminal[t] = true
-	}
-	for {
-		removedAny := false
-		for n, nbrs := range adj {
-			if len(nbrs) == 1 && !isTerminal[n] {
-				peer := nbrs[0]
-				delete(adj, n)
-				pn := adj[peer][:0]
-				for _, x := range adj[peer] {
-					if x != n {
-						pn = append(pn, x)
-					}
-				}
-				adj[peer] = pn
-				removedAny = true
-			}
-		}
-		if !removedAny {
-			break
+	// Step 5: prune non-terminal leaves; a pruned leaf's neighbour may
+	// become one in turn. The MST is a tree, so what remains is the
+	// unique subtree spanning the terminals, whatever the pruning order.
+	for v := range adj {
+		for u := topology.NodeID(v); len(adj[u]) == 1 && !isTerminal[u]; {
+			peer := adj[u][0]
+			adj[u] = nil
+			adj[peer] = slices.DeleteFunc(adj[peer], func(x topology.NodeID) bool { return x == u })
+			u = peer
 		}
 	}
 
 	// Orient from the root into a Tree (deterministic BFS).
 	queue := []topology.NodeID{root}
-	visited := map[topology.NodeID]bool{root: true}
+	visited := make([]bool, g.N())
+	visited[root] = true
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		nbrs := append([]topology.NodeID(nil), adj[u]...)
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+		nbrs := slices.Clone(adj[u])
+		slices.Sort(nbrs)
 		for _, v := range nbrs {
 			if visited[v] {
 				continue
@@ -185,9 +163,6 @@ func KMB(g *topology.Graph, root topology.NodeID, members []topology.NodeID, spC
 		if tree.OnTree(t) {
 			tree.SetMember(t, true)
 		}
-	}
-	if tree.OnTree(root) {
-		// Root is the m-router; membership of the root itself is implicit.
 	}
 	return tree
 }

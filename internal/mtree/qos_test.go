@@ -1,10 +1,10 @@
 package mtree
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -64,7 +64,7 @@ func TestQoSBudgetClearRestoresKappa(t *testing.T) {
 // members sit at exactly their unicast delay.
 func TestPropertyQoSBudgetRespected(t *testing.T) {
 	f := func(seed int64, rawBudget uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(20, 4), rng)
 		if err != nil {
 			return false

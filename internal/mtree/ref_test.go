@@ -200,7 +200,7 @@ func (t *TreeRef) DetachSubtree(v topology.NodeID) []topology.NodeID {
 			orphans = append(orphans, x)
 			delete(t.members, x)
 		}
-		stack = append(stack, topology.SortedNodes(t.children[x])...)
+		stack = append(stack, topology.SortedKeys(t.children[x])...)
 		delete(t.children, x)
 		delete(t.parent, x)
 	}

@@ -2,10 +2,10 @@ package mtree
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -133,7 +133,7 @@ func TestDCDMTreesValidWithinBound(t *testing.T) {
 	})
 	t.Run("random", func(t *testing.T) {
 		for seed := int64(0); seed < 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
+			rng := rng.New(seed)
 			g, err := topology.Random(topology.DefaultRandom(25, 4), rng)
 			if err != nil {
 				t.Fatal(err)

@@ -4,13 +4,13 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
 	"scmp/internal/des"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -266,7 +266,7 @@ func TestChurnMergeKeepsMemberMajorTies(t *testing.T) {
 		runs = append(runs, churnRun{next: int32(start), end: int32(len(gen))})
 	}
 	check("hand-built", gen, runs)
-	rnd := rand.New(rand.NewSource(1))
+	rnd := rng.New(1)
 	for trial := 0; trial < 50; trial++ {
 		gen, runs = gen[:0], runs[:0]
 		for m := int32(rnd.Intn(12)); m >= 0; m-- {

@@ -16,7 +16,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"scmp/internal/des"
 	"scmp/internal/packet"
@@ -225,12 +224,7 @@ func (f *Faults) remask(u, v topology.NodeID) {
 // member hosts never left the subnet, so the first query re-learns them
 // and the DR re-joins their groups.
 func (f *Faults) rereport(node topology.NodeID) {
-	gids := make([]packet.GroupID, 0, len(f.net.members))
-	for g := range f.net.members {
-		gids = append(gids, g)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	for _, g := range gids {
+	for _, g := range topology.SortedKeys(f.net.members) {
 		if f.net.IsMember(node, g) {
 			f.net.Proto.HostJoin(node, g)
 		}

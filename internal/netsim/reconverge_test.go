@@ -2,9 +2,9 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -61,7 +61,7 @@ type namedGraph struct {
 func reconvergeGraphs(t *testing.T) []namedGraph {
 	graphs := []namedGraph{{"ring", ringGraph()}}
 	for seed := int64(1); seed <= 3; seed++ {
-		wg, err := topology.Waxman(topology.DefaultWaxman(36), rand.New(rand.NewSource(seed)))
+		wg, err := topology.Waxman(topology.DefaultWaxman(36), rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func reconvergeGraphs(t *testing.T) []namedGraph {
 	}
 	cfg := topology.TransitStubConfig{TransitDomains: 2, TransitSize: 3, StubsPerTransitNode: 2, StubSize: 4, EdgeProb: 0.4}
 	for seed := int64(4); seed <= 5; seed++ {
-		ts, _, err := topology.TransitStub(cfg, rand.New(rand.NewSource(seed)))
+		ts, _, err := topology.TransitStub(cfg, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func overlapScript(g *topology.Graph) []Step {
 
 // randomFault draws one event; repeats of a fault already in force (and
 // restores of one that is not) are left in as idempotence cases.
-func randomFault(g *topology.Graph, rnd *rand.Rand) Step {
+func randomFault(g *topology.Graph, rnd *rng.Rand) Step {
 	u := topology.NodeID(rnd.Intn(g.N()))
 	switch k := LinkDown + StepKind(rnd.Intn(4)); k {
 	case LinkDown, LinkUp:
@@ -137,7 +137,7 @@ func TestEquivalenceLazyReconvergence(t *testing.T) {
 		// reads a few random rows, leaving the rest stale across
 		// further events, and only at the end reads everything.
 		for _, arm := range []string{"all", "some"} {
-			rnd := rand.New(rand.NewSource(7))
+			rnd := rng.New(7)
 			n := New(g, &echoProto{})
 			f := n.InstallFaults(FaultPlan{})
 			delay, cost := n.Delay, n.Cost

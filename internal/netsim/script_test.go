@@ -2,12 +2,12 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 
 	"scmp/internal/des"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -63,7 +63,7 @@ func TestScriptOrderMatchesClosures(t *testing.T) {
 		}
 	}
 	for seed := int64(1); seed <= 20; seed++ {
-		rnd := rand.New(rand.NewSource(seed))
+		rnd := rng.New(seed)
 		steps := make([]Step, 120)
 		for i := range steps {
 			st := Step{At: des.Time(rnd.Intn(40)) / 4, Node: int32(rnd.Intn(8)), Group: packet.GroupID(1 + rnd.Intn(2))}

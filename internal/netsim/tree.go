@@ -120,8 +120,8 @@ func (e *TreeEntry) Live() bool { return e.OnTree || e.HasLocal || e.PendingLoca
 // the state a shared-tree protocol's StateEntries reports.
 func LiveEntries[E interface{ Live() bool }](byGroup map[packet.GroupID]E) int {
 	count := 0
-	for _, e := range byGroup {
-		if e.Live() {
+	for _, g := range topology.SortedKeys(byGroup) {
+		if byGroup[g].Live() {
 			count++
 		}
 	}

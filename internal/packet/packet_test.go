@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -264,7 +264,7 @@ func TestPropertySplitAgreesWithDecode(t *testing.T) {
 }
 
 // randomSubtree builds a random subtree with up to depth levels.
-func randomSubtree(rng *rand.Rand, depth int, next *int) Subtree {
+func randomSubtree(rng *rng.Rand, depth int, next *int) Subtree {
 	s := Subtree{}
 	if depth == 0 {
 		return s
@@ -283,7 +283,7 @@ func randomSubtree(rng *rand.Rand, depth int, next *int) Subtree {
 // Property: encode/decode round-trips arbitrary subtrees.
 func TestPropertySubtreeRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		next := 0
 		s := randomSubtree(rng, 5, &next)
 		dec, err := DecodeSubtree(EncodeSubtree(s))
@@ -361,7 +361,7 @@ func TestBuildSubtree(t *testing.T) {
 // AppendTree writes exactly the bytes of EncodeSubtree(BuildSubtree)
 // on random trees whose child lists are unsorted, and reuses its buffer.
 func TestAppendTreeMatchesBuildSubtree(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
+	rng := rng.New(9)
 	var buf []byte
 	for trial := 0; trial < 200; trial++ {
 		// Each router hangs below a random router placed before it, so
@@ -400,7 +400,7 @@ func TestDecodeBranchTo(t *testing.T) {
 }
 
 func BenchmarkEncodeSubtree(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	next := 0
 	s := randomSubtree(rng, 8, &next)
 	b.ResetTimer()
@@ -411,7 +411,7 @@ func BenchmarkEncodeSubtree(b *testing.B) {
 }
 
 func BenchmarkDecodeSubtree(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	next := 0
 	enc := EncodeSubtree(randomSubtree(rng, 8, &next))
 	b.ResetTimer()

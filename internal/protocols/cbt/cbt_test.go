@@ -1,12 +1,12 @@
 package cbt
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -168,7 +168,7 @@ func TestCoreAsMember(t *testing.T) {
 // sources reaches every member exactly once.
 func TestPropertyCBTDelivery(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(15, 3), rng)
 		if err != nil {
 			return false

@@ -1,12 +1,12 @@
 package dvmrp
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -229,7 +229,7 @@ func TestSourceOwnPacketDropped(t *testing.T) {
 // receives every packet exactly once, whatever the prune state.
 func TestPropertyDVMRPDelivery(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(15, 3), rng)
 		if err != nil {
 			return false

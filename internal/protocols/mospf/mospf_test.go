@@ -1,12 +1,12 @@
 package mospf
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"scmp/internal/netsim"
 	"scmp/internal/packet"
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -130,7 +130,7 @@ func TestMemberSourceDeliversToOthers(t *testing.T) {
 // reaches every member exactly once.
 func TestPropertyMOSPFDelivery(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := topology.Random(topology.DefaultRandom(15, 3), rng)
 		if err != nil {
 			return false
@@ -260,7 +260,7 @@ func TestMalformedLSADropped(t *testing.T) {
 // only until the last router accepts it, so a fault-free run ends
 // holding none; an LSA a crashed router never accepted keeps its set.
 func TestLSASetReleasedOnceEveryRouterHasIt(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	rng := rng.New(4)
 	wg, err := topology.Waxman(topology.DefaultWaxman(120), rng)
 	if err != nil {
 		t.Fatal(err)

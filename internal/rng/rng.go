@@ -3,9 +3,8 @@
 // its random stream from an explicit integer seed through New (or from a
 // parent stream through Split), so identically-seeded runs are
 // bit-reproducible. The scmplint noclock analyzer enforces the funnel:
-// outside this package (and tests), constructing math/rand generators
-// directly or calling the globally-seeded top-level math/rand functions
-// is a lint error.
+// this is the only package, tests included, that imports math/rand, so
+// every other stream, a test's too, starts at New or Split.
 package rng
 
 import "math/rand"

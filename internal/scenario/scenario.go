@@ -87,8 +87,9 @@ type command struct {
 	verb string // topology, scale-delays, protocol, at, run, expect, print
 	args []string
 	kv   map[string]string
-	at   float64 // for "at" commands
-	sub  string  // the event verb after "at": join, leave, send, failover
+	keys []string // kv's keys in line order
+	at   float64  // for "at" commands
+	sub  string   // the event verb after "at": join, leave, send, failover
 }
 
 // Script is a parsed scenario.
@@ -128,6 +129,7 @@ func Parse(r io.Reader) (*Script, error) {
 		for _, f := range rest {
 			if k, v, ok := strings.Cut(f, "="); ok {
 				cmd.kv[k] = v
+				cmd.keys = append(cmd.keys, k)
 			} else {
 				cmd.args = append(cmd.args, f)
 			}
@@ -273,14 +275,10 @@ func (st *state) exec(c command) error {
 	if err := st.dispatch(c); err != nil {
 		return err
 	}
-	unknown := ""
-	for k := range c.kv {
-		if unknown == "" || k < unknown {
-			unknown = k
+	for _, k := range c.keys {
+		if _, left := c.kv[k]; left {
+			return fmt.Errorf("line %d: unknown option %q", c.line, k)
 		}
-	}
-	if unknown != "" {
-		return fmt.Errorf("line %d: unknown option %q", c.line, unknown)
 	}
 	return nil
 }
@@ -599,9 +597,10 @@ func (st *state) execPrint(c command) error {
 	switch c.args[0] {
 	case "metrics":
 		m := st.net.Metrics
-		fmt.Fprintf(st.w, "t=%.3f data_overhead=%.1f proto_overhead=%.1f delivered=%d dropped=%d ctrl_drops=%d recoveries=%d max_e2e=%.4f\n",
+		fmt.Fprintf(st.w, "t=%.3f data_overhead=%.1f proto_overhead=%.1f delivered=%d dropped=%d ctrl_drops=%d recoveries=%d max_e2e=%.4f parks=%d park_recovers=%d sheds=%d\n",
 			float64(st.net.Now()), m.DataOverhead(), m.ProtocolOverhead(),
-			m.Delivered(), m.Dropped(), m.DroppedControl(), m.Recoveries(), m.MaxEndToEndDelay())
+			m.Delivered(), m.Dropped(), m.DroppedControl(), m.Recoveries(), m.MaxEndToEndDelay(),
+			m.Parks(), m.ParkRecovers(), m.Sheds())
 	case "tree":
 		if st.scmp == nil {
 			return fmt.Errorf("line %d: print tree requires the scmp protocol", c.line)

@@ -1,8 +1,9 @@
 package topology
 
 import (
-	"math/rand"
 	"testing"
+
+	"scmp/internal/rng"
 )
 
 // Routing-engine benchmarks (the perf gate for the CSR/4-ary-heap
@@ -19,7 +20,7 @@ import (
 // are measured on.
 func benchGraph(b testing.TB) *Graph {
 	b.Helper()
-	wg, err := Waxman(DefaultWaxman(400), rand.New(rand.NewSource(1)))
+	wg, err := Waxman(DefaultWaxman(400), rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

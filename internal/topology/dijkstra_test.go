@@ -2,9 +2,10 @@ package topology
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"scmp/internal/rng"
 )
 
 // diamond builds a 4-node graph where the delay-optimal and cost-optimal
@@ -150,7 +151,7 @@ func bellmanFord(g *Graph, src NodeID, w Weight) []float64 {
 // weights.
 func TestPropertyDijkstraMatchesBellmanFord(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := Random(DefaultRandom(25, 4), rng)
 		if err != nil {
 			return false
@@ -176,7 +177,7 @@ func TestPropertyDijkstraMatchesBellmanFord(t *testing.T) {
 // along the reconstructed node sequence.
 func TestPropertyPathAnnotations(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := Random(DefaultRandom(20, 3), rng)
 		if err != nil {
 			return false
@@ -202,7 +203,7 @@ func TestPropertyPathAnnotations(t *testing.T) {
 }
 
 func TestNextHopConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := rng.New(7)
 	g, err := Random(DefaultRandom(30, 4), rng)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +223,7 @@ func TestPathDelayPanicsOnNonPath(t *testing.T) {
 }
 
 func BenchmarkDijkstra100(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	wg, err := Waxman(DefaultWaxman(100), rng)
 	if err != nil {
 		b.Fatal(err)

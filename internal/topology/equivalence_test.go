@@ -2,8 +2,9 @@ package topology
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
+
+	"scmp/internal/rng"
 )
 
 // This file is the differential-equivalence gate for the fast routing
@@ -30,19 +31,19 @@ func equivGraphs(t testing.TB) map[string]*Graph {
 		"single":  New(1),
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		wg, err := Waxman(DefaultWaxman(60), rand.New(rand.NewSource(seed)))
+		wg, err := Waxman(DefaultWaxman(60), rng.New(seed))
 		if err != nil {
 			t.Fatalf("waxman seed %d: %v", seed, err)
 		}
 		graphs[fmt.Sprintf("waxman%d", seed)] = wg.Graph
 
-		rg, err := Random(DefaultRandom(40, 3.5), rand.New(rand.NewSource(seed+100)))
+		rg, err := Random(DefaultRandom(40, 3.5), rng.New(seed+100))
 		if err != nil {
 			t.Fatalf("random seed %d: %v", seed, err)
 		}
 		graphs[fmt.Sprintf("rand%d", seed)] = rg
 	}
-	ts, _, err := TransitStub(DefaultTransitStub(), rand.New(rand.NewSource(5)))
+	ts, _, err := TransitStub(DefaultTransitStub(), rng.New(5))
 	if err != nil {
 		t.Fatalf("transit-stub: %v", err)
 	}
@@ -67,7 +68,7 @@ func equivGraphs(t testing.TB) map[string]*Graph {
 	// Small-integer weights on a random graph: exact float ties between
 	// alternative paths are the common case, not the exception.
 	ig := New(50)
-	irng := rand.New(rand.NewSource(9))
+	irng := rng.New(9)
 	for u := 0; u < ig.N(); u++ {
 		for v := u + 1; v < ig.N(); v++ {
 			if v == u+1 || irng.Float64() < 0.08 {
@@ -100,7 +101,7 @@ func equivAvoids(g *Graph, seed int64) map[string][]bool {
 	if g.N() < 4 {
 		return avoids
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	down := map[[2]NodeID]bool{}
 	for u := 0; u < g.N(); u++ {
 		for _, l := range g.Neighbors(NodeID(u)) {
@@ -184,7 +185,7 @@ func TestEquivalenceAllPairsModes(t *testing.T) {
 // TestLazyAllPairsComputesOnlyConsultedRows pins the lazy table's
 // central property: consulting k sources materialises exactly k rows.
 func TestLazyAllPairsComputesOnlyConsultedRows(t *testing.T) {
-	wg, err := Waxman(DefaultWaxman(50), rand.New(rand.NewSource(3)))
+	wg, err := Waxman(DefaultWaxman(50), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestLazyAllPairsComputesOnlyConsultedRows(t *testing.T) {
 // allocating once a first round has sized the free list, and neither do
 // the rows started after it.
 func TestLazyNextHopRefillsOnlyConsultedRows(t *testing.T) {
-	wg, err := Waxman(DefaultWaxman(50), rand.New(rand.NewSource(3)))
+	wg, err := Waxman(DefaultWaxman(50), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +242,13 @@ func TestLazyNextHopRefillsOnlyConsultedRows(t *testing.T) {
 func tieFreeGraphs(t testing.TB) map[string]*Graph {
 	graphs := map[string]*Graph{"arpanet": Arpanet(), "waxman400": benchGraph(t)}
 	for _, deg := range []float64{3, 5} {
-		rg, err := Random(DefaultRandom(50, deg), rand.New(rand.NewSource(int64(deg))))
+		rg, err := Random(DefaultRandom(50, deg), rng.New(int64(deg)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		graphs[fmt.Sprintf("random50-deg%v", deg)] = rg
 	}
-	ts, _, err := TransitStub(DefaultTransitStub(), rand.New(rand.NewSource(5)))
+	ts, _, err := TransitStub(DefaultTransitStub(), rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestPropertyNextHopForwardingUnderTies(t *testing.T) {
 	}
 	differ := 0
 	for seed := int64(0); seed < int64(iters); seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		n := 2 + rng.Intn(59)
 		g := New(n)
 		for u := 0; u < n; u++ {
@@ -382,7 +383,7 @@ func TestPropertyEngineEquivalenceFuzz(t *testing.T) {
 		iters = 30
 	}
 	for seed := int64(0); seed < int64(iters); seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		n := 2 + rng.Intn(40)
 		g := New(n)
 		// Random edge set with random positive weights; occasionally
@@ -428,7 +429,7 @@ func TestPropertyEngineEquivalenceFuzz(t *testing.T) {
 // scratch buffers must not leak state between runs, and a sized row
 // refills without allocating.
 func TestEngineScratchReuseIsClean(t *testing.T) {
-	wg, err := Waxman(DefaultWaxman(45), rand.New(rand.NewSource(11)))
+	wg, err := Waxman(DefaultWaxman(45), rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package topology_test
 
 import (
 	"fmt"
-	"math/rand"
 
+	"scmp/internal/rng"
 	"scmp/internal/topology"
 )
 
@@ -28,7 +28,7 @@ func Example() {
 
 // ExampleWaxman generates the paper's Fig. 7 topology model.
 func ExampleWaxman() {
-	rng := rand.New(rand.NewSource(3))
+	rng := rng.New(3)
 	wg, err := topology.Waxman(topology.DefaultWaxman(100), rng)
 	if err != nil {
 		fmt.Println(err)
@@ -41,7 +41,7 @@ func ExampleWaxman() {
 
 // ExampleTransitStub generates a GT-ITM-style hierarchical topology.
 func ExampleTransitStub() {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	g, info, err := topology.TransitStub(topology.DefaultTransitStub(), rng)
 	if err != nil {
 		fmt.Println(err)

@@ -3,14 +3,15 @@ package topology
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"scmp/internal/rng"
 )
 
 func TestWaxmanPaperConfig(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := rng.New(3)
 	wg, err := Waxman(DefaultWaxman(100), rng)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +33,7 @@ func TestWaxmanPaperConfig(t *testing.T) {
 }
 
 func TestWaxmanLinkAttributes(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := rng.New(5)
 	wg, err := Waxman(DefaultWaxman(60), rng)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +53,7 @@ func TestWaxmanLinkAttributes(t *testing.T) {
 }
 
 func TestWaxmanBadConfig(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	if _, err := Waxman(WaxmanConfig{N: 0, Alpha: 1, Beta: 1}, rng); err == nil {
 		t.Error("N=0 accepted")
 	}
@@ -71,7 +72,7 @@ func TestWaxmanAlphaBetaEffect(t *testing.T) {
 	mean := func(beta float64) float64 {
 		total := 0.0
 		for seed := int64(0); seed < 5; seed++ {
-			rng := rand.New(rand.NewSource(seed))
+			rng := rng.New(seed)
 			cfg := WaxmanConfig{N: 80, Alpha: 0.25, Beta: beta, Connect: false}
 			wg, err := Waxman(cfg, rng)
 			if err != nil {
@@ -89,7 +90,7 @@ func TestWaxmanAlphaBetaEffect(t *testing.T) {
 
 func TestRandomDegreeTarget(t *testing.T) {
 	for _, deg := range []float64{3, 5} {
-		rng := rand.New(rand.NewSource(11))
+		rng := rng.New(11)
 		g, err := Random(DefaultRandom(50, deg), rng)
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +105,7 @@ func TestRandomDegreeTarget(t *testing.T) {
 }
 
 func TestRandomBadConfig(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	if _, err := Random(RandomConfig{N: 0, AvgDegree: 3}, rng); err == nil {
 		t.Error("N=0 accepted")
 	}
@@ -125,7 +126,7 @@ func TestPropertyRandomInvariants(t *testing.T) {
 		if deg > float64(n-1) {
 			deg = float64(n - 1)
 		}
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := Random(DefaultRandom(n, deg), rng)
 		if err != nil {
 			return false

@@ -2,10 +2,11 @@ package topology
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"scmp/internal/rng"
 )
 
 func line(t *testing.T, n int) *Graph {
@@ -180,7 +181,7 @@ func TestComponentOrderIsBFS(t *testing.T) {
 // is seen identically from both sides.
 func TestPropertySymmetry(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, err := Random(DefaultRandom(20, 4), rng)
 		if err != nil {
 			return false

@@ -2,7 +2,8 @@ package topology
 
 import (
 	"fmt"
-	"math/rand"
+
+	"scmp/internal/rng"
 )
 
 // RandomConfig parameterises the flat random topologies used for the
@@ -29,7 +30,7 @@ func DefaultRandom(n int, avgDegree float64) RandomConfig {
 
 // Random generates a connected random graph with approximately the target
 // average degree.
-func Random(cfg RandomConfig, rng *rand.Rand) (*Graph, error) {
+func Random(cfg RandomConfig, rng *rng.Rand) (*Graph, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("topology: Random needs N > 0, got %d", cfg.N)
 	}

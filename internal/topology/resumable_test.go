@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
+
+	"scmp/internal/rng"
 )
 
 // checkSuspended holds a row, wherever its search stands, against the
@@ -65,7 +66,7 @@ func checkSuspended(t *testing.T, label string, ap *AllPairs, src NodeID, full *
 // tie-heavy shapes where the order slots are handed out in is nothing
 // like id order — a unit-weight grid and a long uniform ring.
 func sparseGraphs(t testing.TB) map[string]*Graph {
-	ts, _, err := TransitStub(TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}, rand.New(rand.NewSource(3)))
+	ts, _, err := TransitStub(TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}, rng.New(3))
 	if err != nil {
 		t.Fatalf("transit-stub: %v", err)
 	}
@@ -123,7 +124,7 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 			for _, w := range []Weight{ByDelay, ByCost} {
 				lazy := NewLazyAllPairs(g, w)
 				lazy.Invalidate(avoid)
-				rng := rand.New(rand.NewSource(int64(g.N())*31 + int64(w)))
+				rng := rng.New(int64(g.N())*31 + int64(w))
 				for src := 0; src < g.N(); src += step {
 					src := NodeID(src)
 					label := fmt.Sprintf("%s/%s/%s/src%d", name, avoidName, w, src)
@@ -255,7 +256,7 @@ func FuzzResumableRow(f *testing.F) {
 	f.Add(int64(2), []byte{1, 255, 17, 0, 0, 2, 2, 1, 3, 9})
 	f.Add(int64(7), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 2})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		n := 2 + rng.Intn(3*sparseSlots*sparseDiv)
 		ties := rng.Intn(2) == 0
 		g := New(n)

@@ -2,7 +2,8 @@ package topology
 
 import (
 	"fmt"
-	"math/rand"
+
+	"scmp/internal/rng"
 )
 
 // TransitStubConfig parameterises a GT-ITM-style transit-stub topology —
@@ -63,7 +64,7 @@ const (
 )
 
 // TransitStub generates a connected transit-stub topology.
-func TransitStub(cfg TransitStubConfig, rng *rand.Rand) (*Graph, *TransitStubInfo, error) {
+func TransitStub(cfg TransitStubConfig, rng *rng.Rand) (*Graph, *TransitStubInfo, error) {
 	if cfg.TransitDomains < 1 || cfg.TransitSize < 1 || cfg.StubsPerTransitNode < 0 || cfg.StubSize < 1 {
 		return nil, nil, fmt.Errorf("topology: degenerate transit-stub config %+v", cfg)
 	}
@@ -154,7 +155,7 @@ func TransitStub(cfg TransitStubConfig, rng *rand.Rand) (*Graph, *TransitStubInf
 // buildDomain wires nodes into a connected random subgraph: a random
 // spanning tree plus Bernoulli(extraProb) extra edges.
 func buildDomain(g *Graph, nodes []NodeID, extraProb, baseCost float64,
-	rng *rand.Rand, edge func(u, v NodeID, base float64)) {
+	rng *rng.Rand, edge func(u, v NodeID, base float64)) {
 
 	if len(nodes) == 1 {
 		return

@@ -1,13 +1,14 @@
 package topology
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"scmp/internal/rng"
 )
 
 func TestTransitStubDefaultShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	g, info, err := TransitStub(DefaultTransitStub(), rng)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +32,7 @@ func TestTransitStubDefaultShape(t *testing.T) {
 }
 
 func TestTransitStubHierarchy(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	rng := rng.New(2)
 	cfg := DefaultTransitStub()
 	g, info, err := TransitStub(cfg, rng)
 	if err != nil {
@@ -58,7 +59,7 @@ func TestTransitStubHierarchy(t *testing.T) {
 }
 
 func TestTransitStubCostBands(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := rng.New(3)
 	g, info, err := TransitStub(DefaultTransitStub(), rng)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +92,7 @@ func TestTransitStubCostBands(t *testing.T) {
 }
 
 func TestTransitStubBadConfig(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	bad := []TransitStubConfig{
 		{TransitDomains: 0, TransitSize: 1, StubSize: 1},
 		{TransitDomains: 1, TransitSize: 0, StubSize: 1},
@@ -106,7 +107,7 @@ func TestTransitStubBadConfig(t *testing.T) {
 }
 
 func TestTransitStubNoStubs(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	rng := rng.New(4)
 	cfg := TransitStubConfig{TransitDomains: 2, TransitSize: 3, StubsPerTransitNode: 0, StubSize: 1}
 	g, info, err := TransitStub(cfg, rng)
 	if err != nil {
@@ -130,7 +131,7 @@ func TestPropertyTransitStubInvariants(t *testing.T) {
 			StubsPerTransitNode: int(spt) % 3,
 			StubSize:            1 + int(ss)%4,
 		}
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		g, info, err := TransitStub(cfg, rng)
 		if err != nil {
 			return false

@@ -3,7 +3,8 @@ package topology
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"scmp/internal/rng"
 )
 
 // WaxmanConfig parameterises the Waxman random-topology model exactly as
@@ -51,7 +52,7 @@ type WaxmanGraph struct {
 
 // Waxman generates a random topology under cfg using rng. The result is
 // connected when cfg.Connect is set; otherwise it may not be.
-func Waxman(cfg WaxmanConfig, rng *rand.Rand) (*WaxmanGraph, error) {
+func Waxman(cfg WaxmanConfig, rng *rng.Rand) (*WaxmanGraph, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("topology: Waxman needs N > 0, got %d", cfg.N)
 	}
