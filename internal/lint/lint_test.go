@@ -40,57 +40,90 @@ func wantFindings(t *testing.T, got []string, want ...string) {
 	}
 }
 
-// TestMapOrderFlagsEveryMapRange: a range over a map is flagged
-// whatever its body does — a send, a pure read, or collecting keys that
-// are sorted afterwards — and so is a range over a type parameter
-// whose constraint is a map. Ranges over slices are not.
-func TestMapOrderFlagsEveryMapRange(t *testing.T) {
+// The maporder tests keep the old heuristic's fixtures. The exact rule
+// no longer reads a walk's body, so each fixture's map range is flagged
+// in production code whatever it does; what is allowed is a walk in a
+// test file or bench/, and a loop over anything but a map.
+
+func TestMapOrderFlagsUnsortedSend(t *testing.T) {
 	got := runOn(t, MapOrder, "scmp/internal/core/x.go", `
 package core
-import "sort"
-func fanOut(downstream map[int]bool, send func(int)) {
+type pkt struct{}
+type net struct{}
+func (net) SendLink(to int, p pkt) {}
+func fanOut(n net, downstream map[int]bool) {
 	for d := range downstream {
-		send(d)
+		n.SendLink(d, pkt{})
 	}
-}
-func sum[M ~map[int]float64](m M) (total float64) {
-	for _, v := range m {
-		total += v
-	}
-	return total
-}
-func keys(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-func slicesAreFine[S ~[]int](s S, t []int) (n int) {
-	for range s {
-		n++
-	}
-	for range t {
-		n++
-	}
-	return n
 }`)
-	wantFindings(t, got, "range over map downstream", "range over map m", "range over map m")
+	wantFindings(t, got, "range over map downstream")
 }
 
-// TestMapOrderExemptsTestFilesAndBench: the rule binds production code;
-// test files and the frozen bench/ harness may range over maps.
-func TestMapOrderExemptsTestFilesAndBench(t *testing.T) {
-	const body = `
-func sum(m map[int]float64) (total float64) {
-	for _, v := range m {
-		total += v
+func TestMapOrderFlagsEscapingAppend(t *testing.T) {
+	got := runOn(t, MapOrder, "scmp/internal/core/x.go", `
+package core
+func collect(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return total
+	return keys
+}`)
+	wantFindings(t, got, "range over map m")
+}
+
+// TestMapOrderAllowsCollectThenSort: a collect-then-sort walk is allowed
+// only where every map walk is, in test files and the frozen bench/
+// (whose three map ranges have this shape). In production code the
+// sort afterwards is not looked for and the range is flagged.
+func TestMapOrderAllowsCollectThenSort(t *testing.T) {
+	const body = `
+import "sort"
+func collect(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }`
 	wantFindings(t, runOn(t, MapOrder, "scmp/internal/core/x_test.go", "package core"+body))
 	wantFindings(t, runOn(t, MapOrder, "scmp/bench/x.go", "package main"+body))
+	wantFindings(t, runOn(t, MapOrder, "scmp/internal/core/x.go", "package core"+body), "range over map m")
+}
+
+// TestMapOrderAllowsLoopLocalAppendAndPureReads: a loop-local append and
+// pure reads are allowed over a slice or a ~[]E type parameter, and the
+// map is read by key. The same body ranging over a map, or over a type
+// parameter constrained to maps, is flagged.
+func TestMapOrderAllowsLoopLocalAppendAndPureReads(t *testing.T) {
+	got := runOn(t, MapOrder, "scmp/internal/core/x.go", `
+package core
+func sum[S ~[]int](m map[int]float64, keys S) float64 {
+	total := 0.0
+	for _, k := range keys {
+		parts := []float64{}
+		parts = append(parts, m[k])
+		total += parts[0]
+	}
+	return total
+}
+func sumMap(m map[int]float64) float64 {
+	total := 0.0
+	for _, v := range m {
+		parts := []float64{}
+		parts = append(parts, v)
+		total += parts[0]
+	}
+	return total
+}
+func sumParam[M ~map[int]float64](m M) (total float64) {
+	for _, v := range m {
+		total += v
+	}
+	return total
+}`)
+	wantFindings(t, got, "range over map m", "range over map m")
 }
 
 func TestMapOrderIgnoreComment(t *testing.T) {
@@ -105,36 +138,75 @@ func emit(m map[int]bool, send func(int)) {
 	wantFindings(t, got)
 }
 
-// TestNoClockFlagsTimeOutsideBenchAndTests: importing time is flagged
-// in any production package, for a type reference too; test files and
-// bench/ may import it.
-func TestNoClockFlagsTimeOutsideBenchAndTests(t *testing.T) {
+// TestNoClockFlagsWallClockInStrictPackage: des was on the old strict
+// list; the import rule flags time in it as in any production package.
+func TestNoClockFlagsWallClockInStrictPackage(t *testing.T) {
+	got := runOn(t, NoClock, "scmp/internal/des/x.go", `
+package des
+import "time"
+func stamp() int64 { return time.Now().UnixNano() }`)
+	wantFindings(t, got, "imports time")
+}
+
+// TestNoClockAllowsWallClockOutsideStrictPackages: no strict-package
+// list is left. Outside the rule means bench/ only (and test files); a
+// command is flagged like core, for a type reference too.
+func TestNoClockAllowsWallClockOutsideStrictPackages(t *testing.T) {
 	const stamp = `
 import "time"
 func stamp() int64 { return time.Now().UnixNano() }`
-	wantFindings(t, runOn(t, NoClock, "scmp/internal/core/x.go", "package core"+stamp), "imports time")
+	wantFindings(t, runOn(t, NoClock, "scmp/bench/x.go", "package main"+stamp))
+	wantFindings(t, runOn(t, NoClock, "scmp/cmd/scmpsim/x.go", "package main"+stamp), "imports time")
 	wantFindings(t, runOn(t, NoClock, "scmp/cmd/scmpsim/x.go", `package main
 import "time"
 var timeout time.Duration`), "imports time")
-	wantFindings(t, runOn(t, NoClock, "scmp/internal/core/x_test.go", "package core"+stamp))
-	wantFindings(t, runOn(t, NoClock, "scmp/bench/x.go", "package main"+stamp))
 }
 
-// TestNoClockFlagsGlobalRandEverywhere: only internal/rng imports
-// math/rand or math/rand/v2. Everywhere else, a test file included, the
-// import is the finding, whether the file calls the globally seeded
-// functions or seeds its own generator; tests draw from rng.New too.
+// TestNoClockFlagsGlobalRandEverywhere: outside internal/rng, importing
+// math/rand or math/rand/v2 is the finding, whatever the file calls.
 func TestNoClockFlagsGlobalRandEverywhere(t *testing.T) {
-	const src = `
+	wantFindings(t, runOn(t, NoClock, "scmp/internal/experiment/x.go", `package experiment
 import "math/rand"
-func mk(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-func draw() int { return rand.Intn(10) }`
-	wantFindings(t, runOn(t, NoClock, "scmp/internal/experiment/x_test.go", "package experiment"+src), "imports math/rand")
+func draw() int { return rand.Intn(10) }`), "imports math/rand")
 	wantFindings(t, runOn(t, NoClock, "scmp/internal/experiment/x.go", `package experiment
 import "math/rand/v2"
 func draw() int { return rand.IntN(10) }`), "imports math/rand/v2")
-	wantFindings(t, runOn(t, NoClock, "scmp/internal/rng/x.go", "package rng"+src))
-	wantFindings(t, runOn(t, NoClock, "scmp/internal/rng/x_test.go", "package rng"+src))
+}
+
+// mkRand constructs a generator directly from math/rand.
+const mkRand = `
+import "math/rand"
+func mk(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }`
+
+// TestNoClockFlagsDirectConstructionOutsideRng: seeding a generator by
+// hand outside internal/rng is one finding, the import.
+func TestNoClockFlagsDirectConstructionOutsideRng(t *testing.T) {
+	got := runOn(t, NoClock, "scmp/internal/experiment/x.go", "package experiment"+mkRand)
+	wantFindings(t, got, "imports math/rand")
+}
+
+// TestNoClockAllowsTypeReferencesAndRngPackage: internal/rng imports
+// math/rand, its tests too, and other packages refer to the generator
+// through its alias, rng.Rand.
+func TestNoClockAllowsTypeReferencesAndRngPackage(t *testing.T) {
+	wantFindings(t, runOn(t, NoClock, "scmp/internal/rng/x.go", "package rng"+mkRand))
+	wantFindings(t, runOn(t, NoClock, "scmp/internal/rng/x_test.go", "package rng"+mkRand))
+	wantFindings(t, runOn(t, NoClock, "scmp/internal/topology/x.go", `package topology
+import "scmp/internal/rng"
+func draw(r *rng.Rand) int { return r.Intn(10) }`))
+}
+
+// TestNoClockRelaxedInTestFiles: a test file may import time, but not
+// math/rand; tests draw from rng.New(seed) too.
+func TestNoClockRelaxedInTestFiles(t *testing.T) {
+	wantFindings(t, runOn(t, NoClock, "scmp/internal/core/x_test.go", `package core
+import "time"
+func stamp() int64 { return time.Now().UnixNano() }`))
+	got := runOn(t, NoClock, "scmp/internal/experiment/x_test.go", `package experiment
+import "math/rand"
+func mk(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+func draw() int { return rand.Intn(10) }`)
+	wantFindings(t, got, "imports math/rand")
 }
 
 func TestFloatCmpFlagsComputedEquality(t *testing.T) {
