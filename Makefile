@@ -12,7 +12,7 @@ build:
 
 # gofmt, go vet of the default and the -tags invariants build, then the
 # repo's own analysis suite (cmd/scmplint): the determinism analyzers
-# and the dataflow analyzers (poollife, detshared) over every module
+# and the ownership rules (poollife, detshared) over every module
 # package, _test.go files included. The stable-sorted findings
 # list lands in scmplint.json as the CI artifact; the run fails on any
 # finding not covered by an inline
@@ -95,7 +95,7 @@ loc:
 # grown past the committed budget. A PR that removes code lowers
 # LOC_BUDGET to what `make loc` prints; one that must add code raises it
 # in the same diff, where a reviewer sees it.
-LOC_BUDGET := 16115
+LOC_BUDGET := 15431
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

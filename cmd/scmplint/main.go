@@ -2,7 +2,9 @@
 // the five analyzers of scmp/internal/lint: the determinism analyzers
 // (maporder: no range over a map in production code; noclock: math/rand
 // only in internal/rng, time only in tests and bench/; floatcmp) and
-// the dataflow analyzers (poollife, detshared) — over module packages
+// the ownership rules (poollife: a pooled packet never outlives its
+// frame; detshared: no package-level writes outside tests, no captured
+// writes in runner.Map workers) — over module packages
 // and exits non-zero when any finding remains. Production code that no
 // entry point runs is not a lint finding: `make reach` measures it.
 //

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// TestGolden runs each dataflow analyzer over its corpus under
+// TestGolden runs each ownership analyzer over its corpus under
 // testdata/<analyzer>/. Every .go file is type-checked as its own
 // synthetic package (imports resolve against the real module and the
 // standard library) and must annotate each expected finding with a

@@ -8,8 +8,10 @@
 // The five analyzers guard the properties the whole reproduction depends
 // on. The determinism suite (maporder, noclock, floatcmp) protects the
 // m-router's centrally computed trees from run-to-run divergence; the
-// dataflow suite (poollife, detshared) machine-checks the packet pool's
-// ownership rule and the parallel runner's sharing rule.
+// ownership rules (poollife, detshared) machine-check that a pooled
+// packet never outlives its frame and that parallel workers share no
+// written state. Like maporder and noclock they are exact: each checks
+// what a statement does, not a guess at what a flow might do.
 // Where a runtime gate covers a rule, the rule is not a lint check: the
 // AllocsPerRun floors guard the data plane's zero-allocation contract,
 // topology.Graph refuses AddEdge once it has been routed over, and
@@ -21,13 +23,9 @@
 // "//scmplint:" comment, and an ignore that names no analyzer of the
 // suite or gives no reason, as a finding of its own.
 //
-// Framework shape: every analyzer has a Run pass that inspects one
-// type-checked package and reports diagnostics. An analyzer may also
-// have a Facts pass, which runs first over every package in import
-// dependency order and exports per-object facts (e.g. "this function
-// writes package state"); Run passes — which execute in parallel across
-// packages — read those facts back to reason across package boundaries
-// without whole-program analysis.
+// Framework shape: every analyzer is a Run pass that inspects one
+// type-checked package and reports diagnostics; Check fans the
+// (package, analyzer) pairs out in parallel and sorts the findings.
 package lint
 
 import (
@@ -43,16 +41,11 @@ import (
 )
 
 // Analyzer is one named check. Run inspects a fully type-checked package
-// through the Pass and reports findings via Pass.Reportf. Facts, when
-// non-nil, runs before any Run pass, over all packages in import
-// dependency order, and may export per-object facts via Pass.ExportFact
-// for Run passes (of the same analyzer) to read back with Pass.FactOf —
-// the cross-package channel of the dataflow analyzers.
+// through the Pass and reports findings via Pass.Reportf.
 type Analyzer struct {
-	Name  string // short lower-case identifier, used in output and ignore comments
-	Doc   string // one-line description
-	Run   func(*Pass)
-	Facts func(*Pass)
+	Name string // short lower-case identifier, used in output and ignore comments
+	Doc  string // one-line description
+	Run  func(*Pass)
 }
 
 // Pass carries one package through one analyzer.
@@ -65,8 +58,7 @@ type Pass struct {
 	Info     *types.Info
 
 	diags   *[]Diagnostic
-	mu      *sync.Mutex // guards diags when Run passes execute in parallel
-	facts   *factStore
+	mu      *sync.Mutex                    // guards diags when Run passes execute in parallel
 	ignores map[*ast.File]map[int][]string // line -> analyzer names ignored
 }
 
@@ -109,52 +101,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 // over maps, and noclock lets them import time.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// ExportFact records a fact about obj for this analyzer. Only meaningful
-// from a Facts pass; Run passes (any package) read it back with FactOf.
-func (p *Pass) ExportFact(obj types.Object, fact any) {
-	if p.facts == nil || obj == nil {
-		return
-	}
-	p.facts.put(p.Analyzer.Name, obj, fact)
-}
-
-// FactOf returns the fact this analyzer exported for obj, nil when none.
-func (p *Pass) FactOf(obj types.Object) any {
-	if p.facts == nil || obj == nil {
-		return nil
-	}
-	return p.facts.get(p.Analyzer.Name, obj)
-}
-
-// factStore holds every analyzer's exported facts for one Check run.
-// Writes happen only during the serial Facts phase; reads during the
-// parallel Run phase are lock-free on an immutable map by then, but the
-// mutex keeps the store safe under any future phase interleaving.
-type factStore struct {
-	mu sync.Mutex
-	m  map[string]map[types.Object]any
-}
-
-func (s *factStore) put(analyzer string, obj types.Object, fact any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[string]map[types.Object]any)
-	}
-	byObj := s.m[analyzer]
-	if byObj == nil {
-		byObj = make(map[types.Object]any)
-		s.m[analyzer] = byObj
-	}
-	byObj[obj] = fact
-}
-
-func (s *factStore) get(analyzer string, obj types.Object) any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[analyzer][obj]
 }
 
 // ignoredAt reports whether an ignore comment covers line (or the line
@@ -268,31 +214,19 @@ func directiveFault(comment string, known map[string]bool) string {
 }
 
 // Analyzers returns the full suite in reporting order: the determinism
-// analyzers, then the dataflow analyzers.
+// analyzers, then the ownership analyzers.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{MapOrder, NoClock, FloatCmp, PoolLife, DetShared}
 }
 
 // Check runs the given analyzers over every package and returns all
 // findings ordered by file position, with the malformed directives
-// whichever analyzers run. Facts passes run first, serially, over
-// packages in import dependency order; Run passes then fan out in
-// parallel across packages (each (package, analyzer) pair is an
-// independent read-only walk over shared type information).
+// whichever analyzers run. The passes fan out in parallel across
+// packages (each (package, analyzer) pair is an independent read-only
+// walk over shared type information).
 func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	diags := checkDirectives(pkgs)
 	var mu sync.Mutex
-	facts := &factStore{}
-
-	ordered := dependencyOrder(pkgs)
-	for _, a := range analyzers {
-		if a.Facts == nil {
-			continue
-		}
-		for _, pkg := range ordered {
-			a.Facts(newPass(a, pkg, &diags, &mu, facts))
-		}
-	}
 
 	type unit struct {
 		pkg *Package
@@ -301,9 +235,7 @@ func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var units []unit
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run != nil {
-				units = append(units, unit{pkg, a})
-			}
+			units = append(units, unit{pkg, a})
 		}
 	}
 	workers := runtime.GOMAXPROCS(0)
@@ -312,7 +244,7 @@ func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	}
 	if workers <= 1 {
 		for _, u := range units {
-			u.a.Run(newPass(u.a, u.pkg, &diags, &mu, facts))
+			u.a.Run(newPass(u.a, u.pkg, &diags, &mu))
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -322,7 +254,7 @@ func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			go func() {
 				defer wg.Done()
 				for u := range next {
-					u.a.Run(newPass(u.a, u.pkg, &diags, &mu, facts))
+					u.a.Run(newPass(u.a, u.pkg, &diags, &mu))
 				}
 			}()
 		}
@@ -352,7 +284,7 @@ func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-func newPass(a *Analyzer, pkg *Package, diags *[]Diagnostic, mu *sync.Mutex, facts *factStore) *Pass {
+func newPass(a *Analyzer, pkg *Package, diags *[]Diagnostic, mu *sync.Mutex) *Pass {
 	return &Pass{
 		Analyzer: a,
 		Fset:     pkg.Fset,
@@ -362,81 +294,5 @@ func newPass(a *Analyzer, pkg *Package, diags *[]Diagnostic, mu *sync.Mutex, fac
 		Info:     pkg.Info,
 		diags:    diags,
 		mu:       mu,
-		facts:    facts,
 	}
-}
-
-// dependencyOrder returns pkgs sorted so that every package appears
-// after all of its imports that are themselves in pkgs — the order the
-// Facts phase needs so callee summaries exist before callers read them.
-func dependencyOrder(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	out := make([]*Package, 0, len(pkgs))
-	state := make(map[string]int) // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		switch state[p.Path] {
-		case 1, 2:
-			return // cycle (impossible in valid Go) or already emitted
-		}
-		state[p.Path] = 1
-		for _, imp := range p.Types.Imports() {
-			if dep, ok := byPath[imp.Path()]; ok {
-				visit(dep)
-			}
-		}
-		state[p.Path] = 2
-		out = append(out, p)
-	}
-	for _, p := range pkgs {
-		visit(p)
-	}
-	return out
-}
-
-// walk traverses root keeping an ancestor stack (root first). visit runs
-// before descending into n; the stack includes n itself.
-func walk(root ast.Node, visit func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		visit(n, stack)
-		return true
-	})
-}
-
-// pkgNameOf returns the imported package an identifier refers to, nil
-// when id is not a package name.
-func pkgNameOf(info *types.Info, id *ast.Ident) *types.PkgName {
-	if obj, ok := info.Uses[id]; ok {
-		if pn, ok := obj.(*types.PkgName); ok {
-			return pn
-		}
-	}
-	return nil
-}
-
-// selectorPkg returns the import path and selected name when e is a
-// qualified identifier like time.Now; ok is false otherwise.
-func selectorPkg(info *types.Info, e ast.Expr) (path, name string, sel *ast.SelectorExpr, ok bool) {
-	s, isSel := e.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", nil, false
-	}
-	id, isID := s.X.(*ast.Ident)
-	if !isID {
-		return "", "", nil, false
-	}
-	pn := pkgNameOf(info, id)
-	if pn == nil {
-		return "", "", nil, false
-	}
-	return pn.Imported().Path(), s.Sel.Name, s, true
 }

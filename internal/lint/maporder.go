@@ -27,7 +27,7 @@ func runMapOrder(p *Pass) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if rs, ok := n.(*ast.RangeStmt); ok && isMap(p.TypeOf(rs.X)) {
-				p.Reportf(rs.Pos(), "range over map %s: its order differs run to run; walk a slice or sorted keys", exprString(rs.X))
+				p.Reportf(rs.Pos(), "range over map %s: its order differs run to run; walk a slice or sorted keys", types.ExprString(rs.X))
 			}
 			return true
 		})

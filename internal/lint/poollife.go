@@ -1,320 +1,182 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
-// PoolLife machine-checks the pooled-packet lifetime through an
-// intra-procedural escape/liveness walk. Tracked are the results of
-// Network.getPacket calls, *Packet parameters (including sink/trace
-// callback literals), and *Packet locals type-asserted out of a
-// SinkEvent payload. The simulator recycles the in-flight copy once the
-// handler returns, so a tracked packet must not outlive its frame:
-// storing it into a field, slice element, map, package-level variable
-// or composite literal, sending it on a channel, appending it anywhere,
-// or capturing it in a closure is reported, as is any use sequenced
-// after the putPacket call that releases it. Field reads/writes on the packet and passing it down the
-// call stack are fine — the contract is about retention, not access.
-// (The scheduler's handles need no such check: a des.Timer is a value
-// whose Stop and Armed validate the slot generation themselves.)
+// PoolLife keeps pooled packets from outliving their frame: the
+// simulator recycles an in-flight *netsim.Packet once its handler
+// returns, so a retained reference later reads another packet. Two
+// exact rules, outside _test.go files and bench/:
 //
-// Sequencing uses the ancestor-block rule (see dataflow.go): an event
-// only poisons uses it dominates in source order, so a release on an
-// early-return branch never flags the fall-through path. Loops,
-// gotos, derived pointers (q := pkt.Payload) and cross-call flows are
-// documented false negatives (DESIGN.md §11).
+//   - a *netsim.Packet expression is only the operand of a selector, a
+//     dereference or a comparison, an argument to a (non-variadic)
+//     *netsim.Packet parameter, the value assigned to a local
+//     *netsim.Packet, or a return value of that type: no store,
+//     composite literal, append, send, closure capture or conversion
+//     to an interface;
+//   - nothing but a return of constants runs after a putPacket call on
+//     the way out of its function: no later statement, no enclosing
+//     loop (a switch clause does not fall into the next).
+//
+// putPacket's own body is the pool and is exempt (DESIGN.md §11).
 var PoolLife = &Analyzer{
 	Name: "poollife",
-	Doc:  "tracks pool-obtained packets; flags retention past release and use after putPacket",
+	Doc:  "a *netsim.Packet is only read, passed as *Packet, held in a local or returned; putPacket ends its function",
 	Run:  runPoolLife,
 }
 
 func runPoolLife(p *Pass) {
-	for _, fi := range packageFuncs(p) {
-		name := fi.decl.Name.Name
-		if name == "getPacket" || name == "putPacket" {
-			continue // the pool implementation itself stores packets by design
-		}
-		checkPoolLifeFunc(p, fi.decl)
-	}
-}
-
-func checkPoolLifeFunc(p *Pass, fn *ast.FuncDecl) {
-	tracked := collectTracked(p, fn)
-	if len(tracked) == 0 {
+	if inBench(p.Path) {
 		return
 	}
-
-	// Release (putPacket) and reassignment positions per alias group,
-	// keyed by the group's representative (the original source var).
-	releases := make(map[*types.Var][]token.Pos)
-	assigns := make(map[*types.Var][]token.Pos)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			// A release is recorded just inside the call's closing paren:
-			// ordered after every argument, but still inside the call's
-			// enclosing case clause / block for ancestry purposes.
-			if calleeName(n) == "putPacket" {
-				for _, arg := range n.Args {
-					if rep := tracked[objOf(p.Info, arg)]; rep != nil {
-						releases[rep] = append(releases[rep], n.End()-1)
+	for _, f := range p.Files {
+		if p.InTestFile(f.Pos()) {
+			continue
+		}
+		var stack []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			if fd, ok := n.(*ast.FuncDecl); ok && fd.Name.Name == "putPacket" {
+				return false // the pool itself
+			}
+			stack = append(stack, n)
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "putPacket" {
+					if what := afterPut(p, stack); what != "" {
+						p.Reportf(call.Pos(), "%s runs after putPacket released the packet; follow putPacket with return", what)
 					}
 				}
 			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if rep := tracked[objOf(p.Info, lhs)]; rep != nil {
-					assigns[rep] = append(assigns[rep], n.End())
-				}
-			}
-		}
-		return true
-	})
-
-	checkPoolEscapes(p, fn, tracked)
-
-	// Liveness: a use is poisoned by the nearest dominating release
-	// unless a reassignment lies between.
-	walk(fn.Body, func(n ast.Node, stack []ast.Node) {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return
-		}
-		v, _ := p.Info.Uses[id].(*types.Var)
-		rep := tracked[v]
-		if rep == nil || isAssignTarget(stack, id) {
-			return
-		}
-		if lit := innermostFuncLit(stack); lit != nil && !declaredWithin(v, lit) {
-			return // captures are reported once, by the escape walk
-		}
-		for _, rel := range releases[rep] {
-			if sequencedAfter(fn.Body, rel, id.Pos()) && !anyBetween(assigns[rep], rel, id.Pos()) {
-				p.Reportf(id.Pos(), "use of pooled packet %s after putPacket released it", id.Name)
-				return
-			}
-		}
-	})
-}
-
-// collectTracked gathers the function's tracked variables: pooled-packet
-// sources and their plain-identifier aliases (q := pkt), each mapped to
-// its group's representative.
-func collectTracked(p *Pass, fn *ast.FuncDecl) map[*types.Var]*types.Var {
-	tracked := make(map[*types.Var]*types.Var)
-
-	// *Packet parameters of the function itself and of every function
-	// literal in its body (sink, trace and scheduler callbacks receive
-	// pooled copies valid only for the call).
-	trackParams := func(ft *ast.FuncType) {
-		if ft.Params == nil {
-			return
-		}
-		for _, field := range ft.Params.List {
-			for _, name := range field.Names {
-				v, _ := p.Info.Defs[name].(*types.Var)
-				if v != nil && isPooledPacketType(v.Type()) {
-					tracked[v] = v
-				}
-			}
-		}
-	}
-	trackParams(fn.Type)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			trackParams(lit.Type)
-		}
-		return true
-	})
-
-	// Locals: pool-call results and payload assertions.
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			v := objOf(p.Info, as.Lhs[i])
-			if v == nil {
-				continue
-			}
-			switch r := ast.Unparen(rhs).(type) {
-			case *ast.CallExpr:
-				if calleeName(r) == "getPacket" {
-					tracked[v] = v
-				}
-			case *ast.TypeAssertExpr:
-				if isPooledPacketType(p.TypeOf(r)) {
-					tracked[v] = v
-				}
-			}
-		}
-		return true
-	})
-
-	// Alias closure: a plain `q := pkt` joins pkt's group.
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				src := objOf(p.Info, rhs)
-				dst := objOf(p.Info, as.Lhs[i])
-				if src == nil || dst == nil || dst == src {
-					continue
-				}
-				rep := tracked[src]
-				if rep == nil {
-					continue
-				}
-				if tracked[dst] == nil {
-					tracked[dst] = rep
-					changed = true
+			if e, ok := n.(ast.Expr); ok && p.Info.Types[e].IsValue() && isPooledPacketType(p.TypeOf(e)) {
+				if what := packetEscape(p, stack); what != "" {
+					p.Reportf(e.Pos(), "pooled packet %s %s; it is recycled after the handler returns", types.ExprString(e), what)
 				}
 			}
 			return true
 		})
 	}
-	return tracked
 }
 
-// checkPoolEscapes reports stores that would retain a pooled packet past
-// its release: fields, slice/map elements, globals, composite literals,
-// appends, channel sends, and closure captures.
-func checkPoolEscapes(p *Pass, fn *ast.FuncDecl, tracked map[*types.Var]*types.Var) {
-	isTrackedPacket := func(e ast.Expr) (*types.Var, bool) {
-		v := objOf(p.Info, e)
-		return v, tracked[v] != nil
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, rhs := range n.Rhs {
-				v, ok := isTrackedPacket(rhs)
-				if !ok {
-					continue
-				}
-				switch lhs := ast.Unparen(n.Lhs[i]).(type) {
-				case *ast.Ident:
-					if lv := objOf(p.Info, lhs); isPackageLevel(lv) {
-						p.Reportf(n.Pos(), "pooled packet %s stored in package-level %s; it is recycled after the handler returns", v.Name(), lhs.Name)
-					}
-					// plain local: alias, handled by group tracking
-				case *ast.SelectorExpr:
-					p.Reportf(n.Pos(), "pooled packet %s stored in field %s; it is recycled after the handler returns", v.Name(), exprString(lhs))
-				case *ast.IndexExpr:
-					p.Reportf(n.Pos(), "pooled packet %s stored in element %s; it is recycled after the handler returns", v.Name(), exprString(lhs))
-				case *ast.StarExpr:
-					p.Reportf(n.Pos(), "pooled packet %s stored through pointer %s; it is recycled after the handler returns", v.Name(), exprString(lhs))
-				}
-			}
-		case *ast.CallExpr:
-			if isBuiltinCall(p.Info, n, "append") {
-				for _, arg := range n.Args[1:] {
-					if v, ok := isTrackedPacket(arg); ok {
-						p.Reportf(arg.Pos(), "pooled packet %s appended to a slice; it is recycled after the handler returns", v.Name())
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			for _, elt := range n.Elts {
-				e := elt
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					e = kv.Value
-				}
-				if v, ok := isTrackedPacket(e); ok {
-					p.Reportf(e.Pos(), "pooled packet %s stored in a composite literal; it is recycled after the handler returns", v.Name())
-				}
-			}
-		case *ast.SendStmt:
-			if v, ok := isTrackedPacket(n.Value); ok {
-				p.Reportf(n.Pos(), "pooled packet %s sent on a channel; it is recycled after the handler returns", v.Name())
-			}
+// packetEscape says how the *Packet expression on top of stack leaves
+// the rule's shapes, "" when it keeps to them.
+func packetEscape(p *Pass, stack []ast.Node) string {
+	e, parent := stack[len(stack)-1].(ast.Expr), stack[len(stack)-2]
+	var fn ast.Node // the innermost function around e, and its signature
+	var sig *types.Signature
+	for i := len(stack) - 1; fn == nil && i >= 0; i-- {
+		switch f := stack[i].(type) {
 		case *ast.FuncLit:
-			for _, v := range capturedVars(p.Info, n) {
-				if tracked[v] != nil {
-					p.Reportf(n.Pos(), "pooled packet %s captured by closure; it is recycled after the handler returns", v.Name())
-				}
+			fn, sig = f, p.TypeOf(f).(*types.Signature)
+		case *ast.FuncDecl:
+			fn, sig = f, p.Info.Defs[f.Name].Type().(*types.Signature)
+		}
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		if v, ok := p.Info.Uses[id].(*types.Var); ok && !v.IsField() && !isPackageLevel(v) && !within(v.Pos(), fn) {
+			return "captured by a closure"
+		}
+	}
+	switch x := parent.(type) {
+	case *ast.ParenExpr, *ast.StarExpr, *ast.SelectorExpr:
+		return "" // a selector's operand, or x.pkt, which is checked itself
+	case *ast.BinaryExpr:
+		if x.Op == token.EQL || x.Op == token.NEQ {
+			return ""
+		}
+	case *ast.CallExpr:
+		callee, ok := p.TypeOf(x.Fun).Underlying().(*types.Signature) // not for a conversion
+		if i := slices.Index(x.Args, e); !ok {
+			return "converted to " + p.TypeOf(x.Fun).String()
+		} else if callee.Variadic() && i >= callee.Params().Len()-1 {
+			return "passed to a variadic parameter of " + types.ExprString(x.Fun) // append too
+		} else if t := callee.Params().At(i).Type(); !isPooledPacketType(t) {
+			return "passed as " + t.String()
+		}
+		return ""
+	case *ast.AssignStmt:
+		if i := slices.Index(x.Rhs, e); i >= 0 && len(x.Lhs) == len(x.Rhs) {
+			id, _ := ast.Unparen(x.Lhs[i]).(*ast.Ident)
+			if v, ok := p.Info.ObjectOf(id).(*types.Var); !ok || isPackageLevel(v) || !isPooledPacketType(v.Type()) {
+				return "stored in " + types.ExprString(x.Lhs[i])
 			}
 		}
-		return true
-	})
-}
-
-// isAssignTarget reports whether id is being written (LHS of an
-// assignment) rather than read.
-func isAssignTarget(stack []ast.Node, id *ast.Ident) bool {
-	if len(stack) < 2 {
-		return false
-	}
-	as, ok := stack[len(stack)-2].(*ast.AssignStmt)
-	if !ok {
-		return false
-	}
-	for _, lhs := range as.Lhs {
-		if lhs == ast.Expr(id) {
-			return true
+		return "" // a target; the value stored is checked itself
+	case *ast.ValueSpec:
+		if i := slices.Index(x.Values, e); i >= 0 {
+			if v, ok := p.Info.Defs[x.Names[i]].(*types.Var); !ok || isPackageLevel(v) || !isPooledPacketType(v.Type()) {
+				return "stored in " + x.Names[i].Name
+			}
 		}
-	}
-	return false
-}
-
-// innermostFuncLit returns the deepest function literal on the stack,
-// nil when the node is not inside one.
-func innermostFuncLit(stack []ast.Node) *ast.FuncLit {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if lit, ok := stack[i].(*ast.FuncLit); ok {
-			return lit
+		return ""
+	case *ast.ReturnStmt:
+		results := sig.Results()
+		if i := slices.Index(x.Results, e); len(x.Results) == results.Len() && !isPooledPacketType(results.At(i).Type()) {
+			return "returned as " + results.At(i).Type().String()
 		}
+		return ""
+	case *ast.CompositeLit, *ast.KeyValueExpr:
+		return "stored in a composite literal"
+	case *ast.SendStmt:
+		return "sent on a channel"
 	}
-	return nil
+	return fmt.Sprintf("used in %T", parent)
 }
 
-// anyBetween reports whether any position in ps lies strictly between
-// lo and hi.
-func anyBetween(ps []token.Pos, lo, hi token.Pos) bool {
-	for _, p := range ps {
-		if p > lo && p < hi {
-			return true
+// afterPut names what runs after the putPacket call on top of stack on
+// the way out of its function, "" when nothing does but a return of
+// constants.
+func afterPut(p *Pass, stack []ast.Node) string {
+	i := len(stack) - 1
+	for _, ok := stack[i].(ast.Stmt); !ok; _, ok = stack[i].(ast.Stmt) {
+		i--
+	}
+	for ; ; i-- {
+		var list []ast.Stmt
+		switch x := stack[i-1].(type) {
+		case *ast.FuncDecl, *ast.FuncLit:
+			return ""
+		case *ast.ForStmt, *ast.RangeStmt:
+			return "the enclosing loop"
+		case *ast.IfStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			switch stack[i].(type) {
+			case *ast.BlockStmt, *ast.IfStmt: // a body, or an else branch
+				continue
+			}
+			return "the statement it initialises"
+		case *ast.BlockStmt:
+			switch stack[i].(type) {
+			case *ast.CaseClause, *ast.CommClause: // a clause does not fall into the next
+				continue
+			}
+			list = x.List
+		case *ast.CaseClause:
+			list = x.Body
+		case *ast.CommClause:
+			list = x.Body
+		} // a labeled statement passes through: its list is empty
+		k := slices.Index(list, stack[i].(ast.Stmt))
+		if k == len(list)-1 {
+			continue
 		}
+		if ret, ok := list[k+1].(*ast.ReturnStmt); !ok || slices.ContainsFunc(ret.Results, func(r ast.Expr) bool { return p.Info.Types[r].Value == nil }) {
+			return "a later statement"
+		}
+		return ""
 	}
-	return false
 }
 
-// isPooledPacketType matches *Packet where Packet is netsim's pooled
-// packet type (suffix match so analyzer tests can declare their own
-// netsim-shaped package).
+// isPooledPacketType matches *Packet of a package whose path ends in
+// "netsim" (so analyzer tests can declare a netsim-shaped package).
 func isPooledPacketType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if _, ok := t.(*types.Pointer); !ok {
-		return false
-	}
-	return namedTypeIs(t, "netsim", "Packet")
-}
-
-func exprString(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprString(x.X) + "." + x.Sel.Name
-	case *ast.IndexExpr:
-		return exprString(x.X) + "[…]"
-	case *ast.CallExpr:
-		return exprString(x.Fun) + "(…)"
-	case *ast.StarExpr:
-		return "*" + exprString(x.X)
-	}
-	return "expression"
+	_, ptr := t.(*types.Pointer)
+	return ptr && strings.HasSuffix(t.String(), "netsim.Packet")
 }

@@ -2,7 +2,8 @@
 
 // Seeded pooled-packet lifetime violations for the poollife analyzer.
 // The package path ends in "netsim", so the local Packet type stands in
-// for the simulator's pooled packet.
+// for the simulator's pooled packet. A *Packet is only read, passed as
+// *Packet, held in a local or returned, and putPacket ends its function.
 package netsim
 
 type Packet struct {
@@ -17,8 +18,8 @@ type Network struct {
 	byID map[int]*Packet
 }
 
-// getPacket and putPacket are the pool implementation itself; poollife
-// exempts them by name.
+// getPacket obeys the rule: it moves a pool entry into a local and
+// returns it. putPacket is the pool itself, exempt by name.
 func (n *Network) getPacket() *Packet {
 	if k := len(n.pool); k > 0 {
 		p := n.pool[k-1]
@@ -30,21 +31,23 @@ func (n *Network) getPacket() *Packet {
 
 func (n *Network) putPacket(p *Packet) { n.pool = append(n.pool, p) }
 
+// A use after the release is flagged at the release: a statement runs
+// after it.
 func (n *Network) useAfterRelease() {
 	pkt := n.getPacket()
-	n.putPacket(pkt)
-	_ = pkt.Kind // want "use of pooled packet pkt after putPacket released it"
+	n.putPacket(pkt) // want "a later statement runs after putPacket"
+	_ = pkt.Kind
 }
 
 func (n *Network) aliasUseAfterRelease() {
 	pkt := n.getPacket()
 	q := pkt
-	n.putPacket(q)
-	_ = pkt.From // want "use of pooled packet pkt after putPacket released it"
+	n.putPacket(q) // want "a later statement runs after putPacket"
+	_ = pkt.From
 }
 
-// A release on an early-return branch does not poison the fall-through
-// path (ancestor-block sequencing).
+// A release followed by return on an early branch, and a release that
+// ends the function, are the legal shapes.
 func (n *Network) branchReleaseClean(drop bool) {
 	pkt := n.getPacket()
 	if drop {
@@ -55,31 +58,32 @@ func (n *Network) branchReleaseClean(drop bool) {
 	n.putPacket(pkt)
 }
 
-// Reassignment between release and use starts a fresh lifetime.
-func (n *Network) reassignedClean() {
+// Reassigning after the release was a fresh lifetime to the old
+// analyzer; the rule flags the release, which something follows.
+func (n *Network) reassignAfterRelease() {
 	pkt := n.getPacket()
-	n.putPacket(pkt)
+	n.putPacket(pkt) // want "a later statement runs after putPacket"
 	pkt = n.getPacket()
 	pkt.Kind = 2
 	n.putPacket(pkt)
 }
 
 func (n *Network) storeInField(pkt *Packet) {
-	n.last = pkt // want "pooled packet pkt stored in field n.last"
+	n.last = pkt // want "pooled packet pkt stored in n.last"
 }
 
 func (n *Network) storeInGlobal(pkt *Packet) {
-	lastSeen = pkt // want "pooled packet pkt stored in package-level lastSeen"
+	lastSeen = pkt // want "pooled packet pkt stored in lastSeen"
 }
 
 var lastSeen *Packet
 
 func (n *Network) appendToSlice(pkt *Packet) {
-	n.all = append(n.all, pkt) // want "pooled packet pkt appended to a slice"
+	n.all = append(n.all, pkt) // want "pooled packet pkt passed to a variadic parameter of append"
 }
 
 func (n *Network) storeInMap(pkt *Packet) {
-	n.byID[pkt.From] = pkt // want "pooled packet pkt stored in element"
+	n.byID[pkt.From] = pkt // want "pooled packet pkt stored in n.byID[pkt.From]"
 }
 
 func (n *Network) storeInLiteral(pkt *Packet) {
@@ -94,14 +98,15 @@ func (n *Network) sendOnChannel(pkt *Packet, ch chan *Packet) {
 var deferred func()
 
 func (n *Network) capturedByClosure(pkt *Packet) {
-	deferred = func() { _ = pkt.Kind } // want "pooled packet pkt captured by closure"
+	deferred = func() { _ = pkt.Kind } // want "pooled packet pkt captured by a closure"
 }
 
-// A sink-style type assertion is tracked like a pool result.
+// A sink-style type assertion yields a local *Packet; the release is
+// flagged because the read follows it.
 func (n *Network) assertedPayload(p any) {
 	pkt := p.(*Packet)
-	n.putPacket(pkt)
-	_ = pkt.Kind // want "use of pooled packet pkt after putPacket released it"
+	n.putPacket(pkt) // want "a later statement runs after putPacket"
+	_ = pkt.Kind
 }
 
 // Passing the packet down the call stack and mutating its fields before
@@ -109,7 +114,68 @@ func (n *Network) assertedPayload(p any) {
 func (n *Network) handlerClean(pkt *Packet) {
 	pkt.From = 3
 	n.inspect(pkt)
+	if pkt != nil && *pkt == (Packet{}) {
+		n.putPacket(pkt)
+		return
+	}
 	n.putPacket(pkt)
 }
 
 func (n *Network) inspect(pkt *Packet) { _ = pkt.Kind }
+
+// nil is no packet: storing it drops a reference.
+func (n *Network) forget() *Network {
+	n.last, n.byID[0] = nil, nil
+	return &Network{last: nil}
+}
+
+// A handler laundering the packet through any: the keeper retains it.
+type keeper struct{ last any }
+
+func (k *keeper) remember(p any) { k.last = p }
+
+func (n *Network) handlerKeeps(k *keeper, pkt *Packet) {
+	k.remember(pkt) // want "pooled packet pkt passed as any"
+}
+
+func (n *Network) conversions(pkt *Packet) any {
+	var held any = pkt // want "pooled packet pkt stored in held"
+	_ = any(pkt)       // want "pooled packet pkt converted to any"
+	trace(pkt)         // want "pooled packet pkt passed to a variadic parameter of trace"
+	if pkt == nil {
+		panic(pkt) // want "pooled packet pkt passed as interface"
+	}
+	_ = held
+	return pkt // want "pooled packet pkt returned as any"
+}
+
+func trace(ps ...*Packet) {}
+
+// A release inside a loop runs again on the next iteration.
+func (n *Network) releaseInLoop(batch []*Packet) {
+	for _, pkt := range batch {
+		n.putPacket(pkt) // want "the enclosing loop runs after putPacket"
+	}
+}
+
+// A release that ends a switch clause does not fall into the next
+// clause; a statement after the switch still runs after it.
+func (n *Network) releaseInSwitch(pkt *Packet, kind int) {
+	switch kind {
+	case 0:
+		n.putPacket(pkt)
+	default:
+		n.putPacket(pkt)
+	}
+}
+
+func (n *Network) statementAfterSwitch(pkt *Packet, kind int) bool {
+	switch kind {
+	case 0:
+		n.putPacket(pkt)
+		return false
+	default:
+		n.putPacket(pkt) // want "a later statement runs after putPacket"
+	}
+	return pkt.Kind > 0
+}

@@ -73,10 +73,15 @@ func (p ChurnPlan) Validate(routers int) error {
 	if len(p.Members) == 0 {
 		return errors.New("churn plan has no members")
 	}
+	seen := NewNodeSet(routers)
 	for _, m := range p.Members {
 		if m < 0 || int(m) >= routers {
 			return fmt.Errorf("churn member %d out of range (%d routers)", m, routers)
 		}
+		if seen.Has(m) {
+			return fmt.Errorf("churn member %d listed twice", m) // two renewal processes would flap it
+		}
+		seen.Set(m)
 	}
 	switch {
 	case !(p.Rate > 0) || math.IsInf(p.Rate, 1):

@@ -161,6 +161,8 @@ func TestChurnPlanValidation(t *testing.T) {
 		// These used to install and fail only when the member's event fired.
 		"member out of range": {Members: []topology.NodeID{0, 3}, Rate: 10, Duration: 1},
 		"negative member":     {Members: []topology.NodeID{-1, 1}, Rate: 10, Duration: 1},
+		// Two renewal processes used to flap a repeated member.
+		"duplicate member": {Members: []topology.NodeID{2, 0, 2}, Rate: 10, Duration: 1},
 	}
 	for name, plan := range cases {
 		func() {
@@ -172,6 +174,10 @@ func TestChurnPlanValidation(t *testing.T) {
 			n := New(lineGraph(3), &churnRec{})
 			n.InstallChurn(plan)
 		}()
+	}
+	err := ChurnPlan{Members: []topology.NodeID{2, 0, 2}, Rate: 10, Duration: 1}.Validate(3)
+	if err == nil || err.Error() != "churn member 2 listed twice" {
+		t.Errorf("duplicate member: Validate = %v", err)
 	}
 }
 

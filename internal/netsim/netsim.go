@@ -435,6 +435,7 @@ func (n *Network) SendArc(from topology.NodeID, a int32, pkt *Packet) {
 	if n.Trace != nil {
 		n.Trace(from, to, cp)
 	}
+	//scmplint:ignore poollife — the scheduler holds the in-flight copy as any until SinkEvent hands it to the handler and back to the pool
 	n.Sched.LaneSink(n.lane(a), n.arcLatency(a, cp.Size), opDeliver, a, int32(to), cp, lost)
 }
 
@@ -487,6 +488,7 @@ func (n *Network) SendUnicast(src topology.NodeID, pkt *Packet) {
 	cp := n.copyPacket(pkt)
 	if src == cp.Dst {
 		cp.From = src
+		//scmplint:ignore poollife — the scheduler holds the in-flight copy as any until SinkEvent hands it to the handler and back to the pool
 		n.Sched.AtSink(n.Sched.Now(), opSelf, -1, int32(src), cp, false)
 		return
 	}
@@ -519,6 +521,7 @@ func (n *Network) unicastStep(at topology.NodeID, pkt *Packet) {
 	if n.Trace != nil {
 		n.Trace(at, nh, pkt)
 	}
+	//scmplint:ignore poollife — the scheduler holds the in-flight copy as any until SinkEvent hands it to the handler and back to the pool
 	n.Sched.LaneSink(n.lane(a), n.arcLatency(a, pkt.Size), opUnicast, a, int32(nh), pkt, lost)
 }
 

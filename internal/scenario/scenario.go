@@ -55,7 +55,8 @@
 // factors and bandwidths finite and positive, sizes non-negative, and a
 // given standby= names a router id >= 1 (core.Config reads 0 as none,
 // so node 0 cannot serve). Group ids run from 1 to 2^32-1. An option a
-// command does not take is an "unknown option" error, and every
+// command does not take is an "unknown option" error, one given twice
+// an "option given twice" error (no value silently wins), and every
 // malformed script is a "line N: ..." error, never a panic inside the
 // simulator.
 package scenario
@@ -128,6 +129,9 @@ func Parse(r io.Reader) (*Script, error) {
 		}
 		for _, f := range rest {
 			if k, v, ok := strings.Cut(f, "="); ok {
+				if _, dup := cmd.kv[k]; dup {
+					return nil, fmt.Errorf("line %d: option %q given twice", lineNo, k)
+				}
 				cmd.kv[k] = v
 				cmd.keys = append(cmd.keys, k)
 			} else {

@@ -371,6 +371,9 @@ func TestMalformedScriptErrors(t *testing.T) {
 		{"misspelt churn option", head + "protocol scmp\nchurn 1 10 poisson 1 members=1,2 strat=1", 3},
 		{"misspelt send option", head + "protocol scmp\nat 1 send 3 sise=100", 3},
 		{"option a command does not take", head + "protocol mospf prune=3", 2},
+		// A repeated option used to keep its last value unchecked.
+		{"repeated option", head + "protocol scmp mrouter=99 mrouter=0\nat 0 join 5\nrun 1", 2},
+		{"repeated churn member", head + "protocol scmp\nchurn 1 40 poisson 3 members=5,5 seed=7", 3},
 		{"group on a failover", head + "protocol scmp standby=2\nat 1 failover group=2", 3},
 		// SCMP has Failover(), but with no standby it used to panic mid-run.
 		{"failover without a standby", head + "protocol scmp mrouter=0\nat 1 failover\nrun 5", 3},
