@@ -30,7 +30,8 @@ lint:
 # reaches (DESIGN.md §1), measured. Every main is built with coverage
 # over the whole module and the fixed run set below executes with
 # GOCOVERDIR set; the scmplint runs over its detshared and poollife
-# fixtures exit 1 by design. The gate fails on a function outside
+# fixtures exit 1 by design (poollife's sits in a directory named
+# netsim, so its Packet is the pooled one and every rule fires). The gate fails on a function outside
 # bench/ that no run enters (0.0% in `go tool covdata func`) unless
 # reach.allow lists it as "file func — reason"; on a listed entry that
 # a run now enters or that no longer exists; and on a package with
@@ -53,7 +54,7 @@ reach:
 	for a in dcdm kmb spt; do "$$d/treeviz" -algo $$a > /dev/null; done; \
 	"$$d/bench" -smoke -out "$$d/out" > /dev/null 2>&1; \
 	"$$d/scmplint" -tests -json ./... > /dev/null; \
-	for fx in detshared poollife; do "$$d/scmplint" ./internal/lint/testdata/$$fx > /dev/null 2>&1 || [ $$? -eq 1 ]; done; \
+	for fx in detshared poollife/netsim; do "$$d/scmplint" ./internal/lint/testdata/$$fx > /dev/null 2>&1 || [ $$? -eq 1 ]; done; \
 	$(GO) tool covdata func -i "$$d/cov" | awk -v m="$$m/" '$$NF == "0.0%" && index($$1, m "bench/") != 1 \
 		{ sub(/:[0-9]+:$$/, "", $$1); print substr($$1, length(m) + 1), $$2 }' | sort -u > "$$d/zero"; \
 	awk '!/^#/ && NF { print $$1, $$2 }' reach.allow | sort > "$$d/allow"; \
@@ -95,7 +96,7 @@ loc:
 # grown past the committed budget. A PR that removes code lowers
 # LOC_BUDGET to what `make loc` prints; one that must add code raises it
 # in the same diff, where a reviewer sees it.
-LOC_BUDGET := 15431
+LOC_BUDGET := 15486
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
@@ -115,8 +116,9 @@ bench-all:
 
 # Fuzz smoke: ten seconds each of five native fuzzers. FuzzResumableRow
 # drives one lazy shortest-path row with arbitrary cursor programs (two
-# cursors' Next, Settle, Row) on graphs either side of the size where
-# rows start sparse, against the one-shot row. FuzzParse feeds arbitrary
+# cursors' Next, Settle, Row, and another source's cursor and Row in
+# between) on graphs either side of the size where rows start sparse,
+# against the one-shot rows. FuzzParse feeds arbitrary
 # scenario scripts, seeded from scenarios/*.scn, to the parser and the
 # setup lines (validation and network construction), which must return
 # or error and never panic. FuzzRefEquivalence runs arbitrary scheduler

@@ -285,20 +285,20 @@ func TestTreeDelayAllocFloor(t *testing.T) {
 
 // TestDCDMJoinRowAllocFloor pins what a join pays for its two
 // shortest-path rows on lazy tables just invalidated, as a fault leaves
-// the network's routing store. The first join from a router starts both
-// searches sparse: per row one label array, one index array and one
-// parent array, 32 slots wide, on a Paths the table's free list hands
-// back — 6 objects and about 3 KB, plus the path — and a search that
-// outgrows its slots moves its row onto three new arrays. On the
-// 2440-node transit-stub (mean degree 2.3) the graft searches of this
-// fixture end inside the first 32 slots: 7 objects, and the byte budget
-// is what fails if a first touch ever costs n again (two dense rows
-// there weigh 2 x 78 KB). On the 400-node Waxman (mean degree 26.6)
-// settling the source alone labels most of 32 routers and 64 slots
-// would pass n/8, so each row is promoted to the dense layout exactly
-// once: 2 x (3 + 3) objects and the path, the two dense rows plus 3 KB.
-// A join whose rows are already started — however far each search got,
-// in whichever layout — allocates the path alone.
+// the network's routing store. The first join from a router searches
+// sparse in each table's scratch row, which Invalidate leaves in place
+// with the arrays its earlier searches grew. On the 2440-node
+// transit-stub (mean degree 2.3) the graft searches of this fixture
+// stay sparse and fit those arrays, so a first join allocates the path
+// alone: 1 object, and the byte budget is what fails if a first join
+// ever allocates search rows again (two 32-slot sparse rows weigh
+// 2 x 1.4 KB, two dense ones 2 x 78 KB). On the 400-node Waxman (mean
+// degree 26.6) settling the source alone labels most of 32 routers and
+// 64 slots would pass n/8, so each row is promoted to the dense layout
+// exactly once, on arrays of its own, and kept: 2 x (3 + 3) objects and
+// the path, the two dense rows plus 3 KB. A join whose rows are already
+// started — kept, or searched again in the scratch — allocates the path
+// alone.
 func TestDCDMJoinRowAllocFloor(t *testing.T) {
 	if mtree.InvariantChecksArmed {
 		t.Skip("invariants build: per-mutation Validate allocates freely")
@@ -318,7 +318,7 @@ func TestDCDMJoinRowAllocFloor(t *testing.T) {
 		bytes   uint64
 	}{
 		{"waxman400", wg.Graph, 13, 32 << 10},
-		{"transitstub2440", ts, 7, 8 << 10},
+		{"transitstub2440", ts, 1, 64},
 	} {
 		g := tc.g
 		spDelay, spCost := topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)

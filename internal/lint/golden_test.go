@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,18 +12,17 @@ import (
 )
 
 // TestGolden runs each ownership analyzer over its corpus under
-// testdata/<analyzer>/. Every .go file is type-checked as its own
-// synthetic package (imports resolve against the real module and the
-// standard library) and must annotate each expected finding with a
-// trailing comment of the form
+// testdata/<analyzer>/, subdirectories included. Every .go file is
+// type-checked as its own package under its directory's import path —
+// the path scmplint gives it — with imports resolved against the real
+// module and the standard library, and must annotate each expected
+// finding with a trailing comment of the form
 //
 //	// want "substring" ["substring" ...]
 //
 // on the line the diagnostic is reported at. The test fails on any
-// missing or unexpected finding. A first-line directive
-// "//golden:path <import path>" overrides the synthetic package path —
-// poollife's corpus uses it to take a "netsim" path suffix so its local
-// Packet type is treated as the pooled one.
+// missing or unexpected finding. poollife's corpus lives in a directory
+// named netsim, so its local Packet type is treated as the pooled one.
 func TestGolden(t *testing.T) {
 	byName := map[string]*Analyzer{}
 	for _, a := range Analyzers() {
@@ -41,7 +41,13 @@ func TestGolden(t *testing.T) {
 			t.Errorf("testdata/%s does not match any analyzer", filepath.Base(dir))
 			continue
 		}
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		var files []string
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +60,6 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-var goldenPathRE = regexp.MustCompile(`(?m)^//golden:path (\S+)$`)
 var wantRE = regexp.MustCompile(`// want ((?:"(?:[^"\\]|\\.)*"\s*)+)`)
 var wantArgRE = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 
@@ -63,11 +68,7 @@ func runGoldenFile(t *testing.T, a *Analyzer, file string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := "scmp/internal/lint/testdata/" + a.Name + "/" +
-		strings.TrimSuffix(filepath.Base(file), ".go")
-	if m := goldenPathRE.FindSubmatch(src); m != nil {
-		path = string(m[1])
-	}
+	path := "scmp/internal/lint/" + filepath.ToSlash(filepath.Dir(file))
 
 	want := parseWants(t, file, src)
 

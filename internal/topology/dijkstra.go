@@ -34,14 +34,15 @@ func (w Weight) String() string {
 // (ShortestInto has the argument for why a search can stop and
 // resume): every *Paths this package hands out is complete and dense — the frontier is
 // empty, each label final, and the four arrays are indexed by node.
-// Only AllPairs keeps suspended rows, and it shows them through the
+// Only AllPairs holds suspended rows, and it shows them through the
 // Near cursor alone, which reports settled nodes only.
 //
 // A suspended row may be sparse: its arrays are then indexed by slot,
 // one slot for each router the search has labelled, in the order it
 // first touched them, and they grow with the search instead of
 // starting n wide (see start and regrow). Parent still holds router
-// ids, the heap and the settle order in order hold slots.
+// ids, the heap and the settle order in order hold slots. A table
+// searches sparse only in its one scratch row (see AllPairs).
 type Paths struct {
 	Src    NodeID
 	Dist   []float64 // minimised weight to each node; +Inf if unreachable (aliases Delay or Cost)
@@ -123,9 +124,17 @@ func (p *Paths) Reachable(dst NodeID) bool {
 // recomputes that only consult a handful of sources stop paying a full
 // n-Dijkstra rebuild.
 //
+// The table keeps a row only once it is dense. A sparse search runs in
+// the table's one scratch row, which the next Near from another source
+// without a kept row restarts — unless a promotion has made it dense,
+// when the table keeps it and takes a new scratch. So what a table
+// holds follows the sources whose rows were worth completing, not every
+// member that ever joined.
+//
 // A row is a pure function of (graph, weight, mask), and a stopped
 // search holds a prefix of the full one (see ShortestInto), so a row
-// resumed in any increments is byte-identical to the one-shot row.
+// resumed in any increments, or searched again from the start, is
+// byte-identical to the one-shot row.
 // Links are symmetric, so the row rooted at v is both "distance from v"
 // and, read through Hop, "first hop toward v": one table serves the
 // unicast substrate and the tree engines alike.
@@ -133,17 +142,21 @@ func (p *Paths) Reachable(dst NodeID) bool {
 // Every table is lazy and has one writer: Row and Near start and
 // advance searches in place, so a table belongs to one goroutine.
 type AllPairs struct {
-	csr  *CSR
-	w    Weight
-	down []bool
-	rows []*Paths
-	free []*Paths // rows retired by Invalidate, reused by row before it allocates
+	csr     *CSR
+	w       Weight
+	down    []bool
+	rows    []*Paths // the kept rows: every dense row a search has started
+	scratch *Paths   // the sparse search of the last source Near found no kept row for
+	free    []*Paths // rows retired by Invalidate, reused by begin before it allocates
+	started []uint64 // one bit per source started since the last Invalidate
+	count   int      // the bits set in started
 }
 
 // NewLazyAllPairs returns a table under w with no row started yet and
 // every link up until Invalidate says otherwise.
 func NewLazyAllPairs(g *Graph, w Weight) *AllPairs {
-	return &AllPairs{csr: g.CSR(), w: w, rows: make([]*Paths, g.N())}
+	n := g.N()
+	return &AllPairs{csr: g.CSR(), w: w, rows: make([]*Paths, n), started: make([]uint64, (n+63)/64)}
 }
 
 // NextHop returns g's unicast forwarding table with every link up: a
@@ -153,9 +166,18 @@ func NextHop(g *Graph) *AllPairs { return NewLazyAllPairs(g, ByDelay) }
 // Row returns the complete shortest-path row from src: it starts the
 // search on first access, promotes the row to the dense layout and
 // finishes the search if a cursor left it sparse or suspended, so a
-// caller never sees a slot or a tentative label.
+// caller never sees a slot or a tentative label. The row is kept,
+// the scratch too when it holds src's search.
 func (ap *AllPairs) Row(src NodeID) *Paths {
-	p := ap.row(src, false)
+	p := ap.rows[src]
+	if p == nil {
+		if s := ap.scratch; s != nil && s.Src == src {
+			p, ap.scratch = s, nil
+		} else {
+			p = ap.begin(nil, src, false)
+		}
+		ap.rows[src] = p
+	}
 	if p.ids != nil {
 		p.regrow(len(ap.rows), ap.w, true)
 	}
@@ -165,19 +187,21 @@ func (ap *AllPairs) Row(src NodeID) *Paths {
 	return p
 }
 
-// row returns src's row as it stands, starting its search on first
-// access — sparse if the caller is a cursor and the graph is big enough
-// for that to pay (see start).
-func (ap *AllPairs) row(src NodeID, lazy bool) *Paths {
-	p := ap.rows[src]
+// begin starts a search from src on p, or on a retired row when p is
+// nil (a fresh one when there is none) — sparse if the caller is a
+// cursor and the graph is big enough for that to pay (see start).
+func (ap *AllPairs) begin(p *Paths, src NodeID, lazy bool) *Paths {
 	if p == nil {
 		if k := len(ap.free); k > 0 {
 			p, ap.free = ap.free[k-1], ap.free[:k-1]
 		} else {
-			p = &Paths{} // a source's first touch; afterwards a slice load
+			p = &Paths{}
 		}
-		p.start(len(ap.rows), src, ap.w, lazy)
-		ap.rows[src] = p
+	}
+	p.start(len(ap.rows), src, ap.w, lazy)
+	if bit := uint64(1) << (src % 64); ap.started[src/64]&bit == 0 {
+		ap.started[src/64] |= bit
+		ap.count++
 	}
 	return p
 }
@@ -196,14 +220,16 @@ func (ap *AllPairs) Hop(u, v NodeID) NodeID { return ap.Row(v).Parent[u] }
 // Invalidate reconverges the table in place onto the subgraph that
 // excludes the arcs set in down (see CSR; nil = every link up), both
 // arcs of a link together — the only way a mask enters a table. Every
-// started row is retired to the free list, where row finds its arrays
+// kept row is retired to the free list, where begin finds its arrays
 // again (start reuses them when they are big enough), so a table that is
 // invalidated and consulted over and over stops allocating: O(n), no
-// allocation once a first round has sized the free list. Rows and
+// allocation once a first round has sized the free list. A sparse
+// scratch stays the scratch, holding no search, so its grown arrays
+// serve the next one; a dense one is retired with the rows. Rows and
 // cursors handed out before it are dead. The table aliases down, so the
-// mask's owner must re-Invalidate after every change to it — then no row
-// is ever filled against a mask newer than its invalidation (netsim's
-// Faults.apply is built that way).
+// mask's owner must re-Invalidate after every change to it — then no
+// row is ever filled against a mask newer than its invalidation
+// (netsim's Faults.apply is built that way).
 func (ap *AllPairs) Invalidate(down []bool) {
 	ap.down = down
 	for i, p := range ap.rows {
@@ -212,6 +238,14 @@ func (ap *AllPairs) Invalidate(down []bool) {
 			ap.rows[i] = nil
 		}
 	}
+	if s := ap.scratch; s != nil {
+		s.Src = -1
+		if s.ids == nil {
+			ap.free, ap.scratch = append(ap.free, s), nil
+		}
+	}
+	clear(ap.started)
+	ap.count = 0
 }
 
 // Near is a cursor over one source's row in settle order — nearest
@@ -221,6 +255,13 @@ func (ap *AllPairs) Invalidate(down []bool) {
 // complete row's (see ShortestInto), while a node still on the frontier, or
 // not yet seen, reads as unreachable. Several cursors may walk one row;
 // each keeps its own position and all share the search's progress.
+//
+// A cursor on a kept row lives until Invalidate. One on the scratch
+// lives until the table's next Near from another source without a kept
+// row, or until Invalidate, whichever comes first: either may restart
+// the search it walks. Row(src) keeps the scratch it finds holding src,
+// so cursors on it read on. DCDM's graft search holds its cursors for
+// one join.
 type Near struct {
 	ap *AllPairs
 	p  *Paths
@@ -228,9 +269,22 @@ type Near struct {
 }
 
 // Near returns a cursor at the start of src's row (src itself is the
-// first node it reports), starting the row's search on first access.
+// first node it reports): src's kept row, the scratch if it holds src's
+// search, or else a search from src started in the scratch — after the
+// table keeps the scratch's row if a promotion has made it dense.
 func (ap *AllPairs) Near(src NodeID) Near {
-	return Near{ap: ap, p: ap.row(src, true)}
+	p := ap.rows[src]
+	if p == nil {
+		p = ap.scratch
+		if p != nil && p.Src != src && p.ids == nil {
+			ap.rows[p.Src], p = p, nil
+		}
+		if p == nil || p.Src != src {
+			p = ap.begin(p, src, true)
+			ap.scratch = p
+		}
+	}
+	return Near{ap: ap, p: p}
 }
 
 // Next reports the next node in settle order, settling one more if the
@@ -319,26 +373,19 @@ func (c *Near) To(v NodeID) []NodeID {
 	return c.p.walk(v)
 }
 
-// Materialized reports how many rows exist so far, complete or
-// suspended: the consulted-source count (capacity accounting and the
-// lazy-mode tests).
-func (ap *AllPairs) Materialized() int {
-	m := 0
-	for _, p := range ap.rows {
-		if p != nil {
-			m++
-		}
-	}
-	return m
-}
+// Materialized reports how many sources have had a search started
+// since the table was built or last invalidated, kept or not: the
+// consulted-source count (capacity accounting and the lazy-mode tests).
+func (ap *AllPairs) Materialized() int { return ap.count }
 
-// MemoryBytes is the modelled resident size of the materialised rows,
-// 32n + 96 bytes each: n entries of 32 bytes (the four label arrays a
-// complete row shows its readers) plus fixed header overhead — what an
-// m-router that keeps whole routing rows holds, whatever this process
-// has allocated for them: a dense row weighs just that, a sparse one
-// 44 bytes for each router its search has labelled. A table pays only
-// for rows actually consulted. The domains experiment reports this
+// MemoryBytes is the modelled resident size of a row for every source
+// Materialized counts, 32n + 96 bytes each: n entries of 32 bytes (the
+// four label arrays a complete row shows its readers) plus fixed header
+// overhead — what an m-router that keeps whole routing rows for every
+// source it consulted holds, whatever this process keeps for them: a
+// dense row weighs just that, and a sparse search keeps nothing once
+// the scratch has moved on. A table pays only for rows actually
+// consulted. The domains experiment reports this
 // figure as resident routing-table memory, so the formula is part of
 // that table's byte-identity contract and stays as it is (DESIGN.md §8
 // has the decision record); measured memory is the benchmark's

@@ -51,14 +51,22 @@ var inf = math.Inf(1)
 // +Inf. An out-of-range src leaves the frontier empty — the row is
 // complete and reaches nothing. A lazy start on a graph big enough for
 // it takes the sparse layout, where a label exists only once the search
-// has touched its router, so its cost is sparseSlots, not n.
+// has touched its router, so its cost is sparseSlots, not n — and
+// nothing on arrays a sparse search has used before.
 func (p *Paths) start(n int, src NodeID, w Weight, lazy bool) {
 	p.Src = src
 	p.settled, p.queued, p.used = 0, 0, 0
-	if lazy && sparseSlots*sparseDiv <= n {
-		p.alloc(sparseSlots, true)
-	} else {
+	switch {
+	case !lazy || n < sparseSlots*sparseDiv:
 		p.dense(n)
+	case p.ids == nil:
+		p.alloc(sparseSlots, true)
+	default:
+		// A sparse row's arrays, however far they grew, serve the next
+		// search as they are: only the router table needs clearing.
+		for i := range p.tab {
+			p.tab[i] = -1
+		}
 	}
 	p.view(w)
 	if src < 0 || int(src) >= n {
@@ -82,8 +90,8 @@ func (p *Paths) alloc(c int, sparse bool) {
 	if sparse {
 		k = 5
 	}
-	// A source's first touch, a growth step, a promotion, or a larger
-	// graph than any run on this scratch row before.
+	// A table's first sparse search, a growth step, a promotion, or a
+	// larger graph than any run on this row before.
 	lab := make([]float64, 2*c)
 	idx := make([]int32, k*c)
 	p.Parent = make([]NodeID, c)

@@ -58,3 +58,17 @@ func (i *TransitStubInfo) TransitNodes() []NodeID {
 	}
 	return out
 }
+
+// KeptRows counts the rows the table keeps, and how many of them are
+// sparse; the scratch a sparse search runs in is not kept.
+func (ap *AllPairs) KeptRows() (kept, sparse int) {
+	for _, p := range ap.rows {
+		if p != nil {
+			kept++
+			if p.ids != nil {
+				sparse++
+			}
+		}
+	}
+	return kept, sparse
+}

@@ -109,11 +109,13 @@ func settleOrder(full *Paths) []NodeID {
 // enough for a row to start sparse it also drives the row through its
 // layout changes — a growth step, promotion by the search and promotion
 // by Row — under a second cursor that was opened first and must go on
-// reporting the one-shot order as if the arrays had never moved.
+// reporting the one-shot order as if the arrays had never moved. For
+// some sources another source's cursor walks mid-way and both cursors
+// are opened again, and Row on the half-walked scratch must keep it.
 func TestEquivalenceLazyResumableRows(t *testing.T) {
 	graphs := equivGraphs(t)
 	maps.Copy(graphs, sparseGraphs(t))
-	var grown, promotedBySearch, promotedByRow int
+	var grown, promotedBySearch, promotedByRow, reopened int
 	for name, g := range graphs {
 		startsSparse := g.N() >= sparseSlots*sparseDiv
 		step := 1 // every source of a small graph, a spread of them on a big one
@@ -170,10 +172,32 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 					follow("grown", 3)
 					checkSuspended(t, label+"/grown", lazy, src, full)
 
+					if src/NodeID(step)%3 == 2 {
+						// Another source's cursor mid-walk may restart the
+						// scratch under both cursors: open them again.
+						other := (src + NodeID(step)/2) % NodeID(g.N())
+						owant := settleOrder(shortestAvoid(g, other, w, avoid))
+						o := lazy.Near(other)
+						for o.i < min(40, len(owant)) {
+							if v, ok := o.Next(); !ok || v != owant[o.i-1] {
+								t.Fatalf("%s: source %d's Next #%d = (%d, %v), want %d", label, other, o.i, v, ok, owant[o.i-1])
+							}
+						}
+						c, held = lazy.Near(src), lazy.Near(src)
+						p = c.p
+						follow("reopened", 3)
+						checkSuspended(t, label+"/reopened", lazy, src, full)
+						reopened++
+					}
+
 					if src/NodeID(step)%2 == 1 {
-						// Row on a row in mid-search, sparse if it still is.
+						// Row on a row in mid-search, sparse if it still is:
+						// the scratch it runs in is kept, cursors and all.
 						if p.ids != nil && p.queued > 0 {
 							promotedByRow++
+						}
+						if lazy.scratch == p && lazy.Row(src) != p {
+							t.Fatalf("%s: Row did not keep the scratch holding its source", label)
 						}
 						samePaths(t, label+"/row-mid-search", lazy.Row(src), full)
 						follow("row-mid-search", 5)
@@ -241,20 +265,25 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 	}
 	// The stops above are only worth their names if the rows really went
 	// through the layout changes with the cursors open.
-	if grown == 0 || promotedBySearch == 0 || promotedByRow == 0 {
-		t.Fatalf("layout changes under an open cursor: %d growth steps, %d promotions by the search, %d by Row — want all three", grown, promotedBySearch, promotedByRow)
+	if grown == 0 || promotedBySearch == 0 || promotedByRow == 0 || reopened == 0 {
+		t.Fatalf("layout changes under an open cursor: %d growth steps, %d promotions by the search, %d by Row, %d reopens after another source — want all four",
+			grown, promotedBySearch, promotedByRow, reopened)
 	}
 }
 
 // FuzzResumableRow drives one lazy row with an arbitrary program of
-// cursor operations — two cursors' Next, Settle, Row — on a graph drawn
-// from the seed (below and above the size where rows start sparse, with
-// and without tie-heavy weights) and checks every answer against the
-// one-shot row.
+// cursor operations — two cursors' Next, Settle, Row, and a walk of
+// another source's cursor (then, for op 5, Row of that source on its
+// half-walked row) after which the first source's cursors are opened
+// again — on a graph drawn from the seed (below and above the size where
+// rows start sparse, with and without tie-heavy weights) and checks
+// every answer against the one-shot rows.
 func FuzzResumableRow(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 1, 200, 2, 0, 3})
 	f.Add(int64(2), []byte{1, 255, 17, 0, 0, 2, 2, 1, 3, 9})
 	f.Add(int64(7), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 2})
+	f.Add(int64(3), []byte{0, 0, 0, 0, 0, 1, 4, 128, 40, 0, 0, 0, 1, 5, 30, 60, 0, 0, 3, 1})
+	f.Add(int64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0, 5, 77, 255, 1, 1, 4, 200, 3, 3, 0})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		rng := rng.New(seed)
 		n := 2 + rng.Intn(3*sparseSlots*sparseDiv)
@@ -277,7 +306,7 @@ func FuzzResumableRow(f *testing.F) {
 		lazy := NewLazyAllPairs(g, w)
 		cursors := []Near{lazy.Near(src), lazy.Near(src)}
 		for i := 0; i < len(ops); i++ {
-			switch op := ops[i] % 4; op {
+			switch op := ops[i] % 6; op {
 			case 0, 1:
 				c := &cursors[op]
 				more := c.i < len(want)
@@ -297,6 +326,28 @@ func FuzzResumableRow(f *testing.F) {
 				}
 			case 3:
 				samePaths(t, fmt.Sprintf("op %d: Row", i), lazy.Row(src), full)
+			case 4, 5:
+				other, k := src, 0
+				if i+2 < len(ops) {
+					other, k = NodeID(int(ops[i+1])*n/256), int(ops[i+2])
+					i += 2
+				}
+				ofull := shortestAvoid(g, other, w, nil)
+				owant := settleOrder(ofull)
+				o := lazy.Near(other)
+				for ; k > 0 && o.i < len(owant); k-- {
+					if v, ok := o.Next(); !ok || v != owant[o.i-1] {
+						t.Fatalf("op %d: source %d's Next #%d = (%d, %v), want %d", i, other, o.i, v, ok, owant[o.i-1])
+					}
+				}
+				if op == 5 {
+					samePaths(t, fmt.Sprintf("op %d: Row of source %d", i, other), lazy.Row(other), ofull)
+					more := o.i < len(owant)
+					if v, ok := o.Next(); ok != more || (ok && v != owant[o.i-1]) {
+						t.Fatalf("op %d: source %d's Next after Row = (%d, %v) at %d of %d", i, other, v, ok, o.i, len(owant))
+					}
+				}
+				cursors = []Near{lazy.Near(src), lazy.Near(src)}
 			}
 		}
 		checkSuspended(t, "after the last op", lazy, src, full)
@@ -311,4 +362,35 @@ func completedRow(g *Graph, w Weight, avoid []bool, src NodeID) *AllPairs {
 	ap.Invalidate(avoid)
 	ap.Row(src)
 	return ap
+}
+
+// TestInvalidateRestartsTheScratch: a search suspended in the scratch
+// is dead after Invalidate — the next Near from its source searches
+// again, under the new mask — and it searches on the arrays the scratch
+// grew before, so a table invalidated over and over reuses them.
+func TestInvalidateRestartsTheScratch(t *testing.T) {
+	for name, g := range sparseGraphs(t) {
+		src := NodeID(g.N() / 3)
+		avoids := equivAvoids(g, 5)
+		ap := NewLazyAllPairs(g, ByDelay)
+		for _, avoidName := range []string{"none", "isolated", "links-down", "none"} {
+			avoid := avoids[avoidName]
+			if avoidName == "isolated" {
+				avoid = arcMask(g, func(u, v NodeID) bool { return u == src || v == src })
+			}
+			scratch := ap.scratch
+			ap.Invalidate(avoid)
+			if got := ap.Materialized(); got != 0 {
+				t.Fatalf("%s/%s: %d sources started right after Invalidate", name, avoidName, got)
+			}
+			c := ap.Near(src)
+			if scratch != nil && (c.p != scratch || c.p.ids == nil) {
+				t.Fatalf("%s/%s: the search after Invalidate left the sparse scratch", name, avoidName)
+			}
+			for k := 0; k < 4*sparseSlots; k++ {
+				c.Next()
+			}
+			checkSuspended(t, name+"/"+avoidName, ap, src, shortestAvoid(g, src, ByDelay, avoid))
+		}
+	}
 }
