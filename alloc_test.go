@@ -285,20 +285,18 @@ func TestTreeDelayAllocFloor(t *testing.T) {
 
 // TestDCDMJoinRowAllocFloor pins what a join pays for its two
 // shortest-path rows on lazy tables just invalidated, as a fault leaves
-// the network's routing store. The first join from a router searches
-// sparse in each table's scratch row, which Invalidate leaves in place
-// with the arrays its earlier searches grew. On the 2440-node
-// transit-stub (mean degree 2.3) the graft searches of this fixture
-// stay sparse and fit those arrays, so a first join allocates the path
-// alone: 1 object, and the byte budget is what fails if a first join
-// ever allocates search rows again (two 32-slot sparse rows weigh
-// 2 x 1.4 KB, two dense ones 2 x 78 KB). On the 400-node Waxman (mean
-// degree 26.6) settling the source alone labels most of 32 routers and
-// 64 slots would pass n/8, so each row is promoted to the dense layout
-// exactly once, on arrays of its own, and kept: 2 x (3 + 3) objects and
-// the path, the two dense rows plus 3 KB. A join whose rows are already
-// started — kept, or searched again in the scratch — allocates the path
-// alone.
+// the network's routing store. Invalidate retires each table's kept
+// rows to its free list and leaves its scratch row in place, and a
+// first join from a router restarts those arrays, clearing only what
+// their last search labelled, instead of allocating. So on the
+// 2440-node transit-stub (mean degree 2.3), whose graft searches stay
+// in the scratch, and on the 400-node Waxman (mean degree 26.6), whose
+// searches label past keepAt and are kept, a first join allocates the
+// path alone: 1 object. The byte budget is what fails if a first join
+// ever allocates a row again: a row weighs 32n bytes, 12.5 KB on the
+// Waxman graph and 78 KB on the transit-stub. A join whose rows are
+// already started — kept, or searched again in the scratch — also
+// allocates the path alone.
 func TestDCDMJoinRowAllocFloor(t *testing.T) {
 	if mtree.InvariantChecksArmed {
 		t.Skip("invariants build: per-mutation Validate allocates freely")
@@ -317,7 +315,7 @@ func TestDCDMJoinRowAllocFloor(t *testing.T) {
 		objects float64 // first join from a router
 		bytes   uint64
 	}{
-		{"waxman400", wg.Graph, 13, 32 << 10},
+		{"waxman400", wg.Graph, 1, 64},
 		{"transitstub2440", ts, 1, 64},
 	} {
 		g := tc.g

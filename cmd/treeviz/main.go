@@ -37,6 +37,12 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *kappa != 0 && !(*kappa >= 1) {
+		return fmt.Errorf("kappa %g is neither 0 nor at least 1", *kappa)
+	}
+	if *group < 1 {
+		return fmt.Errorf("group %d has no members", *group)
+	}
 	rng := rng.New(*seed)
 	wg, err := topology.Waxman(topology.DefaultWaxman(*n), rng)
 	if err != nil {

@@ -32,6 +32,10 @@ func TestErrors(t *testing.T) {
 		{"-group", "50", "-n", "20"},
 		{"-root", "99", "-n", "20"},
 		{"-badflag"},
+		{"-kappa", "NaN", "-n", "20"},
+		{"-kappa", "0.5", "-n", "20"},
+		{"-group", "0", "-n", "20"},
+		{"-group", "-1", "-n", "20"},
 	}
 	for _, args := range cases {
 		if err := run(args, &bytes.Buffer{}); err == nil {

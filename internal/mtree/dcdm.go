@@ -84,8 +84,8 @@ type LeaveResult struct {
 // them across instances makes the Fig. 7 sweep cheap, and SCMP hands
 // every group its network's routing store.
 func NewDCDM(g *topology.Graph, root topology.NodeID, kappa float64, spDelay, spCost *topology.AllPairs) *DCDM {
-	if kappa < 1 {
-		panic(fmt.Sprintf("mtree: DCDM kappa %g < 1 would reject every tree", kappa))
+	if !(kappa >= 1) {
+		panic(fmt.Sprintf("mtree: DCDM kappa %g is not at least 1: it would reject every tree", kappa))
 	}
 	return &DCDM{
 		g:       g,

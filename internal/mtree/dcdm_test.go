@@ -224,13 +224,18 @@ func TestDCDMLeaveRecomputesBound(t *testing.T) {
 	}
 }
 
+// A kappa below 1, NaN included, panics.
 func TestDCDMKappaBelowOnePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	newDCDM(fig5Graph(), 0, 0.5)
+	for _, kappa := range []float64{0.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("kappa %g: expected panic", kappa)
+				}
+			}()
+			newDCDM(fig5Graph(), 0, kappa)
+		}()
+	}
 }
 
 // Property: arbitrary join/leave sequences keep the tree structurally

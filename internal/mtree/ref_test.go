@@ -395,8 +395,8 @@ type dcdmRef struct {
 
 // newDCDMRef mirrors NewDCDM over the reference tree.
 func newDCDMRef(g *topology.Graph, root topology.NodeID, kappa float64, spDelay, spCost *topology.AllPairs) *dcdmRef {
-	if kappa < 1 {
-		panic(fmt.Sprintf("mtree: DCDM kappa %g < 1 would reject every tree", kappa))
+	if !(kappa >= 1) {
+		panic(fmt.Sprintf("mtree: DCDM kappa %g is not at least 1: it would reject every tree", kappa))
 	}
 	return &dcdmRef{
 		g:       g,

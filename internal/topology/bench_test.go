@@ -60,7 +60,7 @@ func BenchmarkShortest(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			row.start(g.N(), NodeID(i%g.N()), ByDelay, false)
+			row.start(g.N(), NodeID(i%g.N()), ByDelay)
 			row.advance(g.CSR(), ByDelay, down, g.N(), -1)
 		}
 	})

@@ -32,17 +32,10 @@ func (w Weight) String() string {
 //
 // A Paths is also the whole state of the Dijkstra search that fills it
 // (ShortestInto has the argument for why a search can stop and
-// resume): every *Paths this package hands out is complete and dense — the frontier is
-// empty, each label final, and the four arrays are indexed by node.
-// Only AllPairs holds suspended rows, and it shows them through the
-// Near cursor alone, which reports settled nodes only.
-//
-// A suspended row may be sparse: its arrays are then indexed by slot,
-// one slot for each router the search has labelled, in the order it
-// first touched them, and they grow with the search instead of
-// starting n wide (see start and regrow). Parent still holds router
-// ids, the heap and the settle order in order hold slots. A table
-// searches sparse only in its one scratch row (see AllPairs).
+// resume): every *Paths this package hands out is complete — the
+// frontier is empty and each label final. Every array is indexed by
+// node. Only AllPairs holds suspended rows, and it shows them through
+// the Near cursor alone, which reports settled nodes only.
 type Paths struct {
 	Src    NodeID
 	Dist   []float64 // minimised weight to each node; +Inf if unreachable (aliases Delay or Cost)
@@ -50,21 +43,16 @@ type Paths struct {
 	Cost   []float64 // cost along the chosen path
 	Parent []NodeID  // predecessor on the chosen path; -1 for Src/unreachable
 
-	// Search state (see start and advance): pos[s] is slot s's index in
-	// the frontier heap, posUnseen or posSettled; order holds the
+	// Search state (see start and advance): pos[v] is router v's index
+	// in the frontier heap, posUnseen or posSettled; order holds the
 	// frontier heap in order[:queued] and the settle order, nearest
-	// first, backwards from its last entry — both as slots.
+	// first, backwards from its last entry. A router the search has
+	// labelled is queued or settled, so the two list every one of them
+	// (see restart).
 	pos     []int32
 	order   []int32
 	settled int
 	queued  int
-
-	// Sparse layout only; ids == nil is the dense one, slot == router.
-	// ids[s] is the router in slot s for s < used, and tab the
-	// open-addressed router -> slot table (see probe).
-	ids  []int32
-	tab  []int32
-	used int
 }
 
 // To reconstructs the path Src -> dst as a node sequence including both
@@ -78,19 +66,11 @@ func (p *Paths) To(dst NodeID) []NodeID {
 	return p.walk(dst)
 }
 
-// walk is To for a dst the row has a finite label for, in either
-// layout.
+// walk is To for a dst the row has a finite label for.
 func (p *Paths) walk(dst NodeID) []NodeID {
-	parentOf := func(v NodeID) NodeID {
-		if p.ids != nil {
-			_, s := p.probe(v)
-			v = NodeID(s)
-		}
-		return p.Parent[v]
-	}
 	hops := 1
 	for v := dst; v != p.Src; {
-		par := parentOf(v)
+		par := p.Parent[v]
 		if par == -1 {
 			return nil // parent chain broken before reaching Src
 		}
@@ -98,7 +78,7 @@ func (p *Paths) walk(dst NodeID) []NodeID {
 		v = par
 	}
 	path := make([]NodeID, hops)
-	for v, i := dst, hops-1; ; v, i = parentOf(v), i-1 {
+	for v, i := dst, hops-1; ; v, i = p.Parent[v], i-1 {
 		path[i] = v
 		if v == p.Src {
 			return path
@@ -115,21 +95,18 @@ func (p *Paths) Reachable(dst NodeID) bool {
 // AllPairs is a table of single-source shortest-path rows, one per
 // source node, each started on first access as a resumable search:
 // Near walks a row nearest-first and settles only as far as it is
-// walked, Row finishes the search and returns the complete row. A row
-// Near starts is sparse — it stores only the routers its search has
-// labelled (see Paths) — and becomes dense in place when Row wants all
-// of it or the search has labelled a fixed fraction of the graph. That
+// walked, Row finishes the search and returns the complete row. That
 // is how a DCDM join pays, in time and in memory, for the distance to
 // the tree instead of the size of the domain, and how fault-driven
 // recomputes that only consult a handful of sources stop paying a full
 // n-Dijkstra rebuild.
 //
-// The table keeps a row only once it is dense. A sparse search runs in
-// the table's one scratch row, which the next Near from another source
-// without a kept row restarts — unless a promotion has made it dense,
-// when the table keeps it and takes a new scratch. So what a table
-// holds follows the sources whose rows were worth completing, not every
-// member that ever joined.
+// A search Near starts runs in the table's one scratch row, which the
+// next Near from another source without a kept row restarts over what
+// the search labelled (see Paths.restart) — unless the search labelled
+// more than keepAt routers, when the table keeps its row and takes a
+// new scratch. So what a table holds follows the sources whose rows
+// were worth completing, not every member that ever joined.
 //
 // A row is a pure function of (graph, weight, mask), and a stopped
 // search holds a prefix of the full one (see ShortestInto), so a row
@@ -145,18 +122,29 @@ type AllPairs struct {
 	csr     *CSR
 	w       Weight
 	down    []bool
-	rows    []*Paths // the kept rows: every dense row a search has started
-	scratch *Paths   // the sparse search of the last source Near found no kept row for
-	free    []*Paths // rows retired by Invalidate, reused by begin before it allocates
+	keepAt  int      // the scratch is kept once its search has labelled more routers (see Near)
+	rows    []*Paths // the kept rows
+	scratch *Paths   // the search of the last source Near found no kept row for
+	free    []*Paths // rows retired by Invalidate, restarted by begin before it allocates
 	started []uint64 // one bit per source started since the last Invalidate
 	count   int      // the bits set in started
 }
 
 // NewLazyAllPairs returns a table under w with no row started yet and
 // every link up until Invalidate says otherwise.
+//
+// keepAt is 0 under 256 routers, where every scratch search is kept,
+// and otherwise the largest 32·2^k that is at most n/8: a search that
+// far out has paid a fair share of a complete row, and one short of it
+// is cheaper to search again than to keep n wide (DESIGN.md §8).
 func NewLazyAllPairs(g *Graph, w Weight) *AllPairs {
 	n := g.N()
-	return &AllPairs{csr: g.CSR(), w: w, rows: make([]*Paths, n), started: make([]uint64, (n+63)/64)}
+	keepAt := 0
+	if n >= 256 {
+		for keepAt = 32; 2*keepAt <= n/8; keepAt *= 2 {
+		}
+	}
+	return &AllPairs{csr: g.CSR(), w: w, keepAt: keepAt, rows: make([]*Paths, n), started: make([]uint64, (n+63)/64)}
 }
 
 // NextHop returns g's unicast forwarding table with every link up: a
@@ -164,9 +152,8 @@ func NewLazyAllPairs(g *Graph, w Weight) *AllPairs {
 func NextHop(g *Graph) *AllPairs { return NewLazyAllPairs(g, ByDelay) }
 
 // Row returns the complete shortest-path row from src: it starts the
-// search on first access, promotes the row to the dense layout and
-// finishes the search if a cursor left it sparse or suspended, so a
-// caller never sees a slot or a tentative label. The row is kept,
+// search on first access and finishes it if a cursor left it
+// suspended, so a caller never sees a tentative label. The row is kept,
 // the scratch too when it holds src's search.
 func (ap *AllPairs) Row(src NodeID) *Paths {
 	p := ap.rows[src]
@@ -174,12 +161,9 @@ func (ap *AllPairs) Row(src NodeID) *Paths {
 		if s := ap.scratch; s != nil && s.Src == src {
 			p, ap.scratch = s, nil
 		} else {
-			p = ap.begin(nil, src, false)
+			p = ap.begin(nil, src)
 		}
 		ap.rows[src] = p
-	}
-	if p.ids != nil {
-		p.regrow(len(ap.rows), ap.w, true)
 	}
 	if p.queued > 0 {
 		p.advance(ap.csr, ap.w, ap.down, len(ap.rows), -1)
@@ -187,18 +171,19 @@ func (ap *AllPairs) Row(src NodeID) *Paths {
 	return p
 }
 
-// begin starts a search from src on p, or on a retired row when p is
-// nil (a fresh one when there is none) — sparse if the caller is a
-// cursor and the graph is big enough for that to pay (see start).
-func (ap *AllPairs) begin(p *Paths, src NodeID, lazy bool) *Paths {
+// begin restarts p on a search from src, or a retired row when p is nil
+// — a fresh, empty one when there is none — so that a row costs what
+// its last search labelled, not n (see Paths.restart).
+func (ap *AllPairs) begin(p *Paths, src NodeID) *Paths {
 	if p == nil {
 		if k := len(ap.free); k > 0 {
 			p, ap.free = ap.free[k-1], ap.free[:k-1]
 		} else {
 			p = &Paths{}
+			p.start(len(ap.rows), -1, ap.w)
 		}
 	}
-	p.start(len(ap.rows), src, ap.w, lazy)
+	p.restart(src, ap.w)
 	if bit := uint64(1) << (src % 64); ap.started[src/64]&bit == 0 {
 		ap.started[src/64] |= bit
 		ap.count++
@@ -220,12 +205,10 @@ func (ap *AllPairs) Hop(u, v NodeID) NodeID { return ap.Row(v).Parent[u] }
 // Invalidate reconverges the table in place onto the subgraph that
 // excludes the arcs set in down (see CSR; nil = every link up), both
 // arcs of a link together — the only way a mask enters a table. Every
-// kept row is retired to the free list, where begin finds its arrays
-// again (start reuses them when they are big enough), so a table that is
-// invalidated and consulted over and over stops allocating: O(n), no
-// allocation once a first round has sized the free list. A sparse
-// scratch stays the scratch, holding no search, so its grown arrays
-// serve the next one; a dense one is retired with the rows. Rows and
+// kept row is retired to the free list, where begin restarts it, so a
+// table that is invalidated and consulted over and over stops
+// allocating: O(n), no allocation once a first round has sized the
+// free list. The scratch stays the scratch, holding no search. Rows and
 // cursors handed out before it are dead. The table aliases down, so the
 // mask's owner must re-Invalidate after every change to it — then no
 // row is ever filled against a mask newer than its invalidation
@@ -238,11 +221,8 @@ func (ap *AllPairs) Invalidate(down []bool) {
 			ap.rows[i] = nil
 		}
 	}
-	if s := ap.scratch; s != nil {
-		s.Src = -1
-		if s.ids == nil {
-			ap.free, ap.scratch = append(ap.free, s), nil
-		}
+	if ap.scratch != nil {
+		ap.scratch.Src = -1
 	}
 	clear(ap.started)
 	ap.count = 0
@@ -271,16 +251,17 @@ type Near struct {
 // Near returns a cursor at the start of src's row (src itself is the
 // first node it reports): src's kept row, the scratch if it holds src's
 // search, or else a search from src started in the scratch — after the
-// table keeps the scratch's row if a promotion has made it dense.
+// table keeps the scratch's row if its search labelled more than keepAt
+// routers.
 func (ap *AllPairs) Near(src NodeID) Near {
 	p := ap.rows[src]
 	if p == nil {
 		p = ap.scratch
-		if p != nil && p.Src != src && p.ids == nil {
+		if p != nil && p.Src >= 0 && p.Src != src && p.settled+p.queued > ap.keepAt {
 			ap.rows[p.Src], p = p, nil
 		}
 		if p == nil || p.Src != src {
-			p = ap.begin(p, src, true)
+			p = ap.begin(p, src)
 			ap.scratch = p
 		}
 	}
@@ -299,58 +280,36 @@ func (c *Near) Next() (v NodeID, ok bool) {
 		p.advance(c.ap.csr, c.ap.w, c.ap.down, 1, -1)
 	}
 	c.i++
-	s := p.order[len(p.order)-c.i]
-	if p.ids != nil {
-		s = p.ids[s]
-	}
-	return NodeID(s), true
+	return NodeID(p.order[len(p.order)-c.i]), true
 }
 
 // Settle advances the search until v is settled and reports whether it
 // is; false means v is unreachable (the search is then exhausted) or
 // not a node of the graph. The cursor's position does not move.
 func (c *Near) Settle(v NodeID) bool {
-	if c.at(v) >= 0 {
+	if c.final(v) {
 		return true
 	}
 	if c.p.queued == 0 || uint(v) >= uint(len(c.ap.rows)) {
 		return false
 	}
 	c.p.advance(c.ap.csr, c.ap.w, c.ap.down, len(c.ap.rows), v)
-	return c.at(v) >= 0
+	return c.final(v)
 }
 
-// at returns the slot of v's labels in the cursor's row if v is settled
-// and -1 otherwise — on the frontier, never labelled, or not a node of
-// the graph at all (core's "no upstream" is -1). The dense case is
-// written to inline into the accessors below.
-func (c *Near) at(v NodeID) int {
-	if c.p.ids != nil {
-		return c.sparseAt(v)
-	}
-	if uint(v) < uint(len(c.p.pos)) && c.p.pos[v] == posSettled {
-		return int(v)
-	}
-	return -1
-}
-
-// sparseAt is at for a sparse row.
-func (c *Near) sparseAt(v NodeID) int {
-	if uint(v) >= uint(len(c.ap.rows)) {
-		return -1
-	}
-	_, s := c.p.probe(v)
-	if s >= 0 && c.p.pos[s] != posSettled {
-		return -1
-	}
-	return int(s)
+// final reports whether v is settled in the cursor's row, its labels
+// final — false on the frontier, never labelled, or not a node of the
+// graph at all (core's "no upstream" is -1). It is written to inline
+// into the accessors below.
+func (c *Near) final(v NodeID) bool {
+	return uint(v) < uint(len(c.p.pos)) && c.p.pos[v] == posSettled
 }
 
 // Delay returns the delay along the row's path to v, +Inf unless v is
 // settled.
 func (c *Near) Delay(v NodeID) float64 {
-	if s := c.at(v); s >= 0 {
-		return c.p.Delay[s]
+	if c.final(v) {
+		return c.p.Delay[v]
 	}
 	return inf
 }
@@ -358,8 +317,8 @@ func (c *Near) Delay(v NodeID) float64 {
 // Cost returns the cost along the row's path to v, +Inf unless v is
 // settled.
 func (c *Near) Cost(v NodeID) float64 {
-	if s := c.at(v); s >= 0 {
-		return c.p.Cost[s]
+	if c.final(v) {
+		return c.p.Cost[v]
 	}
 	return inf
 }
@@ -367,7 +326,7 @@ func (c *Near) Cost(v NodeID) float64 {
 // To returns the row's path from its source to v (see Paths.To), nil
 // unless v is settled.
 func (c *Near) To(v NodeID) []NodeID {
-	if c.at(v) < 0 {
+	if !c.final(v) {
 		return nil
 	}
 	return c.p.walk(v)
@@ -383,8 +342,8 @@ func (ap *AllPairs) Materialized() int { return ap.count }
 // four label arrays a complete row shows its readers) plus fixed header
 // overhead — what an m-router that keeps whole routing rows for every
 // source it consulted holds, whatever this process keeps for them: a
-// dense row weighs just that, and a sparse search keeps nothing once
-// the scratch has moved on. A table pays only for rows actually
+// kept row weighs just that, and a search the scratch has moved on
+// from keeps nothing. A table pays only for rows actually
 // consulted. The domains experiment reports this
 // figure as resident routing-table memory, so the formula is part of
 // that table's byte-identity contract and stays as it is (DESIGN.md §8

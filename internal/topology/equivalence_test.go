@@ -440,6 +440,7 @@ func TestEngineScratchReuseIsClean(t *testing.T) {
 		g.ShortestInto(&row, NodeID(src), w)
 		fresh := shortestRef(g, NodeID(src), w, nil)
 		samePaths(t, fmt.Sprintf("reuse src %d", src), &row, fresh)
+		checkClean(t, fmt.Sprintf("reuse src %d", src), &row)
 	}
 	// Once sized, a reused row is filled without allocating.
 	if allocs := testing.AllocsPerRun(10, func() { g.ShortestInto(&row, 3, ByCost) }); allocs != 0 {
@@ -449,22 +450,27 @@ func TestEngineScratchReuseIsClean(t *testing.T) {
 	small := Arpanet()
 	small.ShortestInto(&row, 3, ByCost)
 	samePaths(t, "reuse on a smaller graph", &row, shortestRef(small, 3, ByCost, nil))
+	checkClean(t, "reuse on a smaller graph", &row)
 
-	// And after it has been a sparse row — left suspended before its
-	// first growth step, then again after it — on the graph it was
-	// sparse for and on the smaller one its arrays are then too big for.
-	big := line(t, 2*sparseSlots*sparseDiv)
-	for _, pops := range []int{sparseSlots / 2, sparseSlots + sparseSlots/4} {
-		row.start(big.N(), 5, ByDelay, true)
+	// And after it has held a suspended search, as a table's rows do:
+	// restarted over what that search labelled on a larger graph, and
+	// filled again on the smaller one its arrays are then too big for.
+	big := line(t, 512)
+	for _, pops := range []int{16, 40} {
+		label := fmt.Sprintf("after %d pops", pops)
+		row.start(big.N(), 5, ByDelay)
 		row.advance(big.CSR(), ByDelay, nil, pops, -1)
-		if row.ids == nil || row.queued == 0 || (len(row.ids) > sparseSlots) != (pops > sparseSlots) {
-			t.Fatalf("fixture: row after %d pops is sparse = %v, %d slots, %d queued", pops, row.ids != nil, len(row.ids), row.queued)
+		if row.queued == 0 || row.settled != pops {
+			t.Fatalf("fixture: row after %d pops has %d settled, %d queued", pops, row.settled, row.queued)
 		}
-		big.ShortestInto(&row, 7, ByCost)
-		samePaths(t, fmt.Sprintf("reuse after %d sparse pops", pops), &row, shortestRef(big, 7, ByCost, nil))
-		row.start(big.N(), 5, ByDelay, true)
+		row.restart(7, ByCost)
+		checkClean(t, "restart "+label, &row)
+		row.advance(big.CSR(), ByCost, nil, big.N(), -1)
+		samePaths(t, "restart "+label, &row, shortestRef(big, 7, ByCost, nil))
+		row.start(big.N(), 5, ByDelay)
 		row.advance(big.CSR(), ByDelay, nil, pops, -1)
 		g.ShortestInto(&row, 9, ByDelay)
-		samePaths(t, fmt.Sprintf("reuse on a smaller graph after %d sparse pops", pops), &row, shortestRef(g, 9, ByDelay, nil))
+		samePaths(t, "reuse on a smaller graph "+label, &row, shortestRef(g, 9, ByDelay, nil))
+		checkClean(t, "reuse on a smaller graph "+label, &row)
 	}
 }

@@ -6,7 +6,7 @@ package topology
 // a table's Invalidate.
 func shortestAvoid(g *Graph, src NodeID, w Weight, down []bool) *Paths {
 	p := &Paths{}
-	p.start(g.N(), src, w, false)
+	p.start(g.N(), src, w)
 	p.advance(g.CSR(), w, down, g.N(), -1)
 	return p
 }
@@ -59,16 +59,12 @@ func (i *TransitStubInfo) TransitNodes() []NodeID {
 	return out
 }
 
-// KeptRows counts the rows the table keeps, and how many of them are
-// sparse; the scratch a sparse search runs in is not kept.
-func (ap *AllPairs) KeptRows() (kept, sparse int) {
+// KeptRows counts the rows the table keeps; the scratch is not kept.
+func (ap *AllPairs) KeptRows() (kept int) {
 	for _, p := range ap.rows {
 		if p != nil {
 			kept++
-			if p.ids != nil {
-				sparse++
-			}
 		}
 	}
-	return kept, sparse
+	return kept
 }

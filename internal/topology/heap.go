@@ -1,7 +1,7 @@
 package topology
 
 // frontier is the indexed 4-ary min-heap of a Dijkstra search's queued
-// routers. It holds row slots only — four bytes an entry — and reads
+// routers. It holds router ids only — four bytes an entry — and reads
 // each key through the row's dist array, so the heap can live inside
 // the row it serves (see Paths) and a suspended search costs no memory
 // a complete row does not. The 4-ary shape halves the tree depth of a
@@ -20,16 +20,12 @@ package topology
 // implicitly by heap layout — pop order is a pure function of the set
 // of queued (router, key) pairs.
 //
-// A frontier is a view: items, pos, dist and ids alias the row's arrays,
-// and the caller stores len(items) back when it is done. Entries are row
-// slots: the router itself in the dense layout (ids == nil), an index
-// into ids in the sparse one (see Paths), where the id rung of the
-// ladder compares the routers the slots stand for.
+// A frontier is a view: items, pos and dist alias the row's arrays, and
+// the caller stores len(items) back when it is done.
 type frontier struct {
-	items []int32   // heap of slots; cap is the row's whole order array
-	pos   []int32   // pos[s]: s's heap index while queued, posUnseen / posSettled otherwise
-	dist  []float64 // dist[s]: s's key
-	ids   []int32   // ids[s]: the router in slot s; nil when slot == router
+	items []int32   // heap of routers; cap is the row's whole order array
+	pos   []int32   // pos[v]: v's heap index while queued, posUnseen / posSettled otherwise
+	dist  []float64 // dist[v]: v's key
 }
 
 const (
@@ -37,7 +33,7 @@ const (
 	posSettled int32 = -2 // popped: label and parent are final
 )
 
-// less is the (dist, id) ladder over slots a and b with keys da and db.
+// less is the (dist, id) ladder over routers a and b with keys da and db.
 // Written as two strict comparisons — never float equality — so NaNs
 // sink and exact ties fall through to the id comparison.
 func (h *frontier) less(a int32, da float64, b int32, db float64) bool {
@@ -47,13 +43,10 @@ func (h *frontier) less(a int32, da float64, b int32, db float64) bool {
 	if db < da {
 		return false
 	}
-	if h.ids != nil {
-		return h.ids[a] < h.ids[b]
-	}
 	return a < b
 }
 
-// push queues slot v, or restores the heap after v's key decreased when
+// push queues router v, or restores the heap after v's key decreased when
 // it is already queued; dist[v] holds the new key. Keys never increase
 // during Dijkstra, so an existing entry only ever sifts up.
 func (h *frontier) push(v int32) {
@@ -77,7 +70,7 @@ func (h *frontier) push(v int32) {
 	h.pos[v] = int32(i)
 }
 
-// pop removes and returns the minimum slot, marking it settled.
+// pop removes and returns the minimum router, marking it settled.
 func (h *frontier) pop() int32 {
 	top := h.items[0]
 	h.pos[top] = posSettled

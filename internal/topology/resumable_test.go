@@ -6,33 +6,62 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"scmp/internal/rng"
 )
 
+// checkClean holds a row's labels against its own search: a router
+// the search has labelled is queued at its heap index or settled, and
+// every other router reads Delay and Cost +Inf, Parent -1 and pos
+// unseen — nothing an earlier search on the same arrays labelled is
+// left behind. Run after a restart, it is what catches one that clears
+// too little: the stale labels of routers the new search never reaches
+// show nowhere else until a complete row hands them out as first hops.
+func checkClean(t *testing.T, label string, p *Paths) {
+	t.Helper()
+	n := len(p.order)
+	labelled := make([]bool, n)
+	for i, v := range p.order[:p.queued] {
+		if labelled[v] = true; p.pos[v] != int32(i) {
+			t.Fatalf("%s: router %d queued at %d has pos %d", label, v, i, p.pos[v])
+		}
+	}
+	for _, v := range p.order[n-p.settled:] {
+		if labelled[v] = true; p.pos[v] != posSettled {
+			t.Fatalf("%s: settled router %d has pos %d", label, v, p.pos[v])
+		}
+	}
+	for v := range n {
+		if !labelled[v] && (!math.IsInf(p.Delay[v], 1) || !math.IsInf(p.Cost[v], 1) || p.Parent[v] != -1 || p.pos[v] != posUnseen) {
+			t.Fatalf("%s: router %d outside the search reads delay %v cost %v parent %d pos %d", label, v, p.Delay[v], p.Cost[v], p.Parent[v], p.pos[v])
+		}
+	}
+}
+
 // checkSuspended holds a row, wherever its search stands, against the
 // complete one-shot row: every settled node agrees bit for bit (labels,
 // parent, path), every other node reads as unreachable through the
-// cursor, and the settle order is strictly ascending on the (dist, id)
-// ladder.
+// cursor, the settle order is strictly ascending on the (dist, id)
+// ladder, and the row is clean (see checkClean).
 func checkSuspended(t *testing.T, label string, ap *AllPairs, src NodeID, full *Paths) {
 	t.Helper()
 	c := ap.Near(src)
 	p := c.p
+	checkClean(t, label, p)
 	pathStride := 1 + len(full.Dist)/128
 	for v := range full.Dist {
 		v := NodeID(v)
-		s := c.at(v)
-		if s < 0 {
+		if !c.final(v) {
 			if !math.IsInf(c.Delay(v), 1) || !math.IsInf(c.Cost(v), 1) || c.To(v) != nil {
 				t.Fatalf("%s: unsettled node %d reported: delay %v cost %v path %v", label, v, c.Delay(v), c.Cost(v), c.To(v))
 			}
 			continue
 		}
-		if c.Delay(v) != full.Delay[v] || c.Cost(v) != full.Cost[v] || p.Dist[s] != full.Dist[v] || p.Parent[s] != full.Parent[v] {
+		if c.Delay(v) != full.Delay[v] || c.Cost(v) != full.Cost[v] || p.Dist[v] != full.Dist[v] || p.Parent[v] != full.Parent[v] {
 			t.Fatalf("%s: settled node %d differs: delay %v/%v cost %v/%v dist %v/%v parent %d/%d", label, v,
-				c.Delay(v), full.Delay[v], c.Cost(v), full.Cost[v], p.Dist[s], full.Dist[v], p.Parent[s], full.Parent[v])
+				c.Delay(v), full.Delay[v], c.Cost(v), full.Cost[v], p.Dist[v], full.Dist[v], p.Parent[v], full.Parent[v])
 		}
 		// Parents agree, so paths do; on a big graph walk a sample of them
 		// through the cursor anyway, for the walk itself.
@@ -47,7 +76,7 @@ func checkSuspended(t *testing.T, label string, ap *AllPairs, src NodeID, full *
 	prev := NodeID(-1)
 	for i := 0; i < settled; i++ {
 		v, ok := c.Next()
-		if !ok || c.at(v) < 0 {
+		if !ok || !c.final(v) {
 			t.Fatalf("%s: Next #%d = (%d, %v), not a settled node", label, i, v, ok)
 		}
 		if prev >= 0 && !(full.Dist[prev] < full.Dist[v] || (full.Dist[prev] == full.Dist[v] && prev < v)) {
@@ -60,12 +89,12 @@ func checkSuspended(t *testing.T, label string, ap *AllPairs, src NodeID, full *
 	}
 }
 
-// sparseGraphs are graphs of at least sparseSlots*sparseDiv routers, on
-// which a cursor's row starts in the sparse layout: the benchmark's
-// 2440-node transit-stub (four growth steps before promotion), and two
-// tie-heavy shapes where the order slots are handed out in is nothing
-// like id order — a unit-weight grid and a long uniform ring.
-func sparseGraphs(t testing.TB) map[string]*Graph {
+// bigGraphs are graphs of over 256 routers, on which a table keeps a
+// search only once it has labelled keepAt routers: the benchmark's
+// 2440-node transit-stub, and two tie-heavy shapes where the settle
+// order is nothing like id order — a unit-weight grid and a long
+// uniform ring.
+func bigGraphs(t testing.TB) map[string]*Graph {
 	ts, _, err := TransitStub(TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}, rng.New(3))
 	if err != nil {
 		t.Fatalf("transit-stub: %v", err)
@@ -105,21 +134,22 @@ func settleOrder(full *Paths) []NodeID {
 // TestEquivalenceLazyResumableRows is the differential gate for
 // resumable rows: a lazy row advanced in random increments — Next a few
 // times, Settle of a random node, finally Row — is at every stop a
-// prefix of the one-shot row, and ends equal to it. On graphs big
-// enough for a row to start sparse it also drives the row through its
-// layout changes — a growth step, promotion by the search and promotion
-// by Row — under a second cursor that was opened first and must go on
-// reporting the one-shot order as if the arrays had never moved. For
-// some sources another source's cursor walks mid-way and both cursors
-// are opened again, and Row on the half-walked scratch must keep it.
+// prefix of the one-shot row, and ends equal to it, under a second
+// cursor that was opened first and must go on reporting the one-shot
+// order. Between the stops the row changes hands: for some sources
+// another source's cursor walks mid-way, which keeps the row if its
+// search labelled more than keepAt routers and restarts it otherwise;
+// for some the table is invalidated, which restarts whichever row the
+// next Near takes; and for some Row completes the half-walked scratch,
+// which it must keep. After every restart the row is clean (see
+// checkClean).
 func TestEquivalenceLazyResumableRows(t *testing.T) {
 	graphs := equivGraphs(t)
-	maps.Copy(graphs, sparseGraphs(t))
-	var grown, promotedBySearch, promotedByRow, reopened int
+	maps.Copy(graphs, bigGraphs(t))
+	var keptByNear, keptByRow, reopened, afterInvalidate int
 	for name, g := range graphs {
-		startsSparse := g.N() >= sparseSlots*sparseDiv
 		step := 1 // every source of a small graph, a spread of them on a big one
-		if startsSparse {
+		if g.N() > 256 {
 			step = g.N() / 10
 		}
 		for avoidName, avoid := range equivAvoids(g, 23) {
@@ -134,13 +164,11 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 					want := settleOrder(full)
 					c := lazy.Near(src)
 					p := c.p
-					if sparse := p.ids != nil; sparse != startsSparse {
-						t.Fatalf("%s: row of a %d-router graph starts sparse = %v", label, g.N(), sparse)
-					}
+					checkClean(t, label+"/start", p)
 					if first, ok := c.Next(); !ok || first != src {
 						t.Fatalf("%s: first settled node = (%d, %v), want the source", label, first, ok)
 					}
-					// held is opened before the row changes layout and is
+					// held is opened before the row changes hands and is
 					// walked only after: k more routers of the one-shot order.
 					held := lazy.Near(src)
 					follow := func(at string, k int) {
@@ -151,53 +179,83 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 							}
 						}
 					}
-					unlabelled := func(v NodeID) bool {
-						if p.ids != nil {
-							_, s := p.probe(v)
-							return s < 0
-						}
-						return p.pos[v] == posUnseen
+					reopen := func() {
+						c, held = lazy.Near(src), lazy.Near(src)
+						p = c.p
 					}
 
-					// Across a growth step: drive the search one pop at a
-					// time until the sparse row has moved to wider arrays.
-					for slots := len(p.ids); p.ids != nil && len(p.ids) == slots; {
+					// Walk past keepAt labels from every other source, so
+					// that another source's Near keeps the row, and a few
+					// pops from the rest, so that it restarts it.
+					walk := 3
+					if src/NodeID(step)%2 == 0 {
+						walk = lazy.keepAt
+					}
+					for p.settled+p.queued <= walk {
 						if _, ok := c.Next(); !ok {
 							break
 						}
 					}
-					if p.ids != nil && len(p.ids) > sparseSlots {
-						grown++
-					}
-					follow("grown", 3)
-					checkSuspended(t, label+"/grown", lazy, src, full)
+					follow("walked", 3)
+					checkSuspended(t, label+"/walked", lazy, src, full)
 
 					if src/NodeID(step)%3 == 2 {
-						// Another source's cursor mid-walk may restart the
-						// scratch under both cursors: open them again.
-						other := (src + NodeID(step)/2) % NodeID(g.N())
+						// Another source's cursor mid-walk keeps the row or
+						// restarts it under both cursors: open them again.
+						other := (src + max(1, NodeID(step)/2)) % NodeID(g.N())
+						labelled, untouched := p.settled+p.queued, lazy.scratch != p || lazy.rows[other] != nil
 						owant := settleOrder(shortestAvoid(g, other, w, avoid))
 						o := lazy.Near(other)
+						switch {
+						case untouched:
+						case labelled > lazy.keepAt:
+							if lazy.rows[src] != p {
+								t.Fatalf("%s: source %d's Near did not keep a search that labelled %d routers, keepAt %d", label, other, labelled, lazy.keepAt)
+							}
+							keptByNear++
+						case o.p != p:
+							t.Fatalf("%s: source %d's Near did not restart a search that labelled %d routers, keepAt %d", label, other, labelled, lazy.keepAt)
+						}
+						checkClean(t, fmt.Sprintf("%s/source%d", label, other), o.p)
 						for o.i < min(40, len(owant)) {
 							if v, ok := o.Next(); !ok || v != owant[o.i-1] {
 								t.Fatalf("%s: source %d's Next #%d = (%d, %v), want %d", label, other, o.i, v, ok, owant[o.i-1])
 							}
 						}
-						c, held = lazy.Near(src), lazy.Near(src)
-						p = c.p
+						reopen()
 						follow("reopened", 3)
 						checkSuspended(t, label+"/reopened", lazy, src, full)
 						reopened++
 					}
 
-					if src/NodeID(step)%2 == 1 {
-						// Row on a row in mid-search, sparse if it still is:
-						// the scratch it runs in is kept, cursors and all.
-						if p.ids != nil && p.queued > 0 {
-							promotedByRow++
+					if src/NodeID(step)%5 == 3 {
+						// Invalidate under the same mask: the next Near
+						// restarts the scratch, or the row it retired last.
+						reused := lazy.scratch
+						lazy.Invalidate(avoid)
+						if k := len(lazy.free); reused == nil && k > 0 {
+							reused = lazy.free[k-1]
 						}
-						if lazy.scratch == p && lazy.Row(src) != p {
-							t.Fatalf("%s: Row did not keep the scratch holding its source", label)
+						reopen()
+						if reused != nil {
+							if p != reused {
+								t.Fatalf("%s: Near after Invalidate took new arrays", label)
+							}
+							afterInvalidate++
+						}
+						checkClean(t, label+"/invalidated", p)
+						follow("invalidated", 3)
+						checkSuspended(t, label+"/invalidated", lazy, src, full)
+					}
+
+					if src/NodeID(step)%2 == 1 {
+						// Row on a row in mid-search: the scratch it runs in
+						// is kept, cursors and all.
+						if lazy.scratch == p && p.queued > 0 {
+							if lazy.Row(src) != p {
+								t.Fatalf("%s: Row did not keep the scratch holding its source", label)
+							}
+							keptByRow++
 						}
 						samePaths(t, label+"/row-mid-search", lazy.Row(src), full)
 						follow("row-mid-search", 5)
@@ -206,9 +264,8 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 
 					// Settle a router the search has never labelled, a
 					// random way beyond everything it has.
-					wasSparse := p.ids != nil
-					for i := min(p.settled+p.queued+rng.Intn(4*sparseSlots), len(want)-1); i < len(want); i++ {
-						if v := want[i]; unlabelled(v) {
+					for i := min(p.settled+p.queued+rng.Intn(128), len(want)-1); i < len(want); i++ {
+						if v := want[i]; p.pos[v] == posUnseen {
 							if !c.Settle(v) {
 								t.Fatalf("%s: Settle(%d) of a reachable, never labelled router = false", label, v)
 							}
@@ -229,9 +286,6 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 						}
 						follow(fmt.Sprintf("stop%d", stop), 1+rng.Intn(3))
 						checkSuspended(t, fmt.Sprintf("%s/stop%d/settle%d", label, stop, v), lazy, src, full)
-					}
-					if wasSparse && p.ids == nil && p.queued > 0 {
-						promotedBySearch++
 					}
 					if c.Settle(-1) || c.Settle(NodeID(g.N())) {
 						t.Fatalf("%s: Settle accepted an id outside the graph", label)
@@ -263,21 +317,22 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 			}
 		}
 	}
-	// The stops above are only worth their names if the rows really went
-	// through the layout changes with the cursors open.
-	if grown == 0 || promotedBySearch == 0 || promotedByRow == 0 || reopened == 0 {
-		t.Fatalf("layout changes under an open cursor: %d growth steps, %d promotions by the search, %d by Row, %d reopens after another source — want all four",
-			grown, promotedBySearch, promotedByRow, reopened)
+	// The stops above are only worth their names if the rows really
+	// changed hands with the cursors open.
+	if keptByNear == 0 || keptByRow == 0 || reopened == 0 || afterInvalidate == 0 {
+		t.Fatalf("rows changing hands under an open cursor: %d kept by another source's Near, %d kept by Row, %d reopens after another source, %d restarts after Invalidate — want all four",
+			keptByNear, keptByRow, reopened, afterInvalidate)
 	}
 }
 
 // FuzzResumableRow drives one lazy row with an arbitrary program of
-// cursor operations — two cursors' Next, Settle, Row, and a walk of
+// cursor operations — two cursors' Next, Settle, Row, a walk of
 // another source's cursor (then, for op 5, Row of that source on its
-// half-walked row) after which the first source's cursors are opened
-// again — on a graph drawn from the seed (below and above the size where
-// rows start sparse, with and without tie-heavy weights) and checks
-// every answer against the one-shot rows.
+// half-walked row) and Invalidate, after both of which the first
+// source's cursors are opened again — on a graph drawn from the seed
+// (below and above 256 routers, where keepAt turns from 0, with and
+// without tie-heavy weights). It checks every answer against the
+// one-shot rows and every row it opens for a clean restart.
 func FuzzResumableRow(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 1, 200, 2, 0, 3})
 	f.Add(int64(2), []byte{1, 255, 17, 0, 0, 2, 2, 1, 3, 9})
@@ -286,7 +341,7 @@ func FuzzResumableRow(f *testing.F) {
 	f.Add(int64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0, 5, 77, 255, 1, 1, 4, 200, 3, 3, 0})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		rng := rng.New(seed)
-		n := 2 + rng.Intn(3*sparseSlots*sparseDiv)
+		n := 2 + rng.Intn(768)
 		ties := rng.Intn(2) == 0
 		g := New(n)
 		for u := 1; u < n; u++ {
@@ -306,7 +361,7 @@ func FuzzResumableRow(f *testing.F) {
 		lazy := NewLazyAllPairs(g, w)
 		cursors := []Near{lazy.Near(src), lazy.Near(src)}
 		for i := 0; i < len(ops); i++ {
-			switch op := ops[i] % 6; op {
+			switch op := ops[i] % 7; op {
 			case 0, 1:
 				c := &cursors[op]
 				more := c.i < len(want)
@@ -335,6 +390,7 @@ func FuzzResumableRow(f *testing.F) {
 				ofull := shortestAvoid(g, other, w, nil)
 				owant := settleOrder(ofull)
 				o := lazy.Near(other)
+				checkClean(t, fmt.Sprintf("op %d: source %d", i, other), o.p)
 				for ; k > 0 && o.i < len(owant); k-- {
 					if v, ok := o.Next(); !ok || v != owant[o.i-1] {
 						t.Fatalf("op %d: source %d's Next #%d = (%d, %v), want %d", i, other, o.i, v, ok, owant[o.i-1])
@@ -348,7 +404,11 @@ func FuzzResumableRow(f *testing.F) {
 					}
 				}
 				cursors = []Near{lazy.Near(src), lazy.Near(src)}
+			case 6:
+				lazy.Invalidate(nil)
+				cursors = []Near{lazy.Near(src), lazy.Near(src)}
 			}
+			checkClean(t, fmt.Sprintf("op %d", i), cursors[0].p)
 		}
 		checkSuspended(t, "after the last op", lazy, src, full)
 		samePaths(t, "final Row", lazy.Row(src), full)
@@ -366,10 +426,11 @@ func completedRow(g *Graph, w Weight, avoid []bool, src NodeID) *AllPairs {
 
 // TestInvalidateRestartsTheScratch: a search suspended in the scratch
 // is dead after Invalidate — the next Near from its source searches
-// again, under the new mask — and it searches on the arrays the scratch
-// grew before, so a table invalidated over and over reuses them.
+// again, under the new mask — and it searches on the scratch's own
+// arrays, restarted clean, so a table invalidated over and over reuses
+// them.
 func TestInvalidateRestartsTheScratch(t *testing.T) {
-	for name, g := range sparseGraphs(t) {
+	for name, g := range bigGraphs(t) {
 		src := NodeID(g.N() / 3)
 		avoids := equivAvoids(g, 5)
 		ap := NewLazyAllPairs(g, ByDelay)
@@ -384,13 +445,66 @@ func TestInvalidateRestartsTheScratch(t *testing.T) {
 				t.Fatalf("%s/%s: %d sources started right after Invalidate", name, avoidName, got)
 			}
 			c := ap.Near(src)
-			if scratch != nil && (c.p != scratch || c.p.ids == nil) {
-				t.Fatalf("%s/%s: the search after Invalidate left the sparse scratch", name, avoidName)
+			if scratch != nil && c.p != scratch {
+				t.Fatalf("%s/%s: the search after Invalidate left the scratch", name, avoidName)
 			}
-			for k := 0; k < 4*sparseSlots; k++ {
+			checkClean(t, name+"/"+avoidName, c.p)
+			for k := 0; k < 128; k++ {
 				c.Next()
 			}
 			checkSuspended(t, name+"/"+avoidName, ap, src, shortestAvoid(g, src, ByDelay, avoid))
+		}
+	}
+}
+
+// TestNearWorkFollowsCost is the work oracle for a cursor: its search
+// settles no further than it is read. A Near walk stopped at cost c —
+// at the first router it reports whose distance is not below c — has
+// settled between |{v : d(s,v) < c}| and |{v : d(s,v) ≤ c}| + 1
+// routers, and Settle(v) between |{u : d(s,u) < d(s,v)}| + 1 and
+// |{u : d(s,u) ≤ d(s,v)}|, both counted on the one-shot row. It runs on
+// a Waxman graph, the transit-stub and a tie-heavy ring, each search
+// in a scratch restarted by Invalidate.
+func TestNearWorkFollowsCost(t *testing.T) {
+	wg, err := Waxman(DefaultWaxman(400), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bigGraphs(t)
+	for name, g := range map[string]*Graph{"waxman400": wg.Graph, "transitstub2440": big["transitstub2440"], "ring600": big["ring600"]} {
+		for _, w := range []Weight{ByDelay, ByCost} {
+			ap := NewLazyAllPairs(g, w)
+			for src := NodeID(0); int(src) < g.N(); src += NodeID(g.N() / 8) {
+				full := shortestAvoid(g, src, w, nil)
+				order := settleOrder(full)
+				// below(c) and atMost(c) count the routers closer than c
+				// and no farther than c.
+				below := func(c float64) int {
+					return sort.Search(len(order), func(i int) bool { return full.Dist[order[i]] >= c })
+				}
+				atMost := func(c float64) int {
+					return sort.Search(len(order), func(i int) bool { return full.Dist[order[i]] > c })
+				}
+				for i := 0; i < len(order); i += 1 + len(order)/16 {
+					d := full.Dist[order[i]]
+					label := fmt.Sprintf("%s/%s/src%d", name, w, src)
+					for _, c := range []float64{d, d + 0.5, math.Inf(1)} {
+						ap.Invalidate(nil)
+						cur := ap.Near(src)
+						for v, ok := cur.Next(); ok && full.Dist[v] < c; v, ok = cur.Next() {
+						}
+						if got, lo, hi := cur.p.settled, below(c), atMost(c)+1; got < lo || got > hi {
+							t.Fatalf("%s: walk stopped at cost %v settled %d routers, want %d to %d", label, c, got, lo, hi)
+						}
+					}
+					ap.Invalidate(nil)
+					cur := ap.Near(src)
+					cur.Settle(order[i])
+					if got, lo, hi := cur.p.settled, below(d)+1, atMost(d); got < lo || got > hi {
+						t.Fatalf("%s: Settle(%d) at cost %v settled %d routers, want %d to %d", label, order[i], d, got, lo, hi)
+					}
+				}
+			}
 		}
 	}
 }

@@ -11,12 +11,13 @@ import (
 
 // TestTablesKeepOnlyDenseRows joins 256 routers, one DCDM join each, on
 // the 2440-node transit-stub and checks what the two tables hold after:
-// only dense rows, the ones worth completing, and no heap the joins
-// left behind beyond them — at most 32n bytes a row plus 64 KB for the
-// two scratch rows and the tree's growth. A table that kept the sparse
-// search row of every member that ever joined holds hundreds of rows
-// the joins stopped needing. Two GC cycles settle each heap reading:
-// the first leaves pooled garbage for the second.
+// only the rows worth completing — exactly the counts below, against
+// the sources started — and no heap the joins left behind beyond them,
+// at most 32n bytes for each kept row and each table's n-wide scratch
+// plus 64 KB for the tree's growth. A table that kept the search row of
+// every member that ever joined holds hundreds of rows the joins
+// stopped needing. Two GC cycles settle each heap reading: the first
+// leaves pooled garbage for the second.
 func TestTablesKeepOnlyDenseRows(t *testing.T) {
 	g, _, err := topology.TransitStub(topology.TransitStubConfig{TransitDomains: 5, TransitSize: 8, StubsPerTransitNode: 3, StubSize: 20, EdgeProb: 0.4}, rng.New(3))
 	if err != nil {
@@ -34,21 +35,21 @@ func TestTablesKeepOnlyDenseRows(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	dense := 0
-	for i, ap := range []*topology.AllPairs{spDelay, spCost} {
-		w := topology.Weight(i) // ByDelay, ByCost
-		kept, sparse := ap.KeptRows()
-		t.Logf("%s table: %d rows kept, %d sparse, %d sources started", w, kept, sparse, ap.Materialized())
-		if sparse > 0 {
-			t.Errorf("%s table keeps %d sparse rows of %d: a sparse search must not outlive the scratch", w, sparse, kept)
+	rows := 0
+	for i, want := range []struct{ kept, started int }{{3, 229}, {2, 228}} {
+		w, ap := topology.Weight(i), []*topology.AllPairs{spDelay, spCost}[i] // ByDelay, ByCost
+		kept, started := ap.KeptRows(), ap.Materialized()
+		t.Logf("%s table: %d rows kept, %d sources started", w, kept, started)
+		if kept != want.kept || started != want.started {
+			t.Errorf("%s table keeps %d rows of %d sources started, want %d of %d", w, kept, started, want.kept, want.started)
 		}
-		dense += kept - sparse
+		rows += kept + 1 // and the scratch
 	}
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	budget := int64(dense)*32*int64(g.N()) + 64<<10
-	t.Logf("%d bytes retained, budget %d for %d dense rows", retained, budget, dense)
+	budget := int64(rows)*32*int64(g.N()) + 64<<10
+	t.Logf("%d bytes retained, budget %d for %d rows", retained, budget, rows)
 	if retained > budget {
-		t.Errorf("%d bytes retained after 256 joins, budget %d: the tables hold more than their %d dense rows", retained, budget, dense)
+		t.Errorf("%d bytes retained after 256 joins, budget %d: the tables hold more than their %d rows", retained, budget, rows)
 	}
 	runtime.KeepAlive(d)
 }
