@@ -96,7 +96,7 @@ loc:
 # grown past the committed budget. A PR that removes code lowers
 # LOC_BUDGET to what `make loc` prints; one that must add code raises it
 # in the same diff, where a reviewer sees it.
-LOC_BUDGET := 15319
+LOC_BUDGET := 15405
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
@@ -123,7 +123,8 @@ bench-all:
 # scenario scripts, seeded from scenarios/*.scn, to the parser and the
 # setup lines (validation and network construction), which must return
 # or error and never panic. FuzzRefEquivalence runs arbitrary scheduler
-# programs (At, AtSink, AtTimer, Stop, LaneSink, RunUntil, Run, Step;
+# programs (At, AtSink, AtTimer, Stop, LaneSink, RunUntil, Run, Step,
+# Reserve and AtSinkSeq on a reserved number, the path a script takes;
 # tied, tiny, huge, -0 and +Inf times) on the pooled scheduler and the
 # reference one, which must trace identically. FuzzScript installs
 # arbitrary script steps (NaN, -0, +Inf and past times, out-of-range

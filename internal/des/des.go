@@ -16,15 +16,19 @@
 // garbage. Every event is typed. A sink event (SetSink / AtSink)
 // carries a small fixed argument tuple to the scheduler's one sink
 // instead of a func value, and returns no handle. A stream of sink
-// events whose times never decrease (the packets in flight on one link,
-// a script of timed inputs) can queue on a FIFO lane (NewLanes /
-// LaneSink): only the lane's head is queued, so the queue holds one
-// entry per busy link instead of one per packet. The one cancellable
-// event is a timer (AtTimer / Stop), a typed event for a sink of the
-// caller's choosing: the protocol control plane arms its
+// events whose times never decrease (the packets in flight on one link)
+// can queue on a FIFO lane (NewLanes / LaneSink): only the lane's head
+// is queued, so the queue holds one entry per busy link instead of one
+// per packet. A stream known in advance (a script of timed inputs) need
+// not be held at all: it reserves its sequence numbers (Reserve) and
+// queues each event from the dispatch of the one before (AtSinkSeq), so
+// it holds one slot and one queue entry whatever its length. The one
+// cancellable event is a timer (AtTimer / Stop), a typed event for a
+// sink of the caller's choosing: the protocol control plane arms its
 // retransmission, refresh and service-completion deadlines this way,
 // behind a value handle, so arming one allocates nothing. See DESIGN.md
-// §10 for the free-list safety, queue and lane ordering arguments.
+// §10 for the free-list safety, queue, lane and reserved-sequence
+// ordering arguments.
 package des
 
 import (
@@ -158,7 +162,9 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events still queued (including cancelled
 // events that have not yet been discarded, and lane events behind their
-// lane's head).
+// lane's head). A sequence number reserved for an AtSinkSeq push that
+// has not happened yet is no event: a script's later instants are not
+// pending.
 func (s *Scheduler) Pending() int {
 	return len(s.near) + s.far + s.behind
 }
@@ -223,14 +229,38 @@ func (f closure) SinkEvent(uint8, int32, int32, any, bool) { f() }
 // nothing (a *Packet in p is a pointer-shaped interface — no boxing).
 // Sink events return no handle; they cannot be cancelled.
 func (s *Scheduler) AtSink(t Time, op uint8, a, b int32, p any, flag bool) {
+	s.AtSinkSeq(t, s.Reserve(1), op, a, b, p, flag)
+}
+
+// Reserve takes the next k sequence numbers, the ones k AtSink calls
+// made now would take, and returns the first, for AtSinkSeq.
+func (s *Scheduler) Reserve(k int) uint64 {
+	first := s.seq
+	s.seq += uint64(k)
+	return first
+}
+
+// AtSinkSeq is AtSink on a sequence number Reserve handed out: the
+// event takes the place in (time, seq) order that AtSink would have
+// given it at the reservation. So a stream of events at non-decreasing
+// times, each on a higher number of one reserved block, can be queued
+// one at a time, each from the dispatch of the one before, and it
+// dispatches exactly as queueing it whole at the reservation would, on
+// one queue entry. The caller pushes each number at most once, at a
+// time not before the event whose dispatch pushes it. It panics on a
+// past or NaN time and on a number not yet handed out.
+func (s *Scheduler) AtSinkSeq(t Time, seq uint64, op uint8, a, b int32, p any, flag bool) {
 	if !(t >= s.now) {
 		panic("des: event scheduled in the past")
 	}
 	if s.sink == nil {
-		panic("des: AtSink without a sink installed")
+		panic("des: sink event without a sink installed")
 	}
-	slot, _ := s.sinkSlot(kSink, op, a, b, p, flag)
-	s.push(t, slot)
+	if seq >= s.seq {
+		panic("des: AtSinkSeq on a sequence number not reserved")
+	}
+	slot, nd := s.sinkSlot(kSink, op, a, b, p, flag)
+	s.insert(entry{at: t, seq: seq, slot: slot, gen: nd.gen})
 }
 
 // AtTimer schedules a cancellable typed event at absolute time t: unless
@@ -285,9 +315,6 @@ func (s *Scheduler) NewLanes(k int) Lane {
 	s.tails = append(s.tails, make([]int32, k)...)
 	return first
 }
-
-// LaneEmpty reports whether no event is queued on lane l.
-func (s *Scheduler) LaneEmpty(l Lane) bool { return s.tails[l] == 0 }
 
 // LaneSink schedules a typed sink event at absolute time t on lane l.
 // Pushes onto one lane must come in non-decreasing time order: a time

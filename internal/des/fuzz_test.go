@@ -42,7 +42,10 @@ func fuzzTime(base Time, b byte) Time {
 // runProgram interprets prog on s, one operation per byte plus its
 // argument bytes: At, AtSink, AtTimer, stopping an earlier timer,
 // LaneSink on one of three lanes, RunUntil a window that may stop short
-// of the next event, Run and Step. An event with an odd id runs the
+// of the next event, Run, Step, Reserve of one to four sequence numbers,
+// and AtSinkSeq on the oldest number reserved and not yet pushed — the
+// cursor path a script takes, which pushes its next instant from the
+// dispatch of the one before. An event with an odd id runs the
 // next operation from inside its callback (the scheduling ones only:
 // there RunUntil, Run and Step are skipped), so pushes also land
 // mid-dispatch. Once prog is spent the queue is drained.
@@ -50,6 +53,7 @@ func runProgram(s scheduler, prog []byte) []fuzzRecord {
 	var trace []fuzzRecord
 	var handles []handle
 	var tail [3]Time
+	var reserved []uint64
 	lanes := s.NewLanes(len(tail))
 	pc, ids := 0, 0
 	arg := func() byte {
@@ -72,7 +76,7 @@ func runProgram(s scheduler, prog []byte) []fuzzRecord {
 		code := arg()
 		ids++
 		id := ids
-		switch code % 8 {
+		switch code % 10 {
 		case 0:
 			s.At(fuzzTime(s.Now(), arg()), func() { fire(id) })
 		case 1:
@@ -84,7 +88,7 @@ func runProgram(s scheduler, prog []byte) []fuzzRecord {
 				handles[i%len(handles)].Cancel()
 			}
 		case 4:
-			k := int(code/8) % len(tail)
+			k := int(code/10) % len(tail)
 			tail[k] = fuzzTime(max(tail[k], s.Now()), arg())
 			s.LaneSink(lanes+Lane(k), tail[k], 0, int32(id), 0, nil, false)
 		case 5:
@@ -98,6 +102,17 @@ func runProgram(s scheduler, prog []byte) []fuzzRecord {
 		case 7:
 			if !nested {
 				s.Step()
+			}
+		case 8:
+			k := 1 + int(arg()%4)
+			for seq := s.Reserve(k); k > 0; k-- {
+				reserved = append(reserved, seq)
+				seq++
+			}
+		case 9:
+			if t := fuzzTime(s.Now(), arg()); len(reserved) > 0 {
+				s.AtSinkSeq(t, reserved[0], 0, int32(id), 0, nil, false)
+				reserved = reserved[1:]
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -58,7 +59,7 @@ func TestPendingCountsLaneEvents(t *testing.T) {
 			t.Fatalf("Pending = %d, want %d", s.Pending(), want)
 		}
 	}
-	if !s.LaneEmpty(a) || !s.LaneEmpty(b) || s.Step() {
+	if s.tails[a] != 0 || s.tails[b] != 0 || s.Step() {
 		t.Fatal("queue not drained")
 	}
 }
@@ -118,5 +119,83 @@ func TestLaneAllocFree(t *testing.T) {
 	}
 	if len(s.slab) > 5 {
 		t.Fatalf("a lane never longer than 5 grew the slab to %d slots", len(s.slab))
+	}
+}
+
+// A stream queued one event at a time, each pushed from the dispatch of
+// the one before on a number reserved up front, dispatches exactly as
+// the stream queued whole with AtSink would: among loose events queued
+// before and after it that tie with it at every instant, and loose
+// events its own dispatches push at their instant. It holds one queue
+// entry at a time. A number not yet reserved and a past time panic.
+func TestReservedSeqMatchesEagerQueueing(t *testing.T) {
+	stream := []Time{1, 1, 2, 3, 3, 5}
+	n := int32(len(stream))
+	run := func(cursor bool) ([]int32, int) {
+		s := New()
+		var trace []int32
+		var base uint64
+		s.SetSink(funcSink(func(_ uint8, a, _ int32, _ any, _ bool) {
+			trace = append(trace, a)
+			if a >= n {
+				return
+			}
+			if next := a + 1; cursor && next < n {
+				s.AtSinkSeq(stream[next], base+uint64(next), 0, next, 0, nil, false)
+			}
+			s.AtSink(s.Now(), 0, 100+a, 0, nil, false)
+		}))
+		loose := func(id int32) {
+			for _, at := range []Time{1, 2, 3, 5} {
+				s.AtSink(at, 0, id, 0, nil, false)
+				id++
+			}
+		}
+		loose(200)
+		if cursor {
+			base = s.Reserve(len(stream))
+			s.AtSinkSeq(stream[0], base, 0, 0, 0, nil, false)
+		} else {
+			for i, at := range stream {
+				s.AtSink(at, 0, int32(i), 0, nil, false)
+			}
+		}
+		loose(300)
+		pending := s.Pending()
+		s.Run()
+		return trace, pending
+	}
+	eager, eagerPending := run(false)
+	cursor, cursorPending := run(true)
+	if !slices.Equal(cursor, eager) {
+		t.Fatalf("cursor order %v, eager order %v", cursor, eager)
+	}
+	if eagerPending != 8+len(stream) || cursorPending != 8+1 {
+		t.Fatalf("queued %d events eagerly and %d as a cursor, want %d and 9", eagerPending, cursorPending, 8+len(stream))
+	}
+
+	s := New()
+	s.SetSink(nopSink())
+	seq := s.Reserve(1)
+	s.RunUntil(1)
+	for _, c := range []struct {
+		name string
+		push func()
+	}{
+		{"an unreserved number", func() { s.AtSinkSeq(2, seq+1, 0, 0, 0, nil, false) }},
+		{"a past time", func() { s.AtSinkSeq(0.5, seq, 0, 0, 0, nil, false) }},
+		{"a NaN time", func() { s.AtSinkSeq(Time(math.NaN()), seq, 0, 0, 0, nil, false) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AtSinkSeq on %s did not panic", c.name)
+				}
+			}()
+			c.push()
+		}()
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d after refused pushes, want 0", s.Pending())
 	}
 }

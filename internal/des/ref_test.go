@@ -8,7 +8,8 @@ import "container/heap"
 // FuzzRefEquivalence). It has no lanes and no typed timers: a lane push
 // is a plain sink event here and a timer a closure making the timer's
 // call, so equal traces mean the pooled scheduler's lanes and timers
-// dispatch in exact (time, seq) order.
+// dispatch in exact (time, seq) order. A reserved-sequence push is a
+// plain push on the number given.
 type refScheduler struct {
 	now   Time
 	seq   uint64
@@ -68,13 +69,28 @@ func (r *refScheduler) SetSink(k Sink)      { r.sink = k }
 func (r *refScheduler) NewLanes(k int) Lane { return 0 }
 
 func (r *refScheduler) push(t Time, fn func()) *refEvent {
+	r.seq++
+	return r.pushSeq(t, r.seq-1, fn)
+}
+
+func (r *refScheduler) pushSeq(t Time, seq uint64, fn func()) *refEvent {
 	if !(t >= r.now) {
 		panic("des: event scheduled in the past")
 	}
-	e := &refEvent{at: t, seq: r.seq, fn: fn}
-	r.seq++
+	e := &refEvent{at: t, seq: seq, fn: fn}
 	heap.Push(&r.queue, e)
 	return e
+}
+
+func (r *refScheduler) Reserve(k int) uint64 {
+	r.seq += uint64(k)
+	return r.seq - uint64(k)
+}
+
+// AtSinkSeq queues the closure AtSink would, on the reserved number.
+func (r *refScheduler) AtSinkSeq(t Time, seq uint64, op uint8, a, b int32, p any, flag bool) {
+	sink := r.sink
+	r.pushSeq(t, seq, func() { sink.SinkEvent(op, a, b, p, flag) })
 }
 
 func (r *refScheduler) At(t Time, fn func()) { r.push(t, fn) }
@@ -145,6 +161,8 @@ type scheduler interface {
 	NewLanes(k int) Lane
 	At(t Time, fn func())
 	AtSink(t Time, op uint8, a, b int32, p any, flag bool)
+	Reserve(k int) uint64
+	AtSinkSeq(t Time, seq uint64, op uint8, a, b int32, p any, flag bool)
 	LaneSink(l Lane, t Time, op uint8, a, b int32, p any, flag bool)
 	AtTimer(t Time, k Sink, op uint8, a, b int32) handle
 	Step() bool

@@ -41,6 +41,7 @@ type DCDM struct {
 	spDelay *topology.AllPairs // P_sl tables, one per source
 	spCost  *topology.AllPairs // P_lc tables, one per source
 	maxUL   float64            // longest member unicast delay; drives the relative bound
+	rescans int                // maxUL rescans run by Leave and DetachSubtree
 }
 
 // JoinResult describes how a join changed the tree, which is what SCMP
@@ -286,6 +287,7 @@ func (d *DCDM) Leave(s topology.NodeID) LeaveResult {
 	rescan := d.tree.IsMember(s) && d.UnicastDelay(s) >= d.maxUL
 	res := LeaveResult{Member: s, Pruned: d.tree.Leave(s)}
 	if rescan {
+		d.rescans++
 		d.maxUL = d.recomputeMaxUL()
 	}
 	dcdmCheckHook(d)
@@ -301,6 +303,7 @@ func (d *DCDM) DetachSubtree(v topology.NodeID) []topology.NodeID {
 	orphans := d.tree.DetachSubtree(v)
 	for _, m := range orphans {
 		if d.UnicastDelay(m) >= d.maxUL {
+			d.rescans++
 			d.maxUL = d.recomputeMaxUL()
 			break
 		}

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"scmp/internal/des"
 	"scmp/internal/packet"
@@ -121,12 +120,12 @@ func (c *Churn) Rejoins() int { return c.rejoins }
 // Leaves returns the leave events generated.
 func (c *Churn) Leaves() int { return c.leaves }
 
-// InstallChurn pre-generates the plan's membership schedule and queues
-// it as a script of join and leave steps, in time order, on a drained
-// script lane (InstallScript). Each member's flips are generated in
-// time order into the lane's spare buffer, and the members' runs are
-// merged into the lane's spent script, so reinstalling reuses both.
-// The returned Churn reports the generated event mix. It panics with
+// InstallChurn pre-generates the plan's membership schedule and
+// installs it as a script of join and leave steps in time order
+// (InstallScript). Each member's flips are generated in time order into
+// the storage of a drained script, and the members' runs are merged in
+// place, so the schedule is held once and reinstalling reuses it. The
+// returned Churn reports the generated event mix. It panics with
 // Validate's error on a plan that breaks a rule.
 func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	if err := plan.Validate(n.G.N()); err != nil {
@@ -145,12 +144,12 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 	// E[gap] = xm*alpha/(alpha-1) = mean.
 	xm := mean * (alpha - 1) / alpha
 	end := plan.Start + plan.Duration
-	sl, steps := n.scriptLane()
-	gen, runs := sl.spare[:0], sl.runs[:0]
+	sl, steps := n.scriptSlot()
+	runs := sl.runs[:0]
 	parent, r := rng.New(plan.Seed), rng.New(0)
 	for _, m := range plan.Members {
 		r.Seed(parent.Int63()) // the stream rng.Split(parent) would return, in a reused generator
-		start := len(gen)
+		start := len(steps)
 		on, joined := false, false
 		for t := plan.Start; ; {
 			var gap float64
@@ -177,49 +176,58 @@ func (n *Network) InstallChurn(plan ChurnPlan) *Churn {
 			} else {
 				c.leaves++
 			}
-			gen = append(gen, Step{At: des.Time(t), Node: int32(m), Group: plan.Group, Kind: kind})
+			steps = append(steps, Step{At: des.Time(t), Node: int32(m), Group: plan.Group, Kind: kind})
 		}
-		if len(gen) > start {
-			runs = append(runs, churnRun{next: int32(start), end: int32(len(gen))})
+		if len(steps) > start {
+			runs = append(runs, churnRun{next: int32(start), end: int32(len(steps))})
 		}
 	}
-	steps = mergeChurnRuns(slices.Grow(steps, len(gen)), gen, runs)
-	sl.spare, sl.runs = gen, runs
+	sl.runs = runs
+	mergeChurnRuns(steps, runs)
 	n.queue(sl, &Script{steps: steps})
 	return c
 }
 
-// churnRun is one member's flips in a generated schedule: gen[next:end],
-// in time order.
+// churnRun is one member's flips in a generated schedule:
+// steps[next:end], in time order.
 type churnRun struct{ next, end int32 }
 
-// mergeChurnRuns appends gen's events to dst in time order, keeping
-// generation (member-major) order for exact-time ties — precisely the
-// order the scheduler's insertion-sequence tie-break used to run them
-// when each event was queued directly. Each run is already in that
-// (time, index in gen) order, so a binary heap of run heads, ties going
-// to the earlier index, merges them into the one order a sort on that
-// total key gives. runs is consumed.
-func mergeChurnRuns(dst, gen []Step, runs []churnRun) []Step {
+// mergeChurnRuns puts steps, the members' runs back to back, in time
+// order in place, keeping generation (member-major) order for
+// exact-time ties — precisely the order the scheduler's
+// insertion-sequence tie-break used to run them when each event was
+// queued directly. Each run is already in that (time, index) order, so
+// a binary heap of run heads, ties going to the earlier index, yields
+// the one order a sort on that total key gives. The heap writes each
+// step's place, plus one, into its Arg (a join or leave step has none,
+// and the heap reads only At); the steps then swap into their places,
+// each Arg back to 0, with no second buffer. runs is consumed.
+func mergeChurnRuns(steps []Step, runs []churnRun) {
 	for i := len(runs)/2 - 1; i >= 0; i-- {
-		siftChurnRun(gen, runs, i)
+		siftChurnRun(steps, runs, i)
 	}
-	for len(runs) > 0 {
+	for p := int32(1); len(runs) > 0; p++ {
 		r := &runs[0]
-		dst = append(dst, gen[r.next])
+		steps[r.next].Arg = p
 		if r.next++; r.next == r.end {
 			runs[0] = runs[len(runs)-1]
 			runs = runs[:len(runs)-1]
 		}
-		siftChurnRun(gen, runs, 0)
+		siftChurnRun(steps, runs, 0)
 	}
-	return dst
+	for i := range steps {
+		for steps[i].Arg != 0 {
+			to := steps[i].Arg - 1
+			steps[i].Arg = 0
+			steps[i], steps[to] = steps[to], steps[i]
+		}
+	}
 }
 
 // siftChurnRun restores the heap order of runs below i.
-func siftChurnRun(gen []Step, runs []churnRun, i int) {
+func siftChurnRun(steps []Step, runs []churnRun, i int) {
 	less := func(a, b churnRun) bool {
-		x, y := gen[a.next].At, gen[b.next].At
+		x, y := steps[a.next].At, steps[b.next].At
 		return x < y || !(y < x) && a.next < b.next
 	}
 	for {

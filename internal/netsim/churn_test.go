@@ -196,11 +196,11 @@ func (p *groupRec) HostLeave(node topology.NodeID, g packet.GroupID) {
 	p.groups = append(p.groups, g)
 }
 
-// TestChurnLaneReuse: overlapping installs queue on separate lanes and
-// still fire in global time order, with exact-time ties across installs
-// in install order; an install after the lanes drain reuses one instead
-// of opening another. Each install churns its own group, so the group
-// names the install an event came from.
+// TestChurnLaneReuse: overlapping installs hold separate script slots
+// and still fire in global time order, with exact-time ties across
+// installs in install order; an install after the scripts drain reuses
+// a slot instead of opening another. Each install churns its own group,
+// so the group names the install an event came from.
 func TestChurnLaneReuse(t *testing.T) {
 	p := &groupRec{}
 	n := New(lineGraph(10), p)
@@ -215,8 +215,8 @@ func TestChurnLaneReuse(t *testing.T) {
 	n.Run()
 	installed = append(installed, n.InstallChurn(plan(4, 3, 7)))
 	n.Run()
-	if lanes := len(n.scriptLanes); lanes != 3 {
-		t.Fatalf("%d churn lanes after three overlapping installs and one after they drained, want 3", lanes)
+	if slots := len(n.scripts); slots != 3 {
+		t.Fatalf("%d script slots after three overlapping installs and one after they drained, want 3", slots)
 	}
 	want := 0
 	for _, c := range installed {
@@ -258,7 +258,8 @@ func TestChurnMergeKeepsMemberMajorTies(t *testing.T) {
 		for i, k := range idx {
 			want[i] = gen[k]
 		}
-		if got := mergeChurnRuns(nil, gen, slices.Clone(runs)); !slices.Equal(got, want) {
+		got := slices.Clone(gen)
+		if mergeChurnRuns(got, slices.Clone(runs)); !slices.Equal(got, want) {
 			t.Fatalf("%s: merged order differs from the sort:\n got %v\nwant %v", name, got, want)
 		}
 	}
@@ -309,14 +310,14 @@ type nopMembers struct{ echoProto }
 func (nopMembers) HostJoin(topology.NodeID, packet.GroupID)  {}
 func (nopMembers) HostLeave(topology.NodeID, packet.GroupID) {}
 
-// TestChurnReinstallReusesStorage: an install on a drained lane generates
-// into the lane's spare buffer with one reseeded generator and merges
-// into the spent schedule's storage, so a steady stream of installs —
+// TestChurnReinstallReusesStorage: an install after the last script
+// drained generates into that script's spent storage with one reseeded
+// generator and merges it in place, so a steady stream of installs —
 // the churn experiment's and the benchmark's chunked windows — costs two
-// generators (5 KB each) and the odd growth of a schedule or spare
-// longer than any before it: about 17 KB an install here,
-// against 4000 events and 32 members that a fresh schedule and a
-// generator per member would put near 500 KB.
+// generators (5 KB each), the Script and the odd growth of a schedule
+// longer than any before it: about 18 KB an install here, against 4000
+// events and 32 members that a fresh schedule and a generator per
+// member would put near 500 KB.
 func TestChurnReinstallReusesStorage(t *testing.T) {
 	n := New(lineGraph(40), &nopMembers{})
 	start := 0.0
@@ -338,14 +339,14 @@ func TestChurnReinstallReusesStorage(t *testing.T) {
 	per := (after.TotalAlloc - before.TotalAlloc) / installs
 	t.Logf("%d bytes per install", per)
 	if per > 32<<10 {
-		t.Fatalf("an install on a drained lane allocates %d bytes, budget %d", per, 32<<10)
+		t.Fatalf("an install after a drained script allocates %d bytes, budget %d", per, 32<<10)
 	}
-	if len(n.scriptLanes) != 1 {
-		t.Fatalf("%d churn lanes for back-to-back installs, want 1", len(n.scriptLanes))
+	if len(n.scripts) != 1 {
+		t.Fatalf("%d script slots for back-to-back installs, want 1", len(n.scripts))
 	}
 }
 
-// Same-instant steps share one lane event, which must fire them one by
+// Same-instant steps share one scheduler event, which must fire them one by
 // one, in script order, each through HostJoin or HostLeave, and leave
 // ground truth matching them.
 func TestDispatchChurnTickCoalescing(t *testing.T) {
@@ -364,7 +365,7 @@ func TestDispatchChurnTickCoalescing(t *testing.T) {
 	}
 	n.InstallScript(tick)
 	if n.Sched.Pending() != 1 {
-		t.Fatalf("%d steps at one instant queued %d lane events", len(tick), n.Sched.Pending())
+		t.Fatalf("%d steps at one instant queued %d events", len(tick), n.Sched.Pending())
 	}
 	n.Run()
 	wantLog := []churnEv{

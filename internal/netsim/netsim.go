@@ -204,9 +204,9 @@ type Network struct {
 	arcLanes des.Lane
 	pool     []*Packet
 
-	// scriptLanes holds the scheduler lanes scripts queue on; a drained
-	// one, and its script's storage, is reused by the next install.
-	scriptLanes []scriptLane
+	// scripts holds the installed scripts; a drained one's storage is
+	// reused by the next install.
+	scripts []scriptSlot
 
 	faults *Faults
 }

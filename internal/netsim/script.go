@@ -1,8 +1,8 @@
 // Scripts: the timed inputs of a run as data. A script is a time-sorted
 // slice of typed steps — joins, leaves, sends, link and node faults and
-// m-router failovers — queued on one scheduler lane, the way the
-// paper's NS-2 runs read a script of timed events. Unlike a closure per
-// input, a step can be validated before it is queued, and a run's
+// m-router failovers — that the scheduler reads as a cursor, the way
+// the paper's NS-2 runs read a script of timed events. Unlike a closure
+// per input, a step can be validated before it is queued, and a run's
 // inputs can be inspected, generated (InstallChurn) or rewritten.
 package netsim
 
@@ -53,10 +53,13 @@ type Step struct {
 	Kind  StepKind
 }
 
-// Script is an installed run of steps in time order.
+// Script is an installed run of steps in time order. It is a cursor:
+// one scheduler event, for the next instant, is queued at a time.
 type Script struct {
-	steps []Step
-	sent  []uint64
+	steps  []Step
+	sent   []uint64
+	cursor int    // steps[:cursor] have run or are running
+	seq    uint64 // the first of the sequence numbers reserved for steps
 }
 
 // Sent returns the seqs of the data packets the script's send steps
@@ -118,68 +121,80 @@ func (n *Network) CheckStep(st Step) error {
 }
 
 // InstallScript queues steps, sorted by time with ties in slice order,
-// on a drained scheduler lane and returns the installed script; steps
-// itself is not retained. Same-instant steps share one lane event and
-// run in slice order in it, so the script runs its inputs in the order
-// one timer per step, armed now in slice order, would. It panics with
-// CheckStep's error on a step that breaks a rule, before queueing any.
+// and returns the installed script; steps itself is not retained.
+// Same-instant steps share one scheduler event and run in slice order
+// in it, so the script runs its inputs in the order one timer per step,
+// armed now in slice order, would. It panics with CheckStep's error on
+// a step that breaks a rule, before queueing any.
 func (n *Network) InstallScript(steps []Step) *Script {
 	for _, st := range steps {
 		if err := n.CheckStep(st); err != nil {
 			panic("netsim: " + err.Error())
 		}
 	}
-	sl, buf := n.scriptLane()
+	sl, buf := n.scriptSlot()
 	sc := &Script{steps: append(buf, steps...)}
 	slices.SortStableFunc(sc.steps, func(a, b Step) int { return cmp.Compare(a.At, b.At) })
 	n.queue(sl, sc)
 	return sc
 }
 
-// scriptLane is one scheduler lane scripts queue on, with the script
-// installed on it last, and the spare buffer and run heap InstallChurn
-// generates into.
-type scriptLane struct {
-	lane  des.Lane
-	last  *Script
-	spare []Step
-	runs  []churnRun
+// scriptSlot holds the script installed on it last and the run heap
+// InstallChurn merges through; once that script has drained, the next
+// install takes its storage.
+type scriptSlot struct {
+	last *Script
+	runs []churnRun
 }
 
-// scriptLane returns a drained script lane, opening one when every lane
-// an earlier install used still has events queued, and the spent steps
-// of the script it carried last, emptied for the next one.
-func (n *Network) scriptLane() (*scriptLane, []Step) {
-	for i := range n.scriptLanes {
-		if sl := &n.scriptLanes[i]; n.Sched.LaneEmpty(sl.lane) {
+// scriptSlot returns a slot whose script has drained, opening one when
+// every script installed so far still has instants to run, and the
+// spent steps of the script it held, emptied for the next one.
+func (n *Network) scriptSlot() (*scriptSlot, []Step) {
+	for i := range n.scripts {
+		if sl := &n.scripts[i]; sl.last.cursor == len(sl.last.steps) {
 			buf := sl.last.steps[:0]
 			sl.last.steps = nil
 			return sl, buf
 		}
 	}
-	n.scriptLanes = append(n.scriptLanes, scriptLane{lane: n.Sched.NewLanes(1)})
-	return &n.scriptLanes[len(n.scriptLanes)-1], nil
+	n.scripts = append(n.scripts, scriptSlot{})
+	return &n.scripts[len(n.scripts)-1], nil
 }
 
-// queue puts sc's steps, which are in time order, on lane sl. Steps at
-// one instant share a lane event.
-func (n *Network) queue(sl *scriptLane, sc *Script) {
+// queue installs sc, whose steps are in time order, on slot sl. It
+// reserves one sequence number per step, a block every event queued
+// later follows, and queues the first instant on its first step's
+// number; each instant's dispatch queues the next one (queueNext). So
+// the script dispatches exactly as if every instant were queued at
+// install (DESIGN.md §10), and holds one scheduler event at a time.
+func (n *Network) queue(sl *scriptSlot, sc *Script) {
 	sl.last = sc
-	steps := sc.steps
-	for i := 0; i < len(steps); {
-		j := i + 1
-		for j < len(steps) && steps[j].At == steps[i].At { //scmplint:ignore floatcmp — intentionally exact: only bit-identical timestamps may share a scheduler instant; near-ties must stay distinct events in time order
-			j++
-		}
-		n.Sched.LaneSink(sl.lane, steps[i].At, opScript, int32(i), int32(j), sc, false)
-		i = j
-	}
+	sc.seq = n.Sched.Reserve(len(sc.steps))
+	n.queueNext(sc, 0)
 }
 
-// runSteps fires sc's same-instant steps i..j-1 in order. It indexes
-// sc.steps afresh for each, so a step that reused sc's lane (and took
-// its storage) could only fail loudly.
+// queueNext moves sc's cursor to step i and queues the instant that
+// starts there, if any: the steps from i at the same time share one
+// scheduler event.
+func (n *Network) queueNext(sc *Script, i int) {
+	if sc.cursor = i; i == len(sc.steps) {
+		return
+	}
+	j := i + 1
+	for j < len(sc.steps) && sc.steps[j].At == sc.steps[i].At { //scmplint:ignore floatcmp — intentionally exact: only bit-identical timestamps may share a scheduler instant; near-ties must stay distinct events in time order
+		j++
+	}
+	n.Sched.AtSinkSeq(sc.steps[i].At, sc.seq+uint64(i), opScript, int32(i), int32(j), sc, false)
+}
+
+// runSteps fires sc's same-instant steps i..j-1 in order, after
+// queueing the next instant, so the script has drained while its last
+// instant runs, and only then. It indexes sc.steps afresh for each
+// step, so a step that installed a script on sc's slot (and took its
+// storage) could only fail loudly.
 func (n *Network) runSteps(sc *Script, i, j int) {
+	n.queueNext(sc, j)
 	for k := i; k < j; k++ {
 		st := sc.steps[k]
 		v := topology.NodeID(st.Node)

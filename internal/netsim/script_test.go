@@ -130,3 +130,30 @@ func TestScriptOrderMatchesClosures(t *testing.T) {
 type timerFunc func()
 
 func (f timerFunc) SinkEvent(uint8, int32, int32, any, bool) { f() }
+
+// TestScriptHoldsOneEvent: a script is a cursor. A script of k instants
+// holds one scheduler event, whatever k is, from its install until its
+// last instant runs: one queue entry on one slab slot. Pending counts
+// every queue entry and every lane event behind one, so every live slot,
+// and the protocol here queues nothing of its own. Each instant is one
+// dispatch.
+func TestScriptHoldsOneEvent(t *testing.T) {
+	for _, k := range []int{1, 2, 10, 1000} {
+		n := New(lineGraph(4), &churnRec{})
+		var steps []Step
+		for i := 0; i < k; i++ {
+			at := des.Time(i) / 8
+			steps = append(steps, Step{At: at, Node: 1, Group: 1, Kind: Join}, Step{At: at, Node: 2, Group: 1, Kind: Join})
+		}
+		n.InstallScript(steps)
+		for i := 0; i < k; i++ {
+			if p := n.Sched.Pending(); p != 1 {
+				t.Fatalf("k=%d: %d events pending before instant %d, want 1", k, p, i)
+			}
+			n.Sched.Step()
+		}
+		if p, fired := n.Sched.Pending(), n.EventsFired(); p != 0 || fired != uint64(k) {
+			t.Fatalf("k=%d: %d pending and %d fired after the script, want 0 and %d", k, p, fired, k)
+		}
+	}
+}

@@ -300,3 +300,64 @@ func TestLSASetReleasedOnceEveryRouterHasIt(t *testing.T) {
 		t.Fatalf("the LSA crashed router %d never accepted released its set or lists it: %v", crashed, set)
 	}
 }
+
+// TestNodeCrashHoldsLSASets records, without fixing it (ROADMAP items 8
+// and 22), what a router crash costs MOSPF for the network's life: an
+// LSA that never reaches a router because it was down keeps its
+// accepted set for good. A node-crash-style run: 40 members flap at 20
+// events/s on a 50-router random graph for 30 s, and router 7 is down
+// from 10 s to 15 s. Every LSA flooded during the outage is held, and
+// so are the ones still in flight to router 7 when it crashed; nothing
+// else is.
+func TestNodeCrashHoldsLSASets(t *testing.T) {
+	g, err := topology.Random(topology.DefaultRandom(50, 3), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = g.ScaleDelays(1e-3)
+	m := New()
+	n := netsim.New(g, m)
+	n.InstallFaults(netsim.FaultPlan{})
+	members := make([]topology.NodeID, 0, 40)
+	for v := topology.NodeID(0); len(members) < cap(members); v++ {
+		if v != 7 {
+			members = append(members, v)
+		}
+	}
+	n.InstallChurn(netsim.ChurnPlan{Group: grp, Members: members, Rate: 20, Duration: 30, Seed: 5})
+	n.InstallScript([]netsim.Step{{At: 10, Node: 7, Kind: netsim.NodeDown}, {At: 15, Node: 7, Kind: netsim.NodeUp}})
+	snapshot := func() []int {
+		seqs := make([]int, len(m.seen))
+		for v, sets := range m.seen {
+			seqs[v] = len(sets)
+		}
+		return seqs
+	}
+	n.RunUntil(10)
+	down := snapshot()
+	n.RunUntil(15)
+	up := snapshot()
+	n.Run()
+	var before, during, after int // held sets by when their LSA was flooded
+	for v, sets := range m.seen {
+		for i, set := range sets {
+			switch {
+			case set == nil:
+			case i < down[v]:
+				before++
+			case i < up[v]:
+				during++
+			default:
+				after++
+			}
+		}
+	}
+	flooded := 0
+	for v := range up {
+		flooded += up[v] - down[v]
+	}
+	t.Logf("held for the network's life: %d sets (%d in flight at the crash, %d flooded during the outage, %d after)", before+during+after, before, during, after)
+	if before != 1 || during != flooded || flooded != 111 || after != 0 {
+		t.Fatalf("held %d/%d/%d sets of LSAs flooded before/during/after the outage (%d flooded during it), recorded 1/111/0 (111)", before, during, after, flooded)
+	}
+}

@@ -12,7 +12,6 @@ package session
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"scmp/internal/des"
 	"scmp/internal/packet"
@@ -87,7 +86,23 @@ type Manager struct {
 	clock    Clock
 	groups   map[packet.GroupID]*groupState
 	nextSess SessionID
-	log      [][]Event // the accounting log; chunk k holds logChunk(k) records
+	log      [][]record // the accounting log; chunk k holds logChunk(k) records
+}
+
+// record is how the log stores an Event: 16 bytes where an Event takes
+// 32, the member and the kind packed in one int32 as member<<2 | kind.
+// The arithmetic shift decodes member -1 too.
+type record struct {
+	at    des.Time
+	group packet.GroupID
+	mk    int32 // member<<2 | kind
+}
+
+// maxMember is the largest member id a record packs.
+const maxMember = 1<<29 - 1
+
+func (r record) event() Event {
+	return Event{At: r.at, Kind: EventKind(r.mk & 3), Group: r.group, Member: topology.NodeID(r.mk >> 2)}
 }
 
 // logChunk is the capacity of log chunk k: 8 doubling to 1024, so an
@@ -105,12 +120,15 @@ func NewManager(clock Clock) *Manager {
 }
 
 func (m *Manager) record(kind EventKind, g packet.GroupID, member topology.NodeID) {
+	if member < -1 || member > maxMember {
+		panic(fmt.Sprintf("session: member %d outside the accounting log's range -1 … %d", member, maxMember))
+	}
 	k := len(m.log)
 	if k == 0 || len(m.log[k-1]) == cap(m.log[k-1]) {
-		m.log = append(m.log, make([]Event, 0, logChunk(k)))
+		m.log = append(m.log, make([]record, 0, logChunk(k)))
 		k++
 	}
-	m.log[k-1] = append(m.log[k-1], Event{At: m.clock.Now(), Kind: kind, Group: g, Member: member})
+	m.log[k-1] = append(m.log[k-1], record{at: m.clock.Now(), group: g, mk: int32(member)<<2 | int32(kind)})
 }
 
 // Adopt registers a group whose address was assigned externally (e.g. a
@@ -228,4 +246,19 @@ func (m *Manager) Session(g packet.GroupID, id SessionID) (SessionInfo, error) {
 
 // Log returns the accounting log (a copy), in chronological order; nil
 // when nothing has been logged.
-func (m *Manager) Log() []Event { return slices.Concat(m.log...) }
+func (m *Manager) Log() []Event {
+	if len(m.log) == 0 {
+		return nil
+	}
+	n := 0
+	for _, chunk := range m.log {
+		n += len(chunk)
+	}
+	out := make([]Event, 0, n)
+	for _, chunk := range m.log {
+		for _, r := range chunk {
+			out = append(out, r.event())
+		}
+	}
+	return out
+}

@@ -1,8 +1,11 @@
 package session
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -117,11 +120,14 @@ func TestLogChronology(t *testing.T) {
 }
 
 // The accounting log grows in chunks, so appending never copies what is
-// already stored: 100k records cost their own bytes plus one partly
-// filled chunk and the chunk index, not the ~2x of a doubling slice's
-// abandoned arrays.
+// already stored: 100k records cost their own 16 bytes each plus one
+// partly filled chunk and the chunk index, not the ~2x of a doubling
+// slice's abandoned arrays, nor the 32 bytes of an unpacked Event.
 func TestLogAppendDoesNotCopy(t *testing.T) {
 	const records = 100_000
+	if size := unsafe.Sizeof(record{}); size != 16 {
+		t.Fatalf("a stored record takes %d bytes, want 16", size)
+	}
 	m := NewManager(des.New())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -130,7 +136,7 @@ func TestLogAppendDoesNotCopy(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	limit := uint64(1.25 * records * float64(unsafe.Sizeof(Event{})))
+	limit := uint64(1.25 * records * float64(unsafe.Sizeof(record{})))
 	if got > limit {
 		t.Fatalf("%d records allocated %d bytes, want at most %d", records, got, limit)
 	}
@@ -176,6 +182,45 @@ func TestLogAcrossChunkBoundaries(t *testing.T) {
 		if again := m.Log(); !slices.Equal(again, want) {
 			t.Fatalf("after %d records mutating Log()'s result changed the log", c)
 		}
+	}
+}
+
+// Every kind, member -1 and the extremes of the packed member range
+// come back out of the log as they went in, at their times.
+func TestLogRoundTripsPackedRecords(t *testing.T) {
+	sched := des.New()
+	m := NewManager(sched)
+	var want []Event
+	for i, member := range []topology.NodeID{-1, 0, 1, 7, maxMember - 1, maxMember} {
+		for _, kind := range []EventKind{EventAllocate, EventJoin, EventLeave, EventSessionStart} {
+			sched.RunUntil(des.Time(len(want)) / 4)
+			g := packet.GroupID(1 + i)
+			if kind == EventJoin {
+				g = math.MaxUint32
+			}
+			m.record(kind, g, member)
+			want = append(want, Event{At: sched.Now(), Kind: kind, Group: g, Member: member})
+		}
+	}
+	if got := m.Log(); !slices.Equal(got, want) {
+		t.Fatalf("Log() = %v\nwant %v", got, want)
+	}
+}
+
+// A member the packing cannot hold panics, naming the member, instead of
+// logging another member's id.
+func TestLogRejectsUnpackableMember(t *testing.T) {
+	for _, member := range []topology.NodeID{maxMember + 1, -2, math.MaxInt32, math.MinInt32} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("session: member %d outside", member); !strings.HasPrefix(msg, want) {
+					t.Errorf("record of member %d: recovered %q, want a panic starting %q", member, msg, want)
+				}
+			}()
+			m, _ := newMgr()
+			_ = m.MemberJoined(grp, member)
+		}()
 	}
 }
 
