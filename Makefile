@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint reach test test-invariants loc loc-check bench bench-all smoke-parallel smoke-faults smoke-fuzz results-check
+.PHONY: all build lint reach fma-check test test-invariants test-times loc loc-check bench bench-all smoke-parallel smoke-faults smoke-fuzz results-check
 
 all: lint test
 
@@ -66,8 +66,40 @@ reach:
 	if [ -s "$$d/fail" ]; then cat "$$d/fail"; exit 1; fi; \
 	echo "reach: every production function is entered or listed ($$(wc -l < "$$d/allow") in reach.allow)"
 
+# Portable float arithmetic (DESIGN.md §6): no fused multiply-add in the
+# module's own code, bench/ aside (it is frozen outside benchmark PRs).
+# The Go spec lets a back-end fuse x*y + z into one rounding, and these
+# back-ends do, which would move a result off amd64's by an ulp; an
+# explicit float64(x*y) rounds the product and forbids it. Each
+# architecture cross-compiles every other package with -S (the go
+# command replays a cached compile's listing) and fails on a fused
+# instruction, naming its line, or on a build error.
+FMA_ARCHS := arm64 ppc64le s390x riscv64 loong64
+fma-check:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	pkgs=$$($(GO) list ./... | grep -v '/bench$$'); m=$$($(GO) list -m); \
+	for a in $(FMA_ARCHS); do \
+		GOARCH=$$a $(GO) build -gcflags="$$m/...=-S" -o /dev/null $$pkgs > "$$d/$$a.s" 2>&1 || \
+			{ GOARCH=$$a $(GO) build -o /dev/null $$pkgs; exit 1; }; \
+		grep -E '[[:space:]]FN?M(ADD|SUB)[DS]?[[:space:]]' "$$d/$$a.s" | grep -oE '[^(]*\.go:[0-9]+' | sort -u | \
+			sed "s|^$$PWD/||; s|^|fma-check: $$a fuses x*y + z at |" >> "$$d/fail"; \
+	done; \
+	if [ -s "$$d/fail" ]; then cat "$$d/fail"; exit 1; fi; \
+	echo "fma-check: no fused multiply-add on $(FMA_ARCHS)"
+
 test:
 	$(GO) test ./...
+
+# Per-package test wall time (ROADMAP item 30), slowest first: each
+# package's result line from `go test -json` (pass, fail or skip) with
+# its elapsed seconds, then the sum, so a slow or growing test shows.
+test-times:
+	@$(GO) test -count=1 -json ./... | awk '/"Action":"(pass|fail|skip)"/ && !/"Test":/ { \
+		a = $$0; sub(/.*"Action":"/, "", a); sub(/".*/, "", a); \
+		p = $$0; sub(/.*"Package":"/, "", p); sub(/".*/, "", p); \
+		e = 0; if (match($$0, /"Elapsed":[0-9.]+/)) e = substr($$0, RSTART + 10, RLENGTH - 10); \
+		printf "%8.2f s  %-4s  %s\n", e, a, p; sum += e } \
+		END { printf "%8.2f s  sum of package times\n", sum }' | sort -rn
 
 # Every test again under the race detector with the runtime invariant
 # hooks armed (each package's hooks_on.go): every committed tree is
@@ -96,7 +128,7 @@ loc:
 # grown past the committed budget. A PR that removes code lowers
 # LOC_BUDGET to what `make loc` prints; one that must add code raises it
 # in the same diff, where a reviewer sees it.
-LOC_BUDGET := 15405
+LOC_BUDGET := 15420
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'NR == 1 { print $$4 }'); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
@@ -118,7 +150,7 @@ bench-all:
 # drives one lazy shortest-path row with arbitrary cursor programs (two
 # cursors' Next, Settle, Row, another source's cursor and Row, and
 # Invalidate in between) on graphs either side of 256 routers, where a
-# table starts keeping a search only once it has labelled keepAt
+# table keeps a repeat search only once it has labelled keepAt
 # routers, against the one-shot rows and a clean-restart check. FuzzParse feeds arbitrary
 # scenario scripts, seeded from scenarios/*.scn, to the parser and the
 # setup lines (validation and network construction), which must return

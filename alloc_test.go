@@ -184,6 +184,75 @@ func TestDCDMAllocFloor(t *testing.T) {
 	}
 }
 
+// TestDCDMDirectPathAllocFloor pins DCDM's two direct-path branches,
+// which graft the member's shortest-delay path from the m-router: a
+// member farther than the bound, and a join with no candidate within
+// it. Each Join+Leave pair allocates the path alone. The fixture is a
+// tree of links with κ = 1 and one resident member, router 4, at
+// unicast delay 0.6, so the bound is 0.6. Router 5 sits 1.0 away,
+// beyond it. Router 3 sits at 0.3 + 0.2 + 0.1 from the m-router, which
+// sums to 0.6 from the m-router's side and to 0.6000000000000001 from
+// its own: it is within the bound, yet its one path to the m-router,
+// read from its own rows, is over it, and every path to router 4 is
+// longer still, so no candidate is feasible.
+func TestDCDMDirectPathAllocFloor(t *testing.T) {
+	if mtree.InvariantChecksArmed {
+		t.Skip("invariants build: per-mutation Validate allocates freely")
+	}
+	g := topology.New(6)
+	for _, l := range []struct {
+		u, v  topology.NodeID
+		delay float64
+	}{{0, 1, 0.3}, {1, 2, 0.2}, {2, 3, 0.1}, {0, 4, 0.6}, {0, 5, 1}} {
+		g.MustAddEdge(l.u, l.v, l.delay, 1)
+	}
+	d := newDCDM(g, 0, 1)
+	d.Join(4)
+	bound := d.Bound()
+	if ul := d.UnicastDelay(5); !(ul > bound) {
+		t.Fatalf("fixture: router 5's unicast delay %v is within the bound %v", ul, bound)
+	}
+	if ul := d.UnicastDelay(3); ul > bound {
+		t.Fatalf("fixture: router 3's unicast delay %v is beyond the bound %v", ul, bound)
+	}
+	for _, w := range []topology.Weight{topology.ByDelay, topology.ByCost} {
+		row := topology.NewLazyAllPairs(g, w).Row(3)
+		for _, v := range d.Tree().Nodes() {
+			if ml := d.Tree().Delay(v) + row.Delay[v]; !(ml > bound) {
+				t.Fatalf("fixture: router 3's %s path to on-tree router %d is feasible (ml %v, bound %v)", w, v, ml, bound)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		v    topology.NodeID
+	}{
+		{"beyond the bound", 5},
+		{"no candidate within it", 3},
+	} {
+		cycle := func() {
+			if path := d.Join(tc.v).Path; len(path) == 0 || path[0] != 0 || path[len(path)-1] != tc.v {
+				t.Fatalf("%s: join of %d grafted %v, not its path from the m-router", tc.name, tc.v, path)
+			}
+			d.Leave(tc.v)
+		}
+		for range 8 { // warm the tree's scratch
+			cycle()
+		}
+		avg := testing.AllocsPerRun(200, cycle)
+		t.Logf("%s: %.2f allocs per Join+Leave pair", tc.name, avg)
+		if avg > 1 {
+			t.Errorf("%s: DCDM's direct-path Join+Leave allocates %.2f per pair, budget 1 (the path); locate the new site with "+
+				"`go test -run '^TestDCDMDirectPathAllocFloor$' -memprofile mem.out -memprofilerate 1 .` and "+
+				"`go tool pprof -sample_index alloc_objects -top mem.out`, then `-list` the function it names",
+				tc.name, avg)
+		}
+		if d.Bound() != bound {
+			t.Fatalf("%s: the pair left the bound at %v, want %v", tc.name, d.Bound(), bound)
+		}
+	}
+}
+
 // newDCDM is mtree.NewDCDM over a lazy table pair of its own, for a
 // floor whose group shares no tables.
 func newDCDM(g *topology.Graph, root topology.NodeID, kappa float64) *mtree.DCDM {
@@ -288,15 +357,18 @@ func TestTreeDelayAllocFloor(t *testing.T) {
 // the network's routing store. Invalidate retires each table's kept
 // rows to its free list and leaves its scratch row in place, and a
 // first join from a router restarts those arrays, clearing only what
-// their last search labelled, instead of allocating. So on the
-// 2440-node transit-stub (mean degree 2.3), whose graft searches stay
-// in the scratch, and on the 400-node Waxman (mean degree 26.6), whose
-// searches label past keepAt and are kept, a first join allocates the
-// path alone: 1 object. The byte budget is what fails if a first join
-// ever allocates a row again: a row weighs 32n bytes, 12.5 KB on the
-// Waxman graph and 78 KB on the transit-stub. A join whose rows are
-// already started — kept, or searched again in the scratch — also
-// allocates the path alone.
+// their last search labelled, instead of allocating. A table keeps a
+// graft search only when its source searches again, so on the
+// 2440-node transit-stub (mean degree 2.3) and on the 400-node Waxman
+// (mean degree 26.6) alike a first join's searches stay in the scratch
+// and it allocates the path alone: 1 object. The byte budget is what
+// fails if a first join ever allocates a row again: a row weighs 32n
+// bytes, 12.5 KB on the Waxman graph and 78 KB on the transit-stub. The
+// first repeat from each router keeps the search before it where that
+// was a repeat past keepAt: on the Waxman graph, whose searches label
+// past keepAt, it pays the path and exactly the rows it promotes; on
+// the transit-stub, whose graft searches stay short, the path alone. A
+// join after that, over started rows, allocates the path alone.
 func TestDCDMJoinRowAllocFloor(t *testing.T) {
 	if mtree.InvariantChecksArmed {
 		t.Skip("invariants build: per-mutation Validate allocates freely")
@@ -310,13 +382,14 @@ func TestDCDMJoinRowAllocFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name    string
-		g       *topology.Graph
-		objects float64 // first join from a router
-		bytes   uint64
+		name     string
+		g        *topology.Graph
+		objects  float64 // first join from a router
+		bytes    uint64
+		promoted int // rows the first repeats keep
 	}{
-		{"waxman400", wg.Graph, 1, 64},
-		{"transitstub2440", ts, 1, 64},
+		{"waxman400", wg.Graph, 1, 64, 31},
+		{"transitstub2440", ts, 1, 64, 0},
 	} {
 		g := tc.g
 		spDelay, spCost := topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost)
@@ -359,12 +432,31 @@ func TestDCDMJoinRowAllocFloor(t *testing.T) {
 		if avg > tc.objects {
 			t.Errorf("%s: first join from a router allocates %.2f objects, budget %.0f", tc.name, avg, tc.objects)
 		}
+		// The first repeat from each router keeps the search before it
+		// wherever that one was a repeat that labelled past keepAt: the
+		// join pays its path and the rows it promotes, 4 objects each (a
+		// row's header and its three arrays). Counted exactly, not
+		// averaged: runs+1 joins, each router once.
+		repeat := cycle()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs + 1 {
+			repeat()
+		}
+		runtime.ReadMemStats(&after)
+		objects, want := after.Mallocs-before.Mallocs, uint64(runs+1+4*tc.promoted)
+		t.Logf("%s: %d objects over %d first repeats", tc.name, objects, runs+1)
+		if objects != want {
+			t.Errorf("%s: the first repeat from %d routers allocates %d objects, want %d: the paths and %d promoted rows",
+				tc.name, runs+1, objects, want, tc.promoted)
+		}
+		// A join after that allocates the path alone. AllocsPerRun's
+		// warm-up join is the Near that keeps the last repeat's search.
 		if avg := testing.AllocsPerRun(runs, cycle()); avg > 1 {
 			t.Errorf("%s: join over started rows allocates %.2f objects, budget 1 (the path)", tc.name, avg)
 		}
 		untouch()
 		first := cycle()
-		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
 			first()

@@ -165,7 +165,7 @@ func sendTimes(simTime, rate float64) []float64 {
 	interval := 1.0 / rate
 	var ts []float64
 	for i := 0; ; i++ {
-		t := 1.0 + float64(i)*interval
+		t := 1.0 + float64(float64(i)*interval)
 		if t > simTime {
 			return ts
 		}

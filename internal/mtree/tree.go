@@ -61,6 +61,7 @@ type Tree struct {
 
 	pruneScratch []topology.NodeID // backing for PruneFrom/Leave results
 	walkScratch  []topology.NodeID // DFS stack for reparent/DetachSubtree
+	visits       int               // routers prunable has tested
 }
 
 // NewTree returns a tree containing only the root (the m-router).
@@ -280,7 +281,7 @@ func (t *Tree) refreshSubtreeDelay(v topology.NodeID, dv float64) {
 // the tree owns, valid until the next mutation.
 func (t *Tree) PruneFrom(v topology.NodeID) []topology.NodeID {
 	removed := t.pruneScratch[:0]
-	for v != t.root && t.OnTree(v) && !t.IsMember(v) && len(t.children[v]) == 0 {
+	for t.prunable(v) {
 		p := t.parent[v]
 		t.detach(v)
 		removed = append(removed, v) // scratch append; capacity is retained across calls
@@ -291,6 +292,14 @@ func (t *Tree) PruneFrom(v topology.NodeID) []topology.NodeID {
 		return nil
 	}
 	return removed
+}
+
+// prunable reports whether v is a removable leaf: on the tree, not the
+// root, not a member and childless. It counts each router it tests, the
+// unit of a prune's work.
+func (t *Tree) prunable(v topology.NodeID) bool {
+	t.visits++
+	return v != t.root && t.OnTree(v) && !t.IsMember(v) && len(t.children[v]) == 0
 }
 
 // Leave unmarks v as a member and prunes any branch it no longer

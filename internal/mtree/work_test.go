@@ -83,3 +83,49 @@ func TestDCDMRescansOnlyForTheMaximum(t *testing.T) {
 	}
 	t.Logf("%d of %d leaves and %d of %d detaches rescanned", atMax, leaves, detachesAtMax, detaches)
 }
+
+// TestLeaveVisitsOnlyItsBranch is the work oracle of a leave (ROADMAP
+// item 28): Tree.Leave tests only the branch it prunes and the router
+// where it stops. Members flap at random on a 120-router Waxman graph;
+// before every leave the branch is read off the tree — the leaving
+// router if it has no children, then each ancestor that is no member
+// and whose only child is the branch below it — and the leave must
+// prune exactly that branch, having tested one router more. A leave
+// that walks on to the root, or rescans the tree for leaves, fails.
+func TestLeaveVisitsOnlyItsBranch(t *testing.T) {
+	rnd := rng.New(11)
+	wg, err := topology.Waxman(topology.DefaultWaxman(120), rnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := wg.Graph
+	d := mtree.NewDCDM(g, 0, 1.5, topology.NewLazyAllPairs(g, topology.ByDelay), topology.NewLazyAllPairs(g, topology.ByCost))
+	tree := d.Tree()
+	var leaves, pruning, longest int
+	for step := 0; step < 3000; step++ {
+		v := topology.NodeID(1 + rnd.Intn(g.N()-1))
+		if !tree.IsMember(v) {
+			d.Join(v)
+			continue
+		}
+		branch := 0
+		for u, below := v, 0; u != tree.Root() && len(tree.Children(u)) == below && (u == v || !tree.IsMember(u)); below = 1 {
+			branch++
+			u, _ = tree.Parent(u)
+		}
+		before := tree.Visits()
+		pruned := len(d.Leave(v).Pruned)
+		if got := tree.Visits() - before; pruned != branch || got != branch+1 {
+			t.Fatalf("leave of %d pruned %d routers and tested %d, want a branch of %d and %d tested", v, pruned, got, branch, branch+1)
+		}
+		leaves++
+		if branch > 0 {
+			pruning++
+		}
+		longest = max(longest, branch)
+	}
+	if pruning == 0 || pruning == leaves || longest < 2 {
+		t.Fatalf("%d of %d leaves pruned, the longest branch %d: want leaves that prune and leaves that do not, and a branch of more than one router", pruning, leaves, longest)
+	}
+	t.Logf("%d of %d leaves pruned a branch, the longest %d routers", pruning, leaves, longest)
+}

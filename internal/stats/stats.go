@@ -61,7 +61,7 @@ func (s *Sample) StdDev() float64 {
 	sum := 0.0
 	for _, x := range s.xs {
 		d := x - mean
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum / float64(n-1))
 }

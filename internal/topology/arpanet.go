@@ -39,7 +39,7 @@ func Arpanet() *Graph {
 	rng := rng.New(1969) // ARPANET's birth year; fixed instance
 	g := New(ArpanetN)
 	for _, e := range arpanetEdges {
-		cost := 10 + rng.Float64()*90
+		cost := 10 + float64(rng.Float64()*90)
 		delay := rng.Float64() * cost
 		if delay <= 0 {
 			delay = cost / 2

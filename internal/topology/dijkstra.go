@@ -103,10 +103,11 @@ func (p *Paths) Reachable(dst NodeID) bool {
 //
 // A search Near starts runs in the table's one scratch row, which the
 // next Near from another source without a kept row restarts over what
-// the search labelled (see Paths.restart) — unless the search labelled
-// more than keepAt routers, when the table keeps its row and takes a
-// new scratch. So what a table holds follows the sources whose rows
-// were worth completing, not every member that ever joined.
+// the search labelled (see Paths.restart) — unless its source had
+// started a search before, since the last Invalidate, and it labelled
+// more than keepAt routers: then the table keeps its row and takes a
+// new scratch. A row pays off only when its source searches again, so
+// a table holds the rows of sources that came back and searched far.
 //
 // A row is a pure function of (graph, weight, mask), and a stopped
 // search holds a prefix of the full one (see ShortestInto), so a row
@@ -122,9 +123,10 @@ type AllPairs struct {
 	csr     *CSR
 	w       Weight
 	down    []bool
-	keepAt  int      // the scratch is kept once its search has labelled more routers (see Near)
+	keepAt  int      // a repeat search in the scratch is kept once it has labelled more routers (see Near)
 	rows    []*Paths // the kept rows
 	scratch *Paths   // the search of the last source Near found no kept row for
+	again   bool     // the scratch's source had started a search before it, since the last Invalidate
 	free    []*Paths // rows retired by Invalidate, restarted by begin before it allocates
 	started []uint64 // one bit per source started since the last Invalidate
 	count   int      // the bits set in started
@@ -133,10 +135,11 @@ type AllPairs struct {
 // NewLazyAllPairs returns a table under w with no row started yet and
 // every link up until Invalidate says otherwise.
 //
-// keepAt is 0 under 256 routers, where every scratch search is kept,
-// and otherwise the largest 32·2^k that is at most n/8: a search that
-// far out has paid a fair share of a complete row, and one short of it
-// is cheaper to search again than to keep n wide (DESIGN.md §8).
+// keepAt is 0 under 256 routers, where every repeat search is kept,
+// and otherwise the largest 32·2^k that is at most n/8: a repeat search
+// that far out has paid a fair share of a complete row, and one short
+// of it is cheaper to search again than to keep n wide. A first search
+// is never kept, however far it got (DESIGN.md §8).
 func NewLazyAllPairs(g *Graph, w Weight) *AllPairs {
 	n := g.N()
 	keepAt := 0
@@ -161,7 +164,7 @@ func (ap *AllPairs) Row(src NodeID) *Paths {
 		if s := ap.scratch; s != nil && s.Src == src {
 			p, ap.scratch = s, nil
 		} else {
-			p = ap.begin(nil, src)
+			p, _ = ap.begin(nil, src)
 		}
 		ap.rows[src] = p
 	}
@@ -173,8 +176,9 @@ func (ap *AllPairs) Row(src NodeID) *Paths {
 
 // begin restarts p on a search from src, or a retired row when p is nil
 // — a fresh, empty one when there is none — so that a row costs what
-// its last search labelled, not n (see Paths.restart).
-func (ap *AllPairs) begin(p *Paths, src NodeID) *Paths {
+// its last search labelled, not n (see Paths.restart). It reports
+// whether src had started a search before, since the last Invalidate.
+func (ap *AllPairs) begin(p *Paths, src NodeID) (_ *Paths, again bool) {
 	if p == nil {
 		if k := len(ap.free); k > 0 {
 			p, ap.free = ap.free[k-1], ap.free[:k-1]
@@ -184,11 +188,12 @@ func (ap *AllPairs) begin(p *Paths, src NodeID) *Paths {
 		}
 	}
 	p.restart(src, ap.w)
-	if bit := uint64(1) << (src % 64); ap.started[src/64]&bit == 0 {
+	bit := uint64(1) << (src % 64)
+	if again = ap.started[src/64]&bit != 0; !again {
 		ap.started[src/64] |= bit
 		ap.count++
 	}
-	return p
+	return p, again
 }
 
 // Hop reads the table as the unicast forwarding table its weight
@@ -251,17 +256,18 @@ type Near struct {
 // Near returns a cursor at the start of src's row (src itself is the
 // first node it reports): src's kept row, the scratch if it holds src's
 // search, or else a search from src started in the scratch — after the
-// table keeps the scratch's row if its search labelled more than keepAt
-// routers.
+// table keeps the scratch's row if its search is a repeat (its source
+// had started one before, since the last Invalidate) that labelled more
+// than keepAt routers.
 func (ap *AllPairs) Near(src NodeID) Near {
 	p := ap.rows[src]
 	if p == nil {
 		p = ap.scratch
-		if p != nil && p.Src >= 0 && p.Src != src && p.settled+p.queued > ap.keepAt {
+		if p != nil && p.Src >= 0 && p.Src != src && ap.again && p.settled+p.queued > ap.keepAt {
 			ap.rows[p.Src], p = p, nil
 		}
 		if p == nil || p.Src != src {
-			p = ap.begin(p, src)
+			p, ap.again = ap.begin(p, src)
 			ap.scratch = p
 		}
 	}

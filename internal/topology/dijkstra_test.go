@@ -60,7 +60,7 @@ func TestShortestUnreachable(t *testing.T) {
 // and has no path, on either side of the range: for a complete row, and
 // for a Near cursor before and after it is asked to settle the id, on a
 // short line and on one of over 256 routers, where a table keeps a
-// search only once it has labelled keepAt routers.
+// repeat search only once it has labelled keepAt routers.
 func TestPathsOutOfRangeIDs(t *testing.T) {
 	for _, n := range []int{4, 512} {
 		g := line(t, n)

@@ -68,3 +68,15 @@ func (ap *AllPairs) KeptRows() (kept int) {
 	}
 	return kept
 }
+
+// Scratch reports the source of the search the scratch row holds (-1
+// when none) and how many routers that search has labelled.
+func (ap *AllPairs) Scratch() (src NodeID, labelled int) {
+	if p := ap.scratch; p != nil {
+		return p.Src, p.settled + p.queued
+	}
+	return -1, 0
+}
+
+// KeepAt is the label count past which a repeat search is kept.
+func (ap *AllPairs) KeepAt() int { return ap.keepAt }

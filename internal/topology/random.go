@@ -49,7 +49,7 @@ func Random(cfg RandomConfig, rng *rng.Rand) (*Graph, error) {
 	}
 	g := New(cfg.N)
 	newEdge := func(u, v NodeID) {
-		cost := cfg.MinCost + rng.Float64()*(cfg.MaxCost-cfg.MinCost)
+		cost := cfg.MinCost + float64(rng.Float64()*(cfg.MaxCost-cfg.MinCost))
 		delay := rng.Float64() * cost
 		if delay <= 0 {
 			delay = cost / 2

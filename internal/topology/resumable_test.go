@@ -90,7 +90,7 @@ func checkSuspended(t *testing.T, label string, ap *AllPairs, src NodeID, full *
 }
 
 // bigGraphs are graphs of over 256 routers, on which a table keeps a
-// search only once it has labelled keepAt routers: the benchmark's
+// repeat search only once it has labelled keepAt routers: the benchmark's
 // 2440-node transit-stub, and two tie-heavy shapes where the settle
 // order is nothing like id order — a unit-weight grid and a long
 // uniform ring.
@@ -131,6 +131,61 @@ func settleOrder(full *Paths) []NodeID {
 	return order
 }
 
+// repeatModel predicts beside one table which scratch searches its
+// Near keeps: the scratch's search is kept when a search from another
+// source begins, if its own source had begun a search before it since
+// the last Invalidate and it labelled more than keepAt routers, and
+// restarted in place otherwise. near asserts that rule on every call,
+// and that the sources it saw begin are those Materialized counts.
+type repeatModel struct {
+	t     *testing.T
+	ap    *AllPairs
+	began []bool // sources begun since the last Invalidate
+	count int    // the true entries of began
+	again bool   // the scratch's search is a repeat
+}
+
+func newRepeatModel(t *testing.T, ap *AllPairs) *repeatModel {
+	return &repeatModel{t: t, ap: ap, began: make([]bool, len(ap.rows))}
+}
+
+// near is ap.Near(src); kept reports that it kept the scratch's search.
+func (m *repeatModel) near(label string, src NodeID) (c Near, kept bool) {
+	m.t.Helper()
+	ap, old := m.ap, m.ap.scratch
+	begins := ap.rows[src] == nil && (old == nil || old.Src != src)
+	kept = begins && old != nil && old.Src >= 0 && m.again && old.settled+old.queued > ap.keepAt
+	var from NodeID
+	if old != nil {
+		from = old.Src
+	}
+	c = ap.Near(src)
+	switch {
+	case kept && (ap.rows[from] != old || c.p == old):
+		m.t.Fatalf("%s: source %d's Near did not keep source %d's repeat search, which labelled more than keepAt %d", label, src, from, ap.keepAt)
+	case begins && !kept && old != nil && (c.p != old || from >= 0 && ap.rows[from] == old):
+		m.t.Fatalf("%s: source %d's Near did not restart source %d's search in place (a repeat: %v, keepAt %d)", label, src, from, m.again, ap.keepAt)
+	}
+	if begins {
+		m.again = m.began[src]
+		if !m.again {
+			m.began[src] = true
+			m.count++
+		}
+	}
+	if got := ap.Materialized(); got != m.count {
+		m.t.Fatalf("%s: the table started %d sources, the model saw %d begin", label, got, m.count)
+	}
+	return c, kept
+}
+
+// invalidate is ap.Invalidate(down): every source searches afresh.
+func (m *repeatModel) invalidate(down []bool) {
+	m.ap.Invalidate(down)
+	clear(m.began)
+	m.count = 0
+}
+
 // TestEquivalenceLazyResumableRows is the differential gate for
 // resumable rows: a lazy row advanced in random increments — Next a few
 // times, Settle of a random node, finally Row — is at every stop a
@@ -138,7 +193,9 @@ func settleOrder(full *Paths) []NodeID {
 // cursor that was opened first and must go on reporting the one-shot
 // order. Between the stops the row changes hands: for some sources
 // another source's cursor walks mid-way, which keeps the row if its
-// search labelled more than keepAt routers and restarts it otherwise;
+// search is a repeat that labelled more than keepAt routers and
+// restarts it otherwise (see repeatModel, which checks every Near);
+// some sources search once before, so that their search is a repeat;
 // for some the table is invalidated, which restarts whichever row the
 // next Near takes; and for some Row completes the half-walked scratch,
 // which it must keep. After every restart the row is clean (see
@@ -146,7 +203,7 @@ func settleOrder(full *Paths) []NodeID {
 func TestEquivalenceLazyResumableRows(t *testing.T) {
 	graphs := equivGraphs(t)
 	maps.Copy(graphs, bigGraphs(t))
-	var keptByNear, keptByRow, reopened, afterInvalidate int
+	var keptByNear, firstRestarted, keptByRow, reopened, afterInvalidate int
 	for name, g := range graphs {
 		step := 1 // every source of a small graph, a spread of them on a big one
 		if g.N() > 256 {
@@ -155,14 +212,22 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 		for avoidName, avoid := range equivAvoids(g, 23) {
 			for _, w := range []Weight{ByDelay, ByCost} {
 				lazy := NewLazyAllPairs(g, w)
-				lazy.Invalidate(avoid)
+				m := newRepeatModel(t, lazy)
+				m.invalidate(avoid)
 				rng := rng.New(int64(g.N())*31 + int64(w))
 				for src := 0; src < g.N(); src += step {
 					src := NodeID(src)
 					label := fmt.Sprintf("%s/%s/%s/src%d", name, avoidName, w, src)
 					full := shortestAvoid(g, src, w, avoid)
 					want := settleOrder(full)
-					c := lazy.Near(src)
+					other := (src + max(1, NodeID(step)/2)) % NodeID(g.N())
+					if src/NodeID(step)%4 == 2 {
+						// Search once before, from src and then from
+						// other, so that src's search below is a repeat.
+						m.near(label+"/before", src)
+						m.near(label+"/before", other)
+					}
+					c, _ := m.near(label, src)
 					p := c.p
 					checkClean(t, label+"/start", p)
 					if first, ok := c.Next(); !ok || first != src {
@@ -170,7 +235,7 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 					}
 					// held is opened before the row changes hands and is
 					// walked only after: k more routers of the one-shot order.
-					held := lazy.Near(src)
+					held, _ := m.near(label, src)
 					follow := func(at string, k int) {
 						t.Helper()
 						for ; k > 0 && held.i < len(want); k-- {
@@ -180,13 +245,15 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 						}
 					}
 					reopen := func() {
-						c, held = lazy.Near(src), lazy.Near(src)
+						c, _ = m.near(label+"/reopen", src)
+						held, _ = m.near(label+"/reopen", src)
 						p = c.p
 					}
 
 					// Walk past keepAt labels from every other source, so
-					// that another source's Near keeps the row, and a few
-					// pops from the rest, so that it restarts it.
+					// that another source's Near keeps the row if it is a
+					// repeat, and a few pops from the rest, so that it
+					// restarts it.
 					walk := 3
 					if src/NodeID(step)%2 == 0 {
 						walk = lazy.keepAt
@@ -202,19 +269,15 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 					if src/NodeID(step)%3 == 2 {
 						// Another source's cursor mid-walk keeps the row or
 						// restarts it under both cursors: open them again.
-						other := (src + max(1, NodeID(step)/2)) % NodeID(g.N())
 						labelled, untouched := p.settled+p.queued, lazy.scratch != p || lazy.rows[other] != nil
 						owant := settleOrder(shortestAvoid(g, other, w, avoid))
-						o := lazy.Near(other)
+						o, kept := m.near(label, other)
 						switch {
 						case untouched:
-						case labelled > lazy.keepAt:
-							if lazy.rows[src] != p {
-								t.Fatalf("%s: source %d's Near did not keep a search that labelled %d routers, keepAt %d", label, other, labelled, lazy.keepAt)
-							}
+						case kept:
 							keptByNear++
-						case o.p != p:
-							t.Fatalf("%s: source %d's Near did not restart a search that labelled %d routers, keepAt %d", label, other, labelled, lazy.keepAt)
+						case labelled > lazy.keepAt:
+							firstRestarted++
 						}
 						checkClean(t, fmt.Sprintf("%s/source%d", label, other), o.p)
 						for o.i < min(40, len(owant)) {
@@ -232,7 +295,7 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 						// Invalidate under the same mask: the next Near
 						// restarts the scratch, or the row it retired last.
 						reused := lazy.scratch
-						lazy.Invalidate(avoid)
+						m.invalidate(avoid)
 						if k := len(lazy.free); reused == nil && k > 0 {
 							reused = lazy.free[k-1]
 						}
@@ -319,9 +382,9 @@ func TestEquivalenceLazyResumableRows(t *testing.T) {
 	}
 	// The stops above are only worth their names if the rows really
 	// changed hands with the cursors open.
-	if keptByNear == 0 || keptByRow == 0 || reopened == 0 || afterInvalidate == 0 {
-		t.Fatalf("rows changing hands under an open cursor: %d kept by another source's Near, %d kept by Row, %d reopens after another source, %d restarts after Invalidate — want all four",
-			keptByNear, keptByRow, reopened, afterInvalidate)
+	if keptByNear == 0 || firstRestarted == 0 || keptByRow == 0 || reopened == 0 || afterInvalidate == 0 {
+		t.Fatalf("rows changing hands under an open cursor: %d repeats kept by another source's Near, %d first searches past keepAt restarted by it, %d kept by Row, %d reopens after another source, %d restarts after Invalidate — want all five",
+			keptByNear, firstRestarted, keptByRow, reopened, afterInvalidate)
 	}
 }
 
